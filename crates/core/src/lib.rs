@@ -23,7 +23,8 @@
 //!   netlist, placement on the grid, routing through the virtual network,
 //!   settings generation;
 //! * [`sim`] — functional simulation of a mapped application (streams
-//!   samples through the PEs using the bit-exact FloPoCo model);
+//!   samples through the PEs using the bit-exact FloPoCo model), and the
+//!   flat `ExecPlan` a mapped application is lowered to for streaming;
 //! * [`render`] — DOT/ASCII renderings of the grid and the PE (Figs. 1/4).
 
 #![forbid(unsafe_code)]

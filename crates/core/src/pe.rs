@@ -126,7 +126,6 @@ impl PeSettings {
     pub fn evaluate(&self, in_a: FpValue, in_b: FpValue, fb: FpValue) -> (FpValue, FpValue) {
         let fmt = in_a.format;
         let zero = FpValue::zero(fmt);
-        let one = FpValue::from_f64(1.0, fmt);
         let sel = self.route_selects();
         let pick4 = |s: u8, c: [FpValue; 4]| c[(s & 3) as usize];
         let x = pick4(sel[0], [in_a, in_b, fb, zero]);
@@ -137,7 +136,6 @@ impl PeSettings {
         let add_out = adda.add(addb);
         let out = pick4(sel[4], [add_out, mul_out, acc, x]);
         let fbn = pick4(sel[5], [add_out, mul_out, in_b, zero]);
-        let _ = one;
         (out, fbn)
     }
 }

@@ -6,9 +6,17 @@
 //! execution with the per-PE iteration counter — the usage pattern the
 //! paper describes for the filter kernels — is modeled by
 //! [`StreamingMac`].
+//!
+//! Serving does not interpret the graph per item: [`ExecPlan::lower`]
+//! folds a mapped application into a flat op list once per job — the
+//! software counterpart of the paper folding rarely-changing settings
+//! into the configuration — and [`ExecPlan::run`] streams items through
+//! it. [`run_mapped`] stays as the per-item reference the plan is tested
+//! against.
 
 use crate::app::{AppGraph, AppSource};
-use crate::pe::PeSettings;
+use crate::flow::VcgraMapping;
+use crate::pe::{PeMode, PeSettings};
 use softfloat::FpValue;
 
 /// Runs a stateless dataflow graph on one input vector.
@@ -108,8 +116,13 @@ pub fn time_multiplexed_dot(
 /// Verifies a mapped application: re-runs the dataflow through the
 /// placement (every node must sit on a PE whose settings reproduce the
 /// node's operation). Returns the simulated outputs.
+///
+/// This is the per-item reference: it re-reads the placement and goes
+/// through [`PeSettings::evaluate`]'s route-select model for every node
+/// of every item. Streams execute through [`ExecPlan`], which must agree
+/// with it bit for bit.
 pub fn run_mapped(
-    mapping: &crate::flow::VcgraMapping,
+    mapping: &VcgraMapping,
     app: &AppGraph,
     inputs: &[FpValue],
 ) -> Vec<FpValue> {
@@ -134,6 +147,173 @@ pub fn run_mapped(
         value.push(out);
     }
     app.outputs.iter().map(|&o| value[o]).collect()
+}
+
+/// Why a mapped application cannot be lowered to an [`ExecPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// The node is not placed on a grid cell that holds settings.
+    MissingSettings {
+        /// The offending node.
+        node: usize,
+    },
+    /// The node's cell is configured for a different operation.
+    ModeMismatch {
+        /// The offending node.
+        node: usize,
+        /// Mode of the placed cell's settings.
+        cell: PeMode,
+        /// Operation the node asks for.
+        op: PeMode,
+    },
+    /// An operand names the node itself or a later one.
+    ForwardReference {
+        /// The offending node.
+        node: usize,
+        /// The node its operand names.
+        operand: usize,
+    },
+    /// An operand names an external input the graph does not declare.
+    ExternalOutOfRange {
+        /// The offending node.
+        node: usize,
+        /// The external index its operand names.
+        index: usize,
+        /// External inputs the graph declares.
+        num_inputs: usize,
+    },
+    /// An output names a node the graph does not have.
+    OutputOutOfRange {
+        /// The node index the output names.
+        output: usize,
+        /// Nodes in the graph.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PlanError::MissingSettings { node } => {
+                write!(f, "node {node} is not placed on a cell with settings")
+            }
+            PlanError::ModeMismatch { node, cell, op } => {
+                write!(f, "node {node} needs {op:?} but its cell is set to {cell:?}")
+            }
+            PlanError::ForwardReference { node, operand } => {
+                write!(f, "node {node} reads node {operand}, which is not earlier")
+            }
+            PlanError::ExternalOutOfRange { node, index, num_inputs } => {
+                write!(f, "node {node} reads external {index} of {num_inputs}")
+            }
+            PlanError::OutputOutOfRange { output, nodes } => {
+                write!(f, "output names node {output} of {nodes}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// One lowered node. Operands are slots of the scratch buffer; each
+/// variant keeps only the arithmetic its mode's route selects keep.
+#[derive(Debug, Clone, Copy)]
+enum PlanOp {
+    Mul { a: usize, coeff: FpValue },
+    Mac { a: usize, coeff: FpValue },
+    Add { a: usize, b: usize },
+    Pass { a: usize },
+}
+
+/// A mapped application lowered for streaming: everything that does not
+/// depend on the item — placement lookups, the settings/op check, operand
+/// resolution, the route selects — is done once by [`ExecPlan::lower`].
+///
+/// The scratch buffer is laid out `[zero | external inputs | node
+/// values]`, so every operand is one index into it.
+#[derive(Debug, Clone)]
+pub struct ExecPlan {
+    zero: FpValue,
+    num_inputs: usize,
+    ops: Vec<PlanOp>,
+    outputs: Vec<usize>,
+}
+
+impl ExecPlan {
+    /// Lowers `app` as placed by `mapping`. Checks once what
+    /// [`run_mapped`] asserts per item (every node sits on a cell whose
+    /// settings carry its op) and that every operand and output resolves.
+    pub fn lower(mapping: &VcgraMapping, app: &AppGraph) -> Result<ExecPlan, PlanError> {
+        let cols = mapping.arch.cols;
+        let first_node = 1 + app.num_inputs;
+        let mut ops = Vec::with_capacity(app.nodes.len());
+        for (node, n) in app.nodes.iter().enumerate() {
+            let settings = mapping
+                .place
+                .get(node)
+                .filter(|&&(_, c)| c < cols)
+                .and_then(|&(r, c)| mapping.pe_settings.get(r * cols + c).copied().flatten())
+                .ok_or(PlanError::MissingSettings { node })?;
+            if settings.mode != n.op {
+                return Err(PlanError::ModeMismatch { node, cell: settings.mode, op: n.op });
+            }
+            let slot = |s: AppSource| match s {
+                AppSource::Zero => Ok(0),
+                AppSource::External(index) if index < app.num_inputs => Ok(1 + index),
+                AppSource::External(index) => Err(PlanError::ExternalOutOfRange {
+                    node,
+                    index,
+                    num_inputs: app.num_inputs,
+                }),
+                AppSource::Node(operand) if operand < node => Ok(first_node + operand),
+                AppSource::Node(operand) => Err(PlanError::ForwardReference { node, operand }),
+            };
+            let (a, b) = (slot(n.a)?, slot(n.b)?);
+            ops.push(match n.op {
+                PeMode::Mul => PlanOp::Mul { a, coeff: settings.coeff },
+                PeMode::Mac => PlanOp::Mac { a, coeff: settings.coeff },
+                PeMode::Add => PlanOp::Add { a, b },
+                PeMode::Pass => PlanOp::Pass { a },
+            });
+        }
+        let outputs = app
+            .outputs
+            .iter()
+            .map(|&output| {
+                if output < app.nodes.len() {
+                    Ok(first_node + output)
+                } else {
+                    Err(PlanError::OutputOutOfRange { output, nodes: app.nodes.len() })
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ExecPlan { zero: FpValue::zero(app.format), num_inputs: app.num_inputs, ops, outputs })
+    }
+
+    /// Runs one item and returns the outputs in the order the graph
+    /// declared them. `scratch` is working storage the caller keeps
+    /// between items (of this or any other plan) so that none is
+    /// allocated per item; its content on entry is irrelevant.
+    ///
+    /// Panics unless `item` holds one value per external input.
+    pub fn run(&self, item: &[FpValue], scratch: &mut Vec<FpValue>) -> Vec<FpValue> {
+        assert_eq!(item.len(), self.num_inputs, "one value per external input");
+        scratch.clear();
+        scratch.push(self.zero);
+        scratch.extend_from_slice(item);
+        for op in &self.ops {
+            // `lower` resolved every operand to an earlier slot.
+            let out = match *op {
+                PlanOp::Mul { a, coeff } => scratch[a].mul(coeff),
+                // A dataflow MAC accumulates onto a zero feedback.
+                PlanOp::Mac { a, coeff } => scratch[a].mul(coeff).add(self.zero),
+                PlanOp::Add { a, b } => scratch[a].add(scratch[b]),
+                PlanOp::Pass { a } => scratch[a],
+            };
+            scratch.push(out);
+        }
+        self.outputs.iter().map(|&o| scratch[o]).collect()
+    }
 }
 
 #[cfg(test)]
@@ -203,5 +383,59 @@ mod tests {
         let direct = run_dataflow(&app, &inputs);
         let mapped = run_mapped(&mapping, &app, &inputs);
         assert_eq!(direct[0].bits, mapped[0].bits);
+        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        // A dirty scratch left by another plan must not leak in.
+        let mut scratch = vec![fp(7.0); 40];
+        assert_eq!(plan.run(&inputs, &mut scratch), mapped);
+        assert_eq!(plan.run(&inputs, &mut scratch), mapped);
+    }
+
+    #[test]
+    fn lowering_rejects_what_run_mapped_would_panic_on() {
+        let app = AppGraph::dot_product(F, &[1.0, 0.5]);
+        let mapping = crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5)
+            .expect("mappable");
+        let cols = mapping.arch.cols;
+        let cell = |node: usize| mapping.place[node].0 * cols + mapping.place[node].1;
+
+        let mut unset = mapping.clone();
+        unset.pe_settings[cell(1)] = None;
+        assert_eq!(
+            ExecPlan::lower(&unset, &app).unwrap_err(),
+            PlanError::MissingSettings { node: 1 }
+        );
+        let mut unplaced = mapping.clone();
+        unplaced.place.truncate(2);
+        assert_eq!(
+            ExecPlan::lower(&unplaced, &app).unwrap_err(),
+            PlanError::MissingSettings { node: 2 }
+        );
+        let mut wrong_mode = mapping.clone();
+        wrong_mode.pe_settings[cell(2)].as_mut().unwrap().mode = PeMode::Pass;
+        assert_eq!(
+            ExecPlan::lower(&wrong_mode, &app).unwrap_err(),
+            PlanError::ModeMismatch { node: 2, cell: PeMode::Pass, op: PeMode::Add }
+        );
+
+        // The graph's fields are public, so a caller can hand over one
+        // that `AppGraph::add` would have refused.
+        let mut forward = app.clone();
+        forward.nodes[2].b = AppSource::Node(2);
+        assert_eq!(
+            ExecPlan::lower(&mapping, &forward).unwrap_err(),
+            PlanError::ForwardReference { node: 2, operand: 2 }
+        );
+        let mut external = app.clone();
+        external.nodes[0].a = AppSource::External(2);
+        assert_eq!(
+            ExecPlan::lower(&mapping, &external).unwrap_err(),
+            PlanError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 }
+        );
+        let mut output = app.clone();
+        output.outputs.push(3);
+        assert_eq!(
+            ExecPlan::lower(&mapping, &output).unwrap_err(),
+            PlanError::OutputOutOfRange { output: 3, nodes: 3 }
+        );
     }
 }

@@ -1,46 +1,48 @@
 //! Batched streaming execution over the grid pool.
 //!
-//! Execution is organized by **band** (the scheduler's unit of spatial
-//! isolation): bands are independent hardware regions, so they run on
-//! parallel worker threads; tenants *within* a shared band are
-//! time-multiplexed, so they run serialized, and every slot change is
-//! charged a full-region micro-reconfiguration in the ledger (the cost
-//! that makes oversubscription visible).
+//! A run is described by **band** (the scheduler's unit of spatial
+//! isolation): tenants *within* a shared band are time-multiplexed, so
+//! every slot change is charged a full-region micro-reconfiguration in
+//! the ledger (the cost that makes oversubscription visible). Those
+//! charges follow from slot order alone.
 //!
-//! Every input vector streams through [`vcgra::sim::run_mapped`], i.e.
-//! through the tenant's placed settings in bit-exact FloPoCo arithmetic —
-//! the same value `run_dataflow` computes, which is what the bit-exactness
-//! acceptance tests pin down.
+//! Host execution is organized by **unit**, not by band. Every job
+//! arrives as an [`ExecPlan`] — its mapped graph lowered once, by
+//! [`crate::Runtime::run`], which is also where a mapping that cannot
+//! be lowered is refused — and is cut into units of `batch_size`
+//! consecutive items. The calling thread and its helper threads take
+//! units off one shared cursor, so a call takes about the total item
+//! work divided by the workers, whatever the sizes of the bands.
+//! Outputs are put back in item order.
+//!
+//! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
+//! `run_dataflow` compute in FloPoCo arithmetic; the bit-exactness
+//! acceptance tests pin that down.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use softfloat::FpValue;
-use vcgra::app::AppGraph;
-use vcgra::flow::VcgraMapping;
-use vcgra::sim::run_mapped;
+use vcgra::sim::ExecPlan;
 
 use crate::pool::TenantId;
 
 /// One tenant's work within a band.
-pub struct Job<'a> {
+pub struct Job {
     /// The tenant being served.
     pub tenant: TenantId,
     /// Relocation epoch of the tenant's lease at submission time (how
     /// many times compaction has moved the band) — carried into the
     /// [`TenantRun`] so callers can correlate results with relocations.
     pub epoch: u64,
-    /// Its application graph (current parameters).
-    pub graph: &'a AppGraph,
-    /// Its placed configuration (settings match the graph).
-    pub mapping: &'a VcgraMapping,
-    /// Input vectors to stream.
+    /// Its placed configuration under its current parameters, lowered.
+    pub plan: ExecPlan,
+    /// Input vectors to stream, one value per external input each.
     pub inputs: Vec<Vec<FpValue>>,
 }
 
 /// All work scheduled onto one band this run.
-pub struct BandWork<'a> {
+pub struct BandWork {
     /// True when the band time-multiplexes several tenants.
     pub shared: bool,
     /// True when the band's resident configuration (from a previous run)
@@ -48,8 +50,8 @@ pub struct BandWork<'a> {
     pub swap_in_first: bool,
     /// Modeled port time of one context switch (full-region reconfig).
     pub switch_cost: Duration,
-    /// Jobs, executed in order (run-to-completion per slot).
-    pub jobs: Vec<Job<'a>>,
+    /// Jobs, in slot order.
+    pub jobs: Vec<Job>,
 }
 
 /// Per-tenant result of one streaming run.
@@ -96,81 +98,123 @@ pub fn switch_port_time(cost: Duration, switches: u64) -> Duration {
     }
 }
 
-/// Runs every band, bands in parallel on up to `workers` threads, jobs
-/// within a band serialized. `batch_size` is the streaming chunk size
-/// (accounting granularity of the `batches` counter).
-pub fn run_bands(bands: Vec<BandWork<'_>>, workers: usize, batch_size: usize) -> Vec<TenantRun> {
+/// The `request` → `execute` spans over the consecutive units of one job
+/// that one worker ran: a span pair per unit would cost the traced run
+/// more than the units' bookkeeping costs the untraced one.
+struct UnitSpans {
+    job: usize,
+    items: usize,
+    // Dropped in this order: spans close innermost first.
+    execute: trace::Span,
+    _request: trace::Span,
+}
+
+impl UnitSpans {
+    fn open(job: usize, tenant: TenantId) -> Self {
+        let mut request = trace::span("request");
+        request.arg("tenant", tenant);
+        request.arg("op", "execute");
+        UnitSpans { job, items: 0, execute: trace::span("execute"), _request: request }
+    }
+}
+
+impl Drop for UnitSpans {
+    fn drop(&mut self) {
+        self.execute.arg("items", self.items);
+    }
+}
+
+/// Runs every job of every band on up to `workers` threads, the calling
+/// thread being one of them. `batch_size` is the number of items in a
+/// unit of work, and the granularity of the `batches` counter.
+pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec<TenantRun> {
     assert!(batch_size > 0);
-    let queue = Mutex::new(bands.into_iter().collect::<VecDeque<_>>());
-    let results = Mutex::new(Vec::new());
-    let n_workers = workers.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let band = match queue.lock().expect("band queue mutex poisoned").pop_front() {
-                    Some(b) => b,
-                    None => break,
-                };
-                let mut runs = Vec::with_capacity(band.jobs.len());
-                for (slot, job) in band.jobs.into_iter().enumerate() {
-                    // Every slot after the first swaps a different tenant's
-                    // configuration into the shared region; the first slot
-                    // swaps in as well when another tenant was resident.
-                    let swap_in = slot > 0 || band.swap_in_first;
-                    let switches = if band.shared && swap_in { 1 } else { 0 };
-                    let mut request_span = trace::span("request");
-                    request_span.arg("tenant", job.tenant);
-                    request_span.arg("op", "execute");
-                    if switches > 0 {
-                        // The swap-in reconfigures this band while other
-                        // bands keep computing — the overlap the runtime's
-                        // timeline models as a lane-local phase.
-                        let mut sw = trace::span("reconfig_overlap");
-                        sw.arg("tenant", job.tenant);
-                        sw.arg("switch_ns", band.switch_cost.as_nanos() as u64);
-                        drop(sw);
-                    }
-                    let mut exec_span = trace::span("execute");
-                    let mut outputs = Vec::with_capacity(job.inputs.len());
-                    let mut batches = 0;
-                    let t0 = std::time::Instant::now();
-                    for chunk in job.inputs.chunks(batch_size) {
-                        for input in chunk {
-                            outputs.push(run_mapped(job.mapping, job.graph, input));
-                        }
-                        batches += 1;
-                    }
-                    let exec_time = t0.elapsed();
-                    exec_span.arg("items", outputs.len());
-                    exec_span.arg("batches", batches as u64);
-                    drop(exec_span);
-                    drop(request_span);
-                    runs.push(TenantRun {
-                        tenant: job.tenant,
-                        epoch: job.epoch,
-                        items: outputs.len(),
-                        outputs,
-                        batches,
-                        exec_time,
-                        context_switches: switches,
-                        switch_port_time: switch_port_time(band.switch_cost, switches as u64),
-                    });
-                }
-                results.lock().expect("result mutex poisoned").extend(runs);
+    let mut jobs = Vec::new();
+    let mut runs = Vec::new();
+    for band in bands {
+        for (slot, job) in band.jobs.into_iter().enumerate() {
+            // Every slot after the first swaps a different tenant's
+            // configuration into the shared region; the first slot
+            // swaps in as well when another tenant was resident.
+            let swap_in = slot > 0 || band.swap_in_first;
+            let switches = usize::from(band.shared && swap_in);
+            if switches > 0 {
+                // The swap-in reconfigures this band while other bands
+                // keep computing — the overlap the runtime's timeline
+                // models as a lane-local phase.
+                let mut request_span = trace::span("request");
+                request_span.arg("tenant", job.tenant);
+                request_span.arg("op", "switch");
+                let mut sw = trace::span("reconfig_overlap");
+                sw.arg("tenant", job.tenant);
+                sw.arg("switch_ns", band.switch_cost.as_nanos() as u64);
+            }
+            runs.push(TenantRun {
+                tenant: job.tenant,
+                epoch: job.epoch,
+                outputs: Vec::with_capacity(job.inputs.len()),
+                items: job.inputs.len(),
+                batches: job.inputs.len().div_ceil(batch_size),
+                exec_time: Duration::ZERO,
+                context_switches: switches,
+                switch_port_time: switch_port_time(band.switch_cost, switches as u64),
             });
+            jobs.push(job);
         }
+    }
+
+    // (job, first item) of every unit, in output order.
+    let units: Vec<(usize, usize)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(j, job)| (0..job.inputs.len()).step_by(batch_size).map(move |start| (j, start)))
+        .collect();
+    // Relaxed: the cursor only hands out indices; a worker's results
+    // reach the caller through its join.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        let mut scratch = Vec::new();
+        let mut spans: Option<UnitSpans> = None;
+        while let Some(&(j, start)) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let job = &jobs[j];
+            let chunk = &job.inputs[start..job.inputs.len().min(start + batch_size)];
+            if spans.as_ref().is_some_and(|s| s.job != j) {
+                // Closed before the next job's open: spans nest per thread.
+                spans = None;
+            }
+            spans.get_or_insert_with(|| UnitSpans::open(j, job.tenant)).items += chunk.len();
+            let t0 = Instant::now();
+            let outputs: Vec<Vec<FpValue>> =
+                chunk.iter().map(|item| job.plan.run(item, &mut scratch)).collect();
+            done.push((j, start, outputs, t0.elapsed()));
+        }
+        done
+    };
+    let helpers = workers.min(units.len()).saturating_sub(1);
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("engine worker panicked"));
+        }
+        done
     });
-    let mut out = results.into_inner().expect("result mutex poisoned");
-    out.sort_by_key(|r| r.tenant);
-    out
+    done.sort_unstable_by_key(|&(j, start, ..)| (j, start));
+    for (j, _, outputs, elapsed) in done {
+        runs[j].outputs.extend(outputs);
+        runs[j].exec_time += elapsed;
+    }
+    runs.sort_by_key(|r| r.tenant);
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use softfloat::FpFormat;
+    use vcgra::app::AppGraph;
     use vcgra::flow::map_app;
-    use vcgra::sim::run_dataflow;
     use vcgra::VcgraArch;
 
     const F: FpFormat = FpFormat::PAPER;
@@ -179,53 +223,74 @@ mod tests {
         FpValue::from_f64(x, F)
     }
 
+    fn plan(app: &AppGraph, seed: u64) -> ExecPlan {
+        let mapping = map_app(app, VcgraArch::paper_4x4(), seed).unwrap();
+        ExecPlan::lower(&mapping, app).unwrap()
+    }
+
+    /// Two dedicated bands of unequal size, a shared band of two slots,
+    /// and a job without items.
+    fn mixed_bands(plans: &[ExecPlan], inputs: &[Vec<Vec<FpValue>>]) -> Vec<BandWork> {
+        let job = |t: usize| Job {
+            tenant: t as TenantId,
+            epoch: t as u64,
+            plan: plans[t].clone(),
+            inputs: inputs[t].clone(),
+        };
+        let cost = Duration::from_millis(100);
+        let band = |shared, jobs| BandWork { shared, swap_in_first: false, switch_cost: cost, jobs };
+        vec![
+            band(false, vec![job(0)]),
+            band(true, vec![job(3), job(1)]),
+            band(false, vec![job(2)]),
+        ]
+    }
+
     #[test]
-    fn parallel_bands_match_run_dataflow() {
-        let apps: Vec<AppGraph> = vec![
+    fn runs_do_not_depend_on_workers_or_batch_size() {
+        let apps = [
             AppGraph::dot_product(F, &[0.5, 0.25, 0.125]),
             AppGraph::mac_chain(F, &[1.0, -1.0]),
+            AppGraph::dot_product(F, &[2.0, -3.0, 0.5, 4.0, 1.5]),
+            AppGraph::dot_product(F, &[1.0, 2.0]),
         ];
-        let mappings: Vec<_> = apps
-            .iter()
-            .map(|a| map_app(a, VcgraArch::paper_4x4(), 3).unwrap())
-            .collect();
+        let plans: Vec<ExecPlan> = apps.iter().map(|a| plan(a, 3)).collect();
+        let items = [10, 0, 150, 65];
         let inputs: Vec<Vec<Vec<FpValue>>> = apps
             .iter()
-            .map(|a| {
-                (0..10)
+            .zip(items)
+            .map(|(a, n)| {
+                (0..n)
                     .map(|i| (0..a.num_inputs).map(|j| fp((i * 7 + j) as f64 * 0.5)).collect())
                     .collect()
             })
             .collect();
-        let bands: Vec<BandWork> = apps
+        // What each item gives on its own, outside the engine.
+        let want: Vec<Vec<Vec<FpValue>>> = plans
             .iter()
-            .zip(&mappings)
             .zip(&inputs)
-            .enumerate()
-            .map(|(t, ((graph, mapping), ins))| BandWork {
-                shared: false,
-                swap_in_first: false,
-                switch_cost: Duration::ZERO,
-                jobs: vec![Job {
-                    tenant: t as TenantId,
-                    epoch: 0,
-                    graph,
-                    mapping,
-                    inputs: ins.clone(),
-                }],
-            })
+            .map(|(p, ins)| ins.iter().map(|x| p.run(x, &mut Vec::new())).collect())
             .collect();
-        let runs = run_bands(bands, 4, 4);
-        assert_eq!(runs.len(), 2);
-        for (t, run) in runs.iter().enumerate() {
-            assert_eq!(run.items, 10);
-            assert_eq!(run.batches, 3, "10 items in chunks of 4");
-            assert_eq!(run.context_switches, 0);
-            for (input, out) in inputs[t].iter().zip(&run.outputs) {
-                let want = run_dataflow(&apps[t], input);
-                let got: Vec<u64> = out.iter().map(|v| v.bits).collect();
-                let want_bits: Vec<u64> = want.iter().map(|v| v.bits).collect();
-                assert_eq!(got, want_bits, "tenant {t} bit-exact");
+
+        for workers in [1, 2, 4, 8] {
+            for batch_size in [1, 7, 64, 4096] {
+                let runs = run_bands(mixed_bands(&plans, &inputs), workers, batch_size);
+                assert_eq!(runs.len(), 4, "a job without items still reports");
+                for (t, run) in runs.iter().enumerate() {
+                    let at = format!("tenant {t}, {workers} workers, batches of {batch_size}");
+                    assert_eq!(run.tenant, t as TenantId, "{at}");
+                    assert_eq!(run.epoch, t as u64, "{at}");
+                    assert_eq!(run.outputs, want[t], "{at}: outputs in item order");
+                    assert_eq!(run.items, items[t], "{at}");
+                    assert_eq!(run.batches, items[t].div_ceil(batch_size), "{at}");
+                    // Tenant 1 runs in the second slot of the shared band.
+                    assert_eq!(run.context_switches, usize::from(t == 1), "{at}");
+                    assert_eq!(
+                        run.switch_port_time,
+                        Duration::from_millis(if t == 1 { 100 } else { 0 }),
+                        "{at}"
+                    );
+                }
             }
         }
     }
@@ -251,7 +316,7 @@ mod tests {
     #[test]
     fn shared_band_charges_context_switches() {
         let app = AppGraph::dot_product(F, &[1.0, 2.0]);
-        let mapping = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap();
+        let plan = plan(&app, 1);
         let inputs: Vec<Vec<FpValue>> = vec![vec![fp(1.0), fp(2.0)]; 3];
         let cost = Duration::from_millis(100);
         let band = BandWork {
@@ -259,7 +324,7 @@ mod tests {
             swap_in_first: false,
             switch_cost: cost,
             jobs: (0..3)
-                .map(|t| Job { tenant: t, epoch: 0, graph: &app, mapping: &mapping, inputs: inputs.clone() })
+                .map(|t| Job { tenant: t, epoch: 0, plan: plan.clone(), inputs: inputs.clone() })
                 .collect(),
         };
         let runs = run_bands(vec![band], 2, 8);
@@ -274,7 +339,7 @@ mod tests {
             shared: true,
             swap_in_first: true,
             switch_cost: cost,
-            jobs: vec![Job { tenant: 0, epoch: 0, graph: &app, mapping: &mapping, inputs }],
+            jobs: vec![Job { tenant: 0, epoch: 0, plan, inputs }],
         };
         let runs = run_bands(vec![band], 1, 8);
         assert_eq!(runs[0].context_switches, 1, "resident tenant differs");

@@ -34,10 +34,12 @@
 //!   **cache-aware**: among feasible grids the runtime prefers one whose
 //!   region shape is already warm in the configuration cache, so a
 //!   mixed-width pool compiles each structure once, not once per width.
-//! * [`engine`] — **batched streaming execution**: bands run on parallel
-//!   worker threads, shared bands serialize their slots, every input
-//!   vector streams through `vcgra::sim::run_mapped` in bit-exact FloPoCo
-//!   arithmetic.
+//! * [`engine`] — **batched streaming execution**: every job's mapped
+//!   graph is lowered once per `run` call to a flat `vcgra::sim::ExecPlan`
+//!   and cut into units of `batch_size` items, which the worker threads
+//!   take off one shared cursor; slots of a shared band are charged their
+//!   context switches from slot order. The plan is bit-exact with the
+//!   per-item reference `vcgra::sim::run_mapped` in FloPoCo arithmetic.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together, plus the

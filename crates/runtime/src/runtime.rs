@@ -60,6 +60,7 @@ use dcs::ReconfigInterface;
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::AppGraph;
 use vcgra::flow::{FlowError, VcgraMapping};
+use vcgra::sim::ExecPlan;
 use vcgra::{PeSettings, VcgraArch};
 
 use crate::cache::{CacheStats, CachedConfig, ConfigCache, ConfigKey};
@@ -75,9 +76,9 @@ pub struct RuntimeConfig {
     pub grids: Vec<VcgraArch>,
     /// Configurations kept in the cache.
     pub cache_capacity: usize,
-    /// Worker threads for streaming execution.
+    /// Threads streaming execution may use, the caller's included.
     pub workers: usize,
-    /// Streaming chunk size.
+    /// Items in one unit of streaming work handed to a worker.
     pub batch_size: usize,
     /// Configuration interface priced by the ledger.
     pub iface: ReconfigInterface,
@@ -1107,70 +1108,60 @@ impl Runtime {
         Ok(refresh)
     }
 
-    /// Streams batched inputs through every requested tenant: bands run
-    /// in parallel, shared bands serialize with context-switch charges.
+    /// Streams batched inputs through every requested tenant: each job
+    /// is lowered to an [`ExecPlan`] and its items are spread over the
+    /// engine workers; shared bands are charged their context switches.
     /// Drains the admission queue first, so capacity freed since the last
     /// call is never left idle (the drain's admissions are visible in the
     /// ledger and via [`Runtime::tenant`]).
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
         self.drain_queue();
-        // Validate before borrowing for the engine.
-        for req in &requests {
-            let t = self.live(req.tenant)?;
-            for v in &req.inputs {
-                if v.len() != t.graph.num_inputs {
-                    return Err(RuntimeError::BadInputArity {
-                        expected: t.graph.num_inputs,
-                        got: v.len(),
-                    });
-                }
-            }
-        }
-
-        // Group requests by band, jobs ordered by the band's slot order.
-        let mut by_band: BTreeMap<(usize, usize), Vec<StreamRequest>> = BTreeMap::new();
+        // Validate and lower every request before any worker starts, so
+        // that a bad request or a broken mapping is an error here and
+        // never a panic on an engine thread. Jobs are grouped by band.
+        let mut by_band: BTreeMap<(usize, usize), Vec<Job>> = BTreeMap::new();
         for req in requests {
-            let lease = self.tenants[&req.tenant].lease;
-            by_band.entry((lease.grid, lease.row0)).or_default().push(req);
-        }
-        let mut next_resident: Vec<((usize, usize), TenantId)> = Vec::with_capacity(by_band.len());
-        let runs = {
-            let tenants = &self.tenants;
-            let mut bands: Vec<BandWork<'_>> = Vec::with_capacity(by_band.len());
-            for ((grid, row0), mut reqs) in by_band {
-                let slots = self.pool.band_tenants(grid, row0);
-                reqs.sort_by_key(|r| slots.iter().position(|&t| t == r.tenant));
-                let shared = slots.len() > 1;
-                let region_pes = tenants[&reqs[0].tenant].lease.pe_count();
-                // The band runs its jobs in order: the first job pays a
-                // swap-in when another tenant's configuration is resident,
-                // and the last job's configuration stays resident.
-                let swap_in_first = self
-                    .resident
-                    .get(&(grid, row0))
-                    .is_some_and(|&r| r != reqs[0].tenant);
-                next_resident.push(((grid, row0), reqs.last().expect("band group is non-empty").tenant));
-                bands.push(BandWork {
-                    shared,
-                    swap_in_first,
-                    switch_cost: self.pricer.full_config_cost(region_pes),
-                    jobs: reqs
-                        .into_iter()
-                        .map(|req| {
-                            let t = &tenants[&req.tenant];
-                            Job {
-                                tenant: req.tenant,
-                                epoch: t.lease.epoch,
-                                graph: &t.graph,
-                                mapping: &t.mapping,
-                                inputs: req.inputs,
-                            }
-                        })
-                        .collect(),
+            let t = self.live(req.tenant)?;
+            if let Some(v) = req.inputs.iter().find(|v| v.len() != t.graph.num_inputs) {
+                return Err(RuntimeError::BadInputArity {
+                    expected: t.graph.num_inputs,
+                    got: v.len(),
                 });
             }
-            run_bands(bands, self.cfg.workers, self.cfg.batch_size)
-        };
+            let plan = ExecPlan::lower(&t.mapping, &t.graph).map_err(|e| {
+                RuntimeError::Invariant(format!("tenant {}: mapping does not lower: {e}", req.tenant))
+            })?;
+            by_band.entry((t.lease.grid, t.lease.row0)).or_default().push(Job {
+                tenant: req.tenant,
+                epoch: t.lease.epoch,
+                plan,
+                inputs: req.inputs,
+            });
+        }
+        let mut next_resident: Vec<((usize, usize), TenantId)> = Vec::with_capacity(by_band.len());
+        let mut bands: Vec<BandWork> = Vec::with_capacity(by_band.len());
+        for ((grid, row0), mut jobs) in by_band {
+            // Jobs follow the band's slot order.
+            let slots = self.pool.band_tenants(grid, row0);
+            jobs.sort_by_key(|j| slots.iter().position(|&t| t == j.tenant));
+            let shared = slots.len() > 1;
+            let region_pes = self.tenants[&jobs[0].tenant].lease.pe_count();
+            // The first job pays a swap-in when another tenant's
+            // configuration is resident, and the last job's
+            // configuration stays resident.
+            let swap_in_first = self
+                .resident
+                .get(&(grid, row0))
+                .is_some_and(|&r| r != jobs[0].tenant);
+            next_resident.push(((grid, row0), jobs.last().expect("band group is non-empty").tenant));
+            bands.push(BandWork {
+                shared,
+                swap_in_first,
+                switch_cost: self.pricer.full_config_cost(region_pes),
+                jobs,
+            });
+        }
+        let runs = run_bands(bands, self.cfg.workers, self.cfg.batch_size);
         self.resident.extend(next_resident);
 
         for run in &runs {

@@ -4,8 +4,9 @@
 //! concurrently.
 
 use runtime::kernels;
-use runtime::{Refresh, Runtime, RuntimeConfig, StreamRequest};
+use runtime::{Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest};
 use softfloat::{FpFormat, FpValue};
+use vcgra::app::{AppGraph, AppSource};
 use vcgra::sim::run_dataflow;
 
 const F: FpFormat = FpFormat::PAPER;
@@ -229,4 +230,36 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
         alternating_switches >= 2,
         "each swap-in across run() calls must be charged, got {alternating_switches}"
     );
+}
+
+#[test]
+fn a_graph_that_does_not_lower_is_an_error_not_a_worker_panic() {
+    // `AppGraph`'s fields are public, so a tenant can hand over operands
+    // that `AppGraph::add` would have refused. Such a graph is admitted
+    // (placement does not read operand values it cannot route), and `run`
+    // must refuse it before any engine thread starts, leaving the other
+    // tenants served.
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let good = kernels::fir(F, &[0.5, 0.25]);
+    let good_id = rt.submit("good", good.graph.clone()).unwrap().tenant();
+    let mut external = AppGraph::dot_product(F, &[1.0, 2.0]);
+    external.nodes[0].a = AppSource::External(7);
+    let mut forward = AppGraph::dot_product(F, &[1.0, 2.0]);
+    forward.nodes[2].b = AppSource::Node(2);
+    for (name, graph) in [("external", external), ("forward", forward)] {
+        let bad = rt.submit(name, graph).unwrap().tenant();
+        let err = rt
+            .run(vec![
+                StreamRequest { tenant: good_id, inputs: stream(2, 4, 1) },
+                StreamRequest { tenant: bad, inputs: stream(2, 4, 2) },
+            ])
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::Invariant(_)), "{name}: {err}");
+    }
+    let ins = stream(2, 4, 1);
+    let runs = rt.run(vec![StreamRequest { tenant: good_id, inputs: ins.clone() }]).unwrap();
+    for (input, out) in ins.iter().zip(&runs[0].outputs) {
+        assert_eq!(out[0].bits, run_dataflow(&good.graph, input)[0].bits);
+    }
+    assert_eq!(rt.ledger().items, 4, "a refused call streams nothing");
 }

@@ -1,8 +1,9 @@
 //! Span-decomposition contract of the runtime's instrumentation: every
 //! admission is a `request` span whose subtree contains the
-//! `admission`, `cache`, and `pricing` phases, every streaming job is a
-//! `request` span containing `execute`, and the ledger the driver
-//! prints is exactly the view over the `runtime.*` metrics registry.
+//! `admission`, `cache`, and `pricing` phases, every worker's share of a
+//! streaming job is a `request` span containing an `execute` that
+//! carries its `items`, and the ledger the driver prints is exactly the
+//! view over the `runtime.*` metrics registry.
 //!
 //! Single `#[test]` on purpose: the span recorder is process-global, so
 //! one test owns arm/drain and no sibling can interleave events.
@@ -50,6 +51,8 @@ fn request_spans_decompose_and_ledger_views_the_registry() {
 
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![VcgraArch::new(8, 4, 2)],
+        // Eight items in units of three: the job spans several units.
+        batch_size: 3,
         ..RuntimeConfig::default()
     });
     let lib = kernels::library(F);
@@ -65,6 +68,7 @@ fn request_spans_decompose_and_ledger_views_the_registry() {
         (0..8).map(|i| (0..w.graph.num_inputs).map(|j| softfloat::FpValue::from_f64((i + j) as f64 * 0.25, F)).collect()).collect();
     let runs = rt.run(vec![StreamRequest { tenant: cold.tenant, inputs }]).expect("stream");
     assert_eq!(runs.len(), 1);
+    assert_eq!((runs[0].items, runs[0].batches), (8, 3));
 
     // Free the lower band and compact: the survivor slides down, and the
     // relocation replay must be traced as a `reconfig_overlap` span.
@@ -82,6 +86,18 @@ fn request_spans_decompose_and_ledger_views_the_registry() {
     let request = children.get("request").expect("request spans recorded");
     assert!(request.contains("admission"), "admit requests open an admission child");
     assert!(request.contains("execute"), "stream requests open an execute child");
+    let executed: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "execute" && e.phase == trace::Phase::End)
+        .map(|e| match e.args.iter().find(|(k, _)| *k == "items") {
+            Some((_, trace::AttrValue::U64(n))) => *n,
+            other => panic!("every execute span carries its items, got {other:?}"),
+        })
+        .collect();
+    // A worker's consecutive units of one job share a span, so the three
+    // units show as one to three spans, depending on who took which.
+    assert!((1..=3).contains(&executed.len()), "{executed:?}");
+    assert_eq!(executed.iter().sum::<u64>(), 8, "the spans' items sum to the run's");
     let admission = children.get("admission").expect("admission spans recorded");
     for phase in ["cache", "pricing", "placement", "sig"] {
         assert!(admission.contains(phase), "admission subtree must contain {phase}");

@@ -11,7 +11,7 @@
 //! 3. **parameter swaps** retune live tenants through the
 //!    micro-reconfiguration fast path (dirty frames only);
 //! 4. **concurrent streams** batch inputs through every tenant on
-//!    parallel band workers, with bit-exactness checked against
+//!    the engine workers, with bit-exactness checked against
 //!    `vcgra::sim::run_dataflow`;
 //!
 //! followed by the **scheduler waves** (the admission-layer story):

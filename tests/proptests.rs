@@ -4,12 +4,17 @@
 //! * FloPoCo arithmetic is commutative, within rounding error of `f64`,
 //!   and hardware-consistent;
 //! * PE settings evaluate like the documented formulas;
+//! * the lowered execution plan, the mapped interpreter and the dataflow
+//!   interpreter agree bit for bit, special values included;
 //! * the synthetic image generator and metrics behave sanely.
 
 use logic::aig::{Aig, InputKind, Lit};
 use mapping::{map_conventional, map_parameterized, MapOptions};
 use proptest::prelude::*;
-use softfloat::{FpFormat, FpValue};
+use softfloat::{FpClass, FpFormat, FpValue};
+use vcgra::app::{AppGraph, AppSource};
+use vcgra::sim::{run_dataflow, run_mapped, ExecPlan};
+use vcgra::{PeMode, PeSettings, VcgraArch};
 
 /// Builds a random parameterized circuit from a compact recipe: each gate
 /// picks an operation and two earlier signals.
@@ -201,5 +206,110 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&v));
         }
         prop_assert_eq!(m.tp + m.fp + m.fn_ + m.tn, 48 * 48);
+    }
+}
+
+/// The formats the execution plan is checked in.
+const PLAN_FORMATS: [FpFormat; 4] = [
+    FpFormat::TINY,
+    FpFormat { we: 4, wf: 6 },
+    FpFormat { we: 5, wf: 10 },
+    FpFormat::PAPER,
+];
+
+const PLAN_MODES: [PeMode; 4] = [PeMode::Mul, PeMode::Mac, PeMode::Add, PeMode::Pass];
+
+/// A value for one draw: half the time one of the cases the arithmetic
+/// special-cases (signed zeros and infinities, NaN, the largest and the
+/// smallest normal magnitudes, whose products and sums overflow and
+/// underflow, an arbitrary bit pattern), otherwise a normal number near
+/// one.
+fn plan_value(draw: u64, f: FpFormat) -> FpValue {
+    let sign = draw & 1 == 1;
+    let raw = draw >> 8;
+    let top = f.max_exp() as u64;
+    let frac = raw & ((1 << f.wf) - 1);
+    let normal = |exp: u64, frac: u64| FpValue::from_bits(f.pack(FpClass::Normal, sign, exp, frac), f);
+    match (draw >> 1) % 16 {
+        0 => FpValue::signed_zero(f, sign),
+        1 => FpValue::infinity(f, sign),
+        2 => FpValue::nan(f),
+        3 => normal(top, (1 << f.wf) - 1),
+        4 => normal(top - 1, frac),
+        5 => normal(0, 0),
+        6 => normal(1, frac),
+        7 => FpValue::from_bits(raw, f),
+        _ => normal((f.bias() as u64 - 1) + (raw >> 52) % 3, frac),
+    }
+}
+
+/// A graph over three external inputs from a recipe: each node draws its
+/// mode, its two operands (zero, an input, or any earlier node) and its
+/// coefficient. The last node and every third one are outputs.
+fn plan_graph(recipe: &[(u8, u8, u8, u64)], f: FpFormat) -> AppGraph {
+    let mut g = AppGraph::new(f, 3);
+    for (i, &(mode, a, b, coeff)) in recipe.iter().enumerate() {
+        let source = |pick: u8| match pick as usize % (4 + i) {
+            0 => AppSource::Zero,
+            k @ 1..=3 => AppSource::External(k - 1),
+            k => AppSource::Node(k - 4),
+        };
+        let op = PLAN_MODES[mode as usize % 4];
+        let coeff = matches!(op, PeMode::Mul | PeMode::Mac).then(|| plan_value(coeff, f));
+        g.add(format!("n{i}"), op, coeff, source(a), source(b));
+        if i % 3 == 2 || i + 1 == recipe.len() {
+            g.mark_output(i);
+        }
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn exec_plan_matches_both_interpreters(
+        recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..17),
+        items in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..6),
+        seed in any::<u64>(),
+    ) {
+        for f in PLAN_FORMATS {
+            let app = plan_graph(&recipe, f);
+            let mapping = vcgra::flow::map_app(&app, VcgraArch::new(4, 4, 8), seed)
+                .expect("sixteen nodes fit a 4x4 grid with eight tracks a channel");
+            let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
+            // One scratch across items, as the engine keeps it.
+            let mut scratch = Vec::new();
+            for &(x, y, z) in &items {
+                let item = [plan_value(x, f), plan_value(y, f), plan_value(z, f)];
+                let mapped = run_mapped(&mapping, &app, &item);
+                prop_assert_eq!(&plan.run(&item, &mut scratch), &mapped);
+                prop_assert_eq!(&mapped, &run_dataflow(&app, &item));
+            }
+        }
+    }
+
+    #[test]
+    fn exec_plan_ops_match_pe_settings(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+        for f in PLAN_FORMATS {
+            let (a, b, coeff) = (plan_value(a, f), plan_value(b, f), plan_value(c, f));
+            for mode in PLAN_MODES {
+                let mut app = AppGraph::new(f, 2);
+                let takes_coeff = matches!(mode, PeMode::Mul | PeMode::Mac);
+                let node = app.add(
+                    "pe",
+                    mode,
+                    takes_coeff.then_some(coeff),
+                    AppSource::External(0),
+                    AppSource::External(1),
+                );
+                app.mark_output(node);
+                let mapping = vcgra::flow::map_app(&app, VcgraArch::paper_4x4(), 1).expect("one node");
+                let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
+                let settings = PeSettings { coeff, counter: 1, mode };
+                let (want, _) = settings.evaluate(a, b, FpValue::zero(f));
+                prop_assert_eq!(plan.run(&[a, b], &mut Vec::new()), vec![want]);
+            }
+        }
     }
 }
