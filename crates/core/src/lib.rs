@@ -24,7 +24,9 @@
 //!   settings generation;
 //! * [`sim`] — functional simulation of a mapped application (streams
 //!   samples through the PEs using the bit-exact FloPoCo model), and the
-//!   flat `ExecPlan` a mapped application is lowered to for streaming;
+//!   flat `ExecPlan` a mapped application is lowered to for streaming,
+//!   which runs a chunk of items as `u64` columns, one op over a whole
+//!   column at a time;
 //! * [`render`] — DOT/ASCII renderings of the grid and the PE (Figs. 1/4).
 
 #![forbid(unsafe_code)]

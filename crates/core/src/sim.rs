@@ -10,14 +10,20 @@
 //! Serving does not interpret the graph per item: [`ExecPlan::lower`]
 //! folds a mapped application into a flat op list once per job — the
 //! software counterpart of the paper folding rarely-changing settings
-//! into the configuration — and [`ExecPlan::run`] streams items through
-//! it. [`run_mapped`] stays as the per-item reference the plan is tested
-//! against.
+//! into the configuration — and [`ExecPlan::run_chunk`] streams a chunk
+//! of items through it **lane-major**: the chunk is transposed into one
+//! `u64` column per value slot, and each op runs over a whole column of
+//! raw encodings (one [`FpKernel`] call) before the next op starts — one
+//! instruction stream, many data lanes, like the fabric under one
+//! configuration. `run_chunk` is the only loop over the op list.
+//! [`run_mapped`] and [`run_dataflow`] stay as the per-item references
+//! the plan is tested against; all three end in the same `FpKernel`
+//! arithmetic.
 
 use crate::app::{AppGraph, AppSource};
 use crate::flow::VcgraMapping;
 use crate::pe::{PeMode, PeSettings};
-use softfloat::FpValue;
+use softfloat::{FpKernel, FpValue};
 
 /// Runs a stateless dataflow graph on one input vector.
 ///
@@ -189,6 +195,12 @@ pub enum PlanError {
         /// Nodes in the graph.
         nodes: usize,
     },
+    /// The node's coefficient is not in the graph's format; its bits would
+    /// be read as a different number.
+    FormatMismatch {
+        /// The offending node.
+        node: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -209,31 +221,37 @@ impl std::fmt::Display for PlanError {
             PlanError::OutputOutOfRange { output, nodes } => {
                 write!(f, "output names node {output} of {nodes}")
             }
+            PlanError::FormatMismatch { node } => {
+                write!(f, "node {node}'s coefficient is not in the graph's format")
+            }
         }
     }
 }
 
 impl std::error::Error for PlanError {}
 
-/// One lowered node. Operands are slots of the scratch buffer; each
-/// variant keeps only the arithmetic its mode's route selects keep.
+/// One lowered node. Operands are columns of the scratch buffer; each
+/// variant keeps only the arithmetic its mode's route selects keep, and a
+/// coefficient is the raw encoding the column is multiplied by.
 #[derive(Debug, Clone, Copy)]
 enum PlanOp {
-    Mul { a: usize, coeff: FpValue },
-    Mac { a: usize, coeff: FpValue },
+    Mul { a: usize, coeff: u64 },
+    Mac { a: usize, coeff: u64 },
     Add { a: usize, b: usize },
     Pass { a: usize },
 }
 
 /// A mapped application lowered for streaming: everything that does not
 /// depend on the item — placement lookups, the settings/op check, operand
-/// resolution, the route selects — is done once by [`ExecPlan::lower`].
+/// resolution, the route selects, the format's shifts and masks — is done
+/// once by [`ExecPlan::lower`].
 ///
-/// The scratch buffer is laid out `[zero | external inputs | node
-/// values]`, so every operand is one index into it.
+/// The scratch buffer holds one column of `lanes` raw encodings per value
+/// slot, laid out `[zero | external inputs | node values]`, so every
+/// operand is one column index.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
-    zero: FpValue,
+    kernel: FpKernel,
     num_inputs: usize,
     ops: Vec<PlanOp>,
     outputs: Vec<usize>,
@@ -242,7 +260,9 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Lowers `app` as placed by `mapping`. Checks once what
     /// [`run_mapped`] asserts per item (every node sits on a cell whose
-    /// settings carry its op) and that every operand and output resolves.
+    /// settings carry its op), that every operand and output resolves, and
+    /// that every coefficient is in the graph's format — past this point
+    /// values are bare bits.
     pub fn lower(mapping: &VcgraMapping, app: &AppGraph) -> Result<ExecPlan, PlanError> {
         let cols = mapping.arch.cols;
         let first_node = 1 + app.num_inputs;
@@ -269,9 +289,16 @@ impl ExecPlan {
                 AppSource::Node(operand) => Err(PlanError::ForwardReference { node, operand }),
             };
             let (a, b) = (slot(n.a)?, slot(n.b)?);
+            let coeff = || {
+                if settings.coeff.format == app.format {
+                    Ok(settings.coeff.bits)
+                } else {
+                    Err(PlanError::FormatMismatch { node })
+                }
+            };
             ops.push(match n.op {
-                PeMode::Mul => PlanOp::Mul { a, coeff: settings.coeff },
-                PeMode::Mac => PlanOp::Mac { a, coeff: settings.coeff },
+                PeMode::Mul => PlanOp::Mul { a, coeff: coeff()? },
+                PeMode::Mac => PlanOp::Mac { a, coeff: coeff()? },
                 PeMode::Add => PlanOp::Add { a, b },
                 PeMode::Pass => PlanOp::Pass { a },
             });
@@ -287,32 +314,62 @@ impl ExecPlan {
                 }
             })
             .collect::<Result<_, _>>()?;
-        Ok(ExecPlan { zero: FpValue::zero(app.format), num_inputs: app.num_inputs, ops, outputs })
+        Ok(ExecPlan { kernel: FpKernel::new(app.format), num_inputs: app.num_inputs, ops, outputs })
     }
 
-    /// Runs one item and returns the outputs in the order the graph
-    /// declared them. `scratch` is working storage the caller keeps
-    /// between items (of this or any other plan) so that none is
-    /// allocated per item; its content on entry is irrelevant.
+    /// Runs a chunk of items, one lane each, and returns every item's
+    /// outputs in the order the graph declared them. `columns` is working
+    /// storage the caller keeps between chunks (of this or any other plan)
+    /// so that none is allocated per chunk; its content on entry is
+    /// irrelevant.
     ///
-    /// Panics unless `item` holds one value per external input.
-    pub fn run(&self, item: &[FpValue], scratch: &mut Vec<FpValue>) -> Vec<FpValue> {
-        assert_eq!(item.len(), self.num_inputs, "one value per external input");
-        scratch.clear();
-        scratch.push(self.zero);
-        scratch.extend_from_slice(item);
-        for op in &self.ops {
-            // `lower` resolved every operand to an earlier slot.
-            let out = match *op {
-                PlanOp::Mul { a, coeff } => scratch[a].mul(coeff),
-                // A dataflow MAC accumulates onto a zero feedback.
-                PlanOp::Mac { a, coeff } => scratch[a].mul(coeff).add(self.zero),
-                PlanOp::Add { a, b } => scratch[a].add(scratch[b]),
-                PlanOp::Pass { a } => scratch[a],
-            };
-            scratch.push(out);
+    /// Panics unless every item holds one value per external input, in
+    /// the graph's format.
+    pub fn run_chunk(&self, items: &[Vec<FpValue>], columns: &mut Vec<u64>) -> Vec<Vec<FpValue>> {
+        let format = self.kernel.format();
+        let lanes = items.len();
+        let first_node = 1 + self.num_inputs;
+        let slots = first_node + self.ops.len();
+        // Every column is written below before anything reads it, so a
+        // long enough buffer is taken as it comes.
+        if columns.len() < slots * lanes {
+            columns.resize(slots * lanes, 0);
         }
-        self.outputs.iter().map(|&o| scratch[o]).collect()
+        let zero = FpValue::zero(format).bits;
+        columns[..lanes].fill(zero);
+        for (lane, item) in items.iter().enumerate() {
+            assert_eq!(item.len(), self.num_inputs, "one value per external input");
+            for (input, value) in item.iter().enumerate() {
+                assert_eq!(value.format, format, "inputs are in the graph's format");
+                columns[(1 + input) * lanes + lane] = value.bits;
+            }
+        }
+        for (node, op) in self.ops.iter().enumerate() {
+            // `lower` resolved every operand to an earlier slot.
+            let (earlier, rest) = columns.split_at_mut((first_node + node) * lanes);
+            let out = &mut rest[..lanes];
+            let col = |slot: usize| &earlier[slot * lanes..][..lanes];
+            match *op {
+                PlanOp::Mul { a, coeff } => self.kernel.mul_const_col(col(a), coeff, out),
+                PlanOp::Mac { a, coeff } => {
+                    self.kernel.mul_const_col(col(a), coeff, out);
+                    // A dataflow MAC accumulates onto a zero feedback.
+                    for v in out {
+                        *v = self.kernel.add(*v, zero);
+                    }
+                }
+                PlanOp::Add { a, b } => self.kernel.add_col(col(a), col(b), out),
+                PlanOp::Pass { a } => out.copy_from_slice(col(a)),
+            }
+        }
+        (0..lanes)
+            .map(|lane| {
+                self.outputs
+                    .iter()
+                    .map(|&o| FpValue { bits: columns[o * lanes + lane], format })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -384,10 +441,16 @@ mod tests {
         let mapped = run_mapped(&mapping, &app, &inputs);
         assert_eq!(direct[0].bits, mapped[0].bits);
         let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
-        // A dirty scratch left by another plan must not leak in.
-        let mut scratch = vec![fp(7.0); 40];
-        assert_eq!(plan.run(&inputs, &mut scratch), mapped);
-        assert_eq!(plan.run(&inputs, &mut scratch), mapped);
+        // Dirty columns left by another plan must not leak in, whether
+        // the buffer is longer or shorter than this chunk needs.
+        let mut columns = vec![fp(7.0).bits; 40];
+        let one = std::slice::from_ref(&inputs);
+        let want = vec![mapped; 3];
+        assert_eq!(plan.run_chunk(one, &mut columns), want[..1]);
+        let three = vec![inputs.clone(); 3];
+        assert_eq!(plan.run_chunk(&three, &mut columns), want);
+        assert_eq!(plan.run_chunk(one, &mut columns), want[..1]);
+        assert!(plan.run_chunk(&[], &mut columns).is_empty());
     }
 
     #[test]
@@ -436,6 +499,13 @@ mod tests {
         assert_eq!(
             ExecPlan::lower(&mapping, &output).unwrap_err(),
             PlanError::OutputOutOfRange { output: 3, nodes: 3 }
+        );
+        // The coefficient the plan multiplies by is the placed cell's.
+        let mut format = mapping.clone();
+        format.pe_settings[cell(1)].as_mut().unwrap().coeff = FpValue::from_f64(0.5, FpFormat::TINY);
+        assert_eq!(
+            ExecPlan::lower(&format, &app).unwrap_err(),
+            PlanError::FormatMismatch { node: 1 }
         );
     }
 }

@@ -9,11 +9,16 @@
 //! Host execution is organized by **unit**, not by band. Every job
 //! arrives as an [`ExecPlan`] — its mapped graph lowered once, by
 //! [`crate::Runtime::run`], which is also where a mapping that cannot
-//! be lowered is refused — and is cut into units of `batch_size`
-//! consecutive items. The calling thread and its helper threads take
-//! units off one shared cursor, so a call takes about the total item
-//! work divided by the workers, whatever the sizes of the bands.
-//! Outputs are put back in item order.
+//! be lowered or a value in the wrong format is refused — and is cut
+//! into units of `batch_size` consecutive items. The calling thread and
+//! its helper threads take units off one shared cursor, so a call takes
+//! about the total item work divided by the workers, whatever the sizes
+//! of the bands. Outputs are put back in item order.
+//!
+//! A unit is one [`ExecPlan::run_chunk`] call: its items become the
+//! lanes of `u64` columns in a buffer the worker keeps, and each op of
+//! the plan runs over a whole column. `batch_size` is therefore the
+//! lane count; nothing here touches a single item.
 //!
 //! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
 //! `run_dataflow` compute in FloPoCo arithmetic; the bit-exactness
@@ -174,7 +179,7 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
     let cursor = AtomicUsize::new(0);
     let work = || {
         let mut done = Vec::new();
-        let mut scratch = Vec::new();
+        let mut columns = Vec::new();
         let mut spans: Option<UnitSpans> = None;
         while let Some(&(j, start)) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let job = &jobs[j];
@@ -185,8 +190,7 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
             }
             spans.get_or_insert_with(|| UnitSpans::open(j, job.tenant)).items += chunk.len();
             let t0 = Instant::now();
-            let outputs: Vec<Vec<FpValue>> =
-                chunk.iter().map(|item| job.plan.run(item, &mut scratch)).collect();
+            let outputs = job.plan.run_chunk(chunk, &mut columns);
             done.push((j, start, outputs, t0.elapsed()));
         }
         done
@@ -269,7 +273,9 @@ mod tests {
         let want: Vec<Vec<Vec<FpValue>>> = plans
             .iter()
             .zip(&inputs)
-            .map(|(p, ins)| ins.iter().map(|x| p.run(x, &mut Vec::new())).collect())
+            .map(|(p, ins)| {
+                ins.chunks(1).flat_map(|x| p.run_chunk(x, &mut Vec::new())).collect()
+            })
             .collect();
 
         for workers in [1, 2, 4, 8] {

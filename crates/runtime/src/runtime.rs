@@ -153,6 +153,14 @@ pub enum RuntimeError {
         /// Values supplied per vector.
         got: usize,
     },
+    /// A stream input or a swapped-in coefficient is not in the graph's
+    /// floating-point format.
+    BadFormat {
+        /// Format of the tenant's graph.
+        expected: FpFormat,
+        /// Format of the first offending value.
+        got: FpFormat,
+    },
     /// Node index outside the tenant's graph.
     NodeOutOfRange {
         /// Index supplied.
@@ -181,6 +189,11 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::BadInputArity { expected, got } => {
                 write!(f, "input vector has {got} values, graph has {expected} inputs")
             }
+            RuntimeError::BadFormat { expected, got } => write!(
+                f,
+                "value in format ({}, {}), graph computes in ({}, {})",
+                got.we, got.wf, expected.we, expected.wf
+            ),
             RuntimeError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range, graph has {nodes} nodes")
             }
@@ -975,6 +988,9 @@ impl Runtime {
         if slots.len() != coeffs.len() {
             return Err(RuntimeError::BadParamArity { expected: slots.len(), got: coeffs.len() });
         }
+        if let Some(c) = coeffs.iter().find(|c| c.format != t.graph.format) {
+            return Err(RuntimeError::BadFormat { expected: t.graph.format, got: c.format });
+        }
         let new_graph = t.graph.with_coeffs(coeffs);
         let changes: Vec<PeChange> = slots
             .iter()
@@ -1118,15 +1134,22 @@ impl Runtime {
         self.drain_queue();
         // Validate and lower every request before any worker starts, so
         // that a bad request or a broken mapping is an error here and
-        // never a panic on an engine thread. Jobs are grouped by band.
+        // never a panic on an engine thread — and never a value whose
+        // bits the columns would read in the wrong format. Jobs are
+        // grouped by band.
         let mut by_band: BTreeMap<(usize, usize), Vec<Job>> = BTreeMap::new();
         for req in requests {
             let t = self.live(req.tenant)?;
-            if let Some(v) = req.inputs.iter().find(|v| v.len() != t.graph.num_inputs) {
-                return Err(RuntimeError::BadInputArity {
-                    expected: t.graph.num_inputs,
-                    got: v.len(),
-                });
+            for item in &req.inputs {
+                if item.len() != t.graph.num_inputs {
+                    return Err(RuntimeError::BadInputArity {
+                        expected: t.graph.num_inputs,
+                        got: item.len(),
+                    });
+                }
+                if let Some(v) = item.iter().find(|v| v.format != t.graph.format) {
+                    return Err(RuntimeError::BadFormat { expected: t.graph.format, got: v.format });
+                }
             }
             let plan = ExecPlan::lower(&t.mapping, &t.graph).map_err(|e| {
                 RuntimeError::Invariant(format!("tenant {}: mapping does not lower: {e}", req.tenant))

@@ -232,21 +232,40 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
     );
 }
 
+/// Admits a two-tap FIR that the refusal tests keep serving.
+fn served(rt: &mut Runtime) -> (runtime::TenantId, AppGraph) {
+    let good = kernels::fir(F, &[0.5, 0.25]);
+    let id = rt.submit("good", good.graph.clone()).unwrap().tenant();
+    (id, good.graph)
+}
+
+/// After refused calls only: its four items are the first streamed.
+fn assert_still_served(rt: &mut Runtime, id: runtime::TenantId, graph: &AppGraph) {
+    let ins = stream(2, 4, 1);
+    let runs = rt.run(vec![StreamRequest { tenant: id, inputs: ins.clone() }]).unwrap();
+    for (input, out) in ins.iter().zip(&runs[0].outputs) {
+        assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
+    }
+    assert_eq!(rt.ledger().items, 4, "a refused call streams nothing");
+}
+
 #[test]
 fn a_graph_that_does_not_lower_is_an_error_not_a_worker_panic() {
     // `AppGraph`'s fields are public, so a tenant can hand over operands
-    // that `AppGraph::add` would have refused. Such a graph is admitted
-    // (placement does not read operand values it cannot route), and `run`
+    // that `AppGraph::add` would have refused, and `add` takes a
+    // coefficient of any format. Such a graph is admitted (placement reads
+    // neither coefficients nor operand values it cannot route), and `run`
     // must refuse it before any engine thread starts, leaving the other
     // tenants served.
     let mut rt = Runtime::new(RuntimeConfig::default());
-    let good = kernels::fir(F, &[0.5, 0.25]);
-    let good_id = rt.submit("good", good.graph.clone()).unwrap().tenant();
+    let (good_id, good) = served(&mut rt);
     let mut external = AppGraph::dot_product(F, &[1.0, 2.0]);
     external.nodes[0].a = AppSource::External(7);
     let mut forward = AppGraph::dot_product(F, &[1.0, 2.0]);
     forward.nodes[2].b = AppSource::Node(2);
-    for (name, graph) in [("external", external), ("forward", forward)] {
+    let mut format = AppGraph::dot_product(F, &[1.0, 2.0]);
+    format.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)));
+    for (name, graph) in [("external", external), ("forward", forward), ("format", format)] {
         let bad = rt.submit(name, graph).unwrap().tenant();
         let err = rt
             .run(vec![
@@ -256,10 +275,38 @@ fn a_graph_that_does_not_lower_is_an_error_not_a_worker_panic() {
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Invariant(_)), "{name}: {err}");
     }
-    let ins = stream(2, 4, 1);
-    let runs = rt.run(vec![StreamRequest { tenant: good_id, inputs: ins.clone() }]).unwrap();
-    for (input, out) in ins.iter().zip(&runs[0].outputs) {
-        assert_eq!(out[0].bits, run_dataflow(&good.graph, input)[0].bits);
-    }
-    assert_eq!(rt.ledger().items, 4, "a refused call streams nothing");
+    assert_still_served(&mut rt, good_id, &good);
+}
+
+#[test]
+fn an_input_in_the_wrong_format_is_an_error_not_a_worker_panic() {
+    // The engine's columns are bare bits: a (5,10) encoding streamed into
+    // a (6,26) graph would be read as some other number. `run` refuses it
+    // before any engine thread starts.
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let (id, graph) = served(&mut rt);
+    let other = FpFormat::new(5, 10);
+    let mut inputs = stream(2, 70, 3);
+    inputs[67][1] = FpValue::from_f64(1.5, other);
+    let err = rt.run(vec![StreamRequest { tenant: id, inputs }]).unwrap_err();
+    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    assert_still_served(&mut rt, id, &graph);
+}
+
+#[test]
+fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let (id, graph) = served(&mut rt);
+    let other = FpFormat::new(5, 10);
+    let err = rt.swap_params(id, &[fp(0.75), FpValue::from_f64(0.75, other)]).unwrap_err();
+    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    // `resubmit` of the same structure takes the same door.
+    let mut same = graph.clone();
+    let slot = same.coeff_nodes()[0];
+    same.nodes[slot].coeff = Some(FpValue::from_f64(0.75, other));
+    let err = rt.resubmit(id, same).unwrap_err();
+    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    assert_eq!(rt.ledger().swaps, 0, "a refused swap is not charged");
+    // The old coefficients are still the ones in force.
+    assert_still_served(&mut rt, id, &graph);
 }

@@ -11,9 +11,11 @@
 //!
 //! The paper instantiates `we = 6`, `wf = 26` ([`FpFormat::PAPER`]).
 //!
-//! Rounding is round-to-nearest-even throughout. The algorithms here are
-//! written to mirror the gate-level generators in [`crate::gen`] step by
-//! step so that the two agree bit-for-bit.
+//! Rounding is round-to-nearest-even throughout. [`FpValue`] carries a
+//! value together with its format; its `mul` and `add` check the formats
+//! and hand the bits to [`FpKernel`], where the arithmetic lives.
+
+use crate::kernel::FpKernel;
 
 /// Exception class of a FloPoCo number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,7 +154,8 @@ impl FpValue {
 
     /// Wraps raw bits in a format.
     pub fn from_bits(bits: u64, format: FpFormat) -> Self {
-        Self { bits: bits & ((1u64 << format.width()) - 1), format }
+        // Not `(1 << width) - 1`: a (9,52) value is 64 bits wide.
+        Self { bits: bits & (u64::MAX >> (64 - format.width())), format }
     }
 
     /// Exception class.
@@ -173,11 +176,6 @@ impl FpValue {
     /// Fraction field.
     pub fn frac(self) -> u64 {
         self.format.frac_of(self.bits)
-    }
-
-    /// Significand with the hidden leading one (`wf + 1` bits).
-    fn sig(self) -> u64 {
-        (1u64 << self.format.wf) | self.frac()
     }
 
     /// Converts an `f64` into the format with round-to-nearest-even.
@@ -272,149 +270,22 @@ impl FpValue {
         }
     }
 
-    /// Floating-point multiplication (RNE), mirroring [`crate::gen::gen_mul`].
+    /// Floating-point multiplication (RNE): [`FpKernel::mul`] on the
+    /// operands' bits. Panics unless both are in the same format.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, rhs: FpValue) -> FpValue {
-        let f = self.format;
-        assert_eq!(f, rhs.format);
-        let (ca, cb) = (self.class(), rhs.class());
-        let sign = self.sign() ^ rhs.sign();
-        use FpClass::*;
-        // Exception resolution, in the same priority order as the netlist.
-        if ca == NaN
-            || cb == NaN
-            || (ca == Zero && cb == Infinity)
-            || (ca == Infinity && cb == Zero)
-        {
-            return FpValue::nan(f);
-        }
-        if ca == Infinity || cb == Infinity {
-            return FpValue::infinity(f, sign);
-        }
-        if ca == Zero || cb == Zero {
-            return FpValue::signed_zero(f, sign);
-        }
-        let wf = f.wf;
-        let prod = (self.sig() as u128) * (rhs.sig() as u128); // 2wf+2 bits
-        let norm = ((prod >> (2 * wf + 1)) & 1) as u64; // product in [2,4)?
-        let shift = wf + norm as u32;
-        let keep = (prod >> shift) as u64; // wf+1 bits incl. leading 1
-        let guard = ((prod >> (shift - 1)) & 1) as u64;
-        let sticky = prod & ((1u128 << (shift - 1)) - 1) != 0;
-        let mut s = keep;
-        let mut rcarry = 0i64;
-        if guard == 1 && (sticky || keep & 1 == 1) {
-            s += 1;
-            if s >> (wf + 1) == 1 {
-                s >>= 1;
-                rcarry = 1;
-            }
-        }
-        let e = self.exp() as i64 + rhs.exp() as i64 - f.bias() + norm as i64 + rcarry;
-        if e < 0 {
-            return FpValue::signed_zero(f, sign);
-        }
-        if e > f.max_exp() {
-            return FpValue::infinity(f, sign);
-        }
-        let frac = s & ((1u64 << wf) - 1);
-        FpValue { bits: f.pack(Normal, sign, e as u64, frac), format: f }
+        let format = self.format;
+        assert_eq!(format, rhs.format);
+        FpValue { bits: FpKernel::new(format).mul(self.bits, rhs.bits), format }
     }
 
-    /// Floating-point addition (RNE), mirroring [`crate::gen::gen_add`].
+    /// Floating-point addition (RNE): [`FpKernel::add`] on the operands'
+    /// bits. Panics unless both are in the same format.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, rhs: FpValue) -> FpValue {
-        let f = self.format;
-        assert_eq!(f, rhs.format);
-        let (ca, cb) = (self.class(), rhs.class());
-        use FpClass::*;
-        if ca == NaN || cb == NaN || (ca == Infinity && cb == Infinity && self.sign() != rhs.sign())
-        {
-            return FpValue::nan(f);
-        }
-        if ca == Infinity {
-            return FpValue::infinity(f, self.sign());
-        }
-        if cb == Infinity {
-            return FpValue::infinity(f, rhs.sign());
-        }
-        if ca == Zero && cb == Zero {
-            return FpValue::signed_zero(f, self.sign() && rhs.sign());
-        }
-        if ca == Zero {
-            return rhs;
-        }
-        if cb == Zero {
-            return self;
-        }
-
-        let wf = f.wf as u64;
-        // Order by magnitude: compare exp:frac as one integer.
-        let mag_a = self.exp() << f.wf | self.frac();
-        let mag_b = rhs.exp() << f.wf | rhs.frac();
-        let (big, small) = if mag_b > mag_a { (rhs, self) } else { (self, rhs) };
-        let d = big.exp() - small.exp();
-        let width = wf + 4; // significand + 3 guard bits
-        let a = big.sig() << 3;
-        let b_full = small.sig() << 3;
-        let dc = d.min(width);
-        // The shifts below are u64-safe only because `dc <= wf + 4 <= 56`:
-        // `FpFormat::new` caps `wf` at 52, and `dc` is clamped to `width`
-        // just above. Keep the invariant explicit at the shift sites.
-        debug_assert!(
-            dc <= width && width <= 56,
-            "alignment shift out of range: dc={dc}, wf+4={width}"
-        );
-        let mut b = b_full >> dc;
-        let sticky = b_full & ((1u64 << dc) - 1) != 0 && dc > 0;
-        if sticky {
-            b |= 1;
-        }
-        let eff_sub = big.sign() != small.sign();
-        let sign;
-        let mut e1: i64;
-        let s: u64; // width bits, leading 1 at bit width-1 (normalized)
-        if eff_sub {
-            let diff = a - b;
-            if diff == 0 {
-                return FpValue::zero(f);
-            }
-            let lz = (diff.leading_zeros() - (64 - width as u32)) as i64;
-            s = diff << lz;
-            e1 = big.exp() as i64 - lz;
-            sign = big.sign();
-        } else {
-            let sum = a + b;
-            let carry = sum >> width;
-            if carry == 1 {
-                s = (sum >> 1) | (sum & 1);
-                e1 = big.exp() as i64 + 1;
-            } else {
-                s = sum;
-                e1 = big.exp() as i64;
-            }
-            sign = big.sign();
-        }
-        // Round: L = bit 3, G = bit 2, R|S = bits 1..0.
-        let lsb = (s >> 3) & 1;
-        let guard = (s >> 2) & 1;
-        let rs = s & 3;
-        let mut hi = s >> 3; // wf+1 bits
-        if guard == 1 && (rs != 0 || lsb == 1) {
-            hi += 1;
-            if hi >> (wf + 1) == 1 {
-                hi >>= 1;
-                e1 += 1;
-            }
-        }
-        if e1 < 0 {
-            return FpValue::signed_zero(f, sign);
-        }
-        if e1 > f.max_exp() {
-            return FpValue::infinity(f, sign);
-        }
-        let frac = hi & ((1u64 << wf) - 1);
-        FpValue { bits: f.pack(Normal, sign, e1 as u64, frac), format: f }
+        let format = self.format;
+        assert_eq!(format, rhs.format);
+        FpValue { bits: FpKernel::new(format).add(self.bits, rhs.bits), format }
     }
 
     /// Subtraction (`self - rhs`), via sign flip.
@@ -571,6 +442,24 @@ mod tests {
         let r = v.sub(v);
         assert_eq!(r.class(), FpClass::Zero);
         assert!(!r.sign());
+    }
+
+    #[test]
+    fn a_64_bit_wide_format_keeps_its_bits() {
+        // (9,52) fills the u64: a mask built as `(1 << 64) - 1` panics
+        // with overflow checks and is 0 without them.
+        let f = FpFormat::new(9, 52);
+        assert_eq!(f.width(), 64);
+        let bits = f.pack(FpClass::Normal, true, 300, 0x000f_edcb_a987_6543);
+        assert_eq!(FpValue::from_bits(bits, f).bits, bits);
+        assert_eq!(FpValue::from_bits(u64::MAX, f).bits, u64::MAX);
+        // Narrower formats still drop what lies above their width.
+        assert_eq!(FpValue::from_bits(u64::MAX, F).bits, (1 << F.width()) - 1);
+        // `sub` rebuilds its right operand through `from_bits`.
+        let (a, b) = (FpValue::from_f64(5.5, f), FpValue::from_f64(2.25, f));
+        assert_eq!(a.sub(b).to_f64(), 3.25);
+        assert_eq!(b.sub(a).to_f64(), -3.25);
+        assert_eq!(a.sub(a), FpValue::zero(f));
     }
 
     #[test]

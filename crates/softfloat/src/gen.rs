@@ -372,21 +372,27 @@ mod tests {
     use logic::sim::simulate_u64;
     use logic::SplitMix64;
 
-    /// Drives a 2-input operator AIG with raw FP bit patterns and returns
-    /// the raw output bits (single pattern).
-    fn drive2(g: &Aig, fmt: FpFormat, va: u64, vb: u64) -> u64 {
+    /// Drives a 2-input operator AIG with up to 64 operand pairs of raw FP
+    /// bit patterns, one per simulation lane, and returns each pair's raw
+    /// output bits.
+    fn drive2(g: &Aig, fmt: FpFormat, pairs: &[(u64, u64)]) -> Vec<u64> {
+        assert!(pairs.len() <= 64, "one pair per lane of the simulation word");
         let w = fmt.width() as usize;
-        let mut words = Vec::with_capacity(2 * w);
-        for i in 0..w {
-            words.push(if (va >> i) & 1 == 1 { u64::MAX } else { 0 });
-        }
-        for i in 0..w {
-            words.push(if (vb >> i) & 1 == 1 { u64::MAX } else { 0 });
+        let mut words = vec![0u64; 2 * w];
+        for (lane, &(va, vb)) in pairs.iter().enumerate() {
+            for i in 0..w {
+                words[i] |= ((va >> i) & 1) << lane;
+                words[w + i] |= ((vb >> i) & 1) << lane;
+            }
         }
         let out = simulate_u64(g, &words);
-        out.iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &x)| acc | ((x & 1) << i))
+        (0..pairs.len())
+            .map(|lane| {
+                out.iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, &x)| acc | ((x >> lane) & 1) << i)
+            })
+            .collect()
     }
 
     fn drive3(g: &Aig, fmt: FpFormat, va: u64, vb: u64, vc: u64) -> u64 {
@@ -403,36 +409,46 @@ mod tests {
             .fold(0u64, |acc, (i, &x)| acc | ((x & 1) << i))
     }
 
-    #[test]
-    fn mul_exhaustive_tiny() {
-        let fmt = FpFormat::TINY; // 8-bit values -> 65536 pairs
-        let g = build_mul_op(fmt, InputKind::Regular);
-        let n = 1u64 << fmt.width();
-        for va in 0..n {
-            for vb in 0..n {
-                let hw = drive2(&g, fmt, va, vb);
-                let sw = FpValue::from_bits(va, fmt)
-                    .mul(FpValue::from_bits(vb, fmt))
-                    .bits;
-                assert_eq!(hw, sw, "mul {va:#x} * {vb:#x}");
+    /// The software operator a netlist is compared with.
+    type SoftOp = fn(FpValue, FpValue) -> FpValue;
+
+    /// Every pair must come out of the netlist and of the software model
+    /// with the same bits. Returns the software results.
+    fn assert_netlist_agrees(
+        g: &Aig,
+        fmt: FpFormat,
+        name: &str,
+        soft: SoftOp,
+        pairs: &[(u64, u64)],
+    ) -> Vec<FpValue> {
+        let mut results = Vec::with_capacity(pairs.len());
+        for chunk in pairs.chunks(64) {
+            for (&(va, vb), hw) in chunk.iter().zip(drive2(g, fmt, chunk)) {
+                let sw = soft(FpValue::from_bits(va, fmt), FpValue::from_bits(vb, fmt));
+                assert_eq!(hw, sw.bits, "{name} {va:#x}, {vb:#x} in ({}, {})", fmt.we, fmt.wf);
+                results.push(sw);
             }
         }
+        results
+    }
+
+    fn all_tiny_pairs() -> Vec<(u64, u64)> {
+        let n = 1u64 << FpFormat::TINY.width(); // 8-bit values -> 65536 pairs
+        (0..n).flat_map(|va| (0..n).map(move |vb| (va, vb))).collect()
+    }
+
+    #[test]
+    fn mul_exhaustive_tiny() {
+        let fmt = FpFormat::TINY;
+        let g = build_mul_op(fmt, InputKind::Regular);
+        assert_netlist_agrees(&g, fmt, "mul", FpValue::mul, &all_tiny_pairs());
     }
 
     #[test]
     fn add_exhaustive_tiny() {
         let fmt = FpFormat::TINY;
         let g = build_add_op(fmt);
-        let n = 1u64 << fmt.width();
-        for va in 0..n {
-            for vb in 0..n {
-                let hw = drive2(&g, fmt, va, vb);
-                let sw = FpValue::from_bits(va, fmt)
-                    .add(FpValue::from_bits(vb, fmt))
-                    .bits;
-                assert_eq!(hw, sw, "add {va:#x} + {vb:#x}");
-            }
-        }
+        assert_netlist_agrees(&g, fmt, "add", FpValue::add, &all_tiny_pairs());
     }
 
     fn random_fp_bits(rng: &mut SplitMix64, fmt: FpFormat) -> u64 {
@@ -453,36 +469,72 @@ mod tests {
         }
     }
 
+    /// Two Normal operands with exponents within 2 of each other, over the
+    /// whole exponent range, and in a quarter of the draws fractions that
+    /// share their high bits: sums cancel (sometimes exactly, sometimes
+    /// below the exponent range), carry out and saturate; products of two
+    /// small or two large operands flush and saturate.
+    fn close_normal_pair(rng: &mut SplitMix64, fmt: FpFormat) -> (u64, u64) {
+        let ea = rng.below(1 << fmt.we);
+        let eb = (ea + rng.below(5)).saturating_sub(2).min(fmt.max_exp() as u64);
+        let fa = rng.below(1 << fmt.wf);
+        let fb = if rng.below(4) == 0 {
+            let differing = rng.below(fmt.wf as u64 + 1);
+            fa ^ rng.below(1 << differing)
+        } else {
+            rng.below(1 << fmt.wf)
+        };
+        (
+            fmt.pack(crate::FpClass::Normal, rng.coin(), ea, fa),
+            fmt.pack(crate::FpClass::Normal, rng.coin(), eb, fb),
+        )
+    }
+
+    /// 10 240 independent draws and 10 240 close Normal pairs against the
+    /// netlist; the close pairs must reach both ends of the exponent range.
+    fn random_cross_check(g: &Aig, fmt: FpFormat, name: &str, soft: SoftOp, seed: u64) {
+        const DRAWS: usize = 160 * 64;
+        let mut rng = SplitMix64::new(seed);
+        let mixed: Vec<(u64, u64)> = (0..DRAWS)
+            .map(|_| (random_fp_bits(&mut rng, fmt), random_fp_bits(&mut rng, fmt)))
+            .collect();
+        assert_netlist_agrees(g, fmt, name, soft, &mixed);
+        let close: Vec<(u64, u64)> = (0..DRAWS).map(|_| close_normal_pair(&mut rng, fmt)).collect();
+        let results = assert_netlist_agrees(g, fmt, name, soft, &close);
+        for class in [crate::FpClass::Zero, crate::FpClass::Normal, crate::FpClass::Infinity] {
+            assert!(
+                results.iter().any(|r| r.class() == class),
+                "{name} of close Normal pairs never gave {class:?}"
+            );
+        }
+    }
+
     #[test]
     fn mul_random_paper_format() {
         let fmt = FpFormat::PAPER;
         let g = build_mul_op(fmt, InputKind::Regular);
-        let mut rng = SplitMix64::new(123);
-        for _ in 0..400 {
-            let va = random_fp_bits(&mut rng, fmt);
-            let vb = random_fp_bits(&mut rng, fmt);
-            let hw = drive2(&g, fmt, va, vb);
-            let sw = FpValue::from_bits(va, fmt)
-                .mul(FpValue::from_bits(vb, fmt))
-                .bits;
-            assert_eq!(hw, sw, "mul {va:#x} * {vb:#x}");
-        }
+        random_cross_check(&g, fmt, "mul", FpValue::mul, 123);
     }
 
     #[test]
     fn add_random_paper_format() {
         let fmt = FpFormat::PAPER;
-        let g = build_add_op(fmt);
-        let mut rng = SplitMix64::new(321);
-        for _ in 0..400 {
-            let va = random_fp_bits(&mut rng, fmt);
-            let vb = random_fp_bits(&mut rng, fmt);
-            let hw = drive2(&g, fmt, va, vb);
-            let sw = FpValue::from_bits(va, fmt)
-                .add(FpValue::from_bits(vb, fmt))
-                .bits;
-            assert_eq!(hw, sw, "add {va:#x} + {vb:#x}");
-        }
+        random_cross_check(&build_add_op(fmt), fmt, "add", FpValue::add, 321);
+    }
+
+    /// (8,40): the 82-bit significand product takes the kernel's `u128`
+    /// path, which no narrower format reaches.
+    #[test]
+    fn mul_random_wide_product_format() {
+        let fmt = FpFormat::new(8, 40);
+        let g = build_mul_op(fmt, InputKind::Regular);
+        random_cross_check(&g, fmt, "mul", FpValue::mul, 840);
+    }
+
+    #[test]
+    fn add_random_wide_product_format() {
+        let fmt = FpFormat::new(8, 40);
+        random_cross_check(&build_add_op(fmt), fmt, "add", FpValue::add, 408);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use retina::filters::{convolve_f32, convolve_vcgra, gaussian, matched_filter};
 use retina::synth::{synth_fundus, SynthConfig};
-use softfloat::{FpFormat, FpValue};
+use softfloat::{FpFormat, FpKernel, FpValue};
 use std::hint::black_box;
 
 fn bench_softfloat(c: &mut Criterion) {
@@ -32,6 +32,25 @@ fn bench_softfloat(c: &mut Criterion) {
             i = (i + 1) & 255;
             let (x, y, _) = vals[i];
             black_box(x.add(y))
+        })
+    });
+    // The same two operators as the serve path runs them: one 64-lane
+    // column per call (`batch_size` lanes), raw encodings, the multiplier's
+    // coefficient fixed. Divide the reported time by 64 for ns per lane.
+    let kernel = FpKernel::new(fmt);
+    let (xs, ys): (Vec<u64>, Vec<u64>) = vals[..64].iter().map(|&(x, y, _)| (x.bits, y.bits)).unzip();
+    let coeff = vals[64].1.bits;
+    let mut out = vec![0u64; 64];
+    c.bench_function("flopoco_mul_const_col64_6_26", |b| {
+        b.iter(|| {
+            kernel.mul_const_col(black_box(&xs), black_box(coeff), &mut out);
+            black_box(&mut out);
+        })
+    });
+    c.bench_function("flopoco_add_col64_6_26", |b| {
+        b.iter(|| {
+            kernel.add_col(black_box(&xs), black_box(&ys), &mut out);
+            black_box(&mut out);
         })
     });
 }

@@ -270,7 +270,7 @@ proptest! {
     #[test]
     fn exec_plan_matches_both_interpreters(
         recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..17),
-        items in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..6),
+        draws in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 64..65),
         seed in any::<u64>(),
     ) {
         for f in PLAN_FORMATS {
@@ -278,13 +278,33 @@ proptest! {
             let mapping = vcgra::flow::map_app(&app, VcgraArch::new(4, 4, 8), seed)
                 .expect("sixteen nodes fit a 4x4 grid with eight tracks a channel");
             let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
-            // One scratch across items, as the engine keeps it.
-            let mut scratch = Vec::new();
-            for &(x, y, z) in &items {
-                let item = [plan_value(x, f), plan_value(y, f), plan_value(z, f)];
-                let mapped = run_mapped(&mapping, &app, &item);
-                prop_assert_eq!(&plan.run(&item, &mut scratch), &mapped);
-                prop_assert_eq!(&mapped, &run_dataflow(&app, &item));
+            // Every eighth lane draws from all of `plan_value`, specials
+            // included; the lanes between are normal numbers near one, so
+            // a special value sits alone among ordinary neighbours.
+            let near_one = 8 << 1;
+            let items: Vec<Vec<FpValue>> = draws
+                .iter()
+                .enumerate()
+                .map(|(lane, &(x, y, z))| {
+                    let force = if lane % 8 == 0 { 0 } else { near_one };
+                    vec![plan_value(x | force, f), plan_value(y | force, f), plan_value(z | force, f)]
+                })
+                .collect();
+            let mapped: Vec<Vec<FpValue>> =
+                items.iter().map(|item| run_mapped(&mapping, &app, item)).collect();
+            for (item, mapped) in items.iter().zip(&mapped) {
+                prop_assert_eq!(mapped, &run_dataflow(&app, item));
+            }
+            // One column buffer across chunks, as an engine worker keeps
+            // it; a lane's result must not depend on its neighbours or on
+            // how many there are.
+            let mut columns = Vec::new();
+            for lanes in [1, 3, 64] {
+                let got: Vec<Vec<FpValue>> = items
+                    .chunks(lanes)
+                    .flat_map(|chunk| plan.run_chunk(chunk, &mut columns))
+                    .collect();
+                prop_assert_eq!(&got, &mapped, "chunks of {} lanes", lanes);
             }
         }
     }
@@ -308,7 +328,7 @@ proptest! {
                 let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
                 let settings = PeSettings { coeff, counter: 1, mode };
                 let (want, _) = settings.evaluate(a, b, FpValue::zero(f));
-                prop_assert_eq!(plan.run(&[a, b], &mut Vec::new()), vec![want]);
+                prop_assert_eq!(plan.run_chunk(&[vec![a, b]], &mut Vec::new()), vec![vec![want]]);
             }
         }
     }
