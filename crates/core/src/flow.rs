@@ -7,6 +7,36 @@
 //! source of the "orders of magnitude" compile-time advantage the paper
 //! claims over the standard FPGA tool flow (quantified by the
 //! `compile_time` bench in `xbench`).
+//!
+//! [`map_app`] is what a tenant waits for on every cold admission, and
+//! nearly all of it is the annealer's move loop, so that loop does no
+//! work a move does not need:
+//!
+//! * **Cost bookkeeping.** The cost is the `i64` sum of Manhattan edge
+//!   lengths. A move changes only the edges incident to the moved node
+//!   and to the node it displaces, so the loop prices it from those two
+//!   rows of a CSR adjacency built once per compile and keeps a running
+//!   total. Integer sums have no rounding: the incremental delta *is*
+//!   `cost(after) − cost(before)` (an edge between the two swapped nodes
+//!   keeps its length, a self-loop has none, a doubled operand is two
+//!   adjacency entries), so accept/reject decisions, RNG consumption and
+//!   the placement are those of re-summing every edge per move. One full
+//!   re-sum after the loop asserts the total, in release builds too.
+//! * **Acceptance table.** An uphill move of integer delta `d` is taken
+//!   with probability `exp(-d / temp)`. Per temperature `d` takes a few
+//!   dozen values over hundreds of proposals, so the threshold is
+//!   computed on a delta's first occurrence and looked up afterwards —
+//!   the same `f64` expression, hence the same threshold.
+//! * **Routing scratch.** The negotiated-congestion router runs one
+//!   shortest-path search per edge per round; all of them share one
+//!   `PathSearch` (cost and predecessor arrays reset through the cells
+//!   the last search reached, one heap), with the pop/relax order of a
+//!   search on fresh arrays.
+//!
+//! **One oracle.** There is one served compile path. The form that
+//! re-sums every edge per move and allocates per routed edge lives only
+//! in this file's test module, where `anneal_matches_full_recompute_oracle`
+//! requires placement, every path and the verdict to be equal to it.
 
 use crate::app::{AppGraph, AppSource};
 use crate::grid::VcgraArch;
@@ -24,6 +54,15 @@ pub enum FlowError {
         /// PEs available in the grid.
         available: usize,
     },
+    /// The application graph has no nodes: there is nothing to place.
+    EmptyGraph,
+    /// An operand names a node the graph does not have.
+    DanglingSource {
+        /// The consuming node.
+        node: usize,
+        /// The node index its operand names.
+        source: usize,
+    },
     /// The router could not legalize the design within its iteration budget.
     Unroutable {
         /// Channel segments still over capacity after the final iteration.
@@ -36,6 +75,10 @@ impl std::fmt::Display for FlowError {
         match self {
             FlowError::NotEnoughPes { needed, available } => {
                 write!(f, "application needs {needed} PEs, grid has {available}")
+            }
+            FlowError::EmptyGraph => write!(f, "application graph has no nodes"),
+            FlowError::DanglingSource { node, source } => {
+                write!(f, "node {node} reads node {source}, which the graph does not have")
             }
             FlowError::Unroutable { overused_segments } => {
                 write!(f, "unroutable: {overused_segments} channel segments over capacity")
@@ -109,9 +152,20 @@ impl VcgraMapping {
 
 /// Maps an application graph onto the grid: greedy topological seed
 /// placement, simulated-annealing refinement, negotiated channel routing.
+///
+/// The result is a pure function of `(graph structure, arch, seed)`:
+/// coefficient values are only copied into the settings, never read by
+/// placement or routing, which is what lets a configuration cache key on
+/// structure alone. A graph with no nodes, or with an operand naming a
+/// node the graph does not have, is refused with a typed error before
+/// any placement work — `AppGraph`'s fields are public, so neither is
+/// ruled out by construction.
 pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMapping, FlowError> {
     let t0 = std::time::Instant::now();
     let n = app.nodes.len();
+    if n == 0 {
+        return Err(FlowError::EmptyGraph);
+    }
     if n > arch.pe_count() {
         return Err(FlowError::NotEnoughPes { needed: n, available: arch.pe_count() });
     }
@@ -121,122 +175,16 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     for (i, node) in app.nodes.iter().enumerate() {
         for s in [node.a, node.b] {
             if let AppSource::Node(j) = s {
+                if j >= n {
+                    return Err(FlowError::DanglingSource { node: i, source: j });
+                }
                 edges.push((j, i));
             }
         }
     }
 
-    // --- placement ---
-    // Seed: snake order over the grid follows the topological node order,
-    // which keeps dataflow chains physically adjacent.
-    let mut cells: Vec<(usize, usize)> = Vec::with_capacity(arch.pe_count());
-    for r in 0..arch.rows {
-        if r % 2 == 0 {
-            for c in 0..arch.cols {
-                cells.push((r, c));
-            }
-        } else {
-            for c in (0..arch.cols).rev() {
-                cells.push((r, c));
-            }
-        }
-    }
-    let mut place: Vec<(usize, usize)> = cells[..n].to_vec();
-    let mut cell_of: Vec<Option<usize>> = vec![None; arch.pe_count()];
-    let cell_index = |p: (usize, usize)| p.0 * arch.cols + p.1;
-    for (i, &p) in place.iter().enumerate() {
-        cell_of[cell_index(p)] = Some(i);
-    }
-
-    let dist = |a: (usize, usize), b: (usize, usize)| -> i64 {
-        (a.0 as i64 - b.0 as i64).abs() + (a.1 as i64 - b.1 as i64).abs()
-    };
-    let cost = |place: &[(usize, usize)]| -> i64 {
-        edges.iter().map(|&(u, v)| dist(place[u], place[v])).sum()
-    };
-
-    // SA refinement: swap two cells (or move to an empty one).
-    let mut rng = SplitMix64::new(seed);
-    let mut cur_cost = cost(&place);
-    let mut temp = (cur_cost.max(4)) as f64 * 0.5;
-    let moves_per_temp = 16 * arch.pe_count().max(n);
-    while temp > 0.05 {
-        for _ in 0..moves_per_temp {
-            let i = rng.index(n);
-            let target = cells[rng.index(cells.len())];
-            let ti = cell_index(target);
-            let old = place[i];
-            if old == target {
-                continue;
-            }
-            let displaced = cell_of[ti];
-            // Apply.
-            place[i] = target;
-            if let Some(j) = displaced {
-                place[j] = old;
-            }
-            let new_cost = cost(&place);
-            let delta = new_cost - cur_cost;
-            if delta <= 0 || rng.unit_f64() < (-(delta as f64) / temp).exp() {
-                cell_of[ti] = Some(i);
-                cell_of[cell_index(old)] = displaced;
-                cur_cost = new_cost;
-            } else {
-                // Revert.
-                place[i] = old;
-                if let Some(j) = displaced {
-                    place[j] = target;
-                }
-            }
-        }
-        temp *= 0.8;
-    }
-
-    // --- routing: negotiated congestion on the channel grid ---
-    // Directed channel segments between 4-adjacent cells.
-    let seg_id = |a: (usize, usize), b: (usize, usize)| -> usize {
-        // 4 direction slots per cell.
-        let d = match (b.0 as i64 - a.0 as i64, b.1 as i64 - a.1 as i64) {
-            (0, 1) => 0,
-            (0, -1) => 1,
-            (1, 0) => 2,
-            (-1, 0) => 3,
-            _ => unreachable!("non-adjacent cells"),
-        };
-        (a.0 * arch.cols + a.1) * 4 + d
-    };
-    let num_segs = arch.pe_count() * 4;
-    let mut usage = vec![0u32; num_segs];
-    let mut history = vec![0f64; num_segs];
-    let mut paths: Vec<Vec<(usize, usize)>> = vec![Vec::new(); edges.len()];
-    let cap = arch.channel_capacity as u32;
-
-    for iter in 0..24 {
-        // (Re)route every edge with congestion-aware BFS/Dijkstra.
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            // Remove the previous path from usage.
-            for w in paths[e].windows(2) {
-                usage[seg_id(w[0], w[1])] -= 1;
-            }
-            let (src, dst) = (place[u], place[v]);
-            paths[e] = dijkstra_route(arch, src, dst, &usage, &history, cap);
-            for w in paths[e].windows(2) {
-                usage[seg_id(w[0], w[1])] += 1;
-            }
-        }
-        let over: usize = usage.iter().filter(|&&u| u > cap).count();
-        if over == 0 {
-            break;
-        }
-        for (s, &u) in usage.iter().enumerate() {
-            if u > cap {
-                history[s] += (u - cap) as f64;
-            }
-        }
-        if iter == 23 {
-            return Err(FlowError::Unroutable { overused_segments: over });
-        }
-    }
+    let place = anneal(&edges, n, arch, seed);
+    let paths = route(&edges, &place, arch)?;
 
     // --- settings generation ---
     let mut pe_settings: Vec<Option<PeSettings>> = vec![None; arch.pe_count()];
@@ -244,7 +192,7 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
         let coeff = node
             .coeff
             .unwrap_or_else(|| FpValue::zero(app.format));
-        pe_settings[cell_index(place[i])] = Some(PeSettings {
+        pe_settings[cell_index(arch.cols, place[i])] = Some(PeSettings {
             coeff,
             counter: 1,
             mode: node.op,
@@ -268,89 +216,656 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     })
 }
 
-/// Congestion-aware shortest path on the cell grid (uniform segment cost
-/// plus present/history congestion penalties, PathFinder-style).
-fn dijkstra_route(
-    arch: VcgraArch,
-    src: (usize, usize),
-    dst: (usize, usize),
-    usage: &[u32],
-    history: &[f64],
-    cap: u32,
-) -> Vec<(usize, usize)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let idx = |p: (usize, usize)| p.0 * arch.cols + p.1;
-    let n = arch.pe_count();
-    let mut best = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut heap: BinaryHeap<(Reverse<u64>, (usize, usize))> = BinaryHeap::new();
-    best[idx(src)] = 0.0;
-    heap.push((Reverse(0), src));
-    let seg_id = |a: (usize, usize), b: (usize, usize)| -> usize {
-        let d = match (b.0 as i64 - a.0 as i64, b.1 as i64 - a.1 as i64) {
-            (0, 1) => 0,
-            (0, -1) => 1,
-            (1, 0) => 2,
-            (-1, 0) => 3,
-            _ => unreachable!(),
-        };
-        (a.0 * arch.cols + a.1) * 4 + d
+/// Row-major index of a grid cell.
+fn cell_index(cols: usize, p: (usize, usize)) -> usize {
+    p.0 * cols + p.1
+}
+
+fn manhattan(a: (usize, usize), b: (usize, usize)) -> i64 {
+    (a.0.abs_diff(b.0) + a.1.abs_diff(b.1)) as i64
+}
+
+/// Marks a grid cell no node occupies.
+const VACANT: usize = usize::MAX;
+
+/// Placement of `n >= 1` nodes: snake-order seed, then simulated
+/// annealing over cell swaps (or moves to an empty cell), each move
+/// priced exactly from the edges it touches (see the module docs).
+fn anneal(edges: &[(usize, usize)], n: usize, arch: VcgraArch, seed: u64) -> Vec<(usize, usize)> {
+    // CSR adjacency: `other[start[i]..start[i + 1]]` is the far endpoint
+    // of every edge incident to node `i`, one entry per edge end — a
+    // doubled operand is two entries, a self-loop two entries naming `i`.
+    let mut start = vec![0usize; n + 1];
+    for &(u, v) in edges {
+        start[u + 1] += 1;
+        start[v + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut other = vec![0usize; 2 * edges.len()];
+    for &(u, v) in edges {
+        other[fill[u]] = v;
+        fill[u] += 1;
+        other[fill[v]] = u;
+        fill[v] += 1;
+    }
+
+    // Seed: snake order over the grid follows the topological node order,
+    // which keeps dataflow chains physically adjacent.
+    let mut cells: Vec<(usize, usize)> = Vec::with_capacity(arch.pe_count());
+    for r in 0..arch.rows {
+        if r % 2 == 0 {
+            cells.extend((0..arch.cols).map(|c| (r, c)));
+        } else {
+            cells.extend((0..arch.cols).rev().map(|c| (r, c)));
+        }
+    }
+    let cell_index = |p| cell_index(arch.cols, p);
+    let mut place: Vec<(usize, usize)> = cells[..n].to_vec();
+    let mut occupant = vec![VACANT; arch.pe_count()];
+    for (i, &p) in place.iter().enumerate() {
+        occupant[cell_index(p)] = i;
+    }
+
+    let cost = |place: &[(usize, usize)]| -> i64 {
+        edges.iter().map(|&(u, v)| manhattan(place[u], place[v])).sum()
     };
-    while let Some((Reverse(d_fixed), cell)) = heap.pop() {
-        let d = d_fixed as f64 / 1024.0;
-        if cell == dst {
-            break;
+
+    // SA refinement: swap two cells (or move to an empty one).
+    let mut rng = SplitMix64::new(seed);
+    let mut cur_cost = cost(&place);
+    let mut temp = (cur_cost.max(4)) as f64 * 0.5;
+    let moves_per_temp = 16 * arch.pe_count().max(n);
+    // `accept[d]` is the uphill acceptance threshold `exp(-d / temp)` at
+    // the current temperature, computed on first use (NaN until then):
+    // a delta takes a few dozen distinct values per temperature.
+    let mut accept: Vec<f64> = Vec::new();
+    while temp > 0.05 {
+        accept.clear();
+        for _ in 0..moves_per_temp {
+            let i = rng.index(n);
+            let target = cells[rng.index(cells.len())];
+            let old = place[i];
+            if old == target {
+                continue;
+            }
+            let ti = cell_index(target);
+            let j = occupant[ti];
+            // Node `i` goes `old -> target`, node `j` (if any) the other
+            // way. An edge between the two keeps its length and a
+            // self-loop has none, so both are skipped; `j == VACANT`
+            // matches no node.
+            let mut delta = 0i64;
+            for &o in &other[start[i]..start[i + 1]] {
+                if o != i && o != j {
+                    delta += manhattan(target, place[o]) - manhattan(old, place[o]);
+                }
+            }
+            if j != VACANT {
+                for &o in &other[start[j]..start[j + 1]] {
+                    if o != j && o != i {
+                        delta += manhattan(old, place[o]) - manhattan(target, place[o]);
+                    }
+                }
+            }
+            if delta > 0 {
+                let d = delta as usize;
+                if d >= accept.len() {
+                    accept.resize(d + 1, f64::NAN);
+                }
+                if accept[d].is_nan() {
+                    accept[d] = (-(delta as f64) / temp).exp();
+                }
+                if rng.unit_f64() >= accept[d] {
+                    continue;
+                }
+            }
+            place[i] = target;
+            occupant[ti] = i;
+            occupant[cell_index(old)] = j;
+            if j != VACANT {
+                place[j] = old;
+            }
+            cur_cost += delta;
         }
-        if d > best[idx(cell)] + 1e-9 {
-            continue;
-        }
-        let (r, c) = cell;
-        let mut neighbors = Vec::with_capacity(4);
-        if c + 1 < arch.cols {
-            neighbors.push((r, c + 1));
-        }
-        if c > 0 {
-            neighbors.push((r, c - 1));
-        }
-        if r + 1 < arch.rows {
-            neighbors.push((r + 1, c));
-        }
-        if r > 0 {
-            neighbors.push((r - 1, c));
-        }
-        for nb in neighbors {
-            let s = seg_id(cell, nb);
-            let congestion = if usage[s] >= cap {
-                3.0 * (usage[s] - cap + 1) as f64
-            } else {
-                0.0
-            };
-            let nd = d + 1.0 + congestion + history[s];
-            if nd + 1e-9 < best[idx(nb)] {
-                best[idx(nb)] = nd;
-                prev[idx(nb)] = Some(cell);
-                heap.push((Reverse((nd * 1024.0) as u64), nb));
+        temp *= 0.8;
+    }
+    // What re-summing per move gave for free, once per compile: the
+    // running cost never drifted from the placement it describes.
+    assert_eq!(cur_cost, cost(&place), "incremental placement cost drifted");
+    place
+}
+
+/// Directed channel segment `a -> b` between 4-adjacent cells: four
+/// direction slots per cell.
+fn seg_id(cols: usize, a: (usize, usize), b: (usize, usize)) -> usize {
+    let d = match (b.0 as i64 - a.0 as i64, b.1 as i64 - a.1 as i64) {
+        (0, 1) => 0,
+        (0, -1) => 1,
+        (1, 0) => 2,
+        (-1, 0) => 3,
+        _ => unreachable!("non-adjacent cells"),
+    };
+    cell_index(cols, a) * 4 + d
+}
+
+/// Routing: negotiated congestion on the channel grid. Every edge is
+/// (re)routed each round against the present usage and the accumulated
+/// history until no segment is over capacity.
+fn route(
+    edges: &[(usize, usize)],
+    place: &[(usize, usize)],
+    arch: VcgraArch,
+) -> Result<Vec<Vec<(usize, usize)>>, FlowError> {
+    let num_segs = arch.pe_count() * 4;
+    let mut usage = vec![0u32; num_segs];
+    let mut history = vec![0f64; num_segs];
+    let mut paths: Vec<Vec<(usize, usize)>> = vec![Vec::new(); edges.len()];
+    let cap = arch.channel_capacity as u32;
+    let mut search = PathSearch::new(arch);
+
+    for iter in 0..24 {
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            // Remove the previous path from usage.
+            for w in paths[e].windows(2) {
+                usage[seg_id(arch.cols, w[0], w[1])] -= 1;
+            }
+            search.shortest(place[u], place[v], &usage, &history, cap, &mut paths[e]);
+            for w in paths[e].windows(2) {
+                usage[seg_id(arch.cols, w[0], w[1])] += 1;
             }
         }
+        let over: usize = usage.iter().filter(|&&u| u > cap).count();
+        if over == 0 {
+            break;
+        }
+        for (s, &u) in usage.iter().enumerate() {
+            if u > cap {
+                history[s] += (u - cap) as f64;
+            }
+        }
+        if iter == 23 {
+            return Err(FlowError::Unroutable { overused_segments: over });
+        }
     }
-    // Reconstruct.
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[idx(cur)].expect("connected grid");
-        path.push(cur);
+    Ok(paths)
+}
+
+/// Congestion-aware shortest path on the cell grid (uniform segment cost
+/// plus present/history congestion penalties, PathFinder-style). One
+/// instance serves every search of a `route` call: `best` and `prev` are
+/// reset through the cells the previous search reached, the heap is
+/// cleared, and the pop/relax order is that of a search on fresh arrays.
+struct PathSearch {
+    arch: VcgraArch,
+    best: Vec<f64>,
+    prev: Vec<Option<(usize, usize)>>,
+    /// Cells whose `best`/`prev` the current search has written.
+    reached: Vec<usize>,
+    heap: std::collections::BinaryHeap<(std::cmp::Reverse<u64>, (usize, usize))>,
+}
+
+impl PathSearch {
+    fn new(arch: VcgraArch) -> Self {
+        PathSearch {
+            arch,
+            best: vec![f64::INFINITY; arch.pe_count()],
+            prev: vec![None; arch.pe_count()],
+            reached: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
+        }
     }
-    path.reverse();
-    path
+
+    /// Writes the cheapest `src -> dst` path into `path` (both ends
+    /// included), replacing its contents.
+    fn shortest(
+        &mut self,
+        src: (usize, usize),
+        dst: (usize, usize),
+        usage: &[u32],
+        history: &[f64],
+        cap: u32,
+        path: &mut Vec<(usize, usize)>,
+    ) {
+        use std::cmp::Reverse;
+        let VcgraArch { rows, cols, .. } = self.arch;
+        let idx = |p| cell_index(cols, p);
+        for cell in self.reached.drain(..) {
+            self.best[cell] = f64::INFINITY;
+            self.prev[cell] = None;
+        }
+        self.heap.clear();
+        self.best[idx(src)] = 0.0;
+        self.reached.push(idx(src));
+        self.heap.push((Reverse(0), src));
+        while let Some((Reverse(d_fixed), cell)) = self.heap.pop() {
+            let d = d_fixed as f64 / 1024.0;
+            if cell == dst {
+                break;
+            }
+            if d > self.best[idx(cell)] + 1e-9 {
+                continue;
+            }
+            let (r, c) = cell;
+            let neighbors = [
+                (c + 1 < cols).then(|| (r, c + 1)),
+                (c > 0).then(|| (r, c - 1)),
+                (r + 1 < rows).then(|| (r + 1, c)),
+                (r > 0).then(|| (r - 1, c)),
+            ];
+            for nb in neighbors.into_iter().flatten() {
+                let s = seg_id(cols, cell, nb);
+                let congestion = if usage[s] >= cap {
+                    3.0 * (usage[s] - cap + 1) as f64
+                } else {
+                    0.0
+                };
+                let nd = d + 1.0 + congestion + history[s];
+                if nd + 1e-9 < self.best[idx(nb)] {
+                    self.best[idx(nb)] = nd;
+                    self.prev[idx(nb)] = Some(cell);
+                    self.reached.push(idx(nb));
+                    self.heap.push((Reverse((nd * 1024.0) as u64), nb));
+                }
+            }
+        }
+        // Reconstruct.
+        path.clear();
+        path.push(dst);
+        let mut cur = dst;
+        while cur != src {
+            cur = self.prev[idx(cur)].expect("connected grid");
+            path.push(cur);
+        }
+        path.reverse();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::PeMode;
     use softfloat::FpFormat;
 
     const F: FpFormat = FpFormat::PAPER;
+
+    /// The oracle: placement and routing as `map_app` did them before the
+    /// incremental annealer — every proposed move re-sums every edge and
+    /// calls `exp`, every routed edge allocates fresh search arrays. Kept
+    /// word for word (settings generation dropped) and only here; the one
+    /// served path is `map_app`.
+    #[allow(clippy::type_complexity)]
+    fn map_app_full_recompute(
+        app: &AppGraph,
+        arch: VcgraArch,
+        seed: u64,
+    ) -> Result<(Vec<(usize, usize)>, Vec<Vec<(usize, usize)>>), FlowError> {
+        let n = app.nodes.len();
+        if n > arch.pe_count() {
+            return Err(FlowError::NotEnoughPes { needed: n, available: arch.pe_count() });
+        }
+
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for (i, node) in app.nodes.iter().enumerate() {
+            for s in [node.a, node.b] {
+                if let AppSource::Node(j) = s {
+                    edges.push((j, i));
+                }
+            }
+        }
+
+        let mut cells: Vec<(usize, usize)> = Vec::with_capacity(arch.pe_count());
+        for r in 0..arch.rows {
+            if r % 2 == 0 {
+                for c in 0..arch.cols {
+                    cells.push((r, c));
+                }
+            } else {
+                for c in (0..arch.cols).rev() {
+                    cells.push((r, c));
+                }
+            }
+        }
+        let mut place: Vec<(usize, usize)> = cells[..n].to_vec();
+        let mut cell_of: Vec<Option<usize>> = vec![None; arch.pe_count()];
+        let cell_index = |p: (usize, usize)| p.0 * arch.cols + p.1;
+        for (i, &p) in place.iter().enumerate() {
+            cell_of[cell_index(p)] = Some(i);
+        }
+
+        let dist = |a: (usize, usize), b: (usize, usize)| -> i64 {
+            (a.0 as i64 - b.0 as i64).abs() + (a.1 as i64 - b.1 as i64).abs()
+        };
+        let cost = |place: &[(usize, usize)]| -> i64 {
+            edges.iter().map(|&(u, v)| dist(place[u], place[v])).sum()
+        };
+
+        let mut rng = SplitMix64::new(seed);
+        let mut cur_cost = cost(&place);
+        let mut temp = (cur_cost.max(4)) as f64 * 0.5;
+        let moves_per_temp = 16 * arch.pe_count().max(n);
+        while temp > 0.05 {
+            for _ in 0..moves_per_temp {
+                let i = rng.index(n);
+                let target = cells[rng.index(cells.len())];
+                let ti = cell_index(target);
+                let old = place[i];
+                if old == target {
+                    continue;
+                }
+                let displaced = cell_of[ti];
+                place[i] = target;
+                if let Some(j) = displaced {
+                    place[j] = old;
+                }
+                let new_cost = cost(&place);
+                let delta = new_cost - cur_cost;
+                if delta <= 0 || rng.unit_f64() < (-(delta as f64) / temp).exp() {
+                    cell_of[ti] = Some(i);
+                    cell_of[cell_index(old)] = displaced;
+                    cur_cost = new_cost;
+                } else {
+                    place[i] = old;
+                    if let Some(j) = displaced {
+                        place[j] = target;
+                    }
+                }
+            }
+            temp *= 0.8;
+        }
+
+        let seg_id = |a: (usize, usize), b: (usize, usize)| -> usize {
+            let d = match (b.0 as i64 - a.0 as i64, b.1 as i64 - a.1 as i64) {
+                (0, 1) => 0,
+                (0, -1) => 1,
+                (1, 0) => 2,
+                (-1, 0) => 3,
+                _ => unreachable!("non-adjacent cells"),
+            };
+            (a.0 * arch.cols + a.1) * 4 + d
+        };
+        let num_segs = arch.pe_count() * 4;
+        let mut usage = vec![0u32; num_segs];
+        let mut history = vec![0f64; num_segs];
+        let mut paths: Vec<Vec<(usize, usize)>> = vec![Vec::new(); edges.len()];
+        let cap = arch.channel_capacity as u32;
+
+        for iter in 0..24 {
+            for (e, &(u, v)) in edges.iter().enumerate() {
+                for w in paths[e].windows(2) {
+                    usage[seg_id(w[0], w[1])] -= 1;
+                }
+                let (src, dst) = (place[u], place[v]);
+                paths[e] = dijkstra_route_fresh(arch, src, dst, &usage, &history, cap);
+                for w in paths[e].windows(2) {
+                    usage[seg_id(w[0], w[1])] += 1;
+                }
+            }
+            let over: usize = usage.iter().filter(|&&u| u > cap).count();
+            if over == 0 {
+                break;
+            }
+            for (s, &u) in usage.iter().enumerate() {
+                if u > cap {
+                    history[s] += (u - cap) as f64;
+                }
+            }
+            if iter == 23 {
+                return Err(FlowError::Unroutable { overused_segments: over });
+            }
+        }
+        Ok((place, paths))
+    }
+
+    /// The oracle's router: fresh `best`/`prev`/heap per call, a `Vec` of
+    /// neighbours per popped cell.
+    fn dijkstra_route_fresh(
+        arch: VcgraArch,
+        src: (usize, usize),
+        dst: (usize, usize),
+        usage: &[u32],
+        history: &[f64],
+        cap: u32,
+    ) -> Vec<(usize, usize)> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let idx = |p: (usize, usize)| p.0 * arch.cols + p.1;
+        let n = arch.pe_count();
+        let mut best = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
+        let mut heap: BinaryHeap<(Reverse<u64>, (usize, usize))> = BinaryHeap::new();
+        best[idx(src)] = 0.0;
+        heap.push((Reverse(0), src));
+        let seg_id = |a: (usize, usize), b: (usize, usize)| -> usize {
+            let d = match (b.0 as i64 - a.0 as i64, b.1 as i64 - a.1 as i64) {
+                (0, 1) => 0,
+                (0, -1) => 1,
+                (1, 0) => 2,
+                (-1, 0) => 3,
+                _ => unreachable!(),
+            };
+            (a.0 * arch.cols + a.1) * 4 + d
+        };
+        while let Some((Reverse(d_fixed), cell)) = heap.pop() {
+            let d = d_fixed as f64 / 1024.0;
+            if cell == dst {
+                break;
+            }
+            if d > best[idx(cell)] + 1e-9 {
+                continue;
+            }
+            let (r, c) = cell;
+            let mut neighbors = Vec::with_capacity(4);
+            if c + 1 < arch.cols {
+                neighbors.push((r, c + 1));
+            }
+            if c > 0 {
+                neighbors.push((r, c - 1));
+            }
+            if r + 1 < arch.rows {
+                neighbors.push((r + 1, c));
+            }
+            if r > 0 {
+                neighbors.push((r - 1, c));
+            }
+            for nb in neighbors {
+                let s = seg_id(cell, nb);
+                let congestion = if usage[s] >= cap {
+                    3.0 * (usage[s] - cap + 1) as f64
+                } else {
+                    0.0
+                };
+                let nd = d + 1.0 + congestion + history[s];
+                if nd + 1e-9 < best[idx(nb)] {
+                    best[idx(nb)] = nd;
+                    prev[idx(nb)] = Some(cell);
+                    heap.push((Reverse((nd * 1024.0) as u64), nb));
+                }
+            }
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = prev[idx(cur)].expect("connected grid");
+            path.push(cur);
+        }
+        path.reverse();
+        path
+    }
+
+    /// `k`-leaf reduction tree: pass-through leaves, balanced adder tree
+    /// (2k − 1 nodes, no coefficients).
+    fn tree(k: usize) -> AppGraph {
+        let mut g = AppGraph::new(F, k);
+        let leaves = (0..k)
+            .map(|i| {
+                let input = AppSource::External(i);
+                g.add(format!("leaf{i}"), PeMode::Pass, None, input, AppSource::Zero)
+            })
+            .collect();
+        let root = g.reduce_add(leaves, "red_");
+        g.mark_output(root);
+        g
+    }
+
+    /// FIR, tree, MAC chain (2k − 1 nodes each) and a 2k-node cascade.
+    fn shapes(k: usize) -> [(&'static str, AppGraph); 4] {
+        let taps: Vec<f64> = (0..k).map(|i| 0.5 + i as f64).collect();
+        [
+            ("fir", AppGraph::dot_product(F, &taps)),
+            ("tree", tree(k)),
+            ("mac_chain", AppGraph::mac_chain(F, &taps)),
+            ("cascade", AppGraph::scaling_cascade(F, &[1.5; 64][..2 * k])),
+        ]
+    }
+
+    /// `r × 4` for `r` in 2…16, plus 4×16 and 8×8.
+    fn regions() -> Vec<(usize, usize)> {
+        (2..=16).map(|r| (r, 4)).chain([(4, 16), (8, 8)]).collect()
+    }
+
+    /// Requires `map_app` ≡ the oracle on one case: verdict, placement,
+    /// every path, wirelength. Returns the verdict the two agree on.
+    fn assert_matches_oracle(
+        name: &str,
+        app: &AppGraph,
+        arch: VcgraArch,
+        seed: u64,
+    ) -> Result<(), FlowError> {
+        let ctx = format!(
+            "{name}, {} nodes on {}x{} cap {}, seed {seed}",
+            app.nodes.len(),
+            arch.rows,
+            arch.cols,
+            arch.channel_capacity
+        );
+        match (map_app(app, arch, seed), map_app_full_recompute(app, arch, seed)) {
+            (Ok(m), Ok((place, paths))) => {
+                assert_eq!(m.place, place, "placement: {ctx}");
+                assert_eq!(m.routes.len(), paths.len(), "edge count: {ctx}");
+                for (r, path) in m.routes.iter().zip(&paths) {
+                    assert_eq!(&r.path, path, "path {} -> {}: {ctx}", r.from, r.to);
+                }
+                let wl: usize = paths.iter().map(|p| p.len() - 1).sum();
+                assert_eq!(m.virtual_wirelength, wl, "wirelength: {ctx}");
+                Ok(())
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "error: {ctx}");
+                Err(got)
+            }
+            (got, want) => panic!(
+                "verdicts differ: {ctx}: map_app {:?}, oracle {:?}",
+                got.map(|m| m.place),
+                want.map(|(place, _)| place)
+            ),
+        }
+    }
+
+    /// Every shape at each `k` on every region at capacities 1 and 2.
+    /// Capacity 1 makes the router negotiate for more than one round —
+    /// an unroutable case for all 24 — which is what reuses the search
+    /// scratch across rounds.
+    fn sweep_against_oracle(ks: &[usize], seeds: &[u64]) {
+        let (mut routed, mut too_big, mut unroutable) = (0, 0, 0);
+        for &k in ks {
+            for (name, app) in shapes(k) {
+                for (rows, cols) in regions() {
+                    for cap in [1, 2] {
+                        for &seed in seeds {
+                            let arch = VcgraArch::new(rows, cols, cap);
+                            match assert_matches_oracle(name, &app, arch, seed) {
+                                Ok(()) => routed += 1,
+                                Err(FlowError::Unroutable { .. }) => unroutable += 1,
+                                Err(_) => too_big += 1,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            routed > 0 && too_big > 0 && unroutable > 0,
+            "every verdict must occur: {routed} routed, {too_big} too big, {unroutable} unroutable"
+        );
+    }
+
+    #[test]
+    fn anneal_matches_full_recompute_oracle() {
+        sweep_against_oracle(&[1, 2, 5, 12, 32], &[42]);
+    }
+
+    /// The long form: every size from 2 to 64 nodes, five seeds.
+    #[test]
+    #[ignore = "minutes in the dev profile; run with --release -- --ignored"]
+    fn anneal_matches_full_recompute_oracle_every_size() {
+        let ks: Vec<usize> = (1..=32).collect();
+        sweep_against_oracle(&ks, &[1, 2, 3, 42, 0xDEAD_BEEF]);
+    }
+
+    #[test]
+    fn hand_edited_wiring_prices_like_the_oracle() {
+        // The delta's two special cases, which no builder produces: a
+        // doubled operand (two adjacency entries for one neighbour) and a
+        // self-loop (an edge of length zero wherever the node sits).
+        let mut app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let last = app.nodes.len() - 1;
+        app.nodes[last].b = app.nodes[last].a;
+        app.nodes[7].b = AppSource::Node(7);
+        for (rows, cols) in [(3, 4), (4, 4), (8, 8)] {
+            for cap in [1, 2] {
+                for seed in [1, 42, 99] {
+                    let arch = VcgraArch::new(rows, cols, cap);
+                    let _ = assert_matches_oracle("hand-edited", &app, arch, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mapping_ignores_coefficient_values() {
+        // What a structure-keyed configuration cache relies on: the
+        // coefficients reach the settings and nothing else.
+        let a = AppGraph::dot_product(F, &[0.5, 0.25, 0.125, 1.0, 2.0, 4.0, 8.0]);
+        let other: Vec<FpValue> =
+            (0..7).map(|i| FpValue::from_f64(-3.0 * i as f64 + 0.1, F)).collect();
+        let b = a.with_coeffs(&other);
+        for arch in [VcgraArch::new(4, 4, 1), VcgraArch::new(4, 4, 2), VcgraArch::new(8, 4, 2)] {
+            let (ma, mb) = (map_app(&a, arch, 42).unwrap(), map_app(&b, arch, 42).unwrap());
+            assert_eq!(ma.place, mb.place);
+            assert_eq!(ma.routes.len(), mb.routes.len());
+            for (ra, rb) in ma.routes.iter().zip(&mb.routes) {
+                assert_eq!((ra.from, ra.to, &ra.path), (rb.from, rb.to, &rb.path));
+            }
+            assert_eq!(ma.virtual_wirelength, mb.virtual_wirelength);
+            assert_ne!(
+                ma.pe_settings.iter().flatten().map(|s| s.coeff.bits).collect::<Vec<_>>(),
+                mb.pe_settings.iter().flatten().map(|s| s.coeff.bits).collect::<Vec<_>>(),
+                "the settings are where the two graphs differ"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_graph_is_a_typed_error() {
+        let err = map_app(&AppGraph::new(F, 1), VcgraArch::paper_4x4(), 1).unwrap_err();
+        assert_eq!(err, FlowError::EmptyGraph);
+    }
+
+    #[test]
+    fn a_dangling_operand_is_a_typed_error() {
+        // `AppGraph::add` refuses this; the public fields do not.
+        let mut app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
+        app.nodes[4].a = AppSource::Node(99);
+        let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
+        assert_eq!(err, FlowError::DanglingSource { node: 4, source: 99 });
+        // A forward or self reference names a node the graph has: it
+        // places and routes, and lowering is what refuses it.
+        app.nodes[4].a = AppSource::Node(4);
+        assert!(map_app(&app, VcgraArch::paper_4x4(), 1).is_ok());
+    }
 
     #[test]
     fn small_kernel_maps_onto_4x4() {

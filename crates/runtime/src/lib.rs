@@ -48,7 +48,11 @@
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together, plus the
 //!   [`Ledger`] that accumulates measured host time against modeled
-//!   configuration-port time.
+//!   configuration-port time. A graph no region can be compiled for is
+//!   a typed [`RuntimeError::Flow`], never a panic: an empty graph is
+//!   refused by `submit`/`resubmit` before a lease or a queue slot is
+//!   taken, an operand naming a node the graph does not have by the
+//!   compile, whose lease is then surrendered.
 //! * [`timeline`] — the modeled **time axis**: every charged
 //!   reconfiguration phase scheduled as an interval on its band's lane,
 //!   host→fabric phases serialized on the one configuration port,

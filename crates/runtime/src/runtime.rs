@@ -132,7 +132,9 @@ impl Default for RuntimeConfig {
 pub enum RuntimeError {
     /// The scheduler could not place the application.
     Pool(PoolError),
-    /// The compile failed (e.g. unroutable on the leased region).
+    /// The compile failed (unroutable on the leased region, an operand
+    /// naming a node the graph does not have), or the graph is empty and
+    /// was refused before any lease was taken.
     Flow(FlowError),
     /// Unknown tenant id.
     UnknownTenant(TenantId),
@@ -450,6 +452,18 @@ pub struct StreamRequest {
     pub inputs: Vec<Vec<FpValue>>,
 }
 
+/// `map_app`'s refusal of a graph with no nodes, given at the door: a
+/// zero-PE demand has no band to lease (the pool asserts on it) and would
+/// sit in the queue until a drain reached that assert. `submit` and
+/// `resubmit` call this before they touch the pool, the queue or the
+/// tenant's current lease.
+fn refuse_empty(graph: &AppGraph) -> Result<(), RuntimeError> {
+    if graph.nodes.is_empty() {
+        return Err(FlowError::EmptyGraph.into());
+    }
+    Ok(())
+}
+
 /// A submission waiting in the admission queue.
 struct Pending {
     tenant: TenantId,
@@ -633,6 +647,12 @@ impl Runtime {
     /// queue is enabled the submission parks in the FIFO queue instead of
     /// failing — it will be placed by a future [`Runtime::release`] or
     /// [`Runtime::drain_queue`] under the same tenant id.
+    ///
+    /// A refused submission (too big for any grid, an empty graph, a
+    /// failed compile) still consumes its tenant id — the shard tier
+    /// names a tenant by its dispatch count — and leaves the pool, the
+    /// queue and the ledger as they were (a compaction done to place a
+    /// graph that then fails to compile stays, and stays charged).
     pub fn submit(
         &mut self,
         name: impl Into<String>,
@@ -640,6 +660,7 @@ impl Runtime {
     ) -> Result<Admission, RuntimeError> {
         let id = self.next_id;
         self.next_id += 1;
+        refuse_empty(&graph)?;
         let name = name.into();
         // Strict FIFO: while earlier submissions wait, later ones join
         // the tail even if they would fit — no queue jumping. A graph
@@ -1080,6 +1101,7 @@ impl Runtime {
         tenant: TenantId,
         graph: AppGraph,
     ) -> Result<Refresh, RuntimeError> {
+        refuse_empty(&graph)?;
         if !self.tenants.contains_key(&tenant) {
             // Queued tenant: replace the pending graph, keep the slot.
             if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {

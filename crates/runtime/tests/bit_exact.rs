@@ -7,6 +7,7 @@ use runtime::kernels;
 use runtime::{Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest};
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, AppSource};
+use vcgra::flow::FlowError;
 use vcgra::sim::run_dataflow;
 
 const F: FpFormat = FpFormat::PAPER;
@@ -309,4 +310,84 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     assert_eq!(rt.ledger().swaps, 0, "a refused swap is not charged");
     // The old coefficients are still the ones in force.
     assert_still_served(&mut rt, id, &graph);
+}
+
+/// What a refused call must leave as it found it: the bands, the queue
+/// and every ledger counter.
+fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<runtime::TenantId>, String) {
+    (rt.pool().bands(), rt.queued_tenants(), format!("{:?}", rt.ledger()))
+}
+
+#[test]
+fn an_empty_graph_is_refused_not_a_panic() {
+    // A zero-node graph has a zero-PE demand: the pool asserts on it, and
+    // behind a non-empty queue it would wait there for a drain to reach
+    // that assert. `submit` and `resubmit` refuse it at the door.
+    let empty = || AppGraph::new(F, 1);
+    let refused = RuntimeError::Flow(FlowError::EmptyGraph);
+
+    // Dedicated bands, nothing queued.
+    let mut rt = Runtime::new(RuntimeConfig { queue: false, ..RuntimeConfig::default() });
+    let (good_id, good) = served(&mut rt);
+    let before = state(&rt);
+    assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
+    assert_eq!(rt.resubmit(good_id, empty()).unwrap_err(), refused);
+    assert_eq!(state(&rt), before);
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    assert_still_served(&mut rt, good_id, &good);
+
+    // A full pool with a tenant waiting: the empty graph must not take a
+    // queue slot, nor replace the waiting tenant's graph.
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![vcgra::VcgraArch::new(4, 4, 2)],
+        time_share: false,
+        ..RuntimeConfig::default()
+    });
+    let (good_id, good) = served(&mut rt);
+    let second = rt.submit("second", good.clone()).unwrap().tenant();
+    let waiting = rt.submit("waiting", good.clone()).unwrap();
+    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
+    let before = state(&rt);
+    assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
+    assert_eq!(rt.resubmit(waiting.tenant(), empty()).unwrap_err(), refused);
+    assert_eq!(rt.resubmit(good_id, empty()).unwrap_err(), refused);
+    assert_eq!(state(&rt), before);
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    // The waiting tenant admits with the graph it queued with.
+    let drained = rt.release(second).unwrap();
+    assert_eq!(drained.len(), 1);
+    assert_eq!(drained[0].tenant, waiting.tenant());
+    assert_eq!(rt.tenant(waiting.tenant()).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_still_served(&mut rt, good_id, &good);
+}
+
+#[test]
+fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
+    // `submit` compiles before `run` ever lowers: an operand naming a
+    // node the graph does not have used to index past the placement
+    // inside `map_app`. It is a compile error now, the lease taken for
+    // the compile is surrendered, and the runtime keeps serving.
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let (good_id, good) = served(&mut rt);
+    let mut dangling = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
+    dangling.nodes[4].a = AppSource::Node(99);
+    let refused = RuntimeError::Flow(FlowError::DanglingSource { node: 4, source: 99 });
+    let before = state(&rt);
+    assert_eq!(rt.submit("dangling", dangling.clone()).unwrap_err(), refused);
+    assert_eq!(state(&rt), before, "the lease taken for the compile is surrendered");
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+
+    // A structural resubmit gives its lease up first, so the refusal
+    // evicts the tenant (as an unroutable replacement would) and frees
+    // its rows.
+    let victim = rt.submit("victim", good.clone()).unwrap().tenant();
+    assert_eq!(rt.resubmit(victim, dangling).unwrap_err(), refused);
+    assert!(rt.tenant(victim).is_none());
+    assert_eq!(rt.pool().bands(), before.0);
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+
+    // Other tenants, old and new, are served as before.
+    let later = kernels::fir(F, &[1.0, 2.0, 3.0]);
+    rt.submit(&later.name, later.graph).unwrap().expect_admitted("a free grid");
+    assert_still_served(&mut rt, good_id, &good);
 }

@@ -81,15 +81,23 @@ fn bench_par(c: &mut Criterion) {
     g.finish();
 }
 
+/// The VCGRA compile a cold admission waits for, on the paper's 5-tap
+/// example and on the shapes the runtime compiles: a 12-tap FIR on its
+/// minimal 6×4 region (23 nodes, the size of the `app_churn` workload's
+/// mean structure) and a 32-tap dot product filling a 16×4 region
+/// (63 nodes on 64 PEs).
 fn bench_vcgra_flow(c: &mut Criterion) {
-    let app = vcgra::app::AppGraph::dot_product(
-        FpFormat::PAPER,
-        &[0.0625, 0.25, 0.375, 0.25, 0.0625],
-    );
-    let arch = vcgra::VcgraArch::paper_4x4();
-    c.bench_function("vcgra_flow_5tap_4x4", |b| {
-        b.iter(|| black_box(vcgra::flow::map_app(&app, arch, 42).expect("fits")))
-    });
+    let taps = |n: usize| -> Vec<f64> { (0..n).map(|i| 0.0625 * (i + 1) as f64).collect() };
+    for (name, taps, arch) in [
+        ("vcgra_flow_5tap_4x4", taps(5), vcgra::VcgraArch::paper_4x4()),
+        ("vcgra_flow_fir12_6x4", taps(12), vcgra::VcgraArch::new(6, 4, 2)),
+        ("vcgra_flow_dot32_16x4", taps(32), vcgra::VcgraArch::new(16, 4, 2)),
+    ] {
+        let app = vcgra::app::AppGraph::dot_product(FpFormat::PAPER, &taps);
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(vcgra::flow::map_app(&app, arch, 42).expect("fits")))
+        });
+    }
 }
 
 criterion_group!(benches, bench_mapping, bench_scg, bench_par, bench_vcgra_flow);
