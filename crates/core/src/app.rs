@@ -53,6 +53,66 @@ pub struct AppGraph {
     pub outputs: Vec<usize>,
 }
 
+/// Why an [`AppGraph`] is not a well-formed dataflow of PE operations.
+/// The builders cannot produce one, but the graph's fields are public.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphError {
+    /// The graph has no nodes: there is nothing to place.
+    Empty,
+    /// An operand names the node itself, a later one, or one the graph
+    /// does not have.
+    OperandNotEarlier {
+        /// The consuming node.
+        node: usize,
+        /// The node index its operand names.
+        operand: usize,
+    },
+    /// An operand names an external input the graph does not declare.
+    ExternalOutOfRange {
+        /// The consuming node.
+        node: usize,
+        /// The external index its operand names.
+        index: usize,
+        /// External inputs the graph declares.
+        num_inputs: usize,
+    },
+    /// An output names a node the graph does not have.
+    OutputOutOfRange {
+        /// The node index the output names.
+        output: usize,
+        /// Nodes in the graph.
+        nodes: usize,
+    },
+    /// The node's coefficient is not in the graph's format; its bits would
+    /// be read as a different number.
+    CoeffFormat {
+        /// The offending node.
+        node: usize,
+    },
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            GraphError::Empty => write!(f, "application graph has no nodes"),
+            GraphError::OperandNotEarlier { node, operand } => {
+                write!(f, "node {node} reads node {operand}, which is not an earlier node")
+            }
+            GraphError::ExternalOutOfRange { node, index, num_inputs } => {
+                write!(f, "node {node} reads external {index} of {num_inputs}")
+            }
+            GraphError::OutputOutOfRange { output, nodes } => {
+                write!(f, "output names node {output} of {nodes}")
+            }
+            GraphError::CoeffFormat { node } => {
+                write!(f, "node {node}'s coefficient is not in the graph's format")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 impl AppGraph {
     /// Creates an empty graph.
     pub fn new(format: FpFormat, num_inputs: usize) -> Self {
@@ -91,6 +151,41 @@ impl AppGraph {
     pub fn mark_output(&mut self, node: usize) {
         assert!(node < self.nodes.len());
         self.outputs.push(node);
+    }
+
+    /// The graph-shape rules, in one place: at least one node, every
+    /// operand an earlier node or a declared external, every output a node
+    /// of the graph, every coefficient in the graph's format. The runtime
+    /// checks them at `submit`, before a lease is taken; `map_app` and
+    /// `ExecPlan::lower` check them again for callers that come direct.
+    pub fn validate(&self) -> Result<(), GraphError> {
+        if self.nodes.is_empty() {
+            return Err(GraphError::Empty);
+        }
+        for (node, n) in self.nodes.iter().enumerate() {
+            for s in [n.a, n.b] {
+                match s {
+                    AppSource::Node(operand) if operand >= node => {
+                        return Err(GraphError::OperandNotEarlier { node, operand });
+                    }
+                    AppSource::External(index) if index >= self.num_inputs => {
+                        return Err(GraphError::ExternalOutOfRange {
+                            node,
+                            index,
+                            num_inputs: self.num_inputs,
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            if n.coeff.is_some_and(|c| c.format != self.format) {
+                return Err(GraphError::CoeffFormat { node });
+            }
+        }
+        match self.outputs.iter().find(|&&output| output >= self.nodes.len()) {
+            Some(&output) => Err(GraphError::OutputOutOfRange { output, nodes: self.nodes.len() }),
+            None => Ok(()),
+        }
     }
 
     /// Number of PEs this graph needs.
@@ -316,6 +411,39 @@ mod tests {
         // Different structure: an extra tap.
         let k = AppGraph::dot_product(F, &[1.0, 2.0, 3.0, 4.0]);
         assert!(!g.same_structure(&k));
+    }
+
+    #[test]
+    fn validate_names_the_first_broken_rule() {
+        // The public fields admit what `add` and `mark_output` refuse.
+        let good = AppGraph::dot_product(F, &[1.0, 2.0]);
+        assert_eq!(good.validate(), Ok(()));
+        let broken = |edit: fn(&mut AppGraph)| {
+            let mut g = good.clone();
+            edit(&mut g);
+            g.validate().unwrap_err()
+        };
+        assert_eq!(AppGraph::new(F, 1).validate(), Err(GraphError::Empty));
+        assert_eq!(
+            broken(|g| g.nodes[2].b = AppSource::Node(2)),
+            GraphError::OperandNotEarlier { node: 2, operand: 2 }
+        );
+        assert_eq!(
+            broken(|g| g.nodes[1].a = AppSource::Node(99)),
+            GraphError::OperandNotEarlier { node: 1, operand: 99 }
+        );
+        assert_eq!(
+            broken(|g| g.nodes[0].a = AppSource::External(2)),
+            GraphError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 }
+        );
+        assert_eq!(
+            broken(|g| g.outputs.push(3)),
+            GraphError::OutputOutOfRange { output: 3, nodes: 3 }
+        );
+        assert_eq!(
+            broken(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::TINY))),
+            GraphError::CoeffFormat { node: 1 }
+        );
     }
 
     #[test]

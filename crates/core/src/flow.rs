@@ -38,7 +38,7 @@
 //! in this file's test module, where `anneal_matches_full_recompute_oracle`
 //! requires placement, every path and the verdict to be equal to it.
 
-use crate::app::{AppGraph, AppSource};
+use crate::app::{AppGraph, AppSource, GraphError};
 use crate::grid::VcgraArch;
 use crate::pe::PeSettings;
 use logic::SplitMix64;
@@ -54,15 +54,8 @@ pub enum FlowError {
         /// PEs available in the grid.
         available: usize,
     },
-    /// The application graph has no nodes: there is nothing to place.
-    EmptyGraph,
-    /// An operand names a node the graph does not have.
-    DanglingSource {
-        /// The consuming node.
-        node: usize,
-        /// The node index its operand names.
-        source: usize,
-    },
+    /// The application graph is malformed ([`AppGraph::validate`]).
+    Graph(GraphError),
     /// The router could not legalize the design within its iteration budget.
     Unroutable {
         /// Channel segments still over capacity after the final iteration.
@@ -76,10 +69,7 @@ impl std::fmt::Display for FlowError {
             FlowError::NotEnoughPes { needed, available } => {
                 write!(f, "application needs {needed} PEs, grid has {available}")
             }
-            FlowError::EmptyGraph => write!(f, "application graph has no nodes"),
-            FlowError::DanglingSource { node, source } => {
-                write!(f, "node {node} reads node {source}, which the graph does not have")
-            }
+            FlowError::Graph(e) => write!(f, "{e}"),
             FlowError::Unroutable { overused_segments } => {
                 write!(f, "unroutable: {overused_segments} channel segments over capacity")
             }
@@ -88,6 +78,12 @@ impl std::fmt::Display for FlowError {
 }
 
 impl std::error::Error for FlowError {}
+
+impl From<GraphError> for FlowError {
+    fn from(e: GraphError) -> Self {
+        FlowError::Graph(e)
+    }
+}
 
 /// A routed dataflow edge: the channel segments it occupies.
 #[derive(Debug, Clone)]
@@ -156,33 +152,18 @@ impl VcgraMapping {
 /// The result is a pure function of `(graph structure, arch, seed)`:
 /// coefficient values are only copied into the settings, never read by
 /// placement or routing, which is what lets a configuration cache key on
-/// structure alone. A graph with no nodes, or with an operand naming a
-/// node the graph does not have, is refused with a typed error before
-/// any placement work — `AppGraph`'s fields are public, so neither is
-/// ruled out by construction.
+/// structure alone. A malformed graph ([`AppGraph::validate`]) is refused
+/// with a typed error before any placement work — `AppGraph`'s fields are
+/// public, so it is not ruled out by construction.
 pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMapping, FlowError> {
     let t0 = std::time::Instant::now();
+    app.validate()?;
     let n = app.nodes.len();
-    if n == 0 {
-        return Err(FlowError::EmptyGraph);
-    }
     if n > arch.pe_count() {
         return Err(FlowError::NotEnoughPes { needed: n, available: arch.pe_count() });
     }
 
-    // Edges between placed nodes.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (i, node) in app.nodes.iter().enumerate() {
-        for s in [node.a, node.b] {
-            if let AppSource::Node(j) = s {
-                if j >= n {
-                    return Err(FlowError::DanglingSource { node: i, source: j });
-                }
-                edges.push((j, i));
-            }
-        }
-    }
-
+    let edges = dataflow_edges(app);
     let place = anneal(&edges, n, arch, seed);
     let paths = route(&edges, &place, arch)?;
 
@@ -214,6 +195,19 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
         virtual_wirelength,
         compile_time: t0.elapsed(),
     })
+}
+
+/// Edges between placed nodes, `(producer, consumer)`, in operand order.
+fn dataflow_edges(app: &AppGraph) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    for (i, node) in app.nodes.iter().enumerate() {
+        for s in [node.a, node.b] {
+            if let AppSource::Node(j) = s {
+                edges.push((j, i));
+            }
+        }
+    }
+    edges
 }
 
 /// Row-major index of a grid cell.
@@ -813,12 +807,19 @@ mod tests {
         let mut app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let last = app.nodes.len() - 1;
         app.nodes[last].b = app.nodes[last].a;
-        app.nodes[7].b = AppSource::Node(7);
+        // `validate` keeps a self-loop from reaching `map_app`'s annealer,
+        // so that one is priced at the annealer's own door.
+        let mut looped = app.clone();
+        looped.nodes[7].b = AppSource::Node(7);
+        let edges = dataflow_edges(&looped);
         for (rows, cols) in [(3, 4), (4, 4), (8, 8)] {
             for cap in [1, 2] {
                 for seed in [1, 42, 99] {
                     let arch = VcgraArch::new(rows, cols, cap);
                     let _ = assert_matches_oracle("hand-edited", &app, arch, seed);
+                    let place = anneal(&edges, looped.nodes.len(), arch, seed);
+                    let served = route(&edges, &place, arch).map(|paths| (place, paths));
+                    assert_eq!(served, map_app_full_recompute(&looped, arch, seed));
                 }
             }
         }
@@ -851,7 +852,7 @@ mod tests {
     #[test]
     fn an_empty_graph_is_a_typed_error() {
         let err = map_app(&AppGraph::new(F, 1), VcgraArch::paper_4x4(), 1).unwrap_err();
-        assert_eq!(err, FlowError::EmptyGraph);
+        assert_eq!(err, FlowError::Graph(GraphError::Empty));
     }
 
     #[test]
@@ -860,11 +861,11 @@ mod tests {
         let mut app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
         app.nodes[4].a = AppSource::Node(99);
         let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
-        assert_eq!(err, FlowError::DanglingSource { node: 4, source: 99 });
-        // A forward or self reference names a node the graph has: it
-        // places and routes, and lowering is what refuses it.
+        assert_eq!(err, FlowError::Graph(GraphError::OperandNotEarlier { node: 4, operand: 99 }));
+        // So is a self reference, though it names a node the graph has.
         app.nodes[4].a = AppSource::Node(4);
-        assert!(map_app(&app, VcgraArch::paper_4x4(), 1).is_ok());
+        let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
+        assert_eq!(err, FlowError::Graph(GraphError::OperandNotEarlier { node: 4, operand: 4 }));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! the plan is tested against; all three end in the same `FpKernel`
 //! arithmetic.
 
-use crate::app::{AppGraph, AppSource};
+use crate::app::{AppGraph, AppSource, GraphError};
 use crate::flow::VcgraMapping;
 use crate::pe::{PeMode, PeSettings};
 use softfloat::{FpKernel, FpValue};
@@ -172,31 +172,10 @@ pub enum PlanError {
         /// Operation the node asks for.
         op: PeMode,
     },
-    /// An operand names the node itself or a later one.
-    ForwardReference {
-        /// The offending node.
-        node: usize,
-        /// The node its operand names.
-        operand: usize,
-    },
-    /// An operand names an external input the graph does not declare.
-    ExternalOutOfRange {
-        /// The offending node.
-        node: usize,
-        /// The external index its operand names.
-        index: usize,
-        /// External inputs the graph declares.
-        num_inputs: usize,
-    },
-    /// An output names a node the graph does not have.
-    OutputOutOfRange {
-        /// The node index the output names.
-        output: usize,
-        /// Nodes in the graph.
-        nodes: usize,
-    },
-    /// The node's coefficient is not in the graph's format; its bits would
-    /// be read as a different number.
+    /// The graph itself is malformed ([`AppGraph::validate`]).
+    Graph(GraphError),
+    /// The coefficient placed on the node's cell is not in the graph's
+    /// format; its bits would be read as a different number.
     FormatMismatch {
         /// The offending node.
         node: usize,
@@ -212,17 +191,9 @@ impl std::fmt::Display for PlanError {
             PlanError::ModeMismatch { node, cell, op } => {
                 write!(f, "node {node} needs {op:?} but its cell is set to {cell:?}")
             }
-            PlanError::ForwardReference { node, operand } => {
-                write!(f, "node {node} reads node {operand}, which is not earlier")
-            }
-            PlanError::ExternalOutOfRange { node, index, num_inputs } => {
-                write!(f, "node {node} reads external {index} of {num_inputs}")
-            }
-            PlanError::OutputOutOfRange { output, nodes } => {
-                write!(f, "output names node {output} of {nodes}")
-            }
+            PlanError::Graph(e) => write!(f, "{e}"),
             PlanError::FormatMismatch { node } => {
-                write!(f, "node {node}'s coefficient is not in the graph's format")
+                write!(f, "node {node}'s placed coefficient is not in the graph's format")
             }
         }
     }
@@ -258,12 +229,14 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Lowers `app` as placed by `mapping`. Checks once what
-    /// [`run_mapped`] asserts per item (every node sits on a cell whose
-    /// settings carry its op), that every operand and output resolves, and
-    /// that every coefficient is in the graph's format — past this point
-    /// values are bare bits.
+    /// Lowers `app` as placed by `mapping`. Checks once that the graph is
+    /// well-formed ([`AppGraph::validate`]: every operand and output
+    /// resolves), what [`run_mapped`] asserts per item (every node sits on
+    /// a cell whose settings carry its op), and that every placed
+    /// coefficient is in the graph's format — past this point values are
+    /// bare bits.
     pub fn lower(mapping: &VcgraMapping, app: &AppGraph) -> Result<ExecPlan, PlanError> {
+        app.validate().map_err(PlanError::Graph)?;
         let cols = mapping.arch.cols;
         let first_node = 1 + app.num_inputs;
         let mut ops = Vec::with_capacity(app.nodes.len());
@@ -278,17 +251,11 @@ impl ExecPlan {
                 return Err(PlanError::ModeMismatch { node, cell: settings.mode, op: n.op });
             }
             let slot = |s: AppSource| match s {
-                AppSource::Zero => Ok(0),
-                AppSource::External(index) if index < app.num_inputs => Ok(1 + index),
-                AppSource::External(index) => Err(PlanError::ExternalOutOfRange {
-                    node,
-                    index,
-                    num_inputs: app.num_inputs,
-                }),
-                AppSource::Node(operand) if operand < node => Ok(first_node + operand),
-                AppSource::Node(operand) => Err(PlanError::ForwardReference { node, operand }),
+                AppSource::Zero => 0,
+                AppSource::External(index) => 1 + index,
+                AppSource::Node(operand) => first_node + operand,
             };
-            let (a, b) = (slot(n.a)?, slot(n.b)?);
+            let (a, b) = (slot(n.a), slot(n.b));
             let coeff = || {
                 if settings.coeff.format == app.format {
                     Ok(settings.coeff.bits)
@@ -303,17 +270,7 @@ impl ExecPlan {
                 PeMode::Pass => PlanOp::Pass { a },
             });
         }
-        let outputs = app
-            .outputs
-            .iter()
-            .map(|&output| {
-                if output < app.nodes.len() {
-                    Ok(first_node + output)
-                } else {
-                    Err(PlanError::OutputOutOfRange { output, nodes: app.nodes.len() })
-                }
-            })
-            .collect::<Result<_, _>>()?;
+        let outputs = app.outputs.iter().map(|&output| first_node + output).collect();
         Ok(ExecPlan { kernel: FpKernel::new(app.format), num_inputs: app.num_inputs, ops, outputs })
     }
 
@@ -486,19 +443,19 @@ mod tests {
         forward.nodes[2].b = AppSource::Node(2);
         assert_eq!(
             ExecPlan::lower(&mapping, &forward).unwrap_err(),
-            PlanError::ForwardReference { node: 2, operand: 2 }
+            PlanError::Graph(GraphError::OperandNotEarlier { node: 2, operand: 2 })
         );
         let mut external = app.clone();
         external.nodes[0].a = AppSource::External(2);
         assert_eq!(
             ExecPlan::lower(&mapping, &external).unwrap_err(),
-            PlanError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 }
+            PlanError::Graph(GraphError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 })
         );
         let mut output = app.clone();
         output.outputs.push(3);
         assert_eq!(
             ExecPlan::lower(&mapping, &output).unwrap_err(),
-            PlanError::OutputOutOfRange { output: 3, nodes: 3 }
+            PlanError::Graph(GraphError::OutputOutOfRange { output: 3, nodes: 3 })
         );
         // The coefficient the plan multiplies by is the placed cell's.
         let mut format = mapping.clone();

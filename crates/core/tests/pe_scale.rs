@@ -39,7 +39,7 @@ fn table1_par_shape() {
             nl.tunable_net_count()
         );
         let t = std::time::Instant::now();
-        let rep = par::full_par(&nl, &par::cw::ParOptions::default()).expect("routable");
+        let rep = par::ParEngine::new(par::EngineOptions::default()).run(&nl).expect("routable");
         println!(
             "{label}: WL {} CW {} (tcon switches {}) in {:?}",
             rep.result.wirelength,

@@ -16,12 +16,11 @@
 //! searches cannot observe each other, so the wave schedule — not the
 //! thread count — decides the outcome.
 
-use crate::cw::ParReport;
 use crate::incr::{route_core, Knobs};
 use crate::netlist::ParNetlist;
 use crate::tplace::{place_multi_seed_on, Placement};
 use crate::troute::{audit, RouteOptions, RouteResult, Unroutable};
-use crate::warm::{self, WidthSearch};
+use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 
@@ -35,11 +34,6 @@ pub struct EngineOptions {
     /// Worker threads for placement seeds and routing waves.
     /// `0` = one per available CPU. Never changes results.
     pub threads: usize,
-    /// Reroute only dirty nets per iteration (off = full rip-up PathFinder).
-    pub incremental: bool,
-    /// Confine per-net A* to placement-derived bounding boxes with staged
-    /// expansion on failure.
-    pub bbox: bool,
     /// Seed each width probe from the previous successful width's routes.
     pub warm_start: bool,
     /// Cold linear width scan instead of doubling + binary search (the
@@ -78,8 +72,6 @@ impl Default for EngineOptions {
             route: RouteOptions::default(),
             seeds: vec![1],
             threads: 0,
-            incremental: true,
-            bbox: true,
             warm_start: true,
             linear_scan: false,
             certify: true,
@@ -92,6 +84,36 @@ impl Default for EngineOptions {
             halo: 1.0,
         }
     }
+}
+
+/// End-to-end place & route report (one flow's PaR columns of Table I).
+pub struct ParReport {
+    /// Fabric used (auto-sized to the netlist).
+    pub arch: FabricArch,
+    /// The placement.
+    pub placement: Placement,
+    /// Minimum routable channel width.
+    pub min_channel_width: usize,
+    /// Routing result at the minimum channel width.
+    pub result: RouteResult,
+    /// Width-search effort log: every probe with its wall time,
+    /// iteration and rip-up counts, and warm-start coverage.
+    pub probes: Vec<WidthProbe>,
+    /// Why `min_channel_width` is trusted to be minimal (cold
+    /// confirmation of the final `W−1` failure, sound lower bound, or
+    /// the search floor).
+    pub certificate: WidthCertificate,
+    /// Wall time of placement.
+    pub place_seconds: f64,
+    /// Wall time of the whole width search.
+    pub route_seconds: f64,
+    /// Wave-schedule serial-equivalence report from an audited re-route
+    /// at the minimum width (`Some` iff `EngineOptions::audit_waves`).
+    pub wave_audit: Option<verify::VerifyReport>,
+    /// Partition-schedule ownership report from a partitioned re-route at
+    /// the minimum width, bit-compared against the audited run (`Some`
+    /// iff `EngineOptions::audit_waves` and ≥ 2 partitions resolve).
+    pub partition_audit: Option<verify::VerifyReport>,
 }
 
 /// The place & route engine. See the module docs.
@@ -118,8 +140,6 @@ impl ParEngine {
     fn knobs(&self) -> Knobs {
         Knobs {
             threads: self.threads(),
-            bbox: self.opts.bbox,
-            incremental: self.opts.incremental,
             partitions: self.opts.partitions,
             halo: self.opts.halo,
         }
@@ -273,7 +293,7 @@ mod tests {
     use super::*;
     use crate::netlist::extract;
     use logic::aig::{Aig, InputKind};
-    use mapping::{map_parameterized, MapOptions};
+    use mapping::{map_conventional, map_parameterized, MapOptions};
     use softfloat::gates;
 
     fn small_mul_aig() -> Aig {
@@ -283,6 +303,45 @@ mod tests {
         let p = gates::mul_array(&mut g, &x, &c);
         g.add_output_vec("p", &p);
         g
+    }
+
+    #[test]
+    fn conventional_small_design_pars() {
+        let d = map_conventional(&small_mul_aig(), MapOptions::default());
+        let nl = extract(&d);
+        let rep = ParEngine::new(EngineOptions::default()).run(&nl).expect("routable");
+        assert!(rep.result.wirelength > 0);
+        assert!(rep.min_channel_width >= 2);
+        assert_eq!(rep.result.tcon_switches, 0, "no tunable nets conventionally");
+    }
+
+    #[test]
+    fn parameterized_small_design_pars_with_less_wire() {
+        let aig = small_mul_aig();
+        let nl_c = extract(&map_conventional(&aig, MapOptions::default()));
+        let nl_p = extract(&map_parameterized(&aig, MapOptions::default()));
+        let engine = ParEngine::new(EngineOptions::default());
+        let rc = engine.run(&nl_c).expect("conv routable");
+        let rp = engine.run(&nl_p).expect("par routable");
+        // The parameterized design has fewer LUT blocks; with TCONs moved
+        // into routing its wirelength should not explode.
+        assert!(nl_p.logic_count() < nl_c.logic_count());
+        assert!(rp.result.wirelength > 0 && rc.result.wirelength > 0);
+    }
+
+    #[test]
+    fn min_width_is_minimal() {
+        let d = map_conventional(&small_mul_aig(), MapOptions::default());
+        let nl = extract(&d);
+        let engine = ParEngine::new(EngineOptions::default());
+        let rep = engine.run(&nl).expect("routable");
+        // Minimality is only guaranteed above the search floor.
+        if rep.min_channel_width > engine.opts.min_width {
+            // One narrower must fail (that's what "minimum" means).
+            let graph = RouteGraph::build(rep.arch, rep.min_channel_width - 1);
+            let narrower = crate::troute::route(&nl, &rep.placement, &graph, engine.opts.route);
+            assert!(narrower.is_err(), "width was not minimal");
+        }
     }
 
     #[test]

@@ -49,11 +49,6 @@ use verify::{WaveAuditor, WaveFootprint};
 pub(crate) struct Knobs {
     /// Worker threads for wave routing (≥ 1). Results do not depend on it.
     pub threads: usize,
-    /// Confine per-net searches to placement-derived bounding boxes.
-    pub bbox: bool,
-    /// Reroute only dirty nets after the first iteration (the seed router's
-    /// behavior); `false` restores full rip-up-every-net PathFinder.
-    pub incremental: bool,
     /// Column regions for spatial partition routing (`0` = auto from the
     /// fabric size, `1` disables the partition path). Results do not
     /// depend on it.
@@ -66,7 +61,7 @@ pub(crate) struct Knobs {
 
 impl Default for Knobs {
     fn default() -> Self {
-        Self { threads: 1, bbox: true, incremental: true, partitions: 1, halo: 1.0 }
+        Self { threads: 1, partitions: 1, halo: 1.0 }
     }
 }
 
@@ -345,7 +340,7 @@ pub(crate) fn route_core(
             bb
         })
         .collect();
-    let mut stage: Vec<u8> = vec![if knobs.bbox { 0 } else { LAST_STAGE }; n_nets];
+    let mut stage: Vec<u8> = vec![0; n_nets];
     let bbox_of = |net: usize, stage: u8| -> BBox {
         let m = MARGINS[stage as usize];
         let e = &extents[net];
@@ -396,13 +391,11 @@ pub(crate) fn route_core(
     for iter in 0..opts.max_iters {
         let mut iter_span = trace::span("par.route_iter");
         iter_span.arg("iter", iter);
-        // Dirty worklist: unrouted nets, nets crossing an overused wire —
-        // or everything, in non-incremental mode.
+        // Dirty worklist: unrouted nets and nets crossing an overused wire.
         let dirty: Vec<u32> = (0..n_nets as u32)
             .filter(|&i| {
                 let t = &trees[i as usize];
-                (!knobs.incremental && iter > 0)
-                    || (debias && warm_left[i as usize])
+                (debias && warm_left[i as usize])
                     || t.is_empty()
                     || t.iter().any(|&n| state.overused(n))
             })

@@ -19,13 +19,11 @@
 //! * [`warm`] — minimum-channel-width search (doubling + binary) whose
 //!   probes are warm-started from the previous width's routing trees;
 //! * [`engine`] — the [`engine::ParEngine`] facade owning every knob;
-//! * [`cw`] — the stable options-light API ([`cw::full_par`]) that
-//!   produces the WL/CW columns of Table I, now backed by the engine.
+//!   [`engine::ParEngine::run`] produces the WL/CW columns of Table I.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
 
-pub mod cw;
 pub mod engine;
 mod incr;
 pub mod netlist;
@@ -33,8 +31,7 @@ pub mod tplace;
 pub mod troute;
 pub mod warm;
 
-pub use cw::{full_par, ParReport};
-pub use engine::{EngineOptions, ParEngine};
+pub use engine::{EngineOptions, ParEngine, ParReport};
 pub use netlist::{extract, Block, BlockKind, Net, ParNetlist};
 pub use tplace::{place, place_multi_seed, place_multi_seed_on, Placement};
 pub use troute::{route, RouteOptions, RouteResult};

@@ -1,0 +1,529 @@
+//! Admission: leasing a region, compiling or specializing, the FIFO
+//! queue, structural resubmission, release and band compaction.
+
+use std::time::Duration;
+
+use softfloat::FpValue;
+use vcgra::app::{AppGraph, GraphError};
+use vcgra::flow::VcgraMapping;
+use vcgra::VcgraArch;
+
+use crate::cache::{CachedConfig, ConfigKey};
+use crate::config::RuntimeError;
+use crate::ledger::TenantStats;
+use crate::pool::{GridPool, Lease, PoolError, Relocation, TenantId};
+use crate::pricer::SwapReport;
+use crate::runtime::{Runtime, Tenant};
+use crate::timeline::Phase;
+
+/// Result of one `submit`: the application was either placed immediately
+/// or joined the FIFO admission queue.
+#[derive(Debug, Clone)]
+pub enum Admission {
+    /// A region was leased and the configuration is loaded.
+    Admitted(Admitted),
+    /// The pool is full; the application waits in the admission queue
+    /// and will be placed by a future `release`/`drain_queue`.
+    Queued(Queued),
+}
+
+impl Admission {
+    /// The tenant id, placed or queued.
+    pub fn tenant(&self) -> TenantId {
+        match self {
+            Admission::Admitted(a) => a.tenant,
+            Admission::Queued(q) => q.tenant,
+        }
+    }
+
+    /// True when the submission went to the queue.
+    pub fn is_queued(&self) -> bool {
+        matches!(self, Admission::Queued(_))
+    }
+
+    /// The placement report, if the application was placed immediately.
+    pub fn admitted(self) -> Option<Admitted> {
+        match self {
+            Admission::Admitted(a) => Some(a),
+            Admission::Queued(_) => None,
+        }
+    }
+
+    /// Unwraps the placement report; panics with `msg` if queued.
+    pub fn expect_admitted(self, msg: &str) -> Admitted {
+        match self {
+            Admission::Admitted(a) => a,
+            Admission::Queued(q) => panic!("{msg}: tenant {} was queued", q.tenant),
+        }
+    }
+}
+
+/// Report of one *placed* admission.
+#[derive(Debug, Clone)]
+pub struct Admitted {
+    /// Assigned tenant id.
+    pub tenant: TenantId,
+    /// Leased region.
+    pub lease: Lease,
+    /// True when the configuration cache already held the structure.
+    pub cache_hit: bool,
+    /// Bands the scheduler relocated (compaction) to place this tenant.
+    pub relocations: usize,
+    /// Measured host time of the whole admission (compile or specialize).
+    pub admit_time: Duration,
+    /// Measured host time of `map_app` (zero on a cache hit).
+    pub compile_time: Duration,
+    /// Modeled port time to configure the tenant's PEs from scratch.
+    pub config_port_time: Duration,
+}
+
+/// A submission parked in the admission queue.
+#[derive(Debug, Clone)]
+pub struct Queued {
+    /// Assigned tenant id (stable across the wait).
+    pub tenant: TenantId,
+    /// Position in the queue at enqueue time (0 = head).
+    pub position: usize,
+}
+
+/// What `resubmit` decided to do.
+#[derive(Debug, Clone)]
+pub enum Refresh {
+    /// Structure unchanged: served by the micro-reconfiguration fast path.
+    Swapped(SwapReport),
+    /// Structure changed: full recompile (possibly relocated).
+    Recompiled(Admitted),
+    /// Structure changed and the pool is full: the tenant surrendered its
+    /// lease and joined the admission queue with the new graph.
+    Queued(Queued),
+}
+
+/// A submission waiting in the admission queue.
+pub(crate) struct Pending {
+    pub(crate) tenant: TenantId,
+    name: String,
+    graph: AppGraph,
+}
+
+impl Runtime {
+    /// Admits an application: lease a region (cache-aware, compacting if
+    /// needed), then compile or specialize. When the pool is full and the
+    /// queue is enabled the submission parks in the FIFO queue instead of
+    /// failing — it will be placed by a future [`Runtime::release`] or
+    /// [`Runtime::drain_queue`] under the same tenant id.
+    ///
+    /// A refused submission (a malformed graph, one too big for any grid,
+    /// a failed compile) still consumes its tenant id — the shard tier
+    /// names a tenant by its dispatch count — and leaves the pool, the
+    /// queue and the cache as they were (a compaction done to place a
+    /// graph that then fails to compile stays, and stays charged).
+    pub fn submit(
+        &mut self,
+        name: impl Into<String>,
+        graph: AppGraph,
+    ) -> Result<Admission, RuntimeError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.check_graph(&graph)?;
+        let name = name.into();
+        // Strict FIFO: while earlier submissions wait, later ones join
+        // the tail even if they would fit — no queue jumping. A graph
+        // that could never fit any grid is still rejected synchronously;
+        // queueing it would only defer the TooBig to a silent drop.
+        if self.cfg.queue && !self.queue.is_empty() {
+            self.pool.fits_any_grid(graph.pe_demand())?;
+            let queued = self.enqueue(id, name, graph);
+            self.enforce_invariants()?;
+            return Ok(Admission::Queued(queued));
+        }
+        let admission = match self.place_and_admit(id, &name, &graph) {
+            Ok(adm) => Admission::Admitted(adm),
+            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) if self.cfg.queue => {
+                Admission::Queued(self.enqueue(id, name, graph))
+            }
+            Err(e) => return Err(e),
+        };
+        self.enforce_invariants()?;
+        Ok(admission)
+    }
+
+    /// The graph-shape rules, at the door: `submit` and `resubmit` call
+    /// this before they touch the pool, the queue or the tenant's current
+    /// lease, so a graph `run` could never lower holds no rows. A
+    /// coefficient in another format is the mistake `swap_params` calls
+    /// [`RuntimeError::BadFormat`], and is called that here too.
+    fn check_graph(&mut self, graph: &AppGraph) -> Result<(), RuntimeError> {
+        graph.validate().map_err(|e| {
+            self.ledger.refused += 1;
+            match e {
+                GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
+                    expected: graph.format,
+                    got: graph.nodes[node].coeff.expect("validate names a coefficient").format,
+                },
+                e => RuntimeError::Flow(e.into()),
+            }
+        })
+    }
+
+    fn enqueue(&mut self, tenant: TenantId, name: String, graph: AppGraph) -> Queued {
+        let position = self.queue.len();
+        self.queue.push_back(Pending { tenant, name, graph });
+        self.ledger.queued += 1;
+        trace::instant("runtime.queued", vec![("tenant", tenant.into()), ("position", position.into())]);
+        Queued { tenant, position }
+    }
+
+    /// Drains the admission queue: places waiting tenants in strict FIFO
+    /// order until the head no longer fits (head-of-line blocking keeps
+    /// the order deterministic). A head whose placement fails terminally
+    /// (too big, compile error) is dropped and recorded in
+    /// [`Runtime::queue_failures`]. Returns the admissions produced.
+    ///
+    /// `release` and `run` call this automatically; it is public so
+    /// callers that free capacity out-of-band can drain explicitly.
+    pub fn drain_queue(&mut self) -> Vec<Admitted> {
+        let mut admitted = Vec::new();
+        while let Some(front) = self.queue.pop_front() {
+            match self.place_and_admit(front.tenant, &front.name, &front.graph) {
+                Ok(adm) => {
+                    self.ledger.queue_admitted += 1;
+                    admitted.push(adm);
+                }
+                Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
+                    // Still blocked: the head keeps its place.
+                    self.queue.push_front(front);
+                    break;
+                }
+                Err(e) => {
+                    self.ledger.queue_dropped += 1;
+                    self.queue_failures.push((front.tenant, e));
+                }
+            }
+        }
+        admitted
+    }
+
+    /// Leases a region and loads the configuration. Never queues — the
+    /// caller decides what an `Oversubscribed` error means. `name` and
+    /// `graph` are only cloned once placement has succeeded.
+    fn place_and_admit(
+        &mut self,
+        id: TenantId,
+        name: &str,
+        graph: &AppGraph,
+    ) -> Result<Admitted, RuntimeError> {
+        // Per-request span tree: request > admission > {placement, cache,
+        // compile, pricing, sig}; compaction opens its own child inside
+        // apply_relocations.
+        let mut request_span = trace::span("request");
+        request_span.arg("tenant", id);
+        request_span.arg("op", "admit");
+        let admission_span = trace::span("admission");
+        let demand = graph.pe_demand();
+        let channel_capacity = self.pool.channel_capacity();
+
+        // Cache-aware placement: among grids that can host a dedicated
+        // band right now, prefer one whose region shape already has this
+        // structure compiled — a warm hit there skips `map_app` entirely.
+        // With no candidate, fall through to compaction / time-sharing.
+        let placement_span = trace::span("placement");
+        let candidates = self.pool.dedicated_candidates(demand);
+        let (lease, relocations) = if !candidates.is_empty() {
+            let pick = if self.cfg.cache_aware {
+                let archs = self.pool.grid_archs();
+                candidates
+                    .iter()
+                    .copied()
+                    .find(|&gi| {
+                        let region = VcgraArch::new(
+                            GridPool::rows_needed(demand, archs[gi].cols),
+                            archs[gi].cols,
+                            channel_capacity,
+                        );
+                        self.cache.contains(&ConfigKey::new(region, graph))
+                    })
+                    .unwrap_or(candidates[0])
+            } else {
+                candidates[0]
+            };
+            let lease = self
+                .pool
+                .allocate_on(pick, id, demand)
+                .expect("candidate grid has a free band");
+            (lease, Vec::new())
+        } else {
+            self.pool.allocate_with(id, demand, self.cfg.compact, self.cfg.time_share)?
+        };
+        drop(placement_span);
+        self.apply_relocations(&relocations);
+
+        // Compile against the *minimal* region for this demand, not the
+        // leased band (a time-shared band can be taller than needed): the
+        // cache key must depend only on (grid width, structure), so a
+        // tenant re-admitted onto a roomier band still hits.
+        let region = VcgraArch::new(
+            GridPool::rows_needed(demand, lease.cols),
+            lease.cols,
+            channel_capacity,
+        );
+        let key = ConfigKey::new(region, graph);
+
+        let t0 = std::time::Instant::now();
+        let mut cache_span = trace::span("cache");
+        let lookup = self.cache.get(&key);
+        cache_span.arg("hit", lookup.is_some());
+        drop(cache_span);
+        let (mapping, cache_hit, compile_time) = match lookup {
+            Some(cached) => {
+                let mut mapping = cached.mapping.clone();
+                Self::write_settings(&mut mapping, graph);
+                (mapping, true, Duration::ZERO)
+            }
+            None => {
+                let compile_span = trace::span("compile");
+                let mapping = match vcgra::flow::map_app(graph, region, self.cfg.place_seed) {
+                    Ok(m) => m,
+                    Err(e) => {
+                        // The lease is surrendered; any compaction the
+                        // placement performed stays (already charged).
+                        self.pool.release(id);
+                        return Err(e.into());
+                    }
+                };
+                drop(compile_span);
+                let compile_time = mapping.compile_time;
+                let cached = self.cache.insert(
+                    key.clone(),
+                    CachedConfig { mapping, compile_time },
+                );
+                (cached.mapping.clone(), false, compile_time)
+            }
+        };
+        let admit_time = t0.elapsed();
+
+        let mut pricing_span = trace::span("pricing");
+        let config_port_time = self.pricer.full_config_cost(demand);
+        pricing_span.arg("port_ns", config_port_time.as_nanos() as u64);
+        drop(pricing_span);
+        if cache_hit {
+            self.ledger.warm_admissions += 1;
+        } else {
+            self.ledger.cold_compiles += 1;
+            self.ledger.host_compile_time += compile_time;
+        }
+        self.ledger.host_admit_time += admit_time;
+        self.charge((lease.grid, lease.row0), Phase::Admission, Some(id), config_port_time);
+        self.admit_hist.record_duration(admit_time);
+
+        // Derive the verifier's structural signature once, here, instead
+        // of per snapshot: under `verify_on_admit` every mutating
+        // operation snapshots every live tenant, so an O(graph) signature
+        // per tenant per operation turns the audit quadratic.
+        let sig_span = trace::span("sig");
+        let sig = verify::sched::StructureSig::of(
+            mapping.arch.rows,
+            mapping.arch.cols,
+            channel_capacity,
+            graph,
+        );
+        drop(sig_span);
+
+        // Admission writes the tenant's configuration into the region, so
+        // it becomes the band's resident.
+        self.resident.insert((lease.grid, lease.row0), id);
+        self.tenants.insert(
+            id,
+            Tenant {
+                id,
+                name: name.to_string(),
+                graph: graph.clone(),
+                mapping,
+                lease,
+                key,
+                stats: TenantStats::default(),
+                sig,
+            },
+        );
+        drop(admission_span);
+        request_span.arg("cache_hit", cache_hit);
+        request_span.arg("admit_ns", admit_time.as_nanos() as u64);
+        Ok(Admitted {
+            tenant: id,
+            lease,
+            cache_hit,
+            relocations: relocations.len(),
+            admit_time,
+            compile_time,
+            config_port_time,
+        })
+    }
+
+    /// Applies a compaction's band moves to the runtime's view: leases
+    /// translate to their new rows (epoch advances), the resident map
+    /// follows, and the ledger charges one full-region configuration
+    /// replay per moved band — relocating a band means streaming its
+    /// (cached) configuration back through the port at the new offset.
+    fn apply_relocations(&mut self, relocations: &[Relocation]) {
+        if relocations.is_empty() {
+            return;
+        }
+        let mut compaction_span = trace::span("compaction");
+        compaction_span.arg("bands", relocations.len());
+        self.ledger.compactions += 1;
+        let archs = self.pool.grid_archs();
+        for r in relocations {
+            self.ledger.relocated_bands += 1;
+            let replay = self.pricer.full_config_cost(r.rows * archs[r.grid].cols);
+            // The replay re-emits a grid-resident image at the new row
+            // offset: it occupies the moved band's lane but neither the
+            // host→fabric port nor any other band — the overlap window
+            // the `reconfig_overlap` span makes visible under the
+            // enclosing request.
+            let mut overlap_span = trace::span("reconfig_overlap");
+            overlap_span.arg("grid", r.grid);
+            overlap_span.arg("rows", r.rows);
+            overlap_span.arg("replay_ns", replay.as_nanos() as u64);
+            // The band's history moves with it, then the replay is
+            // booked on the new lane.
+            let lane = (r.grid, r.new_row0);
+            self.timeline.move_lane((r.grid, r.old_row0), lane, replay);
+            let start = self.charge(lane, Phase::Replay, r.tenants.first().copied(), replay);
+            overlap_span.arg("modeled_start_ns", start.as_nanos() as u64);
+            drop(overlap_span);
+            if let Some(res) = self.resident.remove(&(r.grid, r.old_row0)) {
+                self.resident.insert((r.grid, r.new_row0), res);
+            }
+            for &t in &r.tenants {
+                if let Some(tenant) = self.tenants.get_mut(&t) {
+                    tenant.lease = tenant.lease.translated(r.new_row0);
+                    tenant.stats.relocations += 1;
+                }
+            }
+        }
+    }
+
+    /// Writes a graph's parameters into a mapping's settings (the
+    /// host-side half of a specialization).
+    fn write_settings(mapping: &mut VcgraMapping, graph: &AppGraph) {
+        let zero = FpValue::zero(graph.format);
+        let cols = mapping.arch.cols;
+        for (i, node) in graph.nodes.iter().enumerate() {
+            let (r, c) = mapping.place[i];
+            let slot = mapping.pe_settings[r * cols + c]
+                .as_mut()
+                .expect("placed node has settings");
+            slot.coeff = node.coeff.unwrap_or(zero);
+        }
+    }
+
+    /// The structural decision point: a graph with the same structure as
+    /// the tenant's current one takes the swap fast path; anything else
+    /// releases the lease and recompiles (the tenant id survives). A
+    /// still-queued tenant simply has its pending graph replaced.
+    ///
+    /// The refresh re-places *in place*: the tenant's freed rows are
+    /// offered to its own recompile before the queue is drained (an
+    /// in-place refresh would otherwise deadlock behind its own queue
+    /// entry). If the new graph no longer fits, the tenant joins the
+    /// queue tail ([`Refresh::Queued`]); if the recompile itself fails
+    /// (too big / unroutable) the tenant is evicted — the old lease was
+    /// already surrendered.
+    pub fn resubmit(
+        &mut self,
+        tenant: TenantId,
+        graph: AppGraph,
+    ) -> Result<Refresh, RuntimeError> {
+        self.check_graph(&graph)?;
+        if !self.tenants.contains_key(&tenant) {
+            // Queued tenant: replace the pending graph, keep the slot.
+            if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {
+                self.pool.fits_any_grid(graph.pe_demand())?;
+                self.queue[pos].graph = graph;
+                return Ok(Refresh::Queued(Queued { tenant, position: pos }));
+            }
+            return Err(RuntimeError::UnknownTenant(tenant));
+        }
+        let t = &self.tenants[&tenant];
+        if t.graph.same_structure(&graph) {
+            let coeffs = graph.coeff_values();
+            return Ok(Refresh::Swapped(self.swap_params(tenant, &coeffs)?));
+        }
+        // Structural change: recompile under the same id.
+        let name = t.name.clone();
+        let stats = t.stats;
+        self.pool.release(tenant);
+        self.tenants.remove(&tenant);
+        self.resident.retain(|_, &mut r| r != tenant);
+        let refresh = match self.place_and_admit(tenant, &name, &graph) {
+            Ok(admission) => {
+                self.tenants
+                    .get_mut(&tenant)
+                    .expect("place_and_admit inserted the tenant")
+                    .stats = stats;
+                Refresh::Recompiled(admission)
+            }
+            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) if self.cfg.queue => {
+                Refresh::Queued(self.enqueue(tenant, name, graph))
+            }
+            Err(e) => {
+                // The tenant is evicted but its rows are free now — the
+                // queue must still get them.
+                self.drain_queue();
+                return Err(e);
+            }
+        };
+        // A smaller replacement region may have freed rows for waiters.
+        self.drain_queue();
+        self.enforce_invariants()?;
+        Ok(refresh)
+    }
+
+    /// Releases a tenant's region (or cancels its queued admission), then
+    /// drains the admission queue in FIFO order. Returns the admissions
+    /// the freed capacity produced.
+    pub fn release(&mut self, tenant: TenantId) -> Result<Vec<Admitted>, RuntimeError> {
+        if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {
+            self.queue.remove(pos);
+            self.ledger.queue_cancelled += 1;
+            // Cancelling the head may unblock everyone behind it.
+            let admitted = self.drain_queue();
+            self.enforce_invariants()?;
+            return Ok(admitted);
+        }
+        self.tenants
+            .remove(&tenant)
+            .ok_or(RuntimeError::UnknownTenant(tenant))?;
+        self.pool.release(tenant);
+        self.resident.retain(|_, &mut r| r != tenant);
+        let admitted = self.drain_queue();
+        self.enforce_invariants()?;
+        Ok(admitted)
+    }
+
+    /// Compacts every grid in the background, **between waves**: slides
+    /// each grid's bands down to row 0 and schedules the displaced
+    /// bands' configuration replays into the time axis's idle windows —
+    /// each replay is a grid-local re-emit that overlaps the port and
+    /// every other band, so between-wave compaction costs modeled port
+    /// *charge* but (on an otherwise busy axis) little to no modeled
+    /// *makespan*. Contrast with synchronous compaction at admission,
+    /// where the newcomer's port stream queues behind nothing but still
+    /// pays the placement wait.
+    ///
+    /// Returns the number of bands relocated. A defragmented pool means
+    /// the next oversized admission carves a contiguous band without
+    /// triggering its own relocations.
+    pub fn compact_background(&mut self) -> Result<usize, RuntimeError> {
+        let mut request_span = trace::span("request");
+        request_span.arg("op", "compact_background");
+        let mut moved = 0;
+        for grid in 0..self.pool.grid_archs().len() {
+            let relocations = self.pool.compact_grid(grid);
+            moved += relocations.len();
+            self.apply_relocations(&relocations);
+        }
+        request_span.arg("bands", moved);
+        self.enforce_invariants()?;
+        Ok(moved)
+    }
+}

@@ -1,0 +1,161 @@
+//! Construction parameters and the runtime's error type.
+
+use dcs::ReconfigInterface;
+use softfloat::FpFormat;
+use vcgra::flow::FlowError;
+use vcgra::VcgraArch;
+
+use crate::pool::{PoolError, TenantId};
+
+/// Runtime construction parameters.
+#[derive(Debug, Clone)]
+pub struct RuntimeConfig {
+    /// The grid pool (one overlay generation: equal channel capacity).
+    pub grids: Vec<VcgraArch>,
+    /// Configurations kept in the cache.
+    pub cache_capacity: usize,
+    /// Threads streaming execution may use, the caller's included.
+    pub workers: usize,
+    /// Items in one unit of streaming work handed to a worker.
+    pub batch_size: usize,
+    /// Configuration interface priced by the ledger.
+    pub iface: ReconfigInterface,
+    /// Floating-point format of the pricing PE (reduced by default so the
+    /// lazy pricer build stays sub-second).
+    pub pricer_format: FpFormat,
+    /// Placement seed for cold compiles.
+    pub place_seed: u64,
+    /// Queue oversubscribed submissions (FIFO, drained on release)
+    /// instead of erroring with [`PoolError::Oversubscribed`].
+    pub queue: bool,
+    /// Compact fragmented grids (relocate bands) to admit tenants whose
+    /// row demand fits the free rows but not any contiguous run.
+    pub compact: bool,
+    /// Cache-aware placement: among feasible grids, prefer one whose
+    /// (region, structure) key is already warm in the configuration
+    /// cache over plain first-fit.
+    pub cache_aware: bool,
+    /// Time-multiplex big-enough existing bands when no dedicated band
+    /// can be carved (even by compaction). Off, the runtime prefers
+    /// queueing latency over per-context-switch reconfiguration cost.
+    pub time_share: bool,
+    /// Run the scheduler-state verifier after every mutating operation
+    /// (`submit`/`resubmit`/`run`/`release`) and fail the operation with
+    /// [`RuntimeError::Invariant`] if any invariant is violated. Off by
+    /// default.
+    pub verify_on_admit: bool,
+}
+
+impl Default for RuntimeConfig {
+    fn default() -> Self {
+        RuntimeConfig {
+            grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(8, 4, 2)],
+            cache_capacity: 32,
+            workers: 4,
+            batch_size: 64,
+            iface: ReconfigInterface::Hwicap,
+            pricer_format: FpFormat::new(4, 6),
+            place_seed: 42,
+            queue: true,
+            compact: true,
+            cache_aware: true,
+            time_share: true,
+            verify_on_admit: false,
+        }
+    }
+}
+
+/// Everything that can go wrong at the runtime surface.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuntimeError {
+    /// The scheduler could not place the application.
+    Pool(PoolError),
+    /// The graph is malformed (`FlowError::Graph`: refused at the door,
+    /// before a lease or a queue slot is taken, and counted in
+    /// `Ledger::refused`), or its compile failed on the leased region.
+    Flow(FlowError),
+    /// Unknown tenant id.
+    UnknownTenant(TenantId),
+    /// The tenant is waiting in the admission queue — it has no lease
+    /// yet, so it cannot run, swap, or resubmit structurally.
+    Waiting(TenantId),
+    /// Parameter vector does not match the graph's coefficient slots.
+    BadParamArity {
+        /// Coefficient-bearing nodes in the graph.
+        expected: usize,
+        /// Values supplied.
+        got: usize,
+    },
+    /// Stream input arity does not match the graph.
+    BadInputArity {
+        /// External inputs the graph declares.
+        expected: usize,
+        /// Values supplied per vector.
+        got: usize,
+    },
+    /// A stream input, a swapped-in coefficient or a coefficient of a
+    /// submitted graph is not in the graph's floating-point format (the
+    /// last is refused at the door like any other malformed graph, and
+    /// counted in `Ledger::refused`).
+    BadFormat {
+        /// Format of the tenant's graph.
+        expected: FpFormat,
+        /// Format of the first offending value.
+        got: FpFormat,
+    },
+    /// Node index outside the tenant's graph.
+    NodeOutOfRange {
+        /// Index supplied.
+        node: usize,
+        /// Nodes in the graph.
+        nodes: usize,
+    },
+    /// The scheduler-state verifier found a broken invariant
+    /// (`RuntimeConfig::verify_on_admit`). The string lists every
+    /// violation the sched pass reported.
+    Invariant(String),
+}
+
+impl std::fmt::Display for RuntimeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RuntimeError::Pool(e) => write!(f, "placement failed: {e}"),
+            RuntimeError::Flow(e) => write!(f, "compile failed: {e}"),
+            RuntimeError::UnknownTenant(t) => write!(f, "unknown tenant {t}"),
+            RuntimeError::Waiting(t) => {
+                write!(f, "tenant {t} is queued for admission and has no lease yet")
+            }
+            RuntimeError::BadParamArity { expected, got } => {
+                write!(f, "parameter vector has {got} values, graph has {expected} slots")
+            }
+            RuntimeError::BadInputArity { expected, got } => {
+                write!(f, "input vector has {got} values, graph has {expected} inputs")
+            }
+            RuntimeError::BadFormat { expected, got } => write!(
+                f,
+                "value in format ({}, {}), graph computes in ({}, {})",
+                got.we, got.wf, expected.we, expected.wf
+            ),
+            RuntimeError::NodeOutOfRange { node, nodes } => {
+                write!(f, "node {node} out of range, graph has {nodes} nodes")
+            }
+            RuntimeError::Invariant(detail) => {
+                write!(f, "scheduler invariant violated: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RuntimeError {}
+
+impl From<PoolError> for RuntimeError {
+    fn from(e: PoolError) -> Self {
+        RuntimeError::Pool(e)
+    }
+}
+
+impl From<FlowError> for RuntimeError {
+    fn from(e: FlowError) -> Self {
+        RuntimeError::Flow(e)
+    }
+}

@@ -80,13 +80,6 @@ pub struct TenantRun {
     pub switch_port_time: Duration,
 }
 
-impl TenantRun {
-    /// Items per second of measured host execution.
-    pub fn throughput(&self) -> f64 {
-        self.items as f64 / self.exec_time.as_secs_f64().max(1e-12)
-    }
-}
-
 /// Modeled port time of `switches` context switches at `cost` each.
 ///
 /// Computed in 128-bit nanoseconds: the obvious `cost * switches as u32`

@@ -17,7 +17,7 @@
 //!   `retina` crate (Gaussian denoise, matched filter, texture filter)
 //!   re-exported as runtime workloads.
 
-use retina::filters::{gaussian, matched_filter, texture_filter, Kernel};
+use retina::filters::{gaussian, texture_filter, Kernel};
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, AppSource};
 use vcgra::PeMode;
@@ -25,7 +25,7 @@ use vcgra::PeMode;
 /// A named application workload.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Display name (shows up in the serve table and the ledger).
+    /// Display name (the tenant's name once submitted).
     pub name: String,
     /// The dataflow graph.
     pub graph: AppGraph,
@@ -48,9 +48,7 @@ pub fn fir(format: FpFormat, taps: &[f64]) -> Workload {
 }
 
 /// FIR whose `taps` coefficients are drawn from a seeded deterministic
-/// stream (2·taps−1 nodes, so row demand is easy to steer). The
-/// scheduler tests and the `serve` driver share this one definition so
-/// their workloads can never drift apart.
+/// stream (2·taps−1 nodes, so row demand is easy to steer).
 pub fn fir_seeded(format: FpFormat, taps: usize, seed: u64) -> Workload {
     let mut rng = logic::SplitMix64::new(seed);
     let coeffs: Vec<f64> = (0..taps).map(|_| (rng.unit_f64() - 0.5) * 2.0).collect();
@@ -158,8 +156,8 @@ pub fn retina_stage(format: FpFormat, kernel: &Kernel) -> Workload {
 }
 
 /// The standard mixed-tenant set: one of each dataflow shape, sized to fit
-/// comfortably on small grid regions. `serve` and the integration tests
-/// drive exactly this library.
+/// comfortably on small grid regions. The integration tests, the
+/// examples and the shard load generator drive exactly this library.
 pub fn library(format: FpFormat) -> Vec<Workload> {
     vec![
         fir(format, &[0.0625, 0.25, 0.375, 0.25, 0.0625]),
@@ -176,11 +174,6 @@ pub fn library(format: FpFormat) -> Vec<Workload> {
         retina_stage(format, &gaussian(3, 0.85)),
         retina_stage(format, &texture_filter(3, 1.2)),
     ]
-}
-
-/// A larger retina stage for soak runs (needs a bigger grid region).
-pub fn retina_soak_stage(format: FpFormat) -> Workload {
-    retina_stage(format, &matched_filter(5, 1.6, 4.0, 0.0))
 }
 
 #[cfg(test)]

@@ -1,0 +1,160 @@
+//! The runtime's accounting: the pool-wide [`Ledger`], the per-tenant
+//! [`TenantStats`], and `charge`, the one call that books modeled time.
+
+use std::time::Duration;
+
+use crate::pool::TenantId;
+use crate::runtime::Runtime;
+use crate::timeline::{Lane, Phase};
+
+/// Per-tenant accumulated accounting.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TenantStats {
+    /// Input vectors processed.
+    pub items: usize,
+    /// Streaming batches processed.
+    pub batches: usize,
+    /// Measured host execution time.
+    pub exec_time: Duration,
+    /// Parameter swaps served from the fast path.
+    pub swaps: usize,
+    /// Frames rewritten by those swaps.
+    pub swap_frames: usize,
+    /// Modeled port time of those swaps.
+    pub swap_port_time: Duration,
+    /// Context switches charged while time-multiplexed.
+    pub context_switches: usize,
+    /// Modeled port time of those switches.
+    pub switch_port_time: Duration,
+    /// Times this tenant's band was relocated by compaction.
+    pub relocations: usize,
+}
+
+/// Pool-wide accounting: measured host cost vs modeled port cost.
+///
+/// This struct is the state, not a report of it: the runtime owns one
+/// `Ledger` and every counter is incremented here, where it is read. The
+/// modeled durations — the four `*_port_time` fields, `exec_time`,
+/// `modeled_makespan` and `overlap_saved` — have a single writer,
+/// `Runtime::charge`, which puts the same `Duration` on the time axis.
+/// [`Runtime::metrics`] carries only the two latency histograms.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ledger {
+    /// Submissions and resubmissions refused at the door because the
+    /// graph is malformed (`AppGraph::validate`).
+    pub refused: usize,
+    /// Admissions that compiled.
+    pub cold_compiles: usize,
+    /// Admissions served from the configuration cache.
+    pub warm_admissions: usize,
+    /// Host time in `map_app`.
+    pub host_compile_time: Duration,
+    /// Host time of all admissions (compile + specialize).
+    pub host_admit_time: Duration,
+    /// Modeled port time of initial configurations.
+    pub admission_port_time: Duration,
+    /// Submissions that entered the admission queue.
+    pub queued: usize,
+    /// Queued submissions later placed by a drain.
+    pub queue_admitted: usize,
+    /// Queued submissions dropped because placement failed terminally
+    /// (too big for any grid, or the compile failed).
+    pub queue_dropped: usize,
+    /// Queued submissions cancelled by `release` before being placed
+    /// (`queued == queue_admitted + queue_dropped + queue_cancelled +`
+    /// the current queue depth, always).
+    pub queue_cancelled: usize,
+    /// Compaction events (each may relocate several bands).
+    pub compactions: usize,
+    /// Bands relocated across all compactions.
+    pub relocated_bands: usize,
+    /// Modeled port time replaying relocated bands' configurations.
+    pub compaction_port_time: Duration,
+    /// Parameter swaps.
+    pub swaps: usize,
+    /// Frames rewritten by swaps.
+    pub swap_frames: usize,
+    /// Modeled port time of swaps.
+    pub swap_port_time: Duration,
+    /// Host time evaluating PPC functions during swaps.
+    pub swap_eval_time: Duration,
+    /// Context switches across all shared bands.
+    pub context_switches: usize,
+    /// Modeled port time of context switches.
+    pub switch_port_time: Duration,
+    /// Input vectors executed.
+    pub items: usize,
+    /// Measured host execution time (summed over parallel bands).
+    pub exec_time: Duration,
+    /// Modeled makespan of the time axis: when the last scheduled
+    /// phase ends, with reconfiguration of one band overlapped against
+    /// other bands' execution (see [`crate::timeline`]). Always at most
+    /// `total_port_time() + exec_time`-shaped serialized story; on
+    /// overlapping workloads strictly less than [`Ledger::total_port_time`].
+    pub modeled_makespan: Duration,
+    /// Time the overlap model saves over the fully serialized story
+    /// (`charged + execute` laid end to end minus the makespan).
+    /// Monotone nondecreasing.
+    pub overlap_saved: Duration,
+    /// The paper's per-PE full-reconfiguration unit on the priced
+    /// interface (251 ms on HWICAP) — the ledger's anchor constant.
+    pub paper_pe_unit: Duration,
+}
+
+impl Ledger {
+    /// Total modeled configuration-port time (admissions + swaps +
+    /// context switches + compaction replays) — the "reconfiguration
+    /// cost" side of Section V. This is the *flat sum*: every charge
+    /// laid end to end. [`Ledger::modeled_makespan`] is what the same
+    /// charges cost on the scheduled time axis.
+    pub fn total_port_time(&self) -> Duration {
+        self.admission_port_time
+            + self.swap_port_time
+            + self.switch_port_time
+            + self.compaction_port_time
+    }
+}
+
+impl Runtime {
+    /// Books `dur` of `phase` on `lane`: adds it to the ledger field the
+    /// phase names and schedules the same duration on the time axis, so
+    /// the two cannot be fed different values. Returns the interval's
+    /// modeled start.
+    ///
+    /// Where each phase lands: an admission or a swap streams host→fabric
+    /// and takes an exclusive slot on the configuration port, serialized
+    /// behind whatever the port is already streaming; a context switch, a
+    /// compaction replay and the measured execution occupy only their
+    /// band's lane, so other bands' reconfigurations overlap them freely —
+    /// the gap between the makespan and the summed port time the axis
+    /// exists to model.
+    pub(crate) fn charge(
+        &mut self,
+        lane: Lane,
+        phase: Phase,
+        tenant: Option<TenantId>,
+        dur: Duration,
+    ) -> Duration {
+        let ledger = &mut self.ledger;
+        *match phase {
+            Phase::Admission => &mut ledger.admission_port_time,
+            Phase::Swap => &mut ledger.swap_port_time,
+            Phase::Switch => &mut ledger.switch_port_time,
+            Phase::Replay => &mut ledger.compaction_port_time,
+            Phase::Execute => &mut ledger.exec_time,
+        } += dur;
+        let start = self.timeline.schedule(lane, phase, tenant, dur);
+        ledger.modeled_makespan = self.timeline.makespan();
+        let saved = self.timeline.overlap_saved();
+        debug_assert!(saved >= ledger.overlap_saved, "overlap_saved regressed");
+        ledger.overlap_saved = saved;
+        // Charge conservation: the timeline verify pass re-proves this
+        // from plain data; here it guards every charge in tests.
+        debug_assert_eq!(
+            self.timeline.charged(),
+            ledger.total_port_time(),
+            "timeline charged durations must reconcile with the ledger's port time"
+        );
+        start
+    }
+}

@@ -48,11 +48,14 @@
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together, plus the
 //!   [`Ledger`] that accumulates measured host time against modeled
-//!   configuration-port time. A graph no region can be compiled for is
-//!   a typed [`RuntimeError::Flow`], never a panic: an empty graph is
-//!   refused by `submit`/`resubmit` before a lease or a queue slot is
-//!   taken, an operand naming a node the graph does not have by the
-//!   compile, whose lease is then surrendered.
+//!   configuration-port time: plain state the runtime mutates in place,
+//!   its modeled durations written by the one call that also puts them
+//!   on the time axis. A graph that is malformed or that no region can
+//!   be compiled for is a typed [`RuntimeError::Flow`], never a panic: a
+//!   graph `run` could not lower (`AppGraph::validate`) is refused by
+//!   `submit`/`resubmit` before a lease or a queue slot is taken and
+//!   counted in [`Ledger::refused`]; a compile that fails surrenders its
+//!   lease.
 //! * [`timeline`] — the modeled **time axis**: every charged
 //!   reconfiguration phase scheduled as an interval on its band's lane,
 //!   host→fabric phases serialized on the one configuration port,
@@ -71,9 +74,9 @@
 //! | same structure, new tenant          | cache hit → settings specialize|
 //! | new structure / region shape        | full `map_app` compile, cached |
 //!
-//! The `xbench` binary `serve` drives a mixed-tenant soak over this crate
-//! and prints the throughput/ledger tables; the integration tests pin the
-//! runtime's outputs bit-for-bit to `vcgra::sim::run_dataflow`.
+//! `examples/quickstart.rs` is the smallest driver; the repo benchmark
+//! (`bench/`) measures the serve and compile paths; the integration tests
+//! pin the runtime's outputs bit-for-bit to `vcgra::sim::run_dataflow`.
 //!
 //! **Verification.** [`runtime::Runtime::snapshot`] exports the whole
 //! scheduler state as plain data for the `verify` crate's sched pass
@@ -89,12 +92,17 @@
 #![deny(clippy::dbg_macro, clippy::todo)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod admission;
 pub mod cache;
+mod config;
 pub mod engine;
 pub mod kernels;
+mod ledger;
+mod params;
 pub mod pool;
 pub mod pricer;
 pub mod runtime;
+mod snapshot;
 pub mod timeline;
 
 pub use cache::{CacheStats, ConfigCache, ConfigKey};

@@ -43,7 +43,7 @@
 //! - [`Timeline::overlap_saved`] — `serialized − makespan`: the time the
 //!   overlap model saves over the flat-sum story. Monotone nondecreasing
 //!   over scheduling (each phase extends the makespan by at most its own
-//!   duration), so it can back a monotone metrics counter.
+//!   duration).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -127,7 +127,7 @@ impl Interval {
 pub struct Timeline {
     intervals: Vec<Interval>,
     /// Next free time per lane. A lane absent from the map is free at
-    /// zero. Cursors only ever advance (see [`Timeline::relocate`]), so
+    /// zero. Cursors only ever advance (see `Timeline::move_lane`), so
     /// intervals on one lane are always serialized.
     lane_free: BTreeMap<Lane, Duration>,
     /// Next free time of the configuration port.
@@ -178,21 +178,14 @@ impl Timeline {
         start
     }
 
-    /// Moves a lane (compaction relocation): the `from` cursor merges
-    /// into `to` (the band cannot be busier than the later of the two),
-    /// then the replay of the band's cached configuration is scheduled
-    /// on the new lane. Returns the replay's modeled start time.
+    /// Moves a lane (compaction relocation) and replays the band's cached
+    /// configuration on the new lane: [`Timeline::move_lane`], then the
+    /// replay scheduled on `to`. Returns the replay's modeled start time.
     ///
     /// The replay does *not* block the configuration port: post-slide
     /// target rows are disjoint from whatever the port streams next, and
     /// the image is grid-resident — that overlap is precisely what the
     /// flat `compaction_port_time` sum fails to model.
-    ///
-    /// The vacated rows stay occupied until the move completes: the
-    /// `from` cursor advances to the replay's end rather than resetting,
-    /// so a band admitted there later cannot overlap the outgoing band's
-    /// history. That keeps every lane's intervals serialized, which is
-    /// what makes `max(per-lane busy) <= makespan` a theorem.
     pub fn relocate(
         &mut self,
         from: Lane,
@@ -200,14 +193,28 @@ impl Timeline {
         tenant: Option<TenantId>,
         replay: Duration,
     ) -> Duration {
+        self.move_lane(from, to, replay);
+        self.schedule(to, Phase::Replay, tenant, replay)
+    }
+
+    /// The cursor half of a relocation, ahead of the `replay`-long
+    /// [`Phase::Replay`] the caller schedules on `to` next: the `from`
+    /// cursor merges into `to` (the band cannot be busier than the later
+    /// of the two), which is where that replay will start.
+    ///
+    /// The vacated rows stay occupied until the move completes: the
+    /// `from` cursor advances to the replay's end rather than resetting,
+    /// so a band admitted there later cannot overlap the outgoing band's
+    /// history. That keeps every lane's intervals serialized, which is
+    /// what makes `max(per-lane busy) <= makespan` a theorem.
+    pub(crate) fn move_lane(&mut self, from: Lane, to: Lane, replay: Duration) {
         let from_cursor = self.lane_free.get(&from).copied().unwrap_or(Duration::ZERO);
         let to_cursor = self.lane_free.get(&to).copied().unwrap_or(Duration::ZERO);
-        self.lane_free.insert(to, from_cursor.max(to_cursor));
-        let start = self.schedule(to, Phase::Replay, tenant, replay);
+        let start = from_cursor.max(to_cursor);
+        self.lane_free.insert(to, start);
         if from != to {
-            self.lane_free.insert(from, (start + replay).max(from_cursor));
+            self.lane_free.insert(from, start + replay);
         }
-        start
     }
 
     /// The modeled wall clock: when the last scheduled interval ends.
@@ -239,7 +246,7 @@ impl Timeline {
 
     /// Time the overlap model saves over the flat serialized story:
     /// `serialized() − makespan()`. Monotone nondecreasing over
-    /// scheduling, so the runtime publishes it as a metrics counter.
+    /// scheduling.
     pub fn overlap_saved(&self) -> Duration {
         self.serialized().saturating_sub(self.makespan)
     }

@@ -4,11 +4,12 @@
 //! concurrently.
 
 use runtime::kernels;
-use runtime::{Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest};
+use runtime::{Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
-use vcgra::app::{AppGraph, AppSource};
+use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
 use vcgra::sim::run_dataflow;
+use vcgra::PeMode;
 
 const F: FpFormat = FpFormat::PAPER;
 
@@ -234,49 +235,20 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
 }
 
 /// Admits a two-tap FIR that the refusal tests keep serving.
-fn served(rt: &mut Runtime) -> (runtime::TenantId, AppGraph) {
+fn served(rt: &mut Runtime) -> (TenantId, AppGraph) {
     let good = kernels::fir(F, &[0.5, 0.25]);
     let id = rt.submit("good", good.graph.clone()).unwrap().tenant();
     (id, good.graph)
 }
 
 /// After refused calls only: its four items are the first streamed.
-fn assert_still_served(rt: &mut Runtime, id: runtime::TenantId, graph: &AppGraph) {
+fn assert_still_served(rt: &mut Runtime, id: TenantId, graph: &AppGraph) {
     let ins = stream(2, 4, 1);
     let runs = rt.run(vec![StreamRequest { tenant: id, inputs: ins.clone() }]).unwrap();
     for (input, out) in ins.iter().zip(&runs[0].outputs) {
         assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
     }
     assert_eq!(rt.ledger().items, 4, "a refused call streams nothing");
-}
-
-#[test]
-fn a_graph_that_does_not_lower_is_an_error_not_a_worker_panic() {
-    // `AppGraph`'s fields are public, so a tenant can hand over operands
-    // that `AppGraph::add` would have refused, and `add` takes a
-    // coefficient of any format. Such a graph is admitted (placement reads
-    // neither coefficients nor operand values it cannot route), and `run`
-    // must refuse it before any engine thread starts, leaving the other
-    // tenants served.
-    let mut rt = Runtime::new(RuntimeConfig::default());
-    let (good_id, good) = served(&mut rt);
-    let mut external = AppGraph::dot_product(F, &[1.0, 2.0]);
-    external.nodes[0].a = AppSource::External(7);
-    let mut forward = AppGraph::dot_product(F, &[1.0, 2.0]);
-    forward.nodes[2].b = AppSource::Node(2);
-    let mut format = AppGraph::dot_product(F, &[1.0, 2.0]);
-    format.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)));
-    for (name, graph) in [("external", external), ("forward", forward), ("format", format)] {
-        let bad = rt.submit(name, graph).unwrap().tenant();
-        let err = rt
-            .run(vec![
-                StreamRequest { tenant: good_id, inputs: stream(2, 4, 1) },
-                StreamRequest { tenant: bad, inputs: stream(2, 4, 2) },
-            ])
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::Invariant(_)), "{name}: {err}");
-    }
-    assert_still_served(&mut rt, good_id, &good);
 }
 
 #[test]
@@ -301,7 +273,8 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     let other = FpFormat::new(5, 10);
     let err = rt.swap_params(id, &[fp(0.75), FpValue::from_f64(0.75, other)]).unwrap_err();
     assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
-    // `resubmit` of the same structure takes the same door.
+    // `resubmit` of the same structure is the same mistake under the same
+    // name (the graph check stops it one door earlier).
     let mut same = graph.clone();
     let slot = same.coeff_nodes()[0];
     same.nodes[slot].coeff = Some(FpValue::from_f64(0.75, other));
@@ -312,10 +285,38 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     assert_still_served(&mut rt, id, &graph);
 }
 
-/// What a refused call must leave as it found it: the bands, the queue
-/// and every ledger counter.
-fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<runtime::TenantId>, String) {
-    (rt.pool().bands(), rt.queued_tenants(), format!("{:?}", rt.ledger()))
+/// What a refused call must leave as it found it: the bands, the queue,
+/// the cache (entries and lookup counters) and every ledger counter but
+/// `refused`.
+fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<TenantId>, usize, String) {
+    let ledger = runtime::Ledger { refused: 0, ..*rt.ledger() };
+    (
+        rt.pool().bands(),
+        rt.queued_tenants(),
+        rt.snapshot().cache.len(),
+        format!("{:?} {ledger:?}", rt.cache_stats()),
+    )
+}
+
+/// The error a graph that breaks shape rule `why` is refused with.
+fn malformed(why: GraphError) -> RuntimeError {
+    RuntimeError::Flow(FlowError::Graph(why))
+}
+
+/// One 4x4 grid, no time-sharing: `served`'s tenant and a second one fill
+/// it, a third waits. Returns the runtime, `served`'s pair, then the
+/// second and the waiting id.
+fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId) {
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![vcgra::VcgraArch::new(4, 4, 2)],
+        time_share: false,
+        ..RuntimeConfig::default()
+    });
+    let (good_id, good) = served(&mut rt);
+    let second = rt.submit("second", good.clone()).unwrap().tenant();
+    let waiting = rt.submit("waiting", good.clone()).unwrap();
+    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
+    (rt, good_id, good, second, waiting.tenant())
 }
 
 #[test]
@@ -324,7 +325,7 @@ fn an_empty_graph_is_refused_not_a_panic() {
     // behind a non-empty queue it would wait there for a drain to reach
     // that assert. `submit` and `resubmit` refuse it at the door.
     let empty = || AppGraph::new(F, 1);
-    let refused = RuntimeError::Flow(FlowError::EmptyGraph);
+    let refused = malformed(GraphError::Empty);
 
     // Dedicated bands, nothing queued.
     let mut rt = Runtime::new(RuntimeConfig { queue: false, ..RuntimeConfig::default() });
@@ -338,56 +339,193 @@ fn an_empty_graph_is_refused_not_a_panic() {
 
     // A full pool with a tenant waiting: the empty graph must not take a
     // queue slot, nor replace the waiting tenant's graph.
-    let mut rt = Runtime::new(RuntimeConfig {
-        grids: vec![vcgra::VcgraArch::new(4, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    });
-    let (good_id, good) = served(&mut rt);
-    let second = rt.submit("second", good.clone()).unwrap().tenant();
-    let waiting = rt.submit("waiting", good.clone()).unwrap();
-    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
+    let (mut rt, good_id, good, second, waiting) = full_pool_with_a_waiter();
     let before = state(&rt);
     assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
-    assert_eq!(rt.resubmit(waiting.tenant(), empty()).unwrap_err(), refused);
+    assert_eq!(rt.resubmit(waiting, empty()).unwrap_err(), refused);
     assert_eq!(rt.resubmit(good_id, empty()).unwrap_err(), refused);
     assert_eq!(state(&rt), before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
     // The waiting tenant admits with the graph it queued with.
     let drained = rt.release(second).unwrap();
     assert_eq!(drained.len(), 1);
-    assert_eq!(drained[0].tenant, waiting.tenant());
-    assert_eq!(rt.tenant(waiting.tenant()).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_eq!(drained[0].tenant, waiting);
+    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), good.nodes.len());
     assert_still_served(&mut rt, good_id, &good);
 }
 
 #[test]
+fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
+    // `AppGraph`'s fields are public, so a tenant can hand over what
+    // `AppGraph::add` and `mark_output` would have refused, and `add`
+    // takes a coefficient of any format. `run` could never lower such a
+    // graph, so `submit` and `resubmit` refuse it before the pool, the
+    // queue, the cache or the tenant's current lease is touched.
+    let edited = |edit: fn(&mut AppGraph)| {
+        let mut g = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
+        edit(&mut g);
+        g
+    };
+    let other = FpFormat::new(5, 10);
+    let table: [(&str, AppGraph, RuntimeError); 7] = [
+        ("empty", AppGraph::new(F, 1), malformed(GraphError::Empty)),
+        (
+            "self",
+            edited(|g| g.nodes[3].b = AppSource::Node(3)),
+            malformed(GraphError::OperandNotEarlier { node: 3, operand: 3 }),
+        ),
+        (
+            "forward",
+            edited(|g| g.nodes[0].a = AppSource::Node(4)),
+            malformed(GraphError::OperandNotEarlier { node: 0, operand: 4 }),
+        ),
+        (
+            "dangling",
+            edited(|g| g.nodes[4].a = AppSource::Node(99)),
+            malformed(GraphError::OperandNotEarlier { node: 4, operand: 99 }),
+        ),
+        (
+            "external",
+            edited(|g| g.nodes[0].a = AppSource::External(7)),
+            malformed(GraphError::ExternalOutOfRange { node: 0, index: 7, num_inputs: 3 }),
+        ),
+        (
+            "output",
+            edited(|g| g.outputs.push(5)),
+            malformed(GraphError::OutputOutOfRange { output: 5, nodes: 5 }),
+        ),
+        (
+            "format",
+            edited(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)))),
+            // One name for a wrong-format value, whichever door it came by.
+            RuntimeError::BadFormat { expected: F, got: other },
+        ),
+    ];
+
+    // Dedicated bands, nothing queued.
+    let mut rt = Runtime::new(RuntimeConfig { queue: false, ..RuntimeConfig::default() });
+    let (good_id, good) = served(&mut rt);
+    let before = state(&rt);
+    for (name, graph, refused) in &table {
+        assert_eq!(&rt.submit(*name, graph.clone()).unwrap_err(), refused, "{name}");
+        assert_eq!(&rt.resubmit(good_id, graph.clone()).unwrap_err(), refused, "{name}");
+    }
+    assert_eq!(state(&rt), before);
+    assert_eq!(rt.ledger().refused, 2 * table.len());
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    assert_still_served(&mut rt, good_id, &good);
+
+    // A full pool with a tenant waiting: the graph must not take a queue
+    // slot, nor replace the waiting tenant's graph.
+    let (mut rt, good_id, good, second, waiting) = full_pool_with_a_waiter();
+    let before = state(&rt);
+    for (name, graph, refused) in &table {
+        assert_eq!(&rt.submit(*name, graph.clone()).unwrap_err(), refused, "{name}");
+        assert_eq!(&rt.resubmit(waiting, graph.clone()).unwrap_err(), refused, "{name}");
+        assert_eq!(&rt.resubmit(good_id, graph.clone()).unwrap_err(), refused, "{name}");
+    }
+    assert_eq!(state(&rt), before);
+    assert_eq!(rt.ledger().refused, 3 * table.len());
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    // The waiting tenant admits with the graph it queued with.
+    let drained = rt.release(second).unwrap();
+    assert_eq!(drained.len(), 1);
+    assert_eq!(drained[0].tenant, waiting);
+    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_still_served(&mut rt, good_id, &good);
+}
+
+/// A well-formed graph no capacity-1 region can route: ten edges leave
+/// the root's cell, which has at most four channel segments out.
+fn unroutable_at_capacity_one() -> AppGraph {
+    let mut g = AppGraph::new(F, 1);
+    let root = g.add("root", PeMode::Pass, None, AppSource::External(0), AppSource::Zero);
+    for i in 0..5 {
+        let leaf =
+            g.add(format!("leaf{i}"), PeMode::Add, None, AppSource::Node(root), AppSource::Node(root));
+        g.mark_output(leaf);
+    }
+    g
+}
+
+#[test]
 fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
-    // `submit` compiles before `run` ever lowers: an operand naming a
-    // node the graph does not have used to index past the placement
-    // inside `map_app`. It is a compile error now, the lease taken for
-    // the compile is surrendered, and the runtime keeps serving.
+    // An operand naming a node the graph does not have used to index past
+    // the placement inside `map_app`, then was `map_app`'s compile error;
+    // now the door refuses it before a lease is taken for the compile.
     let mut rt = Runtime::new(RuntimeConfig::default());
     let (good_id, good) = served(&mut rt);
     let mut dangling = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
     dangling.nodes[4].a = AppSource::Node(99);
-    let refused = RuntimeError::Flow(FlowError::DanglingSource { node: 4, source: 99 });
+    let refused = malformed(GraphError::OperandNotEarlier { node: 4, operand: 99 });
     let before = state(&rt);
     assert_eq!(rt.submit("dangling", dangling.clone()).unwrap_err(), refused);
-    assert_eq!(state(&rt), before, "the lease taken for the compile is surrendered");
+    assert_eq!(state(&rt), before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
-    // A structural resubmit gives its lease up first, so the refusal
-    // evicts the tenant (as an unroutable replacement would) and frees
-    // its rows.
+    // A structural resubmit is refused before it gives its lease up, so
+    // the tenant it names stays where it was, serving its old graph.
     let victim = rt.submit("victim", good.clone()).unwrap().tenant();
+    let before = state(&rt);
     assert_eq!(rt.resubmit(victim, dangling).unwrap_err(), refused);
-    assert!(rt.tenant(victim).is_none());
-    assert_eq!(rt.pool().bands(), before.0);
+    assert_eq!(state(&rt), before);
+    assert_eq!(rt.tenant(victim).unwrap().graph.nodes.len(), good.nodes.len());
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Other tenants, old and new, are served as before.
     let later = kernels::fir(F, &[1.0, 2.0, 3.0]);
     rt.submit(&later.name, later.graph).unwrap().expect_admitted("a free grid");
     assert_still_served(&mut rt, good_id, &good);
+}
+
+#[test]
+fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
+    // The failures the door cannot see: a well-formed graph takes a lease
+    // and only `map_app` finds it unroutable on the region. `submit`
+    // surrenders the lease; a structural `resubmit` gave the old lease up
+    // before the compile, so the failure evicts the tenant, and its rows
+    // go to the queue.
+    let wide = unroutable_at_capacity_one();
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![vcgra::VcgraArch::new(4, 4, 1)],
+        time_share: false,
+        ..RuntimeConfig::default()
+    });
+    let (good_id, good) = served(&mut rt);
+    // The failed compile is one more cache miss; nothing else moves.
+    let held = |rt: &Runtime| {
+        let (bands, queue, cached, _) = state(rt);
+        (bands, queue, cached, format!("{:?}", rt.ledger()))
+    };
+    let before = held(&rt);
+    let err = rt.submit("wide", wide.clone()).unwrap_err();
+    assert!(matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })), "{err}");
+    assert_eq!(held(&rt), before, "the lease taken for the compile is surrendered");
+    assert_eq!(rt.ledger().refused, 0, "the door counts malformed graphs only");
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+
+    // Fill the grid and park a waiter behind it.
+    let victim = rt.submit("victim", good.clone()).unwrap().tenant();
+    let waiting = rt.submit("waiting", good.clone()).unwrap();
+    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
+    let bands_before = rt.pool().bands().len();
+    let err = rt.resubmit(victim, wide).unwrap_err();
+    assert!(matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })), "{err}");
+    assert!(rt.tenant(victim).is_none(), "the old lease was given up before the compile");
+    // The waiter got the victim's rows: as many bands as before, none the
+    // victim's, and the queue is empty.
+    assert_eq!(rt.queue_len(), 0);
+    assert_eq!(rt.ledger().queue_admitted, 1);
+    assert!(rt.tenant(waiting.tenant()).is_some());
+    assert_eq!(rt.pool().bands().len(), bands_before);
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+
+    // Everyone still here is served as before.
+    let ins = stream(2, 4, 7);
+    for tenant in [waiting.tenant(), good_id] {
+        let runs = rt.run(vec![StreamRequest { tenant, inputs: ins.clone() }]).unwrap();
+        for (input, out) in ins.iter().zip(&runs[0].outputs) {
+            assert_eq!(out[0].bits, run_dataflow(&good, input)[0].bits);
+        }
+    }
 }

@@ -258,6 +258,16 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
     let ins = stream(3, 2, 33);
     let runs = rt.run(vec![StreamRequest { tenant: s.tenant, inputs: ins }]).unwrap();
     assert_eq!(runs[0].epoch, 1, "the run must carry the relocation epoch");
+    // The survivor's grid-local replay hides behind the 13-row admission
+    // stream, so the scheduled makespan is strictly below the flat sum
+    // that lays the two end to end.
+    let led = rt.ledger();
+    assert!(
+        led.modeled_makespan < led.total_port_time(),
+        "makespan {:?} must beat the summed port time {:?}",
+        led.modeled_makespan,
+        led.total_port_time()
+    );
 
     // A parameter swap on the relocated tenant still lands on the right
     // (translated) settings frames.
@@ -320,6 +330,57 @@ fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
     assert_eq!(rt.tenant(second).unwrap().lease.grid, 1, "placed on the warm grid");
     // The warm-admitted tenant computes its own coefficients' results.
     assert_bit_exact(&mut rt, second, 8, 55);
+}
+
+/// Time-sharing on the default pool: the kernel library oversubscribes two
+/// 8-row grids, so some tenants share a band and every run charges context
+/// switches. Those are grid-local replays — they overlap other bands' port
+/// streams, so once bands time-share the scheduled makespan beats the flat
+/// sum — and sharing a band corrupts nobody's results.
+#[test]
+fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let mut ids = Vec::new();
+    for round in 0..2 {
+        for w in kernels::library(F) {
+            let adm = rt.submit(format!("{}-{round}", w.name), w.graph).unwrap();
+            ids.push(adm.expect_admitted("a full pool time-shares before it queues").tenant);
+        }
+    }
+    assert!(ids.iter().any(|&t| rt.tenant(t).unwrap().lease.shared));
+
+    let graphs: Vec<_> = ids.iter().map(|&t| rt.tenant(t).unwrap().graph.clone()).collect();
+    let requests: Vec<StreamRequest> = ids
+        .iter()
+        .zip(&graphs)
+        .map(|(&t, g)| StreamRequest { tenant: t, inputs: stream(g.num_inputs, 12, t) })
+        .collect();
+    let inputs: Vec<_> = requests.iter().map(|r| r.inputs.clone()).collect();
+    let runs = rt.run(requests).unwrap();
+    assert_eq!(runs.len(), ids.len());
+    for run in &runs {
+        let at = ids.iter().position(|&t| t == run.tenant).unwrap();
+        for (input, out) in inputs[at].iter().zip(&run.outputs) {
+            let want = run_dataflow(&graphs[at], input);
+            assert_eq!(
+                out.iter().map(|v| v.bits).collect::<Vec<_>>(),
+                want.iter().map(|v| v.bits).collect::<Vec<_>>(),
+                "tenant {} must stay bit-exact on a shared band",
+                run.tenant
+            );
+        }
+    }
+
+    let led = rt.ledger();
+    assert!(led.context_switches > 0, "sharing a band must charge context switches");
+    assert!(
+        led.modeled_makespan < led.total_port_time(),
+        "makespan {:?} must beat the summed port time {:?}",
+        led.modeled_makespan,
+        led.total_port_time()
+    );
+    assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
 }
 
 /// Seeded multi-tenant churn through the queue: submissions, releases and

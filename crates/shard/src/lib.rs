@@ -36,9 +36,9 @@
 //!   is synthesized up front from a `SplitMix64` seed with no wall-clock
 //!   input, so two runs at one seed produce identical per-shard admission
 //!   orders and a bit-identical output fingerprint — across shard counts,
-//!   worker counts, and machines. `xbench serve --shards N` drives it and
-//!   records throughput and latency quantiles into
-//!   `BENCH_serve_shard.json`.
+//!   worker counts, and machines (`tests/bit_exact.rs` runs the matrix).
+//!   The repo benchmark's `shard_mixed` workload (`bench/`) measures the
+//!   tier's throughput and latency.
 //!
 //! Observability: the server's shared [`trace::Registry`] carries
 //! `shard.route`/`shard.spill`/`shard.reject` counters, per-shard

@@ -1,6 +1,7 @@
 //! Sharding must not change a single output bit: the same plan produces
-//! identical per-tenant results on one shard and on three, and both
-//! agree with the reference dataflow interpreter.
+//! identical per-tenant results on one shard and on three, both agree
+//! with the reference dataflow interpreter, and the fingerprint is the
+//! same for every shard count × engine worker count.
 
 use shard::{synthesize, LoadSpec, ShardConfig, ShardServer};
 use softfloat::FpFormat;
@@ -27,6 +28,24 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
     let mut tier = ShardServer::start(ShardConfig::new(3));
     let report = shard::loadgen::run(&mut tier, &plan).expect("3-shard run");
     tier.shutdown();
+
+    // Neither the shard count nor the engine workers per shard may show
+    // in the fingerprint, and every shard closes with clean invariants.
+    for shards in [1, 2, 3, 8] {
+        for workers in [1, 2, 4] {
+            let mut cfg = ShardConfig::new(shards);
+            cfg.runtime.workers = workers;
+            let mut tier = ShardServer::start(cfg);
+            let rep = shard::loadgen::run(&mut tier, &plan).expect("matrix run");
+            assert_eq!(
+                rep.fingerprint, baseline.fingerprint,
+                "{shards} shards x {workers} workers changed the output bits"
+            );
+            for fin in tier.shutdown() {
+                assert!(fin.verify.ok(), "{shards} shards x {workers} workers: shard {}", fin.shard);
+            }
+        }
+    }
 
     assert_eq!(
         baseline.fingerprint, report.fingerprint,

@@ -1,10 +1,9 @@
 //! A minimal recursive-descent JSON parser — just enough to round-trip
-//! the crate's own trace output in tests and to let `xbench`'s
-//! `bench_diff` compare benchmark records, with zero dependencies.
+//! the crate's own trace output and `xbench`'s benchmark records in
+//! tests, with zero dependencies.
 //!
 //! Accepts standard JSON (RFC 8259). Numbers parse to `f64`; object
-//! member order is preserved (benchmark records are diffed field by
-//! field, and stable order keeps reports readable).
+//! member order is preserved.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

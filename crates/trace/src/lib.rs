@@ -10,12 +10,11 @@
 //!   `chrome://tracing`). Every `xbench` driver exposes it as
 //!   `--trace <path>`.
 //! - [`Registry`]: named [`Counter`]s, [`Gauge`]s, and log-linear-bucket
-//!   [`Histogram`]s with p50/p95/p99/max readout. The runtime's
-//!   `Ledger` and the mapper's `MapEffort` are views over registries
-//!   from this module.
-//! - [`json`]: a minimal JSON parser so the trace round-trip tests and
-//!   `xbench bench_diff` can consume this crate's output without any
-//!   external dependency.
+//!   [`Histogram`]s with p50/p95/p99/max readout. The mapper's
+//!   `MapEffort` is a view over a registry from this module; the
+//!   runtime and the shard tier keep their latency histograms in one.
+//! - [`json`]: a minimal JSON parser so the trace round-trip tests can
+//!   consume this crate's output without any external dependency.
 //!
 //! Recording only observes — enabling tracing never changes computed
 //! results (the par determinism suite proves routed trees are

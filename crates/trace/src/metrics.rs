@@ -13,7 +13,6 @@
 //! exact unit buckets.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -268,69 +267,6 @@ impl Registry {
         let g = self.inner.lock().expect("registry poisoned");
         g.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
     }
-
-    /// Human-readable table of every metric: counters and gauges as
-    /// name/value rows, histograms as count/p50/p95/p99/max rows
-    /// (`*_ns` metrics rendered as humanized durations).
-    pub fn render_table(&self) -> String {
-        let g = self.inner.lock().expect("registry poisoned");
-        let mut out = String::new();
-        if !g.counters.is_empty() || !g.gauges.is_empty() {
-            let _ = writeln!(out, "{:<38} {:>14}", "counter/gauge", "value");
-            for (name, c) in &g.counters {
-                let _ = writeln!(out, "{:<38} {:>14}", name, fmt_value(name, c.get()));
-            }
-            for (name, gg) in &g.gauges {
-                let _ = writeln!(out, "{:<38} {:>14}", name, gg.get());
-            }
-        }
-        let hists: Vec<_> = g.histograms.iter().filter(|(_, h)| h.snapshot().count > 0).collect();
-        if !hists.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<38} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                "histogram", "count", "p50", "p95", "p99", "max"
-            );
-            for (name, h) in hists {
-                let s = h.snapshot();
-                let _ = writeln!(
-                    out,
-                    "{:<38} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                    name,
-                    s.count,
-                    fmt_value(name, s.p50()),
-                    fmt_value(name, s.p95()),
-                    fmt_value(name, s.p99()),
-                    fmt_value(name, s.max),
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Render `v` as a duration when the metric name marks it as
-/// nanoseconds, else as a plain integer.
-fn fmt_value(name: &str, v: u64) -> String {
-    if name.ends_with("_ns") {
-        fmt_ns(v)
-    } else {
-        v.to_string()
-    }
-}
-
-/// Humanize a nanosecond count (`17.3µs`, `4.2ms`, `1.08s`).
-pub fn fmt_ns(ns: u64) -> String {
-    let v = ns as f64;
-    if v < 1_000.0 {
-        format!("{ns}ns")
-    } else if v < 1_000_000.0 {
-        format!("{:.1}µs", v / 1_000.0)
-    } else if v < 1_000_000_000.0 {
-        format!("{:.2}ms", v / 1_000_000.0)
-    } else {
-        format!("{:.2}s", v / 1_000_000_000.0)
-    }
 }
 
 #[cfg(test)]
@@ -427,8 +363,5 @@ mod tests {
         let h = r.histogram("lat_ns");
         h.record(10);
         assert_eq!(r.histogram("lat_ns").snapshot().count, 1);
-        let table = r.render_table();
-        assert!(table.contains("hits"));
-        assert!(table.contains("lat_ns"));
     }
 }

@@ -6,22 +6,17 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "bench": "serve_soak",
+//!   "bench": "table1",
 //!   "provenance": {"git_rev": "…", "host": "…", "profile": "release", "threads": 8},
 //!   …driver fields…
 //! }
 //! ```
-//!
-//! `bench_diff` (the CI regression gate) relies on this shape: it keys
-//! on `schema_version` + `bench`, skips the `provenance` subtree, and
-//! compares the remaining numeric leaves against a committed baseline.
 
 use std::io;
 use std::path::Path;
 
 /// Version of the record envelope. Bump when the provenance header or
-/// the envelope shape changes; `bench_diff` refuses to compare records
-/// of different versions.
+/// the envelope shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// One field value in a benchmark record.
@@ -31,7 +26,7 @@ pub enum Field {
     Bool(bool),
     Str(String),
     /// Pre-rendered JSON spliced in verbatim — for nested objects and
-    /// arrays the driver formats itself (flows, sweeps, latency blocks).
+    /// arrays the driver formats itself (flows, sweeps).
     Raw(String),
 }
 
@@ -186,19 +181,6 @@ fn profile() -> &'static str {
 
 fn threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Renders one histogram's latency quantiles as a JSON object — the
-/// block `serve --json` emits per wave.
-pub fn latency_json(s: &trace::HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-        s.count,
-        s.p50(),
-        s.p95(),
-        s.p99(),
-        s.max
-    )
 }
 
 #[cfg(test)]

@@ -10,24 +10,19 @@
 //! | `compile_time`| §II compile-time claim (VCGRA flow vs gate-level flow) |
 //! | `figures`     | Figs. 1/4 (DOT renders), Fig. 5 (pipeline stage PGMs)  |
 //! | `ablations`   | design-choice sweeps (hops, cut budget, precision)     |
-//! | `serve`       | `vcgra-runtime` mixed-tenant soak + throughput table   |
 //! | `verify`      | `vcgra-verify` invariant sweep over every artifact kind|
-//! | `bench_diff`  | CI regression gate over `BENCH_*.json` records         |
 //!
-//! `serve --shards N [--workers W]` switches to the **sharded serving
-//! tier** (`vcgra-shard`): a seeded load plan over N cache-affine
-//! shards, bit-exactness cross-checked against a single-runtime run of
-//! the same plan, per-shard + aggregate latency quantiles in the JSON
-//! record (`BENCH_serve_shard.json`).
-//!
-//! `figures`, `reconfig`, `compile_time`, `ablations`, `serve` and
-//! `verify` accept `--smoke` (reduced formats/grids/volumes) so CI can
-//! run all of them end-to-end in seconds. `table1` and `serve` also take
-//! `--verify`, which re-proves their artifacts through `vcgra-verify`
-//! and reports the audit overhead alongside the benchmark figures.
+//! `figures`, `reconfig`, `compile_time`, `ablations` and `verify` accept
+//! `--smoke` (reduced formats/grids/volumes) so CI can run all of them
+//! end-to-end in seconds. `table1` also takes `--verify`, which re-proves
+//! its artifacts through `vcgra-verify` and reports the audit overhead
+//! alongside the benchmark figures.
 //!
 //! Criterion micro-benchmarks live in `benches/` (SCG throughput, router,
-//! mapper, FloPoCo arithmetic, filter kernels).
+//! mapper, FloPoCo arithmetic, filter kernels). The serving tiers are
+//! measured by the repo benchmark in `bench/` (`bench/run.sh`), and
+//! demonstrated by `examples/quickstart.rs` and
+//! `examples/sharded_serving.rs`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]

@@ -44,7 +44,7 @@ fn main() {
     for (label, design) in [("conventional", &conv), ("parameterized", &par)] {
         let nl = par::extract(design);
         let t = std::time::Instant::now();
-        let rep = par::full_par(&nl, &par::cw::ParOptions::default()).expect("routable");
+        let rep = par::ParEngine::new(par::EngineOptions::default()).run(&nl).expect("routable");
         println!(
             "{label}: WL {} @ CW {} on a {}x{} fabric ({} TCON switch configs) in {:?}",
             rep.result.wirelength,

@@ -6,9 +6,10 @@
 //! cargo run --release --example sharded_serving
 //! ```
 //!
-//! For the full bench (throughput scaling, latency quantiles, the
-//! bit-exactness cross-check against a single-runtime run), use
-//! `cargo run -p xbench --release --bin serve -- --shards 8`.
+//! For measured throughput and latency quantiles run the repo benchmark's
+//! `shard_mixed` workload (`bench/run.sh`, see `bench/README.md`); the
+//! bit-exactness cross-check against a single-runtime run is
+//! `crates/shard/tests/bit_exact.rs`.
 
 use shard::{synthesize, LoadSpec, RouteKey, ShardConfig, ShardServer};
 use softfloat::FpFormat;

@@ -4,8 +4,12 @@
 
 use logic::aig::{Aig, InputKind};
 use mapping::{map_conventional, map_parameterized, MapOptions};
-use par::cw::ParOptions;
 use par::troute::audit;
+use par::{EngineOptions, ParEngine, ParNetlist, ParReport};
+
+fn place_and_route(nl: &ParNetlist) -> Result<ParReport, String> {
+    ParEngine::new(EngineOptions::default()).run(nl)
+}
 
 fn coeff_mul_aig(bits: usize) -> Aig {
     let mut g = Aig::new();
@@ -24,8 +28,7 @@ fn both_flows_route_and_audit_clean() {
         ("par", map_parameterized(&aig, MapOptions::default())),
     ] {
         let nl = par::extract(&design);
-        let rep = par::full_par(&nl, &ParOptions::default())
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let rep = place_and_route(&nl).unwrap_or_else(|e| panic!("{label}: {e}"));
         let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
         let routed = par::route(&nl, &rep.placement, &graph, Default::default())
             .expect("re-route at min width");
@@ -42,8 +45,8 @@ fn tcons_do_not_increase_channel_width() {
     let aig = coeff_mul_aig(5);
     let conv = map_conventional(&aig, MapOptions::default());
     let par_d = map_parameterized(&aig, MapOptions::default());
-    let rep_c = par::full_par(&par::extract(&conv), &ParOptions::default()).unwrap();
-    let rep_p = par::full_par(&par::extract(&par_d), &ParOptions::default()).unwrap();
+    let rep_c = place_and_route(&par::extract(&conv)).unwrap();
+    let rep_p = place_and_route(&par::extract(&par_d)).unwrap();
     assert!(
         rep_p.min_channel_width <= rep_c.min_channel_width + 1,
         "parameterized CW {} vs conventional {}",
@@ -57,7 +60,7 @@ fn wirelength_is_reported_and_positive() {
     let aig = coeff_mul_aig(3);
     let d = map_parameterized(&aig, MapOptions::default());
     let nl = par::extract(&d);
-    let rep = par::full_par(&nl, &ParOptions::default()).unwrap();
+    let rep = place_and_route(&nl).unwrap();
     assert!(rep.result.wirelength > 0);
     assert!(rep.result.iterations >= 1);
     // Tunable wirelength is part of the total.

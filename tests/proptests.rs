@@ -6,13 +6,17 @@
 //! * PE settings evaluate like the documented formulas;
 //! * the lowered execution plan, the mapped interpreter and the dataflow
 //!   interpreter agree bit for bit, special values included;
+//! * a graph the runtime admits is a graph it can run, and a malformed
+//!   one is refused at the door;
 //! * the synthetic image generator and metrics behave sanely.
 
 use logic::aig::{Aig, InputKind, Lit};
 use mapping::{map_conventional, map_parameterized, MapOptions};
 use proptest::prelude::*;
+use runtime::{Runtime, RuntimeConfig, RuntimeError, StreamRequest};
 use softfloat::{FpClass, FpFormat, FpValue};
-use vcgra::app::{AppGraph, AppSource};
+use vcgra::app::{AppGraph, AppSource, GraphError};
+use vcgra::flow::FlowError;
 use vcgra::sim::{run_dataflow, run_mapped, ExecPlan};
 use vcgra::{PeMode, PeSettings, VcgraArch};
 
@@ -306,6 +310,64 @@ proptest! {
                     .collect();
                 prop_assert_eq!(&got, &mapped, "chunks of {} lanes", lanes);
             }
+        }
+    }
+
+    #[test]
+    fn whatever_submit_admits_run_lowers(
+        recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..17),
+        edits in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..7),
+    ) {
+        for (k, f) in PLAN_FORMATS.into_iter().enumerate() {
+            // The recipe as drawn, then once per edit with one public
+            // field overwritten: an operand, an output, a coefficient's
+            // format, or every node. Some edits land on a legal value.
+            let valid = plan_graph(&recipe, f);
+            let mut graphs = vec![valid.clone()];
+            for &(field, at, value) in &edits {
+                let mut g = valid.clone();
+                let (n, at) = (g.nodes.len(), at as usize % g.nodes.len());
+                match field % 5 {
+                    0 => g.nodes[at].a = AppSource::Node(value as usize % (n + 2)),
+                    1 => g.nodes[at].b = AppSource::External(value as usize % 5),
+                    2 => g.outputs.push(value as usize % (n + 2)),
+                    3 => {
+                        let other = PLAN_FORMATS[(k + 1) % PLAN_FORMATS.len()];
+                        g.nodes[at].coeff = g.nodes[at].coeff.map(|_| plan_value(value as u64, other));
+                    }
+                    _ => g.nodes.clear(),
+                }
+                graphs.push(g);
+            }
+            let mut rt = Runtime::new(RuntimeConfig {
+                grids: vec![VcgraArch::new(4, 4, 8)],
+                ..RuntimeConfig::default()
+            });
+            for g in graphs {
+                // What `validate` calls a graph, under the name the
+                // runtime refuses it by.
+                let well_formed = g.validate().map_err(|why| match why {
+                    GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
+                        expected: f,
+                        got: g.nodes[node].coeff.expect("the coefficient named").format,
+                    },
+                    why => RuntimeError::Flow(FlowError::Graph(why)),
+                });
+                match rt.submit("g", g) {
+                    Ok(admission) => {
+                        prop_assert_eq!(well_formed, Ok(()));
+                        let tenant = admission.expect_admitted("an empty 4x4 grid").tenant;
+                        let item = vec![plan_value(1 << 5, f); 3];
+                        let runs = rt.run(vec![StreamRequest { tenant, inputs: vec![item] }]);
+                        prop_assert!(runs.is_ok(), "admitted, then refused by run: {:?}", runs.err());
+                        rt.release(tenant).expect("live tenant");
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(Err(e), well_formed, "a well-formed recipe fits and routes");
+                    }
+                }
+            }
+            prop_assert_eq!(rt.pool().bands().len(), 0, "a refused graph holds no rows");
         }
     }
 
