@@ -242,20 +242,45 @@ impl AppGraph {
         g
     }
 
+    /// What makes two graphs share a compile, as one word sequence: format,
+    /// arity, node count, then per node its op, both operands (kind, index)
+    /// and whether it carries a coefficient, then the outputs. Coefficient
+    /// *values* and node names are not in it. [`Self::same_structure`], the
+    /// runtime's cache key and the shard tier's routing hash are all read
+    /// off this sequence, so a new structural field is added here once.
+    pub fn structure_words(&self) -> impl Iterator<Item = u64> + '_ {
+        fn source(s: AppSource) -> [u64; 2] {
+            match s {
+                AppSource::External(i) => [0, i as u64],
+                AppSource::Node(j) => [1, j as u64],
+                AppSource::Zero => [2, 0],
+            }
+        }
+        let head = [
+            u64::from(self.format.we),
+            u64::from(self.format.wf),
+            self.num_inputs as u64,
+            self.nodes.len() as u64,
+        ];
+        let nodes = self.nodes.iter().flat_map(|n| {
+            let op = match n.op {
+                PeMode::Mac => 0,
+                PeMode::Mul => 1,
+                PeMode::Add => 2,
+                PeMode::Pass => 3,
+            };
+            let ([ta, va], [tb, vb]) = (source(n.a), source(n.b));
+            [op, ta, va, tb, vb, u64::from(n.coeff.is_some())]
+        });
+        let outputs = self.outputs.iter().map(|&o| o as u64);
+        head.into_iter().chain(nodes).chain([self.outputs.len() as u64]).chain(outputs)
+    }
+
     /// True when two graphs share structure (ops, wiring, outputs, format)
     /// and differ at most in coefficient values — the condition under which
     /// one compiled configuration serves both via micro-reconfiguration.
     pub fn same_structure(&self, other: &AppGraph) -> bool {
-        self.format == other.format
-            && self.num_inputs == other.num_inputs
-            && self.outputs == other.outputs
-            && self.nodes.len() == other.nodes.len()
-            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
-                a.op == b.op
-                    && a.a == b.a
-                    && a.b == b.b
-                    && a.coeff.is_some() == b.coeff.is_some()
-            })
+        self.structure_words().eq(other.structure_words())
     }
 
     /// Reduces a layer of node indices with a balanced binary adder tree

@@ -53,11 +53,6 @@ pub fn run_dataflow(app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
     app.outputs.iter().map(|&o| value[o]).collect()
 }
 
-/// Runs the graph over many input vectors.
-pub fn run_batch(app: &AppGraph, batches: &[Vec<FpValue>]) -> Vec<Vec<FpValue>> {
-    batches.iter().map(|b| run_dataflow(app, b)).collect()
-}
-
 /// A PE in streaming MAC mode: accumulates `counter` products before the
 /// result is read and the accumulator clears — exactly the settings-
 /// register behavior the paper describes (Section IV).

@@ -43,7 +43,7 @@ impl Bencher {
         // Warm-up: discover a batch size that takes ~1ms, executing the
         // closure enough times to stabilize caches and branch predictors.
         let mut batch: u64 = 1;
-        let warm_start = Instant::now();
+        let warmup_began = Instant::now();
         loop {
             let t = Instant::now();
             for _ in 0..batch {
@@ -54,7 +54,7 @@ impl Bencher {
                 break;
             }
             batch = batch.saturating_mul(2);
-            if warm_start.elapsed() >= WARMUP_TARGET {
+            if warmup_began.elapsed() >= WARMUP_TARGET {
                 break;
             }
         }

@@ -6,7 +6,6 @@
 //! the PPC. The split is exactly Fig. 3's generic-stage output.
 
 use logic::bdd::Bdd;
-use logic::fxhash::FxHashMap;
 use mapping::{MappedDesign, MappedNode};
 
 /// What kind of configurable element a bit belongs to.
@@ -135,15 +134,6 @@ impl ParamConfig {
     pub fn ppc_memory_nodes(&self, design: &MappedDesign) -> usize {
         design.bdd.shared_size(self.ppc.iter().map(|(_, b, _)| *b))
     }
-
-    /// Counts tunable bits per element kind.
-    pub fn ppc_bits_by_kind(&self) -> FxHashMap<ConfigKind, usize> {
-        let mut m = FxHashMap::default();
-        for (_, _, k) in &self.ppc {
-            *m.entry(*k).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -170,15 +160,9 @@ mod tests {
         let d = demo_design();
         let cfg = ParamConfig::extract(&d);
         assert!(cfg.ppc_bits() > 0, "tunable design must have PPC bits");
-        let kinds = cfg.ppc_bits_by_kind();
-        assert!(
-            kinds.get(&ConfigKind::RoutingBit).copied().unwrap_or(0) > 0,
-            "TCON selections are routing bits: {kinds:?}"
-        );
-        assert!(
-            kinds.get(&ConfigKind::LutBit).copied().unwrap_or(0) > 0,
-            "TLUT truth-table bits: {kinds:?}"
-        );
+        let tunable = |kind| cfg.ppc.iter().any(|&(_, _, k)| k == kind);
+        assert!(tunable(ConfigKind::RoutingBit), "TCON selections are routing bits");
+        assert!(tunable(ConfigKind::LutBit), "TLUT truth-table bits");
     }
 
     #[test]

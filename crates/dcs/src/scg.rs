@@ -6,7 +6,7 @@
 //! produce specialized bits, diff against the currently loaded bits and
 //! emit the set of frames that must be read-modified-written.
 
-use crate::ppc::{BitAddr, ConfigKind, ParamConfig};
+use crate::ppc::{BitAddr, ParamConfig};
 use logic::fxhash::{FxHashMap, FxHashSet};
 use mapping::MappedDesign;
 
@@ -73,26 +73,12 @@ impl<'a> Scg<'a> {
         }
         img
     }
-
-    /// Count of changed bits between two specializations, per element kind.
-    pub fn changed_bits_by_kind(
-        &self,
-        old: &SpecializedBits,
-        new: &SpecializedBits,
-    ) -> FxHashMap<ConfigKind, usize> {
-        let mut m = FxHashMap::default();
-        for (i, (_, _, k)) in self.config.ppc.iter().enumerate() {
-            if old.values[i] != new.values[i] {
-                *m.entry(*k).or_insert(0) += 1;
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ppc::ConfigKind;
     use logic::aig::{Aig, InputKind};
     use mapping::{map_parameterized, MapOptions, MappedNode};
 
@@ -165,8 +151,6 @@ mod tests {
         let s1 = scg.specialize(&[false, false, false]);
         let s2 = scg.specialize(&[true, true, true]);
         assert!(!scg.dirty_frames(&s1, &s2).is_empty());
-        let by_kind = scg.changed_bits_by_kind(&s1, &s2);
-        assert!(!by_kind.is_empty());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! produced, write it back. The per-frame cost is dominated by the
 //! configuration interface:
 //!
-//! * **HWICAP** (Xilinx AXI HWICAP, as measured in the paper's refs [5]
-//!   [7]): ≈ 230 µs per frame read-modify-write. With the paper's PE
+//! * **HWICAP** (Xilinx AXI HWICAP, as measured in the paper's refs \[5\]
+//!   \[7\]): ≈ 230 µs per frame read-modify-write. With the paper's PE
 //!   population of 526 TLUTs + 568 TCONs — one frame RMW per tunable
 //!   element — this reproduces the **251 ms** per-PE estimate of Section V.
-//! * **MiCAP** [6]: the custom reconfiguration controller, ≈ 2.3× faster.
+//! * **MiCAP** \[6\]: the custom reconfiguration controller, ≈ 2.3× faster.
 //! * **ICAP-DMA** (the "improving reconfiguration speed" techniques of
-//!   [16]): DMA-driven ICAP at tens of µs per frame.
+//!   \[16\]): DMA-driven ICAP at tens of µs per frame.
 
 use std::time::Duration;
 
@@ -20,9 +20,9 @@ use std::time::Duration;
 pub enum ReconfigInterface {
     /// AXI HWICAP: the paper's baseline (≈ 229.4 µs per frame RMW).
     Hwicap,
-    /// MiCAP custom controller [6] (≈ 2.3× faster than HWICAP).
+    /// MiCAP custom controller \[6\] (≈ 2.3× faster than HWICAP).
     Micap,
-    /// DMA-driven ICAP with placement constraints [16].
+    /// DMA-driven ICAP with placement constraints \[16\].
     IcapDma,
 }
 

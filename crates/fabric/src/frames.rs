@@ -9,7 +9,7 @@
 //! truth tables and a fixed number for routing switches, and each frame
 //! covers a vertical stripe of tiles.
 
-use crate::arch::{FabricArch, Site};
+use crate::arch::Site;
 
 /// Frame geometry of a fabric.
 #[derive(Debug, Clone, Copy)]
@@ -24,11 +24,6 @@ pub struct FrameModel {
 }
 
 impl FrameModel {
-    /// Default model: one frame spans 4 tiles vertically, 41 words/frame.
-    pub fn for_arch(arch: &FabricArch) -> Self {
-        Self { size: arch.size, tiles_per_frame: 4, words_per_frame: 41 }
-    }
-
     /// Frame model for the settings plane of a `rows × cols` overlay grid:
     /// the square fabric region hosting it. Each grid cell's settings
     /// register lives in the frame returned by [`Self::lut_frame`] for

@@ -44,12 +44,6 @@ impl NodeKind {
         matches!(self, NodeKind::ChanX { .. } | NodeKind::ChanY { .. })
     }
 
-    /// True for pins (never subject to occupancy accounting — a block's
-    /// nets legitimately share them).
-    pub fn is_pin(&self) -> bool {
-        !self.is_wire()
-    }
-
     /// The wire's track index; `None` for pins. Static checkers use this
     /// to prove channel-width conformance of translated trees.
     pub fn track(&self) -> Option<usize> {
@@ -197,8 +191,8 @@ impl RouteGraph {
     /// crossing channel column (`s` wires per track) or one of the
     /// horizontal wires entering the cut's switch-block column (`s + 1`
     /// per track) — `2s + 1` total, matching the sound width lower bound.
-    pub fn separator_per_track(&self) -> usize {
-        2 * self.arch.size + 1
+    pub fn separator_per_track(arch: FabricArch) -> usize {
+        2 * arch.size + 1
     }
 
     /// Per-cut routing pressure of a state: for every vertical and

@@ -5,7 +5,7 @@
 //! paper's VHDL flow those inputs are annotated `--PARAM`; here the
 //! annotation is [`InputKind::Param`] on the primary input.
 //!
-//! The AIG is the exchange format between synthesis ([`softfloat`]'s
+//! The AIG is the exchange format between synthesis (`softfloat`'s
 //! operator generators), logic optimization ([`crate::opt`]) and technology
 //! mapping (the `mapping` crate). Construction is hash-consed: trivial
 //! identities are rewritten away and structurally identical AND nodes are
@@ -76,12 +76,6 @@ impl Lit {
     #[inline]
     pub fn raw(self) -> u32 {
         self.0
-    }
-
-    /// Rebuild from the raw encoding.
-    #[inline]
-    pub fn from_raw(raw: u32) -> Self {
-        Lit(raw)
     }
 
     /// True if this is one of the two constants.
@@ -235,11 +229,6 @@ impl Aig {
         self.reduce(lits, Lit::FALSE, Self::or)
     }
 
-    /// Balanced XOR-reduction.
-    pub fn xor_many(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce(lits, Lit::FALSE, Self::xor)
-    }
-
     fn reduce(&mut self, lits: &[Lit], empty: Lit, f: fn(&mut Self, Lit, Lit) -> Lit) -> Lit {
         match lits.len() {
             0 => empty,
@@ -295,20 +284,6 @@ impl Aig {
     /// Iterates over `(id, node)` in topological order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, Node)> + '_ {
         self.nodes.iter().enumerate().map(|(i, &n)| (i as NodeId, n))
-    }
-
-    /// Input index of a node if it is a primary input.
-    pub fn input_index(&self, id: NodeId) -> Option<u32> {
-        match self.nodes[id as usize] {
-            Node::Input(i) => Some(i),
-            _ => None,
-        }
-    }
-
-    /// True if the node is a parameter input.
-    pub fn is_param_node(&self, id: NodeId) -> bool {
-        self.input_index(id)
-            .is_some_and(|i| self.inputs[i as usize].kind == InputKind::Param)
     }
 
     /// AND-gate depth of every node (inputs and constants at level 0).

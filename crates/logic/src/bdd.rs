@@ -251,18 +251,6 @@ impl BddManager {
         cur.is_true()
     }
 
-    /// Evaluates `f` with variable `v`'s value given by bit `v` of `bits`
-    /// (for up to 64 parameter bits — enough for one PE coefficient).
-    pub fn eval_bits(&self, f: Bdd, bits: u64) -> bool {
-        let mut cur = f;
-        while !cur.is_const() {
-            let n = self.nodes[cur.0 as usize];
-            let v = n.var < 64 && (bits >> n.var) & 1 == 1;
-            cur = if v { n.hi } else { n.lo };
-        }
-        cur.is_true()
-    }
-
     /// Collects the support (set of variables `f` depends on) into a sorted list.
     pub fn support(&self, f: Bdd) -> Vec<u32> {
         let mut seen = crate::fxhash::FxHashSet::default();
@@ -352,11 +340,6 @@ mod tests {
         for asg in assignments(3) {
             let expect = asg[0] ^ (asg[1] && asg[2]);
             assert_eq!(m.eval(f, &asg), expect, "{asg:?}");
-            let bits = asg
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &v)| acc | ((v as u64) << i));
-            assert_eq!(m.eval_bits(f, bits), expect);
         }
     }
 

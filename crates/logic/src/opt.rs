@@ -1,12 +1,8 @@
-//! Logic optimization passes (the "ABC step" of the paper's flow).
+//! Logic optimization (the "ABC step" of the paper's flow).
 //!
 //! Construction of an [`Aig`] already performs constant folding and
-//! structural hashing; the passes here finish the job:
-//!
-//! * [`sweep`] rebuilds the graph keeping only logic reachable from the
-//!   outputs (dangling-node removal),
-//! * [`balance`] re-associates AND trees to reduce depth,
-//! * [`optimize`] chains the passes until a fixed point.
+//! structural hashing; [`sweep`] finishes the job by rebuilding the graph
+//! with only the logic reachable from the outputs (dangling-node removal).
 
 use crate::aig::{Aig, Lit, Node};
 
@@ -41,128 +37,12 @@ pub fn sweep(aig: &Aig) -> Aig {
     out
 }
 
-/// Re-associates AND trees to minimize depth (classic `balance`).
-///
-/// Single-fanout chains of uncomplemented ANDs are collected into one
-/// n-ary AND and rebuilt as a balanced tree ordered by operand depth.
-pub fn balance(aig: &Aig) -> Aig {
-    let mut out = Aig::new();
-    let fan = aig.fanouts();
-    let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
-
-    // Collect the leaves of the maximal single-output AND tree rooted at `id`.
-    fn collect(
-        aig: &Aig,
-        fan: &[u32],
-        lit: Lit,
-        root: bool,
-        leaves: &mut Vec<Lit>,
-    ) {
-        let id = lit.node();
-        if !root {
-            // A complemented edge, a multi-fanout node, or a non-AND node is
-            // a leaf of the tree.
-            let expandable = !lit.is_neg()
-                && fan[id as usize] == 1
-                && matches!(aig.node(id), Node::And(..));
-            if !expandable {
-                leaves.push(lit);
-                return;
-            }
-        }
-        match aig.node(id) {
-            Node::And(a, b) => {
-                collect(aig, fan, a, false, leaves);
-                collect(aig, fan, b, false, leaves);
-            }
-            _ => leaves.push(lit),
-        }
-    }
-
-    // Incrementally tracked depth of every node in `out` (indexed by node id).
-    let mut depth: Vec<u32> = vec![0];
-    let and_tracked = |out: &mut Aig, depth: &mut Vec<u32>, a: Lit, b: Lit| -> Lit {
-        let l = out.and(a, b);
-        let id = l.node() as usize;
-        if id >= depth.len() {
-            depth.resize(id + 1, 0);
-            let da = depth[a.node() as usize];
-            let db = depth[b.node() as usize];
-            depth[id] = 1 + da.max(db);
-        }
-        l
-    };
-
-    let live = aig.live_nodes();
-    for (id, node) in aig.iter_nodes() {
-        match node {
-            Node::Const => map[id as usize] = Lit::FALSE,
-            Node::Input(idx) => {
-                let info = &aig.inputs()[idx as usize];
-                let l = out.input(info.name.clone(), info.kind);
-                if l.node() as usize >= depth.len() {
-                    depth.resize(l.node() as usize + 1, 0);
-                }
-                map[id as usize] = l;
-            }
-            Node::And(..) => {
-                if !live[id as usize] {
-                    continue;
-                }
-                let mut leaves = Vec::new();
-                collect(aig, &fan, Lit::new(id, false), true, &mut leaves);
-                // Translate leaves into the new graph and sort by depth so
-                // the balanced reduction pairs shallow operands first.
-                let mut xs: Vec<(u32, Lit)> = leaves
-                    .iter()
-                    .map(|l| {
-                        let nl = map[l.node() as usize] ^ l.is_neg();
-                        (depth[nl.node() as usize], nl)
-                    })
-                    .collect();
-                xs.sort_by_key(|&(d, l)| (d, l.raw()));
-                // Huffman-style pairing: always AND the two shallowest.
-                while xs.len() > 1 {
-                    let (d0, a) = xs.remove(0);
-                    let (d1, b) = xs.remove(0);
-                    let l = and_tracked(&mut out, &mut depth, a, b);
-                    let d = d0.max(d1) + 1;
-                    let pos = xs.partition_point(|&(dd, _)| dd <= d);
-                    xs.insert(pos, (d, l));
-                }
-                map[id as usize] = xs.pop().map(|(_, l)| l).unwrap_or(Lit::TRUE);
-            }
-        }
-    }
-    for (name, l) in aig.outputs() {
-        out.add_output(name.clone(), map[l.node() as usize] ^ l.is_neg());
-    }
-    out
-}
-
-/// Runs sweep and balance until the (gate count, depth) pair stops improving.
-pub fn optimize(aig: &Aig) -> Aig {
-    let mut cur = sweep(aig);
-    let mut best = (cur.num_ands(), cur.depth());
-    for _ in 0..4 {
-        let b = sweep(&balance(&cur));
-        let score = (b.num_ands(), b.depth());
-        if (score.0 <= best.0 && score.1 <= best.1 && score != best) || score.1 < best.1 {
-            best = score;
-            cur = b;
-        } else {
-            break;
-        }
-    }
-    cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aig::InputKind;
     use crate::fxhash::FxHashMap;
-    use crate::sim::{exhaustive_equiv, random_equiv};
+    use crate::sim::exhaustive_equiv;
 
     #[test]
     fn sweep_removes_dead_logic() {
@@ -174,51 +54,7 @@ mod tests {
         g.add_output("o", live);
         let s = sweep(&g);
         assert_eq!(s.num_ands(), 1);
+        assert_eq!(s.outputs()[0].0, "o", "outputs keep their names");
         assert!(exhaustive_equiv(&g, &s, &FxHashMap::default()).is_equivalent());
-    }
-
-    #[test]
-    fn balance_reduces_chain_depth() {
-        let mut g = Aig::new();
-        let xs: Vec<_> = (0..16)
-            .map(|i| g.input(format!("x{i}"), InputKind::Regular))
-            .collect();
-        // Deliberately build a linear chain: depth 15.
-        let mut acc = xs[0];
-        for &x in &xs[1..] {
-            acc = g.and(acc, x);
-        }
-        g.add_output("o", acc);
-        assert_eq!(g.depth(), 15);
-        let b = balance(&g);
-        assert_eq!(b.depth(), 4, "16-way AND balances to log2(16)");
-        assert!(random_equiv(&g, &b, &FxHashMap::default(), 4, 5).is_equivalent());
-    }
-
-    #[test]
-    fn optimize_is_sound() {
-        let mut g = Aig::new();
-        let a = g.input("a", InputKind::Regular);
-        let b = g.input("b", InputKind::Regular);
-        let c = g.input("c", InputKind::Regular);
-        let d = g.input("d", InputKind::Regular);
-        let t1 = g.and(a, b);
-        let t2 = g.and(t1, c);
-        let t3 = g.and(t2, d);
-        let u = g.xor(t3, a);
-        g.add_output("o", u);
-        let o = optimize(&g);
-        assert!(exhaustive_equiv(&g, &o, &FxHashMap::default()).is_equivalent());
-        assert!(o.depth() <= g.depth());
-        assert!(o.num_ands() <= g.num_ands());
-    }
-
-    #[test]
-    fn optimize_keeps_outputs_named() {
-        let mut g = Aig::new();
-        let a = g.input("a", InputKind::Regular);
-        g.add_output("keep_me", a);
-        let o = optimize(&g);
-        assert_eq!(o.outputs()[0].0, "keep_me");
     }
 }

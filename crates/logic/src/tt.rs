@@ -156,11 +156,6 @@ impl TruthTable {
         self.bits == 0
     }
 
-    /// True if the function is constant one.
-    pub fn is_one(&self) -> bool {
-        self.bits == Self::mask(self.nvars())
-    }
-
     /// Positive cofactor with respect to `var` (result keeps the arity).
     #[must_use]
     pub fn cofactor1(&self, var: usize) -> Self {
@@ -302,7 +297,6 @@ mod tests {
     #[test]
     fn constants() {
         assert!(TruthTable::zero(4).is_zero());
-        assert!(TruthTable::one(4).is_one());
         assert_eq!(TruthTable::one(4).popcount(), 16);
     }
 }

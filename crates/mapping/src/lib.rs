@@ -6,7 +6,7 @@
 //! * **conventional mapping** ([`map_conventional`]) treats every primary
 //!   input as a regular signal and produces plain K-LUTs — the baseline
 //!   column of Table I;
-//! * **parameterized mapping** ([`map_parameterized`]) is our TCONMAP [4]:
+//! * **parameterized mapping** ([`map_parameterized`]) is our TCONMAP \[4\]:
 //!   it computes, for every cut, a *parameterized truth table* whose
 //!   2^k entries are Boolean functions of the parameter inputs (ROBDDs).
 //!   A cut with ≤ K regular leaves is a **TLUT** candidate; a node whose

@@ -35,16 +35,6 @@ pub struct MapOptions {
     pub k: usize,
     /// Priority cuts kept per node.
     pub cuts_per_node: usize,
-    /// Candidate cuts per node that receive the full (expensive) PTT
-    /// construction and TCON tautology check. Candidates beyond this
-    /// budget — pre-ranked by a cheap LUT-cost bound computed from leaf
-    /// sets alone — are discarded without touching the BDD manager. The
-    /// default preserves the mapping QoR of the test designs and the
-    /// paper PE bit-for-bit (verified against the unlimited enumeration)
-    /// while cutting mapping time ~20 % on the paper-scale PE.
-    pub cut_eval_limit: usize,
-    /// Extract TCONs (parameterized flow) or produce LUTs only.
-    pub use_tcons: bool,
     /// Memoize per-cut BDD results across the whole map. Structurally
     /// repeated cones (ripple chains, bit-sliced datapaths) reach the
     /// same interned PTT signature over and over; with the cache on, the
@@ -59,17 +49,22 @@ pub struct MapOptions {
 
 impl Default for MapOptions {
     fn default() -> Self {
-        Self { k: 4, cuts_per_node: 6, cut_eval_limit: 12, use_tcons: true, cut_cache: true }
+        Self { k: 4, cuts_per_node: 6, cut_cache: true }
     }
 }
 
+/// Candidate cuts per node that receive the full (expensive) PTT
+/// construction and TCON tautology check. Candidates beyond this budget —
+/// pre-ranked by a cheap LUT-cost bound computed from leaf sets alone —
+/// are discarded without touching the BDD manager. The value preserves
+/// the mapping QoR of the test designs and the paper PE bit-for-bit
+/// (verified against the unlimited enumeration) while cutting mapping
+/// time ~20 % on the paper-scale PE.
+const CUT_EVAL_LIMIT: usize = 12;
+
 /// Work counters for one mapping run — how often the per-cut caches
-/// ([`MapOptions::cut_cache`]) short-circuited BDD work.
-///
-/// This is a *view*: [`run_map`] records into a `trace::Registry`
-/// (metric names `map.*`) and materializes this struct from the
-/// counters on return, so the struct's public shape is unchanged while
-/// the numbers share the observability plumbing everything else uses.
+/// ([`MapOptions::cut_cache`]) short-circuited BDD work. The `map` span
+/// carries the same four numbers as end-args.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapEffort {
     /// TCON tautology checks requested (cache hits + misses).
@@ -85,7 +80,7 @@ pub struct MapEffort {
 /// Conventional flow: parameters are treated as regular inputs and the
 /// result contains only plain LUTs (the Table I baseline).
 pub fn map_conventional(aig: &Aig, opts: MapOptions) -> MappedDesign {
-    run_map(aig, MapOptions { use_tcons: false, ..opts }, false).0
+    run_map(aig, opts, false).0
 }
 
 /// Parameterized flow: honors `InputKind::Param`, extracts TLUTs and TCONs.
@@ -239,6 +234,9 @@ fn prune_lut(leaves: &[u32], ptt: &[Bdd]) -> (Vec<u32>, Vec<Bdd>) {
     (new_leaves, new_ptt)
 }
 
+/// The mapper. `honor_params` selects the flow: set, `InputKind::Param`
+/// inputs fold into PTTs and TCONs are extracted; clear, every input is a
+/// regular one and no TCON check runs.
 fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, MapEffort) {
     assert!(opts.k >= 2 && opts.k <= 6);
     let mut map_span = trace::span("map");
@@ -248,13 +246,8 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     let live = aig.live_nodes();
     // Per-cut memo tables ([`MapOptions::cut_cache`]). Keys are interned
     // handle vectors, so key equality is function equality; values replay
-    // the exact handles the original computation produced. The effort
-    // counters live in a registry; `MapEffort` is read off it at return.
-    let effort_reg = trace::Registry::new();
-    let ptt_merges = effort_reg.counter("map.ptt_merges");
-    let ptt_cache_hits = effort_reg.counter("map.ptt_cache_hits");
-    let tcon_checks = effort_reg.counter("map.tcon_checks");
-    let tcon_cache_hits = effort_reg.counter("map.tcon_cache_hits");
+    // the exact handles the original computation produced.
+    let mut effort = MapEffort::default();
     let mut tcon_cache: FxHashMap<Vec<Bdd>, Option<TconCand>> = FxHashMap::default();
     let mut ptt_cache: FxHashMap<(Vec<Bdd>, Vec<Bdd>), Vec<Bdd>> = FxHashMap::default();
 
@@ -387,9 +380,9 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 }
                 // Phase 2 — rank by the cheap bound and run the expensive
                 // PTT construction + TCON tautology check only on the best
-                // `cut_eval_limit` candidates. The tie-break on the leaf
+                // `CUT_EVAL_LIMIT` candidates. The tie-break on the leaf
                 // vector keeps the ranking fully deterministic.
-                let eval_budget = opts.cut_eval_limit.max(opts.cuts_per_node).max(1);
+                let eval_budget = CUT_EVAL_LIMIT.max(opts.cuts_per_node);
                 if cands.len() > eval_budget {
                     cands.sort_by(|x, y| {
                         x.3.cmp(&y.3)
@@ -407,11 +400,11 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                     let eb = expand_ptt(&cb.ptt, &cb.leaves, &leaves);
                     let fa = if a.is_neg() { negate_ptt(&mut bdd, &ea) } else { ea };
                     let fb = if b.is_neg() { negate_ptt(&mut bdd, &eb) } else { eb };
-                    ptt_merges.inc();
+                    effort.ptt_merges += 1;
                     let ptt = if opts.cut_cache {
                         match ptt_cache.get(&(fa.clone(), fb.clone())) {
                             Some(p) => {
-                                ptt_cache_hits.inc();
+                                effort.ptt_cache_hits += 1;
                                 p.clone()
                             }
                             None => {
@@ -424,13 +417,13 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         and_ptt(&mut bdd, &fa, &fb)
                     };
                     let k = leaves.len();
-                    let tcon = if !opts.use_tcons {
+                    let tcon = if !honor_params {
                         None
                     } else if opts.cut_cache {
-                        tcon_checks.inc();
+                        effort.tcon_checks += 1;
                         match tcon_cache.get(&ptt) {
                             Some(c) => {
-                                tcon_cache_hits.inc();
+                                effort.tcon_cache_hits += 1;
                                 c.clone()
                             }
                             None => {
@@ -440,7 +433,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                             }
                         }
                     } else {
-                        tcon_checks.inc();
+                        effort.tcon_checks += 1;
                         tcon_check(&mut bdd, &ptt, k)
                     };
                     // Arrival and area flow: TCONs are free logic-wise;
@@ -709,12 +702,6 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     }
     drop(emit_span);
 
-    let effort = MapEffort {
-        tcon_checks: tcon_checks.get() as usize,
-        tcon_cache_hits: tcon_cache_hits.get() as usize,
-        ptt_merges: ptt_merges.get() as usize,
-        ptt_cache_hits: ptt_cache_hits.get() as usize,
-    };
     map_span.arg("luts", nodes.len());
     map_span.arg("ptt_merges", effort.ptt_merges);
     map_span.arg("ptt_cache_hits", effort.ptt_cache_hits);

@@ -6,7 +6,8 @@
 //! * [`ParEngine::run`] — netlist in, [`ParReport`] out (auto-sized
 //!   fabric, multi-seed placement, warm-started width search);
 //! * [`ParEngine::min_channel_width`] — the width search alone, with the
-//!   per-probe effort log;
+//!   per-probe effort log ([`ParEngine::min_channel_width_reference`] is
+//!   the cold linear scan the tests compare it against);
 //! * [`ParEngine::route`] — one routing run on a prebuilt graph.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
@@ -19,32 +20,20 @@
 use crate::incr::{route_core, Knobs};
 use crate::netlist::ParNetlist;
 use crate::tplace::{place_multi_seed_on, Placement};
-use crate::troute::{audit, RouteOptions, RouteResult, Unroutable};
+use crate::troute::{audit, RouteResult, Unroutable};
 use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 
-/// Every knob of the engine.
+/// Every knob of the engine. The PathFinder parameters and the partition
+/// halo are constants beside the router core (`incr.rs`).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// PathFinder parameters.
-    pub route: RouteOptions,
     /// Placement seeds; all are annealed, the best placement wins.
     pub seeds: Vec<u64>,
     /// Worker threads for placement seeds and routing waves.
     /// `0` = one per available CPU. Never changes results.
     pub threads: usize,
-    /// Seed each width probe from the previous successful width's routes.
-    pub warm_start: bool,
-    /// Cold linear width scan instead of doubling + binary search (the
-    /// reference the equivalence tests compare against).
-    pub linear_scan: bool,
-    /// After the warm binary search concludes, re-probe the final `W−1`
-    /// failure **cold** so the reported minimum carries a proof-grade
-    /// certificate (warm verdicts are de-biased but still heuristic).
-    /// Costs at most one extra failing probe, bounded by the stall
-    /// detector like any other hopeless width.
-    pub certify: bool,
     /// Width search floor.
     pub min_width: usize,
     /// Width search ceiling; failing here aborts.
@@ -61,27 +50,19 @@ pub struct EngineOptions {
     /// (≈ one region per 12 tile columns, capped at 8). Results never
     /// depend on it.
     pub partitions: usize,
-    /// Safety margin (tiles) around partition borders; nets whose boxes
-    /// come this close to a border commit in order on the coordinator.
-    pub halo: f32,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         Self {
-            route: RouteOptions::default(),
             seeds: vec![1],
             threads: 0,
-            warm_start: true,
-            linear_scan: false,
-            certify: true,
             // The paper's designs need ~10 tracks; probing widths far below
             // that wastes PathFinder iterations on hopeless congestion.
             min_width: 6,
             max_width: 96,
             audit_waves: false,
             partitions: 0,
-            halo: 1.0,
         }
     }
 }
@@ -138,11 +119,7 @@ impl ParEngine {
     }
 
     fn knobs(&self) -> Knobs {
-        Knobs {
-            threads: self.threads(),
-            partitions: self.opts.partitions,
-            halo: self.opts.halo,
-        }
+        Knobs { threads: self.threads(), partitions: self.opts.partitions }
     }
 
     /// Multi-seed placement on at most [`ParEngine::threads`] workers.
@@ -157,7 +134,7 @@ impl ParEngine {
         placement: &Placement,
         graph: &RouteGraph,
     ) -> Result<RouteResult, Unroutable> {
-        route_core(netlist, placement, graph, self.opts.route, self.knobs(), None, None, None)
+        route_core(netlist, placement, graph, self.knobs(), None, None, None)
     }
 
     /// One routing run on a prebuilt graph with the wave-schedule auditor
@@ -175,16 +152,8 @@ impl ParEngine {
         graph: &RouteGraph,
     ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
         let mut auditor = verify::WaveAuditor::new();
-        let r = route_core(
-            netlist,
-            placement,
-            graph,
-            self.opts.route,
-            self.knobs(),
-            None,
-            Some(&mut auditor),
-            None,
-        );
+        let r =
+            route_core(netlist, placement, graph, self.knobs(), None, Some(&mut auditor), None);
         (r, auditor.finish())
     }
 
@@ -199,20 +168,13 @@ impl ParEngine {
         graph: &RouteGraph,
     ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
         let mut plans: Vec<verify::PartitionPlan> = Vec::new();
-        let r = route_core(
-            netlist,
-            placement,
-            graph,
-            self.opts.route,
-            self.knobs(),
-            None,
-            None,
-            Some(&mut plans),
-        );
+        let r = route_core(netlist, placement, graph, self.knobs(), None, None, Some(&mut plans));
         (r, verify::Verifier::new().verify_partition(&plans))
     }
 
-    /// Minimum-channel-width search with the per-probe effort log.
+    /// Minimum-channel-width search with the per-probe effort log:
+    /// doubling + binary with warm-started probes, the reported minimum
+    /// always certified (see [`WidthCertificate`]).
     pub fn min_channel_width(
         &self,
         netlist: &ParNetlist,
@@ -220,6 +182,19 @@ impl ParEngine {
         arch: FabricArch,
     ) -> Option<WidthSearch> {
         warm::search(netlist, placement, arch, &self.opts, self.knobs())
+    }
+
+    /// The reference [`ParEngine::min_channel_width`] must agree with: a
+    /// cold linear scan up from `min_width` — no lower bound, no estimate,
+    /// no warm starts — which certifies itself because every verdict
+    /// below its minimum is a cold failure.
+    pub fn min_channel_width_reference(
+        &self,
+        netlist: &ParNetlist,
+        placement: &Placement,
+        arch: FabricArch,
+    ) -> Option<WidthSearch> {
+        warm::reference(netlist, placement, arch, &self.opts, self.knobs())
     }
 
     /// End-to-end: size a fabric, place, search the minimum width.
@@ -339,7 +314,7 @@ mod tests {
         if rep.min_channel_width > engine.opts.min_width {
             // One narrower must fail (that's what "minimum" means).
             let graph = RouteGraph::build(rep.arch, rep.min_channel_width - 1);
-            let narrower = crate::troute::route(&nl, &rep.placement, &graph, engine.opts.route);
+            let narrower = engine.route(&nl, &rep.placement, &graph);
             assert!(narrower.is_err(), "width was not minimal");
         }
     }

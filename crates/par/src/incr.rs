@@ -1,9 +1,8 @@
 //! The incremental PathFinder core: bounding-box-confined A*, a dirty-net
 //! worklist, and deterministic wave parallelism.
 //!
-//! This module is the engine behind both [`crate::troute::route`] and the
-//! [`crate::engine::ParEngine`] facade. It differs from a textbook
-//! PathFinder loop in three ways:
+//! This module is the engine behind the [`crate::engine::ParEngine`]
+//! facade. It differs from a textbook PathFinder loop in four ways:
 //!
 //! * **Incremental rip-up-and-reroute.** Occupancy and history live in a
 //!   [`fabric::rrg::NodeState`] that is updated in place; per iteration
@@ -35,7 +34,7 @@
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
-use crate::troute::{RouteOptions, RouteResult, Unroutable};
+use crate::troute::{RouteResult, Unroutable};
 use fabric::rrg::{NodeState, RouteGraph};
 use logic::fxhash::FxHashSet;
 use std::cmp::Reverse;
@@ -53,17 +52,29 @@ pub(crate) struct Knobs {
     /// fabric size, `1` disables the partition path). Results do not
     /// depend on it.
     pub partitions: usize,
-    /// Safety margin (tiles) around region borders: a net whose effective
-    /// box comes within `halo` of a border is classified boundary-crossing
-    /// and committed in order on the coordinator.
-    pub halo: f32,
 }
 
-impl Default for Knobs {
-    fn default() -> Self {
-        Self { threads: 1, partitions: 1, halo: 1.0 }
-    }
-}
+/// Maximum PathFinder iterations before giving up.
+const MAX_ITERS: usize = 30;
+/// Initial present-congestion factor.
+const FIRST_PRES_FAC: f64 = 0.5;
+/// Multiplier on the present-congestion factor per iteration.
+const PRES_FAC_MULT: f64 = 1.8;
+/// History cost accumulation factor.
+const ACC_FAC: f64 = 1.0;
+/// A* directedness (1.0 = admissible-ish, >1 trades quality for speed).
+const ASTAR_FAC: f64 = 1.2;
+/// Abort early when the best overuse count has not improved by ≥3 % for
+/// this many consecutive iterations *while overuse is still massive*
+/// (> nets/16 + 64 wires) — the signature of a hopelessly narrow channel.
+/// Near-feasible widths plateau far below the threshold and always get
+/// their full `MAX_ITERS` budget.
+const STALL_ITERS: usize = 6;
+
+/// Safety margin (tiles) around partition borders: a net whose effective
+/// box comes within `HALO` of a border is classified boundary-crossing
+/// and committed in order on the coordinator.
+const HALO: f32 = 1.0;
 
 /// Fabric-size-derived partition count (used when `EngineOptions::
 /// partitions == 0`): one column region per ~12 tile columns, capped at 8.
@@ -159,11 +170,9 @@ fn dist(a: (f32, f32), b: (f32, f32)) -> f32 {
 /// Returns the sorted node set of the tree, or `None` if some sink is
 /// unreachable within the box. Pure in its inputs: independent of which
 /// scratch/thread executes it.
-#[allow(clippy::too_many_arguments)]
 fn route_net(
     graph: &RouteGraph,
     state: &NodeState,
-    opts: &RouteOptions,
     pres_fac: f64,
     srcs: &[u32],
     sinks: &[u32],
@@ -194,7 +203,7 @@ fn route_net(
                     }
                     cost_to[node as usize] = c;
                     prev[node as usize] = $from;
-                    let h = dist(graph.location_f32(node), tloc) as f64 * opts.astar_fac;
+                    let h = dist(graph.location_f32(node), tloc) as f64 * ASTAR_FAC;
                     heap.push((Reverse(((c as f64 + h) * 1024.0) as u64), node));
                 }
             }};
@@ -271,12 +280,10 @@ fn build_waves(dirty: &[u32], bboxes: &[BBox]) -> Vec<Vec<usize>> {
 /// to the parallel execution because each member's search is pure in the
 /// immutable pre-wave snapshot, so serialization only changes *who* runs
 /// a member, never what it touches.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn route_core(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    opts: RouteOptions,
     knobs: Knobs,
     seed_trees: Option<Vec<Vec<u32>>>,
     mut auditor: Option<&mut WaveAuditor>,
@@ -371,7 +378,7 @@ pub(crate) fn route_core(
     // first use and refreshed (clone_from, no realloc) each partitioned
     // iteration.
     let mut replicas: Vec<NodeState> = Vec::new();
-    let mut pres_fac = opts.first_pres_fac;
+    let mut pres_fac = FIRST_PRES_FAC;
     let mut ripups = 0usize;
     let mut waves_total = 0usize;
     let mut interior_routes = 0usize;
@@ -388,7 +395,7 @@ pub(crate) fn route_core(
     let mut rips_of: Vec<u16> = vec![0; n_nets];
     let mut last_overused = usize::MAX;
 
-    for iter in 0..opts.max_iters {
+    for iter in 0..MAX_ITERS {
         let mut iter_span = trace::span("par.route_iter");
         iter_span.arg("iter", iter);
         // Dirty worklist: unrouted nets and nets crossing an overused wire.
@@ -460,7 +467,7 @@ pub(crate) fn route_core(
                     let bb = eff[pos];
                     regions
                         .iter()
-                        .position(|&(lo, hi)| bb.x0 - knobs.halo >= lo && bb.x1 + knobs.halo <= hi)
+                        .position(|&(lo, hi)| bb.x0 - HALO >= lo && bb.x1 + HALO <= hi)
                 })
                 .collect()
         } else {
@@ -472,7 +479,7 @@ pub(crate) fn route_core(
                 p.push(PartitionPlan {
                     iteration: iter,
                     regions: regions.clone(),
-                    halo: knobs.halo,
+                    halo: HALO,
                     executed: use_partition,
                     tasks: order
                         .iter()
@@ -520,7 +527,6 @@ pub(crate) fn route_core(
             deferred = route_partitioned(
                 graph,
                 &mut state,
-                &opts,
                 pres_fac,
                 &dirty,
                 &order,
@@ -561,12 +567,12 @@ pub(crate) fn route_core(
                 }
                 let results = if let Some(aud) = auditor.as_deref_mut() {
                     audited_wave(
-                        graph, &state, &opts, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
+                        graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
                         &mut scratches[0], &old_writes, iter, aud,
                     )
                 } else {
                     route_wave(
-                        graph, &state, &opts, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
+                        graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
                         &mut scratches,
                     )
                 };
@@ -605,7 +611,6 @@ pub(crate) fn route_core(
                 if let Some(tree) = route_net(
                     graph,
                     &state,
-                    &opts,
                     pres_fac,
                     &srcs[net as usize],
                     &sinks[net as usize],
@@ -621,7 +626,7 @@ pub(crate) fn route_core(
             }
         }
 
-        let overused = state.accrue_history(opts.acc_fac);
+        let overused = state.accrue_history(ACC_FAC);
         last_overused = overused;
         iter_span.arg("ripups", ripups);
         iter_span.arg("overused", overused);
@@ -648,7 +653,7 @@ pub(crate) fn route_core(
                 region_occupancy,
             ));
         }
-        if iter + 1 == opts.max_iters {
+        if iter + 1 == MAX_ITERS {
             // A cold-equivalent verdict (no frozen warm trees biasing the
             // congestion) reports its worst-cut residual so the width
             // search can advance `lo` past hopeless widths.
@@ -670,8 +675,8 @@ pub(crate) fn route_core(
         } else {
             best_overused = best_overused.min(overused);
             stalled += 1;
-            if opts.stall_iters > 0 && overused > n_nets / 16 + 64 {
-                if stalled >= opts.stall_iters {
+            if overused > n_nets / 16 + 64 {
+                if stalled >= STALL_ITERS {
                     if warm_n > 0 {
                         // Never let warm bias manufacture an "unroutable":
                         // dissolve the remaining frozen routes and give the
@@ -705,7 +710,7 @@ pub(crate) fn route_core(
                 stalled = 0;
             }
         }
-        pres_fac *= opts.pres_fac_mult;
+        pres_fac *= PRES_FAC_MULT;
     }
     unreachable!("loop returns before exhausting iterations")
 }
@@ -718,7 +723,6 @@ pub(crate) fn route_core(
 fn route_wave(
     graph: &RouteGraph,
     state: &NodeState,
-    opts: &RouteOptions,
     pres_fac: f64,
     dirty: &[u32],
     wave: &[usize],
@@ -730,7 +734,7 @@ fn route_wave(
     let run_one = |pos: usize, scratch: &mut Scratch| -> (u32, Option<Vec<u32>>) {
         let net = dirty[pos] as usize;
         let tree = route_net(
-            graph, state, opts, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
+            graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
         );
         (net as u32, tree)
     };
@@ -766,7 +770,6 @@ fn route_wave(
 fn audited_wave(
     graph: &RouteGraph,
     state: &NodeState,
-    opts: &RouteOptions,
     pres_fac: f64,
     dirty: &[u32],
     wave: &[usize],
@@ -785,7 +788,7 @@ fn audited_wave(
         scratch.reads.clear();
         let net = dirty[pos] as usize;
         let tree = route_net(
-            graph, state, opts, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
+            graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
         );
         let mut reads = std::mem::take(&mut scratch.reads);
         reads.sort_unstable();
@@ -816,7 +819,6 @@ fn audited_wave(
 fn route_partitioned(
     graph: &RouteGraph,
     state: &mut NodeState,
-    opts: &RouteOptions,
     pres_fac: f64,
     dirty: &[u32],
     order: &[usize],
@@ -928,7 +930,6 @@ fn route_partitioned(
                     let tree = route_net(
                         graph,
                         replica,
-                        opts,
                         pres_fac,
                         &srcs[t.net as usize],
                         &sinks[t.net as usize],
@@ -996,7 +997,6 @@ fn route_partitioned(
             let tree = route_net(
                 graph,
                 state,
-                opts,
                 pres_fac,
                 &srcs[b.net as usize],
                 &sinks[b.net as usize],

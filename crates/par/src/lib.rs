@@ -1,6 +1,6 @@
 //! TPLACE and TROUTE: place & route for (parameterized) FPGA designs.
 //!
-//! This crate reproduces the role of the TPaR CAD tools [11] used in the
+//! This crate reproduces the role of the TPaR CAD tools \[11\] used in the
 //! paper's evaluation:
 //!
 //! * [`netlist`] — flattens a mapped design into placeable blocks and
@@ -12,7 +12,7 @@
 //!   wirelength cost (multi-seed parallel variant included);
 //! * [`troute`] — PathFinder-style negotiated-congestion routing on the
 //!   fabric's routing-resource graph, with A* directed expansion;
-//! * [`incr`] — the incremental router core: in-place occupancy/history,
+//! * `incr` — the incremental router core: in-place occupancy/history,
 //!   dirty-net worklist, per-net A* bounding boxes with staged expansion,
 //!   and deterministic wave parallelism (bit-identical for any thread
 //!   count);
@@ -33,8 +33,8 @@ pub mod warm;
 
 pub use engine::{EngineOptions, ParEngine, ParReport};
 pub use netlist::{extract, Block, BlockKind, Net, ParNetlist};
-pub use tplace::{place, place_multi_seed, place_multi_seed_on, Placement};
-pub use troute::{route, RouteOptions, RouteResult};
+pub use tplace::{place, place_multi_seed_on, Placement};
+pub use troute::RouteResult;
 pub use warm::{
     channel_width_estimate, channel_width_lower_bound, WidthCertificate, WidthProbe, WidthSearch,
 };

@@ -3,7 +3,7 @@
 //! Classic VPR-style annealer: half-perimeter wirelength cost with a
 //! fanout correction factor, adaptive temperature schedule, and a range
 //! limit that shrinks as the anneal cools. Logic blocks move over logic
-//! sites, pads over I/O sites. [`place_multi_seed`] runs independent
+//! sites, pads over I/O sites. [`place_multi_seed_on`] runs independent
 //! anneals on scoped threads (one per seed) and keeps the best — the
 //! embarrassingly parallel pattern the hpc-parallel guides recommend.
 
@@ -265,16 +265,10 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
     Placement { site_of: st.site_of, cost: st.cost }
 }
 
-/// Runs several independent anneals in parallel (one thread per seed) and
-/// returns the lowest-cost placement.
-pub fn place_multi_seed(netlist: &ParNetlist, arch: FabricArch, seeds: &[u64]) -> Placement {
-    place_multi_seed_on(netlist, arch, seeds, seeds.len())
-}
-
-/// [`place_multi_seed`] with a worker cap: seeds are split into at most
-/// `threads` contiguous chunks, one scoped thread each. The winner is the
-/// lowest-cost placement, ties broken by seed order — so the result never
-/// depends on the thread count.
+/// Runs one independent anneal per seed and returns the lowest-cost
+/// placement. Seeds are split into at most `threads` contiguous chunks,
+/// one scoped thread each; ties are broken by seed order — so the result
+/// never depends on the thread count.
 pub fn place_multi_seed_on(
     netlist: &ParNetlist,
     arch: FabricArch,
@@ -373,7 +367,7 @@ mod tests {
     fn multi_seed_picks_best() {
         let nl = chain_netlist(10);
         let arch = FabricArch::paper_4lut(5);
-        let best = place_multi_seed(&nl, arch, &[1, 2, 3, 4]);
+        let best = place_multi_seed_on(&nl, arch, &[1, 2, 3, 4], 2);
         for s in [1u64, 2, 3, 4] {
             let single = place(&nl, arch, s);
             assert!(best.cost <= single.cost + 1e-9);

@@ -14,51 +14,15 @@
 //! LUT budget at *zero* channel-width overhead.
 //!
 //! Since the `par-engine` rework the actual search loop lives in
-//! [`crate::incr`] (incremental rip-up, bounding boxes, wave
-//! parallelism); this module keeps the router's public types, the
-//! single-shot [`route`] entry point (the incremental core on one
-//! thread), and the [`audit`] used by tests and benches.
+//! `incr.rs` (incremental rip-up, bounding boxes, wave parallelism, and
+//! the PathFinder constants); this module keeps the router's public
+//! types and the [`audit`] used by tests and benches. One routing run on
+//! a prebuilt graph is [`crate::engine::ParEngine::route`].
 
-use crate::incr::{route_core, Knobs};
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
 use fabric::rrg::RouteGraph;
 use verify::NetTerminals;
-
-/// Router options.
-#[derive(Debug, Clone, Copy)]
-pub struct RouteOptions {
-    /// Maximum PathFinder iterations before giving up.
-    pub max_iters: usize,
-    /// Initial present-congestion factor.
-    pub first_pres_fac: f64,
-    /// Multiplier on the present-congestion factor per iteration.
-    pub pres_fac_mult: f64,
-    /// History cost accumulation factor.
-    pub acc_fac: f64,
-    /// A* directedness (1.0 = admissible-ish, >1 trades quality for speed).
-    pub astar_fac: f64,
-    /// Abort early when the best overuse count has not improved by ≥3 %
-    /// for this many consecutive iterations *while overuse is still
-    /// massive* (> nets/16 + 64 wires) — the signature of a hopelessly
-    /// narrow channel. `0` disables the stall detector. Near-feasible
-    /// widths plateau far below the threshold and always get their full
-    /// `max_iters` budget.
-    pub stall_iters: usize,
-}
-
-impl Default for RouteOptions {
-    fn default() -> Self {
-        Self {
-            max_iters: 30,
-            first_pres_fac: 0.5,
-            pres_fac_mult: 1.8,
-            acc_fac: 1.0,
-            astar_fac: 1.2,
-            stall_iters: 6,
-        }
-    }
-}
 
 /// Result of a successful routing run.
 pub struct RouteResult {
@@ -106,17 +70,6 @@ pub struct Unroutable {
     /// otherwise. Dividing by the cut separator width gives the width
     /// search a per-failure `lo` advance sharper than `w + 1`.
     pub worst_cut_overuse: usize,
-}
-
-/// Routes a placed netlist on the given routing-resource graph: the
-/// incremental core on a single thread.
-pub fn route(
-    netlist: &ParNetlist,
-    placement: &Placement,
-    graph: &RouteGraph,
-    opts: RouteOptions,
-) -> Result<RouteResult, Unroutable> {
-    route_core(netlist, placement, graph, opts, Knobs::default(), None, None, None)
 }
 
 /// Terminal sets of every net, lifted into RRG node space — the input the
@@ -167,9 +120,14 @@ pub fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineOptions, ParEngine};
     use crate::netlist::{Block, BlockKind, Net, ParNetlist};
     use crate::tplace::place;
     use fabric::arch::FabricArch;
+
+    fn route(nl: &ParNetlist, p: &Placement, g: &RouteGraph) -> Result<RouteResult, Unroutable> {
+        ParEngine::new(EngineOptions::default()).route(nl, p, g)
+    }
 
     fn tiny() -> (ParNetlist, Placement, RouteGraph) {
         let blocks = vec![
@@ -195,7 +153,7 @@ mod tests {
     #[test]
     fn tiny_design_routes_and_audits() {
         let (nl, p, g) = tiny();
-        let r = route(&nl, &p, &g, RouteOptions::default()).expect("routable");
+        let r = route(&nl, &p, &g).expect("routable");
         assert!(r.wirelength > 0);
         assert!(r.ripups >= nl.nets.len());
         audit(&nl, &p, &g, &r).expect("audit clean");
@@ -218,7 +176,7 @@ mod tests {
         let arch = FabricArch::paper_4lut(3);
         let p = place(&nl, arch, 1);
         let g = RouteGraph::build(arch, 6);
-        let r = route(&nl, &p, &g, RouteOptions::default()).expect("routable");
+        let r = route(&nl, &p, &g).expect("routable");
         audit(&nl, &p, &g, &r).expect("audit");
         assert!(r.tunable_wirelength > 0);
         assert!(r.tcon_switches > 0);
@@ -244,10 +202,9 @@ mod tests {
         let arch = FabricArch::paper_4lut(3);
         let p = place(&nl, arch, 2);
         let g = RouteGraph::build(arch, 2);
-        let opts = RouteOptions { max_iters: 8, ..Default::default() };
         // Width 2 may or may not fail; width 8 must succeed.
         let g8 = RouteGraph::build(arch, 8);
-        assert!(route(&nl, &p, &g8, RouteOptions::default()).is_ok());
-        let _ = route(&nl, &p, &g, opts); // must not panic either way
+        assert!(route(&nl, &p, &g8).is_ok());
+        let _ = route(&nl, &p, &g); // must not panic either way
     }
 }

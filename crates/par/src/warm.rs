@@ -8,9 +8,11 @@
 //! net's translated tree is re-validated for connectivity (connection-box
 //! and switch-box patterns are width-dependent, so edges do not
 //! necessarily survive translation), and only broken or congested nets
-//! are rerouted. A cold linear scan is kept behind
-//! `EngineOptions::linear_scan` as the reference; both must find the same
-//! minimum (see the equivalence tests).
+//! are rerouted. After the binary phase the final `W−1` failure is
+//! re-probed cold unless something already proves it, so every reported
+//! minimum carries a [`WidthCertificate`]. A cold linear scan is kept as
+//! the reference ([`crate::engine::ParEngine::min_channel_width_reference`]);
+//! both must find the same minimum (see the equivalence tests).
 
 use crate::engine::EngineOptions;
 use crate::incr::{route_core, Knobs};
@@ -44,11 +46,6 @@ pub struct WidthProbe {
 /// Why the reported minimum is trusted (see [`WidthSearch::certificate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WidthCertificate {
-    /// Certification was disabled (`EngineOptions::certify == false`).
-    /// A cold linear scan never reports this: every verdict below its
-    /// minimum is already cold, so it self-certifies as
-    /// [`WidthCertificate::ColdFailure`] or [`WidthCertificate::Floor`].
-    Uncertified,
     /// `W` equals the search floor (`EngineOptions::min_width`): nothing
     /// below was in scope, so there is no `W−1` verdict to confirm.
     Floor,
@@ -65,16 +62,10 @@ impl WidthCertificate {
     /// Short stable name (for tables and JSON records).
     pub fn name(&self) -> &'static str {
         match self {
-            WidthCertificate::Uncertified => "uncertified",
             WidthCertificate::Floor => "floor",
             WidthCertificate::LowerBound => "lower-bound",
             WidthCertificate::ColdFailure => "cold-failure",
         }
-    }
-
-    /// True when the minimum carries any proof (not `Uncertified`).
-    pub fn is_certified(&self) -> bool {
-        !matches!(self, WidthCertificate::Uncertified)
     }
 }
 
@@ -92,14 +83,16 @@ pub struct WidthSearch {
     /// Strongest overuse-sharpened claim the search made: the highest
     /// `w + ⌈worst-cut overuse / separator⌉` advance derived from any
     /// cold-equivalent *failed* probe (`0` when the rule never fired).
-    /// Heuristic, not proof — the certify loop repairs any overshoot —
-    /// but `tests/determinism.rs` property-checks it never exceeds the
-    /// cold `linear_scan` minimum in practice.
+    /// Heuristic, not proof — the certification loop repairs any
+    /// overshoot — but `tests/determinism.rs` property-checks it never
+    /// exceeds the cold reference scan's minimum in practice.
     pub overuse_lo: usize,
     /// Proof-grade backing for "`min_width` is minimal": the warm binary
     /// search takes de-biased warm verdicts at face value, so the final
     /// `W−1` failure is re-probed **cold** after the search concludes
-    /// (unless the floor or the sound lower bound already certifies it).
+    /// (unless the floor or the sound lower bound already certifies it;
+    /// costs at most one extra failing probe, bounded by the stall
+    /// detector like any other hopeless width).
     /// If — against the de-bias design — the cold re-probe *succeeds*,
     /// the search adopts the narrower result and keeps certifying
     /// downward, so the reported minimum is always the certified one.
@@ -160,7 +153,7 @@ pub fn channel_width_lower_bound(
             }
         }
     }
-    let sep = 2 * s + 1;
+    let sep = RouteGraph::separator_per_track(arch);
     cross_v
         .iter()
         .chain(cross_h.iter())
@@ -238,12 +231,10 @@ pub fn channel_width_estimate(
     ((peak * 1.6).ceil() as usize).max(2)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn probe(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    opts: &EngineOptions,
     knobs: Knobs,
     seed: Option<Vec<Vec<u32>>>,
     confirm: bool,
@@ -266,7 +257,7 @@ fn probe(
     probe_span.arg("warm_nets", warm_nets);
     probe_span.arg("confirm", confirm);
     let t0 = std::time::Instant::now();
-    let r = route_core(netlist, placement, graph, opts.route, knobs, seed, None, None);
+    let r = route_core(netlist, placement, graph, knobs, seed, None, None);
     let seconds = t0.elapsed().as_secs_f64();
     let (success, iterations, ripups) = match &r {
         Ok(res) => (true, res.iterations, res.ripups),
@@ -365,8 +356,40 @@ fn translate_trees(
         .collect()
 }
 
-/// Runs the width search configured by `opts` (binary + warm starts by
-/// default, cold linear scan when `opts.linear_scan`).
+/// The cold reference scan: linear from `opts.min_width`, no bound, no
+/// warm starts. Every verdict below the minimum is cold already, so the
+/// scan certifies itself.
+pub(crate) fn reference(
+    netlist: &ParNetlist,
+    placement: &Placement,
+    arch: FabricArch,
+    opts: &EngineOptions,
+    knobs: Knobs,
+) -> Option<WidthSearch> {
+    let mut probes = Vec::new();
+    for w in opts.min_width..=opts.max_width {
+        let graph = RouteGraph::build(arch, w);
+        if let Ok(r) = probe(netlist, placement, &graph, knobs, None, false, &mut probes) {
+            let certificate = if w > opts.min_width {
+                WidthCertificate::ColdFailure
+            } else {
+                WidthCertificate::Floor
+            };
+            return Some(WidthSearch {
+                min_width: w,
+                result: r,
+                probes,
+                lower_bound: opts.min_width,
+                overuse_lo: 0,
+                certificate,
+            });
+        }
+    }
+    None
+}
+
+/// Runs the width search: doubling + binary with warm-started probes,
+/// then the cold confirmation of the final `W−1` failure.
 pub(crate) fn search(
     netlist: &ParNetlist,
     placement: &Placement,
@@ -375,33 +398,6 @@ pub(crate) fn search(
     knobs: Knobs,
 ) -> Option<WidthSearch> {
     let mut probes = Vec::new();
-
-    if opts.linear_scan {
-        // Cold reference scan: no bound, no warm starts. Every verdict
-        // below the minimum is cold already, so the scan certifies
-        // itself.
-        for w in opts.min_width..=opts.max_width {
-            let graph = RouteGraph::build(arch, w);
-            if let Ok(r) = probe(netlist, placement, &graph, opts, knobs, None, false, &mut probes)
-            {
-                let certificate = if w > opts.min_width {
-                    WidthCertificate::ColdFailure
-                } else {
-                    WidthCertificate::Floor
-                };
-                return Some(WidthSearch {
-                    min_width: w,
-                    result: r,
-                    probes,
-                    lower_bound: opts.min_width,
-                    overuse_lo: 0,
-                    certificate,
-                });
-            }
-        }
-        return None;
-    }
-
     let lower_bound = channel_width_lower_bound(netlist, placement, arch);
     let estimate = channel_width_estimate(netlist, placement, arch);
     if crate::incr::verbose() {
@@ -415,17 +411,14 @@ pub(crate) fn search(
     // instead of grinding a near-cold probe at each. A *successful* probe
     // reports its worst cut's used-wire count; 90 % of `used/sep` (damped
     // — detours inflate usage) floors how low the binary phase bothers
-    // descending. Neither rule is proof: the certify loop still probes the
-    // final `W−1` cold and adopts anything narrower that succeeds, so a
-    // too-aggressive advance costs extra certify probes, never a wrong
-    // minimum. Both rules therefore only fire when the certify loop is
-    // armed to repair them; with `certify` off the search keeps the
-    // legacy conservative advances.
-    let sharpen = opts.certify;
-    let sep = 2 * arch.size + 1;
+    // descending. Neither rule is proof: the certification loop still
+    // probes the final `W−1` cold and adopts anything narrower that
+    // succeeds, so a too-aggressive advance costs extra confirmation
+    // probes, never a wrong minimum.
+    let sep = RouteGraph::separator_per_track(arch);
     let mut overuse_lo = 0usize;
     let fail_advance = |w: usize, e: &Unroutable, lo: &mut usize, overuse_lo: &mut usize| {
-        let adv = if sharpen { e.worst_cut_overuse.div_ceil(sep) } else { 0 };
+        let adv = e.worst_cut_overuse.div_ceil(sep);
         if adv > 1 {
             *overuse_lo = (*overuse_lo).max(w + adv);
             if crate::incr::verbose() {
@@ -450,7 +443,7 @@ pub(crate) fn search(
     let (mut best_w, mut best_r, mut best_g);
     loop {
         let graph = RouteGraph::build(arch, hi);
-        match probe(netlist, placement, &graph, opts, knobs, None, false, &mut probes) {
+        match probe(netlist, placement, &graph, knobs, None, false, &mut probes) {
             Ok(r) => {
                 (best_w, best_r, best_g) = (hi, r, graph);
                 break;
@@ -469,19 +462,15 @@ pub(crate) fn search(
     // successful width's trees, and each verdict sharpens `lo` from its
     // residual cut pressure.
     loop {
-        if sharpen {
-            let floor_est = best_r.worst_cut_used * 9 / 10 / sep;
-            lo = lo.max(floor_est.min(best_w));
-        }
+        let floor_est = best_r.worst_cut_used * 9 / 10 / sep;
+        lo = lo.max(floor_est.min(best_w));
         if lo >= best_w {
             break;
         }
         let mid = (lo + best_w) / 2;
         let graph = RouteGraph::build(arch, mid);
-        let seed = opts
-            .warm_start
-            .then(|| translate_trees(netlist, placement, &best_g, &graph, &best_r.trees));
-        match probe(netlist, placement, &graph, opts, knobs, seed, false, &mut probes) {
+        let seed = translate_trees(netlist, placement, &best_g, &graph, &best_r.trees);
+        match probe(netlist, placement, &graph, knobs, Some(seed), false, &mut probes) {
             Ok(r) => {
                 (best_w, best_r, best_g) = (mid, r, graph);
             }
@@ -496,35 +485,26 @@ pub(crate) fn search(
     // already certifies the verdict. Should the cold probe succeed, adopt
     // the narrower result and keep certifying downward — the reported
     // minimum is always the certified one.
-    let mut certificate = WidthCertificate::Uncertified;
-    if opts.certify {
-        loop {
-            if best_w <= opts.min_width {
-                certificate = WidthCertificate::Floor;
-                break;
-            }
-            let fail_w = best_w - 1;
-            if fail_w < lower_bound {
-                certificate = WidthCertificate::LowerBound;
-                break;
-            }
-            if probes.iter().any(|p| p.width == fail_w && !p.success && p.warm_nets == 0) {
-                certificate = WidthCertificate::ColdFailure;
-                break;
-            }
-            let graph = RouteGraph::build(arch, fail_w);
-            match probe(netlist, placement, &graph, opts, knobs, None, true, &mut probes) {
-                Err(_) => {
-                    certificate = WidthCertificate::ColdFailure;
-                    break;
-                }
-                Ok(r) => {
-                    best_w = fail_w;
-                    best_r = r;
-                }
+    let certificate = loop {
+        if best_w <= opts.min_width {
+            break WidthCertificate::Floor;
+        }
+        let fail_w = best_w - 1;
+        if fail_w < lower_bound {
+            break WidthCertificate::LowerBound;
+        }
+        if probes.iter().any(|p| p.width == fail_w && !p.success && p.warm_nets == 0) {
+            break WidthCertificate::ColdFailure;
+        }
+        let graph = RouteGraph::build(arch, fail_w);
+        match probe(netlist, placement, &graph, knobs, None, true, &mut probes) {
+            Err(_) => break WidthCertificate::ColdFailure,
+            Ok(r) => {
+                best_w = fail_w;
+                best_r = r;
             }
         }
-    }
+    };
     Some(WidthSearch {
         min_width: best_w,
         result: best_r,

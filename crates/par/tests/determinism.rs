@@ -74,13 +74,9 @@ fn binary_warm_search_matches_linear_scan_minimum() {
         let fast = engine
             .min_channel_width(&nl, &placement, arch)
             .expect("binary+warm finds a width");
-        let reference = ParEngine::new(EngineOptions {
-            linear_scan: true,
-            warm_start: false,
-            ..Default::default()
-        })
-        .min_channel_width(&nl, &placement, arch)
-        .expect("linear scan finds a width");
+        let reference = engine
+            .min_channel_width_reference(&nl, &placement, arch)
+            .expect("linear scan finds a width");
 
         assert_eq!(
             fast.min_width, reference.min_width,
@@ -109,14 +105,13 @@ fn engine_results_pass_the_audit() {
     }
 }
 
-/// The proof-grade contract (ROADMAP "cold confirmation" item): with
-/// `certify` on, every reported minimum carries a certificate — the final
-/// `W−1` verdict is a cold failure, the sound lower bound, or the search
-/// floor — and certification never changes the minimum the heuristic
-/// search would have reported (it can only *lower* it, if a warm probe
-/// ever fabricated a failure; on these designs it must not).
+/// The proof-grade contract (ROADMAP "cold confirmation" item): every
+/// reported minimum carries a certificate — the final `W−1` verdict is a
+/// cold failure, the sound lower bound, or the search floor — and it is
+/// the minimum the cold linear reference finds.
 #[test]
 fn certified_minimum_matches_the_reported_minimum() {
+    use par::WidthCertificate::{ColdFailure, Floor, LowerBound};
     for (bits, parameterized) in [(4, false), (4, true), (5, true)] {
         let nl = mul_netlist(bits, parameterized);
         let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
@@ -126,45 +121,27 @@ fn certified_minimum_matches_the_reported_minimum() {
         let certified = engine
             .min_channel_width(&nl, &placement, arch)
             .expect("certified search finds a width");
-        assert!(
-            certified.certificate.is_certified(),
-            "default search must certify (bits={bits}, par={parameterized}), got {:?}",
-            certified.certificate
-        );
-        // Any cold-failure certificate must be backed by an actual cold
-        // failing probe at exactly W−1.
-        if certified.certificate == par::WidthCertificate::ColdFailure {
-            assert!(
+        // Each of the three certificates is backed by what it names.
+        let w = certified.min_width;
+        let at = format!("bits={bits}, par={parameterized}");
+        match certified.certificate {
+            Floor => assert_eq!(w, engine.opts.min_width, "{at}"),
+            LowerBound => assert!(w - 1 < certified.lower_bound, "{at}"),
+            ColdFailure => assert!(
                 certified
                     .probes
                     .iter()
-                    .any(|p| p.width == certified.min_width - 1
-                        && !p.success
-                        && p.warm_nets == 0),
-                "cold-failure certificate without a cold probe at W-1"
-            );
+                    .any(|p| p.width == w - 1 && !p.success && p.warm_nets == 0),
+                "cold-failure certificate without a cold failing probe at W-1 ({at})"
+            ),
         }
 
-        let uncertified = ParEngine::new(EngineOptions { certify: false, ..Default::default() })
-            .min_channel_width(&nl, &placement, arch)
-            .expect("uncertified search finds a width");
-        assert_eq!(uncertified.certificate, par::WidthCertificate::Uncertified);
-        assert_eq!(
-            certified.min_width, uncertified.min_width,
-            "certification must confirm, not change, the minimum \
-             (bits={bits}, par={parameterized})"
-        );
-
-        // And both agree with the cold linear reference, which certifies
-        // itself (every verdict below the minimum is already cold).
-        let reference = ParEngine::new(EngineOptions {
-            linear_scan: true,
-            warm_start: false,
-            ..Default::default()
-        })
-        .min_channel_width(&nl, &placement, arch)
-        .expect("linear scan finds a width");
-        assert!(reference.certificate.is_certified());
+        // The cold linear reference certifies itself (every verdict below
+        // its minimum is already cold) and finds the same minimum.
+        let reference = engine
+            .min_channel_width_reference(&nl, &placement, arch)
+            .expect("linear scan finds a width");
+        assert!(matches!(reference.certificate, Floor | ColdFailure));
         assert_eq!(certified.min_width, reference.min_width);
     }
 }
@@ -238,7 +215,7 @@ fn partition_path_executes_and_audits_clean() {
 
 // The overuse-sharpened `lo` advance is heuristic; this property pins it
 // to reality: whenever the rule fires, the width it claims hopeless never
-// exceeds the true minimum found by the cold `linear_scan` reference.
+// exceeds the true minimum found by the cold linear reference scan.
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(5))]
     #[test]
@@ -258,14 +235,9 @@ proptest::proptest! {
         let sharpened = engine
             .min_channel_width(&nl, &placement, arch)
             .expect("sharpened search finds a width");
-        let reference = ParEngine::new(EngineOptions {
-            linear_scan: true,
-            warm_start: false,
-            min_width: 2,
-            ..Default::default()
-        })
-        .min_channel_width(&nl, &placement, arch)
-        .expect("linear scan finds a width");
+        let reference = engine
+            .min_channel_width_reference(&nl, &placement, arch)
+            .expect("linear scan finds a width");
         // Warm probes may legalize a width the cold scan gives up on, so
         // the tightest demonstrated-routable width is the min of both.
         let routable = sharpened.min_width.min(reference.min_width);
@@ -322,6 +294,9 @@ fn tracing_does_not_change_routed_results() {
     }
 }
 
+/// The warm starts must be exercised, not only harmless: the default
+/// search on this netlist runs at least one warm-seeded probe, and still
+/// reports the minimum the cold reference (no warm start anywhere) finds.
 #[test]
 fn warm_start_does_not_change_the_reported_minimum() {
     let nl = mul_netlist(5, true);
@@ -329,8 +304,8 @@ fn warm_start_does_not_change_the_reported_minimum() {
     let engine = ParEngine::new(EngineOptions::default());
     let placement = engine.place(&nl, arch);
     let warm = engine.min_channel_width(&nl, &placement, arch).unwrap();
-    let cold = ParEngine::new(EngineOptions { warm_start: false, ..Default::default() })
-        .min_channel_width(&nl, &placement, arch)
-        .unwrap();
+    assert!(warm.probes.iter().any(|p| p.warm_nets > 0), "no probe was warm-started");
+    let cold = engine.min_channel_width_reference(&nl, &placement, arch).unwrap();
+    assert!(cold.probes.iter().all(|p| p.warm_nets == 0));
     assert_eq!(warm.min_width, cold.min_width);
 }

@@ -51,7 +51,7 @@ pub fn gaussian(size: usize, sigma: f32) -> Kernel {
 }
 
 /// One matched filter: a Gaussian valley profile perpendicular to the
-/// vessel direction, zero-mean (Chaudhuri et al. [12]), rotated by
+/// vessel direction, zero-mean (Chaudhuri et al. \[12\]), rotated by
 /// `theta` radians. `size` is 16 in the paper; `sigma` controls the vessel
 /// width the filter responds to and `length` the along-vessel extent.
 pub fn matched_filter(size: usize, sigma: f32, length: f32, theta: f32) -> Kernel {

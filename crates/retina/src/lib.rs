@@ -4,7 +4,7 @@
 //! green channel is retained; preprocessing (histogram equalization, optic
 //! disc removal, outer region removal) runs in software; the filtering
 //! stages — Gaussian denoise (5×5 / 9×9), a bank of steerable matched
-//! filters (seven orientations, 16×16, after Chaudhuri et al. [12]) and a
+//! filters (seven orientations, 16×16, after Chaudhuri et al. \[12\]) and a
 //! texture/thickness filter — are the *hardware modules*, executed here
 //! through the VCGRA's bit-exact FloPoCo MAC model.
 //!

@@ -107,10 +107,10 @@ pub(crate) struct Pending {
 
 impl Runtime {
     /// Admits an application: lease a region (cache-aware, compacting if
-    /// needed), then compile or specialize. When the pool is full and the
-    /// queue is enabled the submission parks in the FIFO queue instead of
-    /// failing — it will be placed by a future [`Runtime::release`] or
-    /// [`Runtime::drain_queue`] under the same tenant id.
+    /// needed), then compile or specialize. When the pool is full the
+    /// submission parks in the FIFO queue instead of failing — it will be
+    /// placed by a future [`Runtime::release`] or [`Runtime::drain_queue`]
+    /// under the same tenant id.
     ///
     /// A refused submission (a malformed graph, one too big for any grid,
     /// a failed compile) still consumes its tenant id — the shard tier
@@ -130,7 +130,7 @@ impl Runtime {
         // the tail even if they would fit — no queue jumping. A graph
         // that could never fit any grid is still rejected synchronously;
         // queueing it would only defer the TooBig to a silent drop.
-        if self.cfg.queue && !self.queue.is_empty() {
+        if !self.queue.is_empty() {
             self.pool.fits_any_grid(graph.pe_demand())?;
             let queued = self.enqueue(id, name, graph);
             self.enforce_invariants()?;
@@ -138,7 +138,7 @@ impl Runtime {
         }
         let admission = match self.place_and_admit(id, &name, &graph) {
             Ok(adm) => Admission::Admitted(adm),
-            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) if self.cfg.queue => {
+            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
                 Admission::Queued(self.enqueue(id, name, graph))
             }
             Err(e) => return Err(e),
@@ -229,30 +229,28 @@ impl Runtime {
         let placement_span = trace::span("placement");
         let candidates = self.pool.dedicated_candidates(demand);
         let (lease, relocations) = if !candidates.is_empty() {
-            let pick = if self.cfg.cache_aware {
-                let archs = self.pool.grid_archs();
-                candidates
-                    .iter()
-                    .copied()
-                    .find(|&gi| {
-                        let region = VcgraArch::new(
-                            GridPool::rows_needed(demand, archs[gi].cols),
-                            archs[gi].cols,
-                            channel_capacity,
-                        );
-                        self.cache.contains(&ConfigKey::new(region, graph))
-                    })
-                    .unwrap_or(candidates[0])
-            } else {
-                candidates[0]
-            };
+            let archs = self.pool.grid_archs();
+            let pick = candidates
+                .iter()
+                .copied()
+                .find(|&gi| {
+                    let region = VcgraArch::new(
+                        GridPool::rows_needed(demand, archs[gi].cols),
+                        archs[gi].cols,
+                        channel_capacity,
+                    );
+                    self.cache.contains(&ConfigKey::new(region, graph))
+                })
+                .unwrap_or(candidates[0]);
             let lease = self
                 .pool
                 .allocate_on(pick, id, demand)
                 .expect("candidate grid has a free band");
             (lease, Vec::new())
         } else {
-            self.pool.allocate_with(id, demand, self.cfg.compact, self.cfg.time_share)?
+            // Compaction is always on: a tenant whose rows fit the free
+            // rows but no contiguous run admits by sliding bands down.
+            self.pool.allocate_with(id, demand, true, self.cfg.time_share)?
         };
         drop(placement_span);
         self.apply_relocations(&relocations);
@@ -462,7 +460,7 @@ impl Runtime {
                     .stats = stats;
                 Refresh::Recompiled(admission)
             }
-            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) if self.cfg.queue => {
+            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
                 Refresh::Queued(self.enqueue(tenant, name, graph))
             }
             Err(e) => {

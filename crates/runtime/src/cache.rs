@@ -15,35 +15,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vcgra::app::{AppGraph, AppSource};
+use vcgra::app::AppGraph;
 use vcgra::flow::VcgraMapping;
-use vcgra::{PeMode, VcgraArch};
-
-/// Structure-only signature of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct NodeSig {
-    op: u8,
-    a: (u8, usize),
-    b: (u8, usize),
-    has_coeff: bool,
-}
-
-fn src_sig(s: AppSource) -> (u8, usize) {
-    match s {
-        AppSource::External(i) => (0, i),
-        AppSource::Node(j) => (1, j),
-        AppSource::Zero => (2, 0),
-    }
-}
-
-fn op_sig(op: PeMode) -> u8 {
-    match op {
-        PeMode::Mac => 0,
-        PeMode::Mul => 1,
-        PeMode::Add => 2,
-        PeMode::Pass => 3,
-    }
-}
+use vcgra::VcgraArch;
 
 /// Cache key: region architecture + graph structure, coefficients excluded.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -51,11 +25,8 @@ pub struct ConfigKey {
     rows: usize,
     cols: usize,
     channel_capacity: usize,
-    we: u32,
-    wf: u32,
-    num_inputs: usize,
-    nodes: Vec<NodeSig>,
-    outputs: Vec<usize>,
+    /// `AppGraph::structure_words`, collected.
+    structure: Vec<u64>,
 }
 
 impl ConfigKey {
@@ -66,7 +37,8 @@ impl ConfigKey {
 
     /// Nodes in the key's structure.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        // The fourth structure word, after format (we, wf) and arity.
+        self.structure[3] as usize
     }
 
     /// Stable-within-a-process fingerprint of the key: the hash the cache
@@ -87,20 +59,7 @@ impl ConfigKey {
             rows: region.rows,
             cols: region.cols,
             channel_capacity: region.channel_capacity,
-            we: app.format.we,
-            wf: app.format.wf,
-            num_inputs: app.num_inputs,
-            nodes: app
-                .nodes
-                .iter()
-                .map(|n| NodeSig {
-                    op: op_sig(n.op),
-                    a: src_sig(n.a),
-                    b: src_sig(n.b),
-                    has_coeff: n.coeff.is_some(),
-                })
-                .collect(),
-            outputs: app.outputs.clone(),
+            structure: app.structure_words().collect(),
         }
     }
 }

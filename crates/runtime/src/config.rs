@@ -16,8 +16,6 @@ pub struct RuntimeConfig {
     pub cache_capacity: usize,
     /// Threads streaming execution may use, the caller's included.
     pub workers: usize,
-    /// Items in one unit of streaming work handed to a worker.
-    pub batch_size: usize,
     /// Configuration interface priced by the ledger.
     pub iface: ReconfigInterface,
     /// Floating-point format of the pricing PE (reduced by default so the
@@ -25,19 +23,11 @@ pub struct RuntimeConfig {
     pub pricer_format: FpFormat,
     /// Placement seed for cold compiles.
     pub place_seed: u64,
-    /// Queue oversubscribed submissions (FIFO, drained on release)
-    /// instead of erroring with [`PoolError::Oversubscribed`].
-    pub queue: bool,
-    /// Compact fragmented grids (relocate bands) to admit tenants whose
-    /// row demand fits the free rows but not any contiguous run.
-    pub compact: bool,
-    /// Cache-aware placement: among feasible grids, prefer one whose
-    /// (region, structure) key is already warm in the configuration
-    /// cache over plain first-fit.
-    pub cache_aware: bool,
     /// Time-multiplex big-enough existing bands when no dedicated band
     /// can be carved (even by compaction). Off, the runtime prefers
     /// queueing latency over per-context-switch reconfiguration cost.
+    /// Either way a submission the pool cannot place waits in the FIFO
+    /// admission queue.
     pub time_share: bool,
     /// Run the scheduler-state verifier after every mutating operation
     /// (`submit`/`resubmit`/`run`/`release`) and fail the operation with
@@ -52,13 +42,9 @@ impl Default for RuntimeConfig {
             grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(8, 4, 2)],
             cache_capacity: 32,
             workers: 4,
-            batch_size: 64,
             iface: ReconfigInterface::Hwicap,
             pricer_format: FpFormat::new(4, 6),
             place_seed: 42,
-            queue: true,
-            compact: true,
-            cache_aware: true,
             time_share: true,
             verify_on_admit: false,
         }

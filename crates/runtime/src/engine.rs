@@ -2,22 +2,22 @@
 //!
 //! A run is described by **band** (the scheduler's unit of spatial
 //! isolation): tenants *within* a shared band are time-multiplexed, so
-//! every slot change is charged a full-region micro-reconfiguration in
-//! the ledger (the cost that makes oversubscription visible). Those
-//! charges follow from slot order alone.
+//! every slot whose tenant differs from the one before it is charged a
+//! full-region micro-reconfiguration in the ledger (the cost that makes
+//! oversubscription visible). Those charges follow from slot order alone.
 //!
 //! Host execution is organized by **unit**, not by band. Every job
 //! arrives as an [`ExecPlan`] — its mapped graph lowered once, by
 //! [`crate::Runtime::run`], which is also where a mapping that cannot
 //! be lowered or a value in the wrong format is refused — and is cut
-//! into units of `batch_size` consecutive items. The calling thread and
-//! its helper threads take units off one shared cursor, so a call takes
-//! about the total item work divided by the workers, whatever the sizes
-//! of the bands. Outputs are put back in item order.
+//! into units of `BATCH_SIZE` (64) consecutive items. The calling thread
+//! and its helper threads take units off one shared cursor, so a call
+//! takes about the total item work divided by the workers, whatever the
+//! sizes of the bands. Outputs are put back in item order.
 //!
 //! A unit is one [`ExecPlan::run_chunk`] call: its items become the
 //! lanes of `u64` columns in a buffer the worker keeps, and each op of
-//! the plan runs over a whole column. `batch_size` is therefore the
+//! the plan runs over a whole column. `BATCH_SIZE` is therefore the
 //! lane count; nothing here touches a single item.
 //!
 //! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
@@ -31,6 +31,10 @@ use softfloat::FpValue;
 use vcgra::sim::ExecPlan;
 
 use crate::pool::TenantId;
+
+/// Items in one unit of streaming work handed to a worker: what
+/// [`crate::Runtime::run`] passes [`run_bands`] as `batch_size`.
+pub(crate) const BATCH_SIZE: usize = 64;
 
 /// One tenant's work within a band.
 pub struct Job {
@@ -70,7 +74,8 @@ pub struct TenantRun {
     pub outputs: Vec<Vec<FpValue>>,
     /// Input vectors processed.
     pub items: usize,
-    /// Batches (chunks of `batch_size`) processed.
+    /// Batches (units of `batch_size` items; 64 under [`crate::Runtime::run`])
+    /// processed.
     pub batches: usize,
     /// Measured host execution time.
     pub exec_time: Duration,
@@ -130,11 +135,16 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
     let mut jobs = Vec::new();
     let mut runs = Vec::new();
     for band in bands {
-        for (slot, job) in band.jobs.into_iter().enumerate() {
-            // Every slot after the first swaps a different tenant's
-            // configuration into the shared region; the first slot
-            // swaps in as well when another tenant was resident.
-            let swap_in = slot > 0 || band.swap_in_first;
+        let mut loaded: Option<TenantId> = None;
+        for job in band.jobs {
+            // A slot swaps its configuration into the shared region when
+            // the one loaded there is another tenant's: the previous
+            // slot's, or before the first slot the band's resident.
+            let swap_in = match loaded {
+                Some(tenant) => tenant != job.tenant,
+                None => band.swap_in_first,
+            };
+            loaded = Some(job.tenant);
             let switches = usize::from(band.shared && swap_in);
             if switches > 0 {
                 // The swap-in reconfigures this band while other bands
@@ -338,9 +348,23 @@ mod tests {
             shared: true,
             swap_in_first: true,
             switch_cost: cost,
-            jobs: vec![Job { tenant: 0, epoch: 0, plan, inputs }],
+            jobs: vec![Job { tenant: 0, epoch: 0, plan: plan.clone(), inputs: inputs.clone() }],
         };
         let runs = run_bands(vec![band], 1, 8);
         assert_eq!(runs[0].context_switches, 1, "resident tenant differs");
+
+        // Two requests for one tenant are adjacent slots: the second finds
+        // its own configuration loaded and pays nothing.
+        let band = BandWork {
+            shared: true,
+            swap_in_first: false,
+            switch_cost: cost,
+            jobs: [0, 0, 1]
+                .map(|t| Job { tenant: t, epoch: 0, plan: plan.clone(), inputs: inputs.clone() })
+                .into(),
+        };
+        let switches: Vec<usize> =
+            run_bands(vec![band], 2, 8).iter().map(|r| r.context_switches).collect();
+        assert_eq!(switches, [0, 0, 1]);
     }
 }

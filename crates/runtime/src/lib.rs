@@ -34,16 +34,18 @@
 //!   **cache-aware**: among feasible grids the runtime prefers one whose
 //!   region shape is already warm in the configuration cache, so a
 //!   mixed-width pool compiles each structure once, not once per width.
+//!   Queueing, compaction and the warm preference are the admission
+//!   policy, not options; `RuntimeConfig::time_share` is its one bit.
 //! * [`engine`] — **batched streaming execution**: every job's mapped
 //!   graph is lowered once per `run` call to a flat `vcgra::sim::ExecPlan`
-//!   and cut into units of `batch_size` items, which the worker threads
-//!   take off one shared cursor; a unit runs lane-major, its items the
+//!   and cut into units of 64 items, which the worker threads take
+//!   off one shared cursor; a unit runs lane-major, its items the
 //!   lanes of `u64` columns each op of the plan sweeps in one
-//!   `softfloat::FpKernel` call. Slots of a shared band are charged their
-//!   context switches from slot order. The plan is bit-exact with the
-//!   per-item reference `vcgra::sim::run_mapped` in FloPoCo arithmetic,
-//!   and `run` refuses a value in another format before any worker
-//!   starts.
+//!   `softfloat::FpKernel` call. A slot of a shared band is charged a
+//!   context switch when the slot before it served another tenant. The
+//!   plan is bit-exact with the per-item reference
+//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run` refuses a
+//!   value in another format before any worker starts.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together, plus the

@@ -57,12 +57,6 @@ pub struct Lease {
 }
 
 impl Lease {
-    /// The region as a standalone architecture (what the graph compiles
-    /// against — region-local coordinates).
-    pub fn region_arch(&self, channel_capacity: usize) -> VcgraArch {
-        VcgraArch::new(self.rows, self.cols, channel_capacity)
-    }
-
     /// PEs in the region.
     pub fn pe_count(&self) -> usize {
         self.rows * self.cols
@@ -527,9 +521,8 @@ mod tests {
     fn region_arch_is_band_shaped() {
         let mut p = pool();
         let l = p.allocate(1, 10).unwrap(); // 3 rows of 4
-        assert_eq!(l.rows, 3);
-        let arch = l.region_arch(p.channel_capacity());
-        assert_eq!((arch.rows, arch.cols), (3, 4));
+        assert_eq!((l.rows, l.cols), (3, 4));
+        assert_eq!(l.pe_count(), 12);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use vcgra::sim::ExecPlan;
 
 use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
-use crate::engine::{run_bands, BandWork, Job, TenantRun};
+use crate::engine::{run_bands, BandWork, Job, TenantRun, BATCH_SIZE};
 use crate::pool::{GridPool, Lease, TenantId};
 use crate::pricer::SettingsPricer;
 use crate::timeline::{Phase, Timeline};
@@ -247,7 +247,7 @@ impl Runtime {
                 jobs,
             });
         }
-        let runs = run_bands(bands, self.cfg.workers, self.cfg.batch_size);
+        let runs = run_bands(bands, self.cfg.workers, BATCH_SIZE);
         self.resident.extend(next_resident);
 
         for run in &runs {

@@ -179,7 +179,7 @@ impl Timeline {
     }
 
     /// Moves a lane (compaction relocation) and replays the band's cached
-    /// configuration on the new lane: [`Timeline::move_lane`], then the
+    /// configuration on the new lane: the lane's intervals move, then the
     /// replay scheduled on `to`. Returns the replay's modeled start time.
     ///
     /// The replay does *not* block the configuration port: post-slide

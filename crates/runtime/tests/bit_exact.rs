@@ -328,7 +328,7 @@ fn an_empty_graph_is_refused_not_a_panic() {
     let refused = malformed(GraphError::Empty);
 
     // Dedicated bands, nothing queued.
-    let mut rt = Runtime::new(RuntimeConfig { queue: false, ..RuntimeConfig::default() });
+    let mut rt = Runtime::new(RuntimeConfig::default());
     let (good_id, good) = served(&mut rt);
     let before = state(&rt);
     assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
@@ -403,7 +403,7 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     ];
 
     // Dedicated bands, nothing queued.
-    let mut rt = Runtime::new(RuntimeConfig { queue: false, ..RuntimeConfig::default() });
+    let mut rt = Runtime::new(RuntimeConfig::default());
     let (good_id, good) = served(&mut rt);
     let before = state(&rt);
     for (name, graph, refused) in &table {

@@ -205,9 +205,10 @@ fn impossible_demands_are_rejected_synchronously_even_behind_a_queue() {
 }
 
 /// The acceptance scenario: 13 free rows, fragmented 6+7, and a 13-row
-/// tenant. First-fit (no compaction) refuses / queues; compaction slides
-/// the 3-row survivor down and admits — and everything stays bit-exact,
-/// including the relocated tenant.
+/// tenant. First fit has no 13-row run to offer (the pool's own
+/// `compaction_admits_a_13_row_tenant_first_fit_refuses` pins that arm);
+/// compaction slides the 3-row survivor down and admits — and everything
+/// stays bit-exact, including the relocated tenant.
 #[test]
 fn compaction_admits_13_row_tenant_where_first_fit_refused() {
     let grids = vec![VcgraArch::new(16, 2, 2)];
@@ -215,18 +216,6 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
     let survivor = kernels::fir_seeded(F, 3, 12); // 5 nodes → 3 rows
     let big = kernels::fir_seeded(F, 13, 13); // 25 nodes → 13 rows
 
-    // Without compaction (queue on): the big tenant can only wait.
-    let cfg = RuntimeConfig { grids: grids.clone(), compact: false, ..RuntimeConfig::default() };
-    let mut rt = Runtime::new(cfg);
-    let b = rt.submit("blocker", blocker.graph.clone()).unwrap().expect_admitted("fits");
-    rt.submit("survivor", survivor.graph.clone()).unwrap().expect_admitted("fits");
-    rt.release(b.tenant).unwrap();
-    assert!(
-        rt.submit("big", big.graph.clone()).unwrap().is_queued(),
-        "13 fragmented free rows, first fit must refuse the 13-row tenant"
-    );
-
-    // Same sequence with compaction: the request admits immediately.
     let cfg = RuntimeConfig { grids, ..RuntimeConfig::default() };
     let mut rt = Runtime::new(cfg);
     let b = rt.submit("blocker", blocker.graph.clone()).unwrap().expect_admitted("fits");
@@ -277,59 +266,46 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
 }
 
 /// Cache-aware placement on a mixed-width pool: the same structure is
-/// already compiled for the 5-wide grid; a naive first fit recompiles it
-/// for the 4-wide grid, the cache-aware policy goes where the key is warm.
+/// already compiled for the 5-wide grid; first fit would recompile it for
+/// the free 4-wide grid 0, the runtime goes where the key is warm.
 #[test]
 fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
-    fn scenario(cache_aware: bool) -> (u64, u64, f64, Runtime, TenantId) {
-        let cfg = RuntimeConfig {
-            grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::new(6, 5, 2)],
-            cache_aware,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(cfg);
-        // Fill the 4-wide grid with a 6-row blocker.
-        let blocker = rt
-            .submit("blocker", kernels::matvec(F, &[
-                vec![1.0, 0.5, 0.25, 0.125],
-                vec![-1.0, 2.0, -0.5, 0.75],
-                vec![0.5, 0.5, 0.5, 0.5],
-            ]).graph)
-            .unwrap()
-            .expect_admitted("empty pool"); // 21 nodes → 6 rows of 4
-        assert_eq!(blocker.lease.grid, 0);
-        // The FIR lands on the 5-wide grid and compiles for width 5.
-        let first = rt
-            .submit("fir-a", kernels::fir_seeded(F, 5, 41).graph)
-            .unwrap()
-            .expect_admitted("grid 1 has room");
-        assert_eq!(first.lease.grid, 1);
-        assert!(!first.cache_hit);
-        // Free the 4-wide grid: both widths are now feasible.
-        rt.release(blocker.tenant).unwrap();
-        // Same structure, new coefficients. First fit picks the 4-wide
-        // grid (cold compile); cache-aware goes to the warm width.
-        let second = rt
-            .submit("fir-b", kernels::fir_seeded(F, 5, 42).graph)
-            .unwrap()
-            .expect_admitted("both grids have room");
-        let stats = rt.cache_stats();
-        (stats.hits, stats.misses, stats.hit_rate(), rt, second.tenant)
-    }
-
-    let (cold_hits, cold_misses, cold_rate, _, _) = scenario(false);
-    let (warm_hits, warm_misses, warm_rate, mut rt, second) = scenario(true);
-    assert_eq!(cold_hits, 0, "first fit recompiles the structure for the new width");
-    assert_eq!(cold_misses, 3);
-    assert_eq!(warm_hits, 1, "cache-aware placement finds the warm width");
-    assert_eq!(warm_misses, 2);
-    assert!(
-        warm_rate > cold_rate,
-        "warm-hit rate must strictly improve ({warm_rate:.2} vs {cold_rate:.2})"
-    );
-    assert_eq!(rt.tenant(second).unwrap().lease.grid, 1, "placed on the warm grid");
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::new(6, 5, 2)],
+        ..RuntimeConfig::default()
+    };
+    let mut rt = Runtime::new(cfg);
+    // Fill the 4-wide grid with a 6-row blocker.
+    let blocker = rt
+        .submit("blocker", kernels::matvec(F, &[
+            vec![1.0, 0.5, 0.25, 0.125],
+            vec![-1.0, 2.0, -0.5, 0.75],
+            vec![0.5, 0.5, 0.5, 0.5],
+        ]).graph)
+        .unwrap()
+        .expect_admitted("empty pool"); // 21 nodes → 6 rows of 4
+    assert_eq!(blocker.lease.grid, 0);
+    // The FIR lands on the 5-wide grid and compiles for width 5.
+    let first = rt
+        .submit("fir-a", kernels::fir_seeded(F, 5, 41).graph)
+        .unwrap()
+        .expect_admitted("grid 1 has room");
+    assert_eq!(first.lease.grid, 1);
+    assert!(!first.cache_hit);
+    // Free the 4-wide grid: both widths are now feasible, and first fit
+    // would take grid 0.
+    rt.release(blocker.tenant).unwrap();
+    let fir_b = kernels::fir_seeded(F, 5, 42).graph;
+    assert_eq!(rt.pool().dedicated_candidates(fir_b.pe_demand()), [0, 1]);
+    // Same structure, new coefficients: admitted where the key is warm.
+    let second = rt.submit("fir-b", fir_b).unwrap().expect_admitted("both grids have room");
+    assert!(second.cache_hit);
+    let stats = rt.cache_stats();
+    assert_eq!(stats.hits, 1, "cache-aware placement finds the warm width");
+    assert_eq!(stats.misses, 2);
+    assert_eq!(rt.tenant(second.tenant).unwrap().lease.grid, 1, "placed on the warm grid");
     // The warm-admitted tenant computes its own coefficients' results.
-    assert_bit_exact(&mut rt, second, 8, 55);
+    assert_bit_exact(&mut rt, second.tenant, 8, 55);
 }
 
 /// Time-sharing on the default pool: the kernel library oversubscribes two
@@ -380,6 +356,31 @@ fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
         led.total_port_time()
     );
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
+    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+}
+
+/// A tenant is never charged a context switch against itself: two requests
+/// for one tenant in one call are adjacent slots of its band, and the
+/// second finds its own configuration loaded.
+#[test]
+fn a_tenant_requested_twice_in_one_call_switches_at_most_once() {
+    let mut rt =
+        Runtime::new(RuntimeConfig { grids: vec![VcgraArch::paper_4x4()], ..RuntimeConfig::default() });
+    let graph = kernels::fir_seeded(F, 8, 7).graph; // 15 nodes → all 4 rows
+    let first = rt.submit("first", graph.clone()).unwrap().expect_admitted("empty grid");
+    let second = rt.submit("second", graph.clone()).unwrap().expect_admitted("shares the band");
+    assert!(rt.tenant(second.tenant).unwrap().lease.shared);
+
+    let mut twice = |tenant: TenantId| -> Vec<usize> {
+        let request = || StreamRequest { tenant, inputs: stream(graph.num_inputs, 3, tenant) };
+        let runs = rt.run(vec![request(), request()]).unwrap();
+        runs.iter().map(|r| r.context_switches).collect()
+    };
+    // Admission left the second tenant's configuration resident.
+    assert_eq!(twice(second.tenant), [0, 0]);
+    assert_eq!(twice(first.tenant), [1, 0]);
+    assert_eq!(rt.ledger().context_switches, 1);
+    assert_eq!(rt.tenant(first.tenant).unwrap().stats.context_switches, 1);
     assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
 }
 

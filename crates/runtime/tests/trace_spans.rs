@@ -51,8 +51,6 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
 
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![VcgraArch::new(8, 4, 2)],
-        // Eight items in units of three: the job spans several units.
-        batch_size: 3,
         ..RuntimeConfig::default()
     });
     let lib = kernels::library(F);
@@ -64,11 +62,12 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         .expect("submit")
         .expect_admitted("fits");
     assert!(warm.cache_hit, "same structure must hit the cache");
+    // 160 items in units of 64: the job spans three units.
     let inputs: Vec<Vec<softfloat::FpValue>> =
-        (0..8).map(|i| (0..w.graph.num_inputs).map(|j| softfloat::FpValue::from_f64((i + j) as f64 * 0.25, F)).collect()).collect();
+        (0..160).map(|i| (0..w.graph.num_inputs).map(|j| softfloat::FpValue::from_f64((i + j) as f64 * 0.25, F)).collect()).collect();
     let runs = rt.run(vec![StreamRequest { tenant: cold.tenant, inputs }]).expect("stream");
     assert_eq!(runs.len(), 1);
-    assert_eq!((runs[0].items, runs[0].batches), (8, 3));
+    assert_eq!((runs[0].items, runs[0].batches), (160, 3));
 
     // Free the lower band and compact: the survivor slides down, and the
     // relocation replay must be traced as a `reconfig_overlap` span.
@@ -97,7 +96,7 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // A worker's consecutive units of one job share a span, so the three
     // units show as one to three spans, depending on who took which.
     assert!((1..=3).contains(&executed.len()), "{executed:?}");
-    assert_eq!(executed.iter().sum::<u64>(), 8, "the spans' items sum to the run's");
+    assert_eq!(executed.iter().sum::<u64>(), 160, "the spans' items sum to the run's");
     let admission = children.get("admission").expect("admission spans recorded");
     for phase in ["cache", "pricing", "placement", "sig"] {
         assert!(admission.contains(phase), "admission subtree must contain {phase}");

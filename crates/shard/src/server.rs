@@ -323,11 +323,6 @@ impl ShardServer {
         self.router.loads()
     }
 
-    /// The routing key an admission of `graph` would be routed by.
-    pub fn route_key(&self, graph: &AppGraph) -> RouteKey {
-        RouteKey::of(graph)
-    }
-
     /// Routes and dispatches an admission. Returns the tenant's address
     /// (shard + the tenant id the shard's runtime will assign — known at
     /// dispatch time, see [`ShardServer::submit`]'s field note on
@@ -393,13 +388,6 @@ impl ShardServer {
     ) -> Result<Ticket<Result<Vec<Admitted>, RuntimeError>>, Reject> {
         let (tx, rx) = channel();
         self.dispatch(at.shard, Op::Release { tenant: at.tenant, reply: tx })?;
-        Ok(self.ticket_unloaded(rx))
-    }
-
-    /// Dispatches a scheduler-state verification of one shard's runtime.
-    pub fn verify_shard(&mut self, shard: usize) -> Result<Ticket<verify::VerifyReport>, Reject> {
-        let (tx, rx) = channel();
-        self.dispatch(shard, Op::Verify { reply: tx })?;
         Ok(self.ticket_unloaded(rx))
     }
 

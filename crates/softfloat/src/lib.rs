@@ -10,7 +10,7 @@
 //!   is a format with its shifts, masks and exponent range computed ahead,
 //!   and multiplies and adds raw `u64` encodings, one at a time or a
 //!   column of independent lanes per call (the form the serve path runs).
-//!   [`format`] holds the typed face of it ([`FpFormat`], [`FpValue`]):
+//!   [`mod@format`] holds the typed face of it ([`FpFormat`], [`FpValue`]):
 //!   `FpValue::{mul, add}` check that the formats agree and delegate to
 //!   the kernel, so the per-item interpreters, the VCGRA functional
 //!   simulator and the column-major execute path all round through the

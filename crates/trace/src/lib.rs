@@ -2,7 +2,7 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! - [`span`] / [`Span`]: a global span recorder. Off by default and
+//! - [`span()`] / [`Span`]: a global span recorder. Off by default and
 //!   costing one branch per call site when off; when enabled with
 //!   [`configure`]`(`[`TraceConfig::On`]`)`, nested spans with typed
 //!   attributes are buffered and serialized as Chrome trace-event JSON
@@ -10,9 +10,9 @@
 //!   `chrome://tracing`). Every `xbench` driver exposes it as
 //!   `--trace <path>`.
 //! - [`Registry`]: named [`Counter`]s, [`Gauge`]s, and log-linear-bucket
-//!   [`Histogram`]s with p50/p95/p99/max readout. The mapper's
-//!   `MapEffort` is a view over a registry from this module; the
-//!   runtime and the shard tier keep their latency histograms in one.
+//!   [`Histogram`]s with p50/p95/p99/max readout. The runtime keeps its
+//!   latency histograms in one; the shard tier its histograms, routing
+//!   counters and queue-depth gauges.
 //! - [`json`]: a minimal JSON parser so the trace round-trip tests can
 //!   consume this crate's output without any external dependency.
 //!

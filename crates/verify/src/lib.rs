@@ -721,7 +721,8 @@ impl VerifyReport {
 }
 
 /// The facade: one entry point per pass, each producing a
-/// [`VerifyReport`].
+/// [`VerifyReport`]. (Pass 2, the wave-schedule race check, observes the
+/// router wave by wave and reports through [`WaveAuditor::finish`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Verifier;
 
@@ -760,19 +761,6 @@ impl Verifier {
         VerifyReport {
             pass: "routes",
             checked: nets.len(),
-            violations,
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Pass 2 — wave-schedule race check over one wave's footprints (the
-    /// incremental form used by the router lives in [`waves::WaveAuditor`]).
-    pub fn verify_wave(&self, members: &[waves::WaveFootprint]) -> VerifyReport {
-        let t0 = std::time::Instant::now();
-        let violations = waves::check_wave(0, 0, members);
-        VerifyReport {
-            pass: "wave-schedule",
-            checked: members.len(),
             violations,
             seconds: t0.elapsed().as_secs_f64(),
         }

@@ -59,17 +59,12 @@ fn bench_par(c: &mut Criterion) {
     });
     let placement = par::place(&netlist, arch, 7);
     let graph = fabric::RouteGraph::build(arch, 14);
+    let engine = par::ParEngine::new(par::EngineOptions::default());
     g.bench_function("troute_mac_5_8_w14", |b| {
-        b.iter(|| {
-            black_box(
-                par::route(&netlist, &placement, &graph, par::RouteOptions::default())
-                    .expect("routable"),
-            )
-        })
+        b.iter(|| black_box(engine.route(&netlist, &placement, &graph).expect("routable")))
     });
     // The engine's full width search (warm-started binary probes); the
     // printed router stats come from the probe log it returns.
-    let engine = par::ParEngine::new(par::EngineOptions::default());
     g.bench_function("engine_min_width_mac_5_8", |b| {
         b.iter(|| {
             let s = engine

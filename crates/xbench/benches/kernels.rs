@@ -35,7 +35,7 @@ fn bench_softfloat(c: &mut Criterion) {
         })
     });
     // The same two operators as the serve path runs them: one 64-lane
-    // column per call (`batch_size` lanes), raw encodings, the multiplier's
+    // column per call (the engine's unit size), raw encodings, the multiplier's
     // coefficient fixed. Divide the reported time by 64 for ns per lane.
     let kernel = FpKernel::new(fmt);
     let (xs, ys): (Vec<u64>, Vec<u64>) = vals[..64].iter().map(|&(x, y, _)| (x.bits, y.bits)).unzip();

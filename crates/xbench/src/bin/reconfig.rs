@@ -5,7 +5,7 @@
 //! coefficient change covers a 1000-image batch. This binary reproduces
 //! the estimate from our own mapped PE, measures the SCG's
 //! Boolean-function evaluation time, reports PPC memory, and prices the
-//! same change on faster interfaces ([6], [16]).
+//! same change on faster interfaces (\[6\], \[16\]).
 //!
 //! Usage: `cargo run -p xbench --release --bin reconfig [--smoke]`
 //! (`--smoke` maps the PE in a reduced (5,10) format: same pipeline, a

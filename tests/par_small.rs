@@ -7,8 +7,12 @@ use mapping::{map_conventional, map_parameterized, MapOptions};
 use par::troute::audit;
 use par::{EngineOptions, ParEngine, ParNetlist, ParReport};
 
+fn engine() -> ParEngine {
+    ParEngine::new(EngineOptions::default())
+}
+
 fn place_and_route(nl: &ParNetlist) -> Result<ParReport, String> {
-    ParEngine::new(EngineOptions::default()).run(nl)
+    engine().run(nl)
 }
 
 fn coeff_mul_aig(bits: usize) -> Aig {
@@ -30,8 +34,8 @@ fn both_flows_route_and_audit_clean() {
         let nl = par::extract(&design);
         let rep = place_and_route(&nl).unwrap_or_else(|e| panic!("{label}: {e}"));
         let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
-        let routed = par::route(&nl, &rep.placement, &graph, Default::default())
-            .expect("re-route at min width");
+        let routed =
+            engine().route(&nl, &rep.placement, &graph).expect("re-route at min width");
         audit(&nl, &rep.placement, &graph, &routed)
             .unwrap_or_else(|e| panic!("{label} audit: {e}"));
     }

@@ -8,6 +8,8 @@
 //!   interpreter agree bit for bit, special values included;
 //! * a graph the runtime admits is a graph it can run, and a malformed
 //!   one is refused at the door;
+//! * `same_structure`, the cache key, the routing key and the verifier's
+//!   signature agree on which graphs share a compile;
 //! * the synthetic image generator and metrics behave sanely.
 
 use logic::aig::{Aig, InputKind, Lit};
@@ -368,6 +370,49 @@ proptest! {
                 }
             }
             prop_assert_eq!(rt.pool().bands().len(), 0, "a refused graph holds no rows");
+        }
+    }
+
+    #[test]
+    fn every_reading_of_structure_agrees(
+        recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..17),
+        edits in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 12..13),
+    ) {
+        let f = PLAN_FORMATS[0];
+        let region = VcgraArch::new(4, 4, 8);
+        let key = |g: &AppGraph| runtime::ConfigKey::new(region, g);
+        let sig = |g: &AppGraph| {
+            verify::sched::StructureSig::of(region.rows, region.cols, region.channel_capacity, g)
+        };
+        let a = plan_graph(&recipe, f);
+        for &(field, at, value) in &edits {
+            // A copy with one public field overwritten. A coefficient's
+            // value and a node's name are not structure, and an operand or
+            // a mode can be overwritten with what it already held.
+            let mut b = a.clone();
+            let (n, value) = (b.nodes.len(), value as usize);
+            let node = &mut b.nodes[at as usize % n];
+            match field % 10 {
+                0 => node.op = PLAN_MODES[value % 4],
+                1 => node.a = [AppSource::Zero, AppSource::External(value % 3)][value % 2],
+                2 => node.b = AppSource::Node(value % n),
+                3 => node.coeff = match node.coeff {
+                    Some(_) => None,
+                    None => Some(plan_value(value as u64, f)),
+                },
+                4 => node.coeff = node.coeff.map(|_| plan_value(value as u64, f)),
+                5 => node.name.push('\''),
+                6 => b.outputs.push(value % n),
+                7 => b.num_inputs += value % 2,
+                8 => b.format = PLAN_FORMATS[value % PLAN_FORMATS.len()],
+                _ => b.nodes.truncate(n - value % 2),
+            }
+            let same = a.same_structure(&b);
+            prop_assert_eq!(key(&a) == key(&b), same, "cache key, edit {}", field % 10);
+            prop_assert_eq!(sig(&a) == sig(&b), same, "verifier signature, edit {}", field % 10);
+            if same {
+                prop_assert_eq!(shard::RouteKey::of(&a), shard::RouteKey::of(&b));
+            }
         }
     }
 
