@@ -96,24 +96,6 @@ impl StreamingMac {
     }
 }
 
-/// Applies a full dot-product kernel to a window of samples using the MAC
-/// iteration pattern: one PE, `coeffs.len()` cycles, one reconfiguration
-/// per coefficient — the time-multiplexed alternative to the spatial
-/// adder-tree mapping. Returns the same value as the spatial mapping up to
-/// accumulation order.
-pub fn time_multiplexed_dot(
-    coeffs: &[FpValue],
-    window: &[FpValue],
-) -> FpValue {
-    assert_eq!(coeffs.len(), window.len());
-    let fmt = coeffs[0].format;
-    let mut acc = FpValue::zero(fmt);
-    for (&c, &x) in coeffs.iter().zip(window) {
-        acc = x.mac(c, acc);
-    }
-    acc
-}
-
 /// Verifies a mapped application: re-runs the dataflow through the
 /// placement (every node must sit on a PE whose settings reproduce the
 /// node's operation). Returns the simulated outputs.
@@ -371,14 +353,6 @@ mod tests {
         assert_eq!(pe.step(fp(1.0)), None);
         assert_eq!(pe.step(fp(1.0)), None);
         assert_eq!(pe.step(fp(1.0)).unwrap().to_f64(), 6.0);
-    }
-
-    #[test]
-    fn time_multiplexed_matches_weighted_sum() {
-        let coeffs: Vec<FpValue> = [0.25, 0.5, 0.25].iter().map(|&c| fp(c)).collect();
-        let window: Vec<FpValue> = [4.0, 8.0, 4.0].iter().map(|&x| fp(x)).collect();
-        let out = time_multiplexed_dot(&coeffs, &window);
-        assert_eq!(out.to_f64(), 6.0, "1 + 4 + 1");
     }
 
     #[test]

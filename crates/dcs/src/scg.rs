@@ -6,8 +6,8 @@
 //! produce specialized bits, diff against the currently loaded bits and
 //! emit the set of frames that must be read-modified-written.
 
-use crate::ppc::{BitAddr, ParamConfig};
-use logic::fxhash::{FxHashMap, FxHashSet};
+use crate::ppc::ParamConfig;
+use logic::fxhash::FxHashSet;
 use mapping::MappedDesign;
 
 /// The result of one specialization run.
@@ -59,19 +59,6 @@ impl<'a> Scg<'a> {
     /// for the first configuration after the template is loaded).
     pub fn all_tunable_frames(&self) -> FxHashSet<u32> {
         self.config.ppc.iter().map(|(a, _, _)| a.frame).collect()
-    }
-
-    /// Full bit image (template + specialized PPC) keyed by address;
-    /// useful for bitstream-level assertions.
-    pub fn full_image(&self, spec: &SpecializedBits) -> FxHashMap<BitAddr, bool> {
-        let mut img = FxHashMap::default();
-        for (a, v, _) in &self.config.template {
-            img.insert(*a, *v);
-        }
-        for (i, (a, _, _)) in self.config.ppc.iter().enumerate() {
-            img.insert(*a, spec.values[i]);
-        }
-        img
     }
 }
 
@@ -151,14 +138,5 @@ mod tests {
         let s1 = scg.specialize(&[false, false, false]);
         let s2 = scg.specialize(&[true, true, true]);
         assert!(!scg.dirty_frames(&s1, &s2).is_empty());
-    }
-
-    #[test]
-    fn full_image_covers_all_addresses() {
-        let d = demo();
-        let cfg = ParamConfig::extract(&d);
-        let scg = Scg::new(&d, &cfg);
-        let img = scg.full_image(&scg.specialize(&[true, false, false]));
-        assert_eq!(img.len(), cfg.template_bits() + cfg.ppc_bits());
     }
 }

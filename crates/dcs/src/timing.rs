@@ -93,20 +93,6 @@ pub struct ReconfigReport {
     pub bits_changed: usize,
 }
 
-impl ReconfigReport {
-    /// Total latency of the parameter change.
-    pub fn total(&self) -> Duration {
-        self.port_time + self.eval_time
-    }
-
-    /// Amortized cost per work item (e.g. per image for a 1000-image batch
-    /// between coefficient changes — the paper's Section V argument).
-    pub fn amortized_per_item(&self, items: usize) -> Duration {
-        assert!(items > 0);
-        Duration::from_nanos((self.total().as_nanos() / items as u128) as u64)
-    }
-}
-
 /// Prices one parameter change: evaluates the SCG twice (old and new
 /// values), measures the Boolean-function evaluation time, diffs and
 /// prices the dirty frames.
@@ -156,18 +142,6 @@ mod tests {
         let m = ReconfigInterface::Micap.frame_rmw();
         let d = ReconfigInterface::IcapDma.frame_rmw();
         assert!(h > m && m > d);
-    }
-
-    #[test]
-    fn amortization_divides() {
-        let r = ReconfigReport {
-            frames: 1000,
-            port_time: Duration::from_millis(251),
-            eval_time: Duration::from_millis(0),
-            bits_changed: 1,
-        };
-        let per_image = r.amortized_per_item(1000);
-        assert_eq!(per_image.as_micros(), 251);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!   the cold linear scan the tests compare it against);
 //! * [`ParEngine::route`] — one routing run on a prebuilt graph.
 //!
+//! The engine does not audit itself: a caller that wants the wave or the
+//! partition schedule proven re-routes with the verifier attached
+//! ([`ParEngine::route_audited`], [`ParEngine::route_partition_audited`]),
+//! as `table1 --verify`, `xbench verify` and `tests/determinism.rs` do.
+//!
 //! Determinism contract: for a fixed netlist and options, every result is
 //! **bit-identical regardless of `threads`**. Placement fans seeds across
 //! scoped workers and keeps the lowest cost (ties broken by seed order);
@@ -38,13 +43,6 @@ pub struct EngineOptions {
     pub min_width: usize,
     /// Width search ceiling; failing here aborts.
     pub max_width: usize,
-    /// After the width search, re-route cold at the minimum width with
-    /// the wave-schedule auditor attached and attach its
-    /// serial-equivalence report to the [`ParReport`]. Costs one extra
-    /// cold routing run; never changes results. With `partitions ≥ 2` the
-    /// run also records the partition schedule and attaches the
-    /// partition-ownership report.
-    pub audit_waves: bool,
     /// Column regions for spatial partition routing. `1` disables the
     /// partition path, `0` picks a fabric-sized count automatically
     /// (≈ one region per 12 tile columns, capped at 8). Results never
@@ -61,7 +59,6 @@ impl Default for EngineOptions {
             // that wastes PathFinder iterations on hopeless congestion.
             min_width: 6,
             max_width: 96,
-            audit_waves: false,
             partitions: 0,
         }
     }
@@ -88,13 +85,6 @@ pub struct ParReport {
     pub place_seconds: f64,
     /// Wall time of the whole width search.
     pub route_seconds: f64,
-    /// Wave-schedule serial-equivalence report from an audited re-route
-    /// at the minimum width (`Some` iff `EngineOptions::audit_waves`).
-    pub wave_audit: Option<verify::VerifyReport>,
-    /// Partition-schedule ownership report from a partitioned re-route at
-    /// the minimum width, bit-compared against the audited run (`Some`
-    /// iff `EngineOptions::audit_waves` and ≥ 2 partitions resolve).
-    pub partition_audit: Option<verify::VerifyReport>,
 }
 
 /// The place & route engine. See the module docs.
@@ -209,13 +199,9 @@ impl ParEngine {
         };
         let place_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let mut search_span = trace::span("par.width_search");
         let search = self
             .min_channel_width(netlist, &placement, arch)
             .ok_or_else(|| format!("unroutable up to width {}", self.opts.max_width))?;
-        search_span.arg("min_width", search.min_width);
-        search_span.arg("probes", search.probes.len());
-        drop(search_span);
         let route_seconds = t1.elapsed().as_secs_f64();
         run_span.arg("min_width", search.min_width);
         // Commit-path audit, checked in release builds too: the report's
@@ -223,31 +209,6 @@ impl ParEngine {
         let graph = RouteGraph::build(arch, search.min_width);
         audit(netlist, &placement, &graph, &search.result)
             .map_err(|e| format!("route audit failed at width {}: {e}", search.min_width))?;
-        let (wave_audit, partition_audit) = if self.opts.audit_waves {
-            let (cold, report) = self.route_audited(netlist, &placement, &graph);
-            let resolved = if self.opts.partitions == 0 {
-                crate::incr::auto_partitions(arch.size)
-            } else {
-                self.opts.partitions
-            };
-            let partition_audit = if resolved >= 2 {
-                let (pr, preport) = self.route_partition_audited(netlist, &placement, &graph);
-                // The partition path must reproduce the audited wave
-                // schedule bit-exactly — a divergence is a soundness bug,
-                // not a QoR regression, so it fails the run outright.
-                if let (Ok(a), Ok(b)) = (&cold, &pr) {
-                    if a.trees != b.trees {
-                        return Err("partition routing diverged from the wave schedule".into());
-                    }
-                }
-                Some(preport)
-            } else {
-                None
-            };
-            (Some(report), partition_audit)
-        } else {
-            (None, None)
-        };
         Ok(ParReport {
             arch,
             placement,
@@ -257,8 +218,6 @@ impl ParEngine {
             certificate: search.certificate,
             place_seconds,
             route_seconds,
-            wave_audit,
-            partition_audit,
         })
     }
 }
@@ -352,18 +311,6 @@ mod tests {
             assert!(report.ok(), "wave schedule must be serial-equivalent: {}", report.summary());
             assert!(report.checked > 0, "audit must have observed waves");
         }
-    }
-
-    #[test]
-    fn audit_waves_option_attaches_report() {
-        let d = map_parameterized(&small_mul_aig(), MapOptions::default());
-        let nl = extract(&d);
-        let rep = ParEngine::new(EngineOptions { audit_waves: true, ..Default::default() })
-            .run(&nl)
-            .expect("routable");
-        let audit = rep.wave_audit.expect("audit_waves must attach a report");
-        assert_eq!(audit.pass, "wave-schedule");
-        assert!(audit.ok(), "{}", audit.summary());
     }
 
     #[test]

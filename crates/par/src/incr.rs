@@ -31,6 +31,11 @@
 //!   different regions commute because their boxes are region-confined,
 //!   so the result is bit-identical to the wave path for any partition
 //!   count and any thread count (pinned by `tests/determinism.rs`).
+//!
+//! The core prints nothing and reads no environment: what it did is in
+//! its trace spans — `par.route_iter` (`dirty`, `waves`, `ripups`,
+//! `overused`), `par.partition`, `par.wave`, and a `par.debias` instant
+//! (`warm_n`) each time a stalled warm probe dissolves its frozen trees.
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
@@ -79,7 +84,7 @@ const HALO: f32 = 1.0;
 /// Fabric-size-derived partition count (used when `EngineOptions::
 /// partitions == 0`): one column region per ~12 tile columns, capped at 8.
 /// Deterministic in the fabric alone so auto never perturbs results.
-pub(crate) fn auto_partitions(size: usize) -> usize {
+fn auto_partitions(size: usize) -> usize {
     (size / 12).clamp(1, 8)
 }
 
@@ -91,13 +96,6 @@ const MIN_PARTITION_DIRTY: usize = 48;
 /// is the whole fabric.
 const MARGINS: [f32; 3] = [3.0, 10.0, f32::INFINITY];
 const LAST_STAGE: u8 = (MARGINS.len() - 1) as u8;
-
-/// True when `VCGRA_PAR_VERBOSE` is set: the router and the width search
-/// narrate iterations/probes on stderr (diagnostics only, never parsed).
-pub(crate) fn verbose() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("VCGRA_PAR_VERBOSE").is_some())
-}
 
 /// Axis-aligned closed box in tile coordinates.
 #[derive(Debug, Clone, Copy)]
@@ -630,15 +628,6 @@ pub(crate) fn route_core(
         last_overused = overused;
         iter_span.arg("ripups", ripups);
         iter_span.arg("overused", overused);
-        if verbose() {
-            eprintln!(
-                "    iter {:>2}: {} dirty nets, {} waves, {} overused wires",
-                iter,
-                dirty.len(),
-                waves.len(),
-                overused
-            );
-        }
         if overused == 0 {
             return Ok(build_result(
                 netlist,
@@ -681,9 +670,7 @@ pub(crate) fn route_core(
                         // Never let warm bias manufacture an "unroutable":
                         // dissolve the remaining frozen routes and give the
                         // stall clock a fresh start before giving up.
-                        if verbose() {
-                            eprintln!("    de-biasing before abort: ripping {warm_n} frozen warm nets");
-                        }
+                        trace::instant("par.debias", vec![("warm_n", warm_n.into())]);
                         debias = true;
                         best_overused = usize::MAX;
                         stalled = 0;
@@ -702,9 +689,7 @@ pub(crate) fn route_core(
                 // Small, stubborn overuse on a warm-started run: the
                 // remaining frozen routes are the likely culprit. Rip
                 // them all next iteration and restart the stall clock.
-                if verbose() {
-                    eprintln!("    de-biasing: ripping {warm_n} frozen warm nets");
-                }
+                trace::instant("par.debias", vec![("warm_n", warm_n.into())]);
                 debias = true;
                 best_overused = usize::MAX;
                 stalled = 0;

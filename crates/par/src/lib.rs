@@ -15,7 +15,7 @@
 //! * `incr` — the incremental router core: in-place occupancy/history,
 //!   dirty-net worklist, per-net A* bounding boxes with staged expansion,
 //!   and deterministic wave parallelism (bit-identical for any thread
-//!   count);
+//!   count); its diagnostics are trace spans, it prints nothing;
 //! * [`warm`] — minimum-channel-width search (doubling + binary) whose
 //!   probes are warm-started from the previous width's routing trees;
 //! * [`engine`] — the [`engine::ParEngine`] facade owning every knob;

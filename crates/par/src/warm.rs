@@ -13,6 +13,11 @@
 //! minimum carries a [`WidthCertificate`]. A cold linear scan is kept as
 //! the reference ([`crate::engine::ParEngine::min_channel_width_reference`]);
 //! both must find the same minimum (see the equivalence tests).
+//!
+//! One `par.width_search` span covers a search and carries its sound
+//! `lower_bound`, the congestion `estimate` it started from, the minimum
+//! and the probe count; each probe is a `par.probe` child (width, warm
+//! nets, verdict, effort, and a failure's `worst_cut_overuse`).
 
 use crate::engine::EngineOptions;
 use crate::incr::{route_core, Knobs};
@@ -244,14 +249,6 @@ fn probe(
         .as_ref()
         .map(|s| s.iter().filter(|t| !t.is_empty()).count())
         .unwrap_or(0);
-    if crate::incr::verbose() {
-        eprintln!(
-            "  probe width {} ({} warm nets{}) ...",
-            graph.width,
-            warm_nets,
-            if confirm { ", cold confirmation" } else { "" }
-        );
-    }
     let mut probe_span = trace::span("par.probe");
     probe_span.arg("width", graph.width);
     probe_span.arg("warm_nets", warm_nets);
@@ -266,17 +263,11 @@ fn probe(
     probe_span.arg("success", success);
     probe_span.arg("iterations", iterations);
     probe_span.arg("ripups", ripups);
-    drop(probe_span);
-    if crate::incr::verbose() {
-        eprintln!(
-            "  probe width {}: {} in {:.2}s ({} iters, {} ripups)",
-            graph.width,
-            if success { "ok" } else { "FAIL" },
-            seconds,
-            iterations,
-            ripups
-        );
+    if let Err(e) = &r {
+        // What `fail_advance` in `search` sharpens `lo` from.
+        probe_span.arg("worst_cut_overuse", e.worst_cut_overuse);
     }
+    drop(probe_span);
     probes.push(WidthProbe {
         width: graph.width,
         success,
@@ -400,9 +391,9 @@ pub(crate) fn search(
     let mut probes = Vec::new();
     let lower_bound = channel_width_lower_bound(netlist, placement, arch);
     let estimate = channel_width_estimate(netlist, placement, arch);
-    if crate::incr::verbose() {
-        eprintln!("  width lower bound {lower_bound}, congestion estimate {estimate}");
-    }
+    let mut search_span = trace::span("par.width_search");
+    search_span.arg("lower_bound", lower_bound);
+    search_span.arg("estimate", estimate);
 
     // Overuse-sharpened `lo` advances. A *failed* cold-equivalent probe at
     // `w` reports its worst cut's residual overuse; spreading that excess
@@ -421,14 +412,6 @@ pub(crate) fn search(
         let adv = e.worst_cut_overuse.div_ceil(sep);
         if adv > 1 {
             *overuse_lo = (*overuse_lo).max(w + adv);
-            if crate::incr::verbose() {
-                eprintln!(
-                    "  overuse advance: width {} fails with worst-cut overuse {} -> lo {}",
-                    w,
-                    e.worst_cut_overuse,
-                    w + adv
-                );
-            }
         }
         *lo = (*lo).max(w + adv.max(1));
     };
@@ -505,6 +488,8 @@ pub(crate) fn search(
             }
         }
     };
+    search_span.arg("min_width", best_w);
+    search_span.arg("probes", probes.len());
     Some(WidthSearch {
         min_width: best_w,
         result: best_r,

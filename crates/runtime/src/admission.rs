@@ -307,11 +307,8 @@ impl Runtime {
             self.ledger.warm_admissions += 1;
         } else {
             self.ledger.cold_compiles += 1;
-            self.ledger.host_compile_time += compile_time;
         }
-        self.ledger.host_admit_time += admit_time;
         self.charge((lease.grid, lease.row0), Phase::Admission, Some(id), config_port_time);
-        self.admit_hist.record_duration(admit_time);
 
         // Derive the verifier's structural signature once, here, instead
         // of per snapshot: under `verify_on_admit` every mutating

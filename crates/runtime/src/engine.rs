@@ -4,7 +4,10 @@
 //! isolation): tenants *within* a shared band are time-multiplexed, so
 //! every slot whose tenant differs from the one before it is charged a
 //! full-region micro-reconfiguration in the ledger (the cost that makes
-//! oversubscription visible). Those charges follow from slot order alone.
+//! oversubscription visible). Those charges follow from slot order and
+//! [`BandWork::swap_in_first`] alone; the engine does not ask whether a
+//! band is shared — a configuration left behind by a released tenant
+//! costs its successor the same swap-in.
 //!
 //! Host execution is organized by **unit**, not by band. Every job
 //! arrives as an [`ExecPlan`] — its mapped graph lowered once, by
@@ -52,10 +55,8 @@ pub struct Job {
 
 /// All work scheduled onto one band this run.
 pub struct BandWork {
-    /// True when the band time-multiplexes several tenants.
-    pub shared: bool,
-    /// True when the band's resident configuration (from a previous run)
-    /// is not the first job's — the first slot must swap in too.
+    /// True when the configuration loaded in the band is not the first
+    /// job's — the first slot must swap in too.
     pub swap_in_first: bool,
     /// Modeled port time of one context switch (full-region reconfig).
     pub switch_cost: Duration,
@@ -145,7 +146,7 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
                 None => band.swap_in_first,
             };
             loaded = Some(job.tenant);
-            let switches = usize::from(band.shared && swap_in);
+            let switches = usize::from(swap_in);
             if switches > 0 {
                 // The swap-in reconfigures this band while other bands
                 // keep computing — the overlap the runtime's timeline
@@ -245,12 +246,8 @@ mod tests {
             inputs: inputs[t].clone(),
         };
         let cost = Duration::from_millis(100);
-        let band = |shared, jobs| BandWork { shared, swap_in_first: false, switch_cost: cost, jobs };
-        vec![
-            band(false, vec![job(0)]),
-            band(true, vec![job(3), job(1)]),
-            band(false, vec![job(2)]),
-        ]
+        let band = |jobs| BandWork { swap_in_first: false, switch_cost: cost, jobs };
+        vec![band(vec![job(0)]), band(vec![job(3), job(1)]), band(vec![job(2)])]
     }
 
     #[test]
@@ -329,7 +326,6 @@ mod tests {
         let inputs: Vec<Vec<FpValue>> = vec![vec![fp(1.0), fp(2.0)]; 3];
         let cost = Duration::from_millis(100);
         let band = BandWork {
-            shared: true,
             swap_in_first: false,
             switch_cost: cost,
             jobs: (0..3)
@@ -342,10 +338,10 @@ mod tests {
         assert_eq!(runs[2].context_switches, 1);
         assert_eq!(runs[1].switch_port_time, cost);
 
-        // With another tenant resident from a previous run, the first slot
-        // pays a swap-in too.
+        // With another tenant's configuration loaded — resident from a
+        // previous run, or left behind by a tenant that has gone, so that
+        // the band is no longer shared — the first slot pays a swap-in too.
         let band = BandWork {
-            shared: true,
             swap_in_first: true,
             switch_cost: cost,
             jobs: vec![Job { tenant: 0, epoch: 0, plan: plan.clone(), inputs: inputs.clone() }],
@@ -356,7 +352,6 @@ mod tests {
         // Two requests for one tenant are adjacent slots: the second finds
         // its own configuration loaded and pays nothing.
         let band = BandWork {
-            shared: true,
             swap_in_first: false,
             switch_cost: cost,
             jobs: [0, 0, 1]

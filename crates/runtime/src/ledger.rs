@@ -37,7 +37,9 @@ pub struct TenantStats {
 /// modeled durations — the four `*_port_time` fields, `exec_time`,
 /// `modeled_makespan` and `overlap_saved` — have a single writer,
 /// `Runtime::charge`, which puts the same `Duration` on the time axis.
-/// [`Runtime::metrics`] carries only the two latency histograms.
+/// `exec_time` is the only measured host time kept here; an admission's
+/// and a swap's host latency are returned by the call that took them
+/// ([`crate::Admitted::admit_time`], [`crate::SwapReport::eval_time`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ledger {
     /// Submissions and resubmissions refused at the door because the
@@ -47,10 +49,6 @@ pub struct Ledger {
     pub cold_compiles: usize,
     /// Admissions served from the configuration cache.
     pub warm_admissions: usize,
-    /// Host time in `map_app`.
-    pub host_compile_time: Duration,
-    /// Host time of all admissions (compile + specialize).
-    pub host_admit_time: Duration,
     /// Modeled port time of initial configurations.
     pub admission_port_time: Duration,
     /// Submissions that entered the admission queue.
@@ -76,8 +74,6 @@ pub struct Ledger {
     pub swap_frames: usize,
     /// Modeled port time of swaps.
     pub swap_port_time: Duration,
-    /// Host time evaluating PPC functions during swaps.
-    pub swap_eval_time: Duration,
     /// Context switches across all shared bands.
     pub context_switches: usize,
     /// Modeled port time of context switches.
@@ -96,9 +92,6 @@ pub struct Ledger {
     /// (`charged + execute` laid end to end minus the makespan).
     /// Monotone nondecreasing.
     pub overlap_saved: Duration,
-    /// The paper's per-PE full-reconfiguration unit on the priced
-    /// interface (251 ms on HWICAP) — the ledger's anchor constant.
-    pub paper_pe_unit: Duration,
 }
 
 impl Ledger {

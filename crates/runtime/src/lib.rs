@@ -41,23 +41,25 @@
 //!   and cut into units of 64 items, which the worker threads take
 //!   off one shared cursor; a unit runs lane-major, its items the
 //!   lanes of `u64` columns each op of the plan sweeps in one
-//!   `softfloat::FpKernel` call. A slot of a shared band is charged a
-//!   context switch when the slot before it served another tenant. The
-//!   plan is bit-exact with the per-item reference
-//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run` refuses a
-//!   value in another format before any worker starts.
+//!   `softfloat::FpKernel` call. A slot is charged a context switch when
+//!   the configuration loaded in its band is another tenant's — the slot
+//!   before it, or for the first slot the band's resident, which may
+//!   have been released since. The plan is bit-exact with the per-item
+//!   reference `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run`
+//!   refuses a value in another format before any worker starts.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together, plus the
-//!   [`Ledger`] that accumulates measured host time against modeled
+//!   [`Ledger`] that accumulates measured execution time against modeled
 //!   configuration-port time: plain state the runtime mutates in place,
 //!   its modeled durations written by the one call that also puts them
-//!   on the time axis. A graph that is malformed or that no region can
-//!   be compiled for is a typed [`RuntimeError::Flow`], never a panic: a
-//!   graph `run` could not lower (`AppGraph::validate`) is refused by
-//!   `submit`/`resubmit` before a lease or a queue slot is taken and
-//!   counted in [`Ledger::refused`]; a compile that fails surrenders its
-//!   lease.
+//!   on the time axis. Every field of it has a reader; the host latency
+//!   of an admission or a swap is returned by that call, not summed. A
+//!   graph that is malformed or that no region can be compiled for is a
+//!   typed [`RuntimeError::Flow`], never a panic: a graph `run` could not
+//!   lower (`AppGraph::validate`) is refused by `submit`/`resubmit`
+//!   before a lease or a queue slot is taken and counted in
+//!   [`Ledger::refused`]; a compile that fails surrenders its lease.
 //! * [`timeline`] — the modeled **time axis**: every charged
 //!   reconfiguration phase scheduled as an interval on its band's lane,
 //!   host→fabric phases serialized on the one configuration port,

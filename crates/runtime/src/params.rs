@@ -1,7 +1,6 @@
 //! Parameter-only changes: the micro-reconfiguration fast path.
 
 use softfloat::FpValue;
-use vcgra::app::AppGraph;
 use vcgra::PeSettings;
 
 use crate::config::RuntimeError;
@@ -27,7 +26,6 @@ impl Runtime {
         if let Some(c) = coeffs.iter().find(|c| c.format != t.graph.format) {
             return Err(RuntimeError::BadFormat { expected: t.graph.format, got: c.format });
         }
-        let new_graph = t.graph.with_coeffs(coeffs);
         let changes: Vec<PeChange> = slots
             .iter()
             .zip(coeffs)
@@ -39,7 +37,13 @@ impl Runtime {
                 PeChange { cell: (t.lease.row0 + r, col), old, new }
             })
             .collect();
-        self.apply_changes(tenant, new_graph, changes)
+        let report = self.apply_changes(tenant, changes)?;
+        // Priced and booked: the graph follows its settings, in place.
+        let t = self.tenants.get_mut(&tenant).expect("the swap was applied to a live tenant");
+        for (node, &c) in slots.into_iter().zip(coeffs) {
+            t.graph.nodes[node].coeff = Some(c);
+        }
+        Ok(report)
     }
 
     /// Parameter-only change of one node's iteration counter (the other
@@ -59,14 +63,14 @@ impl Runtime {
             .expect("placed node has settings");
         let new = PeSettings { counter, ..old };
         let change = PeChange { cell: (t.lease.row0 + r, col), old, new };
-        let graph = t.graph.clone();
-        self.apply_changes(tenant, graph, vec![change])
+        self.apply_changes(tenant, vec![change])
     }
 
+    /// Prices `changes`, writes them into the tenant's settings and books
+    /// the swap. The tenant's graph is the caller's to update.
     fn apply_changes(
         &mut self,
         tenant: TenantId,
-        new_graph: AppGraph,
         changes: Vec<PeChange>,
     ) -> Result<SwapReport, RuntimeError> {
         let mut request_span = trace::span("request");
@@ -83,14 +87,12 @@ impl Runtime {
             let (r, c) = (ch.cell.0 - t.lease.row0, ch.cell.1);
             t.mapping.pe_settings[r * cols + c] = Some(ch.new);
         }
-        t.graph = new_graph;
         t.stats.swaps += 1;
         t.stats.swap_frames += report.frames();
         t.stats.swap_port_time += report.port_time;
         let lane = (t.lease.grid, t.lease.row0);
         self.ledger.swaps += 1;
         self.ledger.swap_frames += report.frames();
-        self.ledger.swap_eval_time += report.eval_time;
         self.charge(lane, Phase::Swap, Some(tenant), report.port_time);
         Ok(report)
     }

@@ -64,11 +64,6 @@ impl SwapReport {
     pub fn frames(&self) -> usize {
         self.ppc_frames + self.settings_frames
     }
-
-    /// Total latency of the swap (port + SCG evaluation).
-    pub fn total(&self) -> Duration {
-        self.port_time + self.eval_time
-    }
 }
 
 struct PricerModel {

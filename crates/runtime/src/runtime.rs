@@ -26,7 +26,9 @@
 //!    to the swap path, a changed structure releases the lease and
 //!    recompiles (or queues, when the pool is full);
 //! 4. **run** — batched streams execute bands-in-parallel through the
-//!    engine; every item is bit-exact with `run_dataflow`;
+//!    engine; every item is bit-exact with `run_dataflow`. A band's first
+//!    job pays a context switch unless its own configuration is the one
+//!    loaded there (`resident`: whoever ran or was admitted last);
 //! 5. **release** — frees the region and **drains the queue**: waiting
 //!    tenants admit in strict FIFO order until the head no longer fits.
 //!
@@ -38,9 +40,11 @@
 //! executing so capacity freed out-of-band is never left idle.
 //!
 //! The [`Ledger`] accumulates both sides of the paper's Section V
-//! argument: measured host compile/execution time, and modeled
+//! argument: measured host execution time, and modeled
 //! configuration-port time anchored on the 251 ms-per-PE estimate —
-//! including the replay cost of every compaction move.
+//! including the replay cost of every compaction move. (Host compile
+//! and admission latency are per call: [`Admitted::compile_time`],
+//! [`Admitted::admit_time`].)
 //!
 //! The ledger's flat sum is complemented by a modeled **time axis**
 //! ([`crate::timeline`]): the one call that charges a phase to the ledger
@@ -124,12 +128,6 @@ pub struct Runtime {
     pub(crate) pricer: SettingsPricer,
     pub(crate) tenants: BTreeMap<TenantId, Tenant>,
     pub(crate) next_id: TenantId,
-    /// Holds the two latency histograms below, nothing else.
-    metrics: trace::Registry,
-    /// Per-admission host-latency histogram (`runtime.admit_ns`).
-    pub(crate) admit_hist: trace::Histogram,
-    /// Per-tenant-run host-latency histogram (`runtime.execute_ns`).
-    exec_hist: trace::Histogram,
     /// The pool-wide accounting, mutated in place.
     pub(crate) ledger: Ledger,
     /// FIFO admission queue: submissions the pool could not place yet.
@@ -138,8 +136,9 @@ pub struct Runtime {
     /// terminally), with the error that killed them.
     pub(crate) queue_failures: Vec<(TenantId, RuntimeError)>,
     /// Which tenant's configuration is loaded in each band
-    /// (`(grid, row0)` → tenant): a shared band whose resident differs
-    /// from the next run's first job pays a swap-in context switch.
+    /// (`(grid, row0)` → tenant, absent once that tenant has left): a
+    /// run whose first job on the band is anyone else's pays a swap-in
+    /// context switch.
     pub(crate) resident: BTreeMap<(usize, usize), TenantId>,
     /// The modeled time axis: every charged phase scheduled as an
     /// interval on its band's lane (see [`crate::timeline`]), fed by
@@ -153,10 +152,6 @@ impl Runtime {
         let pool = GridPool::new(cfg.grids.clone());
         let cache = ConfigCache::new(cfg.cache_capacity);
         let pricer = SettingsPricer::new(cfg.pricer_format, cfg.iface);
-        let metrics = trace::Registry::new();
-        let admit_hist = metrics.histogram("runtime.admit_ns");
-        let exec_hist = metrics.histogram("runtime.execute_ns");
-        let ledger = Ledger { paper_pe_unit: dcs::paper_pe_reconfig(cfg.iface), ..Ledger::default() };
         Runtime {
             cfg,
             pool,
@@ -164,10 +159,7 @@ impl Runtime {
             pricer,
             tenants: BTreeMap::new(),
             next_id: 0,
-            metrics,
-            admit_hist,
-            exec_hist,
-            ledger,
+            ledger: Ledger::default(),
             queue: VecDeque::new(),
             queue_failures: Vec::new(),
             resident: BTreeMap::new(),
@@ -230,18 +222,13 @@ impl Runtime {
             // Jobs follow the band's slot order.
             let slots = self.pool.band_tenants(grid, row0);
             jobs.sort_by_key(|j| slots.iter().position(|&t| t == j.tenant));
-            let shared = slots.len() > 1;
             let region_pes = self.tenants[&jobs[0].tenant].lease.pe_count();
-            // The first job pays a swap-in when another tenant's
-            // configuration is resident, and the last job's
-            // configuration stays resident.
-            let swap_in_first = self
-                .resident
-                .get(&(grid, row0))
-                .is_some_and(|&r| r != jobs[0].tenant);
+            // The first job pays a swap-in unless its own configuration
+            // is the one loaded — a resident that has since left still
+            // occupies the region — and the last job's stays resident.
+            let swap_in_first = self.resident.get(&(grid, row0)) != Some(&jobs[0].tenant);
             next_resident.push(((grid, row0), jobs.last().expect("band group is non-empty").tenant));
             bands.push(BandWork {
-                shared,
                 swap_in_first,
                 switch_cost: self.pricer.full_config_cost(region_pes),
                 jobs,
@@ -271,7 +258,6 @@ impl Runtime {
                 self.charge(lane, Phase::Switch, Some(run.tenant), run.switch_port_time);
             }
             self.charge(lane, Phase::Execute, Some(run.tenant), run.exec_time);
-            self.exec_hist.record_duration(run.exec_time);
         }
         self.enforce_invariants()?;
         Ok(runs)
@@ -310,12 +296,6 @@ impl Runtime {
     /// The pool-wide ledger.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
-    }
-
-    /// The metrics registry: the `runtime.admit_ns` / `runtime.execute_ns`
-    /// latency histograms. Counters live in [`Runtime::ledger`].
-    pub fn metrics(&self) -> &trace::Registry {
-        &self.metrics
     }
 
     /// Fraction of pool rows currently leased.

@@ -178,36 +178,22 @@ impl Timeline {
         start
     }
 
-    /// Moves a lane (compaction relocation) and replays the band's cached
-    /// configuration on the new lane: the lane's intervals move, then the
-    /// replay scheduled on `to`. Returns the replay's modeled start time.
+    /// Moves a lane (compaction relocation), ahead of the `replay`-long
+    /// [`Phase::Replay`] the caller schedules on `to` next: the `from`
+    /// cursor merges into `to` (the band cannot be busier than the later
+    /// of the two), which is where that replay will start.
     ///
     /// The replay does *not* block the configuration port: post-slide
     /// target rows are disjoint from whatever the port streams next, and
     /// the image is grid-resident — that overlap is precisely what the
     /// flat `compaction_port_time` sum fails to model.
-    pub fn relocate(
-        &mut self,
-        from: Lane,
-        to: Lane,
-        tenant: Option<TenantId>,
-        replay: Duration,
-    ) -> Duration {
-        self.move_lane(from, to, replay);
-        self.schedule(to, Phase::Replay, tenant, replay)
-    }
-
-    /// The cursor half of a relocation, ahead of the `replay`-long
-    /// [`Phase::Replay`] the caller schedules on `to` next: the `from`
-    /// cursor merges into `to` (the band cannot be busier than the later
-    /// of the two), which is where that replay will start.
     ///
     /// The vacated rows stay occupied until the move completes: the
     /// `from` cursor advances to the replay's end rather than resetting,
     /// so a band admitted there later cannot overlap the outgoing band's
     /// history. That keeps every lane's intervals serialized, which is
     /// what makes `max(per-lane busy) <= makespan` a theorem.
-    pub(crate) fn move_lane(&mut self, from: Lane, to: Lane, replay: Duration) {
+    pub fn move_lane(&mut self, from: Lane, to: Lane, replay: Duration) {
         let from_cursor = self.lane_free.get(&from).copied().unwrap_or(Duration::ZERO);
         let to_cursor = self.lane_free.get(&to).copied().unwrap_or(Duration::ZERO);
         let start = from_cursor.max(to_cursor);
@@ -321,7 +307,8 @@ mod tests {
         // Band at row 6 slides to row 0: the replay cannot start before
         // either the band's own history (8 ms) or the target lane's
         // (2 ms).
-        let start = tl.relocate((0, 6), (0, 0), Some(1), 3 * MS);
+        tl.move_lane((0, 6), (0, 0), 3 * MS);
+        let start = tl.schedule((0, 0), Phase::Replay, Some(1), 3 * MS);
         assert_eq!(start, 8 * MS);
         assert_eq!(tl.makespan(), 11 * MS);
         // The vacated rows stay occupied until the move completes: a new

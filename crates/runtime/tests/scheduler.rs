@@ -384,6 +384,50 @@ fn a_tenant_requested_twice_in_one_call_switches_at_most_once() {
     assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
 }
 
+/// A tenant that leaves a shared band leaves its configuration behind:
+/// whoever runs there next pays a swap-in, whether or not the band is
+/// still shared, and pays it once.
+#[test]
+fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
+    let graph = kernels::fir_seeded(F, 8, 7).graph; // 15 nodes → all 4 rows
+    let shared_grid = |sharers: usize| -> (Runtime, Vec<TenantId>) {
+        let mut rt = Runtime::new(RuntimeConfig {
+            grids: vec![VcgraArch::paper_4x4()],
+            ..RuntimeConfig::default()
+        });
+        let tenants = (0..sharers)
+            .map(|i| rt.submit(format!("t{i}"), graph.clone()).unwrap().expect_admitted("shares").tenant)
+            .collect();
+        (rt, tenants)
+    };
+    let switches = |rt: &mut Runtime, tenant: TenantId| -> usize {
+        let request = StreamRequest { tenant, inputs: stream(graph.num_inputs, 3, tenant) };
+        rt.run(vec![request]).unwrap()[0].context_switches
+    };
+    let assert_clean = |rt: &Runtime, switches: usize| {
+        assert_eq!(rt.ledger().context_switches, switches);
+        assert!(rt.verify().ok(), "{}", rt.verify().summary());
+        assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+    };
+
+    // Two sharers: admission left the second resident; it leaves, and the
+    // band — dedicated again — still holds its configuration.
+    let (mut rt, t) = shared_grid(2);
+    rt.release(t[1]).unwrap();
+    assert_eq!(rt.pool().band_tenants(0, 0), [t[0]]);
+    assert_eq!(switches(&mut rt, t[0]), 1, "the region holds the released tenant's configuration");
+    assert_eq!(switches(&mut rt, t[0]), 0, "now its own is loaded");
+    assert_clean(&rt, 1);
+
+    // Three sharers: the resident leaves and the band stays shared.
+    let (mut rt, t) = shared_grid(3);
+    rt.release(t[2]).unwrap();
+    assert_eq!(switches(&mut rt, t[0]), 1);
+    assert_eq!(switches(&mut rt, t[0]), 0);
+    assert_eq!(switches(&mut rt, t[1]), 1);
+    assert_clean(&rt, 2);
+}
+
 /// Seeded multi-tenant churn through the queue: submissions, releases and
 /// streams interleave for dozens of rounds. The model tracks the expected
 /// FIFO queue; every drain must match it, every stream must stay

@@ -81,7 +81,9 @@ proptest! {
             let lane = ((lane_draw % 3) as usize, ((lane_draw / 3) % 4) as usize * 4);
             if kind % 16 == 15 {
                 let to = ((lane_draw % 3) as usize, ((lane_draw / 7) % 4) as usize * 4);
-                tl.relocate(lane, to, None, Duration::from_millis(ms));
+                let replay = Duration::from_millis(ms);
+                tl.move_lane(lane, to, replay);
+                tl.schedule(to, Phase::Replay, None, replay);
             } else {
                 tl.schedule(lane, phase_of(kind, false), None, Duration::from_millis(ms));
             }
@@ -109,7 +111,9 @@ proptest! {
             let lane = ((lane_draw % 3) as usize, ((lane_draw / 3) % 4) as usize * 4);
             if kind % 16 == 15 {
                 let to = ((lane_draw % 3) as usize, ((lane_draw / 7) % 4) as usize * 4);
-                tl.relocate(lane, to, None, Duration::from_millis(ms));
+                let replay = Duration::from_millis(ms);
+                tl.move_lane(lane, to, replay);
+                tl.schedule(to, Phase::Replay, None, replay);
             } else {
                 tl.schedule(lane, phase_of(kind, true), None, Duration::from_millis(ms));
             }

@@ -2,8 +2,7 @@
 //! admission is a `request` span whose subtree contains the
 //! `admission`, `cache`, and `pricing` phases, every worker's share of a
 //! streaming job is a `request` span containing an `execute` that
-//! carries its `items`, the ledger's makespan is the time axis's, and the
-//! registry holds one latency sample per admission and per streamed job.
+//! carries its `items`, and the ledger's makespan is the time axis's.
 //!
 //! Single `#[test]` on purpose: the span recorder is process-global, so
 //! one test owns arm/drain and no sibling can interleave events.
@@ -114,7 +113,6 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // The ledger's makespan is the time axis's: `charge` refreshes it
     // with every interval it schedules.
     let led = rt.ledger();
-    let m = rt.metrics();
     assert_eq!(led.modeled_makespan, rt.timeline().makespan());
     assert!(
         led.overlap_saved > std::time::Duration::ZERO,
@@ -124,11 +122,4 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         led.modeled_makespan < led.total_port_time() + led.exec_time,
         "the modeled makespan must beat the fully serialized story"
     );
-
-    // Latency histograms populated: one sample per admission, one per
-    // streamed job.
-    let hists: BTreeMap<String, trace::HistogramSnapshot> = m.histograms().into_iter().collect();
-    assert_eq!(hists["runtime.admit_ns"].count, 2);
-    assert_eq!(hists["runtime.execute_ns"].count, 1);
-    assert!(hists["runtime.admit_ns"].p99() >= hists["runtime.admit_ns"].p50());
 }

@@ -160,8 +160,6 @@ pub struct ShardStats {
     pub ledger: Ledger,
     /// The shard's configuration-cache counters.
     pub cache: CacheStats,
-    /// Tenants currently resident (placed, not queued).
-    pub live_tenants: usize,
     /// Tenants waiting in the runtime's internal admission queue.
     pub queue_len: usize,
     /// PE-utilization of the shard's grid pool.
@@ -572,7 +570,6 @@ fn worker_loop(
                     shard,
                     ledger: *rt.ledger(),
                     cache: rt.cache_stats(),
-                    live_tenants: rt.tenants().count(),
                     queue_len: rt.queue_len(),
                     utilization: rt.utilization(),
                     processed: processed + 1,

@@ -6,7 +6,7 @@
 //! exclusively, wave members never touch each other's state, leases never
 //! overlap, cache keys never alias. This crate turns each of those claims
 //! into a checkable *pass* over a plain-data artifact, behind one
-//! [`Verifier`] facade that produces a machine-readable [`VerifyReport`]:
+//! [`Verifier`] facade that produces a [`VerifyReport`] of typed violations:
 //!
 //! * [`config`] — lints a routed [`vcgra::flow::VcgraMapping`] against its
 //!   [`vcgra::app::AppGraph`]: placement sanity, contiguous simple route
@@ -61,7 +61,7 @@ pub use waves::{WaveAuditor, WaveFootprint};
 use std::fmt;
 
 /// One proven-false invariant, typed so the mutation suite can assert the
-/// *right* rejection and drivers can emit machine-readable records.
+/// *right* rejection and drivers can print a stable code.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     // --- configuration linter (overlay mapping) ---
@@ -436,7 +436,7 @@ pub enum Violation {
 }
 
 impl Violation {
-    /// Short stable kebab-case code (for JSON records and CI greps).
+    /// Short stable kebab-case code (printed by reports; CI greps it).
     pub fn code(&self) -> &'static str {
         match self {
             Violation::NodeCountMismatch { .. } => "node-count-mismatch",
@@ -700,24 +700,6 @@ impl VerifyReport {
             panic!("{msg}");
         }
     }
-
-    /// JSON object (hand-rolled like the rest of the bench records — the
-    /// build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"pass\": \"{}\", \"checked\": {}, \"seconds\": {:.6}, \"violations\": [",
-            self.pass, self.checked, self.seconds
-        );
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let detail = v.to_string().replace('\\', "\\\\").replace('"', "\\\"");
-            s.push_str(&format!("{{\"code\": \"{}\", \"detail\": \"{detail}\"}}", v.code()));
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 /// The facade: one entry point per pass, each producing a
@@ -848,9 +830,7 @@ mod tests {
             seconds: 0.001,
         };
         assert!(!bad.ok());
-        let json = bad.to_json();
-        assert!(json.contains("\"wire-conflict\""), "{json}");
-        assert!(json.contains("\"pass\": \"routes\""), "{json}");
+        assert!(bad.summary().contains("routes: 3 checked, 1 VIOLATIONS"), "{}", bad.summary());
     }
 
     #[test]

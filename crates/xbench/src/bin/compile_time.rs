@@ -12,7 +12,7 @@
 //!   the gap).
 //!
 //! Usage: `cargo run -p xbench --release --bin compile_time [--smoke] [--check]
-//!         [--partitions <k>] [--threads-sweep 1,2,4,8 [--json <path>]]`
+//!         [--partitions <k>] [--threads-sweep 1,2,4,8]`
 //! (`--smoke` runs the gate-level flow on a reduced (5,10) PE — the gap
 //! shrinks with the netlist but stays orders of magnitude. `--check`
 //! turns the run into a regression gate: it exits non-zero when the
@@ -20,9 +20,9 @@
 //! fast if the router hot path regresses. `--partitions` sets the
 //! spatial-partition count of the router (0 = auto, 1 = waves only).
 //! `--threads-sweep` re-routes the gate-level netlist at each listed
-//! thread count, asserts the trees stay bit-identical, and writes the
-//! scaling record — route seconds, waves per iteration, partition
-//! occupancy — to `--json`, default `out/BENCH_route_scaling.json`.)
+//! thread count, asserts the trees stay bit-identical, and prints the
+//! scaling rows — route seconds, waves per iteration, partition
+//! occupancy.)
 
 use fabric::RouteGraph;
 use par::{EngineOptions, ParEngine};
@@ -57,8 +57,6 @@ fn main() {
                 .collect()
         })
         .unwrap_or_default();
-    let json_path =
-        flag_val("--json").unwrap_or_else(|| "out/BENCH_route_scaling.json".to_string());
     let gate_fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
     let coeffs = [0.0625, 0.25, 0.375, 0.25, 0.0625]; // 5-tap binomial
     let arch = VcgraArch::paper_4x4();
@@ -142,8 +140,10 @@ fn main() {
     // --- optional routing-scaling sweep over thread counts ---
     if !sweep.is_empty() {
         let graph = RouteGraph::build(fabric, width);
-        println!("\nroute scaling sweep (width {width}, partitions {partitions}):");
-        let mut rows = Vec::new();
+        println!(
+            "\nroute scaling sweep (width {width}, partitions {partitions}, {} nets):",
+            netlist.nets.len()
+        );
         for &threads in &sweep {
             let eng =
                 ParEngine::new(EngineOptions { threads, partitions, ..Default::default() });
@@ -156,33 +156,12 @@ fn main() {
             );
             let waves_per_iter = r.waves as f64 / r.iterations.max(1) as f64;
             println!(
-                "  threads {threads:>2}: {secs:>7.3}s  {} iters  {:.1} waves/iter  \
+                "  threads {threads:>2}: {secs:>7.3}s  {} iters  {} waves ({:.1}/iter)  \
                  {} interior + {} boundary  occupancy {:?}",
-                r.iterations, waves_per_iter, r.interior_routes, r.boundary_routes,
+                r.iterations, r.waves, waves_per_iter, r.interior_routes, r.boundary_routes,
                 r.partition_occupancy
             );
-            let occupancy = r
-                .partition_occupancy
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            rows.push(format!(
-                "    {{\"threads\": {threads}, \"route_seconds\": {secs:.6}, \
-                 \"iterations\": {}, \"waves\": {}, \"waves_per_iter\": {waves_per_iter:.3}, \
-                 \"interior_routes\": {}, \"boundary_routes\": {}, \
-                 \"partition_occupancy\": [{occupancy}]}}",
-                r.iterations, r.waves, r.interior_routes, r.boundary_routes
-            ));
         }
-        let record = xbench::bench::BenchRecord::new("route_scaling")
-            .field("smoke", smoke)
-            .field("width", width)
-            .field("partitions", partitions)
-            .field("nets", netlist.nets.len())
-            .raw("sweep", format!("[\n{}\n  ]", rows.join(",\n")));
-        record.write(&json_path).expect("write scaling json");
-        println!("wrote {json_path}");
     }
 
     if check {

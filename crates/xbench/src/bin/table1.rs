@@ -14,29 +14,19 @@
 //! the table.
 //!
 //! Usage: `cargo run -p xbench --release --bin table1 [--skip-par]
-//!         [--smoke] [--verify] [--json <path>]`
+//!         [--smoke] [--verify]`
 //! (`--smoke` maps a reduced (5,10) PE and skips the PaR columns — the
 //! paper-scale run is the scheduled CI job's business; `--verify`
 //! re-proves every produced artifact through `vcgra-verify` — mapped
 //! designs against the source AIG, route trees against the fabric
-//! linter, wave schedules against the race detector — and both prints
-//! and records the audit overhead; `--json` writes the machine-readable
-//! benchmark record, e.g. `out/BENCH_table1.json`)
+//! linter, and a cold re-route at the minimum width under the wave-schedule
+//! race detector — and prints the audit overhead)
 
 use fabric::rrg::RouteGraph;
-use mapping::MapStats;
 use par::{ParEngine, ParReport};
 use softfloat::FpFormat;
 use verify::Verifier;
 use xbench::{build_pe_aig_with, map_pe, print_header, print_row, reduction};
-
-struct FlowResult {
-    map_seconds: f64,
-    stats: MapStats,
-    rep: Option<ParReport>,
-    /// `--verify` audit reports (equiv, and with PaR: routes + waves).
-    verify: Vec<verify::VerifyReport>,
-}
 
 fn print_probes(label: &str, rep: &ParReport) {
     println!(
@@ -62,74 +52,31 @@ fn print_probes(label: &str, rep: &ParReport) {
     }
 }
 
-fn json_flow(f: &FlowResult) -> String {
-    let mut s = format!(
-        "{{\n      \"map_seconds\": {:.6},\n      \"luts\": {},\n      \"tluts\": {},\n      \"tcons\": {},\n      \"depth\": {}",
-        f.map_seconds, f.stats.luts, f.stats.tluts, f.stats.tcons, f.stats.depth
-    );
-    if let Some(rep) = &f.rep {
-        s.push_str(&format!(
-            ",\n      \"place_seconds\": {:.6},\n      \"route_seconds\": {:.6},\n      \"min_channel_width\": {},\n      \"width_certificate\": \"{}\",\n      \"wirelength\": {},\n      \"tunable_wirelength\": {},\n      \"tcon_switches\": {},\n      \"iterations\": {},\n      \"ripups\": {},\n      \"fabric_size\": {},\n      \"probes\": [",
-            rep.place_seconds,
-            rep.route_seconds,
-            rep.min_channel_width,
-            rep.certificate.name(),
-            rep.result.wirelength,
-            rep.result.tunable_wirelength,
-            rep.result.tcon_switches,
-            rep.result.iterations,
-            rep.result.ripups,
-            rep.arch.size
-        ));
-        for (i, p) in rep.probes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n        {{\"width\": {}, \"success\": {}, \"seconds\": {:.6}, \"iterations\": {}, \"ripups\": {}, \"warm_nets\": {}, \"confirm\": {}}}",
-                p.width, p.success, p.seconds, p.iterations, p.ripups, p.warm_nets, p.confirm
-            ));
-        }
-        s.push_str("\n      ]");
-    }
-    if !f.verify.is_empty() {
-        s.push_str(",\n      \"verify\": [");
-        for (i, r) in f.verify.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n        ");
-            s.push_str(&r.to_json());
-        }
-        s.push_str("\n      ]");
-    }
-    s.push_str("\n    }");
-    s
-}
-
 /// Runs the `--verify` audits for one flow: AIG-vs-mapped equivalence
-/// always; route lint and a wave-schedule audit when PaR ran. Returns
-/// the reports; the caller fails the run on any violation.
+/// always; route lint and an audited cold re-route at the minimum width
+/// when PaR ran. Returns the reports; the caller fails the run on any
+/// violation.
 fn audit_flow(
     label: &str,
     aig: &logic::aig::Aig,
     design: &mapping::MappedDesign,
-    netlist: Option<&par::ParNetlist>,
-    rep: &mut Option<ParReport>,
+    engine: &ParEngine,
+    routed: Option<&(par::ParNetlist, ParReport)>,
     draws: usize,
 ) -> Vec<verify::VerifyReport> {
     let v = Verifier::new();
     let mut reports = vec![v.verify_equivalence(aig, design, draws, 0x7AB1)];
-    if let (Some(nl), Some(rep)) = (netlist, rep.as_mut()) {
+    if let Some((nl, rep)) = routed {
         let graph = RouteGraph::build(rep.arch, rep.min_channel_width);
         let nets = par::troute::terminals(nl, &rep.placement, &graph);
         reports.push(v.verify_routes(&graph, &nets, &rep.result.trees));
-        if let Some(waves) = rep.wave_audit.take() {
-            reports.push(waves);
-        }
+        reports.push(engine.route_audited(nl, &rep.placement, &graph).1);
     }
     for r in &reports {
         println!("  {label:<15} {}", r.summary());
+        for v in &r.violations {
+            println!("    [{}] {v}", v.code());
+        }
     }
     reports
 }
@@ -140,10 +87,6 @@ fn main() {
     let trace_path = xbench::init_trace();
     let skip_par = smoke || args.iter().any(|a| a == "--skip-par");
     let verify_mode = args.iter().any(|a| a == "--verify");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
     let fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
 
     println!("Building the FP-MAC virtual PE (FloPoCo we={}, wf={}) ...", fmt.we, fmt.wf);
@@ -177,20 +120,10 @@ fn main() {
         &format!("{} levels", sc.depth.saturating_sub(sp.depth)),
     );
 
-    let mut conv_flow =
-        FlowResult { map_seconds: t_conv.as_secs_f64(), stats: sc, rep: None, verify: Vec::new() };
-    let mut par_flow =
-        FlowResult { map_seconds: t_par.as_secs_f64(), stats: sp, rep: None, verify: Vec::new() };
-
-    let mut netlists = None;
+    let engine = ParEngine::new(par::EngineOptions::default());
+    let (mut routed_c, mut routed_p) = (None, None);
     if !skip_par {
         println!("\nPlace & route (par-engine, min channel width search) ...");
-        // With `--verify`, the engine re-routes at the final width under
-        // the wave auditor so the report lands in `rep.wave_audit`.
-        let engine = ParEngine::new(par::EngineOptions {
-            audit_waves: verify_mode,
-            ..par::EngineOptions::default()
-        });
         let nl_c = par::extract(&conv);
         let nl_p = par::extract(&par);
         let t2 = std::time::Instant::now();
@@ -243,15 +176,19 @@ fn main() {
             "(568 TCONs)",
             &rep_p.result.tcon_switches.to_string(),
         );
+        print_row(
+            "  wirelength on tunable nets",
+            "-",
+            &rep_p.result.tunable_wirelength.to_string(),
+        );
         println!(
             "\nfabrics: conventional {0}x{0}, parameterized {1}x{1} logic blocks",
             rep_c.arch.size, rep_p.arch.size
         );
         print_probes("conventional router effort", &rep_c);
         print_probes("parameterized router effort", &rep_p);
-        conv_flow.rep = Some(rep_c);
-        par_flow.rep = Some(rep_p);
-        netlists = Some((nl_c, nl_p));
+        routed_c = Some((nl_c, rep_c));
+        routed_p = Some((nl_p, rep_p));
     } else {
         println!("\n(--skip-par: place & route columns skipped)");
     }
@@ -259,43 +196,18 @@ fn main() {
     let mut violation_count = 0usize;
     if verify_mode {
         let draws = if smoke { 4 } else { 2 };
-        let (nl_c, nl_p) = match &netlists {
-            Some((c, p)) => (Some(c), Some(p)),
-            None => (None, None),
-        };
         println!("\nVerification (vcgra-verify) ...");
-        conv_flow.verify =
-            audit_flow("conventional", &conv_aig, &conv, nl_c, &mut conv_flow.rep, draws);
-        par_flow.verify =
-            audit_flow("parameterized", &par_aig, &par, nl_p, &mut par_flow.rep, draws);
-        let all = conv_flow.verify.iter().chain(&par_flow.verify);
-        let (mut passes, mut overhead) = (0usize, 0.0f64);
-        for r in all {
-            passes += 1;
-            overhead += r.seconds;
-            violation_count += r.violations.len();
-        }
+        let mut reports =
+            audit_flow("conventional", &conv_aig, &conv, &engine, routed_c.as_ref(), draws);
+        reports.extend(audit_flow("parameterized", &par_aig, &par, &engine, routed_p.as_ref(), draws));
+        let passes = reports.len();
+        let overhead: f64 = reports.iter().map(|r| r.seconds).sum();
+        violation_count = reports.iter().map(|r| r.violations.len()).sum();
         println!(
             "  verification overhead: {overhead:.3} s across {passes} passes \
              ({} violations)",
             violation_count
         );
-    }
-
-    if let Some(path) = json_path {
-        let record = xbench::bench::BenchRecord::new("table1")
-            .field("smoke", smoke)
-            .raw("format", format!("{{\"we\": {}, \"wf\": {}}}", fmt.we, fmt.wf))
-            .raw(
-                "flows",
-                format!(
-                    "{{\n    \"conventional\": {},\n    \"parameterized\": {}\n  }}",
-                    json_flow(&conv_flow),
-                    json_flow(&par_flow)
-                ),
-            );
-        record.write(&path).expect("write json");
-        println!("\nwrote {path}");
     }
 
     xbench::finish_trace(trace_path.as_deref());

@@ -18,6 +18,11 @@
 //! its artifacts through `vcgra-verify` and reports the audit overhead
 //! alongside the benchmark figures.
 //!
+//! The drivers print what they measure and write no record of their
+//! own: the machine-readable result is the repo benchmark's
+//! (`bench/out/RESULT.json`), and `--trace <path>` ([`init_trace`])
+//! writes any driver's spans as a Chrome trace.
+//!
 //! Criterion micro-benchmarks live in `benches/` (SCG throughput, router,
 //! mapper, FloPoCo arithmetic, filter kernels). The serving tiers are
 //! measured by the repo benchmark in `bench/` (`bench/run.sh`), and
@@ -26,8 +31,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
-
-pub mod bench;
 
 use logic::aig::Aig;
 use mapping::{MapOptions, MappedDesign};

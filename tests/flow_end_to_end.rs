@@ -139,3 +139,67 @@ fn specialized_mac_computes_flopoco_mac() {
         assert_eq!(got, want, "x={} acc={}", x.to_f64(), acc.to_f64());
     }
 }
+
+#[test]
+fn specialized_virtual_pe_computes_pe_settings_evaluate() {
+    // The same leg for the virtual PE — datapath plus settings-driven
+    // routing muxes: every mode, specialized from its settings word,
+    // against the value model on both outputs.
+    use vcgra::{PeMode, PeSettings, VirtualPe, VirtualPeConfig};
+    let cfg = VirtualPeConfig { format: FMT, hops: 2 };
+    let pe = VirtualPe::build(cfg, true);
+    let design = map_parameterized(&logic::opt::sweep(&pe.aig), MapOptions::default());
+    // `to_param_bits` is in the netlist's parameter order and the regular
+    // inputs are bus bits; the design's are looked up by name.
+    let pe_params: Vec<&str> = pe
+        .aig
+        .inputs()
+        .iter()
+        .filter(|i| i.kind == InputKind::Param)
+        .map(|i| i.name.as_str())
+        .collect();
+    let param_index: Vec<usize> = design
+        .param_names
+        .iter()
+        .map(|n| pe_params.iter().position(|p| p == n).expect("a PE parameter"))
+        .collect();
+    let input_bits: Vec<(&str, usize)> = design
+        .input_names
+        .iter()
+        .map(|name| {
+            let (bus, idx) = name.split_once('[').expect("a bus bit");
+            (bus, idx.trim_end_matches(']').parse().expect("a bit index"))
+        })
+        .collect();
+
+    let w = FMT.width() as usize;
+    let mut rng = logic::SplitMix64::new(0x5E77);
+    let mut rnd_fp = || FpValue::from_f64((rng.unit_f64() - 0.5) * 16.0, FMT);
+    for mode in [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass] {
+        for _ in 0..8 {
+            let settings = PeSettings { coeff: rnd_fp(), counter: 1, mode };
+            let (a, b, fb) = (rnd_fp(), rnd_fp(), rnd_fp());
+            let bits = settings.to_param_bits(&cfg);
+            let params: Vec<bool> = param_index.iter().map(|&i| bits[i]).collect();
+            let words: Vec<u64> = input_bits
+                .iter()
+                .map(|&(bus, idx)| {
+                    let v = match bus {
+                        "in_a" => a,
+                        "in_b" => b,
+                        "fb" => fb,
+                        other => panic!("unexpected input {other}"),
+                    };
+                    ((v.bits >> idx) & 1) * u64::MAX
+                })
+                .collect();
+            let out = design.specialize(&params).simulate(&words);
+            let bus = |range: std::ops::Range<usize>| {
+                out[range].iter().enumerate().fold(0u64, |acc, (i, &x)| acc | ((x & 1) << i))
+            };
+            let (want_out, want_fbn) = settings.evaluate(a, b, fb);
+            assert_eq!(bus(0..w), want_out.bits, "{mode:?} out, coeff {:#x}", settings.coeff.bits);
+            assert_eq!(bus(w..2 * w), want_fbn.bits, "{mode:?} fbn, coeff {:#x}", settings.coeff.bits);
+        }
+    }
+}
