@@ -127,16 +127,9 @@ impl RouteGraph {
         }
     }
 
-    /// Approximate location of a node (for the A* heuristic). Precomputed
-    /// at build time — the router calls this on every edge expansion.
-    #[inline]
-    pub fn location(&self, id: u32) -> (f64, f64) {
-        let (x, y) = self.locs[id as usize];
-        (x as f64, y as f64)
-    }
-
-    /// Single-precision location, for hot-loop heuristics and bounding-box
-    /// tests.
+    /// Approximate location of a node, for the A* heuristic and
+    /// bounding-box tests. Precomputed at build time — the router calls
+    /// this on every edge expansion.
     #[inline]
     pub fn location_f32(&self, id: u32) -> (f32, f32) {
         self.locs[id as usize]
@@ -158,32 +151,6 @@ impl RouteGraph {
             NodeKind::ChanY { x, y, t } => (t < self.width)
                 .then(|| (self.chany_base + (x * s + y) * self.width + t) as u32),
         }
-    }
-
-    /// Inclusive x-extent of every node location — the coordinate span a
-    /// spatial partitioner must tile.
-    pub fn x_span(&self) -> (f32, f32) {
-        let s = self.arch.size as f32;
-        // Locations are structural: pads sit at 0 and s+1, channel wires
-        // inside [0.5, s+0.5], logic tiles at 1..=s.
-        (0.0, s + 1.0)
-    }
-
-    /// Tiles the x-span into `k` equal-width column regions, returned as
-    /// half-open `[lo, hi)` intervals (the last interval is padded past
-    /// the span so a containment test covers the rightmost nodes).
-    /// Deterministic in `(arch, k)` alone.
-    pub fn column_regions(&self, k: usize) -> Vec<(f32, f32)> {
-        let k = k.max(1);
-        let (x0, x1) = self.x_span();
-        let step = (x1 - x0) / k as f32;
-        (0..k)
-            .map(|i| {
-                let lo = if i == 0 { x0 - 1.0 } else { x0 + step * i as f32 };
-                let hi = if i + 1 == k { x1 + 1.0 } else { x0 + step * (i + 1) as f32 };
-                (lo, hi)
-            })
-            .collect()
     }
 
     /// Wires of one column/row cut's vertex separator **per track**: any
@@ -339,7 +306,6 @@ impl RouteGraph {
         for side in 0..4u8 {
             for pos in 0..s {
                 for slot in 0..cap {
-                    let site = Site::Io { side, pos, slot };
                     let o = (io_opin_base
                         + ((side as usize * s + pos) * cap + slot))
                         as u32;
@@ -353,7 +319,6 @@ impl RouteGraph {
                         };
                         connect(o, wire);
                     }
-                    let _ = site;
                 }
             }
         }
@@ -489,7 +454,6 @@ pub struct CutPressure {
 /// PathFinder history, updated **in place** by the incremental router
 /// instead of being rebuilt per iteration. Pins are capacity-unlimited;
 /// only channel wires count toward occupancy and wirelength.
-#[derive(Clone)]
 pub struct NodeState {
     occ: Vec<u16>,
     hist: Vec<f32>,
@@ -517,12 +481,6 @@ impl NodeState {
     #[inline]
     pub fn occ(&self, id: u32) -> u16 {
         self.occ[id as usize]
-    }
-
-    /// Accumulated history cost of a node.
-    #[inline]
-    pub fn hist(&self, id: u32) -> f32 {
-        self.hist[id as usize]
     }
 
     /// True when more than one net uses the wire.

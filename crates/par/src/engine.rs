@@ -10,19 +10,20 @@
 //!   the cold linear scan the tests compare it against);
 //! * [`ParEngine::route`] — one routing run on a prebuilt graph.
 //!
-//! The engine does not audit itself: a caller that wants the wave or the
-//! partition schedule proven re-routes with the verifier attached
-//! ([`ParEngine::route_audited`], [`ParEngine::route_partition_audited`]),
-//! as `table1 --verify`, `xbench verify` and `tests/determinism.rs` do.
+//! The engine does not audit itself: a caller that wants the wave
+//! schedule proven re-routes with the verifier attached
+//! ([`ParEngine::route_audited`]), as `table1 --verify`, `xbench verify`
+//! and `tests/determinism.rs` do.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
 //! **bit-identical regardless of `threads`**. Placement fans seeds across
 //! scoped workers and keeps the lowest cost (ties broken by seed order);
 //! routing packs dirty nets into waves of bbox-disjoint members whose
 //! searches cannot observe each other, so the wave schedule — not the
-//! thread count — decides the outcome.
+//! thread count — decides the outcome. Threads only decide who routes a
+//! member, and only a wave large enough to pay for the spawn is split.
 
-use crate::incr::{route_core, Knobs};
+use crate::incr::route_core;
 use crate::netlist::ParNetlist;
 use crate::tplace::{place_multi_seed_on, Placement};
 use crate::troute::{audit, RouteResult, Unroutable};
@@ -30,24 +31,19 @@ use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 
-/// Every knob of the engine. The PathFinder parameters and the partition
-/// halo are constants beside the router core (`incr.rs`).
+/// Every knob of the engine. The PathFinder parameters and the wave
+/// fan-out threshold are constants beside the router core (`incr.rs`).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Placement seeds; all are annealed, the best placement wins.
     pub seeds: Vec<u64>,
-    /// Worker threads for placement seeds and routing waves.
+    /// Worker threads for placement seeds and large routing waves.
     /// `0` = one per available CPU. Never changes results.
     pub threads: usize,
     /// Width search floor.
     pub min_width: usize,
     /// Width search ceiling; failing here aborts.
     pub max_width: usize,
-    /// Column regions for spatial partition routing. `1` disables the
-    /// partition path, `0` picks a fabric-sized count automatically
-    /// (≈ one region per 12 tile columns, capped at 8). Results never
-    /// depend on it.
-    pub partitions: usize,
 }
 
 impl Default for EngineOptions {
@@ -59,7 +55,6 @@ impl Default for EngineOptions {
             // that wastes PathFinder iterations on hopeless congestion.
             min_width: 6,
             max_width: 96,
-            partitions: 0,
         }
     }
 }
@@ -108,10 +103,6 @@ impl ParEngine {
         }
     }
 
-    fn knobs(&self) -> Knobs {
-        Knobs { threads: self.threads(), partitions: self.opts.partitions }
-    }
-
     /// Multi-seed placement on at most [`ParEngine::threads`] workers.
     pub fn place(&self, netlist: &ParNetlist, arch: FabricArch) -> Placement {
         place_multi_seed_on(netlist, arch, &self.opts.seeds, self.threads())
@@ -124,7 +115,7 @@ impl ParEngine {
         placement: &Placement,
         graph: &RouteGraph,
     ) -> Result<RouteResult, Unroutable> {
-        route_core(netlist, placement, graph, self.knobs(), None, None, None)
+        route_core(netlist, placement, graph, self.threads(), None, None)
     }
 
     /// One routing run on a prebuilt graph with the wave-schedule auditor
@@ -142,24 +133,8 @@ impl ParEngine {
         graph: &RouteGraph,
     ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
         let mut auditor = verify::WaveAuditor::new();
-        let r =
-            route_core(netlist, placement, graph, self.knobs(), None, Some(&mut auditor), None);
+        let r = route_core(netlist, placement, graph, self.threads(), None, Some(&mut auditor));
         (r, auditor.finish())
-    }
-
-    /// One routing run on the partition path with the schedule recorded,
-    /// plus the partition-ownership report over the recorded plans
-    /// (region tiling, worker exclusivity, commit rank order). The
-    /// routing result is bit-identical to [`ParEngine::route`].
-    pub fn route_partition_audited(
-        &self,
-        netlist: &ParNetlist,
-        placement: &Placement,
-        graph: &RouteGraph,
-    ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
-        let mut plans: Vec<verify::PartitionPlan> = Vec::new();
-        let r = route_core(netlist, placement, graph, self.knobs(), None, None, Some(&mut plans));
-        (r, verify::Verifier::new().verify_partition(&plans))
     }
 
     /// Minimum-channel-width search with the per-probe effort log:
@@ -171,7 +146,7 @@ impl ParEngine {
         placement: &Placement,
         arch: FabricArch,
     ) -> Option<WidthSearch> {
-        warm::search(netlist, placement, arch, &self.opts, self.knobs())
+        warm::search(netlist, placement, arch, &self.opts, self.threads())
     }
 
     /// The reference [`ParEngine::min_channel_width`] must agree with: a
@@ -184,7 +159,7 @@ impl ParEngine {
         placement: &Placement,
         arch: FabricArch,
     ) -> Option<WidthSearch> {
-        warm::reference(netlist, placement, arch, &self.opts, self.knobs())
+        warm::reference(netlist, placement, arch, &self.opts, self.threads())
     }
 
     /// End-to-end: size a fabric, place, search the minimum width.

@@ -2,7 +2,7 @@
 //! worklist, and deterministic wave parallelism.
 //!
 //! This module is the engine behind the [`crate::engine::ParEngine`]
-//! facade. It differs from a textbook PathFinder loop in four ways:
+//! facade. It differs from a textbook PathFinder loop in three ways:
 //!
 //! * **Incremental rip-up-and-reroute.** Occupancy and history live in a
 //!   [`fabric::rrg::NodeState`] that is updated in place; per iteration
@@ -19,23 +19,19 @@
 //!   regions — and committed in net order. The schedule depends only on
 //!   the netlist, never on thread count, so results are **bit-identical**
 //!   across `threads = 1..N`; threads only change who executes a wave
-//!   member. Nets that fail inside their box are deferred and retried
-//!   serially after the waves with a larger box.
-//! * **Spatial partition routing.** With `partitions ≥ 2` the fabric is
-//!   tiled into column regions; each worker thread takes exclusive
-//!   ownership of a contiguous span of regions (a private `NodeState`
-//!   replica) and streams through the region-interior nets, while
-//!   boundary-crossing nets route on the coordinator in net order,
-//!   broadcasting occupancy deltas to the workers whose spans they touch.
-//!   The schedule is the *same* flattened wave order — interior tasks of
-//!   different regions commute because their boxes are region-confined,
-//!   so the result is bit-identical to the wave path for any partition
-//!   count and any thread count (pinned by `tests/determinism.rs`).
+//!   member. A wave fans out only when it can pay for the spawn: a member
+//!   routes in tens of microseconds, about what starting a scoped thread
+//!   costs, so a wave is split across [`wave_workers`] threads — one per
+//!   [`WAVE_NETS_PER_WORKER`] members, the caller being the first — and
+//!   smaller waves route on the calling thread. Nets that fail inside
+//!   their box are deferred and retried serially after the waves with a
+//!   larger box.
 //!
 //! The core prints nothing and reads no environment: what it did is in
 //! its trace spans — `par.route_iter` (`dirty`, `waves`, `ripups`,
-//! `overused`), `par.partition`, `par.wave`, and a `par.debias` instant
-//! (`warm_n`) each time a stalled warm probe dissolves its frozen trees.
+//! `overused`), `par.wave` (`nets`, `deferred`), and a `par.debias`
+//! instant (`warm_n`) each time a stalled warm probe dissolves its frozen
+//! trees.
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
@@ -44,20 +40,7 @@ use fabric::rrg::{NodeState, RouteGraph};
 use logic::fxhash::FxHashSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use verify::partition::{PartitionPlan, PartitionTask};
 use verify::{WaveAuditor, WaveFootprint};
-
-/// Engine knobs threaded into the core (subset of `EngineOptions` that the
-/// router itself consumes).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Knobs {
-    /// Worker threads for wave routing (≥ 1). Results do not depend on it.
-    pub threads: usize,
-    /// Column regions for spatial partition routing (`0` = auto from the
-    /// fabric size, `1` disables the partition path). Results do not
-    /// depend on it.
-    pub partitions: usize,
-}
 
 /// Maximum PathFinder iterations before giving up.
 const MAX_ITERS: usize = 30;
@@ -76,21 +59,18 @@ const ASTAR_FAC: f64 = 1.2;
 /// their full `MAX_ITERS` budget.
 const STALL_ITERS: usize = 6;
 
-/// Safety margin (tiles) around partition borders: a net whose effective
-/// box comes within `HALO` of a border is classified boundary-crossing
-/// and committed in order on the coordinator.
-const HALO: f32 = 1.0;
-
-/// Fabric-size-derived partition count (used when `EngineOptions::
-/// partitions == 0`): one column region per ~12 tile columns, capped at 8.
-/// Deterministic in the fabric alone so auto never perturbs results.
-fn auto_partitions(size: usize) -> usize {
-    (size / 12).clamp(1, 8)
-}
-
-/// Smallest dirty worklist worth paying replica clones + channel traffic
-/// for; below it the wave path is faster and results are identical anyway.
-const MIN_PARTITION_DIRTY: usize = 48;
+/// Members a wave must hold per worker before it is split across threads
+/// (see [`wave_workers`]). A member routes in ≈ 30–60 µs, about what
+/// starting a scoped thread costs, and a wave is small (smoke PE: largest
+/// 16 nets, 60 % of routed nets in waves of 8–15; paper PE: largest 34,
+/// 53 % in waves of 16–31). Chosen as the smallest value at which a
+/// 2-thread route reads no slower than the 1-thread route on the 2-core
+/// host (`compile_time --threads-sweep 1,2,…`, median 2-thread ÷ 1-thread
+/// route time at smoke / paper scale, 24–50 alternated routes a point):
+/// 1 → ×1.30 / ×1.12, 4 → ×1.12 / ×1.07, 8 → ×1.01 / ×1.06, 12 → no
+/// fan-out / ×1.01 (slower in 30 of 50), 16 → no fan-out / ×1.00 (21 of
+/// 50); never fanning out reads ×1.00 at both scales.
+const WAVE_NETS_PER_WORKER: usize = 16;
 
 /// Staged bbox margins (tiles around the terminal extent). The last stage
 /// is the whole fabric.
@@ -270,7 +250,8 @@ fn build_waves(dirty: &[u32], bboxes: &[BBox]) -> Vec<Vec<usize>> {
 /// The incremental PathFinder loop. `seed_trees`, when given, warm-starts
 /// the router: non-empty entries are taken as valid routes (the caller
 /// must have verified connectivity in *this* graph), empty entries mark
-/// nets to route from scratch.
+/// nets to route from scratch. `threads` bounds how far a wave may fan
+/// out (0 counts as 1); results do not depend on it.
 ///
 /// When `auditor` is given, every wave's actual read/write footprints are
 /// reported to it for the serial-equivalence check. Audited waves are
@@ -282,21 +263,12 @@ pub(crate) fn route_core(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    knobs: Knobs,
+    threads: usize,
     seed_trees: Option<Vec<Vec<u32>>>,
     mut auditor: Option<&mut WaveAuditor>,
-    mut plans: Option<&mut Vec<PartitionPlan>>,
 ) -> Result<RouteResult, Unroutable> {
     let n_nets = netlist.nets.len();
     let n_nodes = graph.node_count();
-    let threads = knobs.threads.max(1);
-    let k_regions = if knobs.partitions == 0 {
-        auto_partitions(graph.arch.size)
-    } else {
-        knobs.partitions
-    };
-    let regions: Vec<(f32, f32)> =
-        if k_regions >= 2 { graph.column_regions(k_regions) } else { Vec::new() };
 
     // Terminals in RRG space; sinks ordered far-first like the reference
     // router (route the hardest sink while the tree is small).
@@ -371,17 +343,10 @@ pub(crate) fn route_core(
     let mut warm_n = warm_left.iter().filter(|&&w| w).count();
     let mut debias = false;
 
-    let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new(n_nodes)).collect();
-    // Per-worker occupancy replicas for the partition path, allocated on
-    // first use and refreshed (clone_from, no realloc) each partitioned
-    // iteration.
-    let mut replicas: Vec<NodeState> = Vec::new();
+    let mut scratches: Vec<Scratch> = (0..threads.max(1)).map(|_| Scratch::new(n_nodes)).collect();
     let mut pres_fac = FIRST_PRES_FAC;
     let mut ripups = 0usize;
     let mut waves_total = 0usize;
-    let mut interior_routes = 0usize;
-    let mut boundary_routes = 0usize;
-    let mut region_occupancy: Vec<usize> = vec![0; if k_regions >= 2 { k_regions } else { 0 }];
     let mut best_overused = usize::MAX;
     let mut stalled = 0usize;
     // Thrash escalation: in the endgame (small overuse), a net that keeps
@@ -429,10 +394,9 @@ pub(crate) fn route_core(
             dirty.iter().map(|&i| bbox_of(i as usize, stage[i as usize])).collect();
         // Effective box = search box ∪ the extent of the tree about to be
         // ripped. Warm-seeded trees translated from a wider probe can
-        // stick out of the *current* stage box, and both wave packing and
-        // partition ownership must cover every node a member writes —
-        // cold runs have no seed trees, so there eff == the stage box and
-        // packing is unchanged.
+        // stick out of the *current* stage box, and wave packing must
+        // cover every node a member writes — cold runs have no seed
+        // trees, so there eff == the stage box and packing is unchanged.
         let eff: Vec<BBox> = dirty
             .iter()
             .enumerate()
@@ -453,144 +417,56 @@ pub(crate) fn route_core(
         iter_span.arg("dirty", dirty.len());
         iter_span.arg("waves", waves.len());
 
-        // Partition classification over the flattened wave order (the
-        // canonical serial order every execution strategy reproduces).
-        let use_partition = k_regions >= 2
-            && threads >= 2
-            && auditor.is_none()
-            && dirty.len() >= MIN_PARTITION_DIRTY;
-        let class: Vec<Option<usize>> = if k_regions >= 2 {
-            (0..dirty.len())
-                .map(|pos| {
-                    let bb = eff[pos];
-                    regions
-                        .iter()
-                        .position(|&(lo, hi)| bb.x0 - HALO >= lo && bb.x1 + HALO <= hi)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if k_regions >= 2 {
-            if let Some(p) = plans.as_deref_mut() {
-                let order: Vec<usize> = waves.iter().flatten().copied().collect();
-                p.push(PartitionPlan {
-                    iteration: iter,
-                    regions: regions.clone(),
-                    halo: HALO,
-                    executed: use_partition,
-                    tasks: order
-                        .iter()
-                        .enumerate()
-                        .map(|(rank, &pos)| PartitionTask {
-                            net: dirty[pos],
-                            rank,
-                            region: class[pos],
-                            x0: eff[pos].x0,
-                            x1: eff[pos].x1,
-                        })
-                        .collect(),
-                });
-            }
-        }
-
         let mut deferred: Vec<u32> = Vec::new();
-        if use_partition {
-            let order: Vec<usize> = waves.iter().flatten().copied().collect();
-            let workers = (threads - 1).min(k_regions).max(1);
-            while replicas.len() < workers {
-                replicas.push(state.clone());
+        for wave in &waves {
+            let mut wave_span = trace::span("par.wave");
+            wave_span.arg("nets", wave.len());
+            // The write footprint of a member includes the tree it is
+            // about to rip — capture old trees before the rip-up.
+            let old_writes: Vec<Vec<u32>> = if auditor.is_some() {
+                wave.iter().map(|&pos| trees[dirty[pos] as usize].clone()).collect()
+            } else {
+                Vec::new()
+            };
+            // Rip up this wave's nets only, right before rerouting them —
+            // later waves keep occupying their old wires so the snapshot
+            // the wave searches against stays faithful to the serial
+            // rip-right-before-reroute dynamics. Within the wave, a
+            // member's rip-up touches only its own (disjoint) box.
+            for &pos in wave {
+                let i = dirty[pos] as usize;
+                for &n in &trees[i] {
+                    state.release(n);
+                }
+                trees[i].clear();
             }
-            for r in replicas.iter_mut().take(workers) {
-                r.clone_from(&state);
-            }
-            let mut part_span = trace::span("par.partition");
-            let (mut iter_interior, mut iter_boundary) = (0usize, 0usize);
-            for c in &class {
-                match c {
-                    Some(r) => {
-                        interior_routes += 1;
-                        iter_interior += 1;
-                        region_occupancy[*r] += 1;
+            let results = if let Some(aud) = auditor.as_deref_mut() {
+                audited_wave(
+                    graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
+                    &mut scratches[0], &old_writes, iter, aud,
+                )
+            } else {
+                route_wave(
+                    graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
+                    &mut scratches,
+                )
+            };
+            let mut wave_deferred = 0usize;
+            for (net, res) in results {
+                match res {
+                    Some(tree) => {
+                        for &n in &tree {
+                            state.occupy(n);
+                        }
+                        trees[net as usize] = tree;
                     }
                     None => {
-                        boundary_routes += 1;
-                        iter_boundary += 1;
+                        deferred.push(net);
+                        wave_deferred += 1;
                     }
                 }
             }
-            part_span.arg("interior", iter_interior);
-            part_span.arg("boundary", iter_boundary);
-            part_span.arg("workers", workers);
-            deferred = route_partitioned(
-                graph,
-                &mut state,
-                pres_fac,
-                &dirty,
-                &order,
-                &class,
-                &eff,
-                &bboxes,
-                &regions,
-                &srcs,
-                &sinks,
-                &mut trees,
-                &mut replicas,
-                &mut scratches,
-                workers,
-            );
-            drop(part_span);
-        } else {
-            for wave in &waves {
-                let mut wave_span = trace::span("par.wave");
-                wave_span.arg("nets", wave.len());
-                // The write footprint of a member includes the tree it is
-                // about to rip — capture old trees before the rip-up.
-                let old_writes: Vec<Vec<u32>> = if auditor.is_some() {
-                    wave.iter().map(|&pos| trees[dirty[pos] as usize].clone()).collect()
-                } else {
-                    Vec::new()
-                };
-                // Rip up this wave's nets only, right before rerouting them —
-                // later waves keep occupying their old wires so the snapshot
-                // the wave searches against stays faithful to the serial
-                // rip-right-before-reroute dynamics. Within the wave, a
-                // member's rip-up touches only its own (disjoint) box.
-                for &pos in wave {
-                    let i = dirty[pos] as usize;
-                    for &n in &trees[i] {
-                        state.release(n);
-                    }
-                    trees[i].clear();
-                }
-                let results = if let Some(aud) = auditor.as_deref_mut() {
-                    audited_wave(
-                        graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
-                        &mut scratches[0], &old_writes, iter, aud,
-                    )
-                } else {
-                    route_wave(
-                        graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
-                        &mut scratches,
-                    )
-                };
-                let mut wave_deferred = 0usize;
-                for (net, res) in results {
-                    match res {
-                        Some(tree) => {
-                            for &n in &tree {
-                                state.occupy(n);
-                            }
-                            trees[net as usize] = tree;
-                        }
-                        None => {
-                            deferred.push(net);
-                            wave_deferred += 1;
-                        }
-                    }
-                }
-                wave_span.arg("deferred", wave_deferred);
-            }
+            wave_span.arg("deferred", wave_deferred);
         }
 
         // Escalate nets that failed inside their box; serial, in order.
@@ -629,18 +505,7 @@ pub(crate) fn route_core(
         iter_span.arg("ripups", ripups);
         iter_span.arg("overused", overused);
         if overused == 0 {
-            return Ok(build_result(
-                netlist,
-                graph,
-                &state,
-                trees,
-                iter + 1,
-                ripups,
-                waves_total,
-                interior_routes,
-                boundary_routes,
-                region_occupancy,
-            ));
+            return Ok(build_result(netlist, graph, &state, trees, iter + 1, ripups, waves_total));
         }
         if iter + 1 == MAX_ITERS {
             // A cold-equivalent verdict (no frozen warm trees biasing the
@@ -700,10 +565,19 @@ pub(crate) fn route_core(
     unreachable!("loop returns before exhausting iterations")
 }
 
+/// Threads one wave of `members` nets is split across: one per
+/// [`WAVE_NETS_PER_WORKER`] members, never more than `threads`, never less
+/// than one — so a thread count cannot make a route slower.
+fn wave_workers(members: usize, threads: usize) -> usize {
+    threads.min(members / WAVE_NETS_PER_WORKER).max(1)
+}
+
 /// Routes one wave. Members' boxes are pairwise disjoint, so each search
 /// reads the shared snapshot without seeing the others — any partition of
 /// the wave across workers yields the same trees. Chunks are contiguous,
-/// so concatenating per-chunk results preserves member order.
+/// so concatenating per-chunk results preserves member order. The calling
+/// thread takes the first chunk; [`wave_workers`] decides how many scoped
+/// threads, if any, take the rest.
 #[allow(clippy::too_many_arguments)]
 fn route_wave(
     graph: &RouteGraph,
@@ -716,34 +590,38 @@ fn route_wave(
     sinks: &[Vec<u32>],
     scratches: &mut [Scratch],
 ) -> Vec<(u32, Option<Vec<u32>>)> {
-    let run_one = |pos: usize, scratch: &mut Scratch| -> (u32, Option<Vec<u32>>) {
-        let net = dirty[pos] as usize;
-        let tree = route_net(
-            graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
-        );
-        (net as u32, tree)
+    let run_chunk = |chunk: &[usize], scratch: &mut Scratch| -> Vec<(u32, Option<Vec<u32>>)> {
+        chunk
+            .iter()
+            .map(|&pos| {
+                let net = dirty[pos] as usize;
+                let tree = route_net(
+                    graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
+                );
+                (net as u32, tree)
+            })
+            .collect()
     };
 
-    let threads = scratches.len();
-    if threads <= 1 || wave.len() <= 1 {
-        let scratch = &mut scratches[0];
-        return wave.iter().map(|&pos| run_one(pos, scratch)).collect();
+    let workers = wave_workers(wave.len(), scratches.len());
+    let (own, rest) = scratches.split_first_mut().expect("the router owns at least one scratch");
+    if workers == 1 {
+        return run_chunk(wave, own);
     }
-
-    let per = wave.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(wave.len());
+    let (first, tail) = wave.split_at(wave.len().div_ceil(workers));
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk, scratch) in wave.chunks(per).zip(scratches.iter_mut()) {
-            handles.push(scope.spawn(move || {
-                chunk.iter().map(|&pos| run_one(pos, scratch)).collect::<Vec<_>>()
-            }));
-        }
+        let handles: Vec<_> = tail
+            .chunks(first.len())
+            .zip(rest)
+            .map(|(chunk, scratch)| scope.spawn(move || run_chunk(chunk, scratch)))
+            .collect();
+        let mut out = run_chunk(first, own);
+        out.reserve(tail.len());
         for h in handles {
             out.extend(h.join().expect("router worker panicked"));
         }
-    });
-    out
+        out
+    })
 }
 
 /// Routes one wave serially while recording each member's actual
@@ -792,237 +670,6 @@ fn audited_wave(
     out
 }
 
-/// Executes one iteration's flattened wave order with spatial partition
-/// ownership. Interior tasks stream on worker threads against per-worker
-/// occupancy replicas; boundary tasks run on the coordinator (this
-/// thread) in rank order, each broadcasting its occupancy delta to the
-/// workers whose spans it touches. The master state/trees end up exactly
-/// as the serial rank-order execution leaves them. Returns the nets that
-/// failed inside their box, in rank order, for the caller's escalation
-/// pass.
-#[allow(clippy::too_many_arguments)]
-fn route_partitioned(
-    graph: &RouteGraph,
-    state: &mut NodeState,
-    pres_fac: f64,
-    dirty: &[u32],
-    order: &[usize],
-    class: &[Option<usize>],
-    eff: &[BBox],
-    bboxes: &[BBox],
-    regions: &[(f32, f32)],
-    srcs: &[Vec<u32>],
-    sinks: &[Vec<u32>],
-    trees: &mut [Vec<u32>],
-    replicas: &mut [NodeState],
-    scratches: &mut [Scratch],
-    workers: usize,
-) -> Vec<u32> {
-    let k = regions.len();
-    let worker_of = |r: usize| r * workers / k;
-    // Contiguous x-span each worker owns (union of its regions).
-    let mut spans: Vec<(f32, f32)> = vec![(f32::INFINITY, f32::NEG_INFINITY); workers];
-    for (r, &(lo, hi)) in regions.iter().enumerate() {
-        let w = worker_of(r);
-        spans[w].0 = spans[w].0.min(lo);
-        spans[w].1 = spans[w].1.max(hi);
-    }
-
-    struct WTask {
-        rank: usize,
-        net: u32,
-        search: BBox,
-        old: Vec<u32>,
-    }
-    struct BTask {
-        rank: usize,
-        net: u32,
-        search: BBox,
-        overlap: Vec<usize>,
-    }
-    let mut wtasks: Vec<Vec<WTask>> = (0..workers).map(|_| Vec::new()).collect();
-    // Boundary ranks each worker must sync on before advancing past them.
-    let mut wbarriers: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut btasks: Vec<BTask> = Vec::new();
-    for (rank, &pos) in order.iter().enumerate() {
-        let net = dirty[pos];
-        match class[pos] {
-            Some(r) => wtasks[worker_of(r)].push(WTask {
-                rank,
-                net,
-                search: bboxes[pos],
-                old: trees[net as usize].clone(),
-            }),
-            None => {
-                let bb = eff[pos];
-                let overlap: Vec<usize> = (0..workers)
-                    .filter(|&w| bb.x0 <= spans[w].1 && spans[w].0 <= bb.x1)
-                    .collect();
-                for &w in &overlap {
-                    wbarriers[w].push(rank);
-                }
-                btasks.push(BTask { rank, net, search: bboxes[pos], overlap });
-            }
-        }
-    }
-    let total_interior: usize = wtasks.iter().map(|v| v.len()).sum();
-
-    let n_ranks = order.len();
-    let mut done = vec![false; n_ranks];
-    let mut frontier = 0usize;
-    let mut applied = 0usize;
-    let mut deferred: Vec<(usize, u32)> = Vec::new();
-
-    let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, u32, Option<Vec<u32>>)>();
-    let mut delta_txs = Vec::with_capacity(workers);
-    let mut delta_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = std::sync::mpsc::channel::<(Vec<u32>, Vec<u32>)>();
-        delta_txs.push(tx);
-        delta_rxs.push(rx);
-    }
-
-    let (head, wscrs) = scratches.split_at_mut(1);
-    let cscr = &mut head[0];
-
-    std::thread::scope(|scope| {
-        for (((tasks, barriers), delta_rx), (replica, scratch)) in wtasks
-            .into_iter()
-            .zip(wbarriers)
-            .zip(delta_rxs)
-            .zip(replicas.iter_mut().zip(wscrs.iter_mut()))
-        {
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                let mut bidx = 0usize;
-                for t in tasks {
-                    // Apply every boundary delta ranked before this task:
-                    // in the canonical order those boundary nets ripped
-                    // and rerouted first, and their boxes may touch ours.
-                    while bidx < barriers.len() && barriers[bidx] < t.rank {
-                        let (old, new) = delta_rx.recv().expect("coordinator hung up");
-                        for &n in &old {
-                            replica.release(n);
-                        }
-                        for &n in &new {
-                            replica.occupy(n);
-                        }
-                        bidx += 1;
-                    }
-                    for &n in &t.old {
-                        replica.release(n);
-                    }
-                    let tree = route_net(
-                        graph,
-                        replica,
-                        pres_fac,
-                        &srcs[t.net as usize],
-                        &sinks[t.net as usize],
-                        t.search,
-                        scratch,
-                    );
-                    if let Some(tr) = &tree {
-                        for &n in tr {
-                            replica.occupy(n);
-                        }
-                    }
-                    if res_tx.send((t.rank, t.net, tree)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-
-        // Coordinator: walk the boundary tasks in rank order; before each,
-        // drain interior results until every earlier rank has been applied
-        // to the master state. Results from non-overlapping workers may be
-        // applied "early" (their ranks exceed the boundary's), which is
-        // safe: the barrier construction guarantees any early result came
-        // from a worker whose span — hence the result's entire footprint —
-        // is disjoint from this boundary net's box.
-        let apply = |state: &mut NodeState,
-                         trees: &mut [Vec<u32>],
-                         deferred: &mut Vec<(usize, u32)>,
-                         done: &mut [bool],
-                         rank: usize,
-                         net: u32,
-                         tree: Option<Vec<u32>>| {
-            for &n in &trees[net as usize] {
-                state.release(n);
-            }
-            match tree {
-                Some(t) => {
-                    for &n in &t {
-                        state.occupy(n);
-                    }
-                    trees[net as usize] = t;
-                }
-                None => {
-                    trees[net as usize] = Vec::new();
-                    deferred.push((rank, net));
-                }
-            }
-            done[rank] = true;
-        };
-        for b in &btasks {
-            while frontier < b.rank {
-                if done[frontier] {
-                    frontier += 1;
-                    continue;
-                }
-                let (rank, net, tree) = res_rx.recv().expect("router worker hung up");
-                apply(state, trees, &mut deferred, &mut done, rank, net, tree);
-                applied += 1;
-            }
-            let old = std::mem::take(&mut trees[b.net as usize]);
-            for &n in &old {
-                state.release(n);
-            }
-            let tree = route_net(
-                graph,
-                state,
-                pres_fac,
-                &srcs[b.net as usize],
-                &sinks[b.net as usize],
-                b.search,
-                cscr,
-            );
-            let new = match tree {
-                Some(t) => {
-                    for &n in &t {
-                        state.occupy(n);
-                    }
-                    trees[b.net as usize] = t.clone();
-                    t
-                }
-                None => {
-                    deferred.push((b.rank, b.net));
-                    Vec::new()
-                }
-            };
-            for &w in &b.overlap {
-                // A worker with no tasks past this rank has already
-                // exited; the unreceived delta is irrelevant to it.
-                let _ = delta_txs[w].send((old.clone(), new.clone()));
-            }
-            done[b.rank] = true;
-            while frontier < n_ranks && done[frontier] {
-                frontier += 1;
-            }
-        }
-        while applied < total_interior {
-            let (rank, net, tree) = res_rx.recv().expect("router worker hung up");
-            apply(state, trees, &mut deferred, &mut done, rank, net, tree);
-            applied += 1;
-        }
-    });
-
-    deferred.sort_unstable_by_key(|&(rank, _)| rank);
-    deferred.into_iter().map(|(_, net)| net).collect()
-}
-
-#[allow(clippy::too_many_arguments)]
 fn build_result(
     netlist: &ParNetlist,
     graph: &RouteGraph,
@@ -1031,9 +678,6 @@ fn build_result(
     iterations: usize,
     ripups: usize,
     waves: usize,
-    interior_routes: usize,
-    boundary_routes: usize,
-    partition_occupancy: Vec<usize>,
 ) -> RouteResult {
     let mut wl = 0usize;
     let mut twl = 0usize;
@@ -1056,9 +700,70 @@ fn build_result(
         iterations,
         ripups,
         waves,
-        interior_routes,
-        boundary_routes,
-        partition_occupancy,
         worst_cut_used: graph.cut_pressure(state).max_used,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric::arch::{FabricArch, Site};
+
+    #[test]
+    fn wave_workers_is_one_below_the_threshold_and_capped_by_threads() {
+        const K: usize = WAVE_NETS_PER_WORKER;
+        for (members, threads, want) in [
+            (0, 4, 1),
+            (1, 4, 1),
+            (K - 1, 4, 1),
+            (2 * K - 1, 4, 1),
+            (2 * K, 4, 2),
+            (100 * K, 4, 4),
+            (0, 1, 1),
+            (2 * K, 1, 1),
+            (100 * K, 1, 1),
+        ] {
+            assert_eq!(wave_workers(members, threads), want, "{members} members, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_fanned_out_wave_routes_what_one_thread_routes() {
+        // Two-pin nets between horizontally adjacent tiles on every other
+        // row of an empty fabric, each confined to a box around its own
+        // two tiles — pairwise disjoint, as `build_waves` would pack them.
+        let size = 16;
+        let graph = RouteGraph::build(FabricArch::paper_4lut(size), 8);
+        let state = NodeState::new(&graph);
+        let (mut srcs, mut sinks, mut bboxes) = (Vec::new(), Vec::new(), Vec::new());
+        for y in (0..size).step_by(2) {
+            for x in (0..size).step_by(2) {
+                srcs.push(vec![graph.opin(Site::Logic { x, y })]);
+                sinks.push(vec![graph.ipin(Site::Logic { x: x + 1, y }, 0)]);
+                let (x, y) = (x as f32, y as f32);
+                bboxes.push(BBox { x0: x + 1.0, y0: y + 0.5, x1: x + 2.0, y1: y + 1.5 });
+            }
+        }
+        let n = srcs.len();
+        assert!(n >= 4 * WAVE_NETS_PER_WORKER);
+        assert!(wave_workers(n, 4) > 1, "the threaded arm must be the one compared");
+        for (i, a) in bboxes.iter().enumerate() {
+            assert!(bboxes[..i].iter().all(|b| !a.overlaps(b)), "box {i} overlaps an earlier one");
+        }
+
+        let dirty: Vec<u32> = (0..n as u32).collect();
+        let wave: Vec<usize> = (0..n).collect();
+        let route = |threads: usize| {
+            let mut scratches: Vec<Scratch> =
+                (0..threads).map(|_| Scratch::new(graph.node_count())).collect();
+            route_wave(
+                &graph, &state, FIRST_PRES_FAC, &dirty, &wave, &bboxes, &srcs, &sinks,
+                &mut scratches,
+            )
+        };
+        let serial = route(1);
+        assert_eq!(serial.iter().map(|&(net, _)| net).collect::<Vec<_>>(), dirty);
+        assert!(serial.iter().all(|(_, tree)| tree.is_some()), "every net routes inside its box");
+        assert_eq!(route(4), serial);
     }
 }

@@ -14,10 +14,11 @@
 //! LUT budget at *zero* channel-width overhead.
 //!
 //! Since the `par-engine` rework the actual search loop lives in
-//! `incr.rs` (incremental rip-up, bounding boxes, wave parallelism, and
-//! the PathFinder constants); this module keeps the router's public
-//! types and the [`audit`] used by tests and benches. One routing run on
-//! a prebuilt graph is [`crate::engine::ParEngine::route`].
+//! `incr.rs` (incremental rip-up, bounding boxes, the wave schedule and
+//! its one executor, and the PathFinder constants); this module keeps
+//! the router's public types and the [`audit`] used by tests and
+//! benches. One routing run on a prebuilt graph is
+//! [`crate::engine::ParEngine::route`].
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
@@ -42,14 +43,6 @@ pub struct RouteResult {
     pub ripups: usize,
     /// Disjoint-bbox waves scheduled across all iterations.
     pub waves: usize,
-    /// Reroutes executed inside a partition worker's owned region.
-    pub interior_routes: usize,
-    /// Reroutes of boundary-crossing nets, committed in net order on the
-    /// coordinator thread.
-    pub boundary_routes: usize,
-    /// Interior reroutes per column region (empty when the run never took
-    /// the partition path).
-    pub partition_occupancy: Vec<usize>,
     /// Most separator wires in use across any fabric cut in the final
     /// state — feeds the width search's success-side `lo` advance.
     pub worst_cut_used: usize,

@@ -20,7 +20,7 @@
 //! nets, verdict, effort, and a failure's `worst_cut_overuse`).
 
 use crate::engine::EngineOptions;
-use crate::incr::{route_core, Knobs};
+use crate::incr::route_core;
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
 use crate::troute::{RouteResult, Unroutable};
@@ -240,7 +240,7 @@ fn probe(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    knobs: Knobs,
+    threads: usize,
     seed: Option<Vec<Vec<u32>>>,
     confirm: bool,
     probes: &mut Vec<WidthProbe>,
@@ -254,7 +254,7 @@ fn probe(
     probe_span.arg("warm_nets", warm_nets);
     probe_span.arg("confirm", confirm);
     let t0 = std::time::Instant::now();
-    let r = route_core(netlist, placement, graph, knobs, seed, None, None);
+    let r = route_core(netlist, placement, graph, threads, seed, None);
     let seconds = t0.elapsed().as_secs_f64();
     let (success, iterations, ripups) = match &r {
         Ok(res) => (true, res.iterations, res.ripups),
@@ -355,12 +355,12 @@ pub(crate) fn reference(
     placement: &Placement,
     arch: FabricArch,
     opts: &EngineOptions,
-    knobs: Knobs,
+    threads: usize,
 ) -> Option<WidthSearch> {
     let mut probes = Vec::new();
     for w in opts.min_width..=opts.max_width {
         let graph = RouteGraph::build(arch, w);
-        if let Ok(r) = probe(netlist, placement, &graph, knobs, None, false, &mut probes) {
+        if let Ok(r) = probe(netlist, placement, &graph, threads, None, false, &mut probes) {
             let certificate = if w > opts.min_width {
                 WidthCertificate::ColdFailure
             } else {
@@ -386,7 +386,7 @@ pub(crate) fn search(
     placement: &Placement,
     arch: FabricArch,
     opts: &EngineOptions,
-    knobs: Knobs,
+    threads: usize,
 ) -> Option<WidthSearch> {
     let mut probes = Vec::new();
     let lower_bound = channel_width_lower_bound(netlist, placement, arch);
@@ -426,7 +426,7 @@ pub(crate) fn search(
     let (mut best_w, mut best_r, mut best_g);
     loop {
         let graph = RouteGraph::build(arch, hi);
-        match probe(netlist, placement, &graph, knobs, None, false, &mut probes) {
+        match probe(netlist, placement, &graph, threads, None, false, &mut probes) {
             Ok(r) => {
                 (best_w, best_r, best_g) = (hi, r, graph);
                 break;
@@ -453,7 +453,7 @@ pub(crate) fn search(
         let mid = (lo + best_w) / 2;
         let graph = RouteGraph::build(arch, mid);
         let seed = translate_trees(netlist, placement, &best_g, &graph, &best_r.trees);
-        match probe(netlist, placement, &graph, knobs, Some(seed), false, &mut probes) {
+        match probe(netlist, placement, &graph, threads, Some(seed), false, &mut probes) {
             Ok(r) => {
                 (best_w, best_r, best_g) = (mid, r, graph);
             }
@@ -480,7 +480,7 @@ pub(crate) fn search(
             break WidthCertificate::ColdFailure;
         }
         let graph = RouteGraph::build(arch, fail_w);
-        match probe(netlist, placement, &graph, knobs, None, true, &mut probes) {
+        match probe(netlist, placement, &graph, threads, None, true, &mut probes) {
             Err(_) => break WidthCertificate::ColdFailure,
             Ok(r) => {
                 best_w = fail_w;

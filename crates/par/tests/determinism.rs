@@ -31,23 +31,32 @@ fn mul_netlist(bits: usize, parameterized: bool) -> ParNetlist {
 fn routing_is_bit_identical_across_thread_counts() {
     for parameterized in [false, true] {
         let nl = mul_netlist(4, parameterized);
-        let reports: Vec<_> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| {
-                ParEngine::new(EngineOptions { threads, ..Default::default() })
-                    .run(&nl)
-                    .expect("routable")
-            })
-            .collect();
-        for r in &reports[1..] {
-            assert_eq!(r.placement.site_of, reports[0].placement.site_of);
-            assert_eq!(r.min_channel_width, reports[0].min_channel_width);
-            assert_eq!(
-                r.result.trees, reports[0].result.trees,
-                "routing trees must not depend on the thread count"
-            );
-            assert_eq!(r.result.wirelength, reports[0].result.wirelength);
-        }
+        assert_thread_matrix_is_bit_identical(&nl);
+    }
+}
+
+/// Runs the engine at 1, 2 and 8 threads: every report passes the route
+/// audit, and placement, minimum width and trees equal the 1-thread run's.
+fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
+    let reports: Vec<_> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let rep = ParEngine::new(EngineOptions { threads, ..Default::default() })
+                .run(nl)
+                .expect("routable");
+            let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
+            audit(nl, &rep.placement, &graph, &rep.result).expect("audit clean");
+            rep
+        })
+        .collect();
+    for r in &reports[1..] {
+        assert_eq!(r.placement.site_of, reports[0].placement.site_of);
+        assert_eq!(r.min_channel_width, reports[0].min_channel_width);
+        assert_eq!(
+            r.result.trees, reports[0].result.trees,
+            "routing trees must not depend on the thread count"
+        );
+        assert_eq!(r.result.wirelength, reports[0].result.wirelength);
     }
 }
 
@@ -146,71 +155,13 @@ fn certified_minimum_matches_the_reported_minimum() {
     }
 }
 
-/// Tentpole guarantee of the partition path: for any partition count and
-/// any thread count, placements, minima, and routing trees are pinned
-/// bit-identical — partitions and threads only change *who executes* a
-/// task in the canonical schedule, never the schedule itself.
+/// The thread matrix on the 65-net conventional netlist, the largest the
+/// suite routes end to end. (The name is historical: the matrix once had
+/// a second axis, the column count of a spatial-partition executor that
+/// no longer exists.)
 #[test]
 fn partition_and_thread_matrix_is_bit_identical() {
-    // 65 nets: clears the partition worklist gate, so multi-partition
-    // multi-thread combos genuinely take the partition executor.
-    let nl = mul_netlist(5, false);
-    let mut baseline = None;
-    for partitions in [1usize, 2, 4] {
-        for threads in [1usize, 2, 8] {
-            let rep = ParEngine::new(EngineOptions { partitions, threads, ..Default::default() })
-                .run(&nl)
-                .expect("routable");
-            let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
-            audit(&nl, &rep.placement, &graph, &rep.result).expect("audit clean");
-            match &baseline {
-                None => baseline = Some(rep),
-                Some(b) => {
-                    assert_eq!(b.placement.site_of, rep.placement.site_of);
-                    assert_eq!(
-                        b.min_channel_width, rep.min_channel_width,
-                        "minimum width must not depend on partitions={partitions}/threads={threads}"
-                    );
-                    assert_eq!(
-                        b.result.trees, rep.result.trees,
-                        "routing trees must not depend on partitions={partitions}/threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The partition executor must actually run (not silently fall back to
-/// waves) on a worklist large enough to clear its gate, and its schedule
-/// must pass the partition-ownership verifier.
-#[test]
-fn partition_path_executes_and_audits_clean() {
-    let nl = mul_netlist(5, false);
-    let engine =
-        ParEngine::new(EngineOptions { partitions: 2, threads: 4, ..Default::default() });
-    let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
-    let placement = engine.place(&nl, arch);
-    let width = par::channel_width_estimate(&nl, &placement, arch) + 4;
-    let graph = fabric::RouteGraph::build(arch, width);
-
-    // Serial reference from a partition-free engine, so the bit-identity
-    // comparison below crosses the executor boundary.
-    let plain = ParEngine::new(EngineOptions { partitions: 1, threads: 1, ..Default::default() })
-        .route(&nl, &placement, &graph)
-        .expect("routable");
-    let (partitioned, report) = engine.route_partition_audited(&nl, &placement, &graph);
-    let partitioned = partitioned.expect("routable on the partition path");
-    assert_eq!(plain.trees, partitioned.trees, "partition path must be bit-identical");
-    assert!(report.ok(), "partition schedule must verify: {}", report.summary());
-    if nl.nets.len() >= 48 {
-        assert!(report.checked > 0, "partition plans must have been recorded");
-        assert!(
-            partitioned.interior_routes + partitioned.boundary_routes > 0,
-            "partition executor never ran despite {} nets",
-            nl.nets.len()
-        );
-    }
+    assert_thread_matrix_is_bit_identical(&mul_netlist(5, false));
 }
 
 // The overuse-sharpened `lo` advance is heuristic; this property pins it

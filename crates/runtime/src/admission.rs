@@ -103,6 +103,9 @@ pub(crate) struct Pending {
     pub(crate) tenant: TenantId,
     name: String,
     graph: AppGraph,
+    /// What the tenant had accumulated before it queued: zero for a first
+    /// submission, its running totals for a structural resubmit.
+    stats: TenantStats,
 }
 
 impl Runtime {
@@ -132,14 +135,14 @@ impl Runtime {
         // queueing it would only defer the TooBig to a silent drop.
         if !self.queue.is_empty() {
             self.pool.fits_any_grid(graph.pe_demand())?;
-            let queued = self.enqueue(id, name, graph);
+            let queued = self.enqueue(id, name, graph, TenantStats::default());
             self.enforce_invariants()?;
             return Ok(Admission::Queued(queued));
         }
-        let admission = match self.place_and_admit(id, &name, &graph) {
+        let admission = match self.place_and_admit(id, &name, &graph, TenantStats::default()) {
             Ok(adm) => Admission::Admitted(adm),
             Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
-                Admission::Queued(self.enqueue(id, name, graph))
+                Admission::Queued(self.enqueue(id, name, graph, TenantStats::default()))
             }
             Err(e) => return Err(e),
         };
@@ -165,9 +168,15 @@ impl Runtime {
         })
     }
 
-    fn enqueue(&mut self, tenant: TenantId, name: String, graph: AppGraph) -> Queued {
+    fn enqueue(
+        &mut self,
+        tenant: TenantId,
+        name: String,
+        graph: AppGraph,
+        stats: TenantStats,
+    ) -> Queued {
         let position = self.queue.len();
-        self.queue.push_back(Pending { tenant, name, graph });
+        self.queue.push_back(Pending { tenant, name, graph, stats });
         self.ledger.queued += 1;
         trace::instant("runtime.queued", vec![("tenant", tenant.into()), ("position", position.into())]);
         Queued { tenant, position }
@@ -184,7 +193,7 @@ impl Runtime {
     pub fn drain_queue(&mut self) -> Vec<Admitted> {
         let mut admitted = Vec::new();
         while let Some(front) = self.queue.pop_front() {
-            match self.place_and_admit(front.tenant, &front.name, &front.graph) {
+            match self.place_and_admit(front.tenant, &front.name, &front.graph, front.stats) {
                 Ok(adm) => {
                     self.ledger.queue_admitted += 1;
                     admitted.push(adm);
@@ -205,12 +214,15 @@ impl Runtime {
 
     /// Leases a region and loads the configuration. Never queues — the
     /// caller decides what an `Oversubscribed` error means. `name` and
-    /// `graph` are only cloned once placement has succeeded.
+    /// `graph` are only cloned once placement has succeeded. `stats` is
+    /// what the tenant starts with: zero, or what it carried through a
+    /// structural resubmit.
     fn place_and_admit(
         &mut self,
         id: TenantId,
         name: &str,
         graph: &AppGraph,
+        stats: TenantStats,
     ) -> Result<Admitted, RuntimeError> {
         // Per-request span tree: request > admission > {placement, cache,
         // compile, pricing, sig}; compaction opens its own child inside
@@ -335,7 +347,7 @@ impl Runtime {
                 mapping,
                 lease,
                 key,
-                stats: TenantStats::default(),
+                stats,
                 sig,
             },
         );
@@ -413,8 +425,10 @@ impl Runtime {
 
     /// The structural decision point: a graph with the same structure as
     /// the tenant's current one takes the swap fast path; anything else
-    /// releases the lease and recompiles (the tenant id survives). A
-    /// still-queued tenant simply has its pending graph replaced.
+    /// releases the lease and recompiles (the tenant id and its
+    /// [`TenantStats`] survive, whether it is re-placed at once or after a
+    /// wait in the queue). A still-queued tenant simply has its pending
+    /// graph replaced.
     ///
     /// The refresh re-places *in place*: the tenant's freed rows are
     /// offered to its own recompile before the queue is drained (an
@@ -449,16 +463,10 @@ impl Runtime {
         self.pool.release(tenant);
         self.tenants.remove(&tenant);
         self.resident.retain(|_, &mut r| r != tenant);
-        let refresh = match self.place_and_admit(tenant, &name, &graph) {
-            Ok(admission) => {
-                self.tenants
-                    .get_mut(&tenant)
-                    .expect("place_and_admit inserted the tenant")
-                    .stats = stats;
-                Refresh::Recompiled(admission)
-            }
+        let refresh = match self.place_and_admit(tenant, &name, &graph, stats) {
+            Ok(admission) => Refresh::Recompiled(admission),
             Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
-                Refresh::Queued(self.enqueue(tenant, name, graph))
+                Refresh::Queued(self.enqueue(tenant, name, graph, stats))
             }
             Err(e) => {
                 // The tenant is evicted but its rows are free now — the

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use runtime::kernels;
-use runtime::{Admission, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
+use runtime::{Admission, Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
 use vcgra::sim::run_dataflow;
 use vcgra::VcgraArch;
@@ -173,6 +173,48 @@ fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].tenant, follower.tenant());
     assert_eq!(rt.queue_len(), 0);
+}
+
+/// `resubmit` keeps the tenant id across a structural change; the
+/// tenant's accounting must come with it — when the recompile fits at
+/// once, and when it has to wait in the queue for a neighbour to leave.
+#[test]
+fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2)],
+        time_share: false,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = Runtime::new(cfg);
+    let id = rt
+        .submit("tenant", kernels::fir_seeded(F, 3, 1).graph) // 5 nodes → 2 rows
+        .unwrap()
+        .expect_admitted("empty pool")
+        .tenant;
+    let neighbour = rt
+        .submit("neighbour", kernels::fir_seeded(F, 8, 2).graph) // 15 nodes → 4 rows
+        .unwrap()
+        .expect_admitted("four rows left")
+        .tenant;
+    assert_bit_exact(&mut rt, id, 5, 1);
+    assert_eq!(rt.tenant(id).unwrap().stats.items, 5);
+
+    // A different structure that fits the rows the tenant gives up.
+    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 4, 3).graph).unwrap(); // 7 nodes → 2 rows
+    assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
+    assert_eq!(rt.tenant(id).unwrap().stats.items, 5, "recompiled in place");
+
+    // One that does not: three rows wanted, two free.
+    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 5, 4).graph).unwrap(); // 9 nodes → 3 rows
+    assert!(matches!(refresh, Refresh::Queued(_)), "{refresh:?}");
+    assert_eq!(rt.queued_tenants(), vec![id]);
+
+    let drained = rt.release(neighbour).unwrap();
+    assert_eq!(drained.iter().map(|a| a.tenant).collect::<Vec<_>>(), vec![id]);
+    assert_eq!(rt.tenant(id).unwrap().stats.items, 5, "admitted from the queue");
+    rt.verify().assert_ok();
+    assert_bit_exact(&mut rt, id, 3, 2);
+    assert_eq!(rt.tenant(id).unwrap().stats.items, 8);
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! `debug_assert!`s and dynamic tests: route trees own their wires
 //! exclusively, wave members never touch each other's state, leases never
 //! overlap, cache keys never alias. This crate turns each of those claims
-//! into a checkable *pass* over a plain-data artifact, behind one
-//! [`Verifier`] facade that produces a [`VerifyReport`] of typed violations:
+//! into a checkable *pass* over a plain-data artifact — six passes, one
+//! module each — behind one [`Verifier`] facade that produces a
+//! [`VerifyReport`] of typed violations:
 //!
 //! * [`config`] — lints a routed [`vcgra::flow::VcgraMapping`] against its
 //!   [`vcgra::app::AppGraph`]: placement sanity, contiguous simple route
@@ -46,13 +47,11 @@
 
 pub mod config;
 pub mod equiv;
-pub mod partition;
 pub mod routes;
 pub mod sched;
 pub mod timeline;
 pub mod waves;
 
-pub use partition::{PartitionPlan, PartitionTask};
 pub use routes::NetTerminals;
 pub use sched::SchedSnapshot;
 pub use timeline::TimelineSnapshot;
@@ -364,36 +363,6 @@ pub enum Violation {
         key_id: u64,
     },
 
-    // --- partition schedule ---
-    /// The partition plan's column regions do not tile the fabric span
-    /// (gap, overlap, disorder, or a degenerate region).
-    PartitionTilingBroken {
-        /// PathFinder iteration of the offending plan.
-        iteration: usize,
-        /// Index of the first region of the broken pair.
-        region: usize,
-    },
-    /// A region-interior task's effective box escapes the region its
-    /// worker owns — two workers could touch the same occupancy entry.
-    PartitionOwnershipLeak {
-        /// PathFinder iteration of the offending plan.
-        iteration: usize,
-        /// The leaking net.
-        net: u32,
-        /// The region it claimed.
-        region: usize,
-    },
-    /// Task ranks are not the exact sequence `0..n`, or a net is
-    /// scheduled twice in one iteration.
-    PartitionRankDisorder {
-        /// PathFinder iteration of the offending plan.
-        iteration: usize,
-        /// The offending net.
-        net: u32,
-        /// The rank it carried.
-        rank: usize,
-    },
-
     // --- timeline checker ---
     /// Two intervals on the single configuration port overlap.
     PortOverlap {
@@ -478,9 +447,6 @@ impl Violation {
             Violation::CacheKeyCollision { .. } => "cache-key-collision",
             Violation::CacheKeySplit { .. } => "cache-key-split",
             Violation::CacheEntryMismatch { .. } => "cache-entry-mismatch",
-            Violation::PartitionTilingBroken { .. } => "partition-tiling-broken",
-            Violation::PartitionOwnershipLeak { .. } => "partition-ownership-leak",
-            Violation::PartitionRankDisorder { .. } => "partition-rank-disorder",
             Violation::PortOverlap { .. } => "port-overlap",
             Violation::LaneOverlap { .. } => "lane-overlap",
             Violation::TimelineChargeDrift { .. } => "timeline-charge-drift",
@@ -619,15 +585,6 @@ impl fmt::Display for Violation {
             Violation::CacheEntryMismatch { key_id } => {
                 write!(f, "cache entry {key_id:#x}: mapping disagrees with its key's region")
             }
-            Violation::PartitionTilingBroken { iteration, region } => {
-                write!(f, "iteration {iteration}: regions {region}/{} do not tile", region + 1)
-            }
-            Violation::PartitionOwnershipLeak { iteration, net, region } => {
-                write!(f, "iteration {iteration}: net {net} escapes its owned region {region}")
-            }
-            Violation::PartitionRankDisorder { iteration, net, rank } => {
-                write!(f, "iteration {iteration}: net {net} breaks commit order at rank {rank}")
-            }
             Violation::PortOverlap { a, b, at_ns } => {
                 write!(
                     f,
@@ -657,7 +614,7 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
     /// Stable pass name (`config`, `routes`, `wave-schedule`, `sched`,
-    /// `equiv`).
+    /// `timeline`, `equiv`).
     pub pass: &'static str,
     /// Objects the pass examined (nets, waves, bands... — the pass's own
     /// unit, documented per pass).
@@ -743,20 +700,6 @@ impl Verifier {
         VerifyReport {
             pass: "routes",
             checked: nets.len(),
-            violations,
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Pass 2b — partition-schedule checker over the router's recorded
-    /// plans (region tiling, worker ownership, commit rank order).
-    /// `checked` counts scheduled tasks across all plans.
-    pub fn verify_partition(&self, plans: &[partition::PartitionPlan]) -> VerifyReport {
-        let t0 = std::time::Instant::now();
-        let violations = partition::check_plans(plans);
-        VerifyReport {
-            pass: "partition",
-            checked: plans.iter().map(|p| p.tasks.len()).sum(),
             violations,
             seconds: t0.elapsed().as_secs_f64(),
         }

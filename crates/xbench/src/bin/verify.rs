@@ -76,13 +76,17 @@ fn wave_pass(fmt: FpFormat, smoke: bool, reports: &mut Vec<verify::VerifyReport>
 
     // One routable width is enough: the audit is about the schedule, not
     // the minimum. Start from the congestion estimate and double away
-    // any optimism.
+    // any optimism, up to the engine's own ceiling.
+    let max_width = engine.opts.max_width;
     let mut width = par::channel_width_estimate(&nl, &placement, arch).max(4);
     let (graph, reference) = loop {
         let graph = RouteGraph::build(arch, width);
         match engine.route(&nl, &placement, &graph) {
             Ok(r) => break (graph, r),
-            Err(_) => width *= 2,
+            Err(e) => {
+                assert!(width < max_width, "unroutable even at width {width}: {e:?}");
+                width = (width * 2).min(max_width);
+            }
         }
     };
     println!("  fabric {0}x{0}, channel width {width}", arch.size);
