@@ -100,6 +100,14 @@ impl RouteGraph {
         &self.targets[a..b]
     }
 
+    /// True when the node has no outgoing edge (in this fabric: the input
+    /// pins). A path search may skip such a node unless it is the sink it
+    /// is looking for — expanding it reaches nothing.
+    #[inline]
+    pub fn is_dead_end(&self, id: u32) -> bool {
+        self.offsets[id as usize] == self.offsets[id as usize + 1]
+    }
+
     /// Output-pin node of a site.
     pub fn opin(&self, site: Site) -> u32 {
         match site {

@@ -22,6 +22,10 @@
 //! searches cannot observe each other, so the wave schedule — not the
 //! thread count — decides the outcome. Threads only decide who routes a
 //! member, and only a wave large enough to pay for the spawn is split.
+//! The contract also covers *when* a probe of the width search ran: with
+//! two or more threads the cold `W−1` certificate routes beside the
+//! binary phase, and the minimum, its certificate, the trees and every
+//! probe row but `seconds` and `overlapped` are what one thread reports.
 
 use crate::incr::route_core;
 use crate::netlist::ParNetlist;
@@ -37,8 +41,9 @@ use fabric::rrg::RouteGraph;
 pub struct EngineOptions {
     /// Placement seeds; all are annealed, the best placement wins.
     pub seeds: Vec<u64>,
-    /// Worker threads for placement seeds and large routing waves.
-    /// `0` = one per available CPU. Never changes results.
+    /// Worker threads for placement seeds, large routing waves and the
+    /// width search's speculative cold probes. `0` = one per available
+    /// CPU. Never changes results.
     pub threads: usize,
     /// Width search floor.
     pub min_width: usize,
@@ -115,7 +120,7 @@ impl ParEngine {
         placement: &Placement,
         graph: &RouteGraph,
     ) -> Result<RouteResult, Unroutable> {
-        route_core(netlist, placement, graph, self.threads(), None, None)
+        route_core(netlist, placement, graph, self.threads(), None, None, None)
     }
 
     /// One routing run on a prebuilt graph with the wave-schedule auditor
@@ -133,7 +138,7 @@ impl ParEngine {
         graph: &RouteGraph,
     ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
         let mut auditor = verify::WaveAuditor::new();
-        let r = route_core(netlist, placement, graph, self.threads(), None, Some(&mut auditor));
+        let r = route_core(netlist, placement, graph, self.threads(), None, Some(&mut auditor), None);
         (r, auditor.finish())
     }
 

@@ -11,7 +11,12 @@
 //! * **Per-net bounding boxes.** Each net's A* is confined to a box around
 //!   its terminals. A net that cannot route inside its box escalates
 //!   through staged margins (3 tiles → 10 tiles → the whole fabric), and
-//!   the escalated stage sticks for later iterations.
+//!   the escalated stage sticks for later iterations. The search never
+//!   pushes a node without out-edges unless it is the sink it is after —
+//!   every wire feeds the input pins of its neighbouring blocks, 40 % of
+//!   all edges, and a pin that is not the sink leads nowhere; skipping
+//!   them is exact (the pruned search pops the same nodes in the same
+//!   order and returns the same tree, `pruned_route_net_equals_…`).
 //! * **Deterministic wave parallelism.** Dirty nets are greedily packed
 //!   into *waves* of pairwise bbox-disjoint nets. All members of a wave
 //!   are ripped first, then routed against the same immutable snapshot of
@@ -27,6 +32,11 @@
 //!   their box are deferred and retried serially after the waves with a
 //!   larger box.
 //!
+//! A run can be **cancelled** (`route_core`'s last argument, read once per
+//! wave): the width search routes cold probes speculatively and stops the
+//! ones it moves past. A cancelled run's `Unroutable` is no verdict, and
+//! the search drops it unread.
+//!
 //! The core prints nothing and reads no environment: what it did is in
 //! its trace spans — `par.route_iter` (`dirty`, `waves`, `ripups`,
 //! `overused`), `par.wave` (`nets`, `deferred`), and a `par.debias`
@@ -40,6 +50,7 @@ use fabric::rrg::{NodeState, RouteGraph};
 use logic::fxhash::FxHashSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use verify::{WaveAuditor, WaveFootprint};
 
 /// Maximum PathFinder iterations before giving up.
@@ -201,6 +212,12 @@ fn route_net(
             }
             let c_here = cost_to[node as usize];
             for &next in graph.edges(node) {
+                // A node without out-edges that is not this sink leads
+                // nowhere: its pop would push nothing and no other search
+                // reads its cost, so skipping the push changes no tree.
+                if graph.is_dead_end(next) && next != sink {
+                    continue;
+                }
                 if !bbox.contains(graph.location_f32(next)) {
                     continue;
                 }
@@ -253,6 +270,11 @@ fn build_waves(dirty: &[u32], bboxes: &[BBox]) -> Vec<Vec<usize>> {
 /// nets to route from scratch. `threads` bounds how far a wave may fan
 /// out (0 counts as 1); results do not depend on it.
 ///
+/// `cancel`, when given, is read once per wave: once it is set the run
+/// stops with an `Unroutable` that says nothing about the width — the
+/// caller that raised the flag has stopped wanting the verdict and drops
+/// it (the width search's speculative cold probes, `warm.rs`).
+///
 /// When `auditor` is given, every wave's actual read/write footprints are
 /// reported to it for the serial-equivalence check. Audited waves are
 /// routed serially on one scratch — footprints (and trees) are identical
@@ -266,6 +288,7 @@ pub(crate) fn route_core(
     threads: usize,
     seed_trees: Option<Vec<Vec<u32>>>,
     mut auditor: Option<&mut WaveAuditor>,
+    cancel: Option<&AtomicBool>,
 ) -> Result<RouteResult, Unroutable> {
     let n_nets = netlist.nets.len();
     let n_nodes = graph.node_count();
@@ -343,7 +366,11 @@ pub(crate) fn route_core(
     let mut warm_n = warm_left.iter().filter(|&&w| w).count();
     let mut debias = false;
 
-    let mut scratches: Vec<Scratch> = (0..threads.max(1)).map(|_| Scratch::new(n_nodes)).collect();
+    // One scratch per worker the largest possible wave (every net) could
+    // be split across — at these netlist sizes usually one, whatever
+    // `threads` says.
+    let mut scratches: Vec<Scratch> =
+        (0..wave_workers(n_nets, threads)).map(|_| Scratch::new(n_nodes)).collect();
     let mut pres_fac = FIRST_PRES_FAC;
     let mut ripups = 0usize;
     let mut waves_total = 0usize;
@@ -419,6 +446,15 @@ pub(crate) fn route_core(
 
         let mut deferred: Vec<u32> = Vec::new();
         for wave in &waves {
+            // Relaxed: the flag publishes no data, it only stops the work.
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return Err(Unroutable {
+                    overused: usize::MAX,
+                    iterations: iter,
+                    ripups,
+                    worst_cut_overuse: 0,
+                });
+            }
             let mut wave_span = trace::span("par.wave");
             wave_span.arg("nets", wave.len());
             // The write footprint of a member includes the tree it is
@@ -705,9 +741,147 @@ fn build_result(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fabric::arch::{FabricArch, Site};
+
+    /// `route_net` as it was before it skipped dead ends: every in-box
+    /// edge target is pushed, input pins of bystander blocks included.
+    fn route_net_reference(
+        graph: &RouteGraph,
+        state: &NodeState,
+        pres_fac: f64,
+        srcs: &[u32],
+        sinks: &[u32],
+        bbox: BBox,
+    ) -> Option<Vec<u32>> {
+        let n = graph.node_count();
+        let (mut tree_set, mut tree_list) = (FxHashSet::default(), Vec::new());
+        for &sink in sinks {
+            let (mut cost_to, mut prev) = (vec![f32::INFINITY; n], vec![u32::MAX; n]);
+            let mut heap = BinaryHeap::new();
+            let tloc = graph.location_f32(sink);
+            macro_rules! push {
+                ($node:expr, $c:expr, $from:expr) => {{
+                    let (node, c): (u32, f32) = ($node, $c);
+                    if c < cost_to[node as usize] {
+                        cost_to[node as usize] = c;
+                        prev[node as usize] = $from;
+                        let h = dist(graph.location_f32(node), tloc) as f64 * ASTAR_FAC;
+                        heap.push((Reverse(((c as f64 + h) * 1024.0) as u64), node));
+                    }
+                }};
+            }
+            for &s in srcs.iter().chain(tree_list.iter()) {
+                push!(s, 0.0, u32::MAX);
+            }
+            let mut found = false;
+            while let Some((_, node)) = heap.pop() {
+                if node == sink {
+                    found = true;
+                    break;
+                }
+                let c_here = cost_to[node as usize];
+                for &next in graph.edges(node) {
+                    if bbox.contains(graph.location_f32(next)) {
+                        push!(next, c_here + state.step_cost(next, pres_fac), node);
+                    }
+                }
+            }
+            if !found {
+                return None;
+            }
+            let mut cur = sink;
+            while cur != u32::MAX {
+                if tree_set.insert(cur) {
+                    tree_list.push(cur);
+                }
+                cur = prev[cur as usize];
+            }
+        }
+        tree_list.sort_unstable();
+        Some(tree_list)
+    }
+
+    /// The 65-net conventional 5-bit multiplier (`tests/determinism.rs`'s
+    /// `mul_netlist(5, false)`).
+    pub(crate) fn mul5_conventional() -> ParNetlist {
+        use logic::aig::{Aig, InputKind};
+        let mut g = Aig::new();
+        let x = g.input_vec("x", 5, InputKind::Regular);
+        let c = g.input_vec("c", 5, InputKind::Param);
+        let p = softfloat::gates::mul_carry_save(&mut g, &x, &c);
+        g.add_output_vec("p", &p);
+        crate::netlist::extract(&mapping::map_conventional(&g, mapping::MapOptions::default()))
+    }
+
+    #[test]
+    fn pruned_route_net_equals_the_unpruned_reference() {
+        let nl = mul5_conventional();
+        let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
+        let placement = crate::tplace::place(&nl, arch, 1);
+        for width in [4usize, 7] {
+            let graph = RouteGraph::build(arch, width);
+            let mut nets: Vec<(Vec<u32>, Vec<u32>)> = crate::troute::terminals(&nl, &placement, &graph)
+                .into_iter()
+                .map(|t| (t.sources, t.sinks))
+                .collect();
+            // A sink beside its block's other input pins, two sinks on one
+            // block (the later one a dead-end neighbour of the earlier
+            // search), and a pad sink.
+            let far = Site::Logic { x: arch.size - 1, y: arch.size - 1 };
+            nets.push((
+                vec![graph.opin(Site::Logic { x: 0, y: 0 })],
+                vec![graph.ipin(far, 0), graph.ipin(far, 1), graph.ipin(Site::Logic { x: 1, y: 0 }, 3)],
+            ));
+            nets.push((
+                vec![graph.opin(far), graph.opin(Site::Logic { x: 1, y: 1 })],
+                vec![graph.ipin(Site::Io { side: 3, pos: 0, slot: 1 }, 0), graph.ipin(far, 2)],
+            ));
+            let whole = BBox { x0: f32::NEG_INFINITY, y0: f32::NEG_INFINITY, x1: f32::INFINITY, y1: f32::INFINITY };
+            let mut state = NodeState::new(&graph);
+            let mut scratch = Scratch::new(graph.node_count());
+            let mut compared = 0;
+            // Two PathFinder rounds: the second searches against the
+            // occupancy and history the first left behind.
+            for pres_fac in [FIRST_PRES_FAC, FIRST_PRES_FAC * PRES_FAC_MULT.powi(6)] {
+                for (srcs, sinks) in &nets {
+                    // The first-stage box: the terminals' extent plus margin.
+                    let m = MARGINS[0];
+                    let tight = srcs.iter().chain(sinks).map(|&t| graph.location_f32(t)).fold(
+                        BBox { x0: f32::INFINITY, y0: f32::INFINITY, x1: f32::NEG_INFINITY, y1: f32::NEG_INFINITY },
+                        |bb, (x, y)| bb.union(&BBox { x0: x - m, y0: y - m, x1: x + m, y1: y + m }),
+                    );
+                    for bbox in [tight, whole] {
+                        let pruned = route_net(&graph, &state, pres_fac, srcs, sinks, bbox, &mut scratch);
+                        let reference = route_net_reference(&graph, &state, pres_fac, srcs, sinks, bbox);
+                        assert_eq!(pruned, reference, "width {width}, pres_fac {pres_fac}");
+                        compared += usize::from(pruned.is_some());
+                    }
+                    if let Some(tree) = route_net(&graph, &state, pres_fac, srcs, sinks, whole, &mut scratch) {
+                        tree.iter().for_each(|&n| state.occupy(n));
+                    }
+                }
+                state.accrue_history(ACC_FAC);
+            }
+            assert!(compared >= 2 * nets.len(), "most searches must find a tree (width {width})");
+        }
+    }
+
+    #[test]
+    fn a_cancelled_route_stops_at_the_next_wave() {
+        let nl = mul5_conventional();
+        let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
+        let placement = crate::tplace::place(&nl, arch, 1);
+        let graph = RouteGraph::build(arch, 7);
+        let routed = |cancel: &AtomicBool| route_core(&nl, &placement, &graph, 1, None, None, Some(cancel));
+        let stopped = routed(&AtomicBool::new(true)).err().expect("a cancelled run is no route");
+        assert_eq!((stopped.iterations, stopped.ripups), (0, nl.nets.len()), "no wave was routed");
+        // An unraised flag changes nothing.
+        let free = routed(&AtomicBool::new(false)).expect("routable at width 7");
+        let plain = route_core(&nl, &placement, &graph, 1, None, None, None).expect("routable");
+        assert_eq!(free.trees, plain.trees);
+    }
 
     #[test]
     fn wave_workers_is_one_below_the_threshold_and_capped_by_threads() {

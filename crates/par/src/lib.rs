@@ -19,7 +19,9 @@
 //!   to pay for the spawn); its diagnostics are trace spans, it prints
 //!   nothing;
 //! * [`warm`] — minimum-channel-width search (doubling + binary) whose
-//!   probes are warm-started from the previous width's routing trees;
+//!   probes are warm-started from the previous width's routing trees and
+//!   whose cold `W−1` certificate routes beside the binary phase when a
+//!   second thread is free;
 //! * [`engine`] — the [`engine::ParEngine`] facade owning every knob;
 //!   [`engine::ParEngine::run`] produces the WL/CW columns of Table I.
 

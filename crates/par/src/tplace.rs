@@ -6,6 +6,16 @@
 //! sites, pads over I/O sites. [`place_multi_seed_on`] runs independent
 //! anneals on scoped threads (one per seed) and keeps the best — the
 //! embarrassingly parallel pattern the hpc-parallel guides recommend.
+//!
+//! A proposal touches flat state only: sites are small integers, the
+//! occupant of a site and the location of a block are array reads, the
+//! affected nets of a move are a merge of two sorted CSR rows into a
+//! reused buffer, and their new costs are computed once and committed on
+//! accept. The `f64` sums run over the same values in the same order as
+//! the textbook formulation and the RNG is drawn in the same sequence, so
+//! placements and costs equal it to the bit — `place_reference` in the
+//! test module is that formulation, and a property test holds the two
+//! together.
 
 use crate::netlist::{BlockKind, ParNetlist};
 use fabric::arch::{FabricArch, Site};
@@ -32,27 +42,71 @@ fn q_factor(pins: usize) -> f64 {
     }
 }
 
-struct PlacerState<'a> {
-    netlist: &'a ParNetlist,
-    arch: FabricArch,
-    site_of: Vec<Site>,
-    occupant: logic::fxhash::FxHashMap<Site, u32>,
-    // nets touching each block
-    nets_of_block: Vec<Vec<u32>>,
+/// Marks a site nobody occupies.
+const FREE: u32 = u32::MAX;
+
+/// The anneal's cost state, flat: every lookup a proposal makes is an
+/// array index. Sites are numbered logic row-major (`y·size + x`), then
+/// pads in (side, position, slot) order — the order the proposal pools are
+/// drawn in, so a pool index is a site id.
+struct PlacerState {
+    /// Net → the blocks of its pins (sources, then sinks; a block listed
+    /// twice moves no bound but counts twice in the fanout factor), CSR.
+    pin_off: Vec<u32>,
+    pins: Vec<u32>,
+    /// Fanout correction of each net.
+    q: Vec<f64>,
+    /// Block → the nets touching it, ascending and distinct, CSR.
+    net_off: Vec<u32>,
+    nets: Vec<u32>,
+    /// Location of the site each block sits on.
+    loc_of: Vec<(f64, f64)>,
     net_cost: Vec<f64>,
-    cost: f64,
 }
 
-impl<'a> PlacerState<'a> {
+impl PlacerState {
+    fn new(netlist: &ParNetlist) -> Self {
+        let n_blocks = netlist.blocks.len();
+        let (mut pin_off, mut pins) = (vec![0u32], Vec::new());
+        let mut touching: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
+        for (i, n) in netlist.nets.iter().enumerate() {
+            for b in n.sources.iter().copied().chain(n.sinks.iter().map(|&(b, _)| b)) {
+                pins.push(b);
+                // Nets arrive in ascending order: distinct means not the last.
+                if touching[b as usize].last() != Some(&(i as u32)) {
+                    touching[b as usize].push(i as u32);
+                }
+            }
+            pin_off.push(pins.len() as u32);
+        }
+        let (mut net_off, mut nets) = (vec![0u32], Vec::new());
+        for t in &touching {
+            nets.extend_from_slice(t);
+            net_off.push(nets.len() as u32);
+        }
+        Self {
+            q: netlist.nets.iter().map(|n| q_factor(n.sources.len() + n.sinks.len())).collect(),
+            pin_off,
+            pins,
+            net_off,
+            nets,
+            loc_of: vec![(0.0, 0.0); n_blocks],
+            net_cost: vec![0.0; netlist.nets.len()],
+        }
+    }
+
+    fn nets_of(&self, block: u32) -> &[u32] {
+        &self.nets[self.net_off[block as usize] as usize..self.net_off[block as usize + 1] as usize]
+    }
+
     fn net_hpwl(&self, net: u32) -> f64 {
-        let n = &self.netlist.nets[net as usize];
         let mut min_x = f64::INFINITY;
         let mut max_x = f64::NEG_INFINITY;
         let mut min_y = f64::INFINITY;
         let mut max_y = f64::NEG_INFINITY;
-        let mut pins = 0usize;
-        let mut upd = |b: u32, state: &Self| {
-            let (x, y) = state.site_of[b as usize].location(state.arch.size);
+        let (a, b) = (self.pin_off[net as usize] as usize, self.pin_off[net as usize + 1] as usize);
+        for &block in &self.pins[a..b] {
+            let (x, y) = self.loc_of[block as usize];
             if x < min_x {
                 min_x = x;
             }
@@ -65,182 +119,144 @@ impl<'a> PlacerState<'a> {
             if y > max_y {
                 max_y = y;
             }
-        };
-        for &s in &n.sources {
-            upd(s, self);
-            pins += 1;
         }
-        for &(b, _) in &n.sinks {
-            upd(b, self);
-            pins += 1;
-        }
-        q_factor(pins) * ((max_x - min_x) + (max_y - min_y))
+        self.q[net as usize] * ((max_x - min_x) + (max_y - min_y))
     }
 
-    fn recompute_all(&mut self) {
-        self.cost = 0.0;
-        for i in 0..self.netlist.nets.len() {
+    /// Recomputes every net's cost; returns the total.
+    fn recompute_all(&mut self) -> f64 {
+        let mut cost = 0.0;
+        for i in 0..self.net_cost.len() {
             let c = self.net_hpwl(i as u32);
             self.net_cost[i] = c;
-            self.cost += c;
+            cost += c;
         }
+        cost
     }
 }
 
-/// Runs the anneal with one seed.
+/// Merges two ascending, distinct lists into `out`, ascending and distinct
+/// — what sorting and deduplicating their concatenation yields.
+fn merge_distinct(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Runs the anneal with one seed (see the module docs for what keeps it
+/// equal to `place_reference` to the bit).
 pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
     let mut rng = SplitMix64::new(seed);
     let s = arch.size;
+    let n_logic = s * s;
 
-    // Initial assignment: logic blocks into logic sites (row-major), pads
-    // round-robin over the perimeter.
-    let mut logic_sites: Vec<Site> = (0..s * s)
-        .map(|i| Site::Logic { x: i % s, y: i / s })
-        .collect();
-    let mut io_sites: Vec<Site> = Vec::new();
+    // The site table, in site-id order.
+    let mut sites: Vec<Site> = (0..n_logic).map(|i| Site::Logic { x: i % s, y: i / s }).collect();
     for side in 0..4u8 {
         for pos in 0..s {
             for slot in 0..arch.io_capacity {
-                io_sites.push(Site::Io { side, pos, slot });
+                sites.push(Site::Io { side, pos, slot });
             }
         }
     }
+    let site_loc: Vec<(f64, f64)> = sites.iter().map(|site| site.location(s)).collect();
+    let n_io = sites.len() - n_logic;
+
+    // Initial assignment: logic blocks onto shuffled logic sites, pads
+    // onto shuffled I/O sites, both in block order.
+    let mut logic_sites: Vec<u32> = (0..n_logic as u32).collect();
+    let mut io_sites: Vec<u32> = (n_logic as u32..sites.len() as u32).collect();
     rng.shuffle(&mut logic_sites);
     rng.shuffle(&mut io_sites);
-    let mut li = 0;
-    let mut ii = 0;
-    let mut site_of = Vec::with_capacity(netlist.blocks.len());
-    for b in &netlist.blocks {
-        let site = match b.kind {
-            BlockKind::Logic => {
-                li += 1;
-                *logic_sites
-                    .get(li - 1)
-                    .unwrap_or_else(|| panic!("fabric too small: {} logic sites", s * s))
-            }
-            _ => {
-                ii += 1;
-                *io_sites
-                    .get(ii - 1)
-                    .unwrap_or_else(|| panic!("fabric too small for {ii} pads"))
-            }
+    let (mut logic_next, mut io_next) = (logic_sites.iter(), io_sites.iter());
+    let mut st = PlacerState::new(netlist);
+    let mut occupant = vec![FREE; sites.len()];
+    let mut site_of: Vec<u32> = Vec::with_capacity(netlist.blocks.len());
+    for (b, block) in netlist.blocks.iter().enumerate() {
+        let site = *match block.kind {
+            BlockKind::Logic => logic_next
+                .next()
+                .unwrap_or_else(|| panic!("fabric too small: {n_logic} logic sites")),
+            _ => io_next.next().unwrap_or_else(|| panic!("fabric too small: {n_io} pad sites")),
         };
         site_of.push(site);
+        occupant[site as usize] = b as u32;
+        st.loc_of[b] = site_loc[site as usize];
     }
-
-    let mut nets_of_block: Vec<Vec<u32>> = vec![Vec::new(); netlist.blocks.len()];
-    for (i, n) in netlist.nets.iter().enumerate() {
-        for &src in &n.sources {
-            nets_of_block[src as usize].push(i as u32);
-        }
-        for &(b, _) in &n.sinks {
-            nets_of_block[b as usize].push(i as u32);
-        }
-    }
-    for v in &mut nets_of_block {
-        v.sort_unstable();
-        v.dedup();
-    }
-
-    let mut occupant = logic::fxhash::FxHashMap::default();
-    for (b, &site) in site_of.iter().enumerate() {
-        occupant.insert(site, b as u32);
-    }
-
-    let mut st = PlacerState {
-        netlist,
-        arch,
-        site_of,
-        occupant,
-        nets_of_block,
-        net_cost: vec![0.0; netlist.nets.len()],
-        cost: 0.0,
-    };
-    st.recompute_all();
+    let mut cost = st.recompute_all();
 
     let n_blocks = netlist.blocks.len();
     let moves_per_temp = ((n_blocks as f64).powf(4.0 / 3.0) as usize).max(64);
-    let mut temp = 0.1 * st.cost / netlist.nets.len().max(1) as f64 * 20.0;
+    let mut temp = 0.1 * cost / netlist.nets.len().max(1) as f64 * 20.0;
     let mut range = s as f64;
-
-    // Candidate site pools for random proposals.
-    let all_logic: Vec<Site> = (0..s * s)
-        .map(|i| Site::Logic { x: i % s, y: i / s })
-        .collect();
-    let all_io: Vec<Site> = {
-        let mut v = Vec::new();
-        for side in 0..4u8 {
-            for pos in 0..s {
-                for slot in 0..arch.io_capacity {
-                    v.push(Site::Io { side, pos, slot });
-                }
-            }
-        }
-        v
-    };
+    // Affected nets of the proposal and their costs after it.
+    let (mut affected, mut new_costs) = (Vec::new(), Vec::new());
 
     loop {
         let mut accepted = 0usize;
         for _ in 0..moves_per_temp {
-            let b = rng.index(n_blocks) as u32;
-            let kind = netlist.blocks[b as usize].kind;
-            let pool = if kind == BlockKind::Logic { &all_logic } else { &all_io };
+            let b = rng.index(n_blocks);
+            let kind = netlist.blocks[b].kind;
+            // The block's pool: logic sites or pads.
+            let (base, len) = if kind == BlockKind::Logic { (0, n_logic) } else { (n_logic, n_io) };
             // Range-limited proposal around the current site.
-            let cur = st.site_of[b as usize];
-            let (cx, cy) = cur.location(s);
+            let cur = site_of[b] as usize;
+            let (cx, cy) = st.loc_of[b];
             let target = {
-                let mut t = pool[rng.index(pool.len())];
+                let mut t = base + rng.index(len);
                 for _ in 0..4 {
-                    let (tx, ty) = t.location(s);
+                    let (tx, ty) = site_loc[t];
                     if (tx - cx).abs() <= range && (ty - cy).abs() <= range {
                         break;
                     }
-                    t = pool[rng.index(pool.len())];
+                    t = base + rng.index(len);
                 }
                 t
             };
             if target == cur {
                 continue;
             }
-            let displaced = st.occupant.get(&target).copied();
-            if let Some(d) = displaced {
-                if netlist.blocks[d as usize].kind != kind {
-                    continue; // can't swap across site classes
-                }
+            let displaced = occupant[target];
+            if displaced != FREE && netlist.blocks[displaced as usize].kind != kind {
+                continue; // can't swap across site classes
             }
-            // Affected nets.
-            let mut nets: Vec<u32> = st.nets_of_block[b as usize].clone();
-            if let Some(d) = displaced {
-                nets.extend_from_slice(&st.nets_of_block[d as usize]);
-                nets.sort_unstable();
-                nets.dedup();
-            }
-            let old_cost: f64 = nets.iter().map(|&i| st.net_cost[i as usize]).sum();
+            let others = if displaced == FREE { &[][..] } else { st.nets_of(displaced) };
+            merge_distinct(st.nets_of(b as u32), others, &mut affected);
+            let old_cost: f64 = affected.iter().map(|&i| st.net_cost[i as usize]).sum();
             // Apply.
-            st.site_of[b as usize] = target;
-            if let Some(d) = displaced {
-                st.site_of[d as usize] = cur;
+            st.loc_of[b] = site_loc[target];
+            if displaced != FREE {
+                st.loc_of[displaced as usize] = site_loc[cur];
             }
-            let new_cost: f64 = nets.iter().map(|&i| st.net_hpwl(i)).sum();
+            new_costs.clear();
+            new_costs.extend(affected.iter().map(|&i| st.net_hpwl(i)));
+            let new_cost: f64 = new_costs.iter().sum();
             let delta = new_cost - old_cost;
             if delta <= 0.0 || rng.unit_f64() < (-delta / temp).exp() {
                 // Commit.
-                for &i in &nets {
-                    st.net_cost[i as usize] = st.net_hpwl(i);
+                for (&i, &c) in affected.iter().zip(&new_costs) {
+                    st.net_cost[i as usize] = c;
                 }
-                st.cost += delta;
-                st.occupant.insert(target, b);
-                if let Some(d) = displaced {
-                    st.occupant.insert(cur, d);
-                } else {
-                    st.occupant.remove(&cur);
+                cost += delta;
+                site_of[b] = target as u32;
+                occupant[target] = b as u32;
+                occupant[cur] = displaced;
+                if displaced != FREE {
+                    site_of[displaced as usize] = cur as u32;
                 }
                 accepted += 1;
             } else {
                 // Revert.
-                st.site_of[b as usize] = cur;
-                if let Some(d) = displaced {
-                    st.site_of[d as usize] = target;
+                st.loc_of[b] = site_loc[cur];
+                if displaced != FREE {
+                    st.loc_of[displaced as usize] = site_loc[target];
                 }
             }
         }
@@ -257,12 +273,14 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
         };
         temp *= alpha;
         range = (range * (1.0 - 0.44 + rate)).clamp(1.0, s as f64);
-        if temp < 0.005 * st.cost / netlist.nets.len().max(1) as f64 || temp < 1e-6 {
+        if temp < 0.005 * cost / netlist.nets.len().max(1) as f64 || temp < 1e-6 {
             break;
         }
     }
-    st.recompute_all();
-    Placement { site_of: st.site_of, cost: st.cost }
+    Placement {
+        site_of: site_of.iter().map(|&id| sites[id as usize]).collect(),
+        cost: st.recompute_all(),
+    }
 }
 
 /// Runs one independent anneal per seed and returns the lowest-cost
@@ -310,6 +328,293 @@ pub fn place_multi_seed_on(
 mod tests {
     use super::*;
     use crate::netlist::{Block, Net};
+
+    struct ReferenceState<'a> {
+        netlist: &'a ParNetlist,
+        arch: FabricArch,
+        site_of: Vec<Site>,
+        occupant: logic::fxhash::FxHashMap<Site, u32>,
+        // nets touching each block
+        nets_of_block: Vec<Vec<u32>>,
+        net_cost: Vec<f64>,
+        cost: f64,
+    }
+
+    impl<'a> ReferenceState<'a> {
+        fn net_hpwl(&self, net: u32) -> f64 {
+            let n = &self.netlist.nets[net as usize];
+            let mut min_x = f64::INFINITY;
+            let mut max_x = f64::NEG_INFINITY;
+            let mut min_y = f64::INFINITY;
+            let mut max_y = f64::NEG_INFINITY;
+            let mut pins = 0usize;
+            let mut upd = |b: u32, state: &Self| {
+                let (x, y) = state.site_of[b as usize].location(state.arch.size);
+                if x < min_x {
+                    min_x = x;
+                }
+                if x > max_x {
+                    max_x = x;
+                }
+                if y < min_y {
+                    min_y = y;
+                }
+                if y > max_y {
+                    max_y = y;
+                }
+            };
+            for &s in &n.sources {
+                upd(s, self);
+                pins += 1;
+            }
+            for &(b, _) in &n.sinks {
+                upd(b, self);
+                pins += 1;
+            }
+            q_factor(pins) * ((max_x - min_x) + (max_y - min_y))
+        }
+
+        fn recompute_all(&mut self) {
+            self.cost = 0.0;
+            for i in 0..self.netlist.nets.len() {
+                let c = self.net_hpwl(i as u32);
+                self.net_cost[i] = c;
+                self.cost += c;
+            }
+        }
+    }
+
+    /// The textbook anneal `place` must equal to the bit: a hash map of
+    /// occupants, an affected-net `Vec` sorted and deduplicated per proposal,
+    /// `Site::location` per pin, every net re-walked on commit.
+    fn place_reference(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
+        let mut rng = SplitMix64::new(seed);
+        let s = arch.size;
+
+        // Initial assignment: logic blocks into logic sites (row-major), pads
+        // round-robin over the perimeter.
+        let mut logic_sites: Vec<Site> = (0..s * s)
+            .map(|i| Site::Logic { x: i % s, y: i / s })
+            .collect();
+        let mut io_sites: Vec<Site> = Vec::new();
+        for side in 0..4u8 {
+            for pos in 0..s {
+                for slot in 0..arch.io_capacity {
+                    io_sites.push(Site::Io { side, pos, slot });
+                }
+            }
+        }
+        rng.shuffle(&mut logic_sites);
+        rng.shuffle(&mut io_sites);
+        let mut li = 0;
+        let mut ii = 0;
+        let mut site_of = Vec::with_capacity(netlist.blocks.len());
+        for b in &netlist.blocks {
+            let site = match b.kind {
+                BlockKind::Logic => {
+                    li += 1;
+                    *logic_sites
+                        .get(li - 1)
+                        .unwrap_or_else(|| panic!("fabric too small: {} logic sites", s * s))
+                }
+                _ => {
+                    ii += 1;
+                    *io_sites
+                        .get(ii - 1)
+                        .unwrap_or_else(|| panic!("fabric too small for {ii} pads"))
+                }
+            };
+            site_of.push(site);
+        }
+
+        let mut nets_of_block: Vec<Vec<u32>> = vec![Vec::new(); netlist.blocks.len()];
+        for (i, n) in netlist.nets.iter().enumerate() {
+            for &src in &n.sources {
+                nets_of_block[src as usize].push(i as u32);
+            }
+            for &(b, _) in &n.sinks {
+                nets_of_block[b as usize].push(i as u32);
+            }
+        }
+        for v in &mut nets_of_block {
+            v.sort_unstable();
+            v.dedup();
+        }
+
+        let mut occupant = logic::fxhash::FxHashMap::default();
+        for (b, &site) in site_of.iter().enumerate() {
+            occupant.insert(site, b as u32);
+        }
+
+        let mut st = ReferenceState {
+            netlist,
+            arch,
+            site_of,
+            occupant,
+            nets_of_block,
+            net_cost: vec![0.0; netlist.nets.len()],
+            cost: 0.0,
+        };
+        st.recompute_all();
+
+        let n_blocks = netlist.blocks.len();
+        let moves_per_temp = ((n_blocks as f64).powf(4.0 / 3.0) as usize).max(64);
+        let mut temp = 0.1 * st.cost / netlist.nets.len().max(1) as f64 * 20.0;
+        let mut range = s as f64;
+
+        // Candidate site pools for random proposals.
+        let all_logic: Vec<Site> = (0..s * s)
+            .map(|i| Site::Logic { x: i % s, y: i / s })
+            .collect();
+        let all_io: Vec<Site> = {
+            let mut v = Vec::new();
+            for side in 0..4u8 {
+                for pos in 0..s {
+                    for slot in 0..arch.io_capacity {
+                        v.push(Site::Io { side, pos, slot });
+                    }
+                }
+            }
+            v
+        };
+
+        loop {
+            let mut accepted = 0usize;
+            for _ in 0..moves_per_temp {
+                let b = rng.index(n_blocks) as u32;
+                let kind = netlist.blocks[b as usize].kind;
+                let pool = if kind == BlockKind::Logic { &all_logic } else { &all_io };
+                // Range-limited proposal around the current site.
+                let cur = st.site_of[b as usize];
+                let (cx, cy) = cur.location(s);
+                let target = {
+                    let mut t = pool[rng.index(pool.len())];
+                    for _ in 0..4 {
+                        let (tx, ty) = t.location(s);
+                        if (tx - cx).abs() <= range && (ty - cy).abs() <= range {
+                            break;
+                        }
+                        t = pool[rng.index(pool.len())];
+                    }
+                    t
+                };
+                if target == cur {
+                    continue;
+                }
+                let displaced = st.occupant.get(&target).copied();
+                if let Some(d) = displaced {
+                    if netlist.blocks[d as usize].kind != kind {
+                        continue; // can't swap across site classes
+                    }
+                }
+                // Affected nets.
+                let mut nets: Vec<u32> = st.nets_of_block[b as usize].clone();
+                if let Some(d) = displaced {
+                    nets.extend_from_slice(&st.nets_of_block[d as usize]);
+                    nets.sort_unstable();
+                    nets.dedup();
+                }
+                let old_cost: f64 = nets.iter().map(|&i| st.net_cost[i as usize]).sum();
+                // Apply.
+                st.site_of[b as usize] = target;
+                if let Some(d) = displaced {
+                    st.site_of[d as usize] = cur;
+                }
+                let new_cost: f64 = nets.iter().map(|&i| st.net_hpwl(i)).sum();
+                let delta = new_cost - old_cost;
+                if delta <= 0.0 || rng.unit_f64() < (-delta / temp).exp() {
+                    // Commit.
+                    for &i in &nets {
+                        st.net_cost[i as usize] = st.net_hpwl(i);
+                    }
+                    st.cost += delta;
+                    st.occupant.insert(target, b);
+                    if let Some(d) = displaced {
+                        st.occupant.insert(cur, d);
+                    } else {
+                        st.occupant.remove(&cur);
+                    }
+                    accepted += 1;
+                } else {
+                    // Revert.
+                    st.site_of[b as usize] = cur;
+                    if let Some(d) = displaced {
+                        st.site_of[d as usize] = target;
+                    }
+                }
+            }
+            let rate = accepted as f64 / moves_per_temp as f64;
+            // VPR's adaptive alpha.
+            let alpha = if rate > 0.96 {
+                0.5
+            } else if rate > 0.8 {
+                0.9
+            } else if rate > 0.15 {
+                0.95
+            } else {
+                0.8
+            };
+            temp *= alpha;
+            range = (range * (1.0 - 0.44 + rate)).clamp(1.0, s as f64);
+            if temp < 0.005 * st.cost / netlist.nets.len().max(1) as f64 || temp < 1e-6 {
+                break;
+            }
+        }
+        st.recompute_all();
+        Placement { site_of: st.site_of, cost: st.cost }
+    }
+
+    /// A random netlist with everything the flat state must get right:
+    /// logic blocks and both pad kinds, multi-pin and multi-source
+    /// (tunable) nets, a block listed twice in one net, blocks on no net.
+    fn random_netlist(rng: &mut SplitMix64, n_logic: usize, n_pads: usize, n_nets: usize) -> ParNetlist {
+        let mut blocks = Vec::new();
+        for i in 0..n_logic {
+            blocks.push(Block { name: format!("l{i}"), kind: BlockKind::Logic });
+        }
+        for i in 0..n_pads {
+            let kind = if rng.coin() { BlockKind::InputPad } else { BlockKind::OutputPad };
+            blocks.push(Block { name: format!("p{i}"), kind });
+        }
+        // The last logic block and the last pad stay unconnected.
+        let pick = |rng: &mut SplitMix64| {
+            let b = rng.index(blocks.len() - 1);
+            if b == n_logic - 1 { 0 } else { b as u32 }
+        };
+        let nets = (0..n_nets)
+            .map(|_| {
+                let sources: Vec<u32> = (0..1 + rng.index(3)).map(|_| pick(rng)).collect();
+                let mut sinks: Vec<(u32, u8)> =
+                    (0..1 + rng.index(12)).map(|_| (pick(rng), rng.index(4) as u8)).collect();
+                if rng.coin() {
+                    // The driver reads its own output; a sink block twice.
+                    sinks.push((sources[0], 3));
+                    sinks.push((sinks[0].0, 2));
+                }
+                Net { sources, sinks }
+            })
+            .collect();
+        ParNetlist { blocks, nets }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #[test]
+        fn flat_place_equals_the_reference_to_the_bit(
+            shape in proptest::any::<u64>(),
+            n_logic in 2usize..40,
+            n_pads in 2usize..24,
+            n_nets in 1usize..60,
+        ) {
+            let nl = random_netlist(&mut SplitMix64::new(shape), n_logic, n_pads, n_nets);
+            let arch = FabricArch::sized_for(n_logic, n_pads);
+            for seed in [1u64, 2, 0xDEAD_BEEF] {
+                let (flat, reference) = (place(&nl, arch, seed), place_reference(&nl, arch, seed));
+                proptest::prop_assert_eq!(&flat.site_of, &reference.site_of);
+                proptest::prop_assert_eq!(flat.cost.to_bits(), reference.cost.to_bits());
+            }
+        }
+    }
 
     fn chain_netlist(n: usize) -> ParNetlist {
         // in -> L0 -> L1 -> ... -> out

@@ -8,16 +8,36 @@
 //! net's translated tree is re-validated for connectivity (connection-box
 //! and switch-box patterns are width-dependent, so edges do not
 //! necessarily survive translation), and only broken or congested nets
-//! are rerouted. After the binary phase the final `W−1` failure is
-//! re-probed cold unless something already proves it, so every reported
-//! minimum carries a [`WidthCertificate`]. A cold linear scan is kept as
-//! the reference ([`crate::engine::ParEngine::min_channel_width_reference`]);
-//! both must find the same minimum (see the equivalence tests).
+//! are rerouted. The final `W−1` failure is probed **cold** unless
+//! something already proves it, so every reported minimum carries a
+//! [`WidthCertificate`]. A cold linear scan is kept as the reference
+//! ([`crate::engine::ParEngine::min_channel_width_reference`]); both must
+//! find the same minimum (see the equivalence tests).
+//!
+//! **Where the time goes, and what is done about it.** A successful probe
+//! converges in a handful of iterations; a failed one grinds to the
+//! iteration limit, and the search used to pay for the hopeless `W−1`
+//! twice in a row — warm (a verdict it does not trust) and then cold (the
+//! certificate): 86 % of the (5,10) PE's search, 54 % of its whole flow.
+//! A cold probe is a pure function of `(netlist, placement, width)`, so
+//! with `threads ≥ 2` it routes **beside** the binary phase on a thread of
+//! its own (`Speculation`) and the confirmation loop takes the finished
+//! verdict instead of starting it. The main sequence — which widths are
+//! probed warm, in which order, from which seed — is the same at every
+//! thread count, a speculative probe the search moves past is dropped
+//! unlogged, and a consumed one is logged where the confirmation probe
+//! always was; so minimum, certificate, trees and probe table do not
+//! depend on `threads` (only `seconds` and `overlapped` say when a row
+//! ran). With one thread nothing is spawned.
 //!
 //! One `par.width_search` span covers a search and carries its sound
-//! `lower_bound`, the congestion `estimate` it started from, the minimum
-//! and the probe count; each probe is a `par.probe` child (width, warm
-//! nets, verdict, effort, and a failure's `worst_cut_overuse`).
+//! `lower_bound`, the congestion `estimate` it started from, the minimum,
+//! the probe count, the seconds spent in failed probes (`failed_probe_s`)
+//! and those of them that ran beside the search without extending it
+//! (`overlap_saved_s`); each probe is a `par.probe` span (width, warm
+//! nets, verdict, effort, `overlapped`, a failure's `worst_cut_overuse`,
+//! `cancelled` on a speculative probe that was let go) on the thread that
+//! routed it.
 
 use crate::engine::EngineOptions;
 use crate::incr::route_core;
@@ -27,6 +47,10 @@ use crate::troute::{RouteResult, Unroutable};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 use logic::fxhash::FxHashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 /// One router invocation inside the width search.
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +70,10 @@ pub struct WidthProbe {
     /// True for the certification re-probe of the final `W−1` failure
     /// (always cold: `warm_nets == 0`).
     pub confirm: bool,
+    /// True when the probe ran on a thread of its own beside the search's
+    /// main sequence instead of extending it — like `seconds`, a fact
+    /// about *when* it ran, not about what it found.
+    pub overlapped: bool,
 }
 
 /// Why the reported minimum is trusted (see [`WidthSearch::certificate`]).
@@ -81,7 +109,9 @@ pub struct WidthSearch {
     pub min_width: usize,
     /// Routing result at the minimum width.
     pub result: RouteResult,
-    /// Every probe, in the order it ran.
+    /// Every probe, in the order of the search's main sequence (a
+    /// confirmation probe that ran beside it is listed where it was
+    /// needed, not where it started).
     pub probes: Vec<WidthProbe>,
     /// The placement-derived lower bound the search started from.
     pub lower_bound: usize,
@@ -94,11 +124,12 @@ pub struct WidthSearch {
     pub overuse_lo: usize,
     /// Proof-grade backing for "`min_width` is minimal": the warm binary
     /// search takes de-biased warm verdicts at face value, so the final
-    /// `W−1` failure is re-probed **cold** after the search concludes
-    /// (unless the floor or the sound lower bound already certifies it;
-    /// costs at most one extra failing probe, bounded by the stall
-    /// detector like any other hopeless width).
-    /// If — against the de-bias design — the cold re-probe *succeeds*,
+    /// `W−1` failure is probed **cold** as well — beside the binary phase
+    /// when a thread is free, after it otherwise (unless the floor or the
+    /// sound lower bound already certifies it; costs at most one extra
+    /// failing probe, bounded by the stall detector like any other
+    /// hopeless width).
+    /// If — against the de-bias design — the cold probe *succeeds*,
     /// the search adopts the narrower result and keeps certifying
     /// downward, so the reported minimum is always the certified one.
     pub certificate: WidthCertificate,
@@ -236,25 +267,34 @@ pub fn channel_width_estimate(
     ((peak * 1.6).ceil() as usize).max(2)
 }
 
-fn probe(
+/// One router run of the search before it is logged: the verdict and its
+/// row of the probe table.
+type Probed = (Result<RouteResult, Unroutable>, WidthProbe);
+
+/// Routes one probe and describes it. `cancel` is given to a speculative
+/// probe only (see [`Speculation`]): it marks the row `overlapped` and
+/// lets the search stop the run.
+fn run_probe(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
     threads: usize,
     seed: Option<Vec<Vec<u32>>>,
     confirm: bool,
-    probes: &mut Vec<WidthProbe>,
-) -> Result<RouteResult, Unroutable> {
+    cancel: Option<&AtomicBool>,
+) -> Probed {
     let warm_nets = seed
         .as_ref()
         .map(|s| s.iter().filter(|t| !t.is_empty()).count())
         .unwrap_or(0);
+    let overlapped = cancel.is_some();
     let mut probe_span = trace::span("par.probe");
     probe_span.arg("width", graph.width);
     probe_span.arg("warm_nets", warm_nets);
     probe_span.arg("confirm", confirm);
-    let t0 = std::time::Instant::now();
-    let r = route_core(netlist, placement, graph, threads, seed, None);
+    probe_span.arg("overlapped", overlapped);
+    let t0 = Instant::now();
+    let r = route_core(netlist, placement, graph, threads, seed, None, cancel);
     let seconds = t0.elapsed().as_secs_f64();
     let (success, iterations, ripups) = match &r {
         Ok(res) => (true, res.iterations, res.ripups),
@@ -267,8 +307,12 @@ fn probe(
         // What `fail_advance` in `search` sharpens `lo` from.
         probe_span.arg("worst_cut_overuse", e.worst_cut_overuse);
     }
+    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+        // The search let go of this probe; the row below is never read.
+        probe_span.arg("cancelled", true);
+    }
     drop(probe_span);
-    probes.push(WidthProbe {
+    let row = WidthProbe {
         width: graph.width,
         success,
         seconds,
@@ -276,8 +320,128 @@ fn probe(
         ripups,
         warm_nets,
         confirm,
-    });
+        overlapped,
+    };
+    (r, row)
+}
+
+/// A probe of the main sequence: routed on the calling thread and logged.
+fn probe(
+    netlist: &ParNetlist,
+    placement: &Placement,
+    graph: &RouteGraph,
+    threads: usize,
+    seed: Option<Vec<Vec<u32>>>,
+    probes: &mut Vec<WidthProbe>,
+) -> Result<RouteResult, Unroutable> {
+    let (r, row) = run_probe(netlist, placement, graph, threads, seed, false, None);
+    probes.push(row);
     r
+}
+
+/// The routing graphs of one search: each width is built once and shared
+/// between the main sequence and the speculative probes.
+struct Graphs {
+    arch: FabricArch,
+    built: Vec<Arc<RouteGraph>>,
+}
+
+impl Graphs {
+    fn at(&mut self, width: usize) -> Arc<RouteGraph> {
+        if let Some(g) = self.built.iter().find(|g| g.width == width) {
+            return Arc::clone(g);
+        }
+        let g = Arc::new(RouteGraph::build(self.arch, width));
+        self.built.push(Arc::clone(&g));
+        g
+    }
+}
+
+/// The narrowest successful probe so far — one value, so the width, the
+/// trees and the graph whose ids they hold cannot come apart.
+struct Best {
+    width: usize,
+    result: RouteResult,
+    graph: Arc<RouteGraph>,
+}
+
+/// Raises its flag when dropped: letting go of a speculative probe is
+/// what cancels it.
+struct CancelOnDrop(Arc<AtomicBool>);
+
+impl Drop for CancelOnDrop {
+    fn drop(&mut self) {
+        // Relaxed: the flag publishes no data (`route_core` only stops).
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// One cold probe in flight beside the main sequence.
+struct Speculated<'scope> {
+    width: usize,
+    handle: ScopedJoinHandle<'scope, Probed>,
+    _cancel: CancelOnDrop,
+}
+
+/// Cold probes routed **beside** the search's main sequence, each on a
+/// scoped thread of its own with one router thread.
+///
+/// A cold probe at width `w` is a pure function of `(netlist, placement,
+/// w)`, so computing it early changes nothing but the wall clock: the
+/// confirmation loop [`Speculation::take`]s the verdict for its `W−1` if
+/// one is in flight and routes it inline otherwise. Which widths are in
+/// flight is [`Speculation::steer`]'s business and can only cost or save
+/// time — a probe that is let go is dropped unlogged, so the probe table
+/// does not depend on the thread count.
+struct Speculation<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    netlist: &'env ParNetlist,
+    placement: &'env Placement,
+    /// Most probes in flight at once (`threads − 1`; 0 = never speculate).
+    slots: usize,
+    running: Vec<Speculated<'scope>>,
+}
+
+impl<'scope, 'env> Speculation<'scope, 'env> {
+    /// Brings the probes in flight to `wanted` (priority order) followed
+    /// by the earlier ones that are still `possible` — i.e. could yet be
+    /// the final `W−1` — cut to the slot count: whatever falls off is
+    /// cancelled, and the wanted widths not yet running are started.
+    fn steer(&mut self, wanted: &[usize], possible: impl Fn(usize) -> bool, graphs: &mut Graphs) {
+        let mut keep: Vec<usize> = wanted.to_vec();
+        for s in &self.running {
+            if possible(s.width) && !keep.contains(&s.width) {
+                keep.push(s.width);
+            }
+        }
+        keep.truncate(self.slots);
+        self.running.retain(|s| keep.contains(&s.width));
+        for &width in wanted {
+            if keep.contains(&width) && !self.running.iter().any(|s| s.width == width) {
+                let graph = graphs.at(width);
+                let flag = Arc::new(AtomicBool::new(false));
+                let _cancel = CancelOnDrop(Arc::clone(&flag));
+                let (netlist, placement) = (self.netlist, self.placement);
+                let handle = self.scope.spawn(move || {
+                    run_probe(netlist, placement, &graph, 1, None, true, Some(&flag))
+                });
+                self.running.push(Speculated { width, handle, _cancel });
+            }
+        }
+    }
+
+    /// Waits for the probe in flight at `width`, if there is one. Returns
+    /// it with the seconds of its run that did not extend the search (its
+    /// own wall time minus this wait).
+    fn take(&mut self, width: usize) -> Option<(Probed, f64)> {
+        let i = self.running.iter().position(|s| s.width == width)?;
+        let spec = self.running.remove(i);
+        let t0 = Instant::now();
+        let probed = spec.handle.join().expect("speculative probe panicked");
+        let saved = (probed.1.seconds - t0.elapsed().as_secs_f64()).max(0.0);
+        // `spec._cancel` drops here, after the join: nothing left to stop.
+        Some((probed, saved))
+    }
 }
 
 /// Translates `trees` (routed on `old`) into `new`'s id space. A net whose
@@ -360,7 +524,7 @@ pub(crate) fn reference(
     let mut probes = Vec::new();
     for w in opts.min_width..=opts.max_width {
         let graph = RouteGraph::build(arch, w);
-        if let Ok(r) = probe(netlist, placement, &graph, threads, None, false, &mut probes) {
+        if let Ok(r) = probe(netlist, placement, &graph, threads, None, &mut probes) {
             let certificate = if w > opts.min_width {
                 WidthCertificate::ColdFailure
             } else {
@@ -380,7 +544,9 @@ pub(crate) fn reference(
 }
 
 /// Runs the width search: doubling + binary with warm-started probes,
-/// then the cold confirmation of the final `W−1` failure.
+/// then the cold confirmation of the final `W−1` failure — which, with
+/// `threads ≥ 2`, has usually been routing beside the binary phase
+/// already ([`Speculation`]).
 pub(crate) fn search(
     netlist: &ParNetlist,
     placement: &Placement,
@@ -421,16 +587,13 @@ pub(crate) fn search(
     // hopeless cold widths are (usually) never ground through. The
     // minimum itself is still established by the binary phase, which
     // searches all the way down to `opts.min_width`.
+    let mut graphs = Graphs { arch, built: Vec::new() };
     let mut lo = opts.min_width.max(lower_bound);
     let mut hi = lo.max(estimate.min(opts.max_width));
-    let (mut best_w, mut best_r, mut best_g);
-    loop {
-        let graph = RouteGraph::build(arch, hi);
-        match probe(netlist, placement, &graph, threads, None, false, &mut probes) {
-            Ok(r) => {
-                (best_w, best_r, best_g) = (hi, r, graph);
-                break;
-            }
+    let mut best = loop {
+        let graph = graphs.at(hi);
+        match probe(netlist, placement, &graph, threads, None, &mut probes) {
+            Ok(result) => break Best { width: hi, result, graph },
             Err(e) => {
                 fail_advance(hi, &e, &mut lo, &mut overuse_lo);
                 if hi >= opts.max_width {
@@ -439,63 +602,139 @@ pub(crate) fn search(
                 hi = (hi * 2).min(opts.max_width);
             }
         }
-    }
-
-    // Binary search in (lo, best_w); each probe seeds from the nearest
-    // successful width's trees, and each verdict sharpens `lo` from its
-    // residual cut pressure.
-    loop {
-        let floor_est = best_r.worst_cut_used * 9 / 10 / sep;
-        lo = lo.max(floor_est.min(best_w));
-        if lo >= best_w {
-            break;
-        }
-        let mid = (lo + best_w) / 2;
-        let graph = RouteGraph::build(arch, mid);
-        let seed = translate_trees(netlist, placement, &best_g, &graph, &best_r.trees);
-        match probe(netlist, placement, &graph, threads, Some(seed), false, &mut probes) {
-            Ok(r) => {
-                (best_w, best_r, best_g) = (mid, r, graph);
-            }
-            Err(e) => fail_advance(mid, &e, &mut lo, &mut overuse_lo),
-        }
-    }
-
-    // Cold confirmation of the final W−1 failure: the binary phase may
-    // have taken a *warm* probe's failure at face value (de-bias makes a
-    // fabricated failure unlikely, not impossible). Re-probe cold unless
-    // the floor, the sound lower bound, or an existing cold failure
-    // already certifies the verdict. Should the cold probe succeed, adopt
-    // the narrower result and keep certifying downward — the reported
-    // minimum is always the certified one.
-    let certificate = loop {
-        if best_w <= opts.min_width {
-            break WidthCertificate::Floor;
-        }
-        let fail_w = best_w - 1;
-        if fail_w < lower_bound {
-            break WidthCertificate::LowerBound;
-        }
-        if probes.iter().any(|p| p.width == fail_w && !p.success && p.warm_nets == 0) {
-            break WidthCertificate::ColdFailure;
-        }
-        let graph = RouteGraph::build(arch, fail_w);
-        match probe(netlist, placement, &graph, threads, None, true, &mut probes) {
-            Err(_) => break WidthCertificate::ColdFailure,
-            Ok(r) => {
-                best_w = fail_w;
-                best_r = r;
-            }
-        }
     };
-    search_span.arg("min_width", best_w);
+
+    let mut overlap_saved_s = 0.0;
+    let certificate = std::thread::scope(|scope| {
+        let mut spec = Speculation {
+            scope,
+            netlist,
+            placement,
+            slots: threads.saturating_sub(1),
+            running: Vec::new(),
+        };
+
+        // Binary search in (lo, best.width); each probe seeds from the
+        // nearest successful width's trees, and each verdict sharpens `lo`
+        // from its residual cut pressure.
+        loop {
+            let floor_est = best.result.worst_cut_used * 9 / 10 / sep;
+            lo = lo.max(floor_est.min(best.width));
+            // Only a width in [lo − 1, best.width) can still be the final
+            // `W−1`: graphs and speculative probes outside it are let go
+            // (a graph `best` or a running probe holds lives on with it).
+            let (lo_now, best_w) = (lo, best.width);
+            let possible = move |w: usize| w < best_w && w + 1 >= lo_now;
+            graphs.built.retain(|g| possible(g.width));
+            if lo >= best.width {
+                spec.steer(&[], possible, &mut graphs);
+                break;
+            }
+            let mid = (lo + best.width) / 2;
+            let graph = graphs.at(mid);
+            let seed = translate_trees(netlist, placement, &best.graph, &graph, &best.result.trees);
+            // The cold verdicts worth routing beside this probe, most
+            // wanted first: `lo − 1` once it has failed warm — every
+            // search that ends at `best.width == lo` needs exactly that
+            // one, and it has a head start — then `mid` itself, in case
+            // this probe is the warm failure.
+            let mut wanted = Vec::with_capacity(2);
+            if probes.iter().any(|p| p.width + 1 == lo && !p.success && p.warm_nets > 0) {
+                wanted.push(lo - 1);
+            }
+            if seed.iter().any(|t| !t.is_empty()) {
+                wanted.push(mid);
+            }
+            spec.steer(&wanted, possible, &mut graphs);
+            let main_threads = threads.saturating_sub(spec.running.len()).max(1);
+            match probe(netlist, placement, &graph, main_threads, Some(seed), &mut probes) {
+                Ok(result) => best = Best { width: mid, result, graph },
+                Err(e) => fail_advance(mid, &e, &mut lo, &mut overuse_lo),
+            }
+        }
+
+        // Cold confirmation of the final W−1 failure: the binary phase may
+        // have taken a *warm* probe's failure at face value (de-bias makes
+        // a fabricated failure unlikely, not impossible). Unless the
+        // floor, the sound lower bound, or an existing cold failure
+        // already certifies the verdict, take the cold probe of W−1 that
+        // ran beside the search, or route it now. Should it succeed, adopt
+        // the narrower result and keep certifying downward — the reported
+        // minimum is always the certified one. Wherever the probe ran, it
+        // is logged here, so the table reads the same at any thread count.
+        loop {
+            if best.width <= opts.min_width {
+                break WidthCertificate::Floor;
+            }
+            let fail_w = best.width - 1;
+            if fail_w < lower_bound {
+                break WidthCertificate::LowerBound;
+            }
+            if probes.iter().any(|p| p.width == fail_w && !p.success && p.warm_nets == 0) {
+                break WidthCertificate::ColdFailure;
+            }
+            let graph = graphs.at(fail_w);
+            let (verdict, row) = match spec.take(fail_w) {
+                Some((probed, saved)) => {
+                    overlap_saved_s += saved;
+                    probed
+                }
+                None => run_probe(netlist, placement, &graph, threads, None, true, None),
+            };
+            probes.push(row);
+            match verdict {
+                Err(_) => break WidthCertificate::ColdFailure,
+                Ok(result) => best = Best { width: fail_w, result, graph },
+            }
+        }
+        // Probes still in flight are dropped — cancelled — with `spec`.
+    });
+    search_span.arg("min_width", best.width);
     search_span.arg("probes", probes.len());
+    let failed = probes.iter().filter(|p| !p.success);
+    search_span.arg("failed_probe_s", failed.fold(0.0, |s, p| s + p.seconds));
+    search_span.arg("overlap_saved_s", overlap_saved_s);
     Some(WidthSearch {
-        min_width: best_w,
-        result: best_r,
+        min_width: best.width,
+        result: best.result,
         probes,
         lower_bound,
         overuse_lo,
         certificate,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A probe the search lets go of never comes back: `take` finds
+    /// nothing to log, and only the wanted width is left in flight.
+    #[test]
+    fn a_speculation_that_is_let_go_is_never_taken() {
+        let nl = crate::incr::tests::mul5_conventional();
+        let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
+        let placement = crate::tplace::place(&nl, arch, 1);
+        std::thread::scope(|scope| {
+            let mut graphs = Graphs { arch, built: Vec::new() };
+            let mut spec =
+                Speculation { scope, netlist: &nl, placement: &placement, slots: 1, running: Vec::new() };
+            // Width 2 is hopeless (a full `MAX_ITERS` grind); width 7
+            // routes. The more wanted width takes the only slot.
+            spec.steer(&[2], |_| true, &mut graphs);
+            spec.steer(&[7, 2], |_| true, &mut graphs);
+            assert_eq!(spec.running.iter().map(|s| s.width).collect::<Vec<_>>(), [7]);
+            assert!(spec.take(2).is_none(), "a cancelled probe must not reach the log");
+            let ((verdict, row), saved) = spec.take(7).expect("in flight");
+            assert!(verdict.is_ok() && row.success && row.width == 7);
+            assert!(row.overlapped && row.confirm && row.warm_nets == 0 && saved >= 0.0);
+            // No slot, no speculation; an impossible width is let go.
+            spec.steer(&[2], |_| true, &mut graphs);
+            spec.steer(&[], |w| w != 2, &mut graphs);
+            assert!(spec.running.is_empty());
+            spec.slots = 0;
+            spec.steer(&[7], |_| true, &mut graphs);
+            assert!(spec.running.is_empty());
+        });
+    }
 }

@@ -7,11 +7,15 @@
 //!    reference scan.
 //! 3. **Legality** — everything the engine returns passes the routing
 //!    audit (connectivity + wire exclusivity).
+//! 4. **Speculation is invisible** — the width search's cold probes may
+//!    run beside its main sequence; minimum, certificate, trees and probe
+//!    table are the same at any thread count, and the same as the commit
+//!    before speculation existed (golden hashes).
 
 use logic::aig::{Aig, InputKind};
 use mapping::{map_conventional, map_parameterized, MapOptions};
 use par::troute::audit;
-use par::{extract, EngineOptions, ParEngine, ParNetlist};
+use par::{extract, EngineOptions, ParEngine, ParNetlist, WidthProbe, WidthSearch};
 
 fn mul_netlist(bits: usize, parameterized: bool) -> ParNetlist {
     let mut g = Aig::new();
@@ -259,4 +263,118 @@ fn warm_start_does_not_change_the_reported_minimum() {
     let cold = engine.min_channel_width_reference(&nl, &placement, arch).unwrap();
     assert!(cold.probes.iter().all(|p| p.warm_nets == 0));
     assert_eq!(warm.min_width, cold.min_width);
+}
+
+/// What a probe found, without when it ran (`seconds`, `overlapped`).
+fn row(p: &WidthProbe) -> [usize; 6] {
+    [p.width, p.success as usize, p.iterations, p.ripups, p.warm_nets, p.confirm as usize]
+}
+
+/// FNV-1a over a search's answer: the minimum, the trees there, and the
+/// probe table's [`row`]s.
+fn search_fnv(s: &WidthSearch) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut put = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    put(s.min_width as u64);
+    put(s.result.trees.len() as u64);
+    for t in &s.result.trees {
+        put(t.len() as u64);
+        t.iter().for_each(|&n| put(u64::from(n)));
+    }
+    put(s.probes.len() as u64);
+    s.probes.iter().flat_map(row).for_each(|v| put(v as u64));
+    h
+}
+
+/// What the speculative cold probe of a search must have gone through for
+/// the case to test what it is listed for (read at two threads, one slot).
+enum Speculated {
+    /// The floor certifies the minimum: no confirmation, nothing to take.
+    Unused,
+    /// The `W−1` probe ran beside the binary phase, failed, and was taken
+    /// by the confirmation loop.
+    Consumed,
+    /// It *succeeded*: the search adopted the narrower result and went on
+    /// certifying below it.
+    Adopted,
+    /// The search ended on a warm failure above the width in the slot:
+    /// that probe was let go, and no row of it may appear.
+    Cancelled,
+}
+
+/// The width search at 1, 2 and 8 threads on searches that consume, adopt
+/// and cancel a speculated verdict. The golden hashes were recorded on the
+/// commit before the search speculated, before `route_net` pruned dead ends
+/// and before `place` kept flat state (`69167d7`): all three changes must
+/// be invisible in every tree and every probe row.
+#[test]
+fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
+    use Speculated::*;
+    for (bits, parameterized, seed, min_width, golden, speculated) in [
+        (5, true, 1, 6, 0xfa90_f9af_0096_53a7u64, Unused),
+        (5, false, 1, 6, 0x1c84_21e0_c7fc_62ce, Unused),
+        (5, true, 1, 2, 0xcb6f_8e89_dfb4_8c6b, Consumed),
+        (5, false, 1, 2, 0x858b_936a_f847_bf11, Consumed),
+        (5, true, 3, 2, 0x8540_4258_4895_be80, Adopted),
+        (5, false, 6, 2, 0x96fe_74d3_f701_9f68, Adopted),
+        (6, false, 29, 2, 0x8853_68fb_b25a_cd0d, Cancelled),
+    ] {
+        let at = format!("bits={bits}, par={parameterized}, seed={seed}, min_width={min_width}");
+        let nl = mul_netlist(bits, parameterized);
+        let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
+        let search = |threads: usize| {
+            let engine = ParEngine::new(EngineOptions {
+                seeds: vec![seed],
+                threads,
+                min_width,
+                ..Default::default()
+            });
+            let placement = engine.place(&nl, arch);
+            engine.min_channel_width(&nl, &placement, arch).expect("routable")
+        };
+        let serial = search(1);
+        assert_eq!(search_fnv(&serial), golden, "result moved from the recorded one ({at})");
+        assert!(serial.probes.iter().all(|p| !p.overlapped), "one thread never speculates ({at})");
+        let threaded = [2usize, 8].map(|threads| (threads, search(threads)));
+        for (threads, s) in &threaded {
+            assert_eq!(s.min_width, serial.min_width, "{at}, {threads} threads");
+            assert_eq!(s.certificate, serial.certificate, "{at}, {threads} threads");
+            assert_eq!(s.result.trees, serial.result.trees, "{at}, {threads} threads");
+            assert_eq!(
+                s.probes.iter().map(row).collect::<Vec<_>>(),
+                serial.probes.iter().map(row).collect::<Vec<_>>(),
+                "probe table depends on the thread count ({at}, {threads} threads)"
+            );
+            // Only a confirmation row can have run beside the search.
+            assert!(s.probes.iter().all(|p| p.confirm || !p.overlapped), "{at}");
+        }
+        let two = &threaded[0].1;
+        let beside: Vec<_> = two.probes.iter().filter(|p| p.overlapped).collect();
+        match speculated {
+            Unused => assert!(beside.is_empty(), "{at}"),
+            Consumed => assert!(beside.len() == 1 && !beside[0].success, "{at}"),
+            Adopted => {
+                assert!(beside.len() == 1 && beside[0].success, "{at}");
+                assert_eq!(two.min_width, beside[0].width, "the adopted width is the minimum ({at})");
+            }
+            Cancelled => {
+                // A warm failure below the final W−1 started a cold twin;
+                // the search moved past it, and it left no cold row.
+                let dropped = two
+                    .probes
+                    .iter()
+                    .find(|p| !p.success && p.warm_nets > 0 && p.width + 1 < two.min_width)
+                    .unwrap_or_else(|| panic!("no speculation was let go ({at})"));
+                assert!(
+                    !two.probes.iter().any(|p| p.width == dropped.width && p.warm_nets == 0),
+                    "a cancelled probe reached the log ({at})"
+                );
+            }
+        }
+    }
 }

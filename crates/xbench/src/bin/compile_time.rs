@@ -21,7 +21,9 @@
 //! gate-level netlist at each listed thread count, asserts the trees stay
 //! bit-identical, and prints the scaling rows — route seconds, the same
 //! as a multiple of the first listed count's (printed, not gated: a
-//! thread count should never make a route slower), waves per iteration.)
+//! thread count should never make a route slower), waves per iteration —
+//! then runs the minimum-width search at each count, prints its probe
+//! table and asserts minimum, certificate, trees and probe rows identical.)
 
 use fabric::RouteGraph;
 use par::{EngineOptions, ParEngine};
@@ -154,6 +156,42 @@ fn main() {
             println!(
                 "  threads {threads:>2}: {secs:>7.3}s  ×{ratio:.2}  {} iters  {} waves ({:.1}/iter)",
                 r.iterations, r.waves, waves_per_iter
+            );
+        }
+
+        // The width search at each thread count: with two or more, the
+        // cold W−1 certificate routes beside the binary phase, and nothing
+        // but the wall clock may show it.
+        println!("\nwidth search sweep:");
+        let what = |p: &par::WidthProbe| {
+            (p.width, p.success, p.iterations, p.ripups, p.warm_nets, p.confirm)
+        };
+        let mut first: Option<par::WidthSearch> = None;
+        for &threads in &sweep {
+            let eng = ParEngine::new(EngineOptions { threads, ..Default::default() });
+            let t = std::time::Instant::now();
+            let s = eng.min_channel_width(&netlist, &placement, fabric).expect("routable in sweep");
+            let secs = t.elapsed().as_secs_f64();
+            println!(
+                "  threads {threads:>2}: {secs:>7.3}s  minimum {} ({}), {} probes",
+                s.min_width,
+                s.certificate.name(),
+                s.probes.len()
+            );
+            xbench::print_probe_table(&s.probes, secs);
+            let Some(f) = &first else {
+                first = Some(s);
+                continue;
+            };
+            assert_eq!(
+                (s.min_width, s.certificate, &s.result.trees),
+                (f.min_width, f.certificate, &f.result.trees),
+                "thread count {threads} changed the width search — determinism broken"
+            );
+            assert_eq!(
+                s.probes.iter().map(what).collect::<Vec<_>>(),
+                f.probes.iter().map(what).collect::<Vec<_>>(),
+                "thread count {threads} changed the probe table — determinism broken"
             );
         }
     }

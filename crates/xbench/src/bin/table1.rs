@@ -26,7 +26,7 @@ use fabric::rrg::RouteGraph;
 use par::{ParEngine, ParReport};
 use softfloat::FpFormat;
 use verify::Verifier;
-use xbench::{build_pe_aig_with, map_pe, print_header, print_row, reduction};
+use xbench::{build_pe_aig_with, map_pe, print_header, print_probe_table, print_row, reduction};
 
 fn print_probes(label: &str, rep: &ParReport) {
     println!(
@@ -38,18 +38,7 @@ fn print_probes(label: &str, rep: &ParReport) {
         rep.result.ripups,
         rep.certificate.name(),
     );
-    for p in &rep.probes {
-        println!(
-            "  width {:>3}: {:<4} {:>8.2}s  {:>2} iters {:>7} rip-ups {:>5} warm nets{}",
-            p.width,
-            if p.success { "ok" } else { "FAIL" },
-            p.seconds,
-            p.iterations,
-            p.ripups,
-            p.warm_nets,
-            if p.confirm { "  [cold confirm]" } else { "" },
-        );
-    }
+    print_probe_table(&rep.probes, rep.route_seconds);
 }
 
 /// Runs the `--verify` audits for one flow: AIG-vs-mapped equivalence

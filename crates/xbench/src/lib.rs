@@ -102,6 +102,33 @@ pub fn map_pe(aig: &Aig, parameterized: bool) -> MappedDesign {
     }
 }
 
+/// Prints a width search's probe table — one row per router run, then
+/// where the search's wall-clock went: hopeless widths ground to the
+/// iteration limit, less what ran on a thread of its own meanwhile.
+pub fn print_probe_table(probes: &[par::WidthProbe], search_seconds: f64) {
+    for p in probes {
+        println!(
+            "  width {:>3}: {:<4} {:>8.2}s  {:>2} iters {:>7} rip-ups {:>5} warm nets{}{}",
+            p.width,
+            if p.success { "ok" } else { "FAIL" },
+            p.seconds,
+            p.iterations,
+            p.ripups,
+            p.warm_nets,
+            if p.confirm { "  [cold confirm]" } else { "" },
+            if p.overlapped { " [beside search]" } else { "" },
+        );
+    }
+    // (`fold`, not `sum`: an empty `f64` sum is −0.0 and prints as such.)
+    let failed = probes.iter().filter(|p| !p.success);
+    let failed_s = failed.clone().fold(0.0, |s, p| s + p.seconds);
+    let beside_s = failed.filter(|p| p.overlapped).fold(0.0, |s, p| s + p.seconds);
+    println!(
+        "  failed probes: {failed_s:.2} of {search_seconds:.2} s \
+         ({beside_s:.2} s of them beside the search)"
+    );
+}
+
 /// Percentage reduction helper.
 pub fn reduction(before: usize, after: usize) -> f64 {
     if before == 0 {
