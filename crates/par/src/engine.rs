@@ -8,24 +8,22 @@
 //! * [`ParEngine::min_channel_width`] — the width search alone, with the
 //!   per-probe effort log ([`ParEngine::min_channel_width_reference`] is
 //!   the cold linear scan the tests compare it against);
-//! * [`ParEngine::route`] — one routing run on a prebuilt graph.
+//! * [`ParEngine::route`] — one routing run on a prebuilt graph,
+//!   single-threaded by construction.
 //!
-//! The engine does not audit itself: a caller that wants the wave
-//! schedule proven re-routes with the verifier attached
-//! ([`ParEngine::route_audited`]), as `table1 --verify`, `xbench verify`
-//! and `tests/determinism.rs` do.
+//! Every routing result `run` returns has passed the commit-path route
+//! audit ([`crate::troute::audit`]); a caller of `route` that wants the
+//! same proof calls it, as `table1 --verify` and `xbench verify` do.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
-//! **bit-identical regardless of `threads`**. Placement fans seeds across
-//! scoped workers and keeps the lowest cost (ties broken by seed order);
-//! routing packs dirty nets into waves of bbox-disjoint members whose
-//! searches cannot observe each other, so the wave schedule — not the
-//! thread count — decides the outcome. Threads only decide who routes a
-//! member, and only a wave large enough to pay for the spawn is split.
-//! The contract also covers *when* a probe of the width search ran: with
-//! two or more threads the cold `W−1` certificate routes beside the
-//! binary phase, and the minimum, its certificate, the trees and every
-//! probe row but `seconds` and `overlapped` are what one thread reports.
+//! **bit-identical regardless of `threads`**. A thread count changes two
+//! things only. Placement fans seeds across scoped workers and keeps the
+//! lowest cost (ties broken by seed order). The width search, with two or
+//! more threads, routes the cold `W−1` certificate beside the binary
+//! phase — and the minimum, its certificate, the trees and every probe
+//! row but `seconds` and `overlapped` are what one thread reports. A
+//! routing run reads no thread count at all: it reroutes the dirty nets
+//! in one canonical wave order on the calling thread (`incr.rs`).
 
 use crate::incr::route_core;
 use crate::netlist::ParNetlist;
@@ -35,15 +33,15 @@ use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 
-/// Every knob of the engine. The PathFinder parameters and the wave
-/// fan-out threshold are constants beside the router core (`incr.rs`).
+/// Every knob of the engine. The PathFinder parameters are constants
+/// beside the router core (`incr.rs`).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Placement seeds; all are annealed, the best placement wins.
     pub seeds: Vec<u64>,
-    /// Worker threads for placement seeds, large routing waves and the
-    /// width search's speculative cold probes. `0` = one per available
-    /// CPU. Never changes results.
+    /// Worker threads for placement seeds and the width search's
+    /// speculative cold probes. `0` = one per available CPU. Never
+    /// changes results.
     pub threads: usize,
     /// Width search floor.
     pub min_width: usize,
@@ -113,33 +111,14 @@ impl ParEngine {
         place_multi_seed_on(netlist, arch, &self.opts.seeds, self.threads())
     }
 
-    /// One routing run on a prebuilt graph.
+    /// One routing run on a prebuilt graph, on the calling thread.
     pub fn route(
         &self,
         netlist: &ParNetlist,
         placement: &Placement,
         graph: &RouteGraph,
     ) -> Result<RouteResult, Unroutable> {
-        route_core(netlist, placement, graph, self.threads(), None, None, None)
-    }
-
-    /// One routing run on a prebuilt graph with the wave-schedule auditor
-    /// attached: every wave's actual read/write footprints are checked
-    /// for pairwise serial equivalence. The waves are routed serially
-    /// (footprints and trees are identical to the parallel execution —
-    /// each member's search is pure in the pre-wave snapshot), so this
-    /// observes the parallel schedule without perturbing it. The report
-    /// covers the waves actually scheduled, whether or not routing
-    /// converged.
-    pub fn route_audited(
-        &self,
-        netlist: &ParNetlist,
-        placement: &Placement,
-        graph: &RouteGraph,
-    ) -> (Result<RouteResult, Unroutable>, verify::VerifyReport) {
-        let mut auditor = verify::WaveAuditor::new();
-        let r = route_core(netlist, placement, graph, self.threads(), None, Some(&mut auditor), None);
-        (r, auditor.finish())
+        route_core(netlist, placement, graph, None, None)
     }
 
     /// Minimum-channel-width search with the per-probe effort log:
@@ -164,7 +143,7 @@ impl ParEngine {
         placement: &Placement,
         arch: FabricArch,
     ) -> Option<WidthSearch> {
-        warm::reference(netlist, placement, arch, &self.opts, self.threads())
+        warm::reference(netlist, placement, arch, &self.opts)
     }
 
     /// End-to-end: size a fabric, place, search the minimum width.
@@ -273,24 +252,6 @@ mod tests {
         // The winning probe may be warm-started (only broken/congested
         // nets reroute), so the only safe lower bound is "some work ran".
         assert!(rep.result.ripups > 0);
-    }
-
-    #[test]
-    fn audited_route_matches_parallel_and_waves_are_race_free() {
-        let d = map_parameterized(&small_mul_aig(), MapOptions::default());
-        let nl = extract(&d);
-        for threads in [1usize, 2, 4] {
-            let engine = ParEngine::new(EngineOptions { threads, ..Default::default() });
-            let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
-            let placement = engine.place(&nl, arch);
-            let graph = RouteGraph::build(arch, 10);
-            let plain = engine.route(&nl, &placement, &graph).expect("routable");
-            let (audited, report) = engine.route_audited(&nl, &placement, &graph);
-            let audited = audited.expect("routable under audit");
-            assert_eq!(plain.trees, audited.trees, "auditing must not perturb routing");
-            assert!(report.ok(), "wave schedule must be serial-equivalent: {}", report.summary());
-            assert!(report.checked > 0, "audit must have observed waves");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The incremental PathFinder core: bounding-box-confined A*, a dirty-net
-//! worklist, and deterministic wave parallelism.
+//! worklist, and one canonical wave order.
 //!
 //! This module is the engine behind the [`crate::engine::ParEngine`]
 //! facade. It differs from a textbook PathFinder loop in three ways:
@@ -17,20 +17,19 @@
 //!   all edges, and a pin that is not the sink leads nowhere; skipping
 //!   them is exact (the pruned search pops the same nodes in the same
 //!   order and returns the same tree, `pruned_route_net_equals_…`).
-//! * **Deterministic wave parallelism.** Dirty nets are greedily packed
-//!   into *waves* of pairwise bbox-disjoint nets. All members of a wave
-//!   are ripped first, then routed against the same immutable snapshot of
-//!   occupancy/history — legal because disjoint boxes mean disjoint search
-//!   regions — and committed in net order. The schedule depends only on
-//!   the netlist, never on thread count, so results are **bit-identical**
-//!   across `threads = 1..N`; threads only change who executes a wave
-//!   member. A wave fans out only when it can pay for the spawn: a member
-//!   routes in tens of microseconds, about what starting a scoped thread
-//!   costs, so a wave is split across [`wave_workers`] threads — one per
-//!   [`WAVE_NETS_PER_WORKER`] members, the caller being the first — and
-//!   smaller waves route on the calling thread. Nets that fail inside
-//!   their box are deferred and retried serially after the waves with a
-//!   larger box.
+//! * **Waves are the order, not an executor.** Dirty nets are greedily
+//!   packed into *waves* of nets whose effective boxes (search box ∪ old
+//!   tree) are pairwise disjoint, and rerouted wave by wave, member by
+//!   member — rip, search, commit — on one thread and one scratch. The
+//!   order depends only on the netlist and the state, and it is the
+//!   result: every tree since the waves were introduced was found in it.
+//!   Within a wave the order does not matter, which is why the serial
+//!   loop equals ripping all members, searching them against one snapshot
+//!   and committing them together: a search reads the state only of nodes
+//!   inside its own box, and everything another member writes — the tree
+//!   it rips, the tree it commits — lies inside that member's disjoint
+//!   box. Nets that fail inside their box are deferred and retried after
+//!   the waves with a larger box.
 //!
 //! A run can be **cancelled** (`route_core`'s last argument, read once per
 //! wave): the width search routes cold probes speculatively and stops the
@@ -51,7 +50,6 @@ use logic::fxhash::FxHashSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use verify::{WaveAuditor, WaveFootprint};
 
 /// Maximum PathFinder iterations before giving up.
 const MAX_ITERS: usize = 30;
@@ -69,19 +67,6 @@ const ASTAR_FAC: f64 = 1.2;
 /// Near-feasible widths plateau far below the threshold and always get
 /// their full `MAX_ITERS` budget.
 const STALL_ITERS: usize = 6;
-
-/// Members a wave must hold per worker before it is split across threads
-/// (see [`wave_workers`]). A member routes in ≈ 30–60 µs, about what
-/// starting a scoped thread costs, and a wave is small (smoke PE: largest
-/// 16 nets, 60 % of routed nets in waves of 8–15; paper PE: largest 34,
-/// 53 % in waves of 16–31). Chosen as the smallest value at which a
-/// 2-thread route reads no slower than the 1-thread route on the 2-core
-/// host (`compile_time --threads-sweep 1,2,…`, median 2-thread ÷ 1-thread
-/// route time at smoke / paper scale, 24–50 alternated routes a point):
-/// 1 → ×1.30 / ×1.12, 4 → ×1.12 / ×1.07, 8 → ×1.01 / ×1.06, 12 → no
-/// fan-out / ×1.01 (slower in 30 of 50), 16 → no fan-out / ×1.00 (21 of
-/// 50); never fanning out reads ×1.00 at both scales.
-const WAVE_NETS_PER_WORKER: usize = 16;
 
 /// Staged bbox margins (tiles around the terminal extent). The last stage
 /// is the whole fabric.
@@ -119,7 +104,7 @@ impl BBox {
     }
 }
 
-/// Per-worker scratch: A* cost/prev arrays reset via a touched list, the
+/// The router's scratch: A* cost/prev arrays reset via a touched list, the
 /// open heap, and the growing per-net tree.
 struct Scratch {
     cost_to: Vec<f32>,
@@ -128,11 +113,6 @@ struct Scratch {
     heap: BinaryHeap<(Reverse<u64>, u32)>,
     tree_set: FxHashSet<u32>,
     tree_list: Vec<u32>,
-    /// When set, every node whose occupancy/history the search consults
-    /// (the `step_cost` operand) is appended to `reads` — the read
-    /// footprint the wave auditor checks for serial equivalence.
-    record: bool,
-    reads: Vec<u32>,
 }
 
 impl Scratch {
@@ -144,8 +124,6 @@ impl Scratch {
             heap: BinaryHeap::new(),
             tree_set: FxHashSet::default(),
             tree_list: Vec::new(),
-            record: false,
-            reads: Vec::new(),
         }
     }
 }
@@ -155,10 +133,10 @@ fn dist(a: (f32, f32), b: (f32, f32)) -> f32 {
     (a.0 - b.0).abs() + (a.1 - b.1).abs()
 }
 
-/// Routes one net inside `bbox` against an immutable state snapshot.
-/// Returns the sorted node set of the tree, or `None` if some sink is
-/// unreachable within the box. Pure in its inputs: independent of which
-/// scratch/thread executes it.
+/// Routes one net inside `bbox` against the current state. Returns the
+/// sorted node set of the tree, or `None` if some sink is unreachable
+/// within the box. Pure in its inputs: what the scratch held before does
+/// not matter.
 fn route_net(
     graph: &RouteGraph,
     state: &NodeState,
@@ -168,7 +146,7 @@ fn route_net(
     bbox: BBox,
     scratch: &mut Scratch,
 ) -> Option<Vec<u32>> {
-    let Scratch { cost_to, prev, touched, heap, tree_set, tree_list, record, reads } = scratch;
+    let Scratch { cost_to, prev, touched, heap, tree_set, tree_list } = scratch;
     tree_set.clear();
     tree_list.clear();
 
@@ -221,9 +199,6 @@ fn route_net(
                 if !bbox.contains(graph.location_f32(next)) {
                     continue;
                 }
-                if *record {
-                    reads.push(next);
-                }
                 push!(next, c_here + state.step_cost(next, pres_fac), node);
             }
         }
@@ -267,31 +242,20 @@ fn build_waves(dirty: &[u32], bboxes: &[BBox]) -> Vec<Vec<usize>> {
 /// The incremental PathFinder loop. `seed_trees`, when given, warm-starts
 /// the router: non-empty entries are taken as valid routes (the caller
 /// must have verified connectivity in *this* graph), empty entries mark
-/// nets to route from scratch. `threads` bounds how far a wave may fan
-/// out (0 counts as 1); results do not depend on it.
+/// nets to route from scratch. The run is single-threaded.
 ///
 /// `cancel`, when given, is read once per wave: once it is set the run
 /// stops with an `Unroutable` that says nothing about the width — the
 /// caller that raised the flag has stopped wanting the verdict and drops
 /// it (the width search's speculative cold probes, `warm.rs`).
-///
-/// When `auditor` is given, every wave's actual read/write footprints are
-/// reported to it for the serial-equivalence check. Audited waves are
-/// routed serially on one scratch — footprints (and trees) are identical
-/// to the parallel execution because each member's search is pure in the
-/// immutable pre-wave snapshot, so serialization only changes *who* runs
-/// a member, never what it touches.
 pub(crate) fn route_core(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    threads: usize,
     seed_trees: Option<Vec<Vec<u32>>>,
-    mut auditor: Option<&mut WaveAuditor>,
     cancel: Option<&AtomicBool>,
 ) -> Result<RouteResult, Unroutable> {
     let n_nets = netlist.nets.len();
-    let n_nodes = graph.node_count();
 
     // Terminals in RRG space; sinks ordered far-first like the reference
     // router (route the hardest sink while the tree is small).
@@ -366,11 +330,7 @@ pub(crate) fn route_core(
     let mut warm_n = warm_left.iter().filter(|&&w| w).count();
     let mut debias = false;
 
-    // One scratch per worker the largest possible wave (every net) could
-    // be split across — at these netlist sizes usually one, whatever
-    // `threads` says.
-    let mut scratches: Vec<Scratch> =
-        (0..wave_workers(n_nets, threads)).map(|_| Scratch::new(n_nodes)).collect();
+    let mut scratch = Scratch::new(graph.node_count());
     let mut pres_fac = FIRST_PRES_FAC;
     let mut ripups = 0usize;
     let mut waves_total = 0usize;
@@ -421,9 +381,10 @@ pub(crate) fn route_core(
             dirty.iter().map(|&i| bbox_of(i as usize, stage[i as usize])).collect();
         // Effective box = search box ∪ the extent of the tree about to be
         // ripped. Warm-seeded trees translated from a wider probe can
-        // stick out of the *current* stage box, and wave packing must
-        // cover every node a member writes — cold runs have no seed
-        // trees, so there eff == the stage box and packing is unchanged.
+        // stick out of the *current* stage box, and a wave's boxes must
+        // cover every node a member writes for its members not to see
+        // each other — cold runs have no seed trees, so there eff == the
+        // stage box.
         let eff: Vec<BBox> = dirty
             .iter()
             .enumerate()
@@ -444,7 +405,7 @@ pub(crate) fn route_core(
         iter_span.arg("dirty", dirty.len());
         iter_span.arg("waves", waves.len());
 
-        let mut deferred: Vec<u32> = Vec::new();
+        let mut deferred: Vec<usize> = Vec::new();
         for wave in &waves {
             // Relaxed: the flag publishes no data, it only stops the work.
             if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
@@ -457,47 +418,24 @@ pub(crate) fn route_core(
             }
             let mut wave_span = trace::span("par.wave");
             wave_span.arg("nets", wave.len());
-            // The write footprint of a member includes the tree it is
-            // about to rip — capture old trees before the rip-up.
-            let old_writes: Vec<Vec<u32>> = if auditor.is_some() {
-                wave.iter().map(|&pos| trees[dirty[pos] as usize].clone()).collect()
-            } else {
-                Vec::new()
-            };
-            // Rip up this wave's nets only, right before rerouting them —
-            // later waves keep occupying their old wires so the snapshot
-            // the wave searches against stays faithful to the serial
-            // rip-right-before-reroute dynamics. Within the wave, a
-            // member's rip-up touches only its own (disjoint) box.
+            let mut wave_deferred = 0usize;
             for &pos in wave {
+                // Rip up right before rerouting: every other dirty net
+                // keeps occupying its old wires until its own turn.
                 let i = dirty[pos] as usize;
                 for &n in &trees[i] {
                     state.release(n);
                 }
                 trees[i].clear();
-            }
-            let results = if let Some(aud) = auditor.as_deref_mut() {
-                audited_wave(
-                    graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
-                    &mut scratches[0], &old_writes, iter, aud,
-                )
-            } else {
-                route_wave(
-                    graph, &state, pres_fac, &dirty, wave, &bboxes, &srcs, &sinks,
-                    &mut scratches,
-                )
-            };
-            let mut wave_deferred = 0usize;
-            for (net, res) in results {
-                match res {
+                match route_net(graph, &state, pres_fac, &srcs[i], &sinks[i], bboxes[pos], &mut scratch) {
                     Some(tree) => {
                         for &n in &tree {
                             state.occupy(n);
                         }
-                        trees[net as usize] = tree;
+                        trees[i] = tree;
                     }
                     None => {
-                        deferred.push(net);
+                        deferred.push(i);
                         wave_deferred += 1;
                     }
                 }
@@ -505,10 +443,10 @@ pub(crate) fn route_core(
             wave_span.arg("deferred", wave_deferred);
         }
 
-        // Escalate nets that failed inside their box; serial, in order.
-        for &net in &deferred {
+        // Escalate nets that failed inside their box, in order.
+        for &i in &deferred {
             loop {
-                if stage[net as usize] >= LAST_STAGE {
+                if stage[i] >= LAST_STAGE {
                     return Err(Unroutable {
                         overused: usize::MAX,
                         iterations: iter + 1,
@@ -516,21 +454,13 @@ pub(crate) fn route_core(
                         worst_cut_overuse: 0,
                     });
                 }
-                stage[net as usize] += 1;
-                let bb = bbox_of(net as usize, stage[net as usize]);
-                if let Some(tree) = route_net(
-                    graph,
-                    &state,
-                    pres_fac,
-                    &srcs[net as usize],
-                    &sinks[net as usize],
-                    bb,
-                    &mut scratches[0],
-                ) {
+                stage[i] += 1;
+                let bb = bbox_of(i, stage[i]);
+                if let Some(tree) = route_net(graph, &state, pres_fac, &srcs[i], &sinks[i], bb, &mut scratch) {
                     for &n in &tree {
                         state.occupy(n);
                     }
-                    trees[net as usize] = tree;
+                    trees[i] = tree;
                     break;
                 }
             }
@@ -599,111 +529,6 @@ pub(crate) fn route_core(
         pres_fac *= PRES_FAC_MULT;
     }
     unreachable!("loop returns before exhausting iterations")
-}
-
-/// Threads one wave of `members` nets is split across: one per
-/// [`WAVE_NETS_PER_WORKER`] members, never more than `threads`, never less
-/// than one — so a thread count cannot make a route slower.
-fn wave_workers(members: usize, threads: usize) -> usize {
-    threads.min(members / WAVE_NETS_PER_WORKER).max(1)
-}
-
-/// Routes one wave. Members' boxes are pairwise disjoint, so each search
-/// reads the shared snapshot without seeing the others — any partition of
-/// the wave across workers yields the same trees. Chunks are contiguous,
-/// so concatenating per-chunk results preserves member order. The calling
-/// thread takes the first chunk; [`wave_workers`] decides how many scoped
-/// threads, if any, take the rest.
-#[allow(clippy::too_many_arguments)]
-fn route_wave(
-    graph: &RouteGraph,
-    state: &NodeState,
-    pres_fac: f64,
-    dirty: &[u32],
-    wave: &[usize],
-    bboxes: &[BBox],
-    srcs: &[Vec<u32>],
-    sinks: &[Vec<u32>],
-    scratches: &mut [Scratch],
-) -> Vec<(u32, Option<Vec<u32>>)> {
-    let run_chunk = |chunk: &[usize], scratch: &mut Scratch| -> Vec<(u32, Option<Vec<u32>>)> {
-        chunk
-            .iter()
-            .map(|&pos| {
-                let net = dirty[pos] as usize;
-                let tree = route_net(
-                    graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
-                );
-                (net as u32, tree)
-            })
-            .collect()
-    };
-
-    let workers = wave_workers(wave.len(), scratches.len());
-    let (own, rest) = scratches.split_first_mut().expect("the router owns at least one scratch");
-    if workers == 1 {
-        return run_chunk(wave, own);
-    }
-    let (first, tail) = wave.split_at(wave.len().div_ceil(workers));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tail
-            .chunks(first.len())
-            .zip(rest)
-            .map(|(chunk, scratch)| scope.spawn(move || run_chunk(chunk, scratch)))
-            .collect();
-        let mut out = run_chunk(first, own);
-        out.reserve(tail.len());
-        for h in handles {
-            out.extend(h.join().expect("router worker panicked"));
-        }
-        out
-    })
-}
-
-/// Routes one wave serially while recording each member's actual
-/// read/write footprint and reporting the wave to the auditor. The trees
-/// are exactly those `route_wave` would produce — each member's search is
-/// pure in the shared pre-wave snapshot — so auditing never perturbs the
-/// routing result, only observes it.
-#[allow(clippy::too_many_arguments)]
-fn audited_wave(
-    graph: &RouteGraph,
-    state: &NodeState,
-    pres_fac: f64,
-    dirty: &[u32],
-    wave: &[usize],
-    bboxes: &[BBox],
-    srcs: &[Vec<u32>],
-    sinks: &[Vec<u32>],
-    scratch: &mut Scratch,
-    old_writes: &[Vec<u32>],
-    iteration: usize,
-    auditor: &mut WaveAuditor,
-) -> Vec<(u32, Option<Vec<u32>>)> {
-    scratch.record = true;
-    let mut members: Vec<WaveFootprint> = Vec::with_capacity(wave.len());
-    let mut out = Vec::with_capacity(wave.len());
-    for (k, &pos) in wave.iter().enumerate() {
-        scratch.reads.clear();
-        let net = dirty[pos] as usize;
-        let tree = route_net(
-            graph, state, pres_fac, &srcs[net], &sinks[net], bboxes[pos], scratch,
-        );
-        let mut reads = std::mem::take(&mut scratch.reads);
-        reads.sort_unstable();
-        reads.dedup();
-        let mut writes = old_writes[k].clone();
-        if let Some(t) = &tree {
-            writes.extend_from_slice(t);
-        }
-        writes.sort_unstable();
-        writes.dedup();
-        members.push(WaveFootprint { net: net as u32, reads, writes });
-        out.push((net as u32, tree));
-    }
-    scratch.record = false;
-    auditor.observe_wave(iteration, &members);
-    out
 }
 
 fn build_result(
@@ -874,70 +699,12 @@ pub(crate) mod tests {
         let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
         let placement = crate::tplace::place(&nl, arch, 1);
         let graph = RouteGraph::build(arch, 7);
-        let routed = |cancel: &AtomicBool| route_core(&nl, &placement, &graph, 1, None, None, Some(cancel));
+        let routed = |cancel: &AtomicBool| route_core(&nl, &placement, &graph, None, Some(cancel));
         let stopped = routed(&AtomicBool::new(true)).err().expect("a cancelled run is no route");
         assert_eq!((stopped.iterations, stopped.ripups), (0, nl.nets.len()), "no wave was routed");
         // An unraised flag changes nothing.
         let free = routed(&AtomicBool::new(false)).expect("routable at width 7");
-        let plain = route_core(&nl, &placement, &graph, 1, None, None, None).expect("routable");
+        let plain = route_core(&nl, &placement, &graph, None, None).expect("routable");
         assert_eq!(free.trees, plain.trees);
-    }
-
-    #[test]
-    fn wave_workers_is_one_below_the_threshold_and_capped_by_threads() {
-        const K: usize = WAVE_NETS_PER_WORKER;
-        for (members, threads, want) in [
-            (0, 4, 1),
-            (1, 4, 1),
-            (K - 1, 4, 1),
-            (2 * K - 1, 4, 1),
-            (2 * K, 4, 2),
-            (100 * K, 4, 4),
-            (0, 1, 1),
-            (2 * K, 1, 1),
-            (100 * K, 1, 1),
-        ] {
-            assert_eq!(wave_workers(members, threads), want, "{members} members, {threads} threads");
-        }
-    }
-
-    #[test]
-    fn a_fanned_out_wave_routes_what_one_thread_routes() {
-        // Two-pin nets between horizontally adjacent tiles on every other
-        // row of an empty fabric, each confined to a box around its own
-        // two tiles — pairwise disjoint, as `build_waves` would pack them.
-        let size = 16;
-        let graph = RouteGraph::build(FabricArch::paper_4lut(size), 8);
-        let state = NodeState::new(&graph);
-        let (mut srcs, mut sinks, mut bboxes) = (Vec::new(), Vec::new(), Vec::new());
-        for y in (0..size).step_by(2) {
-            for x in (0..size).step_by(2) {
-                srcs.push(vec![graph.opin(Site::Logic { x, y })]);
-                sinks.push(vec![graph.ipin(Site::Logic { x: x + 1, y }, 0)]);
-                let (x, y) = (x as f32, y as f32);
-                bboxes.push(BBox { x0: x + 1.0, y0: y + 0.5, x1: x + 2.0, y1: y + 1.5 });
-            }
-        }
-        let n = srcs.len();
-        assert!(n >= 4 * WAVE_NETS_PER_WORKER);
-        assert!(wave_workers(n, 4) > 1, "the threaded arm must be the one compared");
-        for (i, a) in bboxes.iter().enumerate() {
-            assert!(bboxes[..i].iter().all(|b| !a.overlaps(b)), "box {i} overlaps an earlier one");
-        }
-
-        let dirty: Vec<u32> = (0..n as u32).collect();
-        let wave: Vec<usize> = (0..n).collect();
-        let route = |threads: usize| {
-            let mut scratches: Vec<Scratch> =
-                (0..threads).map(|_| Scratch::new(graph.node_count())).collect();
-            route_wave(
-                &graph, &state, FIRST_PRES_FAC, &dirty, &wave, &bboxes, &srcs, &sinks,
-                &mut scratches,
-            )
-        };
-        let serial = route(1);
-        assert_eq!(serial.iter().map(|&(net, _)| net).collect::<Vec<_>>(), dirty);
-        assert!(serial.iter().all(|(_, tree)| tree.is_some()), "every net routes inside its box");
-        assert_eq!(route(4), serial);
     }
 }

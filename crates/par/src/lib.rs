@@ -14,10 +14,9 @@
 //!   fabric's routing-resource graph, with A* directed expansion;
 //! * `incr` — the incremental router core: in-place occupancy/history,
 //!   dirty-net worklist, per-net A* bounding boxes with staged expansion,
-//!   and one deterministic wave schedule (bit-identical for any thread
-//!   count; a wave is split across threads only when it is large enough
-//!   to pay for the spawn); its diagnostics are trace spans, it prints
-//!   nothing;
+//!   and one canonical wave order routed on one thread and one scratch (a
+//!   routing run reads no thread count); its diagnostics are trace spans,
+//!   it prints nothing;
 //! * [`warm`] — minimum-channel-width search (doubling + binary) whose
 //!   probes are warm-started from the previous width's routing trees and
 //!   whose cold `W−1` certificate routes beside the binary phase when a

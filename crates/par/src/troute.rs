@@ -14,10 +14,10 @@
 //! LUT budget at *zero* channel-width overhead.
 //!
 //! Since the `par-engine` rework the actual search loop lives in
-//! `incr.rs` (incremental rip-up, bounding boxes, the wave schedule and
-//! its one executor, and the PathFinder constants); this module keeps
-//! the router's public types and the [`audit`] used by tests and
-//! benches. One routing run on a prebuilt graph is
+//! `incr.rs` (incremental rip-up, bounding boxes, the wave order and
+//! the PathFinder constants); this module keeps the router's public
+//! types and the [`audit`] — the one proof of a routing result — used by
+//! tests, benches and the engine's commit path. One routing run on a prebuilt graph is
 //! [`crate::engine::ParEngine::route`].
 
 use crate::netlist::ParNetlist;
@@ -41,7 +41,8 @@ pub struct RouteResult {
     /// Net (re)route operations across all iterations — the router-effort
     /// figure the benches report next to wall time.
     pub ripups: usize,
-    /// Disjoint-bbox waves scheduled across all iterations.
+    /// Disjoint-bbox waves the dirty nets were ordered into, across all
+    /// iterations.
     pub waves: usize,
     /// Most separator wires in use across any fabric cut in the final
     /// state — feeds the width search's success-side `lo` advance.

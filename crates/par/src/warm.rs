@@ -28,7 +28,8 @@
 //! unlogged, and a consumed one is logged where the confirmation probe
 //! always was; so minimum, certificate, trees and probe table do not
 //! depend on `threads` (only `seconds` and `overlapped` say when a row
-//! ran). With one thread nothing is spawned.
+//! ran). With one thread nothing is spawned, and a router run itself
+//! never spawns: `threads` is the main sequence plus the probes beside it.
 //!
 //! One `par.width_search` span covers a search and carries its sound
 //! `lower_bound`, the congestion `estimate` it started from, the minimum,
@@ -41,7 +42,7 @@
 
 use crate::engine::EngineOptions;
 use crate::incr::route_core;
-use crate::netlist::ParNetlist;
+use crate::netlist::{Net, ParNetlist};
 use crate::tplace::Placement;
 use crate::troute::{RouteResult, Unroutable};
 use fabric::arch::FabricArch;
@@ -135,6 +136,19 @@ pub struct WidthSearch {
     pub certificate: WidthCertificate,
 }
 
+/// A net's placement extent `(min_x, max_x, min_y, max_y)`: the bounding
+/// box of its source and sink blocks' tile coordinates on a fabric of the
+/// given `size`.
+fn net_extent(net: &Net, placement: &Placement, size: usize) -> (f64, f64, f64, f64) {
+    let mut ext = (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
+    let blocks = net.sources.iter().copied().chain(net.sinks.iter().map(|&(b, _)| b));
+    for b in blocks {
+        let (x, y) = placement.site_of[b as usize].location(size);
+        ext = (ext.0.min(x), ext.1.max(x), ext.2.min(y), ext.3.max(y));
+    }
+    ext
+}
+
 /// A sound lower bound on the minimum channel width, from placement
 /// geometry alone.
 ///
@@ -158,23 +172,7 @@ pub fn channel_width_lower_bound(
     let mut cross_v = vec![0usize; s - 1];
     let mut cross_h = vec![0usize; s - 1];
     for net in &netlist.nets {
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut upd = |b: u32| {
-            let (x, y) = placement.site_of[b as usize].location(s);
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-        };
-        for &b in &net.sources {
-            upd(b);
-        }
-        for &(b, _) in &net.sinks {
-            upd(b);
-        }
+        let (min_x, max_x, min_y, max_y) = net_extent(net, placement, s);
         // Cut k sits at coordinate k + 1.5 (tile centers are 1..=s).
         for (k, c) in cross_v.iter_mut().enumerate() {
             let cut = k as f64 + 1.5;
@@ -222,23 +220,7 @@ pub fn channel_width_estimate(
     let mut h = vec![0f32; (s + 1) * s];
     let mut v = vec![0f32; (s + 1) * s];
     for net in &netlist.nets {
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut upd = |b: u32| {
-            let (x, y) = placement.site_of[b as usize].location(s);
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-        };
-        for &b in &net.sources {
-            upd(b);
-        }
-        for &(b, _) in &net.sinks {
-            upd(b);
-        }
+        let (min_x, max_x, min_y, max_y) = net_extent(net, placement, s);
         // Tile/channel index ranges covered by the bbox (clamped).
         let x0 = (min_x - 1.0).floor().clamp(0.0, (s - 1) as f64) as usize;
         let x1 = (max_x - 1.0).ceil().clamp(0.0, (s - 1) as f64) as usize;
@@ -278,7 +260,6 @@ fn run_probe(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    threads: usize,
     seed: Option<Vec<Vec<u32>>>,
     confirm: bool,
     cancel: Option<&AtomicBool>,
@@ -294,7 +275,7 @@ fn run_probe(
     probe_span.arg("confirm", confirm);
     probe_span.arg("overlapped", overlapped);
     let t0 = Instant::now();
-    let r = route_core(netlist, placement, graph, threads, seed, None, cancel);
+    let r = route_core(netlist, placement, graph, seed, cancel);
     let seconds = t0.elapsed().as_secs_f64();
     let (success, iterations, ripups) = match &r {
         Ok(res) => (true, res.iterations, res.ripups),
@@ -330,11 +311,10 @@ fn probe(
     netlist: &ParNetlist,
     placement: &Placement,
     graph: &RouteGraph,
-    threads: usize,
     seed: Option<Vec<Vec<u32>>>,
     probes: &mut Vec<WidthProbe>,
 ) -> Result<RouteResult, Unroutable> {
-    let (r, row) = run_probe(netlist, placement, graph, threads, seed, false, None);
+    let (r, row) = run_probe(netlist, placement, graph, seed, false, None);
     probes.push(row);
     r
 }
@@ -384,7 +364,7 @@ struct Speculated<'scope> {
 }
 
 /// Cold probes routed **beside** the search's main sequence, each on a
-/// scoped thread of its own with one router thread.
+/// scoped thread of its own.
 ///
 /// A cold probe at width `w` is a pure function of `(netlist, placement,
 /// w)`, so computing it early changes nothing but the wall clock: the
@@ -423,7 +403,7 @@ impl<'scope, 'env> Speculation<'scope, 'env> {
                 let _cancel = CancelOnDrop(Arc::clone(&flag));
                 let (netlist, placement) = (self.netlist, self.placement);
                 let handle = self.scope.spawn(move || {
-                    run_probe(netlist, placement, &graph, 1, None, true, Some(&flag))
+                    run_probe(netlist, placement, &graph, None, true, Some(&flag))
                 });
                 self.running.push(Speculated { width, handle, _cancel });
             }
@@ -519,12 +499,11 @@ pub(crate) fn reference(
     placement: &Placement,
     arch: FabricArch,
     opts: &EngineOptions,
-    threads: usize,
 ) -> Option<WidthSearch> {
     let mut probes = Vec::new();
     for w in opts.min_width..=opts.max_width {
         let graph = RouteGraph::build(arch, w);
-        if let Ok(r) = probe(netlist, placement, &graph, threads, None, &mut probes) {
+        if let Ok(r) = probe(netlist, placement, &graph, None, &mut probes) {
             let certificate = if w > opts.min_width {
                 WidthCertificate::ColdFailure
             } else {
@@ -546,7 +525,9 @@ pub(crate) fn reference(
 /// Runs the width search: doubling + binary with warm-started probes,
 /// then the cold confirmation of the final `W−1` failure — which, with
 /// `threads ≥ 2`, has usually been routing beside the binary phase
-/// already ([`Speculation`]).
+/// already ([`Speculation`]). A router run is single-threaded, so
+/// `threads` is the main sequence plus the speculation slots and nothing
+/// else.
 pub(crate) fn search(
     netlist: &ParNetlist,
     placement: &Placement,
@@ -589,10 +570,15 @@ pub(crate) fn search(
     // searches all the way down to `opts.min_width`.
     let mut graphs = Graphs { arch, built: Vec::new() };
     let mut lo = opts.min_width.max(lower_bound);
+    if lo > opts.max_width {
+        // The floor or the sound bound lies above the ceiling: nothing in
+        // scope can route, and probing `lo` would exceed the ceiling.
+        return None;
+    }
     let mut hi = lo.max(estimate.min(opts.max_width));
     let mut best = loop {
         let graph = graphs.at(hi);
-        match probe(netlist, placement, &graph, threads, None, &mut probes) {
+        match probe(netlist, placement, &graph, None, &mut probes) {
             Ok(result) => break Best { width: hi, result, graph },
             Err(e) => {
                 fail_advance(hi, &e, &mut lo, &mut overuse_lo);
@@ -646,8 +632,7 @@ pub(crate) fn search(
                 wanted.push(mid);
             }
             spec.steer(&wanted, possible, &mut graphs);
-            let main_threads = threads.saturating_sub(spec.running.len()).max(1);
-            match probe(netlist, placement, &graph, main_threads, Some(seed), &mut probes) {
+            match probe(netlist, placement, &graph, Some(seed), &mut probes) {
                 Ok(result) => best = Best { width: mid, result, graph },
                 Err(e) => fail_advance(mid, &e, &mut lo, &mut overuse_lo),
             }
@@ -679,7 +664,7 @@ pub(crate) fn search(
                     overlap_saved_s += saved;
                     probed
                 }
-                None => run_probe(netlist, placement, &graph, threads, None, true, None),
+                None => run_probe(netlist, placement, &graph, None, true, None),
             };
             probes.push(row);
             match verdict {

@@ -265,6 +265,29 @@ fn warm_start_does_not_change_the_reported_minimum() {
     assert_eq!(warm.min_width, cold.min_width);
 }
 
+/// `max_width` is a ceiling the search may not exceed: when the floor or
+/// the sound lower bound lies above it, or the true minimum does, the
+/// search reports unroutable — like the cold reference — instead of
+/// probing (and returning) a width the caller ruled out.
+#[test]
+fn a_ceiling_below_the_floor_or_the_lower_bound_is_unroutable_not_exceeded() {
+    let nl = mul_netlist(5, false);
+    let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
+    let free = ParEngine::new(EngineOptions { min_width: 2, ..Default::default() });
+    let placement = free.place(&nl, arch);
+    let minimum = free.min_channel_width(&nl, &placement, arch).expect("routable").min_width;
+    assert!(minimum > 2, "the last case needs room below the minimum");
+    for (min_width, max_width) in [(6, 3), (12, 2), (2, minimum - 1)] {
+        let at = format!("min_width={min_width}, max_width={max_width}");
+        let engine = ParEngine::new(EngineOptions { min_width, max_width, ..Default::default() });
+        let found = engine.min_channel_width(&nl, &placement, arch).map(|s| s.min_width);
+        assert_eq!(found, None, "the search exceeded its ceiling ({at})");
+        assert!(engine.min_channel_width_reference(&nl, &placement, arch).is_none(), "{at}");
+        let err = engine.run(&nl).err().unwrap_or_else(|| panic!("a report wider than allowed ({at})"));
+        assert!(err.starts_with(&format!("unroutable up to width {max_width}")), "{at}: {err}");
+    }
+}
+
 /// What a probe found, without when it ran (`seconds`, `overlapped`).
 fn row(p: &WidthProbe) -> [usize; 6] {
     [p.width, p.success as usize, p.iterations, p.ripups, p.warm_nets, p.confirm as usize]

@@ -23,7 +23,7 @@ fn multithreaded_spans_round_trip_through_chrome_json() {
                     let mut outer = span("request");
                     outer.arg("worker", worker as u64);
                     {
-                        let mut inner = span("route_wave");
+                        let mut inner = span("par.wave");
                         inner.arg("nets", i as u64);
                         let _leaf = span("probe");
                     }

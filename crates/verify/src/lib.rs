@@ -1,10 +1,9 @@
 //! Static invariant proving for VCGRA artifacts — **before they execute**.
 //!
-//! The runtime's whole safety story (PR 4's wave-parallel router, PR 5's
-//! admission layer) rests on invariants that used to live in scattered
-//! `debug_assert!`s and dynamic tests: route trees own their wires
-//! exclusively, wave members never touch each other's state, leases never
-//! overlap, cache keys never alias. This crate turns each of those claims
+//! The runtime's whole safety story (the router, PR 5's admission layer)
+//! rests on invariants that used to live in scattered `debug_assert!`s
+//! and dynamic tests: route trees own their wires exclusively, leases
+//! never overlap, cache keys never alias. This crate turns each of those claims
 //! into a checkable *pass* over a plain-data artifact — six passes, one
 //! module each — behind one [`Verifier`] facade that produces a
 //! [`VerifyReport`] of typed violations:
@@ -20,9 +19,11 @@
 //! * [`waves`] — the wave-schedule race detector: given each wave member's
 //!   *actual* touched-node footprint (every node whose congestion state
 //!   the router evaluated, and every wire its rip/commit writes), proves
-//!   pairwise read/write disjointness within every wave. This upgrades
-//!   the par-engine's "bbox-disjoint ⇒ race-free" argument from an
-//!   assumption into a checked theorem.
+//!   pairwise read/write disjointness within every wave. **It has no
+//!   producer:** the router it audited routed a wave's members in
+//!   parallel; `par` now routes them one after another on one thread and
+//!   records no footprints, so nothing in the workspace but this pass's
+//!   own tests calls it (ROADMAP, *Still open*: delete it).
 //! * [`sched`] — the scheduler-state checker: over a plain
 //!   [`sched::SchedSnapshot`] of the runtime, proves band/lease
 //!   disjointness, row conservation, queue/ledger reconciliation and
@@ -660,8 +661,8 @@ impl VerifyReport {
 }
 
 /// The facade: one entry point per pass, each producing a
-/// [`VerifyReport`]. (Pass 2, the wave-schedule race check, observes the
-/// router wave by wave and reports through [`WaveAuditor::finish`].)
+/// [`VerifyReport`]. (Pass 2, the wave-schedule race check, is fed
+/// wave by wave and reports through [`WaveAuditor::finish`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Verifier;
 

@@ -1,16 +1,19 @@
 //! Pass 2 — the wave-schedule race detector.
 //!
-//! The par-engine routes each PathFinder iteration's dirty nets in
-//! *waves*: members of one wave are ripped up together, routed in
-//! parallel against one immutable congestion snapshot, and committed in
-//! net order. The engine packs waves by **bounding-box disjointness** and
-//! argues that bbox-disjoint nets cannot interact. This pass checks that
-//! argument on the *actual* footprints:
+//! **No producer.** This pass was written for a par-engine that routed
+//! the members of a *wave* — dirty nets packed by **bounding-box
+//! disjointness** — in parallel against one immutable congestion
+//! snapshot, and recorded each member's footprint when asked to. The
+//! router now reroutes a wave's members one after another on one thread
+//! (`par::incr`) and records nothing, so only this module's own tests
+//! and one mutation test call it; it is kept whole until it can be
+//! deleted whole (ROADMAP, *Still open*). What it checks, on the
+//! *actual* footprints of a wave:
 //!
 //! * `writes(N)` — every wire node whose occupancy N's rip-up or commit
 //!   changes (the union of its old and new trees' wires);
 //! * `reads(N)` — every node whose congestion state N's search evaluated
-//!   (each `step_cost` callsite, recorded by the router when auditing).
+//!   (each `step_cost` operand).
 //!
 //! **Theorem.** A wave is equivalent to routing its members one at a time
 //! (rip, route, commit, next) iff for every ordered member pair `A ≠ B`:

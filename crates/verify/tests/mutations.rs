@@ -26,11 +26,11 @@ const F: FpFormat = FpFormat::PAPER;
 /// Asserts that `$violations` holds at least one entry matching
 /// `$pattern` — the *right* rejection, not just any rejection.
 macro_rules! assert_violation {
-    ($violations:expr, $pattern:pat) => {
+    ($violations:expr, $pattern:pat $(if $guard:expr)?) => {
         assert!(
-            $violations.iter().any(|v| matches!(v, $pattern)),
+            $violations.iter().any(|v| matches!(v, $pattern $(if $guard)?)),
             "expected {} in {:?}",
-            stringify!($pattern),
+            stringify!($pattern $(if $guard)?),
             $violations
         )
     };
@@ -154,6 +154,57 @@ fn out_of_range_node_is_rejected() {
     let (graph, nets, mut trees) = clean_route();
     trees[0].push(graph.node_count() as u32 + 41);
     assert_violation!(check_route_trees(&graph, &nets, &trees), Violation::NodeOutOfRange { .. });
+}
+
+#[test]
+fn dropped_tree_is_rejected() {
+    let (graph, nets, mut trees) = clean_route();
+    trees.pop();
+    assert_violation!(check_route_trees(&graph, &nets, &trees), Violation::TreeCountMismatch { .. });
+}
+
+#[test]
+fn tree_from_a_wider_graph_is_rejected() {
+    let (mut graph, nets, trees) = clean_route();
+    // Narrow the channel under the routed trees: the highest track any
+    // tree uses no longer exists.
+    let g = &graph;
+    let (net, top) = trees
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.iter().filter_map(move |&n| Some((i, g.kind(n).track()?))))
+        .max_by_key(|&(_, track)| track)
+        .expect("some net uses a wire");
+    graph.width = top;
+    let v = check_route_trees(&graph, &nets, &trees);
+    assert_violation!(
+        v,
+        Violation::TrackOutOfRange { net: n, track, width, .. } if (*n, *track, *width) == (net, top, top)
+    );
+    // A net with an invalid id is not walked: no connectivity noise.
+    assert!(
+        !v.iter().any(|x| matches!(x,
+            Violation::SinkUnreached { net: n, .. } | Violation::StrandedNode { net: n, .. } if *n == net)),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn stranded_branch_is_rejected() {
+    let (graph, nets, mut trees) = clean_route();
+    // A free wire no node of net 0's tree drives: in the set, hanging off
+    // nothing.
+    let lone = (0..graph.node_count() as u32)
+        .find(|&n| {
+            graph.kind(n).is_wire()
+                && trees.iter().all(|t| !t.contains(&n))
+                && trees[0].iter().all(|&t| !graph.edges(t).contains(&n))
+        })
+        .expect("a free wire away from net 0");
+    trees[0].push(lone);
+    let v = check_route_trees(&graph, &nets, &trees);
+    assert_violation!(v, Violation::StrandedNode { net: 0, node } if *node == lone);
+    assert_eq!(v.len(), 1, "every sink is still reached, nothing else is wrong: {v:?}");
 }
 
 // --- wave-schedule race detector --------------------------------------

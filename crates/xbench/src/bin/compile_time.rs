@@ -17,13 +17,10 @@
 //! shrinks with the netlist but stays orders of magnitude. `--check`
 //! turns the run into a regression gate: it exits non-zero when the
 //! gate-level route exceeds a generous wall-time threshold, so CI fails
-//! fast if the router hot path regresses. `--threads-sweep` re-routes the
-//! gate-level netlist at each listed thread count, asserts the trees stay
-//! bit-identical, and prints the scaling rows — route seconds, the same
-//! as a multiple of the first listed count's (printed, not gated: a
-//! thread count should never make a route slower), waves per iteration —
-//! then runs the minimum-width search at each count, prints its probe
-//! table and asserts minimum, certificate, trees and probe rows identical.)
+//! fast if the router hot path regresses. `--threads-sweep` runs the
+//! minimum-width search of the gate-level netlist at each listed thread
+//! count, prints its probe table and asserts minimum, certificate, trees
+//! and probe rows identical — a route itself reads no thread count.)
 
 use fabric::RouteGraph;
 use par::{EngineOptions, ParEngine};
@@ -110,8 +107,8 @@ fn main() {
     let t_fpga = t_synth + t_map + t_place + t_route;
     println!(
         "FPGA flow (one PE): synth {t_synth:?} + map {t_map:?} + place {t_place:?} \
-         + route {t_route:?} (width {width}, {} iters, {} rip-ups, WL {})",
-        routed.iterations, routed.ripups, routed.wirelength
+         + route {t_route:?} (width {width}, {} iters, {} rip-ups, WL {}, {} waves)",
+        routed.iterations, routed.ripups, routed.wirelength, routed.waves
     );
 
     print_header("Section II — compile time, same application");
@@ -137,32 +134,11 @@ fn main() {
         app.pe_demand()
     );
 
-    // --- optional routing-scaling sweep over thread counts ---
+    // --- optional width-search sweep over thread counts: with two or
+    // more, the cold W−1 certificate routes beside the binary phase, and
+    // nothing but the wall clock may show it ---
     if !sweep.is_empty() {
-        let graph = RouteGraph::build(fabric, width);
-        println!("\nroute scaling sweep (width {width}, {} nets):", netlist.nets.len());
-        let mut first_secs = None;
-        for &threads in &sweep {
-            let eng = ParEngine::new(EngineOptions { threads, ..Default::default() });
-            let t = std::time::Instant::now();
-            let r = eng.route(&netlist, &placement, &graph).expect("routable in sweep");
-            let secs = t.elapsed().as_secs_f64();
-            assert_eq!(
-                r.trees, routed.trees,
-                "thread count {threads} changed the routing — determinism broken"
-            );
-            let waves_per_iter = r.waves as f64 / r.iterations.max(1) as f64;
-            let ratio = secs / *first_secs.get_or_insert(secs);
-            println!(
-                "  threads {threads:>2}: {secs:>7.3}s  ×{ratio:.2}  {} iters  {} waves ({:.1}/iter)",
-                r.iterations, r.waves, waves_per_iter
-            );
-        }
-
-        // The width search at each thread count: with two or more, the
-        // cold W−1 certificate routes beside the binary phase, and nothing
-        // but the wall clock may show it.
-        println!("\nwidth search sweep:");
+        println!("\nwidth search sweep ({} nets):", netlist.nets.len());
         let what = |p: &par::WidthProbe| {
             (p.width, p.success, p.iterations, p.ripups, p.warm_nets, p.confirm)
         };

@@ -10,17 +10,16 @@
 //! logic levels saved, ~31 % wirelength saved, no channel-width overhead.
 //!
 //! PaR runs on the `par-engine` (incremental reroute, warm-started width
-//! search, wave parallelism); the per-probe effort log is printed after
-//! the table.
+//! search with the cold certificate routed beside it); the per-probe
+//! effort log is printed after the table.
 //!
 //! Usage: `cargo run -p xbench --release --bin table1 [--skip-par]
 //!         [--smoke] [--verify]`
 //! (`--smoke` maps a reduced (5,10) PE and skips the PaR columns — the
 //! paper-scale run is the scheduled CI job's business; `--verify`
 //! re-proves every produced artifact through `vcgra-verify` — mapped
-//! designs against the source AIG, route trees against the fabric
-//! linter, and a cold re-route at the minimum width under the wave-schedule
-//! race detector — and prints the audit overhead)
+//! designs against the source AIG and route trees against the fabric
+//! linter — and prints the audit overhead)
 
 use fabric::rrg::RouteGraph;
 use par::{ParEngine, ParReport};
@@ -42,14 +41,12 @@ fn print_probes(label: &str, rep: &ParReport) {
 }
 
 /// Runs the `--verify` audits for one flow: AIG-vs-mapped equivalence
-/// always; route lint and an audited cold re-route at the minimum width
-/// when PaR ran. Returns the reports; the caller fails the run on any
-/// violation.
+/// always; route lint when PaR ran. Returns the reports; the caller fails
+/// the run on any violation.
 fn audit_flow(
     label: &str,
     aig: &logic::aig::Aig,
     design: &mapping::MappedDesign,
-    engine: &ParEngine,
     routed: Option<&(par::ParNetlist, ParReport)>,
     draws: usize,
 ) -> Vec<verify::VerifyReport> {
@@ -59,7 +56,6 @@ fn audit_flow(
         let graph = RouteGraph::build(rep.arch, rep.min_channel_width);
         let nets = par::troute::terminals(nl, &rep.placement, &graph);
         reports.push(v.verify_routes(&graph, &nets, &rep.result.trees));
-        reports.push(engine.route_audited(nl, &rep.placement, &graph).1);
     }
     for r in &reports {
         println!("  {label:<15} {}", r.summary());
@@ -187,8 +183,8 @@ fn main() {
         let draws = if smoke { 4 } else { 2 };
         println!("\nVerification (vcgra-verify) ...");
         let mut reports =
-            audit_flow("conventional", &conv_aig, &conv, &engine, routed_c.as_ref(), draws);
-        reports.extend(audit_flow("parameterized", &par_aig, &par, &engine, routed_p.as_ref(), draws));
+            audit_flow("conventional", &conv_aig, &conv, routed_c.as_ref(), draws);
+        reports.extend(audit_flow("parameterized", &par_aig, &par, routed_p.as_ref(), draws));
         let passes = reports.len();
         let overhead: f64 = reports.iter().map(|r| r.seconds).sum();
         violation_count = reports.iter().map(|r| r.violations.len()).sum();

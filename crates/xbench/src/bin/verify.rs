@@ -8,18 +8,16 @@
 //! 2. **equiv** — maps the FP-MAC virtual PE with both flows and proves
 //!    each mapped design equivalent to its source AIG over random
 //!    parameter draws;
-//! 3. **routes + wave-schedule** — places and routes the conventional
-//!    PE, lints the route trees, then re-routes under the wave auditor
-//!    at 1, 2 and 8 threads, requiring (a) a race-free schedule and
-//!    (b) bit-identical trees across every thread count and against the
-//!    serial audited reference;
+//! 3. **routes** — places and routes the conventional PE and lints the
+//!    route trees (connectivity, stranded nodes, wire exclusivity, ids
+//!    and tracks in range);
 //! 4. **sched** — drives a runtime churn scenario (queueing, streaming,
 //!    resubmission, release) with `verify_on_admit` gating every
 //!    operation, then re-proves the final scheduler state.
 //!
 //! Exits non-zero if any pass reports a violation. `--smoke` uses the
-//! reduced (5,10) PE and a trimmed thread sweep so CI can run it per
-//! push; the full run audits the paper-scale (6,26) PE.
+//! reduced (5,10) PE so CI can run it per push; the full run audits the
+//! paper-scale (6,26) PE.
 //!
 //! Usage: `cargo run -p xbench --release --bin verify [--smoke]`
 
@@ -66,20 +64,20 @@ fn equiv_pass(fmt: FpFormat, smoke: bool, reports: &mut Vec<verify::VerifyReport
     }
 }
 
-fn wave_pass(fmt: FpFormat, smoke: bool, reports: &mut Vec<verify::VerifyReport>) {
-    println!("\n-- pass: routes + wave-schedule (conventional PE) --");
+fn routes_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
+    println!("\n-- pass: routes (conventional PE) --");
     let design = map_pe(&build_pe_aig_with(fmt, false), false);
     let nl = par::extract(&design);
     let arch = fabric::arch::FabricArch::sized_for(nl.logic_count(), nl.io_count());
     let engine = ParEngine::new(EngineOptions::default());
     let placement = engine.place(&nl, arch);
 
-    // One routable width is enough: the audit is about the schedule, not
-    // the minimum. Start from the congestion estimate and double away
-    // any optimism, up to the engine's own ceiling.
+    // One routable width is enough: the lint is about the trees, not the
+    // minimum. Start from the congestion estimate and double away any
+    // optimism, up to the engine's own ceiling.
     let max_width = engine.opts.max_width;
     let mut width = par::channel_width_estimate(&nl, &placement, arch).max(4);
-    let (graph, reference) = loop {
+    let (graph, routed) = loop {
         let graph = RouteGraph::build(arch, width);
         match engine.route(&nl, &placement, &graph) {
             Ok(r) => break (graph, r),
@@ -91,33 +89,10 @@ fn wave_pass(fmt: FpFormat, smoke: bool, reports: &mut Vec<verify::VerifyReport>
     };
     println!("  fabric {0}x{0}, channel width {width}", arch.size);
 
-    // Route-tree lint on the parallel reference result.
     let nets = par::troute::terminals(&nl, &placement, &graph);
-    let r = Verifier::new().verify_routes(&graph, &nets, &reference.trees);
+    let r = Verifier::new().verify_routes(&graph, &nets, &routed.trees);
     println!("  route lint              {}", r.summary());
     reports.push(r);
-
-    // Audited serial re-route: the schedule certificate...
-    let (audited, wave_report) = engine.route_audited(&nl, &placement, &graph);
-    let audited = audited.expect("audited re-route at a proven width");
-    println!("  wave audit              {}", wave_report.summary());
-    assert_eq!(
-        audited.trees, reference.trees,
-        "audited serial routing must reproduce the parallel trees"
-    );
-    reports.push(wave_report);
-
-    // ...and determinism across thread counts against that certificate.
-    let threads = if smoke { vec![1, 2] } else { vec![1, 2, 8] };
-    for t in threads {
-        let eng = ParEngine::new(EngineOptions { threads: t, ..EngineOptions::default() });
-        let r = eng.route(&nl, &placement, &graph).expect("routable width");
-        assert_eq!(
-            r.trees, reference.trees,
-            "routing at {t} threads must be bit-identical to the audited schedule"
-        );
-        println!("  {t} thread(s): trees bit-identical to the audited reference");
-    }
 }
 
 fn sched_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
@@ -174,7 +149,7 @@ fn main() {
     let mut reports = Vec::new();
     config_pass(fmt, &mut reports);
     equiv_pass(fmt, smoke, &mut reports);
-    wave_pass(fmt, smoke, &mut reports);
+    routes_pass(fmt, &mut reports);
     sched_pass(fmt, &mut reports);
 
     let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
