@@ -129,8 +129,13 @@ impl ParamConfig {
         frames.len()
     }
 
-    /// PPC memory footprint: shared BDD nodes across all bit functions
-    /// (each node stores a variable id and two links).
+    /// PPC memory footprint: shared BDD nodes across all bit functions,
+    /// counted as `logic::bdd` stores them — complement-edge nodes (a
+    /// variable id and two links, one of which may carry a complement
+    /// flag), so a function and its complement share every node. A plain
+    /// ROBDD of the same functions has up to twice as many. At most
+    /// `design.bdd.num_nodes() - 1`: the design's store also holds the
+    /// TCON conditions' nodes.
     pub fn ppc_memory_nodes(&self, design: &MappedDesign) -> usize {
         design.bdd.shared_size(self.ppc.iter().map(|(_, b, _)| *b))
     }

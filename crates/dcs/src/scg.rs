@@ -32,7 +32,13 @@ impl<'a> Scg<'a> {
 
     /// Evaluates every PPC function for a parameter assignment
     /// (`params[v]` drives BDD variable `v`).
+    ///
+    /// # Panics
+    /// If `params` is not one value per parameter of the design: a short
+    /// vector would read its missing parameters as `false` and produce a
+    /// configuration for settings nobody asked for.
     pub fn specialize(&self, params: &[bool]) -> SpecializedBits {
+        assert_eq!(params.len(), self.design.param_names.len(), "one value per parameter");
         let values = self
             .config
             .ppc
@@ -128,6 +134,15 @@ mod tests {
         let s1 = scg.specialize(&[true, false, true]);
         let s2 = scg.specialize(&[true, false, true]);
         assert!(scg.dirty_frames(&s1, &s2).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per parameter")]
+    fn short_parameter_vector_is_rejected() {
+        // Two of three parameters: `eval` would read the third as false.
+        let d = demo();
+        let cfg = ParamConfig::extract(&d);
+        Scg::new(&d, &cfg).specialize(&[true, true]);
     }
 
     #[test]

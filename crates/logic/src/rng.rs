@@ -52,14 +52,6 @@ impl SplitMix64 {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
-        debug_assert!(lo <= hi);
-        let span = (hi - lo) as u64 + 1;
-        lo + self.below(span) as i64
-    }
-
     /// Uniform boolean.
     #[inline]
     pub fn coin(&mut self) -> bool {
@@ -122,14 +114,15 @@ mod tests {
 
     #[test]
     fn range_inclusive() {
+        // `below(7)` reaches both ends of `[0, 6]`.
         let mut r = SplitMix64::new(9);
         let mut seen_lo = false;
         let mut seen_hi = false;
         for _ in 0..2000 {
-            let v = r.range_i64(-3, 3);
-            assert!((-3..=3).contains(&v));
-            seen_lo |= v == -3;
-            seen_hi |= v == 3;
+            let v = r.below(7);
+            assert!(v < 7);
+            seen_lo |= v == 0;
+            seen_hi |= v == 6;
         }
         assert!(seen_lo && seen_hi);
     }

@@ -74,6 +74,20 @@ pub enum MappedNode {
     Tcon(Tcon),
 }
 
+impl MappedNode {
+    /// Every [`Bdd`] handle the node holds, for [`BddManager::compact`].
+    pub(crate) fn handles_mut(&mut self) -> Box<dyn Iterator<Item = &mut Bdd> + '_> {
+        match self {
+            MappedNode::Lut(l) => Box::new(l.ptt.iter_mut()),
+            MappedNode::Tcon(t) => Box::new(
+                [&mut t.const0, &mut t.const1]
+                    .into_iter()
+                    .chain(t.choices.iter_mut().map(|(_, c)| c)),
+            ),
+        }
+    }
+}
+
 /// A primary output: named, with a source and an optional inversion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MappedOutput {
@@ -190,7 +204,13 @@ impl MappedDesign {
     /// LUT truth tables and resolved connections.
     ///
     /// `params[v]` is the value of parameter (BDD variable) `v`.
+    ///
+    /// # Panics
+    /// If `params` is not one value per parameter: a short vector would
+    /// read its missing parameters as `false` and specialize the design
+    /// for settings nobody asked for.
     pub fn specialize(&self, params: &[bool]) -> SpecializedDesign {
+        assert_eq!(params.len(), self.param_names.len(), "one value per parameter");
         let nodes = self
             .nodes
             .iter()
@@ -368,6 +388,13 @@ mod tests {
         // Simulation follows the selected source.
         assert_eq!(s1.simulate(&[0xAB, 0xCD]), vec![0xAB]);
         assert_eq!(s0.simulate(&[0xAB, 0xCD]), vec![0xCD]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per parameter")]
+    fn short_parameter_vector_is_rejected() {
+        // `eval` would read the missing `p` as false and pick input 1.
+        mux_tcon_design().specialize(&[]);
     }
 
     #[test]

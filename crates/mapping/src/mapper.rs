@@ -22,11 +22,35 @@
 //! flag (its wire carries `f ⊕ inv`), LUT consumers absorb inverted inputs
 //! by permuting their truth tables, and a TCON whose choices would need
 //! inconsistent polarities is demoted to a TLUT.
+//!
+//! # Where the time goes, and what keeps it small
+//!
+//! The tautology check is the expensive question and almost always
+//! answered "no". Per evaluated cut, cheapest first:
+//!
+//! 1. the **signature caches** ([`MapOptions::cut_cache`]): the PTT
+//!    conjunction keyed by its two operand PTTs, the TCON verdict keyed by
+//!    the PTT — 83 % and 85 % hits on the half-precision PE. Signatures
+//!    are shared (`Rc`) between cuts and cache entries, and the operand
+//!    pair is assembled in one reused buffer, so a hit allocates nothing;
+//! 2. on a miss, `refutes_tcon`: specialise the PTT under four fixed
+//!    parameter assignments and look at the `2^k`-bit tables. One that is
+//!    neither a constant nor a leaf is a counterexample to the cover —
+//!    four fifths of the misses end here, without creating a BDD node;
+//! 3. `tcon_check`, the exact cover, for what is left (nine in ten of
+//!    these are accepted).
+//!
+//! The BDD manager is scratch: [`BddManager::compact`] hands the design
+//! the ≈ 6 % of the nodes its emitted handles reach, renumbered by
+//! function, so two maps of one netlist agree handle for handle whatever
+//! either of them computed on the way.
 
 use crate::design::{MappedDesign, MappedNode, MappedOutput, Source, Tcon, Tlut};
 use logic::aig::{Aig, InputKind, Node};
 use logic::bdd::{Bdd, BddManager};
 use logic::fxhash::FxHashMap;
+use logic::tt::TruthTable;
+use std::rc::Rc;
 
 /// Mapper options.
 #[derive(Debug, Clone, Copy)]
@@ -40,9 +64,9 @@ pub struct MapOptions {
     /// same interned PTT signature over and over; with the cache on, the
     /// TCON tautology check and the PTT conjunction are computed once
     /// per distinct signature and replayed from the cache afterwards.
-    /// Because every [`Bdd`] handle is interned and the manager's own
-    /// operation caches are deterministic, a cache hit returns exactly
-    /// the handles a recomputation would have — mapped designs are
+    /// Because every [`Bdd`] handle is canonical, a cache hit returns
+    /// exactly the functions a recomputation would have, and the final
+    /// compaction numbers handles by function alone — mapped designs are
     /// bit-identical with the cache on or off.
     pub cut_cache: bool,
 }
@@ -62,9 +86,12 @@ impl Default for MapOptions {
 /// time ~20 % on the paper-scale PE.
 const CUT_EVAL_LIMIT: usize = 12;
 
-/// Work counters for one mapping run — how often the per-cut caches
-/// ([`MapOptions::cut_cache`]) short-circuited BDD work. The `map` span
-/// carries the same four numbers as end-args.
+/// Work counters for one mapping run: how often the per-cut caches
+/// ([`MapOptions::cut_cache`]) and the counterexample filter short-circuited
+/// BDD work, and how much of the BDD work the design kept. The `map` span
+/// carries the same numbers as end-args. The `bdd_*` fields but
+/// `bdd_nodes_kept` are release-profile numbers: debug builds also run the
+/// exact check behind every refutation, to cross-check the filter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapEffort {
     /// TCON tautology checks requested (cache hits + misses).
@@ -75,6 +102,22 @@ pub struct MapEffort {
     pub ptt_merges: usize,
     /// PTT conjunctions answered from the signature cache.
     pub ptt_cache_hits: usize,
+    /// Cache-miss TCON checks a counterexample refuted before the exact
+    /// check (release builds skip it; debug builds run it to cross-check).
+    pub tcon_refuted: usize,
+    /// Cache-miss TCON checks the exact check accepted.
+    pub tcon_accepted: usize,
+    /// Evaluated cuts whose PTT is all constants (no parameter in the cone).
+    pub const_ptt_cuts: usize,
+    /// BDD nodes the map's scratch manager held when the map finished
+    /// (terminal included).
+    pub bdd_nodes_created: usize,
+    /// BDD nodes the returned design's store holds (terminal included).
+    pub bdd_nodes_kept: usize,
+    /// Computed-table lookups of the BDD kernel during the map.
+    pub bdd_lookups: u64,
+    /// Lookups the computed table answered.
+    pub bdd_hits: u64,
 }
 
 /// Conventional flow: parameters are treated as regular inputs and the
@@ -88,12 +131,11 @@ pub fn map_parameterized(aig: &Aig, opts: MapOptions) -> MappedDesign {
     run_map(aig, opts, true).0
 }
 
-/// [`map_parameterized`] plus the cut-cache work counters.
+/// [`map_parameterized`] plus the work counters.
 pub fn map_parameterized_with_effort(aig: &Aig, opts: MapOptions) -> (MappedDesign, MapEffort) {
     run_map(aig, opts, true)
 }
 
-#[derive(Clone)]
 struct TconCand {
     /// (leaf position, polarity q, activation condition): under the
     /// condition, `f == leaf ⊕ q`. Conditions are pairwise disjoint.
@@ -106,46 +148,81 @@ struct Cut {
     /// Sorted AIG node ids of the regular leaves.
     leaves: Vec<u32>,
     /// `2^leaves.len()` parameter functions.
-    ptt: Vec<Bdd>,
+    ptt: Rc<[Bdd]>,
     /// Arrival (LUT levels) when implementing the node with this cut.
     arr: u32,
     /// Area flow: own cost (1 LUT / 0 TCON) + shared leaf cost estimate.
     af: f32,
     /// TCON candidacy (computed only in the parameterized flow).
-    tcon: Option<TconCand>,
+    tcon: Option<Rc<TconCand>>,
     /// Trivial cut `{node}` — only usable by parents, not as an
     /// implementation of the node itself.
     trivial: bool,
 }
 
-fn expand_ptt(child: &[Bdd], child_leaves: &[u32], merged: &[u32]) -> Vec<Bdd> {
+/// Appends `child`'s PTT re-indexed over the `merged` leaf set (and
+/// complemented if `negate`) to `out`.
+fn expand_ptt(
+    bdd: &mut BddManager,
+    out: &mut Vec<Bdd>,
+    child: &Cut,
+    merged: &[u32],
+    negate: bool,
+) {
     // Position of every child leaf within the merged leaf set.
-    let pos: Vec<usize> = child_leaves
-        .iter()
-        .map(|l| merged.binary_search(l).expect("child leaves ⊆ merged"))
-        .collect();
-    let k = merged.len();
-    (0..1usize << k)
-        .map(|m| {
-            let mut mc = 0usize;
-            for (ci, &mp) in pos.iter().enumerate() {
-                if (m >> mp) & 1 == 1 {
-                    mc |= 1 << ci;
-                }
-            }
-            child[mc]
-        })
-        .collect()
+    let mut pos = [0usize; 6];
+    for (p, l) in pos.iter_mut().zip(&child.leaves) {
+        *p = merged.binary_search(l).expect("child leaves ⊆ merged");
+    }
+    let pos = &pos[..child.leaves.len()];
+    for m in 0..1usize << merged.len() {
+        let mut mc = 0usize;
+        for (ci, &mp) in pos.iter().enumerate() {
+            mc |= ((m >> mp) & 1) << ci;
+        }
+        let e = child.ptt[mc];
+        out.push(if negate { bdd.not(e) } else { e });
+    }
 }
 
-fn negate_ptt(bdd: &mut BddManager, ptt: &[Bdd]) -> Vec<Bdd> {
-    ptt.iter().map(|&e| bdd.not(e)).collect()
-}
-
-fn and_ptt(bdd: &mut BddManager, a: &[Bdd], b: &[Bdd]) -> Vec<Bdd> {
+fn and_ptt(bdd: &mut BddManager, a: &[Bdd], b: &[Bdd]) -> Rc<[Bdd]> {
     a.iter().zip(b).map(|(&x, &y)| bdd.and(x, y)).collect()
 }
 
+/// The fixed parameter assignments [`refutes_tcon`] specialises a PTT
+/// under: all-0, all-1 and the two alternating stripes.
+fn refutation_probes(nparams: usize) -> [Vec<bool>; 4] {
+    [
+        vec![false; nparams],
+        vec![true; nparams],
+        (0..nparams).map(|v| v % 2 == 0).collect(),
+        (0..nparams).map(|v| v % 2 == 1).collect(),
+    ]
+}
+
+/// Refutes TCON candidacy by counterexample: true if, under one of the
+/// `probes`, the specialised `2^k`-bit table is neither a constant nor a
+/// leaf in either polarity — a parameter assignment outside the cover, so
+/// [`tcon_check`] must answer `None`. False says nothing. Reads the
+/// manager only: a refuted cut creates no node.
+fn refutes_tcon(bdd: &BddManager, ptt: &[Bdd], k: usize, probes: &[Vec<bool>]) -> bool {
+    let full = TruthTable::mask(k);
+    probes.iter().any(|p| {
+        let table = ptt
+            .iter()
+            .enumerate()
+            .fold(0u64, |t, (m, &e)| t | (bdd.eval(e, p) as u64) << m);
+        table != 0
+            && table != full
+            && !(0..k).any(|i| {
+                let leaf = TruthTable::var(i, k).bits();
+                table == leaf || table == leaf ^ full
+            })
+    })
+}
+
+/// The exact TCON check: builds the constant and per-leaf conditions of
+/// the module doc and accepts iff they cover every parameter assignment.
 fn tcon_check(bdd: &mut BddManager, ptt: &[Bdd], k: usize) -> Option<TconCand> {
     let mut const0 = Bdd::TRUE;
     let mut const1 = Bdd::TRUE;
@@ -183,7 +260,30 @@ fn tcon_check(bdd: &mut BddManager, ptt: &[Bdd], k: usize) -> Option<TconCand> {
     }
 }
 
-#[derive(Clone)]
+/// TCON candidacy of a cut on the cache-miss path: the counterexample
+/// filter, then the exact check. Debug builds run the exact check behind
+/// every refutation too and assert the two agree, so every design a test
+/// maps audits the filter.
+fn tcon_candidate(
+    bdd: &mut BddManager,
+    ptt: &[Bdd],
+    k: usize,
+    probes: &[Vec<bool>],
+    effort: &mut MapEffort,
+) -> Option<Rc<TconCand>> {
+    let refuted = refutes_tcon(bdd, ptt, k, probes);
+    if refuted {
+        effort.tcon_refuted += 1;
+        if !cfg!(debug_assertions) {
+            return None;
+        }
+    }
+    let cand = tcon_check(bdd, ptt, k);
+    debug_assert!(!(refuted && cand.is_some()), "counterexample against an accepted TCON");
+    effort.tcon_accepted += usize::from(cand.is_some());
+    cand.map(Rc::new)
+}
+
 enum Impl {
     Lut {
         leaves: Vec<u32>,
@@ -192,10 +292,8 @@ enum Impl {
     Tcon {
         leaves: Vec<u32>,
         /// Kept for possible demotion back to a LUT.
-        ptt: Vec<Bdd>,
-        choices: Vec<(usize, bool, Bdd)>,
-        const0: Bdd,
-        const1: Bdd,
+        ptt: Rc<[Bdd]>,
+        cand: Rc<TconCand>,
     },
 }
 
@@ -244,12 +342,15 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     map_span.arg("parameterized", honor_params);
     let mut bdd = BddManager::new();
     let live = aig.live_nodes();
-    // Per-cut memo tables ([`MapOptions::cut_cache`]). Keys are interned
-    // handle vectors, so key equality is function equality; values replay
-    // the exact handles the original computation produced.
+    // Per-cut memo tables ([`MapOptions::cut_cache`]). Keys are vectors
+    // of canonical handles, so key equality is function equality; values
+    // replay the exact handles the original computation produced. The
+    // conjunction's key is its two operand PTTs back to back, assembled
+    // in `operands` and looked up as a slice.
     let mut effort = MapEffort::default();
-    let mut tcon_cache: FxHashMap<Vec<Bdd>, Option<TconCand>> = FxHashMap::default();
-    let mut ptt_cache: FxHashMap<(Vec<Bdd>, Vec<Bdd>), Vec<Bdd>> = FxHashMap::default();
+    let mut tcon_cache: FxHashMap<Rc<[Bdd]>, Option<Rc<TconCand>>> = FxHashMap::default();
+    let mut ptt_cache: FxHashMap<Vec<Bdd>, Rc<[Bdd]>> = FxHashMap::default();
+    let mut operands: Vec<Bdd> = Vec::new();
 
     // Input bookkeeping: regular-input index per AIG input, param variable
     // per AIG input.
@@ -268,6 +369,8 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
         }
     }
 
+    let probes = refutation_probes(param_names.len());
+
     // ---- forward pass: priority cuts ----
     let cuts_span = trace::span("map.cuts");
     let n = aig.num_nodes();
@@ -284,14 +387,14 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
         let cuts = match node {
             Node::Const => vec![Cut {
                 leaves: vec![],
-                ptt: vec![Bdd::FALSE],
+                ptt: Rc::new([Bdd::FALSE]),
                 arr: 0,
                 af: 0.0,
-                tcon: Some(TconCand {
+                tcon: Some(Rc::new(TconCand {
                     choices: vec![],
                     const0: Bdd::TRUE,
                     const1: Bdd::FALSE,
-                }),
+                })),
                 trivial: false,
             }],
             Node::Input(_) => {
@@ -300,16 +403,16 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                     let np = bdd.nvar(v);
                     vec![Cut {
                         leaves: vec![],
-                        ptt: vec![p],
+                        ptt: Rc::new([p]),
                         arr: 0,
                         af: 0.0,
-                        tcon: Some(TconCand { choices: vec![], const0: np, const1: p }),
+                        tcon: Some(Rc::new(TconCand { choices: vec![], const0: np, const1: p })),
                         trivial: false,
                     }]
                 } else {
                     vec![Cut {
                         leaves: vec![id],
-                        ptt: vec![Bdd::FALSE, Bdd::TRUE],
+                        ptt: Rc::new([Bdd::FALSE, Bdd::TRUE]),
                         arr: 0,
                         af: 0.0,
                         tcon: None,
@@ -396,45 +499,48 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 for (leaves, cai, cbi, _, _) in cands {
                     let ca = &cutsets[a.node() as usize][cai];
                     let cb = &cutsets[b.node() as usize][cbi];
-                    let ea = expand_ptt(&ca.ptt, &ca.leaves, &leaves);
-                    let eb = expand_ptt(&cb.ptt, &cb.leaves, &leaves);
-                    let fa = if a.is_neg() { negate_ptt(&mut bdd, &ea) } else { ea };
-                    let fb = if b.is_neg() { negate_ptt(&mut bdd, &eb) } else { eb };
+                    // Both operand PTTs over the merged leaves, back to
+                    // back: the conjunction's signature.
+                    operands.clear();
+                    expand_ptt(&mut bdd, &mut operands, ca, &leaves, a.is_neg());
+                    expand_ptt(&mut bdd, &mut operands, cb, &leaves, b.is_neg());
+                    let (fa, fb) = operands.split_at(1 << leaves.len());
                     effort.ptt_merges += 1;
                     let ptt = if opts.cut_cache {
-                        match ptt_cache.get(&(fa.clone(), fb.clone())) {
+                        match ptt_cache.get(operands.as_slice()) {
                             Some(p) => {
                                 effort.ptt_cache_hits += 1;
                                 p.clone()
                             }
                             None => {
-                                let p = and_ptt(&mut bdd, &fa, &fb);
-                                ptt_cache.insert((fa, fb), p.clone());
+                                let p = and_ptt(&mut bdd, fa, fb);
+                                ptt_cache.insert(operands.clone(), p.clone());
                                 p
                             }
                         }
                     } else {
-                        and_ptt(&mut bdd, &fa, &fb)
+                        and_ptt(&mut bdd, fa, fb)
                     };
                     let k = leaves.len();
+                    effort.const_ptt_cuts += usize::from(ptt.iter().all(|e| e.is_const()));
                     let tcon = if !honor_params {
                         None
                     } else if opts.cut_cache {
                         effort.tcon_checks += 1;
-                        match tcon_cache.get(&ptt) {
+                        match tcon_cache.get(&*ptt) {
                             Some(c) => {
                                 effort.tcon_cache_hits += 1;
                                 c.clone()
                             }
                             None => {
-                                let c = tcon_check(&mut bdd, &ptt, k);
+                                let c = tcon_candidate(&mut bdd, &ptt, k, &probes, &mut effort);
                                 tcon_cache.insert(ptt.clone(), c.clone());
                                 c
                             }
                         }
                     } else {
                         effort.tcon_checks += 1;
-                        tcon_check(&mut bdd, &ptt, k)
+                        tcon_candidate(&mut bdd, &ptt, k, &probes, &mut effort)
                     };
                     // Arrival and area flow: TCONs are free logic-wise;
                     // their selected leaves' costs are shared through
@@ -501,7 +607,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 // Trivial cut for parents.
                 merged.push(Cut {
                     leaves: vec![id],
-                    ptt: vec![Bdd::FALSE, Bdd::TRUE],
+                    ptt: Rc::new([Bdd::FALSE, Bdd::TRUE]),
                     arr: arrival[idu],
                     af: aflow[idu],
                     tcon: None,
@@ -555,9 +661,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
             Impl::Tcon {
                 leaves: best.leaves.clone(),
                 ptt: best.ptt.clone(),
-                choices: tc.choices.clone(),
-                const0: tc.const0,
-                const1: tc.const1,
+                cand: tc.clone(),
             }
         } else {
             // Support-prune the LUT: drop leaves no entry pair depends on.
@@ -585,7 +689,8 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
             Impl::Lut { .. } => {
                 inv.insert(id, false);
             }
-            Impl::Tcon { leaves, ptt, choices, .. } => {
+            Impl::Tcon { leaves, ptt, cand } => {
+                let choices = &cand.choices;
                 // Physical polarity constraint: for every choice,
                 // inv(node) = q ⊕ inv(leaf); all must agree.
                 let mut req: Option<bool> = None;
@@ -662,13 +767,14 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                     ptt: ptt_fixed,
                 })
             }
-            Impl::Tcon { leaves, choices, const0, const1, .. } => MappedNode::Tcon(Tcon {
-                choices: choices
+            Impl::Tcon { leaves, cand, .. } => MappedNode::Tcon(Tcon {
+                choices: cand
+                    .choices
                     .iter()
                     .map(|&(pos, _, c)| (src_of(leaves[pos], &reg_index, &node_of), c))
                     .collect(),
-                const0: *const0,
-                const1: *const1,
+                const0: cand.const0,
+                const1: cand.const1,
                 invert: inv[&id],
             }),
         };
@@ -702,11 +808,25 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     }
     drop(emit_span);
 
+    effort.bdd_nodes_created = bdd.num_nodes();
+    let kernel = bdd.stats();
+    effort.bdd_lookups = kernel.lookups;
+    effort.bdd_hits = kernel.hits;
+    bdd.compact(nodes.iter_mut().flat_map(MappedNode::handles_mut));
+    effort.bdd_nodes_kept = bdd.num_nodes();
+
     map_span.arg("luts", nodes.len());
     map_span.arg("ptt_merges", effort.ptt_merges);
     map_span.arg("ptt_cache_hits", effort.ptt_cache_hits);
     map_span.arg("tcon_checks", effort.tcon_checks);
     map_span.arg("tcon_cache_hits", effort.tcon_cache_hits);
+    map_span.arg("tcon_refuted", effort.tcon_refuted);
+    map_span.arg("tcon_accepted", effort.tcon_accepted);
+    map_span.arg("const_ptt_cuts", effort.const_ptt_cuts);
+    map_span.arg("bdd_nodes_created", effort.bdd_nodes_created);
+    map_span.arg("bdd_nodes_kept", effort.bdd_nodes_kept);
+    map_span.arg("bdd_lookups", effort.bdd_lookups);
+    map_span.arg("bdd_hits", effort.bdd_hits);
     (MappedDesign { nodes, outputs, input_names, param_names, bdd }, effort)
 }
 
@@ -759,6 +879,79 @@ mod tests {
     // The equivalence-asserting mapper tests live in
     // `tests/equivalence.rs`: they call `verify::equiv`, whose `mapping`
     // types only unify with the library build, not the unit-test harness.
+
+    /// The 6×6 constant multiplier of `tests/equivalence.rs`, mapped.
+    fn mapped_multiplier() -> MappedDesign {
+        let mut g = Aig::new();
+        let x = g.input_vec("x", 6, InputKind::Regular);
+        let c = g.input_vec("c", 6, InputKind::Param);
+        let prod = softfloat::gates::mul_array(&mut g, &x, &c);
+        g.add_output_vec("p", &prod);
+        map_parameterized(&g, MapOptions::default())
+    }
+
+    #[test]
+    fn a_refuted_ptt_is_never_accepted_by_the_exact_check() {
+        // Release builds trust `refutes_tcon` and skip `tcon_check`; here
+        // both run, on parameter functions a real map produced: every
+        // emitted LUT's PTT, every emitted TCON's cover written back as a
+        // PTT, and a few thousand PTTs drawn from the design's handles.
+        let mut d = mapped_multiplier();
+        let probes = refutation_probes(d.param_names.len());
+        let mut ptts: Vec<Vec<Bdd>> = Vec::new();
+        let mut pool: Vec<Bdd> = vec![Bdd::FALSE, Bdd::TRUE];
+        for n in &d.nodes {
+            match n {
+                MappedNode::Lut(l) => {
+                    pool.extend(&l.ptt);
+                    ptts.push(l.ptt.clone());
+                }
+                MappedNode::Tcon(t) => {
+                    pool.extend(t.choices.iter().map(|&(_, c)| c));
+                    // f = const1 ∨ ⋁ᵢ (condᵢ ∧ leafᵢ), one leaf per choice.
+                    let k = t.choices.len();
+                    if k > 6 {
+                        continue;
+                    }
+                    ptts.push(
+                        (0..1usize << k)
+                            .map(|m| {
+                                t.choices.iter().enumerate().fold(t.const1, |f, (i, &(_, c))| {
+                                    if (m >> i) & 1 == 1 {
+                                        d.bdd.or(f, c)
+                                    } else {
+                                        f
+                                    }
+                                })
+                            })
+                            .collect(),
+                    );
+                }
+            }
+        }
+        let mut rng = logic::SplitMix64::new(0x7C04);
+        for _ in 0..4000 {
+            let k = 1 + rng.index(4);
+            // Few distinct entries per PTT, as in a real cut: most random
+            // tables over many functions are trivially not TCONs.
+            let palette: Vec<Bdd> = (0..2 + rng.index(2)).map(|_| pool[rng.index(pool.len())]).collect();
+            ptts.push((0..1usize << k).map(|_| palette[rng.index(palette.len())]).collect());
+        }
+
+        let (mut refuted, mut accepted, mut slipped) = (0, 0, 0);
+        for ptt in &ptts {
+            let k = ptt.len().trailing_zeros() as usize;
+            let no = refutes_tcon(&d.bdd, ptt, k, &probes);
+            let exact = tcon_check(&mut d.bdd, ptt, k);
+            assert!(!(no && exact.is_some()), "k = {k}, ptt = {ptt:?}");
+            refuted += usize::from(no);
+            accepted += usize::from(exact.is_some());
+            slipped += usize::from(!no && exact.is_none());
+        }
+        // Not vacuous in either direction, and the filter is a filter:
+        // it misses some non-TCONs (the exact check is still needed).
+        assert!(refuted > 100 && accepted > 100 && slipped > 0, "{refuted} {accepted} {slipped}");
+    }
 
     #[test]
     fn mapped_node_enum_is_exported() {

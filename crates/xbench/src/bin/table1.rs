@@ -11,7 +11,9 @@
 //!
 //! PaR runs on the `par-engine` (incremental reroute, warm-started width
 //! search with the cold certificate routed beside it); the per-probe
-//! effort log is printed after the table.
+//! effort log is printed after the table, the mapper's effort block
+//! (where its TCON checks ended, BDD nodes created and kept) under the
+//! `mapped:` line.
 //!
 //! Usage: `cargo run -p xbench --release --bin table1 [--skip-par]
 //!         [--smoke] [--verify]`
@@ -22,6 +24,7 @@
 //! linter — and prints the audit overhead)
 
 use fabric::rrg::RouteGraph;
+use mapping::{MapEffort, MapOptions};
 use par::{ParEngine, ParReport};
 use softfloat::FpFormat;
 use verify::Verifier;
@@ -66,6 +69,35 @@ fn audit_flow(
     reports
 }
 
+/// Where the parameterized map's TCON checks ended and how much of its
+/// BDD work the design kept — the mapper's analogue of the probe table.
+fn print_map_effort(e: &MapEffort) {
+    let misses = e.tcon_checks - e.tcon_cache_hits;
+    println!("  mapping effort:");
+    println!(
+        "    TCON checks: {} requested -> {} cache hits -> {} refuted by counterexample \
+         -> {} exact -> {} accepted",
+        e.tcon_checks,
+        e.tcon_cache_hits,
+        e.tcon_refuted,
+        misses - e.tcon_refuted,
+        e.tcon_accepted,
+    );
+    println!(
+        "    PTT conjunctions: {} requested -> {} cache hits; {} cuts with an all-constant PTT",
+        e.ptt_merges, e.ptt_cache_hits, e.const_ptt_cuts,
+    );
+    println!(
+        "    BDD nodes: {} created -> {} kept ({:.1}%); computed table {} of {} lookups hit ({:.0}%)",
+        e.bdd_nodes_created,
+        e.bdd_nodes_kept,
+        100.0 * e.bdd_nodes_kept as f64 / e.bdd_nodes_created as f64,
+        e.bdd_hits,
+        e.bdd_lookups,
+        100.0 * e.bdd_hits as f64 / e.bdd_lookups.max(1) as f64,
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = xbench::smoke_mode();
@@ -82,10 +114,11 @@ fn main() {
     let conv = map_pe(&conv_aig, false);
     let t_conv = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let par = map_pe(&par_aig, true);
+    let (par, effort) = mapping::map_parameterized_with_effort(&par_aig, MapOptions::default());
     let t_par = t1.elapsed();
     let (sc, sp) = (conv.stats(), par.stats());
     println!("mapped: conventional in {t_conv:?}, parameterized in {t_par:?}");
+    print_map_effort(&effort);
 
     print_header("Table I — resource utilization of a PE (mapping)");
     print_row("4-LUTs, conventional", "2522", &sc.luts.to_string());
