@@ -33,6 +33,14 @@ pub struct VirtualPeConfig {
     pub hops: usize,
 }
 
+impl VirtualPeConfig {
+    /// Number of settings (parameter) bits of a PE built with this
+    /// configuration: the coefficient, then two select bits per route hop.
+    pub fn settings_bits(&self) -> usize {
+        self.format.width() as usize + ROUTE_NAMES.len() * self.hops * 2
+    }
+}
+
 impl Default for VirtualPeConfig {
     fn default() -> Self {
         Self { format: FpFormat::PAPER, hops: 2 }
@@ -106,7 +114,7 @@ impl PeSettings {
     /// first; hops beyond the first default to "previous" = 0).
     pub fn to_param_bits(&self, cfg: &VirtualPeConfig) -> Vec<bool> {
         let w = cfg.format.width() as usize;
-        let mut bits = Vec::with_capacity(w + ROUTE_NAMES.len() * cfg.hops * 2);
+        let mut bits = Vec::with_capacity(cfg.settings_bits());
         for i in 0..w {
             bits.push((self.coeff.bits >> i) & 1 == 1);
         }
@@ -119,6 +127,28 @@ impl PeSettings {
             }
         }
         bits
+    }
+
+    /// [`PeSettings::to_param_bits`] written into one lane of a packed
+    /// assignment set: sets bit `lane` of `lanes[v]` for every parameter
+    /// `v` that is true (the lane is taken to be clear). What a sweep over
+    /// many PEs' settings packs with, without a `Vec<bool>` per PE.
+    ///
+    /// # Panics
+    /// If `lanes` is not one word per settings bit, or `lane` is not a
+    /// bit of a word.
+    pub fn set_param_lane(&self, cfg: &VirtualPeConfig, lane: usize, lanes: &mut [u64]) {
+        assert_eq!(lanes.len(), cfg.settings_bits(), "one lane word per settings bit");
+        assert!(lane < u64::BITS as usize, "lane {lane} of a 64-bit word");
+        let (coeff, selects) = lanes.split_at_mut(cfg.format.width() as usize);
+        for (i, word) in coeff.iter_mut().enumerate() {
+            *word |= ((self.coeff.bits >> i) & 1) << lane;
+        }
+        // Per route: the first hop's two select bits; later hops stay 0.
+        for (hop_bits, sel) in selects.chunks_exact_mut(cfg.hops * 2).zip(self.route_selects()) {
+            hop_bits[0] |= u64::from(sel & 1) << lane;
+            hop_bits[1] |= u64::from(sel >> 1 & 1) << lane;
+        }
     }
 
     /// Value-level semantics of the PE for one cycle, mirroring the
@@ -259,7 +289,7 @@ impl VirtualPe {
 
     /// Number of settings (parameter) bits in the netlist.
     pub fn settings_bits(&self) -> usize {
-        self.config.format.width() as usize + ROUTE_NAMES.len() * self.config.hops * 2
+        self.config.settings_bits()
     }
 }
 
@@ -381,6 +411,33 @@ mod tests {
             pe.settings_bits(),
             "netlist param count must match the settings layout"
         );
+    }
+
+    #[test]
+    fn a_packed_lane_is_the_param_bit_vector() {
+        // Every mode, several coefficients, hops 1..=3, first, middle and
+        // last lane: bit for bit `to_param_bits`, other lanes untouched.
+        for hops in 1..=3 {
+            let cfg = VirtualPeConfig { format: fmt(), hops };
+            for mode in [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass] {
+                for (c, lane) in [(1.5, 0), (-0.375, 31), (0.0, 63), (6.0e4, 17)] {
+                    let s = PeSettings { coeff: FpValue::from_f64(c, cfg.format), counter: 3, mode };
+                    let mut lanes = vec![0u64; cfg.settings_bits()];
+                    s.set_param_lane(&cfg, lane, &mut lanes);
+                    let packed: Vec<bool> = lanes.iter().map(|w| w >> lane & 1 == 1).collect();
+                    assert_eq!(packed, s.to_param_bits(&cfg), "{mode:?} {c} hops {hops}");
+                    assert!(lanes.iter().all(|w| w & !(1 << lane) == 0), "one lane written");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one lane word per settings bit")]
+    fn a_lane_vector_of_the_wrong_length_is_rejected() {
+        let cfg = VirtualPeConfig { format: fmt(), hops: 2 };
+        let s = PeSettings::mac(FpValue::from_f64(1.5, cfg.format), 1);
+        s.set_param_lane(&cfg, 0, &mut vec![0u64; cfg.settings_bits() - 1]);
     }
 
     #[test]

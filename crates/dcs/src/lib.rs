@@ -11,8 +11,10 @@
 //!
 //! The specialization stage is the **Specialized Configuration Generator
 //! (SCG)**: on every parameter-value change it evaluates the PPC functions
-//! and rewrites exactly the configuration frames that contain changed bits
-//! (micro-reconfiguration: read-modify-write through HWICAP or MiCAP).
+//! — all of them in one bottom-up sweep of the BDD store, up to 64
+//! settings to a machine word — and rewrites exactly the configuration
+//! frames that contain changed bits (micro-reconfiguration:
+//! read-modify-write through HWICAP or MiCAP).
 //! [`timing`] prices that operation and reproduces the paper's ~251 ms
 //! per-PE estimate.
 
@@ -24,7 +26,7 @@ pub mod scg;
 pub mod timing;
 
 pub use ppc::{BitAddr, ConfigKind, ParamConfig};
-pub use scg::{Scg, SpecializedBits};
+pub use scg::{PairDiff, Scg, SpecializedBits, LANES};
 pub use timing::{
     paper_pe_reconfig, paper_pe_stats, pe_reconfig_estimate, ReconfigInterface, ReconfigReport,
 };

@@ -39,6 +39,13 @@ pub struct ParamConfig {
     pub param_names: Vec<String>,
     /// Bits per frame used when assigning addresses.
     pub frame_bits: u32,
+    /// The distinct frames holding a tunable bit, ascending.
+    pub(crate) frames: Vec<u32>,
+    /// Per PPC entry, the index of its frame in `frames`. The PPC order
+    /// interleaves LUT frames with routing frames (a TCON between two
+    /// TLUTs), so a frame's entries are not one run: whoever accumulates
+    /// per frame indexes by this, never by "same frame as the last entry".
+    pub(crate) ppc_frame: Vec<u32>,
 }
 
 impl ParamConfig {
@@ -102,11 +109,20 @@ impl ParamConfig {
                 }
             }
         }
+        let mut frames: Vec<u32> = ppc.iter().map(|(a, _, _)| a.frame).collect();
+        frames.sort_unstable();
+        frames.dedup();
+        let ppc_frame = ppc
+            .iter()
+            .map(|(a, _, _)| frames.binary_search(&a.frame).expect("collected above") as u32)
+            .collect();
         ParamConfig {
             template,
             ppc,
             param_names: design.param_names.clone(),
             frame_bits,
+            frames,
+            ppc_frame,
         }
     }
 
@@ -123,10 +139,7 @@ impl ParamConfig {
     /// Distinct frames containing at least one tunable bit — the frame
     /// working set of a worst-case micro-reconfiguration.
     pub fn tunable_frames(&self) -> usize {
-        let mut frames: Vec<u32> = self.ppc.iter().map(|(a, _, _)| a.frame).collect();
-        frames.sort_unstable();
-        frames.dedup();
-        frames.len()
+        self.frames.len()
     }
 
     /// PPC memory footprint: shared BDD nodes across all bit functions,

@@ -211,6 +211,11 @@ impl MappedDesign {
     /// for settings nobody asked for.
     pub fn specialize(&self, params: &[bool]) -> SpecializedDesign {
         assert_eq!(params.len(), self.param_names.len(), "one value per parameter");
+        // Every PTT bit and TCON condition under one assignment: one
+        // one-lane sweep of the store, then a read per handle.
+        let lanes: Vec<u64> = params.iter().map(|&p| u64::from(p)).collect();
+        let vals = self.bdd.eval_lanes(&lanes);
+        let holds = |f: Bdd| vals.of(f) & 1 == 1;
         let nodes = self
             .nodes
             .iter()
@@ -218,7 +223,7 @@ impl MappedDesign {
                 MappedNode::Lut(l) => {
                     let mut tt = TruthTable::zero(l.inputs.len());
                     for (m, b) in l.ptt.iter().enumerate() {
-                        if self.bdd.eval(*b, params) {
+                        if holds(*b) {
                             tt.set(m, true);
                         }
                     }
@@ -226,15 +231,15 @@ impl MappedDesign {
                 }
                 MappedNode::Tcon(t) => {
                     // The wire carries the physical value: logical ^ invert.
-                    if self.bdd.eval(t.const0, params) {
+                    if holds(t.const0) {
                         SpecNode::Wire(Source::Const(t.invert))
-                    } else if self.bdd.eval(t.const1, params) {
+                    } else if holds(t.const1) {
                         SpecNode::Wire(Source::Const(!t.invert))
                     } else {
                         let chosen = t
                             .choices
                             .iter()
-                            .find(|(_, c)| self.bdd.eval(*c, params))
+                            .find(|(_, c)| holds(*c))
                             .map(|(s, _)| *s)
                             .expect("TCON cover must be exhaustive over parameters");
                         SpecNode::Wire(chosen)

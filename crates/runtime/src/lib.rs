@@ -18,7 +18,8 @@
 //!   and populate.
 //! * [`pricer`] — micro-reconfiguration pricing via the real DCS path:
 //!   a lazily-built parameterized PE (`mapping` + [`dcs::Scg`]) evaluates
-//!   PPC Boolean functions and diffs dirty datapath frames, while
+//!   PPC Boolean functions — every changed PE of a swap as two lanes of
+//!   one bottom-up sweep — and diffs dirty datapath frames, while
 //!   [`fabric::frames::FrameModel::for_grid`] addresses the overlay's
 //!   settings-register plane (column stripes share frames). Costs are
 //!   anchored on the paper's 251 ms-per-PE HWICAP estimate.

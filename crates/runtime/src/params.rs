@@ -80,6 +80,8 @@ impl Runtime {
         let mut pricing_span = trace::span("pricing");
         let report = self.pricer.price_swap((grid_arch.rows, grid_arch.cols), &changes);
         pricing_span.arg("frames", report.frames());
+        pricing_span.arg("pes", report.dirty_pes);
+        pricing_span.arg("sweeps", report.sweeps);
         drop(pricing_span);
         let t = self.tenants.get_mut(&tenant).expect("caller verified the tenant is live");
         let cols = t.mapping.arch.cols;

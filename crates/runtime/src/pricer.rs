@@ -3,7 +3,10 @@
 //! A warm parameter swap does what the paper's SCG does on the embedded
 //! processor: evaluate the PE's PPC Boolean functions for the old and the
 //! new settings, diff the specialized bits, and rewrite only the dirty
-//! frames. The pricer owns one parameterized PE design (`mapping` +
+//! frames. Every changed PE of a swap is two lanes — old, new — of one
+//! [`dcs::Scg::specialize_lanes`] sweep (32 PEs to a sweep, chunked
+//! beyond), so a swap costs one pass over the PE's BDD store and one over
+//! its PPC roots however many PEs it touches. The pricer owns one parameterized PE design (`mapping` +
 //! `dcs::ParamConfig`) built lazily on first use — by default in a reduced
 //! floating-point format so pricing stays interactive; the frame *counts*
 //! it produces are a per-PE model, anchored against the paper's published
@@ -12,7 +15,7 @@
 //! Two frame populations are priced per swap:
 //!
 //! * **PPC frames** — configuration frames of the PE datapath whose TLUT /
-//!   TCON bits changed, from [`dcs::Scg::dirty_frames`];
+//!   TCON bits changed, from [`dcs::Scg::pair_diff`];
 //! * **settings frames** — the overlay's settings-register plane, addressed
 //!   through [`fabric::frames::FrameModel::for_grid`]: PEs in the same
 //!   column stripe share a frame, so a swap touching a whole column is one
@@ -55,9 +58,17 @@ pub struct SwapReport {
     pub bits_changed: usize,
     /// Modeled configuration-port time for all dirty frames.
     pub port_time: Duration,
-    /// Measured host time evaluating the PPC Boolean functions.
+    /// SCG sweeps evaluated: one per [`PES_PER_SWEEP`] PEs whose datapath
+    /// parameters changed, none for a counter-only swap.
+    pub sweeps: usize,
+    /// Measured host time of the whole pricing loop: scaling the settings
+    /// to the pricing format, packing the lanes, the SCG sweeps with their
+    /// pair diffs, and the settings-plane frame set.
     pub eval_time: Duration,
 }
+
+/// PEs priced by one SCG sweep: each is an (old, new) pair of lanes.
+pub const PES_PER_SWEEP: usize = dcs::LANES / 2;
 
 impl SwapReport {
     /// Total frames rewritten.
@@ -70,6 +81,14 @@ struct PricerModel {
     design: MappedDesign,
     config: ParamConfig,
     pe_cfg: VirtualPeConfig,
+}
+
+impl PricerModel {
+    /// Overlay settings (in the application's format) as settings of the
+    /// pricing PE: the coefficient re-rounded to its format.
+    fn scaled(&self, s: &PeSettings) -> PeSettings {
+        PeSettings { coeff: FpValue::from_f64(s.coeff.to_f64(), self.pe_cfg.format), ..*s }
+    }
 }
 
 /// Lazily-built PPC pricer over one parameterized PE.
@@ -102,14 +121,6 @@ impl SettingsPricer {
         })
     }
 
-    /// Converts overlay settings (in the application's format) into the
-    /// pricing PE's parameter-bit vector.
-    fn param_bits(&self, m: &PricerModel, s: &PeSettings) -> Vec<bool> {
-        let coeff = FpValue::from_f64(s.coeff.to_f64(), m.pe_cfg.format);
-        let scaled = PeSettings { coeff, counter: s.counter, mode: s.mode };
-        scaled.to_param_bits(&m.pe_cfg)
-    }
-
     /// Prices a parameter-only change over a set of PEs on one grid.
     ///
     /// `grid` is the physical grid shape hosting the cells (for the
@@ -123,6 +134,8 @@ impl SettingsPricer {
         let mut report = SwapReport::default();
         let mut settings_frames = std::collections::BTreeSet::new();
         let t0 = std::time::Instant::now();
+        // PEs whose datapath parameters change, as pricing-PE settings.
+        let mut repriced: Vec<(PeSettings, PeSettings)> = Vec::new();
         for ch in changes {
             // The settings word covers the coefficient image, the iteration
             // counter, and the mode; the counter is sequential state and
@@ -134,19 +147,13 @@ impl SettingsPricer {
                 continue;
             }
             report.dirty_pes += 1;
-            let old_bits = self.param_bits(m, &ch.old);
-            let new_bits = self.param_bits(m, &ch.new);
-            if old_bits != new_bits {
-                let old_spec = scg.specialize(&old_bits);
-                let new_spec = scg.specialize(&new_bits);
-                let dirty = scg.dirty_frames(&old_spec, &new_spec);
-                report.ppc_frames += dirty.len();
-                report.bits_changed += old_spec
-                    .values
-                    .iter()
-                    .zip(&new_spec.values)
-                    .filter(|(a, b)| a != b)
-                    .count();
+            // The parameter bits are the scaled coefficient and the mode's
+            // route selects: a coefficient that rounds to the same
+            // pricing-format value (or a counter-only change) leaves them
+            // as they were and dirties the settings plane only.
+            let (old, new) = (m.scaled(&ch.old), m.scaled(&ch.new));
+            if old.coeff.bits != new.coeff.bits || old.mode != new.mode {
+                repriced.push((old, new));
             }
             // The settings word (counter + coefficient image) lives in the
             // settings plane: one frame per column stripe.
@@ -154,6 +161,19 @@ impl SettingsPricer {
                 x: ch.cell.1,
                 y: ch.cell.0,
             }));
+        }
+        // One sweep per chunk: PE `i` of it in lanes `2i` (old), `2i + 1`.
+        let mut lanes = vec![0u64; m.pe_cfg.settings_bits()];
+        for chunk in repriced.chunks(PES_PER_SWEEP) {
+            lanes.fill(0);
+            for (i, (old, new)) in chunk.iter().enumerate() {
+                old.set_param_lane(&m.pe_cfg, 2 * i, &mut lanes);
+                new.set_param_lane(&m.pe_cfg, 2 * i + 1, &mut lanes);
+            }
+            let diff = scg.pair_diff(&scg.specialize_lanes(&lanes), chunk.len());
+            report.ppc_frames += diff.dirty_frames;
+            report.bits_changed += diff.bits_changed;
+            report.sweeps += 1;
         }
         report.eval_time = t0.elapsed();
         report.settings_frames = settings_frames.len();
@@ -184,6 +204,131 @@ mod tests {
 
     fn mac(c: f64, counter: u32) -> PeSettings {
         PeSettings { coeff: FpValue::from_f64(c, F), counter, mode: PeMode::Mac }
+    }
+
+    /// The formulation `price_swap` replaced, kept as its oracle: per
+    /// changed PE two `Vec<bool>` parameter vectors, two `Scg::specialize`
+    /// results, their `dirty_frames` set and a bit-by-bit count.
+    fn price_swap_reference(
+        p: &SettingsPricer,
+        grid: (usize, usize),
+        changes: &[PeChange],
+    ) -> SwapReport {
+        let m = p.model();
+        let scg = Scg::new(&m.design, &m.config);
+        let frame_model = FrameModel::for_grid(grid.0, grid.1);
+        let mut report = SwapReport::default();
+        let mut settings_frames = std::collections::BTreeSet::new();
+        let mut repriced = 0usize;
+        for ch in changes {
+            let word_equal = ch.old.coeff.bits == ch.new.coeff.bits
+                && ch.old.counter == ch.new.counter
+                && ch.old.mode == ch.new.mode;
+            if word_equal {
+                continue;
+            }
+            report.dirty_pes += 1;
+            let old_bits = m.scaled(&ch.old).to_param_bits(&m.pe_cfg);
+            let new_bits = m.scaled(&ch.new).to_param_bits(&m.pe_cfg);
+            if old_bits != new_bits {
+                repriced += 1;
+                let old_spec = scg.specialize(&old_bits);
+                let new_spec = scg.specialize(&new_bits);
+                report.ppc_frames += scg.dirty_frames(&old_spec, &new_spec).len();
+                report.bits_changed +=
+                    old_spec.values.iter().zip(&new_spec.values).filter(|(a, b)| a != b).count();
+            }
+            settings_frames
+                .insert(frame_model.lut_frame(Site::Logic { x: ch.cell.1, y: ch.cell.0 }));
+        }
+        report.sweeps = repriced.div_ceil(PES_PER_SWEEP);
+        report.settings_frames = settings_frames.len();
+        report.port_time = dcs::timing::reconfig_cost(report.frames(), p.iface);
+        report
+    }
+
+    /// A seeded change list with exactly `repriced` PEs whose datapath
+    /// parameters change — coefficient changes, mode changes (they reach
+    /// the routing frames, which the PPC order interleaves with the LUT
+    /// frames) and both at once — shuffled among counter-only changes,
+    /// coefficients that round to the same pricing-format value and
+    /// unchanged PEs, on an 8 × 8 grid whose cells repeat.
+    fn seeded_changes(seed: u64, repriced: usize) -> Vec<PeChange> {
+        // Distinct in the (3,4) pricing format.
+        const COEFFS: [f64; 8] = [0.5, -0.75, 1.0, 1.25, -1.5, 2.0, 3.0, -0.625];
+        const MODES: [PeMode; 4] = [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass];
+        let mut rng = logic::SplitMix64::new(seed);
+        let mut changes = Vec::new();
+        let settings = |rng: &mut logic::SplitMix64| PeSettings {
+            coeff: FpValue::from_f64(COEFFS[rng.index(8)], F),
+            counter: 1 + rng.index(4) as u32,
+            mode: MODES[rng.index(4)],
+        };
+        for i in 0..repriced {
+            let old = settings(&mut rng);
+            let mut new = old;
+            if i % 3 != 1 {
+                let c = COEFFS.iter().map(|&c| FpValue::from_f64(c, F));
+                new.coeff = c.cycle().skip(rng.index(8)).find(|c| c.bits != old.coeff.bits).unwrap();
+            }
+            if i % 3 != 0 {
+                new.mode = MODES[(MODES.iter().position(|&m| m == old.mode).unwrap() + 1 + rng.index(3)) % 4];
+            }
+            changes.push((old, new));
+        }
+        for i in 0..repriced / 4 + 3 {
+            let old = settings(&mut rng);
+            let mut new = old;
+            match i % 3 {
+                0 => new.counter += 7,
+                // One ulp of the application format: the same (3,4) value.
+                1 => new.coeff.bits ^= 1,
+                _ => {}
+            }
+            changes.push((old, new));
+        }
+        // Fisher–Yates, so the chunk boundary falls among mixed kinds.
+        for i in (1..changes.len()).rev() {
+            changes.swap(i, rng.index(i + 1));
+        }
+        changes
+            .into_iter()
+            .map(|(old, new)| PeChange { cell: (rng.index(8), rng.index(8)), old, new })
+            .collect()
+    }
+
+    #[test]
+    fn one_sweep_prices_what_two_specializations_per_pe_priced() {
+        let p = pricer();
+        for (seed, repriced) in [0, 1, 32, 33, 70].into_iter().enumerate() {
+            let changes = seeded_changes(seed as u64, repriced);
+            let want = price_swap_reference(&p, (8, 8), &changes);
+            let got = p.price_swap((8, 8), &changes);
+            assert_eq!(want.sweeps, repriced.div_ceil(PES_PER_SWEEP), "the list reprices {repriced}");
+            assert_eq!(
+                (got.dirty_pes, got.ppc_frames, got.settings_frames, got.bits_changed),
+                (want.dirty_pes, want.ppc_frames, want.settings_frames, want.bits_changed),
+                "{repriced} repriced PEs"
+            );
+            assert_eq!((got.sweeps, got.port_time), (want.sweeps, want.port_time));
+            if repriced > 0 {
+                assert!(got.ppc_frames > 0 && got.bits_changed >= got.ppc_frames);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mode_change_reaches_the_routing_frames() {
+        // The case a per-run frame accumulation gets wrong: the route
+        // selects drive TCON bits whose frames the PPC order visits in
+        // several runs, between runs of LUT frames.
+        let p = pricer();
+        let old = mac(0.5, 1);
+        let ch = PeChange { cell: (0, 0), old, new: PeSettings { mode: PeMode::Pass, ..old } };
+        let got = p.price_swap((4, 4), &[ch]);
+        let want = price_swap_reference(&p, (4, 4), &[ch]);
+        assert!(got.ppc_frames > 0);
+        assert_eq!((got.ppc_frames, got.bits_changed), (want.ppc_frames, want.bits_changed));
     }
 
     #[test]

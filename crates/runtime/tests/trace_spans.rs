@@ -1,6 +1,7 @@
 //! Span-decomposition contract of the runtime's instrumentation: every
 //! admission is a `request` span whose subtree contains the
-//! `admission`, `cache`, and `pricing` phases, every worker's share of a
+//! `admission`, `cache`, and `pricing` phases, a swap's `pricing` span
+//! carries its `pes` and `sweeps`, every worker's share of a
 //! streaming job is a `request` span containing an `execute` that
 //! carries its `items`, and the ledger's makespan is the time axis's.
 //!
@@ -68,6 +69,13 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     assert_eq!(runs.len(), 1);
     assert_eq!((runs[0].items, runs[0].batches), (160, 3));
 
+    // A parameter swap: every coefficient of the warm tenant changes.
+    let slots = w.graph.coeff_nodes().len();
+    let coeffs: Vec<softfloat::FpValue> =
+        (0..slots).map(|i| softfloat::FpValue::from_f64(-3.0 - i as f64, F)).collect();
+    let swap = rt.swap_params(warm.tenant, &coeffs).expect("swap");
+    assert_eq!((swap.dirty_pes, swap.sweeps), (slots, 1), "one sweep prices every changed PE");
+
     // Free the lower band and compact: the survivor slides down, and the
     // relocation replay must be traced as a `reconfig_overlap` span.
     rt.release(cold.tenant).expect("release");
@@ -96,6 +104,21 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // units show as one to three spans, depending on who took which.
     assert!((1..=3).contains(&executed.len()), "{executed:?}");
     assert_eq!(executed.iter().sum::<u64>(), 160, "the spans' items sum to the run's");
+    // A swap's `pricing` span says how much it priced and in how many
+    // SCG sweeps (an admission's carries `port_ns` instead).
+    assert!(request.contains("pricing"), "swap requests open a pricing child");
+    let u64_arg = |e: &trace::TraceEvent, key: &str| {
+        e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
+            trace::AttrValue::U64(n) => *n,
+            other => panic!("`{key}` is a count, got {other:?}"),
+        })
+    };
+    let priced: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.name == "pricing" && e.phase == trace::Phase::End)
+        .filter_map(|e| Some((u64_arg(e, "pes")?, u64_arg(e, "sweeps")?)))
+        .collect();
+    assert_eq!(priced, [(slots as u64, 1)]);
     let admission = children.get("admission").expect("admission spans recorded");
     for phase in ["cache", "pricing", "placement", "sig"] {
         assert!(admission.contains(phase), "admission subtree must contain {phase}");

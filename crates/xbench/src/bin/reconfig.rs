@@ -4,7 +4,8 @@
 //! 568 TCONs through HWICAP) and argues the cost is negligible when a
 //! coefficient change covers a 1000-image batch. This binary reproduces
 //! the estimate from our own mapped PE, measures the SCG's
-//! Boolean-function evaluation time, reports PPC memory, and prices the
+//! Boolean-function evaluation time per change — with one setting and
+//! with 64 settings to a sweep — reports PPC memory, and prices the
 //! same change on faster interfaces (\[6\], \[16\]).
 //!
 //! Usage: `cargo run -p xbench --release --bin reconfig [--smoke]`
@@ -14,6 +15,7 @@
 use dcs::{pe_reconfig_estimate, ParamConfig, ReconfigInterface, Scg};
 use logic::SplitMix64;
 use softfloat::FpFormat;
+use std::hint::black_box;
 use xbench::{build_pe_aig_with, map_pe, print_header, print_row};
 
 fn main() {
@@ -68,19 +70,33 @@ fn main() {
     let scg = Scg::new(&design, &cfg);
     let mut rng = SplitMix64::new(7);
     let n_params = design.param_names.len();
-    let draws: Vec<Vec<bool>> = (0..32)
+    let draws: Vec<Vec<bool>> = (0..dcs::LANES)
         .map(|_| (0..n_params).map(|_| rng.coin()).collect())
         .collect();
+    // One setting to a sweep: what a lone change pays.
     let t0 = std::time::Instant::now();
     let mut bits_total = 0usize;
     for d in &draws {
-        bits_total += scg.specialize(d).values.len();
+        bits_total += black_box(scg.specialize(d)).values.len();
     }
-    let dt = t0.elapsed();
+    let per_change_1 = t0.elapsed().as_secs_f64() / draws.len() as f64;
+    // 64 settings to a sweep: what a swap over many PEs pays per setting.
+    const SWEEPS: usize = 16;
+    let refs: Vec<&[bool]> = draws.iter().map(Vec::as_slice).collect();
+    let t0 = std::time::Instant::now();
+    for _ in 0..SWEEPS {
+        black_box(scg.specialize_lanes(&scg.pack_lanes(black_box(&refs))));
+    }
+    let per_change_64 = t0.elapsed().as_secs_f64() / (SWEEPS * draws.len()) as f64;
     print_row(
-        "SCG Boolean evaluation / change",
+        "SCG eval / change, 1 per sweep",
         "(embedded CPU)",
-        &format!("{:.2} ms host", dt.as_secs_f64() * 1e3 / draws.len() as f64),
+        &format!("{:.2} us host", per_change_1 * 1e6),
+    );
+    print_row(
+        "SCG eval / change, 64 per sweep",
+        "(embedded CPU)",
+        &format!("{:.2} us host", per_change_64 * 1e6),
     );
     print_row(
         "PPC bits evaluated / change",
@@ -89,10 +105,10 @@ fn main() {
     );
 
     // --- coefficient-change working set and amortization ---
-    let old = scg.specialize(&draws[0]);
-    let new = scg.specialize(&draws[1]);
-    let dirty = scg.dirty_frames(&old, &new).len();
-    let port = dcs::timing::reconfig_cost(dirty, ReconfigInterface::Hwicap);
+    // The pair sweep the runtime's pricer runs: old and new as two lanes.
+    let change =
+        dcs::timing::specialization_report(&scg, &draws[0], &draws[1], ReconfigInterface::Hwicap);
+    let (dirty, port) = (change.frames, change.port_time);
     print_row(
         "frames dirtied by a coefficient change",
         "-",
