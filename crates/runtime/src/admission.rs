@@ -41,14 +41,6 @@ impl Admission {
         matches!(self, Admission::Queued(_))
     }
 
-    /// The placement report, if the application was placed immediately.
-    pub fn admitted(self) -> Option<Admitted> {
-        match self {
-            Admission::Admitted(a) => Some(a),
-            Admission::Queued(_) => None,
-        }
-    }
-
     /// Unwraps the placement report; panics with `msg` if queued.
     pub fn expect_admitted(self, msg: &str) -> Admitted {
         match self {
@@ -237,33 +229,16 @@ impl Runtime {
         // Cache-aware placement: among grids that can host a dedicated
         // band right now, prefer one whose region shape already has this
         // structure compiled — a warm hit there skips `map_app` entirely.
-        // With no candidate, fall through to compaction / time-sharing.
         let placement_span = trace::span("placement");
-        let candidates = self.pool.dedicated_candidates(demand);
-        let (lease, relocations) = if !candidates.is_empty() {
-            let archs = self.pool.grid_archs();
-            let pick = candidates
-                .iter()
-                .copied()
-                .find(|&gi| {
-                    let region = VcgraArch::new(
-                        GridPool::rows_needed(demand, archs[gi].cols),
-                        archs[gi].cols,
-                        channel_capacity,
-                    );
-                    self.cache.contains(&ConfigKey::new(region, graph))
-                })
-                .unwrap_or(candidates[0]);
-            let lease = self
-                .pool
-                .allocate_on(pick, id, demand)
-                .expect("candidate grid has a free band");
-            (lease, Vec::new())
-        } else {
-            // Compaction is always on: a tenant whose rows fit the free
-            // rows but no contiguous run admits by sliding bands down.
-            self.pool.allocate_with(id, demand, true, self.cfg.time_share)?
-        };
+        let archs = self.pool.grid_archs();
+        let (lease, relocations) = self.pool.allocate(id, demand, |gi| {
+            let region = VcgraArch::new(
+                GridPool::rows_needed(demand, archs[gi].cols),
+                archs[gi].cols,
+                channel_capacity,
+            );
+            self.cache.contains(&ConfigKey::new(region, graph))
+        })?;
         drop(placement_span);
         self.apply_relocations(&relocations);
 
@@ -351,6 +326,9 @@ impl Runtime {
                 sig,
             },
         );
+        if lease.shared {
+            self.refresh_shared((lease.grid, lease.row0));
+        }
         drop(admission_span);
         request_span.arg("cache_hit", cache_hit);
         request_span.arg("admit_ns", admit_time.as_nanos() as u64);
@@ -363,6 +341,30 @@ impl Runtime {
             compile_time,
             config_port_time,
         })
+    }
+
+    /// Brings `Lease::shared` of every tenant on one band in line with
+    /// the band's membership. Called wherever that changes: a
+    /// time-sharing admission and `vacate`.
+    fn refresh_shared(&mut self, (grid, row0): (usize, usize)) {
+        let mates = self.pool.band_tenants(grid, row0);
+        for t in &mates {
+            if let Some(tenant) = self.tenants.get_mut(t) {
+                tenant.lease.shared = mates.len() > 1;
+            }
+        }
+    }
+
+    /// Takes a live tenant off its band — the pool slot, the tenant
+    /// record and its resident entry go — and returns the record.
+    fn vacate(&mut self, tenant: TenantId) -> Option<Tenant> {
+        let gone = self.tenants.remove(&tenant)?;
+        self.pool.release(tenant);
+        self.resident.retain(|_, &mut r| r != tenant);
+        if gone.lease.shared {
+            self.refresh_shared((gone.lease.grid, gone.lease.row0));
+        }
+        Some(gone)
     }
 
     /// Applies a compaction's band moves to the runtime's view: leases
@@ -452,17 +454,12 @@ impl Runtime {
             }
             return Err(RuntimeError::UnknownTenant(tenant));
         }
-        let t = &self.tenants[&tenant];
-        if t.graph.same_structure(&graph) {
+        if self.tenants[&tenant].graph.same_structure(&graph) {
             let coeffs = graph.coeff_values();
             return Ok(Refresh::Swapped(self.swap_params(tenant, &coeffs)?));
         }
         // Structural change: recompile under the same id.
-        let name = t.name.clone();
-        let stats = t.stats;
-        self.pool.release(tenant);
-        self.tenants.remove(&tenant);
-        self.resident.retain(|_, &mut r| r != tenant);
+        let Tenant { name, stats, .. } = self.vacate(tenant).expect("checked live above");
         let refresh = match self.place_and_admit(tenant, &name, &graph, stats) {
             Ok(admission) => Refresh::Recompiled(admission),
             Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
@@ -493,11 +490,7 @@ impl Runtime {
             self.enforce_invariants()?;
             return Ok(admitted);
         }
-        self.tenants
-            .remove(&tenant)
-            .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        self.pool.release(tenant);
-        self.resident.retain(|_, &mut r| r != tenant);
+        self.vacate(tenant).ok_or(RuntimeError::UnknownTenant(tenant))?;
         let admitted = self.drain_queue();
         self.enforce_invariants()?;
         Ok(admitted)

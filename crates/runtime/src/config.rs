@@ -23,12 +23,6 @@ pub struct RuntimeConfig {
     pub pricer_format: FpFormat,
     /// Placement seed for cold compiles.
     pub place_seed: u64,
-    /// Time-multiplex big-enough existing bands when no dedicated band
-    /// can be carved (even by compaction). Off, the runtime prefers
-    /// queueing latency over per-context-switch reconfiguration cost.
-    /// Either way a submission the pool cannot place waits in the FIFO
-    /// admission queue.
-    pub time_share: bool,
     /// Run the scheduler-state verifier after every mutating operation
     /// (`submit`/`resubmit`/`run`/`release`) and fail the operation with
     /// [`RuntimeError::Invariant`] if any invariant is violated. Off by
@@ -45,7 +39,6 @@ impl Default for RuntimeConfig {
             iface: ReconfigInterface::Hwicap,
             pricer_format: FpFormat::new(4, 6),
             place_seed: 42,
-            time_share: true,
             verify_on_admit: false,
         }
     }

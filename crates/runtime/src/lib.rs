@@ -24,19 +24,20 @@
 //!   settings-register plane (column stripes share frames). Costs are
 //!   anchored on the paper's 251 ms-per-PE HWICAP estimate.
 //! * [`pool`] — the **grid-pool scheduler**: tenants lease full-width row
-//!   bands (first-fit packing of small graphs onto shared grids). When a
-//!   grid's free rows are fragmented, **band compaction** slides bands
-//!   down (reported as [`pool::Relocation`]s, replayed and charged by the
-//!   runtime; leases carry a relocation `epoch`); when every row is
-//!   taken, admission time-multiplexes the least-crowded band, and each
-//!   context switch is charged a full-region reconfig; when nothing is
-//!   shareable either, the runtime parks the submission in a FIFO
-//!   **admission queue** drained on release. Placement is
-//!   **cache-aware**: among feasible grids the runtime prefers one whose
-//!   region shape is already warm in the configuration cache, so a
-//!   mixed-width pool compiles each structure once, not once per width.
-//!   Queueing, compaction and the warm preference are the admission
-//!   policy, not options; `RuntimeConfig::time_share` is its one bit.
+//!   bands through one allocator, [`GridPool::allocate`], whose ordered
+//!   policy is the whole admission policy. A grid with a free run of the
+//!   needed rows gets a dedicated band — placement is **cache-aware**:
+//!   among such grids the runtime prefers one whose region shape is
+//!   already warm in the configuration cache, so a mixed-width pool
+//!   compiles each structure once, not once per width. When the free rows
+//!   are fragmented, **band compaction** slides bands down (reported as
+//!   [`pool::Relocation`]s, replayed and charged by the runtime; leases
+//!   carry a relocation `epoch`); when the rows are not there, admission
+//!   time-multiplexes the least-crowded band tall enough, and each
+//!   context switch is charged a full-region reconfig; when no band is
+//!   tall enough either, the runtime parks the submission in a FIFO
+//!   **admission queue** drained on release. None of these steps is an
+//!   option.
 //! * [`engine`] — **batched streaming execution**: every job's mapped
 //!   graph is lowered once per `run` call to a flat `vcgra::sim::ExecPlan`
 //!   and cut into units of 64 items, which the worker threads take

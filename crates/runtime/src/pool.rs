@@ -2,26 +2,27 @@
 //!
 //! The pool owns a set of [`VcgraArch`] grids. A tenant asks for enough
 //! PEs for its graph; the scheduler carves a **band** — a horizontal
-//! stripe of consecutive rows spanning the grid's full width — out of the
-//! first grid with room (first-fit packing, so several small applications
-//! share one grid). The runtime layers three admission upgrades on top:
+//! stripe of consecutive rows spanning the grid's full width — out of a
+//! grid with room, so several small applications share one grid.
+//! [`GridPool::allocate`] is the one placement entry point and one
+//! ordered policy; the first step that applies decides:
 //!
-//! * **placement candidates** — [`GridPool::dedicated_candidates`] lists
-//!   every grid that could host a dedicated band *right now*, so the
-//!   runtime can pick the grid whose region shape is already warm in the
-//!   configuration cache instead of blindly taking the first fit;
-//! * **band compaction** — when a tenant needs N contiguous rows and N
-//!   rows are free but fragmented, [`GridPool::allocate_with`] slides the
-//!   grid's bands down to row 0 (preserving their order), coalescing the
-//!   free rows into one run. Every move is reported as a [`Relocation`]
-//!   so the runtime can replay the displaced tenants' cached
-//!   configurations onto the translated bands and charge the move as
-//!   reconfiguration time;
-//! * **time-multiplexing** — when no dedicated band exists even after
-//!   compaction, the new tenant shares the smallest already-allocated
-//!   band that is big enough, and the execution engine serializes the
-//!   band's tenants, charging a full-region micro-reconfiguration per
-//!   context switch.
+//! 1. **dedicated band** — on the first grid (index order) with a free
+//!    run of the needed rows that the caller *prefers* (the runtime
+//!    prefers a grid whose region shape is already warm in the
+//!    configuration cache), else on the first grid with a free run;
+//! 2. **band compaction** — when the rows are free but fragmented, the
+//!    first grid whose total free rows suffice has its bands slid down to
+//!    row 0 (preserving their order), coalescing the free rows into one
+//!    run. Every move is reported as a [`Relocation`] so the runtime can
+//!    replay the displaced tenants' cached configurations onto the
+//!    translated bands and charge the move as reconfiguration time;
+//! 3. **time-multiplexing** — the new tenant shares the least-crowded
+//!    already-allocated band that is big enough, and the execution engine
+//!    serializes the band's tenants, charging a full-region
+//!    micro-reconfiguration per context switch;
+//! 4. [`PoolError::Oversubscribed`] (the runtime queues the submission)
+//!    or, for a demand no empty grid could hold, [`PoolError::TooBig`].
 //!
 //! Bands span full grid width because the VCGRA routing channels run
 //! between adjacent PEs: a full-width stripe guarantees a tenant's routes
@@ -48,7 +49,9 @@ pub struct Lease {
     pub rows: usize,
     /// Columns (the grid's full width).
     pub cols: usize,
-    /// True when the band is shared with other tenants (time-multiplexed).
+    /// True while the band holds more than one tenant (time-multiplexed).
+    /// The pool writes it at allocation; the runtime refreshes it on every
+    /// lease of a band whenever a tenant joins or leaves that band.
     pub shared: bool,
     /// Relocation epoch: how many times this lease has been moved by
     /// band compaction. A fresh lease is epoch 0; the runtime bumps it
@@ -170,7 +173,7 @@ pub enum PoolError {
     },
     /// The graph would fit an empty grid, but every band big enough is
     /// already carved up by smaller tenants — admission must wait for a
-    /// release (the runtime queues the request when its queue is on).
+    /// release (the runtime queues the request).
     Oversubscribed {
         /// PEs the application needs.
         needed: usize,
@@ -249,112 +252,64 @@ impl GridPool {
         demand.div_ceil(cols).max(2)
     }
 
-    /// Grids (in index order) that could host a *dedicated* band for
-    /// `demand` PEs right now, without compaction. The runtime uses this
-    /// list for cache-aware placement: among feasible grids, prefer one
-    /// whose region shape is already warm in the configuration cache.
-    pub fn dedicated_candidates(&self, demand: usize) -> Vec<usize> {
-        self.grids
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| {
-                let rows = Self::rows_needed(demand, g.arch.cols);
-                rows <= g.arch.rows && g.find_free(rows).is_some()
-            })
-            .map(|(gi, _)| gi)
-            .collect()
-    }
-
-    /// Places a dedicated band for `tenant` on a specific grid. Returns
-    /// `None` when the grid has no contiguous run of the needed rows (use
-    /// [`GridPool::dedicated_candidates`] first).
-    pub fn allocate_on(&mut self, grid: usize, tenant: TenantId, demand: usize) -> Option<Lease> {
-        assert!(demand > 0);
-        let g = &mut self.grids[grid];
-        let rows = Self::rows_needed(demand, g.arch.cols);
-        if rows > g.arch.rows {
-            return None;
-        }
-        let row0 = g.find_free(rows)?;
-        g.bands.push(Band { row0, rows, tenants: vec![tenant] });
-        Some(Lease { grid, row0, rows, cols: g.arch.cols, shared: false, epoch: 0 })
-    }
-
-    /// Places a tenant needing `demand` PEs: dedicated first-fit band if
-    /// any grid has room; otherwise the least-crowded big-enough existing
-    /// band, time-multiplexed. Never compacts — see
-    /// [`GridPool::allocate_with`].
-    pub fn allocate(&mut self, tenant: TenantId, demand: usize) -> Result<Lease, PoolError> {
-        self.allocate_with(tenant, demand, false, true).map(|(lease, _)| lease)
-    }
-
-    /// Places a tenant needing `demand` PEs, with band compaction as a
-    /// middle step when `compact` is set:
-    ///
-    /// 1. dedicated first-fit band on any grid;
-    /// 2. (`compact`) first grid whose *total* free rows suffice: slide
-    ///    its bands down to coalesce the free rows, then allocate the
-    ///    dedicated band — the moves come back as [`Relocation`]s;
-    /// 3. (`share`) time-multiplex the least-crowded big-enough existing
-    ///    band — a runtime that prefers queueing latency over
-    ///    context-switch cost passes `share: false` to skip this step;
-    /// 4. [`PoolError::Oversubscribed`] / [`PoolError::TooBig`].
-    pub fn allocate_with(
+    /// Places a tenant needing `demand` PEs — the module doc's ordered
+    /// policy. `prefer` is asked, in index order, about each grid that
+    /// could host a dedicated band right now; the first it holds for gets
+    /// the band, and if it holds for none the first grid asked does. The
+    /// [`Relocation`]s are the bands step 2 moved (empty otherwise).
+    pub fn allocate(
         &mut self,
         tenant: TenantId,
         demand: usize,
-        compact: bool,
-        share: bool,
+        prefer: impl Fn(usize) -> bool,
     ) -> Result<(Lease, Vec<Relocation>), PoolError> {
         assert!(demand > 0);
-        // 1. Dedicated band, first fit.
-        for (gi, grid) in self.grids.iter_mut().enumerate() {
+        // 1. Dedicated band: first fit, unless a later grid is preferred.
+        let mut pick = None;
+        for (gi, grid) in self.grids.iter().enumerate() {
             let rows = Self::rows_needed(demand, grid.arch.cols);
             if rows > grid.arch.rows {
                 continue;
             }
             if let Some(row0) = grid.find_free(rows) {
-                grid.bands.push(Band { row0, rows, tenants: vec![tenant] });
-                let lease =
-                    Lease { grid: gi, row0, rows, cols: grid.arch.cols, shared: false, epoch: 0 };
-                return Ok((lease, Vec::new()));
+                if prefer(gi) {
+                    pick = Some((gi, row0, rows));
+                    break;
+                }
+                pick = pick.or(Some((gi, row0, rows)));
             }
         }
+        if let Some((gi, row0, rows)) = pick {
+            return Ok((self.carve(gi, row0, rows, tenant), Vec::new()));
+        }
         // 2. Compaction: the free rows exist, just not contiguously.
-        if compact {
-            for gi in 0..self.grids.len() {
-                let rows = Self::rows_needed(demand, self.grids[gi].arch.cols);
-                if rows > self.grids[gi].arch.rows || self.grids[gi].free_rows() < rows {
-                    continue;
-                }
-                let relocations = self.grids[gi].compact(gi);
-                let grid = &mut self.grids[gi];
-                let row0 = grid.find_free(rows).expect("compaction coalesces all free rows");
-                grid.bands.push(Band { row0, rows, tenants: vec![tenant] });
-                let lease =
-                    Lease { grid: gi, row0, rows, cols: grid.arch.cols, shared: false, epoch: 0 };
-                return Ok((lease, relocations));
+        for gi in 0..self.grids.len() {
+            let grid = &mut self.grids[gi];
+            let rows = Self::rows_needed(demand, grid.arch.cols);
+            if rows > grid.arch.rows || grid.free_rows() < rows {
+                continue;
             }
+            let relocations = grid.compact(gi);
+            let row0 = grid.find_free(rows).expect("compaction coalesces all free rows");
+            return Ok((self.carve(gi, row0, rows, tenant), relocations));
         }
         // 3. Time-multiplex: least-crowded band with enough PEs.
         let mut best: Option<(usize, usize)> = None; // (grid, band index)
-        if share {
-            for (gi, grid) in self.grids.iter().enumerate() {
-                let rows = Self::rows_needed(demand, grid.arch.cols);
-                for (bi, band) in grid.bands.iter().enumerate() {
-                    if band.rows < rows {
-                        continue;
+        for (gi, grid) in self.grids.iter().enumerate() {
+            let rows = Self::rows_needed(demand, grid.arch.cols);
+            for (bi, band) in grid.bands.iter().enumerate() {
+                if band.rows < rows {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((bg, bb)) => {
+                        let cur = &self.grids[bg].bands[bb];
+                        (band.tenants.len(), band.rows) < (cur.tenants.len(), cur.rows)
                     }
-                    let better = match best {
-                        None => true,
-                        Some((bg, bb)) => {
-                            let cur = &self.grids[bg].bands[bb];
-                            (band.tenants.len(), band.rows) < (cur.tenants.len(), cur.rows)
-                        }
-                    };
-                    if better {
-                        best = Some((gi, bi));
-                    }
+                };
+                if better {
+                    best = Some((gi, bi));
                 }
             }
         }
@@ -376,6 +331,13 @@ impl GridPool {
         // from "fits an empty grid, come back after a release".
         self.fits_any_grid(demand)?;
         Err(PoolError::Oversubscribed { needed: demand })
+    }
+
+    /// Books a new dedicated band for `tenant`.
+    fn carve(&mut self, grid: usize, row0: usize, rows: usize, tenant: TenantId) -> Lease {
+        let g = &mut self.grids[grid];
+        g.bands.push(Band { row0, rows, tenants: vec![tenant] });
+        Lease { grid, row0, rows, cols: g.arch.cols, shared: false, epoch: 0 }
     }
 
     /// `Ok` when `demand` would fit some *empty* grid of the pool —
@@ -445,16 +407,25 @@ impl GridPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     fn pool() -> GridPool {
         GridPool::new(vec![VcgraArch::new(6, 4, 2), VcgraArch::new(4, 4, 2)])
     }
 
+    /// Allocates with no grid preferred and no relocation expected.
+    fn place(p: &mut GridPool, tenant: TenantId, demand: usize) -> Result<Lease, PoolError> {
+        p.allocate(tenant, demand, |_| false).map(|(lease, relocations)| {
+            assert!(relocations.is_empty(), "tenant {tenant} was not expected to compact");
+            lease
+        })
+    }
+
     #[test]
     fn small_tenants_pack_one_grid() {
         let mut p = pool();
-        let a = p.allocate(1, 7).unwrap(); // 2 rows of 4
-        let b = p.allocate(2, 8).unwrap(); // 2 rows of 4
+        let a = place(&mut p, 1, 7).unwrap(); // 2 rows of 4
+        let b = place(&mut p, 2, 8).unwrap(); // 2 rows of 4
         assert_eq!((a.grid, a.row0, a.rows), (0, 0, 2));
         assert_eq!((b.grid, b.row0, b.rows), (0, 2, 2));
         assert!(!a.shared && !b.shared);
@@ -466,12 +437,12 @@ mod tests {
     fn overflow_spills_to_second_grid_then_time_multiplexes() {
         let mut p = pool();
         for t in 0..5 {
-            let l = p.allocate(t, 8).unwrap();
+            let l = place(&mut p, t, 8).unwrap();
             assert!(!l.shared, "tenant {t} should get a dedicated band");
         }
         // All 10 rows are taken (3 bands on grid 0, 2 on grid 1): the sixth
         // tenant shares.
-        let l = p.allocate(5, 8).unwrap();
+        let l = place(&mut p, 5, 8).unwrap();
         assert!(l.shared);
         let mates = p.band_tenants(l.grid, l.row0);
         assert_eq!(mates.len(), 2);
@@ -481,14 +452,14 @@ mod tests {
     #[test]
     fn release_frees_bands_for_reuse() {
         let mut p = pool();
-        let a = p.allocate(1, 24).unwrap(); // whole grid 0
+        let a = place(&mut p, 1, 24).unwrap(); // whole grid 0
         assert_eq!(a.rows, 6);
         // Grid 0 is full and grid 1 is too small, so a second 24-PE tenant
         // can only time-share tenant 1's band.
-        assert!(p.allocate(2, 24).unwrap().shared);
+        assert!(place(&mut p, 2, 24).unwrap().shared);
         assert!(p.release(2));
         assert!(p.release(1));
-        let b = p.allocate(3, 24).unwrap();
+        let b = place(&mut p, 3, 24).unwrap();
         assert_eq!((b.grid, b.row0, b.rows, b.shared), (0, 0, 6, false));
         assert!(!p.release(99), "unknown tenant");
     }
@@ -496,7 +467,7 @@ mod tests {
     #[test]
     fn too_big_is_rejected() {
         let mut p = pool();
-        let err = p.allocate(1, 25).unwrap_err();
+        let err = place(&mut p, 1, 25).unwrap_err();
         assert_eq!(err, PoolError::TooBig { needed: 25, largest: 24 });
     }
 
@@ -506,21 +477,21 @@ mod tests {
         // Fill both grids with 2-row bands; a 5-row tenant would fit an
         // empty grid 0 (6 rows) but no band is big enough to share.
         for t in 0..5 {
-            p.allocate(t, 8).unwrap();
+            place(&mut p, t, 8).unwrap();
         }
-        let err = p.allocate(9, 18).unwrap_err();
+        let err = place(&mut p, 9, 18).unwrap_err();
         assert_eq!(err, PoolError::Oversubscribed { needed: 18 });
         // After releasing grid 0's bands the same tenant gets a lease.
         for t in 0..3 {
             p.release(t);
         }
-        assert!(!p.allocate(9, 18).unwrap().shared);
+        assert!(!place(&mut p, 9, 18).unwrap().shared);
     }
 
     #[test]
     fn region_arch_is_band_shaped() {
         let mut p = pool();
-        let l = p.allocate(1, 10).unwrap(); // 3 rows of 4
+        let l = place(&mut p, 1, 10).unwrap(); // 3 rows of 4
         assert_eq!((l.rows, l.cols), (3, 4));
         assert_eq!(l.pe_count(), 12);
     }
@@ -530,19 +501,20 @@ mod tests {
         // One 16-row grid. Occupy rows 0-5 and 6-8, release the first
         // band: 13 rows are free (0-5 and 9-15) but the longest run is 7.
         let mut p = GridPool::new(vec![VcgraArch::new(16, 4, 2)]);
-        p.allocate(1, 24).unwrap(); // rows 0-5
-        let mid = p.allocate(2, 12).unwrap(); // rows 6-8
+        place(&mut p, 1, 24).unwrap(); // rows 0-5
+        let mid = place(&mut p, 2, 12).unwrap(); // rows 6-8
         assert_eq!((mid.row0, mid.rows), (6, 3));
         assert!(p.release(1));
         assert_eq!(p.free_rows(0), 13);
 
-        // 52 PEs → 13 rows of 4. First fit (and time-sharing: the only
-        // band has 3 rows) refuses.
-        assert_eq!(p.allocate(9, 52).unwrap_err(), PoolError::Oversubscribed { needed: 52 });
+        // 52 PEs → 13 rows of 4: the one band sits in the middle, so first
+        // fit has runs of 6 and 7 to offer (and 3 rows are too few to share).
+        assert_eq!(GridPool::rows_needed(52, 4), 13);
+        assert_eq!(p.bands().iter().map(|b| (b.row0, b.rows)).collect::<Vec<_>>(), [(6, 3)]);
 
-        // With compaction the 3-row band slides to row 0 and the 13-row
-        // tenant admits at row 3.
-        let (lease, relocs) = p.allocate_with(9, 52, true, true).unwrap();
+        // The 3-row band slides to row 0 and the 13-row tenant admits at
+        // row 3.
+        let (lease, relocs) = p.allocate(9, 52, |_| false).unwrap();
         assert_eq!((lease.row0, lease.rows, lease.shared), (3, 13, false));
         assert_eq!(relocs.len(), 1);
         assert_eq!(
@@ -558,13 +530,14 @@ mod tests {
     fn compaction_preserves_band_order_and_reports_every_move() {
         let mut p = GridPool::new(vec![VcgraArch::new(10, 4, 2)]);
         for t in 0..5 {
-            p.allocate(t, 8).unwrap(); // five 2-row bands, rows 0..10
+            place(&mut p, t, 8).unwrap(); // five 2-row bands, rows 0..10
         }
         p.release(0); // rows 0-1 free
         p.release(2); // rows 4-5 free
-        // 4 free rows, max run 2: a 3-row tenant needs compaction.
-        assert!(p.allocate(7, 12).is_err());
-        let (lease, relocs) = p.allocate_with(7, 12, true, true).unwrap();
+        // 4 free rows in two runs of 2: a 3-row tenant needs compaction.
+        assert_eq!(p.bands().iter().map(|b| b.row0).collect::<Vec<_>>(), [2, 6, 8]);
+        assert_eq!(p.free_rows(0), 4);
+        let (lease, relocs) = p.allocate(7, 12, |_| false).unwrap();
         assert_eq!((lease.row0, lease.rows), (6, 3));
         // Bands 1, 3, 4 all moved down, order preserved.
         assert_eq!(
@@ -583,21 +556,38 @@ mod tests {
         assert_eq!(bands[3].tenants, vec![7]);
     }
 
+    /// The grids `prefer` is asked about are exactly the ones with a free
+    /// run of the needed rows, in index order, and the first it holds for
+    /// gets the band.
     #[test]
     fn dedicated_candidates_lists_every_feasible_grid() {
+        let asked = RefCell::new(Vec::new());
+        let ask = |p: &mut GridPool, tenant, demand, want: Option<usize>| {
+            asked.borrow_mut().clear();
+            let placed = p.allocate(tenant, demand, |g| {
+                asked.borrow_mut().push(g);
+                Some(g) == want
+            });
+            (placed.map(|(lease, _)| lease), asked.borrow().clone())
+        };
         let mut p = pool();
-        assert_eq!(p.dedicated_candidates(8), vec![0, 1]);
-        // Fill grid 0 entirely.
-        p.allocate(1, 24).unwrap();
-        assert_eq!(p.dedicated_candidates(8), vec![1]);
-        // A 5-row demand only ever fits grid 0.
-        assert_eq!(p.dedicated_candidates(20), Vec::<usize>::new());
+        // Nobody preferred: both grids are asked, the first fit wins.
+        let (l, grids) = ask(&mut p, 1, 8, None);
+        assert_eq!((l.unwrap().grid, grids), (0, vec![0, 1]));
+        // The pick is honored, on the rows first fit finds there.
+        let (l, grids) = ask(&mut p, 2, 8, Some(1));
+        let l = l.unwrap();
+        assert_eq!(((l.grid, l.row0, l.rows), grids), ((1, 0, 2), vec![0, 1]));
+        // A 5-row demand only ever fits grid 0, and only when it is empty:
+        // with no candidate nobody is asked, and nothing is shareable.
+        let (l, grids) = ask(&mut p, 3, 20, Some(1));
+        assert_eq!((l.unwrap_err(), grids), (PoolError::Oversubscribed { needed: 20 }, vec![]));
         p.release(1);
-        assert_eq!(p.dedicated_candidates(20), vec![0]);
-        // allocate_on honors the pick.
-        let l = p.allocate_on(1, 9, 8).unwrap();
-        assert_eq!((l.grid, l.row0, l.rows), (1, 0, 2));
-        assert!(p.allocate_on(1, 10, 20).is_none(), "5 rows never fit grid 1");
+        let (l, grids) = ask(&mut p, 3, 20, Some(1));
+        assert_eq!((l.unwrap().grid, grids), (0, vec![0]));
+        // Grid 0 has one row left: grid 1 is the only candidate.
+        let (l, grids) = ask(&mut p, 4, 8, Some(0));
+        assert_eq!((l.unwrap().grid, grids), (1, vec![1]));
     }
 
     #[test]
@@ -605,14 +595,14 @@ mod tests {
         let mut p = pool();
         // Fill every row of both grids with dedicated bands.
         for t in 0..5 {
-            assert!(!p.allocate(t, 8).unwrap().shared);
+            assert!(!place(&mut p, t, 8).unwrap().shared);
         }
         assert_eq!(p.utilization(), 1.0);
         // Oversubscribe: three more tenants time-share existing bands.
         // The rows are a spatial resource — utilization must stay exactly
         // 1.0, not double-count the shared bands.
         for t in 5..8 {
-            assert!(p.allocate(t, 8).unwrap().shared);
+            assert!(place(&mut p, t, 8).unwrap().shared);
         }
         assert_eq!(p.utilization(), 1.0, "shared bands must count once");
         // Releasing one sharer of a 2-tenant band frees no rows...

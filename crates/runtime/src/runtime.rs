@@ -2,18 +2,21 @@
 //!
 //! Lifecycle of an application:
 //!
-//! 1. **submit** — the scheduler leases a grid region. Placement is
-//!    **cache-aware**: among the grids that could host a dedicated band,
-//!    the runtime prefers one whose (region, structure) key is already
-//!    warm in the configuration cache, so a mixed-width pool does not
-//!    recompile one structure once per grid width. If no grid has a
-//!    contiguous band but one has enough *fragmented* free rows, the
-//!    scheduler **compacts** — slides that grid's bands down and replays
-//!    the displaced tenants' configurations onto the translated bands
-//!    (charged to the ledger as reconfiguration time; each moved lease's
-//!    `epoch` advances). If even compaction cannot help and no band is
-//!    shareable, the request enters the FIFO **admission queue** and
-//!    `submit` returns [`Admission::Queued`] instead of an error.
+//! 1. **submit** — the scheduler leases a grid region, by the pool's one
+//!    ordered policy. Placement is **cache-aware**: among the grids that
+//!    could host a dedicated band, the runtime prefers one whose (region,
+//!    structure) key is already warm in the configuration cache, so a
+//!    mixed-width pool does not recompile one structure once per grid
+//!    width. If no grid has a contiguous band but one has enough
+//!    *fragmented* free rows, the scheduler **compacts** — slides that
+//!    grid's bands down and replays the displaced tenants' configurations
+//!    onto the translated bands (charged to the ledger as reconfiguration
+//!    time; each moved lease's `epoch` advances). If compaction cannot
+//!    help, the tenant **time-shares** the least-crowded band tall enough
+//!    (every lease on that band then says `shared`, until it is alone
+//!    again). If no band is tall enough either, the request enters the
+//!    FIFO **admission queue** and `submit` returns
+//!    [`Admission::Queued`] instead of an error.
 //!    Once a region is leased, the configuration cache is consulted with
 //!    the (region, structure) key: a **miss** runs the full `map_app`
 //!    compile and caches the result; a **hit** clones the cached

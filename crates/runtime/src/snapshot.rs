@@ -118,14 +118,25 @@ impl Runtime {
         verify::Verifier::new().verify_timeline(&self.timeline_snapshot())
     }
 
+    /// The full invariant sweep: the sched pass plus the timeline pass,
+    /// merged into one report.
+    pub fn verify_all(&self) -> verify::VerifyReport {
+        let mut report = self.verify();
+        let timeline = self.verify_timeline();
+        report.pass = "sched+timeline";
+        report.checked += timeline.checked;
+        report.seconds += timeline.seconds;
+        report.violations.extend(timeline.violations);
+        report
+    }
+
     /// With `verify_on_admit` set, fails the enclosing operation when the
     /// sched pass or the timeline pass finds a violated invariant.
     pub(crate) fn enforce_invariants(&self) -> Result<(), RuntimeError> {
         if !self.cfg.verify_on_admit {
             return Ok(());
         }
-        let mut violations = self.verify().violations;
-        violations.extend(self.verify_timeline().violations);
+        let violations = self.verify_all().violations;
         if violations.is_empty() {
             Ok(())
         } else {

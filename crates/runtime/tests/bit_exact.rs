@@ -303,20 +303,21 @@ fn malformed(why: GraphError) -> RuntimeError {
     RuntimeError::Flow(FlowError::Graph(why))
 }
 
-/// One 4x4 grid, no time-sharing: `served`'s tenant and a second one fill
-/// it, a third waits. Returns the runtime, `served`'s pair, then the
-/// second and the waiting id.
-fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId) {
+/// One 5x4 grid: `served`'s tenant and a second one hold a 2-row band
+/// each, and a 3-row FIR waits — one row is free and neither band is tall
+/// enough to share. Returns the runtime, `served`'s pair, the second id,
+/// then the waiting id and its graph.
+fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId, AppGraph) {
     let mut rt = Runtime::new(RuntimeConfig {
-        grids: vec![vcgra::VcgraArch::new(4, 4, 2)],
-        time_share: false,
+        grids: vec![vcgra::VcgraArch::new(5, 4, 2)],
         ..RuntimeConfig::default()
     });
     let (good_id, good) = served(&mut rt);
     let second = rt.submit("second", good.clone()).unwrap().tenant();
-    let waiting = rt.submit("waiting", good.clone()).unwrap();
-    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
-    (rt, good_id, good, second, waiting.tenant())
+    let waiter = kernels::fir_seeded(F, 5, 3).graph; // 9 nodes → 3 rows
+    let waiting = rt.submit("waiting", waiter.clone()).unwrap();
+    assert!(waiting.is_queued(), "one free row, two 2-row bands: nowhere to put three rows");
+    (rt, good_id, good, second, waiting.tenant(), waiter)
 }
 
 #[test]
@@ -339,7 +340,7 @@ fn an_empty_graph_is_refused_not_a_panic() {
 
     // A full pool with a tenant waiting: the empty graph must not take a
     // queue slot, nor replace the waiting tenant's graph.
-    let (mut rt, good_id, good, second, waiting) = full_pool_with_a_waiter();
+    let (mut rt, good_id, good, second, waiting, waiter) = full_pool_with_a_waiter();
     let before = state(&rt);
     assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
     assert_eq!(rt.resubmit(waiting, empty()).unwrap_err(), refused);
@@ -350,7 +351,7 @@ fn an_empty_graph_is_refused_not_a_panic() {
     let drained = rt.release(second).unwrap();
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].tenant, waiting);
-    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), waiter.nodes.len());
     assert_still_served(&mut rt, good_id, &good);
 }
 
@@ -417,7 +418,7 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
 
     // A full pool with a tenant waiting: the graph must not take a queue
     // slot, nor replace the waiting tenant's graph.
-    let (mut rt, good_id, good, second, waiting) = full_pool_with_a_waiter();
+    let (mut rt, good_id, good, second, waiting, waiter) = full_pool_with_a_waiter();
     let before = state(&rt);
     for (name, graph, refused) in &table {
         assert_eq!(&rt.submit(*name, graph.clone()).unwrap_err(), refused, "{name}");
@@ -431,7 +432,7 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     let drained = rt.release(second).unwrap();
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].tenant, waiting);
-    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), waiter.nodes.len());
     assert_still_served(&mut rt, good_id, &good);
 }
 
@@ -487,8 +488,7 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     // go to the queue.
     let wide = unroutable_at_capacity_one();
     let mut rt = Runtime::new(RuntimeConfig {
-        grids: vec![vcgra::VcgraArch::new(4, 4, 1)],
-        time_share: false,
+        grids: vec![vcgra::VcgraArch::new(5, 4, 1)],
         ..RuntimeConfig::default()
     });
     let (good_id, good) = served(&mut rt);
@@ -504,10 +504,12 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     assert_eq!(rt.ledger().refused, 0, "the door counts malformed graphs only");
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
-    // Fill the grid and park a waiter behind it.
+    // Leave one row free and park a 3-row waiter behind the two 2-row
+    // bands, neither tall enough to share.
     let victim = rt.submit("victim", good.clone()).unwrap().tenant();
-    let waiting = rt.submit("waiting", good.clone()).unwrap();
-    assert!(waiting.is_queued(), "two 2-row bands fill the 4-row grid");
+    let waiter = kernels::fir_seeded(F, 5, 3).graph; // 9 nodes → 3 rows
+    let waiting = rt.submit("waiting", waiter.clone()).unwrap();
+    assert!(waiting.is_queued(), "one free row, two 2-row bands: nowhere to put three rows");
     let bands_before = rt.pool().bands().len();
     let err = rt.resubmit(victim, wide).unwrap_err();
     assert!(matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })), "{err}");
@@ -521,11 +523,11 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Everyone still here is served as before.
-    let ins = stream(2, 4, 7);
-    for tenant in [waiting.tenant(), good_id] {
+    for (tenant, graph) in [(waiting.tenant(), &waiter), (good_id, &good)] {
+        let ins = stream(graph.num_inputs, 4, 7);
         let runs = rt.run(vec![StreamRequest { tenant, inputs: ins.clone() }]).unwrap();
         for (input, out) in ins.iter().zip(&runs[0].outputs) {
-            assert_eq!(out[0].bits, run_dataflow(&good, input)[0].bits);
+            assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
         }
     }
 }

@@ -8,10 +8,12 @@
 //! * **no leaks** — every live tenant sits on exactly one band, released
 //!   tenants are gone, and empty bands are reclaimed;
 //! * **conservation** — leased rows + free rows == grid rows, always;
-//! * **compaction completeness** — a request whose row demand fits the
-//!   *total* free rows of some grid is always admitted (dedicated, not
-//!   time-shared) when compaction is on: fragmentation alone can never
-//!   refuse work;
+//! * **the policy's order** — a grid with a free run gets the band (the
+//!   preferred one if it has a run, else the first) and nothing moves;
+//!   failing that, a request whose row demand fits the *total* free rows
+//!   of some grid is admitted dedicated by compaction — fragmentation
+//!   alone can never refuse work or time-share it; failing that it
+//!   shares, and it is refused only when no band is tall enough;
 //! * **honest relocation reports** — every `Relocation` the scheduler
 //!   returns matches the band state after the move.
 //!
@@ -68,13 +70,36 @@ fn check_invariants(p: &GridPool, live: &BTreeSet<TenantId>) {
     }
 }
 
+/// Rows `demand` needs on grid `gi`, if the grid is tall enough at all.
+fn rows_on(p: &GridPool, gi: usize, demand: usize) -> Option<usize> {
+    let arch = p.grid_archs()[gi];
+    Some(GridPool::rows_needed(demand, arch.cols)).filter(|&rows| rows <= arch.rows)
+}
+
+/// Longest run of consecutive free rows on one grid, read off `bands()`.
+fn longest_free_run(p: &GridPool, gi: usize) -> usize {
+    let mut longest = 0;
+    let mut next = 0;
+    for b in p.bands().iter().filter(|b| b.grid == gi) {
+        longest = longest.max(b.row0 - next);
+        next = b.row0 + b.rows;
+    }
+    longest.max(p.grid_archs()[gi].rows - next)
+}
+
+/// Grids, in index order, with a free run long enough for a dedicated
+/// band right now.
+fn grids_with_a_run(p: &GridPool, demand: usize) -> Vec<usize> {
+    (0..p.grid_archs().len())
+        .filter(|&gi| rows_on(p, gi, demand).is_some_and(|rows| rows <= longest_free_run(p, gi)))
+        .collect()
+}
+
 /// True when some grid could host a dedicated band for `demand` once its
 /// free rows are coalesced.
 fn fits_after_compaction(p: &GridPool, demand: usize) -> bool {
-    p.grid_archs().iter().enumerate().any(|(gi, a)| {
-        let rows = GridPool::rows_needed(demand, a.cols);
-        rows <= a.rows && rows <= p.free_rows(gi)
-    })
+    (0..p.grid_archs().len())
+        .any(|gi| rows_on(p, gi, demand).is_some_and(|rows| rows <= p.free_rows(gi)))
 }
 
 proptest! {
@@ -89,31 +114,34 @@ proptest! {
         let mut next: TenantId = 0;
         for (kind, demand) in ops {
             match kind % 4 {
-                // Plain first-fit / time-share allocation.
-                0 | 1 => {
+                // Allocate, preferring one grid: the lease must be what the
+                // policy's order says for the state it found.
+                0..=2 => {
                     let id = next;
                     next += 1;
-                    match p.allocate(id, demand) {
-                        Ok(_) => { live.insert(id); }
-                        Err(PoolError::TooBig { .. } | PoolError::Oversubscribed { .. }) => {}
-                    }
-                }
-                // Compacting allocation: must succeed (dedicated) whenever
-                // total free rows suffice somewhere, and its relocation
-                // report must match the resulting band state.
-                2 => {
-                    let id = next;
-                    next += 1;
+                    let preferred = usize::from(kind / 4) % 3;
+                    let with_a_run = grids_with_a_run(&p, demand);
                     let guaranteed = fits_after_compaction(&p, demand);
-                    match p.allocate_with(id, demand, true, kind % 8 < 4) {
+                    let shareable = p
+                        .bands()
+                        .iter()
+                        .any(|b| rows_on(&p, b.grid, demand).is_some_and(|rows| rows <= b.rows));
+                    match p.allocate(id, demand, |g| g == preferred) {
                         Ok((lease, relocs)) => {
                             live.insert(id);
-                            if guaranteed {
-                                prop_assert!(
-                                    !lease.shared,
-                                    "free rows sufficed: must be dedicated, not shared"
-                                );
+                            if let Some(&first) = with_a_run.first() {
+                                let want = if with_a_run.contains(&preferred) { preferred } else { first };
+                                prop_assert_eq!(lease.grid, want, "a free run: preferred grid, else first");
+                                prop_assert!(relocs.is_empty(), "a free run needs no compaction");
+                            } else {
+                                prop_assert_eq!(!relocs.is_empty(), guaranteed, "compacts iff it helps");
                             }
+                            prop_assert_eq!(
+                                lease.shared,
+                                !guaranteed,
+                                "free rows sufficed: must be dedicated, not shared"
+                            );
+                            prop_assert!(guaranteed || shareable);
                             for r in &relocs {
                                 prop_assert_eq!(
                                     p.band_tenants(r.grid, r.new_row0),
@@ -129,6 +157,9 @@ proptest! {
                                 "fragmentation-only refusal despite compaction: {e} \
                                  (demand {demand})"
                             );
+                            prop_assert!(!shareable, "refused beside a band it could share: {e}");
+                            let never = (0..3).all(|gi| rows_on(&p, gi, demand).is_none());
+                            prop_assert_eq!(matches!(e, PoolError::TooBig { .. }), never);
                         }
                     }
                 }
@@ -158,7 +189,7 @@ proptest! {
                     p.release(t);
                     live.remove(&t);
                 }
-            } else if p.allocate(next, demand).is_ok() {
+            } else if p.allocate(next, demand, |_| false).is_ok() {
                 live.insert(next);
                 next += 1;
             } else {
@@ -181,17 +212,16 @@ proptest! {
         shapes_after.sort();
         prop_assert_eq!(shapes_before, shapes_after, "band shapes and tenants survive");
         check_invariants(&p, &live);
-        // After a full compaction every grid's free space is one run: any
-        // demand that fits the free rows is admissible without further
-        // moves.
+        // After a full compaction every grid's free space is one run: a
+        // demand for all of it is admitted there without further moves.
         for (gi, arch) in p.grid_archs().iter().enumerate() {
             let free = p.free_rows(gi);
+            prop_assert_eq!(longest_free_run(&p, gi), free, "grid {} is not coalesced", gi);
             if free >= 2 {
-                let demand = free * arch.cols;
-                prop_assert!(
-                    p.dedicated_candidates(demand).contains(&gi),
-                    "grid {gi} must offer its {free} coalesced free rows"
-                );
+                let (lease, relocs) = p.allocate(next, free * arch.cols, |g| g == gi).unwrap();
+                next += 1;
+                prop_assert_eq!((lease.grid, lease.rows, lease.shared), (gi, free, false));
+                prop_assert!(relocs.is_empty(), "grid {gi} must offer its {free} coalesced free rows");
             }
         }
     }

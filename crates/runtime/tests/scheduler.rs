@@ -42,29 +42,40 @@ fn assert_bit_exact(rt: &mut Runtime, tenant: TenantId, items: usize, salt: u64)
     }
 }
 
-#[test]
-fn queue_drains_in_fifo_order_on_release() {
-    // One 6x4 grid. A 6-row blocker fills it; everything after queues.
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
+/// One 10x4 grid with a 5-row blocker on rows 0–4. Five rows are free and
+/// the only band has five, so a 6-row tenant finds neither a run to take
+/// nor a band tall enough to share: it queues from geometry alone, and
+/// the blocker's release leaves the whole grid to the queue.
+fn half_blocked() -> (Runtime, TenantId) {
+    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(10, 4, 2)], ..RuntimeConfig::default() };
     let mut rt = Runtime::new(cfg);
     let blocker = rt
-        .submit("blocker", kernels::fir_seeded(F, 12, 1).graph) // 23 nodes → 6 rows
+        .submit("blocker", kernels::fir_seeded(F, 9, 1).graph) // 17 nodes → 5 rows
         .unwrap()
         .expect_admitted("empty pool");
+    (rt, blocker.tenant)
+}
 
-    // Three 2-row tenants queue up in submission order.
+/// The 6-row tenant `half_blocked` has no place for (23 nodes).
+fn six_rows(seed: u64) -> vcgra::app::AppGraph {
+    kernels::fir_seeded(F, 12, seed).graph
+}
+
+#[test]
+fn queue_drains_in_fifo_order_on_release() {
+    let (mut rt, blocker) = half_blocked();
+
+    // A 6-row head queues from geometry; two 2-row tenants would fit the
+    // free rows but queue up behind it, in submission order.
     let mut queued = Vec::new();
-    for (i, seed) in [2u64, 3, 4].iter().enumerate() {
-        match rt.submit(format!("q{i}"), kernels::fir_seeded(F, 3, *seed).graph).unwrap() {
+    let waiters = [six_rows(2), kernels::fir_seeded(F, 3, 3).graph, kernels::fir_seeded(F, 3, 4).graph];
+    for (i, graph) in waiters.into_iter().enumerate() {
+        match rt.submit(format!("q{i}"), graph).unwrap() {
             Admission::Queued(q) => {
                 assert_eq!(q.position, i, "positions count up from the head");
                 queued.push(q.tenant);
             }
-            Admission::Admitted(_) => panic!("pool is full, q{i} must queue"),
+            Admission::Admitted(_) => panic!("q{i} must queue"),
         }
     }
     assert_eq!(rt.queue_len(), 3);
@@ -73,15 +84,17 @@ fn queue_drains_in_fifo_order_on_release() {
 
     // Releasing the blocker admits all three, strictly in FIFO order,
     // packed from row 0.
-    let drained = rt.release(blocker.tenant).unwrap();
+    let drained = rt.release(blocker).unwrap();
     assert_eq!(
         drained.iter().map(|a| a.tenant).collect::<Vec<_>>(),
         queued,
         "drain must follow submission order"
     );
-    for (i, adm) in drained.iter().enumerate() {
-        assert_eq!(adm.lease.row0, i * 2, "FIFO drain packs first-fit");
-    }
+    assert_eq!(
+        drained.iter().map(|a| a.lease.row0).collect::<Vec<_>>(),
+        [0, 6, 8],
+        "FIFO drain packs first-fit"
+    );
     assert_eq!(rt.queue_len(), 0);
     assert_eq!(rt.ledger().queue_admitted, 3);
     for &t in &queued {
@@ -91,46 +104,36 @@ fn queue_drains_in_fifo_order_on_release() {
 
 #[test]
 fn late_submissions_never_jump_the_queue_head() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
-    let mut rt = Runtime::new(cfg);
-    let blocker = rt
-        .submit("blocker", kernels::fir_seeded(F, 12, 1).graph)
+    let (mut rt, blocker) = half_blocked();
+    let filler = rt
+        .submit("filler", kernels::fir_seeded(F, 7, 8).graph) // 13 nodes → 4 rows
         .unwrap()
-        .expect_admitted("empty pool");
-    // Head of queue: another 6-row tenant. Behind it: a 2-row one.
-    let big = rt.submit("big", kernels::fir_seeded(F, 12, 9).graph).unwrap();
+        .expect_admitted("five rows free");
+    // Head of queue: a 6-row tenant. Behind it: a 2-row one.
+    let big = rt.submit("big", six_rows(9)).unwrap();
     assert!(big.is_queued());
     let small = rt.submit("small", kernels::fir_seeded(F, 3, 5).graph).unwrap();
     assert!(small.is_queued(), "while the queue is non-empty, everyone joins it");
 
-    // Releasing the blocker admits only the big head; the small tenant
-    // must not overtake it even though it would have fit beside nothing.
-    let drained = rt.release(blocker.tenant).unwrap();
-    assert_eq!(drained.len(), 1);
-    assert_eq!(drained[0].tenant, big.tenant());
-    assert_eq!(rt.queued_tenants(), vec![small.tenant()]);
+    // The filler's release leaves five rows in a run: still none for the
+    // head, and the small tenant must not overtake it even though it
+    // would fit there.
+    assert!(rt.release(filler.tenant).unwrap().is_empty());
+    assert_eq!(rt.queued_tenants(), vec![big.tenant(), small.tenant()]);
 
-    // Now the big one leaves; the small head drains.
-    let drained = rt.release(big.tenant()).unwrap();
-    assert_eq!(drained.len(), 1);
-    assert_eq!(drained[0].tenant, small.tenant());
+    // Now the blocker leaves; the head drains first, the small one after.
+    let drained = rt.release(blocker).unwrap();
+    assert_eq!(
+        drained.iter().map(|a| (a.tenant, a.lease.row0)).collect::<Vec<_>>(),
+        [(big.tenant(), 0), (small.tenant(), 6)]
+    );
     assert_eq!(rt.queue_len(), 0);
 }
 
 #[test]
 fn queued_tenants_cannot_run_and_can_cancel() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
-    let mut rt = Runtime::new(cfg);
-    rt.submit("blocker", kernels::fir_seeded(F, 12, 1).graph).unwrap().expect_admitted("fits");
-    let q = rt.submit("waiter", kernels::fir_seeded(F, 3, 2).graph).unwrap();
+    let (mut rt, _blocker) = half_blocked();
+    let q = rt.submit("waiter", six_rows(2)).unwrap();
     assert!(q.is_queued());
     let id = q.tenant();
 
@@ -151,14 +154,10 @@ fn queued_tenants_cannot_run_and_can_cancel() {
 
 #[test]
 fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
     let mut rt = Runtime::new(cfg);
-    // Two free rows left; the 6-row head blocks a 2-row follower that
-    // would fit right now.
+    // Two free rows left and a 4-row band; the 6-row head, with nothing to
+    // take or share, blocks a 2-row follower that would fit right now.
     rt.submit("resident", kernels::fir_seeded(F, 7, 1).graph) // 13 nodes → 4 rows
         .unwrap()
         .expect_admitted("fits");
@@ -180,11 +179,7 @@ fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
 /// once, and when it has to wait in the queue for a neighbour to leave.
 #[test]
 fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
     let mut rt = Runtime::new(cfg);
     let id = rt
         .submit("tenant", kernels::fir_seeded(F, 3, 1).graph) // 5 nodes → 2 rows
@@ -204,8 +199,9 @@ fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
     assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
     assert_eq!(rt.tenant(id).unwrap().stats.items, 5, "recompiled in place");
 
-    // One that does not: three rows wanted, two free.
-    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 5, 4).graph).unwrap(); // 9 nodes → 3 rows
+    // One that does not: five rows wanted, two free, and the neighbour's
+    // four too few to share.
+    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 9, 4).graph).unwrap(); // 17 nodes → 5 rows
     assert!(matches!(refresh, Refresh::Queued(_)), "{refresh:?}");
     assert_eq!(rt.queued_tenants(), vec![id]);
 
@@ -219,14 +215,8 @@ fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
 
 #[test]
 fn impossible_demands_are_rejected_synchronously_even_behind_a_queue() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        time_share: false,
-        ..RuntimeConfig::default()
-    };
-    let mut rt = Runtime::new(cfg);
-    rt.submit("blocker", kernels::fir_seeded(F, 12, 1).graph).unwrap().expect_admitted("fits");
-    let waiter = rt.submit("waiter", kernels::fir_seeded(F, 3, 2).graph).unwrap();
+    let (mut rt, _blocker) = half_blocked();
+    let waiter = rt.submit("waiter", six_rows(2)).unwrap();
     assert!(waiter.is_queued());
 
     // 49 nodes need 13 rows — no grid of the pool could ever host that.
@@ -338,7 +328,7 @@ fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
     // would take grid 0.
     rt.release(blocker.tenant).unwrap();
     let fir_b = kernels::fir_seeded(F, 5, 42).graph;
-    assert_eq!(rt.pool().dedicated_candidates(fir_b.pe_demand()), [0, 1]);
+    assert_eq!((rt.pool().free_rows(0), rt.pool().free_rows(1)), (6, 4));
     // Same structure, new coefficients: admitted where the key is warm.
     let second = rt.submit("fir-b", fir_b).unwrap().expect_admitted("both grids have room");
     assert!(second.cache_hit);
@@ -470,6 +460,37 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
     assert_clean(&rt, 2);
 }
 
+/// `Lease::shared` says whether the band holds more than one tenant *now*,
+/// on every lease of the band — not what was true when each was admitted.
+#[test]
+fn the_shared_flag_follows_the_bands_membership() {
+    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
+    let mut rt = Runtime::new(cfg);
+    let four_rows = |seed| kernels::fir_seeded(F, 8, seed).graph; // 15 nodes → 4 rows
+    let shared = |rt: &Runtime, t: TenantId| {
+        rt.verify().assert_ok();
+        rt.tenant(t).unwrap().lease.shared
+    };
+
+    let a = rt.submit("a", four_rows(1)).unwrap().expect_admitted("empty grid").tenant;
+    assert!(!shared(&rt, a));
+    // Two rows are free, B wants four: it is time-multiplexed onto A's band,
+    // and A's lease has to learn of it.
+    let b = rt.submit("b", four_rows(2)).unwrap().expect_admitted("shares").tenant;
+    assert_eq!(rt.pool().band_tenants(0, 0), [a, b]);
+    assert!(shared(&rt, a) && shared(&rt, b));
+    // A structural resubmit takes B to a band of its own on the free rows.
+    let refresh = rt.resubmit(b, kernels::fir_seeded(F, 3, 3).graph).unwrap(); // 5 nodes → 2 rows
+    assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
+    assert!(!shared(&rt, a) && !shared(&rt, b));
+    // C shares A's band; A leaves, and the survivor's band is dedicated again.
+    let c = rt.submit("c", four_rows(4)).unwrap().expect_admitted("shares").tenant;
+    assert!(shared(&rt, a) && shared(&rt, c) && !shared(&rt, b));
+    rt.release(a).unwrap();
+    assert!(!shared(&rt, c));
+    assert_bit_exact(&mut rt, c, 4, 5);
+}
+
 /// Seeded multi-tenant churn through the queue: submissions, releases and
 /// streams interleave for dozens of rounds. The model tracks the expected
 /// FIFO queue; every drain must match it, every stream must stay
@@ -477,8 +498,7 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
 #[test]
 fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
     let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(6, 5, 2)],
-        time_share: false,
+        grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::new(2, 5, 2)],
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(cfg);
@@ -500,14 +520,34 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
         }
     };
 
-    for round in 0..60u64 {
-        match rng.below(4) {
-            // Submit a random small kernel.
+    for round in 0..120u64 {
+        // Rounds come in thirties. The fifteenth of each submits a tall
+        // tenant: by then short ones hold bands on the one grid tall enough
+        // for it, so it finds neither the rows nor a band of its height to
+        // share, and queues with everyone after it until that grid empties.
+        // The thirtieth clears the pool — a tall band lives for as long as
+        // anyone time-shares it, and whoever finds the pool full joins it —
+        // so the next tall tenant meets short bands again.
+        let tall_arrives = round % 30 == 14;
+        if round % 30 == 29 {
+            while let Some(victim) = live.pop() {
+                let drained = rt.release(victim).unwrap();
+                note_drained(&drained, &mut expected_queue, &mut live, &mut admitted_order);
+            }
+            assert_eq!(rt.queue_len(), 0, "an empty pool leaves nobody waiting");
+            continue;
+        }
+        let op = if tall_arrives { 0 } else { rng.below(4) };
+        match op {
             0 | 1 => {
-                let w = match rng.below(3) {
-                    0 => kernels::fir_seeded(F, 3, 100 + round),  // 2 rows
-                    1 => kernels::fir_seeded(F, 5, 200 + round),  // 3 rows (of 4)
-                    _ => kernels::tree_reduction(F, 4), // 2 rows
+                let w = if tall_arrives {
+                    kernels::fir_seeded(F, 9, 300 + round) // 5 rows of 4, none of the 2x5
+                } else {
+                    match rng.below(3) {
+                        0 => kernels::fir_seeded(F, 3, 100 + round), // 2 rows
+                        1 => kernels::fir_seeded(F, 5, 200 + round), // 3 rows of 4, 2 of 5
+                        _ => kernels::tree_reduction(F, 4),          // 2 rows
+                    }
                 };
                 let adm = rt.submit(format!("t{round}"), w.graph).unwrap();
                 submitted_order.push(adm.tenant());
@@ -551,11 +591,7 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
         assert!(rt.utilization() <= 1.0 + 1e-12);
     }
 
-    // Drain everything at the end: release all live tenants.
-    while let Some(victim) = live.pop() {
-        let drained = rt.release(victim).unwrap();
-        note_drained(&drained, &mut expected_queue, &mut live, &mut admitted_order);
-    }
+    assert!(live.is_empty(), "the last round cleared the pool");
     assert!(rt.queue_failures().is_empty(), "no queued tenant may be dropped");
     // Global FIFO: the admission order is exactly the submission order
     // restricted to tenants that were ever admitted.
@@ -570,4 +606,6 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
     // admissions must dominate cold compiles.
     let led = rt.ledger();
     assert!(led.warm_admissions > led.cold_compiles);
+    // And the churn did go through the queue, not around it.
+    assert!(led.queue_admitted >= 12 && led.queue_admitted == led.queued, "{led:?}");
 }

@@ -65,7 +65,7 @@ pub mod loadgen;
 pub mod route;
 pub mod server;
 
-pub use loadgen::{synthesize, LoadJob, LoadPlan, LoadReport, LoadSpec, WaveReport};
+pub use loadgen::{synthesize, LoadJob, LoadPlan, LoadReport, LoadSpec};
 pub use route::{RouteKey, RoutePick, Router};
 pub use server::{
     DrainError, Reject, ShardConfig, ShardFinal, ShardServer, ShardStats, ShardTenant, Ticket,

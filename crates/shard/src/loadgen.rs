@@ -12,17 +12,18 @@
 //! since the engine's mapped execution is bit-exact with the reference
 //! dataflow interpreter regardless of where a tenant lands.
 //!
-//! Wave structure: wave 0 is an untimed **priming wave** (one tenant per
-//! library structure, paying the cold compiles); waves 1.. are the timed
-//! warm traffic the throughput figures come from. Each tenant's
-//! lifecycle is admit → stream → parameter swap → stream → release — the
-//! paper's "reconfigure cheaply, replay often" loop. Backpressure
-//! ([`Reject::QueueFull`]) is handled by retrying the same dispatch
-//! after a short sleep; retries are counted and reported but never
-//! change the dispatch order, so they are invisible to the fingerprint.
+//! Wave structure: wave 0 is a **priming wave** (one tenant per library
+//! structure, paying the cold compiles); waves 1.. are the warm traffic.
+//! Each tenant's lifecycle is admit → stream → parameter swap → stream →
+//! release — the paper's "reconfigure cheaply, replay often" loop.
+//! Backpressure ([`Reject::QueueFull`]) is handled by retrying the same
+//! dispatch after a short sleep; a retry never changes the dispatch
+//! order, so it is invisible to the fingerprint. Nothing here reads a
+//! clock: the shard tier's host time is the repo benchmark's
+//! `shard_mixed` workload.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use logic::SplitMix64;
 use runtime::kernels::{fir_seeded, library};
@@ -38,18 +39,15 @@ use crate::server::{DrainError, Reject, ShardServer, ShardStats, ShardTenant, Ti
 pub struct LoadSpec {
     /// RNG seed; everything in the plan derives from it.
     pub seed: u64,
-    /// Timed waves after the priming wave.
+    /// Waves after the priming wave.
     pub waves: usize,
-    /// Tenants admitted per timed wave.
+    /// Tenants admitted per wave after priming.
     pub tenants_per_wave: usize,
     /// Input vectors streamed per tenant *per phase* (each tenant streams
     /// twice: before and after its parameter swap).
     pub items_per_tenant: usize,
-    /// Run the scheduler-state checker on every shard at the end of each
-    /// wave (and the final drain), failing on the first violation.
-    pub verify_each_wave: bool,
     /// Retain every tenant's outputs in the report (for bit-exactness
-    /// cross-checks between shard counts); off for throughput runs.
+    /// cross-checks between shard counts).
     pub keep_outputs: bool,
 }
 
@@ -60,7 +58,6 @@ impl Default for LoadSpec {
             waves: 3,
             tenants_per_wave: 8,
             items_per_tenant: 32,
-            verify_each_wave: true,
             keep_outputs: false,
         }
     }
@@ -80,17 +77,11 @@ pub struct LoadJob {
     pub inputs: Vec<Vec<FpValue>>,
 }
 
-/// A fully synthesized workload: `waves[0]` is the untimed priming wave.
+/// A fully synthesized workload: `waves[0]` is the priming wave.
 #[derive(Debug, Clone)]
 pub struct LoadPlan {
-    /// The seed the plan was synthesized from.
-    pub seed: u64,
-    /// Floating-point format of every graph and stream.
-    pub format: FpFormat,
     /// Jobs per wave, in dispatch order.
     pub waves: Vec<Vec<LoadJob>>,
-    /// Verify every shard at each wave boundary.
-    pub verify_each_wave: bool,
     /// Retain outputs in the report.
     pub keep_outputs: bool,
 }
@@ -102,28 +93,6 @@ impl LoadPlan {
     }
 }
 
-/// Per-wave accounting.
-#[derive(Debug, Clone)]
-pub struct WaveReport {
-    /// Wave index (0 = priming).
-    pub wave: usize,
-    /// Tenants driven through their full lifecycle.
-    pub jobs: usize,
-    /// Input vectors executed (both phases).
-    pub items: u64,
-    /// Wall time of the wave (dispatch through last release).
-    pub seconds: f64,
-    /// False only for the priming wave (excluded from throughput).
-    pub timed: bool,
-    /// Admissions diverted off their affine shard this wave
-    /// (deterministic: spilling reads only the caller's own
-    /// outstanding-ticket counts).
-    pub spills: u64,
-    /// `QueueFull` rejections absorbed by retry this wave (depends on
-    /// worker timing — reported, never fingerprinted).
-    pub retries: u64,
-}
-
 /// One tenant's retained outputs: phase-1 and phase-2 output vectors,
 /// one per input vector.
 pub type JobOutputs = [Vec<Vec<FpValue>>; 2];
@@ -131,31 +100,18 @@ pub type JobOutputs = [Vec<Vec<FpValue>>; 2];
 /// What a plan's run produced.
 #[derive(Debug)]
 pub struct LoadReport {
-    /// Shards the plan ran over.
-    pub shards: usize,
-    /// The plan's seed.
-    pub seed: u64,
-    /// Per-wave accounting, priming first.
-    pub waves: Vec<WaveReport>,
-    /// Items executed in *timed* waves.
+    /// Items executed after the priming wave.
     pub total_items: u64,
-    /// Wall time of the timed waves.
-    pub timed_seconds: f64,
-    /// Items per second over the timed waves (the headline figure).
-    pub throughput: f64,
     /// FNV-1a over every output bit in plan order — equal across runs,
     /// shard counts, worker counts, and machines for one (seed, format).
     pub fingerprint: u64,
     /// Aggregate configuration-cache hits across shards.
     pub warm_hits: u64,
-    /// Aggregate cache misses (cold compiles) across shards.
-    pub cold_misses: u64,
     /// hits / (hits + misses) over all shards.
     pub warm_hit_rate: f64,
-    /// Total spilled admissions.
+    /// Admissions diverted off their affine shard (deterministic:
+    /// spilling reads only the caller's own outstanding-ticket counts).
     pub spills: u64,
-    /// Total backpressure retries (timing-dependent).
-    pub retries: u64,
     /// Final per-shard stats from the closing drain (includes each
     /// shard's admission log).
     pub shard_stats: Vec<ShardStats>,
@@ -181,7 +137,7 @@ pub fn synthesize(format: FpFormat, spec: &LoadSpec) -> LoadPlan {
     let mut rng = SplitMix64::new(spec.seed);
     let lib = library(format);
     let mut waves = Vec::with_capacity(spec.waves + 1);
-    // Priming wave: one tenant per library structure, so the timed waves
+    // Priming wave: one tenant per library structure, so the later waves
     // run against warm caches on every affine shard.
     let priming = lib
         .iter()
@@ -228,10 +184,7 @@ pub fn synthesize(format: FpFormat, spec: &LoadSpec) -> LoadPlan {
         waves.push(jobs);
     }
     LoadPlan {
-        seed: spec.seed,
-        format,
         waves,
-        verify_each_wave: spec.verify_each_wave,
         keep_outputs: spec.keep_outputs,
     }
 }
@@ -240,14 +193,11 @@ pub fn synthesize(format: FpFormat, spec: &LoadSpec) -> LoadPlan {
 /// [`Reject::QueueFull`] backpressure with a short sleep. The retry
 /// targets the same dispatch (rejection has no side effects), so
 /// backpressure never perturbs dispatch order.
-fn with_backpressure<T>(mut dispatch: impl FnMut() -> Result<T, Reject>, retries: &mut u64) -> T {
+fn with_backpressure<T>(mut dispatch: impl FnMut() -> Result<T, Reject>) -> T {
     loop {
         match dispatch() {
             Ok(t) => return t,
-            Err(Reject::QueueFull { .. }) => {
-                *retries += 1;
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            Err(Reject::QueueFull { .. }) => std::thread::sleep(Duration::from_micros(50)),
         }
     }
 }
@@ -280,25 +230,17 @@ struct InFlight {
 /// Drives a plan through a server: per wave, every job's full lifecycle
 /// (admit → stream → swap → stream → release) is dispatched without
 /// waiting — the server names the tenant at dispatch time — and the
-/// replies are collected once the wave is fully in flight. Then
-/// (optionally) every shard is verified. Returns the aggregated report;
+/// replies are collected once the wave is fully in flight. Then every
+/// shard is verified. Returns the aggregated report;
 /// fails on the first invariant violation a wave-boundary verification
 /// finds.
 pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, DrainError> {
     let mut fp = Fnv::new();
-    let mut wave_reports = Vec::with_capacity(plan.waves.len());
     let mut total_items = 0u64;
-    let mut timed_seconds = 0.0f64;
-    let mut total_spills = 0u64;
-    let mut total_retries = 0u64;
+    let mut spills = 0u64;
     let mut kept: BTreeMap<String, JobOutputs> = BTreeMap::new();
 
     for (w, jobs) in plan.waves.iter().enumerate() {
-        let timed = w > 0;
-        let mut retries = 0u64;
-        let mut spills = 0u64;
-        let t0 = Instant::now();
-
         // Dispatch every job's full lifecycle in plan order. Only the
         // admission tickets carry routing load, and they stay open until
         // the collection loop below, so the router sees load build up
@@ -306,34 +248,25 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
         // boundary — a pure function of this dispatch order.
         let mut flights = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let (at, pick, admit) = with_backpressure(
-                || server.submit(job.name.clone(), job.graph.clone()),
-                &mut retries,
-            );
+            let (at, pick, admit) =
+                with_backpressure(|| server.submit(job.name.clone(), job.graph.clone()));
             if matches!(pick, crate::route::RoutePick::Spilled { .. }) {
                 spills += 1;
             }
-            let run1 = with_backpressure(
-                || {
-                    server.run(
-                        at.shard,
-                        vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
-                    )
-                },
-                &mut retries,
-            );
-            let swap =
-                with_backpressure(|| server.swap_params(at, job.swap_coeffs.clone()), &mut retries);
-            let run2 = with_backpressure(
-                || {
-                    server.run(
-                        at.shard,
-                        vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
-                    )
-                },
-                &mut retries,
-            );
-            let release = with_backpressure(|| server.release(at), &mut retries);
+            let run1 = with_backpressure(|| {
+                server.run(
+                    at.shard,
+                    vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
+                )
+            });
+            let swap = with_backpressure(|| server.swap_params(at, job.swap_coeffs.clone()));
+            let run2 = with_backpressure(|| {
+                server.run(
+                    at.shard,
+                    vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
+                )
+            });
+            let release = with_backpressure(|| server.release(at));
             flights.push(InFlight { at, admit, run1, swap, run2, release });
         }
 
@@ -341,7 +274,6 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
         // shard-count-invariant. Collecting the release replies doubles
         // as the wave's completion barrier: replies are FIFO with the
         // work.
-        let mut items = 0u64;
         for (job, flight) in jobs.iter().zip(flights) {
             let admission = flight.admit.wait().expect("admission failed");
             assert_eq!(
@@ -365,46 +297,30 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
                 .expect("one tenant per run")
                 .outputs;
             flight.release.wait().expect("release failed");
-            items += (out1.len() + out2.len()) as u64;
+            if w > 0 {
+                total_items += (out1.len() + out2.len()) as u64;
+            }
             digest_outputs(&mut fp, &out1);
             digest_outputs(&mut fp, &out2);
             if plan.keep_outputs {
                 kept.insert(job.name.clone(), [out1, out2]);
             }
         }
-        let seconds = t0.elapsed().as_secs_f64();
-
-        if timed {
-            total_items += items;
-            timed_seconds += seconds;
-        }
-        total_spills += spills;
-        total_retries += retries;
-        wave_reports.push(WaveReport { wave: w, jobs: jobs.len(), items, seconds, timed, spills, retries });
 
         // Wave boundary: prove every shard's scheduler invariants before
-        // the next wave starts (outside the timed window).
-        if plan.verify_each_wave {
-            server.drain(true)?;
-        }
+        // the next wave starts.
+        server.drain(true)?;
     }
 
-    let shard_stats = server.drain(plan.verify_each_wave)?;
+    let shard_stats = server.drain(true)?;
     let warm_hits: u64 = shard_stats.iter().map(|s| s.cache.hits).sum();
     let cold_misses: u64 = shard_stats.iter().map(|s| s.cache.misses).sum();
     Ok(LoadReport {
-        shards: server.shards(),
-        seed: plan.seed,
-        waves: wave_reports,
         total_items,
-        timed_seconds,
-        throughput: total_items as f64 / timed_seconds.max(1e-12),
         fingerprint: fp.finish(),
         warm_hits,
-        cold_misses,
         warm_hit_rate: warm_hits as f64 / ((warm_hits + cold_misses) as f64).max(1.0),
-        spills: total_spills,
-        retries: total_retries,
+        spills,
         shard_stats,
         outputs: plan.keep_outputs.then_some(kept),
     })

@@ -484,19 +484,6 @@ impl ShardServer {
     }
 }
 
-/// The shard's full invariant sweep: the sched pass plus the modeled
-/// time-axis pass, merged into one report so callers draining
-/// [`Op::Verify`] (and the shutdown path) prove both in one round trip.
-fn verify_all(rt: &Runtime) -> verify::VerifyReport {
-    let mut report = rt.verify();
-    let timeline = rt.verify_timeline();
-    report.pass = "sched+timeline";
-    report.checked += timeline.checked;
-    report.seconds += timeline.seconds;
-    report.violations.extend(timeline.violations);
-    report
-}
-
 /// One shard's worker: owns the runtime, serves its queue FIFO, records
 /// latency into the shared registry, and returns its final state when
 /// the server closes the queue.
@@ -563,7 +550,7 @@ fn worker_loop(
                 let _ = reply.send(rt.release(tenant));
             }
             Op::Verify { reply } => {
-                let _ = reply.send(verify_all(&rt));
+                let _ = reply.send(rt.verify_all());
             }
             Op::Stats { reply } => {
                 let _ = reply.send(ShardStats {
@@ -581,7 +568,7 @@ fn worker_loop(
     }
     // Queue closed: graceful shutdown. Verify the runtime one last time
     // so every shard's invariants are proven at the moment it stops.
-    let verify = verify_all(&rt);
+    let verify = rt.verify_all();
     ShardFinal {
         shard,
         ledger: *rt.ledger(),

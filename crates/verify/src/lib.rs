@@ -4,7 +4,7 @@
 //! rests on invariants that used to live in scattered `debug_assert!`s
 //! and dynamic tests: route trees own their wires exclusively, leases
 //! never overlap, cache keys never alias. This crate turns each of those claims
-//! into a checkable *pass* over a plain-data artifact — six passes, one
+//! into a checkable *pass* over a plain-data artifact — five passes, one
 //! module each — behind one [`Verifier`] facade that produces a
 //! [`VerifyReport`] of typed violations:
 //!
@@ -16,14 +16,6 @@
 //!   (a spanning-forest certificate from the sources that covers every
 //!   tree node and reaches every sink — no stranded components, no
 //!   disconnected cycles) and exclusive wire-node ownership across nets.
-//! * [`waves`] — the wave-schedule race detector: given each wave member's
-//!   *actual* touched-node footprint (every node whose congestion state
-//!   the router evaluated, and every wire its rip/commit writes), proves
-//!   pairwise read/write disjointness within every wave. **It has no
-//!   producer:** the router it audited routed a wave's members in
-//!   parallel; `par` now routes them one after another on one thread and
-//!   records no footprints, so nothing in the workspace but this pass's
-//!   own tests calls it (ROADMAP, *Still open*: delete it).
 //! * [`sched`] — the scheduler-state checker: over a plain
 //!   [`sched::SchedSnapshot`] of the runtime, proves band/lease
 //!   disjointness, row conservation, queue/ledger reconciliation and
@@ -51,12 +43,10 @@ pub mod equiv;
 pub mod routes;
 pub mod sched;
 pub mod timeline;
-pub mod waves;
 
 pub use routes::NetTerminals;
 pub use sched::SchedSnapshot;
 pub use timeline::TimelineSnapshot;
-pub use waves::{WaveAuditor, WaveFootprint};
 
 use std::fmt;
 
@@ -227,21 +217,6 @@ pub enum Violation {
         nets: (usize, usize),
     },
 
-    // --- wave-schedule race detector ---
-    /// Two members of one wave touch the same wire node.
-    WaveRace {
-        /// PathFinder iteration of the wave.
-        iteration: usize,
-        /// Wave index within the iteration.
-        wave: usize,
-        /// The two racing nets.
-        nets: (u32, u32),
-        /// The contested node.
-        node: u32,
-        /// True for a write/write conflict, false for read/write.
-        write_write: bool,
-    },
-
     // --- scheduler-state checker ---
     /// A band extends past its grid.
     BandOutOfBounds {
@@ -291,7 +266,7 @@ pub enum Violation {
         /// The tenant.
         tenant: u64,
     },
-    /// A lease claims sole tenancy of a band it does not head.
+    /// A lease's `shared` flag disagrees with its band's tenant count.
     SharedFlagWrong {
         /// The tenant.
         tenant: u64,
@@ -431,7 +406,6 @@ impl Violation {
             Violation::SinkUnreached { .. } => "sink-unreached",
             Violation::StrandedNode { .. } => "stranded-node",
             Violation::WireConflict { .. } => "wire-conflict",
-            Violation::WaveRace { .. } => "wave-race",
             Violation::BandOutOfBounds { .. } => "band-out-of-bounds",
             Violation::BandOverlap { .. } => "band-overlap",
             Violation::EmptyBand { .. } => "empty-band",
@@ -529,15 +503,6 @@ impl fmt::Display for Violation {
             Violation::WireConflict { node, nets } => {
                 write!(f, "wire {node} shared by nets {} and {}", nets.0, nets.1)
             }
-            Violation::WaveRace { iteration, wave, nets, node, write_write } => {
-                write!(
-                    f,
-                    "iteration {iteration} wave {wave}: nets {} and {} race on node {node} ({})",
-                    nets.0,
-                    nets.1,
-                    if *write_write { "write/write" } else { "read/write" }
-                )
-            }
             Violation::BandOutOfBounds { grid, row0, rows, grid_rows } => {
                 write!(f, "grid {grid}: band rows {row0}+{rows} exceed the grid's {grid_rows}")
             }
@@ -557,7 +522,7 @@ impl fmt::Display for Violation {
                 write!(f, "tenant {tenant}: lease shape disagrees with its band/grid")
             }
             Violation::SharedFlagWrong { tenant } => {
-                write!(f, "tenant {tenant}: non-shared lease on a band it does not head")
+                write!(f, "tenant {tenant}: lease's shared flag disagrees with its band's tenant count")
             }
             Violation::LeaseTooSmall { tenant, rows, needed } => {
                 write!(f, "tenant {tenant}: {rows} leased rows, demand needs {needed}")
@@ -614,10 +579,10 @@ impl fmt::Display for Violation {
 /// Machine-readable result of one pass.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
-    /// Stable pass name (`config`, `routes`, `wave-schedule`, `sched`,
-    /// `timeline`, `equiv`).
+    /// Stable pass name (`config`, `routes`, `sched`, `timeline`,
+    /// `equiv`).
     pub pass: &'static str,
-    /// Objects the pass examined (nets, waves, bands... — the pass's own
+    /// Objects the pass examined (nets, bands, intervals... — the pass's own
     /// unit, documented per pass).
     pub checked: usize,
     /// Every violation found (empty means the invariants are proven for
@@ -661,8 +626,7 @@ impl VerifyReport {
 }
 
 /// The facade: one entry point per pass, each producing a
-/// [`VerifyReport`]. (Pass 2, the wave-schedule race check, is fed
-/// wave by wave and reports through [`WaveAuditor::finish`].)
+/// [`VerifyReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Verifier;
 
@@ -706,7 +670,7 @@ impl Verifier {
         }
     }
 
-    /// Pass 3 — scheduler-state checker. `checked` counts bands plus
+    /// Pass 2 — scheduler-state checker. `checked` counts bands plus
     /// tenants.
     pub fn verify_sched(&self, snap: &sched::SchedSnapshot) -> VerifyReport {
         let t0 = std::time::Instant::now();
@@ -719,7 +683,7 @@ impl Verifier {
         }
     }
 
-    /// Pass 3b — timeline checker over the runtime's modeled time axis
+    /// Pass 2b — timeline checker over the runtime's modeled time axis
     /// (port exclusivity, lane exclusivity, charge conservation).
     /// `checked` counts scheduled intervals.
     pub fn verify_timeline(&self, snap: &timeline::TimelineSnapshot) -> VerifyReport {

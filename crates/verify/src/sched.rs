@@ -1,4 +1,4 @@
-//! Pass 3 — the scheduler-state checker.
+//! Pass 2 — the scheduler-state checker.
 //!
 //! The runtime exports a plain-data [`SchedSnapshot`] (no references into
 //! live scheduler state), and this pass proves the admission layer's
@@ -6,7 +6,8 @@
 //!
 //! * **lease/band disjointness** — bands stay inside their grids, never
 //!   overlap, never sit empty; every live tenant's lease lands on a band
-//!   of matching shape, and a lease claiming sole tenancy heads its band;
+//!   of matching shape, and its `shared` flag says whether the band has
+//!   more than one tenant;
 //! * **row conservation** — per grid, free rows plus band rows equal the
 //!   grid's rows (nothing leaks, nothing is double-counted);
 //! * **queue/ledger reconciliation** — `queued` equals
@@ -225,10 +226,10 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
                 if b.rows != t.rows || t.cols != grid_cols || !b.tenants.contains(&t.id) {
                     out.push(Violation::LeaseShapeMismatch { tenant: t.id });
                 }
-                // A non-shared lease promises undisturbed residency: its
-                // tenant must head the band (later time-share admissions
-                // may append, but never displace the head).
-                if !t.shared && b.tenants.first() != Some(&t.id) {
+                // The flag is the band's membership, for every tenant on
+                // it and at every moment: the runtime refreshes it whenever
+                // a tenant joins or leaves.
+                if t.shared != (b.tenants.len() > 1) {
                     out.push(Violation::SharedFlagWrong { tenant: t.id });
                 }
             }

@@ -1,4 +1,4 @@
-//! Pass 3b — the **timeline checker**: proves the runtime's modeled time
+//! Pass 2b — the **timeline checker**: proves the runtime's modeled time
 //! axis is a well-formed schedule, not just a renamed sum.
 //!
 //! The runtime (PR 10) schedules every reconfiguration phase as an

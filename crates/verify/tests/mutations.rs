@@ -18,7 +18,6 @@ use verify::config::check_mapping;
 use verify::routes::{check_route_trees, NetTerminals};
 use verify::sched::{check_sched, SchedSnapshot};
 use verify::timeline::{check_timeline, TimelineSnapshot};
-use verify::waves::{check_wave, WaveFootprint};
 use verify::Violation;
 
 const F: FpFormat = FpFormat::PAPER;
@@ -207,23 +206,10 @@ fn stranded_branch_is_rejected() {
     assert_eq!(v.len(), 1, "every sink is still reached, nothing else is wrong: {v:?}");
 }
 
-// --- wave-schedule race detector --------------------------------------
-
-#[test]
-fn aliased_wave_write_is_rejected() {
-    // Two disjoint members are clean; aliasing one write node must be a
-    // write/write race.
-    let a = WaveFootprint { net: 0, reads: vec![1, 2], writes: vec![2] };
-    let mut b = WaveFootprint { net: 1, reads: vec![8, 9], writes: vec![9] };
-    assert!(check_wave(0, 0, &[a.clone(), b.clone()]).is_empty());
-    b.writes.push(2);
-    let v = check_wave(0, 0, &[a, b]);
-    assert_violation!(v, Violation::WaveRace { write_write: true, .. });
-}
-
 // --- scheduler-state checker ------------------------------------------
 
-fn clean_snapshot() -> SchedSnapshot {
+/// One 8x4 grid: tenant `a` on rows 0–1 (5 nodes), `b` on rows 2–4 (9).
+fn two_tenants() -> Runtime {
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![VcgraArch::new(8, 4, 2)],
         ..RuntimeConfig::default()
@@ -234,7 +220,11 @@ fn clean_snapshot() -> SchedSnapshot {
     rt.submit("b", kernels::fir_seeded(F, 5, 2).graph)
         .expect("submit")
         .expect_admitted("room left");
-    let snap = rt.snapshot();
+    rt
+}
+
+fn clean_snapshot() -> SchedSnapshot {
+    let snap = two_tenants().snapshot();
     assert!(check_sched(&snap).is_empty(), "artifact must start clean");
     assert!(snap.bands.len() >= 2 && snap.tenants.len() >= 2);
     snap
@@ -282,20 +272,126 @@ fn row_leak_is_rejected() {
     assert_violation!(check_sched(&snap), Violation::RowConservation { .. });
 }
 
+// One mutation per remaining sched variant. The snapshot states some
+// facts twice (a band's rows and its tenants' leases, the queue and its
+// counters), so where one corrupted field breaks a derived fact too, the
+// test says which and nothing else may fire.
+
+#[test]
+fn band_past_its_grid_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.grids[0].rows = 4; // band b now ends at row 5 of 4
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::BandOutOfBounds { row0: 2, rows: 3, grid_rows: 4, .. });
+    assert_violation!(v, Violation::RowConservation { .. });
+    assert_eq!(v.len(), 2, "{v:?}");
+}
+
+#[test]
+fn emptied_band_is_rejected() {
+    let mut snap = clean_snapshot();
+    let b = snap.tenants[1].id;
+    snap.bands[1].tenants.clear();
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::EmptyBand { grid: 0, row0: 2 });
+    // Its former tenant's lease and resident entry now name a band
+    // that does not carry it.
+    assert_violation!(v, Violation::LeaseShapeMismatch { tenant } if *tenant == b);
+    assert_violation!(v, Violation::ResidentInvalid { tenant, .. } if *tenant == b);
+    assert_eq!(v.len(), 3, "{v:?}");
+}
+
+#[test]
+fn lease_beside_its_band_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[1].row0 += 1;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::LeaseWithoutBand { tenant } if *tenant == snap.tenants[1].id);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn lease_taller_than_its_band_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[1].rows += 1;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::LeaseShapeMismatch { tenant } if *tenant == snap.tenants[1].id);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn shared_flag_on_a_dedicated_band_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[0].shared = true;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::SharedFlagWrong { tenant } if *tenant == snap.tenants[0].id);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn lease_shorter_than_its_demand_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[1].rows = 2; // nine nodes need three rows of four
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::LeaseTooSmall { rows: 2, needed: 3, .. });
+    assert_violation!(v, Violation::LeaseShapeMismatch { .. }); // the band still has three
+    assert_eq!(v.len(), 2, "{v:?}");
+}
+
+#[test]
+fn region_of_another_shape_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[1].region.0 += 1;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::RegionMismatch { expected: (3, 4), got: (4, 4), .. });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn mapping_that_drops_a_node_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.tenants[1].placed_nodes -= 1;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::MappingNodeCount { expected: 9, got: 8, .. });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn live_tenant_in_the_queue_is_rejected() {
+    let mut snap = clean_snapshot();
+    snap.queue.push(snap.tenants[0].id);
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::QueuedAndLive { tenant } if *tenant == snap.tenants[0].id);
+    assert_violation!(v, Violation::QueueLedgerDrift { queued: 0, accounted: 1 });
+    assert_eq!(v.len(), 2, "{v:?}");
+}
+
+#[test]
+fn resident_from_another_band_is_rejected() {
+    let mut snap = clean_snapshot();
+    let (a, b) = (snap.tenants[0].id, snap.tenants[1].id);
+    let at = snap.resident.iter().position(|r| r.2 == a).expect("admission leaves a resident");
+    snap.resident[at].2 = b;
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::ResidentInvalid { row0: 0, tenant, .. } if *tenant == b);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn split_cache_key_is_rejected() {
+    let mut snap = clean_snapshot();
+    // One structure under two fingerprints: every admission of it would
+    // recompile.
+    snap.tenants[1].sig = snap.tenants[0].sig.clone();
+    let v = check_sched(&snap);
+    assert_violation!(v, Violation::CacheKeySplit { .. });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
 // --- timeline checker --------------------------------------------------
 
 fn clean_timeline() -> TimelineSnapshot {
-    let mut rt = Runtime::new(RuntimeConfig {
-        grids: vec![VcgraArch::new(8, 4, 2)],
-        ..RuntimeConfig::default()
-    });
-    rt.submit("a", kernels::fir_seeded(F, 3, 1).graph)
-        .expect("submit")
-        .expect_admitted("empty pool");
-    rt.submit("b", kernels::fir_seeded(F, 5, 2).graph)
-        .expect("submit")
-        .expect_admitted("room left");
-    let snap = rt.timeline_snapshot();
+    let snap = two_tenants().timeline_snapshot();
     assert!(check_timeline(&snap).is_empty(), "artifact must start clean");
     let ports = snap.intervals.iter().filter(|iv| iv.uses_port).count();
     assert!(ports >= 2, "two admissions put two intervals on the port");

@@ -22,7 +22,6 @@
 //! count, prints its probe table and asserts minimum, certificate, trees
 //! and probe rows identical — a route itself reads no thread count.)
 
-use fabric::RouteGraph;
 use par::{EngineOptions, ParEngine};
 use softfloat::FpFormat;
 use vcgra::app::AppGraph;
@@ -88,21 +87,10 @@ fn main() {
     // congestion estimate is a heuristic, so escalate (and keep the
     // retries in the measured time) rather than die if it undershoots.
     let t4 = std::time::Instant::now();
-    let mut width = (par::channel_width_estimate(&netlist, &placement, fabric) + 4)
+    let start = (par::channel_width_estimate(&netlist, &placement, fabric) + 4)
         .max(EngineOptions::default().min_width);
-    let routed = loop {
-        let graph = RouteGraph::build(fabric, width);
-        match engine.route(&netlist, &placement, &graph) {
-            Ok(r) => break r,
-            Err(e) => {
-                assert!(
-                    width < EngineOptions::default().max_width,
-                    "unroutable even at width {width}: {e:?}"
-                );
-                width = (width * 2).min(EngineOptions::default().max_width);
-            }
-        }
-    };
+    let (graph, routed) = xbench::route_doubling(&engine, &netlist, &placement, fabric, start);
+    let width = graph.width;
     let t_route = t4.elapsed();
     let t_fpga = t_synth + t_map + t_place + t_route;
     println!(

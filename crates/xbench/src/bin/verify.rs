@@ -21,7 +21,6 @@
 //!
 //! Usage: `cargo run -p xbench --release --bin verify [--smoke]`
 
-use fabric::rrg::RouteGraph;
 use par::{EngineOptions, ParEngine};
 use runtime::{kernels, Runtime, RuntimeConfig, StreamRequest};
 use softfloat::{FpFormat, FpValue};
@@ -73,21 +72,10 @@ fn routes_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
     let placement = engine.place(&nl, arch);
 
     // One routable width is enough: the lint is about the trees, not the
-    // minimum. Start from the congestion estimate and double away any
-    // optimism, up to the engine's own ceiling.
-    let max_width = engine.opts.max_width;
-    let mut width = par::channel_width_estimate(&nl, &placement, arch).max(4);
-    let (graph, routed) = loop {
-        let graph = RouteGraph::build(arch, width);
-        match engine.route(&nl, &placement, &graph) {
-            Ok(r) => break (graph, r),
-            Err(e) => {
-                assert!(width < max_width, "unroutable even at width {width}: {e:?}");
-                width = (width * 2).min(max_width);
-            }
-        }
-    };
-    println!("  fabric {0}x{0}, channel width {width}", arch.size);
+    // minimum.
+    let start = par::channel_width_estimate(&nl, &placement, arch).max(4);
+    let (graph, routed) = xbench::route_doubling(&engine, &nl, &placement, arch, start);
+    println!("  fabric {0}x{0}, channel width {1}", arch.size, graph.width);
 
     let nets = par::troute::terminals(&nl, &placement, &graph);
     let r = Verifier::new().verify_routes(&graph, &nets, &routed.trees);

@@ -23,17 +23,18 @@
 //! (`bench/out/RESULT.json`), and `--trace <path>` ([`init_trace`])
 //! writes any driver's spans as a Chrome trace.
 //!
-//! Criterion micro-benchmarks live in `benches/` (SCG throughput, router,
-//! mapper, FloPoCo arithmetic, filter kernels). The serving tiers are
-//! measured by the repo benchmark in `bench/` (`bench/run.sh`), and
-//! demonstrated by `examples/quickstart.rs` and
-//! `examples/sharded_serving.rs`.
+//! The crate times nothing for a gate: host time per layer is the repo
+//! benchmark's (`bench/run.sh trace <workload>`), which also measures the
+//! serving tiers; `examples/quickstart.rs` and
+//! `examples/sharded_serving.rs` demonstrate them.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
 
+use fabric::{FabricArch, RouteGraph};
 use logic::aig::Aig;
 use mapping::{MapOptions, MappedDesign};
+use par::{ParEngine, ParNetlist, Placement, RouteResult};
 use softfloat::FpFormat;
 use vcgra::{VirtualPe, VirtualPeConfig};
 
@@ -80,14 +81,9 @@ pub fn print_header(title: &str) {
     println!("  {}", "-".repeat(70));
 }
 
-/// Builds the paper's PE netlist (virtual PE, FloPoCo (6,26)) for one flow.
-pub fn build_pe_aig(parameterized: bool) -> Aig {
-    build_pe_aig_with(FpFormat::PAPER, parameterized)
-}
-
-/// Builds the PE netlist in an arbitrary format — the smoke modes use a
-/// reduced format whose trends match the paper-scale PE at a fraction of
-/// the mapping cost.
+/// Builds the PE netlist (virtual PE, two hops) for one flow — in the
+/// paper's (6,26), or in the reduced format of the smoke modes, whose
+/// trends match the paper-scale PE at a fraction of the mapping cost.
 pub fn build_pe_aig_with(format: FpFormat, parameterized: bool) -> Aig {
     let pe = VirtualPe::build(VirtualPeConfig { format, hops: 2 }, parameterized);
     logic::opt::sweep(&pe.aig)
@@ -99,6 +95,32 @@ pub fn map_pe(aig: &Aig, parameterized: bool) -> MappedDesign {
         mapping::map_parameterized(aig, MapOptions::default())
     } else {
         mapping::map_conventional(aig, MapOptions::default())
+    }
+}
+
+/// Routes at `start` tracks, doubling the width after every failure up to
+/// the engine's `max_width` — for a driver that wants *a* routed result,
+/// not the minimum width. The congestion estimate its caller starts from
+/// is a heuristic, so an undershoot is escalated away rather than fatal.
+/// The width that routed is the returned graph's.
+pub fn route_doubling(
+    engine: &ParEngine,
+    netlist: &ParNetlist,
+    placement: &Placement,
+    arch: FabricArch,
+    start: usize,
+) -> (RouteGraph, RouteResult) {
+    let max_width = engine.opts.max_width;
+    let mut width = start;
+    loop {
+        let graph = RouteGraph::build(arch, width);
+        match engine.route(netlist, placement, &graph) {
+            Ok(routed) => return (graph, routed),
+            Err(e) => {
+                assert!(width < max_width, "unroutable even at width {width}: {e:?}");
+                width = (width * 2).min(max_width);
+            }
+        }
     }
 }
 
@@ -150,8 +172,8 @@ mod tests {
 
     #[test]
     fn pe_builders_differ_only_in_annotation() {
-        let conv = build_pe_aig(false);
-        let par = build_pe_aig(true);
+        let conv = build_pe_aig_with(FpFormat::PAPER, false);
+        let par = build_pe_aig_with(FpFormat::PAPER, true);
         assert_eq!(conv.num_inputs(), par.num_inputs());
         assert!(par.num_inputs_of(logic::aig::InputKind::Param) > 0);
         assert_eq!(conv.num_inputs_of(logic::aig::InputKind::Param), 0);

@@ -6,7 +6,7 @@
 //! cargo run --release --example sharded_serving
 //! ```
 //!
-//! For measured throughput and latency quantiles run the repo benchmark's
+//! For throughput and latency quantiles run the repo benchmark's
 //! `shard_mixed` workload (`bench/run.sh`, see `bench/README.md`); the
 //! bit-exactness cross-check against a single-runtime run is
 //! `crates/shard/tests/bit_exact.rs`.
@@ -29,19 +29,18 @@ fn main() {
     }
 
     // Serve a small seeded plan: one priming wave (cold compiles), two
-    // timed waves of warm traffic, each tenant's lifecycle fully
-    // pipelined (admit -> stream -> swap -> stream -> release).
+    // waves of warm traffic, each tenant's lifecycle fully pipelined
+    // (admit -> stream -> swap -> stream -> release).
     let spec = LoadSpec { waves: 2, tenants_per_wave: 8, items_per_tenant: 16, ..LoadSpec::default() };
     let plan = synthesize(format, &spec);
     let mut tier = ShardServer::start(ShardConfig::new(shards));
     let report = shard::loadgen::run(&mut tier, &plan).expect("every wave drains verified");
 
     println!(
-        "\nserved {} tenants: {} timed items at {:.0} items/s, \
+        "\nserved {} tenants: {} items after priming, \
          warm-hit rate {:.0}%, {} spills, fingerprint {:016x}",
         plan.tenants(),
         report.total_items,
-        report.throughput,
         report.warm_hit_rate * 100.0,
         report.spills,
         report.fingerprint,

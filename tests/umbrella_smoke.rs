@@ -94,7 +94,7 @@ fn shard_reexport_serves_a_tiny_plan() {
     let plan = synthesize(FpFormat::PAPER, &spec);
     let mut tier = ShardServer::start(ShardConfig::new(2));
     let report = vcgra_repro::shard::loadgen::run(&mut tier, &plan).expect("tiny plan serves");
-    // 1 timed wave x 2 tenants x 2 items x 2 phases (pre/post swap).
+    // 1 wave after priming x 2 tenants x 2 items x 2 phases (pre/post swap).
     assert_eq!(report.total_items, 8);
     assert!(report.warm_hit_rate > 0.0, "priming wave must warm the caches");
     for fin in tier.shutdown() {
