@@ -285,13 +285,8 @@ impl ExecPlan {
             let col = |slot: usize| &earlier[slot * lanes..][..lanes];
             match *op {
                 PlanOp::Mul { a, coeff } => self.kernel.mul_const_col(col(a), coeff, out),
-                PlanOp::Mac { a, coeff } => {
-                    self.kernel.mul_const_col(col(a), coeff, out);
-                    // A dataflow MAC accumulates onto a zero feedback.
-                    for v in out {
-                        *v = self.kernel.add(*v, zero);
-                    }
-                }
+                // A dataflow MAC accumulates onto a zero feedback.
+                PlanOp::Mac { a, coeff } => self.kernel.mac_const_col(col(a), coeff, out),
                 PlanOp::Add { a, b } => self.kernel.add_col(col(a), col(b), out),
                 PlanOp::Pass { a } => out.copy_from_slice(col(a)),
             }
@@ -377,6 +372,40 @@ mod tests {
         assert_eq!(plan.run_chunk(&three, &mut columns), want);
         assert_eq!(plan.run_chunk(one, &mut columns), want[..1]);
         assert!(plan.run_chunk(&[], &mut columns).is_empty());
+    }
+
+    #[test]
+    fn a_mac_chain_runs_as_the_dataflow_runs_it() {
+        // Each MAC multiplies the node before it and accumulates onto the
+        // zero feedback: the chain meets -0 products (+0 · -0.5, and a
+        // negative product that underflows), overflow, 0 · inf and NaN.
+        let coeffs = [-0.5, 2f64.powi(-30), -3.0, 2f64.powi(30), 0.0, 1.5];
+        let mut app = AppGraph::new(F, 1);
+        for (i, &c) in coeffs.iter().enumerate() {
+            let a = if i == 0 { AppSource::External(0) } else { AppSource::Node(i - 1) };
+            app.add(format!("mac{i}"), PeMode::Mac, Some(fp(c)), a, AppSource::Zero);
+            app.mark_output(i);
+        }
+        let mapping = crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5)
+            .expect("mappable");
+        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        let specials = [
+            FpValue::signed_zero(F, true),
+            FpValue::zero(F),
+            FpValue::infinity(F, false),
+            FpValue::infinity(F, true),
+            FpValue::nan(F),
+        ];
+        let normals = [1.0, -1.0, 1e-3, -7.25, 3e5, -2f64.powi(-20)].map(fp);
+        let items: Vec<Vec<FpValue>> = specials.into_iter().chain(normals).map(|x| vec![x]).collect();
+        let want: Vec<Vec<FpValue>> = items.iter().map(|item| run_dataflow(&app, item)).collect();
+        let negative_zero = |v: &FpValue| v.class() == softfloat::FpClass::Zero && v.sign();
+        assert!(negative_zero(&fp(1e-3).mul(fp(-0.5)).mul(fp(coeffs[1]))), "a product is -0");
+        assert!(!want.iter().flatten().any(negative_zero), "and the accumulate makes it +0");
+        for item in &items {
+            assert_eq!(run_mapped(&mapping, &app, item), run_dataflow(&app, item));
+        }
+        assert_eq!(plan.run_chunk(&items, &mut Vec::new()), want);
     }
 
     #[test]

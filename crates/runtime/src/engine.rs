@@ -104,7 +104,9 @@ pub fn switch_port_time(cost: Duration, switches: u64) -> Duration {
 
 /// The `request` → `execute` spans over the consecutive units of one job
 /// that one worker ran: a span pair per unit would cost the traced run
-/// more than the units' bookkeeping costs the untraced one.
+/// more than the units' bookkeeping costs the untraced one. `execute`
+/// carries its item count and the column tier the units ran on
+/// (`softfloat::kernel::column_tier`).
 struct UnitSpans {
     job: usize,
     items: usize,
@@ -125,6 +127,7 @@ impl UnitSpans {
 impl Drop for UnitSpans {
     fn drop(&mut self) {
         self.execute.arg("items", self.items);
+        self.execute.arg("tier", softfloat::kernel::column_tier());
     }
 }
 

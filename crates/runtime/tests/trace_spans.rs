@@ -3,7 +3,8 @@
 //! `admission`, `cache`, and `pricing` phases, a swap's `pricing` span
 //! carries its `pes` and `sweeps`, every worker's share of a
 //! streaming job is a `request` span containing an `execute` that
-//! carries its `items`, and the ledger's makespan is the time axis's.
+//! carries its `items` and column `tier`, and the ledger's makespan is
+//! the time axis's.
 //!
 //! Single `#[test]` on purpose: the span recorder is process-global, so
 //! one test owns arm/drain and no sibling can interleave events.
@@ -104,6 +105,11 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // units show as one to three spans, depending on who took which.
     assert!((1..=3).contains(&executed.len()), "{executed:?}");
     assert_eq!(executed.iter().sum::<u64>(), 160, "the spans' items sum to the run's");
+    // And the column tier its units ran on.
+    let tier = trace::AttrValue::Str(softfloat::kernel::column_tier().to_string());
+    for e in events.iter().filter(|e| e.name == "execute" && e.phase == trace::Phase::End) {
+        assert_eq!(e.args.iter().find(|(k, _)| *k == "tier").map(|(_, v)| v), Some(&tier));
+    }
     // A swap's `pricing` span says how much it priced and in how many
     // SCG sweeps (an admission's carries `port_ns` instead).
     assert!(request.contains("pricing"), "swap requests open a pricing child");

@@ -32,7 +32,7 @@ pub enum FpClass {
 
 impl FpClass {
     /// The two-bit exception code.
-    pub fn code(self) -> u64 {
+    pub const fn code(self) -> u64 {
         match self {
             FpClass::Zero => 0,
             FpClass::Normal => 1,

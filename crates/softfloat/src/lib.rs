@@ -9,7 +9,8 @@
 //! * in software — [`kernel`] holds the arithmetic, once: an [`FpKernel`]
 //!   is a format with its shifts, masks and exponent range computed ahead,
 //!   and multiplies and adds raw `u64` encodings, one at a time or a
-//!   column of independent lanes per call (the form the serve path runs).
+//!   column of independent lanes per call (the form the serve path runs,
+//!   vectorized on AVX-512 and AVX2 hosts).
 //!   [`mod@format`] holds the typed face of it ([`FpFormat`], [`FpValue`]):
 //!   `FpValue::{mul, add}` check that the formats agree and delegate to
 //!   the kernel, so the per-item interpreters, the VCGRA functional
@@ -25,7 +26,9 @@
 //! on tens of thousands of seeded draws on the paper's (6, 26) format and
 //! on (8, 40), whose significand product no longer fits 64 bits.
 
-#![forbid(unsafe_code)]
+// One `#[allow]`: the column tiers' dispatch in `kernel` (the workspace's
+// only `unsafe`, which `tests/unsafe_scan.rs` enforces).
+#![deny(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]
 
 pub mod format;
