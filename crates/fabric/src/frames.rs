@@ -98,4 +98,29 @@ mod tests {
         assert!(route_min > lut_max);
         assert!(m.frame_count() > m.routing_frame(7, 7));
     }
+
+    /// Why the overlay linter has no frame-range check: on every grid
+    /// shape, every in-bounds cell's settings frame lies inside the frame
+    /// space, and its routing frame lies above the whole settings plane
+    /// and inside the frame space.
+    #[test]
+    fn every_in_bounds_grid_cell_addresses_a_frame_in_its_plane() {
+        for rows in 2..=32 {
+            for cols in 2..=32 {
+                let m = FrameModel::for_grid(rows, cols);
+                let frames = m.frame_count();
+                let settings_plane = m.lut_frame(Site::Logic { x: cols - 1, y: rows - 1 });
+                for y in 0..rows {
+                    for x in 0..cols {
+                        let lut = m.lut_frame(Site::Logic { x, y });
+                        let routing = m.routing_frame(x, y);
+                        assert!(
+                            lut <= settings_plane && settings_plane < routing && routing < frames,
+                            "{rows}×{cols} grid, cell ({y}, {x})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -11,8 +11,8 @@
 //! * [`bdd`] — a reduced ordered BDD manager used to represent Boolean
 //!   functions *of the parameters* (the entries of parameterized truth
 //!   tables, TCON activation conditions, and the PPC bit functions).
-//! * [`sim`] — 64-way bit-parallel simulation for randomized equivalence
-//!   checking between flows.
+//! * [`sim`] — 64-way bit-parallel simulation, and the exhaustive
+//!   equivalence check built on it.
 //! * [`opt`] — ABC-style cleanup passes (constant folding is built into
 //!   construction; sweeping and balancing live here).
 //! * [`rng`] — a deterministic SplitMix64 PRNG so that every tool in the

@@ -8,7 +8,6 @@
 
 use crate::aig::{Aig, InputKind, Node};
 use crate::fxhash::FxHashMap;
-use crate::rng::SplitMix64;
 
 /// Simulates the graph on one 64-pattern batch.
 ///
@@ -38,17 +37,7 @@ pub fn simulate_u64(aig: &Aig, input_words: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Evaluates the graph on a single input vector (`input_bits[i]` = value of
-/// input `i`). Returns one bool per output.
-pub fn evaluate(aig: &Aig, input_bits: &[bool]) -> Vec<bool> {
-    let words: Vec<u64> = input_bits.iter().map(|&b| if b { 1 } else { 0 }).collect();
-    simulate_u64(aig, &words)
-        .into_iter()
-        .map(|w| w & 1 == 1)
-        .collect()
-}
-
-/// Outcome of a randomized equivalence check.
+/// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EquivResult {
     /// No differing pattern found.
@@ -65,76 +54,11 @@ impl EquivResult {
     }
 }
 
-/// Randomized equivalence check between two AIGs over their **regular**
-/// inputs, with parameters driven by `param_bits` (keyed by input *name* so
-/// the two graphs may order inputs differently).
-///
-/// Both graphs must expose the same set of regular input names and the same
-/// output names. `rounds` batches of 64 random patterns are compared.
-pub fn random_equiv(
-    a: &Aig,
-    b: &Aig,
-    param_bits: &FxHashMap<String, bool>,
-    rounds: usize,
-    seed: u64,
-) -> EquivResult {
-    let mut rng = SplitMix64::new(seed);
-
-    // name -> pattern word, shared across both graphs per round.
-    let reg_names: Vec<&str> = a
-        .inputs()
-        .iter()
-        .filter(|i| i.kind == InputKind::Regular)
-        .map(|i| i.name.as_str())
-        .collect();
-
-    let out_index_b: FxHashMap<&str, usize> = b
-        .outputs()
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.as_str(), i))
-        .collect();
-
-    for round in 0..rounds {
-        let mut words: FxHashMap<&str, u64> = FxHashMap::default();
-        for &n in &reg_names {
-            words.insert(n, rng.next_u64());
-        }
-        let feed = |g: &Aig| -> Vec<u64> {
-            g.inputs()
-                .iter()
-                .map(|i| match i.kind {
-                    InputKind::Regular => *words.get(i.name.as_str()).unwrap_or(&0),
-                    InputKind::Param => {
-                        let v = *param_bits.get(&i.name).unwrap_or(&false);
-                        if v {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    }
-                })
-                .collect()
-        };
-        let oa = simulate_u64(a, &feed(a));
-        let ob = simulate_u64(b, &feed(b));
-        for (i, (name, _)) in a.outputs().iter().enumerate() {
-            let j = *out_index_b
-                .get(name.as_str())
-                .unwrap_or_else(|| panic!("output {name} missing in second graph"));
-            if oa[i] != ob[j] {
-                let diff = oa[i] ^ ob[j];
-                let bit = diff.trailing_zeros() as usize;
-                return EquivResult::Mismatch { output: i, pattern: round * 64 + bit };
-            }
-        }
-    }
-    EquivResult::Equivalent
-}
-
 /// Exhaustive equivalence over all assignments of the regular inputs
-/// (feasible for up to ~20 regular inputs). Parameters are driven from
-/// `param_bits` like in [`random_equiv`].
+/// (feasible for up to ~20 regular inputs), with parameters driven by
+/// `param_bits` (keyed by input *name*, so the two graphs may order inputs
+/// differently; a missing name is 0). Both graphs must expose the same
+/// regular input names and the same output names.
 pub fn exhaustive_equiv(a: &Aig, b: &Aig, param_bits: &FxHashMap<String, bool>) -> EquivResult {
     let reg_names: Vec<String> = a
         .inputs()
@@ -234,14 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn adders_equivalent_random() {
-        let a = adder_graph(true);
-        let b = adder_graph(false);
-        let res = random_equiv(&a, &b, &FxHashMap::default(), 8, 99);
-        assert!(res.is_equivalent(), "{res:?}");
-    }
-
-    #[test]
     fn adders_equivalent_exhaustive() {
         let a = adder_graph(true);
         let b = adder_graph(false);
@@ -263,18 +179,6 @@ mod tests {
         b.add_output("o", o2);
 
         assert!(!exhaustive_equiv(&a, &b, &FxHashMap::default()).is_equivalent());
-        assert!(!random_equiv(&a, &b, &FxHashMap::default(), 4, 1).is_equivalent());
-    }
-
-    #[test]
-    fn evaluate_single_vector() {
-        let mut g = Aig::new();
-        let a = g.input("a", InputKind::Regular);
-        let b = g.input("b", InputKind::Regular);
-        let o = g.and(a, !b);
-        g.add_output("o", o);
-        assert_eq!(evaluate(&g, &[true, false]), vec![true]);
-        assert_eq!(evaluate(&g, &[true, true]), vec![false]);
     }
 
     #[test]
@@ -304,8 +208,8 @@ mod tests {
 
         let mut pm = FxHashMap::default();
         pm.insert("p".to_string(), true);
-        assert!(random_equiv(&a, &b, &pm, 4, 7).is_equivalent());
+        assert!(exhaustive_equiv(&a, &b, &pm).is_equivalent());
         pm.insert("p".to_string(), false);
-        assert!(!random_equiv(&a, &b, &pm, 4, 7).is_equivalent());
+        assert!(!exhaustive_equiv(&a, &b, &pm).is_equivalent());
     }
 }

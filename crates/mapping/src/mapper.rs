@@ -28,11 +28,14 @@
 //! The tautology check is the expensive question and almost always
 //! answered "no". Per evaluated cut, cheapest first:
 //!
-//! 1. the **signature caches** ([`MapOptions::cut_cache`]): the PTT
-//!    conjunction keyed by its two operand PTTs, the TCON verdict keyed by
-//!    the PTT — 83 % and 85 % hits on the half-precision PE. Signatures
-//!    are shared (`Rc`) between cuts and cache entries, and the operand
-//!    pair is assembled in one reused buffer, so a hit allocates nothing;
+//! 1. the **signature caches**: the PTT conjunction keyed by its two
+//!    operand PTTs, the TCON verdict keyed by the PTT — 83 % and 85 % hits
+//!    on the half-precision PE. Because every [`Bdd`] handle is canonical,
+//!    a hit returns exactly the functions a recomputation would have, and
+//!    `tests/identity.rs` pins the designs' function-level fingerprints
+//!    and the cache counters. Signatures are shared (`Rc`) between cuts
+//!    and cache entries, and the operand pair is assembled in one reused
+//!    buffer, so a hit allocates nothing;
 //! 2. on a miss, `refutes_tcon`: specialise the PTT under four fixed
 //!    parameter assignments and look at the `2^k`-bit tables. One that is
 //!    neither a constant nor a leaf is a counterexample to the cover —
@@ -59,21 +62,11 @@ pub struct MapOptions {
     pub k: usize,
     /// Priority cuts kept per node.
     pub cuts_per_node: usize,
-    /// Memoize per-cut BDD results across the whole map. Structurally
-    /// repeated cones (ripple chains, bit-sliced datapaths) reach the
-    /// same interned PTT signature over and over; with the cache on, the
-    /// TCON tautology check and the PTT conjunction are computed once
-    /// per distinct signature and replayed from the cache afterwards.
-    /// Because every [`Bdd`] handle is canonical, a cache hit returns
-    /// exactly the functions a recomputation would have, and the final
-    /// compaction numbers handles by function alone — mapped designs are
-    /// bit-identical with the cache on or off.
-    pub cut_cache: bool,
 }
 
 impl Default for MapOptions {
     fn default() -> Self {
-        Self { k: 4, cuts_per_node: 6, cut_cache: true }
+        Self { k: 4, cuts_per_node: 6 }
     }
 }
 
@@ -86,9 +79,9 @@ impl Default for MapOptions {
 /// time ~20 % on the paper-scale PE.
 const CUT_EVAL_LIMIT: usize = 12;
 
-/// Work counters for one mapping run: how often the per-cut caches
-/// ([`MapOptions::cut_cache`]) and the counterexample filter short-circuited
-/// BDD work, and how much of the BDD work the design kept. The `map` span
+/// Work counters for one mapping run: how often the per-cut signature
+/// caches (module doc) and the counterexample filter short-circuited BDD
+/// work, and how much of the BDD work the design kept. The `map` span
 /// carries the same numbers as end-args. The `bdd_*` fields but
 /// `bdd_nodes_kept` are release-profile numbers: debug builds also run the
 /// exact check behind every refutation, to cross-check the filter.
@@ -342,11 +335,12 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     map_span.arg("parameterized", honor_params);
     let mut bdd = BddManager::new();
     let live = aig.live_nodes();
-    // Per-cut memo tables ([`MapOptions::cut_cache`]). Keys are vectors
-    // of canonical handles, so key equality is function equality; values
-    // replay the exact handles the original computation produced. The
-    // conjunction's key is its two operand PTTs back to back, assembled
-    // in `operands` and looked up as a slice.
+    // Per-cut memo tables. Structurally repeated cones (ripple chains,
+    // bit-sliced datapaths) reach the same PTT signature over and over.
+    // Keys are vectors of canonical handles, so key equality is function
+    // equality; values replay the exact handles the original computation
+    // produced. The conjunction's key is its two operand PTTs back to
+    // back, assembled in `operands` and looked up as a slice.
     let mut effort = MapEffort::default();
     let mut tcon_cache: FxHashMap<Rc<[Bdd]>, Option<Rc<TconCand>>> = FxHashMap::default();
     let mut ptt_cache: FxHashMap<Vec<Bdd>, Rc<[Bdd]>> = FxHashMap::default();
@@ -506,26 +500,22 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                     expand_ptt(&mut bdd, &mut operands, cb, &leaves, b.is_neg());
                     let (fa, fb) = operands.split_at(1 << leaves.len());
                     effort.ptt_merges += 1;
-                    let ptt = if opts.cut_cache {
-                        match ptt_cache.get(operands.as_slice()) {
-                            Some(p) => {
-                                effort.ptt_cache_hits += 1;
-                                p.clone()
-                            }
-                            None => {
-                                let p = and_ptt(&mut bdd, fa, fb);
-                                ptt_cache.insert(operands.clone(), p.clone());
-                                p
-                            }
+                    let ptt = match ptt_cache.get(operands.as_slice()) {
+                        Some(p) => {
+                            effort.ptt_cache_hits += 1;
+                            p.clone()
                         }
-                    } else {
-                        and_ptt(&mut bdd, fa, fb)
+                        None => {
+                            let p = and_ptt(&mut bdd, fa, fb);
+                            ptt_cache.insert(operands.clone(), p.clone());
+                            p
+                        }
                     };
                     let k = leaves.len();
                     effort.const_ptt_cuts += usize::from(ptt.iter().all(|e| e.is_const()));
                     let tcon = if !honor_params {
                         None
-                    } else if opts.cut_cache {
+                    } else {
                         effort.tcon_checks += 1;
                         match tcon_cache.get(&*ptt) {
                             Some(c) => {
@@ -538,9 +528,6 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                                 c
                             }
                         }
-                    } else {
-                        effort.tcon_checks += 1;
-                        tcon_candidate(&mut bdd, &ptt, k, &probes, &mut effort)
                     };
                     // Arrival and area flow: TCONs are free logic-wise;
                     // their selected leaves' costs are shared through

@@ -141,10 +141,12 @@ fn xor_with_param_is_single_tlut() {
 }
 
 #[test]
-fn cut_cache_is_bit_identical_and_actually_hits() {
+fn cut_caches_actually_hit() {
     // A bit-sliced constant multiplier: heavy structural repetition, so
     // the same PTT signatures recur across slices — exactly the designs
-    // `MapOptions::cut_cache` exists for.
+    // the mapper's signature caches exist for. That a hit changes nothing
+    // is pinned by `identity.rs`, whose fingerprints were recorded before
+    // the caches' BDD kernel changed.
     let mut g = Aig::new();
     let x = g.input_vec("x", 6, InputKind::Regular);
     let c = g.input_vec("c", 6, InputKind::Param);
@@ -153,15 +155,6 @@ fn cut_cache_is_bit_identical_and_actually_hits() {
 
     let (cached, effort) =
         mapping::map_parameterized_with_effort(&g, MapOptions::default());
-    let uncached =
-        map_parameterized(&g, MapOptions { cut_cache: false, ..MapOptions::default() });
-
-    // Handles are interned and the manager's op caches are deterministic,
-    // so the cache must not perturb the result in any way — node for
-    // node, handle for handle.
-    assert_eq!(cached.nodes, uncached.nodes, "cut cache changed the mapping");
-    assert_eq!(cached.outputs, uncached.outputs);
-    assert_eq!(cached.stats(), uncached.stats());
     assert_equivalent(&g, &cached, 5, 0xCAFE);
 
     // And it must actually be a cache, not dead weight.

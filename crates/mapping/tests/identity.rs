@@ -115,7 +115,7 @@ struct Pin {
     /// LUTs, TLUTs, TCONs, depth.
     stats: [usize; 4],
     /// `tcon_checks`, `tcon_cache_hits`, `ptt_merges`, `ptt_cache_hits`.
-    cut_cache: [usize; 4],
+    caches: [usize; 4],
     /// `tcon_refuted`, `tcon_accepted`, `const_ptt_cuts`, `bdd_nodes_kept`
     /// (introduced with the filter and the compaction; the same in debug
     /// and release builds, unlike `bdd_nodes_created`).
@@ -144,7 +144,7 @@ fn check(pin: &Pin) {
             e.ptt_merges,
             e.ptt_cache_hits
         ],
-        pin.cut_cache,
+        pin.caches,
         "({we},{wf}) {e:?}"
     );
     assert_eq!(
@@ -177,26 +177,26 @@ fn swept_pe_maps_to_the_recorded_design() {
         format: (4, 6),
         fingerprint: 0xb802_b42e_0a25_baae,
         stats: [457, 62, 83, 38],
-        cut_cache: [20_093, 16_031, 20_093, 15_463],
+        caches: [20_093, 16_031, 20_093, 15_463],
         filter: [3_261, 734, 8_766, 1_389],
     });
     check(&Pin {
         format: (5, 10),
         fingerprint: 0xe981_cc5e_ea0c_200a,
         stats: [804, 136, 118, 46],
-        cut_cache: [33_858, 28_613, 33_858, 28_009],
+        caches: [33_858, 28_613, 33_858, 28_009],
         filter: [4_245, 907, 15_167, 4_859],
     });
 }
 
 #[test]
-#[ignore = "paper-scale (6,26) map; run explicitly in release mode"]
+#[cfg_attr(debug_assertions, ignore = "paper-scale (6,26) map: runs in release")]
 fn paper_pe_maps_to_the_recorded_design() {
     check(&Pin {
         format: (6, 26),
         fingerprint: 0xe3ce_fac8_4d00_c209,
         stats: [2_894, 982, 237, 70],
-        cut_cache: [114_302, 104_921, 114_302, 104_269],
+        caches: [114_302, 104_921, 114_302, 104_269],
         filter: [7_661, 1_512, 51_633, 62_483],
     });
 }

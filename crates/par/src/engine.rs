@@ -16,18 +16,19 @@
 //! same proof calls it, as `table1 --verify` and `xbench verify` do.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
-//! **bit-identical regardless of `threads`**. A thread count changes two
-//! things only. Placement fans seeds across scoped workers and keeps the
-//! lowest cost (ties broken by seed order). The width search, with two or
-//! more threads, routes the cold `W−1` certificate beside the binary
-//! phase — and the minimum, its certificate, the trees and every probe
-//! row but `seconds` and `overlapped` are what one thread reports. A
-//! routing run reads no thread count at all: it reroutes the dirty nets
-//! in one canonical wave order on the calling thread (`incr.rs`).
+//! **bit-identical regardless of `threads`**. A thread count changes one
+//! thing only: the width search, with two or more threads, routes the
+//! cold `W−1` certificate beside the binary phase — and the minimum, its
+//! certificate, the trees and every probe row but `seconds` and
+//! `overlapped` are what one thread reports.
+//! Placement anneals the seeds one after another on the calling thread
+//! and keeps the lowest cost (ties broken by seed order). A routing run
+//! reads no thread count at all: it reroutes the dirty nets in one
+//! canonical wave order on the calling thread (`incr.rs`).
 
 use crate::incr::route_core;
 use crate::netlist::ParNetlist;
-use crate::tplace::{place_multi_seed_on, Placement};
+use crate::tplace::{place_best, Placement};
 use crate::troute::{audit, RouteResult, Unroutable};
 use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
@@ -39,9 +40,8 @@ use fabric::rrg::RouteGraph;
 pub struct EngineOptions {
     /// Placement seeds; all are annealed, the best placement wins.
     pub seeds: Vec<u64>,
-    /// Worker threads for placement seeds and the width search's
-    /// speculative cold probes. `0` = one per available CPU. Never
-    /// changes results.
+    /// Worker threads for the width search's speculative cold probes.
+    /// `0` = one per available CPU. Never changes results.
     pub threads: usize,
     /// Width search floor.
     pub min_width: usize,
@@ -106,9 +106,9 @@ impl ParEngine {
         }
     }
 
-    /// Multi-seed placement on at most [`ParEngine::threads`] workers.
+    /// The best placement over [`EngineOptions::seeds`] ([`place_best`]).
     pub fn place(&self, netlist: &ParNetlist, arch: FabricArch) -> Placement {
-        place_multi_seed_on(netlist, arch, &self.opts.seeds, self.threads())
+        place_best(netlist, arch, &self.opts.seeds)
     }
 
     /// One routing run on a prebuilt graph, on the calling thread.

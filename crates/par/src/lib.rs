@@ -9,7 +9,7 @@
 //!   parameter values, so they may share physical wires — exactly how
 //!   TROUTE maps tunable connections onto the FPGA's switch blocks;
 //! * [`tplace`] — simulated-annealing placement with half-perimeter
-//!   wirelength cost (multi-seed parallel variant included);
+//!   wirelength cost (and a best-of-seeds variant);
 //! * [`troute`] — PathFinder-style negotiated-congestion routing on the
 //!   fabric's routing-resource graph, with A* directed expansion;
 //! * `incr` — the incremental router core: in-place occupancy/history,
@@ -36,7 +36,7 @@ pub mod warm;
 
 pub use engine::{EngineOptions, ParEngine, ParReport};
 pub use netlist::{extract, Block, BlockKind, Net, ParNetlist};
-pub use tplace::{place, place_multi_seed_on, Placement};
+pub use tplace::{place, place_best, Placement};
 pub use troute::RouteResult;
 pub use warm::{
     channel_width_estimate, channel_width_lower_bound, WidthCertificate, WidthProbe, WidthSearch,

@@ -3,9 +3,8 @@
 //! Classic VPR-style annealer: half-perimeter wirelength cost with a
 //! fanout correction factor, adaptive temperature schedule, and a range
 //! limit that shrinks as the anneal cools. Logic blocks move over logic
-//! sites, pads over I/O sites. [`place_multi_seed_on`] runs independent
-//! anneals on scoped threads (one per seed) and keeps the best — the
-//! embarrassingly parallel pattern the hpc-parallel guides recommend.
+//! sites, pads over I/O sites. [`place_best`] runs one independent
+//! anneal per seed, in seed order, and keeps the best.
 //!
 //! A proposal touches flat state only: sites are small integers, the
 //! occupant of a site and the location of a block are array reads, the
@@ -284,44 +283,13 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
 }
 
 /// Runs one independent anneal per seed and returns the lowest-cost
-/// placement. Seeds are split into at most `threads` contiguous chunks,
-/// one scoped thread each; ties are broken by seed order — so the result
-/// never depends on the thread count.
-pub fn place_multi_seed_on(
-    netlist: &ParNetlist,
-    arch: FabricArch,
-    seeds: &[u64],
-    threads: usize,
-) -> Placement {
-    assert!(!seeds.is_empty());
-    let threads = threads.max(1).min(seeds.len());
-    let results: Vec<Placement> = if threads == 1 {
-        seeds.iter().map(|&s| place(netlist, arch, s)).collect()
-    } else {
-        let per = seeds.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .chunks(per)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk.iter().map(|&s| place(netlist, arch, s)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Contiguous chunks concatenated in order: results stay in
-            // seed order regardless of the worker count.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("placement thread"))
-                .collect()
-        })
-    };
-    results
-        .into_iter()
-        .enumerate()
-        .min_by(|(ia, a), (ib, b)| a.cost.total_cmp(&b.cost).then(ia.cmp(ib)))
-        .map(|(_, p)| p)
-        .unwrap()
+/// placement; ties are broken by seed order (the earlier seed wins).
+pub fn place_best(netlist: &ParNetlist, arch: FabricArch, seeds: &[u64]) -> Placement {
+    seeds
+        .iter()
+        .map(|&s| place(netlist, arch, s))
+        .reduce(|best, p| if p.cost.total_cmp(&best.cost).is_lt() { p } else { best })
+        .expect("at least one placement seed")
 }
 
 #[cfg(test)]
@@ -672,10 +640,12 @@ mod tests {
     fn multi_seed_picks_best() {
         let nl = chain_netlist(10);
         let arch = FabricArch::paper_4lut(5);
-        let best = place_multi_seed_on(&nl, arch, &[1, 2, 3, 4], 2);
-        for s in [1u64, 2, 3, 4] {
-            let single = place(&nl, arch, s);
-            assert!(best.cost <= single.cost + 1e-9);
-        }
+        let seeds = [1u64, 2, 3, 4, 1];
+        let best = place_best(&nl, arch, &seeds);
+        let singles: Vec<Placement> = seeds.iter().map(|&s| place(&nl, arch, s)).collect();
+        let min = singles.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
+        // The lowest cost, and on a tie the earliest seed's placement.
+        let first = singles.iter().position(|p| p.cost == min).unwrap();
+        assert_eq!((best.cost, &best.site_of), (min, &singles[first].site_of));
     }
 }

@@ -65,18 +65,6 @@ fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
 }
 
 #[test]
-fn multi_seed_placement_is_thread_count_independent() {
-    let nl = mul_netlist(4, true);
-    let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
-    let seeds = [1u64, 2, 3, 4, 5];
-    let a = par::place_multi_seed_on(&nl, arch, &seeds, 1);
-    let b = par::place_multi_seed_on(&nl, arch, &seeds, 3);
-    let c = par::place_multi_seed_on(&nl, arch, &seeds, 8);
-    assert_eq!(a.site_of, b.site_of);
-    assert_eq!(a.site_of, c.site_of);
-}
-
-#[test]
 fn binary_warm_search_matches_linear_scan_minimum() {
     for (bits, parameterized) in [(4, false), (4, true), (5, true)] {
         let nl = mul_netlist(bits, parameterized);

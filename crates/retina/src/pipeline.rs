@@ -153,7 +153,7 @@ pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
         data: eq.data.iter().map(|&v| v.min(disc_cut)).collect(),
     };
     // Outer region removal.
-    let fov = fov_mask(pre.w);
+    let fov = fov_mask(pre.w, pre.h);
     for (p, f) in pre.data.iter_mut().zip(&fov.data) {
         *p *= f;
     }
@@ -295,6 +295,31 @@ mod tests {
         assert_eq!(m.precision(), 0.5);
         assert_eq!(m.recall(), 0.5);
         assert_eq!(m.f1(), 0.5);
+    }
+
+    /// DRIVE's fundus images are 565 × 584: the field of view must cover
+    /// the whole image and sit at its centre, whatever its aspect.
+    #[test]
+    fn a_non_square_image_is_masked_over_its_whole_area() {
+        let (square, _) = synth_fundus(&SynthConfig { size: 48, ..Default::default() }, 13);
+        // 16 rows of background appended: 48 wide, 64 high.
+        let taller = |c: &Image| {
+            let mut data = c.data.clone();
+            data.extend(std::iter::repeat_n(c.data[0], 16 * c.w));
+            Image { w: c.w, h: c.h + 16, data }
+        };
+        let img = RgbImage { r: taller(&square.r), g: taller(&square.g), b: taller(&square.b) };
+        let res = run_pipeline(&img, &small_cfg());
+        let fov = fov_mask(48, 64);
+        assert_eq!((res.segmented.w, res.segmented.h), (48, 64));
+        let outside: Vec<usize> = (0..fov.data.len()).filter(|&i| fov.data[i] < 0.5).collect();
+        assert!(outside.iter().any(|&i| i >= 48 * 48), "the appended rows reach past the circle");
+        for i in outside {
+            let (x, y) = (i % 48, i / 48);
+            let at = format!("({x}, {y}) is outside the field of view");
+            assert_eq!(res.preprocessed.data[i], 0.0, "preprocessed {at}");
+            assert_eq!(res.segmented.data[i], 0.0, "segmented {at}");
+        }
     }
 
     #[test]

@@ -190,15 +190,17 @@ fn box_blur(img: &Image, radius: i64) -> Image {
     out
 }
 
-/// Mask of the circular field of view (1.0 inside).
-pub fn fov_mask(size: usize) -> Image {
-    let mut m = Image::new(size, size, 0.0);
-    let c = size as f32 / 2.0;
-    let r = size as f32 * 0.47;
-    for y in 0..size {
-        for x in 0..size {
-            let dx = x as f32 - c;
-            let dy = y as f32 - c;
+/// Mask of the circular field of view of a `w × h` image (1.0 inside):
+/// centred on the image, radius 0.47 of its shorter side — on a square
+/// image, the field of view [`synth_fundus`] draws.
+pub fn fov_mask(w: usize, h: usize) -> Image {
+    let mut m = Image::new(w, h, 0.0);
+    let (cx, cy) = (w as f32 / 2.0, h as f32 / 2.0);
+    let r = w.min(h) as f32 * 0.47;
+    for y in 0..h {
+        for x in 0..w {
+            let dx = x as f32 - cx;
+            let dy = y as f32 - cy;
             if dx * dx + dy * dy <= r * r {
                 m.set(x, y, 1.0);
             }
@@ -236,7 +238,7 @@ mod tests {
         assert!(cov > 0.01 && cov < 0.35, "vessel coverage {cov}");
         // Vessel pixels must be darker on average than non-vessel pixels
         // inside the FOV.
-        let fov = fov_mask(96);
+        let fov = fov_mask(96, 96);
         let mut vessel_sum = 0.0;
         let mut vessel_n = 0.0;
         let mut bg_sum = 0.0;
@@ -260,7 +262,7 @@ mod tests {
     fn truth_restricted_to_fov() {
         let cfg = SynthConfig { size: 64, ..Default::default() };
         let (_, truth) = synth_fundus(&cfg, 3);
-        let fov = fov_mask(64);
+        let fov = fov_mask(64, 64);
         for i in 0..truth.data.len() {
             if truth.data[i] > 0.5 {
                 assert!(fov.data[i] > 0.5, "vessel outside FOV at {i}");

@@ -326,9 +326,6 @@ impl Runtime {
                 sig,
             },
         );
-        if lease.shared {
-            self.refresh_shared((lease.grid, lease.row0));
-        }
         drop(admission_span);
         request_span.arg("cache_hit", cache_hit);
         request_span.arg("admit_ns", admit_time.as_nanos() as u64);
@@ -343,35 +340,20 @@ impl Runtime {
         })
     }
 
-    /// Brings `Lease::shared` of every tenant on one band in line with
-    /// the band's membership. Called wherever that changes: a
-    /// time-sharing admission and `vacate`.
-    fn refresh_shared(&mut self, (grid, row0): (usize, usize)) {
-        let mates = self.pool.band_tenants(grid, row0);
-        for t in &mates {
-            if let Some(tenant) = self.tenants.get_mut(t) {
-                tenant.lease.shared = mates.len() > 1;
-            }
-        }
-    }
-
     /// Takes a live tenant off its band — the pool slot, the tenant
     /// record and its resident entry go — and returns the record.
     fn vacate(&mut self, tenant: TenantId) -> Option<Tenant> {
         let gone = self.tenants.remove(&tenant)?;
         self.pool.release(tenant);
         self.resident.retain(|_, &mut r| r != tenant);
-        if gone.lease.shared {
-            self.refresh_shared((gone.lease.grid, gone.lease.row0));
-        }
         Some(gone)
     }
 
     /// Applies a compaction's band moves to the runtime's view: leases
-    /// translate to their new rows (epoch advances), the resident map
-    /// follows, and the ledger charges one full-region configuration
-    /// replay per moved band — relocating a band means streaming its
-    /// (cached) configuration back through the port at the new offset.
+    /// translate to their new rows, the resident map follows, and the
+    /// ledger charges one full-region configuration replay per moved band
+    /// — relocating a band means streaming its (cached) configuration
+    /// back through the port at the new offset.
     fn apply_relocations(&mut self, relocations: &[Relocation]) {
         if relocations.is_empty() {
             return;

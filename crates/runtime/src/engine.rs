@@ -43,10 +43,6 @@ pub(crate) const BATCH_SIZE: usize = 64;
 pub struct Job {
     /// The tenant being served.
     pub tenant: TenantId,
-    /// Relocation epoch of the tenant's lease at submission time (how
-    /// many times compaction has moved the band) — carried into the
-    /// [`TenantRun`] so callers can correlate results with relocations.
-    pub epoch: u64,
     /// Its placed configuration under its current parameters, lowered.
     pub plan: ExecPlan,
     /// Input vectors to stream, one value per external input each.
@@ -69,8 +65,6 @@ pub struct BandWork {
 pub struct TenantRun {
     /// The tenant.
     pub tenant: TenantId,
-    /// Relocation epoch the tenant ran at (see [`Job::epoch`]).
-    pub epoch: u64,
     /// One output vector per input vector, in order.
     pub outputs: Vec<Vec<FpValue>>,
     /// Input vectors processed.
@@ -163,7 +157,6 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
             }
             runs.push(TenantRun {
                 tenant: job.tenant,
-                epoch: job.epoch,
                 outputs: Vec::with_capacity(job.inputs.len()),
                 items: job.inputs.len(),
                 batches: job.inputs.len().div_ceil(batch_size),
@@ -244,7 +237,6 @@ mod tests {
     fn mixed_bands(plans: &[ExecPlan], inputs: &[Vec<Vec<FpValue>>]) -> Vec<BandWork> {
         let job = |t: usize| Job {
             tenant: t as TenantId,
-            epoch: t as u64,
             plan: plans[t].clone(),
             inputs: inputs[t].clone(),
         };
@@ -288,7 +280,6 @@ mod tests {
                 for (t, run) in runs.iter().enumerate() {
                     let at = format!("tenant {t}, {workers} workers, batches of {batch_size}");
                     assert_eq!(run.tenant, t as TenantId, "{at}");
-                    assert_eq!(run.epoch, t as u64, "{at}");
                     assert_eq!(run.outputs, want[t], "{at}: outputs in item order");
                     assert_eq!(run.items, items[t], "{at}");
                     assert_eq!(run.batches, items[t].div_ceil(batch_size), "{at}");
@@ -332,7 +323,7 @@ mod tests {
             swap_in_first: false,
             switch_cost: cost,
             jobs: (0..3)
-                .map(|t| Job { tenant: t, epoch: 0, plan: plan.clone(), inputs: inputs.clone() })
+                .map(|t| Job { tenant: t, plan: plan.clone(), inputs: inputs.clone() })
                 .collect(),
         };
         let runs = run_bands(vec![band], 2, 8);
@@ -347,7 +338,7 @@ mod tests {
         let band = BandWork {
             swap_in_first: true,
             switch_cost: cost,
-            jobs: vec![Job { tenant: 0, epoch: 0, plan: plan.clone(), inputs: inputs.clone() }],
+            jobs: vec![Job { tenant: 0, plan: plan.clone(), inputs: inputs.clone() }],
         };
         let runs = run_bands(vec![band], 1, 8);
         assert_eq!(runs[0].context_switches, 1, "resident tenant differs");
@@ -358,7 +349,7 @@ mod tests {
             swap_in_first: false,
             switch_cost: cost,
             jobs: [0, 0, 1]
-                .map(|t| Job { tenant: t, epoch: 0, plan: plan.clone(), inputs: inputs.clone() })
+                .map(|t| Job { tenant: t, plan: plan.clone(), inputs: inputs.clone() })
                 .into(),
         };
         let switches: Vec<usize> =

@@ -31,9 +31,9 @@
 //!   already warm in the configuration cache, so a mixed-width pool
 //!   compiles each structure once, not once per width. When the free rows
 //!   are fragmented, **band compaction** slides bands down (reported as
-//!   [`pool::Relocation`]s, replayed and charged by the runtime; leases
-//!   carry a relocation `epoch`); when the rows are not there, admission
-//!   time-multiplexes the least-crowded band tall enough, and each
+//!   [`pool::Relocation`]s, replayed and charged by the runtime, counted
+//!   in [`TenantStats::relocations`]); when the rows are not there,
+//!   admission time-multiplexes the least-crowded band tall enough, and each
 //!   context switch is charged a full-region reconfig; when no band is
 //!   tall enough either, the runtime parks the submission in a FIFO
 //!   **admission queue** drained on release. None of these steps is an

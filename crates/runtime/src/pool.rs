@@ -38,7 +38,8 @@ use vcgra::VcgraArch;
 /// Identifier the runtime hands out per admitted application.
 pub type TenantId = u64;
 
-/// Where a tenant's region lives.
+/// Where a tenant's region lives. Who else is on the band is the pool's
+/// fact, not the lease's: ask [`GridPool::band_tenants`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lease {
     /// Index of the grid in the pool.
@@ -49,14 +50,6 @@ pub struct Lease {
     pub rows: usize,
     /// Columns (the grid's full width).
     pub cols: usize,
-    /// True while the band holds more than one tenant (time-multiplexed).
-    /// The pool writes it at allocation; the runtime refreshes it on every
-    /// lease of a band whenever a tenant joins or leaves that band.
-    pub shared: bool,
-    /// Relocation epoch: how many times this lease has been moved by
-    /// band compaction. A fresh lease is epoch 0; the runtime bumps it
-    /// each time the band is slid to a new `row0`.
-    pub epoch: u64,
 }
 
 impl Lease {
@@ -66,9 +59,9 @@ impl Lease {
     }
 
     /// The lease translated to a new band start (what compaction does):
-    /// same shape, same grid, new physical rows, epoch advanced.
+    /// same shape, same grid, new physical rows.
     pub fn translated(&self, new_row0: usize) -> Lease {
-        Lease { row0: new_row0, epoch: self.epoch + 1, ..*self }
+        Lease { row0: new_row0, ..*self }
     }
 }
 
@@ -317,14 +310,7 @@ impl GridPool {
             let cols = self.grids[gi].arch.cols;
             let band = &mut self.grids[gi].bands[bi];
             band.tenants.push(tenant);
-            let lease = Lease {
-                grid: gi,
-                row0: band.row0,
-                rows: band.rows,
-                cols,
-                shared: true,
-                epoch: 0,
-            };
+            let lease = Lease { grid: gi, row0: band.row0, rows: band.rows, cols };
             return Ok((lease, Vec::new()));
         }
         // 4. Nothing free, nothing shareable: distinguish "never fits"
@@ -337,7 +323,7 @@ impl GridPool {
     fn carve(&mut self, grid: usize, row0: usize, rows: usize, tenant: TenantId) -> Lease {
         let g = &mut self.grids[grid];
         g.bands.push(Band { row0, rows, tenants: vec![tenant] });
-        Lease { grid, row0, rows, cols: g.arch.cols, shared: false, epoch: 0 }
+        Lease { grid, row0, rows, cols: g.arch.cols }
     }
 
     /// `Ok` when `demand` would fit some *empty* grid of the pool —
@@ -421,6 +407,11 @@ mod tests {
         })
     }
 
+    /// Whether the lease's band holds more than one tenant.
+    fn shared(p: &GridPool, l: Lease) -> bool {
+        p.band_tenants(l.grid, l.row0).len() > 1
+    }
+
     #[test]
     fn small_tenants_pack_one_grid() {
         let mut p = pool();
@@ -428,8 +419,7 @@ mod tests {
         let b = place(&mut p, 2, 8).unwrap(); // 2 rows of 4
         assert_eq!((a.grid, a.row0, a.rows), (0, 0, 2));
         assert_eq!((b.grid, b.row0, b.rows), (0, 2, 2));
-        assert!(!a.shared && !b.shared);
-        assert_eq!((a.epoch, b.epoch), (0, 0));
+        assert!(!shared(&p, a) && !shared(&p, b));
         assert!(p.utilization() > 0.0);
     }
 
@@ -438,12 +428,12 @@ mod tests {
         let mut p = pool();
         for t in 0..5 {
             let l = place(&mut p, t, 8).unwrap();
-            assert!(!l.shared, "tenant {t} should get a dedicated band");
+            assert!(!shared(&p, l), "tenant {t} should get a dedicated band");
         }
         // All 10 rows are taken (3 bands on grid 0, 2 on grid 1): the sixth
         // tenant shares.
         let l = place(&mut p, 5, 8).unwrap();
-        assert!(l.shared);
+        assert!(shared(&p, l));
         let mates = p.band_tenants(l.grid, l.row0);
         assert_eq!(mates.len(), 2);
         assert!(mates.contains(&5));
@@ -456,11 +446,12 @@ mod tests {
         assert_eq!(a.rows, 6);
         // Grid 0 is full and grid 1 is too small, so a second 24-PE tenant
         // can only time-share tenant 1's band.
-        assert!(place(&mut p, 2, 24).unwrap().shared);
+        let b = place(&mut p, 2, 24).unwrap();
+        assert!(shared(&p, b));
         assert!(p.release(2));
         assert!(p.release(1));
         let b = place(&mut p, 3, 24).unwrap();
-        assert_eq!((b.grid, b.row0, b.rows, b.shared), (0, 0, 6, false));
+        assert_eq!((b.grid, b.row0, b.rows, shared(&p, b)), (0, 0, 6, false));
         assert!(!p.release(99), "unknown tenant");
     }
 
@@ -485,7 +476,8 @@ mod tests {
         for t in 0..3 {
             p.release(t);
         }
-        assert!(!place(&mut p, 9, 18).unwrap().shared);
+        let l = place(&mut p, 9, 18).unwrap();
+        assert!(!shared(&p, l));
     }
 
     #[test]
@@ -515,7 +507,7 @@ mod tests {
         // The 3-row band slides to row 0 and the 13-row tenant admits at
         // row 3.
         let (lease, relocs) = p.allocate(9, 52, |_| false).unwrap();
-        assert_eq!((lease.row0, lease.rows, lease.shared), (3, 13, false));
+        assert_eq!((lease.row0, lease.rows, shared(&p, lease)), (3, 13, false));
         assert_eq!(relocs.len(), 1);
         assert_eq!(
             relocs[0],
@@ -595,14 +587,16 @@ mod tests {
         let mut p = pool();
         // Fill every row of both grids with dedicated bands.
         for t in 0..5 {
-            assert!(!place(&mut p, t, 8).unwrap().shared);
+            let l = place(&mut p, t, 8).unwrap();
+            assert!(!shared(&p, l));
         }
         assert_eq!(p.utilization(), 1.0);
         // Oversubscribe: three more tenants time-share existing bands.
         // The rows are a spatial resource — utilization must stay exactly
         // 1.0, not double-count the shared bands.
         for t in 5..8 {
-            assert!(place(&mut p, t, 8).unwrap().shared);
+            let l = place(&mut p, t, 8).unwrap();
+            assert!(shared(&p, l));
         }
         assert_eq!(p.utilization(), 1.0, "shared bands must count once");
         // Releasing one sharer of a 2-tenant band frees no rows...

@@ -11,10 +11,10 @@
 //!    *fragmented* free rows, the scheduler **compacts** — slides that
 //!    grid's bands down and replays the displaced tenants' configurations
 //!    onto the translated bands (charged to the ledger as reconfiguration
-//!    time; each moved lease's `epoch` advances). If compaction cannot
-//!    help, the tenant **time-shares** the least-crowded band tall enough
-//!    (every lease on that band then says `shared`, until it is alone
-//!    again). If no band is tall enough either, the request enters the
+//!    time and counted in each moved tenant's `TenantStats::relocations`).
+//!    If compaction cannot help, the tenant **time-shares** the
+//!    least-crowded band tall enough (the pool's `band_tenants` lists who
+//!    is on it). If no band is tall enough either, the request enters the
 //!    FIFO **admission queue** and `submit` returns
 //!    [`Admission::Queued`] instead of an error.
 //!    Once a region is leased, the configuration cache is consulted with
@@ -92,7 +92,7 @@ pub struct Tenant {
     pub graph: AppGraph,
     /// Placed configuration, settings in sync with `graph`.
     pub mapping: VcgraMapping,
-    /// Leased region (its `epoch` counts compaction moves).
+    /// Leased region.
     pub lease: Lease,
     pub(crate) key: ConfigKey,
     /// Accumulated accounting.
@@ -214,7 +214,6 @@ impl Runtime {
             })?;
             by_band.entry((t.lease.grid, t.lease.row0)).or_default().push(Job {
                 tenant: req.tenant,
-                epoch: t.lease.epoch,
                 plan,
                 inputs: req.inputs,
             });

@@ -36,7 +36,6 @@ impl Runtime {
                     row0: t.lease.row0,
                     rows: t.lease.rows,
                     cols: t.lease.cols,
-                    shared: t.lease.shared,
                     demand: t.graph.pe_demand(),
                     region: (t.mapping.arch.rows, t.mapping.arch.cols),
                     placed_nodes: t.mapping.place.len(),

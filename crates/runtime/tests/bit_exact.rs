@@ -180,7 +180,8 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
         ids.push(rt.submit(&w.name, w.graph.clone()).unwrap().tenant());
     }
     // The third tenant had to share a band.
-    assert!(rt.tenant(ids[2]).unwrap().lease.shared);
+    let lease = rt.tenant(ids[2]).unwrap().lease;
+    assert!(rt.pool().band_tenants(lease.grid, lease.row0).len() > 1);
 
     let requests: Vec<StreamRequest> = ids
         .iter()
@@ -318,6 +319,42 @@ fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId
     let waiting = rt.submit("waiting", waiter.clone()).unwrap();
     assert!(waiting.is_queued(), "one free row, two 2-row bands: nowhere to put three rows");
     (rt, good_id, good, second, waiting.tenant(), waiter)
+}
+
+/// The paper's other parameter retune: a node's iteration counter lives in
+/// the settings register alone, so the swap rewrites one settings frame
+/// and no datapath frame, and what the tenant computes does not move.
+#[test]
+fn a_counter_retune_is_one_settings_frame_and_leaves_the_outputs() {
+    let (mut rt, id, graph, _, waiting, _) = full_pool_with_a_waiter();
+    let ins = stream(graph.num_inputs, 8, 5);
+    let outputs = |rt: &mut Runtime| {
+        rt.run(vec![StreamRequest { tenant: id, inputs: ins.clone() }]).unwrap().remove(0).outputs
+    };
+    let before = outputs(&mut rt);
+    let ledger = *rt.ledger();
+    let intervals = rt.timeline_snapshot().intervals.len();
+
+    let rep = rt.set_counter(id, 0, 7).unwrap();
+    assert_eq!((rep.dirty_pes, rep.ppc_frames, rep.settings_frames, rep.sweeps), (1, 0, 1, 0));
+    let now = rt.ledger();
+    assert_eq!((now.swaps, now.swap_frames), (ledger.swaps + 1, ledger.swap_frames + 1));
+    assert_eq!(now.swap_port_time, ledger.swap_port_time + rep.port_time);
+    let timeline = rt.timeline_snapshot();
+    assert_eq!(timeline.intervals.len(), intervals + 1);
+    let booked = timeline.intervals.last().unwrap();
+    let port_ns = rep.port_time.as_nanos() as u64;
+    assert_eq!((booked.phase, booked.tenant, booked.dur_ns), ("swap", Some(id), port_ns));
+    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+    assert_eq!(outputs(&mut rt), before, "a counter is no operand of the dataflow");
+
+    // Refusals book nothing.
+    let ledger = format!("{:?}", rt.ledger());
+    let nodes = graph.nodes.len();
+    let out_of_range = RuntimeError::NodeOutOfRange { node: nodes, nodes };
+    assert_eq!(rt.set_counter(id, nodes, 7).unwrap_err(), out_of_range);
+    assert_eq!(rt.set_counter(waiting, 0, 7).unwrap_err(), RuntimeError::Waiting(waiting));
+    assert_eq!(format!("{:?}", rt.ledger()), ledger);
 }
 
 #[test]

@@ -137,7 +137,7 @@ proptest! {
                                 prop_assert_eq!(!relocs.is_empty(), guaranteed, "compacts iff it helps");
                             }
                             prop_assert_eq!(
-                                lease.shared,
+                                p.band_tenants(lease.grid, lease.row0).len() > 1,
                                 !guaranteed,
                                 "free rows sufficed: must be dedicated, not shared"
                             );
@@ -220,7 +220,8 @@ proptest! {
             if free >= 2 {
                 let (lease, relocs) = p.allocate(next, free * arch.cols, |g| g == gi).unwrap();
                 next += 1;
-                prop_assert_eq!((lease.grid, lease.rows, lease.shared), (gi, free, false));
+                prop_assert_eq!((lease.grid, lease.rows), (gi, free));
+                prop_assert_eq!(p.band_tenants(gi, lease.row0), vec![next - 1], "its own band");
                 prop_assert!(relocs.is_empty(), "grid {gi} must offer its {free} coalesced free rows");
             }
         }

@@ -40,12 +40,12 @@
 //!   The repo benchmark's `shard_mixed` workload (`bench/`) measures the
 //!   tier's throughput and latency.
 //!
-//! Observability: the server's shared [`trace::Registry`] carries
-//! `shard.route`/`shard.spill`/`shard.reject` counters, per-shard
-//! `shard.<i>.queue_depth` gauges, and `shard.queue_wait_ns` /
-//! `shard.admit_ns` / `shard.execute_ns` latency histograms (aggregate
-//! and per shard); the span recorder sees a `shard.route` span per
-//! routing decision and a `shard.serve` span per request on the worker.
+//! Observability: the server's shared [`trace::Registry`] carries what
+//! the repo benchmark reads — the `shard.spill`/`shard.reject` counters
+//! and the tier-wide `shard.queue_wait_ns` / `shard.admit_ns` /
+//! `shard.execute_ns` latency histograms; the span recorder sees a
+//! `shard.route` span per routing decision (with its shard and whether it
+//! spilled) and a `shard.serve` span per request on the worker.
 //!
 //! Serving model in one table:
 //!

@@ -118,7 +118,7 @@ impl Router {
     }
 
     /// Current outstanding-ticket count per shard.
-    pub fn loads(&self) -> Vec<u64> {
+    fn loads(&self) -> Vec<u64> {
         self.outstanding.iter().map(|a| a.load(Ordering::SeqCst)).collect()
     }
 

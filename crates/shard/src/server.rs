@@ -17,9 +17,8 @@
 //! Workers drain their queue in strict FIFO order, so *per-shard
 //! admission order equals dispatch order* — the property the seeded
 //! load generator's determinism test pins down. Each worker records
-//! queue-wait / admit / execute latencies into shared histograms
-//! (aggregate and per-shard) and keeps an admission log for the
-//! determinism proof.
+//! queue-wait / admit / execute latencies into the tier's shared
+//! histograms and keeps an admission log for the determinism proof.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,10 +258,8 @@ pub struct ShardServer {
     /// time, before the worker replies, and callers can pipeline a
     /// tenant's whole lifecycle without a round-trip per step.
     submitted: Vec<u64>,
-    routed: trace::Counter,
     spilled: trace::Counter,
     rejected: trace::Counter,
-    depth: Vec<trace::Gauge>,
 }
 
 impl ShardServer {
@@ -274,33 +271,27 @@ impl ShardServer {
         let registry = Arc::new(trace::Registry::new());
         let mut queues = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
-        let mut depth = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Request>(cfg.queue_depth);
             let rt_cfg = cfg.runtime.clone();
             let reg = Arc::clone(&registry);
-            let gauge = registry.gauge(&format!("shard.{shard}.queue_depth"));
-            let worker_gauge = gauge.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("shard-{shard}"))
-                .spawn(move || worker_loop(shard, rx, rt_cfg, reg, worker_gauge))
+                .spawn(move || worker_loop(shard, rx, rt_cfg, &reg))
                 .expect("spawn shard worker");
             queues.push(tx);
             workers.push(handle);
-            depth.push(gauge);
         }
         ShardServer {
             router: Router::new(cfg.shards, cfg.spill_margin),
             queues,
             workers,
-            routed: registry.counter("shard.route"),
             spilled: registry.counter("shard.spill"),
             rejected: registry.counter("shard.reject"),
             registry,
             queue_depth: cfg.queue_depth,
             next_id: 0,
             submitted: vec![0; cfg.shards],
-            depth,
         }
     }
 
@@ -309,16 +300,11 @@ impl ShardServer {
         self.queues.len()
     }
 
-    /// The tier's metrics registry (`shard.*` cells live here; workers
-    /// also record their latency histograms into it).
+    /// The tier's metrics registry: the `shard.spill` and `shard.reject`
+    /// counters, and the `shard.queue_wait_ns` / `shard.admit_ns` /
+    /// `shard.execute_ns` histograms the workers record into.
     pub fn metrics(&self) -> &trace::Registry {
         &self.registry
-    }
-
-    /// Current outstanding-ticket count per shard (the router's load
-    /// signal).
-    pub fn loads(&self) -> Vec<u64> {
-        self.router.loads()
     }
 
     /// Routes and dispatches an admission. Returns the tenant's address
@@ -341,7 +327,6 @@ impl ShardServer {
         span.arg("key", key.hash());
         span.arg("shard", shard as u64);
         span.arg("spilled", matches!(pick, RoutePick::Spilled { .. }));
-        self.routed.inc();
         if let RoutePick::Spilled { from } = pick {
             self.spilled.inc();
             trace::instant("shard.spill", vec![("from", (from as u64).into()), ("to", (shard as u64).into())]);
@@ -441,7 +426,6 @@ impl ShardServer {
         match self.queues[shard].try_send(req) {
             Ok(()) => {
                 self.next_id += 1;
-                self.depth[shard].add(1);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
@@ -463,7 +447,6 @@ impl ShardServer {
     fn send_blocking(&mut self, shard: usize, op: Op) {
         let req = Request { id: self.next_id, enqueued: Instant::now(), op };
         self.next_id += 1;
-        self.depth[shard].add(1);
         self.queues[shard]
             .send(req)
             .unwrap_or_else(|_| panic!("shard {shard} worker exited while the server was live"));
@@ -491,23 +474,17 @@ fn worker_loop(
     shard: usize,
     rx: Receiver<Request>,
     rt_cfg: RuntimeConfig,
-    registry: Arc<trace::Registry>,
-    depth: trace::Gauge,
+    registry: &trace::Registry,
 ) -> ShardFinal {
     let mut rt = Runtime::new(rt_cfg);
     let queue_wait = registry.histogram("shard.queue_wait_ns");
-    let queue_wait_local = registry.histogram(&format!("shard.{shard}.queue_wait_ns"));
     let admit_ns = registry.histogram("shard.admit_ns");
-    let admit_local = registry.histogram(&format!("shard.{shard}.admit_ns"));
     let execute_ns = registry.histogram("shard.execute_ns");
-    let execute_local = registry.histogram(&format!("shard.{shard}.execute_ns"));
     let mut processed = 0u64;
     let mut admission_order: Vec<String> = Vec::new();
     while let Ok(req) = rx.recv() {
-        depth.add(-1);
         let wait = req.enqueued.elapsed();
         queue_wait.record_duration(wait);
-        queue_wait_local.record_duration(wait);
         trace::instant(
             "shard.queue_wait",
             vec![
@@ -525,25 +502,19 @@ fn worker_loop(
                 admission_order.push(name.clone());
                 let t0 = Instant::now();
                 let result = rt.submit(name, graph);
-                let dt = t0.elapsed();
-                admit_ns.record_duration(dt);
-                admit_local.record_duration(dt);
+                admit_ns.record_duration(t0.elapsed());
                 let _ = reply.send(result);
             }
             Op::Swap { tenant, coeffs, reply } => {
                 let t0 = Instant::now();
                 let result = rt.swap_params(tenant, &coeffs);
-                let dt = t0.elapsed();
-                admit_ns.record_duration(dt);
-                admit_local.record_duration(dt);
+                admit_ns.record_duration(t0.elapsed());
                 let _ = reply.send(result);
             }
             Op::Run { requests, reply } => {
                 let t0 = Instant::now();
                 let result = rt.run(requests);
-                let dt = t0.elapsed();
-                execute_ns.record_duration(dt);
-                execute_local.record_duration(dt);
+                execute_ns.record_duration(t0.elapsed());
                 let _ = reply.send(result);
             }
             Op::Release { tenant, reply } => {

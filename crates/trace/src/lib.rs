@@ -9,10 +9,11 @@
 //!   by [`write_chrome_trace`] (loadable in Perfetto or
 //!   `chrome://tracing`). Every `xbench` driver exposes it as
 //!   `--trace <path>`.
-//! - [`Registry`]: named [`Counter`]s, [`Gauge`]s, and log-linear-bucket
-//!   [`Histogram`]s with p50/p95/p99/max readout. The runtime keeps its
-//!   latency histograms in one; the shard tier its histograms, routing
-//!   counters and queue-depth gauges.
+//! - [`Registry`]: named [`Counter`]s and log-linear-bucket
+//!   [`Histogram`]s with p50/p95/p99/max readout. The shard tier keeps
+//!   one: its queue-wait, admit and execute histograms and its spill and
+//!   reject counters. (The runtime keeps no registry: an admission or a
+//!   swap returns its own host latency, and the `Ledger` holds the rest.)
 //! - [`json`]: a minimal JSON parser so the trace round-trip tests can
 //!   consume this crate's output without any external dependency.
 //!
@@ -28,7 +29,7 @@ pub mod metrics;
 pub mod span;
 
 pub use chrome::{to_chrome_json, write_chrome_trace};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use span::{
     configure, counter, event_count, instant, is_enabled, span, take_events, AttrValue, Phase,
     Span, TraceConfig, TraceEvent,

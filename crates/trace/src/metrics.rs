@@ -1,7 +1,7 @@
-//! The metrics registry: named counters, gauges, and log-linear-bucket
+//! The metrics registry: named counters and log-linear-bucket
 //! histograms with p50/p95/p99/max readout.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
+//! Handles ([`Counter`], [`Histogram`]) are cheap `Arc` clones
 //! over atomics: get-or-create once, then record lock-free from any
 //! thread. The registry itself only takes a lock on handle creation and
 //! snapshot, never on the record path.
@@ -13,7 +13,7 @@
 //! exact unit buckets.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Linear sub-buckets per power-of-two octave.
@@ -61,22 +61,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Instantaneous signed value.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -210,7 +194,6 @@ impl HistogramSnapshot {
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -238,12 +221,6 @@ impl Registry {
         g.counters.entry(name.to_string()).or_default().clone()
     }
 
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.gauges.entry(name.to_string()).or_default().clone()
-    }
-
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut g = self.inner.lock().expect("registry poisoned");
@@ -254,12 +231,6 @@ impl Registry {
     pub fn counter_value(&self, name: &str) -> u64 {
         let g = self.inner.lock().expect("registry poisoned");
         g.counters.get(name).map_or(0, Counter::get)
-    }
-
-    /// Names and values of every counter, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let g = self.inner.lock().expect("registry poisoned");
-        g.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect()
     }
 
     /// Names and snapshots of every histogram, sorted by name.
@@ -356,10 +327,6 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(r.counter_value("hits"), 4);
-        let g = r.gauge("depth");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(r.gauge("depth").get(), 3);
         let h = r.histogram("lat_ns");
         h.record(10);
         assert_eq!(r.histogram("lat_ns").snapshot().count, 1);

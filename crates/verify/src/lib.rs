@@ -10,8 +10,7 @@
 //!
 //! * [`config`] — lints a routed [`vcgra::flow::VcgraMapping`] against its
 //!   [`vcgra::app::AppGraph`]: placement sanity, contiguous simple route
-//!   paths, channel-capacity conformance, PE settings/format agreement and
-//!   configuration-frame addressing.
+//!   paths, channel-capacity conformance and PE settings/format agreement.
 //! * [`routes`] — lints fabric-level route trees: per-net connectivity
 //!   (a spanning-forest certificate from the sources that covers every
 //!   tree node and reaches every sink — no stranded components, no
@@ -156,15 +155,6 @@ pub enum Violation {
         /// Words the mapping produced.
         got: usize,
     },
-    /// A cell's configuration frame address is outside the frame space.
-    FrameOutOfRange {
-        /// The cell.
-        cell: (usize, usize),
-        /// Computed frame address.
-        frame: usize,
-        /// Number of frames the model has.
-        frames: usize,
-    },
 
     // --- fabric route-tree linter ---
     /// Net and tree counts disagree.
@@ -263,11 +253,6 @@ pub enum Violation {
     },
     /// A lease's shape (rows/cols) disagrees with its band or grid.
     LeaseShapeMismatch {
-        /// The tenant.
-        tenant: u64,
-    },
-    /// A lease's `shared` flag disagrees with its band's tenant count.
-    SharedFlagWrong {
         /// The tenant.
         tenant: u64,
     },
@@ -399,7 +384,6 @@ impl Violation {
             Violation::CoeffMismatch { .. } => "coeff-mismatch",
             Violation::FormatMismatch { .. } => "format-mismatch",
             Violation::SettingsWordCount { .. } => "settings-word-count",
-            Violation::FrameOutOfRange { .. } => "frame-out-of-range",
             Violation::TreeCountMismatch { .. } => "tree-count-mismatch",
             Violation::NodeOutOfRange { .. } => "node-out-of-range",
             Violation::TrackOutOfRange { .. } => "track-out-of-range",
@@ -412,7 +396,6 @@ impl Violation {
             Violation::RowConservation { .. } => "row-conservation",
             Violation::LeaseWithoutBand { .. } => "lease-without-band",
             Violation::LeaseShapeMismatch { .. } => "lease-shape-mismatch",
-            Violation::SharedFlagWrong { .. } => "shared-flag-wrong",
             Violation::LeaseTooSmall { .. } => "lease-too-small",
             Violation::RegionMismatch { .. } => "region-mismatch",
             Violation::MappingNodeCount { .. } => "mapping-node-count",
@@ -482,9 +465,6 @@ impl fmt::Display for Violation {
             Violation::SettingsWordCount { expected, got } => {
                 write!(f, "settings words: {got}, architecture has {expected} registers")
             }
-            Violation::FrameOutOfRange { cell, frame, frames } => {
-                write!(f, "cell {cell:?} addresses frame {frame}, model has {frames}")
-            }
             Violation::TreeCountMismatch { nets, trees } => {
                 write!(f, "{trees} trees for {nets} nets")
             }
@@ -520,9 +500,6 @@ impl fmt::Display for Violation {
             }
             Violation::LeaseShapeMismatch { tenant } => {
                 write!(f, "tenant {tenant}: lease shape disagrees with its band/grid")
-            }
-            Violation::SharedFlagWrong { tenant } => {
-                write!(f, "tenant {tenant}: lease's shared flag disagrees with its band's tenant count")
             }
             Violation::LeaseTooSmall { tenant, rows, needed } => {
                 write!(f, "tenant {tenant}: {rows} leased rows, demand needs {needed}")

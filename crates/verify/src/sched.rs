@@ -6,8 +6,8 @@
 //!
 //! * **lease/band disjointness** — bands stay inside their grids, never
 //!   overlap, never sit empty; every live tenant's lease lands on a band
-//!   of matching shape, and its `shared` flag says whether the band has
-//!   more than one tenant;
+//!   of matching shape that lists it (who shares a band is the band's
+//!   tenant list alone);
 //! * **row conservation** — per grid, free rows plus band rows equal the
 //!   grid's rows (nothing leaks, nothing is double-counted);
 //! * **queue/ledger reconciliation** — `queued` equals
@@ -106,8 +106,6 @@ pub struct TenantSnap {
     pub rows: usize,
     /// Lease: columns (full grid width).
     pub cols: usize,
-    /// Lease claims the band is time-shared.
-    pub shared: bool,
     /// The graph's PE demand.
     pub demand: usize,
     /// Region the configuration was compiled for.
@@ -226,12 +224,6 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
                 if b.rows != t.rows || t.cols != grid_cols || !b.tenants.contains(&t.id) {
                     out.push(Violation::LeaseShapeMismatch { tenant: t.id });
                 }
-                // The flag is the band's membership, for every tenant on
-                // it and at every moment: the runtime refreshes it whenever
-                // a tenant joins or leaves.
-                if t.shared != (b.tenants.len() > 1) {
-                    out.push(Violation::SharedFlagWrong { tenant: t.id });
-                }
             }
         }
 
@@ -326,7 +318,6 @@ mod tests {
                 row0: 0,
                 rows: 2,
                 cols: 4,
-                shared: false,
                 demand,
                 region: (rows_needed(demand, 4), 4),
                 placed_nodes: demand,

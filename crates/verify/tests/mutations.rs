@@ -83,6 +83,126 @@ fn wrong_pe_mode_is_rejected() {
     assert_violation!(check_mapping(&app, &m), Violation::ModeMismatch { .. });
 }
 
+// One mutation per remaining linter variant, each with its exact count.
+// The mapping states some facts twice (a node's cell in `place` and at the
+// ends of its routes), so where one corrupted field breaks a second fact
+// the test names that variant too.
+
+/// The grid index of node `node`'s cell.
+fn cell_index(m: &vcgra::flow::VcgraMapping, node: usize) -> usize {
+    let (r, c) = m.place[node];
+    r * m.arch.cols + c
+}
+
+#[test]
+fn placement_missing_a_node_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    m.place.pop();
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::NodeCountMismatch { expected: 5, got: 4 });
+    assert_eq!(v.len(), 1, "node indices are not trusted past the count: {v:?}");
+}
+
+#[test]
+fn node_placed_off_the_grid_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    // mul0 moves off the grid, its settings with it; its one route still
+    // starts on the old cell.
+    let old = cell_index(&m, 0);
+    m.pe_settings[old] = None;
+    let off = (m.arch.rows, 0);
+    m.place[0] = off;
+    let edge = m.routes.iter().position(|r| r.from == 0).expect("mul0 feeds the adder tree");
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::PlacementOutOfBounds { node: 0, cell } if *cell == off);
+    assert_violation!(v, Violation::RouteEndpointMismatch { edge: e, want, .. }
+        if (*e, *want) == (edge, off));
+    assert_eq!(v.len(), 2, "{v:?}");
+}
+
+#[test]
+fn route_from_no_node_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    let mut stray = m.routes[0].clone();
+    stray.from = app.nodes.len();
+    m.routes.push(stray);
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::RouteUnknown { edge } if *edge == m.routes.len() - 1);
+    assert_eq!(v.len(), 1, "an unknown route is not walked: {v:?}");
+}
+
+#[test]
+fn channel_narrower_than_its_routes_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    // Every directed segment a route uses is now over a zero capacity.
+    m.arch.channel_capacity = 0;
+    let segments: std::collections::HashSet<_> =
+        m.routes.iter().flat_map(|r| r.path.windows(2).map(|w| (w[0], w[1]))).collect();
+    assert!(!segments.is_empty(), "the adder tree routes between PEs");
+    let v = check_mapping(&app, &m);
+    let over = |x: &Violation| matches!(x, Violation::ChannelOverCapacity { capacity: 0, .. });
+    assert!(v.iter().all(over), "{v:?}");
+    assert_eq!(v.len(), segments.len(), "{v:?}");
+}
+
+#[test]
+fn placed_node_without_settings_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    let at = cell_index(&m, 1);
+    m.pe_settings[at] = None;
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::SettingsMissing { node: 1, .. });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn settings_on_an_unused_cell_are_rejected() {
+    let (app, mut m) = clean_mapping();
+    let empty = m.pe_settings.iter().position(Option::is_none).expect("five nodes on eight PEs");
+    m.pe_settings[empty] = m.pe_settings[cell_index(&m, 0)];
+    let cell = (empty / m.arch.cols, empty % m.arch.cols);
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::SettingsOnEmptyCell { cell: c } if *c == cell);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn coefficient_the_node_does_not_have_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    let at = cell_index(&m, 2);
+    let settings = m.pe_settings[at].as_mut().expect("mul2 has settings");
+    settings.coeff = softfloat::FpValue::from_f64(-7.0, F);
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::CoeffMismatch { node: 2 });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn settings_in_another_format_are_rejected() {
+    let (app, mut m) = clean_mapping();
+    // Node 3 is the first adder: no coefficient, so its register holds a
+    // zero, and a (5,10) zero has the same bits.
+    assert!(app.nodes[3].coeff.is_none());
+    let at = cell_index(&m, 3);
+    m.pe_settings[at].as_mut().expect("the adder has settings").coeff =
+        softfloat::FpValue::zero(FpFormat::new(5, 10));
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::FormatMismatch { node: 3 });
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn settings_words_beyond_the_registers_are_rejected() {
+    let (app, mut m) = clean_mapping();
+    // One settings slot past the grid: an extra register word, no cell.
+    m.pe_settings.push(None);
+    let v = check_mapping(&app, &m);
+    let registers = m.arch.settings_register_count();
+    assert_violation!(v, Violation::SettingsWordCount { expected, got }
+        if (*expected, *got) == (registers, registers + 1));
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
 // --- fabric route-tree linter -----------------------------------------
 
 fn small_aig() -> logic::aig::Aig {
@@ -206,6 +326,36 @@ fn stranded_branch_is_rejected() {
     assert_eq!(v.len(), 1, "every sink is still reached, nothing else is wrong: {v:?}");
 }
 
+// --- equivalence --------------------------------------------------------
+
+#[test]
+fn flipped_ptt_entry_is_not_equivalent() {
+    use logic::aig::{Aig, InputKind};
+    use mapping::{MappedNode, Source};
+    // f = p ? a·b : a + b, a TLUT over (a, b) whose entries are functions
+    // of p.
+    let mut g = Aig::new();
+    let a = g.input("a", InputKind::Regular);
+    let b = g.input("b", InputKind::Regular);
+    let p = g.input("p", InputKind::Param);
+    let ab = g.and(a, b);
+    let aob = g.or(a, b);
+    let f = g.mux(p, ab, aob);
+    g.add_output("f", f);
+    let mut design = mapping::map_parameterized(&g, mapping::MapOptions::default());
+    let verifier = verify::Verifier::new();
+    assert!(verifier.verify_equivalence(&g, &design, 4, 7).ok(), "artifact must start clean");
+
+    // Minterm a = b = 0 is 0 under every p; make it 1.
+    let Source::Node(n) = design.outputs[0].source else { panic!("f is computed by a node") };
+    let MappedNode::Lut(lut) = &mut design.nodes[n as usize] else { panic!("f is a TLUT") };
+    lut.ptt[0] = design.bdd.not(lut.ptt[0]);
+    let report = verifier.verify_equivalence(&g, &design, 4, 7);
+    let v = report.violations;
+    assert_violation!(v, Violation::NotEquivalent { detail } if detail.contains("differs"));
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
 // --- scheduler-state checker ------------------------------------------
 
 /// One 8x4 grid: tenant `a` on rows 0–1 (5 nodes), `b` on rows 2–4 (9).
@@ -316,15 +466,6 @@ fn lease_taller_than_its_band_is_rejected() {
     snap.tenants[1].rows += 1;
     let v = check_sched(&snap);
     assert_violation!(v, Violation::LeaseShapeMismatch { tenant } if *tenant == snap.tenants[1].id);
-    assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn shared_flag_on_a_dedicated_band_is_rejected() {
-    let mut snap = clean_snapshot();
-    snap.tenants[0].shared = true;
-    let v = check_sched(&snap);
-    assert_violation!(v, Violation::SharedFlagWrong { tenant } if *tenant == snap.tenants[0].id);
     assert_eq!(v.len(), 1, "{v:?}");
 }
 

@@ -4,7 +4,7 @@
 //! 1. **config** — maps every kernel in the runtime library onto its
 //!    minimal overlay region and lints the resulting `VcgraMapping`
 //!    (placement injectivity, route connectivity, channel capacity,
-//!    settings/mode/coefficient agreement, frame addressing);
+//!    settings/mode/coefficient agreement);
 //! 2. **equiv** — maps the FP-MAC virtual PE with both flows and proves
 //!    each mapped design equivalent to its source AIG over random
 //!    parameter draws;
