@@ -96,9 +96,16 @@ impl std::fmt::Display for GraphError {
         match *self {
             GraphError::Empty => write!(f, "application graph has no nodes"),
             GraphError::OperandNotEarlier { node, operand } => {
-                write!(f, "node {node} reads node {operand}, which is not an earlier node")
+                write!(
+                    f,
+                    "node {node} reads node {operand}, which is not an earlier node"
+                )
             }
-            GraphError::ExternalOutOfRange { node, index, num_inputs } => {
+            GraphError::ExternalOutOfRange {
+                node,
+                index,
+                num_inputs,
+            } => {
                 write!(f, "node {node} reads external {index} of {num_inputs}")
             }
             GraphError::OutputOutOfRange { output, nodes } => {
@@ -116,14 +123,22 @@ impl std::error::Error for GraphError {}
 impl AppGraph {
     /// Creates an empty graph.
     pub fn new(format: FpFormat, num_inputs: usize) -> Self {
-        Self { format, nodes: Vec::new(), num_inputs, outputs: Vec::new() }
+        Self {
+            format,
+            nodes: Vec::new(),
+            num_inputs,
+            outputs: Vec::new(),
+        }
     }
 
     fn check_source(&self, s: AppSource) {
         match s {
             AppSource::External(i) => assert!(i < self.num_inputs, "input {i} out of range"),
             AppSource::Node(n) => {
-                assert!(n < self.nodes.len(), "node {n} referenced before definition")
+                assert!(
+                    n < self.nodes.len(),
+                    "node {n} referenced before definition"
+                )
             }
             AppSource::Zero => {}
         }
@@ -143,7 +158,13 @@ impl AppGraph {
         if matches!(op, PeMode::Mac | PeMode::Mul) {
             assert!(coeff.is_some(), "MAC/MUL nodes need a coefficient");
         }
-        self.nodes.push(AppNode { name: name.into(), op, coeff, a, b });
+        self.nodes.push(AppNode {
+            name: name.into(),
+            op,
+            coeff,
+            a,
+            b,
+        });
         self.nodes.len() - 1
     }
 
@@ -182,8 +203,15 @@ impl AppGraph {
                 return Err(GraphError::CoeffFormat { node });
             }
         }
-        match self.outputs.iter().find(|&&output| output >= self.nodes.len()) {
-            Some(&output) => Err(GraphError::OutputOutOfRange { output, nodes: self.nodes.len() }),
+        match self
+            .outputs
+            .iter()
+            .find(|&&output| output >= self.nodes.len())
+        {
+            Some(&output) => Err(GraphError::OutputOutOfRange {
+                output,
+                nodes: self.nodes.len(),
+            }),
             None => Ok(()),
         }
     }
@@ -273,7 +301,10 @@ impl AppGraph {
             [op, ta, va, tb, vb, u64::from(n.coeff.is_some())]
         });
         let outputs = self.outputs.iter().map(|&o| o as u64);
-        head.into_iter().chain(nodes).chain([self.outputs.len() as u64]).chain(outputs)
+        head.into_iter()
+            .chain(nodes)
+            .chain([self.outputs.len() as u64])
+            .chain(outputs)
     }
 
     /// True when two graphs share structure (ops, wiring, outputs, format)
@@ -356,13 +387,7 @@ impl AppGraph {
                 AppSource::Zero,
             );
             let node = if let Some(_p) = prev {
-                g.add(
-                    format!("acc{i}"),
-                    PeMode::Add,
-                    None,
-                    AppSource::Node(m),
-                    b,
-                )
+                g.add(format!("acc{i}"), PeMode::Add, None, AppSource::Node(m), b)
             } else {
                 m
             };
@@ -428,8 +453,10 @@ mod tests {
         let g = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
         let slots = g.coeff_nodes();
         assert_eq!(slots.len(), 3, "three MUL taps");
-        let new: Vec<FpValue> =
-            [9.0, 8.0, 7.0].iter().map(|&c| FpValue::from_f64(c, F)).collect();
+        let new: Vec<FpValue> = [9.0, 8.0, 7.0]
+            .iter()
+            .map(|&c| FpValue::from_f64(c, F))
+            .collect();
         let h = g.with_coeffs(&new);
         assert!(g.same_structure(&h));
         assert_eq!(h.coeff_values()[0].to_f64(), 9.0);
@@ -451,19 +478,32 @@ mod tests {
         assert_eq!(AppGraph::new(F, 1).validate(), Err(GraphError::Empty));
         assert_eq!(
             broken(|g| g.nodes[2].b = AppSource::Node(2)),
-            GraphError::OperandNotEarlier { node: 2, operand: 2 }
+            GraphError::OperandNotEarlier {
+                node: 2,
+                operand: 2
+            }
         );
         assert_eq!(
             broken(|g| g.nodes[1].a = AppSource::Node(99)),
-            GraphError::OperandNotEarlier { node: 1, operand: 99 }
+            GraphError::OperandNotEarlier {
+                node: 1,
+                operand: 99
+            }
         );
         assert_eq!(
             broken(|g| g.nodes[0].a = AppSource::External(2)),
-            GraphError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 }
+            GraphError::ExternalOutOfRange {
+                node: 0,
+                index: 2,
+                num_inputs: 2
+            }
         );
         assert_eq!(
             broken(|g| g.outputs.push(3)),
-            GraphError::OutputOutOfRange { output: 3, nodes: 3 }
+            GraphError::OutputOutOfRange {
+                output: 3,
+                nodes: 3
+            }
         );
         assert_eq!(
             broken(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::TINY))),
@@ -482,13 +522,25 @@ mod tests {
     #[should_panic(expected = "referenced before definition")]
     fn forward_reference_rejected() {
         let mut g = AppGraph::new(F, 1);
-        g.add("bad", PeMode::Add, None, AppSource::Node(5), AppSource::Zero);
+        g.add(
+            "bad",
+            PeMode::Add,
+            None,
+            AppSource::Node(5),
+            AppSource::Zero,
+        );
     }
 
     #[test]
     #[should_panic(expected = "need a coefficient")]
     fn mul_without_coeff_rejected() {
         let mut g = AppGraph::new(F, 1);
-        g.add("bad", PeMode::Mul, None, AppSource::External(0), AppSource::Zero);
+        g.add(
+            "bad",
+            PeMode::Mul,
+            None,
+            AppSource::External(0),
+            AppSource::Zero,
+        );
     }
 }

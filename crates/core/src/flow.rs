@@ -71,7 +71,10 @@ impl std::fmt::Display for FlowError {
             }
             FlowError::Graph(e) => write!(f, "{e}"),
             FlowError::Unroutable { overused_segments } => {
-                write!(f, "unroutable: {overused_segments} channel segments over capacity")
+                write!(
+                    f,
+                    "unroutable: {overused_segments} channel segments over capacity"
+                )
             }
         }
     }
@@ -160,7 +163,10 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     app.validate()?;
     let n = app.nodes.len();
     if n > arch.pe_count() {
-        return Err(FlowError::NotEnoughPes { needed: n, available: arch.pe_count() });
+        return Err(FlowError::NotEnoughPes {
+            needed: n,
+            available: arch.pe_count(),
+        });
     }
 
     let edges = dataflow_edges(app);
@@ -170,9 +176,7 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     // --- settings generation ---
     let mut pe_settings: Vec<Option<PeSettings>> = vec![None; arch.pe_count()];
     for (i, node) in app.nodes.iter().enumerate() {
-        let coeff = node
-            .coeff
-            .unwrap_or_else(|| FpValue::zero(app.format));
+        let coeff = node.coeff.unwrap_or_else(|| FpValue::zero(app.format));
         pe_settings[cell_index(arch.cols, place[i])] = Some(PeSettings {
             coeff,
             counter: 1,
@@ -184,7 +188,11 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     let routes = edges
         .iter()
         .zip(paths)
-        .map(|(&(u, v), path)| RoutedEdge { from: u, to: v, path })
+        .map(|(&(u, v), path)| RoutedEdge {
+            from: u,
+            to: v,
+            path,
+        })
         .collect();
 
     Ok(VcgraMapping {
@@ -264,7 +272,10 @@ fn anneal(edges: &[(usize, usize)], n: usize, arch: VcgraArch, seed: u64) -> Vec
     }
 
     let cost = |place: &[(usize, usize)]| -> i64 {
-        edges.iter().map(|&(u, v)| manhattan(place[u], place[v])).sum()
+        edges
+            .iter()
+            .map(|&(u, v)| manhattan(place[u], place[v]))
+            .sum()
     };
 
     // SA refinement: swap two cells (or move to an empty one).
@@ -381,7 +392,9 @@ fn route(
             }
         }
         if iter == 23 {
-            return Err(FlowError::Unroutable { overused_segments: over });
+            return Err(FlowError::Unroutable {
+                overused_segments: over,
+            });
         }
     }
     Ok(paths)
@@ -498,7 +511,10 @@ mod tests {
     ) -> Result<(Vec<(usize, usize)>, Vec<Vec<(usize, usize)>>), FlowError> {
         let n = app.nodes.len();
         if n > arch.pe_count() {
-            return Err(FlowError::NotEnoughPes { needed: n, available: arch.pe_count() });
+            return Err(FlowError::NotEnoughPes {
+                needed: n,
+                available: arch.pe_count(),
+            });
         }
 
         let mut edges: Vec<(usize, usize)> = Vec::new();
@@ -607,7 +623,9 @@ mod tests {
                 }
             }
             if iter == 23 {
-                return Err(FlowError::Unroutable { overused_segments: over });
+                return Err(FlowError::Unroutable {
+                    overused_segments: over,
+                });
             }
         }
         Ok((place, paths))
@@ -696,7 +714,13 @@ mod tests {
         let leaves = (0..k)
             .map(|i| {
                 let input = AppSource::External(i);
-                g.add(format!("leaf{i}"), PeMode::Pass, None, input, AppSource::Zero)
+                g.add(
+                    format!("leaf{i}"),
+                    PeMode::Pass,
+                    None,
+                    input,
+                    AppSource::Zero,
+                )
             })
             .collect();
         let root = g.reduce_add(leaves, "red_");
@@ -735,7 +759,10 @@ mod tests {
             arch.cols,
             arch.channel_capacity
         );
-        match (map_app(app, arch, seed), map_app_full_recompute(app, arch, seed)) {
+        match (
+            map_app(app, arch, seed),
+            map_app_full_recompute(app, arch, seed),
+        ) {
             (Ok(m), Ok((place, paths))) => {
                 assert_eq!(m.place, place, "placement: {ctx}");
                 assert_eq!(m.routes.len(), paths.len(), "edge count: {ctx}");
@@ -830,11 +857,19 @@ mod tests {
         // What a structure-keyed configuration cache relies on: the
         // coefficients reach the settings and nothing else.
         let a = AppGraph::dot_product(F, &[0.5, 0.25, 0.125, 1.0, 2.0, 4.0, 8.0]);
-        let other: Vec<FpValue> =
-            (0..7).map(|i| FpValue::from_f64(-3.0 * i as f64 + 0.1, F)).collect();
+        let other: Vec<FpValue> = (0..7)
+            .map(|i| FpValue::from_f64(-3.0 * i as f64 + 0.1, F))
+            .collect();
         let b = a.with_coeffs(&other);
-        for arch in [VcgraArch::new(4, 4, 1), VcgraArch::new(4, 4, 2), VcgraArch::new(8, 4, 2)] {
-            let (ma, mb) = (map_app(&a, arch, 42).unwrap(), map_app(&b, arch, 42).unwrap());
+        for arch in [
+            VcgraArch::new(4, 4, 1),
+            VcgraArch::new(4, 4, 2),
+            VcgraArch::new(8, 4, 2),
+        ] {
+            let (ma, mb) = (
+                map_app(&a, arch, 42).unwrap(),
+                map_app(&b, arch, 42).unwrap(),
+            );
             assert_eq!(ma.place, mb.place);
             assert_eq!(ma.routes.len(), mb.routes.len());
             for (ra, rb) in ma.routes.iter().zip(&mb.routes) {
@@ -842,8 +877,16 @@ mod tests {
             }
             assert_eq!(ma.virtual_wirelength, mb.virtual_wirelength);
             assert_ne!(
-                ma.pe_settings.iter().flatten().map(|s| s.coeff.bits).collect::<Vec<_>>(),
-                mb.pe_settings.iter().flatten().map(|s| s.coeff.bits).collect::<Vec<_>>(),
+                ma.pe_settings
+                    .iter()
+                    .flatten()
+                    .map(|s| s.coeff.bits)
+                    .collect::<Vec<_>>(),
+                mb.pe_settings
+                    .iter()
+                    .flatten()
+                    .map(|s| s.coeff.bits)
+                    .collect::<Vec<_>>(),
                 "the settings are where the two graphs differ"
             );
         }
@@ -861,11 +904,23 @@ mod tests {
         let mut app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
         app.nodes[4].a = AppSource::Node(99);
         let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
-        assert_eq!(err, FlowError::Graph(GraphError::OperandNotEarlier { node: 4, operand: 99 }));
+        assert_eq!(
+            err,
+            FlowError::Graph(GraphError::OperandNotEarlier {
+                node: 4,
+                operand: 99
+            })
+        );
         // So is a self reference, though it names a node the graph has.
         app.nodes[4].a = AppSource::Node(4);
         let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
-        assert_eq!(err, FlowError::Graph(GraphError::OperandNotEarlier { node: 4, operand: 4 }));
+        assert_eq!(
+            err,
+            FlowError::Graph(GraphError::OperandNotEarlier {
+                node: 4,
+                operand: 4
+            })
+        );
     }
 
     #[test]
@@ -888,7 +943,13 @@ mod tests {
     fn too_big_graph_is_rejected() {
         let app = AppGraph::dot_product(F, &[1.0; 16]); // 16 muls + 15 adds
         let err = map_app(&app, VcgraArch::paper_4x4(), 1).unwrap_err();
-        assert!(matches!(err, FlowError::NotEnoughPes { needed: 31, available: 16 }));
+        assert!(matches!(
+            err,
+            FlowError::NotEnoughPes {
+                needed: 31,
+                available: 16
+            }
+        ));
     }
 
     #[test]
@@ -899,8 +960,8 @@ mod tests {
             assert_eq!(r.path.first().copied(), Some(m.place[r.from]));
             assert_eq!(r.path.last().copied(), Some(m.place[r.to]));
             for w in r.path.windows(2) {
-                let d = (w[0].0 as i64 - w[1].0 as i64).abs()
-                    + (w[0].1 as i64 - w[1].1 as i64).abs();
+                let d =
+                    (w[0].0 as i64 - w[1].0 as i64).abs() + (w[0].1 as i64 - w[1].1 as i64).abs();
                 assert_eq!(d, 1, "path must step between adjacent cells");
             }
         }

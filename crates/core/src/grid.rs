@@ -32,14 +32,22 @@ pub struct VcgraArch {
 impl VcgraArch {
     /// The paper's evaluation grid: 4×4 PEs.
     pub fn paper_4x4() -> Self {
-        Self { rows: 4, cols: 4, channel_capacity: 2 }
+        Self {
+            rows: 4,
+            cols: 4,
+            channel_capacity: 2,
+        }
     }
 
     /// Creates a grid; both dimensions must be at least 2.
     pub fn new(rows: usize, cols: usize, channel_capacity: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "VCGRA needs at least a 2x2 grid");
         assert!(channel_capacity >= 1);
-        Self { rows, cols, channel_capacity }
+        Self {
+            rows,
+            cols,
+            channel_capacity,
+        }
     }
 
     /// Number of Processing Elements.
@@ -100,8 +108,7 @@ impl VcgraArch {
     pub fn inter_network_lut_estimate(&self) -> usize {
         let w = 35; // word width of the paper's FloPoCo format
         let per_mux4 = 2 * w;
-        self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2
-            + self.vcb_count() * per_mux4
+        self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2 + self.vcb_count() * per_mux4
     }
 
     /// TCON count when the same multiplexers are mapped onto physical
@@ -109,8 +116,7 @@ impl VcgraArch {
     pub fn inter_network_tcon_estimate(&self) -> usize {
         let w = 35;
         let per_mux4 = 3 * w;
-        self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2
-            + self.vcb_count() * per_mux4
+        self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2 + self.vcb_count() * per_mux4
     }
 }
 
@@ -142,8 +148,16 @@ mod tests {
         assert_eq!(g.pe_count(), 16);
         assert_eq!(g.vsb_count(), 9);
         assert_eq!(g.vcb_count(), 32);
-        assert_eq!(g.inter_network_components(), 41, "paper: 41 routing components");
-        assert_eq!(g.settings_register_count(), 25, "paper: 25 settings registers");
+        assert_eq!(
+            g.inter_network_components(),
+            41,
+            "paper: 41 routing components"
+        );
+        assert_eq!(
+            g.settings_register_count(),
+            25,
+            "paper: 25 settings registers"
+        );
     }
 
     #[test]
@@ -166,7 +180,10 @@ mod tests {
         assert_eq!(r.flip_flops, 0);
         assert_eq!(r.inter_network_luts, 0);
         assert_eq!(r.settings_bits_in_config_memory, 25 * 32);
-        assert!(r.inter_network_tcons > 0, "network lives on physical switches");
+        assert!(
+            r.inter_network_tcons > 0,
+            "network lives on physical switches"
+        );
     }
 
     #[test]

@@ -43,7 +43,10 @@ impl VirtualPeConfig {
 
 impl Default for VirtualPeConfig {
     fn default() -> Self {
-        Self { format: FpFormat::PAPER, hops: 2 }
+        Self {
+            format: FpFormat::PAPER,
+            hops: 2,
+        }
     }
 }
 
@@ -83,7 +86,11 @@ pub struct PeSettings {
 impl PeSettings {
     /// MAC settings with a coefficient.
     pub fn mac(coeff: FpValue, counter: u32) -> Self {
-        Self { coeff, counter, mode: PeMode::Mac }
+        Self {
+            coeff,
+            counter,
+            mode: PeMode::Mac,
+        }
     }
 
     /// Route selects for every connection of [`ROUTE_NAMES`], as 2-bit
@@ -138,14 +145,21 @@ impl PeSettings {
     /// If `lanes` is not one word per settings bit, or `lane` is not a
     /// bit of a word.
     pub fn set_param_lane(&self, cfg: &VirtualPeConfig, lane: usize, lanes: &mut [u64]) {
-        assert_eq!(lanes.len(), cfg.settings_bits(), "one lane word per settings bit");
+        assert_eq!(
+            lanes.len(),
+            cfg.settings_bits(),
+            "one lane word per settings bit"
+        );
         assert!(lane < u64::BITS as usize, "lane {lane} of a 64-bit word");
         let (coeff, selects) = lanes.split_at_mut(cfg.format.width() as usize);
         for (i, word) in coeff.iter_mut().enumerate() {
             *word |= ((self.coeff.bits >> i) & 1) << lane;
         }
         // Per route: the first hop's two select bits; later hops stay 0.
-        for (hop_bits, sel) in selects.chunks_exact_mut(cfg.hops * 2).zip(self.route_selects()) {
+        for (hop_bits, sel) in selects
+            .chunks_exact_mut(cfg.hops * 2)
+            .zip(self.route_selects())
+        {
             hop_bits[0] |= u64::from(sel & 1) << lane;
             hop_bits[1] |= u64::from(sel >> 1 & 1) << lane;
         }
@@ -187,7 +201,11 @@ impl VirtualPe {
     pub fn build(config: VirtualPeConfig, parameterized: bool) -> Self {
         let fmt = config.format;
         let w = fmt.width() as usize;
-        let kind = if parameterized { InputKind::Param } else { InputKind::Regular };
+        let kind = if parameterized {
+            InputKind::Param
+        } else {
+            InputKind::Regular
+        };
         let mut g = Aig::new();
 
         let in_a = g.input_vec("in_a", w, InputKind::Regular);
@@ -249,8 +267,22 @@ impl VirtualPe {
             cur
         };
 
-        let x = route(&mut g, &route_sels[0], [&in_a, &in_b, &fb, &zero], &in_a, &in_b, &fb);
-        let acc = route(&mut g, &route_sels[1], [&fb, &in_a, &in_b, &zero], &in_a, &in_b, &fb);
+        let x = route(
+            &mut g,
+            &route_sels[0],
+            [&in_a, &in_b, &fb, &zero],
+            &in_a,
+            &in_b,
+            &fb,
+        );
+        let acc = route(
+            &mut g,
+            &route_sels[1],
+            [&fb, &in_a, &in_b, &zero],
+            &in_a,
+            &in_b,
+            &fb,
+        );
         // The coefficient feeds the multiplier directly from the settings
         // register — no virtual routing in between (Fig. 4).
         let mul_out = gen_mul(&mut g, fmt, &x, &coeff);
@@ -262,7 +294,14 @@ impl VirtualPe {
             &in_b,
             &fb,
         );
-        let addb = route(&mut g, &route_sels[3], [&acc, &in_b, &fb, &zero], &in_a, &in_b, &fb);
+        let addb = route(
+            &mut g,
+            &route_sels[3],
+            [&acc, &in_b, &fb, &zero],
+            &in_a,
+            &in_b,
+            &fb,
+        );
         let add_out = gen_add(&mut g, fmt, &adda, &addb);
         let out = route(
             &mut g,
@@ -356,7 +395,10 @@ mod tests {
 
     #[test]
     fn netlist_matches_value_model_in_all_modes() {
-        let cfg = VirtualPeConfig { format: fmt(), hops: 2 };
+        let cfg = VirtualPeConfig {
+            format: fmt(),
+            hops: 2,
+        };
         let pe = VirtualPe::build(cfg, true);
         let mut rng = logic::SplitMix64::new(99);
         for mode in [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass] {
@@ -368,7 +410,11 @@ mod tests {
                 let a = rnd_fp(&mut rng);
                 let b = rnd_fp(&mut rng);
                 let fb = rnd_fp(&mut rng);
-                let s = PeSettings { coeff, counter: 1, mode };
+                let s = PeSettings {
+                    coeff,
+                    counter: 1,
+                    mode,
+                };
                 let (hw_out, hw_fbn) = drive_pe(&pe, &s, a, b, fb);
                 let (sw_out, sw_fbn) = s.evaluate(a, b, fb);
                 assert_eq!(hw_out, sw_out.bits, "{mode:?} out");
@@ -393,7 +439,11 @@ mod tests {
     #[test]
     fn pass_mode_is_identity() {
         let f = fmt();
-        let s = PeSettings { coeff: FpValue::zero(f), counter: 0, mode: PeMode::Pass };
+        let s = PeSettings {
+            coeff: FpValue::zero(f),
+            counter: 0,
+            mode: PeMode::Pass,
+        };
         let a = FpValue::from_f64(-7.25, f);
         let (out, _) = s.evaluate(a, FpValue::from_f64(1.0, f), FpValue::zero(f));
         assert_eq!(out.bits, a.bits);
@@ -401,7 +451,10 @@ mod tests {
 
     #[test]
     fn settings_bit_layout_is_stable() {
-        let cfg = VirtualPeConfig { format: fmt(), hops: 2 };
+        let cfg = VirtualPeConfig {
+            format: fmt(),
+            hops: 2,
+        };
         let pe = VirtualPe::build(cfg, true);
         let s = PeSettings::mac(FpValue::from_f64(1.5, cfg.format), 1);
         let bits = s.to_param_bits(&cfg);
@@ -418,15 +471,25 @@ mod tests {
         // Every mode, several coefficients, hops 1..=3, first, middle and
         // last lane: bit for bit `to_param_bits`, other lanes untouched.
         for hops in 1..=3 {
-            let cfg = VirtualPeConfig { format: fmt(), hops };
+            let cfg = VirtualPeConfig {
+                format: fmt(),
+                hops,
+            };
             for mode in [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass] {
                 for (c, lane) in [(1.5, 0), (-0.375, 31), (0.0, 63), (6.0e4, 17)] {
-                    let s = PeSettings { coeff: FpValue::from_f64(c, cfg.format), counter: 3, mode };
+                    let s = PeSettings {
+                        coeff: FpValue::from_f64(c, cfg.format),
+                        counter: 3,
+                        mode,
+                    };
                     let mut lanes = vec![0u64; cfg.settings_bits()];
                     s.set_param_lane(&cfg, lane, &mut lanes);
                     let packed: Vec<bool> = lanes.iter().map(|w| w >> lane & 1 == 1).collect();
                     assert_eq!(packed, s.to_param_bits(&cfg), "{mode:?} {c} hops {hops}");
-                    assert!(lanes.iter().all(|w| w & !(1 << lane) == 0), "one lane written");
+                    assert!(
+                        lanes.iter().all(|w| w & !(1 << lane) == 0),
+                        "one lane written"
+                    );
                 }
             }
         }
@@ -435,14 +498,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "one lane word per settings bit")]
     fn a_lane_vector_of_the_wrong_length_is_rejected() {
-        let cfg = VirtualPeConfig { format: fmt(), hops: 2 };
+        let cfg = VirtualPeConfig {
+            format: fmt(),
+            hops: 2,
+        };
         let s = PeSettings::mac(FpValue::from_f64(1.5, cfg.format), 1);
         s.set_param_lane(&cfg, 0, &mut vec![0u64; cfg.settings_bits() - 1]);
     }
 
     #[test]
     fn conventional_build_has_no_params() {
-        let cfg = VirtualPeConfig { format: fmt(), hops: 2 };
+        let cfg = VirtualPeConfig {
+            format: fmt(),
+            hops: 2,
+        };
         let pe = VirtualPe::build(cfg, false);
         assert_eq!(pe.aig.num_inputs_of(InputKind::Param), 0);
     }

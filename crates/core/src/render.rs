@@ -13,9 +13,7 @@ use crate::pe::PeMode;
 /// Graphviz rendering of the VCGRA grid (Fig. 1 style): PEs as boxes, VSBs
 /// as diamonds, settings registers as small rectangles.
 pub fn grid_dot(arch: &VcgraArch) -> String {
-    let mut s = String::from(
-        "digraph vcgra {\n  rankdir=TB;\n  node [fontname=\"monospace\"];\n",
-    );
+    let mut s = String::from("digraph vcgra {\n  rankdir=TB;\n  node [fontname=\"monospace\"];\n");
     for r in 0..arch.rows {
         for c in 0..arch.cols {
             s.push_str(&format!(
@@ -49,9 +47,14 @@ pub fn pe_dot() -> String {
         "  settings [shape=record, style=filled, fillcolor=lightgrey, \
          label=\"settings register|coeff|route selects|counter\"];\n",
     );
-    for (i, ble) in ["BLE group (mul)", "BLE group (mul)", "BLE group (add)", "BLE group (add)"]
-        .iter()
-        .enumerate()
+    for (i, ble) in [
+        "BLE group (mul)",
+        "BLE group (mul)",
+        "BLE group (add)",
+        "BLE group (add)",
+    ]
+    .iter()
+    .enumerate()
     {
         s.push_str(&format!(
             "  ble{i} [shape=box, style=filled, fillcolor=lightblue, label=\"{ble}\\n(TLUTs)\"];\n"
@@ -64,7 +67,11 @@ pub fn pe_dot() -> String {
     }
     // TCON ring connecting the BLE groups, as in Fig. 4.
     for i in 0..8 {
-        s.push_str(&format!("  tcon{} -> tcon{} [color=gray40];\n", i, (i + 1) % 8));
+        s.push_str(&format!(
+            "  tcon{} -> tcon{} [color=gray40];\n",
+            i,
+            (i + 1) % 8
+        ));
     }
     for i in 0..4 {
         s.push_str(&format!("  tcon{} -> ble{} [dir=both];\n", 2 * i, i));

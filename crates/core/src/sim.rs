@@ -75,9 +75,7 @@ impl StreamingMac {
 
     /// Feeds one sample; returns `Some(result)` when the window completes.
     pub fn step(&mut self, x: FpValue) -> Option<FpValue> {
-        let (out, fbn) = self
-            .settings
-            .evaluate(x, FpValue::zero(x.format), self.fb);
+        let (out, fbn) = self.settings.evaluate(x, FpValue::zero(x.format), self.fb);
         self.fb = fbn;
         self.seen += 1;
         if self.seen == self.settings.counter {
@@ -104,11 +102,7 @@ impl StreamingMac {
 /// through [`PeSettings::evaluate`]'s route-select model for every node
 /// of every item. Streams execute through [`ExecPlan`], which must agree
 /// with it bit for bit.
-pub fn run_mapped(
-    mapping: &VcgraMapping,
-    app: &AppGraph,
-    inputs: &[FpValue],
-) -> Vec<FpValue> {
+pub fn run_mapped(mapping: &VcgraMapping, app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
     // The mapping stores settings per grid cell; execution order is the
     // app's topological order, reading each node's settings from its cell.
     let zero = FpValue::zero(app.format);
@@ -116,9 +110,11 @@ pub fn run_mapped(
     let mut value = Vec::with_capacity(app.nodes.len());
     for (i, node) in app.nodes.iter().enumerate() {
         let (r, c) = mapping.place[i];
-        let settings = mapping.pe_settings[r * cols + c]
-            .expect("placed node must have settings");
-        assert_eq!(settings.mode, node.op, "cell settings must match the node op");
+        let settings = mapping.pe_settings[r * cols + c].expect("placed node must have settings");
+        assert_eq!(
+            settings.mode, node.op,
+            "cell settings must match the node op"
+        );
         let read = |s: AppSource, value: &[FpValue]| match s {
             AppSource::External(k) => inputs[k],
             AppSource::Node(j) => value[j],
@@ -166,11 +162,17 @@ impl std::fmt::Display for PlanError {
                 write!(f, "node {node} is not placed on a cell with settings")
             }
             PlanError::ModeMismatch { node, cell, op } => {
-                write!(f, "node {node} needs {op:?} but its cell is set to {cell:?}")
+                write!(
+                    f,
+                    "node {node} needs {op:?} but its cell is set to {cell:?}"
+                )
             }
             PlanError::Graph(e) => write!(f, "{e}"),
             PlanError::FormatMismatch { node } => {
-                write!(f, "node {node}'s placed coefficient is not in the graph's format")
+                write!(
+                    f,
+                    "node {node}'s placed coefficient is not in the graph's format"
+                )
             }
         }
     }
@@ -225,7 +227,11 @@ impl ExecPlan {
                 .and_then(|&(r, c)| mapping.pe_settings.get(r * cols + c).copied().flatten())
                 .ok_or(PlanError::MissingSettings { node })?;
             if settings.mode != n.op {
-                return Err(PlanError::ModeMismatch { node, cell: settings.mode, op: n.op });
+                return Err(PlanError::ModeMismatch {
+                    node,
+                    cell: settings.mode,
+                    op: n.op,
+                });
             }
             let slot = |s: AppSource| match s {
                 AppSource::Zero => 0,
@@ -247,8 +253,17 @@ impl ExecPlan {
                 PeMode::Pass => PlanOp::Pass { a },
             });
         }
-        let outputs = app.outputs.iter().map(|&output| first_node + output).collect();
-        Ok(ExecPlan { kernel: FpKernel::new(app.format), num_inputs: app.num_inputs, ops, outputs })
+        let outputs = app
+            .outputs
+            .iter()
+            .map(|&output| first_node + output)
+            .collect();
+        Ok(ExecPlan {
+            kernel: FpKernel::new(app.format),
+            num_inputs: app.num_inputs,
+            ops,
+            outputs,
+        })
     }
 
     /// Runs a chunk of items, one lane each, and returns every item's
@@ -295,7 +310,10 @@ impl ExecPlan {
             .map(|lane| {
                 self.outputs
                     .iter()
-                    .map(|&o| FpValue { bits: columns[o * lanes + lane], format })
+                    .map(|&o| FpValue {
+                        bits: columns[o * lanes + lane],
+                        format,
+                    })
                     .collect()
             })
             .collect()
@@ -354,10 +372,9 @@ mod tests {
     fn mapped_execution_matches_pure_dataflow() {
         let coeffs = [1.0, 0.5, 0.25, 0.125, 2.0];
         let app = AppGraph::dot_product(F, &coeffs);
-        let mapping = crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5)
-            .expect("mappable");
-        let inputs: Vec<FpValue> =
-            [1.0, 2.0, 3.0, 4.0, 5.0].iter().map(|&x| fp(x)).collect();
+        let mapping =
+            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
+        let inputs: Vec<FpValue> = [1.0, 2.0, 3.0, 4.0, 5.0].iter().map(|&x| fp(x)).collect();
         let direct = run_dataflow(&app, &inputs);
         let mapped = run_mapped(&mapping, &app, &inputs);
         assert_eq!(direct[0].bits, mapped[0].bits);
@@ -382,12 +399,22 @@ mod tests {
         let coeffs = [-0.5, 2f64.powi(-30), -3.0, 2f64.powi(30), 0.0, 1.5];
         let mut app = AppGraph::new(F, 1);
         for (i, &c) in coeffs.iter().enumerate() {
-            let a = if i == 0 { AppSource::External(0) } else { AppSource::Node(i - 1) };
-            app.add(format!("mac{i}"), PeMode::Mac, Some(fp(c)), a, AppSource::Zero);
+            let a = if i == 0 {
+                AppSource::External(0)
+            } else {
+                AppSource::Node(i - 1)
+            };
+            app.add(
+                format!("mac{i}"),
+                PeMode::Mac,
+                Some(fp(c)),
+                a,
+                AppSource::Zero,
+            );
             app.mark_output(i);
         }
-        let mapping = crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5)
-            .expect("mappable");
+        let mapping =
+            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
         let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
         let specials = [
             FpValue::signed_zero(F, true),
@@ -397,11 +424,21 @@ mod tests {
             FpValue::nan(F),
         ];
         let normals = [1.0, -1.0, 1e-3, -7.25, 3e5, -2f64.powi(-20)].map(fp);
-        let items: Vec<Vec<FpValue>> = specials.into_iter().chain(normals).map(|x| vec![x]).collect();
+        let items: Vec<Vec<FpValue>> = specials
+            .into_iter()
+            .chain(normals)
+            .map(|x| vec![x])
+            .collect();
         let want: Vec<Vec<FpValue>> = items.iter().map(|item| run_dataflow(&app, item)).collect();
         let negative_zero = |v: &FpValue| v.class() == softfloat::FpClass::Zero && v.sign();
-        assert!(negative_zero(&fp(1e-3).mul(fp(-0.5)).mul(fp(coeffs[1]))), "a product is -0");
-        assert!(!want.iter().flatten().any(negative_zero), "and the accumulate makes it +0");
+        assert!(
+            negative_zero(&fp(1e-3).mul(fp(-0.5)).mul(fp(coeffs[1]))),
+            "a product is -0"
+        );
+        assert!(
+            !want.iter().flatten().any(negative_zero),
+            "and the accumulate makes it +0"
+        );
         for item in &items {
             assert_eq!(run_mapped(&mapping, &app, item), run_dataflow(&app, item));
         }
@@ -411,8 +448,8 @@ mod tests {
     #[test]
     fn lowering_rejects_what_run_mapped_would_panic_on() {
         let app = AppGraph::dot_product(F, &[1.0, 0.5]);
-        let mapping = crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5)
-            .expect("mappable");
+        let mapping =
+            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
         let cols = mapping.arch.cols;
         let cell = |node: usize| mapping.place[node].0 * cols + mapping.place[node].1;
 
@@ -432,7 +469,11 @@ mod tests {
         wrong_mode.pe_settings[cell(2)].as_mut().unwrap().mode = PeMode::Pass;
         assert_eq!(
             ExecPlan::lower(&wrong_mode, &app).unwrap_err(),
-            PlanError::ModeMismatch { node: 2, cell: PeMode::Pass, op: PeMode::Add }
+            PlanError::ModeMismatch {
+                node: 2,
+                cell: PeMode::Pass,
+                op: PeMode::Add
+            }
         );
 
         // The graph's fields are public, so a caller can hand over one
@@ -441,23 +482,34 @@ mod tests {
         forward.nodes[2].b = AppSource::Node(2);
         assert_eq!(
             ExecPlan::lower(&mapping, &forward).unwrap_err(),
-            PlanError::Graph(GraphError::OperandNotEarlier { node: 2, operand: 2 })
+            PlanError::Graph(GraphError::OperandNotEarlier {
+                node: 2,
+                operand: 2
+            })
         );
         let mut external = app.clone();
         external.nodes[0].a = AppSource::External(2);
         assert_eq!(
             ExecPlan::lower(&mapping, &external).unwrap_err(),
-            PlanError::Graph(GraphError::ExternalOutOfRange { node: 0, index: 2, num_inputs: 2 })
+            PlanError::Graph(GraphError::ExternalOutOfRange {
+                node: 0,
+                index: 2,
+                num_inputs: 2
+            })
         );
         let mut output = app.clone();
         output.outputs.push(3);
         assert_eq!(
             ExecPlan::lower(&mapping, &output).unwrap_err(),
-            PlanError::Graph(GraphError::OutputOutOfRange { output: 3, nodes: 3 })
+            PlanError::Graph(GraphError::OutputOutOfRange {
+                output: 3,
+                nodes: 3
+            })
         );
         // The coefficient the plan multiplies by is the placed cell's.
         let mut format = mapping.clone();
-        format.pe_settings[cell(1)].as_mut().unwrap().coeff = FpValue::from_f64(0.5, FpFormat::TINY);
+        format.pe_settings[cell(1)].as_mut().unwrap().coeff =
+            FpValue::from_f64(0.5, FpFormat::TINY);
         assert_eq!(
             ExecPlan::lower(&format, &app).unwrap_err(),
             PlanError::FormatMismatch { node: 1 }

@@ -11,10 +11,18 @@ fn table1_shape() {
     println!("AIG: {} live ANDs, depth {}", aig.live_ands(), aig.depth());
     let t0 = std::time::Instant::now();
     let conv = map_conventional(&aig, MapOptions::default());
-    println!("conventional mapped in {:?}: {:?}", t0.elapsed(), conv.stats());
+    println!(
+        "conventional mapped in {:?}: {:?}",
+        t0.elapsed(),
+        conv.stats()
+    );
     let t1 = std::time::Instant::now();
     let par = map_parameterized(&aig, MapOptions::default());
-    println!("parameterized mapped in {:?}: {:?}", t1.elapsed(), par.stats());
+    println!(
+        "parameterized mapped in {:?}: {:?}",
+        t1.elapsed(),
+        par.stats()
+    );
     let (sc, sp) = (conv.stats(), par.stats());
     let red = 100.0 * (1.0 - sp.luts as f64 / sc.luts as f64);
     println!("LUT reduction: {red:.1}% (paper: >=30%)");
@@ -28,8 +36,14 @@ fn table1_par_shape() {
     let pe_par = vcgra::VirtualPe::build(vcgra::VirtualPeConfig::default(), true);
     let aig = logic::opt::sweep(&pe_par.aig);
     for (label, design) in [
-        ("conventional", map_conventional(&aig, MapOptions::default())),
-        ("parameterized", map_parameterized(&aig, MapOptions::default())),
+        (
+            "conventional",
+            map_conventional(&aig, MapOptions::default()),
+        ),
+        (
+            "parameterized",
+            map_parameterized(&aig, MapOptions::default()),
+        ),
     ] {
         let nl = par::extract(&design);
         println!(
@@ -39,7 +53,9 @@ fn table1_par_shape() {
             nl.tunable_net_count()
         );
         let t = std::time::Instant::now();
-        let rep = par::ParEngine::new(par::EngineOptions::default()).run(&nl).expect("routable");
+        let rep = par::ParEngine::new(par::EngineOptions::default())
+            .run(&nl)
+            .expect("routable");
         println!(
             "{label}: WL {} CW {} (tcon switches {}) in {:?}",
             rep.result.wirelength,

@@ -87,20 +87,21 @@ impl ParamConfig {
                     };
                     // One selection bit per choice plus the two constant
                     // drivers (pull-0 / pull-1 switches).
-                    let mut push_bit = |b: Bdd,
-                                        template: &mut Vec<(BitAddr, bool, ConfigKind)>,
-                                        ppc: &mut Vec<(BitAddr, Bdd, ConfigKind)>| {
-                        let addr = BitAddr {
-                            frame: ROUTE_FRAME_BASE + route_cursor / frame_bits,
-                            offset: route_cursor % frame_bits,
+                    let mut push_bit =
+                        |b: Bdd,
+                         template: &mut Vec<(BitAddr, bool, ConfigKind)>,
+                         ppc: &mut Vec<(BitAddr, Bdd, ConfigKind)>| {
+                            let addr = BitAddr {
+                                frame: ROUTE_FRAME_BASE + route_cursor / frame_bits,
+                                offset: route_cursor % frame_bits,
+                            };
+                            route_cursor += 1;
+                            if b.is_const() {
+                                template.push((addr, b.is_true(), kind));
+                            } else {
+                                ppc.push((addr, b, kind));
+                            }
                         };
-                        route_cursor += 1;
-                        if b.is_const() {
-                            template.push((addr, b.is_true(), kind));
-                        } else {
-                            ppc.push((addr, b, kind));
-                        }
-                    };
                     for (_, cond) in &t.choices {
                         push_bit(*cond, &mut template, &mut ppc);
                     }
@@ -179,7 +180,10 @@ mod tests {
         let cfg = ParamConfig::extract(&d);
         assert!(cfg.ppc_bits() > 0, "tunable design must have PPC bits");
         let tunable = |kind| cfg.ppc.iter().any(|&(_, _, k)| k == kind);
-        assert!(tunable(ConfigKind::RoutingBit), "TCON selections are routing bits");
+        assert!(
+            tunable(ConfigKind::RoutingBit),
+            "TCON selections are routing bits"
+        );
         assert!(tunable(ConfigKind::LutBit), "TLUT truth-table bits");
     }
 

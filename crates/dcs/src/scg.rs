@@ -51,7 +51,11 @@ impl<'a> Scg<'a> {
     /// Binds an SCG to a design and its extracted configuration.
     pub fn new(design: &'a MappedDesign, config: &'a ParamConfig) -> Self {
         assert_eq!(design.param_names.len(), config.param_names.len());
-        assert_eq!(config.ppc.len(), config.ppc_frame.len(), "PPC edited after extraction");
+        assert_eq!(
+            config.ppc.len(),
+            config.ppc_frame.len(),
+            "PPC edited after extraction"
+        );
         Scg { design, config }
     }
 
@@ -61,7 +65,10 @@ impl<'a> Scg<'a> {
     /// # Panics
     /// If an assignment is not one value per parameter of the design.
     pub fn pack_lanes(&self, settings: &[&[bool]]) -> Vec<u64> {
-        assert!(settings.len() <= LANES, "at most {LANES} settings to a sweep");
+        assert!(
+            settings.len() <= LANES,
+            "at most {LANES} settings to a sweep"
+        );
         let mut lanes = vec![0u64; self.design.param_names.len()];
         for (l, params) in settings.iter().enumerate() {
             assert_eq!(params.len(), lanes.len(), "one value per parameter");
@@ -82,9 +89,17 @@ impl<'a> Scg<'a> {
     /// vector would read its missing parameters as `false` and produce a
     /// configuration for settings nobody asked for.
     pub fn specialize_lanes(&self, lanes: &[u64]) -> Vec<u64> {
-        assert_eq!(lanes.len(), self.design.param_names.len(), "one lane word per parameter");
+        assert_eq!(
+            lanes.len(),
+            self.design.param_names.len(),
+            "one lane word per parameter"
+        );
         let vals = self.design.bdd.eval_lanes(lanes);
-        self.config.ppc.iter().map(|(_, f, _)| vals.of(*f)).collect()
+        self.config
+            .ppc
+            .iter()
+            .map(|(_, f, _)| vals.of(*f))
+            .collect()
     }
 
     /// Evaluates every PPC function for a parameter assignment
@@ -94,7 +109,9 @@ impl<'a> Scg<'a> {
     /// If `params` is not one value per parameter of the design.
     pub fn specialize(&self, params: &[bool]) -> SpecializedBits {
         let words = self.specialize_lanes(&self.pack_lanes(&[params]));
-        SpecializedBits { values: words.iter().map(|w| w & 1 == 1).collect() }
+        SpecializedBits {
+            values: words.iter().map(|w| w & 1 == 1).collect(),
+        }
     }
 
     /// Reads the lanes of `words` (from [`Scg::specialize_lanes`]) as
@@ -104,7 +121,11 @@ impl<'a> Scg<'a> {
         assert_eq!(words.len(), self.config.ppc.len(), "one word per PPC bit");
         assert!(pairs <= LANES / 2, "at most {} pairs to a sweep", LANES / 2);
         // The low lane of each pair in use.
-        let mask = if pairs == 0 { 0 } else { 0x5555_5555_5555_5555u64 >> (LANES - 2 * pairs) };
+        let mask = if pairs == 0 {
+            0
+        } else {
+            0x5555_5555_5555_5555u64 >> (LANES - 2 * pairs)
+        };
         let mut per_frame = vec![0u64; self.config.frames.len()];
         let mut bits_changed = 0;
         for (v, &frame) in words.iter().zip(&self.config.ppc_frame) {
@@ -113,7 +134,10 @@ impl<'a> Scg<'a> {
             per_frame[frame as usize] |= d;
         }
         let dirty_frames = per_frame.iter().map(|d| d.count_ones() as usize).sum();
-        PairDiff { bits_changed, dirty_frames }
+        PairDiff {
+            bits_changed,
+            dirty_frames,
+        }
     }
 
     /// Frames whose content differs between two specializations — the
@@ -197,7 +221,10 @@ mod tests {
     /// The (3,4) virtual PE, mapped: a PPC whose order interleaves LUT
     /// frames with routing frames.
     fn small_pe() -> MappedDesign {
-        let cfg = vcgra::VirtualPeConfig { format: softfloat::FpFormat::new(3, 4), hops: 2 };
+        let cfg = vcgra::VirtualPeConfig {
+            format: softfloat::FpFormat::new(3, 4),
+            hops: 2,
+        };
         let aig = logic::opt::sweep(&vcgra::VirtualPe::build(cfg, true).aig);
         map_parameterized(&aig, MapOptions::default())
     }
@@ -256,8 +283,12 @@ mod tests {
                 for pair in settings.chunks(2).take(pairs) {
                     let (old, new) = (scg.specialize(&pair[0]), scg.specialize(&pair[1]));
                     want.dirty_frames += scg.dirty_frames(&old, &new).len();
-                    want.bits_changed +=
-                        old.values.iter().zip(&new.values).filter(|(a, b)| a != b).count();
+                    want.bits_changed += old
+                        .values
+                        .iter()
+                        .zip(&new.values)
+                        .filter(|(a, b)| a != b)
+                        .count();
                 }
                 assert_eq!(got, want, "{pairs} pairs");
             }
@@ -271,8 +302,15 @@ mod tests {
         let d = small_pe();
         let cfg = ParamConfig::extract(&d);
         let runs = 1 + cfg.ppc_frame.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!(runs > cfg.tunable_frames(), "{runs} runs over {} frames", cfg.tunable_frames());
-        assert_eq!(Scg::new(&d, &cfg).all_tunable_frames().len(), cfg.tunable_frames());
+        assert!(
+            runs > cfg.tunable_frames(),
+            "{runs} runs over {} frames",
+            cfg.tunable_frames()
+        );
+        assert_eq!(
+            Scg::new(&d, &cfg).all_tunable_frames().len(),
+            cfg.tunable_frames()
+        );
     }
 
     #[test]

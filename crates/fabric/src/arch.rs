@@ -21,7 +21,13 @@ impl FabricArch {
     /// Fc_out = 0.25, two pads per I/O position.
     pub fn paper_4lut(size: usize) -> Self {
         assert!(size >= 2);
-        Self { size, k: 4, fc_in: 0.5, fc_out: 0.25, io_capacity: 2 }
+        Self {
+            size,
+            k: 4,
+            fc_in: 0.5,
+            fc_out: 0.25,
+            io_capacity: 2,
+        }
     }
 
     /// Smallest array that fits `blocks` logic blocks and `ios` pads.
@@ -119,8 +125,18 @@ mod tests {
     #[test]
     fn site_locations_are_distinct_sides() {
         let s = 8;
-        let south = Site::Io { side: 0, pos: 3, slot: 0 }.location(s);
-        let north = Site::Io { side: 2, pos: 3, slot: 0 }.location(s);
+        let south = Site::Io {
+            side: 0,
+            pos: 3,
+            slot: 0,
+        }
+        .location(s);
+        let north = Site::Io {
+            side: 2,
+            pos: 3,
+            slot: 0,
+        }
+        .location(s);
         assert_eq!(south.0, north.0);
         assert!(south.1 < north.1);
         let logic = Site::Logic { x: 0, y: 0 }.location(s);

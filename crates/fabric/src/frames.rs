@@ -31,7 +31,11 @@ impl FrameModel {
     /// share a frame, so a parameter change touching several vertically
     /// adjacent PEs is one frame read-modify-write, not many.
     pub fn for_grid(rows: usize, cols: usize) -> Self {
-        Self { size: rows.max(cols).max(2), tiles_per_frame: 4, words_per_frame: 41 }
+        Self {
+            size: rows.max(cols).max(2),
+            tiles_per_frame: 4,
+            words_per_frame: 41,
+        }
     }
 
     fn stripes(&self) -> usize {
@@ -70,7 +74,11 @@ mod tests {
 
     #[test]
     fn frames_are_column_major_stripes() {
-        let m = FrameModel { size: 8, tiles_per_frame: 4, words_per_frame: 41 };
+        let m = FrameModel {
+            size: 8,
+            tiles_per_frame: 4,
+            words_per_frame: 41,
+        };
         let f00 = m.lut_frame(Site::Logic { x: 0, y: 0 });
         let f03 = m.lut_frame(Site::Logic { x: 0, y: 3 });
         let f04 = m.lut_frame(Site::Logic { x: 0, y: 4 });
@@ -92,7 +100,11 @@ mod tests {
 
     #[test]
     fn routing_frames_do_not_collide_with_lut_frames() {
-        let m = FrameModel { size: 8, tiles_per_frame: 4, words_per_frame: 41 };
+        let m = FrameModel {
+            size: 8,
+            tiles_per_frame: 4,
+            words_per_frame: 41,
+        };
         let lut_max = m.lut_frame(Site::Logic { x: 7, y: 7 });
         let route_min = m.routing_frame(0, 0);
         assert!(route_min > lut_max);
@@ -109,7 +121,10 @@ mod tests {
             for cols in 2..=32 {
                 let m = FrameModel::for_grid(rows, cols);
                 let frames = m.frame_count();
-                let settings_plane = m.lut_frame(Site::Logic { x: cols - 1, y: rows - 1 });
+                let settings_plane = m.lut_frame(Site::Logic {
+                    x: cols - 1,
+                    y: rows - 1,
+                });
                 for y in 0..rows {
                     for x in 0..cols {
                         let lut = m.lut_frame(Site::Logic { x, y });

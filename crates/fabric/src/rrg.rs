@@ -154,10 +154,12 @@ impl RouteGraph {
         match other.kind(id) {
             NodeKind::Opin(site) => Some(self.opin(site)),
             NodeKind::Ipin(site, p) => Some(self.ipin(site, p as usize)),
-            NodeKind::ChanX { x, y, t } => (t < self.width)
-                .then(|| (self.chanx_base + (y * s + x) * self.width + t) as u32),
-            NodeKind::ChanY { x, y, t } => (t < self.width)
-                .then(|| (self.chany_base + (x * s + y) * self.width + t) as u32),
+            NodeKind::ChanX { x, y, t } => {
+                (t < self.width).then(|| (self.chanx_base + (y * s + x) * self.width + t) as u32)
+            }
+            NodeKind::ChanY { x, y, t } => {
+                (t < self.width).then(|| (self.chany_base + (x * s + y) * self.width + t) as u32)
+            }
         }
     }
 
@@ -177,7 +179,10 @@ impl RouteGraph {
     pub fn cut_pressure(&self, state: &NodeState) -> CutPressure {
         let s = self.arch.size;
         if s < 2 {
-            return CutPressure { max_used: 0, max_overuse: 0 };
+            return CutPressure {
+                max_used: 0,
+                max_overuse: 0,
+            };
         }
         // used/overuse per vertical cut k (x = k + 1.5) and horizontal cut
         // k (y = k + 1.5), k in 0..s-1.
@@ -283,14 +288,16 @@ impl RouteGraph {
         }
         // Build-time structural invariant: runs once per graph, so it is
         // checked in release builds too.
-        assert_eq!(kinds.len(), total, "RRG node enumeration out of sync with id bases");
+        assert_eq!(
+            kinds.len(),
+            total,
+            "RRG node enumeration out of sync with id bases"
+        );
 
-        let chanx = |x: usize, y: usize, t: usize| -> u32 {
-            (chanx_base + (y * s + x) * width + t) as u32
-        };
-        let chany = |x: usize, y: usize, t: usize| -> u32 {
-            (chany_base + (x * s + y) * width + t) as u32
-        };
+        let chanx =
+            |x: usize, y: usize, t: usize| -> u32 { (chanx_base + (y * s + x) * width + t) as u32 };
+        let chany =
+            |x: usize, y: usize, t: usize| -> u32 { (chany_base + (x * s + y) * width + t) as u32 };
 
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); total];
         let mut connect = |a: u32, b: u32| adj[a as usize].push(b);
@@ -314,9 +321,7 @@ impl RouteGraph {
         for side in 0..4u8 {
             for pos in 0..s {
                 for slot in 0..cap {
-                    let o = (io_opin_base
-                        + ((side as usize * s + pos) * cap + slot))
-                        as u32;
+                    let o = (io_opin_base + ((side as usize * s + pos) * cap + slot)) as u32;
                     for i in 0..fco.max(2) {
                         let t = (i * width / fco.max(2) + pos + slot) % width;
                         let wire = match side {
@@ -335,8 +340,7 @@ impl RouteGraph {
         for y in 0..s {
             for x in 0..s {
                 for p in 0..arch.k {
-                    let ipin =
-                        (logic_ipin_base + (y * s + x) * arch.k + p) as u32;
+                    let ipin = (logic_ipin_base + (y * s + x) * arch.k + p) as u32;
                     for i in 0..fci {
                         let t = (i * width / fci + x + y + p) % width;
                         connect(chanx(x, y, t), ipin);
@@ -350,9 +354,7 @@ impl RouteGraph {
         for side in 0..4u8 {
             for pos in 0..s {
                 for slot in 0..cap {
-                    let ipin = (io_ipin_base
-                        + ((side as usize * s + pos) * cap + slot))
-                        as u32;
+                    let ipin = (io_ipin_base + ((side as usize * s + pos) * cap + slot)) as u32;
                     for i in 0..fci {
                         let t = (i * width / fci + pos + slot) % width;
                         let wire = match side {
@@ -568,7 +570,11 @@ mod tests {
         assert_eq!(g.kind(o), NodeKind::Opin(site));
         let i = g.ipin(site, 3);
         assert_eq!(g.kind(i), NodeKind::Ipin(site, 3));
-        let pad = Site::Io { side: 2, pos: 0, slot: 1 };
+        let pad = Site::Io {
+            side: 2,
+            pos: 0,
+            slot: 1,
+        };
         assert_eq!(g.kind(g.opin(pad)), NodeKind::Opin(pad));
         assert_eq!(g.kind(g.ipin(pad, 0)), NodeKind::Ipin(pad, 0));
     }
@@ -624,7 +630,14 @@ mod tests {
                 }
             }
         }
-        let pad = g.ipin(Site::Io { side: 1, pos: 3, slot: 0 }, 0);
+        let pad = g.ipin(
+            Site::Io {
+                side: 1,
+                pos: 3,
+                slot: 0,
+            },
+            0,
+        );
         assert!(seen[pad as usize], "pad unreachable");
     }
 }

@@ -148,13 +148,19 @@ impl Aig {
     pub fn input(&mut self, name: impl Into<String>, kind: InputKind) -> Lit {
         let node = self.nodes.len() as NodeId;
         self.nodes.push(Node::Input(self.inputs.len() as u32));
-        self.inputs.push(InputInfo { name: name.into(), kind, node });
+        self.inputs.push(InputInfo {
+            name: name.into(),
+            kind,
+            node,
+        });
         Lit::new(node, false)
     }
 
     /// Adds a vector of inputs named `name[0]`, `name[1]`, ... (LSB first).
     pub fn input_vec(&mut self, name: &str, width: usize, kind: InputKind) -> Vec<Lit> {
-        (0..width).map(|i| self.input(format!("{name}[{i}]"), kind)).collect()
+        (0..width)
+            .map(|i| self.input(format!("{name}[{i}]"), kind))
+            .collect()
     }
 
     /// Registers `lit` as a named primary output.
@@ -283,7 +289,10 @@ impl Aig {
 
     /// Iterates over `(id, node)` in topological order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, Node)> + '_ {
-        self.nodes.iter().enumerate().map(|(i, &n)| (i as NodeId, n))
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (i as NodeId, n))
     }
 
     /// AND-gate depth of every node (inputs and constants at level 0).
@@ -447,10 +456,7 @@ mod tests {
             let s_v = pat & 1 != 0;
             let t_v = pat & 2 != 0;
             let e_v = pat & 4 != 0;
-            let vals = crate::sim::simulate_u64(
-                &g,
-                &[s_v as u64, t_v as u64, e_v as u64],
-            );
+            let vals = crate::sim::simulate_u64(&g, &[s_v as u64, t_v as u64, e_v as u64]);
             let expect = if s_v { t_v } else { e_v };
             assert_eq!(vals[0] & 1 == 1, expect, "pat={pat}");
         }

@@ -145,7 +145,12 @@ struct Computed {
     r: Bdd,
 }
 
-const EMPTY: Computed = Computed { f: Bdd::FALSE, g: Bdd::FALSE, op: OP_NONE, r: Bdd::FALSE };
+const EMPTY: Computed = Computed {
+    f: Bdd::FALSE,
+    g: Bdd::FALSE,
+    op: OP_NONE,
+    r: Bdd::FALSE,
+};
 
 /// Smallest unique table, in slots.
 const MIN_SLOTS: usize = 1 << 8;
@@ -225,8 +230,16 @@ impl BddManager {
     /// Creates an empty manager (just the terminal).
     pub fn new() -> Self {
         let views = vec![
-            View { var: TERMINAL_VAR, lo: Bdd::FALSE, hi: Bdd::FALSE },
-            View { var: TERMINAL_VAR, lo: Bdd::TRUE, hi: Bdd::TRUE },
+            View {
+                var: TERMINAL_VAR,
+                lo: Bdd::FALSE,
+                hi: Bdd::FALSE,
+            },
+            View {
+                var: TERMINAL_VAR,
+                lo: Bdd::TRUE,
+                hi: Bdd::TRUE,
+            },
         ];
         Self {
             views,
@@ -297,10 +310,18 @@ impl BddManager {
         if lo == hi {
             return lo;
         }
-        debug_assert!(var < self.views[lo.0 as usize].var.min(self.views[hi.0 as usize].var));
+        debug_assert!(
+            var < self.views[lo.0 as usize]
+                .var
+                .min(self.views[hi.0 as usize].var)
+        );
         // Canonical form: `hi` regular. Otherwise find (or make) the
         // complement and hand back its other view.
-        let view = View { var, lo: lo.xor_flag(hi), hi: hi.regular() };
+        let view = View {
+            var,
+            lo: lo.xor_flag(hi),
+            hi: hi.regular(),
+        };
         if self.num_nodes() * 2 > self.unique.len() {
             self.grow();
         }
@@ -481,7 +502,10 @@ impl BddManager {
     /// If `lanes` is shorter than the variables the nodes test: a missing
     /// word is not an assignment of `false`.
     pub fn eval_lanes(&self, lanes: &[u64]) -> LaneValues {
-        assert!(lanes.len() >= self.num_vars as usize, "one lane word per variable");
+        assert!(
+            lanes.len() >= self.num_vars as usize,
+            "one lane word per variable"
+        );
         // Children-first ids: every child of node `i` is in `val[..i]` (a
         // forward reference would be out of bounds, not a stale read).
         // Written in place: growing `val` by `push` instead doubles the
@@ -685,7 +709,10 @@ mod tests {
                 }
             }
             if v < NV {
-                level = level.iter().flat_map(|g| [g.cofactor0(v), g.cofactor1(v)]).collect();
+                level = level
+                    .iter()
+                    .flat_map(|g| [g.cofactor0(v), g.cofactor1(v)])
+                    .collect();
             }
         }
     }
@@ -712,7 +739,10 @@ mod tests {
     fn random_pool(seed: u64, steps: usize) -> (BddManager, Vec<(Bdd, TruthTable)>) {
         let mut rng = SplitMix64::new(seed);
         let mut m = BddManager::new();
-        let mut pool = vec![(Bdd::FALSE, TruthTable::zero(NV)), (Bdd::TRUE, TruthTable::one(NV))];
+        let mut pool = vec![
+            (Bdd::FALSE, TruthTable::zero(NV)),
+            (Bdd::TRUE, TruthTable::one(NV)),
+        ];
         for v in 0..NV {
             pool.push((m.var(v as u32), TruthTable::var(v, NV)));
             pool.push((m.nvar(v as u32), TruthTable::var(v, NV).not()));
@@ -742,14 +772,23 @@ mod tests {
                 assert_same_function(&m, *f, t, "expression");
                 // Equal functions ⇒ equal handles (the converse is the
                 // line above).
-                assert_eq!(*handle_of.entry(t.bits()).or_insert(*f), *f, "seed {seed}: {t:?}");
-                let support: Vec<u32> =
-                    (0..NV as u32).filter(|v| t.support_mask() >> v & 1 == 1).collect();
+                assert_eq!(
+                    *handle_of.entry(t.bits()).or_insert(*f),
+                    *f,
+                    "seed {seed}: {t:?}"
+                );
+                let support: Vec<u32> = (0..NV as u32)
+                    .filter(|v| t.support_mask() >> v & 1 == 1)
+                    .collect();
                 assert_eq!(m.support(*f), support);
                 let mut classes = std::collections::BTreeSet::new();
                 node_classes(t, &mut classes);
                 assert_eq!(m.size(*f), classes.len(), "seed {seed}: size of {t:?}");
-                assert_eq!(m.size(*f), m.size(Bdd(f.0 ^ 1)), "a complement is the same nodes");
+                assert_eq!(
+                    m.size(*f),
+                    m.size(Bdd(f.0 ^ 1)),
+                    "a complement is the same nodes"
+                );
             }
             // Sharing: a set's size is the union of its members' nodes.
             let mut classes = std::collections::BTreeSet::new();
@@ -786,11 +825,25 @@ mod tests {
             let mut roots: Vec<Bdd> = picked.iter().map(|(f, _)| *f).collect();
             m.compact(roots.iter_mut());
 
-            assert_eq!(m.num_nodes(), reach + 1, "seed {seed}: reachable nodes + terminal");
-            assert!(m.unique.is_empty() && m.computed.is_empty(), "tables released");
+            assert_eq!(
+                m.num_nodes(),
+                reach + 1,
+                "seed {seed}: reachable nodes + terminal"
+            );
+            assert!(
+                m.unique.is_empty() && m.computed.is_empty(),
+                "tables released"
+            );
             for (h, n) in m.views.iter().enumerate().skip(2) {
-                assert!(n.lo.0 < h as u32 & !1 && n.hi.0 < h as u32 & !1, "children first");
-                assert_eq!(n.hi.0 & 1, h as u32 & 1, "the regular view's `hi` is regular");
+                assert!(
+                    n.lo.0 < h as u32 & !1 && n.hi.0 < h as u32 & !1,
+                    "children first"
+                );
+                assert_eq!(
+                    n.hi.0 & 1,
+                    h as u32 & 1,
+                    "the regular view's `hi` is regular"
+                );
             }
             for (r, (_, t)) in roots.iter().zip(&picked) {
                 assert_same_function(&m, *r, t, "remapped root");
@@ -798,7 +851,11 @@ mod tests {
             // Still a manager: the unique table comes back on demand, and
             // rebuilding a root's function finds the root's own nodes.
             for (r, (_, t)) in roots.iter().zip(&picked) {
-                assert_eq!(from_tt(&mut m, t, 0), *r, "seed {seed}: canonical after compaction");
+                assert_eq!(
+                    from_tt(&mut m, t, 0),
+                    *r,
+                    "seed {seed}: canonical after compaction"
+                );
             }
         }
     }
@@ -815,7 +872,11 @@ mod tests {
                 let mut acc = Bdd::TRUE;
                 for _ in 0..40 {
                     let x = m.var(rng.index(12) as u32);
-                    acc = if rng.coin() { m.xor(acc, x) } else { m.or(acc, x) };
+                    acc = if rng.coin() {
+                        m.xor(acc, x)
+                    } else {
+                        m.or(acc, x)
+                    };
                 }
             }
             let (a, b, c) = (m.var(0), m.var(3), m.var(5));
@@ -836,7 +897,11 @@ mod tests {
         // 5 is coprime to 64: the `n` assignments are distinct.
         let first = rng.index(64);
         let asgs: Vec<Vec<bool>> = (0..n)
-            .map(|i| (0..NV).map(|v| ((first + 5 * i) % 64) >> v & 1 == 1).collect())
+            .map(|i| {
+                (0..NV)
+                    .map(|v| ((first + 5 * i) % 64) >> v & 1 == 1)
+                    .collect()
+            })
             .collect();
         let mut lanes = vec![0u64; NV];
         for (l, asg) in asgs.iter().enumerate() {
@@ -889,7 +954,10 @@ mod tests {
         // for a compacted one.
         let children_first = |m: &BddManager| {
             for (h, n) in m.views.iter().enumerate().skip(2) {
-                assert!((n.lo.0 >> 1) < (h as u32 >> 1) && (n.hi.0 >> 1) < (h as u32 >> 1), "#{h}");
+                assert!(
+                    (n.lo.0 >> 1) < (h as u32 >> 1) && (n.hi.0 >> 1) < (h as u32 >> 1),
+                    "#{h}"
+                );
                 assert!((n.var as usize) < m.num_vars as usize);
             }
         };
@@ -921,7 +989,11 @@ mod tests {
         let mut keep = [a];
         assert_eq!(m.eval_lanes(&[0b10; 10]).of(z), 0b10);
         m.compact(keep.iter_mut());
-        assert_eq!(m.eval_lanes(&[0b10]).of(keep[0]), 0b10, "one variable left, one word asked");
+        assert_eq!(
+            m.eval_lanes(&[0b10]).of(keep[0]),
+            0b10,
+            "one variable left, one word asked"
+        );
     }
 
     #[test]

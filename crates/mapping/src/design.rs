@@ -210,7 +210,11 @@ impl MappedDesign {
     /// read its missing parameters as `false` and specialize the design
     /// for settings nobody asked for.
     pub fn specialize(&self, params: &[bool]) -> SpecializedDesign {
-        assert_eq!(params.len(), self.param_names.len(), "one value per parameter");
+        assert_eq!(
+            params.len(),
+            self.param_names.len(),
+            "one value per parameter"
+        );
         // Every PTT bit and TCON condition under one assignment: one
         // one-lane sweep of the store, then a read per handle.
         let lanes: Vec<u64> = params.iter().map(|&p| u64::from(p)).collect();
@@ -227,7 +231,10 @@ impl MappedDesign {
                             tt.set(m, true);
                         }
                     }
-                    SpecNode::Lut(SpecLut { inputs: l.inputs.clone(), tt })
+                    SpecNode::Lut(SpecLut {
+                        inputs: l.inputs.clone(),
+                        tt,
+                    })
                 }
                 MappedNode::Tcon(t) => {
                     // The wire carries the physical value: logical ^ invert.
@@ -426,7 +433,7 @@ mod tests {
         let ident = d.specialize(&[true]);
         assert_eq!(ident.simulate(&[0b01]), vec![0b01]);
         let inv = d.specialize(&[false]);
-        assert_eq!(inv.simulate(&[0b01]) [0] & 0b11, 0b10);
+        assert_eq!(inv.simulate(&[0b01])[0] & 0b11, 0b10);
     }
 
     #[test]

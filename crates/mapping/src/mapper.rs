@@ -66,7 +66,10 @@ pub struct MapOptions {
 
 impl Default for MapOptions {
     fn default() -> Self {
-        Self { k: 4, cuts_per_node: 6 }
+        Self {
+            k: 4,
+            cuts_per_node: 6,
+        }
     }
 }
 
@@ -155,13 +158,7 @@ struct Cut {
 
 /// Appends `child`'s PTT re-indexed over the `merged` leaf set (and
 /// complemented if `negate`) to `out`.
-fn expand_ptt(
-    bdd: &mut BddManager,
-    out: &mut Vec<Bdd>,
-    child: &Cut,
-    merged: &[u32],
-    negate: bool,
-) {
+fn expand_ptt(bdd: &mut BddManager, out: &mut Vec<Bdd>, child: &Cut, merged: &[u32], negate: bool) {
     // Position of every child leaf within the merged leaf set.
     let mut pos = [0usize; 6];
     for (p, l) in pos.iter_mut().zip(&child.leaves) {
@@ -247,7 +244,11 @@ fn tcon_check(bdd: &mut BddManager, ptt: &[Bdd], k: usize) -> Option<TconCand> {
         }
     }
     if cover.is_true() {
-        Some(TconCand { choices, const0, const1 })
+        Some(TconCand {
+            choices,
+            const0,
+            const1,
+        })
     } else {
         None
     }
@@ -272,7 +273,10 @@ fn tcon_candidate(
         }
     }
     let cand = tcon_check(bdd, ptt, k);
-    debug_assert!(!(refuted && cand.is_some()), "counterexample against an accepted TCON");
+    debug_assert!(
+        !(refuted && cand.is_some()),
+        "counterexample against an accepted TCON"
+    );
     effort.tcon_accepted += usize::from(cand.is_some());
     cand.map(Rc::new)
 }
@@ -400,7 +404,11 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         ptt: Rc::new([p]),
                         arr: 0,
                         af: 0.0,
-                        tcon: Some(Rc::new(TconCand { choices: vec![], const0: np, const1: p })),
+                        tcon: Some(Rc::new(TconCand {
+                            choices: vec![],
+                            const0: np,
+                            const1: p,
+                        })),
                         trivial: false,
                     }]
                 } else {
@@ -415,9 +423,8 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 }
             }
             Node::And(a, b) => {
-                let leaf_cost = |l: u32| -> f32 {
-                    aflow[l as usize] / (fanout[l as usize].max(1) as f32)
-                };
+                let leaf_cost =
+                    |l: u32| -> f32 { aflow[l as usize] / (fanout[l as usize].max(1) as f32) };
                 // Phase 1 — candidate leaf sets only, no BDD work yet.
                 // Each candidate carries a cheap LUT-cost bound (arrival,
                 // area flow as if implemented by a plain LUT) computed
@@ -429,8 +436,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         let ca = &cutsets[a.node() as usize][cai];
                         let cb = &cutsets[b.node() as usize][cbi];
                         // Union of sorted leaf sets, early reject over K.
-                        let mut leaves =
-                            Vec::with_capacity(ca.leaves.len() + cb.leaves.len());
+                        let mut leaves = Vec::with_capacity(ca.leaves.len() + cb.leaves.len());
                         let (mut i, mut j) = (0, 0);
                         let ok = loop {
                             if leaves.len() > opts.k {
@@ -469,8 +475,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                             .map(|&l| arrival[l as usize])
                             .max()
                             .unwrap_or(0);
-                        let af_lb: f32 =
-                            1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
+                        let af_lb: f32 = 1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
                         seen.insert(leaves.clone(), ());
                         cands.push((leaves, cai, cbi, arr_lb, af_lb));
                     }
@@ -545,8 +550,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         // available at no extra LUTs (TCONMAP's
                         // preference).
                         let af: f32 = 0.35
-                            + tc
-                                .choices
+                            + tc.choices
                                 .iter()
                                 .map(|&(pos, _, _)| leaf_cost(leaves[pos]))
                                 .sum::<f32>();
@@ -557,11 +561,17 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                             .map(|&l| arrival[l as usize])
                             .max()
                             .unwrap_or(0);
-                        let af: f32 =
-                            1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
+                        let af: f32 = 1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
                         (arr, af)
                     };
-                    merged.push(Cut { leaves, ptt, arr, af, tcon, trivial: false });
+                    merged.push(Cut {
+                        leaves,
+                        ptt,
+                        arr,
+                        af,
+                        tcon,
+                        trivial: false,
+                    });
                 }
                 debug_assert!(!merged.is_empty(), "AND node must have at least one cut");
                 merged.sort_by(|x, y| {
@@ -703,13 +713,18 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                     // were not covered and must not be referenced.
                     let (pl, pp) = prune_lut(leaves, ptt);
                     debug_assert!(
-                        pl.iter().all(|l| {
-                            choices.iter().any(|&(pos, _, _)| leaves[pos] == *l)
-                        }),
+                        pl.iter()
+                            .all(|l| { choices.iter().any(|&(pos, _, _)| leaves[pos] == *l) }),
                         "demoted TLUT must only use selected leaves"
                     );
                     inv.insert(id, false);
-                    chosen.insert(id, Impl::Lut { leaves: pl, ptt: pp });
+                    chosen.insert(
+                        id,
+                        Impl::Lut {
+                            leaves: pl,
+                            ptt: pp,
+                        },
+                    );
                 }
             }
         }
@@ -718,18 +733,16 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     // ---- emit in topological (ascending AIG id) order ----
     let mut nodes: Vec<MappedNode> = Vec::new();
     let mut node_of: FxHashMap<u32, u32> = FxHashMap::default();
-    let src_of = |aig_id: u32,
-                  reg_index: &FxHashMap<u32, u32>,
-                  node_of: &FxHashMap<u32, u32>|
-     -> Source {
-        if let Some(&r) = reg_index.get(&aig_id) {
-            Source::Input(r)
-        } else if let Some(&m) = node_of.get(&aig_id) {
-            Source::Node(m)
-        } else {
-            unreachable!("leaf {aig_id} neither input nor mapped node")
-        }
-    };
+    let src_of =
+        |aig_id: u32, reg_index: &FxHashMap<u32, u32>, node_of: &FxHashMap<u32, u32>| -> Source {
+            if let Some(&r) = reg_index.get(&aig_id) {
+                Source::Input(r)
+            } else if let Some(&m) = node_of.get(&aig_id) {
+                Source::Node(m)
+            } else {
+                unreachable!("leaf {aig_id} neither input nor mapped node")
+            }
+        };
     for &id in &ids {
         let impl_ = &chosen[&id];
         let mapped = match impl_ {
@@ -791,7 +804,11 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 l.is_neg() ^ node_inv,
             ),
         };
-        outputs.push(MappedOutput { name: name.clone(), source, invert });
+        outputs.push(MappedOutput {
+            name: name.clone(),
+            source,
+            invert,
+        });
     }
     drop(emit_span);
 
@@ -814,7 +831,16 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     map_span.arg("bdd_nodes_kept", effort.bdd_nodes_kept);
     map_span.arg("bdd_lookups", effort.bdd_lookups);
     map_span.arg("bdd_hits", effort.bdd_hits);
-    (MappedDesign { nodes, outputs, input_names, param_names, bdd }, effort)
+    (
+        MappedDesign {
+            nodes,
+            outputs,
+            input_names,
+            param_names,
+            bdd,
+        },
+        effort,
+    )
 }
 
 #[cfg(test)]
@@ -903,13 +929,16 @@ mod tests {
                     ptts.push(
                         (0..1usize << k)
                             .map(|m| {
-                                t.choices.iter().enumerate().fold(t.const1, |f, (i, &(_, c))| {
-                                    if (m >> i) & 1 == 1 {
-                                        d.bdd.or(f, c)
-                                    } else {
-                                        f
-                                    }
-                                })
+                                t.choices
+                                    .iter()
+                                    .enumerate()
+                                    .fold(t.const1, |f, (i, &(_, c))| {
+                                        if (m >> i) & 1 == 1 {
+                                            d.bdd.or(f, c)
+                                        } else {
+                                            f
+                                        }
+                                    })
                             })
                             .collect(),
                     );
@@ -921,8 +950,14 @@ mod tests {
             let k = 1 + rng.index(4);
             // Few distinct entries per PTT, as in a real cut: most random
             // tables over many functions are trivially not TCONs.
-            let palette: Vec<Bdd> = (0..2 + rng.index(2)).map(|_| pool[rng.index(pool.len())]).collect();
-            ptts.push((0..1usize << k).map(|_| palette[rng.index(palette.len())]).collect());
+            let palette: Vec<Bdd> = (0..2 + rng.index(2))
+                .map(|_| pool[rng.index(pool.len())])
+                .collect();
+            ptts.push(
+                (0..1usize << k)
+                    .map(|_| palette[rng.index(palette.len())])
+                    .collect(),
+            );
         }
 
         let (mut refuted, mut accepted, mut slipped) = (0, 0, 0);
@@ -937,7 +972,10 @@ mod tests {
         }
         // Not vacuous in either direction, and the filter is a filter:
         // it misses some non-TCONs (the exact check is still needed).
-        assert!(refuted > 100 && accepted > 100 && slipped > 0, "{refuted} {accepted} {slipped}");
+        assert!(
+            refuted > 100 && accepted > 100 && slipped > 0,
+            "{refuted} {accepted} {slipped}"
+        );
     }
 
     #[test]

@@ -153,8 +153,7 @@ fn cut_caches_actually_hit() {
     let prod = softfloat::gates::mul_array(&mut g, &x, &c);
     g.add_output_vec("p", &prod);
 
-    let (cached, effort) =
-        mapping::map_parameterized_with_effort(&g, MapOptions::default());
+    let (cached, effort) = mapping::map_parameterized_with_effort(&g, MapOptions::default());
     assert_equivalent(&g, &cached, 5, 0xCAFE);
 
     // And it must actually be a cache, not dead weight.

@@ -102,7 +102,9 @@ impl ParEngine {
         if self.opts.threads > 0 {
             self.opts.threads
         } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         }
     }
 
@@ -202,10 +204,15 @@ mod tests {
     fn conventional_small_design_pars() {
         let d = map_conventional(&small_mul_aig(), MapOptions::default());
         let nl = extract(&d);
-        let rep = ParEngine::new(EngineOptions::default()).run(&nl).expect("routable");
+        let rep = ParEngine::new(EngineOptions::default())
+            .run(&nl)
+            .expect("routable");
         assert!(rep.result.wirelength > 0);
         assert!(rep.min_channel_width >= 2);
-        assert_eq!(rep.result.tcon_switches, 0, "no tunable nets conventionally");
+        assert_eq!(
+            rep.result.tcon_switches, 0,
+            "no tunable nets conventionally"
+        );
     }
 
     #[test]
@@ -241,12 +248,19 @@ mod tests {
     fn engine_runs_end_to_end_with_probe_log() {
         let d = map_parameterized(&small_mul_aig(), MapOptions::default());
         let nl = extract(&d);
-        let rep = ParEngine::new(EngineOptions::default()).run(&nl).expect("routable");
+        let rep = ParEngine::new(EngineOptions::default())
+            .run(&nl)
+            .expect("routable");
         assert!(rep.result.wirelength > 0);
         assert!(!rep.probes.is_empty(), "width search must log probes");
         assert!(rep.probes.iter().any(|p| p.success));
         assert_eq!(
-            rep.probes.iter().filter(|p| p.success).map(|p| p.width).min().unwrap(),
+            rep.probes
+                .iter()
+                .filter(|p| p.success)
+                .map(|p| p.width)
+                .min()
+                .unwrap(),
             rep.min_channel_width
         );
         // The winning probe may be warm-started (only broken/congested
@@ -259,14 +273,20 @@ mod tests {
         let d = map_parameterized(&small_mul_aig(), MapOptions::default());
         let nl = extract(&d);
         let run = |threads: usize| {
-            ParEngine::new(EngineOptions { threads, ..Default::default() })
-                .run(&nl)
-                .expect("routable")
+            ParEngine::new(EngineOptions {
+                threads,
+                ..Default::default()
+            })
+            .run(&nl)
+            .expect("routable")
         };
         let a = run(1);
         let b = run(4);
         assert_eq!(a.min_channel_width, b.min_channel_width);
-        assert_eq!(a.result.trees, b.result.trees, "routing must not depend on threads");
+        assert_eq!(
+            a.result.trees, b.result.trees,
+            "routing must not depend on threads"
+        );
         assert_eq!(a.placement.site_of, b.placement.site_of);
     }
 }

@@ -146,7 +146,14 @@ fn route_net(
     bbox: BBox,
     scratch: &mut Scratch,
 ) -> Option<Vec<u32>> {
-    let Scratch { cost_to, prev, touched, heap, tree_set, tree_list } = scratch;
+    let Scratch {
+        cost_to,
+        prev,
+        touched,
+        heap,
+        tree_set,
+        tree_list,
+    } = scratch;
     tree_set.clear();
     tree_list.clear();
 
@@ -292,8 +299,12 @@ pub(crate) fn route_core(
     // Terminal extents (fixed by the placement) and escalation stages.
     let extents: Vec<BBox> = (0..n_nets)
         .map(|i| {
-            let mut bb =
-                BBox { x0: f32::INFINITY, y0: f32::INFINITY, x1: f32::NEG_INFINITY, y1: f32::NEG_INFINITY };
+            let mut bb = BBox {
+                x0: f32::INFINITY,
+                y0: f32::INFINITY,
+                x1: f32::NEG_INFINITY,
+                y1: f32::NEG_INFINITY,
+            };
             for &t in srcs[i].iter().chain(sinks[i].iter()) {
                 let (x, y) = graph.location_f32(t);
                 bb.x0 = bb.x0.min(x);
@@ -308,14 +319,23 @@ pub(crate) fn route_core(
     let bbox_of = |net: usize, stage: u8| -> BBox {
         let m = MARGINS[stage as usize];
         let e = &extents[net];
-        BBox { x0: e.x0 - m, y0: e.y0 - m, x1: e.x1 + m, y1: e.y1 + m }
+        BBox {
+            x0: e.x0 - m,
+            y0: e.y0 - m,
+            x1: e.x1 + m,
+            y1: e.y1 + m,
+        }
     };
 
     let mut state = NodeState::new(graph);
     let mut trees: Vec<Vec<u32>> = seed_trees.unwrap_or_else(|| vec![Vec::new(); n_nets]);
     // Checked in release builds too: a seed-tree/netlist length mismatch
     // would silently misattribute routes to the wrong nets.
-    assert_eq!(trees.len(), n_nets, "seed trees must match the netlist net count");
+    assert_eq!(
+        trees.len(),
+        n_nets,
+        "seed trees must match the netlist net count"
+    );
     for t in &trees {
         for &n in t {
             state.occupy(n);
@@ -377,8 +397,10 @@ pub(crate) fn route_core(
             }
         }
 
-        let bboxes: Vec<BBox> =
-            dirty.iter().map(|&i| bbox_of(i as usize, stage[i as usize])).collect();
+        let bboxes: Vec<BBox> = dirty
+            .iter()
+            .map(|&i| bbox_of(i as usize, stage[i as usize]))
+            .collect();
         // Effective box = search box ∪ the extent of the tree about to be
         // ripped. Warm-seeded trees translated from a wider probe can
         // stick out of the *current* stage box, and a wave's boxes must
@@ -427,7 +449,15 @@ pub(crate) fn route_core(
                     state.release(n);
                 }
                 trees[i].clear();
-                match route_net(graph, &state, pres_fac, &srcs[i], &sinks[i], bboxes[pos], &mut scratch) {
+                match route_net(
+                    graph,
+                    &state,
+                    pres_fac,
+                    &srcs[i],
+                    &sinks[i],
+                    bboxes[pos],
+                    &mut scratch,
+                ) {
                     Some(tree) => {
                         for &n in &tree {
                             state.occupy(n);
@@ -456,7 +486,15 @@ pub(crate) fn route_core(
                 }
                 stage[i] += 1;
                 let bb = bbox_of(i, stage[i]);
-                if let Some(tree) = route_net(graph, &state, pres_fac, &srcs[i], &sinks[i], bb, &mut scratch) {
+                if let Some(tree) = route_net(
+                    graph,
+                    &state,
+                    pres_fac,
+                    &srcs[i],
+                    &sinks[i],
+                    bb,
+                    &mut scratch,
+                ) {
                     for &n in &tree {
                         state.occupy(n);
                     }
@@ -471,13 +509,25 @@ pub(crate) fn route_core(
         iter_span.arg("ripups", ripups);
         iter_span.arg("overused", overused);
         if overused == 0 {
-            return Ok(build_result(netlist, graph, &state, trees, iter + 1, ripups, waves_total));
+            return Ok(build_result(
+                netlist,
+                graph,
+                &state,
+                trees,
+                iter + 1,
+                ripups,
+                waves_total,
+            ));
         }
         if iter + 1 == MAX_ITERS {
             // A cold-equivalent verdict (no frozen warm trees biasing the
             // congestion) reports its worst-cut residual so the width
             // search can advance `lo` past hopeless widths.
-            let cut = if warm_n == 0 { graph.cut_pressure(&state).max_overuse } else { 0 };
+            let cut = if warm_n == 0 {
+                graph.cut_pressure(&state).max_overuse
+            } else {
+                0
+            };
             return Err(Unroutable {
                 overused,
                 iterations: iter + 1,
@@ -637,7 +687,10 @@ pub(crate) mod tests {
         let c = g.input_vec("c", 5, InputKind::Param);
         let p = softfloat::gates::mul_carry_save(&mut g, &x, &c);
         g.add_output_vec("p", &p);
-        crate::netlist::extract(&mapping::map_conventional(&g, mapping::MapOptions::default()))
+        crate::netlist::extract(&mapping::map_conventional(
+            &g,
+            mapping::MapOptions::default(),
+        ))
     }
 
     #[test]
@@ -647,23 +700,46 @@ pub(crate) mod tests {
         let placement = crate::tplace::place(&nl, arch, 1);
         for width in [4usize, 7] {
             let graph = RouteGraph::build(arch, width);
-            let mut nets: Vec<(Vec<u32>, Vec<u32>)> = crate::troute::terminals(&nl, &placement, &graph)
-                .into_iter()
-                .map(|t| (t.sources, t.sinks))
-                .collect();
+            let mut nets: Vec<(Vec<u32>, Vec<u32>)> =
+                crate::troute::terminals(&nl, &placement, &graph)
+                    .into_iter()
+                    .map(|t| (t.sources, t.sinks))
+                    .collect();
             // A sink beside its block's other input pins, two sinks on one
             // block (the later one a dead-end neighbour of the earlier
             // search), and a pad sink.
-            let far = Site::Logic { x: arch.size - 1, y: arch.size - 1 };
+            let far = Site::Logic {
+                x: arch.size - 1,
+                y: arch.size - 1,
+            };
             nets.push((
                 vec![graph.opin(Site::Logic { x: 0, y: 0 })],
-                vec![graph.ipin(far, 0), graph.ipin(far, 1), graph.ipin(Site::Logic { x: 1, y: 0 }, 3)],
+                vec![
+                    graph.ipin(far, 0),
+                    graph.ipin(far, 1),
+                    graph.ipin(Site::Logic { x: 1, y: 0 }, 3),
+                ],
             ));
             nets.push((
                 vec![graph.opin(far), graph.opin(Site::Logic { x: 1, y: 1 })],
-                vec![graph.ipin(Site::Io { side: 3, pos: 0, slot: 1 }, 0), graph.ipin(far, 2)],
+                vec![
+                    graph.ipin(
+                        Site::Io {
+                            side: 3,
+                            pos: 0,
+                            slot: 1,
+                        },
+                        0,
+                    ),
+                    graph.ipin(far, 2),
+                ],
             ));
-            let whole = BBox { x0: f32::NEG_INFINITY, y0: f32::NEG_INFINITY, x1: f32::INFINITY, y1: f32::INFINITY };
+            let whole = BBox {
+                x0: f32::NEG_INFINITY,
+                y0: f32::NEG_INFINITY,
+                x1: f32::INFINITY,
+                y1: f32::INFINITY,
+            };
             let mut state = NodeState::new(&graph);
             let mut scratch = Scratch::new(graph.node_count());
             let mut compared = 0;
@@ -673,23 +749,46 @@ pub(crate) mod tests {
                 for (srcs, sinks) in &nets {
                     // The first-stage box: the terminals' extent plus margin.
                     let m = MARGINS[0];
-                    let tight = srcs.iter().chain(sinks).map(|&t| graph.location_f32(t)).fold(
-                        BBox { x0: f32::INFINITY, y0: f32::INFINITY, x1: f32::NEG_INFINITY, y1: f32::NEG_INFINITY },
-                        |bb, (x, y)| bb.union(&BBox { x0: x - m, y0: y - m, x1: x + m, y1: y + m }),
-                    );
+                    let tight = srcs
+                        .iter()
+                        .chain(sinks)
+                        .map(|&t| graph.location_f32(t))
+                        .fold(
+                            BBox {
+                                x0: f32::INFINITY,
+                                y0: f32::INFINITY,
+                                x1: f32::NEG_INFINITY,
+                                y1: f32::NEG_INFINITY,
+                            },
+                            |bb, (x, y)| {
+                                bb.union(&BBox {
+                                    x0: x - m,
+                                    y0: y - m,
+                                    x1: x + m,
+                                    y1: y + m,
+                                })
+                            },
+                        );
                     for bbox in [tight, whole] {
-                        let pruned = route_net(&graph, &state, pres_fac, srcs, sinks, bbox, &mut scratch);
-                        let reference = route_net_reference(&graph, &state, pres_fac, srcs, sinks, bbox);
+                        let pruned =
+                            route_net(&graph, &state, pres_fac, srcs, sinks, bbox, &mut scratch);
+                        let reference =
+                            route_net_reference(&graph, &state, pres_fac, srcs, sinks, bbox);
                         assert_eq!(pruned, reference, "width {width}, pres_fac {pres_fac}");
                         compared += usize::from(pruned.is_some());
                     }
-                    if let Some(tree) = route_net(&graph, &state, pres_fac, srcs, sinks, whole, &mut scratch) {
+                    if let Some(tree) =
+                        route_net(&graph, &state, pres_fac, srcs, sinks, whole, &mut scratch)
+                    {
                         tree.iter().for_each(|&n| state.occupy(n));
                     }
                 }
                 state.accrue_history(ACC_FAC);
             }
-            assert!(compared >= 2 * nets.len(), "most searches must find a tree (width {width})");
+            assert!(
+                compared >= 2 * nets.len(),
+                "most searches must find a tree (width {width})"
+            );
         }
     }
 
@@ -700,8 +799,14 @@ pub(crate) mod tests {
         let placement = crate::tplace::place(&nl, arch, 1);
         let graph = RouteGraph::build(arch, 7);
         let routed = |cancel: &AtomicBool| route_core(&nl, &placement, &graph, None, Some(cancel));
-        let stopped = routed(&AtomicBool::new(true)).err().expect("a cancelled run is no route");
-        assert_eq!((stopped.iterations, stopped.ripups), (0, nl.nets.len()), "no wave was routed");
+        let stopped = routed(&AtomicBool::new(true))
+            .err()
+            .expect("a cancelled run is no route");
+        assert_eq!(
+            (stopped.iterations, stopped.ripups),
+            (0, nl.nets.len()),
+            "no wave was routed"
+        );
         // An unraised flag changes nothing.
         let free = routed(&AtomicBool::new(false)).expect("routable at width 7");
         let plain = route_core(&nl, &placement, &graph, None, None).expect("routable");

@@ -88,7 +88,10 @@ pub fn extract(design: &MappedDesign) -> ParNetlist {
         .iter()
         .map(|n| {
             let id = blocks.len() as u32;
-            blocks.push(Block { name: format!("in:{n}"), kind: BlockKind::InputPad });
+            blocks.push(Block {
+                name: format!("in:{n}"),
+                kind: BlockKind::InputPad,
+            });
             id
         })
         .collect();
@@ -97,7 +100,10 @@ pub fn extract(design: &MappedDesign) -> ParNetlist {
     for (i, node) in design.nodes.iter().enumerate() {
         if matches!(node, MappedNode::Lut(_)) {
             let id = blocks.len() as u32;
-            blocks.push(Block { name: format!("lut{i}"), kind: BlockKind::Logic });
+            blocks.push(Block {
+                name: format!("lut{i}"),
+                kind: BlockKind::Logic,
+            });
             lut_block.insert(i as u32, id);
         }
     }
@@ -142,10 +148,10 @@ pub fn extract(design: &MappedDesign) -> ParNetlist {
     let mut nets: Vec<Net> = Vec::new();
 
     let add_sink = |design: &MappedDesign,
-                        nets: &mut Vec<Net>,
-                        net_of: &mut FxHashMap<NetKey, usize>,
-                        src: &Source,
-                        sink: (u32, u8)| {
+                    nets: &mut Vec<Net>,
+                    net_of: &mut FxHashMap<NetKey, usize>,
+                    src: &Source,
+                    sink: (u32, u8)| {
         let key = match src {
             Source::Const(_) => return, // constants need no routing
             Source::Input(i) => NetKey::Block(input_block[*i as usize]),
@@ -157,10 +163,20 @@ pub fn extract(design: &MappedDesign) -> ParNetlist {
         let idx = *net_of.entry(key).or_insert_with(|| {
             let mut sources = FxHashSet::default();
             let mut visited = FxHashSet::default();
-            resolve(design, &input_block, &lut_block, src, &mut sources, &mut visited);
+            resolve(
+                design,
+                &input_block,
+                &lut_block,
+                src,
+                &mut sources,
+                &mut visited,
+            );
             let mut sources: Vec<u32> = sources.into_iter().collect();
             sources.sort_unstable();
-            nets.push(Net { sources, sinks: Vec::new() });
+            nets.push(Net {
+                sources,
+                sinks: Vec::new(),
+            });
             nets.len() - 1
         });
         nets[idx].sinks.push(sink);
@@ -178,7 +194,10 @@ pub fn extract(design: &MappedDesign) -> ParNetlist {
     // Output pads.
     for o in &design.outputs {
         let pad = blocks.len() as u32;
-        blocks.push(Block { name: format!("out:{}", o.name), kind: BlockKind::OutputPad });
+        blocks.push(Block {
+            name: format!("out:{}", o.name),
+            kind: BlockKind::OutputPad,
+        });
         add_sink(design, &mut nets, &mut net_of, &o.source, (pad, 0));
     }
 

@@ -69,7 +69,12 @@ impl PlacerState {
         let (mut pin_off, mut pins) = (vec![0u32], Vec::new());
         let mut touching: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
         for (i, n) in netlist.nets.iter().enumerate() {
-            for b in n.sources.iter().copied().chain(n.sinks.iter().map(|&(b, _)| b)) {
+            for b in n
+                .sources
+                .iter()
+                .copied()
+                .chain(n.sinks.iter().map(|&(b, _)| b))
+            {
                 pins.push(b);
                 // Nets arrive in ascending order: distinct means not the last.
                 if touching[b as usize].last() != Some(&(i as u32)) {
@@ -84,7 +89,11 @@ impl PlacerState {
             net_off.push(nets.len() as u32);
         }
         Self {
-            q: netlist.nets.iter().map(|n| q_factor(n.sources.len() + n.sinks.len())).collect(),
+            q: netlist
+                .nets
+                .iter()
+                .map(|n| q_factor(n.sources.len() + n.sinks.len()))
+                .collect(),
             pin_off,
             pins,
             net_off,
@@ -103,7 +112,10 @@ impl PlacerState {
         let mut max_x = f64::NEG_INFINITY;
         let mut min_y = f64::INFINITY;
         let mut max_y = f64::NEG_INFINITY;
-        let (a, b) = (self.pin_off[net as usize] as usize, self.pin_off[net as usize + 1] as usize);
+        let (a, b) = (
+            self.pin_off[net as usize] as usize,
+            self.pin_off[net as usize + 1] as usize,
+        );
         for &block in &self.pins[a..b] {
             let (x, y) = self.loc_of[block as usize];
             if x < min_x {
@@ -157,7 +169,9 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
     let n_logic = s * s;
 
     // The site table, in site-id order.
-    let mut sites: Vec<Site> = (0..n_logic).map(|i| Site::Logic { x: i % s, y: i / s }).collect();
+    let mut sites: Vec<Site> = (0..n_logic)
+        .map(|i| Site::Logic { x: i % s, y: i / s })
+        .collect();
     for side in 0..4u8 {
         for pos in 0..s {
             for slot in 0..arch.io_capacity {
@@ -183,7 +197,9 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
             BlockKind::Logic => logic_next
                 .next()
                 .unwrap_or_else(|| panic!("fabric too small: {n_logic} logic sites")),
-            _ => io_next.next().unwrap_or_else(|| panic!("fabric too small: {n_io} pad sites")),
+            _ => io_next
+                .next()
+                .unwrap_or_else(|| panic!("fabric too small: {n_io} pad sites")),
         };
         site_of.push(site);
         occupant[site as usize] = b as u32;
@@ -204,7 +220,11 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
             let b = rng.index(n_blocks);
             let kind = netlist.blocks[b].kind;
             // The block's pool: logic sites or pads.
-            let (base, len) = if kind == BlockKind::Logic { (0, n_logic) } else { (n_logic, n_io) };
+            let (base, len) = if kind == BlockKind::Logic {
+                (0, n_logic)
+            } else {
+                (n_logic, n_io)
+            };
             // Range-limited proposal around the current site.
             let cur = site_of[b] as usize;
             let (cx, cy) = st.loc_of[b];
@@ -226,7 +246,11 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
             if displaced != FREE && netlist.blocks[displaced as usize].kind != kind {
                 continue; // can't swap across site classes
             }
-            let others = if displaced == FREE { &[][..] } else { st.nets_of(displaced) };
+            let others = if displaced == FREE {
+                &[][..]
+            } else {
+                st.nets_of(displaced)
+            };
             merge_distinct(st.nets_of(b as u32), others, &mut affected);
             let old_cost: f64 = affected.iter().map(|&i| st.net_cost[i as usize]).sum();
             // Apply.
@@ -288,7 +312,13 @@ pub fn place_best(netlist: &ParNetlist, arch: FabricArch, seeds: &[u64]) -> Plac
     seeds
         .iter()
         .map(|&s| place(netlist, arch, s))
-        .reduce(|best, p| if p.cost.total_cmp(&best.cost).is_lt() { p } else { best })
+        .reduce(|best, p| {
+            if p.cost.total_cmp(&best.cost).is_lt() {
+                p
+            } else {
+                best
+            }
+        })
         .expect("at least one placement seed")
 }
 
@@ -451,7 +481,11 @@ mod tests {
             for _ in 0..moves_per_temp {
                 let b = rng.index(n_blocks) as u32;
                 let kind = netlist.blocks[b as usize].kind;
-                let pool = if kind == BlockKind::Logic { &all_logic } else { &all_io };
+                let pool = if kind == BlockKind::Logic {
+                    &all_logic
+                } else {
+                    &all_io
+                };
                 // Range-limited proposal around the current site.
                 let cur = st.site_of[b as usize];
                 let (cx, cy) = cur.location(s);
@@ -529,31 +563,54 @@ mod tests {
             }
         }
         st.recompute_all();
-        Placement { site_of: st.site_of, cost: st.cost }
+        Placement {
+            site_of: st.site_of,
+            cost: st.cost,
+        }
     }
 
     /// A random netlist with everything the flat state must get right:
     /// logic blocks and both pad kinds, multi-pin and multi-source
     /// (tunable) nets, a block listed twice in one net, blocks on no net.
-    fn random_netlist(rng: &mut SplitMix64, n_logic: usize, n_pads: usize, n_nets: usize) -> ParNetlist {
+    fn random_netlist(
+        rng: &mut SplitMix64,
+        n_logic: usize,
+        n_pads: usize,
+        n_nets: usize,
+    ) -> ParNetlist {
         let mut blocks = Vec::new();
         for i in 0..n_logic {
-            blocks.push(Block { name: format!("l{i}"), kind: BlockKind::Logic });
+            blocks.push(Block {
+                name: format!("l{i}"),
+                kind: BlockKind::Logic,
+            });
         }
         for i in 0..n_pads {
-            let kind = if rng.coin() { BlockKind::InputPad } else { BlockKind::OutputPad };
-            blocks.push(Block { name: format!("p{i}"), kind });
+            let kind = if rng.coin() {
+                BlockKind::InputPad
+            } else {
+                BlockKind::OutputPad
+            };
+            blocks.push(Block {
+                name: format!("p{i}"),
+                kind,
+            });
         }
         // The last logic block and the last pad stay unconnected.
         let pick = |rng: &mut SplitMix64| {
             let b = rng.index(blocks.len() - 1);
-            if b == n_logic - 1 { 0 } else { b as u32 }
+            if b == n_logic - 1 {
+                0
+            } else {
+                b as u32
+            }
         };
         let nets = (0..n_nets)
             .map(|_| {
                 let sources: Vec<u32> = (0..1 + rng.index(3)).map(|_| pick(rng)).collect();
-                let mut sinks: Vec<(u32, u8)> =
-                    (0..1 + rng.index(12)).map(|_| (pick(rng), rng.index(4) as u8)).collect();
+                let mut sinks: Vec<(u32, u8)> = (0..1 + rng.index(12))
+                    .map(|_| (pick(rng), rng.index(4) as u8))
+                    .collect();
                 if rng.coin() {
                     // The driver reads its own output; a sink block twice.
                     sinks.push((sources[0], 3));
@@ -586,13 +643,25 @@ mod tests {
 
     fn chain_netlist(n: usize) -> ParNetlist {
         // in -> L0 -> L1 -> ... -> out
-        let mut blocks = vec![Block { name: "in".into(), kind: BlockKind::InputPad }];
+        let mut blocks = vec![Block {
+            name: "in".into(),
+            kind: BlockKind::InputPad,
+        }];
         for i in 0..n {
-            blocks.push(Block { name: format!("l{i}"), kind: BlockKind::Logic });
+            blocks.push(Block {
+                name: format!("l{i}"),
+                kind: BlockKind::Logic,
+            });
         }
-        blocks.push(Block { name: "out".into(), kind: BlockKind::OutputPad });
+        blocks.push(Block {
+            name: "out".into(),
+            kind: BlockKind::OutputPad,
+        });
         let mut nets = Vec::new();
-        nets.push(Net { sources: vec![0], sinks: vec![(1, 0)] });
+        nets.push(Net {
+            sources: vec![0],
+            sinks: vec![(1, 0)],
+        });
         for i in 0..n - 1 {
             nets.push(Net {
                 sources: vec![(i + 1) as u32],

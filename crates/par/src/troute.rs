@@ -107,7 +107,11 @@ pub fn audit(
     if violations.is_empty() {
         Ok(())
     } else {
-        Err(violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; "))
+        Err(violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("; "))
     }
 }
 
@@ -125,17 +129,44 @@ mod tests {
 
     fn tiny() -> (ParNetlist, Placement, RouteGraph) {
         let blocks = vec![
-            Block { name: "in0".into(), kind: BlockKind::InputPad },
-            Block { name: "in1".into(), kind: BlockKind::InputPad },
-            Block { name: "l0".into(), kind: BlockKind::Logic },
-            Block { name: "l1".into(), kind: BlockKind::Logic },
-            Block { name: "out".into(), kind: BlockKind::OutputPad },
+            Block {
+                name: "in0".into(),
+                kind: BlockKind::InputPad,
+            },
+            Block {
+                name: "in1".into(),
+                kind: BlockKind::InputPad,
+            },
+            Block {
+                name: "l0".into(),
+                kind: BlockKind::Logic,
+            },
+            Block {
+                name: "l1".into(),
+                kind: BlockKind::Logic,
+            },
+            Block {
+                name: "out".into(),
+                kind: BlockKind::OutputPad,
+            },
         ];
         let nets = vec![
-            Net { sources: vec![0], sinks: vec![(2, 0), (3, 1)] },
-            Net { sources: vec![1], sinks: vec![(2, 1)] },
-            Net { sources: vec![2], sinks: vec![(3, 0)] },
-            Net { sources: vec![3], sinks: vec![(4, 0)] },
+            Net {
+                sources: vec![0],
+                sinks: vec![(2, 0), (3, 1)],
+            },
+            Net {
+                sources: vec![1],
+                sinks: vec![(2, 1)],
+            },
+            Net {
+                sources: vec![2],
+                sinks: vec![(3, 0)],
+            },
+            Net {
+                sources: vec![3],
+                sinks: vec![(4, 0)],
+            },
         ];
         let nl = ParNetlist { blocks, nets };
         let arch = FabricArch::paper_4lut(3);
@@ -157,14 +188,32 @@ mod tests {
     fn tunable_net_shares_wires() {
         // One tunable net with two sources; both reach the same sink.
         let blocks = vec![
-            Block { name: "a".into(), kind: BlockKind::InputPad },
-            Block { name: "b".into(), kind: BlockKind::InputPad },
-            Block { name: "l".into(), kind: BlockKind::Logic },
-            Block { name: "out".into(), kind: BlockKind::OutputPad },
+            Block {
+                name: "a".into(),
+                kind: BlockKind::InputPad,
+            },
+            Block {
+                name: "b".into(),
+                kind: BlockKind::InputPad,
+            },
+            Block {
+                name: "l".into(),
+                kind: BlockKind::Logic,
+            },
+            Block {
+                name: "out".into(),
+                kind: BlockKind::OutputPad,
+            },
         ];
         let nets = vec![
-            Net { sources: vec![0, 1], sinks: vec![(2, 0)] },
-            Net { sources: vec![2], sinks: vec![(3, 0)] },
+            Net {
+                sources: vec![0, 1],
+                sinks: vec![(2, 0)],
+            },
+            Net {
+                sources: vec![2],
+                sinks: vec![(3, 0)],
+            },
         ];
         let nl = ParNetlist { blocks, nets };
         let arch = FabricArch::paper_4lut(3);
@@ -182,10 +231,16 @@ mod tests {
         let mut blocks = vec![];
         let mut nets = vec![];
         for i in 0..6u32 {
-            blocks.push(Block { name: format!("i{i}"), kind: BlockKind::InputPad });
+            blocks.push(Block {
+                name: format!("i{i}"),
+                kind: BlockKind::InputPad,
+            });
         }
         for i in 0..6u32 {
-            blocks.push(Block { name: format!("l{i}"), kind: BlockKind::Logic });
+            blocks.push(Block {
+                name: format!("l{i}"),
+                kind: BlockKind::Logic,
+            });
             // every input drives several LUT pins
             nets.push(Net {
                 sources: vec![i],

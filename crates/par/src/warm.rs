@@ -140,8 +140,17 @@ pub struct WidthSearch {
 /// box of its source and sink blocks' tile coordinates on a fabric of the
 /// given `size`.
 fn net_extent(net: &Net, placement: &Placement, size: usize) -> (f64, f64, f64, f64) {
-    let mut ext = (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-    let blocks = net.sources.iter().copied().chain(net.sinks.iter().map(|&(b, _)| b));
+    let mut ext = (
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    );
+    let blocks = net
+        .sources
+        .iter()
+        .copied()
+        .chain(net.sinks.iter().map(|&(b, _)| b));
     for b in blocks {
         let (x, y) = placement.site_of[b as usize].location(size);
         ext = (ext.0.min(x), ext.1.max(x), ext.2.min(y), ext.3.max(y));
@@ -242,10 +251,7 @@ pub fn channel_width_estimate(
             }
         }
     }
-    let peak = h
-        .iter()
-        .chain(v.iter())
-        .fold(0f32, |m, &d| m.max(d));
+    let peak = h.iter().chain(v.iter()).fold(0f32, |m, &d| m.max(d));
     ((peak * 1.6).ceil() as usize).max(2)
 }
 
@@ -402,10 +408,14 @@ impl<'scope, 'env> Speculation<'scope, 'env> {
                 let flag = Arc::new(AtomicBool::new(false));
                 let _cancel = CancelOnDrop(Arc::clone(&flag));
                 let (netlist, placement) = (self.netlist, self.placement);
-                let handle = self.scope.spawn(move || {
-                    run_probe(netlist, placement, &graph, None, true, Some(&flag))
+                let handle = self
+                    .scope
+                    .spawn(move || run_probe(netlist, placement, &graph, None, true, Some(&flag)));
+                self.running.push(Speculated {
+                    width,
+                    handle,
+                    _cancel,
                 });
-                self.running.push(Speculated { width, handle, _cancel });
             }
         }
     }
@@ -437,7 +447,10 @@ fn translate_trees(
 ) -> Vec<Vec<u32>> {
     // Translating between different fabrics would silently produce
     // garbage seeds; cheap enough to check in release builds.
-    assert_eq!(old.arch, new.arch, "warm-start translation requires the same fabric");
+    assert_eq!(
+        old.arch, new.arch,
+        "warm-start translation requires the same fabric"
+    );
     let mut reach: FxHashSet<u32> = FxHashSet::default();
     let mut queue: Vec<u32> = Vec::new();
     netlist
@@ -568,7 +581,10 @@ pub(crate) fn search(
     // hopeless cold widths are (usually) never ground through. The
     // minimum itself is still established by the binary phase, which
     // searches all the way down to `opts.min_width`.
-    let mut graphs = Graphs { arch, built: Vec::new() };
+    let mut graphs = Graphs {
+        arch,
+        built: Vec::new(),
+    };
     let mut lo = opts.min_width.max(lower_bound);
     if lo > opts.max_width {
         // The floor or the sound bound lies above the ceiling: nothing in
@@ -579,7 +595,13 @@ pub(crate) fn search(
     let mut best = loop {
         let graph = graphs.at(hi);
         match probe(netlist, placement, &graph, None, &mut probes) {
-            Ok(result) => break Best { width: hi, result, graph },
+            Ok(result) => {
+                break Best {
+                    width: hi,
+                    result,
+                    graph,
+                }
+            }
             Err(e) => {
                 fail_advance(hi, &e, &mut lo, &mut overuse_lo);
                 if hi >= opts.max_width {
@@ -625,7 +647,10 @@ pub(crate) fn search(
             // one, and it has a head start — then `mid` itself, in case
             // this probe is the warm failure.
             let mut wanted = Vec::with_capacity(2);
-            if probes.iter().any(|p| p.width + 1 == lo && !p.success && p.warm_nets > 0) {
+            if probes
+                .iter()
+                .any(|p| p.width + 1 == lo && !p.success && p.warm_nets > 0)
+            {
                 wanted.push(lo - 1);
             }
             if seed.iter().any(|t| !t.is_empty()) {
@@ -633,7 +658,13 @@ pub(crate) fn search(
             }
             spec.steer(&wanted, possible, &mut graphs);
             match probe(netlist, placement, &graph, Some(seed), &mut probes) {
-                Ok(result) => best = Best { width: mid, result, graph },
+                Ok(result) => {
+                    best = Best {
+                        width: mid,
+                        result,
+                        graph,
+                    }
+                }
                 Err(e) => fail_advance(mid, &e, &mut lo, &mut overuse_lo),
             }
         }
@@ -655,7 +686,10 @@ pub(crate) fn search(
             if fail_w < lower_bound {
                 break WidthCertificate::LowerBound;
             }
-            if probes.iter().any(|p| p.width == fail_w && !p.success && p.warm_nets == 0) {
+            if probes
+                .iter()
+                .any(|p| p.width == fail_w && !p.success && p.warm_nets == 0)
+            {
                 break WidthCertificate::ColdFailure;
             }
             let graph = graphs.at(fail_w);
@@ -669,7 +703,13 @@ pub(crate) fn search(
             probes.push(row);
             match verdict {
                 Err(_) => break WidthCertificate::ColdFailure,
-                Ok(result) => best = Best { width: fail_w, result, graph },
+                Ok(result) => {
+                    best = Best {
+                        width: fail_w,
+                        result,
+                        graph,
+                    }
+                }
             }
         }
         // Probes still in flight are dropped — cancelled — with `spec`.
@@ -701,15 +741,29 @@ mod tests {
         let arch = FabricArch::sized_for(nl.logic_count(), nl.io_count());
         let placement = crate::tplace::place(&nl, arch, 1);
         std::thread::scope(|scope| {
-            let mut graphs = Graphs { arch, built: Vec::new() };
-            let mut spec =
-                Speculation { scope, netlist: &nl, placement: &placement, slots: 1, running: Vec::new() };
+            let mut graphs = Graphs {
+                arch,
+                built: Vec::new(),
+            };
+            let mut spec = Speculation {
+                scope,
+                netlist: &nl,
+                placement: &placement,
+                slots: 1,
+                running: Vec::new(),
+            };
             // Width 2 is hopeless (a full `MAX_ITERS` grind); width 7
             // routes. The more wanted width takes the only slot.
             spec.steer(&[2], |_| true, &mut graphs);
             spec.steer(&[7, 2], |_| true, &mut graphs);
-            assert_eq!(spec.running.iter().map(|s| s.width).collect::<Vec<_>>(), [7]);
-            assert!(spec.take(2).is_none(), "a cancelled probe must not reach the log");
+            assert_eq!(
+                spec.running.iter().map(|s| s.width).collect::<Vec<_>>(),
+                [7]
+            );
+            assert!(
+                spec.take(2).is_none(),
+                "a cancelled probe must not reach the log"
+            );
             let ((verdict, row), saved) = spec.take(7).expect("in flight");
             assert!(verdict.is_ok() && row.success && row.width == 7);
             assert!(row.overlapped && row.confirm && row.warm_nets == 0 && saved >= 0.0);

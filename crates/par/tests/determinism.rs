@@ -45,9 +45,12 @@ fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
     let reports: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let rep = ParEngine::new(EngineOptions { threads, ..Default::default() })
-                .run(nl)
-                .expect("routable");
+            let rep = ParEngine::new(EngineOptions {
+                threads,
+                ..Default::default()
+            })
+            .run(nl)
+            .expect("routable");
             let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
             audit(nl, &rep.placement, &graph, &rep.result).expect("audit clean");
             rep
@@ -93,7 +96,9 @@ fn binary_warm_search_matches_linear_scan_minimum() {
 fn engine_results_pass_the_audit() {
     for parameterized in [false, true] {
         let nl = mul_netlist(4, parameterized);
-        let rep = ParEngine::new(EngineOptions::default()).run(&nl).expect("routable");
+        let rep = ParEngine::new(EngineOptions::default())
+            .run(&nl)
+            .expect("routable");
         let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
         audit(&nl, &rep.placement, &graph, &rep.result).expect("audit clean");
         // Effort accounting is populated (the winning probe may be
@@ -204,9 +209,12 @@ fn tracing_does_not_change_routed_results() {
     let baseline: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            ParEngine::new(EngineOptions { threads, ..Default::default() })
-                .run(&nl)
-                .expect("routable untraced")
+            ParEngine::new(EngineOptions {
+                threads,
+                ..Default::default()
+            })
+            .run(&nl)
+            .expect("routable untraced")
         })
         .collect();
 
@@ -214,9 +222,12 @@ fn tracing_does_not_change_routed_results() {
     let traced: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            ParEngine::new(EngineOptions { threads, ..Default::default() })
-                .run(&nl)
-                .expect("routable traced")
+            ParEngine::new(EngineOptions {
+                threads,
+                ..Default::default()
+            })
+            .run(&nl)
+            .expect("routable traced")
         })
         .collect();
     trace::configure(trace::TraceConfig::Off);
@@ -227,8 +238,14 @@ fn tracing_does_not_change_routed_results() {
     );
 
     for (t, (b, r)) in baseline.iter().zip(&traced).enumerate() {
-        assert_eq!(b.placement.site_of, r.placement.site_of, "threads[{t}] placement");
-        assert_eq!(b.min_channel_width, r.min_channel_width, "threads[{t}] minimum width");
+        assert_eq!(
+            b.placement.site_of, r.placement.site_of,
+            "threads[{t}] placement"
+        );
+        assert_eq!(
+            b.min_channel_width, r.min_channel_width,
+            "threads[{t}] minimum width"
+        );
         assert_eq!(
             b.result.trees, r.result.trees,
             "tracing must not change routing trees (thread index {t})"
@@ -247,8 +264,13 @@ fn warm_start_does_not_change_the_reported_minimum() {
     let engine = ParEngine::new(EngineOptions::default());
     let placement = engine.place(&nl, arch);
     let warm = engine.min_channel_width(&nl, &placement, arch).unwrap();
-    assert!(warm.probes.iter().any(|p| p.warm_nets > 0), "no probe was warm-started");
-    let cold = engine.min_channel_width_reference(&nl, &placement, arch).unwrap();
+    assert!(
+        warm.probes.iter().any(|p| p.warm_nets > 0),
+        "no probe was warm-started"
+    );
+    let cold = engine
+        .min_channel_width_reference(&nl, &placement, arch)
+        .unwrap();
     assert!(cold.probes.iter().all(|p| p.warm_nets == 0));
     assert_eq!(warm.min_width, cold.min_width);
 }
@@ -261,24 +283,54 @@ fn warm_start_does_not_change_the_reported_minimum() {
 fn a_ceiling_below_the_floor_or_the_lower_bound_is_unroutable_not_exceeded() {
     let nl = mul_netlist(5, false);
     let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
-    let free = ParEngine::new(EngineOptions { min_width: 2, ..Default::default() });
+    let free = ParEngine::new(EngineOptions {
+        min_width: 2,
+        ..Default::default()
+    });
     let placement = free.place(&nl, arch);
-    let minimum = free.min_channel_width(&nl, &placement, arch).expect("routable").min_width;
+    let minimum = free
+        .min_channel_width(&nl, &placement, arch)
+        .expect("routable")
+        .min_width;
     assert!(minimum > 2, "the last case needs room below the minimum");
     for (min_width, max_width) in [(6, 3), (12, 2), (2, minimum - 1)] {
         let at = format!("min_width={min_width}, max_width={max_width}");
-        let engine = ParEngine::new(EngineOptions { min_width, max_width, ..Default::default() });
-        let found = engine.min_channel_width(&nl, &placement, arch).map(|s| s.min_width);
+        let engine = ParEngine::new(EngineOptions {
+            min_width,
+            max_width,
+            ..Default::default()
+        });
+        let found = engine
+            .min_channel_width(&nl, &placement, arch)
+            .map(|s| s.min_width);
         assert_eq!(found, None, "the search exceeded its ceiling ({at})");
-        assert!(engine.min_channel_width_reference(&nl, &placement, arch).is_none(), "{at}");
-        let err = engine.run(&nl).err().unwrap_or_else(|| panic!("a report wider than allowed ({at})"));
-        assert!(err.starts_with(&format!("unroutable up to width {max_width}")), "{at}: {err}");
+        assert!(
+            engine
+                .min_channel_width_reference(&nl, &placement, arch)
+                .is_none(),
+            "{at}"
+        );
+        let err = engine
+            .run(&nl)
+            .err()
+            .unwrap_or_else(|| panic!("a report wider than allowed ({at})"));
+        assert!(
+            err.starts_with(&format!("unroutable up to width {max_width}")),
+            "{at}: {err}"
+        );
     }
 }
 
 /// What a probe found, without when it ran (`seconds`, `overlapped`).
 fn row(p: &WidthProbe) -> [usize; 6] {
-    [p.width, p.success as usize, p.iterations, p.ripups, p.warm_nets, p.confirm as usize]
+    [
+        p.width,
+        p.success as usize,
+        p.iterations,
+        p.ripups,
+        p.warm_nets,
+        p.confirm as usize,
+    ]
 }
 
 /// FNV-1a over a search's answer: the minimum, the trees there, and the
@@ -346,16 +398,28 @@ fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
                 ..Default::default()
             });
             let placement = engine.place(&nl, arch);
-            engine.min_channel_width(&nl, &placement, arch).expect("routable")
+            engine
+                .min_channel_width(&nl, &placement, arch)
+                .expect("routable")
         };
         let serial = search(1);
-        assert_eq!(search_fnv(&serial), golden, "result moved from the recorded one ({at})");
-        assert!(serial.probes.iter().all(|p| !p.overlapped), "one thread never speculates ({at})");
+        assert_eq!(
+            search_fnv(&serial),
+            golden,
+            "result moved from the recorded one ({at})"
+        );
+        assert!(
+            serial.probes.iter().all(|p| !p.overlapped),
+            "one thread never speculates ({at})"
+        );
         let threaded = [2usize, 8].map(|threads| (threads, search(threads)));
         for (threads, s) in &threaded {
             assert_eq!(s.min_width, serial.min_width, "{at}, {threads} threads");
             assert_eq!(s.certificate, serial.certificate, "{at}, {threads} threads");
-            assert_eq!(s.result.trees, serial.result.trees, "{at}, {threads} threads");
+            assert_eq!(
+                s.result.trees, serial.result.trees,
+                "{at}, {threads} threads"
+            );
             assert_eq!(
                 s.probes.iter().map(row).collect::<Vec<_>>(),
                 serial.probes.iter().map(row).collect::<Vec<_>>(),
@@ -371,7 +435,10 @@ fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
             Consumed => assert!(beside.len() == 1 && !beside[0].success, "{at}"),
             Adopted => {
                 assert!(beside.len() == 1 && beside[0].success, "{at}");
-                assert_eq!(two.min_width, beside[0].width, "the adopted width is the minimum ({at})");
+                assert_eq!(
+                    two.min_width, beside[0].width,
+                    "the adopted width is the minimum ({at})"
+                );
             }
             Cancelled => {
                 // A warm failure below the final W−1 started a cold twin;
@@ -382,7 +449,9 @@ fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
                     .find(|p| !p.success && p.warm_nets > 0 && p.width + 1 < two.min_width)
                     .unwrap_or_else(|| panic!("no speculation was let go ({at})"));
                 assert!(
-                    !two.probes.iter().any(|p| p.width == dropped.width && p.warm_nets == 0),
+                    !two.probes
+                        .iter()
+                        .any(|p| p.width == dropped.width && p.warm_nets == 0),
                     "a cancelled probe reached the log ({at})"
                 );
             }

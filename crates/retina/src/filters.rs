@@ -47,7 +47,11 @@ pub fn gaussian(size: usize, sigma: f32) -> Kernel {
     for t in &mut taps {
         *t /= s;
     }
-    Kernel { size, taps, name: format!("gauss{size}x{size}") }
+    Kernel {
+        size,
+        taps,
+        name: format!("gauss{size}x{size}"),
+    }
 }
 
 /// One matched filter: a Gaussian valley profile perpendicular to the
@@ -112,7 +116,11 @@ pub fn texture_filter(size: usize, thickness: f32) -> Kernel {
         .zip(&wide.taps)
         .map(|(a, b)| a - b)
         .collect();
-    Kernel { size, taps, name: format!("texture{size}") }
+    Kernel {
+        size,
+        taps,
+        name: format!("texture{size}"),
+    }
 }
 
 /// Software reference convolution (replication padding).
@@ -172,10 +180,7 @@ pub fn convolve_vcgra(img: &Image, k: &Kernel, fmt: FpFormat) -> Image {
                             for kx in 0..k.size {
                                 let sx = x as i64 + kx as i64 - half;
                                 let sy = y as i64 + ky as i64 - half;
-                                let sample = FpValue::from_f64(
-                                    img.get_clamped(sx, sy) as f64,
-                                    fmt,
-                                );
+                                let sample = FpValue::from_f64(img.get_clamped(sx, sy) as f64, fmt);
                                 acc = sample.mac(coeffs[ky * k.size + kx], acc);
                             }
                         }
@@ -261,7 +266,11 @@ mod tests {
         img.set(4, 4, 0.75);
         let mut taps = vec![0.0; 9];
         taps[4] = 1.0;
-        let k = Kernel { size: 3, taps, name: "id".into() };
+        let k = Kernel {
+            size: 3,
+            taps,
+            name: "id".into(),
+        };
         let out = convolve_f32(&img, &k);
         assert_eq!(out.get(4, 4), 0.75);
         assert_eq!(out.get(0, 0), 0.25);

@@ -14,7 +14,11 @@ pub struct Image {
 impl Image {
     /// A constant-valued image.
     pub fn new(w: usize, h: usize, fill: f32) -> Self {
-        Self { w, h, data: vec![fill; w * h] }
+        Self {
+            w,
+            h,
+            data: vec![fill; w * h],
+        }
     }
 
     /// Sample accessor (no bounds clamping).

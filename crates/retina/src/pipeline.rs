@@ -80,7 +80,12 @@ impl Metrics {
     /// Compares a binary segmentation against the ground truth.
     pub fn evaluate(segmented: &Image, truth: &Image) -> Metrics {
         assert_eq!(segmented.data.len(), truth.data.len());
-        let mut m = Metrics { tp: 0, fp: 0, fn_: 0, tn: 0 };
+        let mut m = Metrics {
+            tp: 0,
+            fp: 0,
+            fn_: 0,
+            tn: 0,
+        };
         for (s, t) in segmented.data.iter().zip(&truth.data) {
             match (*s > 0.5, *t > 0.5) {
                 (true, true) => m.tp += 1,
@@ -262,24 +267,39 @@ mod tests {
 
     #[test]
     fn pipeline_beats_chance_on_synthetic_images() {
-        let (img, truth) = synth_fundus(&SynthConfig { size: 96, ..Default::default() }, 11);
+        let (img, truth) = synth_fundus(
+            &SynthConfig {
+                size: 96,
+                ..Default::default()
+            },
+            11,
+        );
         let res = run_pipeline(&img, &small_cfg());
         let m = Metrics::evaluate(&res.segmented, &truth);
         // Must be far better than random guessing at the same coverage.
-        assert!(m.f1() > 0.35, "F1 {:.3} too low (p {:.2} r {:.2})", m.f1(), m.precision(), m.recall());
+        assert!(
+            m.f1() > 0.35,
+            "F1 {:.3} too low (p {:.2} r {:.2})",
+            m.f1(),
+            m.precision(),
+            m.recall()
+        );
         assert!(m.accuracy() > 0.8, "accuracy {:.3}", m.accuracy());
     }
 
     #[test]
     fn kernel_accounting_matches_config() {
-        let (img, _) = synth_fundus(&SynthConfig { size: 64, ..Default::default() }, 5);
+        let (img, _) = synth_fundus(
+            &SynthConfig {
+                size: 64,
+                ..Default::default()
+            },
+            5,
+        );
         let res = run_pipeline(&img, &small_cfg());
         // 1 denoise + 7 matched + 1 texture.
         assert_eq!(res.kernels_loaded, 9);
-        assert_eq!(
-            res.coefficients_programmed,
-            5 * 5 + 7 * 12 * 12 + 12 * 12
-        );
+        assert_eq!(res.coefficients_programmed, 5 * 5 + 7 * 12 * 12 + 12 * 12);
     }
 
     #[test]
@@ -301,19 +321,36 @@ mod tests {
     /// the whole image and sit at its centre, whatever its aspect.
     #[test]
     fn a_non_square_image_is_masked_over_its_whole_area() {
-        let (square, _) = synth_fundus(&SynthConfig { size: 48, ..Default::default() }, 13);
+        let (square, _) = synth_fundus(
+            &SynthConfig {
+                size: 48,
+                ..Default::default()
+            },
+            13,
+        );
         // 16 rows of background appended: 48 wide, 64 high.
         let taller = |c: &Image| {
             let mut data = c.data.clone();
             data.extend(std::iter::repeat_n(c.data[0], 16 * c.w));
-            Image { w: c.w, h: c.h + 16, data }
+            Image {
+                w: c.w,
+                h: c.h + 16,
+                data,
+            }
         };
-        let img = RgbImage { r: taller(&square.r), g: taller(&square.g), b: taller(&square.b) };
+        let img = RgbImage {
+            r: taller(&square.r),
+            g: taller(&square.g),
+            b: taller(&square.b),
+        };
         let res = run_pipeline(&img, &small_cfg());
         let fov = fov_mask(48, 64);
         assert_eq!((res.segmented.w, res.segmented.h), (48, 64));
         let outside: Vec<usize> = (0..fov.data.len()).filter(|&i| fov.data[i] < 0.5).collect();
-        assert!(outside.iter().any(|&i| i >= 48 * 48), "the appended rows reach past the circle");
+        assert!(
+            outside.iter().any(|&i| i >= 48 * 48),
+            "the appended rows reach past the circle"
+        );
         for i in outside {
             let (x, y) = (i % 48, i / 48);
             let at = format!("({x}, {y}) is outside the field of view");
@@ -324,8 +361,20 @@ mod tests {
 
     #[test]
     fn vcgra_engine_agrees_with_f32_engine() {
-        let (img, _) = synth_fundus(&SynthConfig { size: 48, ..Default::default() }, 9);
-        let sw = run_pipeline(&img, &PipelineConfig { matched_size: 8, ..Default::default() });
+        let (img, _) = synth_fundus(
+            &SynthConfig {
+                size: 48,
+                ..Default::default()
+            },
+            9,
+        );
+        let sw = run_pipeline(
+            &img,
+            &PipelineConfig {
+                matched_size: 8,
+                ..Default::default()
+            },
+        );
         let hw = run_pipeline(
             &img,
             &PipelineConfig {

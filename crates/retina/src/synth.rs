@@ -90,10 +90,16 @@ pub fn synth_fundus(cfg: &SynthConfig, seed: u64) -> (RgbImage, Image) {
     }
     let mut stack: Vec<Walker> = (0..cfg.primary_vessels)
         .map(|i| {
-            let a = disc_angle + std::f32::consts::PI
+            let a = disc_angle
+                + std::f32::consts::PI
                 + (i as f32 / cfg.primary_vessels as f32 - 0.5) * 2.2
                 + rng.gauss() as f32 * 0.1;
-            Walker { x: disc.0, y: disc.1, dir: a, width: 2.6 }
+            Walker {
+                x: disc.0,
+                y: disc.1,
+                dir: a,
+                width: 2.6,
+            }
         })
         .collect();
     while let Some(mut w) = stack.pop() {
@@ -215,7 +221,10 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic() {
-        let cfg = SynthConfig { size: 64, ..Default::default() };
+        let cfg = SynthConfig {
+            size: 64,
+            ..Default::default()
+        };
         let (a, ta) = synth_fundus(&cfg, 42);
         let (b, tb) = synth_fundus(&cfg, 42);
         assert_eq!(a.g, b.g);
@@ -224,7 +233,10 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let cfg = SynthConfig { size: 64, ..Default::default() };
+        let cfg = SynthConfig {
+            size: 64,
+            ..Default::default()
+        };
         let (a, _) = synth_fundus(&cfg, 1);
         let (b, _) = synth_fundus(&cfg, 2);
         assert_ne!(a.g, b.g);
@@ -232,7 +244,10 @@ mod tests {
 
     #[test]
     fn vessels_exist_and_are_dark() {
-        let cfg = SynthConfig { size: 96, ..Default::default() };
+        let cfg = SynthConfig {
+            size: 96,
+            ..Default::default()
+        };
         let (img, truth) = synth_fundus(&cfg, 7);
         let cov = truth.coverage();
         assert!(cov > 0.01 && cov < 0.35, "vessel coverage {cov}");
@@ -260,7 +275,10 @@ mod tests {
 
     #[test]
     fn truth_restricted_to_fov() {
-        let cfg = SynthConfig { size: 64, ..Default::default() };
+        let cfg = SynthConfig {
+            size: 64,
+            ..Default::default()
+        };
         let (_, truth) = synth_fundus(&cfg, 3);
         let fov = fov_mask(64, 64);
         for i in 0..truth.data.len() {

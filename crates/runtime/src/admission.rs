@@ -153,7 +153,10 @@ impl Runtime {
             match e {
                 GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
                     expected: graph.format,
-                    got: graph.nodes[node].coeff.expect("validate names a coefficient").format,
+                    got: graph.nodes[node]
+                        .coeff
+                        .expect("validate names a coefficient")
+                        .format,
                 },
                 e => RuntimeError::Flow(e.into()),
             }
@@ -168,9 +171,17 @@ impl Runtime {
         stats: TenantStats,
     ) -> Queued {
         let position = self.queue.len();
-        self.queue.push_back(Pending { tenant, name, graph, stats });
+        self.queue.push_back(Pending {
+            tenant,
+            name,
+            graph,
+            stats,
+        });
         self.ledger.queued += 1;
-        trace::instant("runtime.queued", vec![("tenant", tenant.into()), ("position", position.into())]);
+        trace::instant(
+            "runtime.queued",
+            vec![("tenant", tenant.into()), ("position", position.into())],
+        );
         Queued { tenant, position }
     }
 
@@ -279,7 +290,10 @@ impl Runtime {
                 let compile_time = mapping.compile_time;
                 let cached = self.cache.insert(
                     key.clone(),
-                    CachedConfig { mapping, compile_time },
+                    CachedConfig {
+                        mapping,
+                        compile_time,
+                    },
                 );
                 (cached.mapping.clone(), false, compile_time)
             }
@@ -295,7 +309,12 @@ impl Runtime {
         } else {
             self.ledger.cold_compiles += 1;
         }
-        self.charge((lease.grid, lease.row0), Phase::Admission, Some(id), config_port_time);
+        self.charge(
+            (lease.grid, lease.row0),
+            Phase::Admission,
+            Some(id),
+            config_port_time,
+        );
 
         // Derive the verifier's structural signature once, here, instead
         // of per snapshot: under `verify_on_admit` every mutating
@@ -421,18 +440,17 @@ impl Runtime {
     /// queue tail ([`Refresh::Queued`]); if the recompile itself fails
     /// (too big / unroutable) the tenant is evicted — the old lease was
     /// already surrendered.
-    pub fn resubmit(
-        &mut self,
-        tenant: TenantId,
-        graph: AppGraph,
-    ) -> Result<Refresh, RuntimeError> {
+    pub fn resubmit(&mut self, tenant: TenantId, graph: AppGraph) -> Result<Refresh, RuntimeError> {
         self.check_graph(&graph)?;
         if !self.tenants.contains_key(&tenant) {
             // Queued tenant: replace the pending graph, keep the slot.
             if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {
                 self.pool.fits_any_grid(graph.pe_demand())?;
                 self.queue[pos].graph = graph;
-                return Ok(Refresh::Queued(Queued { tenant, position: pos }));
+                return Ok(Refresh::Queued(Queued {
+                    tenant,
+                    position: pos,
+                }));
             }
             return Err(RuntimeError::UnknownTenant(tenant));
         }
@@ -472,7 +490,8 @@ impl Runtime {
             self.enforce_invariants()?;
             return Ok(admitted);
         }
-        self.vacate(tenant).ok_or(RuntimeError::UnknownTenant(tenant))?;
+        self.vacate(tenant)
+            .ok_or(RuntimeError::UnknownTenant(tenant))?;
         let admitted = self.drain_queue();
         self.enforce_invariants()?;
         Ok(admitted)

@@ -111,7 +111,12 @@ impl ConfigCache {
     /// Creates a cache holding at most `capacity` configurations.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1);
-        ConfigCache { capacity, tick: 0, entries: HashMap::new(), stats: CacheStats::default() }
+        ConfigCache {
+            capacity,
+            tick: 0,
+            entries: HashMap::new(),
+            stats: CacheStats::default(),
+        }
     }
 
     /// True when `key` is cached, **without** touching the LRU recency or
@@ -193,16 +198,17 @@ mod tests {
     fn compile(app: &AppGraph, arch: VcgraArch) -> CachedConfig {
         let m = map_app(app, arch, 7).expect("mappable");
         let t = m.compile_time;
-        CachedConfig { mapping: m, compile_time: t }
+        CachedConfig {
+            mapping: m,
+            compile_time: t,
+        }
     }
 
     #[test]
     fn parameter_only_variants_share_a_key() {
         let arch = VcgraArch::paper_4x4();
         let a = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
-        let b = a.with_coeffs(
-            &[9.0, -1.0, 0.5].map(|c| FpValue::from_f64(c, F)),
-        );
+        let b = a.with_coeffs(&[9.0, -1.0, 0.5].map(|c| FpValue::from_f64(c, F)));
         assert_eq!(ConfigKey::new(arch, &a), ConfigKey::new(arch, &b));
         // Structural change: different key.
         let c = AppGraph::dot_product(F, &[1.0, 2.0, 3.0, 4.0]);
@@ -231,7 +237,10 @@ mod tests {
         cache.insert(ConfigKey::new(arch, &apps[2]), compile(&apps[2], arch));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&ConfigKey::new(arch, &apps[0])).is_some(), "kept");
-        assert!(cache.get(&ConfigKey::new(arch, &apps[1])).is_none(), "evicted");
+        assert!(
+            cache.get(&ConfigKey::new(arch, &apps[1])).is_none(),
+            "evicted"
+        );
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.hits >= 2 && s.misses >= 3);

@@ -105,10 +105,16 @@ impl std::fmt::Display for RuntimeError {
                 write!(f, "tenant {t} is queued for admission and has no lease yet")
             }
             RuntimeError::BadParamArity { expected, got } => {
-                write!(f, "parameter vector has {got} values, graph has {expected} slots")
+                write!(
+                    f,
+                    "parameter vector has {got} values, graph has {expected} slots"
+                )
             }
             RuntimeError::BadInputArity { expected, got } => {
-                write!(f, "input vector has {got} values, graph has {expected} inputs")
+                write!(
+                    f,
+                    "input vector has {got} values, graph has {expected} inputs"
+                )
             }
             RuntimeError::BadFormat { expected, got } => write!(
                 f,

@@ -114,7 +114,12 @@ impl UnitSpans {
         let mut request = trace::span("request");
         request.arg("tenant", tenant);
         request.arg("op", "execute");
-        UnitSpans { job, items: 0, execute: trace::span("execute"), _request: request }
+        UnitSpans {
+            job,
+            items: 0,
+            execute: trace::span("execute"),
+            _request: request,
+        }
     }
 }
 
@@ -172,7 +177,11 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
     let units: Vec<(usize, usize)> = jobs
         .iter()
         .enumerate()
-        .flat_map(|(j, job)| (0..job.inputs.len()).step_by(batch_size).map(move |start| (j, start)))
+        .flat_map(|(j, job)| {
+            (0..job.inputs.len())
+                .step_by(batch_size)
+                .map(move |start| (j, start))
+        })
         .collect();
     // Relaxed: the cursor only hands out indices; a worker's results
     // reach the caller through its join.
@@ -188,7 +197,9 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
                 // Closed before the next job's open: spans nest per thread.
                 spans = None;
             }
-            spans.get_or_insert_with(|| UnitSpans::open(j, job.tenant)).items += chunk.len();
+            spans
+                .get_or_insert_with(|| UnitSpans::open(j, job.tenant))
+                .items += chunk.len();
             let t0 = Instant::now();
             let outputs = job.plan.run_chunk(chunk, &mut columns);
             done.push((j, start, outputs, t0.elapsed()));
@@ -241,8 +252,16 @@ mod tests {
             inputs: inputs[t].clone(),
         };
         let cost = Duration::from_millis(100);
-        let band = |jobs| BandWork { swap_in_first: false, switch_cost: cost, jobs };
-        vec![band(vec![job(0)]), band(vec![job(3), job(1)]), band(vec![job(2)])]
+        let band = |jobs| BandWork {
+            swap_in_first: false,
+            switch_cost: cost,
+            jobs,
+        };
+        vec![
+            band(vec![job(0)]),
+            band(vec![job(3), job(1)]),
+            band(vec![job(2)]),
+        ]
     }
 
     #[test]
@@ -260,7 +279,11 @@ mod tests {
             .zip(items)
             .map(|(a, n)| {
                 (0..n)
-                    .map(|i| (0..a.num_inputs).map(|j| fp((i * 7 + j) as f64 * 0.5)).collect())
+                    .map(|i| {
+                        (0..a.num_inputs)
+                            .map(|j| fp((i * 7 + j) as f64 * 0.5))
+                            .collect()
+                    })
                     .collect()
             })
             .collect();
@@ -269,7 +292,9 @@ mod tests {
             .iter()
             .zip(&inputs)
             .map(|(p, ins)| {
-                ins.chunks(1).flat_map(|x| p.run_chunk(x, &mut Vec::new())).collect()
+                ins.chunks(1)
+                    .flat_map(|x| p.run_chunk(x, &mut Vec::new()))
+                    .collect()
             })
             .collect();
 
@@ -323,11 +348,18 @@ mod tests {
             swap_in_first: false,
             switch_cost: cost,
             jobs: (0..3)
-                .map(|t| Job { tenant: t, plan: plan.clone(), inputs: inputs.clone() })
+                .map(|t| Job {
+                    tenant: t,
+                    plan: plan.clone(),
+                    inputs: inputs.clone(),
+                })
                 .collect(),
         };
         let runs = run_bands(vec![band], 2, 8);
-        assert_eq!(runs[0].context_switches, 0, "first slot is already resident");
+        assert_eq!(
+            runs[0].context_switches, 0,
+            "first slot is already resident"
+        );
         assert_eq!(runs[1].context_switches, 1);
         assert_eq!(runs[2].context_switches, 1);
         assert_eq!(runs[1].switch_port_time, cost);
@@ -338,7 +370,11 @@ mod tests {
         let band = BandWork {
             swap_in_first: true,
             switch_cost: cost,
-            jobs: vec![Job { tenant: 0, plan: plan.clone(), inputs: inputs.clone() }],
+            jobs: vec![Job {
+                tenant: 0,
+                plan: plan.clone(),
+                inputs: inputs.clone(),
+            }],
         };
         let runs = run_bands(vec![band], 1, 8);
         assert_eq!(runs[0].context_switches, 1, "resident tenant differs");
@@ -349,11 +385,17 @@ mod tests {
             swap_in_first: false,
             switch_cost: cost,
             jobs: [0, 0, 1]
-                .map(|t| Job { tenant: t, plan: plan.clone(), inputs: inputs.clone() })
+                .map(|t| Job {
+                    tenant: t,
+                    plan: plan.clone(),
+                    inputs: inputs.clone(),
+                })
                 .into(),
         };
-        let switches: Vec<usize> =
-            run_bands(vec![band], 2, 8).iter().map(|r| r.context_switches).collect();
+        let switches: Vec<usize> = run_bands(vec![band], 2, 8)
+            .iter()
+            .map(|r| r.context_switches)
+            .collect();
         assert_eq!(switches, [0, 0, 1]);
     }
 }

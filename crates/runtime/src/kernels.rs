@@ -34,7 +34,10 @@ pub struct Workload {
 impl Workload {
     /// Convenience constructor.
     pub fn new(name: impl Into<String>, graph: AppGraph) -> Self {
-        Workload { name: name.into(), graph }
+        Workload {
+            name: name.into(),
+            graph,
+        }
     }
 }
 
@@ -194,7 +197,9 @@ mod tests {
         let inputs: Vec<FpValue> = (1..=9).map(|v| fp(v as f64)).collect();
         let got = run_dataflow(&w.graph, &inputs)[0].to_f64();
         let rows: [f64; 3] = std::array::from_fn(|r| {
-            (0..3).map(|c| [0.25, 0.5, 0.25][c] * (r * 3 + c + 1) as f64).sum()
+            (0..3)
+                .map(|c| [0.25, 0.5, 0.25][c] * (r * 3 + c + 1) as f64)
+                .sum()
         });
         let want = 1.0 * rows[0] + 2.0 * rows[1] + 1.0 * rows[2];
         assert!((got - want).abs() < 1e-6, "got {got}, want {want}");

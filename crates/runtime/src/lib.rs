@@ -113,7 +113,6 @@ pub mod timeline;
 
 pub use cache::{CacheStats, ConfigCache, ConfigKey};
 pub use engine::TenantRun;
-pub use timeline::{Interval, Phase, Timeline};
 pub use kernels::Workload;
 pub use pool::{BandInfo, GridPool, Lease, PoolError, Relocation, TenantId};
 pub use pricer::{PeChange, SettingsPricer, SwapReport};
@@ -121,3 +120,4 @@ pub use runtime::{
     Admission, Admitted, Ledger, Queued, Refresh, Runtime, RuntimeConfig, RuntimeError,
     StreamRequest, Tenant, TenantStats,
 };
+pub use timeline::{Interval, Phase, Timeline};

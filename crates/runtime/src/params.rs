@@ -21,10 +21,16 @@ impl Runtime {
         let t = self.live(tenant)?;
         let slots = t.graph.coeff_nodes();
         if slots.len() != coeffs.len() {
-            return Err(RuntimeError::BadParamArity { expected: slots.len(), got: coeffs.len() });
+            return Err(RuntimeError::BadParamArity {
+                expected: slots.len(),
+                got: coeffs.len(),
+            });
         }
         if let Some(c) = coeffs.iter().find(|c| c.format != t.graph.format) {
-            return Err(RuntimeError::BadFormat { expected: t.graph.format, got: c.format });
+            return Err(RuntimeError::BadFormat {
+                expected: t.graph.format,
+                got: c.format,
+            });
         }
         let changes: Vec<PeChange> = slots
             .iter()
@@ -34,12 +40,19 @@ impl Runtime {
                 let old = t.mapping.pe_settings[r * t.mapping.arch.cols + col]
                     .expect("placed node has settings");
                 let new = PeSettings { coeff: c, ..old };
-                PeChange { cell: (t.lease.row0 + r, col), old, new }
+                PeChange {
+                    cell: (t.lease.row0 + r, col),
+                    old,
+                    new,
+                }
             })
             .collect();
         let report = self.apply_changes(tenant, changes)?;
         // Priced and booked: the graph follows its settings, in place.
-        let t = self.tenants.get_mut(&tenant).expect("the swap was applied to a live tenant");
+        let t = self
+            .tenants
+            .get_mut(&tenant)
+            .expect("the swap was applied to a live tenant");
         for (node, &c) in slots.into_iter().zip(coeffs) {
             t.graph.nodes[node].coeff = Some(c);
         }
@@ -56,13 +69,20 @@ impl Runtime {
     ) -> Result<SwapReport, RuntimeError> {
         let t = self.live(tenant)?;
         if node >= t.graph.nodes.len() {
-            return Err(RuntimeError::NodeOutOfRange { node, nodes: t.graph.nodes.len() });
+            return Err(RuntimeError::NodeOutOfRange {
+                node,
+                nodes: t.graph.nodes.len(),
+            });
         }
         let (r, col) = t.mapping.place[node];
-        let old = t.mapping.pe_settings[r * t.mapping.arch.cols + col]
-            .expect("placed node has settings");
+        let old =
+            t.mapping.pe_settings[r * t.mapping.arch.cols + col].expect("placed node has settings");
         let new = PeSettings { counter, ..old };
-        let change = PeChange { cell: (t.lease.row0 + r, col), old, new };
+        let change = PeChange {
+            cell: (t.lease.row0 + r, col),
+            old,
+            new,
+        };
         self.apply_changes(tenant, vec![change])
     }
 
@@ -78,12 +98,17 @@ impl Runtime {
         request_span.arg("op", "swap");
         let grid_arch = self.pool.grid_archs()[self.tenants[&tenant].lease.grid];
         let mut pricing_span = trace::span("pricing");
-        let report = self.pricer.price_swap((grid_arch.rows, grid_arch.cols), &changes);
+        let report = self
+            .pricer
+            .price_swap((grid_arch.rows, grid_arch.cols), &changes);
         pricing_span.arg("frames", report.frames());
         pricing_span.arg("pes", report.dirty_pes);
         pricing_span.arg("sweeps", report.sweeps);
         drop(pricing_span);
-        let t = self.tenants.get_mut(&tenant).expect("caller verified the tenant is live");
+        let t = self
+            .tenants
+            .get_mut(&tenant)
+            .expect("caller verified the tenant is live");
         let cols = t.mapping.arch.cols;
         for ch in &changes {
             let (r, c) = (ch.cell.0 - t.lease.row0, ch.cell.1);

@@ -61,7 +61,10 @@ impl Lease {
     /// The lease translated to a new band start (what compaction does):
     /// same shape, same grid, new physical rows.
     pub fn translated(&self, new_row0: usize) -> Lease {
-        Lease { row0: new_row0, ..*self }
+        Lease {
+            row0: new_row0,
+            ..*self
+        }
     }
 }
 
@@ -177,10 +180,16 @@ impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoolError::TooBig { needed, largest } => {
-                write!(f, "application needs {needed} PEs, largest grid has {largest}")
+                write!(
+                    f,
+                    "application needs {needed} PEs, largest grid has {largest}"
+                )
             }
             PoolError::Oversubscribed { needed } => {
-                write!(f, "no band of {needed} PEs free or shareable; release a tenant first")
+                write!(
+                    f,
+                    "no band of {needed} PEs free or shareable; release a tenant first"
+                )
             }
         }
     }
@@ -203,7 +212,15 @@ impl GridPool {
             grids.iter().all(|g| g.channel_capacity == cap),
             "one channel capacity per pool"
         );
-        GridPool { grids: grids.into_iter().map(|arch| Grid { arch, bands: Vec::new() }).collect() }
+        GridPool {
+            grids: grids
+                .into_iter()
+                .map(|arch| Grid {
+                    arch,
+                    bands: Vec::new(),
+                })
+                .collect(),
+        }
     }
 
     /// Channel capacity of the pool's overlay generation.
@@ -283,7 +300,9 @@ impl GridPool {
                 continue;
             }
             let relocations = grid.compact(gi);
-            let row0 = grid.find_free(rows).expect("compaction coalesces all free rows");
+            let row0 = grid
+                .find_free(rows)
+                .expect("compaction coalesces all free rows");
             return Ok((self.carve(gi, row0, rows, tenant), relocations));
         }
         // 3. Time-multiplex: least-crowded band with enough PEs.
@@ -310,7 +329,12 @@ impl GridPool {
             let cols = self.grids[gi].arch.cols;
             let band = &mut self.grids[gi].bands[bi];
             band.tenants.push(tenant);
-            let lease = Lease { grid: gi, row0: band.row0, rows: band.rows, cols };
+            let lease = Lease {
+                grid: gi,
+                row0: band.row0,
+                rows: band.rows,
+                cols,
+            };
             return Ok((lease, Vec::new()));
         }
         // 4. Nothing free, nothing shareable: distinguish "never fits"
@@ -322,8 +346,17 @@ impl GridPool {
     /// Books a new dedicated band for `tenant`.
     fn carve(&mut self, grid: usize, row0: usize, rows: usize, tenant: TenantId) -> Lease {
         let g = &mut self.grids[grid];
-        g.bands.push(Band { row0, rows, tenants: vec![tenant] });
-        Lease { grid, row0, rows, cols: g.arch.cols }
+        g.bands.push(Band {
+            row0,
+            rows,
+            tenants: vec![tenant],
+        });
+        Lease {
+            grid,
+            row0,
+            rows,
+            cols: g.arch.cols,
+        }
     }
 
     /// `Ok` when `demand` would fit some *empty* grid of the pool —
@@ -339,8 +372,16 @@ impl GridPool {
         if fits {
             Ok(())
         } else {
-            let largest = self.grids.iter().map(|g| g.arch.pe_count()).max().unwrap_or(0);
-            Err(PoolError::TooBig { needed: demand, largest })
+            let largest = self
+                .grids
+                .iter()
+                .map(|g| g.arch.pe_count())
+                .max()
+                .unwrap_or(0);
+            Err(PoolError::TooBig {
+                needed: demand,
+                largest,
+            })
         }
     }
 
@@ -401,10 +442,14 @@ mod tests {
 
     /// Allocates with no grid preferred and no relocation expected.
     fn place(p: &mut GridPool, tenant: TenantId, demand: usize) -> Result<Lease, PoolError> {
-        p.allocate(tenant, demand, |_| false).map(|(lease, relocations)| {
-            assert!(relocations.is_empty(), "tenant {tenant} was not expected to compact");
-            lease
-        })
+        p.allocate(tenant, demand, |_| false)
+            .map(|(lease, relocations)| {
+                assert!(
+                    relocations.is_empty(),
+                    "tenant {tenant} was not expected to compact"
+                );
+                lease
+            })
     }
 
     /// Whether the lease's band holds more than one tenant.
@@ -459,7 +504,13 @@ mod tests {
     fn too_big_is_rejected() {
         let mut p = pool();
         let err = place(&mut p, 1, 25).unwrap_err();
-        assert_eq!(err, PoolError::TooBig { needed: 25, largest: 24 });
+        assert_eq!(
+            err,
+            PoolError::TooBig {
+                needed: 25,
+                largest: 24
+            }
+        );
     }
 
     #[test]
@@ -502,7 +553,13 @@ mod tests {
         // 52 PEs → 13 rows of 4: the one band sits in the middle, so first
         // fit has runs of 6 and 7 to offer (and 3 rows are too few to share).
         assert_eq!(GridPool::rows_needed(52, 4), 13);
-        assert_eq!(p.bands().iter().map(|b| (b.row0, b.rows)).collect::<Vec<_>>(), [(6, 3)]);
+        assert_eq!(
+            p.bands()
+                .iter()
+                .map(|b| (b.row0, b.rows))
+                .collect::<Vec<_>>(),
+            [(6, 3)]
+        );
 
         // The 3-row band slides to row 0 and the 13-row tenant admits at
         // row 3.
@@ -511,7 +568,13 @@ mod tests {
         assert_eq!(relocs.len(), 1);
         assert_eq!(
             relocs[0],
-            Relocation { grid: 0, old_row0: 6, new_row0: 0, rows: 3, tenants: vec![2] }
+            Relocation {
+                grid: 0,
+                old_row0: 6,
+                new_row0: 0,
+                rows: 3,
+                tenants: vec![2]
+            }
         );
         // The moved band kept its tenants and its shape.
         assert_eq!(p.band_tenants(0, 0), vec![2]);
@@ -526,8 +589,11 @@ mod tests {
         }
         p.release(0); // rows 0-1 free
         p.release(2); // rows 4-5 free
-        // 4 free rows in two runs of 2: a 3-row tenant needs compaction.
-        assert_eq!(p.bands().iter().map(|b| b.row0).collect::<Vec<_>>(), [2, 6, 8]);
+                      // 4 free rows in two runs of 2: a 3-row tenant needs compaction.
+        assert_eq!(
+            p.bands().iter().map(|b| b.row0).collect::<Vec<_>>(),
+            [2, 6, 8]
+        );
         assert_eq!(p.free_rows(0), 4);
         let (lease, relocs) = p.allocate(7, 12, |_| false).unwrap();
         assert_eq!((lease.row0, lease.rows), (6, 3));
@@ -535,9 +601,27 @@ mod tests {
         assert_eq!(
             relocs,
             vec![
-                Relocation { grid: 0, old_row0: 2, new_row0: 0, rows: 2, tenants: vec![1] },
-                Relocation { grid: 0, old_row0: 6, new_row0: 2, rows: 2, tenants: vec![3] },
-                Relocation { grid: 0, old_row0: 8, new_row0: 4, rows: 2, tenants: vec![4] },
+                Relocation {
+                    grid: 0,
+                    old_row0: 2,
+                    new_row0: 0,
+                    rows: 2,
+                    tenants: vec![1]
+                },
+                Relocation {
+                    grid: 0,
+                    old_row0: 6,
+                    new_row0: 2,
+                    rows: 2,
+                    tenants: vec![3]
+                },
+                Relocation {
+                    grid: 0,
+                    old_row0: 8,
+                    new_row0: 4,
+                    rows: 2,
+                    tenants: vec![4]
+                },
             ]
         );
         let bands = p.bands();
@@ -573,7 +657,10 @@ mod tests {
         // A 5-row demand only ever fits grid 0, and only when it is empty:
         // with no candidate nobody is asked, and nothing is shareable.
         let (l, grids) = ask(&mut p, 3, 20, Some(1));
-        assert_eq!((l.unwrap_err(), grids), (PoolError::Oversubscribed { needed: 20 }, vec![]));
+        assert_eq!(
+            (l.unwrap_err(), grids),
+            (PoolError::Oversubscribed { needed: 20 }, vec![])
+        );
         p.release(1);
         let (l, grids) = ask(&mut p, 3, 20, Some(1));
         assert_eq!((l.unwrap().grid, grids), (0, vec![0]));
@@ -604,7 +691,11 @@ mod tests {
         assert!(p.release(*shared.tenants.last().unwrap()));
         assert_eq!(p.utilization(), 1.0);
         // ...releasing the last tenant of a band does.
-        let solo = p.bands().into_iter().find(|b| b.tenants.len() == 1).unwrap();
+        let solo = p
+            .bands()
+            .into_iter()
+            .find(|b| b.tenants.len() == 1)
+            .unwrap();
         assert!(p.release(solo.tenants[0]));
         assert!(p.utilization() < 1.0);
     }

@@ -87,7 +87,10 @@ impl PricerModel {
     /// Overlay settings (in the application's format) as settings of the
     /// pricing PE: the coefficient re-rounded to its format.
     fn scaled(&self, s: &PeSettings) -> PeSettings {
-        PeSettings { coeff: FpValue::from_f64(s.coeff.to_f64(), self.pe_cfg.format), ..*s }
+        PeSettings {
+            coeff: FpValue::from_f64(s.coeff.to_f64(), self.pe_cfg.format),
+            ..*s
+        }
     }
 }
 
@@ -103,7 +106,11 @@ impl SettingsPricer {
     /// *pricing* PE (reduced formats price in well under a second; the
     /// trend matches the paper-scale PE).
     pub fn new(format: FpFormat, iface: ReconfigInterface) -> Self {
-        SettingsPricer { format, iface, model: OnceLock::new() }
+        SettingsPricer {
+            format,
+            iface,
+            model: OnceLock::new(),
+        }
     }
 
     /// The configuration interface this pricer charges.
@@ -113,11 +120,18 @@ impl SettingsPricer {
 
     fn model(&self) -> &PricerModel {
         self.model.get_or_init(|| {
-            let pe_cfg = VirtualPeConfig { format: self.format, hops: 2 };
+            let pe_cfg = VirtualPeConfig {
+                format: self.format,
+                hops: 2,
+            };
             let aig = logic::opt::sweep(&VirtualPe::build(pe_cfg, true).aig);
             let design = map_parameterized(&aig, MapOptions::default());
             let config = ParamConfig::extract(&design);
-            PricerModel { design, config, pe_cfg }
+            PricerModel {
+                design,
+                config,
+                pe_cfg,
+            }
         })
     }
 
@@ -203,7 +217,11 @@ mod tests {
     }
 
     fn mac(c: f64, counter: u32) -> PeSettings {
-        PeSettings { coeff: FpValue::from_f64(c, F), counter, mode: PeMode::Mac }
+        PeSettings {
+            coeff: FpValue::from_f64(c, F),
+            counter,
+            mode: PeMode::Mac,
+        }
     }
 
     /// The formulation `price_swap` replaced, kept as its oracle: per
@@ -235,11 +253,17 @@ mod tests {
                 let old_spec = scg.specialize(&old_bits);
                 let new_spec = scg.specialize(&new_bits);
                 report.ppc_frames += scg.dirty_frames(&old_spec, &new_spec).len();
-                report.bits_changed +=
-                    old_spec.values.iter().zip(&new_spec.values).filter(|(a, b)| a != b).count();
+                report.bits_changed += old_spec
+                    .values
+                    .iter()
+                    .zip(&new_spec.values)
+                    .filter(|(a, b)| a != b)
+                    .count();
             }
-            settings_frames
-                .insert(frame_model.lut_frame(Site::Logic { x: ch.cell.1, y: ch.cell.0 }));
+            settings_frames.insert(frame_model.lut_frame(Site::Logic {
+                x: ch.cell.1,
+                y: ch.cell.0,
+            }));
         }
         report.sweeps = repriced.div_ceil(PES_PER_SWEEP);
         report.settings_frames = settings_frames.len();
@@ -269,10 +293,15 @@ mod tests {
             let mut new = old;
             if i % 3 != 1 {
                 let c = COEFFS.iter().map(|&c| FpValue::from_f64(c, F));
-                new.coeff = c.cycle().skip(rng.index(8)).find(|c| c.bits != old.coeff.bits).unwrap();
+                new.coeff = c
+                    .cycle()
+                    .skip(rng.index(8))
+                    .find(|c| c.bits != old.coeff.bits)
+                    .unwrap();
             }
             if i % 3 != 0 {
-                new.mode = MODES[(MODES.iter().position(|&m| m == old.mode).unwrap() + 1 + rng.index(3)) % 4];
+                new.mode = MODES
+                    [(MODES.iter().position(|&m| m == old.mode).unwrap() + 1 + rng.index(3)) % 4];
             }
             changes.push((old, new));
         }
@@ -293,7 +322,11 @@ mod tests {
         }
         changes
             .into_iter()
-            .map(|(old, new)| PeChange { cell: (rng.index(8), rng.index(8)), old, new })
+            .map(|(old, new)| PeChange {
+                cell: (rng.index(8), rng.index(8)),
+                old,
+                new,
+            })
             .collect()
     }
 
@@ -304,10 +337,24 @@ mod tests {
             let changes = seeded_changes(seed as u64, repriced);
             let want = price_swap_reference(&p, (8, 8), &changes);
             let got = p.price_swap((8, 8), &changes);
-            assert_eq!(want.sweeps, repriced.div_ceil(PES_PER_SWEEP), "the list reprices {repriced}");
             assert_eq!(
-                (got.dirty_pes, got.ppc_frames, got.settings_frames, got.bits_changed),
-                (want.dirty_pes, want.ppc_frames, want.settings_frames, want.bits_changed),
+                want.sweeps,
+                repriced.div_ceil(PES_PER_SWEEP),
+                "the list reprices {repriced}"
+            );
+            assert_eq!(
+                (
+                    got.dirty_pes,
+                    got.ppc_frames,
+                    got.settings_frames,
+                    got.bits_changed
+                ),
+                (
+                    want.dirty_pes,
+                    want.ppc_frames,
+                    want.settings_frames,
+                    want.bits_changed
+                ),
                 "{repriced} repriced PEs"
             );
             assert_eq!((got.sweeps, got.port_time), (want.sweeps, want.port_time));
@@ -324,17 +371,31 @@ mod tests {
         // several runs, between runs of LUT frames.
         let p = pricer();
         let old = mac(0.5, 1);
-        let ch = PeChange { cell: (0, 0), old, new: PeSettings { mode: PeMode::Pass, ..old } };
+        let ch = PeChange {
+            cell: (0, 0),
+            old,
+            new: PeSettings {
+                mode: PeMode::Pass,
+                ..old
+            },
+        };
         let got = p.price_swap((4, 4), &[ch]);
         let want = price_swap_reference(&p, (4, 4), &[ch]);
         assert!(got.ppc_frames > 0);
-        assert_eq!((got.ppc_frames, got.bits_changed), (want.ppc_frames, want.bits_changed));
+        assert_eq!(
+            (got.ppc_frames, got.bits_changed),
+            (want.ppc_frames, want.bits_changed)
+        );
     }
 
     #[test]
     fn identical_settings_price_to_zero() {
         let p = pricer();
-        let ch = PeChange { cell: (0, 0), old: mac(0.5, 1), new: mac(0.5, 1) };
+        let ch = PeChange {
+            cell: (0, 0),
+            old: mac(0.5, 1),
+            new: mac(0.5, 1),
+        };
         let r = p.price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 0);
         assert_eq!(r.frames(), 0);
@@ -344,7 +405,11 @@ mod tests {
     #[test]
     fn coefficient_change_dirties_ppc_and_settings_frames() {
         let p = pricer();
-        let ch = PeChange { cell: (1, 2), old: mac(0.5, 1), new: mac(-1.25, 1) };
+        let ch = PeChange {
+            cell: (1, 2),
+            old: mac(0.5, 1),
+            new: mac(-1.25, 1),
+        };
         let r = p.price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 1);
         assert!(r.ppc_frames > 0, "coefficient bits live in the PPC");
@@ -357,7 +422,11 @@ mod tests {
     #[test]
     fn counter_only_change_touches_settings_plane_only() {
         let p = pricer();
-        let ch = PeChange { cell: (0, 0), old: mac(0.5, 1), new: mac(0.5, 16) };
+        let ch = PeChange {
+            cell: (0, 0),
+            old: mac(0.5, 1),
+            new: mac(0.5, 16),
+        };
         let r = p.price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 1);
         assert_eq!(r.ppc_frames, 0, "the datapath does not see the counter");
@@ -368,7 +437,11 @@ mod tests {
     fn column_stripe_shares_one_settings_frame() {
         let p = pricer();
         let changes: Vec<PeChange> = (0..4)
-            .map(|r| PeChange { cell: (r, 1), old: mac(1.0, 1), new: mac(2.0, 1) })
+            .map(|r| PeChange {
+                cell: (r, 1),
+                old: mac(1.0, 1),
+                new: mac(2.0, 1),
+            })
             .collect();
         let r = p.price_swap((4, 4), &changes);
         assert_eq!(r.dirty_pes, 4);

@@ -206,17 +206,26 @@ impl Runtime {
                     });
                 }
                 if let Some(v) = item.iter().find(|v| v.format != t.graph.format) {
-                    return Err(RuntimeError::BadFormat { expected: t.graph.format, got: v.format });
+                    return Err(RuntimeError::BadFormat {
+                        expected: t.graph.format,
+                        got: v.format,
+                    });
                 }
             }
             let plan = ExecPlan::lower(&t.mapping, &t.graph).map_err(|e| {
-                RuntimeError::Invariant(format!("tenant {}: mapping does not lower: {e}", req.tenant))
+                RuntimeError::Invariant(format!(
+                    "tenant {}: mapping does not lower: {e}",
+                    req.tenant
+                ))
             })?;
-            by_band.entry((t.lease.grid, t.lease.row0)).or_default().push(Job {
-                tenant: req.tenant,
-                plan,
-                inputs: req.inputs,
-            });
+            by_band
+                .entry((t.lease.grid, t.lease.row0))
+                .or_default()
+                .push(Job {
+                    tenant: req.tenant,
+                    plan,
+                    inputs: req.inputs,
+                });
         }
         let mut next_resident: Vec<((usize, usize), TenantId)> = Vec::with_capacity(by_band.len());
         let mut bands: Vec<BandWork> = Vec::with_capacity(by_band.len());
@@ -229,7 +238,10 @@ impl Runtime {
             // is the one loaded — a resident that has since left still
             // occupies the region — and the last job's stays resident.
             let swap_in_first = self.resident.get(&(grid, row0)) != Some(&jobs[0].tenant);
-            next_resident.push(((grid, row0), jobs.last().expect("band group is non-empty").tenant));
+            next_resident.push((
+                (grid, row0),
+                jobs.last().expect("band group is non-empty").tenant,
+            ));
             bands.push(BandWork {
                 swap_in_first,
                 switch_cost: self.pricer.full_config_cost(region_pes),
@@ -341,26 +353,43 @@ mod tests {
             ("format", |t| {
                 t.graph.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)))
             }),
-            ("settings", |t| t.mapping.pe_settings.iter_mut().for_each(|s| *s = None)),
+            ("settings", |t| {
+                t.mapping.pe_settings.iter_mut().for_each(|s| *s = None)
+            }),
         ];
         let mut rt = Runtime::new(RuntimeConfig::default());
         let good = kernels::fir(F, &[0.5, 0.25]).graph;
         let good_id = rt.submit("good", good.clone()).unwrap().tenant();
         let item = vec![FpValue::from_f64(1.5, F), FpValue::from_f64(-2.0, F)];
         for (name, edit) in edits {
-            let bad = rt.submit(name, AppGraph::dot_product(F, &[1.0, 2.0])).unwrap().tenant();
+            let bad = rt
+                .submit(name, AppGraph::dot_product(F, &[1.0, 2.0]))
+                .unwrap()
+                .tenant();
             edit(rt.tenants.get_mut(&bad).expect("just admitted"));
             let err = rt
                 .run(vec![
-                    StreamRequest { tenant: good_id, inputs: vec![item.clone()] },
-                    StreamRequest { tenant: bad, inputs: vec![item.clone()] },
+                    StreamRequest {
+                        tenant: good_id,
+                        inputs: vec![item.clone()],
+                    },
+                    StreamRequest {
+                        tenant: bad,
+                        inputs: vec![item.clone()],
+                    },
                 ])
                 .unwrap_err();
             assert!(matches!(err, RuntimeError::Invariant(_)), "{name}: {err}");
             rt.release(bad).unwrap();
         }
         assert_eq!(rt.ledger().items, 0, "a refused call streams nothing");
-        let runs = rt.run(vec![StreamRequest { tenant: good_id, inputs: vec![item.clone()] }]);
-        assert_eq!(runs.unwrap()[0].outputs[0][0].bits, run_dataflow(&good, &item)[0].bits);
+        let runs = rt.run(vec![StreamRequest {
+            tenant: good_id,
+            inputs: vec![item.clone()],
+        }]);
+        assert_eq!(
+            runs.unwrap()[0].outputs[0][0].bits,
+            run_dataflow(&good, &item)[0].bits
+        );
     }
 }

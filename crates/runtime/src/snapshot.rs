@@ -12,20 +12,31 @@ impl Runtime {
     /// fingerprint and an independently derived structural signature so
     /// the pass can prove key soundness without trusting `ConfigKey`.
     pub fn snapshot(&self) -> verify::SchedSnapshot {
-        use verify::sched::{BandSnap, CacheEntrySnap, GridSnap, LedgerSnap, StructureSig, TenantSnap};
+        use verify::sched::{
+            BandSnap, CacheEntrySnap, GridSnap, LedgerSnap, StructureSig, TenantSnap,
+        };
         let archs = self.pool.grid_archs();
         let cap = self.pool.channel_capacity();
         verify::SchedSnapshot {
             grids: archs
                 .iter()
                 .enumerate()
-                .map(|(g, a)| GridSnap { rows: a.rows, cols: a.cols, free_rows: self.pool.free_rows(g) })
+                .map(|(g, a)| GridSnap {
+                    rows: a.rows,
+                    cols: a.cols,
+                    free_rows: self.pool.free_rows(g),
+                })
                 .collect(),
             bands: self
                 .pool
                 .bands()
                 .into_iter()
-                .map(|b| BandSnap { grid: b.grid, row0: b.row0, rows: b.rows, tenants: b.tenants })
+                .map(|b| BandSnap {
+                    grid: b.grid,
+                    row0: b.row0,
+                    rows: b.rows,
+                    tenants: b.tenants,
+                })
                 .collect(),
             tenants: self
                 .tenants
@@ -60,7 +71,11 @@ impl Runtime {
                 })
                 .collect(),
             queue: self.queue.iter().map(|p| p.tenant).collect(),
-            resident: self.resident.iter().map(|(&(g, r), &t)| (g, r, t)).collect(),
+            resident: self
+                .resident
+                .iter()
+                .map(|(&(g, r), &t)| (g, r, t))
+                .collect(),
             ledger: LedgerSnap {
                 queued: self.ledger.queued as u64,
                 queue_admitted: self.ledger.queue_admitted as u64,
@@ -139,8 +154,10 @@ impl Runtime {
         if violations.is_empty() {
             Ok(())
         } else {
-            let details: Vec<String> =
-                violations.iter().map(|v| format!("[{}] {v}", v.code())).collect();
+            let details: Vec<String> = violations
+                .iter()
+                .map(|v| format!("[{}] {v}", v.code()))
+                .collect();
             Err(RuntimeError::Invariant(details.join("; ")))
         }
     }

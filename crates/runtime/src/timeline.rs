@@ -157,7 +157,11 @@ impl Timeline {
         dur: Duration,
     ) -> Duration {
         let lane_cursor = self.lane_free.get(&lane).copied().unwrap_or(Duration::ZERO);
-        let start = if phase.uses_port() { lane_cursor.max(self.port_free) } else { lane_cursor };
+        let start = if phase.uses_port() {
+            lane_cursor.max(self.port_free)
+        } else {
+            lane_cursor
+        };
         if dur.is_zero() {
             return start;
         }
@@ -174,7 +178,13 @@ impl Timeline {
             self.exec_busy += dur;
         }
         self.makespan = self.makespan.max(end);
-        self.intervals.push(Interval { lane, phase, tenant, start, dur });
+        self.intervals.push(Interval {
+            lane,
+            phase,
+            tenant,
+            start,
+            dur,
+        });
         start
     }
 
@@ -330,8 +340,13 @@ mod tests {
     fn overlap_saved_is_monotone() {
         let mut tl = Timeline::new();
         let mut prev = Duration::ZERO;
-        let phases =
-            [Phase::Admission, Phase::Execute, Phase::Switch, Phase::Swap, Phase::Replay];
+        let phases = [
+            Phase::Admission,
+            Phase::Execute,
+            Phase::Switch,
+            Phase::Swap,
+            Phase::Replay,
+        ];
         for i in 0..40u64 {
             let lane = (0, (i % 4) as usize * 4);
             let phase = phases[(i % 5) as usize];

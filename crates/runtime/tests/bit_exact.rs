@@ -34,7 +34,10 @@ fn every_library_kernel_is_bit_exact_cold_and_after_warm_swap() {
     // Admit every kernel concurrently onto the one pool.
     let mut ids = Vec::new();
     for w in &lib {
-        let adm = rt.submit(&w.name, w.graph.clone()).expect("submitted").expect_admitted("placed");
+        let adm = rt
+            .submit(&w.name, w.graph.clone())
+            .expect("submitted")
+            .expect_admitted("placed");
         ids.push(adm.tenant);
     }
 
@@ -47,8 +50,7 @@ fn every_library_kernel_is_bit_exact_cold_and_after_warm_swap() {
             inputs: stream(w.graph.num_inputs, 16, t),
         })
         .collect();
-    let inputs: Vec<Vec<Vec<FpValue>>> =
-        requests.iter().map(|r| r.inputs.clone()).collect();
+    let inputs: Vec<Vec<Vec<FpValue>>> = requests.iter().map(|r| r.inputs.clone()).collect();
     let runs = rt.run(requests).expect("streamed");
     assert_eq!(runs.len(), lib.len());
     for ((run, w), ins) in runs.iter().zip(&lib).zip(&inputs) {
@@ -68,8 +70,9 @@ fn every_library_kernel_is_bit_exact_cold_and_after_warm_swap() {
     let mut rng = logic::SplitMix64::new(99);
     for (&t, w) in ids.iter().zip(&lib) {
         let slots = w.graph.coeff_nodes();
-        let new_coeffs: Vec<FpValue> =
-            (0..slots.len()).map(|_| fp((rng.unit_f64() - 0.5) * 4.0)).collect();
+        let new_coeffs: Vec<FpValue> = (0..slots.len())
+            .map(|_| fp((rng.unit_f64() - 0.5) * 4.0))
+            .collect();
         let report = rt.swap_params(t, &new_coeffs).expect("swap");
         if !slots.is_empty() {
             assert!(report.dirty_pes > 0, "{}: coefficients changed", w.name);
@@ -77,7 +80,10 @@ fn every_library_kernel_is_bit_exact_cold_and_after_warm_swap() {
         let swapped = w.graph.with_coeffs(&new_coeffs);
         let ins = stream(w.graph.num_inputs, 8, t ^ 0xABCD);
         let runs = rt
-            .run(vec![StreamRequest { tenant: t, inputs: ins.clone() }])
+            .run(vec![StreamRequest {
+                tenant: t,
+                inputs: ins.clone(),
+            }])
             .expect("streamed after swap");
         for (input, out) in ins.iter().zip(&runs[0].outputs) {
             let want = run_dataflow(&swapped, input);
@@ -97,11 +103,17 @@ fn warm_admission_hits_cache_and_skips_compile() {
     let a = kernels::fir(F, &[0.1, 0.2, 0.3, 0.4, 0.5]);
     let b = kernels::fir(F, &[-1.0, 2.0, -3.0, 4.0, -5.0]); // same structure
 
-    let cold = rt.submit("fir-cold", a.graph.clone()).unwrap().expect_admitted("placed");
+    let cold = rt
+        .submit("fir-cold", a.graph.clone())
+        .unwrap()
+        .expect_admitted("placed");
     assert!(!cold.cache_hit);
     assert!(cold.compile_time > std::time::Duration::ZERO);
 
-    let warm = rt.submit("fir-warm", b.graph.clone()).unwrap().expect_admitted("placed");
+    let warm = rt
+        .submit("fir-warm", b.graph.clone())
+        .unwrap()
+        .expect_admitted("placed");
     assert!(warm.cache_hit, "structurally identical graph must hit");
     assert_eq!(warm.compile_time, std::time::Duration::ZERO);
     assert_eq!(
@@ -114,8 +126,14 @@ fn warm_admission_hits_cache_and_skips_compile() {
     let ins = stream(5, 4, 7);
     let runs = rt
         .run(vec![
-            StreamRequest { tenant: cold.tenant, inputs: ins.clone() },
-            StreamRequest { tenant: warm.tenant, inputs: ins.clone() },
+            StreamRequest {
+                tenant: cold.tenant,
+                inputs: ins.clone(),
+            },
+            StreamRequest {
+                tenant: warm.tenant,
+                inputs: ins.clone(),
+            },
         ])
         .unwrap();
     for (run, w) in runs.iter().zip([&a, &b]) {
@@ -133,7 +151,10 @@ fn warm_admission_hits_cache_and_skips_compile() {
 fn resubmit_routes_structure_changes_to_recompile() {
     let mut rt = Runtime::new(RuntimeConfig::default());
     let w = kernels::fir(F, &[0.25, 0.5, 0.25]);
-    let adm = rt.submit("fir", w.graph.clone()).unwrap().expect_admitted("placed");
+    let adm = rt
+        .submit("fir", w.graph.clone())
+        .unwrap()
+        .expect_admitted("placed");
 
     // Parameter-only resubmit: swap fast path.
     let swapped = w.graph.with_coeffs(&[fp(1.0), fp(2.0), fp(3.0)]);
@@ -153,7 +174,10 @@ fn resubmit_routes_structure_changes_to_recompile() {
     }
     let ins = stream(7, 4, 3);
     let runs = rt
-        .run(vec![StreamRequest { tenant: adm.tenant, inputs: ins.clone() }])
+        .run(vec![StreamRequest {
+            tenant: adm.tenant,
+            inputs: ins.clone(),
+        }])
         .unwrap();
     for (input, out) in ins.iter().zip(&runs[0].outputs) {
         assert_eq!(out[0].bits, run_dataflow(&bigger.graph, input)[0].bits);
@@ -186,7 +210,10 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
     let requests: Vec<StreamRequest> = ids
         .iter()
         .zip(&kernels)
-        .map(|(&t, w)| StreamRequest { tenant: t, inputs: stream(w.graph.num_inputs, 12, t) })
+        .map(|(&t, w)| StreamRequest {
+            tenant: t,
+            inputs: stream(w.graph.num_inputs, 12, t),
+        })
         .collect();
     let inputs: Vec<Vec<Vec<FpValue>>> = requests.iter().map(|r| r.inputs.clone()).collect();
     let runs = rt.run(requests).unwrap();
@@ -225,7 +252,10 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
     for &t in [shared_pair[0], shared_pair[1], shared_pair[0]].iter() {
         let w = &kernels[ids.iter().position(|&i| i == t).unwrap()];
         let runs = rt
-            .run(vec![StreamRequest { tenant: t, inputs: stream(w.graph.num_inputs, 2, t) }])
+            .run(vec![StreamRequest {
+                tenant: t,
+                inputs: stream(w.graph.num_inputs, 2, t),
+            }])
             .unwrap();
         alternating_switches += runs[0].context_switches;
     }
@@ -245,7 +275,12 @@ fn served(rt: &mut Runtime) -> (TenantId, AppGraph) {
 /// After refused calls only: its four items are the first streamed.
 fn assert_still_served(rt: &mut Runtime, id: TenantId, graph: &AppGraph) {
     let ins = stream(2, 4, 1);
-    let runs = rt.run(vec![StreamRequest { tenant: id, inputs: ins.clone() }]).unwrap();
+    let runs = rt
+        .run(vec![StreamRequest {
+            tenant: id,
+            inputs: ins.clone(),
+        }])
+        .unwrap();
     for (input, out) in ins.iter().zip(&runs[0].outputs) {
         assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
     }
@@ -262,8 +297,16 @@ fn an_input_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     let other = FpFormat::new(5, 10);
     let mut inputs = stream(2, 70, 3);
     inputs[67][1] = FpValue::from_f64(1.5, other);
-    let err = rt.run(vec![StreamRequest { tenant: id, inputs }]).unwrap_err();
-    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    let err = rt
+        .run(vec![StreamRequest { tenant: id, inputs }])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        RuntimeError::BadFormat {
+            expected: F,
+            got: other
+        }
+    );
     assert_still_served(&mut rt, id, &graph);
 }
 
@@ -272,15 +315,29 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     let mut rt = Runtime::new(RuntimeConfig::default());
     let (id, graph) = served(&mut rt);
     let other = FpFormat::new(5, 10);
-    let err = rt.swap_params(id, &[fp(0.75), FpValue::from_f64(0.75, other)]).unwrap_err();
-    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    let err = rt
+        .swap_params(id, &[fp(0.75), FpValue::from_f64(0.75, other)])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        RuntimeError::BadFormat {
+            expected: F,
+            got: other
+        }
+    );
     // `resubmit` of the same structure is the same mistake under the same
     // name (the graph check stops it one door earlier).
     let mut same = graph.clone();
     let slot = same.coeff_nodes()[0];
     same.nodes[slot].coeff = Some(FpValue::from_f64(0.75, other));
     let err = rt.resubmit(id, same).unwrap_err();
-    assert_eq!(err, RuntimeError::BadFormat { expected: F, got: other });
+    assert_eq!(
+        err,
+        RuntimeError::BadFormat {
+            expected: F,
+            got: other
+        }
+    );
     assert_eq!(rt.ledger().swaps, 0, "a refused swap is not charged");
     // The old coefficients are still the ones in force.
     assert_still_served(&mut rt, id, &graph);
@@ -290,7 +347,10 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
 /// the cache (entries and lookup counters) and every ledger counter but
 /// `refused`.
 fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<TenantId>, usize, String) {
-    let ledger = runtime::Ledger { refused: 0, ..*rt.ledger() };
+    let ledger = runtime::Ledger {
+        refused: 0,
+        ..*rt.ledger()
+    };
     (
         rt.pool().bands(),
         rt.queued_tenants(),
@@ -317,7 +377,10 @@ fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId
     let second = rt.submit("second", good.clone()).unwrap().tenant();
     let waiter = kernels::fir_seeded(F, 5, 3).graph; // 9 nodes → 3 rows
     let waiting = rt.submit("waiting", waiter.clone()).unwrap();
-    assert!(waiting.is_queued(), "one free row, two 2-row bands: nowhere to put three rows");
+    assert!(
+        waiting.is_queued(),
+        "one free row, two 2-row bands: nowhere to put three rows"
+    );
     (rt, good_id, good, second, waiting.tenant(), waiter)
 }
 
@@ -329,31 +392,62 @@ fn a_counter_retune_is_one_settings_frame_and_leaves_the_outputs() {
     let (mut rt, id, graph, _, waiting, _) = full_pool_with_a_waiter();
     let ins = stream(graph.num_inputs, 8, 5);
     let outputs = |rt: &mut Runtime| {
-        rt.run(vec![StreamRequest { tenant: id, inputs: ins.clone() }]).unwrap().remove(0).outputs
+        rt.run(vec![StreamRequest {
+            tenant: id,
+            inputs: ins.clone(),
+        }])
+        .unwrap()
+        .remove(0)
+        .outputs
     };
     let before = outputs(&mut rt);
     let ledger = *rt.ledger();
     let intervals = rt.timeline_snapshot().intervals.len();
 
     let rep = rt.set_counter(id, 0, 7).unwrap();
-    assert_eq!((rep.dirty_pes, rep.ppc_frames, rep.settings_frames, rep.sweeps), (1, 0, 1, 0));
+    assert_eq!(
+        (
+            rep.dirty_pes,
+            rep.ppc_frames,
+            rep.settings_frames,
+            rep.sweeps
+        ),
+        (1, 0, 1, 0)
+    );
     let now = rt.ledger();
-    assert_eq!((now.swaps, now.swap_frames), (ledger.swaps + 1, ledger.swap_frames + 1));
+    assert_eq!(
+        (now.swaps, now.swap_frames),
+        (ledger.swaps + 1, ledger.swap_frames + 1)
+    );
     assert_eq!(now.swap_port_time, ledger.swap_port_time + rep.port_time);
     let timeline = rt.timeline_snapshot();
     assert_eq!(timeline.intervals.len(), intervals + 1);
     let booked = timeline.intervals.last().unwrap();
     let port_ns = rep.port_time.as_nanos() as u64;
-    assert_eq!((booked.phase, booked.tenant, booked.dur_ns), ("swap", Some(id), port_ns));
-    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
-    assert_eq!(outputs(&mut rt), before, "a counter is no operand of the dataflow");
+    assert_eq!(
+        (booked.phase, booked.tenant, booked.dur_ns),
+        ("swap", Some(id), port_ns)
+    );
+    assert!(
+        rt.verify_timeline().ok(),
+        "{}",
+        rt.verify_timeline().summary()
+    );
+    assert_eq!(
+        outputs(&mut rt),
+        before,
+        "a counter is no operand of the dataflow"
+    );
 
     // Refusals book nothing.
     let ledger = format!("{:?}", rt.ledger());
     let nodes = graph.nodes.len();
     let out_of_range = RuntimeError::NodeOutOfRange { node: nodes, nodes };
     assert_eq!(rt.set_counter(id, nodes, 7).unwrap_err(), out_of_range);
-    assert_eq!(rt.set_counter(waiting, 0, 7).unwrap_err(), RuntimeError::Waiting(waiting));
+    assert_eq!(
+        rt.set_counter(waiting, 0, 7).unwrap_err(),
+        RuntimeError::Waiting(waiting)
+    );
     assert_eq!(format!("{:?}", rt.ledger()), ledger);
 }
 
@@ -388,7 +482,10 @@ fn an_empty_graph_is_refused_not_a_panic() {
     let drained = rt.release(second).unwrap();
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].tenant, waiting);
-    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), waiter.nodes.len());
+    assert_eq!(
+        rt.tenant(waiting).unwrap().graph.nodes.len(),
+        waiter.nodes.len()
+    );
     assert_still_served(&mut rt, good_id, &good);
 }
 
@@ -410,33 +507,52 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
         (
             "self",
             edited(|g| g.nodes[3].b = AppSource::Node(3)),
-            malformed(GraphError::OperandNotEarlier { node: 3, operand: 3 }),
+            malformed(GraphError::OperandNotEarlier {
+                node: 3,
+                operand: 3,
+            }),
         ),
         (
             "forward",
             edited(|g| g.nodes[0].a = AppSource::Node(4)),
-            malformed(GraphError::OperandNotEarlier { node: 0, operand: 4 }),
+            malformed(GraphError::OperandNotEarlier {
+                node: 0,
+                operand: 4,
+            }),
         ),
         (
             "dangling",
             edited(|g| g.nodes[4].a = AppSource::Node(99)),
-            malformed(GraphError::OperandNotEarlier { node: 4, operand: 99 }),
+            malformed(GraphError::OperandNotEarlier {
+                node: 4,
+                operand: 99,
+            }),
         ),
         (
             "external",
             edited(|g| g.nodes[0].a = AppSource::External(7)),
-            malformed(GraphError::ExternalOutOfRange { node: 0, index: 7, num_inputs: 3 }),
+            malformed(GraphError::ExternalOutOfRange {
+                node: 0,
+                index: 7,
+                num_inputs: 3,
+            }),
         ),
         (
             "output",
             edited(|g| g.outputs.push(5)),
-            malformed(GraphError::OutputOutOfRange { output: 5, nodes: 5 }),
+            malformed(GraphError::OutputOutOfRange {
+                output: 5,
+                nodes: 5,
+            }),
         ),
         (
             "format",
             edited(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)))),
             // One name for a wrong-format value, whichever door it came by.
-            RuntimeError::BadFormat { expected: F, got: other },
+            RuntimeError::BadFormat {
+                expected: F,
+                got: other,
+            },
         ),
     ];
 
@@ -445,8 +561,16 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     let (good_id, good) = served(&mut rt);
     let before = state(&rt);
     for (name, graph, refused) in &table {
-        assert_eq!(&rt.submit(*name, graph.clone()).unwrap_err(), refused, "{name}");
-        assert_eq!(&rt.resubmit(good_id, graph.clone()).unwrap_err(), refused, "{name}");
+        assert_eq!(
+            &rt.submit(*name, graph.clone()).unwrap_err(),
+            refused,
+            "{name}"
+        );
+        assert_eq!(
+            &rt.resubmit(good_id, graph.clone()).unwrap_err(),
+            refused,
+            "{name}"
+        );
     }
     assert_eq!(state(&rt), before);
     assert_eq!(rt.ledger().refused, 2 * table.len());
@@ -458,9 +582,21 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     let (mut rt, good_id, good, second, waiting, waiter) = full_pool_with_a_waiter();
     let before = state(&rt);
     for (name, graph, refused) in &table {
-        assert_eq!(&rt.submit(*name, graph.clone()).unwrap_err(), refused, "{name}");
-        assert_eq!(&rt.resubmit(waiting, graph.clone()).unwrap_err(), refused, "{name}");
-        assert_eq!(&rt.resubmit(good_id, graph.clone()).unwrap_err(), refused, "{name}");
+        assert_eq!(
+            &rt.submit(*name, graph.clone()).unwrap_err(),
+            refused,
+            "{name}"
+        );
+        assert_eq!(
+            &rt.resubmit(waiting, graph.clone()).unwrap_err(),
+            refused,
+            "{name}"
+        );
+        assert_eq!(
+            &rt.resubmit(good_id, graph.clone()).unwrap_err(),
+            refused,
+            "{name}"
+        );
     }
     assert_eq!(state(&rt), before);
     assert_eq!(rt.ledger().refused, 3 * table.len());
@@ -469,7 +605,10 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     let drained = rt.release(second).unwrap();
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].tenant, waiting);
-    assert_eq!(rt.tenant(waiting).unwrap().graph.nodes.len(), waiter.nodes.len());
+    assert_eq!(
+        rt.tenant(waiting).unwrap().graph.nodes.len(),
+        waiter.nodes.len()
+    );
     assert_still_served(&mut rt, good_id, &good);
 }
 
@@ -477,10 +616,21 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
 /// the root's cell, which has at most four channel segments out.
 fn unroutable_at_capacity_one() -> AppGraph {
     let mut g = AppGraph::new(F, 1);
-    let root = g.add("root", PeMode::Pass, None, AppSource::External(0), AppSource::Zero);
+    let root = g.add(
+        "root",
+        PeMode::Pass,
+        None,
+        AppSource::External(0),
+        AppSource::Zero,
+    );
     for i in 0..5 {
-        let leaf =
-            g.add(format!("leaf{i}"), PeMode::Add, None, AppSource::Node(root), AppSource::Node(root));
+        let leaf = g.add(
+            format!("leaf{i}"),
+            PeMode::Add,
+            None,
+            AppSource::Node(root),
+            AppSource::Node(root),
+        );
         g.mark_output(leaf);
     }
     g
@@ -495,9 +645,15 @@ fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
     let (good_id, good) = served(&mut rt);
     let mut dangling = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
     dangling.nodes[4].a = AppSource::Node(99);
-    let refused = malformed(GraphError::OperandNotEarlier { node: 4, operand: 99 });
+    let refused = malformed(GraphError::OperandNotEarlier {
+        node: 4,
+        operand: 99,
+    });
     let before = state(&rt);
-    assert_eq!(rt.submit("dangling", dangling.clone()).unwrap_err(), refused);
+    assert_eq!(
+        rt.submit("dangling", dangling.clone()).unwrap_err(),
+        refused
+    );
     assert_eq!(state(&rt), before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
@@ -507,12 +663,17 @@ fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
     let before = state(&rt);
     assert_eq!(rt.resubmit(victim, dangling).unwrap_err(), refused);
     assert_eq!(state(&rt), before);
-    assert_eq!(rt.tenant(victim).unwrap().graph.nodes.len(), good.nodes.len());
+    assert_eq!(
+        rt.tenant(victim).unwrap().graph.nodes.len(),
+        good.nodes.len()
+    );
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Other tenants, old and new, are served as before.
     let later = kernels::fir(F, &[1.0, 2.0, 3.0]);
-    rt.submit(&later.name, later.graph).unwrap().expect_admitted("a free grid");
+    rt.submit(&later.name, later.graph)
+        .unwrap()
+        .expect_admitted("a free grid");
     assert_still_served(&mut rt, good_id, &good);
 }
 
@@ -536,9 +697,20 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     };
     let before = held(&rt);
     let err = rt.submit("wide", wide.clone()).unwrap_err();
-    assert!(matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })), "{err}");
-    assert_eq!(held(&rt), before, "the lease taken for the compile is surrendered");
-    assert_eq!(rt.ledger().refused, 0, "the door counts malformed graphs only");
+    assert!(
+        matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })),
+        "{err}"
+    );
+    assert_eq!(
+        held(&rt),
+        before,
+        "the lease taken for the compile is surrendered"
+    );
+    assert_eq!(
+        rt.ledger().refused,
+        0,
+        "the door counts malformed graphs only"
+    );
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Leave one row free and park a 3-row waiter behind the two 2-row
@@ -546,11 +718,20 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     let victim = rt.submit("victim", good.clone()).unwrap().tenant();
     let waiter = kernels::fir_seeded(F, 5, 3).graph; // 9 nodes → 3 rows
     let waiting = rt.submit("waiting", waiter.clone()).unwrap();
-    assert!(waiting.is_queued(), "one free row, two 2-row bands: nowhere to put three rows");
+    assert!(
+        waiting.is_queued(),
+        "one free row, two 2-row bands: nowhere to put three rows"
+    );
     let bands_before = rt.pool().bands().len();
     let err = rt.resubmit(victim, wide).unwrap_err();
-    assert!(matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })), "{err}");
-    assert!(rt.tenant(victim).is_none(), "the old lease was given up before the compile");
+    assert!(
+        matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })),
+        "{err}"
+    );
+    assert!(
+        rt.tenant(victim).is_none(),
+        "the old lease was given up before the compile"
+    );
     // The waiter got the victim's rows: as many bands as before, none the
     // victim's, and the queue is empty.
     assert_eq!(rt.queue_len(), 0);
@@ -562,7 +743,12 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     // Everyone still here is served as before.
     for (tenant, graph) in [(waiting.tenant(), &waiter), (good_id, &good)] {
         let ins = stream(graph.num_inputs, 4, 7);
-        let runs = rt.run(vec![StreamRequest { tenant, inputs: ins.clone() }]).unwrap();
+        let runs = rt
+            .run(vec![StreamRequest {
+                tenant,
+                inputs: ins.clone(),
+            }])
+            .unwrap();
         for (input, out) in ins.iter().zip(&runs[0].outputs) {
             assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
         }

@@ -48,14 +48,23 @@ fn check_invariants(p: &GridPool, live: &BTreeSet<TenantId>) {
         for b in bands.iter().filter(|b| b.grid == gi) {
             assert!(b.rows >= 2, "bands are valid regions");
             assert!(b.row0 + b.rows <= arch.rows, "band inside its grid");
-            for (r, slot) in taken.iter_mut().enumerate().take(b.row0 + b.rows).skip(b.row0) {
+            for (r, slot) in taken
+                .iter_mut()
+                .enumerate()
+                .take(b.row0 + b.rows)
+                .skip(b.row0)
+            {
                 assert!(!*slot, "bands must never overlap (grid {gi} row {r})");
                 *slot = true;
             }
             used += b.rows;
             assert!(!b.tenants.is_empty(), "empty bands must be reclaimed");
         }
-        assert_eq!(used + p.free_rows(gi), arch.rows, "row conservation on grid {gi}");
+        assert_eq!(
+            used + p.free_rows(gi),
+            arch.rows,
+            "row conservation on grid {gi}"
+        );
     }
     // Every live tenant exactly once, no ghost of a released tenant.
     let mut seen = BTreeSet::new();

@@ -30,7 +30,10 @@ fn assert_bit_exact(rt: &mut Runtime, tenant: TenantId, items: usize, salt: u64)
     let graph = rt.tenant(tenant).unwrap().graph.clone();
     let ins = stream(graph.num_inputs, items, salt);
     let runs = rt
-        .run(vec![StreamRequest { tenant, inputs: ins.clone() }])
+        .run(vec![StreamRequest {
+            tenant,
+            inputs: ins.clone(),
+        }])
         .expect("stream");
     for (input, out) in ins.iter().zip(&runs[0].outputs) {
         let want = run_dataflow(&graph, input);
@@ -54,7 +57,10 @@ fn shares_its_band(rt: &Runtime, tenant: TenantId) -> bool {
 /// nor a band tall enough to share: it queues from geometry alone, and
 /// the blocker's release leaves the whole grid to the queue.
 fn half_blocked() -> (Runtime, TenantId) {
-    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(10, 4, 2)], ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(10, 4, 2)],
+        ..RuntimeConfig::default()
+    };
     let mut rt = Runtime::new(cfg);
     let blocker = rt
         .submit("blocker", kernels::fir_seeded(F, 9, 1).graph) // 17 nodes → 5 rows
@@ -75,7 +81,11 @@ fn queue_drains_in_fifo_order_on_release() {
     // A 6-row head queues from geometry; two 2-row tenants would fit the
     // free rows but queue up behind it, in submission order.
     let mut queued = Vec::new();
-    let waiters = [six_rows(2), kernels::fir_seeded(F, 3, 3).graph, kernels::fir_seeded(F, 3, 4).graph];
+    let waiters = [
+        six_rows(2),
+        kernels::fir_seeded(F, 3, 3).graph,
+        kernels::fir_seeded(F, 3, 4).graph,
+    ];
     for (i, graph) in waiters.into_iter().enumerate() {
         match rt.submit(format!("q{i}"), graph).unwrap() {
             Admission::Queued(q) => {
@@ -119,8 +129,13 @@ fn late_submissions_never_jump_the_queue_head() {
     // Head of queue: a 6-row tenant. Behind it: a 2-row one.
     let big = rt.submit("big", six_rows(9)).unwrap();
     assert!(big.is_queued());
-    let small = rt.submit("small", kernels::fir_seeded(F, 3, 5).graph).unwrap();
-    assert!(small.is_queued(), "while the queue is non-empty, everyone joins it");
+    let small = rt
+        .submit("small", kernels::fir_seeded(F, 3, 5).graph)
+        .unwrap();
+    assert!(
+        small.is_queued(),
+        "while the queue is non-empty, everyone joins it"
+    );
 
     // The filler's release leaves five rows in a run: still none for the
     // head, and the small tenant must not overtake it even though it
@@ -131,7 +146,10 @@ fn late_submissions_never_jump_the_queue_head() {
     // Now the blocker leaves; the head drains first, the small one after.
     let drained = rt.release(blocker).unwrap();
     assert_eq!(
-        drained.iter().map(|a| (a.tenant, a.lease.row0)).collect::<Vec<_>>(),
+        drained
+            .iter()
+            .map(|a| (a.tenant, a.lease.row0))
+            .collect::<Vec<_>>(),
         [(big.tenant(), 0), (small.tenant(), 6)]
     );
     assert_eq!(rt.queue_len(), 0);
@@ -150,7 +168,11 @@ fn queued_tenants_cannot_run_and_can_cancel() {
         RuntimeError::Waiting(id)
     );
     assert_eq!(
-        rt.run(vec![StreamRequest { tenant: id, inputs: stream(5, 1, 0) }]).unwrap_err(),
+        rt.run(vec![StreamRequest {
+            tenant: id,
+            inputs: stream(5, 1, 0)
+        }])
+        .unwrap_err(),
         RuntimeError::Waiting(id)
     );
     // Cancelling a queued admission frees nothing but empties the queue.
@@ -161,16 +183,23 @@ fn queued_tenants_cannot_run_and_can_cancel() {
 
 #[test]
 fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
-    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2)],
+        ..RuntimeConfig::default()
+    };
     let mut rt = Runtime::new(cfg);
     // Two free rows left and a 4-row band; the 6-row head, with nothing to
     // take or share, blocks a 2-row follower that would fit right now.
     rt.submit("resident", kernels::fir_seeded(F, 7, 1).graph) // 13 nodes → 4 rows
         .unwrap()
         .expect_admitted("fits");
-    let head = rt.submit("head", kernels::fir_seeded(F, 12, 2).graph).unwrap();
+    let head = rt
+        .submit("head", kernels::fir_seeded(F, 12, 2).graph)
+        .unwrap();
     assert!(head.is_queued());
-    let follower = rt.submit("follower", kernels::fir_seeded(F, 3, 3).graph).unwrap();
+    let follower = rt
+        .submit("follower", kernels::fir_seeded(F, 3, 3).graph)
+        .unwrap();
     assert!(follower.is_queued());
 
     // Cancelling the blocked head must drain the follower immediately —
@@ -186,7 +215,10 @@ fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
 /// once, and when it has to wait in the queue for a neighbour to leave.
 #[test]
 fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
-    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2)],
+        ..RuntimeConfig::default()
+    };
     let mut rt = Runtime::new(cfg);
     let id = rt
         .submit("tenant", kernels::fir_seeded(F, 3, 1).graph) // 5 nodes → 2 rows
@@ -213,8 +245,15 @@ fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
     assert_eq!(rt.queued_tenants(), vec![id]);
 
     let drained = rt.release(neighbour).unwrap();
-    assert_eq!(drained.iter().map(|a| a.tenant).collect::<Vec<_>>(), vec![id]);
-    assert_eq!(rt.tenant(id).unwrap().stats.items, 5, "admitted from the queue");
+    assert_eq!(
+        drained.iter().map(|a| a.tenant).collect::<Vec<_>>(),
+        vec![id]
+    );
+    assert_eq!(
+        rt.tenant(id).unwrap().stats.items,
+        5,
+        "admitted from the queue"
+    );
     rt.verify().assert_ok();
     assert_bit_exact(&mut rt, id, 3, 2);
     assert_eq!(rt.tenant(id).unwrap().stats.items, 8);
@@ -255,14 +294,26 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
     let survivor = kernels::fir_seeded(F, 3, 12); // 5 nodes → 3 rows
     let big = kernels::fir_seeded(F, 13, 13); // 25 nodes → 13 rows
 
-    let cfg = RuntimeConfig { grids, ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        grids,
+        ..RuntimeConfig::default()
+    };
     let mut rt = Runtime::new(cfg);
-    let b = rt.submit("blocker", blocker.graph.clone()).unwrap().expect_admitted("fits");
-    let s = rt.submit("survivor", survivor.graph.clone()).unwrap().expect_admitted("fits");
+    let b = rt
+        .submit("blocker", blocker.graph.clone())
+        .unwrap()
+        .expect_admitted("fits");
+    let s = rt
+        .submit("survivor", survivor.graph.clone())
+        .unwrap()
+        .expect_admitted("fits");
     assert_eq!((s.lease.row0, s.lease.rows), (6, 3));
     rt.release(b.tenant).unwrap();
 
-    let adm = rt.submit("big", big.graph.clone()).unwrap().expect_admitted("compaction");
+    let adm = rt
+        .submit("big", big.graph.clone())
+        .unwrap()
+        .expect_admitted("compaction");
     assert_eq!(adm.lease.rows, 13, "a 13-row dedicated band");
     assert_eq!(adm.relocations, 1, "one band slid down to make room");
     assert_eq!(adm.lease.row0, 3, "admitted right above the compacted band");
@@ -294,7 +345,9 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
 
     // A parameter swap on the relocated tenant still lands on the right
     // (translated) settings frames.
-    let rep = rt.swap_params(s.tenant, &[fp(0.5), fp(-0.25), fp(0.125)]).unwrap();
+    let rep = rt
+        .swap_params(s.tenant, &[fp(0.5), fp(-0.25), fp(0.125)])
+        .unwrap();
     assert!(rep.dirty_pes > 0);
     assert_bit_exact(&mut rt, s.tenant, 4, 34);
 }
@@ -311,11 +364,18 @@ fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
     let mut rt = Runtime::new(cfg);
     // Fill the 4-wide grid with a 6-row blocker.
     let blocker = rt
-        .submit("blocker", kernels::matvec(F, &[
-            vec![1.0, 0.5, 0.25, 0.125],
-            vec![-1.0, 2.0, -0.5, 0.75],
-            vec![0.5, 0.5, 0.5, 0.5],
-        ]).graph)
+        .submit(
+            "blocker",
+            kernels::matvec(
+                F,
+                &[
+                    vec![1.0, 0.5, 0.25, 0.125],
+                    vec![-1.0, 2.0, -0.5, 0.75],
+                    vec![0.5, 0.5, 0.5, 0.5],
+                ],
+            )
+            .graph,
+        )
         .unwrap()
         .expect_admitted("empty pool"); // 21 nodes → 6 rows of 4
     assert_eq!(blocker.lease.grid, 0);
@@ -332,12 +392,19 @@ fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
     let fir_b = kernels::fir_seeded(F, 5, 42).graph;
     assert_eq!((rt.pool().free_rows(0), rt.pool().free_rows(1)), (6, 4));
     // Same structure, new coefficients: admitted where the key is warm.
-    let second = rt.submit("fir-b", fir_b).unwrap().expect_admitted("both grids have room");
+    let second = rt
+        .submit("fir-b", fir_b)
+        .unwrap()
+        .expect_admitted("both grids have room");
     assert!(second.cache_hit);
     let stats = rt.cache_stats();
     assert_eq!(stats.hits, 1, "cache-aware placement finds the warm width");
     assert_eq!(stats.misses, 2);
-    assert_eq!(rt.tenant(second.tenant).unwrap().lease.grid, 1, "placed on the warm grid");
+    assert_eq!(
+        rt.tenant(second.tenant).unwrap().lease.grid,
+        1,
+        "placed on the warm grid"
+    );
     // The warm-admitted tenant computes its own coefficients' results.
     assert_bit_exact(&mut rt, second.tenant, 8, 55);
 }
@@ -354,16 +421,25 @@ fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
     for round in 0..2 {
         for w in kernels::library(F) {
             let adm = rt.submit(format!("{}-{round}", w.name), w.graph).unwrap();
-            ids.push(adm.expect_admitted("a full pool time-shares before it queues").tenant);
+            ids.push(
+                adm.expect_admitted("a full pool time-shares before it queues")
+                    .tenant,
+            );
         }
     }
     assert!(ids.iter().any(|&t| shares_its_band(&rt, t)));
 
-    let graphs: Vec<_> = ids.iter().map(|&t| rt.tenant(t).unwrap().graph.clone()).collect();
+    let graphs: Vec<_> = ids
+        .iter()
+        .map(|&t| rt.tenant(t).unwrap().graph.clone())
+        .collect();
     let requests: Vec<StreamRequest> = ids
         .iter()
         .zip(&graphs)
-        .map(|(&t, g)| StreamRequest { tenant: t, inputs: stream(g.num_inputs, 12, t) })
+        .map(|(&t, g)| StreamRequest {
+            tenant: t,
+            inputs: stream(g.num_inputs, 12, t),
+        })
         .collect();
     let inputs: Vec<_> = requests.iter().map(|r| r.inputs.clone()).collect();
     let runs = rt.run(requests).unwrap();
@@ -382,7 +458,10 @@ fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
     }
 
     let led = rt.ledger();
-    assert!(led.context_switches > 0, "sharing a band must charge context switches");
+    assert!(
+        led.context_switches > 0,
+        "sharing a band must charge context switches"
+    );
     assert!(
         led.modeled_makespan < led.total_port_time(),
         "makespan {:?} must beat the summed port time {:?}",
@@ -390,7 +469,11 @@ fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
         led.total_port_time()
     );
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
-    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+    assert!(
+        rt.verify_timeline().ok(),
+        "{}",
+        rt.verify_timeline().summary()
+    );
 }
 
 /// A tenant is never charged a context switch against itself: two requests
@@ -398,15 +481,26 @@ fn time_shared_library_overlaps_switches_and_stays_bit_exact() {
 /// second finds its own configuration loaded.
 #[test]
 fn a_tenant_requested_twice_in_one_call_switches_at_most_once() {
-    let mut rt =
-        Runtime::new(RuntimeConfig { grids: vec![VcgraArch::paper_4x4()], ..RuntimeConfig::default() });
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![VcgraArch::paper_4x4()],
+        ..RuntimeConfig::default()
+    });
     let graph = kernels::fir_seeded(F, 8, 7).graph; // 15 nodes → all 4 rows
-    let first = rt.submit("first", graph.clone()).unwrap().expect_admitted("empty grid");
-    let second = rt.submit("second", graph.clone()).unwrap().expect_admitted("shares the band");
+    let first = rt
+        .submit("first", graph.clone())
+        .unwrap()
+        .expect_admitted("empty grid");
+    let second = rt
+        .submit("second", graph.clone())
+        .unwrap()
+        .expect_admitted("shares the band");
     assert!(shares_its_band(&rt, second.tenant));
 
     let mut twice = |tenant: TenantId| -> Vec<usize> {
-        let request = || StreamRequest { tenant, inputs: stream(graph.num_inputs, 3, tenant) };
+        let request = || StreamRequest {
+            tenant,
+            inputs: stream(graph.num_inputs, 3, tenant),
+        };
         let runs = rt.run(vec![request(), request()]).unwrap();
         runs.iter().map(|r| r.context_switches).collect()
     };
@@ -415,7 +509,11 @@ fn a_tenant_requested_twice_in_one_call_switches_at_most_once() {
     assert_eq!(twice(first.tenant), [1, 0]);
     assert_eq!(rt.ledger().context_switches, 1);
     assert_eq!(rt.tenant(first.tenant).unwrap().stats.context_switches, 1);
-    assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+    assert!(
+        rt.verify_timeline().ok(),
+        "{}",
+        rt.verify_timeline().summary()
+    );
 }
 
 /// A tenant that leaves a shared band leaves its configuration behind:
@@ -430,18 +528,30 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
             ..RuntimeConfig::default()
         });
         let tenants = (0..sharers)
-            .map(|i| rt.submit(format!("t{i}"), graph.clone()).unwrap().expect_admitted("shares").tenant)
+            .map(|i| {
+                rt.submit(format!("t{i}"), graph.clone())
+                    .unwrap()
+                    .expect_admitted("shares")
+                    .tenant
+            })
             .collect();
         (rt, tenants)
     };
     let switches = |rt: &mut Runtime, tenant: TenantId| -> usize {
-        let request = StreamRequest { tenant, inputs: stream(graph.num_inputs, 3, tenant) };
+        let request = StreamRequest {
+            tenant,
+            inputs: stream(graph.num_inputs, 3, tenant),
+        };
         rt.run(vec![request]).unwrap()[0].context_switches
     };
     let assert_clean = |rt: &Runtime, switches: usize| {
         assert_eq!(rt.ledger().context_switches, switches);
         assert!(rt.verify().ok(), "{}", rt.verify().summary());
-        assert!(rt.verify_timeline().ok(), "{}", rt.verify_timeline().summary());
+        assert!(
+            rt.verify_timeline().ok(),
+            "{}",
+            rt.verify_timeline().summary()
+        );
     };
 
     // Two sharers: admission left the second resident; it leaves, and the
@@ -449,7 +559,11 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
     let (mut rt, t) = shared_grid(2);
     rt.release(t[1]).unwrap();
     assert_eq!(rt.pool().band_tenants(0, 0), [t[0]]);
-    assert_eq!(switches(&mut rt, t[0]), 1, "the region holds the released tenant's configuration");
+    assert_eq!(
+        switches(&mut rt, t[0]),
+        1,
+        "the region holds the released tenant's configuration"
+    );
     assert_eq!(switches(&mut rt, t[0]), 0, "now its own is loaded");
     assert_clean(&rt, 1);
 
@@ -467,7 +581,10 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
 /// verifier agrees at every step.
 #[test]
 fn band_sharing_follows_admissions_resubmits_and_releases() {
-    let cfg = RuntimeConfig { grids: vec![VcgraArch::new(6, 4, 2)], ..RuntimeConfig::default() };
+    let cfg = RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2)],
+        ..RuntimeConfig::default()
+    };
     let mut rt = Runtime::new(cfg);
     let four_rows = |seed| kernels::fir_seeded(F, 8, seed).graph; // 15 nodes → 4 rows
     let shared = |rt: &Runtime, t: TenantId| {
@@ -475,10 +592,18 @@ fn band_sharing_follows_admissions_resubmits_and_releases() {
         shares_its_band(rt, t)
     };
 
-    let a = rt.submit("a", four_rows(1)).unwrap().expect_admitted("empty grid").tenant;
+    let a = rt
+        .submit("a", four_rows(1))
+        .unwrap()
+        .expect_admitted("empty grid")
+        .tenant;
     assert!(!shared(&rt, a));
     // Two rows are free, B wants four: it is time-multiplexed onto A's band.
-    let b = rt.submit("b", four_rows(2)).unwrap().expect_admitted("shares").tenant;
+    let b = rt
+        .submit("b", four_rows(2))
+        .unwrap()
+        .expect_admitted("shares")
+        .tenant;
     assert_eq!(rt.pool().band_tenants(0, 0), [a, b]);
     assert!(shared(&rt, a) && shared(&rt, b));
     // A structural resubmit takes B to a band of its own on the free rows.
@@ -486,7 +611,11 @@ fn band_sharing_follows_admissions_resubmits_and_releases() {
     assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
     assert!(!shared(&rt, a) && !shared(&rt, b));
     // C shares A's band; A leaves, and the survivor's band is dedicated again.
-    let c = rt.submit("c", four_rows(4)).unwrap().expect_admitted("shares").tenant;
+    let c = rt
+        .submit("c", four_rows(4))
+        .unwrap()
+        .expect_admitted("shares")
+        .tenant;
     assert!(shared(&rt, a) && shared(&rt, c) && !shared(&rt, b));
     rt.release(a).unwrap();
     assert!(!shared(&rt, c));
@@ -511,11 +640,13 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
     let mut submitted_order: Vec<TenantId> = Vec::new();
 
     let note_drained = |drained: &[runtime::Admitted],
-                           expected_queue: &mut VecDeque<TenantId>,
-                           live: &mut Vec<TenantId>,
-                           admitted_order: &mut Vec<TenantId>| {
+                        expected_queue: &mut VecDeque<TenantId>,
+                        live: &mut Vec<TenantId>,
+                        admitted_order: &mut Vec<TenantId>| {
         for adm in drained {
-            let head = expected_queue.pop_front().expect("drain with empty model queue");
+            let head = expected_queue
+                .pop_front()
+                .expect("drain with empty model queue");
             assert_eq!(adm.tenant, head, "drain must pop the FIFO head");
             live.push(adm.tenant);
             admitted_order.push(adm.tenant);
@@ -534,7 +665,12 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
         if round % 30 == 29 {
             while let Some(victim) = live.pop() {
                 let drained = rt.release(victim).unwrap();
-                note_drained(&drained, &mut expected_queue, &mut live, &mut admitted_order);
+                note_drained(
+                    &drained,
+                    &mut expected_queue,
+                    &mut live,
+                    &mut admitted_order,
+                );
             }
             assert_eq!(rt.queue_len(), 0, "an empty pool leaves nobody waiting");
             continue;
@@ -573,7 +709,12 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
                 if !live.is_empty() {
                     let victim = live.remove((rng.below(live.len() as u64)) as usize);
                     let drained = rt.release(victim).unwrap();
-                    note_drained(&drained, &mut expected_queue, &mut live, &mut admitted_order);
+                    note_drained(
+                        &drained,
+                        &mut expected_queue,
+                        &mut live,
+                        &mut admitted_order,
+                    );
                 }
             }
             // Stream a batch through a pseudo-random live tenant,
@@ -594,7 +735,10 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
     }
 
     assert!(live.is_empty(), "the last round cleared the pool");
-    assert!(rt.queue_failures().is_empty(), "no queued tenant may be dropped");
+    assert!(
+        rt.queue_failures().is_empty(),
+        "no queued tenant may be dropped"
+    );
     // Global FIFO: the admission order is exactly the submission order
     // restricted to tenants that were ever admitted.
     let admitted_set: std::collections::BTreeSet<_> = admitted_order.iter().copied().collect();
@@ -603,11 +747,17 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
         .copied()
         .filter(|t| admitted_set.contains(t))
         .collect();
-    assert_eq!(admitted_order, expected, "admissions must respect submission order");
+    assert_eq!(
+        admitted_order, expected,
+        "admissions must respect submission order"
+    );
     // The cache did its job across the churn: structures repeat, so warm
     // admissions must dominate cold compiles.
     let led = rt.ledger();
     assert!(led.warm_admissions > led.cold_compiles);
     // And the churn did go through the queue, not around it.
-    assert!(led.queue_admitted >= 12 && led.queue_admitted == led.queued, "{led:?}");
+    assert!(
+        led.queue_admitted >= 12 && led.queue_admitted == led.queued,
+        "{led:?}"
+    );
 }

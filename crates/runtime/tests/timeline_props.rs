@@ -62,8 +62,17 @@ fn assert_bounds(tl: &Timeline, ctx: &str) {
         tl.makespan(),
         tl.serialized()
     );
-    let summed: Duration = tl.intervals().iter().filter(|iv| iv.phase.charged()).map(|iv| iv.dur).sum();
-    assert_eq!(tl.charged(), summed, "{ctx}: running charged sum drifted from the interval log");
+    let summed: Duration = tl
+        .intervals()
+        .iter()
+        .filter(|iv| iv.phase.charged())
+        .map(|iv| iv.dur)
+        .sum();
+    assert_eq!(
+        tl.charged(),
+        summed,
+        "{ctx}: running charged sum drifted from the interval log"
+    );
 }
 
 proptest! {

@@ -56,7 +56,10 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     });
     let lib = kernels::library(F);
     let w = &lib[0];
-    let cold = rt.submit(&w.name, w.graph.clone()).expect("submit").expect_admitted("empty pool");
+    let cold = rt
+        .submit(&w.name, w.graph.clone())
+        .expect("submit")
+        .expect_admitted("empty pool");
     assert!(!cold.cache_hit);
     let warm = rt
         .submit(format!("{}-warm", w.name), w.graph.clone())
@@ -64,24 +67,42 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         .expect_admitted("fits");
     assert!(warm.cache_hit, "same structure must hit the cache");
     // 160 items in units of 64: the job spans three units.
-    let inputs: Vec<Vec<softfloat::FpValue>> =
-        (0..160).map(|i| (0..w.graph.num_inputs).map(|j| softfloat::FpValue::from_f64((i + j) as f64 * 0.25, F)).collect()).collect();
-    let runs = rt.run(vec![StreamRequest { tenant: cold.tenant, inputs }]).expect("stream");
+    let inputs: Vec<Vec<softfloat::FpValue>> = (0..160)
+        .map(|i| {
+            (0..w.graph.num_inputs)
+                .map(|j| softfloat::FpValue::from_f64((i + j) as f64 * 0.25, F))
+                .collect()
+        })
+        .collect();
+    let runs = rt
+        .run(vec![StreamRequest {
+            tenant: cold.tenant,
+            inputs,
+        }])
+        .expect("stream");
     assert_eq!(runs.len(), 1);
     assert_eq!((runs[0].items, runs[0].batches), (160, 3));
 
     // A parameter swap: every coefficient of the warm tenant changes.
     let slots = w.graph.coeff_nodes().len();
-    let coeffs: Vec<softfloat::FpValue> =
-        (0..slots).map(|i| softfloat::FpValue::from_f64(-3.0 - i as f64, F)).collect();
+    let coeffs: Vec<softfloat::FpValue> = (0..slots)
+        .map(|i| softfloat::FpValue::from_f64(-3.0 - i as f64, F))
+        .collect();
     let swap = rt.swap_params(warm.tenant, &coeffs).expect("swap");
-    assert_eq!((swap.dirty_pes, swap.sweeps), (slots, 1), "one sweep prices every changed PE");
+    assert_eq!(
+        (swap.dirty_pes, swap.sweeps),
+        (slots, 1),
+        "one sweep prices every changed PE"
+    );
 
     // Free the lower band and compact: the survivor slides down, and the
     // relocation replay must be traced as a `reconfig_overlap` span.
     rt.release(cold.tenant).expect("release");
     let moved = rt.compact_background().expect("compact");
-    assert!(moved >= 1, "freeing the lower band leaves a hole to compact");
+    assert!(
+        moved >= 1,
+        "freeing the lower band leaves a hole to compact"
+    );
 
     trace::configure(trace::TraceConfig::Off);
     let events = trace::take_events();
@@ -91,8 +112,14 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // cache / pricing / execute phases (cache and pricing live inside
     // the admission subtree; execute under the streaming request).
     let request = children.get("request").expect("request spans recorded");
-    assert!(request.contains("admission"), "admit requests open an admission child");
-    assert!(request.contains("execute"), "stream requests open an execute child");
+    assert!(
+        request.contains("admission"),
+        "admit requests open an admission child"
+    );
+    assert!(
+        request.contains("execute"),
+        "stream requests open an execute child"
+    );
     let executed: Vec<u64> = events
         .iter()
         .filter(|e| e.name == "execute" && e.phase == trace::Phase::End)
@@ -104,20 +131,36 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     // A worker's consecutive units of one job share a span, so the three
     // units show as one to three spans, depending on who took which.
     assert!((1..=3).contains(&executed.len()), "{executed:?}");
-    assert_eq!(executed.iter().sum::<u64>(), 160, "the spans' items sum to the run's");
+    assert_eq!(
+        executed.iter().sum::<u64>(),
+        160,
+        "the spans' items sum to the run's"
+    );
     // And the column tier its units ran on.
     let tier = trace::AttrValue::Str(softfloat::kernel::column_tier().to_string());
-    for e in events.iter().filter(|e| e.name == "execute" && e.phase == trace::Phase::End) {
-        assert_eq!(e.args.iter().find(|(k, _)| *k == "tier").map(|(_, v)| v), Some(&tier));
+    for e in events
+        .iter()
+        .filter(|e| e.name == "execute" && e.phase == trace::Phase::End)
+    {
+        assert_eq!(
+            e.args.iter().find(|(k, _)| *k == "tier").map(|(_, v)| v),
+            Some(&tier)
+        );
     }
     // A swap's `pricing` span says how much it priced and in how many
     // SCG sweeps (an admission's carries `port_ns` instead).
-    assert!(request.contains("pricing"), "swap requests open a pricing child");
+    assert!(
+        request.contains("pricing"),
+        "swap requests open a pricing child"
+    );
     let u64_arg = |e: &trace::TraceEvent, key: &str| {
-        e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
-            trace::AttrValue::U64(n) => *n,
-            other => panic!("`{key}` is a count, got {other:?}"),
-        })
+        e.args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| match v {
+                trace::AttrValue::U64(n) => *n,
+                other => panic!("`{key}` is a count, got {other:?}"),
+            })
     };
     let priced: Vec<(u64, u64)> = events
         .iter()
@@ -127,13 +170,18 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     assert_eq!(priced, [(slots as u64, 1)]);
     let admission = children.get("admission").expect("admission spans recorded");
     for phase in ["cache", "pricing", "placement", "sig"] {
-        assert!(admission.contains(phase), "admission subtree must contain {phase}");
+        assert!(
+            admission.contains(phase),
+            "admission subtree must contain {phase}"
+        );
     }
     assert!(
         children.get("admission").unwrap().contains("compile"),
         "the cold admission compiled, so its span must appear"
     );
-    let compaction = children.get("compaction").expect("compaction spans recorded");
+    let compaction = children
+        .get("compaction")
+        .expect("compaction spans recorded");
     assert!(
         compaction.contains("reconfig_overlap"),
         "the compaction replay must nest a reconfig_overlap span"

@@ -12,7 +12,11 @@ const F: FpFormat = FpFormat::PAPER;
 fn stream(n: usize, items: usize, salt: u64) -> Vec<Vec<FpValue>> {
     let mut rng = logic::SplitMix64::new(0xFEED ^ salt);
     (0..items)
-        .map(|_| (0..n).map(|_| FpValue::from_f64((rng.unit_f64() - 0.5) * 8.0, F)).collect())
+        .map(|_| {
+            (0..n)
+                .map(|_| FpValue::from_f64((rng.unit_f64() - 0.5) * 8.0, F))
+                .collect()
+        })
         .collect()
 }
 
@@ -31,7 +35,10 @@ fn churn_soak_verifies_after_every_operation() {
     let mut tenants = Vec::new();
     for (i, taps) in [3usize, 5, 8, 3, 12, 4].iter().enumerate() {
         let adm = rt
-            .submit(format!("t{i}"), kernels::fir_seeded(F, *taps, i as u64 + 1).graph)
+            .submit(
+                format!("t{i}"),
+                kernels::fir_seeded(F, *taps, i as u64 + 1).graph,
+            )
             .expect("verified submit");
         if let Admission::Admitted(a) = adm {
             tenants.push(a.tenant);
@@ -42,14 +49,18 @@ fn churn_soak_verifies_after_every_operation() {
     // Stream through the placed tenants.
     for &t in &tenants {
         let graph = rt.tenant(t).expect("live").graph.clone();
-        rt.run(vec![StreamRequest { tenant: t, inputs: stream(graph.num_inputs, 8, t) }])
-            .expect("verified run");
+        rt.run(vec![StreamRequest {
+            tenant: t,
+            inputs: stream(graph.num_inputs, 8, t),
+        }])
+        .expect("verified run");
     }
 
     // Structural refresh on one tenant, then churn releases (each drains
     // the queue, each re-verified).
     let first = tenants[0];
-    rt.resubmit(first, kernels::fir_seeded(F, 6, 99).graph).expect("verified resubmit");
+    rt.resubmit(first, kernels::fir_seeded(F, 6, 99).graph)
+        .expect("verified resubmit");
     for &t in &tenants {
         rt.release(t).expect("verified release");
     }
@@ -75,6 +86,9 @@ fn snapshot_reflects_live_state() {
     assert_eq!(snap.tenants.len(), 1);
     assert_eq!(snap.tenants[0].id, a.tenant);
     assert_eq!(snap.bands.len(), 1);
-    assert!(!snap.cache.is_empty(), "the admission compiled into the cache");
+    assert!(
+        !snap.cache.is_empty(),
+        "the admission compiled into the cache"
+    );
     assert!(verify::sched::check_sched(&snap).is_empty());
 }

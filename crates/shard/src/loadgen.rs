@@ -123,12 +123,17 @@ impl LoadReport {
     /// Admission logs per shard (names in the order each worker admitted
     /// them) — the determinism witness.
     pub fn admission_orders(&self) -> Vec<&[String]> {
-        self.shard_stats.iter().map(|s| s.admission_order.as_slice()).collect()
+        self.shard_stats
+            .iter()
+            .map(|s| s.admission_order.as_slice())
+            .collect()
     }
 }
 
 fn fp_stream(rng: &mut SplitMix64, n: usize, format: FpFormat) -> Vec<FpValue> {
-    (0..n).map(|_| FpValue::from_f64(rng.unit_f64() * 4.0 - 2.0, format)).collect()
+    (0..n)
+        .map(|_| FpValue::from_f64(rng.unit_f64() * 4.0 - 2.0, format))
+        .collect()
 }
 
 /// Expands a spec into a complete plan. Pure function of (format, spec):
@@ -256,18 +261,31 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
             let run1 = with_backpressure(|| {
                 server.run(
                     at.shard,
-                    vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
+                    vec![StreamRequest {
+                        tenant: at.tenant,
+                        inputs: job.inputs.clone(),
+                    }],
                 )
             });
             let swap = with_backpressure(|| server.swap_params(at, job.swap_coeffs.clone()));
             let run2 = with_backpressure(|| {
                 server.run(
                     at.shard,
-                    vec![StreamRequest { tenant: at.tenant, inputs: job.inputs.clone() }],
+                    vec![StreamRequest {
+                        tenant: at.tenant,
+                        inputs: job.inputs.clone(),
+                    }],
                 )
             });
             let release = with_backpressure(|| server.release(at));
-            flights.push(InFlight { at, admit, run1, swap, run2, release });
+            flights.push(InFlight {
+                at,
+                admit,
+                run1,
+                swap,
+                run2,
+                release,
+            });
         }
 
         // Collect in plan order (not completion order), so the digest is

@@ -119,7 +119,10 @@ impl Router {
 
     /// Current outstanding-ticket count per shard.
     fn loads(&self) -> Vec<u64> {
-        self.outstanding.iter().map(|a| a.load(Ordering::SeqCst)).collect()
+        self.outstanding
+            .iter()
+            .map(|a| a.load(Ordering::SeqCst))
+            .collect()
     }
 
     /// Shared load cell for one shard (held by tickets).
@@ -191,14 +194,20 @@ mod tests {
         let (shard, pick) = router.route(key);
         assert_eq!(pick, RoutePick::Spilled { from: primary });
         assert_ne!(shard, primary);
-        assert_eq!(shard, if primary == 0 { 1 } else { 0 }, "least-loaded, lowest index");
+        assert_eq!(
+            shard,
+            if primary == 0 { 1 } else { 0 },
+            "least-loaded, lowest index"
+        );
     }
 
     #[test]
     fn disabled_margin_never_spills() {
         let router = Router::new(2, u64::MAX);
         let key = RouteKey::of(&AppGraph::dot_product(F, &[1.0]));
-        router.load_cell(key.shard(2)).store(1_000_000, Ordering::SeqCst);
+        router
+            .load_cell(key.shard(2))
+            .store(1_000_000, Ordering::SeqCst);
         assert_eq!(router.route(key).1, RoutePick::Affinity);
     }
 }

@@ -56,7 +56,10 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// A config with `shards` shards and defaults everywhere else.
     pub fn new(shards: usize) -> Self {
-        ShardConfig { shards, ..ShardConfig::default() }
+        ShardConfig {
+            shards,
+            ..ShardConfig::default()
+        }
     }
 }
 
@@ -88,7 +91,10 @@ impl fmt::Display for Reject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Reject::QueueFull { shard, capacity } => {
-                write!(f, "shard {shard} queue full ({capacity} requests outstanding)")
+                write!(
+                    f,
+                    "shard {shard} queue full ({capacity} requests outstanding)"
+                )
             }
         }
     }
@@ -127,7 +133,10 @@ impl<T> Ticket<T> {
     /// If the shard worker exited without replying (a worker panic —
     /// the tier's invariant is that accepted work is always answered).
     pub fn wait(mut self) -> T {
-        let v = self.rx.recv().expect("shard worker exited without replying");
+        let v = self
+            .rx
+            .recv()
+            .expect("shard worker exited without replying");
         self.settle();
         v
     }
@@ -216,12 +225,30 @@ impl std::error::Error for DrainError {}
 /// reply channel, so callers get back exactly the type the underlying
 /// `Runtime` method returns — no downcasting, no stringly results.
 enum Op {
-    Admit { name: String, graph: AppGraph, reply: Sender<Result<Admission, RuntimeError>> },
-    Swap { tenant: TenantId, coeffs: Vec<FpValue>, reply: Sender<Result<SwapReport, RuntimeError>> },
-    Run { requests: Vec<StreamRequest>, reply: Sender<Result<Vec<TenantRun>, RuntimeError>> },
-    Release { tenant: TenantId, reply: Sender<Result<Vec<Admitted>, RuntimeError>> },
-    Verify { reply: Sender<verify::VerifyReport> },
-    Stats { reply: Sender<ShardStats> },
+    Admit {
+        name: String,
+        graph: AppGraph,
+        reply: Sender<Result<Admission, RuntimeError>>,
+    },
+    Swap {
+        tenant: TenantId,
+        coeffs: Vec<FpValue>,
+        reply: Sender<Result<SwapReport, RuntimeError>>,
+    },
+    Run {
+        requests: Vec<StreamRequest>,
+        reply: Sender<Result<Vec<TenantRun>, RuntimeError>>,
+    },
+    Release {
+        tenant: TenantId,
+        reply: Sender<Result<Vec<Admitted>, RuntimeError>>,
+    },
+    Verify {
+        reply: Sender<verify::VerifyReport>,
+    },
+    Stats {
+        reply: Sender<ShardStats>,
+    },
 }
 
 impl Op {
@@ -320,7 +347,14 @@ impl ShardServer {
         &mut self,
         name: impl Into<String>,
         graph: AppGraph,
-    ) -> Result<(ShardTenant, RoutePick, Ticket<Result<Admission, RuntimeError>>), Reject> {
+    ) -> Result<
+        (
+            ShardTenant,
+            RoutePick,
+            Ticket<Result<Admission, RuntimeError>>,
+        ),
+        Reject,
+    > {
         let key = RouteKey::of(&graph);
         let (shard, pick) = self.router.route(key);
         let mut span = trace::span("shard.route");
@@ -329,10 +363,23 @@ impl ShardServer {
         span.arg("spilled", matches!(pick, RoutePick::Spilled { .. }));
         if let RoutePick::Spilled { from } = pick {
             self.spilled.inc();
-            trace::instant("shard.spill", vec![("from", (from as u64).into()), ("to", (shard as u64).into())]);
+            trace::instant(
+                "shard.spill",
+                vec![
+                    ("from", (from as u64).into()),
+                    ("to", (shard as u64).into()),
+                ],
+            );
         }
         let (tx, rx) = channel();
-        self.dispatch(shard, Op::Admit { name: name.into(), graph, reply: tx })?;
+        self.dispatch(
+            shard,
+            Op::Admit {
+                name: name.into(),
+                graph,
+                reply: tx,
+            },
+        )?;
         let tenant = self.submitted[shard];
         self.submitted[shard] += 1;
         Ok((ShardTenant { shard, tenant }, pick, self.ticket(shard, rx)))
@@ -345,7 +392,14 @@ impl ShardServer {
         coeffs: Vec<FpValue>,
     ) -> Result<Ticket<Result<SwapReport, RuntimeError>>, Reject> {
         let (tx, rx) = channel();
-        self.dispatch(at.shard, Op::Swap { tenant: at.tenant, coeffs, reply: tx })?;
+        self.dispatch(
+            at.shard,
+            Op::Swap {
+                tenant: at.tenant,
+                coeffs,
+                reply: tx,
+            },
+        )?;
         Ok(self.ticket_unloaded(rx))
     }
 
@@ -358,7 +412,13 @@ impl ShardServer {
         requests: Vec<StreamRequest>,
     ) -> Result<Ticket<Result<Vec<TenantRun>, RuntimeError>>, Reject> {
         let (tx, rx) = channel();
-        self.dispatch(shard, Op::Run { requests, reply: tx })?;
+        self.dispatch(
+            shard,
+            Op::Run {
+                requests,
+                reply: tx,
+            },
+        )?;
         Ok(self.ticket_unloaded(rx))
     }
 
@@ -370,7 +430,13 @@ impl ShardServer {
         at: ShardTenant,
     ) -> Result<Ticket<Result<Vec<Admitted>, RuntimeError>>, Reject> {
         let (tx, rx) = channel();
-        self.dispatch(at.shard, Op::Release { tenant: at.tenant, reply: tx })?;
+        self.dispatch(
+            at.shard,
+            Op::Release {
+                tenant: at.tenant,
+                reply: tx,
+            },
+        )?;
         Ok(self.ticket_unloaded(rx))
     }
 
@@ -409,7 +475,9 @@ impl ShardServer {
     /// returns their final state (each including a closing verification
     /// of its runtime). Work already accepted completes first.
     pub fn shutdown(self) -> Vec<ShardFinal> {
-        let ShardServer { queues, workers, .. } = self;
+        let ShardServer {
+            queues, workers, ..
+        } = self;
         drop(queues);
         workers
             .into_iter()
@@ -422,7 +490,11 @@ impl ShardServer {
     /// a rejected-then-retried operation keeps one id.
     fn dispatch(&mut self, shard: usize, op: Op) -> Result<(), Reject> {
         let kind = op.kind();
-        let req = Request { id: self.next_id, enqueued: Instant::now(), op };
+        let req = Request {
+            id: self.next_id,
+            enqueued: Instant::now(),
+            op,
+        };
         match self.queues[shard].try_send(req) {
             Ok(()) => {
                 self.next_id += 1;
@@ -434,7 +506,10 @@ impl ShardServer {
                     "shard.reject",
                     vec![("shard", (shard as u64).into()), ("op", kind.into())],
                 );
-                Err(Reject::QueueFull { shard, capacity: self.queue_depth })
+                Err(Reject::QueueFull {
+                    shard,
+                    capacity: self.queue_depth,
+                })
             }
             Err(TrySendError::Disconnected(_)) => {
                 panic!("shard {shard} worker exited while the server was live")
@@ -445,7 +520,11 @@ impl ShardServer {
     /// Blocking variant for drain: waits for queue space instead of
     /// rejecting.
     fn send_blocking(&mut self, shard: usize, op: Op) {
-        let req = Request { id: self.next_id, enqueued: Instant::now(), op };
+        let req = Request {
+            id: self.next_id,
+            enqueued: Instant::now(),
+            op,
+        };
         self.next_id += 1;
         self.queues[shard]
             .send(req)
@@ -457,13 +536,21 @@ impl ShardServer {
     fn ticket<T>(&self, shard: usize, rx: Receiver<T>) -> Ticket<T> {
         let load = self.router.load_cell(shard);
         load.fetch_add(1, Ordering::SeqCst);
-        Ticket { rx, load: Some(load), settled: false }
+        Ticket {
+            rx,
+            load: Some(load),
+            settled: false,
+        }
     }
 
     /// A ticket that carries no routing load (every operation other than
     /// admission — the admission already charged its shard).
     fn ticket_unloaded<T>(&self, rx: Receiver<T>) -> Ticket<T> {
-        Ticket { rx, load: None, settled: false }
+        Ticket {
+            rx,
+            load: None,
+            settled: false,
+        }
     }
 }
 
@@ -505,7 +592,11 @@ fn worker_loop(
                 admit_ns.record_duration(t0.elapsed());
                 let _ = reply.send(result);
             }
-            Op::Swap { tenant, coeffs, reply } => {
+            Op::Swap {
+                tenant,
+                coeffs,
+                reply,
+            } => {
                 let t0 = Instant::now();
                 let result = rt.swap_params(tenant, &coeffs);
                 admit_ns.record_duration(t0.elapsed());

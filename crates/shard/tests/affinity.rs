@@ -10,7 +10,12 @@ use softfloat::{FpFormat, FpValue};
 const F: FpFormat = FpFormat::PAPER;
 
 fn small_spec() -> LoadSpec {
-    LoadSpec { waves: 2, tenants_per_wave: 6, items_per_tenant: 4, ..LoadSpec::default() }
+    LoadSpec {
+        waves: 2,
+        tenants_per_wave: 6,
+        items_per_tenant: 4,
+        ..LoadSpec::default()
+    }
 }
 
 #[test]
@@ -24,7 +29,12 @@ fn same_structure_always_routes_to_the_same_shard() {
             let variant = w
                 .graph
                 .with_coeffs(&vec![FpValue::from_f64(0.123, F); coeffs]);
-            assert_eq!(RouteKey::of(&variant).shard(shards), home, "{} at {shards} shards", w.name);
+            assert_eq!(
+                RouteKey::of(&variant).shard(shards),
+                home,
+                "{} at {shards} shards",
+                w.name
+            );
         }
     }
 }
@@ -32,20 +42,39 @@ fn same_structure_always_routes_to_the_same_shard() {
 #[test]
 fn server_sticks_structures_to_their_affine_shard() {
     // Spilling disabled: routing is pure affinity.
-    let mut server = ShardServer::start(ShardConfig { spill_margin: u64::MAX, ..ShardConfig::new(3) });
+    let mut server = ShardServer::start(ShardConfig {
+        spill_margin: u64::MAX,
+        ..ShardConfig::new(3)
+    });
     let fir = kernels::fir_seeded(F, 5, 7);
-    let (at_cold, pick, ticket) = server.submit("fir-cold", fir.graph.clone()).expect("dispatch");
+    let (at_cold, pick, ticket) = server
+        .submit("fir-cold", fir.graph.clone())
+        .expect("dispatch");
     assert_eq!(pick, RoutePick::Affinity);
     let cold = ticket.wait().expect("admit").expect_admitted("empty tier");
-    assert!(!cold.cache_hit, "first admission of the structure compiles cold");
+    assert!(
+        !cold.cache_hit,
+        "first admission of the structure compiles cold"
+    );
 
     // A coefficient variant must land on the same shard — and hit its cache.
     let coeffs = fir.graph.coeff_nodes().len();
-    let warm_graph = fir.graph.with_coeffs(&vec![FpValue::from_f64(-0.5, F); coeffs]);
+    let warm_graph = fir
+        .graph
+        .with_coeffs(&vec![FpValue::from_f64(-0.5, F); coeffs]);
     let (at_warm, _, ticket) = server.submit("fir-warm", warm_graph).expect("dispatch");
-    assert_eq!(at_warm.shard, at_cold.shard, "affinity key ignores coefficient values");
-    let warm = ticket.wait().expect("admit").expect_admitted("room on shard");
-    assert!(warm.cache_hit, "affine routing must convert the second admission to a warm hit");
+    assert_eq!(
+        at_warm.shard, at_cold.shard,
+        "affinity key ignores coefficient values"
+    );
+    let warm = ticket
+        .wait()
+        .expect("admit")
+        .expect_admitted("room on shard");
+    assert!(
+        warm.cache_hit,
+        "affine routing must convert the second admission to a warm hit"
+    );
     server.drain(true).expect("drain");
     for fin in server.shutdown() {
         assert!(fin.verify.ok(), "shard {} invariants", fin.shard);

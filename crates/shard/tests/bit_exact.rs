@@ -42,7 +42,11 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
                 "{shards} shards x {workers} workers changed the output bits"
             );
             for fin in tier.shutdown() {
-                assert!(fin.verify.ok(), "{shards} shards x {workers} workers: shard {}", fin.shard);
+                assert!(
+                    fin.verify.ok(),
+                    "{shards} shards x {workers} workers: shard {}",
+                    fin.shard
+                );
             }
         }
     }
@@ -54,7 +58,10 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
     let base_outputs = baseline.outputs.expect("keep_outputs");
     let tier_outputs = report.outputs.expect("keep_outputs");
     assert_eq!(base_outputs.len(), plan.tenants());
-    assert_eq!(base_outputs.keys().collect::<Vec<_>>(), tier_outputs.keys().collect::<Vec<_>>());
+    assert_eq!(
+        base_outputs.keys().collect::<Vec<_>>(),
+        tier_outputs.keys().collect::<Vec<_>>()
+    );
 
     for (wave, jobs) in plan.waves.iter().enumerate() {
         for job in jobs {
@@ -62,16 +69,12 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
             let tier = &tier_outputs[&job.name];
             // Phase by phase, vector by vector, bit by bit — and each
             // phase against run_dataflow on the phase's graph.
-            let phase_graphs =
-                [job.graph.clone(), job.graph.with_coeffs(&job.swap_coeffs)];
+            let phase_graphs = [job.graph.clone(), job.graph.with_coeffs(&job.swap_coeffs)];
             for (phase, graph) in phase_graphs.iter().enumerate() {
                 assert_eq!(base[phase].len(), job.inputs.len());
-                for (input, (b, t)) in
-                    job.inputs.iter().zip(base[phase].iter().zip(&tier[phase]))
-                {
-                    let bits = |vs: &[softfloat::FpValue]| {
-                        vs.iter().map(|v| v.bits).collect::<Vec<_>>()
-                    };
+                for (input, (b, t)) in job.inputs.iter().zip(base[phase].iter().zip(&tier[phase])) {
+                    let bits =
+                        |vs: &[softfloat::FpValue]| vs.iter().map(|v| v.bits).collect::<Vec<_>>();
                     assert_eq!(
                         bits(b),
                         bits(t),

@@ -9,14 +9,24 @@ use softfloat::FpFormat;
 const F: FpFormat = FpFormat::PAPER;
 
 fn spec(seed: u64) -> LoadSpec {
-    LoadSpec { seed, waves: 2, tenants_per_wave: 6, items_per_tenant: 4, ..LoadSpec::default() }
+    LoadSpec {
+        seed,
+        waves: 2,
+        tenants_per_wave: 6,
+        items_per_tenant: 4,
+        ..LoadSpec::default()
+    }
 }
 
 fn drive(plan: &LoadPlan, shards: usize) -> LoadReport {
     let mut server = ShardServer::start(ShardConfig::new(shards));
     let report = shard::loadgen::run(&mut server, plan).expect("load run");
     for fin in server.shutdown() {
-        assert!(fin.verify.ok(), "shard {} failed its closing verification", fin.shard);
+        assert!(
+            fin.verify.ok(),
+            "shard {} failed its closing verification",
+            fin.shard
+        );
     }
     report
 }
@@ -26,8 +36,14 @@ fn same_seed_same_admission_orders_and_fingerprint() {
     let plan = synthesize(F, &spec(0xD00D));
     let a = drive(&plan, 3);
     let b = drive(&plan, 3);
-    assert_eq!(a.fingerprint, b.fingerprint, "output fingerprints must match bit-for-bit");
-    assert_eq!(a.spills, b.spills, "spill decisions are part of the deterministic schedule");
+    assert_eq!(
+        a.fingerprint, b.fingerprint,
+        "output fingerprints must match bit-for-bit"
+    );
+    assert_eq!(
+        a.spills, b.spills,
+        "spill decisions are part of the deterministic schedule"
+    );
     assert_eq!(
         a.admission_orders(),
         b.admission_orders(),
@@ -52,5 +68,8 @@ fn synthesis_is_a_pure_function_of_the_seed() {
     // And a different seed actually changes the workload.
     let other = synthesize(F, &spec(0xEF01));
     let c = drive(&other, 2);
-    assert_ne!(a.fingerprint, c.fingerprint, "distinct seeds must synthesize distinct traffic");
+    assert_ne!(
+        a.fingerprint, c.fingerprint,
+        "distinct seeds must synthesize distinct traffic"
+    );
 }

@@ -134,28 +134,43 @@ pub struct FpValue {
 impl FpValue {
     /// Positive zero.
     pub fn zero(format: FpFormat) -> Self {
-        Self { bits: format.pack(FpClass::Zero, false, 0, 0), format }
+        Self {
+            bits: format.pack(FpClass::Zero, false, 0, 0),
+            format,
+        }
     }
 
     /// Signed zero.
     pub fn signed_zero(format: FpFormat, sign: bool) -> Self {
-        Self { bits: format.pack(FpClass::Zero, sign, 0, 0), format }
+        Self {
+            bits: format.pack(FpClass::Zero, sign, 0, 0),
+            format,
+        }
     }
 
     /// Signed infinity.
     pub fn infinity(format: FpFormat, sign: bool) -> Self {
-        Self { bits: format.pack(FpClass::Infinity, sign, 0, 0), format }
+        Self {
+            bits: format.pack(FpClass::Infinity, sign, 0, 0),
+            format,
+        }
     }
 
     /// Canonical NaN.
     pub fn nan(format: FpFormat) -> Self {
-        Self { bits: format.pack(FpClass::NaN, false, 0, 0), format }
+        Self {
+            bits: format.pack(FpClass::NaN, false, 0, 0),
+            format,
+        }
     }
 
     /// Wraps raw bits in a format.
     pub fn from_bits(bits: u64, format: FpFormat) -> Self {
         // Not `(1 << width) - 1`: a (9,52) value is 64 bits wide.
-        Self { bits: bits & (u64::MAX >> (64 - format.width())), format }
+        Self {
+            bits: bits & (u64::MAX >> (64 - format.width())),
+            format,
+        }
     }
 
     /// Exception class.
@@ -276,7 +291,10 @@ impl FpValue {
     pub fn mul(self, rhs: FpValue) -> FpValue {
         let format = self.format;
         assert_eq!(format, rhs.format);
-        FpValue { bits: FpKernel::new(format).mul(self.bits, rhs.bits), format }
+        FpValue {
+            bits: FpKernel::new(format).mul(self.bits, rhs.bits),
+            format,
+        }
     }
 
     /// Floating-point addition (RNE): [`FpKernel::add`] on the operands'
@@ -285,7 +303,10 @@ impl FpValue {
     pub fn add(self, rhs: FpValue) -> FpValue {
         let format = self.format;
         assert_eq!(format, rhs.format);
-        FpValue { bits: FpKernel::new(format).add(self.bits, rhs.bits), format }
+        FpValue {
+            bits: FpKernel::new(format).add(self.bits, rhs.bits),
+            format,
+        }
     }
 
     /// Subtraction (`self - rhs`), via sign flip.
@@ -317,7 +338,17 @@ mod tests {
 
     #[test]
     fn roundtrip_simple_values() {
-        for &x in &[0.0, 1.0, -1.0, 0.5, 2.0, 3.25, -17.625, 1000.0, 2.0_f64.powi(-20)] {
+        for &x in &[
+            0.0,
+            1.0,
+            -1.0,
+            0.5,
+            2.0,
+            3.25,
+            -17.625,
+            1000.0,
+            2.0_f64.powi(-20),
+        ] {
             let v = fp(x);
             assert_eq!(v.to_f64(), x, "{x} must be exactly representable");
         }
@@ -381,7 +412,11 @@ mod tests {
     #[test]
     fn overflow_and_underflow_saturate() {
         let big = fp(2.0f64.powi(30));
-        assert_eq!(big.mul(big).class(), FpClass::Infinity, "2^60 overflows we=6");
+        assert_eq!(
+            big.mul(big).class(),
+            FpClass::Infinity,
+            "2^60 overflows we=6"
+        );
         let small = fp(2.0f64.powi(-30));
         assert_eq!(small.mul(small).class(), FpClass::Zero, "2^-60 underflows");
     }

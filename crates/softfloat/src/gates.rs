@@ -102,7 +102,11 @@ pub fn shr_sticky(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> (Vec<Lit>, Lit) {
             sticky = g.or(sticky, gone);
             let mut next = Vec::with_capacity(w);
             for i in 0..w {
-                let shifted = if i + dist < w { cur[i + dist] } else { Lit::FALSE };
+                let shifted = if i + dist < w {
+                    cur[i + dist]
+                } else {
+                    Lit::FALSE
+                };
                 next.push(g.mux(sel, shifted, cur[i]));
             }
             cur = next;
@@ -332,7 +336,13 @@ pub fn mul_carry_save(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
 /// Builds a word of constant bits.
 pub fn const_word(value: u64, width: usize) -> Vec<Lit> {
     (0..width)
-        .map(|i| if (value >> i) & 1 == 1 { Lit::TRUE } else { Lit::FALSE })
+        .map(|i| {
+            if (value >> i) & 1 == 1 {
+                Lit::TRUE
+            } else {
+                Lit::FALSE
+            }
+        })
         .collect()
 }
 
@@ -370,9 +380,10 @@ mod tests {
                 words.push(if (vb >> i) & 1 == 1 { u64::MAX } else { 0 });
             }
             let out = simulate_u64(&g, &words);
-            let got = out.iter().enumerate().fold(0u64, |acc, (i, &w)| {
-                acc | ((w & 1) << i)
-            });
+            let got = out
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, &w)| acc | ((w & 1) << i));
             assert_eq!(got, reference(va, vb), "a={va:#x} b={vb:#x}");
         }
     }
@@ -409,13 +420,7 @@ mod tests {
 
     #[test]
     fn multiplier_small() {
-        check_binop(
-            8,
-            8,
-            mul_array,
-            |a, b| a * b,
-            16,
-        );
+        check_binop(8, 8, mul_array, |a, b| a * b, 16);
     }
 
     #[test]

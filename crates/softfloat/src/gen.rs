@@ -178,7 +178,12 @@ pub fn gen_mul(g: &mut Aig, fmt: FpFormat, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
 
     join(
         fmt,
-        &FpWires { exc, sign: sign_out, exp: exp_out, frac: frac_out },
+        &FpWires {
+            exc,
+            sign: sign_out,
+            exp: exp_out,
+            frac: frac_out,
+        },
     )
 }
 
@@ -317,7 +322,12 @@ pub fn gen_add(g: &mut Aig, fmt: FpFormat, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
 
     join(
         fmt,
-        &FpWires { exc, sign: sign_out, exp: exp_out, frac: frac_out },
+        &FpWires {
+            exc,
+            sign: sign_out,
+            exp: exp_out,
+            frac: frac_out,
+        },
     )
 }
 
@@ -376,7 +386,10 @@ mod tests {
     /// bit patterns, one per simulation lane, and returns each pair's raw
     /// output bits.
     fn drive2(g: &Aig, fmt: FpFormat, pairs: &[(u64, u64)]) -> Vec<u64> {
-        assert!(pairs.len() <= 64, "one pair per lane of the simulation word");
+        assert!(
+            pairs.len() <= 64,
+            "one pair per lane of the simulation word"
+        );
         let w = fmt.width() as usize;
         let mut words = vec![0u64; 2 * w];
         for (lane, &(va, vb)) in pairs.iter().enumerate() {
@@ -425,7 +438,11 @@ mod tests {
         for chunk in pairs.chunks(64) {
             for (&(va, vb), hw) in chunk.iter().zip(drive2(g, fmt, chunk)) {
                 let sw = soft(FpValue::from_bits(va, fmt), FpValue::from_bits(vb, fmt));
-                assert_eq!(hw, sw.bits, "{name} {va:#x}, {vb:#x} in ({}, {})", fmt.we, fmt.wf);
+                assert_eq!(
+                    hw, sw.bits,
+                    "{name} {va:#x}, {vb:#x} in ({}, {})",
+                    fmt.we, fmt.wf
+                );
                 results.push(sw);
             }
         }
@@ -434,7 +451,9 @@ mod tests {
 
     fn all_tiny_pairs() -> Vec<(u64, u64)> {
         let n = 1u64 << FpFormat::TINY.width(); // 8-bit values -> 65536 pairs
-        (0..n).flat_map(|va| (0..n).map(move |vb| (va, vb))).collect()
+        (0..n)
+            .flat_map(|va| (0..n).map(move |vb| (va, vb)))
+            .collect()
     }
 
     #[test]
@@ -476,7 +495,9 @@ mod tests {
     /// small or two large operands flush and saturate.
     fn close_normal_pair(rng: &mut SplitMix64, fmt: FpFormat) -> (u64, u64) {
         let ea = rng.below(1 << fmt.we);
-        let eb = (ea + rng.below(5)).saturating_sub(2).min(fmt.max_exp() as u64);
+        let eb = (ea + rng.below(5))
+            .saturating_sub(2)
+            .min(fmt.max_exp() as u64);
         let fa = rng.below(1 << fmt.wf);
         let fb = if rng.below(4) == 0 {
             let differing = rng.below(fmt.wf as u64 + 1);
@@ -499,9 +520,15 @@ mod tests {
             .map(|_| (random_fp_bits(&mut rng, fmt), random_fp_bits(&mut rng, fmt)))
             .collect();
         assert_netlist_agrees(g, fmt, name, soft, &mixed);
-        let close: Vec<(u64, u64)> = (0..DRAWS).map(|_| close_normal_pair(&mut rng, fmt)).collect();
+        let close: Vec<(u64, u64)> = (0..DRAWS)
+            .map(|_| close_normal_pair(&mut rng, fmt))
+            .collect();
         let results = assert_netlist_agrees(g, fmt, name, soft, &close);
-        for class in [crate::FpClass::Zero, crate::FpClass::Normal, crate::FpClass::Infinity] {
+        for class in [
+            crate::FpClass::Zero,
+            crate::FpClass::Normal,
+            crate::FpClass::Infinity,
+        ] {
             assert!(
                 results.iter().any(|r| r.class() == class),
                 "{name} of close Normal pairs never gave {class:?}"
@@ -559,7 +586,11 @@ mod tests {
         let fmt = FpFormat::PAPER;
         let g = build_mac_pe(fmt, InputKind::Param);
         // x*c + acc on human-readable values.
-        let cases = [(1.5, 2.0, 0.5, 3.5), (3.0, -2.0, 1.0, -5.0), (0.0, 7.0, 2.5, 2.5)];
+        let cases = [
+            (1.5, 2.0, 0.5, 3.5),
+            (3.0, -2.0, 1.0, -5.0),
+            (0.0, 7.0, 2.5, 2.5),
+        ];
         for (x, c, acc, expect) in cases {
             let vx = FpValue::from_f64(x, fmt).bits;
             let vc = FpValue::from_f64(c, fmt).bits;

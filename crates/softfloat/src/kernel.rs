@@ -230,7 +230,7 @@ impl FpKernel {
         let wf = self.format.wf;
         let prod = P::of(self.sig(a), self.sig(b)); // 2wf+2 bits
         let norm = prod.bits_from(2 * wf + 1) & 1; // product in [2,4)?
-        // Normalize: leading 1 at bit 2wf+1 either way.
+                                                   // Normalize: leading 1 at bit 2wf+1 either way.
         let prod = prod.shl(1 - norm as u32);
         let keep = prod.bits_from(wf + 1); // wf+1 bits incl. leading 1
         let guard = prod.bits_from(wf) & 1;
@@ -291,7 +291,11 @@ impl FpKernel {
         let wf = self.format.wf;
         // Order by magnitude: compare exp:frac as one integer.
         let mag_mask = self.sign_bit - 1;
-        let (big, small) = if b & mag_mask > a & mag_mask { (b, a) } else { (a, b) };
+        let (big, small) = if b & mag_mask > a & mag_mask {
+            (b, a)
+        } else {
+            (a, b)
+        };
         let d = self.exp(big) - self.exp(small);
         let width = wf + 4; // significand + 3 guard bits
         let x = self.sig(big) << 3;
@@ -380,14 +384,21 @@ impl FpKernel {
     ///
     /// Panics unless all three slices have the same length.
     pub fn add_col(&self, xs: &[u64], ys: &[u64], out: &mut [u64]) {
-        assert!(xs.len() == out.len() && ys.len() == out.len(), "one output lane per input lane");
+        assert!(
+            xs.len() == out.len() && ys.len() == out.len(),
+            "one output lane per input lane"
+        );
         self.column(Tier::best(), Column::Add(xs, ys), out)
     }
 
     /// Runs `op` into `out` on `tier`. The select form multiplies in
     /// `u64`, so a wider product stays on the base tier.
     fn column(&self, tier: Tier, op: Column, out: &mut [u64]) {
-        let tier = if self.narrow || matches!(op, Column::Add(..)) { tier } else { Tier::BASE };
+        let tier = if self.narrow || matches!(op, Column::Add(..)) {
+            tier
+        } else {
+            Tier::BASE
+        };
         tier.run(self, op, out)
     }
 
@@ -556,7 +567,12 @@ mod tests {
             1 => f.pack(FpClass::Infinity, rng.coin(), 0, 0),
             2 => f.pack(FpClass::NaN, false, 0, 0),
             3 => FpValue::from_bits(rng.next_u64(), f).bits,
-            _ => f.pack(FpClass::Normal, rng.coin(), rng.below(1 << f.we), rng.below(1 << f.wf)),
+            _ => f.pack(
+                FpClass::Normal,
+                rng.coin(),
+                rng.below(1 << f.we),
+                rng.below(1 << f.wf),
+            ),
         }
     }
 
@@ -582,12 +598,24 @@ mod tests {
                 let c = lane_bits(&mut rng, f);
                 let mul: Vec<u64> = xs.iter().map(|&x| kernel.mul(x, c)).collect();
                 let mac: Vec<u64> = mul.iter().map(|&p| kernel.add(p, 0)).collect();
-                let add: Vec<u64> = xs.iter().zip(&ys).map(|(&x, &y)| kernel.add(x, y)).collect();
+                let add: Vec<u64> = xs
+                    .iter()
+                    .zip(&ys)
+                    .map(|(&x, &y)| kernel.add(x, y))
+                    .collect();
                 let mut out = vec![u64::MAX; lanes];
                 kernel.mul_const_col(&xs, c, &mut out);
-                assert_eq!(out, mul, "mul_const_col in ({}, {}), c = {c:#x}", f.we, f.wf);
+                assert_eq!(
+                    out, mul,
+                    "mul_const_col in ({}, {}), c = {c:#x}",
+                    f.we, f.wf
+                );
                 kernel.mac_const_col(&xs, c, &mut out);
-                assert_eq!(out, mac, "mac_const_col in ({}, {}), c = {c:#x}", f.we, f.wf);
+                assert_eq!(
+                    out, mac,
+                    "mac_const_col in ({}, {}), c = {c:#x}",
+                    f.we, f.wf
+                );
                 kernel.add_col(&xs, &ys, &mut out);
                 assert_eq!(out, add, "add_col in ({}, {})", f.we, f.wf);
                 for &tier in &tiers {
@@ -634,7 +662,12 @@ mod tests {
         for &c in &all {
             let splat = vec![c; all.len()];
             check("mul", c, &|x| kernel.mul(x, c), Column::MulConst(&all, c));
-            check("mac", c, &|x| kernel.add(kernel.mul(x, c), 0), Column::MacConst(&all, c));
+            check(
+                "mac",
+                c,
+                &|x| kernel.add(kernel.mul(x, c), 0),
+                Column::MacConst(&all, c),
+            );
             check("add", c, &|x| kernel.add(x, c), Column::Add(&all, &splat));
         }
     }

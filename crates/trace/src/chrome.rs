@@ -114,7 +114,10 @@ mod tests {
             phase: Phase::Begin,
             ts_ns: 1_500,
             tid: 3,
-            args: vec![("n", AttrValue::U64(7)), ("s", AttrValue::Str("x\ny".into()))],
+            args: vec![
+                ("n", AttrValue::U64(7)),
+                ("s", AttrValue::Str("x\ny".into())),
+            ],
         }];
         let doc = to_chrome_json(&evs);
         assert!(doc.contains("\"name\":\"a\\\"b\""));

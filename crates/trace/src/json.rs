@@ -64,7 +64,10 @@ impl JsonValue {
 /// Parse a JSON document. Errors carry the byte offset and a short
 /// description.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -207,8 +210,7 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                 } else {
                                     None
@@ -272,7 +274,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("invalid number"))
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -282,9 +286,12 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "xé\n"}"#)
-            .unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        let v =
+            parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "xé\n"}"#).unwrap();
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("xé\n"));

@@ -116,7 +116,11 @@ impl Histogram {
         // Bucket counts are read first: a racing record() can then
         // only make `count` >= the bucket sum, never smaller, so
         // quantile ranks stay within the captured distribution.
-        let buckets: Vec<u64> = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let buckets: Vec<u64> = h
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         let count = h.count.load(Ordering::Relaxed);
         let min = h.min.load(Ordering::Relaxed);
         HistogramSnapshot {
@@ -236,7 +240,10 @@ impl Registry {
     /// Names and snapshots of every histogram, sorted by name.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         let g = self.inner.lock().expect("registry poisoned");
-        g.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
+        g.histograms
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect()
     }
 }
 
@@ -247,11 +254,27 @@ mod tests {
     #[test]
     fn bucket_index_is_monotone_and_bounds_cover() {
         let mut prev = 0usize;
-        for v in [0u64, 1, 7, 8, 9, 15, 16, 100, 1_000, 1 << 20, u64::MAX / 2, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            7,
+            8,
+            9,
+            15,
+            16,
+            100,
+            1_000,
+            1 << 20,
+            u64::MAX / 2,
+            u64::MAX,
+        ] {
             let i = bucket_index(v);
             assert!(i >= prev, "bucket index must be monotone in the value");
             let (lo, hi) = bucket_bounds(i);
-            assert!(lo <= v && (v < hi || hi == u64::MAX), "bounds must contain v={v}: [{lo},{hi})");
+            assert!(
+                lo <= v && (v < hi || hi == u64::MAX),
+                "bounds must contain v={v}: [{lo},{hi})"
+            );
             prev = i;
         }
         assert!(bucket_index(u64::MAX) < N_BUCKETS);
@@ -297,25 +320,53 @@ mod tests {
         let mut buckets = vec![0u64; N_BUCKETS];
         buckets[bucket_index(4)] = count - 1;
         buckets[bucket_index(1000)] = 1;
-        let s = HistogramSnapshot { buckets, count, sum: 0, min: 4, max: 1000 };
-        assert_eq!(s.quantile(1.0), 1000, "rank clamps to count, the exact top statistic");
+        let s = HistogramSnapshot {
+            buckets,
+            count,
+            sum: 0,
+            min: 4,
+            max: 1000,
+        };
+        assert_eq!(
+            s.quantile(1.0),
+            1000,
+            "rank clamps to count, the exact top statistic"
+        );
         assert_eq!(s.p50(), 4, "interior ranks still walk the buckets");
         // Saturated rank arithmetic: a count whose f64 image exceeds
         // u64::MAX must not walk past the distribution either.
         let mut buckets = vec![0u64; N_BUCKETS];
         buckets[bucket_index(4)] = u64::MAX;
-        let s = HistogramSnapshot { buckets, count: u64::MAX, sum: 0, min: 4, max: 7 };
+        let s = HistogramSnapshot {
+            buckets,
+            count: u64::MAX,
+            sum: 0,
+            min: 4,
+            max: 7,
+        };
         assert_eq!(s.quantile(1.0), 7);
         // Rank 1 floor: q = 0.0 on a one-sample histogram.
         let mut buckets = vec![0u64; N_BUCKETS];
         buckets[bucket_index(5)] = 1;
-        let s = HistogramSnapshot { buckets, count: 1, sum: 5, min: 5, max: 5 };
+        let s = HistogramSnapshot {
+            buckets,
+            count: 1,
+            sum: 5,
+            min: 5,
+            max: 5,
+        };
         assert_eq!(s.quantile(0.0), 5);
         assert_eq!(s.quantile(1.0), 5);
         // A racing record() can leave `count` ahead of the captured
         // bucket sum; the walk's fallthrough pins those ranks to `max`
         // instead of reading past the last occupied bucket.
-        let s = HistogramSnapshot { buckets: vec![0; N_BUCKETS], count: 5, sum: 0, min: 1, max: 9 };
+        let s = HistogramSnapshot {
+            buckets: vec![0; N_BUCKETS],
+            count: 5,
+            sum: 0,
+            min: 1,
+            max: 9,
+        };
         assert_eq!(s.quantile(0.5), 9);
     }
 

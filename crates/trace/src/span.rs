@@ -200,7 +200,11 @@ impl Drop for Span {
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !is_enabled() {
-        return Span { name, armed: false, end_args: Vec::new() };
+        return Span {
+            name,
+            armed: false,
+            end_args: Vec::new(),
+        };
     }
     record(TraceEvent {
         name,
@@ -209,7 +213,11 @@ pub fn span(name: &'static str) -> Span {
         tid: TID.with(|t| *t),
         args: Vec::new(),
     });
-    Span { name, armed: true, end_args: Vec::new() }
+    Span {
+        name,
+        armed: true,
+        end_args: Vec::new(),
+    }
 }
 
 /// Record a point event with attributes.

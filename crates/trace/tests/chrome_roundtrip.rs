@@ -55,14 +55,21 @@ fn multithreaded_spans_round_trip_through_chrome_json() {
     let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
     for ev in events {
-        let name = ev.get("name").and_then(JsonValue::as_str).expect("name").to_string();
+        let name = ev
+            .get("name")
+            .and_then(JsonValue::as_str)
+            .expect("name")
+            .to_string();
         let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph");
         let ts = ev.get("ts").and_then(JsonValue::as_f64).expect("ts");
         let tid = ev.get("tid").and_then(JsonValue::as_f64).expect("tid") as u64;
         ev.get("pid").and_then(JsonValue::as_f64).expect("pid");
 
         let prev = last_ts.insert(tid, ts).unwrap_or(0.0);
-        assert!(ts >= prev, "timestamps must be non-decreasing per thread ({prev} -> {ts})");
+        assert!(
+            ts >= prev,
+            "timestamps must be non-decreasing per thread ({prev} -> {ts})"
+        );
 
         match ph {
             "B" => stacks.entry(tid).or_default().push(name),
@@ -76,7 +83,10 @@ fn multithreaded_spans_round_trip_through_chrome_json() {
         }
     }
     for (tid, stack) in &stacks {
-        assert!(stack.is_empty(), "tid {tid} left unbalanced spans open: {stack:?}");
+        assert!(
+            stack.is_empty(),
+            "tid {tid} left unbalanced spans open: {stack:?}"
+        );
     }
 
     // The span args survived the round trip.
@@ -88,7 +98,10 @@ fn multithreaded_spans_round_trip_through_chrome_json() {
         })
         .expect("serve end event present");
     assert_eq!(
-        serve_end.get("args").and_then(|a| a.get("note")).and_then(JsonValue::as_str),
+        serve_end
+            .get("args")
+            .and_then(|a| a.get("note"))
+            .and_then(JsonValue::as_str),
         Some("main-thread span with a \"quoted\" string"),
     );
 }

@@ -30,7 +30,10 @@ pub fn check_mapping(app: &AppGraph, mapping: &VcgraMapping) -> Vec<Violation> {
     let n = app.nodes.len();
 
     if mapping.place.len() != n {
-        out.push(Violation::NodeCountMismatch { expected: n, got: mapping.place.len() });
+        out.push(Violation::NodeCountMismatch {
+            expected: n,
+            got: mapping.place.len(),
+        });
         // Node indices are unreliable past this point.
         return out;
     }
@@ -43,7 +46,10 @@ pub fn check_mapping(app: &AppGraph, mapping: &VcgraMapping) -> Vec<Violation> {
             continue;
         }
         if let Some(&j) = cell_of.get(&cell) {
-            out.push(Violation::PlacementOverlap { cell, nodes: (j, i) });
+            out.push(Violation::PlacementOverlap {
+                cell,
+                nodes: (j, i),
+            });
         } else {
             cell_of.insert(cell, i);
         }
@@ -116,7 +122,10 @@ pub fn check_mapping(app: &AppGraph, mapping: &VcgraMapping) -> Vec<Violation> {
                 (1, 0) => 2,
                 (-1, 0) => 3,
                 _ => {
-                    out.push(Violation::PathBroken { edge: e, step: s + 1 });
+                    out.push(Violation::PathBroken {
+                        edge: e,
+                        step: s + 1,
+                    });
                     continue;
                 }
             };

@@ -424,7 +424,11 @@ impl fmt::Display for Violation {
                 write!(f, "node {node} placed outside the grid at {cell:?}")
             }
             Violation::PlacementOverlap { cell, nodes } => {
-                write!(f, "nodes {} and {} both placed at {cell:?}", nodes.0, nodes.1)
+                write!(
+                    f,
+                    "nodes {} and {} both placed at {cell:?}",
+                    nodes.0, nodes.1
+                )
             }
             Violation::RouteMissing { from, to } => {
                 write!(f, "dataflow edge {from} -> {to} has no routed path")
@@ -433,15 +437,26 @@ impl fmt::Display for Violation {
                 write!(f, "route {edge} matches no dataflow edge of the graph")
             }
             Violation::RouteEndpointMismatch { edge, want, got } => {
-                write!(f, "route {edge} endpoint at {got:?}, placement says {want:?}")
+                write!(
+                    f,
+                    "route {edge} endpoint at {got:?}, placement says {want:?}"
+                )
             }
             Violation::PathBroken { edge, step } => {
-                write!(f, "route {edge} breaks at step {step} (non-adjacent or empty)")
+                write!(
+                    f,
+                    "route {edge} breaks at step {step} (non-adjacent or empty)"
+                )
             }
             Violation::PathRevisitsCell { edge, cell } => {
                 write!(f, "route {edge} revisits cell {cell:?}")
             }
-            Violation::ChannelOverCapacity { cell, dir, used, capacity } => {
+            Violation::ChannelOverCapacity {
+                cell,
+                dir,
+                used,
+                capacity,
+            } => {
                 write!(
                     f,
                     "channel segment at {cell:?} dir {dir} carries {used} routes, capacity {capacity}"
@@ -454,24 +469,41 @@ impl fmt::Display for Violation {
                 write!(f, "unused cell {cell:?} carries PE settings")
             }
             Violation::ModeMismatch { node } => {
-                write!(f, "node {node}: PE mode disagrees with the node's operation")
+                write!(
+                    f,
+                    "node {node}: PE mode disagrees with the node's operation"
+                )
             }
             Violation::CoeffMismatch { node } => {
                 write!(f, "node {node}: PE coefficient disagrees with the node's")
             }
             Violation::FormatMismatch { node } => {
-                write!(f, "node {node}: PE coefficient format disagrees with the datapath")
+                write!(
+                    f,
+                    "node {node}: PE coefficient format disagrees with the datapath"
+                )
             }
             Violation::SettingsWordCount { expected, got } => {
-                write!(f, "settings words: {got}, architecture has {expected} registers")
+                write!(
+                    f,
+                    "settings words: {got}, architecture has {expected} registers"
+                )
             }
             Violation::TreeCountMismatch { nets, trees } => {
                 write!(f, "{trees} trees for {nets} nets")
             }
             Violation::NodeOutOfRange { net, node, nodes } => {
-                write!(f, "net {net}: node {node} outside the graph ({nodes} nodes)")
+                write!(
+                    f,
+                    "net {net}: node {node} outside the graph ({nodes} nodes)"
+                )
             }
-            Violation::TrackOutOfRange { net, node, track, width } => {
+            Violation::TrackOutOfRange {
+                net,
+                node,
+                track,
+                width,
+            } => {
                 write!(f, "net {net}: node {node} on track {track}, width {width}")
             }
             Violation::SinkUnreached { net, sink } => {
@@ -483,8 +515,16 @@ impl fmt::Display for Violation {
             Violation::WireConflict { node, nets } => {
                 write!(f, "wire {node} shared by nets {} and {}", nets.0, nets.1)
             }
-            Violation::BandOutOfBounds { grid, row0, rows, grid_rows } => {
-                write!(f, "grid {grid}: band rows {row0}+{rows} exceed the grid's {grid_rows}")
+            Violation::BandOutOfBounds {
+                grid,
+                row0,
+                rows,
+                grid_rows,
+            } => {
+                write!(
+                    f,
+                    "grid {grid}: band rows {row0}+{rows} exceed the grid's {grid_rows}"
+                )
             }
             Violation::BandOverlap { grid, a, b } => {
                 write!(f, "grid {grid}: bands {a:?} and {b:?} overlap")
@@ -492,23 +532,55 @@ impl fmt::Display for Violation {
             Violation::EmptyBand { grid, row0 } => {
                 write!(f, "grid {grid}: band at row {row0} holds no tenants")
             }
-            Violation::RowConservation { grid, free, allocated, rows } => {
-                write!(f, "grid {grid}: {free} free + {allocated} allocated != {rows} rows")
+            Violation::RowConservation {
+                grid,
+                free,
+                allocated,
+                rows,
+            } => {
+                write!(
+                    f,
+                    "grid {grid}: {free} free + {allocated} allocated != {rows} rows"
+                )
             }
             Violation::LeaseWithoutBand { tenant } => {
                 write!(f, "tenant {tenant}: lease points at no band")
             }
             Violation::LeaseShapeMismatch { tenant } => {
-                write!(f, "tenant {tenant}: lease shape disagrees with its band/grid")
+                write!(
+                    f,
+                    "tenant {tenant}: lease shape disagrees with its band/grid"
+                )
             }
-            Violation::LeaseTooSmall { tenant, rows, needed } => {
-                write!(f, "tenant {tenant}: {rows} leased rows, demand needs {needed}")
+            Violation::LeaseTooSmall {
+                tenant,
+                rows,
+                needed,
+            } => {
+                write!(
+                    f,
+                    "tenant {tenant}: {rows} leased rows, demand needs {needed}"
+                )
             }
-            Violation::RegionMismatch { tenant, expected, got } => {
-                write!(f, "tenant {tenant}: compiled for region {got:?}, minimal is {expected:?}")
+            Violation::RegionMismatch {
+                tenant,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "tenant {tenant}: compiled for region {got:?}, minimal is {expected:?}"
+                )
             }
-            Violation::MappingNodeCount { tenant, expected, got } => {
-                write!(f, "tenant {tenant}: mapping places {got} nodes, graph has {expected}")
+            Violation::MappingNodeCount {
+                tenant,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "tenant {tenant}: mapping places {got} nodes, graph has {expected}"
+                )
             }
             Violation::QueueLedgerDrift { queued, accounted } => {
                 write!(f, "ledger drift: queued {queued}, accounted {accounted}")
@@ -517,16 +589,28 @@ impl fmt::Display for Violation {
                 write!(f, "tenant {tenant} is both live and queued")
             }
             Violation::ResidentInvalid { grid, row0, tenant } => {
-                write!(f, "resident map: tenant {tenant} not on band (grid {grid}, row {row0})")
+                write!(
+                    f,
+                    "resident map: tenant {tenant} not on band (grid {grid}, row {row0})"
+                )
             }
             Violation::CacheKeyCollision { a, b } => {
-                write!(f, "tenants {a} and {b}: same cache key, different structure")
+                write!(
+                    f,
+                    "tenants {a} and {b}: same cache key, different structure"
+                )
             }
             Violation::CacheKeySplit { a, b } => {
-                write!(f, "tenants {a} and {b}: same structure, different cache keys")
+                write!(
+                    f,
+                    "tenants {a} and {b}: same structure, different cache keys"
+                )
             }
             Violation::CacheEntryMismatch { key_id } => {
-                write!(f, "cache entry {key_id:#x}: mapping disagrees with its key's region")
+                write!(
+                    f,
+                    "cache entry {key_id:#x}: mapping disagrees with its key's region"
+                )
             }
             Violation::PortOverlap { a, b, at_ns } => {
                 write!(
@@ -537,14 +621,23 @@ impl fmt::Display for Violation {
             Violation::LaneOverlap { lane, at_ns } => {
                 write!(f, "band lane {lane:?} double-booked at {at_ns} ns")
             }
-            Violation::TimelineChargeDrift { timeline_ns, ledger_ns } => {
+            Violation::TimelineChargeDrift {
+                timeline_ns,
+                ledger_ns,
+            } => {
                 write!(
                     f,
                     "charged lane durations sum to {timeline_ns} ns, ledger port time is {ledger_ns} ns"
                 )
             }
-            Violation::MakespanMismatch { reported_ns, computed_ns } => {
-                write!(f, "reported makespan {reported_ns} ns, intervals end at {computed_ns} ns")
+            Violation::MakespanMismatch {
+                reported_ns,
+                computed_ns,
+            } => {
+                write!(
+                    f,
+                    "reported makespan {reported_ns} ns, intervals end at {computed_ns} ns"
+                )
             }
             Violation::NotEquivalent { detail } => {
                 write!(f, "mapping not equivalent: {detail}")
@@ -578,7 +671,12 @@ impl VerifyReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         if self.ok() {
-            format!("{}: {} checked, clean ({:.1} ms)", self.pass, self.checked, self.seconds * 1e3)
+            format!(
+                "{}: {} checked, clean ({:.1} ms)",
+                self.pass,
+                self.checked,
+                self.seconds * 1e3
+            )
         } else {
             format!(
                 "{}: {} checked, {} VIOLATIONS ({:.1} ms)",
@@ -593,7 +691,11 @@ impl VerifyReport {
     /// Panics with every violation listed unless the report is clean.
     pub fn assert_ok(&self) {
         if !self.ok() {
-            let mut msg = format!("{} violations in pass '{}':", self.violations.len(), self.pass);
+            let mut msg = format!(
+                "{} violations in pass '{}':",
+                self.violations.len(),
+                self.pass
+            );
             for v in &self.violations {
                 msg.push_str(&format!("\n  [{}] {v}", v.code()));
             }
@@ -703,7 +805,12 @@ mod tests {
 
     #[test]
     fn report_summary_and_json() {
-        let clean = VerifyReport { pass: "routes", checked: 3, violations: vec![], seconds: 0.001 };
+        let clean = VerifyReport {
+            pass: "routes",
+            checked: 3,
+            violations: vec![],
+            seconds: 0.001,
+        };
         assert!(clean.ok());
         assert!(clean.summary().contains("clean"));
         clean.assert_ok();
@@ -711,11 +818,18 @@ mod tests {
         let bad = VerifyReport {
             pass: "routes",
             checked: 3,
-            violations: vec![Violation::WireConflict { node: 7, nets: (0, 2) }],
+            violations: vec![Violation::WireConflict {
+                node: 7,
+                nets: (0, 2),
+            }],
             seconds: 0.001,
         };
         assert!(!bad.ok());
-        assert!(bad.summary().contains("routes: 3 checked, 1 VIOLATIONS"), "{}", bad.summary());
+        assert!(
+            bad.summary().contains("routes: 3 checked, 1 VIOLATIONS"),
+            "{}",
+            bad.summary()
+        );
     }
 
     #[test]
@@ -724,7 +838,10 @@ mod tests {
         VerifyReport {
             pass: "routes",
             checked: 1,
-            violations: vec![Violation::WireConflict { node: 7, nets: (0, 2) }],
+            violations: vec![Violation::WireConflict {
+                node: 7,
+                nets: (0, 2),
+            }],
             seconds: 0.0,
         }
         .assert_ok();

@@ -39,7 +39,10 @@ pub fn check_route_trees(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     if nets.len() != trees.len() {
-        out.push(Violation::TreeCountMismatch { nets: nets.len(), trees: trees.len() });
+        out.push(Violation::TreeCountMismatch {
+            nets: nets.len(),
+            trees: trees.len(),
+        });
         return out;
     }
 
@@ -54,7 +57,11 @@ pub fn check_route_trees(
         let mut valid = true;
         for &node in tree {
             if (node as usize) >= n_nodes {
-                out.push(Violation::NodeOutOfRange { net: i, node, nodes: n_nodes });
+                out.push(Violation::NodeOutOfRange {
+                    net: i,
+                    node,
+                    nodes: n_nodes,
+                });
                 valid = false;
                 continue;
             }
@@ -107,8 +114,11 @@ pub fn check_route_trees(
                 out.push(Violation::SinkUnreached { net: i, sink });
             }
         }
-        let mut stranded: Vec<u32> =
-            tree.iter().copied().filter(|n| !reach.contains(n) && !net.sinks.contains(n)).collect();
+        let mut stranded: Vec<u32> = tree
+            .iter()
+            .copied()
+            .filter(|n| !reach.contains(n) && !net.sinks.contains(n))
+            .collect();
         stranded.sort_unstable();
         for node in stranded {
             out.push(Violation::StrandedNode { net: i, node });
@@ -131,7 +141,10 @@ mod tests {
         let src = graph.opin(fabric::arch::Site::Logic { x: 0, y: 0 });
         let dst = graph.ipin(fabric::arch::Site::Logic { x: 2, y: 2 }, 0);
         let tree = bfs_path(&graph, src, dst);
-        let nets = vec![NetTerminals { sources: vec![src], sinks: vec![dst] }];
+        let nets = vec![NetTerminals {
+            sources: vec![src],
+            sinks: vec![dst],
+        }];
         (graph, nets, vec![tree])
     }
 
@@ -192,6 +205,10 @@ mod tests {
         let huge = graph.node_count() as u32 + 5;
         trees[0].push(huge);
         let v = check_route_trees(&graph, &nets, &trees);
-        assert!(v.iter().any(|x| matches!(x, Violation::NodeOutOfRange { .. })), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|x| matches!(x, Violation::NodeOutOfRange { .. })),
+            "{v:?}"
+        );
     }
 }

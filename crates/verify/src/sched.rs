@@ -36,7 +36,12 @@ pub struct StructureSig(Vec<u64>);
 
 impl StructureSig {
     /// Derives the signature of a graph compiled onto a region.
-    pub fn of(region_rows: usize, region_cols: usize, channel_capacity: usize, app: &AppGraph) -> Self {
+    pub fn of(
+        region_rows: usize,
+        region_cols: usize,
+        channel_capacity: usize,
+        app: &AppGraph,
+    ) -> Self {
         let mut v: Vec<u64> = vec![
             region_rows as u64,
             region_cols as u64,
@@ -192,7 +197,10 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
                 });
             }
             if b.tenants.is_empty() {
-                out.push(Violation::EmptyBand { grid: g, row0: b.row0 });
+                out.push(Violation::EmptyBand {
+                    grid: g,
+                    row0: b.row0,
+                });
             }
             if let Some(prev) = i.checked_sub(1).map(|p| bands[p]) {
                 if prev.row0 + prev.rows > b.row0 {
@@ -216,7 +224,10 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
 
     // --- leases against bands ---
     for t in &snap.tenants {
-        let band = snap.bands.iter().find(|b| b.grid == t.grid && b.row0 == t.row0);
+        let band = snap
+            .bands
+            .iter()
+            .find(|b| b.grid == t.grid && b.row0 == t.row0);
         match band {
             None => out.push(Violation::LeaseWithoutBand { tenant: t.id }),
             Some(b) => {
@@ -230,7 +241,11 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
         // --- region soundness ---
         let needed = rows_needed(t.demand, t.cols);
         if t.rows < needed {
-            out.push(Violation::LeaseTooSmall { tenant: t.id, rows: t.rows, needed });
+            out.push(Violation::LeaseTooSmall {
+                tenant: t.id,
+                rows: t.rows,
+                needed,
+            });
         }
         if t.region != (needed, t.cols) {
             out.push(Violation::RegionMismatch {
@@ -254,7 +269,10 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
         + snap.ledger.queue_cancelled
         + snap.queue.len() as u64;
     if snap.ledger.queued != accounted {
-        out.push(Violation::QueueLedgerDrift { queued: snap.ledger.queued, accounted });
+        out.push(Violation::QueueLedgerDrift {
+            queued: snap.ledger.queued,
+            accounted,
+        });
     }
     for &q in &snap.queue {
         if snap.tenants.iter().any(|t| t.id == q) {
@@ -310,8 +328,17 @@ mod tests {
         let app = AppGraph::dot_product(FpFormat::PAPER, &[1.0, 2.0, 3.0]);
         let demand = app.pe_demand();
         SchedSnapshot {
-            grids: vec![GridSnap { rows: 6, cols: 4, free_rows: 4 }],
-            bands: vec![BandSnap { grid: 0, row0: 0, rows: 2, tenants: vec![1] }],
+            grids: vec![GridSnap {
+                rows: 6,
+                cols: 4,
+                free_rows: 4,
+            }],
+            bands: vec![BandSnap {
+                grid: 0,
+                row0: 0,
+                rows: 2,
+                tenants: vec![1],
+            }],
             tenants: vec![TenantSnap {
                 id: 1,
                 grid: 0,
@@ -355,6 +382,10 @@ mod tests {
         let mut s = clean();
         s.grids[0].free_rows = 5; // claims a row the band still holds
         let v = check_sched(&s);
-        assert!(v.iter().any(|x| matches!(x, Violation::RowConservation { .. })), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|x| matches!(x, Violation::RowConservation { .. })),
+            "{v:?}"
+        );
     }
 }

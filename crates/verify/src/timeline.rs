@@ -95,14 +95,22 @@ pub fn check_timeline(snap: &TimelineSnapshot) -> Vec<Violation> {
         ivs.sort_by_key(|iv| (iv.start_ns, iv.end_ns()));
         for pair in ivs.windows(2) {
             if pair[1].start_ns < pair[0].end_ns() {
-                violations.push(Violation::LaneOverlap { lane, at_ns: pair[1].start_ns });
+                violations.push(Violation::LaneOverlap {
+                    lane,
+                    at_ns: pair[1].start_ns,
+                });
             }
         }
     }
 
     // Charge conservation: the charged intervals sum exactly to the
     // ledger's port time — nothing double-counted, nothing dropped.
-    let timeline_ns: u64 = snap.intervals.iter().filter(|iv| iv.charged).map(|iv| iv.dur_ns).sum();
+    let timeline_ns: u64 = snap
+        .intervals
+        .iter()
+        .filter(|iv| iv.charged)
+        .map(|iv| iv.dur_ns)
+        .sum();
     if timeline_ns != snap.ledger_port_ns {
         violations.push(Violation::TimelineChargeDrift {
             timeline_ns,
@@ -111,7 +119,12 @@ pub fn check_timeline(snap: &TimelineSnapshot) -> Vec<Violation> {
     }
 
     // Makespan honesty: the reported number is the last interval's end.
-    let computed_ns = snap.intervals.iter().map(PhaseSnap::end_ns).max().unwrap_or(0);
+    let computed_ns = snap
+        .intervals
+        .iter()
+        .map(PhaseSnap::end_ns)
+        .max()
+        .unwrap_or(0);
     if computed_ns != snap.makespan_ns {
         violations.push(Violation::MakespanMismatch {
             reported_ns: snap.makespan_ns,
@@ -134,7 +147,15 @@ mod tests {
         start_ns: u64,
         dur_ns: u64,
     ) -> PhaseSnap {
-        PhaseSnap { lane, phase, uses_port, charged, tenant: Some(1), start_ns, dur_ns }
+        PhaseSnap {
+            lane,
+            phase,
+            uses_port,
+            charged,
+            tenant: Some(1),
+            start_ns,
+            dur_ns,
+        }
     }
 
     fn clean() -> TimelineSnapshot {
@@ -162,7 +183,9 @@ mod tests {
         snap.intervals[1].dur_ns = 90; // end unchanged: lane/makespan clean
         let violations = check_timeline(&snap);
         assert!(
-            violations.iter().any(|v| matches!(v, Violation::PortOverlap { at_ns: 60, .. })),
+            violations
+                .iter()
+                .any(|v| matches!(v, Violation::PortOverlap { at_ns: 60, .. })),
             "{violations:?}"
         );
     }
@@ -175,9 +198,13 @@ mod tests {
         snap.intervals[2].dur_ns = 250;
         let violations = check_timeline(&snap);
         assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, Violation::LaneOverlap { lane: (0, 0), at_ns: 50 })),
+            violations.iter().any(|v| matches!(
+                v,
+                Violation::LaneOverlap {
+                    lane: (0, 0),
+                    at_ns: 50
+                }
+            )),
             "{violations:?}"
         );
     }
@@ -190,7 +217,10 @@ mod tests {
         assert!(
             violations.iter().any(|v| matches!(
                 v,
-                Violation::TimelineChargeDrift { timeline_ns: 180, ledger_ns: 187 }
+                Violation::TimelineChargeDrift {
+                    timeline_ns: 180,
+                    ledger_ns: 187
+                }
             )),
             "{violations:?}"
         );
@@ -204,7 +234,10 @@ mod tests {
         assert!(
             violations.iter().any(|v| matches!(
                 v,
-                Violation::MakespanMismatch { reported_ns: 299, computed_ns: 300 }
+                Violation::MakespanMismatch {
+                    reported_ns: 299,
+                    computed_ns: 300
+                }
             )),
             "{violations:?}"
         );

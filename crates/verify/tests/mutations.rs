@@ -41,7 +41,10 @@ fn clean_mapping() -> (AppGraph, vcgra::flow::VcgraMapping) {
     let app = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
     let rows = verify::sched::rows_needed(app.pe_demand(), 4);
     let mapping = vcgra::flow::map_app(&app, VcgraArch::new(rows, 4, 2), 1).expect("mappable");
-    assert!(check_mapping(&app, &mapping).is_empty(), "artifact must start clean");
+    assert!(
+        check_mapping(&app, &mapping).is_empty(),
+        "artifact must start clean"
+    );
     (app, mapping)
 }
 
@@ -62,7 +65,11 @@ fn dropped_route_is_rejected() {
 #[test]
 fn broken_path_is_rejected() {
     let (app, mut m) = clean_mapping();
-    let r = m.routes.iter_mut().find(|r| r.path.len() >= 2).expect("a multi-cell path");
+    let r = m
+        .routes
+        .iter_mut()
+        .find(|r| r.path.len() >= 2)
+        .expect("a multi-cell path");
     // Teleport an interior/terminal step somewhere non-adjacent.
     let last = r.path.len() - 1;
     r.path[last] = (m.arch.rows + 7, m.arch.cols + 7);
@@ -79,7 +86,11 @@ fn wrong_pe_mode_is_rejected() {
         .flatten()
         .next()
         .expect("at least one configured PE");
-    s.mode = if s.mode == PeMode::Pass { PeMode::Mac } else { PeMode::Pass };
+    s.mode = if s.mode == PeMode::Pass {
+        PeMode::Mac
+    } else {
+        PeMode::Pass
+    };
     assert_violation!(check_mapping(&app, &m), Violation::ModeMismatch { .. });
 }
 
@@ -99,8 +110,18 @@ fn placement_missing_a_node_is_rejected() {
     let (app, mut m) = clean_mapping();
     m.place.pop();
     let v = check_mapping(&app, &m);
-    assert_violation!(v, Violation::NodeCountMismatch { expected: 5, got: 4 });
-    assert_eq!(v.len(), 1, "node indices are not trusted past the count: {v:?}");
+    assert_violation!(
+        v,
+        Violation::NodeCountMismatch {
+            expected: 5,
+            got: 4
+        }
+    );
+    assert_eq!(
+        v.len(),
+        1,
+        "node indices are not trusted past the count: {v:?}"
+    );
 }
 
 #[test]
@@ -112,7 +133,11 @@ fn node_placed_off_the_grid_is_rejected() {
     m.pe_settings[old] = None;
     let off = (m.arch.rows, 0);
     m.place[0] = off;
-    let edge = m.routes.iter().position(|r| r.from == 0).expect("mul0 feeds the adder tree");
+    let edge = m
+        .routes
+        .iter()
+        .position(|r| r.from == 0)
+        .expect("mul0 feeds the adder tree");
     let v = check_mapping(&app, &m);
     assert_violation!(v, Violation::PlacementOutOfBounds { node: 0, cell } if *cell == off);
     assert_violation!(v, Violation::RouteEndpointMismatch { edge: e, want, .. }
@@ -136,8 +161,11 @@ fn channel_narrower_than_its_routes_is_rejected() {
     let (app, mut m) = clean_mapping();
     // Every directed segment a route uses is now over a zero capacity.
     m.arch.channel_capacity = 0;
-    let segments: std::collections::HashSet<_> =
-        m.routes.iter().flat_map(|r| r.path.windows(2).map(|w| (w[0], w[1]))).collect();
+    let segments: std::collections::HashSet<_> = m
+        .routes
+        .iter()
+        .flat_map(|r| r.path.windows(2).map(|w| (w[0], w[1])))
+        .collect();
     assert!(!segments.is_empty(), "the adder tree routes between PEs");
     let v = check_mapping(&app, &m);
     let over = |x: &Violation| matches!(x, Violation::ChannelOverCapacity { capacity: 0, .. });
@@ -158,7 +186,11 @@ fn placed_node_without_settings_is_rejected() {
 #[test]
 fn settings_on_an_unused_cell_are_rejected() {
     let (app, mut m) = clean_mapping();
-    let empty = m.pe_settings.iter().position(Option::is_none).expect("five nodes on eight PEs");
+    let empty = m
+        .pe_settings
+        .iter()
+        .position(Option::is_none)
+        .expect("five nodes on eight PEs");
     m.pe_settings[empty] = m.pe_settings[cell_index(&m, 0)];
     let cell = (empty / m.arch.cols, empty % m.arch.cols);
     let v = check_mapping(&app, &m);
@@ -184,8 +216,10 @@ fn settings_in_another_format_are_rejected() {
     // zero, and a (5,10) zero has the same bits.
     assert!(app.nodes[3].coeff.is_none());
     let at = cell_index(&m, 3);
-    m.pe_settings[at].as_mut().expect("the adder has settings").coeff =
-        softfloat::FpValue::zero(FpFormat::new(5, 10));
+    m.pe_settings[at]
+        .as_mut()
+        .expect("the adder has settings")
+        .coeff = softfloat::FpValue::zero(FpFormat::new(5, 10));
     let v = check_mapping(&app, &m);
     assert_violation!(v, Violation::FormatMismatch { node: 3 });
     assert_eq!(v.len(), 1, "{v:?}");
@@ -208,10 +242,16 @@ fn settings_words_beyond_the_registers_are_rejected() {
 fn small_aig() -> logic::aig::Aig {
     use logic::aig::{Aig, InputKind};
     let mut g = Aig::new();
-    let xs: Vec<_> = (0..6).map(|i| g.input(format!("x{i}"), InputKind::Regular)).collect();
+    let xs: Vec<_> = (0..6)
+        .map(|i| g.input(format!("x{i}"), InputKind::Regular))
+        .collect();
     let mut acc = xs[0];
     for (i, &x) in xs.iter().enumerate().skip(1) {
-        acc = if i % 2 == 0 { g.xor(acc, x) } else { g.and(acc, x) };
+        acc = if i % 2 == 0 {
+            g.xor(acc, x)
+        } else {
+            g.and(acc, x)
+        };
     }
     let alt0 = g.xor(xs[0], xs[5]);
     let alt1 = g.or(xs[2], xs[4]);
@@ -265,21 +305,30 @@ fn stolen_wire_node_is_rejected() {
 fn emptied_tree_is_rejected() {
     let (graph, nets, mut trees) = clean_route();
     trees[0].clear();
-    assert_violation!(check_route_trees(&graph, &nets, &trees), Violation::SinkUnreached { .. });
+    assert_violation!(
+        check_route_trees(&graph, &nets, &trees),
+        Violation::SinkUnreached { .. }
+    );
 }
 
 #[test]
 fn out_of_range_node_is_rejected() {
     let (graph, nets, mut trees) = clean_route();
     trees[0].push(graph.node_count() as u32 + 41);
-    assert_violation!(check_route_trees(&graph, &nets, &trees), Violation::NodeOutOfRange { .. });
+    assert_violation!(
+        check_route_trees(&graph, &nets, &trees),
+        Violation::NodeOutOfRange { .. }
+    );
 }
 
 #[test]
 fn dropped_tree_is_rejected() {
     let (graph, nets, mut trees) = clean_route();
     trees.pop();
-    assert_violation!(check_route_trees(&graph, &nets, &trees), Violation::TreeCountMismatch { .. });
+    assert_violation!(
+        check_route_trees(&graph, &nets, &trees),
+        Violation::TreeCountMismatch { .. }
+    );
 }
 
 #[test]
@@ -323,7 +372,11 @@ fn stranded_branch_is_rejected() {
     trees[0].push(lone);
     let v = check_route_trees(&graph, &nets, &trees);
     assert_violation!(v, Violation::StrandedNode { net: 0, node } if *node == lone);
-    assert_eq!(v.len(), 1, "every sink is still reached, nothing else is wrong: {v:?}");
+    assert_eq!(
+        v.len(),
+        1,
+        "every sink is still reached, nothing else is wrong: {v:?}"
+    );
 }
 
 // --- equivalence --------------------------------------------------------
@@ -344,11 +397,18 @@ fn flipped_ptt_entry_is_not_equivalent() {
     g.add_output("f", f);
     let mut design = mapping::map_parameterized(&g, mapping::MapOptions::default());
     let verifier = verify::Verifier::new();
-    assert!(verifier.verify_equivalence(&g, &design, 4, 7).ok(), "artifact must start clean");
+    assert!(
+        verifier.verify_equivalence(&g, &design, 4, 7).ok(),
+        "artifact must start clean"
+    );
 
     // Minterm a = b = 0 is 0 under every p; make it 1.
-    let Source::Node(n) = design.outputs[0].source else { panic!("f is computed by a node") };
-    let MappedNode::Lut(lut) = &mut design.nodes[n as usize] else { panic!("f is a TLUT") };
+    let Source::Node(n) = design.outputs[0].source else {
+        panic!("f is computed by a node")
+    };
+    let MappedNode::Lut(lut) = &mut design.nodes[n as usize] else {
+        panic!("f is a TLUT")
+    };
     lut.ptt[0] = design.bdd.not(lut.ptt[0]);
     let report = verifier.verify_equivalence(&g, &design, 4, 7);
     let v = report.violations;
@@ -402,7 +462,10 @@ fn aliased_cache_key_is_rejected() {
     let mut snap = clean_snapshot();
     // Two structurally different tenants suddenly share a fingerprint:
     // the hash-hit structural comparison must catch the collision.
-    assert_ne!(snap.tenants[0].sig, snap.tenants[1].sig, "tenants differ structurally");
+    assert_ne!(
+        snap.tenants[0].sig, snap.tenants[1].sig,
+        "tenants differ structurally"
+    );
     snap.tenants[1].key_id = snap.tenants[0].key_id;
     assert_violation!(check_sched(&snap), Violation::CacheKeyCollision { .. });
 }
@@ -432,7 +495,15 @@ fn band_past_its_grid_is_rejected() {
     let mut snap = clean_snapshot();
     snap.grids[0].rows = 4; // band b now ends at row 5 of 4
     let v = check_sched(&snap);
-    assert_violation!(v, Violation::BandOutOfBounds { row0: 2, rows: 3, grid_rows: 4, .. });
+    assert_violation!(
+        v,
+        Violation::BandOutOfBounds {
+            row0: 2,
+            rows: 3,
+            grid_rows: 4,
+            ..
+        }
+    );
     assert_violation!(v, Violation::RowConservation { .. });
     assert_eq!(v.len(), 2, "{v:?}");
 }
@@ -474,7 +545,14 @@ fn lease_shorter_than_its_demand_is_rejected() {
     let mut snap = clean_snapshot();
     snap.tenants[1].rows = 2; // nine nodes need three rows of four
     let v = check_sched(&snap);
-    assert_violation!(v, Violation::LeaseTooSmall { rows: 2, needed: 3, .. });
+    assert_violation!(
+        v,
+        Violation::LeaseTooSmall {
+            rows: 2,
+            needed: 3,
+            ..
+        }
+    );
     assert_violation!(v, Violation::LeaseShapeMismatch { .. }); // the band still has three
     assert_eq!(v.len(), 2, "{v:?}");
 }
@@ -484,7 +562,14 @@ fn region_of_another_shape_is_rejected() {
     let mut snap = clean_snapshot();
     snap.tenants[1].region.0 += 1;
     let v = check_sched(&snap);
-    assert_violation!(v, Violation::RegionMismatch { expected: (3, 4), got: (4, 4), .. });
+    assert_violation!(
+        v,
+        Violation::RegionMismatch {
+            expected: (3, 4),
+            got: (4, 4),
+            ..
+        }
+    );
     assert_eq!(v.len(), 1, "{v:?}");
 }
 
@@ -493,7 +578,14 @@ fn mapping_that_drops_a_node_is_rejected() {
     let mut snap = clean_snapshot();
     snap.tenants[1].placed_nodes -= 1;
     let v = check_sched(&snap);
-    assert_violation!(v, Violation::MappingNodeCount { expected: 9, got: 8, .. });
+    assert_violation!(
+        v,
+        Violation::MappingNodeCount {
+            expected: 9,
+            got: 8,
+            ..
+        }
+    );
     assert_eq!(v.len(), 1, "{v:?}");
 }
 
@@ -503,7 +595,13 @@ fn live_tenant_in_the_queue_is_rejected() {
     snap.queue.push(snap.tenants[0].id);
     let v = check_sched(&snap);
     assert_violation!(v, Violation::QueuedAndLive { tenant } if *tenant == snap.tenants[0].id);
-    assert_violation!(v, Violation::QueueLedgerDrift { queued: 0, accounted: 1 });
+    assert_violation!(
+        v,
+        Violation::QueueLedgerDrift {
+            queued: 0,
+            accounted: 1
+        }
+    );
     assert_eq!(v.len(), 2, "{v:?}");
 }
 
@@ -511,7 +609,11 @@ fn live_tenant_in_the_queue_is_rejected() {
 fn resident_from_another_band_is_rejected() {
     let mut snap = clean_snapshot();
     let (a, b) = (snap.tenants[0].id, snap.tenants[1].id);
-    let at = snap.resident.iter().position(|r| r.2 == a).expect("admission leaves a resident");
+    let at = snap
+        .resident
+        .iter()
+        .position(|r| r.2 == a)
+        .expect("admission leaves a resident");
     snap.resident[at].2 = b;
     let v = check_sched(&snap);
     assert_violation!(v, Violation::ResidentInvalid { row0: 0, tenant, .. } if *tenant == b);
@@ -533,7 +635,10 @@ fn split_cache_key_is_rejected() {
 
 fn clean_timeline() -> TimelineSnapshot {
     let snap = two_tenants().timeline_snapshot();
-    assert!(check_timeline(&snap).is_empty(), "artifact must start clean");
+    assert!(
+        check_timeline(&snap).is_empty(),
+        "artifact must start clean"
+    );
     let ports = snap.intervals.iter().filter(|iv| iv.uses_port).count();
     assert!(ports >= 2, "two admissions put two intervals on the port");
     snap
@@ -570,7 +675,11 @@ fn dropped_charge_is_rejected() {
     let mut snap = clean_timeline();
     // One charged phase silently stops counting: the summed lane
     // durations no longer reconcile with the ledger's port time.
-    let i = snap.intervals.iter().position(|iv| iv.charged).expect("charged phase");
+    let i = snap
+        .intervals
+        .iter()
+        .position(|iv| iv.charged)
+        .expect("charged phase");
     snap.intervals[i].charged = false;
     assert_violation!(check_timeline(&snap), Violation::TimelineChargeDrift { .. });
 }

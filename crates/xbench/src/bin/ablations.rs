@@ -18,10 +18,17 @@ fn main() {
     let smoke = xbench::smoke_mode();
     let trace_path = xbench::init_trace();
     // Reduced format keeps each point fast; trends carry to (6,26).
-    let fmt = if smoke { FpFormat::new(4, 6) } else { FpFormat::new(5, 10) };
+    let fmt = if smoke {
+        FpFormat::new(4, 6)
+    } else {
+        FpFormat::new(5, 10)
+    };
     let max_hops = if smoke { 2 } else { 3 };
 
-    println!("=== Ablation 1: virtual intra-connect hops (format ({},{})) ===", fmt.we, fmt.wf);
+    println!(
+        "=== Ablation 1: virtual intra-connect hops (format ({},{})) ===",
+        fmt.we, fmt.wf
+    );
     println!(
         "{:<6} {:>10} {:>12} {:>8} {:>8} {:>10}",
         "hops", "conv LUTs", "param LUTs", "TLUTs", "TCONs", "LUT red."
@@ -44,7 +51,10 @@ fn main() {
     }
 
     println!("\n=== Ablation 2: priority-cut budget (parameterized flow) ===");
-    let cfg = VirtualPeConfig { format: fmt, hops: 2 };
+    let cfg = VirtualPeConfig {
+        format: fmt,
+        hops: 2,
+    };
     let par_aig = logic::opt::sweep(&VirtualPe::build(cfg, true).aig);
     println!(
         "{:<6} {:>10} {:>8} {:>8} {:>8} {:>12}",
@@ -52,7 +62,10 @@ fn main() {
     );
     let cut_points: &[usize] = if smoke { &[2, 4, 8] } else { &[2, 4, 6, 8, 12] };
     for &cuts in cut_points {
-        let opts = MapOptions { cuts_per_node: cuts, ..Default::default() };
+        let opts = MapOptions {
+            cuts_per_node: cuts,
+            ..Default::default()
+        };
         let t = std::time::Instant::now();
         let s = map_parameterized(&par_aig, opts).stats();
         println!(
@@ -71,8 +84,11 @@ fn main() {
         "{:<10} {:>10} {:>12} {:>10} {:>10}",
         "format", "conv LUTs", "param LUTs", "LUT red.", "depth c/p"
     );
-    let formats: &[(u32, u32)] =
-        if smoke { &[(4, 6), (5, 8)] } else { &[(4, 6), (5, 10), (5, 14), (6, 18)] };
+    let formats: &[(u32, u32)] = if smoke {
+        &[(4, 6), (5, 8)]
+    } else {
+        &[(4, 6), (5, 10), (5, 14), (6, 18)]
+    };
     for &(we, wf) in formats {
         let f = FpFormat::new(we, wf);
         let cfg = VirtualPeConfig { format: f, hops: 2 };

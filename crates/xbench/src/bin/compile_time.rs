@@ -42,18 +42,28 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
     let flag_val = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")).clone())
+        args.iter().position(|a| a == name).map(|i| {
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .clone()
+        })
     };
     let sweep: Vec<usize> = flag_val("--threads-sweep")
         .map(|v| {
             v.split(',')
-                .map(|t| t.trim().parse().expect("--threads-sweep takes e.g. 1,2,4,8"))
+                .map(|t| {
+                    t.trim()
+                        .parse()
+                        .expect("--threads-sweep takes e.g. 1,2,4,8")
+                })
                 .collect()
         })
         .unwrap_or_default();
-    let gate_fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
+    let gate_fmt = if smoke {
+        FpFormat::new(5, 10)
+    } else {
+        FpFormat::PAPER
+    };
     let coeffs = [0.0625, 0.25, 0.375, 0.25, 0.0625]; // 5-tap binomial
     let arch = VcgraArch::paper_4x4();
 
@@ -128,13 +138,25 @@ fn main() {
     if !sweep.is_empty() {
         println!("\nwidth search sweep ({} nets):", netlist.nets.len());
         let what = |p: &par::WidthProbe| {
-            (p.width, p.success, p.iterations, p.ripups, p.warm_nets, p.confirm)
+            (
+                p.width,
+                p.success,
+                p.iterations,
+                p.ripups,
+                p.warm_nets,
+                p.confirm,
+            )
         };
         let mut first: Option<par::WidthSearch> = None;
         for &threads in &sweep {
-            let eng = ParEngine::new(EngineOptions { threads, ..Default::default() });
+            let eng = ParEngine::new(EngineOptions {
+                threads,
+                ..Default::default()
+            });
             let t = std::time::Instant::now();
-            let s = eng.min_channel_width(&netlist, &placement, fabric).expect("routable in sweep");
+            let s = eng
+                .min_channel_width(&netlist, &placement, fabric)
+                .expect("routable in sweep");
             let secs = t.elapsed().as_secs_f64();
             println!(
                 "  threads {threads:>2}: {secs:>7.3}s  minimum {} ({}), {} probes",
@@ -169,9 +191,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!(
-            "check passed: gate-level route {secs:.2}s <= {CHECK_ROUTE_SECONDS}s threshold"
-        );
+        println!("check passed: gate-level route {secs:.2}s <= {CHECK_ROUTE_SECONDS}s threshold");
     }
     xbench::finish_trace(trace_path.as_deref());
 }

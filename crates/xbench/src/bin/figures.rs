@@ -30,9 +30,7 @@ fn main() {
     let out_dir = args
         .iter()
         .enumerate()
-        .find(|&(i, a)| {
-            !a.starts_with("--") && (i == 0 || args[i - 1] != "--trace")
-        })
+        .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--trace"))
         .map(|(_, a)| a.clone())
         .unwrap_or_else(|| "out".to_string());
     std::fs::create_dir_all(&out_dir).expect("create output dir");
@@ -56,7 +54,13 @@ fn main() {
 
     // Fig. 5: pipeline stages on a synthetic fundus image.
     let size = if smoke { 64 } else { 128 };
-    let (img, truth) = synth_fundus(&SynthConfig { size, ..Default::default() }, 2026);
+    let (img, truth) = synth_fundus(
+        &SynthConfig {
+            size,
+            ..Default::default()
+        },
+        2026,
+    );
     let res = run_pipeline(&img, &PipelineConfig::default());
     let stages: [(&str, &retina::Image); 6] = [
         ("fig5_0_green.pgm", &img.g),

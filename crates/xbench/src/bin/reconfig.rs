@@ -21,7 +21,11 @@ use xbench::{build_pe_aig_with, map_pe, print_header, print_row};
 fn main() {
     let smoke = xbench::smoke_mode();
     let trace_path = xbench::init_trace();
-    let fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
+    let fmt = if smoke {
+        FpFormat::new(5, 10)
+    } else {
+        FpFormat::PAPER
+    };
     println!(
         "Building and mapping the parameterized PE (format ({}, {})) ...",
         fmt.we, fmt.wf

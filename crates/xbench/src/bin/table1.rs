@@ -104,9 +104,16 @@ fn main() {
     let trace_path = xbench::init_trace();
     let skip_par = smoke || args.iter().any(|a| a == "--skip-par");
     let verify_mode = args.iter().any(|a| a == "--verify");
-    let fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
+    let fmt = if smoke {
+        FpFormat::new(5, 10)
+    } else {
+        FpFormat::PAPER
+    };
 
-    println!("Building the FP-MAC virtual PE (FloPoCo we={}, wf={}) ...", fmt.we, fmt.wf);
+    println!(
+        "Building the FP-MAC virtual PE (FloPoCo we={}, wf={}) ...",
+        fmt.we, fmt.wf
+    );
     let conv_aig = build_pe_aig_with(fmt, false);
     let par_aig = build_pe_aig_with(fmt, true);
 
@@ -124,7 +131,11 @@ fn main() {
     print_row("4-LUTs, conventional", "2522", &sc.luts.to_string());
     print_row("4-LUTs, fully parameterized", "1802", &sp.luts.to_string());
     print_row("  of which TLUTs", "526", &sp.tluts.to_string());
-    print_row("TCONs (mapped tunable connections)", "568", &sp.tcons.to_string());
+    print_row(
+        "TCONs (mapped tunable connections)",
+        "568",
+        &sp.tcons.to_string(),
+    );
     print_row("logic depth, conventional", "36", &sc.depth.to_string());
     print_row("logic depth, parameterized", "33", &sp.depth.to_string());
     print_row(
@@ -215,9 +226,14 @@ fn main() {
     if verify_mode {
         let draws = if smoke { 4 } else { 2 };
         println!("\nVerification (vcgra-verify) ...");
-        let mut reports =
-            audit_flow("conventional", &conv_aig, &conv, routed_c.as_ref(), draws);
-        reports.extend(audit_flow("parameterized", &par_aig, &par, routed_p.as_ref(), draws));
+        let mut reports = audit_flow("conventional", &conv_aig, &conv, routed_c.as_ref(), draws);
+        reports.extend(audit_flow(
+            "parameterized",
+            &par_aig,
+            &par,
+            routed_p.as_ref(),
+            draws,
+        ));
         let passes = reports.len();
         let overhead: f64 = reports.iter().map(|r| r.seconds).sum();
         violation_count = reports.iter().map(|r| r.violations.len()).sum();

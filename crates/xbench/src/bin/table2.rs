@@ -74,8 +74,7 @@ fn main() {
         let res = g.resources(false);
         println!(
             "  {r:>2}x{c:<2}: {:>5} FF bits, {:>4} routing components -> 0 / 0 when parameterized",
-            res.flip_flops,
-            res.inter_network_components_on_luts
+            res.flip_flops, res.inter_network_components_on_luts
         );
     }
     xbench::finish_trace(trace_path.as_deref());

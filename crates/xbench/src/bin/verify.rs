@@ -56,7 +56,11 @@ fn equiv_pass(fmt: FpFormat, smoke: bool, reports: &mut Vec<verify::VerifyReport
         let r = v.verify_equivalence(&aig, &design, draws, 0x5EED);
         println!(
             "  {:<22} {}",
-            if parameterized { "parameterized" } else { "conventional" },
+            if parameterized {
+                "parameterized"
+            } else {
+                "conventional"
+            },
             r.summary()
         );
         reports.push(r);
@@ -75,7 +79,10 @@ fn routes_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
     // minimum.
     let start = par::channel_width_estimate(&nl, &placement, arch).max(4);
     let (graph, routed) = xbench::route_doubling(&engine, &nl, &placement, arch, start);
-    println!("  fabric {0}x{0}, channel width {1}", arch.size, graph.width);
+    println!(
+        "  fabric {0}x{0}, channel width {1}",
+        arch.size, graph.width
+    );
 
     let nets = par::troute::terminals(&nl, &placement, &graph);
     let r = Verifier::new().verify_routes(&graph, &nets, &routed.trees);
@@ -95,7 +102,10 @@ fn sched_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
     let mut live = Vec::new();
     for (i, taps) in [3usize, 5, 8, 3, 12, 4].iter().enumerate() {
         let adm = rt
-            .submit(format!("k{i}"), kernels::fir_seeded(fmt, *taps, i as u64 + 1).graph)
+            .submit(
+                format!("k{i}"),
+                kernels::fir_seeded(fmt, *taps, i as u64 + 1).graph,
+            )
             .expect("gated submit");
         if let runtime::Admission::Admitted(a) = adm {
             live.push(a.tenant);
@@ -104,11 +114,17 @@ fn sched_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
     for &t in &live {
         let n = rt.tenant(t).expect("live").graph.num_inputs;
         let inputs: Vec<Vec<FpValue>> = (0..8)
-            .map(|_| (0..n).map(|_| FpValue::from_f64((rng.unit_f64() - 0.5) * 8.0, fmt)).collect())
+            .map(|_| {
+                (0..n)
+                    .map(|_| FpValue::from_f64((rng.unit_f64() - 0.5) * 8.0, fmt))
+                    .collect()
+            })
             .collect();
-        rt.run(vec![StreamRequest { tenant: t, inputs }]).expect("gated stream");
+        rt.run(vec![StreamRequest { tenant: t, inputs }])
+            .expect("gated stream");
     }
-    rt.resubmit(live[0], kernels::fir_seeded(fmt, 6, 99).graph).expect("gated resubmit");
+    rt.resubmit(live[0], kernels::fir_seeded(fmt, 6, 99).graph)
+        .expect("gated resubmit");
     // Defragment in the idle window so the timeline pass below sees
     // lane-local compaction replays, not just port phases.
     rt.compact_background().expect("gated compaction");
@@ -126,7 +142,11 @@ fn sched_pass(fmt: FpFormat, reports: &mut Vec<verify::VerifyReport>) {
 fn main() {
     let smoke = xbench::smoke_mode();
     let trace_path = xbench::init_trace();
-    let fmt = if smoke { FpFormat::new(5, 10) } else { FpFormat::PAPER };
+    let fmt = if smoke {
+        FpFormat::new(5, 10)
+    } else {
+        FpFormat::PAPER
+    };
     println!(
         "=== vcgra-verify sweep ({} mode, FloPoCo ({},{})) ===",
         if smoke { "smoke" } else { "full" },

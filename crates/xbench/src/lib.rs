@@ -144,7 +144,9 @@ pub fn print_probe_table(probes: &[par::WidthProbe], search_seconds: f64) {
     // (`fold`, not `sum`: an empty `f64` sum is −0.0 and prints as such.)
     let failed = probes.iter().filter(|p| !p.success);
     let failed_s = failed.clone().fold(0.0, |s, p| s + p.seconds);
-    let beside_s = failed.filter(|p| p.overlapped).fold(0.0, |s, p| s + p.seconds);
+    let beside_s = failed
+        .filter(|p| p.overlapped)
+        .fold(0.0, |s, p| s + p.seconds);
     println!(
         "  failed probes: {failed_s:.2} of {search_seconds:.2} s \
          ({beside_s:.2} s of them beside the search)"

@@ -42,10 +42,7 @@ fn main() {
     // Execute the mapped application and check it against direct dataflow
     // evaluation and against plain f64 arithmetic.
     let samples = [0.5f64, 1.0, 2.0, 1.0, 0.5];
-    let inputs: Vec<FpValue> = samples
-        .iter()
-        .map(|&x| FpValue::from_f64(x, fmt))
-        .collect();
+    let inputs: Vec<FpValue> = samples.iter().map(|&x| FpValue::from_f64(x, fmt)).collect();
     let direct = vcgra::sim::run_dataflow(&app, &inputs);
     let mapped = vcgra::sim::run_mapped(&mapping, &app, &inputs);
     assert_eq!(direct[0].bits, mapped[0].bits, "mapped == direct");

@@ -16,7 +16,10 @@ use vcgra::{VirtualPe, VirtualPeConfig};
 
 fn main() {
     // Reduced format so the example finishes in seconds.
-    let cfg = VirtualPeConfig { format: FpFormat::new(5, 10), hops: 2 };
+    let cfg = VirtualPeConfig {
+        format: FpFormat::new(5, 10),
+        hops: 2,
+    };
     println!("building virtual PE (FloPoCo we=5, wf=10, 2-hop intra-connect) ...");
     let conv_pe = VirtualPe::build(cfg, false);
     let par_pe = VirtualPe::build(cfg, true);
@@ -44,7 +47,9 @@ fn main() {
     for (label, design) in [("conventional", &conv), ("parameterized", &par)] {
         let nl = par::extract(design);
         let t = std::time::Instant::now();
-        let rep = par::ParEngine::new(par::EngineOptions::default()).run(&nl).expect("routable");
+        let rep = par::ParEngine::new(par::EngineOptions::default())
+            .run(&nl)
+            .expect("routable");
         println!(
             "{label}: WL {} @ CW {} on a {}x{} fabric ({} TCON switch configs) in {:?}",
             rep.result.wirelength,

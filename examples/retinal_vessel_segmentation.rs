@@ -18,8 +18,17 @@ fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "out".to_string());
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    let (img, truth) = synth_fundus(&SynthConfig { size: 128, ..Default::default() }, 7);
-    let cfg = PipelineConfig { engine: Engine::Vcgra, ..Default::default() };
+    let (img, truth) = synth_fundus(
+        &SynthConfig {
+            size: 128,
+            ..Default::default()
+        },
+        7,
+    );
+    let cfg = PipelineConfig {
+        engine: Engine::Vcgra,
+        ..Default::default()
+    };
     let t0 = std::time::Instant::now();
     let res = run_pipeline(&img, &cfg);
     let elapsed = t0.elapsed();

@@ -31,7 +31,12 @@ fn main() {
     // Serve a small seeded plan: one priming wave (cold compiles), two
     // waves of warm traffic, each tenant's lifecycle fully pipelined
     // (admit -> stream -> swap -> stream -> release).
-    let spec = LoadSpec { waves: 2, tenants_per_wave: 8, items_per_tenant: 16, ..LoadSpec::default() };
+    let spec = LoadSpec {
+        waves: 2,
+        tenants_per_wave: 8,
+        items_per_tenant: 16,
+        ..LoadSpec::default()
+    };
     let plan = synthesize(format, &spec);
     let mut tier = ShardServer::start(ShardConfig::new(shards));
     let report = shard::loadgen::run(&mut tier, &plan).expect("every wave drains verified");

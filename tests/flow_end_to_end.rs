@@ -19,7 +19,10 @@ fn generic_plus_specialization_stage_is_sound() {
     let aig = logic::opt::sweep(&build_mac_pe(FMT, InputKind::Param));
     let design = map_parameterized(&aig, MapOptions::default());
     let cfg = dcs::ParamConfig::extract(&design);
-    assert!(cfg.ppc_bits() > 0, "a parameterized MAC must have tunable bits");
+    assert!(
+        cfg.ppc_bits() > 0,
+        "a parameterized MAC must have tunable bits"
+    );
     let scg = dcs::Scg::new(&design, &cfg);
 
     let mut rng = logic::SplitMix64::new(2024);
@@ -55,11 +58,7 @@ fn generic_plus_specialization_stage_is_sound() {
             let want = logic::sim::simulate_u64(&frozen, &words);
             let got = spec.simulate(&words);
             for (o, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    w, g,
-                    "coeff {:#x}, output {o}, round {round}",
-                    coeff.bits
-                );
+                assert_eq!(w, g, "coeff {:#x}, output {o}, round {round}", coeff.bits);
             }
         }
     }
@@ -146,7 +145,10 @@ fn specialized_virtual_pe_computes_pe_settings_evaluate() {
     // routing muxes: every mode, specialized from its settings word,
     // against the value model on both outputs.
     use vcgra::{PeMode, PeSettings, VirtualPe, VirtualPeConfig};
-    let cfg = VirtualPeConfig { format: FMT, hops: 2 };
+    let cfg = VirtualPeConfig {
+        format: FMT,
+        hops: 2,
+    };
     let pe = VirtualPe::build(cfg, true);
     let design = map_parameterized(&logic::opt::sweep(&pe.aig), MapOptions::default());
     // `to_param_bits` is in the netlist's parameter order and the regular
@@ -161,7 +163,12 @@ fn specialized_virtual_pe_computes_pe_settings_evaluate() {
     let param_index: Vec<usize> = design
         .param_names
         .iter()
-        .map(|n| pe_params.iter().position(|p| p == n).expect("a PE parameter"))
+        .map(|n| {
+            pe_params
+                .iter()
+                .position(|p| p == n)
+                .expect("a PE parameter")
+        })
         .collect();
     let input_bits: Vec<(&str, usize)> = design
         .input_names
@@ -177,7 +184,11 @@ fn specialized_virtual_pe_computes_pe_settings_evaluate() {
     let mut rnd_fp = || FpValue::from_f64((rng.unit_f64() - 0.5) * 16.0, FMT);
     for mode in [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass] {
         for _ in 0..8 {
-            let settings = PeSettings { coeff: rnd_fp(), counter: 1, mode };
+            let settings = PeSettings {
+                coeff: rnd_fp(),
+                counter: 1,
+                mode,
+            };
             let (a, b, fb) = (rnd_fp(), rnd_fp(), rnd_fp());
             let bits = settings.to_param_bits(&cfg);
             let params: Vec<bool> = param_index.iter().map(|&i| bits[i]).collect();
@@ -195,11 +206,24 @@ fn specialized_virtual_pe_computes_pe_settings_evaluate() {
                 .collect();
             let out = design.specialize(&params).simulate(&words);
             let bus = |range: std::ops::Range<usize>| {
-                out[range].iter().enumerate().fold(0u64, |acc, (i, &x)| acc | ((x & 1) << i))
+                out[range]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, &x)| acc | ((x & 1) << i))
             };
             let (want_out, want_fbn) = settings.evaluate(a, b, fb);
-            assert_eq!(bus(0..w), want_out.bits, "{mode:?} out, coeff {:#x}", settings.coeff.bits);
-            assert_eq!(bus(w..2 * w), want_fbn.bits, "{mode:?} fbn, coeff {:#x}", settings.coeff.bits);
+            assert_eq!(
+                bus(0..w),
+                want_out.bits,
+                "{mode:?} out, coeff {:#x}",
+                settings.coeff.bits
+            );
+            assert_eq!(
+                bus(w..2 * w),
+                want_fbn.bits,
+                "{mode:?} fbn, coeff {:#x}",
+                settings.coeff.bits
+            );
         }
     }
 }

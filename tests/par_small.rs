@@ -34,8 +34,9 @@ fn both_flows_route_and_audit_clean() {
         let nl = par::extract(&design);
         let rep = place_and_route(&nl).unwrap_or_else(|e| panic!("{label}: {e}"));
         let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
-        let routed =
-            engine().route(&nl, &rep.placement, &graph).expect("re-route at min width");
+        let routed = engine()
+            .route(&nl, &rep.placement, &graph)
+            .expect("re-route at min width");
         audit(&nl, &rep.placement, &graph, &routed)
             .unwrap_or_else(|e| panic!("{label} audit: {e}"));
     }

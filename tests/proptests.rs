@@ -57,7 +57,11 @@ fn build_random_aig(ops: &[(u8, u8, u8)], n_reg: usize, n_param: usize) -> Aig {
 /// its full 48-case budget hides behind the `proptest-full` feature
 /// (CI's scheduled job turns it on); the default keeps `cargo test -q`
 /// fast as the suite grows.
-const MAP_CASES: u32 = if cfg!(feature = "proptest-full") { 48 } else { 12 };
+const MAP_CASES: u32 = if cfg!(feature = "proptest-full") {
+    48
+} else {
+    12
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(MAP_CASES))]
@@ -235,7 +239,8 @@ fn plan_value(draw: u64, f: FpFormat) -> FpValue {
     let raw = draw >> 8;
     let top = f.max_exp() as u64;
     let frac = raw & ((1 << f.wf) - 1);
-    let normal = |exp: u64, frac: u64| FpValue::from_bits(f.pack(FpClass::Normal, sign, exp, frac), f);
+    let normal =
+        |exp: u64, frac: u64| FpValue::from_bits(f.pack(FpClass::Normal, sign, exp, frac), f);
     match (draw >> 1) % 16 {
         0 => FpValue::signed_zero(f, sign),
         1 => FpValue::infinity(f, sign),

@@ -46,11 +46,16 @@ fn every_reexport_carries_the_full_flow() {
     // the unoptimized test profile) on a sized fabric, driven through the
     // ParEngine facade.
     let small = VirtualPe::build(
-        VirtualPeConfig { format: FpFormat::new(3, 4), hops: 2 },
+        VirtualPeConfig {
+            format: FpFormat::new(3, 4),
+            hops: 2,
+        },
         true,
     );
-    let small_design =
-        mapping::map_parameterized(&logic::opt::sweep(&small.aig), mapping::MapOptions::default());
+    let small_design = mapping::map_parameterized(
+        &logic::opt::sweep(&small.aig),
+        mapping::MapOptions::default(),
+    );
     let netlist = par::extract(&small_design);
     let arch = fabric::FabricArch::sized_for(netlist.logic_count(), netlist.io_count());
     let engine = par::ParEngine::new(par::EngineOptions::default());
@@ -71,14 +76,22 @@ fn every_reexport_carries_the_full_flow() {
     // ... and one sample through a mapped 3-tap application on the grid.
     let app = vcgra::app::AppGraph::dot_product(FpFormat::PAPER, &[0.25, 0.5, 0.25]);
     let m = vcgra::flow::map_app(&app, vcgra::VcgraArch::paper_4x4(), 11).expect("fits 4x4");
-    let inputs: Vec<FpValue> =
-        [1.0, 1.0, 1.0].iter().map(|&v| FpValue::from_f64(v, FpFormat::PAPER)).collect();
+    let inputs: Vec<FpValue> = [1.0, 1.0, 1.0]
+        .iter()
+        .map(|&v| FpValue::from_f64(v, FpFormat::PAPER))
+        .collect();
     let y = vcgra::sim::run_mapped(&m, &app, &inputs)[0];
     assert_eq!(y.to_f64(), 1.0, "low-pass of a flat signal is the signal");
 
     // retina: the synthetic fundus generator and the metrics close the
     // loop on the application side.
-    let (img, truth) = retina::synth_fundus(&retina::SynthConfig { size: 32, ..Default::default() }, 2);
+    let (img, truth) = retina::synth_fundus(
+        &retina::SynthConfig {
+            size: 32,
+            ..Default::default()
+        },
+        2,
+    );
     let seg = img.g.threshold(0.5);
     let metrics = retina::Metrics::evaluate(&seg, &truth);
     assert_eq!(metrics.tp + metrics.fp + metrics.fn_ + metrics.tn, 32 * 32);
@@ -90,14 +103,26 @@ fn shard_reexport_serves_a_tiny_plan() {
     // tier drives a minimal seeded plan end-to-end through the umbrella
     // re-export, closing with a verified drain.
     use vcgra_repro::shard::{synthesize, LoadSpec, ShardConfig, ShardServer};
-    let spec = LoadSpec { waves: 1, tenants_per_wave: 2, items_per_tenant: 2, ..LoadSpec::default() };
+    let spec = LoadSpec {
+        waves: 1,
+        tenants_per_wave: 2,
+        items_per_tenant: 2,
+        ..LoadSpec::default()
+    };
     let plan = synthesize(FpFormat::PAPER, &spec);
     let mut tier = ShardServer::start(ShardConfig::new(2));
     let report = vcgra_repro::shard::loadgen::run(&mut tier, &plan).expect("tiny plan serves");
     // 1 wave after priming x 2 tenants x 2 items x 2 phases (pre/post swap).
     assert_eq!(report.total_items, 8);
-    assert!(report.warm_hit_rate > 0.0, "priming wave must warm the caches");
+    assert!(
+        report.warm_hit_rate > 0.0,
+        "priming wave must warm the caches"
+    );
     for fin in tier.shutdown() {
-        assert!(fin.verify.ok(), "shard {} invariants at shutdown", fin.shard);
+        assert!(
+            fin.verify.ok(),
+            "shard {} invariants at shutdown",
+            fin.shard
+        );
     }
 }

@@ -46,7 +46,11 @@ fn the_column_tier_dispatch_is_the_only_unsafe_code() {
     let (mut keywords, mut allows) = (Vec::new(), Vec::new());
     for path in files {
         let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
-        let name = path.strip_prefix(root).expect("under the root").display().to_string();
+        let name = path
+            .strip_prefix(root)
+            .expect("under the root")
+            .display()
+            .to_string();
         match unsafe_keywords(&source) {
             0 => {}
             n => keywords.push((name.clone(), n)),
@@ -58,6 +62,14 @@ fn the_column_tier_dispatch_is_the_only_unsafe_code() {
     }
     keywords.sort();
     let kernel = "crates/softfloat/src/kernel.rs".to_string();
-    assert_eq!(keywords, [(kernel.clone(), 2)], "`unsafe` outside the tier dispatch's two calls");
-    assert_eq!(allows, [(kernel, 1)], "one `#[allow(unsafe_code)]`, on the tier dispatch");
+    assert_eq!(
+        keywords,
+        [(kernel.clone(), 2)],
+        "`unsafe` outside the tier dispatch's two calls"
+    );
+    assert_eq!(
+        allows,
+        [(kernel, 1)],
+        "one `#[allow(unsafe_code)]`, on the tier dispatch"
+    );
 }
