@@ -55,21 +55,20 @@ use logic::fxhash::FxHashMap;
 use logic::tt::TruthTable;
 use std::rc::Rc;
 
+/// LUT input count K: the paper's VPR 4-LUT architecture, the `k` of
+/// `fabric::FabricArch::paper_4lut` that every mapped design is placed on.
+const K: usize = 4;
+
 /// Mapper options.
 #[derive(Debug, Clone, Copy)]
 pub struct MapOptions {
-    /// LUT input count K (the paper uses the VPR 4-LUT architecture).
-    pub k: usize,
     /// Priority cuts kept per node.
     pub cuts_per_node: usize,
 }
 
 impl Default for MapOptions {
     fn default() -> Self {
-        Self {
-            k: 4,
-            cuts_per_node: 6,
-        }
+        Self { cuts_per_node: 6 }
     }
 }
 
@@ -333,7 +332,6 @@ fn prune_lut(leaves: &[u32], ptt: &[Bdd]) -> (Vec<u32>, Vec<Bdd>) {
 /// inputs fold into PTTs and TCONs are extracted; clear, every input is a
 /// regular one and no TCON check runs.
 fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, MapEffort) {
-    assert!(opts.k >= 2 && opts.k <= 6);
     let mut map_span = trace::span("map");
     map_span.arg("nodes", aig.num_nodes());
     map_span.arg("parameterized", honor_params);
@@ -439,7 +437,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         let mut leaves = Vec::with_capacity(ca.leaves.len() + cb.leaves.len());
                         let (mut i, mut j) = (0, 0);
                         let ok = loop {
-                            if leaves.len() > opts.k {
+                            if leaves.len() > K {
                                 break false;
                             }
                             match (ca.leaves.get(i), cb.leaves.get(j)) {
@@ -467,7 +465,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                                 (None, None) => break true,
                             }
                         };
-                        if !ok || leaves.len() > opts.k || seen.contains_key(&leaves) {
+                        if !ok || leaves.len() > K || seen.contains_key(&leaves) {
                             continue;
                         }
                         let arr_lb = 1 + leaves

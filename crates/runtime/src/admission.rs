@@ -8,7 +8,7 @@ use vcgra::app::{AppGraph, GraphError};
 use vcgra::flow::VcgraMapping;
 use vcgra::VcgraArch;
 
-use crate::cache::{CachedConfig, ConfigKey};
+use crate::cache::ConfigKey;
 use crate::config::RuntimeError;
 use crate::ledger::TenantStats;
 use crate::pool::{GridPool, Lease, PoolError, Relocation, TenantId};
@@ -193,7 +193,7 @@ impl Runtime {
     ///
     /// `release` and `run` call this automatically; it is public so
     /// callers that free capacity out-of-band can drain explicitly.
-    pub fn drain_queue(&mut self) -> Vec<Admitted> {
+    pub fn drain_queue(&mut self) -> Result<Vec<Admitted>, RuntimeError> {
         let mut admitted = Vec::new();
         while let Some(front) = self.queue.pop_front() {
             match self.place_and_admit(front.tenant, &front.name, &front.graph, front.stats) {
@@ -212,7 +212,8 @@ impl Runtime {
                 }
             }
         }
-        admitted
+        self.enforce_invariants()?;
+        Ok(admitted)
     }
 
     /// Leases a region and loads the configuration. Never queues — the
@@ -271,7 +272,7 @@ impl Runtime {
         drop(cache_span);
         let (mapping, cache_hit, compile_time) = match lookup {
             Some(cached) => {
-                let mut mapping = cached.mapping.clone();
+                let mut mapping = VcgraMapping::clone(&cached);
                 Self::write_settings(&mut mapping, graph);
                 (mapping, true, Duration::ZERO)
             }
@@ -288,14 +289,8 @@ impl Runtime {
                 };
                 drop(compile_span);
                 let compile_time = mapping.compile_time;
-                let cached = self.cache.insert(
-                    key.clone(),
-                    CachedConfig {
-                        mapping,
-                        compile_time,
-                    },
-                );
-                (cached.mapping.clone(), false, compile_time)
+                let cached = self.cache.insert(key.clone(), mapping);
+                (VcgraMapping::clone(&cached), false, compile_time)
             }
         };
         let admit_time = t0.elapsed();
@@ -447,6 +442,7 @@ impl Runtime {
             if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {
                 self.pool.fits_any_grid(graph.pe_demand())?;
                 self.queue[pos].graph = graph;
+                self.enforce_invariants()?;
                 return Ok(Refresh::Queued(Queued {
                     tenant,
                     position: pos,
@@ -468,13 +464,12 @@ impl Runtime {
             Err(e) => {
                 // The tenant is evicted but its rows are free now — the
                 // queue must still get them.
-                self.drain_queue();
+                self.drain_queue()?;
                 return Err(e);
             }
         };
         // A smaller replacement region may have freed rows for waiters.
-        self.drain_queue();
-        self.enforce_invariants()?;
+        self.drain_queue()?;
         Ok(refresh)
     }
 
@@ -486,15 +481,11 @@ impl Runtime {
             self.queue.remove(pos);
             self.ledger.queue_cancelled += 1;
             // Cancelling the head may unblock everyone behind it.
-            let admitted = self.drain_queue();
-            self.enforce_invariants()?;
-            return Ok(admitted);
+            return self.drain_queue();
         }
         self.vacate(tenant)
             .ok_or(RuntimeError::UnknownTenant(tenant))?;
-        let admitted = self.drain_queue();
-        self.enforce_invariants()?;
-        Ok(admitted)
+        self.drain_queue()
     }
 
     /// Compacts every grid in the background, **between waves**: slides

@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use vcgra::app::AppGraph;
 use vcgra::flow::VcgraMapping;
@@ -64,17 +63,6 @@ impl ConfigKey {
     }
 }
 
-/// One cached compile result. The mapping's settings hold whatever
-/// coefficients the entry was compiled with; consumers clone it and write
-/// their own parameters in (that rewrite is the fast path being bought).
-#[derive(Debug)]
-pub struct CachedConfig {
-    /// The compiled placement/routing/settings, region-local coordinates.
-    pub mapping: VcgraMapping,
-    /// Host wall-clock of the `map_app` compile that produced it.
-    pub compile_time: Duration,
-}
-
 /// Hit/miss/eviction counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -99,11 +87,14 @@ impl CacheStats {
     }
 }
 
-/// LRU cache of compiled configurations.
+/// LRU cache of compiled configurations. An entry's mapping holds
+/// whatever coefficients it was compiled with; consumers clone it and
+/// write their own parameters in (that rewrite is the fast path being
+/// bought).
 pub struct ConfigCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<ConfigKey, (Arc<CachedConfig>, u64)>,
+    entries: HashMap<ConfigKey, (Arc<VcgraMapping>, u64)>,
     stats: CacheStats,
 }
 
@@ -129,13 +120,13 @@ impl ConfigCache {
     }
 
     /// Looks a configuration up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &ConfigKey) -> Option<Arc<CachedConfig>> {
+    pub fn get(&mut self, key: &ConfigKey) -> Option<Arc<VcgraMapping>> {
         self.tick += 1;
         match self.entries.get_mut(key) {
-            Some((cfg, used)) => {
+            Some((mapping, used)) => {
                 *used = self.tick;
                 self.stats.hits += 1;
-                Some(Arc::clone(cfg))
+                Some(Arc::clone(mapping))
             }
             None => {
                 self.stats.misses += 1;
@@ -146,7 +137,7 @@ impl ConfigCache {
 
     /// Inserts a freshly compiled configuration, evicting the least
     /// recently used entry if the cache is full.
-    pub fn insert(&mut self, key: ConfigKey, cfg: CachedConfig) -> Arc<CachedConfig> {
+    pub fn insert(&mut self, key: ConfigKey, mapping: VcgraMapping) -> Arc<VcgraMapping> {
         self.tick += 1;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some(victim) = self
@@ -159,7 +150,7 @@ impl ConfigCache {
                 self.stats.evictions += 1;
             }
         }
-        let arc = Arc::new(cfg);
+        let arc = Arc::new(mapping);
         self.entries.insert(key, (Arc::clone(&arc), self.tick));
         arc
     }
@@ -179,11 +170,13 @@ impl ConfigCache {
         self.stats
     }
 
-    /// Iterates the live entries (key, cached configuration), in no
-    /// particular order — the verifier walks these to cross-check every
-    /// entry against the region its key names.
-    pub fn entries(&self) -> impl Iterator<Item = (&ConfigKey, &CachedConfig)> {
-        self.entries.iter().map(|(k, (cfg, _))| (k, cfg.as_ref()))
+    /// Iterates the live entries (key, cached mapping), in no particular
+    /// order — the verifier walks these to cross-check every entry
+    /// against the region its key names.
+    pub fn entries(&self) -> impl Iterator<Item = (&ConfigKey, &VcgraMapping)> {
+        self.entries
+            .iter()
+            .map(|(k, (mapping, _))| (k, mapping.as_ref()))
     }
 }
 
@@ -195,13 +188,8 @@ mod tests {
 
     const F: FpFormat = FpFormat::PAPER;
 
-    fn compile(app: &AppGraph, arch: VcgraArch) -> CachedConfig {
-        let m = map_app(app, arch, 7).expect("mappable");
-        let t = m.compile_time;
-        CachedConfig {
-            mapping: m,
-            compile_time: t,
-        }
+    fn compile(app: &AppGraph, arch: VcgraArch) -> VcgraMapping {
+        map_app(app, arch, 7).expect("mappable")
     }
 
     #[test]

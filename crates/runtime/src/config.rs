@@ -1,6 +1,5 @@
 //! Construction parameters and the runtime's error type.
 
-use dcs::ReconfigInterface;
 use softfloat::FpFormat;
 use vcgra::flow::FlowError;
 use vcgra::VcgraArch;
@@ -12,21 +11,16 @@ use crate::pool::{PoolError, TenantId};
 pub struct RuntimeConfig {
     /// The grid pool (one overlay generation: equal channel capacity).
     pub grids: Vec<VcgraArch>,
-    /// Configurations kept in the cache.
-    pub cache_capacity: usize,
     /// Threads streaming execution may use, the caller's included.
     pub workers: usize,
-    /// Configuration interface priced by the ledger.
-    pub iface: ReconfigInterface,
-    /// Floating-point format of the pricing PE (reduced by default so the
-    /// lazy pricer build stays sub-second).
-    pub pricer_format: FpFormat,
     /// Placement seed for cold compiles.
     pub place_seed: u64,
-    /// Run the scheduler-state verifier after every mutating operation
-    /// (`submit`/`resubmit`/`run`/`release`) and fail the operation with
-    /// [`RuntimeError::Invariant`] if any invariant is violated. Off by
-    /// default.
+    /// Run the sched and timeline passes after every operation that
+    /// changes scheduler state or the time axis — `submit`, `resubmit`,
+    /// `swap_params`, `set_counter`, `run`, `release`, `drain_queue` and
+    /// `compact_background` — and fail it with [`RuntimeError::Invariant`]
+    /// if any invariant is violated (the operation's effects stay). Off
+    /// by default.
     pub verify_on_admit: bool,
 }
 
@@ -34,10 +28,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(8, 4, 2)],
-            cache_capacity: 32,
             workers: 4,
-            iface: ReconfigInterface::Hwicap,
-            pricer_format: FpFormat::new(4, 6),
             place_seed: 42,
             verify_on_admit: false,
         }

@@ -74,26 +74,11 @@ pub struct TenantRun {
     pub batches: usize,
     /// Measured host execution time.
     pub exec_time: Duration,
-    /// Context switches charged to this tenant (slot swap-ins).
+    /// Context switches charged to this tenant: 1 when its slot swapped
+    /// its configuration in, else 0.
     pub context_switches: usize,
-    /// Modeled port time of those switches.
+    /// Modeled port time of that switch.
     pub switch_port_time: Duration,
-}
-
-/// Modeled port time of `switches` context switches at `cost` each.
-///
-/// Computed in 128-bit nanoseconds: the obvious `cost * switches as u32`
-/// silently truncates once a long-lived time-shared tenant accumulates
-/// more than `u32::MAX` switches, and `Duration::mul` panics on overflow
-/// besides. Saturates at `Duration::MAX` instead of wrapping or
-/// panicking — a modeled cost that large is already "never admit this".
-pub fn switch_port_time(cost: Duration, switches: u64) -> Duration {
-    const NANOS_PER_SEC: u128 = 1_000_000_000;
-    let ns = cost.as_nanos().saturating_mul(u128::from(switches));
-    match u64::try_from(ns / NANOS_PER_SEC) {
-        Ok(secs) => Duration::new(secs, (ns % NANOS_PER_SEC) as u32),
-        Err(_) => Duration::MAX,
-    }
 }
 
 /// The `request` → `execute` spans over the consecutive units of one job
@@ -148,8 +133,7 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
                 None => band.swap_in_first,
             };
             loaded = Some(job.tenant);
-            let switches = usize::from(swap_in);
-            if switches > 0 {
+            if swap_in {
                 // The swap-in reconfigures this band while other bands
                 // keep computing — the overlap the runtime's timeline
                 // models as a lane-local phase.
@@ -166,8 +150,12 @@ pub fn run_bands(bands: Vec<BandWork>, workers: usize, batch_size: usize) -> Vec
                 items: job.inputs.len(),
                 batches: job.inputs.len().div_ceil(batch_size),
                 exec_time: Duration::ZERO,
-                context_switches: switches,
-                switch_port_time: switch_port_time(band.switch_cost, switches as u64),
+                context_switches: usize::from(swap_in),
+                switch_port_time: if swap_in {
+                    band.switch_cost
+                } else {
+                    Duration::ZERO
+                },
             });
             jobs.push(job);
         }
@@ -318,24 +306,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn switch_port_time_survives_huge_switch_counts() {
-        let cost = Duration::from_millis(100);
-        // Sanity at small counts: identical to the obvious product.
-        assert_eq!(switch_port_time(cost, 0), Duration::ZERO);
-        assert_eq!(switch_port_time(cost, 3), cost * 3);
-        // Past u32::MAX switches the old `cost * switches as u32` cast
-        // truncated the count (here to 1); the u128 path keeps every
-        // switch.
-        let switches = u64::from(u32::MAX) + 2;
-        let got = switch_port_time(cost, switches);
-        assert_eq!(got, Duration::from_millis(100 * switches));
-        assert!(got > cost * u32::MAX, "no truncation back into u32 range");
-        // And the astronomically-large product saturates instead of
-        // panicking.
-        assert_eq!(switch_port_time(Duration::MAX, u64::MAX), Duration::MAX);
     }
 
     #[test]

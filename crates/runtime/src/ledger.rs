@@ -7,25 +7,15 @@ use crate::pool::TenantId;
 use crate::runtime::Runtime;
 use crate::timeline::{Lane, Phase};
 
-/// Per-tenant accumulated accounting.
+/// Per-tenant accumulated accounting: what the scheduler reads. Pool-wide
+/// totals are the [`Ledger`]'s, and a tenant's modeled time is on the
+/// time axis's intervals tagged with its id.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TenantStats {
     /// Input vectors processed.
     pub items: usize,
-    /// Streaming batches processed.
-    pub batches: usize,
-    /// Measured host execution time.
-    pub exec_time: Duration,
-    /// Parameter swaps served from the fast path.
-    pub swaps: usize,
-    /// Frames rewritten by those swaps.
-    pub swap_frames: usize,
-    /// Modeled port time of those swaps.
-    pub swap_port_time: Duration,
     /// Context switches charged while time-multiplexed.
     pub context_switches: usize,
-    /// Modeled port time of those switches.
-    pub switch_port_time: Duration,
     /// Times this tenant's band was relocated by compaction.
     pub relocations: usize,
 }
@@ -84,13 +74,13 @@ pub struct Ledger {
     pub exec_time: Duration,
     /// Modeled makespan of the time axis: when the last scheduled
     /// phase ends, with reconfiguration of one band overlapped against
-    /// other bands' execution (see [`crate::timeline`]). Always at most
-    /// `total_port_time() + exec_time`-shaped serialized story; on
-    /// overlapping workloads strictly less than [`Ledger::total_port_time`].
+    /// other bands' execution (see [`crate::timeline`]). At most the
+    /// fully serialized story, `total_port_time() + exec_time`, and
+    /// strictly less whenever some phase overlaps another.
     pub modeled_makespan: Duration,
-    /// Time the overlap model saves over the fully serialized story
-    /// (`charged + execute` laid end to end minus the makespan).
-    /// Monotone nondecreasing.
+    /// Time the overlap model saves over the fully serialized story:
+    /// `total_port_time() + exec_time − modeled_makespan`. Monotone
+    /// nondecreasing.
     pub overlap_saved: Duration,
 }
 
@@ -137,17 +127,13 @@ impl Runtime {
             Phase::Execute => &mut ledger.exec_time,
         } += dur;
         let start = self.timeline.schedule(lane, phase, tenant, dur);
-        ledger.modeled_makespan = self.timeline.makespan();
-        let saved = self.timeline.overlap_saved();
+        // Every lane and port cursor is at or below the makespan, so a
+        // zero-length charge leaves it where it was.
+        ledger.modeled_makespan = ledger.modeled_makespan.max(start + dur);
+        let saved =
+            (ledger.total_port_time() + ledger.exec_time).saturating_sub(ledger.modeled_makespan);
         debug_assert!(saved >= ledger.overlap_saved, "overlap_saved regressed");
         ledger.overlap_saved = saved;
-        // Charge conservation: the timeline verify pass re-proves this
-        // from plain data; here it guards every charge in tests.
-        debug_assert_eq!(
-            self.timeline.charged(),
-            ledger.total_port_time(),
-            "timeline charged durations must reconcile with the ledger's port time"
-        );
         start
     }
 }

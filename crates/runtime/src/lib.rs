@@ -62,14 +62,15 @@
 //!   lower (`AppGraph::validate`) is refused by `submit`/`resubmit`
 //!   before a lease or a queue slot is taken and counted in
 //!   [`Ledger::refused`]; a compile that fails surrenders its lease.
-//! * [`timeline`] — the modeled **time axis**: every charged
-//!   reconfiguration phase scheduled as an interval on its band's lane,
+//! * [`timeline`] — the modeled **time axis**, a pure scheduler: every
+//!   charged phase scheduled as an interval on its band's lane,
 //!   host→fabric phases serialized on the one configuration port,
 //!   grid-local replays (context switches, compaction) overlapping
-//!   everything else. Yields [`Ledger::modeled_makespan`] — strictly
-//!   less than the flat summed port time whenever reconfiguration
-//!   actually overlaps other bands' execution — and the monotone
-//!   `overlap_saved` counter.
+//!   everything else. It keeps lane cursors, the port cursor and the
+//!   interval log; the totals are the [`Ledger`]'s —
+//!   [`Ledger::modeled_makespan`], where the last interval ends and below
+//!   the serialized `total_port_time() + exec_time` whenever some phase
+//!   overlaps another, and the monotone [`Ledger::overlap_saved`].
 //!
 //! Fast path vs. recompile, in one table:
 //!
@@ -90,9 +91,10 @@
 //! reconciliation, cache-key soundness), and
 //! [`runtime::Runtime::timeline_snapshot`] does the same for the
 //! timeline pass (port exclusivity, lane exclusivity, charge
-//! conservation against the ledger);
+//! conservation and the makespan against the ledger);
 //! [`runtime::RuntimeConfig::verify_on_admit`] runs both passes after
-//! every mutating operation and fails it on a broken invariant.
+//! every operation that changes scheduler state or the time axis and
+//! fails it on a broken invariant.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::dbg_macro, clippy::todo)]

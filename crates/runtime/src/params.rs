@@ -47,7 +47,7 @@ impl Runtime {
                 }
             })
             .collect();
-        let report = self.apply_changes(tenant, changes)?;
+        let report = self.apply_changes(tenant, changes);
         // Priced and booked: the graph follows its settings, in place.
         let t = self
             .tenants
@@ -56,6 +56,7 @@ impl Runtime {
         for (node, &c) in slots.into_iter().zip(coeffs) {
             t.graph.nodes[node].coeff = Some(c);
         }
+        self.enforce_invariants()?;
         Ok(report)
     }
 
@@ -83,16 +84,14 @@ impl Runtime {
             old,
             new,
         };
-        self.apply_changes(tenant, vec![change])
+        let report = self.apply_changes(tenant, vec![change]);
+        self.enforce_invariants()?;
+        Ok(report)
     }
 
     /// Prices `changes`, writes them into the tenant's settings and books
     /// the swap. The tenant's graph is the caller's to update.
-    fn apply_changes(
-        &mut self,
-        tenant: TenantId,
-        changes: Vec<PeChange>,
-    ) -> Result<SwapReport, RuntimeError> {
+    fn apply_changes(&mut self, tenant: TenantId, changes: Vec<PeChange>) -> SwapReport {
         let mut request_span = trace::span("request");
         request_span.arg("tenant", tenant);
         request_span.arg("op", "swap");
@@ -114,13 +113,10 @@ impl Runtime {
             let (r, c) = (ch.cell.0 - t.lease.row0, ch.cell.1);
             t.mapping.pe_settings[r * cols + c] = Some(ch.new);
         }
-        t.stats.swaps += 1;
-        t.stats.swap_frames += report.frames();
-        t.stats.swap_port_time += report.port_time;
         let lane = (t.lease.grid, t.lease.row0);
         self.ledger.swaps += 1;
         self.ledger.swap_frames += report.frames();
         self.charge(lane, Phase::Swap, Some(tenant), report.port_time);
-        Ok(report)
+        report
     }
 }

@@ -7,8 +7,8 @@
 //! [`dcs::Scg::specialize_lanes`] sweep (32 PEs to a sweep, chunked
 //! beyond), so a swap costs one pass over the PE's BDD store and one over
 //! its PPC roots however many PEs it touches. The pricer owns one parameterized PE design (`mapping` +
-//! `dcs::ParamConfig`) built lazily on first use — by default in a reduced
-//! floating-point format so pricing stays interactive; the frame *counts*
+//! `dcs::ParamConfig`) built lazily on first use — in the runtime, in the
+//! reduced (4,6) format so pricing stays interactive; the frame *counts*
 //! it produces are a per-PE model, anchored against the paper's published
 //! population through [`dcs::paper_pe_reconfig`].
 //!
@@ -94,10 +94,17 @@ impl PricerModel {
     }
 }
 
+/// Floating-point format of the runtime's pricing PE: reduced, so the
+/// lazy pricer build stays sub-second.
+pub(crate) const PRICER_FORMAT: FpFormat = FpFormat { we: 4, wf: 6 };
+
+/// The configuration interface every price is charged at: the paper's
+/// HWICAP, 251 ms per PE.
+const IFACE: ReconfigInterface = ReconfigInterface::Hwicap;
+
 /// Lazily-built PPC pricer over one parameterized PE.
 pub struct SettingsPricer {
     format: FpFormat,
-    iface: ReconfigInterface,
     model: OnceLock<PricerModel>,
 }
 
@@ -105,17 +112,11 @@ impl SettingsPricer {
     /// Creates a pricer; `format` is the floating-point format of the
     /// *pricing* PE (reduced formats price in well under a second; the
     /// trend matches the paper-scale PE).
-    pub fn new(format: FpFormat, iface: ReconfigInterface) -> Self {
+    pub fn new(format: FpFormat) -> Self {
         SettingsPricer {
             format,
-            iface,
             model: OnceLock::new(),
         }
-    }
-
-    /// The configuration interface this pricer charges.
-    pub fn interface(&self) -> ReconfigInterface {
-        self.iface
     }
 
     fn model(&self) -> &PricerModel {
@@ -191,7 +192,7 @@ impl SettingsPricer {
         }
         report.eval_time = t0.elapsed();
         report.settings_frames = settings_frames.len();
-        report.port_time = dcs::timing::reconfig_cost(report.frames(), self.iface);
+        report.port_time = dcs::timing::reconfig_cost(report.frames(), IFACE);
         report
     }
 
@@ -199,7 +200,7 @@ impl SettingsPricer {
     /// admission or a time-multiplexing context switch): the paper's
     /// full per-PE micro-reconfiguration, 251 ms each on HWICAP.
     pub fn full_config_cost(&self, pes: usize) -> Duration {
-        let per_pe = dcs::paper_pe_reconfig(self.iface);
+        let per_pe = dcs::paper_pe_reconfig(IFACE);
         per_pe * pes as u32
     }
 }
@@ -213,7 +214,7 @@ mod tests {
 
     fn pricer() -> SettingsPricer {
         // Tiny pricing PE keeps the lazy build fast in debug tests.
-        SettingsPricer::new(FpFormat::new(3, 4), ReconfigInterface::Hwicap)
+        SettingsPricer::new(FpFormat::new(3, 4))
     }
 
     fn mac(c: f64, counter: u32) -> PeSettings {
@@ -267,7 +268,7 @@ mod tests {
         }
         report.sweeps = repriced.div_ceil(PES_PER_SWEEP);
         report.settings_frames = settings_frames.len();
-        report.port_time = dcs::timing::reconfig_cost(report.frames(), p.iface);
+        report.port_time = dcs::timing::reconfig_cost(report.frames(), IFACE);
         report
     }
 

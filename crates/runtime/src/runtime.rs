@@ -75,12 +75,15 @@ use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
 use crate::engine::{run_bands, BandWork, Job, TenantRun, BATCH_SIZE};
 use crate::pool::{GridPool, Lease, TenantId};
-use crate::pricer::SettingsPricer;
+use crate::pricer::{SettingsPricer, PRICER_FORMAT};
 use crate::timeline::{Phase, Timeline};
 
 pub use crate::admission::{Admission, Admitted, Queued, Refresh};
 pub use crate::config::{RuntimeConfig, RuntimeError};
 pub use crate::ledger::{Ledger, TenantStats};
+
+/// Compiled configurations the runtime's cache keeps.
+const CACHE_CAPACITY: usize = 32;
 
 /// One admitted application.
 pub struct Tenant {
@@ -153,8 +156,8 @@ impl Runtime {
     /// Builds a runtime over the configured grid pool.
     pub fn new(cfg: RuntimeConfig) -> Self {
         let pool = GridPool::new(cfg.grids.clone());
-        let cache = ConfigCache::new(cfg.cache_capacity);
-        let pricer = SettingsPricer::new(cfg.pricer_format, cfg.iface);
+        let cache = ConfigCache::new(CACHE_CAPACITY);
+        let pricer = SettingsPricer::new(PRICER_FORMAT);
         Runtime {
             cfg,
             pool,
@@ -189,7 +192,7 @@ impl Runtime {
     /// call is never left idle (the drain's admissions are visible in the
     /// ledger and via [`Runtime::tenant`]).
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
-        self.drain_queue();
+        self.drain_queue()?;
         // Validate and lower every request before any worker starts, so
         // that a bad request or a broken mapping is an error here and
         // never a panic on an engine thread — and never a value whose
@@ -257,12 +260,8 @@ impl Runtime {
                 .get_mut(&run.tenant)
                 .expect("runs only cover tenants validated live above");
             let lane = (tenant.lease.grid, tenant.lease.row0);
-            let stats = &mut tenant.stats;
-            stats.items += run.items;
-            stats.batches += run.batches;
-            stats.exec_time += run.exec_time;
-            stats.context_switches += run.context_switches;
-            stats.switch_port_time += run.switch_port_time;
+            tenant.stats.items += run.items;
+            tenant.stats.context_switches += run.context_switches;
             self.ledger.items += run.items;
             self.ledger.context_switches += run.context_switches;
             // The swap-in context switch (a grid-local replay of the
@@ -310,11 +309,6 @@ impl Runtime {
     /// The pool-wide ledger.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
-    }
-
-    /// Fraction of pool rows currently leased.
-    pub fn utilization(&self) -> f64 {
-        self.pool.utilization()
     }
 
     /// Read access to the scheduler's band state (for reporting and

@@ -85,21 +85,22 @@ impl Runtime {
             cache: self
                 .cache
                 .entries()
-                .map(|(k, cfg)| CacheEntrySnap {
+                .map(|(k, mapping)| CacheEntrySnap {
                     key_id: k.fingerprint(),
                     region: k.region(),
-                    mapping_region: (cfg.mapping.arch.rows, cfg.mapping.arch.cols),
+                    mapping_region: (mapping.arch.rows, mapping.arch.cols),
                     key_nodes: k.node_count(),
-                    placed_nodes: cfg.mapping.place.len(),
+                    placed_nodes: mapping.place.len(),
                 })
                 .collect(),
         }
     }
 
     /// Exports the time axis as a plain-data snapshot for the `verify`
-    /// crate's timeline pass, carrying the ledger's summed port time so
-    /// the pass can prove charge conservation without trusting either
-    /// side.
+    /// crate's timeline pass, carrying the ledger's summed port time and
+    /// makespan so the pass can prove charge conservation and the
+    /// published makespan against the interval log without trusting
+    /// either side.
     pub fn timeline_snapshot(&self) -> verify::TimelineSnapshot {
         verify::TimelineSnapshot {
             intervals: self
@@ -116,7 +117,7 @@ impl Runtime {
                     dur_ns: iv.dur.as_nanos() as u64,
                 })
                 .collect(),
-            makespan_ns: self.timeline.makespan().as_nanos() as u64,
+            makespan_ns: self.ledger.modeled_makespan.as_nanos() as u64,
             ledger_port_ns: self.ledger.total_port_time().as_nanos() as u64,
         }
     }
@@ -160,5 +161,56 @@ impl Runtime {
                 .collect();
             Err(RuntimeError::Invariant(details.join("; ")))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fmt::Debug;
+
+    use softfloat::{FpFormat, FpValue};
+    use vcgra::VcgraArch;
+
+    use crate::kernels;
+    use crate::{Runtime, RuntimeConfig, RuntimeError};
+
+    const F: FpFormat = FpFormat::PAPER;
+
+    fn refused<T: Debug>(op: &str, result: Result<T, RuntimeError>) {
+        assert!(
+            matches!(result, Err(RuntimeError::Invariant(_))),
+            "{op} must fail a broken invariant, got {result:?}"
+        );
+    }
+
+    #[test]
+    fn verify_on_admit_gates_swaps_counters_and_every_resubmit_path() {
+        // One 5x4 grid: two 2-row bands, and a 3-row FIR waiting behind
+        // them (one free row, neither band tall enough to share).
+        let mut rt = Runtime::new(RuntimeConfig {
+            grids: vec![VcgraArch::new(5, 4, 2)],
+            verify_on_admit: true,
+            ..RuntimeConfig::default()
+        });
+        let fir = kernels::fir(F, &[0.5, 0.25]).graph;
+        let live = rt.submit("live", fir.clone()).unwrap().tenant();
+        rt.submit("second", fir.clone()).unwrap();
+        let waiter = kernels::fir_seeded(F, 5, 3).graph;
+        let waiting = rt.submit("waiting", waiter.clone()).unwrap();
+        assert!(waiting.is_queued());
+
+        // The queue-flow counters stop reconciling with the queue.
+        rt.ledger.queued += 1;
+        let coeffs = [FpValue::from_f64(-1.5, F), FpValue::from_f64(2.0, F)];
+        refused("swap_params", rt.swap_params(live, &coeffs));
+        refused("set_counter", rt.set_counter(live, 0, 7));
+        refused(
+            "a same-structure resubmit",
+            rt.resubmit(live, fir.with_coeffs(&coeffs)),
+        );
+        refused(
+            "a queued tenant's resubmit",
+            rt.resubmit(waiting.tenant(), waiter),
+        );
     }
 }

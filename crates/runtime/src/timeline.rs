@@ -30,20 +30,11 @@
 //! time) — event order *is* program order, so replaying the same
 //! operations yields the same axis bit-for-bit.
 //!
-//! The derived quantities close ROADMAP direction 4's "charged, not
-//! scheduled" gap:
-//!
-//! - [`Timeline::makespan`] — the modeled wall clock: when the last
-//!   scheduled interval ends;
-//! - [`Timeline::charged`] — summed charged durations; reconciles
-//!   **exactly** with [`Ledger::total_port_time`](crate::Ledger) because
-//!   the runtime feeds both from the same `Duration` values;
-//! - [`Timeline::serialized`] — charged + execute: what the makespan
-//!   would be if nothing overlapped (every phase end-to-end);
-//! - [`Timeline::overlap_saved`] — `serialized − makespan`: the time the
-//!   overlap model saves over the flat-sum story. Monotone nondecreasing
-//!   over scheduling (each phase extends the makespan by at most its own
-//!   duration).
+//! The timeline only schedules: it holds the lane cursors, the port
+//! cursor and the interval log. The totals derived from it — the
+//! makespan and the time the overlap saves — are kept by the
+//! [`Ledger`](crate::Ledger), whose one writer, `Runtime::charge`, feeds
+//! both from the same `Duration` values.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -80,8 +71,8 @@ impl Phase {
     }
 
     /// True for phases the [`Ledger`](crate::Ledger) charges as modeled
-    /// port time. `Timeline::charged` sums exactly these, which is what
-    /// lets the runtime reconcile the axis against `total_port_time`.
+    /// port time. The verify timeline pass sums the logged intervals of
+    /// exactly these and reconciles them against `total_port_time`.
     pub fn charged(self) -> bool {
         !matches!(self, Phase::Execute)
     }
@@ -132,11 +123,6 @@ pub struct Timeline {
     lane_free: BTreeMap<Lane, Duration>,
     /// Next free time of the configuration port.
     port_free: Duration,
-    /// Running sums (kept incrementally so accessors are O(1)).
-    charged: Duration,
-    port_busy: Duration,
-    exec_busy: Duration,
-    makespan: Duration,
 }
 
 impl Timeline {
@@ -169,15 +155,7 @@ impl Timeline {
         self.lane_free.insert(lane, end);
         if phase.uses_port() {
             self.port_free = end;
-            self.port_busy += dur;
         }
-        if phase.charged() {
-            self.charged += dur;
-        }
-        if phase == Phase::Execute {
-            self.exec_busy += dur;
-        }
-        self.makespan = self.makespan.max(end);
         self.intervals.push(Interval {
             lane,
             phase,
@@ -213,52 +191,9 @@ impl Timeline {
         }
     }
 
-    /// The modeled wall clock: when the last scheduled interval ends.
-    pub fn makespan(&self) -> Duration {
-        self.makespan
-    }
-
-    /// Summed charged durations (everything but execute). Reconciles
-    /// exactly with [`Ledger::total_port_time`](crate::Ledger).
-    pub fn charged(&self) -> Duration {
-        self.charged
-    }
-
-    /// Summed durations of phases that used the host→fabric port.
-    pub fn port_busy(&self) -> Duration {
-        self.port_busy
-    }
-
-    /// Summed execute durations.
-    pub fn exec_busy(&self) -> Duration {
-        self.exec_busy
-    }
-
-    /// What the makespan would be with no overlap at all: every charged
-    /// phase and every execute laid end to end.
-    pub fn serialized(&self) -> Duration {
-        self.charged + self.exec_busy
-    }
-
-    /// Time the overlap model saves over the flat serialized story:
-    /// `serialized() − makespan()`. Monotone nondecreasing over
-    /// scheduling.
-    pub fn overlap_saved(&self) -> Duration {
-        self.serialized().saturating_sub(self.makespan)
-    }
-
     /// The interval log, in scheduling order.
     pub fn intervals(&self) -> &[Interval] {
         &self.intervals
-    }
-
-    /// Summed busy time per lane (all phases, execute included).
-    pub fn lane_busy(&self) -> BTreeMap<Lane, Duration> {
-        let mut busy: BTreeMap<Lane, Duration> = BTreeMap::new();
-        for iv in &self.intervals {
-            *busy.entry(iv.lane).or_default() += iv.dur;
-        }
-        busy
     }
 }
 
@@ -267,6 +202,29 @@ mod tests {
     use super::*;
 
     const MS: Duration = Duration::from_millis(1);
+
+    /// When the last logged interval ends.
+    fn log_end(tl: &Timeline) -> Duration {
+        tl.intervals()
+            .iter()
+            .map(Interval::end)
+            .max()
+            .unwrap_or_default()
+    }
+
+    /// Summed durations of the logged intervals `pick` selects.
+    fn busy(tl: &Timeline, pick: impl Fn(&Interval) -> bool) -> Duration {
+        tl.intervals()
+            .iter()
+            .filter(|iv| pick(iv))
+            .map(|iv| iv.dur)
+            .sum()
+    }
+
+    /// Every phase laid end to end, less the log's end.
+    fn saved(tl: &Timeline) -> Duration {
+        busy(tl, |_| true) - log_end(tl)
+    }
 
     #[test]
     fn port_phases_serialize_lane_phases_overlap() {
@@ -277,19 +235,19 @@ mod tests {
         let b = tl.schedule((0, 8), Phase::Admission, Some(2), 5 * MS);
         assert_eq!(a, Duration::ZERO);
         assert_eq!(b, 10 * MS);
-        assert_eq!(tl.makespan(), 15 * MS);
+        assert_eq!(log_end(&tl), 15 * MS);
         // Band (0,0) executes while band (0,8) is still being
-        // configured — full overlap, makespan unchanged until the
+        // configured — full overlap, the axis's end unchanged until the
         // execute outruns the port stream.
         let e = tl.schedule((0, 0), Phase::Execute, Some(1), 4 * MS);
         assert_eq!(e, 10 * MS);
-        assert_eq!(tl.makespan(), 15 * MS);
-        assert_eq!(tl.charged(), 15 * MS);
-        assert_eq!(tl.port_busy(), 15 * MS);
-        assert_eq!(tl.exec_busy(), 4 * MS);
+        assert_eq!(log_end(&tl), 15 * MS);
+        assert_eq!(busy(&tl, |iv| iv.phase.charged()), 15 * MS);
+        assert_eq!(busy(&tl, |iv| iv.phase.uses_port()), 15 * MS);
+        assert_eq!(busy(&tl, |iv| iv.phase == Phase::Execute), 4 * MS);
         // Serialized story: 15 ms port + 4 ms exec = 19 ms; the axis
         // hides the execute entirely.
-        assert_eq!(tl.overlap_saved(), 4 * MS);
+        assert_eq!(saved(&tl), 4 * MS);
     }
 
     #[test]
@@ -300,9 +258,9 @@ mod tests {
         // wait for the port.
         let s = tl.schedule((0, 8), Phase::Switch, Some(2), 3 * MS);
         assert_eq!(s, Duration::ZERO);
-        assert_eq!(tl.makespan(), 10 * MS);
-        assert_eq!(tl.charged(), 13 * MS);
-        assert_eq!(tl.overlap_saved(), 3 * MS);
+        assert_eq!(log_end(&tl), 10 * MS);
+        assert_eq!(busy(&tl, |iv| iv.phase.charged()), 13 * MS);
+        assert_eq!(saved(&tl), 3 * MS);
         // But the port *is* still serialized against the same lane: an
         // admission onto (0,8) waits for the switch.
         let a = tl.schedule((0, 8), Phase::Admission, Some(3), 2 * MS);
@@ -320,7 +278,7 @@ mod tests {
         tl.move_lane((0, 6), (0, 0), 3 * MS);
         let start = tl.schedule((0, 0), Phase::Replay, Some(1), 3 * MS);
         assert_eq!(start, 8 * MS);
-        assert_eq!(tl.makespan(), 11 * MS);
+        assert_eq!(log_end(&tl), 11 * MS);
         // The vacated rows stay occupied until the move completes: a new
         // band at row 6 cannot overlap the outgoing band's history.
         let a = tl.schedule((0, 6), Phase::Switch, Some(3), MS);
@@ -333,7 +291,6 @@ mod tests {
         let start = tl.schedule((0, 0), Phase::Swap, Some(1), Duration::ZERO);
         assert_eq!(start, Duration::ZERO);
         assert!(tl.intervals().is_empty());
-        assert_eq!(tl.makespan(), Duration::ZERO);
     }
 
     #[test]
@@ -351,7 +308,7 @@ mod tests {
             let lane = (0, (i % 4) as usize * 4);
             let phase = phases[(i % 5) as usize];
             tl.schedule(lane, phase, Some(i), Duration::from_millis(1 + i % 7));
-            let saved = tl.overlap_saved();
+            let saved = saved(&tl);
             assert!(saved >= prev, "overlap_saved regressed at step {i}");
             prev = saved;
         }
@@ -364,9 +321,11 @@ mod tests {
         tl.schedule((1, 0), Phase::Admission, Some(2), 7 * MS);
         tl.schedule((0, 0), Phase::Execute, Some(1), 20 * MS);
         tl.schedule((1, 0), Phase::Switch, Some(2), 2 * MS);
-        let max_lane = tl.lane_busy().into_values().max().unwrap_or(Duration::ZERO);
-        assert!(tl.makespan() >= max_lane);
-        assert!(tl.makespan() >= tl.port_busy());
-        assert!(tl.makespan() <= tl.serialized());
+        let end = log_end(&tl);
+        for lane in [(0, 0), (1, 0)] {
+            assert!(end >= busy(&tl, |iv| iv.lane == lane));
+        }
+        assert!(end >= busy(&tl, |iv| iv.phase.uses_port()));
+        assert!(end <= busy(&tl, |_| true));
     }
 }

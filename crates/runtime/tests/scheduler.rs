@@ -731,7 +731,7 @@ fn seeded_churn_soak_preserves_fifo_and_bit_exactness() {
             expected_queue.iter().copied().collect::<Vec<_>>(),
             "round {round}: runtime queue must match the FIFO model"
         );
-        assert!(rt.utilization() <= 1.0 + 1e-12);
+        assert!(rt.pool().utilization() <= 1.0 + 1e-12);
     }
 
     assert!(live.is_empty(), "the last round cleared the pool");

@@ -3,26 +3,28 @@
 //! Two layers:
 //!
 //! * **pure timeline** — random phase schedules (with relocations)
-//!   straight into [`Timeline`], asserting after every step the bounds
-//!   that make the makespan *honest*:
-//!   `max(per-lane busy) <= makespan <= serialized`, `makespan >=
-//!   port_busy`, `overlap_saved` monotone, and — on execute-free
-//!   schedules — `makespan <= charged`, the ISSUE's literal
-//!   "never exceeds summed port time" bound (execute intervals can
-//!   legitimately push a lane's later port phase past the flat port sum,
-//!   which is why the general bound is `serialized`, not `charged`);
+//!   straight into [`Timeline`], asserting after every step, on totals
+//!   derived from the interval log, the bounds that make the makespan
+//!   *honest*: `max(per-lane busy) <= makespan <= serialized`,
+//!   `makespan >= port busy`, the overlap saved monotone, and — on
+//!   execute-free schedules — `makespan <= charged`, the literal "never
+//!   exceeds summed port time" bound (execute intervals can legitimately
+//!   push a lane's later port phase past the flat port sum, which is why
+//!   the general bound is `serialized`, not `charged`);
 //! * **runtime-driven** — random admission / parameter-swap / release /
 //!   compaction / run sequences through the real [`Runtime`], asserting
-//!   the same bounds on the live axis plus a clean timeline verify pass
-//!   and exact ledger reconciliation after every operation.
+//!   the same bounds on the live axis, the ledger's makespan and overlap
+//!   against the log, and a clean timeline verify pass after every
+//!   operation.
 //!
 //! The proptest stand-in draws inputs from a per-test deterministic
 //! stream, so failures reproduce bit-for-bit.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use runtime::timeline::{Phase, Timeline};
+use runtime::timeline::{Interval, Phase, Timeline};
 use runtime::{kernels, Admission, Runtime, RuntimeConfig, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
 use vcgra::VcgraArch;
@@ -41,38 +43,33 @@ fn phase_of(kind: u8, allow_exec: bool) -> Phase {
     }
 }
 
-/// Asserts every bound the axis promises, given the busiest lane.
-fn assert_bounds(tl: &Timeline, ctx: &str) {
-    let max_lane = tl.lane_busy().into_values().max().unwrap_or(Duration::ZERO);
+/// The axis's totals from its interval log alone, after asserting the
+/// bounds every schedule keeps: `(end, charged, serialized)` — when the
+/// last interval ends (the makespan), the summed charged durations, and
+/// every phase laid end to end.
+fn log_totals(tl: &Timeline, ctx: &str) -> (Duration, Duration, Duration) {
+    let ivs = tl.intervals();
+    let sum = |pick: fn(&Interval) -> bool| ivs.iter().filter(|iv| pick(iv)).map(|iv| iv.dur).sum();
+    let mut lanes: BTreeMap<_, Duration> = BTreeMap::new();
+    for iv in ivs {
+        *lanes.entry(iv.lane).or_default() += iv.dur;
+    }
+    let end = ivs.iter().map(Interval::end).max().unwrap_or_default();
+    let busiest = lanes.into_values().max().unwrap_or_default();
+    let (port, serialized): (Duration, Duration) = (sum(|iv| iv.phase.uses_port()), sum(|_| true));
     assert!(
-        tl.makespan() >= max_lane,
-        "{ctx}: makespan {:?} < busiest lane {:?}",
-        tl.makespan(),
-        max_lane
+        end >= busiest,
+        "{ctx}: makespan {end:?} < busiest lane {busiest:?}"
     );
     assert!(
-        tl.makespan() >= tl.port_busy(),
-        "{ctx}: makespan {:?} < port busy {:?} (the port is a single resource)",
-        tl.makespan(),
-        tl.port_busy()
+        end >= port,
+        "{ctx}: makespan {end:?} < port busy {port:?} (one port)"
     );
     assert!(
-        tl.makespan() <= tl.serialized(),
-        "{ctx}: makespan {:?} > serialized {:?} (overlap can only save time)",
-        tl.makespan(),
-        tl.serialized()
+        end <= serialized,
+        "{ctx}: makespan {end:?} > serialized {serialized:?}"
     );
-    let summed: Duration = tl
-        .intervals()
-        .iter()
-        .filter(|iv| iv.phase.charged())
-        .map(|iv| iv.dur)
-        .sum();
-    assert_eq!(
-        tl.charged(),
-        summed,
-        "{ctx}: running charged sum drifted from the interval log"
-    );
+    (end, sum(|iv| iv.phase.charged()), serialized)
 }
 
 proptest! {
@@ -96,15 +93,15 @@ proptest! {
             } else {
                 tl.schedule(lane, phase_of(kind, false), None, Duration::from_millis(ms));
             }
-            assert_bounds(&tl, "reconfig-only");
+            let (end, charged, serialized) = log_totals(&tl, "reconfig-only");
             prop_assert!(
-                tl.makespan() <= tl.charged(),
+                end <= charged,
                 "execute-free: makespan {:?} must not exceed summed port time {:?}",
-                tl.makespan(),
-                tl.charged()
+                end,
+                charged
             );
-            prop_assert!(tl.overlap_saved() >= prev_saved, "overlap_saved must be monotone");
-            prev_saved = tl.overlap_saved();
+            prop_assert!(serialized - end >= prev_saved, "overlap_saved must be monotone");
+            prev_saved = serialized - end;
         }
     }
 
@@ -126,16 +123,16 @@ proptest! {
             } else {
                 tl.schedule(lane, phase_of(kind, true), None, Duration::from_millis(ms));
             }
-            assert_bounds(&tl, "mixed");
-            prop_assert!(tl.overlap_saved() >= prev_saved, "overlap_saved must be monotone");
-            prev_saved = tl.overlap_saved();
+            let (end, _, serialized) = log_totals(&tl, "mixed");
+            prop_assert!(serialized - end >= prev_saved, "overlap_saved must be monotone");
+            prev_saved = serialized - end;
         }
     }
 
     // The real runtime under random admission / swap / release /
     // compaction / run churn: after every operation the live axis obeys
-    // the bounds, the ledger mirrors it exactly, and the verify pass
-    // finds zero violations.
+    // the bounds, the ledger's totals agree with its log exactly, and the
+    // verify pass finds zero violations.
     #[test]
     fn runtime_churn_keeps_an_honest_reconcilable_axis(
         ops in prop::collection::vec((any::<u8>(), 1u64..400), 1..24),
@@ -196,27 +193,38 @@ proptest! {
                     }
                 }
             }
-            assert_bounds(rt.timeline(), "runtime churn");
+            let (end, charged, _) = log_totals(rt.timeline(), "runtime churn");
+            let ledger = rt.ledger();
             if !ran {
                 // Until the first execution the axis is execute-free, so
-                // the ISSUE's literal bound applies: modeled makespan
-                // never exceeds the flat summed port time.
+                // the literal bound applies: modeled makespan never
+                // exceeds the flat summed port time.
                 prop_assert!(
-                    rt.ledger().modeled_makespan <= rt.ledger().total_port_time(),
+                    ledger.modeled_makespan <= ledger.total_port_time(),
                     "exec-free prefix: makespan {:?} > summed port time {:?}",
-                    rt.ledger().modeled_makespan,
-                    rt.ledger().total_port_time()
+                    ledger.modeled_makespan,
+                    ledger.total_port_time()
                 );
             }
             prop_assert_eq!(
-                rt.ledger().modeled_makespan,
-                rt.timeline().makespan(),
-                "ledger gauge must mirror the axis"
+                ledger.modeled_makespan,
+                end,
+                "the ledger's makespan is where the interval log ends"
             );
             prop_assert_eq!(
-                rt.timeline().charged(),
-                rt.ledger().total_port_time(),
+                ledger.overlap_saved,
+                ledger.total_port_time() + ledger.exec_time - ledger.modeled_makespan,
+                "overlap saved is the serialized story less the makespan"
+            );
+            prop_assert_eq!(
+                charged,
+                ledger.total_port_time(),
                 "charged axis time must reconcile with the flat port sum"
+            );
+            prop_assert_eq!(
+                rt.timeline_snapshot().makespan_ns,
+                ledger.modeled_makespan.as_nanos() as u64,
+                "the verify snapshot carries the ledger's makespan"
             );
             let report = rt.verify_timeline();
             prop_assert!(report.violations.is_empty(), "timeline pass: {:?}", report.violations);

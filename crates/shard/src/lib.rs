@@ -29,8 +29,9 @@
 //!   explicit backpressure, never a silent drop. Accepted work is never
 //!   discarded; [`server::ShardServer::drain`] waits for every queue to
 //!   empty (optionally re-proving each shard's scheduler invariants) and
+//!   returns each shard's ledger, cache counters and admission log;
 //!   [`server::ShardServer::shutdown`] joins the workers and returns
-//!   their final state.
+//!   each shard's closing verification.
 //! * [`loadgen`] is a **seeded, deterministic load generator**: the whole
 //!   workload (structures, coefficients, input streams, operation order)
 //!   is synthesized up front from a `SplitMix64` seed with no wall-clock
@@ -42,7 +43,8 @@
 //!
 //! Observability: the server's shared [`trace::Registry`] carries what
 //! the repo benchmark reads — the `shard.spill`/`shard.reject` counters
-//! and the tier-wide `shard.queue_wait_ns` / `shard.admit_ns` /
+//! (a spill counts once the spilled admission is accepted; a refused one
+//! is a reject only) and the tier-wide `shard.queue_wait_ns` / `shard.admit_ns` /
 //! `shard.execute_ns` latency histograms; the span recorder sees a
 //! `shard.route` span per routing decision (with its shard and whether it
 //! spilled) and a `shard.serve` span per request on the worker.

@@ -18,7 +18,9 @@
 //! release — the paper's "reconfigure cheaply, replay often" loop.
 //! Backpressure ([`Reject::QueueFull`]) is handled by retrying the same
 //! dispatch after a short sleep; a retry never changes the dispatch
-//! order, so it is invisible to the fingerprint. Nothing here reads a
+//! order, so it is invisible to the fingerprint. The [`LoadReport`]
+//! carries every tenant's outputs by job name beside the fingerprint, for
+//! bit-by-bit comparison across shard counts. Nothing here reads a
 //! clock: the shard tier's host time is the repo benchmark's
 //! `shard_mixed` workload.
 
@@ -46,9 +48,6 @@ pub struct LoadSpec {
     /// Input vectors streamed per tenant *per phase* (each tenant streams
     /// twice: before and after its parameter swap).
     pub items_per_tenant: usize,
-    /// Retain every tenant's outputs in the report (for bit-exactness
-    /// cross-checks between shard counts).
-    pub keep_outputs: bool,
 }
 
 impl Default for LoadSpec {
@@ -58,7 +57,6 @@ impl Default for LoadSpec {
             waves: 3,
             tenants_per_wave: 8,
             items_per_tenant: 32,
-            keep_outputs: false,
         }
     }
 }
@@ -82,8 +80,6 @@ pub struct LoadJob {
 pub struct LoadPlan {
     /// Jobs per wave, in dispatch order.
     pub waves: Vec<Vec<LoadJob>>,
-    /// Retain outputs in the report.
-    pub keep_outputs: bool,
 }
 
 impl LoadPlan {
@@ -105,8 +101,6 @@ pub struct LoadReport {
     /// FNV-1a over every output bit in plan order — equal across runs,
     /// shard counts, worker counts, and machines for one (seed, format).
     pub fingerprint: u64,
-    /// Aggregate configuration-cache hits across shards.
-    pub warm_hits: u64,
     /// hits / (hits + misses) over all shards.
     pub warm_hit_rate: f64,
     /// Admissions diverted off their affine shard (deterministic:
@@ -115,8 +109,8 @@ pub struct LoadReport {
     /// Final per-shard stats from the closing drain (includes each
     /// shard's admission log).
     pub shard_stats: Vec<ShardStats>,
-    /// Retained outputs by job name (when `keep_outputs`).
-    pub outputs: Option<BTreeMap<String, JobOutputs>>,
+    /// Every tenant's outputs by job name.
+    pub outputs: BTreeMap<String, JobOutputs>,
 }
 
 impl LoadReport {
@@ -188,10 +182,7 @@ pub fn synthesize(format: FpFormat, spec: &LoadSpec) -> LoadPlan {
         }
         waves.push(jobs);
     }
-    LoadPlan {
-        waves,
-        keep_outputs: spec.keep_outputs,
-    }
+    LoadPlan { waves }
 }
 
 /// Retries a dispatch until the shard accepts it, absorbing
@@ -243,7 +234,7 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
     let mut fp = Fnv::new();
     let mut total_items = 0u64;
     let mut spills = 0u64;
-    let mut kept: BTreeMap<String, JobOutputs> = BTreeMap::new();
+    let mut outputs: BTreeMap<String, JobOutputs> = BTreeMap::new();
 
     for (w, jobs) in plan.waves.iter().enumerate() {
         // Dispatch every job's full lifecycle in plan order. Only the
@@ -320,9 +311,7 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
             }
             digest_outputs(&mut fp, &out1);
             digest_outputs(&mut fp, &out2);
-            if plan.keep_outputs {
-                kept.insert(job.name.clone(), [out1, out2]);
-            }
+            outputs.insert(job.name.clone(), [out1, out2]);
         }
 
         // Wave boundary: prove every shard's scheduler invariants before
@@ -336,10 +325,9 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
     Ok(LoadReport {
         total_items,
         fingerprint: fp.finish(),
-        warm_hits,
         warm_hit_rate: warm_hits as f64 / ((warm_hits + cold_misses) as f64).max(1.0),
         spills,
         shard_stats,
-        outputs: plan.keep_outputs.then_some(kept),
+        outputs,
     })
 }

@@ -168,10 +168,6 @@ pub struct ShardStats {
     pub ledger: Ledger,
     /// The shard's configuration-cache counters.
     pub cache: CacheStats,
-    /// Tenants waiting in the runtime's internal admission queue.
-    pub queue_len: usize,
-    /// PE-utilization of the shard's grid pool.
-    pub utilization: f64,
     /// Requests this worker has fully processed.
     pub processed: u64,
     /// Admission log: application names in the order the worker admitted
@@ -179,19 +175,13 @@ pub struct ShardStats {
     pub admission_order: Vec<String>,
 }
 
-/// A shard's final state, returned by [`ShardServer::shutdown`].
+/// A shard's final state, returned by [`ShardServer::shutdown`]: the
+/// closing verification. Its counters are a [`ShardServer::drain`]'s to
+/// read before the shutdown.
 #[derive(Debug)]
 pub struct ShardFinal {
     /// The shard.
     pub shard: usize,
-    /// Final cost ledger.
-    pub ledger: Ledger,
-    /// Final cache counters.
-    pub cache: CacheStats,
-    /// Total requests processed over the shard's lifetime.
-    pub processed: u64,
-    /// Full admission log.
-    pub admission_order: Vec<String>,
     /// Closing scheduler-state verification of the shard's runtime.
     pub verify: verify::VerifyReport,
 }
@@ -339,9 +329,9 @@ impl ShardServer {
     /// dispatch time, see [`ShardServer::submit`]'s field note on
     /// `submitted`), why the shard was chosen, and a ticket for the
     /// admission report — or [`Reject::QueueFull`] if the chosen shard's
-    /// queue is at capacity (nothing was enqueued; the route decision
-    /// itself has no side effect on load, so an immediate retry targets
-    /// the same shard).
+    /// queue is at capacity (nothing was enqueued and no spill counted;
+    /// the route decision itself has no side effect on load, so an
+    /// immediate retry targets the same shard).
     #[allow(clippy::type_complexity)]
     pub fn submit(
         &mut self,
@@ -361,6 +351,16 @@ impl ShardServer {
         span.arg("key", key.hash());
         span.arg("shard", shard as u64);
         span.arg("spilled", matches!(pick, RoutePick::Spilled { .. }));
+        let (tx, rx) = channel();
+        self.dispatch(
+            shard,
+            Op::Admit {
+                name: name.into(),
+                graph,
+                reply: tx,
+            },
+        )?;
+        // Counted once accepted: a refused spill is a `shard.reject`.
         if let RoutePick::Spilled { from } = pick {
             self.spilled.inc();
             trace::instant(
@@ -371,15 +371,6 @@ impl ShardServer {
                 ],
             );
         }
-        let (tx, rx) = channel();
-        self.dispatch(
-            shard,
-            Op::Admit {
-                name: name.into(),
-                graph,
-                reply: tx,
-            },
-        )?;
         let tenant = self.submitted[shard];
         self.submitted[shard] += 1;
         Ok((ShardTenant { shard, tenant }, pick, self.ticket(shard, rx)))
@@ -472,8 +463,8 @@ impl ShardServer {
     }
 
     /// Graceful shutdown: closes every queue, joins every worker, and
-    /// returns their final state (each including a closing verification
-    /// of its runtime). Work already accepted completes first.
+    /// returns each shard's closing verification of its runtime. Work
+    /// already accepted completes first.
     pub fn shutdown(self) -> Vec<ShardFinal> {
         let ShardServer {
             queues, workers, ..
@@ -555,8 +546,8 @@ impl ShardServer {
 }
 
 /// One shard's worker: owns the runtime, serves its queue FIFO, records
-/// latency into the shared registry, and returns its final state when
-/// the server closes the queue.
+/// latency into the shared registry, and verifies its runtime one last
+/// time when the server closes the queue.
 fn worker_loop(
     shard: usize,
     rx: Receiver<Request>,
@@ -619,8 +610,6 @@ fn worker_loop(
                     shard,
                     ledger: *rt.ledger(),
                     cache: rt.cache_stats(),
-                    queue_len: rt.queue_len(),
-                    utilization: rt.utilization(),
                     processed: processed + 1,
                     admission_order: admission_order.clone(),
                 });
@@ -630,13 +619,8 @@ fn worker_loop(
     }
     // Queue closed: graceful shutdown. Verify the runtime one last time
     // so every shard's invariants are proven at the moment it stops.
-    let verify = rt.verify_all();
     ShardFinal {
         shard,
-        ledger: *rt.ledger(),
-        cache: rt.cache_stats(),
-        processed,
-        admission_order,
-        verify,
+        verify: rt.verify_all(),
     }
 }

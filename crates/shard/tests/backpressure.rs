@@ -1,11 +1,15 @@
 //! Backpressure semantics: a full bounded queue rejects loudly
 //! (`Reject::QueueFull` to the caller, `shard.reject` counted) and
 //! everything the tier *did* accept is served — never silently dropped.
+//! A refused admission is a reject only: it is not counted as a spill.
+
+use std::time::Duration;
 
 use runtime::kernels;
 use runtime::StreamRequest;
-use shard::{Reject, ShardConfig, ShardServer};
+use shard::{Reject, RouteKey, RoutePick, ShardConfig, ShardServer};
 use softfloat::{FpFormat, FpValue};
+use vcgra::app::AppGraph;
 
 const F: FpFormat = FpFormat::PAPER;
 
@@ -83,6 +87,78 @@ fn full_queue_rejects_and_accepted_work_still_completes() {
         .expect("queue has space again")
         .wait()
         .expect("swap");
+    for fin in server.shutdown() {
+        assert!(fin.verify.ok());
+    }
+}
+
+#[test]
+fn a_spill_the_full_queue_refuses_is_counted_as_a_reject_only() {
+    let mut server = ShardServer::start(ShardConfig {
+        queue_depth: 1,
+        spill_margin: 1,
+        ..ShardConfig::new(2)
+    });
+    // Dot products of growing length until one is affine to the other
+    // shard: the one-tap product keeps the `busy` shard busy, and the
+    // other structure's `home` holds an open admission ticket.
+    let graph = |n: usize| AppGraph::dot_product(F, &vec![0.5; n]);
+    let affine = |n: usize| RouteKey::of(&graph(n)).shard(2);
+    let taps = (2..)
+        .find(|&n| affine(n) != affine(1))
+        .expect("both shards");
+    let (busy, home) = (affine(1), affine(taps));
+
+    let (at, _, ticket) = server.submit("busy", graph(1)).expect("idle tier");
+    ticket.wait().expect("admit");
+    // The busy worker streams 2^18 items while a stats request holds the
+    // one slot of its queue, taken once the worker has the run.
+    let inputs = vec![vec![FpValue::from_f64(0.75, F)]; 1 << 18];
+    let run = server
+        .run(
+            busy,
+            vec![StreamRequest {
+                tenant: at.tenant,
+                inputs,
+            }],
+        )
+        .expect("idle queue");
+    let stats = loop {
+        if let Ok(t) = server.stats(busy) {
+            break t;
+        }
+    };
+    let (_, pick, held) = server.submit("held", graph(taps)).expect("idle queue");
+    assert_eq!(pick, RoutePick::Affinity);
+
+    // `home` runs one ticket ahead, so the structure spills to the full
+    // busy shard, which refuses it.
+    let refused = server.submit("spilled", graph(taps));
+    assert_eq!(
+        refused.err(),
+        Some(Reject::QueueFull {
+            shard: busy,
+            capacity: 1
+        })
+    );
+    let spills = |server: &ShardServer| server.metrics().counter_value("shard.spill");
+    assert_eq!(spills(&server), 0, "a refused spill is not a spill");
+    assert!(server.metrics().counter_value("shard.reject") >= 1);
+
+    // Retried until the busy shard takes it: one spill, however many tries.
+    let (at, pick, ticket) = loop {
+        match server.submit("spilled", graph(taps)) {
+            Ok(accepted) => break accepted,
+            Err(Reject::QueueFull { .. }) => std::thread::sleep(Duration::from_micros(50)),
+        }
+    };
+    assert_eq!((at.shard, pick), (busy, RoutePick::Spilled { from: home }));
+    assert_eq!(spills(&server), 1);
+
+    assert_eq!(run.wait().expect("run")[0].items, 1 << 18);
+    stats.wait();
+    held.wait().expect("admit");
+    ticket.wait().expect("admit");
     for fin in server.shutdown() {
         assert!(fin.verify.ok());
     }

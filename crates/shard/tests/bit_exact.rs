@@ -17,7 +17,6 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
             waves: 2,
             tenants_per_wave: 5,
             items_per_tenant: 4,
-            keep_outputs: true,
             ..LoadSpec::default()
         },
     );
@@ -55,8 +54,8 @@ fn outputs_are_bit_exact_across_shard_counts_and_against_the_reference() {
         baseline.fingerprint, report.fingerprint,
         "shard count must be invisible in the output bits"
     );
-    let base_outputs = baseline.outputs.expect("keep_outputs");
-    let tier_outputs = report.outputs.expect("keep_outputs");
+    let base_outputs = &baseline.outputs;
+    let tier_outputs = &report.outputs;
     assert_eq!(base_outputs.len(), plan.tenants());
     assert_eq!(
         base_outputs.keys().collect::<Vec<_>>(),

@@ -14,7 +14,6 @@ fn spec(seed: u64) -> LoadSpec {
         waves: 2,
         tenants_per_wave: 6,
         items_per_tenant: 4,
-        ..LoadSpec::default()
     }
 }
 

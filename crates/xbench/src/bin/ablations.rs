@@ -64,7 +64,6 @@ fn main() {
     for &cuts in cut_points {
         let opts = MapOptions {
             cuts_per_node: cuts,
-            ..Default::default()
         };
         let t = std::time::Instant::now();
         let s = map_parameterized(&par_aig, opts).stats();
