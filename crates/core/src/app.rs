@@ -40,6 +40,14 @@ pub struct AppNode {
     pub b: AppSource,
 }
 
+impl AppNode {
+    /// A MAC/MUL without the coefficient it multiplies by: what `add`
+    /// refuses and `validate` calls [`GraphError::MissingCoeff`].
+    fn lacks_coeff(&self) -> bool {
+        matches!(self.op, PeMode::Mac | PeMode::Mul) && self.coeff.is_none()
+    }
+}
+
 /// A dataflow graph of PE operations.
 #[derive(Debug, Clone)]
 pub struct AppGraph {
@@ -83,6 +91,12 @@ pub enum GraphError {
         /// Nodes in the graph.
         nodes: usize,
     },
+    /// A MAC/MUL node has no coefficient: it would multiply by zero, and
+    /// no parameter swap could ever set one.
+    MissingCoeff {
+        /// The offending node.
+        node: usize,
+    },
     /// The node's coefficient is not in the graph's format; its bits would
     /// be read as a different number.
     CoeffFormat {
@@ -110,6 +124,9 @@ impl std::fmt::Display for GraphError {
             }
             GraphError::OutputOutOfRange { output, nodes } => {
                 write!(f, "output names node {output} of {nodes}")
+            }
+            GraphError::MissingCoeff { node } => {
+                write!(f, "node {node} is a MAC/MUL without a coefficient")
             }
             GraphError::CoeffFormat { node } => {
                 write!(f, "node {node}'s coefficient is not in the graph's format")
@@ -155,16 +172,15 @@ impl AppGraph {
     ) -> usize {
         self.check_source(a);
         self.check_source(b);
-        if matches!(op, PeMode::Mac | PeMode::Mul) {
-            assert!(coeff.is_some(), "MAC/MUL nodes need a coefficient");
-        }
-        self.nodes.push(AppNode {
+        let node = AppNode {
             name: name.into(),
             op,
             coeff,
             a,
             b,
-        });
+        };
+        assert!(!node.lacks_coeff(), "MAC/MUL nodes need a coefficient");
+        self.nodes.push(node);
         self.nodes.len() - 1
     }
 
@@ -176,7 +192,8 @@ impl AppGraph {
 
     /// The graph-shape rules, in one place: at least one node, every
     /// operand an earlier node or a declared external, every output a node
-    /// of the graph, every coefficient in the graph's format. The runtime
+    /// of the graph, a coefficient on every MAC/MUL node and every
+    /// coefficient in the graph's format. The runtime
     /// checks them at `submit`, before a lease is taken; `map_app` and
     /// `ExecPlan::lower` check them again for callers that come direct.
     pub fn validate(&self) -> Result<(), GraphError> {
@@ -198,6 +215,9 @@ impl AppGraph {
                     }
                     _ => {}
                 }
+            }
+            if n.lacks_coeff() {
+                return Err(GraphError::MissingCoeff { node });
             }
             if n.coeff.is_some_and(|c| c.format != self.format) {
                 return Err(GraphError::CoeffFormat { node });
@@ -504,6 +524,10 @@ mod tests {
                 output: 3,
                 nodes: 3
             }
+        );
+        assert_eq!(
+            broken(|g| g.nodes[1].coeff = None),
+            GraphError::MissingCoeff { node: 1 }
         );
         assert_eq!(
             broken(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::TINY))),

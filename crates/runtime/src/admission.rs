@@ -325,8 +325,9 @@ impl Runtime {
         drop(sig_span);
 
         // Admission writes the tenant's configuration into the region, so
-        // it becomes the band's resident.
-        self.resident.insert((lease.grid, lease.row0), id);
+        // it becomes the band's resident — only now that the compile has
+        // succeeded: a failed one leaves the previous resident in place.
+        self.pool.set_resident(lease.grid, lease.row0, id);
         self.tenants.insert(
             id,
             Tenant {
@@ -354,20 +355,20 @@ impl Runtime {
         })
     }
 
-    /// Takes a live tenant off its band — the pool slot, the tenant
-    /// record and its resident entry go — and returns the record.
+    /// Takes a live tenant off its band — the pool slot (and the band's
+    /// resident, if it was that) and the tenant record go — and returns
+    /// the record.
     fn vacate(&mut self, tenant: TenantId) -> Option<Tenant> {
         let gone = self.tenants.remove(&tenant)?;
         self.pool.release(tenant);
-        self.resident.retain(|_, &mut r| r != tenant);
         Some(gone)
     }
 
     /// Applies a compaction's band moves to the runtime's view: leases
-    /// translate to their new rows, the resident map follows, and the
-    /// ledger charges one full-region configuration replay per moved band
-    /// — relocating a band means streaming its (cached) configuration
-    /// back through the port at the new offset.
+    /// translate to their new rows (each band carried its resident in the
+    /// pool), and the ledger charges one full-region configuration replay
+    /// per moved band — relocating a band means streaming its (cached)
+    /// configuration back through the port at the new offset.
     fn apply_relocations(&mut self, relocations: &[Relocation]) {
         if relocations.is_empty() {
             return;
@@ -381,23 +382,11 @@ impl Runtime {
             let replay = self.pricer.full_config_cost(r.rows * archs[r.grid].cols);
             // The replay re-emits a grid-resident image at the new row
             // offset: it occupies the moved band's lane but neither the
-            // host→fabric port nor any other band — the overlap window
-            // the `reconfig_overlap` span makes visible under the
-            // enclosing request.
-            let mut overlap_span = trace::span("reconfig_overlap");
-            overlap_span.arg("grid", r.grid);
-            overlap_span.arg("rows", r.rows);
-            overlap_span.arg("replay_ns", replay.as_nanos() as u64);
-            // The band's history moves with it, then the replay is
-            // booked on the new lane.
+            // host→fabric port nor any other band. The band's history
+            // moves with it, then the replay is booked on the new lane.
             let lane = (r.grid, r.new_row0);
             self.timeline.move_lane((r.grid, r.old_row0), lane, replay);
-            let start = self.charge(lane, Phase::Replay, r.tenants.first().copied(), replay);
-            overlap_span.arg("modeled_start_ns", start.as_nanos() as u64);
-            drop(overlap_span);
-            if let Some(res) = self.resident.remove(&(r.grid, r.old_row0)) {
-                self.resident.insert((r.grid, r.new_row0), res);
-            }
+            self.charge_reconfig_overlap(lane, Phase::Replay, r.tenants.first().copied(), replay);
             for &t in &r.tenants {
                 if let Some(tenant) = self.tenants.get_mut(&t) {
                     tenant.lease = tenant.lease.translated(r.new_row0);

@@ -38,20 +38,25 @@
 //!   tall enough either, the runtime parks the submission in a FIFO
 //!   **admission queue** drained on release. None of these steps is an
 //!   option.
-//! * [`engine`] — **batched streaming execution**: every job's mapped
-//!   graph is lowered once per `run` call to a flat `vcgra::sim::ExecPlan`
-//!   and cut into units of 64 items, which the worker threads take
-//!   off one shared cursor; a unit runs lane-major, its items the
-//!   lanes of `u64` columns each op of the plan sweeps in one
-//!   `softfloat::FpKernel` call. A slot is charged a context switch when
-//!   the configuration loaded in its band is another tenant's — the slot
-//!   before it, or for the first slot the band's resident, which may
-//!   have been released since. The plan is bit-exact with the per-item
-//!   reference `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run`
-//!   refuses a value in another format before any worker starts.
+//! * `engine` (private) — **batched streaming execution**, and nothing
+//!   else: every job's mapped graph is lowered once per `run` call to a
+//!   flat `vcgra::sim::ExecPlan` and cut into units of 64 items, which
+//!   the worker threads take off one shared cursor; a unit runs
+//!   lane-major, its items the lanes of `u64` columns each op of the plan
+//!   sweeps in one `softfloat::FpKernel` call. The engine returns each
+//!   job's outputs and measured time; it knows no band, slot or switch.
+//!   The plan is bit-exact with the per-item reference
+//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run` refuses a
+//!   value in another format before any worker starts.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
-//! * [`runtime`] — the orchestrator tying it together, plus the
+//! * [`runtime`] — the orchestrator tying it together. [`Runtime::run`]
+//!   is the one place a swap-in is decided and booked: it walks each
+//!   band's slots once, and a slot is charged a context switch when the
+//!   configuration loaded before it is another tenant's — the previous
+//!   slot's, or for the first slot the band's [`BandInfo::resident`],
+//!   which is nobody's once that tenant has left (its successor pays a
+//!   swap-in too). Beside it is the
 //!   [`Ledger`] that accumulates measured execution time against modeled
 //!   configuration-port time: plain state the runtime mutates in place,
 //!   its modeled durations written by the one call that also puts them
@@ -103,7 +108,7 @@
 mod admission;
 pub mod cache;
 mod config;
-pub mod engine;
+mod engine;
 pub mod kernels;
 mod ledger;
 mod params;
@@ -114,12 +119,11 @@ mod snapshot;
 pub mod timeline;
 
 pub use cache::{CacheStats, ConfigCache, ConfigKey};
-pub use engine::TenantRun;
 pub use kernels::Workload;
 pub use pool::{BandInfo, GridPool, Lease, PoolError, Relocation, TenantId};
 pub use pricer::{PeChange, SettingsPricer, SwapReport};
 pub use runtime::{
     Admission, Admitted, Ledger, Queued, Refresh, Runtime, RuntimeConfig, RuntimeError,
-    StreamRequest, Tenant, TenantStats,
+    StreamRequest, Tenant, TenantRun, TenantStats,
 };
 pub use timeline::{Interval, Phase, Timeline};

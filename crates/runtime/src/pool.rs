@@ -18,9 +18,10 @@
 //!    replay the displaced tenants' cached configurations onto the
 //!    translated bands and charge the move as reconfiguration time;
 //! 3. **time-multiplexing** — the new tenant shares the least-crowded
-//!    already-allocated band that is big enough, and the execution engine
-//!    serializes the band's tenants, charging a full-region
-//!    micro-reconfiguration per context switch;
+//!    already-allocated band that is big enough; a run serves the band's
+//!    tenants one slot after another, and the runtime charges a
+//!    full-region micro-reconfiguration whenever a slot swaps in a
+//!    configuration other than the one the band holds (its `resident`);
 //! 4. [`PoolError::Oversubscribed`] (the runtime queues the submission)
 //!    or, for a demand no empty grid could hold, [`PoolError::TooBig`].
 //!
@@ -96,6 +97,9 @@ pub struct BandInfo {
     pub rows: usize,
     /// Tenants on the band, in admission order.
     pub tenants: Vec<TenantId>,
+    /// The tenant whose configuration the band holds: whoever was
+    /// admitted or ran there last, while it is on the band.
+    pub resident: Option<TenantId>,
 }
 
 #[derive(Debug)]
@@ -103,6 +107,7 @@ struct Band {
     row0: usize,
     rows: usize,
     tenants: Vec<TenantId>,
+    resident: Option<TenantId>,
 }
 
 #[derive(Debug)]
@@ -134,8 +139,9 @@ impl Grid {
     }
 
     /// Slides every band down so they pack from row 0 in their current
-    /// row order; all free rows coalesce at the top. Returns the bands
-    /// that actually moved.
+    /// row order; all free rows coalesce at the top. A moved band keeps
+    /// its tenants and its resident. Returns the bands that actually
+    /// moved.
     fn compact(&mut self, grid_index: usize) -> Vec<Relocation> {
         self.bands.sort_by_key(|b| b.row0);
         let mut next = 0;
@@ -249,6 +255,7 @@ impl GridPool {
                 row0: b.row0,
                 rows: b.rows,
                 tenants: b.tenants.clone(),
+                resident: b.resident,
             }));
         }
         out
@@ -350,6 +357,7 @@ impl GridPool {
             row0,
             rows,
             tenants: vec![tenant],
+            resident: None,
         });
         Lease {
             grid,
@@ -391,13 +399,17 @@ impl GridPool {
         self.grids[grid].compact(grid)
     }
 
-    /// Releases a tenant's slot; empty bands are freed. Returns true if
-    /// the tenant held a lease.
+    /// Releases a tenant's slot; empty bands are freed. A band the tenant
+    /// was resident on holds no one's configuration afterwards. Returns
+    /// true if the tenant held a lease.
     pub fn release(&mut self, tenant: TenantId) -> bool {
         for grid in &mut self.grids {
             for band in &mut grid.bands {
                 if let Some(pos) = band.tenants.iter().position(|&t| t == tenant) {
                     band.tenants.remove(pos);
+                    if band.resident == Some(tenant) {
+                        band.resident = None;
+                    }
                     grid.bands.retain(|b| !b.tenants.is_empty());
                     return true;
                 }
@@ -408,12 +420,26 @@ impl GridPool {
 
     /// Tenants sharing the band at (`grid`, `row0`), in admission order.
     pub fn band_tenants(&self, grid: usize, row0: usize) -> Vec<TenantId> {
-        self.grids[grid]
-            .bands
-            .iter()
-            .find(|b| b.row0 == row0)
+        self.band(grid, row0)
             .map(|b| b.tenants.clone())
             .unwrap_or_default()
+    }
+
+    /// The tenant whose configuration the band at (`grid`, `row0`) holds.
+    pub(crate) fn resident(&self, grid: usize, row0: usize) -> Option<TenantId> {
+        self.band(grid, row0).and_then(|b| b.resident)
+    }
+
+    /// Records that the band at (`grid`, `row0`) now holds `tenant`'s
+    /// configuration.
+    pub(crate) fn set_resident(&mut self, grid: usize, row0: usize, tenant: TenantId) {
+        if let Some(band) = self.grids[grid].bands.iter_mut().find(|b| b.row0 == row0) {
+            band.resident = Some(tenant);
+        }
+    }
+
+    fn band(&self, grid: usize, row0: usize) -> Option<&Band> {
+        self.grids[grid].bands.iter().find(|b| b.row0 == row0)
     }
 
     /// Fraction of pool rows currently leased. A time-multiplexed band

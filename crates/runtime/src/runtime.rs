@@ -28,10 +28,13 @@
 //! 3. **resubmit** — the structural decision point: same structure routes
 //!    to the swap path, a changed structure releases the lease and
 //!    recompiles (or queues, when the pool is full);
-//! 4. **run** — batched streams execute bands-in-parallel through the
-//!    engine; every item is bit-exact with `run_dataflow`. A band's first
-//!    job pays a context switch unless its own configuration is the one
-//!    loaded there (`resident`: whoever ran or was admitted last);
+//! 4. **run** — batched streams execute on the engine's workers; every
+//!    item is bit-exact with `run_dataflow`. `run` walks each band's
+//!    slots once and books every swap-in: a slot pays a context switch
+//!    when the configuration loaded before it is another tenant's — the
+//!    previous slot's, or for the first slot the band's resident
+//!    ([`crate::BandInfo::resident`]: whoever ran or was admitted there
+//!    last, until it leaves);
 //! 5. **release** — frees the region and **drains the queue**: waiting
 //!    tenants admit in strict FIFO order until the head no longer fits.
 //!
@@ -65,6 +68,7 @@
 //! verifier names: admission, parameter swaps, accounting and snapshots.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::time::Duration;
 
 use softfloat::FpValue;
 use vcgra::app::AppGraph;
@@ -73,10 +77,10 @@ use vcgra::sim::ExecPlan;
 
 use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
-use crate::engine::{run_bands, BandWork, Job, TenantRun, BATCH_SIZE};
+use crate::engine::{self, Job, BATCH_SIZE};
 use crate::pool::{GridPool, Lease, TenantId};
 use crate::pricer::{SettingsPricer, PRICER_FORMAT};
-use crate::timeline::{Phase, Timeline};
+use crate::timeline::{Lane, Phase, Timeline};
 
 pub use crate::admission::{Admission, Admitted, Queued, Refresh};
 pub use crate::config::{RuntimeConfig, RuntimeError};
@@ -126,6 +130,26 @@ pub struct StreamRequest {
     pub inputs: Vec<Vec<FpValue>>,
 }
 
+/// Per-request result of one [`Runtime::run`].
+#[derive(Debug, Clone)]
+pub struct TenantRun {
+    /// The tenant.
+    pub tenant: TenantId,
+    /// One output vector per input vector, in order.
+    pub outputs: Vec<Vec<FpValue>>,
+    /// Input vectors processed.
+    pub items: usize,
+    /// Units of 64 items processed.
+    pub batches: usize,
+    /// Measured host execution time.
+    pub exec_time: Duration,
+    /// Context switches charged to this request: 1 when its slot swapped
+    /// its configuration in, else 0.
+    pub context_switches: usize,
+    /// Modeled port time of that switch.
+    pub switch_port_time: Duration,
+}
+
 /// The multi-tenant overlay runtime.
 pub struct Runtime {
     pub(crate) cfg: RuntimeConfig,
@@ -141,11 +165,6 @@ pub struct Runtime {
     /// Queued tenants that were dropped during a drain (placement failed
     /// terminally), with the error that killed them.
     pub(crate) queue_failures: Vec<(TenantId, RuntimeError)>,
-    /// Which tenant's configuration is loaded in each band
-    /// (`(grid, row0)` → tenant, absent once that tenant has left): a
-    /// run whose first job on the band is anyone else's pays a swap-in
-    /// context switch.
-    pub(crate) resident: BTreeMap<(usize, usize), TenantId>,
     /// The modeled time axis: every charged phase scheduled as an
     /// interval on its band's lane (see [`crate::timeline`]), fed by
     /// `Runtime::charge` alone.
@@ -168,7 +187,6 @@ impl Runtime {
             ledger: Ledger::default(),
             queue: VecDeque::new(),
             queue_failures: Vec::new(),
-            resident: BTreeMap::new(),
             timeline: Timeline::new(),
         }
     }
@@ -187,7 +205,8 @@ impl Runtime {
 
     /// Streams batched inputs through every requested tenant: each job
     /// is lowered to an [`ExecPlan`] and its items are spread over the
-    /// engine workers; shared bands are charged their context switches.
+    /// engine workers; every slot that swaps a configuration into its band
+    /// is charged a context switch before its execution.
     /// Drains the admission queue first, so capacity freed since the last
     /// call is never left idle (the drain's admissions are visible in the
     /// ledger and via [`Runtime::tenant`]).
@@ -230,29 +249,45 @@ impl Runtime {
                     inputs: req.inputs,
                 });
         }
-        let mut next_resident: Vec<((usize, usize), TenantId)> = Vec::with_capacity(by_band.len());
-        let mut bands: Vec<BandWork> = Vec::with_capacity(by_band.len());
-        for ((grid, row0), mut jobs) in by_band {
+        // Each band's slots, walked once. A slot swaps its configuration
+        // in when the one loaded before it is another tenant's: slot k's
+        // predecessor is slot k−1's, slot 0's is the band's resident — or
+        // nobody's, once the resident has left. The last slot's stays.
+        let requested = by_band.values().map(Vec::len).sum();
+        let mut jobs = Vec::with_capacity(requested);
+        let mut switches: Vec<Option<Duration>> = Vec::with_capacity(requested);
+        for ((grid, row0), mut band) in by_band {
             // Jobs follow the band's slot order.
             let slots = self.pool.band_tenants(grid, row0);
-            jobs.sort_by_key(|j| slots.iter().position(|&t| t == j.tenant));
-            let region_pes = self.tenants[&jobs[0].tenant].lease.pe_count();
-            // The first job pays a swap-in unless its own configuration
-            // is the one loaded — a resident that has since left still
-            // occupies the region — and the last job's stays resident.
-            let swap_in_first = self.resident.get(&(grid, row0)) != Some(&jobs[0].tenant);
-            next_resident.push((
-                (grid, row0),
-                jobs.last().expect("band group is non-empty").tenant,
-            ));
-            bands.push(BandWork {
-                swap_in_first,
-                switch_cost: self.pricer.full_config_cost(region_pes),
-                jobs,
-            });
+            band.sort_by_key(|j| slots.iter().position(|&t| t == j.tenant));
+            let region_pes = self.tenants[&band[0].tenant].lease.pe_count();
+            let switch_cost = self.pricer.full_config_cost(region_pes);
+            let mut loaded = self.pool.resident(grid, row0);
+            for job in band {
+                switches.push((loaded != Some(job.tenant)).then_some(switch_cost));
+                loaded = Some(job.tenant);
+                jobs.push(job);
+            }
+            if let Some(last) = loaded {
+                self.pool.set_resident(grid, row0, last);
+            }
         }
-        let runs = run_bands(bands, self.cfg.workers, BATCH_SIZE);
-        self.resident.extend(next_resident);
+        let done = engine::execute(&jobs, self.cfg.workers);
+        let mut runs: Vec<TenantRun> = jobs
+            .iter()
+            .zip(switches)
+            .zip(done)
+            .map(|((job, switch), (outputs, exec_time))| TenantRun {
+                tenant: job.tenant,
+                outputs,
+                items: job.inputs.len(),
+                batches: job.inputs.len().div_ceil(BATCH_SIZE),
+                exec_time,
+                context_switches: usize::from(switch.is_some()),
+                switch_port_time: switch.unwrap_or_default(),
+            })
+            .collect();
+        runs.sort_by_key(|r| r.tenant);
 
         for run in &runs {
             let tenant = self
@@ -268,12 +303,44 @@ impl Runtime {
             // tenant's resident image) is followed by the measured
             // execution.
             if run.context_switches > 0 {
-                self.charge(lane, Phase::Switch, Some(run.tenant), run.switch_port_time);
+                let mut request_span = trace::span("request");
+                request_span.arg("tenant", run.tenant);
+                request_span.arg("op", "switch");
+                self.charge_reconfig_overlap(
+                    lane,
+                    Phase::Switch,
+                    Some(run.tenant),
+                    run.switch_port_time,
+                );
             }
             self.charge(lane, Phase::Execute, Some(run.tenant), run.exec_time);
         }
         self.enforce_invariants()?;
         Ok(runs)
+    }
+
+    /// Books a lane-local reconfiguration — a context switch's swap-in or
+    /// a compaction replay — under a `reconfig_overlap` span: the band is
+    /// rewritten from an image the grid holds while the port and every
+    /// other band carry on, the overlap the time axis models. Both kinds
+    /// carry the same span arguments.
+    pub(crate) fn charge_reconfig_overlap(
+        &mut self,
+        lane: Lane,
+        phase: Phase,
+        tenant: Option<TenantId>,
+        dur: Duration,
+    ) {
+        let mut span = trace::span("reconfig_overlap");
+        span.arg("phase", phase.name());
+        if let Some(tenant) = tenant {
+            span.arg("tenant", tenant);
+        }
+        span.arg("grid", lane.0);
+        span.arg("row0", lane.1);
+        span.arg("port_ns", dur.as_nanos() as u64);
+        let start = self.charge(lane, phase, tenant, dur);
+        span.arg("modeled_start_ns", start.as_nanos() as u64);
     }
 
     /// Read access to one tenant.

@@ -7,7 +7,7 @@ use crate::runtime::Runtime;
 impl Runtime {
     /// Exports the whole scheduler state as a plain-data snapshot for the
     /// `verify` crate's sched pass: grids, bands, leases, the admission
-    /// queue, the resident map, the queue-flow ledger counters, and every
+    /// queue, each band's resident, the queue-flow ledger counters, and every
     /// cache entry. Tenant snapshots carry both the runtime's own cache-key
     /// fingerprint and an independently derived structural signature so
     /// the pass can prove key soundness without trusting `ConfigKey`.
@@ -17,6 +17,7 @@ impl Runtime {
         };
         let archs = self.pool.grid_archs();
         let cap = self.pool.channel_capacity();
+        let bands = self.pool.bands();
         verify::SchedSnapshot {
             grids: archs
                 .iter()
@@ -27,9 +28,13 @@ impl Runtime {
                     free_rows: self.pool.free_rows(g),
                 })
                 .collect(),
-            bands: self
-                .pool
-                .bands()
+            // Grids in index order, bands in row order: the resident list
+            // comes out sorted by (grid, row0).
+            resident: bands
+                .iter()
+                .filter_map(|b| Some((b.grid, b.row0, b.resident?)))
+                .collect(),
+            bands: bands
                 .into_iter()
                 .map(|b| BandSnap {
                     grid: b.grid,
@@ -71,11 +76,6 @@ impl Runtime {
                 })
                 .collect(),
             queue: self.queue.iter().map(|p| p.tenant).collect(),
-            resident: self
-                .resident
-                .iter()
-                .map(|(&(g, r), &t)| (g, r, t))
-                .collect(),
             ledger: LedgerSnap {
                 queued: self.ledger.queued as u64,
                 queue_admitted: self.ledger.queue_admitted as u64,

@@ -612,6 +612,25 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     assert_still_served(&mut rt, good_id, &good);
 }
 
+#[test]
+fn a_mul_without_its_coefficient_is_refused_at_the_door() {
+    // `AppGraph::add` refuses a MAC/MUL without a coefficient; the public
+    // fields do not. Admitted, such a node would multiply every item by
+    // zero, and with no slot in `coeff_nodes` no swap could ever set it.
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let mut graph = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
+    graph.nodes[1].coeff = None;
+    assert_eq!(
+        rt.submit("no-coefficient", graph).unwrap_err(),
+        malformed(GraphError::MissingCoeff { node: 1 })
+    );
+    assert_eq!(rt.ledger().refused, 1);
+    assert!(
+        rt.pool().bands().is_empty(),
+        "a refused graph holds no rows"
+    );
+}
+
 /// A well-formed graph no capacity-1 region can route: ten edges leave
 /// the root's cell, which has at most four channel segments out.
 fn unroutable_at_capacity_one() -> AppGraph {

@@ -6,7 +6,10 @@
 use std::collections::VecDeque;
 
 use runtime::kernels;
-use runtime::{Admission, Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
+use runtime::{
+    Admission, Phase, Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId,
+    TenantRun,
+};
 use softfloat::{FpFormat, FpValue};
 use vcgra::sim::run_dataflow;
 use vcgra::VcgraArch;
@@ -574,6 +577,216 @@ fn the_survivor_of_a_shared_band_pays_for_its_swap_in() {
     assert_eq!(switches(&mut rt, t[0]), 0);
     assert_eq!(switches(&mut rt, t[1]), 1);
     assert_clean(&rt, 2);
+}
+
+/// The swap-in rule, through `Runtime::run`: a slot swaps its
+/// configuration in when the one loaded before it — the previous slot's,
+/// or for the first slot the band's resident — is another tenant's. Every
+/// case is read off the replies and off the `Switch` intervals the call
+/// put on the time axis.
+#[test]
+fn a_slot_swaps_in_when_its_band_holds_another_configuration() {
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![VcgraArch::paper_4x4()],
+        ..RuntimeConfig::default()
+    });
+    let graph = kernels::fir_seeded(F, 8, 7).graph; // 15 nodes → all 4 rows
+    let t: Vec<TenantId> = (0..3)
+        .map(|i| {
+            rt.submit(format!("t{i}"), graph.clone())
+                .unwrap()
+                .expect_admitted("shares")
+                .tenant
+        })
+        .collect();
+    assert_eq!(rt.pool().band_tenants(0, 0), t, "slot order");
+
+    // One call with a request of `items` items per tenant listed; checks
+    // that the `Switch` intervals it added name the tenants whose replies
+    // count a switch, in reply order.
+    let mut call = |tenants: &[TenantId], items: usize| -> Vec<TenantRun> {
+        let logged = rt.timeline().intervals().len();
+        let requests = tenants
+            .iter()
+            .map(|&tenant| StreamRequest {
+                tenant,
+                inputs: stream(graph.num_inputs, items, tenant),
+            })
+            .collect();
+        let runs = rt.run(requests).unwrap();
+        let switched: Vec<Option<TenantId>> = rt.timeline().intervals()[logged..]
+            .iter()
+            .filter(|iv| iv.phase == Phase::Switch)
+            .map(|iv| iv.tenant)
+            .collect();
+        let replied: Vec<Option<TenantId>> = runs
+            .iter()
+            .filter(|r| r.context_switches > 0)
+            .map(|r| Some(r.tenant))
+            .collect();
+        assert_eq!(switched, replied, "calls for {tenants:?}");
+        runs
+    };
+    let switches =
+        |runs: &[TenantRun]| -> Vec<usize> { runs.iter().map(|r| r.context_switches).collect() };
+
+    // Admission left t2 resident: a first slot of anyone else pays.
+    assert_eq!(switches(&call(&[t[0]], 3)), [1]);
+    // Three sharers in one call, the resident first.
+    assert_eq!(switches(&call(&[t[0], t[1], t[2]], 3)), [0, 1, 1]);
+    // [t, t, u] with t resident: only u pays.
+    assert_eq!(switches(&call(&[t[1]], 3)), [1]);
+    assert_eq!(switches(&call(&[t[1], t[1], t[2]], 3)), [0, 0, 1]);
+    // A request with no items is still a slot, and still gets a reply.
+    let runs = call(&[t[0]], 0);
+    assert_eq!(switches(&runs), [1]);
+    assert_eq!((runs[0].tenant, runs[0].items), (t[0], 0));
+    assert!(runs[0].outputs.is_empty());
+
+    assert_eq!(rt.ledger().context_switches, 6);
+    rt.verify().assert_ok();
+    rt.verify_timeline().assert_ok();
+}
+
+/// A fixed scenario pins the whole time axis: on two grids, two
+/// dedicated tenants on one and a band time-shared by two `fir_seeded(8)`
+/// tenants on the other; runs with repeated and alternating tenants; a
+/// parameter swap; a release followed by a compaction, then a release of
+/// the band's resident. Every interval's (lane, phase, tenant) is pinned
+/// in order, and every charged interval's duration. `Execute` durations
+/// are measured host time, so they — and every start time, which follows
+/// from them — are not pinned. The expected values were recorded by
+/// running this body on commit `ee4a3c9`, where the engine still decided
+/// every slot after a band's first.
+#[test]
+fn a_shared_band_runs_the_same_time_axis() {
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::paper_4x4()],
+        ..RuntimeConfig::default()
+    });
+    let mut admit = |name: &str, taps, seed| {
+        rt.submit(name, kernels::fir_seeded(F, taps, seed).graph)
+            .unwrap()
+            .expect_admitted("room or a band to share")
+            .tenant
+    };
+    let d = admit("d", 3, 1); // 5 nodes → grid 0, rows 0–1
+    let e = admit("e", 3, 2); // rows 2–3
+    let a = admit("a", 8, 3); // 15 nodes → all of grid 1
+    let b = admit("b", 8, 4); // time-shares a's band
+    assert_eq!(rt.pool().band_tenants(1, 0), [a, b]);
+
+    let run = |rt: &mut Runtime, tenants: &[TenantId]| {
+        let requests = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| StreamRequest {
+                tenant: t,
+                inputs: stream(rt.tenant(t).unwrap().graph.num_inputs, 3, i as u64),
+            })
+            .collect();
+        rt.run(requests).unwrap();
+    };
+    run(&mut rt, &[a, b]);
+    run(&mut rt, &[b]);
+    run(&mut rt, &[a, a, e]);
+    run(&mut rt, &[b, d, e]);
+    let coeffs: Vec<FpValue> = (0..8).map(|i| fp(0.5 - i as f64 * 0.125)).collect();
+    rt.swap_params(a, &coeffs).unwrap();
+    run(&mut rt, &[a]);
+    rt.release(d).unwrap();
+    assert_eq!(rt.compact_background().unwrap(), 1, "e slides to row 0");
+    run(&mut rt, &[e, b]);
+    run(&mut rt, &[b, a, b]);
+    rt.release(b).unwrap();
+    run(&mut rt, &[a]);
+    run(&mut rt, &[a]);
+    rt.verify().assert_ok();
+    rt.verify_timeline().assert_ok();
+
+    let intervals = rt.timeline().intervals();
+    let axis: Vec<((usize, usize), &str, Option<TenantId>)> = intervals
+        .iter()
+        .map(|iv| (iv.lane, iv.phase.name(), iv.tenant))
+        .collect();
+    let charged: Vec<u64> = intervals
+        .iter()
+        .filter(|iv| iv.phase.charged())
+        .map(|iv| iv.dur.as_nanos() as u64)
+        .collect();
+    // The admissions, then one group per call in the order `run` charges
+    // it: by tenant id, a switch before its execution.
+    let (g0r0, g0r2, g1) = ((0, 0), (0, 2), (1, 0));
+    let want: Vec<((usize, usize), &str, Option<TenantId>)> = [
+        (g0r0, "admission", d),
+        (g0r2, "admission", e),
+        (g1, "admission", a),
+        (g1, "admission", b),
+        // [a, b]: b was admitted last, so both swap in.
+        (g1, "switch", a),
+        (g1, "execute", a),
+        (g1, "switch", b),
+        (g1, "execute", b),
+        // [b]
+        (g1, "execute", b),
+        // [a, a, e]
+        (g0r2, "execute", e),
+        (g1, "switch", a),
+        (g1, "execute", a),
+        (g1, "execute", a),
+        // [b, d, e]
+        (g0r0, "execute", d),
+        (g0r2, "execute", e),
+        (g1, "switch", b),
+        (g1, "execute", b),
+        // The swap, then [a].
+        (g1, "swap", a),
+        (g1, "switch", a),
+        (g1, "execute", a),
+        // d leaves and e's band slides down, its resident with it.
+        (g0r0, "replay", e),
+        // [e, b]
+        (g0r0, "execute", e),
+        (g1, "switch", b),
+        (g1, "execute", b),
+        // [b, a, b], served in slot order a, b, b.
+        (g1, "switch", a),
+        (g1, "execute", a),
+        (g1, "switch", b),
+        (g1, "execute", b),
+        (g1, "execute", b),
+        // The resident b leaves: [a] swaps in, the next [a] does not.
+        (g1, "switch", a),
+        (g1, "execute", a),
+        (g1, "execute", a),
+    ]
+    .into_iter()
+    .map(|(lane, phase, t)| (lane, phase, Some(t)))
+    .collect();
+    assert_eq!(axis, want);
+    // A switch rewrites the whole 16-PE band; an admission configures the
+    // tenant's own PEs, a replay the moved 8-PE band, a swap dirty frames.
+    const SWITCH: u64 = 4_015_942_720;
+    assert_eq!(
+        charged,
+        [
+            1_254_982_100,
+            1_254_982_100,
+            3_764_946_300,
+            3_764_946_300,
+            SWITCH,
+            SWITCH,
+            SWITCH,
+            SWITCH,
+            27_531_600,
+            SWITCH,
+            2_007_971_360,
+            SWITCH,
+            SWITCH,
+            SWITCH,
+            SWITCH,
+        ]
+    );
 }
 
 /// Whether a tenant shares its band is true *now*, for every tenant on

@@ -3,8 +3,10 @@
 //! `admission`, `cache`, and `pricing` phases, a swap's `pricing` span
 //! carries its `pes` and `sweeps`, every worker's share of a
 //! streaming job is a `request` span containing an `execute` that
-//! carries its `items` and column `tier`, and the ledger's makespan is
-//! the time axis's.
+//! carries its `items` and column `tier`, a swap-in is a
+//! `request{op: "switch"}` around a `reconfig_overlap` with the same
+//! arguments as a compaction replay's, and the ledger's makespan is the
+//! time axis's.
 //!
 //! Single `#[test]` on purpose: the span recorder is process-global, so
 //! one test owns arm/drain and no sibling can interleave events.
@@ -44,6 +46,44 @@ fn child_map(events: &[trace::TraceEvent]) -> BTreeMap<&'static str, BTreeSet<&'
         assert!(stack.is_empty(), "thread {tid} left spans open: {stack:?}");
     }
     children
+}
+
+/// The end events of the spans directly inside each span whose end event
+/// `pick` holds for (a span's arguments ride on its end event).
+fn children_of(
+    events: &[trace::TraceEvent],
+    pick: impl Fn(&trace::TraceEvent) -> bool,
+) -> Vec<Vec<&trace::TraceEvent>> {
+    let mut stacks: BTreeMap<u64, Vec<Vec<&trace::TraceEvent>>> = BTreeMap::new();
+    let mut picked = Vec::new();
+    for e in events {
+        let stack = stacks.entry(e.tid).or_default();
+        match e.phase {
+            trace::Phase::Begin => stack.push(Vec::new()),
+            trace::Phase::End => {
+                let children = stack.pop().expect("E event without a matching B");
+                if pick(e) {
+                    picked.push(children);
+                }
+                if let Some(parent) = stack.last_mut() {
+                    parent.push(e);
+                }
+            }
+            _ => {}
+        }
+    }
+    picked
+}
+
+/// A string argument of a span's end event.
+fn str_arg<'e>(e: &'e trace::TraceEvent, key: &str) -> Option<&'e str> {
+    e.args
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| match v {
+            trace::AttrValue::Str(s) => s.as_str(),
+            other => panic!("`{key}` is a string, got {other:?}"),
+        })
 }
 
 #[test]
@@ -103,6 +143,25 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         moved >= 1,
         "freeing the lower band leaves a hole to compact"
     );
+
+    // A time-shared band: two tenants on a 4x4 grid, the second admitted
+    // last, so the first one's slot swaps its configuration in. The
+    // request has no items, so it adds no `execute` span to the ones
+    // counted below.
+    let mut shared = Runtime::new(RuntimeConfig {
+        grids: vec![VcgraArch::paper_4x4()],
+        ..RuntimeConfig::default()
+    });
+    let sharer = kernels::fir_seeded(F, 8, 7).graph; // 15 nodes → all 4 rows
+    let first = shared.submit("first", sharer.clone()).expect("submit");
+    shared.submit("second", sharer).expect("submit");
+    let runs = shared
+        .run(vec![StreamRequest {
+            tenant: first.tenant(),
+            inputs: Vec::new(),
+        }])
+        .expect("stream");
+    assert_eq!(runs[0].context_switches, 1);
 
     trace::configure(trace::TraceConfig::Off);
     let events = trace::take_events();
@@ -186,6 +245,31 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         compaction.contains("reconfig_overlap"),
         "the compaction replay must nest a reconfig_overlap span"
     );
+    // The swap-in is a `request{op: "switch"}` around one
+    // `reconfig_overlap`.
+    let switches = children_of(&events, |e| {
+        e.name == "request" && str_arg(e, "op") == Some("switch")
+    });
+    assert_eq!(switches.len(), 1, "one slot swapped in");
+    assert_eq!(
+        switches[0].iter().map(|e| e.name).collect::<Vec<_>>(),
+        ["reconfig_overlap"]
+    );
+    // The switch's span and the replay's carry the same arguments: one
+    // booking path for a lane-local reconfiguration.
+    let overlaps: Vec<(&str, BTreeSet<&str>)> = events
+        .iter()
+        .filter(|e| e.name == "reconfig_overlap" && e.phase == trace::Phase::End)
+        .map(|e| {
+            let phase = str_arg(e, "phase").expect("every reconfig_overlap names its phase");
+            (phase, e.args.iter().map(|(k, _)| *k).collect())
+        })
+        .collect();
+    let phases: BTreeSet<&str> = overlaps.iter().map(|(phase, _)| *phase).collect();
+    assert_eq!(phases, BTreeSet::from(["replay", "switch"]));
+    let shapes: BTreeSet<&BTreeSet<&str>> = overlaps.iter().map(|(_, keys)| keys).collect();
+    assert_eq!(shapes.len(), 1, "{overlaps:?}");
+    assert!(overlaps[0].1.contains("modeled_start_ns"));
 
     // The ledger's makespan is where the time axis's log ends: `charge`
     // extends it with every interval it schedules.

@@ -328,13 +328,14 @@ proptest! {
         for (k, f) in PLAN_FORMATS.into_iter().enumerate() {
             // The recipe as drawn, then once per edit with one public
             // field overwritten: an operand, an output, a coefficient's
-            // format, or every node. Some edits land on a legal value.
+            // format, a coefficient dropped, or every node. Some edits
+            // land on a legal value.
             let valid = plan_graph(&recipe, f);
             let mut graphs = vec![valid.clone()];
             for &(field, at, value) in &edits {
                 let mut g = valid.clone();
                 let (n, at) = (g.nodes.len(), at as usize % g.nodes.len());
-                match field % 5 {
+                match field % 6 {
                     0 => g.nodes[at].a = AppSource::Node(value as usize % (n + 2)),
                     1 => g.nodes[at].b = AppSource::External(value as usize % 5),
                     2 => g.outputs.push(value as usize % (n + 2)),
@@ -342,6 +343,7 @@ proptest! {
                         let other = PLAN_FORMATS[(k + 1) % PLAN_FORMATS.len()];
                         g.nodes[at].coeff = g.nodes[at].coeff.map(|_| plan_value(value as u64, other));
                     }
+                    4 => g.nodes[at].coeff = None,
                     _ => g.nodes.clear(),
                 }
                 graphs.push(g);
