@@ -26,7 +26,7 @@
 //!   samples through the PEs using the bit-exact FloPoCo model), and the
 //!   flat `ExecPlan` a mapped application is lowered to for streaming,
 //!   which runs a chunk of items as `u64` columns, one op over a whole
-//!   column at a time;
+//!   column at a time, and overwrites each item with its outputs;
 //! * [`render`] — DOT/ASCII renderings of the grid and the PE (Figs. 1/4).
 
 #![forbid(unsafe_code)]

@@ -11,19 +11,21 @@
 //! folds a mapped application into a flat op list once per job — the
 //! software counterpart of the paper folding rarely-changing settings
 //! into the configuration — and [`ExecPlan::run_chunk`] streams a chunk
-//! of items through it **lane-major**: the chunk is transposed into one
-//! `u64` column per value slot, and each op runs over a whole column of
-//! raw encodings (one [`FpKernel`] call) before the next op starts — one
-//! instruction stream, many data lanes, like the fabric under one
-//! configuration. `run_chunk` is the only loop over the op list.
-//! [`run_mapped`] and [`run_dataflow`] stay as the per-item references
-//! the plan is tested against; all three end in the same `FpKernel`
-//! arithmetic.
+//! of items through it **lane-major** and **in place**: the chunk is
+//! checked (arity and format, an [`ItemError`] otherwise) while it is
+//! transposed into one `u64` column per value slot, each op runs over a
+//! whole column of raw encodings (one [`FpKernel`] call) before the next
+//! op starts — one instruction stream, many data lanes, like the fabric
+//! under one configuration — and each item's vector is overwritten with
+//! its outputs, so a chunk allocates nothing. `run_chunk` is the only
+//! loop over the op list. [`run_mapped`] and [`run_dataflow`] stay as the
+//! per-item references the plan is tested against; all three end in the
+//! same `FpKernel` arithmetic.
 
 use crate::app::{AppGraph, AppSource, GraphError};
 use crate::flow::VcgraMapping;
 use crate::pe::{PeMode, PeSettings};
-use softfloat::{FpKernel, FpValue};
+use softfloat::{FpFormat, FpKernel, FpValue};
 
 /// Runs a stateless dataflow graph on one input vector.
 ///
@@ -180,6 +182,51 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// Why [`ExecPlan::run_chunk`] refused a chunk: the first lane whose item
+/// the plan cannot read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemError {
+    /// The item does not hold one value per external input.
+    Arity {
+        /// The offending lane.
+        lane: usize,
+        /// Values the item holds.
+        got: usize,
+    },
+    /// A value of the item is not in the graph's format; its bits would
+    /// be read as a different number.
+    Format {
+        /// The offending lane.
+        lane: usize,
+        /// Format of the item's first such value.
+        got: FpFormat,
+    },
+}
+
+impl ItemError {
+    /// The lane the error names.
+    pub fn lane(&self) -> usize {
+        match *self {
+            ItemError::Arity { lane, .. } | ItemError::Format { lane, .. } => lane,
+        }
+    }
+}
+
+impl std::fmt::Display for ItemError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ItemError::Arity { lane, got } => write!(f, "lane {lane} holds {got} values"),
+            ItemError::Format { lane, got } => write!(
+                f,
+                "lane {lane} holds a value in format ({}, {})",
+                got.we, got.wf
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ItemError {}
+
 /// One lowered node. Operands are columns of the scratch buffer; each
 /// variant keeps only the arithmetic its mode's route selects keep, and a
 /// coefficient is the raw encoding the column is multiplied by.
@@ -266,15 +313,22 @@ impl ExecPlan {
         })
     }
 
-    /// Runs a chunk of items, one lane each, and returns every item's
-    /// outputs in the order the graph declared them. `columns` is working
-    /// storage the caller keeps between chunks (of this or any other plan)
-    /// so that none is allocated per chunk; its content on entry is
-    /// irrelevant.
+    /// Runs a chunk of items, one lane each, in place: every item's vector
+    /// is overwritten with its outputs, in the order the graph declared
+    /// them (it grows if the graph has more outputs than inputs, and keeps
+    /// its capacity otherwise). `columns` is working storage the caller
+    /// keeps between chunks (of this or any other plan) so that none is
+    /// allocated per chunk; its content on entry is irrelevant.
     ///
-    /// Panics unless every item holds one value per external input, in
-    /// the graph's format.
-    pub fn run_chunk(&self, items: &[Vec<FpValue>], columns: &mut Vec<u64>) -> Vec<Vec<FpValue>> {
+    /// Every lane is checked — one value per external input, each in the
+    /// graph's format — while it is transposed, and before any lane is
+    /// overwritten: on an error, which names the first bad lane, every
+    /// item is as the caller left it.
+    pub fn run_chunk(
+        &self,
+        items: &mut [Vec<FpValue>],
+        columns: &mut Vec<u64>,
+    ) -> Result<(), ItemError> {
         let format = self.kernel.format();
         let lanes = items.len();
         let first_node = 1 + self.num_inputs;
@@ -287,9 +341,19 @@ impl ExecPlan {
         let zero = FpValue::zero(format).bits;
         columns[..lanes].fill(zero);
         for (lane, item) in items.iter().enumerate() {
-            assert_eq!(item.len(), self.num_inputs, "one value per external input");
+            if item.len() != self.num_inputs {
+                return Err(ItemError::Arity {
+                    lane,
+                    got: item.len(),
+                });
+            }
             for (input, value) in item.iter().enumerate() {
-                assert_eq!(value.format, format, "inputs are in the graph's format");
+                if value.format != format {
+                    return Err(ItemError::Format {
+                        lane,
+                        got: value.format,
+                    });
+                }
                 columns[(1 + input) * lanes + lane] = value.bits;
             }
         }
@@ -306,24 +370,20 @@ impl ExecPlan {
                 PlanOp::Pass { a } => out.copy_from_slice(col(a)),
             }
         }
-        (0..lanes)
-            .map(|lane| {
-                self.outputs
-                    .iter()
-                    .map(|&o| FpValue {
-                        bits: columns[o * lanes + lane],
-                        format,
-                    })
-                    .collect()
-            })
-            .collect()
+        for (lane, item) in items.iter_mut().enumerate() {
+            item.clear();
+            item.extend(self.outputs.iter().map(|&o| FpValue {
+                bits: columns[o * lanes + lane],
+                format,
+            }));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softfloat::FpFormat;
 
     const F: FpFormat = FpFormat::PAPER;
 
@@ -382,13 +442,45 @@ mod tests {
         // Dirty columns left by another plan must not leak in, whether
         // the buffer is longer or shorter than this chunk needs.
         let mut columns = vec![fp(7.0).bits; 40];
-        let one = std::slice::from_ref(&inputs);
         let want = vec![mapped; 3];
-        assert_eq!(plan.run_chunk(one, &mut columns), want[..1]);
-        let three = vec![inputs.clone(); 3];
-        assert_eq!(plan.run_chunk(&three, &mut columns), want);
-        assert_eq!(plan.run_chunk(one, &mut columns), want[..1]);
-        assert!(plan.run_chunk(&[], &mut columns).is_empty());
+        for lanes in [1, 3, 1, 0] {
+            let mut items = vec![inputs.clone(); lanes];
+            plan.run_chunk(&mut items, &mut columns).unwrap();
+            assert_eq!(items, want[..lanes]);
+            assert!(
+                items.iter().all(|item| item.capacity() >= inputs.len()),
+                "an item keeps its vector"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunk_with_a_bad_lane_is_refused_whole() {
+        let app = AppGraph::dot_product(F, &[1.0, 0.5]);
+        let mapping =
+            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
+        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        let other = FpFormat::new(5, 10);
+        let good = vec![fp(1.0), fp(2.0)];
+        let cases = [
+            (vec![fp(1.0)], ItemError::Arity { lane: 2, got: 1 }),
+            (vec![fp(1.0); 3], ItemError::Arity { lane: 2, got: 3 }),
+            (
+                vec![fp(1.0), FpValue::from_f64(2.0, other)],
+                ItemError::Format {
+                    lane: 2,
+                    got: other,
+                },
+            ),
+        ];
+        for (bad, want) in cases {
+            // A later bad lane does not hide the first one, and no lane —
+            // before or after it — is overwritten.
+            let mut items = vec![good.clone(), good.clone(), bad, good.clone(), vec![]];
+            let before = items.clone();
+            assert_eq!(plan.run_chunk(&mut items, &mut Vec::new()), Err(want));
+            assert_eq!(items, before);
+        }
     }
 
     #[test]
@@ -442,7 +534,10 @@ mod tests {
         for item in &items {
             assert_eq!(run_mapped(&mapping, &app, item), run_dataflow(&app, item));
         }
-        assert_eq!(plan.run_chunk(&items, &mut Vec::new()), want);
+        // One input, six outputs: every item's vector grows in place.
+        let mut items = items;
+        plan.run_chunk(&mut items, &mut Vec::new()).unwrap();
+        assert_eq!(items, want);
     }
 
     #[test]

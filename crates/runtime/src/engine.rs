@@ -1,29 +1,34 @@
-//! The streaming executor: runs lowered jobs over their items.
+//! The streaming executor: runs lowered jobs over their items, in place.
 //!
 //! Every job arrives as an [`ExecPlan`] — its mapped graph lowered once,
 //! by [`crate::Runtime::run`], which is also where a mapping that cannot
-//! be lowered or a value in the wrong format is refused, and where every
-//! band, slot and swap-in is decided and booked. Here a job is only a plan
-//! and its items: each is cut into units of [`BATCH_SIZE`] consecutive
-//! items, and the calling thread and its helper threads take units off
-//! one shared cursor, so a call takes about the total item work divided
-//! by the workers, whatever the sizes of the jobs. Outputs are put back in
-//! item order.
+//! be lowered is refused, and where every band, slot and swap-in is
+//! decided and booked. Here a job is only a plan and its items: each is
+//! cut into units of [`BATCH_SIZE`] consecutive items, and the calling
+//! thread and its helper threads take units, in job and item order, off
+//! one lock over the jobs' `chunks_mut` — one lock per unit — so a call
+//! takes about the total item work divided by the workers, whatever the
+//! sizes of the jobs.
 //!
-//! A unit is one [`ExecPlan::run_chunk`] call: its items become the
-//! lanes of `u64` columns in a buffer the worker keeps, and each op of
-//! the plan runs over a whole column. `BATCH_SIZE` is therefore the
-//! lane count; nothing here touches a single item.
+//! A unit is one [`ExecPlan::run_chunk`] call: its items are checked
+//! (arity and format) while they become the lanes of `u64` columns in a
+//! buffer the worker keeps, each op of the plan runs over a whole column,
+//! and each item's own vector is overwritten with its outputs — so the
+//! outputs are already in item order, and no vector is allocated or freed
+//! per item. `BATCH_SIZE` is therefore the lane count; nothing here
+//! touches a single item. A unit that holds a bad item is left as it was
+//! and reported; since units are handed out in order, the first bad item
+//! of the call is the least of the workers' first failures.
 //!
 //! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
 //! `run_dataflow` compute in FloPoCo arithmetic; the bit-exactness
 //! acceptance tests pin that down.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use softfloat::FpValue;
-use vcgra::sim::ExecPlan;
+use vcgra::sim::{ExecPlan, ItemError};
 
 use crate::pool::TenantId;
 
@@ -36,9 +41,13 @@ pub(crate) struct Job {
     pub(crate) tenant: TenantId,
     /// Its placed configuration under its current parameters, lowered.
     pub(crate) plan: ExecPlan,
-    /// Input vectors to stream, one value per external input each.
-    pub(crate) inputs: Vec<Vec<FpValue>>,
+    /// Input vectors to stream, one value per external input each; on
+    /// success each holds its item's outputs instead.
+    pub(crate) items: Vec<Vec<FpValue>>,
 }
+
+/// Where a call stopped: (job, item within the job, what is wrong with it).
+pub(crate) type ItemFault = (usize, usize, ItemError);
 
 /// The `request` → `execute` spans over the consecutive units of one job
 /// that one worker ran: a span pair per unit would cost the traced run
@@ -75,61 +84,75 @@ impl Drop for UnitSpans {
 }
 
 /// Runs every job on up to `workers` threads, the calling thread being one
-/// of them. Returns, in job order, each job's outputs (one vector per
-/// input vector, in item order) and the measured host time of its units.
-pub(crate) fn execute(jobs: &[Job], workers: usize) -> Vec<(Vec<Vec<FpValue>>, Duration)> {
-    // (job, first item) of every unit, in output order.
-    let units: Vec<(usize, usize)> = jobs
+/// of them, overwriting each item with its outputs. Returns, in job order,
+/// the measured host time of each job's units — or, if some item cannot be
+/// read, the first such item in job and item order. Items of units that
+/// ran before the fault was found hold outputs then; the others are as
+/// they were.
+pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<Vec<Duration>, ItemFault> {
+    let count = jobs.len();
+    let units: usize = jobs
         .iter()
-        .enumerate()
-        .flat_map(|(j, job)| {
-            (0..job.inputs.len())
-                .step_by(BATCH_SIZE)
-                .map(move |start| (j, start))
-        })
-        .collect();
-    // Relaxed: the cursor only hands out indices; a worker's results
-    // reach the caller through its join.
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
+        .map(|j| j.items.len().div_ceil(BATCH_SIZE))
+        .sum();
+    // (job, its tenant and plan, first item, the unit's items), in order.
+    let next = Mutex::new(jobs.iter_mut().enumerate().flat_map(|(j, job)| {
+        let (tenant, plan) = (job.tenant, &job.plan);
+        job.items
+            .chunks_mut(BATCH_SIZE)
+            .enumerate()
+            .map(move |(u, chunk)| (j, tenant, plan, u * BATCH_SIZE, chunk))
+    }));
+    let work = || -> Result<Vec<Duration>, ItemFault> {
+        let mut times = vec![Duration::ZERO; count];
         let mut columns = Vec::new();
         let mut spans: Option<UnitSpans> = None;
-        while let Some(&(j, start)) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            let job = &jobs[j];
-            let chunk = &job.inputs[start..job.inputs.len().min(start + BATCH_SIZE)];
+        loop {
+            // The guard is dropped at the end of this statement.
+            let unit = next.lock().expect("no worker panics holding it").next();
+            let Some((j, tenant, plan, start, chunk)) = unit else {
+                return Ok(times);
+            };
             if spans.as_ref().is_some_and(|s| s.job != j) {
                 // Closed before the next job's open: spans nest per thread.
                 spans = None;
             }
             spans
-                .get_or_insert_with(|| UnitSpans::open(j, job.tenant))
+                .get_or_insert_with(|| UnitSpans::open(j, tenant))
                 .items += chunk.len();
             let t0 = Instant::now();
-            let outputs = job.plan.run_chunk(chunk, &mut columns);
-            done.push((j, start, outputs, t0.elapsed()));
+            let ran = plan.run_chunk(chunk, &mut columns);
+            times[j] += t0.elapsed();
+            // A worker's units come in order, so its first fault is its
+            // least; units it would take next belong to other workers.
+            ran.map_err(|e| (j, start + e.lane(), e))?;
         }
-        done
     };
-    let helpers = workers.min(units.len()).saturating_sub(1);
-    let mut done = std::thread::scope(|scope| {
+    let helpers = workers.min(units).saturating_sub(1);
+    let results = std::thread::scope(|scope| {
         let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(helper.join().expect("engine worker panicked"));
-        }
-        done
+        let mut results = vec![work()];
+        results.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("engine worker panicked")),
+        );
+        results
     });
-    done.sort_unstable_by_key(|&(j, start, ..)| (j, start));
-    let mut results: Vec<(Vec<Vec<FpValue>>, Duration)> = jobs
+    if let Some(fault) = results
         .iter()
-        .map(|job| (Vec::with_capacity(job.inputs.len()), Duration::ZERO))
-        .collect();
-    for (j, _, outputs, elapsed) in done {
-        results[j].0.extend(outputs);
-        results[j].1 += elapsed;
+        .filter_map(|r| r.as_ref().err())
+        .min_by_key(|&&(j, item, _)| (j, item))
+    {
+        return Err(*fault);
     }
-    results
+    let mut total = vec![Duration::ZERO; count];
+    for times in results.into_iter().flatten() {
+        for (sum, t) in total.iter_mut().zip(times) {
+            *sum += t;
+        }
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -151,25 +174,22 @@ mod tests {
         ExecPlan::lower(&mapping, app).unwrap()
     }
 
-    #[test]
-    fn runs_do_not_depend_on_workers() {
+    /// Jobs of unequal size on both sides of the 64-item unit, and one
+    /// without items.
+    fn jobs(sizes: [usize; 4]) -> Vec<Job> {
         let apps = [
             AppGraph::dot_product(F, &[0.5, 0.25, 0.125]),
             AppGraph::mac_chain(F, &[1.0, -1.0]),
             AppGraph::dot_product(F, &[2.0, -3.0, 0.5, 4.0, 1.5]),
             AppGraph::dot_product(F, &[1.0, 2.0]),
         ];
-        // Jobs of unequal size on both sides of the 64-item unit, and one
-        // without items.
-        let items = [10, 0, 150, 65];
-        let jobs: Vec<Job> = apps
-            .iter()
-            .zip(items)
+        apps.iter()
+            .zip(sizes)
             .enumerate()
             .map(|(t, (a, n))| Job {
                 tenant: t as TenantId,
                 plan: plan(a, 3),
-                inputs: (0..n)
+                items: (0..n)
                     .map(|i| {
                         (0..a.num_inputs)
                             .map(|j| fp((i * 7 + j) as f64 * 0.5))
@@ -177,28 +197,62 @@ mod tests {
                     })
                     .collect(),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn runs_do_not_depend_on_workers() {
+        let sizes = [10, 0, 150, 65];
         // What each item gives on its own, outside the engine.
-        let want: Vec<Vec<Vec<FpValue>>> = jobs
-            .iter()
-            .map(|job| {
-                job.inputs
-                    .chunks(1)
-                    .flat_map(|x| job.plan.run_chunk(x, &mut Vec::new()))
-                    .collect()
+        let want: Vec<Vec<Vec<FpValue>>> = jobs(sizes)
+            .into_iter()
+            .map(|mut job| {
+                for item in job.items.chunks_mut(1) {
+                    job.plan.run_chunk(item, &mut Vec::new()).unwrap();
+                }
+                job.items
             })
             .collect();
 
         for workers in [1, 2, 4, 8] {
-            let done = execute(&jobs, workers);
-            assert_eq!(done.len(), 4, "a job without items still reports");
-            for (t, (outputs, exec_time)) in done.iter().enumerate() {
+            let mut jobs = jobs(sizes);
+            let times = execute(&mut jobs, workers).unwrap();
+            assert_eq!(times.len(), 4, "a job without items still reports");
+            for (t, (job, time)) in jobs.iter().zip(times).enumerate() {
                 let at = format!("job {t}, {workers} workers");
-                assert_eq!(outputs, &want[t], "{at}: outputs in item order");
-                if items[t] == 0 {
-                    assert_eq!(*exec_time, Duration::ZERO, "{at}: no units, no time");
+                assert_eq!(job.items, want[t], "{at}: outputs in item order");
+                if sizes[t] == 0 {
+                    assert_eq!(time, Duration::ZERO, "{at}: no units, no time");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_first_bad_item_is_reported_at_any_worker_count() {
+        let other = FpFormat::new(5, 10);
+        for workers in [1, 2, 4, 8] {
+            let mut jobs = jobs([10, 0, 150, 65]);
+            // Bad items in job 2's last unit, in job 3's first unit, and
+            // — the first in job and item order — in job 2's second unit.
+            jobs[2].items[149].pop();
+            jobs[3].items[3][1] = FpValue::from_f64(1.0, other);
+            jobs[2].items[67][4] = FpValue::from_f64(1.0, other);
+            let untouched = jobs[2].items[64..128].to_vec();
+            let fault = execute(&mut jobs, workers).unwrap_err();
+            assert_eq!(
+                fault,
+                (
+                    2,
+                    67,
+                    ItemError::Format {
+                        lane: 3,
+                        got: other
+                    }
+                ),
+                "{workers} workers"
+            );
+            assert_eq!(jobs[2].items[64..128], untouched, "a bad unit is left");
         }
     }
 }

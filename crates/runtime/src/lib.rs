@@ -41,13 +41,15 @@
 //! * `engine` (private) — **batched streaming execution**, and nothing
 //!   else: every job's mapped graph is lowered once per `run` call to a
 //!   flat `vcgra::sim::ExecPlan` and cut into units of 64 items, which
-//!   the worker threads take off one shared cursor; a unit runs
-//!   lane-major, its items the lanes of `u64` columns each op of the plan
-//!   sweeps in one `softfloat::FpKernel` call. The engine returns each
-//!   job's outputs and measured time; it knows no band, slot or switch.
+//!   the worker threads take off one lock in order; a unit runs
+//!   lane-major and in place, its items checked while they become the
+//!   lanes of `u64` columns, each op of the plan sweeping a column in one
+//!   `softfloat::FpKernel` call, and each item's vector overwritten with
+//!   its outputs. The engine returns each job's measured time, or the
+//!   first item it could not read; it knows no band, slot or switch.
 //!   The plan is bit-exact with the per-item reference
-//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and `run` refuses a
-//!   value in another format before any worker starts.
+//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and a value in
+//!   another format is refused, never read as other bits.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
 //! * [`runtime`] — the orchestrator tying it together. [`Runtime::run`]

@@ -28,8 +28,9 @@
 //! 3. **resubmit** — the structural decision point: same structure routes
 //!    to the swap path, a changed structure releases the lease and
 //!    recompiles (or queues, when the pool is full);
-//! 4. **run** — batched streams execute on the engine's workers; every
-//!    item is bit-exact with `run_dataflow`. `run` walks each band's
+//! 4. **run** — batched streams execute on the engine's workers, in
+//!    place: each request's input vectors come back holding their
+//!    outputs, bit-exact with `run_dataflow`. `run` walks each band's
 //!    slots once and books every swap-in: a slot pays a context switch
 //!    when the configuration loaded before it is another tenant's — the
 //!    previous slot's, or for the first slot the band's resident
@@ -73,7 +74,7 @@ use std::time::Duration;
 use softfloat::FpValue;
 use vcgra::app::AppGraph;
 use vcgra::flow::VcgraMapping;
-use vcgra::sim::ExecPlan;
+use vcgra::sim::{ExecPlan, ItemError};
 
 use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
@@ -126,7 +127,9 @@ impl Tenant {
 pub struct StreamRequest {
     /// Target tenant.
     pub tenant: TenantId,
-    /// Input vectors (each `graph.num_inputs` long).
+    /// Input vectors (each `graph.num_inputs` long, in the graph's
+    /// format). [`Runtime::run`] serves them in place: they come back as
+    /// [`TenantRun::outputs`], overwritten.
     pub inputs: Vec<Vec<FpValue>>,
 }
 
@@ -135,7 +138,9 @@ pub struct StreamRequest {
 pub struct TenantRun {
     /// The tenant.
     pub tenant: TenantId,
-    /// One output vector per input vector, in order.
+    /// One output vector per input vector, in order: the request's own
+    /// `inputs`, each overwritten with its outputs, so each vector's
+    /// capacity is at least the graph's input arity.
     pub outputs: Vec<Vec<FpValue>>,
     /// Input vectors processed.
     pub items: usize,
@@ -205,35 +210,35 @@ impl Runtime {
 
     /// Streams batched inputs through every requested tenant: each job
     /// is lowered to an [`ExecPlan`] and its items are spread over the
-    /// engine workers; every slot that swaps a configuration into its band
+    /// engine workers, which overwrite each request's input vectors with
+    /// their outputs; every slot that swaps a configuration into its band
     /// is charged a context switch before its execution.
     /// Drains the admission queue first, so capacity freed since the last
     /// call is never left idle (the drain's admissions are visible in the
     /// ledger and via [`Runtime::tenant`]).
+    ///
+    /// A refused call changes nothing but what that drain did: no band,
+    /// resident, ledger counter or interval moves. Its error is, in this
+    /// order of precedence: the first request (in request order) whose
+    /// tenant is not live ([`RuntimeError::UnknownTenant`],
+    /// [`RuntimeError::Waiting`]) or whose mapping does not lower
+    /// ([`RuntimeError::Invariant`]); otherwise the first item, in request
+    /// and item order, that does not hold one value per external input
+    /// ([`RuntimeError::BadInputArity`]) or holds a value in another
+    /// format ([`RuntimeError::BadFormat`]). So a tenant fault in a later
+    /// request is reported before an item fault in an earlier one; which
+    /// error a call gets does not depend on the worker count.
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
         self.drain_queue()?;
-        // Validate and lower every request before any worker starts, so
-        // that a bad request or a broken mapping is an error here and
-        // never a panic on an engine thread — and never a value whose
-        // bits the columns would read in the wrong format. Jobs are
-        // grouped by band.
-        let mut by_band: BTreeMap<(usize, usize), Vec<Job>> = BTreeMap::new();
+        // Lower every request before any worker starts, so that a broken
+        // mapping is an error here and never a panic on an engine thread.
+        // The engine checks the items themselves as it reads them. Jobs
+        // stay in request order — the order a bad item is reported in —
+        // and each band lists its jobs.
+        let mut jobs = Vec::with_capacity(requests.len());
+        let mut by_band: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for req in requests {
             let t = self.live(req.tenant)?;
-            for item in &req.inputs {
-                if item.len() != t.graph.num_inputs {
-                    return Err(RuntimeError::BadInputArity {
-                        expected: t.graph.num_inputs,
-                        got: item.len(),
-                    });
-                }
-                if let Some(v) = item.iter().find(|v| v.format != t.graph.format) {
-                    return Err(RuntimeError::BadFormat {
-                        expected: t.graph.format,
-                        got: v.format,
-                    });
-                }
-            }
             let plan = ExecPlan::lower(&t.mapping, &t.graph).map_err(|e| {
                 RuntimeError::Invariant(format!(
                     "tenant {}: mapping does not lower: {e}",
@@ -243,45 +248,58 @@ impl Runtime {
             by_band
                 .entry((t.lease.grid, t.lease.row0))
                 .or_default()
-                .push(Job {
-                    tenant: req.tenant,
-                    plan,
-                    inputs: req.inputs,
-                });
+                .push(jobs.len());
+            jobs.push(Job {
+                tenant: req.tenant,
+                plan,
+                items: req.inputs,
+            });
         }
         // Each band's slots, walked once. A slot swaps its configuration
         // in when the one loaded before it is another tenant's: slot k's
         // predecessor is slot k−1's, slot 0's is the band's resident — or
-        // nobody's, once the resident has left. The last slot's stays.
-        let requested = by_band.values().map(Vec::len).sum();
-        let mut jobs = Vec::with_capacity(requested);
-        let mut switches: Vec<Option<Duration>> = Vec::with_capacity(requested);
+        // nobody's, once the resident has left. The last slot's stays,
+        // once the call has run.
+        let mut switches: Vec<Option<Duration>> = vec![None; jobs.len()];
+        let mut residents = Vec::with_capacity(by_band.len());
         for ((grid, row0), mut band) in by_band {
             // Jobs follow the band's slot order.
             let slots = self.pool.band_tenants(grid, row0);
-            band.sort_by_key(|j| slots.iter().position(|&t| t == j.tenant));
-            let region_pes = self.tenants[&band[0].tenant].lease.pe_count();
+            band.sort_by_key(|&j| slots.iter().position(|&t| t == jobs[j].tenant));
+            let region_pes = self.tenants[&jobs[band[0]].tenant].lease.pe_count();
             let switch_cost = self.pricer.full_config_cost(region_pes);
             let mut loaded = self.pool.resident(grid, row0);
-            for job in band {
-                switches.push((loaded != Some(job.tenant)).then_some(switch_cost));
-                loaded = Some(job.tenant);
-                jobs.push(job);
+            for &j in &band {
+                switches[j] = (loaded != Some(jobs[j].tenant)).then_some(switch_cost);
+                loaded = Some(jobs[j].tenant);
             }
-            if let Some(last) = loaded {
-                self.pool.set_resident(grid, row0, last);
-            }
+            residents.push((grid, row0, jobs[band[band.len() - 1]].tenant));
         }
-        let done = engine::execute(&jobs, self.cfg.workers);
+        let exec_times = engine::execute(&mut jobs, self.cfg.workers).map_err(|(j, _, e)| {
+            let graph = &self.tenants[&jobs[j].tenant].graph;
+            match e {
+                ItemError::Arity { got, .. } => RuntimeError::BadInputArity {
+                    expected: graph.num_inputs,
+                    got,
+                },
+                ItemError::Format { got, .. } => RuntimeError::BadFormat {
+                    expected: graph.format,
+                    got,
+                },
+            }
+        })?;
+        for (grid, row0, last) in residents {
+            self.pool.set_resident(grid, row0, last);
+        }
         let mut runs: Vec<TenantRun> = jobs
-            .iter()
+            .into_iter()
             .zip(switches)
-            .zip(done)
-            .map(|((job, switch), (outputs, exec_time))| TenantRun {
+            .zip(exec_times)
+            .map(|((job, switch), exec_time)| TenantRun {
                 tenant: job.tenant,
-                outputs,
-                items: job.inputs.len(),
-                batches: job.inputs.len().div_ceil(BATCH_SIZE),
+                items: job.items.len(),
+                batches: job.items.len().div_ceil(BATCH_SIZE),
+                outputs: job.items,
                 exec_time,
                 context_switches: usize::from(switch.is_some()),
                 switch_port_time: switch.unwrap_or_default(),

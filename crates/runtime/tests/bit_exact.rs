@@ -290,8 +290,8 @@ fn assert_still_served(rt: &mut Runtime, id: TenantId, graph: &AppGraph) {
 #[test]
 fn an_input_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     // The engine's columns are bare bits: a (5,10) encoding streamed into
-    // a (6,26) graph would be read as some other number. `run` refuses it
-    // before any engine thread starts.
+    // a (6,26) graph would be read as some other number. `run` refuses it:
+    // the engine checks each item as it transposes it.
     let mut rt = Runtime::new(RuntimeConfig::default());
     let (id, graph) = served(&mut rt);
     let other = FpFormat::new(5, 10);
@@ -308,6 +308,234 @@ fn an_input_in_the_wrong_format_is_an_error_not_a_worker_panic() {
         }
     );
     assert_still_served(&mut rt, id, &graph);
+}
+
+/// One 4x4 grid at `workers`: `served`'s FIR holds a 2-row band, and two
+/// more share the other. Returns the runtime, the FIR, the dedicated
+/// band's tenant and the shared band's two in slot order.
+fn a_time_shared_band(workers: usize) -> (Runtime, AppGraph, TenantId, [TenantId; 2]) {
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![vcgra::VcgraArch::new(4, 4, 2)],
+        workers,
+        ..RuntimeConfig::default()
+    });
+    let (first, graph) = served(&mut rt);
+    let second = rt.submit("second", graph.clone()).unwrap().tenant();
+    let third = rt.submit("third", graph.clone()).unwrap().tenant();
+    let lease = rt.tenant(third).unwrap().lease;
+    let shared = rt.pool().band_tenants(lease.grid, lease.row0).to_vec();
+    let alone = [first, second]
+        .into_iter()
+        .find(|t| !shared.contains(t))
+        .expect("two bands, one of them shared");
+    assert_eq!(shared.len(), 2);
+    (rt, graph, alone, [shared[0], shared[1]])
+}
+
+/// Items `run` cannot read: a wrong arity or format at the first item, in
+/// a later unit, in the second slot of a time-shared band, and in two
+/// requests at once. The expected errors are those of a serial check of
+/// the requests in order, item by item, at every worker count.
+#[test]
+fn a_refused_call_reports_the_first_bad_item_and_changes_nothing() {
+    const OTHER: FpFormat = FpFormat { we: 5, wf: 10 };
+    type Fault = fn(&mut Vec<FpValue>);
+    let short: Fault = |item| item.truncate(1);
+    let long: Fault = |item| item.push(fp(1.0));
+    let foreign: Fault = |item| item[1] = FpValue::from_f64(1.5, OTHER);
+    let arity = |got| RuntimeError::BadInputArity { expected: 2, got };
+    let format = RuntimeError::BadFormat {
+        expected: F,
+        got: OTHER,
+    };
+    // (what, [(request's tenant: 0 alone, 1 and 2 the shared slots, its
+    // faulted items)], error).
+    type Case = (
+        &'static str,
+        Vec<(usize, Vec<(usize, Fault)>)>,
+        RuntimeError,
+    );
+    let cases: Vec<Case> = vec![
+        ("arity at item 0", vec![(2, vec![(0, short)])], arity(1)),
+        (
+            "format at item 0",
+            vec![(2, vec![(0, foreign)])],
+            format.clone(),
+        ),
+        ("arity at item 67", vec![(2, vec![(67, long)])], arity(3)),
+        (
+            "format at item 67",
+            vec![(2, vec![(67, foreign)])],
+            format.clone(),
+        ),
+        (
+            "arity in a shared band's second slot",
+            vec![(1, vec![]), (2, vec![(5, short)])],
+            arity(1),
+        ),
+        (
+            "format in a shared band's second slot",
+            vec![(1, vec![]), (2, vec![(130, foreign)])],
+            format.clone(),
+        ),
+        // The first request's bad item is the later one, in a later unit
+        // and on the other band.
+        (
+            "two requests, two bad items",
+            vec![(2, vec![(100, foreign)]), (0, vec![(3, long)])],
+            format.clone(),
+        ),
+        (
+            "two requests, arity first",
+            vec![(0, vec![(140, long)]), (2, vec![(1, foreign)])],
+            arity(3),
+        ),
+    ];
+    for workers in [1, 2, 4, 8] {
+        let (mut rt, graph, alone, [slot0, slot1]) = a_time_shared_band(workers);
+        let tenants = [alone, slot0, slot1];
+        for (what, requests, want) in &cases {
+            let at = format!("{what}, {workers} workers");
+            // The shared band holds its first slot, so a call that served
+            // its second would leave that one resident.
+            rt.run(vec![StreamRequest {
+                tenant: slot0,
+                inputs: stream(2, 1, 9),
+            }])
+            .unwrap();
+            let before = state(&rt);
+            let intervals = rt.timeline_snapshot().intervals.len();
+            let requests = requests
+                .iter()
+                .map(|(t, faults)| {
+                    let mut inputs = stream(2, 150, *t as u64);
+                    for &(item, fault) in faults {
+                        fault(&mut inputs[item]);
+                    }
+                    StreamRequest {
+                        tenant: tenants[*t],
+                        inputs,
+                    }
+                })
+                .collect();
+            assert_eq!(&rt.run(requests).unwrap_err(), want, "{at}");
+            assert_eq!(state(&rt), before, "{at}");
+            assert_eq!(rt.timeline_snapshot().intervals.len(), intervals, "{at}");
+            // And every tenant is still served.
+            let ins = stream(2, 70, 11);
+            let runs = rt
+                .run(
+                    tenants
+                        .iter()
+                        .map(|&tenant| StreamRequest {
+                            tenant,
+                            inputs: ins.clone(),
+                        })
+                        .collect(),
+                )
+                .unwrap();
+            for run in &runs {
+                for (input, out) in ins.iter().zip(&run.outputs) {
+                    assert_eq!(out, &run_dataflow(&graph, input), "{at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_request_run_cannot_serve_is_reported_before_a_bad_item() {
+    // Tenants are looked up and lowered before any item is read, so a
+    // later request naming no tenant outranks an earlier bad item.
+    let (mut rt, _, alone, _) = a_time_shared_band(2);
+    let mut inputs = stream(2, 10, 1);
+    inputs[0].pop();
+    let unknown = 99;
+    let err = rt
+        .run(vec![
+            StreamRequest {
+                tenant: alone,
+                inputs,
+            },
+            StreamRequest {
+                tenant: unknown,
+                inputs: stream(2, 10, 2),
+            },
+        ])
+        .unwrap_err();
+    assert_eq!(err, RuntimeError::UnknownTenant(unknown));
+}
+
+/// `run` serves items in place: an item's vector grows to a graph's six
+/// outputs and shrinks to another's one, at every size around the 64-item
+/// unit, and a worker's column buffer, reused from one plan to the next,
+/// leaks nothing between them.
+#[test]
+fn outputs_grow_and_shrink_in_place_and_match_the_dataflow() {
+    // The six-MAC chain of `vcgra::sim`'s tests: one input, six outputs.
+    let mut chain = AppGraph::new(F, 1);
+    let coeffs = [-0.5, 2f64.powi(-30), -3.0, 2f64.powi(30), 0.0, 1.5];
+    for (i, &c) in coeffs.iter().enumerate() {
+        let a = if i == 0 {
+            AppSource::External(0)
+        } else {
+            AppSource::Node(i - 1)
+        };
+        chain.add(
+            format!("mac{i}"),
+            PeMode::Mac,
+            Some(fp(c)),
+            a,
+            AppSource::Zero,
+        );
+        chain.mark_output(i);
+    }
+    // A 5x5 retina window: 25 inputs, one output.
+    let window = kernels::retina_stage(F, &retina::filters::gaussian(5, 1.0)).graph;
+    assert_eq!((window.num_inputs, window.outputs.len()), (25, 1));
+    for workers in 1..=8 {
+        let mut rt = Runtime::new(RuntimeConfig {
+            grids: vec![vcgra::VcgraArch::new(16, 4, 2); 2],
+            workers,
+            ..RuntimeConfig::default()
+        });
+        let graphs = [&chain, &window];
+        let ids: Vec<TenantId> = graphs
+            .iter()
+            .map(|g| rt.submit("t", (*g).clone()).unwrap().tenant())
+            .collect();
+        for items in [0, 1, 64, 65, 150] {
+            // The window, the chain, then the window again: one worker
+            // runs all three plans over one buffer.
+            let requests: Vec<StreamRequest> = [1, 0, 1]
+                .iter()
+                .enumerate()
+                .map(|(r, &g)| StreamRequest {
+                    tenant: ids[g],
+                    inputs: stream(graphs[g].num_inputs, items, (items + r) as u64),
+                })
+                .collect();
+            let want: Vec<Vec<Vec<FpValue>>> = requests
+                .iter()
+                .map(|r| {
+                    let g = graphs[ids.iter().position(|&t| t == r.tenant).unwrap()];
+                    r.inputs.iter().map(|x| run_dataflow(g, x)).collect()
+                })
+                .collect();
+            let runs = rt.run(requests).unwrap();
+            // Tenant order; the window's two requests in request order.
+            let got: Vec<&Vec<Vec<FpValue>>> = runs.iter().map(|r| &r.outputs).collect();
+            let at = format!("{items} items, {workers} workers");
+            assert_eq!(got, [&want[1], &want[0], &want[2]], "{at}");
+            for run in &runs {
+                let g = graphs[ids.iter().position(|&t| t == run.tenant).unwrap()];
+                assert!(
+                    run.outputs.iter().all(|o| o.capacity() >= g.num_inputs),
+                    "{at}: an item keeps its vector"
+                );
+            }
+        }
+    }
 }
 
 #[test]

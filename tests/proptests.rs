@@ -8,6 +8,8 @@
 //!   interpreter agree bit for bit, special values included;
 //! * a graph the runtime admits is a graph it can run, and a malformed
 //!   one is refused at the door;
+//! * `run` refuses a call if and only if some item is malformed, with the
+//!   error of the first such item, at any worker count;
 //! * `same_structure`, the cache key, the routing key and the verifier's
 //!   signature agree on which graphs share a compile;
 //! * the synthetic image generator and metrics behave sanely.
@@ -311,10 +313,10 @@ proptest! {
             // how many there are.
             let mut columns = Vec::new();
             for lanes in [1, 3, 64] {
-                let got: Vec<Vec<FpValue>> = items
-                    .chunks(lanes)
-                    .flat_map(|chunk| plan.run_chunk(chunk, &mut columns))
-                    .collect();
+                let mut got = items.clone();
+                for chunk in got.chunks_mut(lanes) {
+                    plan.run_chunk(chunk, &mut columns).expect("every item is well-formed");
+                }
                 prop_assert_eq!(&got, &mapped, "chunks of {} lanes", lanes);
             }
         }
@@ -381,6 +383,94 @@ proptest! {
     }
 
     #[test]
+    fn run_refuses_exactly_at_the_first_bad_item(
+        picks in prop::collection::vec((any::<u8>(), 0usize..150), 1..4),
+        faults in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 0..3),
+        workers in 1usize..9,
+    ) {
+        let f = FpFormat::PAPER;
+        let other = FpFormat::new(5, 10);
+        let mut rt = Runtime::new(RuntimeConfig { workers, ..RuntimeConfig::default() });
+        let graphs = [
+            runtime::kernels::fir(f, &[0.5, 0.25]).graph,
+            AppGraph::dot_product(f, &[1.0, -2.0, 0.75]),
+            runtime::kernels::tree_reduction(f, 4).graph,
+        ];
+        let ids: Vec<_> = graphs
+            .iter()
+            .map(|g| rt.submit("t", g.clone()).unwrap().expect_admitted("a free band").tenant)
+            .collect();
+        // Requests of 0 to 149 items, some tenants asked for twice, then
+        // each fault drops a value, adds one, or puts one in another format.
+        let mut requests: Vec<(usize, StreamRequest)> = picks
+            .iter()
+            .map(|&(t, n)| {
+                let g = t as usize % graphs.len();
+                let inputs = (0..n)
+                    .map(|i| (0..graphs[g].num_inputs).map(|k| FpValue::from_f64((i * 3 + k) as f64 * 0.25, f)).collect())
+                    .collect();
+                (g, StreamRequest { tenant: ids[g], inputs })
+            })
+            .collect();
+        for &(at, item, kind) in &faults {
+            let r = at as usize % requests.len();
+            let inputs = &mut requests[r].1.inputs;
+            if inputs.is_empty() {
+                continue;
+            }
+            let at = item as usize % inputs.len();
+            let item = &mut inputs[at];
+            match kind % 3 {
+                0 => item.truncate(item.len().saturating_sub(1)),
+                1 => item.push(FpValue::from_f64(1.0, f)),
+                _ => {
+                    if let Some(v) = item.first_mut() {
+                        *v = FpValue::from_f64(1.0, other);
+                    }
+                }
+            }
+        }
+        // The oracle, a serial check: request by request, item by item,
+        // arity before format.
+        let door = || -> Result<(), RuntimeError> {
+            for (g, req) in &requests {
+                let g = &graphs[*g];
+                for item in &req.inputs {
+                    if item.len() != g.num_inputs {
+                        return Err(RuntimeError::BadInputArity { expected: g.num_inputs, got: item.len() });
+                    }
+                    if let Some(v) = item.iter().find(|v| v.format != g.format) {
+                        return Err(RuntimeError::BadFormat { expected: g.format, got: v.format });
+                    }
+                }
+            }
+            Ok(())
+        };
+        let want = door();
+        // Runs come back in tenant order, a tenant's in request order.
+        let mut served: Vec<(usize, Vec<Vec<FpValue>>)> =
+            requests.iter().map(|(g, r)| (*g, r.inputs.clone())).collect();
+        served.sort_by_key(|&(g, _)| ids[g]);
+        let ran = rt.run(requests.into_iter().map(|(_, r)| r).collect());
+        match want {
+            Err(e) => {
+                prop_assert_eq!(ran.err(), Some(e));
+                prop_assert_eq!(rt.ledger().items, 0, "a refused call streams nothing");
+            }
+            Ok(()) => {
+                let runs = ran.expect("no item is bad");
+                prop_assert_eq!(runs.len(), served.len());
+                for ((g, inputs), run) in served.iter().zip(&runs) {
+                    prop_assert_eq!(run.outputs.len(), inputs.len());
+                    for (input, output) in inputs.iter().zip(&run.outputs) {
+                        prop_assert_eq!(output, &run_dataflow(&graphs[*g], input));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn every_reading_of_structure_agrees(
         recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>()), 1..17),
         edits in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 12..13),
@@ -442,7 +532,9 @@ proptest! {
                 let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
                 let settings = PeSettings { coeff, counter: 1, mode };
                 let (want, _) = settings.evaluate(a, b, FpValue::zero(f));
-                prop_assert_eq!(plan.run_chunk(&[vec![a, b]], &mut Vec::new()), vec![vec![want]]);
+                let mut item = [vec![a, b]];
+                prop_assert_eq!(plan.run_chunk(&mut item, &mut Vec::new()), Ok(()));
+                prop_assert_eq!(&item[0], &vec![want]);
             }
         }
     }
