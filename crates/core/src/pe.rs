@@ -225,18 +225,6 @@ impl VirtualPe {
         }
 
         let zero: Vec<Lit> = vec![Lit::FALSE; w];
-        let one: Vec<Lit> = {
-            let v = FpValue::from_f64(1.0, fmt);
-            (0..w)
-                .map(|i| {
-                    if (v.bits >> i) & 1 == 1 {
-                        Lit::TRUE
-                    } else {
-                        Lit::FALSE
-                    }
-                })
-                .collect()
-        };
 
         // One virtual connection: `hops` 4:1 multiplexer stages per bit.
         // The first hop selects among the four candidates; each further hop
@@ -319,7 +307,6 @@ impl VirtualPe {
             &in_b,
             &fb,
         );
-        let _ = one;
         g.add_output_vec("out", &out);
         g.add_output_vec("fbn", &fbn);
 

@@ -13,7 +13,7 @@
 //!
 //! Every routing result `run` returns has passed the commit-path route
 //! audit ([`crate::troute::audit`]); a caller of `route` that wants the
-//! same proof calls it, as `table1 --verify` and `xbench verify` do.
+//! same proof calls it, as `table1 --verify` does.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
 //! **bit-identical regardless of `threads`**. A thread count changes one

@@ -15,7 +15,9 @@
 //!   parameter swap on it is a no-op — the degenerate cache case);
 //! * [`retina_stage`] — the vessel-segmentation filter kernels from the
 //!   `retina` crate (Gaussian denoise, matched filter, texture filter)
-//!   re-exported as runtime workloads.
+//!   re-exported as runtime workloads: the same taps over the same window
+//!   as `retina::filters::convolve_vcgra`, associated differently (an
+//!   adder tree, not one accumulator).
 
 use retina::filters::{gaussian, texture_filter, Kernel};
 use softfloat::{FpFormat, FpValue};
@@ -148,8 +150,11 @@ pub fn tree_reduction(format: FpFormat, n: usize) -> Workload {
 
 /// A vessel-segmentation filter kernel as a runtime workload: the kernel's
 /// taps become the coefficient vector of a dot product over the pixel
-/// window (the same shape `retina::filters::convolve_vcgra` streams
-/// through the MAC PEs).
+/// window ([`AppGraph::dot_product`]: a multiply layer followed by a
+/// balanced adder tree). `retina::filters::convolve_vcgra` applies the same
+/// taps to the same window but accumulates them one tap at a time on one
+/// MAC PE, so the two sum in a different order and round differently; they
+/// agree to within the format's rounding, not bit for bit.
 pub fn retina_stage(format: FpFormat, kernel: &Kernel) -> Workload {
     let taps: Vec<f64> = kernel.taps.iter().map(|&t| t as f64).collect();
     Workload::new(
@@ -182,6 +187,7 @@ pub fn library(format: FpFormat) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retina::filters::{convolve_vcgra, matched_filter};
     use vcgra::sim::run_dataflow;
 
     const F: FpFormat = FpFormat::PAPER;
@@ -222,6 +228,33 @@ mod tests {
         assert!(w.graph.coeff_nodes().is_empty());
         let inputs: Vec<FpValue> = (0..8).map(|v| fp(v as f64)).collect();
         assert_eq!(run_dataflow(&w.graph, &inputs)[0].to_f64(), 28.0);
+    }
+
+    #[test]
+    fn retina_stages_agree_with_the_mac_pe_convolution_to_rounding() {
+        // The three stages the repo benchmark's `serve_stream` serves. On a
+        // k×k image the centre pixel's window is the whole image, unclamped,
+        // in the dot product's input order.
+        for kernel in [
+            gaussian(3, 0.85),
+            texture_filter(3, 1.2),
+            matched_filter(5, 1.6, 4.0, 0.0),
+        ] {
+            let k = kernel.size;
+            let mut rng = logic::SplitMix64::new(k as u64);
+            let mut img = retina::Image::new(k, k, 0.0);
+            for px in &mut img.data {
+                *px = rng.unit_f64() as f32;
+            }
+            let accumulated = convolve_vcgra(&img, &kernel, F).get(k / 2, k / 2);
+            let window: Vec<FpValue> = img.data.iter().map(|&px| fp(px as f64)).collect();
+            let tree = run_dataflow(&retina_stage(F, &kernel).graph, &window)[0].to_f64();
+            assert!(
+                (tree - accumulated as f64).abs() < 1e-6,
+                "{}: adder tree {tree}, accumulator {accumulated}",
+                kernel.name
+            );
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ use vcgra::sim::{ExecPlan, ItemError};
 
 use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
-use crate::engine::{self, Job, BATCH_SIZE};
+use crate::engine::{self, Job};
 use crate::pool::{GridPool, Lease, TenantId};
 use crate::pricer::{SettingsPricer, PRICER_FORMAT};
 use crate::timeline::{Lane, Phase, Timeline};
@@ -140,12 +140,9 @@ pub struct TenantRun {
     pub tenant: TenantId,
     /// One output vector per input vector, in order: the request's own
     /// `inputs`, each overwritten with its outputs, so each vector's
-    /// capacity is at least the graph's input arity.
+    /// capacity is at least the graph's input arity. Its length is the
+    /// number of items the request streamed.
     pub outputs: Vec<Vec<FpValue>>,
-    /// Input vectors processed.
-    pub items: usize,
-    /// Units of 64 items processed.
-    pub batches: usize,
     /// Measured host execution time.
     pub exec_time: Duration,
     /// Context switches charged to this request: 1 when its slot swapped
@@ -297,8 +294,6 @@ impl Runtime {
             .zip(exec_times)
             .map(|((job, switch), exec_time)| TenantRun {
                 tenant: job.tenant,
-                items: job.items.len(),
-                batches: job.items.len().div_ceil(BATCH_SIZE),
                 outputs: job.items,
                 exec_time,
                 context_switches: usize::from(switch.is_some()),
@@ -313,9 +308,10 @@ impl Runtime {
                 .get_mut(&run.tenant)
                 .expect("runs only cover tenants validated live above");
             let lane = (tenant.lease.grid, tenant.lease.row0);
-            tenant.stats.items += run.items;
+            let items = run.outputs.len();
+            tenant.stats.items += items;
             tenant.stats.context_switches += run.context_switches;
-            self.ledger.items += run.items;
+            self.ledger.items += items;
             self.ledger.context_switches += run.context_switches;
             // The swap-in context switch (a grid-local replay of the
             // tenant's resident image) is followed by the measured

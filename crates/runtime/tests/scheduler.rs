@@ -640,7 +640,7 @@ fn a_slot_swaps_in_when_its_band_holds_another_configuration() {
     // A request with no items is still a slot, and still gets a reply.
     let runs = call(&[t[0]], 0);
     assert_eq!(switches(&runs), [1]);
-    assert_eq!((runs[0].tenant, runs[0].items), (t[0], 0));
+    assert_eq!((runs[0].tenant, runs[0].outputs.len()), (t[0], 0));
     assert!(runs[0].outputs.is_empty());
 
     assert_eq!(rt.ledger().context_switches, 6);

@@ -1,9 +1,11 @@
 //! Scheduler-state verification tests: a churn soak under
 //! `verify_on_admit` (every mutating operation re-proves the admission
-//! invariants), and snapshot sanity for the exported plain-data view.
+//! invariants), snapshot sanity for the exported plain-data view, and the
+//! configuration lint of every library kernel on the region admission
+//! compiles it for.
 
 use runtime::kernels;
-use runtime::{Admission, Runtime, RuntimeConfig, StreamRequest};
+use runtime::{Admission, GridPool, Runtime, RuntimeConfig, StreamRequest};
 use softfloat::{FpFormat, FpValue};
 use vcgra::VcgraArch;
 
@@ -56,11 +58,14 @@ fn churn_soak_verifies_after_every_operation() {
         .expect("verified run");
     }
 
-    // Structural refresh on one tenant, then churn releases (each drains
-    // the queue, each re-verified).
+    // Structural refresh on one tenant, a defragmentation in the idle
+    // window (so the time axis holds lane-local compaction replays, not
+    // only port phases), then churn releases (each drains the queue, each
+    // re-verified).
     let first = tenants[0];
     rt.resubmit(first, kernels::fir_seeded(F, 6, 99).graph)
         .expect("verified resubmit");
+    rt.compact_background().expect("verified compaction");
     for &t in &tenants {
         rt.release(t).expect("verified release");
     }
@@ -91,4 +96,28 @@ fn snapshot_reflects_live_state() {
         "the admission compiled into the cache"
     );
     assert!(verify::sched::check_sched(&snap).is_empty());
+}
+
+#[test]
+fn library_kernels_lint_clean_on_their_minimal_regions() {
+    // What a cold admission compiles on a 4-wide grid of channel
+    // capacity 2: the minimal region, with the runtime's placement seed.
+    let seed = RuntimeConfig::default().place_seed;
+    let v = verify::Verifier::new();
+    for format in [F, FpFormat::new(5, 10)] {
+        for w in kernels::library(format) {
+            let rows = GridPool::rows_needed(w.graph.pe_demand(), 4);
+            let mapping = vcgra::flow::map_app(&w.graph, VcgraArch::new(rows, 4, 2), seed)
+                .unwrap_or_else(|e| panic!("{} unmappable on its minimal region: {e}", w.name));
+            let report = v.verify_config(&w.graph, &mapping);
+            assert!(
+                report.ok(),
+                "{} at ({},{}): {}",
+                w.name,
+                format.we,
+                format.wf,
+                report.summary()
+            );
+        }
+    }
 }

@@ -28,8 +28,9 @@
 //!   dispatch returns [`server::Reject::QueueFull`] to the caller —
 //!   explicit backpressure, never a silent drop. Accepted work is never
 //!   discarded; [`server::ShardServer::drain`] waits for every queue to
-//!   empty (optionally re-proving each shard's scheduler invariants) and
-//!   returns each shard's ledger, cache counters and admission log;
+//!   empty (one request per shard, optionally re-proving its scheduler
+//!   invariants) and returns each shard's ledger, cache counters and
+//!   request count;
 //!   [`server::ShardServer::shutdown`] joins the workers and returns
 //!   each shard's closing verification.
 //! * [`loadgen`] is a **seeded, deterministic load generator**: the whole
@@ -43,11 +44,12 @@
 //!
 //! Observability: the server's shared [`trace::Registry`] carries what
 //! the repo benchmark reads — the `shard.spill`/`shard.reject` counters
-//! (a spill counts once the spilled admission is accepted; a refused one
-//! is a reject only) and the tier-wide `shard.queue_wait_ns` / `shard.admit_ns` /
-//! `shard.execute_ns` latency histograms; the span recorder sees a
-//! `shard.route` span per routing decision (with its shard and whether it
-//! spilled) and a `shard.serve` span per request on the worker.
+//! (a spill counts once accepted, a refused one is a reject only; the
+//! load generator reads its spills there) and the tier-wide
+//! `shard.queue_wait_ns` / `shard.admit_ns` / `shard.execute_ns` latency
+//! histograms; the span recorder sees a `shard.route` span per routing
+//! decision (with its shard and whether it spilled) and a `shard.serve`
+//! span per request on the worker (one per shard for a drain).
 //!
 //! Serving model in one table:
 //!

@@ -12,6 +12,13 @@
 //! since the engine's mapped execution is bit-exact with the reference
 //! dataflow interpreter regardless of where a tenant lands.
 //!
+//! The admission orders are the dispatcher's record: [`run`] lists each
+//! job under its shard as it dispatches it. That is the worker's order
+//! because a shard serves its queue FIFO, a `Runtime` numbers submissions
+//! in arrival order (refused ones too: `submit` takes the id before any
+//! check), and [`run`] asserts every job's tenant id is the predicted one
+//! — a worker that reordered admissions would fail it.
+//!
 //! Wave structure: wave 0 is a **priming wave** (one tenant per library
 //! structure, paying the cold compiles); waves 1.. are the warm traffic.
 //! Each tenant's lifecycle is admit → stream → parameter swap → stream →
@@ -64,7 +71,7 @@ impl Default for LoadSpec {
 /// One tenant's full scripted lifecycle.
 #[derive(Debug, Clone)]
 pub struct LoadJob {
-    /// Unique name (also the admission-log entry): `w<wave>.t<idx>.<kernel>`.
+    /// Unique name (and admission-order entry): `w<wave>.t<idx>.<kernel>`.
     pub name: String,
     /// The application graph (structure + initial coefficients).
     pub graph: AppGraph,
@@ -103,25 +110,17 @@ pub struct LoadReport {
     pub fingerprint: u64,
     /// hits / (hits + misses) over all shards.
     pub warm_hit_rate: f64,
-    /// Admissions diverted off their affine shard (deterministic:
-    /// spilling reads only the caller's own outstanding-ticket counts).
+    /// Admissions diverted off their affine shard during the run: the
+    /// server's `shard.spill` counter's change (deterministic: spilling
+    /// reads only the caller's own outstanding-ticket counts).
     pub spills: u64,
-    /// Final per-shard stats from the closing drain (includes each
-    /// shard's admission log).
+    /// Final per-shard stats from the closing drain.
     pub shard_stats: Vec<ShardStats>,
+    /// Per shard, job names in dispatch order, which is the worker's
+    /// admission order (see the module doc): the determinism witness.
+    pub admission_orders: Vec<Vec<String>>,
     /// Every tenant's outputs by job name.
     pub outputs: BTreeMap<String, JobOutputs>,
-}
-
-impl LoadReport {
-    /// Admission logs per shard (names in the order each worker admitted
-    /// them) — the determinism witness.
-    pub fn admission_orders(&self) -> Vec<&[String]> {
-        self.shard_stats
-            .iter()
-            .map(|s| s.admission_order.as_slice())
-            .collect()
-    }
 }
 
 fn fp_stream(rng: &mut SplitMix64, n: usize, format: FpFormat) -> Vec<FpValue> {
@@ -233,7 +232,8 @@ struct InFlight {
 pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, DrainError> {
     let mut fp = Fnv::new();
     let mut total_items = 0u64;
-    let mut spills = 0u64;
+    let spills_before = server.metrics().counter_value("shard.spill");
+    let mut admission_orders = vec![Vec::new(); server.shards()];
     let mut outputs: BTreeMap<String, JobOutputs> = BTreeMap::new();
 
     for (w, jobs) in plan.waves.iter().enumerate() {
@@ -244,11 +244,9 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
         // boundary — a pure function of this dispatch order.
         let mut flights = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let (at, pick, admit) =
+            let (at, _, admit) =
                 with_backpressure(|| server.submit(job.name.clone(), job.graph.clone()));
-            if matches!(pick, crate::route::RoutePick::Spilled { .. }) {
-                spills += 1;
-            }
+            admission_orders[at.shard].push(job.name.clone());
             let run1 = with_backpressure(|| {
                 server.run(
                     at.shard,
@@ -326,8 +324,9 @@ pub fn run(server: &mut ShardServer, plan: &LoadPlan) -> Result<LoadReport, Drai
         total_items,
         fingerprint: fp.finish(),
         warm_hit_rate: warm_hits as f64 / ((warm_hits + cold_misses) as f64).max(1.0),
-        spills,
+        spills: server.metrics().counter_value("shard.spill") - spills_before,
         shard_stats,
+        admission_orders,
         outputs,
     })
 }

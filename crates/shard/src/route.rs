@@ -117,14 +117,6 @@ impl Router {
         self.outstanding.len()
     }
 
-    /// Current outstanding-ticket count per shard.
-    fn loads(&self) -> Vec<u64> {
-        self.outstanding
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect()
-    }
-
     /// Shared load cell for one shard (held by tickets).
     pub(crate) fn load_cell(&self, shard: usize) -> Arc<AtomicU64> {
         Arc::clone(&self.outstanding[shard])
@@ -136,16 +128,20 @@ impl Router {
     /// lowest shard index, so the decision is a pure function of the
     /// load vector.
     pub fn route(&self, key: RouteKey) -> (usize, RoutePick) {
-        let loads = self.loads();
-        let primary = key.shard(loads.len());
-        let (min_shard, min_load) = loads
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, load)| (load, i))
-            .expect("router has at least one shard");
+        let primary = key.shard(self.shards());
+        let mut primary_load = 0;
+        let (mut min_load, mut min_shard) = (u64::MAX, 0);
+        for (i, cell) in self.outstanding.iter().enumerate() {
+            let load = cell.load(Ordering::SeqCst);
+            if i == primary {
+                primary_load = load;
+            }
+            if load < min_load {
+                (min_load, min_shard) = (load, i);
+            }
+        }
         if self.spill_margin != u64::MAX
-            && loads[primary] >= min_load.saturating_add(self.spill_margin)
+            && primary_load >= min_load.saturating_add(self.spill_margin)
         {
             (min_shard, RoutePick::Spilled { from: primary })
         } else {

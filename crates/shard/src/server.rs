@@ -16,9 +16,9 @@
 //!
 //! Workers drain their queue in strict FIFO order, so *per-shard
 //! admission order equals dispatch order* — the property the seeded
-//! load generator's determinism test pins down. Each worker records
-//! queue-wait / admit / execute latencies into the tier's shared
-//! histograms and keeps an admission log for the determinism proof.
+//! load generator's determinism test pins down from the dispatcher's
+//! side. Each worker records queue-wait / admit / execute latencies into
+//! the tier's shared histograms and keeps no per-admission state.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,8 +121,8 @@ pub struct ShardTenant {
 #[derive(Debug)]
 pub struct Ticket<T> {
     rx: Receiver<T>,
+    /// The load unit this ticket holds, taken when it settles.
     load: Option<Arc<AtomicU64>>,
-    settled: bool,
 }
 
 impl<T> Ticket<T> {
@@ -142,11 +142,8 @@ impl<T> Ticket<T> {
     }
 
     fn settle(&mut self) {
-        if !self.settled {
-            self.settled = true;
-            if let Some(load) = &self.load {
-                load.fetch_sub(1, Ordering::SeqCst);
-            }
+        if let Some(load) = self.load.take() {
+            load.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -160,7 +157,8 @@ impl<T> Drop for Ticket<T> {
 /// Point-in-time view of one shard (via [`ShardServer::stats`] or
 /// [`ShardServer::drain`]). Because replies are FIFO with the work, a
 /// stats reply proves every earlier request on that shard completed.
-#[derive(Debug, Clone)]
+/// Four `Copy` fields and nothing per admission, so `Copy` itself.
+#[derive(Debug, Clone, Copy)]
 pub struct ShardStats {
     /// The shard.
     pub shard: usize,
@@ -168,11 +166,8 @@ pub struct ShardStats {
     pub ledger: Ledger,
     /// The shard's configuration-cache counters.
     pub cache: CacheStats,
-    /// Requests this worker has fully processed.
+    /// Requests this worker has processed, this stats request included.
     pub processed: u64,
-    /// Admission log: application names in the order the worker admitted
-    /// them (the determinism test's witness).
-    pub admission_order: Vec<String>,
 }
 
 /// A shard's final state, returned by [`ShardServer::shutdown`]: the
@@ -233,10 +228,11 @@ enum Op {
         tenant: TenantId,
         reply: Sender<Result<Vec<Admitted>, RuntimeError>>,
     },
-    Verify {
-        reply: Sender<verify::VerifyReport>,
-    },
+    /// A stats snapshot, which is also a drain's one request per shard:
+    /// given a `verify` channel, the worker verifies its runtime and sends
+    /// the report there before it replies with the stats.
     Stats {
+        verify: Option<Sender<verify::VerifyReport>>,
         reply: Sender<ShardStats>,
     },
 }
@@ -248,7 +244,6 @@ impl Op {
             Op::Swap { .. } => "swap",
             Op::Run { .. } => "run",
             Op::Release { .. } => "release",
-            Op::Verify { .. } => "verify",
             Op::Stats { .. } => "stats",
         }
     }
@@ -434,30 +429,41 @@ impl ShardServer {
     /// Dispatches a stats snapshot request to one shard.
     pub fn stats(&mut self, shard: usize) -> Result<Ticket<ShardStats>, Reject> {
         let (tx, rx) = channel();
-        self.dispatch(shard, Op::Stats { reply: tx })?;
+        self.dispatch(
+            shard,
+            Op::Stats {
+                verify: None,
+                reply: tx,
+            },
+        )?;
         Ok(self.ticket_unloaded(rx))
     }
 
     /// Waits until every shard has served everything dispatched before
     /// this call (replies are FIFO with the work, so one synchronous
-    /// round-trip per shard is a completion barrier). With `verify`, runs
-    /// the scheduler-state checker on each shard first and fails on the
-    /// first [`verify::Violation`] — the check the soak runs every wave.
+    /// round-trip per shard is a completion barrier). With `verify`, each
+    /// shard runs the scheduler-state checker in the same request, and
+    /// the drain fails on the first [`verify::Violation`] — the check the
+    /// soak runs every wave. Either way a drain is one request per shard.
     /// Uses blocking sends, so drain itself is never rejected.
     pub fn drain(&mut self, verify: bool) -> Result<Vec<ShardStats>, DrainError> {
         let mut out = Vec::with_capacity(self.shards());
         for shard in 0..self.shards() {
-            if verify {
-                let (tx, rx) = channel();
-                self.send_blocking(shard, Op::Verify { reply: tx });
-                let report = rx.recv().expect("shard worker exited during drain");
-                if !report.ok() {
-                    return Err(DrainError::Invariant { shard, report });
-                }
-            }
+            let (report_tx, report_rx) = channel();
             let (tx, rx) = channel();
-            self.send_blocking(shard, Op::Stats { reply: tx });
-            out.push(rx.recv().expect("shard worker exited during drain"));
+            self.send_blocking(
+                shard,
+                Op::Stats {
+                    verify: verify.then_some(report_tx),
+                    reply: tx,
+                },
+            );
+            let stats = rx.recv().expect("shard worker exited during drain");
+            // A requested report was sent before the stats.
+            if let Some(report) = report_rx.try_recv().ok().filter(|r| !r.ok()) {
+                return Err(DrainError::Invariant { shard, report });
+            }
+            out.push(stats);
         }
         Ok(out)
     }
@@ -530,18 +536,13 @@ impl ShardServer {
         Ticket {
             rx,
             load: Some(load),
-            settled: false,
         }
     }
 
     /// A ticket that carries no routing load (every operation other than
     /// admission — the admission already charged its shard).
     fn ticket_unloaded<T>(&self, rx: Receiver<T>) -> Ticket<T> {
-        Ticket {
-            rx,
-            load: None,
-            settled: false,
-        }
+        Ticket { rx, load: None }
     }
 }
 
@@ -559,7 +560,6 @@ fn worker_loop(
     let admit_ns = registry.histogram("shard.admit_ns");
     let execute_ns = registry.histogram("shard.execute_ns");
     let mut processed = 0u64;
-    let mut admission_order: Vec<String> = Vec::new();
     while let Ok(req) = rx.recv() {
         let wait = req.enqueued.elapsed();
         queue_wait.record_duration(wait);
@@ -577,7 +577,6 @@ fn worker_loop(
         span.arg("op", req.op.kind());
         match req.op {
             Op::Admit { name, graph, reply } => {
-                admission_order.push(name.clone());
                 let t0 = Instant::now();
                 let result = rt.submit(name, graph);
                 admit_ns.record_duration(t0.elapsed());
@@ -602,16 +601,15 @@ fn worker_loop(
             Op::Release { tenant, reply } => {
                 let _ = reply.send(rt.release(tenant));
             }
-            Op::Verify { reply } => {
-                let _ = reply.send(rt.verify_all());
-            }
-            Op::Stats { reply } => {
+            Op::Stats { verify, reply } => {
+                if let Some(verify) = verify {
+                    let _ = verify.send(rt.verify_all());
+                }
                 let _ = reply.send(ShardStats {
                     shard,
                     ledger: *rt.ledger(),
                     cache: rt.cache_stats(),
                     processed: processed + 1,
-                    admission_order: admission_order.clone(),
                 });
             }
         }

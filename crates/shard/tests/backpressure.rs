@@ -75,7 +75,7 @@ fn full_queue_rejects_and_accepted_work_still_completes() {
 
     // Nothing accepted was dropped: the run and every accepted swap reply.
     let runs = run_ticket.wait().expect("run");
-    assert_eq!(runs[0].items, 400);
+    assert_eq!(runs[0].outputs.len(), 400);
     for t in accepted {
         t.wait().expect("accepted swap must be served");
     }
@@ -155,7 +155,7 @@ fn a_spill_the_full_queue_refuses_is_counted_as_a_reject_only() {
     assert_eq!((at.shard, pick), (busy, RoutePick::Spilled { from: home }));
     assert_eq!(spills(&server), 1);
 
-    assert_eq!(run.wait().expect("run")[0].items, 1 << 18);
+    assert_eq!(run.wait().expect("run")[0].outputs.len(), 1 << 18);
     stats.wait();
     held.wait().expect("admit");
     ticket.wait().expect("admit");

@@ -48,15 +48,16 @@ fn main() {
     );
 
     // Reconfiguration economics: each kernel's coefficients are parameters;
-    // loading a new kernel onto a PE costs one micro-reconfiguration.
-    let per_pe = std::time::Duration::from_millis(251); // the paper's figure
+    // loading a new kernel onto a PE costs one micro-reconfiguration, at
+    // the paper's per-PE estimate over HWICAP.
+    let per_pe_ms = dcs::paper_pe_reconfig(dcs::ReconfigInterface::Hwicap).as_secs_f64() * 1e3;
     let batch = 1000usize;
     println!(
-        "  kernels loaded: {} ({} coefficients) — at 251 ms/PE per change and \
+        "  kernels loaded: {} ({} coefficients) — at {per_pe_ms:.3} ms/PE per change and \
          {batch} images per batch: {:.3} ms amortized per image",
         res.kernels_loaded,
         res.coefficients_programmed,
-        res.kernels_loaded as f64 * per_pe.as_secs_f64() * 1e3 / batch as f64
+        res.kernels_loaded as f64 * per_pe_ms / batch as f64
     );
 
     for (name, image) in [

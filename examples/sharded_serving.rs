@@ -50,12 +50,12 @@ fn main() {
         report.spills,
         report.fingerprint,
     );
-    for s in &report.shard_stats {
+    for (s, admitted) in report.shard_stats.iter().zip(&report.admission_orders) {
         println!(
             "  shard {}: {} requests, {} admissions ({} warm hits)",
             s.shard,
             s.processed,
-            s.admission_order.len(),
+            admitted.len(),
             s.cache.hits,
         );
     }
