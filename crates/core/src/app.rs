@@ -266,11 +266,6 @@ impl AppGraph {
             .collect()
     }
 
-    /// Current coefficient values in [`Self::coeff_nodes`] order.
-    pub fn coeff_values(&self) -> Vec<FpValue> {
-        self.nodes.iter().filter_map(|n| n.coeff).collect()
-    }
-
     /// Clone of the graph with new coefficients written into the
     /// coefficient-bearing nodes (in [`Self::coeff_nodes`] order). This is a
     /// parameter-only change: the structure — and therefore any placement or
@@ -479,7 +474,7 @@ mod tests {
             .collect();
         let h = g.with_coeffs(&new);
         assert!(g.same_structure(&h));
-        assert_eq!(h.coeff_values()[0].to_f64(), 9.0);
+        assert_eq!(h.nodes[slots[0]].coeff.map(|c| c.to_f64()), Some(9.0));
         // Different structure: an extra tap.
         let k = AppGraph::dot_product(F, &[1.0, 2.0, 3.0, 4.0]);
         assert!(!g.same_structure(&k));

@@ -2,10 +2,7 @@
 //!
 //! Dataflow graphs execute through [`PeSettings::evaluate`], so every
 //! arithmetic result is bit-exact with the FloPoCo netlists the CAD flow
-//! maps (this is cross-checked by integration tests). Streaming MAC
-//! execution with the per-PE iteration counter — the usage pattern the
-//! paper describes for the filter kernels — is modeled by
-//! [`StreamingMac`].
+//! maps (this is cross-checked by integration tests).
 //!
 //! Serving does not interpret the graph per item: [`ExecPlan::lower`]
 //! folds a mapped application into a flat op list once per job — the
@@ -53,47 +50,6 @@ pub fn run_dataflow(app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
         value.push(out);
     }
     app.outputs.iter().map(|&o| value[o]).collect()
-}
-
-/// A PE in streaming MAC mode: accumulates `counter` products before the
-/// result is read and the accumulator clears — exactly the settings-
-/// register behavior the paper describes (Section IV).
-pub struct StreamingMac {
-    settings: PeSettings,
-    fb: FpValue,
-    seen: u32,
-}
-
-impl StreamingMac {
-    /// Creates a MAC PE with a coefficient and an iteration count.
-    pub fn new(coeff: FpValue, counter: u32) -> Self {
-        let fmt = coeff.format;
-        Self {
-            settings: PeSettings::mac(coeff, counter),
-            fb: FpValue::zero(fmt),
-            seen: 0,
-        }
-    }
-
-    /// Feeds one sample; returns `Some(result)` when the window completes.
-    pub fn step(&mut self, x: FpValue) -> Option<FpValue> {
-        let (out, fbn) = self.settings.evaluate(x, FpValue::zero(x.format), self.fb);
-        self.fb = fbn;
-        self.seen += 1;
-        if self.seen == self.settings.counter {
-            self.seen = 0;
-            self.fb = FpValue::zero(x.format);
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Reconfigures the coefficient (in hardware: one PE
-    /// micro-reconfiguration through the parameterized flow).
-    pub fn set_coeff(&mut self, coeff: FpValue) {
-        self.settings.coeff = coeff;
-    }
 }
 
 /// Verifies a mapped application: re-runs the dataflow through the
@@ -413,19 +369,6 @@ mod tests {
         // Same association order in this case (left fold vs balanced tree
         // can differ in rounding for adversarial values; these are exact).
         assert_eq!(a.to_f64(), b.to_f64());
-    }
-
-    #[test]
-    fn streaming_mac_accumulates_window() {
-        let mut pe = StreamingMac::new(fp(2.0), 3);
-        assert_eq!(pe.step(fp(1.0)), None);
-        assert_eq!(pe.step(fp(10.0)), None);
-        let out = pe.step(fp(100.0)).expect("window complete");
-        assert_eq!(out.to_f64(), 222.0, "2*(1+10+100)");
-        // Accumulator must have reset.
-        assert_eq!(pe.step(fp(1.0)), None);
-        assert_eq!(pe.step(fp(1.0)), None);
-        assert_eq!(pe.step(fp(1.0)).unwrap().to_f64(), 6.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Admission: leasing a region, compiling or specializing, the FIFO
-//! queue, structural resubmission, release and band compaction.
+//! queue, release and band compaction.
 
 use std::time::Duration;
 
@@ -12,7 +12,6 @@ use crate::cache::ConfigKey;
 use crate::config::RuntimeError;
 use crate::ledger::TenantStats;
 use crate::pool::{GridPool, Lease, PoolError, Relocation, TenantId};
-use crate::pricer::SwapReport;
 use crate::runtime::{Runtime, Tenant};
 use crate::timeline::Phase;
 
@@ -23,7 +22,7 @@ pub enum Admission {
     /// A region was leased and the configuration is loaded.
     Admitted(Admitted),
     /// The pool is full; the application waits in the admission queue
-    /// and will be placed by a future `release`/`drain_queue`.
+    /// and will be placed by the drain a later `release` or `run` makes.
     Queued(Queued),
 }
 
@@ -78,34 +77,19 @@ pub struct Queued {
     pub position: usize,
 }
 
-/// What `resubmit` decided to do.
-#[derive(Debug, Clone)]
-pub enum Refresh {
-    /// Structure unchanged: served by the micro-reconfiguration fast path.
-    Swapped(SwapReport),
-    /// Structure changed: full recompile (possibly relocated).
-    Recompiled(Admitted),
-    /// Structure changed and the pool is full: the tenant surrendered its
-    /// lease and joined the admission queue with the new graph.
-    Queued(Queued),
-}
-
 /// A submission waiting in the admission queue.
 pub(crate) struct Pending {
     pub(crate) tenant: TenantId,
     name: String,
     graph: AppGraph,
-    /// What the tenant had accumulated before it queued: zero for a first
-    /// submission, its running totals for a structural resubmit.
-    stats: TenantStats,
 }
 
 impl Runtime {
     /// Admits an application: lease a region (cache-aware, compacting if
     /// needed), then compile or specialize. When the pool is full the
     /// submission parks in the FIFO queue instead of failing — it will be
-    /// placed by a future [`Runtime::release`] or [`Runtime::drain_queue`]
-    /// under the same tenant id.
+    /// placed under the same tenant id by the drain a later
+    /// [`Runtime::release`] or [`Runtime::run`] makes.
     ///
     /// A refused submission (a malformed graph, one too big for any grid,
     /// a failed compile) still consumes its tenant id — the shard tier
@@ -127,14 +111,14 @@ impl Runtime {
         // queueing it would only defer the TooBig to a silent drop.
         if !self.queue.is_empty() {
             self.pool.fits_any_grid(graph.pe_demand())?;
-            let queued = self.enqueue(id, name, graph, TenantStats::default());
+            let queued = self.enqueue(id, name, graph);
             self.enforce_invariants()?;
             return Ok(Admission::Queued(queued));
         }
-        let admission = match self.place_and_admit(id, &name, &graph, TenantStats::default()) {
+        let admission = match self.place_and_admit(id, &name, &graph) {
             Ok(adm) => Admission::Admitted(adm),
             Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
-                Admission::Queued(self.enqueue(id, name, graph, TenantStats::default()))
+                Admission::Queued(self.enqueue(id, name, graph))
             }
             Err(e) => return Err(e),
         };
@@ -142,11 +126,11 @@ impl Runtime {
         Ok(admission)
     }
 
-    /// The graph-shape rules, at the door: `submit` and `resubmit` call
-    /// this before they touch the pool, the queue or the tenant's current
-    /// lease, so a graph `run` could never lower holds no rows. A
-    /// coefficient in another format is the mistake `swap_params` calls
-    /// [`RuntimeError::BadFormat`], and is called that here too.
+    /// The graph-shape rules, at the door: `submit` calls this before it
+    /// touches the pool or the queue, so a graph `run` could never lower
+    /// holds no rows. A coefficient in another format is the mistake
+    /// `swap_params` calls [`RuntimeError::BadFormat`], and is called that
+    /// here too.
     fn check_graph(&mut self, graph: &AppGraph) -> Result<(), RuntimeError> {
         graph.validate().map_err(|e| {
             self.ledger.refused += 1;
@@ -163,19 +147,12 @@ impl Runtime {
         })
     }
 
-    fn enqueue(
-        &mut self,
-        tenant: TenantId,
-        name: String,
-        graph: AppGraph,
-        stats: TenantStats,
-    ) -> Queued {
+    fn enqueue(&mut self, tenant: TenantId, name: String, graph: AppGraph) -> Queued {
         let position = self.queue.len();
         self.queue.push_back(Pending {
             tenant,
             name,
             graph,
-            stats,
         });
         self.ledger.queued += 1;
         trace::instant(
@@ -191,12 +168,11 @@ impl Runtime {
     /// (too big, compile error) is dropped and recorded in
     /// [`Runtime::queue_failures`]. Returns the admissions produced.
     ///
-    /// `release` and `run` call this automatically; it is public so
-    /// callers that free capacity out-of-band can drain explicitly.
-    pub fn drain_queue(&mut self) -> Result<Vec<Admitted>, RuntimeError> {
+    /// `release` and `run` call this: capacity is freed only by a release.
+    pub(crate) fn drain_queue(&mut self) -> Result<Vec<Admitted>, RuntimeError> {
         let mut admitted = Vec::new();
         while let Some(front) = self.queue.pop_front() {
-            match self.place_and_admit(front.tenant, &front.name, &front.graph, front.stats) {
+            match self.place_and_admit(front.tenant, &front.name, &front.graph) {
                 Ok(adm) => {
                     self.ledger.queue_admitted += 1;
                     admitted.push(adm);
@@ -218,15 +194,12 @@ impl Runtime {
 
     /// Leases a region and loads the configuration. Never queues — the
     /// caller decides what an `Oversubscribed` error means. `name` and
-    /// `graph` are only cloned once placement has succeeded. `stats` is
-    /// what the tenant starts with: zero, or what it carried through a
-    /// structural resubmit.
+    /// `graph` are only cloned once placement has succeeded.
     fn place_and_admit(
         &mut self,
         id: TenantId,
         name: &str,
         graph: &AppGraph,
-        stats: TenantStats,
     ) -> Result<Admitted, RuntimeError> {
         // Per-request span tree: request > admission > {placement, cache,
         // compile, pricing, sig}; compaction opens its own child inside
@@ -337,7 +310,7 @@ impl Runtime {
                 mapping,
                 lease,
                 key,
-                stats,
+                stats: TenantStats::default(),
                 sig,
             },
         );
@@ -353,15 +326,6 @@ impl Runtime {
             compile_time,
             config_port_time,
         })
-    }
-
-    /// Takes a live tenant off its band — the pool slot (and the band's
-    /// resident, if it was that) and the tenant record go — and returns
-    /// the record.
-    fn vacate(&mut self, tenant: TenantId) -> Option<Tenant> {
-        let gone = self.tenants.remove(&tenant)?;
-        self.pool.release(tenant);
-        Some(gone)
     }
 
     /// Applies a compaction's band moves to the runtime's view: leases
@@ -410,58 +374,6 @@ impl Runtime {
         }
     }
 
-    /// The structural decision point: a graph with the same structure as
-    /// the tenant's current one takes the swap fast path; anything else
-    /// releases the lease and recompiles (the tenant id and its
-    /// [`TenantStats`] survive, whether it is re-placed at once or after a
-    /// wait in the queue). A still-queued tenant simply has its pending
-    /// graph replaced.
-    ///
-    /// The refresh re-places *in place*: the tenant's freed rows are
-    /// offered to its own recompile before the queue is drained (an
-    /// in-place refresh would otherwise deadlock behind its own queue
-    /// entry). If the new graph no longer fits, the tenant joins the
-    /// queue tail ([`Refresh::Queued`]); if the recompile itself fails
-    /// (too big / unroutable) the tenant is evicted — the old lease was
-    /// already surrendered.
-    pub fn resubmit(&mut self, tenant: TenantId, graph: AppGraph) -> Result<Refresh, RuntimeError> {
-        self.check_graph(&graph)?;
-        if !self.tenants.contains_key(&tenant) {
-            // Queued tenant: replace the pending graph, keep the slot.
-            if let Some(pos) = self.queue.iter().position(|p| p.tenant == tenant) {
-                self.pool.fits_any_grid(graph.pe_demand())?;
-                self.queue[pos].graph = graph;
-                self.enforce_invariants()?;
-                return Ok(Refresh::Queued(Queued {
-                    tenant,
-                    position: pos,
-                }));
-            }
-            return Err(RuntimeError::UnknownTenant(tenant));
-        }
-        if self.tenants[&tenant].graph.same_structure(&graph) {
-            let coeffs = graph.coeff_values();
-            return Ok(Refresh::Swapped(self.swap_params(tenant, &coeffs)?));
-        }
-        // Structural change: recompile under the same id.
-        let Tenant { name, stats, .. } = self.vacate(tenant).expect("checked live above");
-        let refresh = match self.place_and_admit(tenant, &name, &graph, stats) {
-            Ok(admission) => Refresh::Recompiled(admission),
-            Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
-                Refresh::Queued(self.enqueue(tenant, name, graph, stats))
-            }
-            Err(e) => {
-                // The tenant is evicted but its rows are free now — the
-                // queue must still get them.
-                self.drain_queue()?;
-                return Err(e);
-            }
-        };
-        // A smaller replacement region may have freed rows for waiters.
-        self.drain_queue()?;
-        Ok(refresh)
-    }
-
     /// Releases a tenant's region (or cancels its queued admission), then
     /// drains the admission queue in FIFO order. Returns the admissions
     /// the freed capacity produced.
@@ -472,35 +384,11 @@ impl Runtime {
             // Cancelling the head may unblock everyone behind it.
             return self.drain_queue();
         }
-        self.vacate(tenant)
+        // The pool slot goes, and the band's resident if it was this one.
+        self.tenants
+            .remove(&tenant)
             .ok_or(RuntimeError::UnknownTenant(tenant))?;
+        self.pool.release(tenant);
         self.drain_queue()
-    }
-
-    /// Compacts every grid in the background, **between waves**: slides
-    /// each grid's bands down to row 0 and schedules the displaced
-    /// bands' configuration replays into the time axis's idle windows —
-    /// each replay is a grid-local re-emit that overlaps the port and
-    /// every other band, so between-wave compaction costs modeled port
-    /// *charge* but (on an otherwise busy axis) little to no modeled
-    /// *makespan*. Contrast with synchronous compaction at admission,
-    /// where the newcomer's port stream queues behind nothing but still
-    /// pays the placement wait.
-    ///
-    /// Returns the number of bands relocated. A defragmented pool means
-    /// the next oversized admission carves a contiguous band without
-    /// triggering its own relocations.
-    pub fn compact_background(&mut self) -> Result<usize, RuntimeError> {
-        let mut request_span = trace::span("request");
-        request_span.arg("op", "compact_background");
-        let mut moved = 0;
-        for grid in 0..self.pool.grid_archs().len() {
-            let relocations = self.pool.compact_grid(grid);
-            moved += relocations.len();
-            self.apply_relocations(&relocations);
-        }
-        request_span.arg("bands", moved);
-        self.enforce_invariants()?;
-        Ok(moved)
     }
 }

@@ -3,9 +3,9 @@
 //! A compiled configuration (placement + routing + settings template) is
 //! keyed by the pair **(region architecture, graph structure)** — the
 //! coefficient *values* are deliberately excluded. Two applications that
-//! differ only in parameters (new filter taps, new iteration counts) hit
-//! the same entry: the expensive `map_app` compile is skipped and only the
-//! settings are specialized, which is the micro-reconfiguration fast path.
+//! differ only in parameters (new filter taps) hit the same entry: the
+//! expensive `map_app` compile is skipped and only the settings are
+//! specialized, which is the micro-reconfiguration fast path.
 //! A structural change (different wiring, different ops, different region)
 //! misses and triggers a full recompile.
 //!
@@ -91,7 +91,7 @@ impl CacheStats {
 /// whatever coefficients it was compiled with; consumers clone it and
 /// write their own parameters in (that rewrite is the fast path being
 /// bought).
-pub struct ConfigCache {
+pub(crate) struct ConfigCache {
     capacity: usize,
     tick: u64,
     entries: HashMap<ConfigKey, (Arc<VcgraMapping>, u64)>,
@@ -155,16 +155,6 @@ impl ConfigCache {
         arc
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no configuration is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -223,7 +213,7 @@ mod tests {
         // Touch the first entry so the second becomes LRU.
         assert!(cache.get(&ConfigKey::new(arch, &apps[0])).is_some());
         cache.insert(ConfigKey::new(arch, &apps[2]), compile(&apps[2], arch));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries().count(), 2);
         assert!(cache.get(&ConfigKey::new(arch, &apps[0])).is_some(), "kept");
         assert!(
             cache.get(&ConfigKey::new(arch, &apps[1])).is_none(),

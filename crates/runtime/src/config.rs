@@ -16,11 +16,11 @@ pub struct RuntimeConfig {
     /// Placement seed for cold compiles.
     pub place_seed: u64,
     /// Run the sched and timeline passes after every operation that
-    /// changes scheduler state or the time axis — `submit`, `resubmit`,
-    /// `swap_params`, `set_counter`, `run`, `release`, `drain_queue` and
-    /// `compact_background` — and fail it with [`RuntimeError::Invariant`]
-    /// if any invariant is violated (the operation's effects stay). Off
-    /// by default.
+    /// changes scheduler state or the time axis — `submit` (placed or
+    /// queued), `swap_params`, `run`, `release` (of a live tenant or a
+    /// queued one) and the queue drain `run` and `release` make — and
+    /// fail it with [`RuntimeError::Invariant`] if any invariant is
+    /// violated (the operation's effects stay). Off by default.
     pub verify_on_admit: bool,
 }
 
@@ -47,7 +47,7 @@ pub enum RuntimeError {
     /// Unknown tenant id.
     UnknownTenant(TenantId),
     /// The tenant is waiting in the admission queue — it has no lease
-    /// yet, so it cannot run, swap, or resubmit structurally.
+    /// yet, so it cannot run or swap.
     Waiting(TenantId),
     /// Parameter vector does not match the graph's coefficient slots.
     BadParamArity {
@@ -72,13 +72,6 @@ pub enum RuntimeError {
         expected: FpFormat,
         /// Format of the first offending value.
         got: FpFormat,
-    },
-    /// Node index outside the tenant's graph.
-    NodeOutOfRange {
-        /// Index supplied.
-        node: usize,
-        /// Nodes in the graph.
-        nodes: usize,
     },
     /// The scheduler-state verifier found a broken invariant
     /// (`RuntimeConfig::verify_on_admit`). The string lists every
@@ -112,9 +105,6 @@ impl std::fmt::Display for RuntimeError {
                 "value in format ({}, {}), graph computes in ({}, {})",
                 got.we, got.wf, expected.we, expected.wf
             ),
-            RuntimeError::NodeOutOfRange { node, nodes } => {
-                write!(f, "node {node} out of range, graph has {nodes} nodes")
-            }
             RuntimeError::Invariant(detail) => {
                 write!(f, "scheduler invariant violated: {detail}")
             }

@@ -32,8 +32,8 @@ pub struct TenantStats {
 /// ([`crate::Admitted::admit_time`], [`crate::SwapReport::eval_time`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ledger {
-    /// Submissions and resubmissions refused at the door because the
-    /// graph is malformed (`AppGraph::validate`).
+    /// Submissions refused at the door because the graph is malformed
+    /// (`AppGraph::validate`).
     pub refused: usize,
     /// Admissions that compiled.
     pub cold_compiles: usize,

@@ -6,23 +6,25 @@
 //! instead of a full place-and-route. This crate is the layer that
 //! *serves* that proposition: concurrent applications submit dataflow
 //! graphs, the runtime compiles each structure **once**, and every
-//! subsequent parameter-only change (new filter coefficients, new
-//! iteration counters) is a settings rewrite priced at exactly its dirty
-//! configuration frames.
+//! subsequent parameter-only change (new filter coefficients) is a
+//! settings rewrite priced at exactly its dirty configuration frames.
+//! Its public operations are the four a serving caller dispatches:
+//! `submit`, `swap_params`, `run` and `release`.
 //!
 //! Architecture (each piece has its own module):
 //!
-//! * [`cache`] — the **specialized-configuration cache**, keyed by
+//! * `cache` (private) — the **specialized-configuration cache**, keyed by
 //!   *(region architecture, graph structure)* with coefficient values
 //!   excluded, LRU-evicted. Hits skip `map_app` entirely; misses compile
 //!   and populate.
-//! * [`pricer`] — micro-reconfiguration pricing via the real DCS path:
-//!   a lazily-built parameterized PE (`mapping` + [`dcs::Scg`]) evaluates
-//!   PPC Boolean functions — every changed PE of a swap as two lanes of
-//!   one bottom-up sweep — and diffs dirty datapath frames, while
-//!   [`fabric::frames::FrameModel::for_grid`] addresses the overlay's
+//! * `pricer` (private) — micro-reconfiguration pricing via the real DCS
+//!   path: a lazily-built parameterized PE (`mapping` + `dcs::Scg`)
+//!   evaluates PPC Boolean functions — every changed PE of a swap as two
+//!   lanes of one bottom-up sweep — and diffs dirty datapath frames,
+//!   while `fabric::frames::FrameModel::for_grid` addresses the overlay's
 //!   settings-register plane (column stripes share frames). Costs are
-//!   anchored on the paper's 251 ms-per-PE HWICAP estimate.
+//!   anchored on the paper's 251 ms-per-PE HWICAP estimate; each swap's
+//!   price is a [`SwapReport`].
 //! * [`pool`] — the **grid-pool scheduler**: tenants lease full-width row
 //!   bands through one allocator, [`GridPool::allocate`], whose ordered
 //!   policy is the whole admission policy. A grid with a free run of the
@@ -66,8 +68,8 @@
 //!   of an admission or a swap is returned by that call, not summed. A
 //!   graph that is malformed or that no region can be compiled for is a
 //!   typed [`RuntimeError::Flow`], never a panic: a graph `run` could not
-//!   lower (`AppGraph::validate`) is refused by `submit`/`resubmit`
-//!   before a lease or a queue slot is taken and counted in
+//!   lower (`AppGraph::validate`) is refused by `submit` before a lease
+//!   or a queue slot is taken and counted in
 //!   [`Ledger::refused`]; a compile that fails surrenders its lease.
 //! * [`timeline`] — the modeled **time axis**, a pure scheduler: every
 //!   charged phase scheduled as an interval on its band's lane,
@@ -84,7 +86,6 @@
 //! | change                              | path                           |
 //! |-------------------------------------|--------------------------------|
 //! | new coefficients, same structure    | cache hit → dirty-frame swap   |
-//! | new iteration counter               | settings-plane frame(s) only   |
 //! | same structure, new tenant          | cache hit → settings specialize|
 //! | new structure / region shape        | full `map_app` compile, cached |
 //!
@@ -108,24 +109,24 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod admission;
-pub mod cache;
+mod cache;
 mod config;
 mod engine;
 pub mod kernels;
 mod ledger;
 mod params;
 pub mod pool;
-pub mod pricer;
+mod pricer;
 pub mod runtime;
 mod snapshot;
 pub mod timeline;
 
-pub use cache::{CacheStats, ConfigCache, ConfigKey};
+pub use cache::{CacheStats, ConfigKey};
 pub use kernels::Workload;
 pub use pool::{BandInfo, GridPool, Lease, PoolError, Relocation, TenantId};
-pub use pricer::{PeChange, SettingsPricer, SwapReport};
+pub use pricer::SwapReport;
 pub use runtime::{
-    Admission, Admitted, Ledger, Queued, Refresh, Runtime, RuntimeConfig, RuntimeError,
-    StreamRequest, Tenant, TenantRun, TenantStats,
+    Admission, Admitted, Ledger, Queued, Runtime, RuntimeConfig, RuntimeError, StreamRequest,
+    Tenant, TenantRun, TenantStats,
 };
 pub use timeline::{Interval, Phase, Timeline};

@@ -47,55 +47,10 @@ impl Runtime {
                 }
             })
             .collect();
-        let report = self.apply_changes(tenant, changes);
-        // Priced and booked: the graph follows its settings, in place.
-        let t = self
-            .tenants
-            .get_mut(&tenant)
-            .expect("the swap was applied to a live tenant");
-        for (node, &c) in slots.into_iter().zip(coeffs) {
-            t.graph.nodes[node].coeff = Some(c);
-        }
-        self.enforce_invariants()?;
-        Ok(report)
-    }
-
-    /// Parameter-only change of one node's iteration counter (the other
-    /// settings-register content the paper's applications retune).
-    pub fn set_counter(
-        &mut self,
-        tenant: TenantId,
-        node: usize,
-        counter: u32,
-    ) -> Result<SwapReport, RuntimeError> {
-        let t = self.live(tenant)?;
-        if node >= t.graph.nodes.len() {
-            return Err(RuntimeError::NodeOutOfRange {
-                node,
-                nodes: t.graph.nodes.len(),
-            });
-        }
-        let (r, col) = t.mapping.place[node];
-        let old =
-            t.mapping.pe_settings[r * t.mapping.arch.cols + col].expect("placed node has settings");
-        let new = PeSettings { counter, ..old };
-        let change = PeChange {
-            cell: (t.lease.row0 + r, col),
-            old,
-            new,
-        };
-        let report = self.apply_changes(tenant, vec![change]);
-        self.enforce_invariants()?;
-        Ok(report)
-    }
-
-    /// Prices `changes`, writes them into the tenant's settings and books
-    /// the swap. The tenant's graph is the caller's to update.
-    fn apply_changes(&mut self, tenant: TenantId, changes: Vec<PeChange>) -> SwapReport {
         let mut request_span = trace::span("request");
         request_span.arg("tenant", tenant);
         request_span.arg("op", "swap");
-        let grid_arch = self.pool.grid_archs()[self.tenants[&tenant].lease.grid];
+        let grid_arch = self.pool.grid_archs()[t.lease.grid];
         let mut pricing_span = trace::span("pricing");
         let report = self
             .pricer
@@ -104,19 +59,24 @@ impl Runtime {
         pricing_span.arg("pes", report.dirty_pes);
         pricing_span.arg("sweeps", report.sweeps);
         drop(pricing_span);
+        // Priced: the settings and the graph follow, in place, and the
+        // swap is booked.
         let t = self
             .tenants
             .get_mut(&tenant)
-            .expect("caller verified the tenant is live");
+            .expect("the swap is priced for a live tenant");
         let cols = t.mapping.arch.cols;
-        for ch in &changes {
-            let (r, c) = (ch.cell.0 - t.lease.row0, ch.cell.1);
+        for (&node, ch) in slots.iter().zip(&changes) {
+            let (r, c) = t.mapping.place[node];
             t.mapping.pe_settings[r * cols + c] = Some(ch.new);
+            t.graph.nodes[node].coeff = Some(ch.new.coeff);
         }
         let lane = (t.lease.grid, t.lease.row0);
         self.ledger.swaps += 1;
         self.ledger.swap_frames += report.frames();
         self.charge(lane, Phase::Swap, Some(tenant), report.port_time);
-        report
+        drop(request_span);
+        self.enforce_invariants()?;
+        Ok(report)
     }
 }

@@ -393,12 +393,6 @@ impl GridPool {
         }
     }
 
-    /// Compacts one grid unconditionally (test/maintenance hook): slides
-    /// its bands down to row 0 preserving order, returns the moves.
-    pub fn compact_grid(&mut self, grid: usize) -> Vec<Relocation> {
-        self.grids[grid].compact(grid)
-    }
-
     /// Releases a tenant's slot; empty bands are freed. A band the tenant
     /// was resident on holds no one's configuration afterwards. Returns
     /// true if the tenant held a lease.
@@ -460,7 +454,9 @@ impl GridPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
 
     fn pool() -> GridPool {
         GridPool::new(vec![VcgraArch::new(6, 4, 2), VcgraArch::new(4, 4, 2)])
@@ -724,5 +720,105 @@ mod tests {
             .unwrap();
         assert!(p.release(solo.tenants[0]));
         assert!(p.utilization() < 1.0);
+    }
+
+    /// Bands lie inside their grid, hold at least two rows and a tenant,
+    /// and never share a row; leased plus free rows is every grid's rows;
+    /// every live tenant sits on exactly one band, and nobody else does.
+    fn check_invariants(p: &GridPool, live: &BTreeSet<TenantId>) {
+        let mut seen = BTreeSet::new();
+        for (gi, grid) in p.grids.iter().enumerate() {
+            let mut taken = vec![false; grid.arch.rows];
+            for b in &grid.bands {
+                assert!(b.rows >= 2, "bands are valid regions");
+                assert!(b.row0 + b.rows <= grid.arch.rows, "band inside its grid");
+                assert!(!b.tenants.is_empty(), "empty bands must be reclaimed");
+                for (r, slot) in taken.iter_mut().enumerate().skip(b.row0).take(b.rows) {
+                    assert!(!*slot, "bands must never overlap (grid {gi} row {r})");
+                    *slot = true;
+                }
+                for &t in &b.tenants {
+                    assert!(seen.insert(t), "tenant {t} leased twice");
+                }
+            }
+            let free = taken.iter().filter(|&&t| !t).count();
+            assert_eq!(free, grid.free_rows(), "row conservation on grid {gi}");
+        }
+        assert_eq!(
+            &seen, live,
+            "every live tenant on one band, no released one"
+        );
+    }
+
+    /// Longest run of consecutive free rows on one grid, read off `bands()`.
+    fn longest_free_run(p: &GridPool, gi: usize) -> usize {
+        let mut longest = 0;
+        let mut next = 0;
+        for b in p.bands().iter().filter(|b| b.grid == gi) {
+            longest = longest.max(b.row0 - next);
+            next = b.row0 + b.rows;
+        }
+        longest.max(p.grids[gi].arch.rows - next)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn compaction_never_changes_total_free_rows(
+            ops in prop::collection::vec((any::<u8>(), 1usize..25), 1..40),
+        ) {
+            // A mixed-width pool: `rows_needed` differs per grid.
+            let mut p = GridPool::new(vec![
+                VcgraArch::new(6, 4, 2),
+                VcgraArch::new(4, 5, 2),
+                VcgraArch::new(5, 4, 2),
+            ]);
+            let mut live: BTreeSet<TenantId> = BTreeSet::new();
+            let mut next: TenantId = 0;
+            for (kind, demand) in ops {
+                if kind % 3 == 0 {
+                    if let Some(&t) = live.iter().nth(demand % live.len().max(1)) {
+                        p.release(t);
+                        live.remove(&t);
+                    }
+                } else if p.allocate(next, demand, |_| false).is_ok() {
+                    live.insert(next);
+                    next += 1;
+                } else {
+                    next += 1;
+                }
+            }
+            // Compacting every grid moves bands but conserves each grid's
+            // free-row count and each band's shape and tenant list.
+            let grids = p.grids.len();
+            let before: Vec<_> = (0..grids).map(|g| p.free_rows(g)).collect();
+            let mut shapes_before: Vec<_> =
+                p.bands().into_iter().map(|b| (b.rows, b.tenants)).collect();
+            for (g, grid) in p.grids.iter_mut().enumerate() {
+                grid.compact(g);
+            }
+            let after: Vec<_> = (0..grids).map(|g| p.free_rows(g)).collect();
+            let mut shapes_after: Vec<_> =
+                p.bands().into_iter().map(|b| (b.rows, b.tenants)).collect();
+            prop_assert_eq!(before, after, "compaction must not create or destroy rows");
+            shapes_before.sort();
+            shapes_after.sort();
+            prop_assert_eq!(shapes_before, shapes_after, "band shapes and tenants survive");
+            check_invariants(&p, &live);
+            // After a full compaction every grid's free space is one run: a
+            // demand for all of it is admitted there without further moves.
+            for (gi, arch) in p.grid_archs().iter().enumerate() {
+                let free = p.free_rows(gi);
+                prop_assert_eq!(longest_free_run(&p, gi), free, "grid {} is not coalesced", gi);
+                if free >= 2 {
+                    let (lease, relocs) = p.allocate(next, free * arch.cols, |g| g == gi).unwrap();
+                    next += 1;
+                    prop_assert_eq!((lease.grid, lease.rows), (gi, free));
+                    prop_assert_eq!(p.band_tenants(gi, lease.row0), vec![next - 1], "its own band");
+                    prop_assert!(relocs.is_empty(), "grid {gi} must offer its {free} coalesced free rows");
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ use vcgra::{PeSettings, VirtualPe, VirtualPeConfig};
 /// One PE whose settings change in a swap: region-local cell plus the old
 /// and new settings-register content.
 #[derive(Debug, Clone, Copy)]
-pub struct PeChange {
+pub(crate) struct PeChange {
     /// Cell in *physical grid* coordinates (row, col) — the lease offset is
     /// already applied, so settings frames are shared correctly between
     /// tenants stacked on the same grid column.
@@ -58,8 +58,8 @@ pub struct SwapReport {
     pub bits_changed: usize,
     /// Modeled configuration-port time for all dirty frames.
     pub port_time: Duration,
-    /// SCG sweeps evaluated: one per [`PES_PER_SWEEP`] PEs whose datapath
-    /// parameters changed, none for a counter-only swap.
+    /// SCG sweeps evaluated: one per `PES_PER_SWEEP` (32) PEs whose
+    /// datapath parameters changed.
     pub sweeps: usize,
     /// Measured host time of the whole pricing loop: scaling the settings
     /// to the pricing format, packing the lanes, the SCG sweeps with their
@@ -68,7 +68,7 @@ pub struct SwapReport {
 }
 
 /// PEs priced by one SCG sweep: each is an (old, new) pair of lanes.
-pub const PES_PER_SWEEP: usize = dcs::LANES / 2;
+pub(crate) const PES_PER_SWEEP: usize = dcs::LANES / 2;
 
 impl SwapReport {
     /// Total frames rewritten.
@@ -103,7 +103,7 @@ pub(crate) const PRICER_FORMAT: FpFormat = FpFormat { we: 4, wf: 6 };
 const IFACE: ReconfigInterface = ReconfigInterface::Hwicap;
 
 /// Lazily-built PPC pricer over one parameterized PE.
-pub struct SettingsPricer {
+pub(crate) struct SettingsPricer {
     format: FpFormat,
     model: OnceLock<PricerModel>,
 }

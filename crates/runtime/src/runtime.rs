@@ -22,13 +22,11 @@
 //!    compile and caches the result; a **hit** clones the cached
 //!    placement and only rewrites the settings with the tenant's own
 //!    parameters (host-side fast path);
-//! 2. **swap_params / set_counter** — parameter-only changes never
-//!    recompile: the pricer evaluates the PE's PPC functions and prices
-//!    exactly the dirty frames (micro-reconfiguration fast path);
-//! 3. **resubmit** — the structural decision point: same structure routes
-//!    to the swap path, a changed structure releases the lease and
-//!    recompiles (or queues, when the pool is full);
-//! 4. **run** — batched streams execute on the engine's workers, in
+//! 2. **swap_params** — a parameter-only change never recompiles: the
+//!    pricer evaluates the PE's PPC functions and prices exactly the
+//!    dirty frames (micro-reconfiguration fast path); a new structure is
+//!    a new tenant (`release`, then `submit`);
+//! 3. **run** — batched streams execute on the engine's workers, in
 //!    place: each request's input vectors come back holding their
 //!    outputs, bit-exact with `run_dataflow`. `run` walks each band's
 //!    slots once and books every swap-in: a slot pays a context switch
@@ -36,15 +34,17 @@
 //!    previous slot's, or for the first slot the band's resident
 //!    ([`crate::BandInfo::resident`]: whoever ran or was admitted there
 //!    last, until it leaves);
-//! 5. **release** — frees the region and **drains the queue**: waiting
+//! 4. **release** — frees the region and **drains the queue**: waiting
 //!    tenants admit in strict FIFO order until the head no longer fits.
 //!
 //! Queue discipline: admission order is strict FIFO. While the queue is
 //! non-empty every new submission joins the tail — a late small tenant
 //! never jumps an early large one (head-of-line blocking is the price of
 //! a deterministic, starvation-free order). [`Runtime::release`] returns
-//! the admissions the drain produced; [`Runtime::run`] also drains before
-//! executing so capacity freed out-of-band is never left idle.
+//! the admissions the drain produced; [`Runtime::run`] drains too, before
+//! it executes. Capacity is freed only by a release (or a compile that
+//! fails and surrenders its lease), and compaction happens only at
+//! admission, when the ordered policy reaches it.
 //!
 //! The [`Ledger`] accumulates both sides of the paper's Section V
 //! argument: measured host execution time, and modeled
@@ -60,9 +60,7 @@
 //! overlapping freely), yielding [`Ledger::modeled_makespan`] — what the
 //! reconfiguration story actually costs when one band's reconfiguration
 //! overlaps other bands' execution — and [`Ledger::overlap_saved`], the
-//! gap to the serialized sum. [`Runtime::compact_background`] uses the axis to
-//! schedule compaction into idle port windows between waves instead of
-//! charging it synchronously against an admission.
+//! gap to the serialized sum.
 //!
 //! This file holds the [`Runtime`] itself, [`Runtime::run`] and the read
 //! accessors; its other operations live beside it, one file per seam the
@@ -83,7 +81,7 @@ use crate::pool::{GridPool, Lease, TenantId};
 use crate::pricer::{SettingsPricer, PRICER_FORMAT};
 use crate::timeline::{Lane, Phase, Timeline};
 
-pub use crate::admission::{Admission, Admitted, Queued, Refresh};
+pub use crate::admission::{Admission, Admitted, Queued};
 pub use crate::config::{RuntimeConfig, RuntimeError};
 pub use crate::ledger::{Ledger, TenantStats};
 
@@ -106,11 +104,10 @@ pub struct Tenant {
     /// Accumulated accounting.
     pub stats: TenantStats,
     /// Memoized structural signature for the sched verifier, derived once
-    /// at admission. Sound to reuse for the tenant's lifetime: every
-    /// mutating path either preserves `same_structure` (parameter swaps,
-    /// counters — the signature ignores coefficient *values*) or retires
-    /// this `Tenant` and admits a fresh one (structural resubmit), and
-    /// compaction moves bands without touching the compiled region shape.
+    /// at admission. Sound to reuse for the tenant's lifetime: a parameter
+    /// swap preserves `same_structure` (the signature ignores coefficient
+    /// *values*), a new structure is a new tenant, and compaction moves
+    /// bands without touching the compiled region shape.
     pub(crate) sig: verify::sched::StructureSig,
 }
 
@@ -133,7 +130,9 @@ pub struct StreamRequest {
     pub inputs: Vec<Vec<FpValue>>,
 }
 
-/// Per-request result of one [`Runtime::run`].
+/// Per-request result of one [`Runtime::run`]. A call's replies come in
+/// tenant-id order, and one tenant's in the order of its requests: the
+/// requests `[b, a, b]` for tenants `a < b` are answered `[a, b, b]`.
 #[derive(Debug, Clone)]
 pub struct TenantRun {
     /// The tenant.
@@ -210,9 +209,13 @@ impl Runtime {
     /// engine workers, which overwrite each request's input vectors with
     /// their outputs; every slot that swaps a configuration into its band
     /// is charged a context switch before its execution.
-    /// Drains the admission queue first, so capacity freed since the last
-    /// call is never left idle (the drain's admissions are visible in the
-    /// ledger and via [`Runtime::tenant`]).
+    /// Drains the admission queue first (the drain's admissions are
+    /// visible in the ledger and via [`Runtime::tenant`]).
+    ///
+    /// The replies are sorted by tenant id, stably: one [`TenantRun`] per
+    /// request, in tenant-id order, and one tenant's in the order of its
+    /// requests — not in the order of `requests`. Modeled time is charged
+    /// in that order too.
     ///
     /// A refused call changes nothing but what that drain did: no band,
     /// resident, ledger counter or interval moves. Its error is, in this

@@ -172,7 +172,7 @@ mod tests {
     use vcgra::VcgraArch;
 
     use crate::kernels;
-    use crate::{Runtime, RuntimeConfig, RuntimeError};
+    use crate::{Runtime, RuntimeConfig, RuntimeError, StreamRequest};
 
     const F: FpFormat = FpFormat::PAPER;
 
@@ -184,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_on_admit_gates_swaps_counters_and_every_resubmit_path() {
+    fn verify_on_admit_gates_every_mutating_operation() {
         // One 5x4 grid: two 2-row bands, and a 3-row FIR waiting behind
         // them (one free row, neither band tall enough to share).
         let mut rt = Runtime::new(RuntimeConfig {
@@ -194,23 +194,31 @@ mod tests {
         });
         let fir = kernels::fir(F, &[0.5, 0.25]).graph;
         let live = rt.submit("live", fir.clone()).unwrap().tenant();
-        rt.submit("second", fir.clone()).unwrap();
-        let waiter = kernels::fir_seeded(F, 5, 3).graph;
-        let waiting = rt.submit("waiting", waiter.clone()).unwrap();
-        assert!(waiting.is_queued());
+        let second = rt.submit("second", fir.clone()).unwrap().tenant();
+        let waiter = rt.submit("waiting", kernels::fir_seeded(F, 5, 3).graph);
+        assert!(waiter.unwrap().is_queued());
 
-        // The queue-flow counters stop reconciling with the queue.
+        // The queue-flow counters stop reconciling with the queue: each
+        // operation below is refused, and what it did before the check
+        // stays done.
         rt.ledger.queued += 1;
         let coeffs = [FpValue::from_f64(-1.5, F), FpValue::from_f64(2.0, F)];
         refused("swap_params", rt.swap_params(live, &coeffs));
-        refused("set_counter", rt.set_counter(live, 0, 7));
-        refused(
-            "a same-structure resubmit",
-            rt.resubmit(live, fir.with_coeffs(&coeffs)),
-        );
-        refused(
-            "a queued tenant's resubmit",
-            rt.resubmit(waiting.tenant(), waiter),
-        );
+        let request = StreamRequest {
+            tenant: live,
+            inputs: vec![vec![FpValue::from_f64(1.0, F); 2]],
+        };
+        refused("run", rt.run(vec![request]));
+        // Behind the waiter, a submission queues.
+        refused("a queued submit", rt.submit("late", fir.clone()));
+        let late = rt.queued_tenants()[1];
+        refused("a queued tenant's release", rt.release(late));
+        assert_eq!(rt.queue_len(), 1, "the cancel took effect");
+        // Releasing a live tenant drains the waiter onto its rows.
+        refused("a live tenant's release", rt.release(second));
+        assert_eq!(rt.queue_len(), 0, "the drain took effect");
+        // With the queue empty, a submission is placed: it time-shares.
+        refused("a placed submit", rt.submit("placed", fir));
+        assert_eq!((rt.queue_len(), rt.tenants().count()), (0, 3));
     }
 }

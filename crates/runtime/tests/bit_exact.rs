@@ -4,7 +4,7 @@
 //! concurrently.
 
 use runtime::kernels;
-use runtime::{Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
+use runtime::{Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
@@ -145,43 +145,6 @@ fn warm_admission_hits_cache_and_skips_compile() {
     let stats = rt.cache_stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
-}
-
-#[test]
-fn resubmit_routes_structure_changes_to_recompile() {
-    let mut rt = Runtime::new(RuntimeConfig::default());
-    let w = kernels::fir(F, &[0.25, 0.5, 0.25]);
-    let adm = rt
-        .submit("fir", w.graph.clone())
-        .unwrap()
-        .expect_admitted("placed");
-
-    // Parameter-only resubmit: swap fast path.
-    let swapped = w.graph.with_coeffs(&[fp(1.0), fp(2.0), fp(3.0)]);
-    match rt.resubmit(adm.tenant, swapped).unwrap() {
-        Refresh::Swapped(r) => assert!(r.dirty_pes > 0),
-        _ => panic!("same structure must not recompile or queue"),
-    }
-
-    // Structural resubmit: recompile under the same tenant id.
-    let bigger = kernels::fir(F, &[1.0; 7]);
-    match rt.resubmit(adm.tenant, bigger.graph.clone()).unwrap() {
-        Refresh::Recompiled(a) => {
-            assert_eq!(a.tenant, adm.tenant, "tenant id survives");
-            assert!(!a.cache_hit);
-        }
-        _ => panic!("structure changed, must recompile"),
-    }
-    let ins = stream(7, 4, 3);
-    let runs = rt
-        .run(vec![StreamRequest {
-            tenant: adm.tenant,
-            inputs: ins.clone(),
-        }])
-        .unwrap();
-    for (input, out) in ins.iter().zip(&runs[0].outputs) {
-        assert_eq!(out[0].bits, run_dataflow(&bigger.graph, input)[0].bits);
-    }
 }
 
 #[test]
@@ -553,19 +516,6 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
             got: other
         }
     );
-    // `resubmit` of the same structure is the same mistake under the same
-    // name (the graph check stops it one door earlier).
-    let mut same = graph.clone();
-    let slot = same.coeff_nodes()[0];
-    same.nodes[slot].coeff = Some(FpValue::from_f64(0.75, other));
-    let err = rt.resubmit(id, same).unwrap_err();
-    assert_eq!(
-        err,
-        RuntimeError::BadFormat {
-            expected: F,
-            got: other
-        }
-    );
     assert_eq!(rt.ledger().swaps, 0, "a refused swap is not charged");
     // The old coefficients are still the ones in force.
     assert_still_served(&mut rt, id, &graph);
@@ -612,78 +562,11 @@ fn full_pool_with_a_waiter() -> (Runtime, TenantId, AppGraph, TenantId, TenantId
     (rt, good_id, good, second, waiting.tenant(), waiter)
 }
 
-/// The paper's other parameter retune: a node's iteration counter lives in
-/// the settings register alone, so the swap rewrites one settings frame
-/// and no datapath frame, and what the tenant computes does not move.
-#[test]
-fn a_counter_retune_is_one_settings_frame_and_leaves_the_outputs() {
-    let (mut rt, id, graph, _, waiting, _) = full_pool_with_a_waiter();
-    let ins = stream(graph.num_inputs, 8, 5);
-    let outputs = |rt: &mut Runtime| {
-        rt.run(vec![StreamRequest {
-            tenant: id,
-            inputs: ins.clone(),
-        }])
-        .unwrap()
-        .remove(0)
-        .outputs
-    };
-    let before = outputs(&mut rt);
-    let ledger = *rt.ledger();
-    let intervals = rt.timeline_snapshot().intervals.len();
-
-    let rep = rt.set_counter(id, 0, 7).unwrap();
-    assert_eq!(
-        (
-            rep.dirty_pes,
-            rep.ppc_frames,
-            rep.settings_frames,
-            rep.sweeps
-        ),
-        (1, 0, 1, 0)
-    );
-    let now = rt.ledger();
-    assert_eq!(
-        (now.swaps, now.swap_frames),
-        (ledger.swaps + 1, ledger.swap_frames + 1)
-    );
-    assert_eq!(now.swap_port_time, ledger.swap_port_time + rep.port_time);
-    let timeline = rt.timeline_snapshot();
-    assert_eq!(timeline.intervals.len(), intervals + 1);
-    let booked = timeline.intervals.last().unwrap();
-    let port_ns = rep.port_time.as_nanos() as u64;
-    assert_eq!(
-        (booked.phase, booked.tenant, booked.dur_ns),
-        ("swap", Some(id), port_ns)
-    );
-    assert!(
-        rt.verify_timeline().ok(),
-        "{}",
-        rt.verify_timeline().summary()
-    );
-    assert_eq!(
-        outputs(&mut rt),
-        before,
-        "a counter is no operand of the dataflow"
-    );
-
-    // Refusals book nothing.
-    let ledger = format!("{:?}", rt.ledger());
-    let nodes = graph.nodes.len();
-    let out_of_range = RuntimeError::NodeOutOfRange { node: nodes, nodes };
-    assert_eq!(rt.set_counter(id, nodes, 7).unwrap_err(), out_of_range);
-    assert_eq!(
-        rt.set_counter(waiting, 0, 7).unwrap_err(),
-        RuntimeError::Waiting(waiting)
-    );
-    assert_eq!(format!("{:?}", rt.ledger()), ledger);
-}
-
 #[test]
 fn an_empty_graph_is_refused_not_a_panic() {
     // A zero-node graph has a zero-PE demand: the pool asserts on it, and
     // behind a non-empty queue it would wait there for a drain to reach
-    // that assert. `submit` and `resubmit` refuse it at the door.
+    // that assert. `submit` refuses it at the door.
     let empty = || AppGraph::new(F, 1);
     let refused = malformed(GraphError::Empty);
 
@@ -692,18 +575,15 @@ fn an_empty_graph_is_refused_not_a_panic() {
     let (good_id, good) = served(&mut rt);
     let before = state(&rt);
     assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
-    assert_eq!(rt.resubmit(good_id, empty()).unwrap_err(), refused);
     assert_eq!(state(&rt), before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
     assert_still_served(&mut rt, good_id, &good);
 
     // A full pool with a tenant waiting: the empty graph must not take a
-    // queue slot, nor replace the waiting tenant's graph.
+    // queue slot.
     let (mut rt, good_id, good, second, waiting, waiter) = full_pool_with_a_waiter();
     let before = state(&rt);
     assert_eq!(rt.submit("empty", empty()).unwrap_err(), refused);
-    assert_eq!(rt.resubmit(waiting, empty()).unwrap_err(), refused);
-    assert_eq!(rt.resubmit(good_id, empty()).unwrap_err(), refused);
     assert_eq!(state(&rt), before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
     // The waiting tenant admits with the graph it queued with.
@@ -722,8 +602,8 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     // `AppGraph`'s fields are public, so a tenant can hand over what
     // `AppGraph::add` and `mark_output` would have refused, and `add`
     // takes a coefficient of any format. `run` could never lower such a
-    // graph, so `submit` and `resubmit` refuse it before the pool, the
-    // queue, the cache or the tenant's current lease is touched.
+    // graph, so `submit` refuses it before the pool, the queue or the
+    // cache is touched.
     let edited = |edit: fn(&mut AppGraph)| {
         let mut g = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
         edit(&mut g);
@@ -794,19 +674,14 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
             refused,
             "{name}"
         );
-        assert_eq!(
-            &rt.resubmit(good_id, graph.clone()).unwrap_err(),
-            refused,
-            "{name}"
-        );
     }
     assert_eq!(state(&rt), before);
-    assert_eq!(rt.ledger().refused, 2 * table.len());
+    assert_eq!(rt.ledger().refused, table.len());
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
     assert_still_served(&mut rt, good_id, &good);
 
     // A full pool with a tenant waiting: the graph must not take a queue
-    // slot, nor replace the waiting tenant's graph.
+    // slot.
     let (mut rt, good_id, good, second, waiting, waiter) = full_pool_with_a_waiter();
     let before = state(&rt);
     for (name, graph, refused) in &table {
@@ -815,19 +690,9 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
             refused,
             "{name}"
         );
-        assert_eq!(
-            &rt.resubmit(waiting, graph.clone()).unwrap_err(),
-            refused,
-            "{name}"
-        );
-        assert_eq!(
-            &rt.resubmit(good_id, graph.clone()).unwrap_err(),
-            refused,
-            "{name}"
-        );
     }
     assert_eq!(state(&rt), before);
-    assert_eq!(rt.ledger().refused, 3 * table.len());
+    assert_eq!(rt.ledger().refused, table.len());
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
     // The waiting tenant admits with the graph it queued with.
     let drained = rt.release(second).unwrap();
@@ -897,23 +762,8 @@ fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
         operand: 99,
     });
     let before = state(&rt);
-    assert_eq!(
-        rt.submit("dangling", dangling.clone()).unwrap_err(),
-        refused
-    );
+    assert_eq!(rt.submit("dangling", dangling).unwrap_err(), refused);
     assert_eq!(state(&rt), before);
-    assert!(rt.verify().ok(), "{}", rt.verify().summary());
-
-    // A structural resubmit is refused before it gives its lease up, so
-    // the tenant it names stays where it was, serving its old graph.
-    let victim = rt.submit("victim", good.clone()).unwrap().tenant();
-    let before = state(&rt);
-    assert_eq!(rt.resubmit(victim, dangling).unwrap_err(), refused);
-    assert_eq!(state(&rt), before);
-    assert_eq!(
-        rt.tenant(victim).unwrap().graph.nodes.len(),
-        good.nodes.len()
-    );
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Other tenants, old and new, are served as before.
@@ -925,12 +775,11 @@ fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
 }
 
 #[test]
-fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
+fn a_graph_that_does_not_compile_surrenders_its_lease() {
     // The failures the door cannot see: a well-formed graph takes a lease
     // and only `map_app` finds it unroutable on the region. `submit`
-    // surrenders the lease; a structural `resubmit` gave the old lease up
-    // before the compile, so the failure evicts the tenant, and its rows
-    // go to the queue.
+    // surrenders the lease and returns the error; a drain surrenders it,
+    // drops the tenant into `queue_failures` and goes on to the next.
     let wide = unroutable_at_capacity_one();
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![vcgra::VcgraArch::new(5, 4, 1)],
@@ -961,34 +810,56 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Leave one row free and park a 3-row waiter behind the two 2-row
-    // bands, neither tall enough to share.
+    // bands, neither tall enough to share. Strict FIFO queues the
+    // unroutable graph behind it, though a band could share it, and a
+    // well-formed FIR behind that.
     let victim = rt.submit("victim", good.clone()).unwrap().tenant();
     let waiter = kernels::fir_seeded(F, 5, 3).graph; // 9 nodes → 3 rows
-    let waiting = rt.submit("waiting", waiter.clone()).unwrap();
-    assert!(
-        waiting.is_queued(),
-        "one free row, two 2-row bands: nowhere to put three rows"
+    let queued: Vec<TenantId> = [("waiting", &waiter), ("wide", &wide), ("fir", &good)]
+        .into_iter()
+        .map(|(name, graph)| {
+            let adm = rt.submit(name, graph.clone()).unwrap();
+            assert!(adm.is_queued(), "{name} queues");
+            adm.tenant()
+        })
+        .collect();
+    let [waiting, dropped, fir] = queued[..] else {
+        unreachable!()
+    };
+
+    // The victim's rows and the free one place the waiter; the unroutable
+    // graph time-shares a band, fails to compile there and is dropped;
+    // the FIR behind it is placed by the same drain.
+    let drained = rt.release(victim).unwrap();
+    assert_eq!(
+        drained.iter().map(|a| a.tenant).collect::<Vec<_>>(),
+        [waiting, fir]
     );
-    let bands_before = rt.pool().bands().len();
-    let err = rt.resubmit(victim, wide).unwrap_err();
+    assert_eq!(rt.queue_failures().len(), 1);
+    let (tenant, err) = &rt.queue_failures()[0];
+    assert_eq!(*tenant, dropped);
     assert!(
         matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })),
         "{err}"
     );
+    assert!(rt.tenant(dropped).is_none());
     assert!(
-        rt.tenant(victim).is_none(),
-        "the old lease was given up before the compile"
+        rt.pool()
+            .bands()
+            .iter()
+            .all(|b| !b.tenants.contains(&dropped)),
+        "the dropped tenant's lease is surrendered"
     );
-    // The waiter got the victim's rows: as many bands as before, none the
-    // victim's, and the queue is empty.
+    let led = rt.ledger();
+    assert_eq!(
+        (led.queued, led.queue_admitted, led.queue_dropped),
+        (3, 2, 1)
+    );
     assert_eq!(rt.queue_len(), 0);
-    assert_eq!(rt.ledger().queue_admitted, 1);
-    assert!(rt.tenant(waiting.tenant()).is_some());
-    assert_eq!(rt.pool().bands().len(), bands_before);
     assert!(rt.verify().ok(), "{}", rt.verify().summary());
 
     // Everyone still here is served as before.
-    for (tenant, graph) in [(waiting.tenant(), &waiter), (good_id, &good)] {
+    for (tenant, graph) in [(waiting, &waiter), (good_id, &good), (fir, &good)] {
         let ins = stream(graph.num_inputs, 4, 7);
         let runs = rt
             .run(vec![StreamRequest {
@@ -999,5 +870,44 @@ fn a_graph_that_does_not_compile_surrenders_its_lease_and_evicts_on_resubmit() {
         for (input, out) in ins.iter().zip(&runs[0].outputs) {
             assert_eq!(out[0].bits, run_dataflow(graph, input)[0].bits);
         }
+    }
+}
+
+/// `run` answers in tenant-id order, and one tenant's requests in request
+/// order, whatever order the requests come in; each reply holds the
+/// outputs of the request it answers.
+#[test]
+fn run_replies_in_tenant_order_then_request_order() {
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let graphs = [
+        kernels::fir(F, &[0.5, 0.25]).graph,
+        kernels::fir(F, &[-1.0, 3.0]).graph,
+    ];
+    let [a, b] = graphs
+        .each_ref()
+        .map(|g| rt.submit("t", g.clone()).unwrap().tenant());
+    assert!(a < b);
+    for (order, replies) in [(vec![b, a], vec![1, 0]), (vec![a, b, a], vec![0, 2, 1])] {
+        let requests: Vec<StreamRequest> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &tenant)| StreamRequest {
+                tenant,
+                inputs: stream(2, 5, 10 * order.len() as u64 + i as u64),
+            })
+            .collect();
+        let want: Vec<(TenantId, Vec<Vec<FpValue>>)> = replies
+            .iter()
+            .map(|&r| {
+                let req = &requests[r];
+                let graph = &graphs[usize::from(req.tenant == b)];
+                let outs = req.inputs.iter().map(|x| run_dataflow(graph, x));
+                (req.tenant, outs.collect())
+            })
+            .collect();
+        let runs = rt.run(requests).unwrap();
+        let got: Vec<(TenantId, Vec<Vec<FpValue>>)> =
+            runs.into_iter().map(|r| (r.tenant, r.outputs)).collect();
+        assert_eq!(got, want, "requests for {order:?}");
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based scheduler invariant suite.
 //!
-//! Random allocate / release / compact sequences against a model of the
-//! pool. After **every** operation the scheduler must uphold:
+//! Random allocate / release sequences against a model of the pool. After **every** operation the scheduler must uphold:
 //!
 //! * **no overlap** — no two bands share a row, and every band lies
 //!   inside its grid;
@@ -182,57 +181,6 @@ proptest! {
                 }
             }
             check_invariants(&p, &live);
-        }
-    }
-
-    #[test]
-    fn compaction_never_changes_total_free_rows(
-        ops in prop::collection::vec((any::<u8>(), 1usize..25), 1..40),
-    ) {
-        let mut p = pool();
-        let mut live: BTreeSet<TenantId> = BTreeSet::new();
-        let mut next: TenantId = 0;
-        for (kind, demand) in ops {
-            if kind % 3 == 0 {
-                if let Some(&t) = live.iter().nth(demand % live.len().max(1)) {
-                    p.release(t);
-                    live.remove(&t);
-                }
-            } else if p.allocate(next, demand, |_| false).is_ok() {
-                live.insert(next);
-                next += 1;
-            } else {
-                next += 1;
-            }
-        }
-        // Compacting every grid moves bands but conserves each grid's
-        // free-row count and each band's shape and tenant list.
-        let before: Vec<_> = (0..p.grid_archs().len()).map(|g| p.free_rows(g)).collect();
-        let mut shapes_before: Vec<_> =
-            p.bands().into_iter().map(|b| (b.rows, b.tenants)).collect();
-        for g in 0..p.grid_archs().len() {
-            p.compact_grid(g);
-        }
-        let after: Vec<_> = (0..p.grid_archs().len()).map(|g| p.free_rows(g)).collect();
-        let mut shapes_after: Vec<_> =
-            p.bands().into_iter().map(|b| (b.rows, b.tenants)).collect();
-        prop_assert_eq!(before, after, "compaction must not create or destroy rows");
-        shapes_before.sort();
-        shapes_after.sort();
-        prop_assert_eq!(shapes_before, shapes_after, "band shapes and tenants survive");
-        check_invariants(&p, &live);
-        // After a full compaction every grid's free space is one run: a
-        // demand for all of it is admitted there without further moves.
-        for (gi, arch) in p.grid_archs().iter().enumerate() {
-            let free = p.free_rows(gi);
-            prop_assert_eq!(longest_free_run(&p, gi), free, "grid {} is not coalesced", gi);
-            if free >= 2 {
-                let (lease, relocs) = p.allocate(next, free * arch.cols, |g| g == gi).unwrap();
-                next += 1;
-                prop_assert_eq!((lease.grid, lease.rows), (gi, free));
-                prop_assert_eq!(p.band_tenants(gi, lease.row0), vec![next - 1], "its own band");
-                prop_assert!(relocs.is_empty(), "grid {gi} must offer its {free} coalesced free rows");
-            }
         }
     }
 }

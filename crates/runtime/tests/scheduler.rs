@@ -7,8 +7,7 @@ use std::collections::VecDeque;
 
 use runtime::kernels;
 use runtime::{
-    Admission, Phase, Refresh, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId,
-    TenantRun,
+    Admission, Phase, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId, TenantRun,
 };
 use softfloat::{FpFormat, FpValue};
 use vcgra::sim::run_dataflow;
@@ -213,55 +212,6 @@ fn cancelling_the_queue_head_unblocks_the_tenants_behind_it() {
     assert_eq!(rt.queue_len(), 0);
 }
 
-/// `resubmit` keeps the tenant id across a structural change; the
-/// tenant's accounting must come with it — when the recompile fits at
-/// once, and when it has to wait in the queue for a neighbour to leave.
-#[test]
-fn a_tenants_stats_survive_a_structural_resubmit_that_queues() {
-    let cfg = RuntimeConfig {
-        grids: vec![VcgraArch::new(6, 4, 2)],
-        ..RuntimeConfig::default()
-    };
-    let mut rt = Runtime::new(cfg);
-    let id = rt
-        .submit("tenant", kernels::fir_seeded(F, 3, 1).graph) // 5 nodes → 2 rows
-        .unwrap()
-        .expect_admitted("empty pool")
-        .tenant;
-    let neighbour = rt
-        .submit("neighbour", kernels::fir_seeded(F, 8, 2).graph) // 15 nodes → 4 rows
-        .unwrap()
-        .expect_admitted("four rows left")
-        .tenant;
-    assert_bit_exact(&mut rt, id, 5, 1);
-    assert_eq!(rt.tenant(id).unwrap().stats.items, 5);
-
-    // A different structure that fits the rows the tenant gives up.
-    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 4, 3).graph).unwrap(); // 7 nodes → 2 rows
-    assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
-    assert_eq!(rt.tenant(id).unwrap().stats.items, 5, "recompiled in place");
-
-    // One that does not: five rows wanted, two free, and the neighbour's
-    // four too few to share.
-    let refresh = rt.resubmit(id, kernels::fir_seeded(F, 9, 4).graph).unwrap(); // 17 nodes → 5 rows
-    assert!(matches!(refresh, Refresh::Queued(_)), "{refresh:?}");
-    assert_eq!(rt.queued_tenants(), vec![id]);
-
-    let drained = rt.release(neighbour).unwrap();
-    assert_eq!(
-        drained.iter().map(|a| a.tenant).collect::<Vec<_>>(),
-        vec![id]
-    );
-    assert_eq!(
-        rt.tenant(id).unwrap().stats.items,
-        5,
-        "admitted from the queue"
-    );
-    rt.verify().assert_ok();
-    assert_bit_exact(&mut rt, id, 3, 2);
-    assert_eq!(rt.tenant(id).unwrap().stats.items, 8);
-}
-
 #[test]
 fn impossible_demands_are_rejected_synchronously_even_behind_a_queue() {
     let (mut rt, _blocker) = half_blocked();
@@ -273,12 +223,7 @@ fn impossible_demands_are_rejected_synchronously_even_behind_a_queue() {
     // queueing and being dropped silently at the next drain.
     let too_big = kernels::fir_seeded(F, 25, 3).graph;
     assert!(matches!(
-        rt.submit("impossible", too_big.clone()).unwrap_err(),
-        RuntimeError::Pool(runtime::PoolError::TooBig { .. })
-    ));
-    // Same for a queued tenant trying to swap to an impossible graph.
-    assert!(matches!(
-        rt.resubmit(waiter.tenant(), too_big).unwrap_err(),
+        rt.submit("impossible", too_big).unwrap_err(),
         RuntimeError::Pool(runtime::PoolError::TooBig { .. })
     ));
     assert_eq!(rt.queue_len(), 1, "the waiter keeps its slot");
@@ -651,29 +596,29 @@ fn a_slot_swaps_in_when_its_band_holds_another_configuration() {
 /// A fixed scenario pins the whole time axis: on two grids, two
 /// dedicated tenants on one and a band time-shared by two `fir_seeded(8)`
 /// tenants on the other; runs with repeated and alternating tenants; a
-/// parameter swap; a release followed by a compaction, then a release of
-/// the band's resident. Every interval's (lane, phase, tenant) is pinned
-/// in order, and every charged interval's duration. `Execute` durations
-/// are measured host time, so they — and every start time, which follows
-/// from them — are not pinned. The expected values were recorded by
-/// running this body on commit `ee4a3c9`, where the engine still decided
-/// every slot after a band's first.
+/// parameter swap; a release, then an admission that compacts the freed
+/// rows, then a release of the band's resident. Every interval's (lane,
+/// phase, tenant) is pinned in order, and every charged interval's
+/// duration. `Execute` durations are measured host time, so they — and
+/// every start time, which follows from them — are not pinned. The
+/// expected values were recorded by running this body on commit
+/// `0ba56a4`, where compaction could still also be started by hand.
 #[test]
 fn a_shared_band_runs_the_same_time_axis() {
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::paper_4x4()],
         ..RuntimeConfig::default()
     });
-    let mut admit = |name: &str, taps, seed| {
+    let admit = |rt: &mut Runtime, name: &str, taps, seed| {
         rt.submit(name, kernels::fir_seeded(F, taps, seed).graph)
             .unwrap()
             .expect_admitted("room or a band to share")
             .tenant
     };
-    let d = admit("d", 3, 1); // 5 nodes → grid 0, rows 0–1
-    let e = admit("e", 3, 2); // rows 2–3
-    let a = admit("a", 8, 3); // 15 nodes → all of grid 1
-    let b = admit("b", 8, 4); // time-shares a's band
+    let d = admit(&mut rt, "d", 3, 1); // 5 nodes → grid 0, rows 0–1
+    let e = admit(&mut rt, "e", 3, 2); // rows 2–3
+    let a = admit(&mut rt, "a", 8, 3); // 15 nodes → all of grid 1
+    let b = admit(&mut rt, "b", 8, 4); // time-shares a's band
     assert_eq!(rt.pool().band_tenants(1, 0), [a, b]);
 
     let run = |rt: &mut Runtime, tenants: &[TenantId]| {
@@ -695,7 +640,9 @@ fn a_shared_band_runs_the_same_time_axis() {
     rt.swap_params(a, &coeffs).unwrap();
     run(&mut rt, &[a]);
     rt.release(d).unwrap();
-    assert_eq!(rt.compact_background().unwrap(), 1, "e slides to row 0");
+    // Rows 0–1 and 4–5 are free: a 4-row tenant compacts the grid.
+    let f = admit(&mut rt, "f", 8, 5);
+    assert_eq!(rt.tenant(e).unwrap().lease.row0, 0, "e slides to row 0");
     run(&mut rt, &[e, b]);
     run(&mut rt, &[b, a, b]);
     rt.release(b).unwrap();
@@ -743,8 +690,10 @@ fn a_shared_band_runs_the_same_time_axis() {
         (g1, "swap", a),
         (g1, "switch", a),
         (g1, "execute", a),
-        // d leaves and e's band slides down, its resident with it.
+        // d leaves; f's admission slides e's band down, its resident with
+        // it, and takes the coalesced rows.
         (g0r0, "replay", e),
+        (g0r2, "admission", f),
         // [e, b]
         (g0r0, "execute", e),
         (g1, "switch", b),
@@ -781,6 +730,7 @@ fn a_shared_band_runs_the_same_time_axis() {
             27_531_600,
             SWITCH,
             2_007_971_360,
+            3_764_946_300,
             SWITCH,
             SWITCH,
             SWITCH,
@@ -819,9 +769,15 @@ fn band_sharing_follows_admissions_resubmits_and_releases() {
         .tenant;
     assert_eq!(rt.pool().band_tenants(0, 0), [a, b]);
     assert!(shared(&rt, a) && shared(&rt, b));
-    // A structural resubmit takes B to a band of its own on the free rows.
-    let refresh = rt.resubmit(b, kernels::fir_seeded(F, 3, 3).graph).unwrap(); // 5 nodes → 2 rows
-    assert!(matches!(refresh, Refresh::Recompiled(_)), "{refresh:?}");
+    // B leaves, and a smaller structure takes the free rows: a band of its
+    // own, and A's is dedicated again.
+    rt.release(b).unwrap();
+    assert!(!shared(&rt, a));
+    let b = rt
+        .submit("b", kernels::fir_seeded(F, 3, 3).graph) // 5 nodes → 2 rows
+        .unwrap()
+        .expect_admitted("two free rows")
+        .tenant;
     assert!(!shared(&rt, a) && !shared(&rt, b));
     // C shares A's band; A leaves, and the survivor's band is dedicated again.
     let c = rt

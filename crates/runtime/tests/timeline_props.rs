@@ -12,7 +12,8 @@
 //!   push a lane's later port phase past the flat port sum, which is why
 //!   the general bound is `serialized`, not `charged`);
 //! * **runtime-driven** — random admission / parameter-swap / release /
-//!   compaction / run sequences through the real [`Runtime`], asserting
+//!   run sequences through the real [`Runtime`], some admissions tall
+//!   enough to compact a fragmented grid, asserting
 //!   the same bounds on the live axis, the ledger's makespan and overlap
 //!   against the log, and a clean timeline verify pass after every
 //!   operation.
@@ -129,8 +130,8 @@ proptest! {
         }
     }
 
-    // The real runtime under random admission / swap / release /
-    // compaction / run churn: after every operation the live axis obeys
+    // The real runtime under random admission / swap / release / run
+    // churn: after every operation the live axis obeys
     // the bounds, the ledger's totals agree with its log exactly, and the
     // verify pass finds zero violations.
     #[test]
@@ -145,9 +146,11 @@ proptest! {
         let mut ran = false;
         for (i, (kind, seed)) in ops.into_iter().enumerate() {
             match kind % 6 {
-                // Admit a small seeded FIR (may queue or time-share).
-                0 | 1 => {
-                    let taps = 2 + (seed % 5) as usize;
+                // Admit a seeded FIR (may queue or time-share): a small
+                // one, or a 4-row one that compacts a grid whose free rows
+                // are fragmented.
+                0 | 1 | 4 => {
+                    let taps = if kind % 6 == 4 { 8 } else { 2 + (seed % 5) as usize };
                     let adm = rt.submit(format!("t{i}"), kernels::fir_seeded(F, taps, seed).graph)
                         .expect("submit");
                     if let Admission::Admitted(a) = adm {
@@ -172,10 +175,6 @@ proptest! {
                             live.push(adm.tenant);
                         }
                     }
-                }
-                // Background compaction into idle port windows.
-                4 => {
-                    rt.compact_background().expect("compact");
                 }
                 // Stream a few vectors (adds Execute/Switch intervals).
                 _ => {

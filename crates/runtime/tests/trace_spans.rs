@@ -135,14 +135,16 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         "one sweep prices every changed PE"
     );
 
-    // Free the lower band and compact: the survivor slides down, and the
-    // relocation replay must be traced as a `reconfig_overlap` span.
+    // Free the lower band: three rows below the survivor and two above
+    // it. A 4-row tenant's admission compacts the grid — the survivor
+    // slides down — and the relocation replay must be traced as a
+    // `reconfig_overlap` span inside that admission.
     rt.release(cold.tenant).expect("release");
-    let moved = rt.compact_background().expect("compact");
-    assert!(
-        moved >= 1,
-        "freeing the lower band leaves a hole to compact"
-    );
+    let tall = rt
+        .submit("tall", kernels::fir_seeded(F, 8, 3).graph) // 15 nodes → 4 rows
+        .expect("submit")
+        .expect_admitted("compaction coalesces five free rows");
+    assert_eq!(tall.relocations, 1, "the survivor's band slid down");
 
     // A time-shared band: two tenants on a 4x4 grid, the second admitted
     // last, so the first one's slot swaps its configuration in. The
@@ -237,6 +239,10 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     assert!(
         children.get("admission").unwrap().contains("compile"),
         "the cold admission compiled, so its span must appear"
+    );
+    assert!(
+        admission.contains("compaction"),
+        "a compaction happens inside the admission that needs it"
     );
     let compaction = children
         .get("compaction")

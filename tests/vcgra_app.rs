@@ -4,7 +4,7 @@
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::AppGraph;
 use vcgra::flow::map_app;
-use vcgra::sim::{run_dataflow, run_mapped, StreamingMac};
+use vcgra::sim::run_mapped;
 use vcgra::VcgraArch;
 
 const FMT: FpFormat = FpFormat::PAPER;
@@ -66,25 +66,6 @@ fn reconfiguring_coefficients_changes_the_filter() {
     let yb = run_mapped(&mb, &app_b, &inputs)[0].to_f64();
     assert_eq!(ya, 1.0, "low-pass of flat signal");
     assert_eq!(yb, 0.0, "edge detector on flat signal");
-}
-
-#[test]
-fn streaming_mac_window_equals_spatial_tree() {
-    let coeffs = [0.5, 0.25, 0.125, 0.0625];
-    let window = [2.0, 4.0, 8.0, 16.0];
-    // Spatial: adder tree over 4 MULs.
-    let app = AppGraph::dot_product(FMT, &coeffs);
-    let inputs: Vec<FpValue> = window.iter().map(|&x| fp(x)).collect();
-    let spatial = run_dataflow(&app, &inputs)[0].to_f64();
-    // Temporal: one MAC PE, counter = 4 (the paper's execution model).
-    let mut pe = StreamingMac::new(fp(0.5), 4);
-    let mut out = None;
-    for (i, &x) in window.iter().enumerate() {
-        pe.set_coeff(fp(coeffs[i]));
-        out = pe.step(fp(x));
-    }
-    let temporal = out.expect("window complete").to_f64();
-    assert_eq!(spatial, temporal, "4.0 both ways");
 }
 
 #[test]
