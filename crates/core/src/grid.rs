@@ -67,7 +67,7 @@ impl VcgraArch {
     }
 
     /// Total routing components of the inter-PE network.
-    pub fn inter_network_components(&self) -> usize {
+    fn inter_network_components(&self) -> usize {
         self.vsb_count() + self.vcb_count()
     }
 
@@ -105,7 +105,7 @@ impl VcgraArch {
     /// 6-input 4:1 mux split over two 4-LUTs). A VSB switches a word
     /// towards 4 directions; a VCB selects among the adjacent channel's
     /// wires.
-    pub fn inter_network_lut_estimate(&self) -> usize {
+    fn inter_network_lut_estimate(&self) -> usize {
         let w = 35; // word width of the paper's FloPoCo format
         let per_mux4 = 2 * w;
         self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2 + self.vcb_count() * per_mux4
@@ -113,7 +113,7 @@ impl VcgraArch {
 
     /// TCON count when the same multiplexers are mapped onto physical
     /// routing switches (three 2:1 selections per 4:1 mux per bit).
-    pub fn inter_network_tcon_estimate(&self) -> usize {
+    fn inter_network_tcon_estimate(&self) -> usize {
         let w = 35;
         let per_mux4 = 3 * w;
         self.vsb_count() * 4 * per_mux4 * self.channel_capacity / 2 + self.vcb_count() * per_mux4

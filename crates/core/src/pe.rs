@@ -96,7 +96,7 @@ impl PeSettings {
     /// Route selects for every connection of [`ROUTE_NAMES`], as 2-bit
     /// codes indexing the candidate list of the first hop (subsequent hops
     /// select "previous", code 0).
-    pub fn route_selects(&self) -> [u8; 6] {
+    fn route_selects(&self) -> [u8; 6] {
         // Candidate orders (see `VirtualPe::build`):
         //   x:    [in_a, in_b, fb, zero]
         //   acc:  [fb, in_a, in_b, zero]
