@@ -15,7 +15,7 @@
 //!   (micro-reconfiguration, Section II-C).
 
 /// Width of a settings register in bits (the paper uses 32-bit registers).
-pub const SETTINGS_REGISTER_BITS: usize = 32;
+pub(crate) const SETTINGS_REGISTER_BITS: usize = 32;
 
 /// Geometry and sizing of a VCGRA instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

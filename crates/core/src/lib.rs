@@ -12,11 +12,12 @@
 //!
 //! Modules:
 //!
-//! * [`pe`] — the Processing Element: gate-level netlist generator
-//!   (MAC datapath + virtual intra-connect) and the value-level functional
-//!   model, plus the settings-register layout;
-//! * [`grid`] — the VCGRA architecture (grid geometry, component and
-//!   settings-register inventory — the quantities of Table II);
+//! * `pe` — the Processing Element ([`VirtualPe`]): gate-level netlist
+//!   generator (MAC datapath + virtual intra-connect) and the value-level
+//!   functional model, plus the settings-register layout;
+//! * `grid` — the VCGRA architecture ([`VcgraArch`]: grid geometry,
+//!   component and settings-register inventory — the quantities of
+//!   Table II);
 //! * [`app`] — application graphs: dataflow of PE operations (filter
 //!   kernels from the retinal pipeline map here);
 //! * [`flow`] — the fast VCGRA tool flow of Fig. 2: synthesis to a PE
@@ -30,12 +31,12 @@
 //! * [`render`] — DOT/ASCII renderings of the grid and the PE (Figs. 1/4).
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 pub mod app;
 pub mod flow;
-pub mod grid;
-pub mod pe;
+mod grid;
+mod pe;
 pub mod render;
 pub mod sim;
 

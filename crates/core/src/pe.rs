@@ -54,7 +54,7 @@ impl Default for VirtualPeConfig {
 /// The multiplier's coefficient operand is *not* routed: it feeds straight
 /// from the settings register into the multiplier BLEs (Fig. 4), which is
 /// what lets TCONMAP specialize the multiplier for the constant.
-pub const ROUTE_NAMES: [&str; 6] = ["x", "acc", "adda", "addb", "out", "fbn"];
+pub(crate) const ROUTE_NAMES: [&str; 6] = ["x", "acc", "adda", "addb", "out", "fbn"];
 
 /// High-level PE operating modes (what the settings register encodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,10 +19,10 @@
 //! per-PE estimate.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
-pub mod ppc;
-pub mod scg;
+mod ppc;
+mod scg;
 pub mod timing;
 
 pub use ppc::{BitAddr, ConfigKind, ParamConfig};

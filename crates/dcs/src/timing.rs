@@ -28,7 +28,7 @@ pub enum ReconfigInterface {
 
 impl ReconfigInterface {
     /// Time for one frame read-modify-write.
-    pub fn frame_rmw(self) -> Duration {
+    pub(crate) fn frame_rmw(self) -> Duration {
         match self {
             // 251 ms / (526 TLUTs + 568 TCONs) = 229.4 µs per element.
             ReconfigInterface::Hwicap => Duration::from_nanos(229_430),
@@ -96,7 +96,7 @@ pub struct ReconfigReport {
 
 /// Prices one parameter change: evaluates the PPC for the old and the new
 /// values as the two lanes of one SCG sweep, diffs them with
-/// [`crate::scg::Scg::pair_diff`] — the runtime pricer's definition of
+/// [`crate::Scg::pair_diff`] — the runtime pricer's definition of
 /// "frames dirtied by a change" — and prices the dirty frames. `eval_time`
 /// covers all of it: packing, the sweep and the diff.
 pub fn specialization_report(

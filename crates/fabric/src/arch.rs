@@ -53,12 +53,12 @@ impl FabricArch {
     }
 
     /// Tracks an input pin touches for channel width `w`.
-    pub fn fc_in_tracks(&self, w: usize) -> usize {
+    pub(crate) fn fc_in_tracks(&self, w: usize) -> usize {
         ((self.fc_in * w as f64).round() as usize).clamp(1, w)
     }
 
     /// Tracks an output pin touches for channel width `w`.
-    pub fn fc_out_tracks(&self, w: usize) -> usize {
+    pub(crate) fn fc_out_tracks(&self, w: usize) -> usize {
         ((self.fc_out * w as f64).round() as usize).clamp(1, w)
     }
 }

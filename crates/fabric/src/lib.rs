@@ -13,7 +13,7 @@
 //!   model micro-reconfiguration (read-modify-write of frames).
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 pub mod arch;
 pub mod frames;

@@ -489,7 +489,7 @@ impl NodeState {
 
     /// Current occupancy of a node (0 for pins).
     #[inline]
-    pub fn occ(&self, id: u32) -> u16 {
+    pub(crate) fn occ(&self, id: u32) -> u16 {
         self.occ[id as usize]
     }
 

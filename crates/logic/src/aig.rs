@@ -15,7 +15,7 @@
 use crate::fxhash::FxHashMap;
 
 /// Index of a node inside an [`Aig`].
-pub type NodeId = u32;
+pub(crate) type NodeId = u32;
 
 /// Classification of a primary input (Fig. 3: regular vs. `--PARAM`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,11 +208,6 @@ impl Aig {
         let x = self.and(a, !b);
         let y = self.and(!a, b);
         self.or(x, y)
-    }
-
-    /// XNOR.
-    pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor(a, b)
     }
 
     /// Multiplexer `sel ? t : e`.

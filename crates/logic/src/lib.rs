@@ -21,7 +21,7 @@
 //!   (see the Rust Performance Book's hashing chapter).
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 pub mod aig;
 pub mod bdd;
@@ -31,7 +31,7 @@ pub mod rng;
 pub mod sim;
 pub mod tt;
 
-pub use aig::{Aig, InputKind, Lit, NodeId};
+pub use aig::{Aig, InputKind, Lit};
 pub use bdd::{Bdd, BddManager};
 pub use rng::SplitMix64;
 pub use tt::TruthTable;

@@ -6,8 +6,9 @@
 //! equivalence checks in the workspace (original vs. mapped vs. specialized
 //! netlists).
 
-use crate::aig::{Aig, InputKind, Node};
-use crate::fxhash::FxHashMap;
+use crate::aig::{Aig, Node};
+#[cfg(test)]
+use crate::{aig::InputKind, fxhash::FxHashMap};
 
 /// Simulates the graph on one 64-pattern batch.
 ///
@@ -38,8 +39,10 @@ pub fn simulate_u64(aig: &Aig, input_words: &[u64]) -> Vec<u64> {
 }
 
 /// Outcome of an equivalence check.
+// Test-only, as is `exhaustive_equiv`: the oracle of the `opt::sweep` tests.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EquivResult {
+pub(crate) enum EquivResult {
     /// No differing pattern found.
     Equivalent,
     /// Outputs differ; carries (output index, pattern number) of the first
@@ -47,9 +50,10 @@ pub enum EquivResult {
     Mismatch { output: usize, pattern: usize },
 }
 
+#[cfg(test)]
 impl EquivResult {
     /// True when no mismatch was found.
-    pub fn is_equivalent(&self) -> bool {
+    pub(crate) fn is_equivalent(&self) -> bool {
         matches!(self, EquivResult::Equivalent)
     }
 }
@@ -59,7 +63,13 @@ impl EquivResult {
 /// `param_bits` (keyed by input *name*, so the two graphs may order inputs
 /// differently; a missing name is 0). Both graphs must expose the same
 /// regular input names and the same output names.
-pub fn exhaustive_equiv(a: &Aig, b: &Aig, param_bits: &FxHashMap<String, bool>) -> EquivResult {
+// Test-only: the oracle of the `opt::sweep` tests.
+#[cfg(test)]
+pub(crate) fn exhaustive_equiv(
+    a: &Aig,
+    b: &Aig,
+    param_bits: &FxHashMap<String, bool>,
+) -> EquivResult {
     let reg_names: Vec<String> = a
         .inputs()
         .iter()
@@ -147,7 +157,7 @@ mod tests {
             (s, g.or(t1, t2))
         } else {
             // majority + parity via mux decomposition
-            let nab = g.xnor(a, b);
+            let nab = !g.xor(a, b);
             let s = g.mux(nab, c, !c);
             let co_t = g.mux(nab, a, c);
             (s, co_t)

@@ -7,7 +7,7 @@
 //! generic up to 6.
 
 /// Maximum number of variables representable (64 = 2^6 bits in a `u64`).
-pub const MAX_VARS: usize = 6;
+pub(crate) const MAX_VARS: usize = 6;
 
 /// Projection masks: `PROJ[i]` is the truth table of variable `i` on 6 vars.
 const PROJ: [u64; 6] = [
@@ -73,7 +73,7 @@ impl TruthTable {
 
     /// Number of variables.
     #[inline]
-    pub fn nvars(&self) -> usize {
+    pub(crate) fn nvars(&self) -> usize {
         self.nvars as usize
     }
 
@@ -174,44 +174,11 @@ impl TruthTable {
         Self::from_bits(lo | (lo << shift), self.nvars())
     }
 
-    /// True if the function actually depends on `var`.
-    pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
-    }
-
-    /// The set of variables the function depends on, as a bitmask.
-    pub fn support_mask(&self) -> u32 {
-        let mut m = 0;
-        for v in 0..self.nvars() {
-            if self.depends_on(v) {
-                m |= 1 << v;
-            }
-        }
-        m
-    }
-
     /// Evaluates the function on a full input assignment given as a bitmask
     /// (bit `i` of `assignment` is the value of variable `i`).
     #[inline]
     pub fn eval(&self, assignment: usize) -> bool {
         self.get(assignment & (self.len() - 1))
-    }
-
-    /// Re-expresses the function over a larger variable set: variable `i`
-    /// of `self` becomes variable `map[i]` of the result (`new_nvars` vars).
-    #[must_use]
-    pub fn expand(&self, map: &[usize], new_nvars: usize) -> Self {
-        assert_eq!(map.len(), self.nvars());
-        assert!(new_nvars <= MAX_VARS);
-        Self::build(new_nvars, |m| {
-            let mut old_m = 0usize;
-            for (i, &tgt) in map.iter().enumerate() {
-                if (m >> tgt) & 1 == 1 {
-                    old_m |= 1 << i;
-                }
-            }
-            self.get(old_m)
-        })
     }
 
     /// Number of satisfying minterms.
@@ -262,27 +229,6 @@ mod tests {
             let x = TruthTable::var(v, 3);
             let rebuilt = x.and(&f.cofactor1(v)).or(&x.not().and(&f.cofactor0(v)));
             assert_eq!(rebuilt, f);
-        }
-    }
-
-    #[test]
-    fn support_detection() {
-        // f = x1 (doesn't depend on x0, x2)
-        let f = TruthTable::var(1, 3);
-        assert_eq!(f.support_mask(), 0b010);
-        let g = TruthTable::var(0, 3).xor(&TruthTable::var(2, 3));
-        assert_eq!(g.support_mask(), 0b101);
-    }
-
-    #[test]
-    fn expand_preserves_semantics() {
-        // f(a, b) = a & !b, expand into 4-var space with a->2, b->0.
-        let f = TruthTable::var(0, 2).and(&TruthTable::var(1, 2).not());
-        let g = f.expand(&[2, 0], 4);
-        for m in 0..16 {
-            let a = (m >> 2) & 1 == 1;
-            let b = m & 1 == 1;
-            assert_eq!(g.get(m), a && !b, "m={m}");
         }
     }
 

@@ -21,10 +21,10 @@
 //! (`verify::equiv`), which this crate's tests call as a dev-dependency.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 pub mod design;
-pub mod mapper;
+mod mapper;
 
 pub use design::{MapStats, MappedDesign, MappedNode, Source, SpecializedDesign, Tcon, Tlut};
 pub use mapper::{

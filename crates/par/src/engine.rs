@@ -108,7 +108,7 @@ impl ParEngine {
         }
     }
 
-    /// The best placement over [`EngineOptions::seeds`] ([`place_best`]).
+    /// The best placement over [`EngineOptions::seeds`] (`place_best`).
     pub fn place(&self, netlist: &ParNetlist, arch: FabricArch) -> Placement {
         place_best(netlist, arch, &self.opts.seeds)
     }

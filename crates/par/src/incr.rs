@@ -1,7 +1,7 @@
 //! The incremental PathFinder core: bounding-box-confined A*, a dirty-net
 //! worklist, and one canonical wave order.
 //!
-//! This module is the engine behind the [`crate::engine::ParEngine`]
+//! This module is the engine behind the [`crate::ParEngine`]
 //! facade. It differs from a textbook PathFinder loop in three ways:
 //!
 //! * **Incremental rip-up-and-reroute.** Occupancy and history live in a

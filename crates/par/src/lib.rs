@@ -3,13 +3,13 @@
 //! This crate reproduces the role of the TPaR CAD tools \[11\] used in the
 //! paper's evaluation:
 //!
-//! * [`netlist`] — flattens a mapped design into placeable blocks and
-//!   routing nets. A TCON becomes a **tunable net**: a net with *several
-//!   candidate sources* whose alternatives are mutually exclusive across
-//!   parameter values, so they may share physical wires — exactly how
+//! * `netlist` — [`extract`] flattens a mapped design into placeable
+//!   blocks and routing nets. A TCON becomes a **tunable net**: a net
+//!   with *several candidate sources* whose alternatives are mutually
+//!   exclusive across parameter values, so they may share physical wires — exactly how
 //!   TROUTE maps tunable connections onto the FPGA's switch blocks;
-//! * [`tplace`] — simulated-annealing placement with half-perimeter
-//!   wirelength cost (and a best-of-seeds variant);
+//! * `tplace` — [`place`], simulated-annealing placement with
+//!   half-perimeter wirelength cost (and a best-of-seeds variant);
 //! * [`troute`] — PathFinder-style negotiated-congestion routing on the
 //!   fabric's routing-resource graph, with A* directed expansion;
 //! * `incr` — the incremental router core: in-place occupancy/history,
@@ -17,26 +17,26 @@
 //!   and one canonical wave order routed on one thread and one scratch (a
 //!   routing run reads no thread count); its diagnostics are trace spans,
 //!   it prints nothing;
-//! * [`warm`] — minimum-channel-width search (doubling + binary) whose
-//!   probes are warm-started from the previous width's routing trees and
-//!   whose cold `W−1` certificate routes beside the binary phase when a
-//!   second thread is free;
-//! * [`engine`] — the [`engine::ParEngine`] facade owning every knob;
-//!   [`engine::ParEngine::run`] produces the WL/CW columns of Table I.
+//! * `warm` — [`WidthSearch`], the minimum-channel-width search (doubling +
+//!   binary) whose probes are warm-started from the previous width's
+//!   routing trees and whose cold `W−1` certificate routes beside the
+//!   binary phase when a second thread is free;
+//! * `engine` — the [`ParEngine`] facade owning every knob;
+//!   [`ParEngine::run`] produces the WL/CW columns of Table I.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
-pub mod engine;
+mod engine;
 mod incr;
-pub mod netlist;
-pub mod tplace;
+mod netlist;
+mod tplace;
 pub mod troute;
-pub mod warm;
+mod warm;
 
 pub use engine::{EngineOptions, ParEngine, ParReport};
 pub use netlist::{extract, Block, BlockKind, Net, ParNetlist};
-pub use tplace::{place, place_best, Placement};
+pub use tplace::{place, Placement};
 pub use troute::RouteResult;
 pub use warm::{
     channel_width_estimate, channel_width_lower_bound, WidthCertificate, WidthProbe, WidthSearch,

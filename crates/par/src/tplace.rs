@@ -308,7 +308,7 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
 
 /// Runs one independent anneal per seed and returns the lowest-cost
 /// placement; ties are broken by seed order (the earlier seed wins).
-pub fn place_best(netlist: &ParNetlist, arch: FabricArch, seeds: &[u64]) -> Placement {
+pub(crate) fn place_best(netlist: &ParNetlist, arch: FabricArch, seeds: &[u64]) -> Placement {
     seeds
         .iter()
         .map(|&s| place(netlist, arch, s))

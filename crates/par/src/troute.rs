@@ -18,7 +18,7 @@
 //! the PathFinder constants); this module keeps the router's public
 //! types and the [`audit`] — the one proof of a routing result — used by
 //! tests, benches and the engine's commit path. One routing run on a prebuilt graph is
-//! [`crate::engine::ParEngine::route`].
+//! [`crate::ParEngine::route`].
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;

@@ -11,7 +11,7 @@
 //! are rerouted. The final `W−1` failure is probed **cold** unless
 //! something already proves it, so every reported minimum carries a
 //! [`WidthCertificate`]. A cold linear scan is kept as the reference
-//! ([`crate::engine::ParEngine::min_channel_width_reference`]); both must
+//! ([`crate::ParEngine::min_channel_width_reference`]); both must
 //! find the same minimum (see the equivalence tests).
 //!
 //! **Where the time goes, and what is done about it.** A successful probe

@@ -17,7 +17,7 @@
 //! one-line `Cargo.toml` change; the test source is already compatible.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 /// Deterministic SplitMix64 (same algorithm as `logic::rng::SplitMix64`,
 /// duplicated here so this stub stays dependency-free).

@@ -5,7 +5,7 @@
 //! seven orientations, 16×16) and a thickness-selective texture filter.
 //!
 //! Two convolution engines are provided and cross-checked:
-//! * [`convolve_f32`] — the `f32` software reference, and
+//! * `convolve_f32` — the `f32` software reference, and
 //! * [`convolve_vcgra`] — the *hardware module*: every output pixel is a
 //!   time-multiplexed MAC on one PE in the bit-exact FloPoCo format, the
 //!   execution model the paper describes (settings-register counter =
@@ -96,7 +96,12 @@ pub fn matched_filter(size: usize, sigma: f32, length: f32, theta: f32) -> Kerne
 }
 
 /// The paper's seven-orientation matched filter bank (16×16 kernels).
-pub fn matched_bank(size: usize, sigma: f32, length: f32, orientations: usize) -> Vec<Kernel> {
+pub(crate) fn matched_bank(
+    size: usize,
+    sigma: f32,
+    length: f32,
+    orientations: usize,
+) -> Vec<Kernel> {
     (0..orientations)
         .map(|i| {
             let theta = std::f32::consts::PI * i as f32 / orientations as f32;
@@ -124,7 +129,7 @@ pub fn texture_filter(size: usize, thickness: f32) -> Kernel {
 }
 
 /// Software reference convolution (replication padding).
-pub fn convolve_f32(img: &Image, k: &Kernel) -> Image {
+pub(crate) fn convolve_f32(img: &Image, k: &Kernel) -> Image {
     let mut out = Image::new(img.w, img.h, 0.0);
     let half = k.size as i64 / 2;
     for y in 0..img.h {
@@ -205,7 +210,7 @@ pub fn convolve_vcgra(img: &Image, k: &Kernel, fmt: FpFormat) -> Image {
 }
 
 /// Pixel-wise maximum across a stack of images (matched filter responses).
-pub fn max_response(stack: &[Image]) -> Image {
+pub(crate) fn max_response(stack: &[Image]) -> Image {
     assert!(!stack.is_empty());
     let mut out = stack[0].clone();
     for img in &stack[1..] {

@@ -30,7 +30,7 @@ impl Image {
     /// Clamped accessor: coordinates outside the image read the nearest
     /// edge pixel (replication padding for the convolutions).
     #[inline]
-    pub fn get_clamped(&self, x: i64, y: i64) -> f32 {
+    pub(crate) fn get_clamped(&self, x: i64, y: i64) -> f32 {
         let xc = x.clamp(0, self.w as i64 - 1) as usize;
         let yc = y.clamp(0, self.h as i64 - 1) as usize;
         self.get(xc, yc)
@@ -43,7 +43,7 @@ impl Image {
     }
 
     /// Minimum and maximum sample.
-    pub fn min_max(&self) -> (f32, f32) {
+    pub(crate) fn min_max(&self) -> (f32, f32) {
         let mut mn = f32::INFINITY;
         let mut mx = f32::NEG_INFINITY;
         for &v in &self.data {
@@ -54,7 +54,7 @@ impl Image {
     }
 
     /// Linearly rescales samples into `[0, 1]` (no-op for flat images).
-    pub fn normalized(&self) -> Image {
+    pub(crate) fn normalized(&self) -> Image {
         let (mn, mx) = self.min_max();
         let span = (mx - mn).max(1e-12);
         Image {
@@ -79,7 +79,7 @@ impl Image {
 
     /// Global histogram equalization over 256 bins (a preprocessing step
     /// of the pipeline).
-    pub fn equalized(&self) -> Image {
+    pub(crate) fn equalized(&self) -> Image {
         let n = self.data.len().max(1);
         let norm = self.normalized();
         let mut hist = [0u32; 256];
@@ -131,7 +131,7 @@ pub struct RgbImage {
 
 impl RgbImage {
     /// The pipeline's first step: keep the green channel.
-    pub fn green(&self) -> Image {
+    pub(crate) fn green(&self) -> Image {
         self.g.clone()
     }
 }

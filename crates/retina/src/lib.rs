@@ -14,10 +14,10 @@
 //! pipeline be scored quantitatively.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 pub mod filters;
-pub mod image;
+mod image;
 pub mod pipeline;
 pub mod synth;
 

@@ -199,7 +199,7 @@ fn box_blur(img: &Image, radius: i64) -> Image {
 /// Mask of the circular field of view of a `w × h` image (1.0 inside):
 /// centred on the image, radius 0.47 of its shorter side — on a square
 /// image, the field of view [`synth_fundus`] draws.
-pub fn fov_mask(w: usize, h: usize) -> Image {
+pub(crate) fn fov_mask(w: usize, h: usize) -> Image {
     let mut m = Image::new(w, h, 0.0);
     let (cx, cy) = (w as f32 / 2.0, h as f32 / 2.0);
     let r = w.min(h) as f32 * 0.47;

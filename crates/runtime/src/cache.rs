@@ -100,7 +100,7 @@ pub(crate) struct ConfigCache {
 
 impl ConfigCache {
     /// Creates a cache holding at most `capacity` configurations.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1);
         ConfigCache {
             capacity,
@@ -115,12 +115,12 @@ impl ConfigCache {
     /// region shapes with this before committing to a grid; counting
     /// those probes as hits would inflate the very statistic the policy
     /// is judged by.
-    pub fn contains(&self, key: &ConfigKey) -> bool {
+    pub(crate) fn contains(&self, key: &ConfigKey) -> bool {
         self.entries.contains_key(key)
     }
 
     /// Looks a configuration up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &ConfigKey) -> Option<Arc<VcgraMapping>> {
+    pub(crate) fn get(&mut self, key: &ConfigKey) -> Option<Arc<VcgraMapping>> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some((mapping, used)) => {
@@ -137,7 +137,7 @@ impl ConfigCache {
 
     /// Inserts a freshly compiled configuration, evicting the least
     /// recently used entry if the cache is full.
-    pub fn insert(&mut self, key: ConfigKey, mapping: VcgraMapping) -> Arc<VcgraMapping> {
+    pub(crate) fn insert(&mut self, key: ConfigKey, mapping: VcgraMapping) -> Arc<VcgraMapping> {
         self.tick += 1;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some(victim) = self
@@ -156,14 +156,14 @@ impl ConfigCache {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Iterates the live entries (key, cached mapping), in no particular
     /// order — the verifier walks these to cross-check every entry
     /// against the region its key names.
-    pub fn entries(&self) -> impl Iterator<Item = (&ConfigKey, &VcgraMapping)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&ConfigKey, &VcgraMapping)> {
         self.entries
             .iter()
             .map(|(k, (mapping, _))| (k, mapping.as_ref()))

@@ -54,10 +54,10 @@
 //!   another format is refused, never read as other bits.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
-//! * [`runtime`] — the orchestrator tying it together. [`Runtime::run`]
-//!   is the one place a swap-in is decided and booked: it walks each
-//!   band's slots once, and a slot is charged a context switch when the
-//!   configuration loaded before it is another tenant's — the previous
+//! * `runtime` — [`Runtime`], the orchestrator tying it together.
+//!   [`Runtime::run`] is the one place a swap-in is decided and booked: it
+//!   walks each band's slots once, and a slot is charged a context switch
+//!   when the configuration loaded before it is another tenant's — the previous
 //!   slot's, or for the first slot the band's [`BandInfo::resident`],
 //!   which is nobody's once that tenant has left (its successor pays a
 //!   swap-in too). Beside it is the
@@ -93,19 +93,19 @@
 //! (`bench/`) measures the serve and compile paths; the integration tests
 //! pin the runtime's outputs bit-for-bit to `vcgra::sim::run_dataflow`.
 //!
-//! **Verification.** [`runtime::Runtime::snapshot`] exports the whole
+//! **Verification.** [`Runtime::snapshot`] exports the whole
 //! scheduler state as plain data for the `verify` crate's sched pass
 //! (lease/band disjointness, row conservation, queue/ledger
 //! reconciliation, cache-key soundness), and
-//! [`runtime::Runtime::timeline_snapshot`] does the same for the
+//! [`Runtime::timeline_snapshot`] does the same for the
 //! timeline pass (port exclusivity, lane exclusivity, charge
 //! conservation and the makespan against the ledger);
-//! [`runtime::RuntimeConfig::verify_on_admit`] runs both passes after
+//! [`RuntimeConfig::verify_on_admit`] runs both passes after
 //! every operation that changes scheduler state or the time axis and
 //! fails it on a broken invariant.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod admission;
@@ -117,7 +117,7 @@ mod ledger;
 mod params;
 pub mod pool;
 mod pricer;
-pub mod runtime;
+mod runtime;
 mod snapshot;
 pub mod timeline;
 

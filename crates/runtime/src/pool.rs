@@ -372,7 +372,7 @@ impl GridPool {
     /// [`PoolError::TooBig`] otherwise. Touches no state; the runtime
     /// uses it to reject impossible submissions synchronously instead of
     /// parking them in the queue.
-    pub fn fits_any_grid(&self, demand: usize) -> Result<(), PoolError> {
+    pub(crate) fn fits_any_grid(&self, demand: usize) -> Result<(), PoolError> {
         let fits = self
             .grids
             .iter()

@@ -112,7 +112,7 @@ impl SettingsPricer {
     /// Creates a pricer; `format` is the floating-point format of the
     /// *pricing* PE (reduced formats price in well under a second; the
     /// trend matches the paper-scale PE).
-    pub fn new(format: FpFormat) -> Self {
+    pub(crate) fn new(format: FpFormat) -> Self {
         SettingsPricer {
             format,
             model: OnceLock::new(),
@@ -142,7 +142,7 @@ impl SettingsPricer {
     /// settings-plane frame model). Unchanged PEs (identical settings)
     /// contribute nothing — the SCG diff is empty and the settings word is
     /// identical, which is what makes the warm path cheap.
-    pub fn price_swap(&self, grid: (usize, usize), changes: &[PeChange]) -> SwapReport {
+    pub(crate) fn price_swap(&self, grid: (usize, usize), changes: &[PeChange]) -> SwapReport {
         let m = self.model();
         let scg = Scg::new(&m.design, &m.config);
         let frame_model = FrameModel::for_grid(grid.0, grid.1);
@@ -199,7 +199,7 @@ impl SettingsPricer {
     /// Modeled port time to configure `pes` PEs from scratch (cold
     /// admission or a time-multiplexing context switch): the paper's
     /// full per-PE micro-reconfiguration, 251 ms each on HWICAP.
-    pub fn full_config_cost(&self, pes: usize) -> Duration {
+    pub(crate) fn full_config_cost(&self, pes: usize) -> Duration {
         let per_pe = dcs::paper_pe_reconfig(IFACE);
         per_pe * pes as u32
     }

@@ -8,13 +8,13 @@
 //! by one synchronous `submit` loop; this crate is the front-end that
 //! turns it into a service:
 //!
-//! * [`server::ShardServer`] owns **N independent `Runtime` pools on
+//! * [`ShardServer`] owns **N independent `Runtime` pools on
 //!   worker threads** (one shard = one grid pool + one configuration
 //!   cache + one FIFO request queue). Shards share nothing, so shard
 //!   throughput scales with worker threads and every per-shard invariant
 //!   the `verify` crate proves keeps holding verbatim.
-//! * [`route::Router`] is the **admission router**: requests are routed
-//!   by *cache affinity* — [`route::RouteKey`] hashes the graph's
+//! * [`Router`] is the **admission router**: requests are routed
+//!   by *cache affinity* — [`RouteKey`] hashes the graph's
 //!   *structure* (the same coefficients-excluded identity the runtime's
 //!   `ConfigKey` caches under), so structurally identical tenants land on
 //!   the shard whose cache already holds their compile. When the affine
@@ -25,13 +25,13 @@
 //!   outstanding-ticket count, so routing is a pure function of the
 //!   caller's submit/collect order — deterministic, never a wall clock.
 //! * Per-shard queues are **bounded**: when a shard's queue is full,
-//!   dispatch returns [`server::Reject::QueueFull`] to the caller —
+//!   dispatch returns [`Reject::QueueFull`] to the caller —
 //!   explicit backpressure, never a silent drop. Accepted work is never
-//!   discarded; [`server::ShardServer::drain`] waits for every queue to
+//!   discarded; [`ShardServer::drain`] waits for every queue to
 //!   empty (one request per shard, optionally re-proving its scheduler
 //!   invariants) and returns each shard's ledger, cache counters and
 //!   request count;
-//!   [`server::ShardServer::shutdown`] joins the workers and returns
+//!   [`ShardServer::shutdown`] joins the workers and returns
 //!   each shard's closing verification.
 //! * [`loadgen`] is a **seeded, deterministic load generator**: the whole
 //!   workload (structures, coefficients, input streams, operation order)
@@ -62,12 +62,12 @@
 //! | drain          | barrier on empty queues + per-shard sched verify   |
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod loadgen;
-pub mod route;
-pub mod server;
+mod route;
+mod server;
 
 pub use loadgen::{synthesize, LoadJob, LoadPlan, LoadReport, LoadSpec};
 pub use route::{RouteKey, RoutePick, Router};

@@ -5,8 +5,8 @@
 //! vector, and input stream — using only a `SplitMix64` stream, with no
 //! wall-clock input anywhere; [`run`] then drives the plan through a
 //! [`ShardServer`]. Because routing depends only on the caller's own
-//! submit/collect order (see [`crate::route`]) and each shard serves its
-//! queue FIFO, two runs of one plan produce **identical per-shard
+//! submit/collect order (see [`crate::Router`]) and each shard serves
+//! its queue FIFO, two runs of one plan produce **identical per-shard
 //! admission orders** and a **bit-identical output fingerprint** — the
 //! fingerprint is also invariant across shard counts and worker counts,
 //! since the engine's mapped execution is bit-exact with the reference
@@ -98,7 +98,7 @@ impl LoadPlan {
 
 /// One tenant's retained outputs: phase-1 and phase-2 output vectors,
 /// one per input vector.
-pub type JobOutputs = [Vec<Vec<FpValue>>; 2];
+pub(crate) type JobOutputs = [Vec<Vec<FpValue>>; 2];
 
 /// What a plan's run produced.
 #[derive(Debug)]

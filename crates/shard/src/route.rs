@@ -95,7 +95,7 @@ pub enum RoutePick {
 #[derive(Debug)]
 pub struct Router {
     /// Outstanding (dispatched, uncollected) tickets per shard. Shared
-    /// with the [`crate::server::Ticket`]s, which decrement on collect.
+    /// with the [`crate::Ticket`]s, which decrement on collect.
     outstanding: Vec<Arc<AtomicU64>>,
     /// Spill when `load(primary) - min(load) >= spill_margin`.
     /// `u64::MAX` disables spilling entirely (pure affinity).

@@ -235,6 +235,13 @@ enum Op {
         verify: Option<Sender<verify::VerifyReport>>,
         reply: Sender<ShardStats>,
     },
+    /// Blocks the worker: it says so on `held`, then waits until the test
+    /// drops the sender of `release`.
+    #[cfg(test)]
+    Hold {
+        held: Sender<()>,
+        release: Receiver<()>,
+    },
 }
 
 impl Op {
@@ -245,6 +252,8 @@ impl Op {
             Op::Run { .. } => "run",
             Op::Release { .. } => "release",
             Op::Stats { .. } => "stats",
+            #[cfg(test)]
+            Op::Hold { .. } => "hold",
         }
     }
 }
@@ -612,6 +621,11 @@ fn worker_loop(
                     processed: processed + 1,
                 });
             }
+            #[cfg(test)]
+            Op::Hold { held, release } => {
+                let _ = held.send(());
+                let _ = release.recv();
+            }
         }
         processed += 1;
     }
@@ -620,5 +634,103 @@ fn worker_loop(
     ShardFinal {
         shard,
         verify: rt.verify_all(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RouteKey;
+    use softfloat::FpFormat;
+
+    const F: FpFormat = FpFormat::PAPER;
+
+    /// Blocks `shard`'s worker, idle queue behind it, until the returned
+    /// sender is dropped.
+    fn hold(server: &mut ShardServer, shard: usize) -> Sender<()> {
+        let (held, is_held) = channel();
+        let (release, on_release) = channel();
+        server
+            .dispatch(
+                shard,
+                Op::Hold {
+                    held,
+                    release: on_release,
+                },
+            )
+            .expect("idle queue");
+        is_held.recv().expect("the worker takes the hold");
+        release
+    }
+
+    /// A refused admission is a reject only: it is not counted as a spill.
+    #[test]
+    fn a_spill_the_full_queue_refuses_is_counted_as_a_reject_only() {
+        let mut server = ShardServer::start(ShardConfig {
+            queue_depth: 1,
+            spill_margin: 1,
+            ..ShardConfig::new(2)
+        });
+        // Dot products of growing length until one is affine to the other
+        // shard: the one-tap product's `busy` shard is held, and the other
+        // structure's `home` holds an open admission ticket.
+        let graph = |n: usize| AppGraph::dot_product(F, &vec![0.5; n]);
+        let affine = |n: usize| RouteKey::of(&graph(n)).shard(2);
+        let taps = (2..)
+            .find(|&n| affine(n) != affine(1))
+            .expect("both shards");
+        let (busy, home) = (affine(1), affine(taps));
+
+        let (at, _, ticket) = server.submit("busy", graph(1)).expect("idle tier");
+        ticket.wait().expect("admit");
+        // The busy worker waits on a hold while a 2^18-item run takes the
+        // one slot of its queue.
+        let hold = hold(&mut server, busy);
+        let inputs = vec![vec![FpValue::from_f64(0.75, F)]; 1 << 18];
+        let run = server
+            .run(
+                busy,
+                vec![StreamRequest {
+                    tenant: at.tenant,
+                    inputs,
+                }],
+            )
+            .expect("idle queue");
+        let (_, pick, held) = server.submit("held", graph(taps)).expect("idle queue");
+        assert_eq!(pick, RoutePick::Affinity);
+
+        // `home` runs one ticket ahead, so the structure spills to the full
+        // busy shard, which refuses it.
+        let refused = server.submit("spilled", graph(taps));
+        assert_eq!(
+            refused.err(),
+            Some(Reject::QueueFull {
+                shard: busy,
+                capacity: 1
+            })
+        );
+        let spills = |server: &ShardServer| server.metrics().counter_value("shard.spill");
+        assert_eq!(spills(&server), 0, "a refused spill is not a spill");
+        assert!(server.metrics().counter_value("shard.reject") >= 1);
+
+        // Retried until the busy shard takes it: one spill, however many tries.
+        drop(hold);
+        let (at, pick, ticket) = loop {
+            match server.submit("spilled", graph(taps)) {
+                Ok(accepted) => break accepted,
+                Err(Reject::QueueFull { .. }) => {
+                    std::thread::sleep(std::time::Duration::from_micros(50))
+                }
+            }
+        };
+        assert_eq!((at.shard, pick), (busy, RoutePick::Spilled { from: home }));
+        assert_eq!(spills(&server), 1);
+
+        assert_eq!(run.wait().expect("run")[0].outputs.len(), 1 << 18);
+        held.wait().expect("admit");
+        ticket.wait().expect("admit");
+        for fin in server.shutdown() {
+            assert!(fin.verify.ok());
+        }
     }
 }

@@ -42,7 +42,7 @@ impl FpClass {
     }
 
     /// Decodes a two-bit exception code.
-    pub fn from_code(c: u64) -> Self {
+    pub(crate) fn from_code(c: u64) -> Self {
         match c & 3 {
             0 => FpClass::Zero,
             1 => FpClass::Normal,
@@ -102,22 +102,22 @@ impl FpFormat {
     }
 
     /// Extracts the exception class.
-    pub fn class_of(self, bits: u64) -> FpClass {
+    pub(crate) fn class_of(self, bits: u64) -> FpClass {
         FpClass::from_code(bits >> (self.we + self.wf + 1))
     }
 
     /// Extracts the sign bit.
-    pub fn sign_of(self, bits: u64) -> bool {
+    pub(crate) fn sign_of(self, bits: u64) -> bool {
         (bits >> (self.we + self.wf)) & 1 == 1
     }
 
     /// Extracts the exponent field.
-    pub fn exp_of(self, bits: u64) -> u64 {
+    pub(crate) fn exp_of(self, bits: u64) -> u64 {
         (bits >> self.wf) & ((1 << self.we) - 1)
     }
 
     /// Extracts the fraction field.
-    pub fn frac_of(self, bits: u64) -> u64 {
+    pub(crate) fn frac_of(self, bits: u64) -> u64 {
         bits & ((1 << self.wf) - 1)
     }
 }

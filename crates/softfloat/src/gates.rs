@@ -10,7 +10,7 @@
 use logic::{Aig, Lit};
 
 /// Full adder: returns `(sum, carry)`.
-pub fn full_adder(g: &mut Aig, a: Lit, b: Lit, c: Lit) -> (Lit, Lit) {
+pub(crate) fn full_adder(g: &mut Aig, a: Lit, b: Lit, c: Lit) -> (Lit, Lit) {
     let ab = g.xor(a, b);
     let sum = g.xor(ab, c);
     let t1 = g.and(a, b);
@@ -41,7 +41,7 @@ pub fn sub(g: &mut Aig, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Lit) {
 }
 
 /// Increment-by-condition: `a + inc` where `inc` is a single bit.
-pub fn add_bit(g: &mut Aig, a: &[Lit], inc: Lit) -> (Vec<Lit>, Lit) {
+pub(crate) fn add_bit(g: &mut Aig, a: &[Lit], inc: Lit) -> (Vec<Lit>, Lit) {
     let mut carry = inc;
     let mut sum = Vec::with_capacity(a.len());
     for &x in a {
@@ -52,24 +52,24 @@ pub fn add_bit(g: &mut Aig, a: &[Lit], inc: Lit) -> (Vec<Lit>, Lit) {
 }
 
 /// Unsigned comparison `a >= b` (logarithmic depth via the prefix network).
-pub fn ge(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Lit {
+pub(crate) fn ge(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Lit {
     let (_, no_borrow) = sub_prefix(g, a, b);
     no_borrow
 }
 
 /// Word-wide 2:1 multiplexer: `sel ? t : e`.
-pub fn mux_word(g: &mut Aig, sel: Lit, t: &[Lit], e: &[Lit]) -> Vec<Lit> {
+pub(crate) fn mux_word(g: &mut Aig, sel: Lit, t: &[Lit], e: &[Lit]) -> Vec<Lit> {
     assert_eq!(t.len(), e.len());
     t.iter().zip(e).map(|(&x, &y)| g.mux(sel, x, y)).collect()
 }
 
 /// AND of every bit with one literal (masking).
-pub fn mask_word(g: &mut Aig, word: &[Lit], bit: Lit) -> Vec<Lit> {
+pub(crate) fn mask_word(g: &mut Aig, word: &[Lit], bit: Lit) -> Vec<Lit> {
     word.iter().map(|&w| g.and(w, bit)).collect()
 }
 
 /// OR-reduction of a word.
-pub fn or_all(g: &mut Aig, word: &[Lit]) -> Lit {
+pub(crate) fn or_all(g: &mut Aig, word: &[Lit]) -> Lit {
     g.or_many(word)
 }
 
@@ -83,7 +83,7 @@ pub fn is_zero(g: &mut Aig, word: &[Lit]) -> Lit {
 /// Shifts `a` right by the unsigned amount `amt` (LSB-first bits). Bits
 /// shifted out are OR-ed into the returned `sticky`. Shift amounts `>=
 /// a.len()` produce an all-zero word with all input bits in the sticky.
-pub fn shr_sticky(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> (Vec<Lit>, Lit) {
+pub(crate) fn shr_sticky(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> (Vec<Lit>, Lit) {
     let w = a.len();
     let mut cur: Vec<Lit> = a.to_vec();
     let mut sticky = Lit::FALSE;
@@ -116,7 +116,7 @@ pub fn shr_sticky(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> (Vec<Lit>, Lit) {
 }
 
 /// Logical left barrel shifter (bits shifted past the top are dropped).
-pub fn shl(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> Vec<Lit> {
+pub(crate) fn shl(g: &mut Aig, a: &[Lit], amt: &[Lit]) -> Vec<Lit> {
     let w = a.len();
     let mut cur: Vec<Lit> = a.to_vec();
     for (k, &sel) in amt.iter().enumerate() {
@@ -165,7 +165,7 @@ pub fn popcount(g: &mut Aig, bits: &[Lit]) -> Vec<Lit> {
 ///
 /// Returns a binary word wide enough to hold `a.len()`. Logarithmic depth:
 /// the thermometer code is built with a suffix-OR scan, then popcounted.
-pub fn lzc(g: &mut Aig, a: &[Lit]) -> Vec<Lit> {
+pub(crate) fn lzc(g: &mut Aig, a: &[Lit]) -> Vec<Lit> {
     let w = a.len();
     // Suffix OR scan: or_suf[i] = a[i] | a[i+1] | ... | a[w-1], log depth.
     let mut or_suf: Vec<Lit> = a.to_vec();
@@ -220,7 +220,7 @@ pub fn mul_array(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
 /// significand datapaths so the mapped logic depth matches an
 /// FPGA-oriented operator generator (FloPoCo emits fast adders too).
 /// Returns `(sum, carry_out)`.
-pub fn add_prefix(g: &mut Aig, a: &[Lit], b: &[Lit], cin: Lit) -> (Vec<Lit>, Lit) {
+pub(crate) fn add_prefix(g: &mut Aig, a: &[Lit], b: &[Lit], cin: Lit) -> (Vec<Lit>, Lit) {
     assert_eq!(a.len(), b.len());
     let n = a.len();
     if n == 0 {
@@ -260,13 +260,13 @@ pub fn add_prefix(g: &mut Aig, a: &[Lit], b: &[Lit], cin: Lit) -> (Vec<Lit>, Lit
 }
 
 /// Prefix subtraction `a - b` (two's complement; returns `(diff, no_borrow)`).
-pub fn sub_prefix(g: &mut Aig, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Lit) {
+pub(crate) fn sub_prefix(g: &mut Aig, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Lit) {
     let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
     add_prefix(g, a, &nb, Lit::TRUE)
 }
 
 /// Logarithmic-depth conditional incrementer `a + inc`.
-pub fn inc_prefix(g: &mut Aig, a: &[Lit], inc: Lit) -> (Vec<Lit>, Lit) {
+pub(crate) fn inc_prefix(g: &mut Aig, a: &[Lit], inc: Lit) -> (Vec<Lit>, Lit) {
     let n = a.len();
     if n == 0 {
         return (vec![], inc);
@@ -334,7 +334,7 @@ pub fn mul_carry_save(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
 }
 
 /// Builds a word of constant bits.
-pub fn const_word(value: u64, width: usize) -> Vec<Lit> {
+pub(crate) fn const_word(value: u64, width: usize) -> Vec<Lit> {
     (0..width)
         .map(|i| {
             if (value >> i) & 1 == 1 {

@@ -1,7 +1,7 @@
 //! Gate-level generators for the FloPoCo operators.
 //!
 //! Each generator emits the same rounding/normalization/exception algorithm
-//! as the software model in [`crate::format`], so hardware and software are
+//! as the software model ([`crate::FpValue`]), so hardware and software are
 //! bit-exact. The MAC builder [`build_mac_pe`] is the paper's Processing
 //! Element: the coefficient input can be declared a *parameter*
 //! ([`logic::InputKind::Param`]), which is what the parameterized tool flow
@@ -32,11 +32,11 @@ impl FpWires {
         g.and(!self.exc[1], !self.exc[0])
     }
     /// Normal test (`exc == 01`).
-    pub fn is_normal(&self, g: &mut Aig) -> Lit {
+    pub(crate) fn is_normal(&self, g: &mut Aig) -> Lit {
         g.and(!self.exc[1], self.exc[0])
     }
     /// Infinity test (`exc == 10`).
-    pub fn is_inf(&self, g: &mut Aig) -> Lit {
+    pub(crate) fn is_inf(&self, g: &mut Aig) -> Lit {
         g.and(self.exc[1], !self.exc[0])
     }
     /// NaN test (`exc == 11`).
@@ -99,7 +99,7 @@ fn exc_priority(g: &mut Aig, nan: Lit, inf: Lit, zero: Lit) -> [Lit; 2] {
 
 /// Floating-point multiplier netlist: returns the product word.
 ///
-/// Mirrors [`crate::format::FpValue::mul`]: array multiplication of the
+/// Mirrors [`crate::FpValue::mul`]: array multiplication of the
 /// significands, 1-bit normalization, round-to-nearest-even with sticky,
 /// exponent arithmetic in `we + 2`-bit two's complement, flush-to-zero
 /// underflow and saturate-to-infinity overflow.
@@ -187,7 +187,7 @@ pub fn gen_mul(g: &mut Aig, fmt: FpFormat, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
     )
 }
 
-/// Floating-point adder netlist, mirroring [`crate::format::FpValue::add`].
+/// Floating-point adder netlist, mirroring [`crate::FpValue::add`].
 pub fn gen_add(g: &mut Aig, fmt: FpFormat, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
     let (we, wf) = (fmt.we as usize, fmt.wf as usize);
     let a = split(fmt, x);
@@ -332,7 +332,7 @@ pub fn gen_add(g: &mut Aig, fmt: FpFormat, x: &[Lit], y: &[Lit]) -> Vec<Lit> {
 }
 
 /// Multiply-accumulate netlist: `x * c + acc` (mul then add, each rounded).
-pub fn gen_mac(g: &mut Aig, fmt: FpFormat, x: &[Lit], c: &[Lit], acc: &[Lit]) -> Vec<Lit> {
+pub(crate) fn gen_mac(g: &mut Aig, fmt: FpFormat, x: &[Lit], c: &[Lit], acc: &[Lit]) -> Vec<Lit> {
     let prod = gen_mul(g, fmt, x, c);
     gen_add(g, fmt, &prod, acc)
 }
@@ -354,7 +354,9 @@ pub fn build_mac_pe(fmt: FpFormat, coeff_kind: InputKind) -> Aig {
 }
 
 /// Builds a standalone multiplier netlist (`out = x * y`).
-pub fn build_mul_op(fmt: FpFormat, y_kind: InputKind) -> Aig {
+// Test-only: the fixture of the gen-vs-kernel cross-checks.
+#[cfg(test)]
+fn build_mul_op(fmt: FpFormat, y_kind: InputKind) -> Aig {
     let mut g = Aig::new();
     let w = fmt.width() as usize;
     let x = g.input_vec("x", w, InputKind::Regular);
@@ -365,7 +367,9 @@ pub fn build_mul_op(fmt: FpFormat, y_kind: InputKind) -> Aig {
 }
 
 /// Builds a standalone adder netlist (`out = x + y`).
-pub fn build_add_op(fmt: FpFormat) -> Aig {
+// Test-only: the fixture of the gen-vs-kernel cross-checks.
+#[cfg(test)]
+fn build_add_op(fmt: FpFormat) -> Aig {
     let mut g = Aig::new();
     let w = fmt.width() as usize;
     let x = g.input_vec("x", w, InputKind::Regular);

@@ -11,7 +11,7 @@
 //!   and multiplies and adds raw `u64` encodings, one at a time or a
 //!   column of independent lanes per call (the form the serve path runs,
 //!   vectorized on AVX-512 and AVX2 hosts).
-//!   [`mod@format`] holds the typed face of it ([`FpFormat`], [`FpValue`]):
+//!   `format` holds the typed face of it ([`FpFormat`], [`FpValue`]):
 //!   `FpValue::{mul, add}` check that the formats agree and delegate to
 //!   the kernel, so the per-item interpreters, the VCGRA functional
 //!   simulator and the column-major execute path all round through the
@@ -29,9 +29,9 @@
 // One `#[allow]`: the column tiers' dispatch in `kernel` (the workspace's
 // only `unsafe`, which `tests/unsafe_scan.rs` enforces).
 #![deny(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
-pub mod format;
+mod format;
 pub mod gates;
 pub mod gen;
 pub mod kernel;

@@ -70,7 +70,7 @@ fn render_attr(v: &AttrValue) -> String {
 }
 
 /// JSON string literal with the required escapes.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -10,7 +10,7 @@
 //!   `chrome://tracing`). Every `xbench` driver exposes it as
 //!   `--trace <path>`.
 //! - [`Registry`]: named [`Counter`]s and log-linear-bucket
-//!   [`Histogram`]s with p50/p95/p99/max readout. The shard tier keeps
+//!   [`Histogram`]s with p50/p99/max readout. The shard tier keeps
 //!   one: its queue-wait, admit and execute histograms and its spill and
 //!   reject counters. (The runtime keeps no registry: an admission or a
 //!   swap returns its own host latency, and the `Ledger` holds the rest.)
@@ -22,8 +22,9 @@
 //! bit-identical with tracing on and off).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
-pub mod chrome;
+mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod span;
@@ -31,6 +32,6 @@ pub mod span;
 pub use chrome::{to_chrome_json, write_chrome_trace};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use span::{
-    configure, counter, event_count, instant, is_enabled, span, take_events, AttrValue, Phase,
-    Span, TraceConfig, TraceEvent,
+    configure, counter, instant, is_enabled, span, take_events, AttrValue, Phase, Span,
+    TraceConfig, TraceEvent,
 };

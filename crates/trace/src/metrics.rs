@@ -1,5 +1,5 @@
 //! The metrics registry: named counters and log-linear-bucket
-//! histograms with p50/p95/p99/max readout.
+//! histograms with p50/p99/max readout.
 //!
 //! Handles ([`Counter`], [`Histogram`]) are cheap `Arc` clones
 //! over atomics: get-or-create once, then record lock-free from any
@@ -9,7 +9,7 @@
 //! Histogram buckets are log-linear (HDR-style): each power-of-two
 //! octave is split into [`SUBS`] linear sub-buckets, so the relative
 //! width of any bucket is at most `1/SUBS` (12.5 %) while the whole
-//! `u64` range fits in [`N_BUCKETS`] slots. Values below `SUBS` get
+//! `u64` range fits in `N_BUCKETS` slots. Values below `SUBS` get
 //! exact unit buckets.
 
 use std::collections::BTreeMap;
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 pub const SUBS: u64 = 8;
 const SUB_BITS: u32 = 3; // log2(SUBS)
 /// Total bucket count covering all of `u64`.
-pub const N_BUCKETS: usize = (SUBS + (64 - SUB_BITS as u64) * SUBS) as usize;
+pub(crate) const N_BUCKETS: usize = (SUBS + (64 - SUB_BITS as u64) * SUBS) as usize;
 
 /// Bucket index for a value. Monotone in `v`; exact for `v < SUBS`.
 #[inline]
@@ -178,9 +178,6 @@ impl HistogramSnapshot {
 
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
-    }
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
     }
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)

@@ -18,7 +18,7 @@ use mapping::MappedDesign;
 /// assignments (plus the two constant corner assignments), with 4 batches of
 /// 64 random regular patterns each. Returns a human-readable error on the
 /// first mismatch.
-pub fn check_equivalent(
+pub(crate) fn check_equivalent(
     aig: &Aig,
     design: &MappedDesign,
     param_draws: usize,

@@ -34,7 +34,7 @@
 //! invariant a corrupted artifact breaks.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod config;

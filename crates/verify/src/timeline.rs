@@ -48,7 +48,7 @@ pub struct PhaseSnap {
 
 impl PhaseSnap {
     /// Modeled end, nanoseconds.
-    pub fn end_ns(&self) -> u64 {
+    pub(crate) fn end_ns(&self) -> u64 {
         self.start_ns + self.dur_ns
     }
 }

@@ -31,7 +31,7 @@
 //! `examples/sharded_serving.rs` demonstrate them.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::dbg_macro, clippy::todo)]
+#![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
 
 use fabric::{FabricArch, RouteGraph};
 use logic::aig::Aig;

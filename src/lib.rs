@@ -7,6 +7,7 @@
 //! binaries reproduce the paper's Tables I/II and figures).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub use dcs;
 pub use fabric;
