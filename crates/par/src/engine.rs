@@ -79,6 +79,9 @@ pub struct ParReport {
     /// confirmation of the final `W−1` failure, sound lower bound, or
     /// the search floor).
     pub certificate: WidthCertificate,
+    /// The sound placement-derived lower bound the search started from
+    /// ([`crate::channel_width_lower_bound`]).
+    pub lower_bound: usize,
     /// Wall time of placement.
     pub place_seconds: f64,
     /// Wall time of the whole width search.
@@ -154,10 +157,7 @@ impl ParEngine {
         run_span.arg("nets", netlist.nets.len());
         let arch = FabricArch::sized_for(netlist.logic_count(), netlist.io_count());
         let t0 = std::time::Instant::now();
-        let placement = {
-            let _sp = trace::span("par.place");
-            self.place(netlist, arch)
-        };
+        let placement = self.place(netlist, arch);
         let place_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
         let search = self
@@ -177,6 +177,7 @@ impl ParEngine {
             result: search.result,
             probes: search.probes,
             certificate: search.certificate,
+            lower_bound: search.lower_bound,
             place_seconds,
             route_seconds,
         })

@@ -6,6 +6,16 @@
 //! sites, pads over I/O sites. [`place_best`] runs one independent
 //! anneal per seed, in seed order, and keeps the best.
 //!
+//! The range limits every logic move, as in VPR: a logic block's target
+//! is drawn uniformly from the (2r+1)² window of tiles around its own,
+//! r = max(1, ⌊range⌋), clipped to the grid — x first, then y. That
+//! window is exactly the set of logic sites within `range` of the block
+//! on both axes. Drawing the block's own tile wastes the proposal. Pads
+//! keep a rejection draw: up to five uniform draws over every pad site,
+//! the fifth kept wherever it lands. They are about a tenth of the blocks
+//! (90 of 894 in the (5,10) PE), and their sites lie on the perimeter,
+//! where the window is not a rectangle of site ids.
+//!
 //! A proposal touches flat state only: sites are small integers, the
 //! occupant of a site and the location of a block are array reads, the
 //! affected nets of a move are a merge of two sorted CSR rows into a
@@ -14,7 +24,9 @@
 //! the textbook formulation and the RNG is drawn in the same sequence, so
 //! placements and costs equal it to the bit — `place_reference` in the
 //! test module is that formulation, and a property test holds the two
-//! together.
+//! together. The reference finds a logic block's window by filtering
+//! every column and row through the range test on `Site::location`, so
+//! the property test also holds the window's clipping to that test.
 
 use crate::netlist::{BlockKind, ParNetlist};
 use fabric::arch::{FabricArch, Site};
@@ -27,6 +39,8 @@ pub struct Placement {
     pub site_of: Vec<Site>,
     /// Final HPWL cost.
     pub cost: f64,
+    /// Temperatures the anneal cooled through.
+    pub temperatures: usize,
 }
 
 /// VPR's fanout correction for HPWL (q factor), tabulated for small nets.
@@ -161,9 +175,24 @@ fn merge_distinct(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
+/// A logic block's move target: a uniform draw, x then y, from the
+/// (2r+1)² window of tiles around `(x, y)`, r = max(1, ⌊range⌋), clipped
+/// to the `s × s` grid.
+fn window_draw(rng: &mut SplitMix64, s: usize, x: usize, y: usize, range: f64) -> (usize, usize) {
+    let r = (range as usize).max(1);
+    let mut axis = |c: usize| {
+        let lo = c.saturating_sub(r);
+        lo + rng.index((c + r).min(s - 1) - lo + 1)
+    };
+    (axis(x), axis(y))
+}
+
 /// Runs the anneal with one seed (see the module docs for what keeps it
-/// equal to `place_reference` to the bit).
+/// equal to `place_reference` to the bit). Its `par.place` span carries
+/// the seed, the temperatures, the proposals and the accepted moves.
 pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
+    let mut span = trace::span("par.place");
+    span.arg("seed", seed);
     let mut rng = SplitMix64::new(seed);
     let s = arch.size;
     let n_logic = s * s;
@@ -213,29 +242,27 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
     let mut range = s as f64;
     // Affected nets of the proposal and their costs after it.
     let (mut affected, mut new_costs) = (Vec::new(), Vec::new());
+    let (mut temperatures, mut accepted_total) = (0usize, 0usize);
 
     loop {
         let mut accepted = 0usize;
         for _ in 0..moves_per_temp {
             let b = rng.index(n_blocks);
             let kind = netlist.blocks[b].kind;
-            // The block's pool: logic sites or pads.
-            let (base, len) = if kind == BlockKind::Logic {
-                (0, n_logic)
-            } else {
-                (n_logic, n_io)
-            };
             // Range-limited proposal around the current site.
             let cur = site_of[b] as usize;
-            let (cx, cy) = st.loc_of[b];
-            let target = {
-                let mut t = base + rng.index(len);
+            let target = if kind == BlockKind::Logic {
+                let (x, y) = window_draw(&mut rng, s, cur % s, cur / s, range);
+                y * s + x
+            } else {
+                let (cx, cy) = st.loc_of[b];
+                let mut t = n_logic + rng.index(n_io);
                 for _ in 0..4 {
                     let (tx, ty) = site_loc[t];
                     if (tx - cx).abs() <= range && (ty - cy).abs() <= range {
                         break;
                     }
-                    t = base + rng.index(len);
+                    t = n_logic + rng.index(n_io);
                 }
                 t
             };
@@ -283,6 +310,8 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
                 }
             }
         }
+        temperatures += 1;
+        accepted_total += accepted;
         let rate = accepted as f64 / moves_per_temp as f64;
         // VPR's adaptive alpha.
         let alpha = if rate > 0.96 {
@@ -300,9 +329,13 @@ pub fn place(netlist: &ParNetlist, arch: FabricArch, seed: u64) -> Placement {
             break;
         }
     }
+    span.arg("temperatures", temperatures);
+    span.arg("proposals", temperatures * moves_per_temp);
+    span.arg("accepted", accepted_total);
     Placement {
         site_of: site_of.iter().map(|&id| sites[id as usize]).collect(),
         cost: st.recompute_all(),
+        temperatures,
     }
 }
 
@@ -459,11 +492,9 @@ mod tests {
         let moves_per_temp = ((n_blocks as f64).powf(4.0 / 3.0) as usize).max(64);
         let mut temp = 0.1 * st.cost / netlist.nets.len().max(1) as f64 * 20.0;
         let mut range = s as f64;
+        let mut temperatures = 0;
 
-        // Candidate site pools for random proposals.
-        let all_logic: Vec<Site> = (0..s * s)
-            .map(|i| Site::Logic { x: i % s, y: i / s })
-            .collect();
+        // Candidate pad sites for random proposals.
         let all_io: Vec<Site> = {
             let mut v = Vec::new();
             for side in 0..4u8 {
@@ -481,24 +512,41 @@ mod tests {
             for _ in 0..moves_per_temp {
                 let b = rng.index(n_blocks) as u32;
                 let kind = netlist.blocks[b as usize].kind;
-                let pool = if kind == BlockKind::Logic {
-                    &all_logic
-                } else {
-                    &all_io
-                };
                 // Range-limited proposal around the current site.
                 let cur = st.site_of[b as usize];
                 let (cx, cy) = cur.location(s);
-                let target = {
-                    let mut t = pool[rng.index(pool.len())];
-                    for _ in 0..4 {
-                        let (tx, ty) = t.location(s);
-                        if (tx - cx).abs() <= range && (ty - cy).abs() <= range {
-                            break;
+                let in_range = |t: Site| {
+                    let (tx, ty) = t.location(s);
+                    (tx - cx).abs() <= range && (ty - cy).abs() <= range
+                };
+                let target = match cur {
+                    // Uniform over the logic sites the range test accepts:
+                    // a column of them, then a row.
+                    Site::Logic { x: x0, y: y0 } => {
+                        let xs: Vec<usize> = (0..s)
+                            .filter(|&x| in_range(Site::Logic { x, y: y0 }))
+                            .collect();
+                        let x = xs[rng.index(xs.len())];
+                        let ys: Vec<usize> = (0..s)
+                            .filter(|&y| in_range(Site::Logic { x: x0, y }))
+                            .collect();
+                        Site::Logic {
+                            x,
+                            y: ys[rng.index(ys.len())],
                         }
-                        t = pool[rng.index(pool.len())];
                     }
-                    t
+                    // A pad: up to five draws over every pad site, the
+                    // last kept wherever it lands.
+                    Site::Io { .. } => {
+                        let mut t = all_io[rng.index(all_io.len())];
+                        for _ in 0..4 {
+                            if in_range(t) {
+                                break;
+                            }
+                            t = all_io[rng.index(all_io.len())];
+                        }
+                        t
+                    }
                 };
                 if target == cur {
                     continue;
@@ -545,6 +593,7 @@ mod tests {
                     }
                 }
             }
+            temperatures += 1;
             let rate = accepted as f64 / moves_per_temp as f64;
             // VPR's adaptive alpha.
             let alpha = if rate > 0.96 {
@@ -566,6 +615,7 @@ mod tests {
         Placement {
             site_of: st.site_of,
             cost: st.cost,
+            temperatures,
         }
     }
 
@@ -637,6 +687,31 @@ mod tests {
                 let (flat, reference) = (place(&nl, arch, seed), place_reference(&nl, arch, seed));
                 proptest::prop_assert_eq!(&flat.site_of, &reference.site_of);
                 proptest::prop_assert_eq!(flat.cost.to_bits(), reference.cost.to_bits());
+                proptest::prop_assert_eq!(flat.temperatures, reference.temperatures);
+            }
+        }
+    }
+
+    /// The range limiter limits: from corner, edge and centre tiles, every
+    /// draw lies within ⌊range⌋ of the tile on both axes, and every such
+    /// tile of the grid is drawn.
+    #[test]
+    fn window_draw_covers_the_clipped_window_and_nothing_else() {
+        let s: usize = 9;
+        let mut rng = SplitMix64::new(5);
+        for (x, y) in [(0, 0), (s - 1, s - 1), (0, 4), (4, s - 1), (4, 4)] {
+            for (r, range) in [(1, 1.0), (2, 2.75), (5, 5.5), (s, s as f64)] {
+                let window: std::collections::HashSet<(usize, usize)> = (0..s)
+                    .flat_map(|tx| (0..s).map(move |ty| (tx, ty)))
+                    .filter(|&(tx, ty)| tx.abs_diff(x) <= r && ty.abs_diff(y) <= r)
+                    .collect();
+                let mut drawn = std::collections::HashSet::new();
+                for _ in 0..64 * window.len() {
+                    let t = window_draw(&mut rng, s, x, y, range);
+                    assert!(window.contains(&t), "{t:?} outside r={r} of {:?}", (x, y));
+                    drawn.insert(t);
+                }
+                assert_eq!(drawn, window, "r={r} around {:?}", (x, y));
             }
         }
     }

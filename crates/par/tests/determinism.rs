@@ -259,7 +259,7 @@ fn tracing_does_not_change_routed_results() {
 /// reports the minimum the cold reference (no warm start anywhere) finds.
 #[test]
 fn warm_start_does_not_change_the_reported_minimum() {
-    let nl = mul_netlist(5, true);
+    let nl = mul_netlist(5, false);
     let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
     let engine = ParEngine::new(EngineOptions::default());
     let placement = engine.place(&nl, arch);
@@ -371,21 +371,23 @@ enum Speculated {
 }
 
 /// The width search at 1, 2 and 8 threads on searches that consume, adopt
-/// and cancel a speculated verdict. The golden hashes were recorded on the
-/// commit before the search speculated, before `route_net` pruned dead ends
-/// and before `place` kept flat state (`69167d7`): all three changes must
-/// be invisible in every tree and every probe row.
+/// and cancel a speculated verdict. The golden hashes were recorded when
+/// `place` began drawing logic moves inside the range window, which moved
+/// every placement and so every search; the seeds of the adopting and
+/// cancelling rows were re-picked then, so that each outcome still occurs.
+/// Any later change to the search or the router must be invisible in every
+/// tree and every probe row.
 #[test]
 fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
     use Speculated::*;
     for (bits, parameterized, seed, min_width, golden, speculated) in [
-        (5, true, 1, 6, 0xfa90_f9af_0096_53a7u64, Unused),
-        (5, false, 1, 6, 0x1c84_21e0_c7fc_62ce, Unused),
-        (5, true, 1, 2, 0xcb6f_8e89_dfb4_8c6b, Consumed),
-        (5, false, 1, 2, 0x858b_936a_f847_bf11, Consumed),
-        (5, true, 3, 2, 0x8540_4258_4895_be80, Adopted),
-        (5, false, 6, 2, 0x96fe_74d3_f701_9f68, Adopted),
-        (6, false, 29, 2, 0x8853_68fb_b25a_cd0d, Cancelled),
+        (5, true, 1, 6, 0x44a5_4f90_50e7_d24au64, Unused),
+        (5, false, 1, 6, 0xc974_ecaa_1be4_9ee2, Unused),
+        (5, true, 1, 2, 0x703d_150c_6098_89e9, Consumed),
+        (5, false, 1, 2, 0x52b2_b1cc_a610_3dfb, Consumed),
+        (5, true, 8, 2, 0x1112_32d7_7b6c_807f, Adopted),
+        (5, false, 38, 2, 0xc0e8_cfc6_661a_f21a, Adopted),
+        (6, false, 43, 2, 0x54d5_3c9b_9508_01b9, Cancelled),
     ] {
         let at = format!("bits={bits}, par={parameterized}, seed={seed}, min_width={min_width}");
         let nl = mul_netlist(bits, parameterized);

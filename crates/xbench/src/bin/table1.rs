@@ -17,7 +17,7 @@
 //!
 //! Usage: `cargo run -p xbench --release --bin table1 [--skip-par]
 //!         [--smoke] [--verify]`
-//! (`--smoke` maps a reduced (5,10) PE and skips the PaR columns — the
+//! (`--smoke` maps, places and routes a reduced (5,10) PE — the
 //! paper-scale run is the scheduled CI job's business; `--verify`
 //! re-proves every produced artifact through `vcgra-verify` — mapped
 //! designs against the source AIG and route trees against the fabric
@@ -32,13 +32,17 @@ use xbench::{build_pe_aig_with, map_pe, print_header, print_probe_table, print_r
 
 fn print_probes(label: &str, rep: &ParReport) {
     println!(
-        "\n{label}: place {:.2}s, width search {:.2}s \
-         ({} iterations, {} rip-ups at the final width; minimum certified: {})",
+        "\n{label}: place {:.2}s ({} temperatures), width search {:.2}s \
+         ({} iterations, {} rip-ups at the final width; minimum {} certified: {}, \
+         sound lower bound {})",
         rep.place_seconds,
+        rep.placement.temperatures,
         rep.route_seconds,
         rep.result.iterations,
         rep.result.ripups,
+        rep.min_channel_width,
         rep.certificate.name(),
+        rep.lower_bound,
     );
     print_probe_table(&rep.probes, rep.route_seconds);
 }
@@ -102,7 +106,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = xbench::smoke_mode();
     let trace_path = xbench::init_trace();
-    let skip_par = smoke || args.iter().any(|a| a == "--skip-par");
+    let skip_par = args.iter().any(|a| a == "--skip-par");
     let verify_mode = args.iter().any(|a| a == "--verify");
     let fmt = if smoke {
         FpFormat::new(5, 10)
