@@ -36,6 +36,16 @@
 //!   computed on a delta's first occurrence and looked up afterwards —
 //!   the same `f64` expression, hence the same threshold, drawn against
 //!   only when `d > 0`.
+//! * **Schedule.** The anneal starts at half the snake seed's *mean*
+//!   edge length, cools ×0.8 per temperature and stops at 0.05, with
+//!   `16 · max(pes, n)` proposals per temperature. A move's delta spans
+//!   only the edges of the two nodes it swaps, so the start follows one
+//!   edge, not the graph's *total* length: that grows with the graph
+//!   while the deltas do not, and a larger graph would spend its first
+//!   temperatures accepting nearly every move. A graph with no
+//!   node-to-node edge has cost 0, starts at temperature 0, proposes
+//!   nothing and keeps its seed. The oracle in the test module uses the
+//!   same rule.
 //! * **Routing scratch.** The negotiated-congestion router runs one
 //!   shortest-path search per edge per round; all of them share one
 //!   `PathSearch` (cost and predecessor arrays reset through the cells
@@ -296,7 +306,9 @@ fn anneal(edges: &[(usize, usize)], n: usize, arch: VcgraArch, seed: u64) -> Vec
     // SA refinement: swap two cells (or move to an empty one).
     let mut rng = SplitMix64::new(seed);
     let mut cur_cost = cost(&pos);
-    let mut temp = (cur_cost.max(4)) as f64 * 0.5;
+    // Half the seed's mean edge length: a move's delta spans a few
+    // edges, not the whole graph. No edge, no cost and no proposal.
+    let mut temp = cur_cost as f64 / edges.len().max(1) as f64 * 0.5;
     let moves_per_temp = 16 * pes.max(n);
     // `accept[d]` is the uphill acceptance threshold `exp(-d / temp)` at
     // the current temperature, computed on first use (NaN until then):
@@ -510,8 +522,9 @@ mod tests {
     /// The oracle: placement and routing as `map_app` did them before the
     /// incremental annealer — every proposed move re-sums every edge and
     /// calls `exp`, every routed edge allocates fresh search arrays. Kept
-    /// word for word (settings generation dropped) and only here; the one
-    /// served path is `map_app`.
+    /// word for word (settings generation dropped) but for the start
+    /// temperature, which follows the served schedule's per-edge rule;
+    /// it lives only here, and the one served path is `map_app`.
     #[allow(clippy::type_complexity)]
     fn map_app_full_recompute(
         app: &AppGraph,
@@ -563,7 +576,7 @@ mod tests {
 
         let mut rng = SplitMix64::new(seed);
         let mut cur_cost = cost(&place);
-        let mut temp = (cur_cost.max(4)) as f64 * 0.5;
+        let mut temp = cur_cost as f64 / edges.len().max(1) as f64 * 0.5;
         let moves_per_temp = 16 * arch.pe_count().max(n);
         while temp > 0.05 {
             for _ in 0..moves_per_temp {
@@ -931,6 +944,23 @@ mod tests {
         }
     }
 
+    /// `map_app` at seed 42 on every shape at each of five sizes, on
+    /// every region at capacities 1 and 2: the served sweep the two pins
+    /// below read.
+    fn served_sweep() -> Vec<Result<VcgraMapping, FlowError>> {
+        let mut served = Vec::new();
+        for k in [1, 2, 5, 12, 32] {
+            for (_, app) in shapes(k) {
+                for (rows, cols) in regions() {
+                    for cap in [1, 2] {
+                        served.push(map_app(&app, VcgraArch::new(rows, cols, cap), 42));
+                    }
+                }
+            }
+        }
+        served
+    }
+
     /// `map_app`'s placement, every route path and every error verdict
     /// over the shape family, as one FNV-1a hash. The oracle above lives
     /// beside the loop it checks and could be edited with it; this
@@ -938,29 +968,23 @@ mod tests {
     #[test]
     fn served_placements_are_pinned() {
         let mut words: Vec<usize> = Vec::new();
-        for k in [1, 2, 5, 12, 32] {
-            for (_, app) in shapes(k) {
-                for (rows, cols) in regions() {
-                    for cap in [1, 2] {
-                        match map_app(&app, VcgraArch::new(rows, cols, cap), 42) {
-                            Ok(m) => {
-                                words.push(0);
-                                words.extend(m.place.iter().flat_map(|&(r, c)| [r, c]));
-                                for e in &m.routes {
-                                    words.extend([e.from, e.to, e.path.len()]);
-                                    words.extend(e.path.iter().flat_map(|&(r, c)| [r, c]));
-                                }
-                            }
-                            Err(FlowError::NotEnoughPes { needed, available }) => {
-                                words.extend([1, needed, available])
-                            }
-                            Err(FlowError::Unroutable { overused_segments }) => {
-                                words.extend([2, overused_segments])
-                            }
-                            Err(FlowError::Graph(e)) => panic!("{e}"),
-                        }
+        for served in served_sweep() {
+            match served {
+                Ok(m) => {
+                    words.push(0);
+                    words.extend(m.place.iter().flat_map(|&(r, c)| [r, c]));
+                    for e in &m.routes {
+                        words.extend([e.from, e.to, e.path.len()]);
+                        words.extend(e.path.iter().flat_map(|&(r, c)| [r, c]));
                     }
                 }
+                Err(FlowError::NotEnoughPes { needed, available }) => {
+                    words.extend([1, needed, available])
+                }
+                Err(FlowError::Unroutable { overused_segments }) => {
+                    words.extend([2, overused_segments])
+                }
+                Err(FlowError::Graph(e)) => panic!("{e}"),
             }
         }
         let fnv1a = words
@@ -971,10 +995,53 @@ mod tests {
             });
         assert_eq!(
             fnv1a,
-            0x66b9_2a53_59de_8b41,
+            0x00e7_522a_0bff_1be1,
             "hash {fnv1a:#018x} over {} words",
             words.len()
         );
+    }
+
+    /// The quality behind the hash: how many cases of the served sweep
+    /// route, fail to route or do not fit, and the total virtual
+    /// wirelength of those that route. The hash says a placement moved;
+    /// this says whether the sweep got shorter or longer.
+    #[test]
+    fn served_wirelength_is_pinned() {
+        let (mut routed, mut unroutable, mut too_small, mut wirelength) = (0, 0, 0, 0);
+        for served in served_sweep() {
+            match served {
+                Ok(m) => {
+                    routed += 1;
+                    wirelength += m.virtual_wirelength;
+                }
+                Err(FlowError::Unroutable { .. }) => unroutable += 1,
+                Err(FlowError::NotEnoughPes { .. }) => too_small += 1,
+                Err(FlowError::Graph(e)) => panic!("{e}"),
+            }
+        }
+        assert_eq!(
+            (routed, unroutable, too_small, wirelength),
+            (521, 7, 152, 5_545),
+            "(routed, unroutable, too small, total wirelength)"
+        );
+    }
+
+    #[test]
+    fn a_graph_without_edges_keeps_its_seed() {
+        // One node: no edge to price, so the anneal starts at temperature
+        // zero, proposes nothing and leaves the snake seed's first cell.
+        let app = AppGraph::scaling_cascade(F, &[1.5]);
+        assert!(dataflow_edges(&app).is_empty());
+        for (rows, cols) in [(2, 4), (8, 8)] {
+            for seed in [1, 42, 99] {
+                let arch = VcgraArch::new(rows, cols, 2);
+                let m = map_app(&app, arch, seed).expect("one node maps");
+                assert_eq!(m.place, [(0, 0)], "{rows}x{cols}, seed {seed}");
+                assert!(m.routes.is_empty());
+                let (place, paths) = map_app_full_recompute(&app, arch, seed).unwrap();
+                assert_eq!((place, paths.len()), (m.place, 0));
+            }
+        }
     }
 
     #[test]
