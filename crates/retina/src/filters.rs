@@ -1,18 +1,13 @@
-//! Filter kernels and convolution engines.
+//! Filter kernels and the software reference convolution.
 //!
 //! Kernels follow the paper: Gaussian denoise (5×5 and 9×9), the
 //! Chaudhuri-style matched filter bank (Gaussian-profile line detectors at
 //! seven orientations, 16×16) and a thickness-selective texture filter.
-//!
-//! Two convolution engines are provided and cross-checked:
-//! * `convolve_f32` — the `f32` software reference, and
-//! * [`convolve_vcgra`] — the *hardware module*: every output pixel is a
-//!   time-multiplexed MAC on one PE in the bit-exact FloPoCo format, the
-//!   execution model the paper describes (settings-register counter =
-//!   number of kernel taps, coefficient reconfigured per tap sweep).
+//! [`convolve_f32`] is the `f32` reference; the hardware modules run on
+//! the VCGRA runtime (`runtime::kernels::convolve_served`), which reads
+//! its samples through the same [`Image::get_clamped`].
 
 use crate::image::Image;
-use softfloat::{FpFormat, FpValue};
 
 /// A dense convolution kernel.
 #[derive(Debug, Clone)]
@@ -129,7 +124,7 @@ pub fn texture_filter(size: usize, thickness: f32) -> Kernel {
 }
 
 /// Software reference convolution (replication padding).
-pub(crate) fn convolve_f32(img: &Image, k: &Kernel) -> Image {
+pub fn convolve_f32(img: &Image, k: &Kernel) -> Image {
     let mut out = Image::new(img.w, img.h, 0.0);
     let half = k.size as i64 / 2;
     for y in 0..img.h {
@@ -143,67 +138,6 @@ pub(crate) fn convolve_f32(img: &Image, k: &Kernel) -> Image {
                 }
             }
             out.set(x, y, acc);
-        }
-    }
-    out
-}
-
-/// Hardware-module convolution: every output pixel is computed by a
-/// time-multiplexed MAC PE in the FloPoCo format (`fmt`). Rows are
-/// processed in parallel across threads — each row is an independent PE
-/// stream, mirroring a row-parallel VCGRA deployment.
-pub fn convolve_vcgra(img: &Image, k: &Kernel, fmt: FpFormat) -> Image {
-    let coeffs: Vec<FpValue> = k
-        .taps
-        .iter()
-        .map(|&t| FpValue::from_f64(t as f64, fmt))
-        .collect();
-    let half = k.size as i64 / 2;
-    let mut out = Image::new(img.w, img.h, 0.0);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(img.h.max(1));
-    let rows_out: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
-        let chunk = img.h.div_ceil(threads);
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let y0 = t * chunk;
-            let y1 = ((t + 1) * chunk).min(img.h);
-            let coeffs = &coeffs;
-            let img = &img;
-            let k = &k;
-            handles.push(scope.spawn(move || {
-                let mut rows = Vec::new();
-                for y in y0..y1 {
-                    let mut row = Vec::with_capacity(img.w);
-                    for x in 0..img.w {
-                        // One MAC PE, `size²` iterations (the settings
-                        // register counter), accumulating in FloPoCo.
-                        let mut acc = FpValue::zero(fmt);
-                        for ky in 0..k.size {
-                            for kx in 0..k.size {
-                                let sx = x as i64 + kx as i64 - half;
-                                let sy = y as i64 + ky as i64 - half;
-                                let sample = FpValue::from_f64(img.get_clamped(sx, sy) as f64, fmt);
-                                acc = sample.mac(coeffs[ky * k.size + kx], acc);
-                            }
-                        }
-                        row.push(acc.to_f64() as f32);
-                    }
-                    rows.push((y, row));
-                }
-                rows
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("convolution worker"))
-            .collect()
-    });
-    for (y, row) in rows_out {
-        for (x, v) in row.into_iter().enumerate() {
-            out.set(x, y, v);
         }
     }
     out
@@ -279,20 +213,6 @@ mod tests {
         let out = convolve_f32(&img, &k);
         assert_eq!(out.get(4, 4), 0.75);
         assert_eq!(out.get(0, 0), 0.25);
-    }
-
-    #[test]
-    fn vcgra_convolution_close_to_f32() {
-        let mut img = Image::new(16, 16, 0.5);
-        img.set(8, 8, 0.9);
-        img.set(3, 12, 0.1);
-        let k = gaussian(5, 1.2);
-        let sw = convolve_f32(&img, &k);
-        let hw = convolve_vcgra(&img, &k, FpFormat::PAPER);
-        for i in 0..sw.data.len() {
-            let d = (sw.data[i] - hw.data[i]).abs();
-            assert!(d < 2e-3, "pixel {i}: sw {} hw {}", sw.data[i], hw.data[i]);
-        }
     }
 
     #[test]

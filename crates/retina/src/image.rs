@@ -30,7 +30,7 @@ impl Image {
     /// Clamped accessor: coordinates outside the image read the nearest
     /// edge pixel (replication padding for the convolutions).
     #[inline]
-    pub(crate) fn get_clamped(&self, x: i64, y: i64) -> f32 {
+    pub fn get_clamped(&self, x: i64, y: i64) -> f32 {
         let xc = x.clamp(0, self.w as i64 - 1) as usize;
         let yc = y.clamp(0, self.h as i64 - 1) as usize;
         self.get(xc, yc)

@@ -5,8 +5,11 @@
 //! disc removal, outer region removal) runs in software; the filtering
 //! stages — Gaussian denoise (5×5 / 9×9), a bank of steerable matched
 //! filters (seven orientations, 16×16, after Chaudhuri et al. \[12\]) and a
-//! texture/thickness filter — are the *hardware modules*, executed here
-//! through the VCGRA's bit-exact FloPoCo MAC model.
+//! texture/thickness filter — are the *hardware modules*: convolutions
+//! the caller injects into [`run_pipeline`]. `filters::convolve_f32` is
+//! the software reference; the VCGRA runtime serves the same stages on
+//! the overlay (`runtime::kernels::convolve_served`). This crate cannot
+//! name the runtime, which builds its `retina_stage` workloads from it.
 //!
 //! Clinical fundus datasets are not redistributable, so [`synth`]
 //! generates synthetic fundus images (field-of-view disc, optic disc blob,

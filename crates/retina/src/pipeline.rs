@@ -1,30 +1,15 @@
-//! The full vessel-segmentation pipeline (Fig. 5) plus quality metrics
-//! and reconfiguration accounting.
+//! The full vessel-segmentation pipeline (Fig. 5) plus quality metrics.
 //!
 //! Software tasks: green-channel extraction, histogram equalization,
 //! optic-disc removal, outer-region removal. Hardware modules: Gaussian
-//! denoise, seven-orientation matched filtering, texture filtering — run
-//! either on the `f32` reference engine or through the VCGRA MAC model
-//! (bit-exact FloPoCo arithmetic). Every distinct kernel loaded onto the
-//! PEs costs one parameterized reconfiguration; the report prices that
-//! with the `dcs` timing model, reproducing the paper's argument that
-//! 251 ms per PE amortizes to nothing over a 1000-image batch.
+//! denoise, seven-orientation matched filtering, texture filtering — every
+//! one a convolution the caller passes in: `filters::convolve_f32`, or the
+//! VCGRA runtime's served convolution (`runtime::kernels::convolve_served`),
+//! which loads each kernel as parameter swaps and whose ledger prices them.
 
-use crate::filters::{
-    convolve_f32, convolve_vcgra, gaussian, matched_bank, max_response, texture_filter, Kernel,
-};
+use crate::filters::{gaussian, matched_bank, max_response, texture_filter, Kernel};
 use crate::image::{Image, RgbImage};
 use crate::synth::fov_mask;
-use softfloat::FpFormat;
-
-/// Which engine executes the hardware modules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// `f32` software reference.
-    SoftwareF32,
-    /// VCGRA-simulated MAC PEs in the FloPoCo format.
-    Vcgra,
-}
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -42,10 +27,6 @@ pub struct PipelineConfig {
     /// Segmentation threshold, as a percentile of the combined response
     /// inside the field of view (0.88 = top 12 % of pixels become vessel).
     pub threshold: f32,
-    /// Execution engine for the filters.
-    pub engine: Engine,
-    /// FloPoCo format for the VCGRA engine.
-    pub format: FpFormat,
 }
 
 impl Default for PipelineConfig {
@@ -57,8 +38,6 @@ impl Default for PipelineConfig {
             sigma: 1.6,
             length: 9.0,
             threshold: 0.88,
-            engine: Engine::SoftwareF32,
-            format: FpFormat::PAPER,
         }
     }
 }
@@ -136,17 +115,17 @@ pub struct PipelineResult {
     pub textured: Image,
     /// Final binary segmentation.
     pub segmented: Image,
-    /// Distinct filter kernels loaded — each is one PE reconfiguration
-    /// batch in the parameterized overlay.
-    pub kernels_loaded: usize,
-    /// Total MAC coefficients programmed across those kernels.
-    pub coefficients_programmed: usize,
     /// Wall-clock time per stage, in order: denoise, matched, texture.
     pub stage_times: [std::time::Duration; 3],
 }
 
-/// Runs the whole pipeline on an RGB fundus image.
-pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
+/// Runs the whole pipeline on an RGB fundus image, every hardware module
+/// through `conv` (an image and a kernel in, the convolved image out).
+pub fn run_pipeline(
+    img: &RgbImage,
+    cfg: &PipelineConfig,
+    mut conv: impl FnMut(&Image, &Kernel) -> Image,
+) -> PipelineResult {
     // --- software preprocessing ---
     let green = img.green();
     let eq = green.equalized();
@@ -163,21 +142,9 @@ pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
         *p *= f;
     }
 
-    let conv = |image: &Image, k: &Kernel| -> Image {
-        match cfg.engine {
-            Engine::SoftwareF32 => convolve_f32(image, k),
-            Engine::Vcgra => convolve_vcgra(image, k, cfg.format),
-        }
-    };
-
     // --- hardware modules ---
-    let mut kernels_loaded = 0usize;
-    let mut coefficients = 0usize;
-
     let t0 = std::time::Instant::now();
     let dk = gaussian(cfg.denoise_size, cfg.denoise_size as f32 / 4.0);
-    kernels_loaded += 1;
-    coefficients += dk.taps.len();
     let denoised = conv(&pre, &dk);
     let t_denoise = t0.elapsed();
 
@@ -186,14 +153,7 @@ pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
     // over a bright background the response is positive at vessel centers
     // and ~zero on flat background (the kernels are zero-mean).
     let bank = matched_bank(cfg.matched_size, cfg.sigma, cfg.length, cfg.orientations);
-    let responses: Vec<Image> = bank
-        .iter()
-        .map(|k| {
-            kernels_loaded += 1;
-            coefficients += k.taps.len();
-            conv(&denoised, k)
-        })
-        .collect();
+    let responses: Vec<Image> = bank.iter().map(|k| conv(&denoised, k)).collect();
     let mut response = max_response(&responses).normalized();
     for (p, f) in response.data.iter_mut().zip(&fov.data) {
         *p *= f;
@@ -202,8 +162,6 @@ pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
 
     let t2 = std::time::Instant::now();
     let tk = texture_filter(cfg.matched_size, cfg.sigma);
-    kernels_loaded += 1;
-    coefficients += tk.taps.len();
     let mut textured = conv(&response, &tk).normalized();
     for (p, f) in textured.data.iter_mut().zip(&fov.data) {
         *p *= f;
@@ -241,8 +199,6 @@ pub fn run_pipeline(img: &RgbImage, cfg: &PipelineConfig) -> PipelineResult {
         response,
         textured,
         segmented,
-        kernels_loaded,
-        coefficients_programmed: coefficients,
         stage_times: [t_denoise, t_matched, t_texture],
     }
 }
@@ -256,6 +212,7 @@ fn percentile(img: &Image, p: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::convolve_f32;
     use crate::synth::{synth_fundus, SynthConfig};
 
     fn small_cfg() -> PipelineConfig {
@@ -274,7 +231,7 @@ mod tests {
             },
             11,
         );
-        let res = run_pipeline(&img, &small_cfg());
+        let res = run_pipeline(&img, &small_cfg(), convolve_f32);
         let m = Metrics::evaluate(&res.segmented, &truth);
         // Must be far better than random guessing at the same coverage.
         assert!(
@@ -296,10 +253,13 @@ mod tests {
             },
             5,
         );
-        let res = run_pipeline(&img, &small_cfg());
-        // 1 denoise + 7 matched + 1 texture.
-        assert_eq!(res.kernels_loaded, 9);
-        assert_eq!(res.coefficients_programmed, 5 * 5 + 7 * 12 * 12 + 12 * 12);
+        let mut sizes = Vec::new();
+        run_pipeline(&img, &small_cfg(), |image, k| {
+            sizes.push(k.size);
+            convolve_f32(image, k)
+        });
+        // 1 denoise + 7 matched + 1 texture, in that order.
+        assert_eq!(sizes, [5, 12, 12, 12, 12, 12, 12, 12, 12]);
     }
 
     #[test]
@@ -343,7 +303,7 @@ mod tests {
             g: taller(&square.g),
             b: taller(&square.b),
         };
-        let res = run_pipeline(&img, &small_cfg());
+        let res = run_pipeline(&img, &small_cfg(), convolve_f32);
         let fov = fov_mask(48, 64);
         assert_eq!((res.segmented.w, res.segmented.h), (48, 64));
         let outside: Vec<usize> = (0..fov.data.len()).filter(|&i| fov.data[i] < 0.5).collect();
@@ -357,42 +317,5 @@ mod tests {
             assert_eq!(res.preprocessed.data[i], 0.0, "preprocessed {at}");
             assert_eq!(res.segmented.data[i], 0.0, "segmented {at}");
         }
-    }
-
-    #[test]
-    fn vcgra_engine_agrees_with_f32_engine() {
-        let (img, _) = synth_fundus(
-            &SynthConfig {
-                size: 48,
-                ..Default::default()
-            },
-            9,
-        );
-        let sw = run_pipeline(
-            &img,
-            &PipelineConfig {
-                matched_size: 8,
-                ..Default::default()
-            },
-        );
-        let hw = run_pipeline(
-            &img,
-            &PipelineConfig {
-                matched_size: 8,
-                engine: Engine::Vcgra,
-                ..Default::default()
-            },
-        );
-        // The engines agree up to FloPoCo rounding; the segmentations must
-        // overlap almost everywhere.
-        let disagree = sw
-            .segmented
-            .data
-            .iter()
-            .zip(&hw.segmented.data)
-            .filter(|(a, b)| a != b)
-            .count();
-        let frac = disagree as f64 / sw.segmented.data.len() as f64;
-        assert!(frac < 0.02, "segmentations disagree on {frac:.3} of pixels");
     }
 }

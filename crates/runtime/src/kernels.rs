@@ -15,14 +15,19 @@
 //!   parameter swap on it is a no-op — the degenerate cache case);
 //! * [`retina_stage`] — the vessel-segmentation filter kernels from the
 //!   `retina` crate (Gaussian denoise, matched filter, texture filter)
-//!   re-exported as runtime workloads: the same taps over the same window
-//!   as `retina::filters::convolve_vcgra`, associated differently (an
-//!   adder tree, not one accumulator).
+//!   re-exported as runtime workloads: a whole window as one dot product;
+//! * [`row_pass`] — one kernel row accumulated into a running sum, the
+//!   tenant [`convolve_served`] runs a whole image through, one
+//!   `swap_params` per kernel row: the retina pipeline's hardware modules
+//!   on the serve path.
 
 use retina::filters::{gaussian, texture_filter, Kernel};
+use retina::Image;
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, AppSource};
 use vcgra::PeMode;
+
+use crate::{Admission, Runtime, RuntimeError, StreamRequest};
 
 /// A named application workload.
 #[derive(Debug, Clone)]
@@ -151,16 +156,94 @@ pub fn tree_reduction(format: FpFormat, n: usize) -> Workload {
 /// A vessel-segmentation filter kernel as a runtime workload: the kernel's
 /// taps become the coefficient vector of a dot product over the pixel
 /// window ([`AppGraph::dot_product`]: a multiply layer followed by a
-/// balanced adder tree). `retina::filters::convolve_vcgra` applies the same
-/// taps to the same window but accumulates them one tap at a time on one
-/// MAC PE, so the two sum in a different order and round differently; they
-/// agree to within the format's rounding, not bit for bit.
+/// balanced adder tree). One MAC PE accumulating the same taps one at a
+/// time sums in another order and rounds differently: the two agree to
+/// within the format's rounding, not bit for bit.
 pub fn retina_stage(format: FpFormat, kernel: &Kernel) -> Workload {
     let taps: Vec<f64> = kernel.taps.iter().map(|&t| t as f64).collect();
     Workload::new(
         format!("retina_{}", kernel.name),
         AppGraph::dot_product(format, &taps),
     )
+}
+
+/// One kernel row's pass over a pixel, `acc′ = acc + Σ taps·x`: external
+/// inputs `0..k` are the row's samples and input `k` the running sum.
+/// `k` multiplies and a balanced adder tree ([`AppGraph::dot_product`])
+/// feed one `Add` that takes the running sum: `2k` nodes. The taps are
+/// zero until a `swap_params` loads a row.
+pub fn row_pass(format: FpFormat, k: usize) -> Workload {
+    let mut g = AppGraph::dot_product(format, &vec![0.0; k]);
+    g.num_inputs = k + 1;
+    let row_sum = g.outputs.pop().expect("a dot product has one output");
+    let acc = g.add(
+        "acc",
+        PeMode::Add,
+        None,
+        AppSource::Node(row_sum),
+        AppSource::External(k),
+    );
+    g.mark_output(acc);
+    Workload::new(format!("row_pass{k}"), g)
+}
+
+/// Convolves `img` with `kernel` on the runtime, with replication padding
+/// (`Image::get_clamped`), as `retina::filters::convolve_f32` does in
+/// `f32`. The tenant holding [`row_pass`] for the kernel's size is
+/// submitted on first use and kept, so every kernel of one size after the
+/// first is swaps, not a compile. For each kernel row, `swap_params` loads
+/// that row's taps and one [`Runtime::run`] streams every pixel, the item
+/// being the row's `k` samples and the pixel's running sum.
+///
+/// A pass the pool cannot place is the `submit` error; one it can only
+/// queue is released again and reported as [`RuntimeError::Waiting`].
+pub fn convolve_served(
+    rt: &mut Runtime,
+    format: FpFormat,
+    img: &Image,
+    kernel: &Kernel,
+) -> Result<Image, RuntimeError> {
+    let k = kernel.size;
+    let pass = row_pass(format, k);
+    let live = rt
+        .tenants()
+        .find(|t| t.name == pass.name && t.graph.same_structure(&pass.graph));
+    let tenant = match live {
+        Some(t) => t.id,
+        None => match rt.submit(pass.name, pass.graph)? {
+            Admission::Admitted(a) => a.tenant,
+            Admission::Queued(q) => {
+                rt.release(q.tenant)?;
+                return Err(RuntimeError::Waiting(q.tenant));
+            }
+        },
+    };
+    let fp = |v: f32| FpValue::from_f64(v as f64, format);
+    let half = k as i64 / 2;
+    // Each item holds the pixel's running sum in its first value between
+    // passes: a pass's outputs are the next pass's items, refilled in place.
+    let mut items = vec![vec![fp(0.0)]; img.w * img.h];
+    for (ky, taps) in kernel.taps.chunks(k).enumerate() {
+        let coeffs: Vec<FpValue> = taps.iter().map(|&t| fp(t)).collect();
+        rt.swap_params(tenant, &coeffs)?;
+        for (i, item) in items.iter_mut().enumerate() {
+            let (x0, y0) = ((i % img.w) as i64 - half, (i / img.w) as i64 - half);
+            let sum = item[0];
+            item.clear();
+            item.extend((0..k as i64).map(|kx| fp(img.get_clamped(x0 + kx, y0 + ky as i64))));
+            item.push(sum);
+        }
+        let request = StreamRequest {
+            tenant,
+            inputs: items,
+        };
+        items = rt.run(vec![request])?.remove(0).outputs;
+    }
+    Ok(Image {
+        w: img.w,
+        h: img.h,
+        data: items.iter().map(|item| item[0].to_f64() as f32).collect(),
+    })
 }
 
 /// The standard mixed-tenant set: one of each dataflow shape, sized to fit
@@ -187,7 +270,7 @@ pub fn library(format: FpFormat) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retina::filters::{convolve_vcgra, matched_filter};
+    use retina::filters::matched_filter;
     use vcgra::sim::run_dataflow;
 
     const F: FpFormat = FpFormat::PAPER;
@@ -246,11 +329,16 @@ mod tests {
             for px in &mut img.data {
                 *px = rng.unit_f64() as f32;
             }
-            let accumulated = convolve_vcgra(&img, &kernel, F).get(k / 2, k / 2);
             let window: Vec<FpValue> = img.data.iter().map(|&px| fp(px as f64)).collect();
+            // One MAC PE, one tap per step, accumulating in FloPoCo.
+            let accumulated = window
+                .iter()
+                .zip(&kernel.taps)
+                .fold(FpValue::zero(F), |acc, (&x, &t)| x.mac(fp(t as f64), acc))
+                .to_f64();
             let tree = run_dataflow(&retina_stage(F, &kernel).graph, &window)[0].to_f64();
             assert!(
-                (tree - accumulated as f64).abs() < 1e-6,
+                (tree - accumulated).abs() < 1e-6,
                 "{}: adder tree {tree}, accumulator {accumulated}",
                 kernel.name
             );

@@ -53,7 +53,9 @@
 //!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and a value in
 //!   another format is refused, never read as other bits.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
-//!   tiled matrix–vector, tree reduction, vessel-segmentation stages).
+//!   tiled matrix–vector, tree reduction, vessel-segmentation stages) and
+//!   [`kernels::convolve_served`], which runs the retina pipeline's
+//!   convolutions on a runtime, one parameter swap per kernel row.
 //! * `runtime` — [`Runtime`], the orchestrator tying it together.
 //!   [`Runtime::run`] is the one place a swap-in is decided and booked: it
 //!   walks each band's slots once, and a slot is charged a context switch

@@ -1,5 +1,5 @@
 //! The paper's HPC application (Fig. 5): retinal vessel segmentation with
-//! the filter stages executed as VCGRA hardware modules.
+//! the filter stages served by the VCGRA runtime.
 //!
 //! ```text
 //! cargo run --release --example retinal_vessel_segmentation [out_dir]
@@ -7,12 +7,16 @@
 //!
 //! Generates a synthetic fundus image (clinical data is not
 //! redistributable — see README.md), runs preprocessing in software and
-//! the denoise / matched-filter / texture stages through the bit-exact
-//! FloPoCo MAC model, writes every stage as a PGM image and reports
-//! segmentation quality plus the reconfiguration economics of Section V.
+//! the filter stages through `runtime::kernels::convolve_served` (one
+//! tenant per kernel size, one swap per kernel row), checks it against
+//! the `f32` pipeline, writes every stage as a PGM image and reports
+//! quality plus Section V's reconfiguration cost from the ledger.
 
-use retina::pipeline::{run_pipeline, Engine, Metrics, PipelineConfig};
+use retina::filters::convolve_f32;
+use retina::pipeline::{run_pipeline, Metrics, PipelineConfig};
 use retina::synth::{synth_fundus, SynthConfig};
+use runtime::{kernels, Runtime, RuntimeConfig};
+use softfloat::FpFormat;
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "out".to_string());
@@ -25,16 +29,26 @@ fn main() {
         },
         7,
     );
-    let cfg = PipelineConfig {
-        engine: Engine::Vcgra,
-        ..Default::default()
-    };
+    let cfg = PipelineConfig::default();
+    let mut rt = Runtime::new(RuntimeConfig::default());
     let t0 = std::time::Instant::now();
-    let res = run_pipeline(&img, &cfg);
+    let res = run_pipeline(&img, &cfg, |image, k| {
+        kernels::convolve_served(&mut rt, FpFormat::PAPER, image, k).expect("served convolution")
+    });
     let elapsed = t0.elapsed();
+    let reference = run_pipeline(&img, &cfg, convolve_f32);
+    let pixels = res.segmented.data.len();
+    let agree = (0..pixels)
+        .filter(|&i| res.segmented.data[i] == reference.segmented.data[i])
+        .count() as f64
+        / pixels as f64;
+    assert!(agree >= 0.98, "{:.1} % of pixels agree", agree * 100.0);
 
     let m = Metrics::evaluate(&res.segmented, &truth);
-    println!("pipeline (VCGRA engine, FloPoCo 6/26) in {elapsed:?}");
+    println!(
+        "pipeline (served, FloPoCo 6/26) in {elapsed:?}: {:.1} % of pixels as the f32 pipeline",
+        agree * 100.0
+    );
     println!(
         "  stages: denoise {:?}, matched filters {:?}, texture {:?}",
         res.stage_times[0], res.stage_times[1], res.stage_times[2]
@@ -47,18 +61,26 @@ fn main() {
         m.accuracy()
     );
 
-    // Reconfiguration economics: each kernel's coefficients are parameters;
-    // loading a new kernel onto a PE costs one micro-reconfiguration, at
-    // the paper's per-PE estimate over HWICAP.
-    let per_pe_ms = dcs::paper_pe_reconfig(dcs::ReconfigInterface::Hwicap).as_secs_f64() * 1e3;
-    let batch = 1000usize;
+    // Section V from the ledger: the image cost its admissions and one
+    // swap per kernel row. A batch streamed through each row configuration
+    // before the next swap pays them once. Swaps are priced on the
+    // runtime's (4,6) pricer PE, not on the (6,26) PE the tenants compute in.
+    let l = rt.ledger();
     println!(
-        "  kernels loaded: {} ({} coefficients) — at {per_pe_ms:.3} ms/PE per change and \
-         {batch} images per batch: {:.3} ms amortized per image",
-        res.kernels_loaded,
-        res.coefficients_programmed,
-        res.kernels_loaded as f64 * per_pe_ms / batch as f64
+        "  one image: {} cold compiles, {:.3} s admission port time; {} swaps, {} frames, \
+         {:.3} s swap port time (priced on the (4,6) pricer PE)",
+        l.cold_compiles,
+        l.admission_port_time.as_secs_f64(),
+        l.swaps,
+        l.swap_frames,
+        l.swap_port_time.as_secs_f64()
     );
+    for batch in [1, 10, 1000] {
+        println!(
+            "  batch of {batch:>4}: {:.3} ms modeled port time per image",
+            l.total_port_time().as_secs_f64() * 1e3 / batch as f64
+        );
+    }
 
     for (name, image) in [
         ("stage0_green.pgm", &img.g),
