@@ -135,8 +135,6 @@ pub struct VcgraMapping {
     pub pe_settings: Vec<Option<PeSettings>>,
     /// Total virtual wirelength (channel segments over all routes).
     pub virtual_wirelength: usize,
-    /// Wall-clock time of the whole flow.
-    pub compile_time: std::time::Duration,
 }
 
 impl VcgraMapping {
@@ -178,7 +176,6 @@ impl VcgraMapping {
 /// with a typed error before any placement work — `AppGraph`'s fields are
 /// public, so it is not ruled out by construction.
 pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMapping, FlowError> {
-    let t0 = std::time::Instant::now();
     app.validate()?;
     let n = app.nodes.len();
     if n > arch.pe_count() {
@@ -220,7 +217,6 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
         routes,
         pe_settings,
         virtual_wirelength,
-        compile_time: t0.elapsed(),
     })
 }
 

@@ -87,9 +87,6 @@ pub struct ReconfigReport {
     pub frames: usize,
     /// Configuration-port time (model).
     pub port_time: Duration,
-    /// Host time spent evaluating the PPC Boolean functions for the old
-    /// and the new values and diffing them (measured).
-    pub eval_time: Duration,
     /// Number of configuration bits whose value changed.
     pub bits_changed: usize,
 }
@@ -97,22 +94,18 @@ pub struct ReconfigReport {
 /// Prices one parameter change: evaluates the PPC for the old and the new
 /// values as the two lanes of one SCG sweep, diffs them with
 /// [`crate::Scg::pair_diff`] — the runtime pricer's definition of
-/// "frames dirtied by a change" — and prices the dirty frames. `eval_time`
-/// covers all of it: packing, the sweep and the diff.
+/// "frames dirtied by a change" — and prices the dirty frames.
 pub fn specialization_report(
     scg: &crate::scg::Scg<'_>,
     old_params: &[bool],
     new_params: &[bool],
     iface: ReconfigInterface,
 ) -> ReconfigReport {
-    let t0 = std::time::Instant::now();
     let words = scg.specialize_lanes(&scg.pack_lanes(&[old_params, new_params]));
     let diff = scg.pair_diff(&words, 1);
-    let eval_time = t0.elapsed();
     ReconfigReport {
         frames: diff.dirty_frames,
         port_time: reconfig_cost(diff.dirty_frames, iface),
-        eval_time,
         bits_changed: diff.bits_changed,
     }
 }

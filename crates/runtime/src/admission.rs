@@ -60,10 +60,6 @@ pub struct Admitted {
     pub cache_hit: bool,
     /// Bands the scheduler relocated (compaction) to place this tenant.
     pub relocations: usize,
-    /// Measured host time of the whole admission (compile or specialize).
-    pub admit_time: Duration,
-    /// Measured host time of `map_app` (zero on a cache hit).
-    pub compile_time: Duration,
     /// Modeled port time to configure the tenant's PEs from scratch.
     pub config_port_time: Duration,
 }
@@ -238,16 +234,15 @@ impl Runtime {
         );
         let key = ConfigKey::new(region, graph);
 
-        let t0 = std::time::Instant::now();
         let mut cache_span = trace::span("cache");
         let lookup = self.cache.get(&key);
         cache_span.arg("hit", lookup.is_some());
         drop(cache_span);
-        let (mapping, cache_hit, compile_time) = match lookup {
+        let (mapping, cache_hit) = match lookup {
             Some(cached) => {
                 let mut mapping = VcgraMapping::clone(&cached);
                 Self::write_settings(&mut mapping, graph);
-                (mapping, true, Duration::ZERO)
+                (mapping, true)
             }
             None => {
                 let compile_span = trace::span("compile");
@@ -261,12 +256,10 @@ impl Runtime {
                     }
                 };
                 drop(compile_span);
-                let compile_time = mapping.compile_time;
                 let cached = self.cache.insert(key.clone(), mapping);
-                (VcgraMapping::clone(&cached), false, compile_time)
+                (VcgraMapping::clone(&cached), false)
             }
         };
-        let admit_time = t0.elapsed();
 
         let mut pricing_span = trace::span("pricing");
         let config_port_time = self.pricer.full_config_cost(demand);
@@ -316,14 +309,11 @@ impl Runtime {
         );
         drop(admission_span);
         request_span.arg("cache_hit", cache_hit);
-        request_span.arg("admit_ns", admit_time.as_nanos() as u64);
         Ok(Admitted {
             tenant: id,
             lease,
             cache_hit,
             relocations: relocations.len(),
-            admit_time,
-            compile_time,
             config_port_time,
         })
     }

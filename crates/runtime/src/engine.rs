@@ -20,12 +20,14 @@
 //! and reported; since units are handed out in order, the first bad item
 //! of the call is the least of the workers' first failures.
 //!
+//! The engine measures nothing: a run's host time is its `execute` trace
+//! spans, and the modeled time axis has no execution phase.
+//!
 //! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
 //! `run_dataflow` compute in FloPoCo arithmetic; the bit-exactness
 //! acceptance tests pin that down.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use softfloat::FpValue;
 use vcgra::sim::{ExecPlan, ItemError};
@@ -84,13 +86,11 @@ impl Drop for UnitSpans {
 }
 
 /// Runs every job on up to `workers` threads, the calling thread being one
-/// of them, overwriting each item with its outputs. Returns, in job order,
-/// the measured host time of each job's units — or, if some item cannot be
-/// read, the first such item in job and item order. Items of units that
-/// ran before the fault was found hold outputs then; the others are as
+/// of them, overwriting each item with its outputs. Fails with the first
+/// item that cannot be read, in job and item order; items of units that
+/// ran before the fault was found hold outputs then, the others are as
 /// they were.
-pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<Vec<Duration>, ItemFault> {
-    let count = jobs.len();
+pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<(), ItemFault> {
     let units: usize = jobs
         .iter()
         .map(|j| j.items.len().div_ceil(BATCH_SIZE))
@@ -103,15 +103,14 @@ pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<Vec<Duration>,
             .enumerate()
             .map(move |(u, chunk)| (j, tenant, plan, u * BATCH_SIZE, chunk))
     }));
-    let work = || -> Result<Vec<Duration>, ItemFault> {
-        let mut times = vec![Duration::ZERO; count];
+    let work = || -> Result<(), ItemFault> {
         let mut columns = Vec::new();
         let mut spans: Option<UnitSpans> = None;
         loop {
             // The guard is dropped at the end of this statement.
             let unit = next.lock().expect("no worker panics holding it").next();
             let Some((j, tenant, plan, start, chunk)) = unit else {
-                return Ok(times);
+                return Ok(());
             };
             if spans.as_ref().is_some_and(|s| s.job != j) {
                 // Closed before the next job's open: spans nest per thread.
@@ -120,12 +119,10 @@ pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<Vec<Duration>,
             spans
                 .get_or_insert_with(|| UnitSpans::open(j, tenant))
                 .items += chunk.len();
-            let t0 = Instant::now();
-            let ran = plan.run_chunk(chunk, &mut columns);
-            times[j] += t0.elapsed();
             // A worker's units come in order, so its first fault is its
             // least; units it would take next belong to other workers.
-            ran.map_err(|e| (j, start + e.lane(), e))?;
+            plan.run_chunk(chunk, &mut columns)
+                .map_err(|e| (j, start + e.lane(), e))?;
         }
     };
     let helpers = workers.min(units).saturating_sub(1);
@@ -139,20 +136,11 @@ pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<Vec<Duration>,
         );
         results
     });
-    if let Some(fault) = results
-        .iter()
-        .filter_map(|r| r.as_ref().err())
-        .min_by_key(|&&(j, item, _)| (j, item))
-    {
-        return Err(*fault);
-    }
-    let mut total = vec![Duration::ZERO; count];
-    for times in results.into_iter().flatten() {
-        for (sum, t) in total.iter_mut().zip(times) {
-            *sum += t;
-        }
-    }
-    Ok(total)
+    results
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|&(j, item, _)| (j, item))
+        .map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -216,14 +204,10 @@ mod tests {
 
         for workers in [1, 2, 4, 8] {
             let mut jobs = jobs(sizes);
-            let times = execute(&mut jobs, workers).unwrap();
-            assert_eq!(times.len(), 4, "a job without items still reports");
-            for (t, (job, time)) in jobs.iter().zip(times).enumerate() {
+            execute(&mut jobs, workers).unwrap();
+            for (t, job) in jobs.iter().enumerate() {
                 let at = format!("job {t}, {workers} workers");
                 assert_eq!(job.items, want[t], "{at}: outputs in item order");
-                if sizes[t] == 0 {
-                    assert_eq!(time, Duration::ZERO, "{at}: no units, no time");
-                }
             }
         }
     }

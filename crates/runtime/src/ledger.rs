@@ -7,30 +7,27 @@ use crate::pool::TenantId;
 use crate::runtime::Runtime;
 use crate::timeline::{Lane, Phase};
 
-/// Per-tenant accumulated accounting: what the scheduler reads. Pool-wide
-/// totals are the [`Ledger`]'s, and a tenant's modeled time is on the
-/// time axis's intervals tagged with its id.
+/// Per-tenant counters, for callers to read (the scheduler reads none of
+/// them). Pool-wide totals are the [`Ledger`]'s, and a tenant's modeled
+/// time is on the time axis's intervals tagged with its id.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TenantStats {
-    /// Input vectors processed.
-    pub items: usize,
     /// Context switches charged while time-multiplexed.
     pub context_switches: usize,
     /// Times this tenant's band was relocated by compaction.
     pub relocations: usize,
 }
 
-/// Pool-wide accounting: measured host cost vs modeled port cost.
+/// Pool-wide accounting: counts and modeled port cost.
 ///
 /// This struct is the state, not a report of it: the runtime owns one
 /// `Ledger` and every counter is incremented here, where it is read. The
-/// modeled durations — the four `*_port_time` fields, `exec_time`,
-/// `modeled_makespan` and `overlap_saved` — have a single writer,
-/// `Runtime::charge`, which puts the same `Duration` on the time axis.
-/// `exec_time` is the only measured host time kept here; an admission's
-/// and a swap's host latency are returned by the call that took them
-/// ([`crate::Admitted::admit_time`], [`crate::SwapReport::eval_time`]).
-#[derive(Debug, Clone, Copy, Default)]
+/// durations — the four `*_port_time` fields, `modeled_makespan` and
+/// `overlap_saved` — are all modeled and have a single writer,
+/// `Runtime::charge`, which puts the same `Duration` on the time axis. No
+/// host time is kept here: the same operations give the same ledger on
+/// any host and at any worker count.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ledger {
     /// Submissions refused at the door because the graph is malformed
     /// (`AppGraph::validate`).
@@ -70,17 +67,14 @@ pub struct Ledger {
     pub switch_port_time: Duration,
     /// Input vectors executed.
     pub items: usize,
-    /// Measured host execution time (summed over parallel bands).
-    pub exec_time: Duration,
     /// Modeled makespan of the time axis: when the last scheduled
-    /// phase ends, with reconfiguration of one band overlapped against
-    /// other bands' execution (see [`crate::timeline`]). At most the
-    /// fully serialized story, `total_port_time() + exec_time`, and
-    /// strictly less whenever some phase overlaps another.
+    /// phase ends, with one band's reconfiguration overlapped against
+    /// other bands' (see [`crate::timeline`]). At most the fully
+    /// serialized story, [`Ledger::total_port_time`], and strictly less
+    /// whenever some phase overlaps another.
     pub modeled_makespan: Duration,
     /// Time the overlap model saves over the fully serialized story:
-    /// `total_port_time() + exec_time − modeled_makespan`. Monotone
-    /// nondecreasing.
+    /// `total_port_time() − modeled_makespan`. Monotone nondecreasing.
     pub overlap_saved: Duration,
 }
 
@@ -106,11 +100,10 @@ impl Runtime {
     ///
     /// Where each phase lands: an admission or a swap streams host→fabric
     /// and takes an exclusive slot on the configuration port, serialized
-    /// behind whatever the port is already streaming; a context switch, a
-    /// compaction replay and the measured execution occupy only their
-    /// band's lane, so other bands' reconfigurations overlap them freely —
-    /// the gap between the makespan and the summed port time the axis
-    /// exists to model.
+    /// behind whatever the port is already streaming; a context switch and
+    /// a compaction replay occupy only their band's lane, so other bands'
+    /// reconfigurations overlap them freely — the gap between the makespan
+    /// and the summed port time the axis exists to model.
     pub(crate) fn charge(
         &mut self,
         lane: Lane,
@@ -124,14 +117,14 @@ impl Runtime {
             Phase::Swap => &mut ledger.swap_port_time,
             Phase::Switch => &mut ledger.switch_port_time,
             Phase::Replay => &mut ledger.compaction_port_time,
-            Phase::Execute => &mut ledger.exec_time,
         } += dur;
         let start = self.timeline.schedule(lane, phase, tenant, dur);
         // Every lane and port cursor is at or below the makespan, so a
         // zero-length charge leaves it where it was.
         ledger.modeled_makespan = ledger.modeled_makespan.max(start + dur);
-        let saved =
-            (ledger.total_port_time() + ledger.exec_time).saturating_sub(ledger.modeled_makespan);
+        let saved = ledger
+            .total_port_time()
+            .saturating_sub(ledger.modeled_makespan);
         debug_assert!(saved >= ledger.overlap_saved, "overlap_saved regressed");
         ledger.overlap_saved = saved;
         start

@@ -47,8 +47,8 @@
 //!   lane-major and in place, its items checked while they become the
 //!   lanes of `u64` columns, each op of the plan sweeping a column in one
 //!   `softfloat::FpKernel` call, and each item's vector overwritten with
-//!   its outputs. The engine returns each job's measured time, or the
-//!   first item it could not read; it knows no band, slot or switch.
+//!   its outputs. The engine reports only the first item it could not
+//!   read; it times nothing, and knows no band, slot or switch.
 //!   The plan is bit-exact with the per-item reference
 //!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and a value in
 //!   another format is refused, never read as other bits.
@@ -63,25 +63,27 @@
 //!   slot's, or for the first slot the band's [`BandInfo::resident`],
 //!   which is nobody's once that tenant has left (its successor pays a
 //!   swap-in too). Beside it is the
-//!   [`Ledger`] that accumulates measured execution time against modeled
-//!   configuration-port time: plain state the runtime mutates in place,
-//!   its modeled durations written by the one call that also puts them
-//!   on the time axis. Every field of it has a reader; the host latency
-//!   of an admission or a swap is returned by that call, not summed. A
+//!   [`Ledger`] that accumulates counts and modeled configuration-port
+//!   time: plain state the runtime mutates in place, its durations
+//!   written by the one call that also puts them on the time axis. It
+//!   holds no host time — the host latency of an admission, a swap or a
+//!   run is the trace span around it. A
 //!   graph that is malformed or that no region can be compiled for is a
 //!   typed [`RuntimeError::Flow`], never a panic: a graph `run` could not
 //!   lower (`AppGraph::validate`) is refused by `submit` before a lease
 //!   or a queue slot is taken and counted in
 //!   [`Ledger::refused`]; a compile that fails surrenders its lease.
 //! * [`timeline`] — the modeled **time axis**, a pure scheduler: every
-//!   charged phase scheduled as an interval on its band's lane,
-//!   host→fabric phases serialized on the one configuration port,
-//!   grid-local replays (context switches, compaction) overlapping
-//!   everything else. It keeps lane cursors, the port cursor and the
-//!   interval log; the totals are the [`Ledger`]'s —
-//!   [`Ledger::modeled_makespan`], where the last interval ends and below
-//!   the serialized `total_port_time() + exec_time` whenever some phase
-//!   overlaps another, and the monotone [`Ledger::overlap_saved`].
+//!   charge scheduled as an interval on its band's lane, host→fabric
+//!   phases serialized on the one configuration port, grid-local replays
+//!   (context switches, compaction) overlapping everything else.
+//!   Execution has no interval, so the axis is a function of the
+//!   operation sequence alone — the same on any host, at any worker
+//!   count. It keeps lane cursors, the port cursor and the interval log;
+//!   the totals are the [`Ledger`]'s — [`Ledger::modeled_makespan`],
+//!   where the last interval ends and below the serialized
+//!   `total_port_time()` whenever some phase overlaps another, and the
+//!   monotone [`Ledger::overlap_saved`].
 //!
 //! Fast path vs. recompile, in one table:
 //!

@@ -61,10 +61,6 @@ pub struct SwapReport {
     /// SCG sweeps evaluated: one per `PES_PER_SWEEP` (32) PEs whose
     /// datapath parameters changed.
     pub sweeps: usize,
-    /// Measured host time of the whole pricing loop: scaling the settings
-    /// to the pricing format, packing the lanes, the SCG sweeps with their
-    /// pair diffs, and the settings-plane frame set.
-    pub eval_time: Duration,
 }
 
 /// PEs priced by one SCG sweep: each is an (old, new) pair of lanes.
@@ -148,7 +144,6 @@ impl SettingsPricer {
         let frame_model = FrameModel::for_grid(grid.0, grid.1);
         let mut report = SwapReport::default();
         let mut settings_frames = std::collections::BTreeSet::new();
-        let t0 = std::time::Instant::now();
         // PEs whose datapath parameters change, as pricing-PE settings.
         let mut repriced: Vec<(PeSettings, PeSettings)> = Vec::new();
         for ch in changes {
@@ -190,7 +185,6 @@ impl SettingsPricer {
             report.bits_changed += diff.bits_changed;
             report.sweeps += 1;
         }
-        report.eval_time = t0.elapsed();
         report.settings_frames = settings_frames.len();
         report.port_time = dcs::timing::reconfig_cost(report.frames(), IFACE);
         report

@@ -46,12 +46,11 @@
 //! fails and surrenders its lease), and compaction happens only at
 //! admission, when the ordered policy reaches it.
 //!
-//! The [`Ledger`] accumulates both sides of the paper's Section V
-//! argument: measured host execution time, and modeled
-//! configuration-port time anchored on the 251 ms-per-PE estimate —
-//! including the replay cost of every compaction move. (Host compile
-//! and admission latency are per call: [`Admitted::compile_time`],
-//! [`Admitted::admit_time`].)
+//! The [`Ledger`] accumulates the reconfiguration side of the paper's
+//! Section V argument: modeled configuration-port time anchored on the
+//! 251 ms-per-PE estimate — including the replay cost of every compaction
+//! move. It holds no host time: compile, admission and execution latency
+//! are the trace's `compile`, `request` and `execute` spans.
 //!
 //! The ledger's flat sum is complemented by a modeled **time axis**
 //! ([`crate::timeline`]): the one call that charges a phase to the ledger
@@ -59,8 +58,8 @@
 //! phases serialized on the one configuration port, grid-local replays
 //! overlapping freely), yielding [`Ledger::modeled_makespan`] — what the
 //! reconfiguration story actually costs when one band's reconfiguration
-//! overlaps other bands' execution — and [`Ledger::overlap_saved`], the
-//! gap to the serialized sum.
+//! overlaps other bands' — and [`Ledger::overlap_saved`], the gap to the
+//! serialized sum.
 //!
 //! This file holds the [`Runtime`] itself, [`Runtime::run`] and the read
 //! accessors; its other operations live beside it, one file per seam the
@@ -142,8 +141,6 @@ pub struct TenantRun {
     /// capacity is at least the graph's input arity. Its length is the
     /// number of items the request streamed.
     pub outputs: Vec<Vec<FpValue>>,
-    /// Measured host execution time.
-    pub exec_time: Duration,
     /// Context switches charged to this request: 1 when its slot swapped
     /// its configuration in, else 0.
     pub context_switches: usize,
@@ -166,7 +163,7 @@ pub struct Runtime {
     /// Queued tenants that were dropped during a drain (placement failed
     /// terminally), with the error that killed them.
     pub(crate) queue_failures: Vec<(TenantId, RuntimeError)>,
-    /// The modeled time axis: every charged phase scheduled as an
+    /// The modeled time axis: every charge scheduled as an
     /// interval on its band's lane (see [`crate::timeline`]), fed by
     /// `Runtime::charge` alone.
     pub(crate) timeline: Timeline,
@@ -208,7 +205,7 @@ impl Runtime {
     /// is lowered to an [`ExecPlan`] and its items are spread over the
     /// engine workers, which overwrite each request's input vectors with
     /// their outputs; every slot that swaps a configuration into its band
-    /// is charged a context switch before its execution.
+    /// is charged a context switch.
     /// Drains the admission queue first (the drain's admissions are
     /// visible in the ledger and via [`Runtime::tenant`]).
     ///
@@ -275,7 +272,7 @@ impl Runtime {
             }
             residents.push((grid, row0, jobs[band[band.len() - 1]].tenant));
         }
-        let exec_times = engine::execute(&mut jobs, self.cfg.workers).map_err(|(j, _, e)| {
+        engine::execute(&mut jobs, self.cfg.workers).map_err(|(j, _, e)| {
             let graph = &self.tenants[&jobs[j].tenant].graph;
             match e {
                 ItemError::Arity { got, .. } => RuntimeError::BadInputArity {
@@ -294,11 +291,9 @@ impl Runtime {
         let mut runs: Vec<TenantRun> = jobs
             .into_iter()
             .zip(switches)
-            .zip(exec_times)
-            .map(|((job, switch), exec_time)| TenantRun {
+            .map(|(job, switch)| TenantRun {
                 tenant: job.tenant,
                 outputs: job.items,
-                exec_time,
                 context_switches: usize::from(switch.is_some()),
                 switch_port_time: switch.unwrap_or_default(),
             })
@@ -311,14 +306,11 @@ impl Runtime {
                 .get_mut(&run.tenant)
                 .expect("runs only cover tenants validated live above");
             let lane = (tenant.lease.grid, tenant.lease.row0);
-            let items = run.outputs.len();
-            tenant.stats.items += items;
             tenant.stats.context_switches += run.context_switches;
-            self.ledger.items += items;
+            self.ledger.items += run.outputs.len();
             self.ledger.context_switches += run.context_switches;
-            // The swap-in context switch (a grid-local replay of the
-            // tenant's resident image) is followed by the measured
-            // execution.
+            // The swap-in context switch is a grid-local replay of the
+            // tenant's resident image.
             if run.context_switches > 0 {
                 let mut request_span = trace::span("request");
                 request_span.arg("tenant", run.tenant);
@@ -330,7 +322,6 @@ impl Runtime {
                     run.switch_port_time,
                 );
             }
-            self.charge(lane, Phase::Execute, Some(run.tenant), run.exec_time);
         }
         self.enforce_invariants()?;
         Ok(runs)

@@ -111,7 +111,6 @@ impl Runtime {
                     lane: iv.lane,
                     phase: iv.phase.name(),
                     uses_port: iv.phase.uses_port(),
-                    charged: iv.phase.charged(),
                     tenant: iv.tenant,
                     start_ns: iv.start.as_nanos() as u64,
                     dur_ns: iv.dur.as_nanos() as u64,

@@ -1,18 +1,18 @@
 //! The runtime's modeled **time axis**: reconfiguration phases scheduled
 //! as intervals on per-band lanes sharing one configuration port.
 //!
-//! The [`Ledger`](crate::Ledger) has always *summed* modeled port time —
-//! an upper bound that pretends every reconfiguration serializes behind
-//! every other one **and** behind all execution. The paper's virtual
-//! overlay enables better: each leased band is an independent region, so
-//! while the configuration port streams one band's bitstream, every
-//! *other* band keeps computing (Kim et al.'s resource-sharing argument:
-//! overlapping reconfiguration with computation is the domain-specific
+//! The [`Ledger`](crate::Ledger) *sums* modeled port time — an upper
+//! bound that pretends every reconfiguration serializes behind every
+//! other one. The paper's virtual overlay enables better: each leased
+//! band is an independent region, so while the configuration port
+//! streams one band's bitstream, another band can rewrite itself from an
+//! image the grid already holds (Kim et al.'s resource-sharing argument:
+//! overlapping reconfiguration with other work is the domain-specific
 //! win). The [`Timeline`] models exactly that:
 //!
 //! - every band (a `(grid, row0)` lease) is a **lane**; phases on one
-//!   lane serialize (a band cannot compute while its own configuration
-//!   is being rewritten), phases on different lanes overlap freely;
+//!   lane serialize (a band's configuration is rewritten by one phase at
+//!   a time), phases on different lanes overlap freely;
 //! - **host→fabric port phases** ([`Phase::Admission`], [`Phase::Swap`])
 //!   additionally serialize on the single configuration port — the
 //!   HWICAP/MST-AXI interface streams one bitstream at a time;
@@ -20,10 +20,11 @@
 //!   an image the grid already holds (a context switch re-activates a
 //!   resident tenant's configuration; a compaction replay re-writes a
 //!   cached image at a new row offset), so they occupy only their own
-//!   lane and overlap both the port and other lanes;
-//! - [`Phase::Execute`] is measured host compute on the lane — charged
-//!   to no port, but it *occupies the band*, which is the window other
-//!   bands' reconfigurations get to hide in.
+//!   lane and overlap both the port and other lanes.
+//!
+//! Every interval is modeled port time: execution has no phase (its
+//! host latency is the trace's `execute` span), so the axis depends on
+//! the sequence of operations alone, never on the host that ran them.
 //!
 //! Scheduling is greedy and deterministic: each phase starts at its
 //! lane's free time (port phases: also no earlier than the port's free
@@ -58,9 +59,6 @@ pub enum Phase {
     /// Compaction replay: re-writing a relocated band's cached
     /// configuration at its new row offset (lane-local).
     Replay,
-    /// Measured host execution of a tenant run (occupies the lane,
-    /// charges no port).
-    Execute,
 }
 
 impl Phase {
@@ -70,13 +68,6 @@ impl Phase {
         matches!(self, Phase::Admission | Phase::Swap)
     }
 
-    /// True for phases the [`Ledger`](crate::Ledger) charges as modeled
-    /// port time. The verify timeline pass sums the logged intervals of
-    /// exactly these and reconciles them against `total_port_time`.
-    pub fn charged(self) -> bool {
-        !matches!(self, Phase::Execute)
-    }
-
     /// Stable lower-case name (snapshots, traces, reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -84,7 +75,6 @@ impl Phase {
             Phase::Swap => "swap",
             Phase::Switch => "switch",
             Phase::Replay => "replay",
-            Phase::Execute => "execute",
         }
     }
 }
@@ -236,17 +226,15 @@ mod tests {
         assert_eq!(a, Duration::ZERO);
         assert_eq!(b, 10 * MS);
         assert_eq!(log_end(&tl), 15 * MS);
-        // Band (0,0) executes while band (0,8) is still being
+        // Band (0,0) switches tenants while band (0,8) is still being
         // configured — full overlap, the axis's end unchanged until the
-        // execute outruns the port stream.
-        let e = tl.schedule((0, 0), Phase::Execute, Some(1), 4 * MS);
-        assert_eq!(e, 10 * MS);
+        // switch outruns the port stream.
+        let s = tl.schedule((0, 0), Phase::Switch, Some(3), 4 * MS);
+        assert_eq!(s, 10 * MS);
         assert_eq!(log_end(&tl), 15 * MS);
-        assert_eq!(busy(&tl, |iv| iv.phase.charged()), 15 * MS);
         assert_eq!(busy(&tl, |iv| iv.phase.uses_port()), 15 * MS);
-        assert_eq!(busy(&tl, |iv| iv.phase == Phase::Execute), 4 * MS);
-        // Serialized story: 15 ms port + 4 ms exec = 19 ms; the axis
-        // hides the execute entirely.
+        // Serialized story: 15 ms port + 4 ms switch = 19 ms; the axis
+        // hides the switch entirely.
         assert_eq!(saved(&tl), 4 * MS);
     }
 
@@ -259,7 +247,7 @@ mod tests {
         let s = tl.schedule((0, 8), Phase::Switch, Some(2), 3 * MS);
         assert_eq!(s, Duration::ZERO);
         assert_eq!(log_end(&tl), 10 * MS);
-        assert_eq!(busy(&tl, |iv| iv.phase.charged()), 13 * MS);
+        assert_eq!(busy(&tl, |_| true), 13 * MS);
         assert_eq!(saved(&tl), 3 * MS);
         // But the port *is* still serialized against the same lane: an
         // admission onto (0,8) waits for the switch.
@@ -270,8 +258,8 @@ mod tests {
     #[test]
     fn relocate_merges_cursors_and_replays_on_the_new_lane() {
         let mut tl = Timeline::new();
-        tl.schedule((0, 6), Phase::Execute, Some(1), 8 * MS);
-        tl.schedule((0, 0), Phase::Execute, Some(2), 2 * MS);
+        tl.schedule((0, 6), Phase::Switch, Some(1), 8 * MS);
+        tl.schedule((0, 0), Phase::Switch, Some(2), 2 * MS);
         // Band at row 6 slides to row 0: the replay cannot start before
         // either the band's own history (8 ms) or the target lane's
         // (2 ms).
@@ -297,16 +285,10 @@ mod tests {
     fn overlap_saved_is_monotone() {
         let mut tl = Timeline::new();
         let mut prev = Duration::ZERO;
-        let phases = [
-            Phase::Admission,
-            Phase::Execute,
-            Phase::Switch,
-            Phase::Swap,
-            Phase::Replay,
-        ];
+        let phases = [Phase::Admission, Phase::Switch, Phase::Swap, Phase::Replay];
         for i in 0..40u64 {
-            let lane = (0, (i % 4) as usize * 4);
-            let phase = phases[(i % 5) as usize];
+            let lane = (0, (i % 3) as usize * 4);
+            let phase = phases[(i % 4) as usize];
             tl.schedule(lane, phase, Some(i), Duration::from_millis(1 + i % 7));
             let saved = saved(&tl);
             assert!(saved >= prev, "overlap_saved regressed at step {i}");
@@ -319,7 +301,7 @@ mod tests {
         let mut tl = Timeline::new();
         tl.schedule((0, 0), Phase::Admission, Some(1), 10 * MS);
         tl.schedule((1, 0), Phase::Admission, Some(2), 7 * MS);
-        tl.schedule((0, 0), Phase::Execute, Some(1), 20 * MS);
+        tl.schedule((0, 0), Phase::Switch, Some(1), 20 * MS);
         tl.schedule((1, 0), Phase::Switch, Some(2), 2 * MS);
         let end = log_end(&tl);
         for lane in [(0, 0), (1, 0)] {

@@ -108,14 +108,12 @@ fn warm_admission_hits_cache_and_skips_compile() {
         .unwrap()
         .expect_admitted("placed");
     assert!(!cold.cache_hit);
-    assert!(cold.compile_time > std::time::Duration::ZERO);
 
     let warm = rt
         .submit("fir-warm", b.graph.clone())
         .unwrap()
         .expect_admitted("placed");
     assert!(warm.cache_hit, "structurally identical graph must hit");
-    assert_eq!(warm.compile_time, std::time::Duration::ZERO);
     assert_eq!(
         rt.tenant(cold.tenant).unwrap().config_key(),
         rt.tenant(warm.tenant).unwrap().config_key()

@@ -4,10 +4,12 @@
 //! everything asserted, nothing just printed.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
 use runtime::kernels;
 use runtime::{
-    Admission, Phase, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId, TenantRun,
+    Admission, Interval, Phase, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId,
+    TenantRun,
 };
 use softfloat::{FpFormat, FpValue};
 use vcgra::sim::run_dataflow;
@@ -593,20 +595,16 @@ fn a_slot_swaps_in_when_its_band_holds_another_configuration() {
     rt.verify_timeline().assert_ok();
 }
 
-/// A fixed scenario pins the whole time axis: on two grids, two
-/// dedicated tenants on one and a band time-shared by two `fir_seeded(8)`
-/// tenants on the other; runs with repeated and alternating tenants; a
+/// A fixed scenario over two grids: two dedicated tenants on one and a
+/// band time-shared by two `fir_seeded(8)` tenants on the other; runs of
+/// `items` seeded inputs each, with repeated and alternating tenants; a
 /// parameter swap; a release, then an admission that compacts the freed
-/// rows, then a release of the band's resident. Every interval's (lane,
-/// phase, tenant) is pinned in order, and every charged interval's
-/// duration. `Execute` durations are measured host time, so they — and
-/// every start time, which follows from them — are not pinned. The
-/// expected values were recorded by running this body on commit
-/// `0ba56a4`, where compaction could still also be started by hand.
-#[test]
-fn a_shared_band_runs_the_same_time_axis() {
+/// rows, then a release of the band's resident. Returns the runtime and
+/// the tenants `[d, e, a, b, f]` in admission order.
+fn shared_band_scenario(workers: usize, items: usize) -> (Runtime, [TenantId; 5]) {
     let mut rt = Runtime::new(RuntimeConfig {
         grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::paper_4x4()],
+        workers,
         ..RuntimeConfig::default()
     });
     let admit = |rt: &mut Runtime, name: &str, taps, seed| {
@@ -627,7 +625,7 @@ fn a_shared_band_runs_the_same_time_axis() {
             .enumerate()
             .map(|(i, &t)| StreamRequest {
                 tenant: t,
-                inputs: stream(rt.tenant(t).unwrap().graph.num_inputs, 3, i as u64),
+                inputs: stream(rt.tenant(t).unwrap().graph.num_inputs, items, i as u64),
             })
             .collect();
         rt.run(requests).unwrap();
@@ -650,93 +648,82 @@ fn a_shared_band_runs_the_same_time_axis() {
     run(&mut rt, &[a]);
     rt.verify().assert_ok();
     rt.verify_timeline().assert_ok();
+    (rt, [d, e, a, b, f])
+}
 
-    let intervals = rt.timeline().intervals();
-    let axis: Vec<((usize, usize), &str, Option<TenantId>)> = intervals
-        .iter()
-        .map(|iv| (iv.lane, iv.phase.name(), iv.tenant))
-        .collect();
-    let charged: Vec<u64> = intervals
-        .iter()
-        .filter(|iv| iv.phase.charged())
-        .map(|iv| iv.dur.as_nanos() as u64)
-        .collect();
-    // The admissions, then one group per call in the order `run` charges
-    // it: by tenant id, a switch before its execution.
-    let (g0r0, g0r2, g1) = ((0, 0), (0, 2), (1, 0));
-    let want: Vec<((usize, usize), &str, Option<TenantId>)> = [
-        (g0r0, "admission", d),
-        (g0r2, "admission", e),
-        (g1, "admission", a),
-        (g1, "admission", b),
-        // [a, b]: b was admitted last, so both swap in.
-        (g1, "switch", a),
-        (g1, "execute", a),
-        (g1, "switch", b),
-        (g1, "execute", b),
-        // [b]
-        (g1, "execute", b),
-        // [a, a, e]
-        (g0r2, "execute", e),
-        (g1, "switch", a),
-        (g1, "execute", a),
-        (g1, "execute", a),
-        // [b, d, e]
-        (g0r0, "execute", d),
-        (g0r2, "execute", e),
-        (g1, "switch", b),
-        (g1, "execute", b),
-        // The swap, then [a].
-        (g1, "swap", a),
-        (g1, "switch", a),
-        (g1, "execute", a),
-        // d leaves; f's admission slides e's band down, its resident with
-        // it, and takes the coalesced rows.
-        (g0r0, "replay", e),
-        (g0r2, "admission", f),
-        // [e, b]
-        (g0r0, "execute", e),
-        (g1, "switch", b),
-        (g1, "execute", b),
-        // [b, a, b], served in slot order a, b, b.
-        (g1, "switch", a),
-        (g1, "execute", a),
-        (g1, "switch", b),
-        (g1, "execute", b),
-        (g1, "execute", b),
-        // The resident b leaves: [a] swaps in, the next [a] does not.
-        (g1, "switch", a),
-        (g1, "execute", a),
-        (g1, "execute", a),
-    ]
-    .into_iter()
-    .map(|(lane, phase, t)| (lane, phase, Some(t)))
-    .collect();
-    assert_eq!(axis, want);
+/// [`shared_band_scenario`] pins the whole time axis: every interval's
+/// lane, phase, tenant, start and duration, in order. Every interval is
+/// modeled port time, so the axis follows from the operations alone.
+/// The order and the durations were recorded on commit `0ba56a4`, where
+/// compaction could still also be started by hand; the starts follow
+/// from them by the scheduling rules of `runtime::timeline`.
+#[test]
+fn a_shared_band_runs_the_same_time_axis() {
+    let (rt, [d, e, a, b, f]) = shared_band_scenario(RuntimeConfig::default().workers, 3);
     // A switch rewrites the whole 16-PE band; an admission configures the
     // tenant's own PEs, a replay the moved 8-PE band, a swap dirty frames.
     const SWITCH: u64 = 4_015_942_720;
-    assert_eq!(
-        charged,
-        [
-            1_254_982_100,
-            1_254_982_100,
-            3_764_946_300,
-            3_764_946_300,
-            SWITCH,
-            SWITCH,
-            SWITCH,
-            SWITCH,
-            27_531_600,
-            SWITCH,
-            2_007_971_360,
-            3_764_946_300,
-            SWITCH,
-            SWITCH,
-            SWITCH,
-            SWITCH,
-        ]
-    );
+    const FIR3: u64 = 1_254_982_100;
+    const FIR8: u64 = 3_764_946_300;
+    // The admissions, then one group per call in the order `run` charges
+    // it: by tenant id. Port phases wait for the port and their lane;
+    // switches and the replay wait for their lane alone.
+    let (g0r0, g0r2, g1) = ((0, 0), (0, 2), (1, 0));
+    use Phase::{Admission, Replay, Swap, Switch};
+    let want: Vec<Interval> = [
+        (g0r0, Admission, d, 0, FIR3),
+        (g0r2, Admission, e, 1_254_982_100, FIR3),
+        (g1, Admission, a, 2_509_964_200, FIR8),
+        (g1, Admission, b, 6_274_910_500, FIR8),
+        // [a, b]: b was admitted last, so both swap in. [b] does not.
+        (g1, Switch, a, 10_039_856_800, SWITCH),
+        (g1, Switch, b, 14_055_799_520, SWITCH),
+        // [a, a, e], then [b, d, e]: e and d are their bands' residents.
+        (g1, Switch, a, 18_071_742_240, SWITCH),
+        (g1, Switch, b, 22_087_684_960, SWITCH),
+        // The swap streams once the band's switch is done, then [a].
+        (g1, Swap, a, 26_103_627_680, 27_531_600),
+        (g1, Switch, a, 26_131_159_280, SWITCH),
+        // d leaves; f's admission slides e's band down, its resident with
+        // it — the replay starts when e's old rows are free — and takes
+        // the coalesced rows once the port is free.
+        (g0r0, Replay, e, 2_509_964_200, 2_007_971_360),
+        (g0r2, Admission, f, 26_131_159_280, FIR8),
+        // [e, b]
+        (g1, Switch, b, 30_147_102_000, SWITCH),
+        // [b, a, b], served in slot order a, b, b.
+        (g1, Switch, a, 34_163_044_720, SWITCH),
+        (g1, Switch, b, 38_178_987_440, SWITCH),
+        // The resident b leaves: [a] swaps in, the next [a] does not.
+        (g1, Switch, a, 42_194_930_160, SWITCH),
+    ]
+    .into_iter()
+    .map(|(lane, phase, t, start, dur)| Interval {
+        lane,
+        phase,
+        tenant: Some(t),
+        start: Duration::from_nanos(start),
+        dur: Duration::from_nanos(dur),
+    })
+    .collect();
+    assert_eq!(rt.timeline().intervals(), want);
+    let ledger = rt.ledger();
+    assert_eq!(ledger.modeled_makespan.as_nanos(), 46_210_872_880);
+    assert_eq!(ledger.overlap_saved.as_nanos(), 5_772_917_660);
+}
+
+/// The worker count changes who computes what, never the modeled time:
+/// the same operations at one worker and at four — every request three
+/// 64-item units long, so the workers split each job — give the same
+/// time axis and the same ledger.
+#[test]
+fn the_time_axis_does_not_depend_on_the_worker_count() {
+    let (one, _) = shared_band_scenario(1, 150);
+    let (four, _) = shared_band_scenario(4, 150);
+    assert_eq!(one.timeline().intervals(), four.timeline().intervals());
+    assert_eq!(one.ledger(), four.ledger());
+    let ledger = one.ledger();
+    assert!(ledger.context_switches > 0 && ledger.swaps > 0 && ledger.compactions > 0);
 }
 
 /// Whether a tenant shares its band is true *now*, for every tenant on

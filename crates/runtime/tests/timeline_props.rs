@@ -5,12 +5,10 @@
 //! * **pure timeline** — random phase schedules (with relocations)
 //!   straight into [`Timeline`], asserting after every step, on totals
 //!   derived from the interval log, the bounds that make the makespan
-//!   *honest*: `max(per-lane busy) <= makespan <= serialized`,
-//!   `makespan >= port busy`, the overlap saved monotone, and — on
-//!   execute-free schedules — `makespan <= charged`, the literal "never
-//!   exceeds summed port time" bound (execute intervals can legitimately
-//!   push a lane's later port phase past the flat port sum, which is why
-//!   the general bound is `serialized`, not `charged`);
+//!   *honest*: `max(per-lane busy) <= makespan <= serialized`, where
+//!   `serialized` — every interval laid end to end — is the summed port
+//!   time (every interval is charged), `makespan >= port busy`, and the
+//!   overlap saved monotone;
 //! * **runtime-driven** — random admission / parameter-swap / release /
 //!   run sequences through the real [`Runtime`], some admissions tall
 //!   enough to compact a fragmented grid, asserting
@@ -32,23 +30,21 @@ use vcgra::VcgraArch;
 
 const F: FpFormat = FpFormat::PAPER;
 
-/// Decodes a draw into a phase; `allow_exec` gates [`Phase::Execute`]
-/// out of execute-free schedules.
-fn phase_of(kind: u8, allow_exec: bool) -> Phase {
-    match kind % if allow_exec { 5 } else { 4 } {
+/// Decodes a draw into a phase.
+fn phase_of(kind: u8) -> Phase {
+    match kind % 4 {
         0 => Phase::Admission,
         1 => Phase::Swap,
         2 => Phase::Switch,
-        3 => Phase::Replay,
-        _ => Phase::Execute,
+        _ => Phase::Replay,
     }
 }
 
 /// The axis's totals from its interval log alone, after asserting the
-/// bounds every schedule keeps: `(end, charged, serialized)` — when the
-/// last interval ends (the makespan), the summed charged durations, and
-/// every phase laid end to end.
-fn log_totals(tl: &Timeline, ctx: &str) -> (Duration, Duration, Duration) {
+/// bounds every schedule keeps: `(end, serialized)` — when the last
+/// interval ends (the makespan), and every phase laid end to end (the
+/// summed port time).
+fn log_totals(tl: &Timeline, ctx: &str) -> (Duration, Duration) {
     let ivs = tl.intervals();
     let sum = |pick: fn(&Interval) -> bool| ivs.iter().filter(|iv| pick(iv)).map(|iv| iv.dur).sum();
     let mut lanes: BTreeMap<_, Duration> = BTreeMap::new();
@@ -70,14 +66,14 @@ fn log_totals(tl: &Timeline, ctx: &str) -> (Duration, Duration, Duration) {
         end <= serialized,
         "{ctx}: makespan {end:?} > serialized {serialized:?}"
     );
-    (end, sum(|iv| iv.phase.charged()), serialized)
+    (end, serialized)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    // Execute-free random schedules: everything on the axis is charged,
-    // so the makespan can never exceed the flat summed port time.
+    // Random schedules: everything on the axis is charged, so the
+    // makespan can never exceed the flat summed port time.
     #[test]
     fn reconfig_only_makespan_never_exceeds_summed_port_time(
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), 1u64..40), 1..80),
@@ -92,39 +88,9 @@ proptest! {
                 tl.move_lane(lane, to, replay);
                 tl.schedule(to, Phase::Replay, None, replay);
             } else {
-                tl.schedule(lane, phase_of(kind, false), None, Duration::from_millis(ms));
+                tl.schedule(lane, phase_of(kind), None, Duration::from_millis(ms));
             }
-            let (end, charged, serialized) = log_totals(&tl, "reconfig-only");
-            prop_assert!(
-                end <= charged,
-                "execute-free: makespan {:?} must not exceed summed port time {:?}",
-                end,
-                charged
-            );
-            prop_assert!(serialized - end >= prev_saved, "overlap_saved must be monotone");
-            prev_saved = serialized - end;
-        }
-    }
-
-    // Mixed schedules with execution: the general sandwich
-    // `max(lane busy) <= makespan <= charged + exec` holds throughout.
-    #[test]
-    fn mixed_schedules_keep_the_makespan_sandwich(
-        ops in prop::collection::vec((any::<u8>(), any::<u8>(), 1u64..40), 1..80),
-    ) {
-        let mut tl = Timeline::new();
-        let mut prev_saved = Duration::ZERO;
-        for (kind, lane_draw, ms) in ops {
-            let lane = ((lane_draw % 3) as usize, ((lane_draw / 3) % 4) as usize * 4);
-            if kind % 16 == 15 {
-                let to = ((lane_draw % 3) as usize, ((lane_draw / 7) % 4) as usize * 4);
-                let replay = Duration::from_millis(ms);
-                tl.move_lane(lane, to, replay);
-                tl.schedule(to, Phase::Replay, None, replay);
-            } else {
-                tl.schedule(lane, phase_of(kind, true), None, Duration::from_millis(ms));
-            }
-            let (end, _, serialized) = log_totals(&tl, "mixed");
+            let (end, serialized) = log_totals(&tl, "reconfig-only");
             prop_assert!(serialized - end >= prev_saved, "overlap_saved must be monotone");
             prev_saved = serialized - end;
         }
@@ -143,7 +109,6 @@ proptest! {
             ..RuntimeConfig::default()
         });
         let mut live: Vec<TenantId> = Vec::new();
-        let mut ran = false;
         for (i, (kind, seed)) in ops.into_iter().enumerate() {
             match kind % 6 {
                 // Admit a seeded FIR (may queue or time-share): a small
@@ -176,7 +141,7 @@ proptest! {
                         }
                     }
                 }
-                // Stream a few vectors (adds Execute/Switch intervals).
+                // Stream a few vectors (may add a Switch interval).
                 _ => {
                     if let Some(&t) = live.get(seed as usize % live.len().max(1)) {
                         let n = rt.tenant(t).expect("live").graph.num_inputs;
@@ -188,23 +153,11 @@ proptest! {
                             })
                             .collect();
                         rt.run(vec![StreamRequest { tenant: t, inputs }]).expect("run");
-                        ran = true;
                     }
                 }
             }
-            let (end, charged, _) = log_totals(rt.timeline(), "runtime churn");
+            let (end, charged) = log_totals(rt.timeline(), "runtime churn");
             let ledger = rt.ledger();
-            if !ran {
-                // Until the first execution the axis is execute-free, so
-                // the literal bound applies: modeled makespan never
-                // exceeds the flat summed port time.
-                prop_assert!(
-                    ledger.modeled_makespan <= ledger.total_port_time(),
-                    "exec-free prefix: makespan {:?} > summed port time {:?}",
-                    ledger.modeled_makespan,
-                    ledger.total_port_time()
-                );
-            }
             prop_assert_eq!(
                 ledger.modeled_makespan,
                 end,
@@ -212,7 +165,7 @@ proptest! {
             );
             prop_assert_eq!(
                 ledger.overlap_saved,
-                ledger.total_port_time() + ledger.exec_time - ledger.modeled_makespan,
+                ledger.total_port_time() - ledger.modeled_makespan,
                 "overlap saved is the serialized story less the makespan"
             );
             prop_assert_eq!(

@@ -341,10 +341,10 @@ pub enum Violation {
         /// Modeled time (ns) of the collision.
         at_ns: u64,
     },
-    /// Summed charged interval durations disagree with the ledger's
+    /// Summed interval durations disagree with the ledger's
     /// total port time (a charge was dropped or double-counted).
     TimelineChargeDrift {
-        /// Sum of charged interval durations (ns).
+        /// Sum of interval durations (ns).
         timeline_ns: u64,
         /// The ledger's `total_port_time` (ns).
         ledger_ns: u64,
@@ -627,7 +627,7 @@ impl fmt::Display for Violation {
             } => {
                 write!(
                     f,
-                    "charged lane durations sum to {timeline_ns} ns, ledger port time is {ledger_ns} ns"
+                    "lane durations sum to {timeline_ns} ns, ledger port time is {ledger_ns} ns"
                 )
             }
             Violation::MakespanMismatch {

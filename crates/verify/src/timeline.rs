@@ -11,11 +11,11 @@
 //!    HWICAP/MST-AXI interface streams one bitstream at a time
 //!    ([`Violation::PortOverlap`]);
 //! 2. **Lane exclusivity** — no two intervals on one band lane overlap:
-//!    a band cannot compute while its own configuration is rewritten
+//!    a band's configuration is rewritten by one phase at a time
 //!    ([`Violation::LaneOverlap`]);
 //! 3. **Charge conservation** — every duration the ledger charged
-//!    appears exactly once on some lane: the summed charged interval
-//!    durations equal the ledger's `total_port_time`
+//!    appears exactly once on some lane: every interval is charged port
+//!    time, and their durations sum to the ledger's `total_port_time`
 //!    ([`Violation::TimelineChargeDrift`]), and the reported makespan is
 //!    exactly the last interval's end ([`Violation::MakespanMismatch`]).
 //!
@@ -24,20 +24,17 @@
 
 use crate::Violation;
 
-/// One scheduled interval, exported as plain data (nanoseconds; the
-/// phase's port/charge behavior is carried as flags so the checker does
-/// not depend on the runtime crate's `Phase` enum).
+/// One scheduled interval, exported as plain data (nanoseconds; whether
+/// the phase streams through the port is carried as a flag so the
+/// checker does not depend on the runtime crate's `Phase` enum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSnap {
     /// The band lane, as `(grid, row0)`.
     pub lane: (usize, usize),
-    /// Stable phase name (`admission`, `swap`, `switch`, `replay`,
-    /// `execute`).
+    /// Stable phase name (`admission`, `swap`, `switch`, `replay`).
     pub phase: &'static str,
     /// True when the phase streamed through the configuration port.
     pub uses_port: bool,
-    /// True when the ledger charged the phase as modeled port time.
-    pub charged: bool,
     /// The tenant served, when attributable.
     pub tenant: Option<u64>,
     /// Modeled start, nanoseconds from runtime construction.
@@ -61,8 +58,8 @@ pub struct TimelineSnapshot {
     pub intervals: Vec<PhaseSnap>,
     /// The makespan the runtime reports, nanoseconds.
     pub makespan_ns: u64,
-    /// The ledger's `total_port_time`, nanoseconds — what the charged
-    /// intervals must sum to.
+    /// The ledger's `total_port_time`, nanoseconds — what the intervals
+    /// must sum to.
     pub ledger_port_ns: u64,
 }
 
@@ -84,8 +81,8 @@ pub fn check_timeline(snap: &TimelineSnapshot) -> Vec<Violation> {
         }
     }
 
-    // Lane exclusivity: same sweep per lane, all phases included —
-    // execute occupies the band exactly like a reconfiguration does.
+    // Lane exclusivity: same sweep per lane, port and lane-local phases
+    // alike.
     let mut by_lane: std::collections::BTreeMap<(usize, usize), Vec<&PhaseSnap>> =
         std::collections::BTreeMap::new();
     for iv in &snap.intervals {
@@ -103,14 +100,9 @@ pub fn check_timeline(snap: &TimelineSnapshot) -> Vec<Violation> {
         }
     }
 
-    // Charge conservation: the charged intervals sum exactly to the
-    // ledger's port time — nothing double-counted, nothing dropped.
-    let timeline_ns: u64 = snap
-        .intervals
-        .iter()
-        .filter(|iv| iv.charged)
-        .map(|iv| iv.dur_ns)
-        .sum();
+    // Charge conservation: the intervals sum exactly to the ledger's port
+    // time — nothing double-counted, nothing dropped.
+    let timeline_ns: u64 = snap.intervals.iter().map(|iv| iv.dur_ns).sum();
     if timeline_ns != snap.ledger_port_ns {
         violations.push(Violation::TimelineChargeDrift {
             timeline_ns,
@@ -143,7 +135,6 @@ mod tests {
         lane: (usize, usize),
         phase: &'static str,
         uses_port: bool,
-        charged: bool,
         start_ns: u64,
         dur_ns: u64,
     ) -> PhaseSnap {
@@ -151,7 +142,6 @@ mod tests {
             lane,
             phase,
             uses_port,
-            charged,
             tenant: Some(1),
             start_ns,
             dur_ns,
@@ -161,13 +151,13 @@ mod tests {
     fn clean() -> TimelineSnapshot {
         TimelineSnapshot {
             intervals: vec![
-                iv((0, 0), "admission", true, true, 0, 100),
-                iv((0, 8), "admission", true, true, 100, 50),
-                iv((0, 0), "execute", false, false, 100, 200),
-                iv((0, 8), "switch", false, true, 150, 30),
+                iv((0, 0), "admission", true, 0, 100),
+                iv((0, 8), "admission", true, 100, 50),
+                iv((0, 0), "switch", false, 100, 200),
+                iv((0, 8), "switch", false, 150, 30),
             ],
             makespan_ns: 300,
-            ledger_port_ns: 180,
+            ledger_port_ns: 380,
         }
     }
 
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn overlapping_lane_intervals_are_rejected() {
         let mut snap = clean();
-        // The execute starts while its own lane's admission still runs.
+        // The switch starts while its own lane's admission still runs.
         snap.intervals[2].start_ns = 50;
         snap.intervals[2].dur_ns = 250;
         let violations = check_timeline(&snap);
@@ -218,8 +208,8 @@ mod tests {
             violations.iter().any(|v| matches!(
                 v,
                 Violation::TimelineChargeDrift {
-                    timeline_ns: 180,
-                    ledger_ns: 187
+                    timeline_ns: 380,
+                    ledger_ns: 387
                 }
             )),
             "{violations:?}"
