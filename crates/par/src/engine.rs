@@ -75,9 +75,10 @@ pub struct ParReport {
     /// Width-search effort log: every probe with its wall time,
     /// iteration and rip-up counts, and warm-start coverage.
     pub probes: Vec<WidthProbe>,
-    /// Why `min_channel_width` is trusted to be minimal (cold
-    /// confirmation of the final `W−1` failure, sound lower bound, or
-    /// the search floor).
+    /// Why `min_channel_width` is taken as minimal: a cold confirmation
+    /// of the final `W−1` failure (a budgeted router verdict, not a proof
+    /// that `W−1` is unroutable), the sound lower bound, or the search
+    /// floor.
     pub certificate: WidthCertificate,
     /// The sound placement-derived lower bound the search started from
     /// ([`crate::channel_width_lower_bound`]).

@@ -88,7 +88,11 @@ pub enum WidthCertificate {
     LowerBound,
     /// A **cold** probe (no warm-start seed whose bias could fabricate a
     /// failure) failed at `W−1` — either during the search itself or as
-    /// the certification re-probe.
+    /// the certification re-probe. That shows only that a cold route did
+    /// not converge at `W−1` within the router's 30-iteration budget (or
+    /// was stopped by its stall detector), not that `W−1` is unroutable:
+    /// on the (5,10) conventional PE a warm route has succeeded at a width
+    /// where the cold probe had failed.
     ColdFailure,
 }
 
@@ -123,7 +127,11 @@ pub struct WidthSearch {
     /// overshoot — but `tests/determinism.rs` property-checks it never
     /// exceeds the cold reference scan's minimum in practice.
     pub overuse_lo: usize,
-    /// Proof-grade backing for "`min_width` is minimal": the warm binary
+    /// Why `min_width` is taken as the minimum. Only
+    /// [`Floor`](WidthCertificate::Floor) and
+    /// [`LowerBound`](WidthCertificate::LowerBound) prove it;
+    /// [`ColdFailure`](WidthCertificate::ColdFailure) is a budgeted router
+    /// verdict, not a proof (see there). The warm binary
     /// search takes de-biased warm verdicts at face value, so the final
     /// `W−1` failure is probed **cold** as well — beside the binary phase
     /// when a thread is free, after it otherwise (unless the floor or the

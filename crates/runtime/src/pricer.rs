@@ -6,11 +6,19 @@
 //! frames. Every changed PE of a swap is two lanes — old, new — of one
 //! [`dcs::Scg::specialize_lanes`] sweep (32 PEs to a sweep, chunked
 //! beyond), so a swap costs one pass over the PE's BDD store and one over
-//! its PPC roots however many PEs it touches. The pricer owns one parameterized PE design (`mapping` +
-//! `dcs::ParamConfig`) built lazily on first use — in the runtime, in the
-//! reduced (4,6) format so pricing stays interactive; the frame *counts*
-//! it produces are a per-PE model, anchored against the paper's published
-//! population through [`dcs::paper_pe_reconfig`].
+//! its PPC roots however many PEs it touches.
+//!
+//! The model a pricer evaluates — one parameterized PE design (`mapping` +
+//! `dcs::ParamConfig`) — is a constant of the overlay, as the paper's
+//! TLUT/TCON mapper produces the PPC once, offline: a process builds it
+//! once per pricing format, on the first swap that needs that format, and
+//! every pricer of every runtime and shard shares it. The build is
+//! sweep → `map_parameterized` → `ParamConfig::extract`: ≈ 35 ms in
+//! release and ≈ 0.2–0.3 s in the dev profile at the runtime's (4,6),
+//! where `map_parameterized` alone took 1.09 s at the paper's (6,26) in
+//! `table1`.
+//! The frame *counts* it produces are a per-PE model, anchored against
+//! the paper's published population through [`dcs::paper_pe_reconfig`].
 //!
 //! Two frame populations are priced per swap:
 //!
@@ -21,7 +29,7 @@
 //!   column stripe share a frame, so a swap touching a whole column is one
 //!   read-modify-write there.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use dcs::{ParamConfig, ReconfigInterface, Scg};
@@ -80,6 +88,25 @@ struct PricerModel {
 }
 
 impl PricerModel {
+    /// Maps the virtual PE in `format` parameterized and extracts its PPC,
+    /// inside a `pricer.build` span.
+    fn build(format: FpFormat) -> Self {
+        let mut span = trace::span("pricer.build");
+        let pe_cfg = VirtualPeConfig { format, hops: 2 };
+        let aig = logic::opt::sweep(&VirtualPe::build(pe_cfg, true).aig);
+        let design = map_parameterized(&aig, MapOptions::default());
+        let config = ParamConfig::extract(&design);
+        span.arg("we", format.we);
+        span.arg("wf", format.wf);
+        span.arg("ppc_bits", config.ppc.len());
+        span.arg("bdd_nodes", design.bdd.num_nodes());
+        PricerModel {
+            design,
+            config,
+            pe_cfg,
+        }
+    }
+
     /// Overlay settings (in the application's format) as settings of the
     /// pricing PE: the coefficient re-rounded to its format.
     fn scaled(&self, s: &PeSettings) -> PeSettings {
@@ -90,24 +117,54 @@ impl PricerModel {
     }
 }
 
-/// Floating-point format of the runtime's pricing PE: reduced, so the
-/// lazy pricer build stays sub-second.
+/// Floating-point format of the runtime's pricing PE: reduced, so its
+/// model build (once per process) costs ≈ 35 ms in release, not the
+/// 1.09 s `map_parameterized` alone took at the paper's (6,26) in `table1`.
 pub(crate) const PRICER_FORMAT: FpFormat = FpFormat { we: 4, wf: 6 };
 
 /// The configuration interface every price is charged at: the paper's
 /// HWICAP, 251 ms per PE.
 const IFACE: ReconfigInterface = ReconfigInterface::Hwicap;
 
-/// Lazily-built PPC pricer over one parameterized PE.
+/// Pricing models by format: each is built once and shared.
+struct ModelRegistry(Mutex<Vec<(FpFormat, Arc<PricerModel>)>>);
+
+impl ModelRegistry {
+    const fn new() -> Self {
+        ModelRegistry(Mutex::new(Vec::new()))
+    }
+
+    /// The model for `format`. `build` runs under the lock, and only when
+    /// no caller has asked for `format` before, so concurrent first
+    /// requests wait for one build rather than each making their own.
+    fn get(&self, format: FpFormat, build: impl FnOnce() -> PricerModel) -> Arc<PricerModel> {
+        // A build that panicked pushed nothing: the list is still whole.
+        let mut models = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, model)) = models.iter().find(|(f, _)| *f == format) {
+            return Arc::clone(model);
+        }
+        let model = Arc::new(build());
+        models.push((format, Arc::clone(&model)));
+        model
+    }
+}
+
+/// The process's pricing models, shared by every runtime and shard.
+static MODELS: ModelRegistry = ModelRegistry::new();
+
+/// PPC pricer over one parameterized PE, the process's shared model for
+/// its format.
 pub(crate) struct SettingsPricer {
     format: FpFormat,
-    model: OnceLock<PricerModel>,
+    /// The shared model, fetched on the first swap: later swaps read it
+    /// without taking the registry's lock.
+    model: OnceLock<Arc<PricerModel>>,
 }
 
 impl SettingsPricer {
     /// Creates a pricer; `format` is the floating-point format of the
-    /// *pricing* PE (reduced formats price in well under a second; the
-    /// trend matches the paper-scale PE).
+    /// *pricing* PE. Nothing is built until the first swap, and then only
+    /// if no pricer in the process has priced in `format` before.
     pub(crate) fn new(format: FpFormat) -> Self {
         SettingsPricer {
             format,
@@ -116,20 +173,8 @@ impl SettingsPricer {
     }
 
     fn model(&self) -> &PricerModel {
-        self.model.get_or_init(|| {
-            let pe_cfg = VirtualPeConfig {
-                format: self.format,
-                hops: 2,
-            };
-            let aig = logic::opt::sweep(&VirtualPe::build(pe_cfg, true).aig);
-            let design = map_parameterized(&aig, MapOptions::default());
-            let config = ParamConfig::extract(&design);
-            PricerModel {
-                design,
-                config,
-                pe_cfg,
-            }
-        })
+        self.model
+            .get_or_init(|| MODELS.get(self.format, || PricerModel::build(self.format)))
     }
 
     /// Prices a parameter-only change over a set of PEs on one grid.
@@ -207,7 +252,7 @@ mod tests {
     const F: FpFormat = FpFormat::PAPER;
 
     fn pricer() -> SettingsPricer {
-        // Tiny pricing PE keeps the lazy build fast in debug tests.
+        // Tiny pricing PE keeps its one build fast in debug tests.
         SettingsPricer::new(FpFormat::new(3, 4))
     }
 
@@ -441,6 +486,40 @@ mod tests {
         let r = p.price_swap((4, 4), &changes);
         assert_eq!(r.dirty_pes, 4);
         assert_eq!(r.settings_frames, 1, "one column stripe, one frame");
+    }
+
+    #[test]
+    fn concurrent_first_requests_build_each_format_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let registry = ModelRegistry::new();
+        let formats = [FpFormat::new(3, 4), FpFormat::new(3, 5)];
+        let builds = formats.map(|_| AtomicUsize::new(0));
+        // Four threads per format, released together so that every
+        // thread's request is a first request.
+        let start = std::sync::Barrier::new(8);
+        let got: Vec<(usize, Arc<PricerModel>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|t| {
+                    let (registry, builds, start) = (&registry, &builds, &start);
+                    s.spawn(move || {
+                        let i = t % 2;
+                        start.wait();
+                        let model = registry.get(formats[i], || {
+                            builds[i].fetch_add(1, Ordering::Relaxed);
+                            PricerModel::build(formats[i])
+                        });
+                        (i, model)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(builds.map(|b| b.into_inner()), [1, 1]);
+        for (i, model) in &got {
+            let first = got.iter().find(|(j, _)| j == i).unwrap();
+            assert!(Arc::ptr_eq(model, &first.1), "one model per format");
+            assert_eq!(model.pe_cfg.format, formats[*i]);
+        }
     }
 
     #[test]
