@@ -26,10 +26,8 @@ pub enum AppSource {
 }
 
 /// One PE-level operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AppNode {
-    /// Human-readable name (used in renders and error messages).
-    pub name: String,
     /// The PE mode this node needs.
     pub op: PeMode,
     /// Coefficient for MAC/MUL nodes.
@@ -162,23 +160,10 @@ impl AppGraph {
     }
 
     /// Adds a node and returns its index.
-    pub fn add(
-        &mut self,
-        name: impl Into<String>,
-        op: PeMode,
-        coeff: Option<FpValue>,
-        a: AppSource,
-        b: AppSource,
-    ) -> usize {
+    pub fn add(&mut self, op: PeMode, coeff: Option<FpValue>, a: AppSource, b: AppSource) -> usize {
         self.check_source(a);
         self.check_source(b);
-        let node = AppNode {
-            name: name.into(),
-            op,
-            coeff,
-            a,
-            b,
-        };
+        let node = AppNode { op, coeff, a, b };
         assert!(!node.lacks_coeff(), "MAC/MUL nodes need a coefficient");
         self.nodes.push(node);
         self.nodes.len() - 1
@@ -288,7 +273,7 @@ impl AppGraph {
     /// What makes two graphs share a compile, as one word sequence: format,
     /// arity, node count, then per node its op, both operands (kind, index)
     /// and whether it carries a coefficient, then the outputs. Coefficient
-    /// *values* and node names are not in it. [`Self::same_structure`], the
+    /// *values* are not in it. [`Self::same_structure`], the
     /// runtime's cache key and the shard tier's routing hash are all read
     /// off this sequence, so a new structural field is added here once.
     pub fn structure_words(&self) -> impl Iterator<Item = u64> + '_ {
@@ -330,19 +315,16 @@ impl AppGraph {
     }
 
     /// Reduces a layer of node indices with a balanced binary adder tree
-    /// and returns the root node. `tag` prefixes the generated node names
-    /// (`{tag}add_l{level}_{k}`). Kernel builders — here and in the
+    /// and returns the root node. Kernel builders — here and in the
     /// runtime's kernel library — share this one reduction so structurally
     /// equal graphs stay cache-key equal.
-    pub fn reduce_add(&mut self, mut layer: Vec<usize>, tag: &str) -> usize {
+    pub fn reduce_add(&mut self, mut layer: Vec<usize>) -> usize {
         assert!(!layer.is_empty());
-        let mut level = 0;
         while layer.len() > 1 {
             let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            for (k, pair) in layer.chunks(2).enumerate() {
+            for pair in layer.chunks(2) {
                 if pair.len() == 2 {
                     next.push(self.add(
-                        format!("{tag}add_l{level}_{k}"),
                         PeMode::Add,
                         None,
                         AppSource::Node(pair[0]),
@@ -353,7 +335,6 @@ impl AppGraph {
                 }
             }
             layer = next;
-            level += 1;
         }
         layer[0]
     }
@@ -369,7 +350,6 @@ impl AppGraph {
             .enumerate()
             .map(|(i, &c)| {
                 g.add(
-                    format!("mul{i}"),
                     PeMode::Mul,
                     Some(FpValue::from_f64(c, format)),
                     AppSource::External(i),
@@ -377,14 +357,15 @@ impl AppGraph {
                 )
             })
             .collect();
-        let root = g.reduce_add(layer, "");
+        let root = g.reduce_add(layer);
         g.mark_output(root);
         g
     }
 
-    /// Builds a MAC chain computing the same dot product with accumulating
-    /// PEs (`out_i = x_i · c_i + out_{i-1}`): fewer PEs, longer chain —
-    /// the systolic alternative used when the grid is small.
+    /// Builds the same dot product as a chain (`out_i = x_i · c_i +
+    /// out_{i-1}`): n MUL nodes and n − 1 accumulating ADD nodes, the same
+    /// 2n − 1 PEs as [`Self::dot_product`] but a linear chain of depth n
+    /// instead of an adder tree — the systolic shape.
     pub fn mac_chain(format: FpFormat, coeffs: &[f64]) -> AppGraph {
         assert!(!coeffs.is_empty());
         let mut g = AppGraph::new(format, coeffs.len());
@@ -395,14 +376,13 @@ impl AppGraph {
             // followed by ADD when b exists, i.e. two PEs per tap — the
             // builder keeps PE modes primitive.
             let m = g.add(
-                format!("mul{i}"),
                 PeMode::Mul,
                 Some(FpValue::from_f64(c, format)),
                 AppSource::External(i),
                 AppSource::Zero,
             );
             let node = if let Some(_p) = prev {
-                g.add(format!("acc{i}"), PeMode::Add, None, AppSource::Node(m), b)
+                g.add(PeMode::Add, None, AppSource::Node(m), b)
             } else {
                 m
             };
@@ -419,9 +399,8 @@ impl AppGraph {
         let mut g = AppGraph::new(format, 1);
         let mut prev = AppSource::External(0);
         let mut last = 0;
-        for (i, &c) in coeffs.iter().enumerate() {
+        for &c in coeffs {
             last = g.add(
-                format!("scale{i}"),
                 PeMode::Mul,
                 Some(FpValue::from_f64(c, format)),
                 prev,
@@ -541,25 +520,13 @@ mod tests {
     #[should_panic(expected = "referenced before definition")]
     fn forward_reference_rejected() {
         let mut g = AppGraph::new(F, 1);
-        g.add(
-            "bad",
-            PeMode::Add,
-            None,
-            AppSource::Node(5),
-            AppSource::Zero,
-        );
+        g.add(PeMode::Add, None, AppSource::Node(5), AppSource::Zero);
     }
 
     #[test]
     #[should_panic(expected = "need a coefficient")]
     fn mul_without_coeff_rejected() {
         let mut g = AppGraph::new(F, 1);
-        g.add(
-            "bad",
-            PeMode::Mul,
-            None,
-            AppSource::External(0),
-            AppSource::Zero,
-        );
+        g.add(PeMode::Mul, None, AppSource::External(0), AppSource::Zero);
     }
 }

@@ -732,16 +732,10 @@ mod tests {
         let leaves = (0..k)
             .map(|i| {
                 let input = AppSource::External(i);
-                g.add(
-                    format!("leaf{i}"),
-                    PeMode::Pass,
-                    None,
-                    input,
-                    AppSource::Zero,
-                )
+                g.add(PeMode::Pass, None, input, AppSource::Zero)
             })
             .collect();
-        let root = g.reduce_add(leaves, "red_");
+        let root = g.reduce_add(leaves);
         g.mark_output(root);
         g
     }
@@ -879,32 +873,12 @@ mod tests {
         // widest row of any library or family graph.
         let c = Some(FpValue::from_f64(0.5, F));
         let mut app = AppGraph::new(F, 1);
-        let head = app.add(
-            "head",
-            PeMode::Mul,
-            c,
-            AppSource::External(0),
-            AppSource::Zero,
-        );
-        let fan = app.add(
-            "fan",
-            PeMode::Pass,
-            None,
-            AppSource::Node(head),
-            AppSource::Zero,
-        );
+        let head = app.add(PeMode::Mul, c, AppSource::External(0), AppSource::Zero);
+        let fan = app.add(PeMode::Pass, None, AppSource::Node(head), AppSource::Zero);
         let muls = (0..6)
-            .map(|i| {
-                app.add(
-                    format!("mul{i}"),
-                    PeMode::Mul,
-                    c,
-                    AppSource::Node(fan),
-                    AppSource::Zero,
-                )
-            })
+            .map(|_| app.add(PeMode::Mul, c, AppSource::Node(fan), AppSource::Zero))
             .collect();
-        let root = app.reduce_add(muls, "sum_");
+        let root = app.reduce_add(muls);
         app.mark_output(root);
         let degree = |v| {
             dataflow_edges(&app)

@@ -439,13 +439,7 @@ mod tests {
             } else {
                 AppSource::Node(i - 1)
             };
-            app.add(
-                format!("mac{i}"),
-                PeMode::Mac,
-                Some(fp(c)),
-                a,
-                AppSource::Zero,
-            );
+            app.add(PeMode::Mac, Some(fp(c)), a, AppSource::Zero);
             app.mark_output(i);
         }
         let mapping =

@@ -29,6 +29,9 @@ pub struct BitAddr {
     pub offset: u32,
 }
 
+/// Bits per frame used when assigning addresses.
+const FRAME_BITS: u32 = 64;
+
 /// The generic-stage output: TC + PPC over one design.
 pub struct ParamConfig {
     /// Static bits (template configuration).
@@ -37,8 +40,6 @@ pub struct ParamConfig {
     pub ppc: Vec<(BitAddr, Bdd, ConfigKind)>,
     /// Parameter names, aligned with the design's BDD variables.
     pub param_names: Vec<String>,
-    /// Bits per frame used when assigning addresses.
-    pub frame_bits: u32,
     /// The distinct frames holding a tunable bit, ascending.
     pub(crate) frames: Vec<u32>,
     /// Per PPC entry, the index of its frame in `frames`. The PPC order
@@ -52,11 +53,11 @@ impl ParamConfig {
     /// Extracts TC and PPC from a mapped design.
     ///
     /// Frame addresses use an abstract column model: LUT bits pack
-    /// `frame_bits` to a frame in node order; routing/settings bits live in
-    /// a separate frame range. (The `fabric::frames` model refines this
-    /// with placement information; the split and the counts are identical.)
+    /// `FRAME_BITS` (64) to a frame in node order; routing/settings bits
+    /// live in a separate frame range. (The `fabric::frames` model refines
+    /// this with placement information; the split and the counts are
+    /// identical.)
     pub fn extract(design: &MappedDesign) -> ParamConfig {
-        let frame_bits = 64u32;
         let mut template = Vec::new();
         let mut ppc = Vec::new();
         let mut lut_cursor: u32 = 0;
@@ -68,8 +69,8 @@ impl ParamConfig {
                 MappedNode::Lut(l) => {
                     for &bit in &l.ptt {
                         let addr = BitAddr {
-                            frame: lut_cursor / frame_bits,
-                            offset: lut_cursor % frame_bits,
+                            frame: lut_cursor / FRAME_BITS,
+                            offset: lut_cursor % FRAME_BITS,
                         };
                         lut_cursor += 1;
                         if bit.is_const() {
@@ -92,8 +93,8 @@ impl ParamConfig {
                          template: &mut Vec<(BitAddr, bool, ConfigKind)>,
                          ppc: &mut Vec<(BitAddr, Bdd, ConfigKind)>| {
                             let addr = BitAddr {
-                                frame: ROUTE_FRAME_BASE + route_cursor / frame_bits,
-                                offset: route_cursor % frame_bits,
+                                frame: ROUTE_FRAME_BASE + route_cursor / FRAME_BITS,
+                                offset: route_cursor % FRAME_BITS,
                             };
                             route_cursor += 1;
                             if b.is_const() {
@@ -121,7 +122,6 @@ impl ParamConfig {
             template,
             ppc,
             param_names: design.param_names.clone(),
-            frame_bits,
             frames,
             ppc_frame,
         }

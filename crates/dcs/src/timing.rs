@@ -70,7 +70,6 @@ pub fn paper_pe_stats() -> mapping::MapStats {
         tcons: 568,
         tunable_constants: 0,
         depth: 33,
-        lut_pins: 0,
     }
 }
 

@@ -32,11 +32,12 @@ impl FabricArch {
 
     /// Smallest array that fits `blocks` logic blocks and `ios` pads.
     pub fn sized_for(blocks: usize, ios: usize) -> Self {
-        let mut size = (blocks as f64).sqrt().ceil() as usize + 1;
+        // `paper_4lut` needs size ≥ 2, which only `blocks == 0` starts under.
+        let mut size = ((blocks as f64).sqrt().ceil() as usize + 1).max(2);
         loop {
-            let io_slots = 4 * size * 2; // io_capacity = 2
-            if size * size >= blocks && io_slots >= ios {
-                return Self::paper_4lut(size);
+            let arch = Self::paper_4lut(size);
+            if arch.logic_sites() >= blocks && arch.io_sites() >= ios {
+                return arch;
             }
             size += 1;
         }

@@ -18,9 +18,6 @@ pub struct FrameModel {
     pub size: usize,
     /// Tiles covered by one frame vertically.
     pub tiles_per_frame: usize,
-    /// 32-bit words per frame (Virtex-style frames are 41 words; we keep
-    /// the constant configurable for the timing model).
-    pub words_per_frame: usize,
 }
 
 impl FrameModel {
@@ -34,7 +31,6 @@ impl FrameModel {
         Self {
             size: rows.max(cols).max(2),
             tiles_per_frame: 4,
-            words_per_frame: 41,
         }
     }
 
@@ -81,7 +77,6 @@ mod tests {
         let m = FrameModel {
             size: 8,
             tiles_per_frame: 4,
-            words_per_frame: 41,
         };
         let f00 = m.lut_frame(Site::Logic { x: 0, y: 0 });
         let f03 = m.lut_frame(Site::Logic { x: 0, y: 3 });
@@ -107,7 +102,6 @@ mod tests {
         let m = FrameModel {
             size: 8,
             tiles_per_frame: 4,
-            words_per_frame: 41,
         };
         let lut_max = m.lut_frame(Site::Logic { x: 7, y: 7 });
         let route_min = m.routing_frame(0, 0);

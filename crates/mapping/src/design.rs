@@ -112,8 +112,6 @@ pub struct MapStats {
     pub tunable_constants: usize,
     /// LUT logic depth over the outputs (TCONs contribute no level).
     pub depth: u32,
-    /// Total LUT input pins in use (a proxy for connection-block demand).
-    pub lut_pins: usize,
 }
 
 /// A technology-mapped design.
@@ -137,12 +135,10 @@ impl MappedDesign {
         let mut tluts = 0;
         let mut tcons = 0;
         let mut tunable_constants = 0;
-        let mut lut_pins = 0;
         for n in &self.nodes {
             match n {
                 MappedNode::Lut(l) => {
                     luts += 1;
-                    lut_pins += l.inputs.len();
                     if l.is_tunable() {
                         tluts += 1;
                     }
@@ -162,7 +158,6 @@ impl MappedDesign {
             tcons,
             tunable_constants,
             depth: self.depth(),
-            lut_pins,
         }
     }
 

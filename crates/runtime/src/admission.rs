@@ -1,8 +1,6 @@
 //! Admission: leasing a region, compiling or specializing, the FIFO
 //! queue, release and band compaction.
 
-use std::time::Duration;
-
 use softfloat::FpValue;
 use vcgra::app::{AppGraph, GraphError};
 use vcgra::flow::VcgraMapping;
@@ -60,8 +58,6 @@ pub struct Admitted {
     pub cache_hit: bool,
     /// Bands the scheduler relocated (compaction) to place this tenant.
     pub relocations: usize,
-    /// Modeled port time to configure the tenant's PEs from scratch.
-    pub config_port_time: Duration,
 }
 
 /// A submission parked in the admission queue.
@@ -314,7 +310,6 @@ impl Runtime {
             lease,
             cache_hit,
             relocations: relocations.len(),
-            config_port_time,
         })
     }
 

@@ -81,7 +81,6 @@ pub fn separable_stencil(format: FpFormat, row: &[f64], col: &[f64]) -> Workload
             .enumerate()
             .map(|(c, &rv)| {
                 g.add(
-                    format!("r{r}mul{c}"),
                     PeMode::Mul,
                     Some(FpValue::from_f64(rv, format)),
                     AppSource::External(r * row.len() + c),
@@ -89,16 +88,15 @@ pub fn separable_stencil(format: FpFormat, row: &[f64], col: &[f64]) -> Workload
                 )
             })
             .collect();
-        let row_sum = g.reduce_add(muls, &format!("r{r}_"));
+        let row_sum = g.reduce_add(muls);
         scaled_rows.push(g.add(
-            format!("colmul{r}"),
             PeMode::Mul,
             Some(FpValue::from_f64(cv, format)),
             AppSource::Node(row_sum),
             AppSource::Zero,
         ));
     }
-    let out = g.reduce_add(scaled_rows, "col_");
+    let out = g.reduce_add(scaled_rows);
     g.mark_output(out);
     Workload::new(format!("stencil{}x{}", col.len(), row.len()), g)
 }
@@ -111,13 +109,12 @@ pub fn matvec(format: FpFormat, a: &[Vec<f64>]) -> Workload {
     let n = a[0].len();
     assert!(a.iter().all(|row| row.len() == n), "rectangular matrix");
     let mut g = AppGraph::new(format, n);
-    for (m, row) in a.iter().enumerate() {
+    for row in a {
         let muls: Vec<usize> = row
             .iter()
             .enumerate()
             .map(|(j, &c)| {
                 g.add(
-                    format!("t{m}mul{j}"),
                     PeMode::Mul,
                     Some(FpValue::from_f64(c, format)),
                     AppSource::External(j),
@@ -125,7 +122,7 @@ pub fn matvec(format: FpFormat, a: &[Vec<f64>]) -> Workload {
                 )
             })
             .collect();
-        let out = g.reduce_add(muls, &format!("t{m}_"));
+        let out = g.reduce_add(muls);
         g.mark_output(out);
     }
     Workload::new(format!("matvec{}x{}", a.len(), n), g)
@@ -138,17 +135,9 @@ pub fn tree_reduction(format: FpFormat, n: usize) -> Workload {
     assert!(n >= 2);
     let mut g = AppGraph::new(format, n);
     let leaves: Vec<usize> = (0..n)
-        .map(|i| {
-            g.add(
-                format!("leaf{i}"),
-                PeMode::Pass,
-                None,
-                AppSource::External(i),
-                AppSource::Zero,
-            )
-        })
+        .map(|i| g.add(PeMode::Pass, None, AppSource::External(i), AppSource::Zero))
         .collect();
-    let out = g.reduce_add(leaves, "red_");
+    let out = g.reduce_add(leaves);
     g.mark_output(out);
     Workload::new(format!("reduce{n}"), g)
 }
@@ -177,7 +166,6 @@ pub fn row_pass(format: FpFormat, k: usize) -> Workload {
     g.num_inputs = k + 1;
     let row_sum = g.outputs.pop().expect("a dot product has one output");
     let acc = g.add(
-        "acc",
         PeMode::Add,
         None,
         AppSource::Node(row_sum),

@@ -442,13 +442,7 @@ fn outputs_grow_and_shrink_in_place_and_match_the_dataflow() {
         } else {
             AppSource::Node(i - 1)
         };
-        chain.add(
-            format!("mac{i}"),
-            PeMode::Mac,
-            Some(fp(c)),
-            a,
-            AppSource::Zero,
-        );
+        chain.add(PeMode::Mac, Some(fp(c)), a, AppSource::Zero);
         chain.mark_output(i);
     }
     // A 5x5 retina window: 25 inputs, one output.
@@ -726,16 +720,9 @@ fn a_mul_without_its_coefficient_is_refused_at_the_door() {
 /// the root's cell, which has at most four channel segments out.
 fn unroutable_at_capacity_one() -> AppGraph {
     let mut g = AppGraph::new(F, 1);
-    let root = g.add(
-        "root",
-        PeMode::Pass,
-        None,
-        AppSource::External(0),
-        AppSource::Zero,
-    );
-    for i in 0..5 {
+    let root = g.add(PeMode::Pass, None, AppSource::External(0), AppSource::Zero);
+    for _ in 0..5 {
         let leaf = g.add(
-            format!("leaf{i}"),
             PeMode::Add,
             None,
             AppSource::Node(root),

@@ -12,8 +12,9 @@
 //! - [`Registry`]: named [`Counter`]s and log-linear-bucket
 //!   [`Histogram`]s with p50/p99/max readout. The shard tier keeps
 //!   one: its queue-wait, admit and execute histograms and its spill and
-//!   reject counters. (The runtime keeps no registry: an admission or a
-//!   swap returns its own host latency, and the `Ledger` holds the rest.)
+//!   reject counters. (The runtime keeps no registry: the host latency
+//!   of an admission, a swap or a run is the trace span around it, and
+//!   the `Ledger` holds the modeled port time and the counts.)
 //! - [`json`]: a minimal JSON parser so the trace round-trip tests can
 //!   consume this crate's output without any external dependency.
 //!

@@ -157,6 +157,31 @@ fn route_from_no_node_is_rejected() {
 }
 
 #[test]
+fn path_with_a_detour_back_is_rejected() {
+    let (app, mut m) = clean_mapping();
+    // A → B → A after the route's first cell A: every step stays adjacent
+    // and both endpoints stay put, so the revisit is the only fault.
+    let cols = m.arch.cols;
+    let path = &mut m.routes[0].path;
+    let a = path[0];
+    let b = if a.1 + 1 < cols {
+        (a.0, a.1 + 1)
+    } else {
+        (a.0, a.1 - 1)
+    };
+    path.splice(1..1, [b, a]);
+    let v = check_mapping(&app, &m);
+    assert_violation!(v, Violation::PathRevisitsCell { edge: 0, cell } if *cell == a);
+    assert!(
+        !v.iter().any(|x| matches!(
+            x,
+            Violation::PathBroken { .. } | Violation::RouteEndpointMismatch { .. }
+        )),
+        "{v:?}"
+    );
+}
+
+#[test]
 fn channel_narrower_than_its_routes_is_rejected() {
     let (app, mut m) = clean_mapping();
     // Every directed segment a route uses is now over a zero capacity.

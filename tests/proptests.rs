@@ -269,7 +269,7 @@ fn plan_graph(recipe: &[(u8, u8, u8, u64)], f: FpFormat) -> AppGraph {
         };
         let op = PLAN_MODES[mode as usize % 4];
         let coeff = matches!(op, PeMode::Mul | PeMode::Mac).then(|| plan_value(coeff, f));
-        g.add(format!("n{i}"), op, coeff, source(a), source(b));
+        g.add(op, coeff, source(a), source(b));
         if i % 3 == 2 || i + 1 == recipe.len() {
             g.mark_output(i);
         }
@@ -484,12 +484,12 @@ proptest! {
         let a = plan_graph(&recipe, f);
         for &(field, at, value) in &edits {
             // A copy with one public field overwritten. A coefficient's
-            // value and a node's name are not structure, and an operand or
-            // a mode can be overwritten with what it already held.
+            // value is not structure, and an operand or a mode can be
+            // overwritten with what it already held.
             let mut b = a.clone();
             let (n, value) = (b.nodes.len(), value as usize);
             let node = &mut b.nodes[at as usize % n];
-            match field % 10 {
+            match field % 9 {
                 0 => node.op = PLAN_MODES[value % 4],
                 1 => node.a = [AppSource::Zero, AppSource::External(value % 3)][value % 2],
                 2 => node.b = AppSource::Node(value % n),
@@ -498,15 +498,14 @@ proptest! {
                     None => Some(plan_value(value as u64, f)),
                 },
                 4 => node.coeff = node.coeff.map(|_| plan_value(value as u64, f)),
-                5 => node.name.push('\''),
-                6 => b.outputs.push(value % n),
-                7 => b.num_inputs += value % 2,
-                8 => b.format = PLAN_FORMATS[value % PLAN_FORMATS.len()],
+                5 => b.outputs.push(value % n),
+                6 => b.num_inputs += value % 2,
+                7 => b.format = PLAN_FORMATS[value % PLAN_FORMATS.len()],
                 _ => b.nodes.truncate(n - value % 2),
             }
             let same = a.same_structure(&b);
-            prop_assert_eq!(key(&a) == key(&b), same, "cache key, edit {}", field % 10);
-            prop_assert_eq!(sig(&a) == sig(&b), same, "verifier signature, edit {}", field % 10);
+            prop_assert_eq!(key(&a) == key(&b), same, "cache key, edit {}", field % 9);
+            prop_assert_eq!(sig(&a) == sig(&b), same, "verifier signature, edit {}", field % 9);
             if same {
                 prop_assert_eq!(shard::RouteKey::of(&a), shard::RouteKey::of(&b));
             }
@@ -521,7 +520,6 @@ proptest! {
                 let mut app = AppGraph::new(f, 2);
                 let takes_coeff = matches!(mode, PeMode::Mul | PeMode::Mac);
                 let node = app.add(
-                    "pe",
                     mode,
                     takes_coeff.then_some(coeff),
                     AppSource::External(0),
