@@ -11,7 +11,7 @@
 //! pipeline: dot products (filter kernels as multiply + adder-tree) and
 //! elementwise stages.
 
-use crate::pe::PeMode;
+use crate::pe::{PeMode, PeSettings};
 use softfloat::{FpFormat, FpValue};
 
 /// Where an operand of a PE node comes from.
@@ -181,6 +181,9 @@ impl AppGraph {
     /// coefficient in the graph's format. The runtime
     /// checks them at `submit`, before a lease is taken; `map_app` and
     /// `ExecPlan::lower` check them again for callers that come direct.
+    /// A graph that passes has a well-formed [`Self::pe_settings`] for
+    /// every node: the settings are read from the graph, so no other copy
+    /// of them can disagree with it.
     pub fn validate(&self) -> Result<(), GraphError> {
         if self.nodes.is_empty() {
             return Err(GraphError::Empty);
@@ -218,6 +221,20 @@ impl AppGraph {
                 nodes: self.nodes.len(),
             }),
             None => Ok(()),
+        }
+    }
+
+    /// The settings register of the PE that runs `node`: the node's op,
+    /// its coefficient (zero for a node without one) and an iteration
+    /// counter of 1. This is the one source of a PE's settings — a
+    /// mapping holds placement and routes only, so a compile shared by
+    /// every tenant of one structure carries no tenant's parameters.
+    pub fn pe_settings(&self, node: usize) -> PeSettings {
+        let n = &self.nodes[node];
+        PeSettings {
+            coeff: n.coeff.unwrap_or_else(|| FpValue::zero(self.format)),
+            counter: 1,
+            mode: n.op,
         }
     }
 

@@ -1,6 +1,8 @@
 //! The VCGRA tool flow (Fig. 2, right-hand side): synthesis at PE
-//! granularity, placement on the virtual grid, routing through the virtual
-//! communication network, and settings generation.
+//! granularity, placement on the virtual grid and routing through the
+//! virtual communication network. A mapping is placement and routes; each
+//! PE's settings come from the graph ([`AppGraph::pe_settings`]), which is
+//! what lets one compile serve every coefficient set of a structure.
 //!
 //! Because the basic programmable element is a whole PE, this flow works on
 //! graphs of tens of nodes instead of tens of thousands of gates — the
@@ -59,9 +61,7 @@
 
 use crate::app::{AppGraph, AppSource, GraphError};
 use crate::grid::VcgraArch;
-use crate::pe::PeSettings;
 use logic::SplitMix64;
-use softfloat::FpValue;
 
 /// Errors the flow can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +108,7 @@ impl From<GraphError> for FlowError {
 }
 
 /// A routed dataflow edge: the channel segments it occupies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedEdge {
     /// Driving app node.
     pub from: usize,
@@ -119,11 +119,11 @@ pub struct RoutedEdge {
     pub path: Vec<(usize, usize)>,
 }
 
-/// Result of mapping an application onto a VCGRA.
-///
-/// `Clone` lets a configuration cache hand out per-tenant copies of one
-/// compiled placement whose settings are then specialized independently.
-#[derive(Debug, Clone)]
+/// Result of mapping an application onto a VCGRA: where each node sits
+/// and how its edges are routed. It holds no coefficient — node `i`'s PE
+/// at `place[i]` is set to `AppGraph::pe_settings(i)` — so every tenant
+/// of one structure can share one compile as it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VcgraMapping {
     /// The target architecture.
     pub arch: VcgraArch,
@@ -131,20 +131,19 @@ pub struct VcgraMapping {
     pub place: Vec<(usize, usize)>,
     /// Routed node-to-node edges.
     pub routes: Vec<RoutedEdge>,
-    /// Settings per grid cell (row-major), `None` for unused PEs.
-    pub pe_settings: Vec<Option<PeSettings>>,
     /// Total virtual wirelength (channel segments over all routes).
     pub virtual_wirelength: usize,
 }
 
 impl VcgraMapping {
     /// Settings register values (one 32-bit word per PE and VSB, as in the
-    /// paper): the PE word holds the iteration counter; VSB words hold the
-    /// packed turn-enable bits derived from the routes.
+    /// paper): a used PE's word holds its iteration counter (1 for every
+    /// node, [`AppGraph::pe_settings`]), an unused PE's is 0; VSB words
+    /// hold the packed turn-enable bits derived from the routes.
     pub fn settings_words(&self) -> Vec<u32> {
-        let mut words = Vec::new();
-        for s in &self.pe_settings {
-            words.push(s.map_or(0, |s| s.counter));
+        let mut words = vec![0u32; self.arch.pe_count()];
+        for &p in &self.place {
+            words[cell_index(self.arch.cols, p)] = 1;
         }
         // VSB words: accumulate turn usage at interior corners.
         let vsb_cols = self.arch.cols - 1;
@@ -170,11 +169,10 @@ impl VcgraMapping {
 /// placement, simulated-annealing refinement, negotiated channel routing.
 ///
 /// The result is a pure function of `(graph structure, arch, seed)`:
-/// coefficient values are only copied into the settings, never read by
-/// placement or routing, which is what lets a configuration cache key on
-/// structure alone. A malformed graph ([`AppGraph::validate`]) is refused
-/// with a typed error before any placement work — `AppGraph`'s fields are
-/// public, so it is not ruled out by construction.
+/// coefficient values are never read, which is what lets a configuration
+/// cache key on structure alone. A malformed graph ([`AppGraph::validate`])
+/// is refused with a typed error before any placement work — `AppGraph`'s
+/// fields are public, so it is not ruled out by construction.
 pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMapping, FlowError> {
     app.validate()?;
     let n = app.nodes.len();
@@ -188,18 +186,6 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
     let edges = dataflow_edges(app);
     let place = anneal(&edges, n, arch, seed);
     let paths = route(&edges, &place, arch)?;
-
-    // --- settings generation ---
-    let mut pe_settings: Vec<Option<PeSettings>> = vec![None; arch.pe_count()];
-    for (i, node) in app.nodes.iter().enumerate() {
-        let coeff = node.coeff.unwrap_or_else(|| FpValue::zero(app.format));
-        pe_settings[cell_index(arch.cols, place[i])] = Some(PeSettings {
-            coeff,
-            counter: 1,
-            mode: node.op,
-        });
-    }
-
     let virtual_wirelength = paths.iter().map(|p| p.len().saturating_sub(1)).sum();
     let routes = edges
         .iter()
@@ -215,7 +201,6 @@ pub fn map_app(app: &AppGraph, arch: VcgraArch, seed: u64) -> Result<VcgraMappin
         arch,
         place,
         routes,
-        pe_settings,
         virtual_wirelength,
     })
 }
@@ -511,7 +496,7 @@ impl PathSearch {
 mod tests {
     use super::*;
     use crate::pe::PeMode;
-    use softfloat::FpFormat;
+    use softfloat::{FpFormat, FpValue};
 
     const F: FpFormat = FpFormat::PAPER;
 
@@ -1016,8 +1001,10 @@ mod tests {
 
     #[test]
     fn mapping_ignores_coefficient_values() {
-        // What a structure-keyed configuration cache relies on: the
-        // coefficients reach the settings and nothing else.
+        // What a structure-keyed configuration cache relies on: the whole
+        // mapping — placement, every route, wirelength and the settings
+        // words — is the same for two coefficient sets, so one compile
+        // serves both. Only the graphs' outputs differ.
         let a = AppGraph::dot_product(F, &[0.5, 0.25, 0.125, 1.0, 2.0, 4.0, 8.0]);
         let other: Vec<FpValue> = (0..7)
             .map(|i| FpValue::from_f64(-3.0 * i as f64 + 0.1, F))
@@ -1032,26 +1019,15 @@ mod tests {
                 map_app(&a, arch, 42).unwrap(),
                 map_app(&b, arch, 42).unwrap(),
             );
-            assert_eq!(ma.place, mb.place);
-            assert_eq!(ma.routes.len(), mb.routes.len());
-            for (ra, rb) in ma.routes.iter().zip(&mb.routes) {
-                assert_eq!((ra.from, ra.to, &ra.path), (rb.from, rb.to, &rb.path));
-            }
-            assert_eq!(ma.virtual_wirelength, mb.virtual_wirelength);
-            assert_ne!(
-                ma.pe_settings
-                    .iter()
-                    .flatten()
-                    .map(|s| s.coeff.bits)
-                    .collect::<Vec<_>>(),
-                mb.pe_settings
-                    .iter()
-                    .flatten()
-                    .map(|s| s.coeff.bits)
-                    .collect::<Vec<_>>(),
-                "the settings are where the two graphs differ"
-            );
+            assert_eq!(ma, mb);
+            assert_eq!(ma.settings_words(), mb.settings_words());
         }
+        let x: Vec<FpValue> = (0..7).map(|i| FpValue::from_f64(i as f64, F)).collect();
+        assert_ne!(
+            crate::sim::run_dataflow(&a, &x),
+            crate::sim::run_dataflow(&b, &x),
+            "the graphs are where the two filters differ"
+        );
     }
 
     #[test]

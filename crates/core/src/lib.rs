@@ -21,11 +21,12 @@
 //! * [`app`] — application graphs: dataflow of PE operations (filter
 //!   kernels from the retinal pipeline map here);
 //! * [`flow`] — the fast VCGRA tool flow of Fig. 2: synthesis to a PE
-//!   netlist, placement on the grid, routing through the virtual network,
-//!   settings generation;
-//! * [`sim`] — functional simulation of a mapped application (streams
-//!   samples through the PEs using the bit-exact FloPoCo model), and the
-//!   flat `ExecPlan` a mapped application is lowered to for streaming,
+//!   netlist, placement on the grid, routing through the virtual network
+//!   (a mapping holds no settings: each PE's come from its graph node,
+//!   `AppGraph::pe_settings`);
+//! * [`sim`] — functional simulation of an application (streams samples
+//!   through the PEs using the bit-exact FloPoCo model), and the flat
+//!   `ExecPlan` an application is lowered to for streaming,
 //!   which runs a chunk of items as `u64` columns, one op over a whole
 //!   column at a time, and overwrites each item with its outputs;
 //! * [`render`] — DOT/ASCII renderings of the grid and the PE (Figs. 1/4).

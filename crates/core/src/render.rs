@@ -6,6 +6,7 @@
 //! [`grid_ascii`] renders a mapped application as a text diagram for
 //! terminal output.
 
+use crate::app::AppGraph;
 use crate::flow::VcgraMapping;
 use crate::grid::VcgraArch;
 use crate::pe::PeMode;
@@ -81,15 +82,19 @@ pub fn pe_dot() -> String {
     s
 }
 
-/// ASCII rendering of a mapped application on the grid.
-pub fn grid_ascii(mapping: &VcgraMapping) -> String {
+/// ASCII rendering of `app` as `mapping` places it on the grid: each used
+/// PE shows its node's mode.
+pub fn grid_ascii(mapping: &VcgraMapping, app: &AppGraph) -> String {
     let arch = &mapping.arch;
+    let mut mode = vec![None; arch.pe_count()];
+    for (node, &(r, c)) in app.nodes.iter().zip(&mapping.place) {
+        mode[r * arch.cols + c] = Some(node.op);
+    }
     let mut s = String::new();
     for r in 0..arch.rows {
         // PE row.
         for c in 0..arch.cols {
-            let cell = mapping.pe_settings[r * arch.cols + c];
-            let tag = match cell.map(|s| s.mode) {
+            let tag = match mode[r * arch.cols + c] {
                 Some(PeMode::Mac) => "MAC",
                 Some(PeMode::Mul) => "MUL",
                 Some(PeMode::Add) => "ADD",
@@ -114,7 +119,7 @@ pub fn grid_ascii(mapping: &VcgraMapping) -> String {
     }
     s.push_str(&format!(
         "PEs used: {}/{}  virtual WL: {} segments\n",
-        mapping.pe_settings.iter().filter(|p| p.is_some()).count(),
+        mapping.place.len(),
         arch.pe_count(),
         mapping.virtual_wirelength
     ));
@@ -148,7 +153,7 @@ mod tests {
     fn ascii_render_is_complete() {
         let app = AppGraph::dot_product(FpFormat::PAPER, &[1.0, 2.0, 3.0]);
         let m = crate::flow::map_app(&app, VcgraArch::paper_4x4(), 1).unwrap();
-        let a = grid_ascii(&m);
+        let a = grid_ascii(&m, &app);
         assert_eq!(a.matches('[').count(), 16, "all 16 cells rendered");
         assert!(a.contains("MUL") && a.contains("ADD"));
         assert!(a.contains("virtual WL"));

@@ -1,6 +1,6 @@
 //! Functional simulation of applications on the VCGRA.
 //!
-//! Dataflow graphs execute through [`PeSettings::evaluate`], so every
+//! Dataflow graphs execute through [`crate::PeSettings::evaluate`], so every
 //! arithmetic result is bit-exact with the FloPoCo netlists the CAD flow
 //! maps (this is cross-checked by integration tests).
 //!
@@ -15,13 +15,14 @@
 //! op starts — one instruction stream, many data lanes, like the fabric
 //! under one configuration — and each item's vector is overwritten with
 //! its outputs, so a chunk allocates nothing. `run_chunk` is the only
-//! loop over the op list. [`run_mapped`] and [`run_dataflow`] stay as the
-//! per-item references the plan is tested against; all three end in the
-//! same `FpKernel` arithmetic.
+//! loop over the op list. [`run_dataflow`] is the per-item reference the
+//! plan is tested against; both end in the same `FpKernel` arithmetic.
+//! A plan needs no placement: every PE's settings come from the graph
+//! ([`AppGraph::pe_settings`]), wherever the mapping put the node.
 
 use crate::app::{AppGraph, AppSource, GraphError};
 use crate::flow::VcgraMapping;
-use crate::pe::{PeMode, PeSettings};
+use crate::pe::PeMode;
 use softfloat::{FpFormat, FpKernel, FpValue};
 
 /// Runs a stateless dataflow graph on one input vector.
@@ -32,47 +33,7 @@ pub fn run_dataflow(app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
     assert_eq!(inputs.len(), app.num_inputs, "one value per external input");
     let zero = FpValue::zero(app.format);
     let mut value = Vec::with_capacity(app.nodes.len());
-    for node in &app.nodes {
-        let read = |s: AppSource, value: &[FpValue]| match s {
-            AppSource::External(i) => inputs[i],
-            AppSource::Node(j) => value[j],
-            AppSource::Zero => zero,
-        };
-        let a = read(node.a, &value);
-        let b = read(node.b, &value);
-        let settings = PeSettings {
-            coeff: node.coeff.unwrap_or(zero),
-            counter: 1,
-            mode: node.op,
-        };
-        // Dataflow nodes are stateless: fb is not used by Mul/Add/Pass.
-        let (out, _) = settings.evaluate(a, b, zero);
-        value.push(out);
-    }
-    app.outputs.iter().map(|&o| value[o]).collect()
-}
-
-/// Verifies a mapped application: re-runs the dataflow through the
-/// placement (every node must sit on a PE whose settings reproduce the
-/// node's operation). Returns the simulated outputs.
-///
-/// This is the per-item reference: it re-reads the placement and goes
-/// through [`PeSettings::evaluate`]'s route-select model for every node
-/// of every item. Streams execute through [`ExecPlan`], which must agree
-/// with it bit for bit.
-pub fn run_mapped(mapping: &VcgraMapping, app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
-    // The mapping stores settings per grid cell; execution order is the
-    // app's topological order, reading each node's settings from its cell.
-    let zero = FpValue::zero(app.format);
-    let cols = mapping.arch.cols;
-    let mut value = Vec::with_capacity(app.nodes.len());
     for (i, node) in app.nodes.iter().enumerate() {
-        let (r, c) = mapping.place[i];
-        let settings = mapping.pe_settings[r * cols + c].expect("placed node must have settings");
-        assert_eq!(
-            settings.mode, node.op,
-            "cell settings must match the node op"
-        );
         let read = |s: AppSource, value: &[FpValue]| match s {
             AppSource::External(k) => inputs[k],
             AppSource::Node(j) => value[j],
@@ -80,63 +41,28 @@ pub fn run_mapped(mapping: &VcgraMapping, app: &AppGraph, inputs: &[FpValue]) ->
         };
         let a = read(node.a, &value);
         let b = read(node.b, &value);
-        let (out, _) = settings.evaluate(a, b, zero);
+        // Dataflow nodes are stateless: fb is not used by Mul/Add/Pass.
+        let (out, _) = app.pe_settings(i).evaluate(a, b, zero);
         value.push(out);
     }
     app.outputs.iter().map(|&o| value[o]).collect()
 }
 
-/// Why a mapped application cannot be lowered to an [`ExecPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanError {
-    /// The node is not placed on a grid cell that holds settings.
-    MissingSettings {
-        /// The offending node.
-        node: usize,
-    },
-    /// The node's cell is configured for a different operation.
-    ModeMismatch {
-        /// The offending node.
-        node: usize,
-        /// Mode of the placed cell's settings.
-        cell: PeMode,
-        /// Operation the node asks for.
-        op: PeMode,
-    },
-    /// The graph itself is malformed ([`AppGraph::validate`]).
-    Graph(GraphError),
-    /// The coefficient placed on the node's cell is not in the graph's
-    /// format; its bits would be read as a different number.
-    FormatMismatch {
-        /// The offending node.
-        node: usize,
-    },
+/// Runs a mapped application on one input vector: asserts that the mapping
+/// places every node, then runs the graph's dataflow. A PE's settings are
+/// the graph's ([`AppGraph::pe_settings`]) wherever the node sits, so the
+/// result is [`run_dataflow`]'s.
+///
+/// Kept, with this signature, until the benchmark's per-layer probe that
+/// calls it is repointed at [`ExecPlan::run_chunk`] (ROADMAP 1(j)).
+pub fn run_mapped(mapping: &VcgraMapping, app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
+    assert_eq!(
+        mapping.place.len(),
+        app.nodes.len(),
+        "the mapping places every node"
+    );
+    run_dataflow(app, inputs)
 }
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            PlanError::MissingSettings { node } => {
-                write!(f, "node {node} is not placed on a cell with settings")
-            }
-            PlanError::ModeMismatch { node, cell, op } => {
-                write!(
-                    f,
-                    "node {node} needs {op:?} but its cell is set to {cell:?}"
-                )
-            }
-            PlanError::Graph(e) => write!(f, "{e}"),
-            PlanError::FormatMismatch { node } => {
-                write!(
-                    f,
-                    "node {node}'s placed coefficient is not in the graph's format"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
 
 /// Why [`ExecPlan::run_chunk`] refused a chunk: the first lane whose item
 /// the plan cannot read.
@@ -194,10 +120,9 @@ enum PlanOp {
     Pass { a: usize },
 }
 
-/// A mapped application lowered for streaming: everything that does not
-/// depend on the item — placement lookups, the settings/op check, operand
-/// resolution, the route selects, the format's shifts and masks — is done
-/// once by [`ExecPlan::lower`].
+/// An application lowered for streaming: everything that does not depend
+/// on the item — operand resolution, the route selects, the format's
+/// shifts and masks — is done once by [`ExecPlan::lower`].
 ///
 /// The scratch buffer holds one column of `lanes` raw encodings per value
 /// slot, laid out `[zero | external inputs | node values]`, so every
@@ -211,47 +136,25 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Lowers `app` as placed by `mapping`. Checks once that the graph is
-    /// well-formed ([`AppGraph::validate`]: every operand and output
-    /// resolves), what [`run_mapped`] asserts per item (every node sits on
-    /// a cell whose settings carry its op), and that every placed
-    /// coefficient is in the graph's format — past this point values are
+    /// Lowers `app`. Checks once that the graph is well-formed
+    /// ([`AppGraph::validate`]: every operand and output resolves, every
+    /// coefficient is in the graph's format) — past this point values are
     /// bare bits.
-    pub fn lower(mapping: &VcgraMapping, app: &AppGraph) -> Result<ExecPlan, PlanError> {
-        app.validate().map_err(PlanError::Graph)?;
-        let cols = mapping.arch.cols;
+    pub fn lower(app: &AppGraph) -> Result<ExecPlan, GraphError> {
+        app.validate()?;
         let first_node = 1 + app.num_inputs;
         let mut ops = Vec::with_capacity(app.nodes.len());
         for (node, n) in app.nodes.iter().enumerate() {
-            let settings = mapping
-                .place
-                .get(node)
-                .filter(|&&(_, c)| c < cols)
-                .and_then(|&(r, c)| mapping.pe_settings.get(r * cols + c).copied().flatten())
-                .ok_or(PlanError::MissingSettings { node })?;
-            if settings.mode != n.op {
-                return Err(PlanError::ModeMismatch {
-                    node,
-                    cell: settings.mode,
-                    op: n.op,
-                });
-            }
+            let coeff = app.pe_settings(node).coeff.bits;
             let slot = |s: AppSource| match s {
                 AppSource::Zero => 0,
                 AppSource::External(index) => 1 + index,
                 AppSource::Node(operand) => first_node + operand,
             };
             let (a, b) = (slot(n.a), slot(n.b));
-            let coeff = || {
-                if settings.coeff.format == app.format {
-                    Ok(settings.coeff.bits)
-                } else {
-                    Err(PlanError::FormatMismatch { node })
-                }
-            };
             ops.push(match n.op {
-                PeMode::Mul => PlanOp::Mul { a, coeff: coeff()? },
-                PeMode::Mac => PlanOp::Mac { a, coeff: coeff()? },
+                PeMode::Mul => PlanOp::Mul { a, coeff },
+                PeMode::Mac => PlanOp::Mac { a, coeff },
                 PeMode::Add => PlanOp::Add { a, b },
                 PeMode::Pass => PlanOp::Pass { a },
             });
@@ -381,7 +284,7 @@ mod tests {
         let direct = run_dataflow(&app, &inputs);
         let mapped = run_mapped(&mapping, &app, &inputs);
         assert_eq!(direct[0].bits, mapped[0].bits);
-        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        let plan = ExecPlan::lower(&app).expect("lowers");
         // Dirty columns left by another plan must not leak in, whether
         // the buffer is longer or shorter than this chunk needs.
         let mut columns = vec![fp(7.0).bits; 40];
@@ -400,9 +303,7 @@ mod tests {
     #[test]
     fn a_chunk_with_a_bad_lane_is_refused_whole() {
         let app = AppGraph::dot_product(F, &[1.0, 0.5]);
-        let mapping =
-            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
-        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        let plan = ExecPlan::lower(&app).expect("lowers");
         let other = FpFormat::new(5, 10);
         let good = vec![fp(1.0), fp(2.0)];
         let cases = [
@@ -444,7 +345,7 @@ mod tests {
         }
         let mapping =
             crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
-        let plan = ExecPlan::lower(&mapping, &app).expect("lowers");
+        let plan = ExecPlan::lower(&app).expect("lowers");
         let specials = [
             FpValue::signed_zero(F, true),
             FpValue::zero(F),
@@ -479,72 +380,36 @@ mod tests {
 
     #[test]
     fn lowering_rejects_what_run_mapped_would_panic_on() {
-        let app = AppGraph::dot_product(F, &[1.0, 0.5]);
-        let mapping =
-            crate::flow::map_app(&app, crate::grid::VcgraArch::paper_4x4(), 5).expect("mappable");
-        let cols = mapping.arch.cols;
-        let cell = |node: usize| mapping.place[node].0 * cols + mapping.place[node].1;
-
-        let mut unset = mapping.clone();
-        unset.pe_settings[cell(1)] = None;
-        assert_eq!(
-            ExecPlan::lower(&unset, &app).unwrap_err(),
-            PlanError::MissingSettings { node: 1 }
-        );
-        let mut unplaced = mapping.clone();
-        unplaced.place.truncate(2);
-        assert_eq!(
-            ExecPlan::lower(&unplaced, &app).unwrap_err(),
-            PlanError::MissingSettings { node: 2 }
-        );
-        let mut wrong_mode = mapping.clone();
-        wrong_mode.pe_settings[cell(2)].as_mut().unwrap().mode = PeMode::Pass;
-        assert_eq!(
-            ExecPlan::lower(&wrong_mode, &app).unwrap_err(),
-            PlanError::ModeMismatch {
-                node: 2,
-                cell: PeMode::Pass,
-                op: PeMode::Add
-            }
-        );
-
         // The graph's fields are public, so a caller can hand over one
         // that `AppGraph::add` would have refused.
+        let app = AppGraph::dot_product(F, &[1.0, 0.5]);
         let mut forward = app.clone();
         forward.nodes[2].b = AppSource::Node(2);
         assert_eq!(
-            ExecPlan::lower(&mapping, &forward).unwrap_err(),
-            PlanError::Graph(GraphError::OperandNotEarlier {
+            ExecPlan::lower(&forward).unwrap_err(),
+            GraphError::OperandNotEarlier {
                 node: 2,
                 operand: 2
-            })
+            }
         );
         let mut external = app.clone();
         external.nodes[0].a = AppSource::External(2);
         assert_eq!(
-            ExecPlan::lower(&mapping, &external).unwrap_err(),
-            PlanError::Graph(GraphError::ExternalOutOfRange {
+            ExecPlan::lower(&external).unwrap_err(),
+            GraphError::ExternalOutOfRange {
                 node: 0,
                 index: 2,
                 num_inputs: 2
-            })
+            }
         );
         let mut output = app.clone();
         output.outputs.push(3);
         assert_eq!(
-            ExecPlan::lower(&mapping, &output).unwrap_err(),
-            PlanError::Graph(GraphError::OutputOutOfRange {
+            ExecPlan::lower(&output).unwrap_err(),
+            GraphError::OutputOutOfRange {
                 output: 3,
                 nodes: 3
-            })
-        );
-        // The coefficient the plan multiplies by is the placed cell's.
-        let mut format = mapping.clone();
-        format.pe_settings[cell(1)].as_mut().unwrap().coeff =
-            FpValue::from_f64(0.5, FpFormat::TINY);
-        assert_eq!(
-            ExecPlan::lower(&format, &app).unwrap_err(),
-            PlanError::FormatMismatch { node: 1 }
+            }
         );
     }
 }

@@ -432,7 +432,6 @@ pub(crate) fn route_core(
             // Relaxed: the flag publishes no data, it only stops the work.
             if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 return Err(Unroutable {
-                    overused: usize::MAX,
                     iterations: iter,
                     ripups,
                     worst_cut_overuse: 0,
@@ -478,7 +477,6 @@ pub(crate) fn route_core(
             loop {
                 if stage[i] >= LAST_STAGE {
                     return Err(Unroutable {
-                        overused: usize::MAX,
                         iterations: iter + 1,
                         ripups,
                         worst_cut_overuse: 0,
@@ -529,7 +527,6 @@ pub(crate) fn route_core(
                 0
             };
             return Err(Unroutable {
-                overused,
                 iterations: iter + 1,
                 ripups,
                 worst_cut_overuse: cut,
@@ -559,7 +556,6 @@ pub(crate) fn route_core(
                         // warm_n == 0 here, so the residual congestion is
                         // honest — report the worst cut's overuse.
                         return Err(Unroutable {
-                            overused,
                             iterations: iter + 1,
                             ripups,
                             worst_cut_overuse: graph.cut_pressure(&state).max_overuse,

@@ -52,9 +52,6 @@ pub struct RouteResult {
 /// Routing failure: congestion never resolved.
 #[derive(Debug, Clone, Copy)]
 pub struct Unroutable {
-    /// Wires still overused in the final iteration (`usize::MAX` when a
-    /// sink was outright unreachable).
-    pub overused: usize,
     /// PathFinder iterations spent before giving up.
     pub iterations: usize,
     /// Net (re)route operations spent before giving up.

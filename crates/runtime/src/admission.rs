@@ -1,9 +1,7 @@
-//! Admission: leasing a region, compiling or specializing, the FIFO
-//! queue, release and band compaction.
+//! Admission: leasing a region, compiling or sharing a cached compile,
+//! the FIFO queue, release and band compaction.
 
-use softfloat::FpValue;
 use vcgra::app::{AppGraph, GraphError};
-use vcgra::flow::VcgraMapping;
 use vcgra::VcgraArch;
 
 use crate::cache::ConfigKey;
@@ -78,9 +76,9 @@ pub(crate) struct Pending {
 
 impl Runtime {
     /// Admits an application: lease a region (cache-aware, compacting if
-    /// needed), then compile or specialize. When the pool is full the
-    /// submission parks in the FIFO queue instead of failing — it will be
-    /// placed under the same tenant id by the drain a later
+    /// needed), then compile or share a cached compile. When the pool is
+    /// full the submission parks in the FIFO queue instead of failing — it
+    /// will be placed under the same tenant id by the drain a later
     /// [`Runtime::release`] or [`Runtime::run`] makes.
     ///
     /// A refused submission (a malformed graph, one too big for any grid,
@@ -234,12 +232,10 @@ impl Runtime {
         let lookup = self.cache.get(&key);
         cache_span.arg("hit", lookup.is_some());
         drop(cache_span);
+        // Either way the tenant shares the cache's compile: a mapping holds
+        // no coefficient, so nothing in it is the tenant's own to write.
         let (mapping, cache_hit) = match lookup {
-            Some(cached) => {
-                let mut mapping = VcgraMapping::clone(&cached);
-                Self::write_settings(&mut mapping, graph);
-                (mapping, true)
-            }
+            Some(cached) => (cached, true),
             None => {
                 let compile_span = trace::span("compile");
                 let mapping = match vcgra::flow::map_app(graph, region, self.cfg.place_seed) {
@@ -252,8 +248,7 @@ impl Runtime {
                     }
                 };
                 drop(compile_span);
-                let cached = self.cache.insert(key.clone(), mapping);
-                (VcgraMapping::clone(&cached), false)
+                (self.cache.insert(key.clone(), mapping), false)
             }
         };
 
@@ -342,20 +337,6 @@ impl Runtime {
                     tenant.stats.relocations += 1;
                 }
             }
-        }
-    }
-
-    /// Writes a graph's parameters into a mapping's settings (the
-    /// host-side half of a specialization).
-    fn write_settings(mapping: &mut VcgraMapping, graph: &AppGraph) {
-        let zero = FpValue::zero(graph.format);
-        let cols = mapping.arch.cols;
-        for (i, node) in graph.nodes.iter().enumerate() {
-            let (r, c) = mapping.place[i];
-            let slot = mapping.pe_settings[r * cols + c]
-                .as_mut()
-                .expect("placed node has settings");
-            slot.coeff = node.coeff.unwrap_or(zero);
         }
     }
 

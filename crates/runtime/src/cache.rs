@@ -1,11 +1,12 @@
 //! The specialized-configuration cache.
 //!
-//! A compiled configuration (placement + routing + settings template) is
-//! keyed by the pair **(region architecture, graph structure)** — the
-//! coefficient *values* are deliberately excluded. Two applications that
-//! differ only in parameters (new filter taps) hit the same entry: the
-//! expensive `map_app` compile is skipped and only the settings are
-//! specialized, which is the micro-reconfiguration fast path.
+//! A compiled configuration (placement + routing) is keyed by the pair
+//! **(region architecture, graph structure)** — the coefficient *values*
+//! are deliberately excluded, and no coefficient is in the entry. Two
+//! applications that differ only in parameters (new filter taps) hit the
+//! same entry and share it: the expensive `map_app` compile is skipped,
+//! and each tenant's PE settings come from its own graph, which is the
+//! micro-reconfiguration fast path.
 //! A structural change (different wiring, different ops, different region)
 //! misses and triggers a full recompile.
 //!
@@ -87,10 +88,9 @@ impl CacheStats {
     }
 }
 
-/// LRU cache of compiled configurations. An entry's mapping holds
-/// whatever coefficients it was compiled with; consumers clone it and
-/// write their own parameters in (that rewrite is the fast path being
-/// bought).
+/// LRU cache of compiled configurations. An entry's mapping holds no
+/// coefficient, so every tenant of its key holds the same `Arc` as it is;
+/// eviction drops only the cache's reference.
 pub(crate) struct ConfigCache {
     capacity: usize,
     tick: u64,

@@ -1,8 +1,8 @@
 //! The streaming executor: runs lowered jobs over their items, in place.
 //!
-//! Every job arrives as an [`ExecPlan`] — its mapped graph lowered once,
-//! by [`crate::Runtime::run`], which is also where a mapping that cannot
-//! be lowered is refused, and where every band, slot and swap-in is
+//! Every job arrives as an [`ExecPlan`] — its graph lowered once, by
+//! [`crate::Runtime::run`], which is also where a graph that cannot be
+//! lowered is refused, and where every band, slot and swap-in is
 //! decided and booked. Here a job is only a plan and its items: each is
 //! cut into units of [`BATCH_SIZE`] consecutive items, and the calling
 //! thread and its helper threads take units, in job and item order, off
@@ -23,9 +23,9 @@
 //! The engine measures nothing: a run's host time is its `execute` trace
 //! spans, and the modeled time axis has no execution phase.
 //!
-//! The plan computes, bit for bit, what `vcgra::sim::run_mapped` and
-//! `run_dataflow` compute in FloPoCo arithmetic; the bit-exactness
-//! acceptance tests pin that down.
+//! The plan computes, bit for bit, what `vcgra::sim::run_dataflow`
+//! computes in FloPoCo arithmetic; the bit-exactness acceptance tests pin
+//! that down.
 
 use std::sync::Mutex;
 
@@ -41,7 +41,7 @@ pub(crate) const BATCH_SIZE: usize = 64;
 pub(crate) struct Job {
     /// The tenant being served (named on the job's trace spans).
     pub(crate) tenant: TenantId,
-    /// Its placed configuration under its current parameters, lowered.
+    /// Its graph under its current parameters, lowered.
     pub(crate) plan: ExecPlan,
     /// Input vectors to stream, one value per external input each; on
     /// success each holds its item's outputs instead.
@@ -148,18 +148,11 @@ mod tests {
     use super::*;
     use softfloat::FpFormat;
     use vcgra::app::AppGraph;
-    use vcgra::flow::map_app;
-    use vcgra::VcgraArch;
 
     const F: FpFormat = FpFormat::PAPER;
 
     fn fp(x: f64) -> FpValue {
         FpValue::from_f64(x, F)
-    }
-
-    fn plan(app: &AppGraph, seed: u64) -> ExecPlan {
-        let mapping = map_app(app, VcgraArch::paper_4x4(), seed).unwrap();
-        ExecPlan::lower(&mapping, app).unwrap()
     }
 
     /// Jobs of unequal size on both sides of the 64-item unit, and one
@@ -176,7 +169,7 @@ mod tests {
             .enumerate()
             .map(|(t, (a, n))| Job {
                 tenant: t as TenantId,
-                plan: plan(a, 3),
+                plan: ExecPlan::lower(a).unwrap(),
                 items: (0..n)
                     .map(|i| {
                         (0..a.num_inputs)

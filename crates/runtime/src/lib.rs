@@ -16,7 +16,8 @@
 //! * `cache` (private) — the **specialized-configuration cache**, keyed by
 //!   *(region architecture, graph structure)* with coefficient values
 //!   excluded, LRU-evicted. Hits skip `map_app` entirely; misses compile
-//!   and populate.
+//!   and populate. An entry is placement and routes, with no coefficient
+//!   in it, so every tenant of its key holds the same `Arc`.
 //! * `pricer` (private) — micro-reconfiguration pricing via the real DCS
 //!   path: a parameterized PE (`mapping` + `dcs::Scg`), built once per
 //!   process and pricing format on the first swap that needs it (≈ 35 ms
@@ -43,7 +44,7 @@
 //!   **admission queue** drained on release. None of these steps is an
 //!   option.
 //! * `engine` (private) — **batched streaming execution**, and nothing
-//!   else: every job's mapped graph is lowered once per `run` call to a
+//!   else: every job's graph is lowered once per `run` call to a
 //!   flat `vcgra::sim::ExecPlan` and cut into units of 64 items, which
 //!   the worker threads take off one lock in order; a unit runs
 //!   lane-major and in place, its items checked while they become the
@@ -52,7 +53,7 @@
 //!   its outputs. The engine reports only the first item it could not
 //!   read; it times nothing, and knows no band, slot or switch.
 //!   The plan is bit-exact with the per-item reference
-//!   `vcgra::sim::run_mapped` in FloPoCo arithmetic, and a value in
+//!   `vcgra::sim::run_dataflow` in FloPoCo arithmetic, and a value in
 //!   another format is refused, never read as other bits.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages) and
@@ -92,7 +93,7 @@
 //! | change                              | path                           |
 //! |-------------------------------------|--------------------------------|
 //! | new coefficients, same structure    | cache hit → dirty-frame swap   |
-//! | same structure, new tenant          | cache hit → settings specialize|
+//! | same structure, new tenant          | cache hit → shared compile     |
 //! | new structure / region shape        | full `map_app` compile, cached |
 //!
 //! `examples/quickstart.rs` is the smallest driver; the repo benchmark

@@ -37,8 +37,7 @@ impl Runtime {
             .zip(coeffs)
             .map(|(&node, &c)| {
                 let (r, col) = t.mapping.place[node];
-                let old = t.mapping.pe_settings[r * t.mapping.arch.cols + col]
-                    .expect("placed node has settings");
+                let old = t.graph.pe_settings(node);
                 let new = PeSettings { coeff: c, ..old };
                 PeChange {
                     cell: (t.lease.row0 + r, col),
@@ -59,17 +58,14 @@ impl Runtime {
         pricing_span.arg("pes", report.dirty_pes);
         pricing_span.arg("sweeps", report.sweeps);
         drop(pricing_span);
-        // Priced: the settings and the graph follow, in place, and the
-        // swap is booked.
+        // Priced: the graph — where every PE's settings live — follows,
+        // in place, and the swap is booked.
         let t = self
             .tenants
             .get_mut(&tenant)
             .expect("the swap is priced for a live tenant");
-        let cols = t.mapping.arch.cols;
-        for (&node, ch) in slots.iter().zip(&changes) {
-            let (r, c) = t.mapping.place[node];
-            t.mapping.pe_settings[r * cols + c] = Some(ch.new);
-            t.graph.nodes[node].coeff = Some(ch.new.coeff);
+        for (&node, &c) in slots.iter().zip(coeffs) {
+            t.graph.nodes[node].coeff = Some(c);
         }
         let lane = (t.lease.grid, t.lease.row0);
         self.ledger.swaps += 1;

@@ -54,7 +54,7 @@ pub(crate) struct PeChange {
 }
 
 /// Price of one parameter-only micro-reconfiguration.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwapReport {
     /// PEs whose settings actually differed.
     pub dirty_pes: usize,

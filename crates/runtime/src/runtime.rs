@@ -19,9 +19,11 @@
 //!    [`Admission::Queued`] instead of an error.
 //!    Once a region is leased, the configuration cache is consulted with
 //!    the (region, structure) key: a **miss** runs the full `map_app`
-//!    compile and caches the result; a **hit** clones the cached
-//!    placement and only rewrites the settings with the tenant's own
-//!    parameters (host-side fast path);
+//!    compile and caches the result; a **hit** skips it. Either way the
+//!    tenant holds the cache's `Arc` of the compile, shared with every
+//!    tenant of its key and never copied: a mapping is placement and
+//!    routes, and each PE's settings come from the tenant's own graph
+//!    (`AppGraph::pe_settings`);
 //! 2. **swap_params** — a parameter-only change never recompiles: the
 //!    pricer evaluates the PE's PPC functions and prices exactly the
 //!    dirty frames (micro-reconfiguration fast path); a new structure is
@@ -66,6 +68,7 @@
 //! verifier names: admission, parameter swaps, accounting and snapshots.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 use softfloat::FpValue;
@@ -93,10 +96,12 @@ pub struct Tenant {
     pub id: TenantId,
     /// Display name.
     pub name: String,
-    /// Current graph (parameters included).
+    /// Current graph (parameters included): the one source of its PEs'
+    /// settings.
     pub graph: AppGraph,
-    /// Placed configuration, settings in sync with `graph`.
-    pub mapping: VcgraMapping,
+    /// Placement and routes: the configuration cache's compile for this
+    /// tenant's key, shared with every tenant of that key.
+    pub mapping: Arc<VcgraMapping>,
     /// Leased region.
     pub lease: Lease,
     pub(crate) key: ConfigKey,
@@ -218,7 +223,7 @@ impl Runtime {
     /// resident, ledger counter or interval moves. Its error is, in this
     /// order of precedence: the first request (in request order) whose
     /// tenant is not live ([`RuntimeError::UnknownTenant`],
-    /// [`RuntimeError::Waiting`]) or whose mapping does not lower
+    /// [`RuntimeError::Waiting`]) or whose graph does not lower
     /// ([`RuntimeError::Invariant`]); otherwise the first item, in request
     /// and item order, that does not hold one value per external input
     /// ([`RuntimeError::BadInputArity`]) or holds a value in another
@@ -227,8 +232,9 @@ impl Runtime {
     /// error a call gets does not depend on the worker count.
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
         self.drain_queue()?;
-        // Lower every request before any worker starts, so that a broken
-        // mapping is an error here and never a panic on an engine thread.
+        // Lower every request before any worker starts, so that a graph
+        // that went bad after admission is an error here and never a
+        // panic on an engine thread.
         // The engine checks the items themselves as it reads them. Jobs
         // stay in request order — the order a bad item is reported in —
         // and each band lists its jobs.
@@ -236,11 +242,8 @@ impl Runtime {
         let mut by_band: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for req in requests {
             let t = self.live(req.tenant)?;
-            let plan = ExecPlan::lower(&t.mapping, &t.graph).map_err(|e| {
-                RuntimeError::Invariant(format!(
-                    "tenant {}: mapping does not lower: {e}",
-                    req.tenant
-                ))
+            let plan = ExecPlan::lower(&t.graph).map_err(|e| {
+                RuntimeError::Invariant(format!("tenant {}: graph does not lower: {e}", req.tenant))
             })?;
             by_band
                 .entry((t.lease.grid, t.lease.row0))
@@ -412,18 +415,15 @@ mod tests {
     fn a_graph_that_does_not_lower_is_an_error_not_a_worker_panic() {
         // `submit` refuses a graph that cannot lower, so from outside the
         // crate no tenant can hold one. `run` still lowers before any
-        // engine thread starts: a tenant whose graph or mapping went bad
-        // after admission is an `Invariant` error for the whole call, not
-        // a panic, and the other tenants are served afterwards.
+        // engine thread starts: a tenant whose graph went bad after
+        // admission is an `Invariant` error for the whole call, not a
+        // panic, and the other tenants are served afterwards.
         type Edit = fn(&mut Tenant);
-        let edits: [(&str, Edit); 4] = [
+        let edits: [(&str, Edit); 3] = [
             ("external", |t| t.graph.nodes[0].a = AppSource::External(7)),
             ("forward", |t| t.graph.nodes[2].b = AppSource::Node(2)),
             ("format", |t| {
                 t.graph.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)))
-            }),
-            ("settings", |t| {
-                t.mapping.pe_settings.iter_mut().for_each(|s| *s = None)
             }),
         ];
         let mut rt = Runtime::new(RuntimeConfig::default());

@@ -3,6 +3,8 @@
 //! warm-cache parameter swap, with all tenants live on one grid pool
 //! concurrently.
 
+use std::sync::Arc;
+
 use runtime::kernels;
 use runtime::{Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
@@ -143,6 +145,53 @@ fn warm_admission_hits_cache_and_skips_compile() {
     let stats = rt.cache_stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
+}
+
+#[test]
+fn a_shared_compile_cannot_leak_parameters() {
+    // Two tenants of one structure, on regions of one key, hold the
+    // cache's one compile as it is. A mapping holds no coefficient, so a
+    // swap of one tenant writes its own graph and nothing the other reads:
+    // the other still runs its own filter, and its next swap is priced
+    // as if the first swap had never happened.
+    let graph_a = kernels::fir(F, &[0.1, 0.2, 0.3, 0.4, 0.5]).graph;
+    let graph_b = kernels::fir(F, &[-1.0, 2.0, -3.0, 4.0, -5.0]).graph;
+    let admit = |rt: &mut Runtime| {
+        let a = rt.submit("a", graph_a.clone()).unwrap();
+        let b = rt.submit("b", graph_b.clone()).unwrap();
+        (a.expect_admitted("placed"), b.expect_admitted("placed"))
+    };
+    let b_next: Vec<FpValue> = [4.0, -0.5, 1.5, 0.25, -2.0].map(fp).to_vec();
+
+    // The reference: the same admissions, and B's swap without A's.
+    let mut reference = Runtime::new(RuntimeConfig::default());
+    let (_, b) = admit(&mut reference);
+    let want = reference.swap_params(b.tenant, &b_next).unwrap();
+    assert!(want.dirty_pes > 0, "the swap changes every tap");
+
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let (a, b) = admit(&mut rt);
+    assert!(!a.cache_hit && b.cache_hit);
+    let (ta, tb) = (rt.tenant(a.tenant).unwrap(), rt.tenant(b.tenant).unwrap());
+    assert_eq!(ta.config_key(), tb.config_key());
+    assert!(
+        Arc::ptr_eq(&ta.mapping, &tb.mapping),
+        "a warm admission shares the cold one's compile, uncopied"
+    );
+
+    rt.swap_params(a.tenant, &[7.0, -7.0, 0.75, 3.0, -0.125].map(fp))
+        .unwrap();
+    let ins = stream(5, 8, 11);
+    let runs = rt
+        .run(vec![StreamRequest {
+            tenant: b.tenant,
+            inputs: ins.clone(),
+        }])
+        .unwrap();
+    for (input, out) in ins.iter().zip(&runs[0].outputs) {
+        assert_eq!(out, &run_dataflow(&graph_b, input));
+    }
+    assert_eq!(rt.swap_params(b.tenant, &b_next).unwrap(), want);
 }
 
 #[test]

@@ -8,10 +8,13 @@
 //!   every path is a contiguous *simple* path (adjacent cells, no revisits
 //!   — per-path acyclicity) between the placed endpoints;
 //! * **channel-width conformance** — no directed channel segment carries
-//!   more paths than `arch.channel_capacity`;
-//! * **settings agreement** — placed cells carry settings whose mode,
-//!   coefficient and floating-point format match the node; unused cells
-//!   carry none; `settings_words()` covers every settings register.
+//!   more paths than `arch.channel_capacity`.
+//!
+//! There is no settings pass: a mapping holds no PE settings. Node `i`'s
+//! PE is set to `AppGraph::pe_settings(i)`, read from the graph itself, so
+//! no second copy can disagree with it; `AppGraph::validate` checks every
+//! coefficient's format, and `settings_words()` is sized by the
+//! architecture.
 //!
 //! Frame addresses are not linted: for an in-bounds cell
 //! `fabric::frames::FrameModel::for_grid` cannot address a frame outside
@@ -147,45 +150,6 @@ pub fn check_mapping(app: &AppGraph, mapping: &VcgraMapping) -> Vec<Violation> {
         _ => unreachable!(),
     });
     out.extend(over);
-
-    // --- settings agreement ---
-    for (i, node) in app.nodes.iter().enumerate() {
-        let cell = mapping.place[i];
-        if cell.0 >= arch.rows || cell.1 >= arch.cols {
-            continue; // already reported
-        }
-        let idx = cell.0 * arch.cols + cell.1;
-        match mapping.pe_settings.get(idx).and_then(|s| s.as_ref()) {
-            None => out.push(Violation::SettingsMissing { node: i, cell }),
-            Some(s) => {
-                if s.mode != node.op {
-                    out.push(Violation::ModeMismatch { node: i });
-                }
-                if s.coeff.format.we != app.format.we || s.coeff.format.wf != app.format.wf {
-                    out.push(Violation::FormatMismatch { node: i });
-                }
-                if let Some(c) = node.coeff {
-                    if s.coeff.bits != c.bits {
-                        out.push(Violation::CoeffMismatch { node: i });
-                    }
-                }
-            }
-        }
-    }
-    for (idx, s) in mapping.pe_settings.iter().enumerate() {
-        let cell = (idx / arch.cols, idx % arch.cols);
-        if s.is_some() && !cell_of.contains_key(&cell) {
-            out.push(Violation::SettingsOnEmptyCell { cell });
-        }
-    }
-
-    let words = mapping.settings_words();
-    if words.len() != arch.settings_register_count() {
-        out.push(Violation::SettingsWordCount {
-            expected: arch.settings_register_count(),
-            got: words.len(),
-        });
-    }
 
     out
 }

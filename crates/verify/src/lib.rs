@@ -9,8 +9,10 @@
 //! [`VerifyReport`] of typed violations:
 //!
 //! * [`config`] — lints a routed [`vcgra::flow::VcgraMapping`] against its
-//!   [`vcgra::app::AppGraph`]: placement sanity, contiguous simple route
-//!   paths, channel-capacity conformance and PE settings/format agreement.
+//!   [`vcgra::app::AppGraph`]: placement sanity, the graph's dataflow
+//!   edges routed as contiguous simple paths, and channel-capacity
+//!   conformance. A mapping holds no settings to lint: each PE's come
+//!   from its graph node, whose format `AppGraph::validate` checks.
 //! * [`routes`] — lints fabric-level route trees: per-net connectivity
 //!   (a spanning-forest certificate from the sources that covers every
 //!   tree node and reaches every sink — no stranded components, no
@@ -120,40 +122,6 @@ pub enum Violation {
         used: usize,
         /// The architecture's channel capacity.
         capacity: usize,
-    },
-    /// A placed node's cell has no settings.
-    SettingsMissing {
-        /// App node index.
-        node: usize,
-        /// Its cell.
-        cell: (usize, usize),
-    },
-    /// An unused cell carries settings.
-    SettingsOnEmptyCell {
-        /// The cell.
-        cell: (usize, usize),
-    },
-    /// A PE's configured mode disagrees with its node's operation.
-    ModeMismatch {
-        /// App node index.
-        node: usize,
-    },
-    /// A PE's configured coefficient disagrees with its node's.
-    CoeffMismatch {
-        /// App node index.
-        node: usize,
-    },
-    /// A PE's coefficient format disagrees with the graph's datapath format.
-    FormatMismatch {
-        /// App node index.
-        node: usize,
-    },
-    /// `settings_words()` does not cover every settings register.
-    SettingsWordCount {
-        /// Registers the architecture has.
-        expected: usize,
-        /// Words the mapping produced.
-        got: usize,
     },
 
     // --- fabric route-tree linter ---
@@ -378,12 +346,6 @@ impl Violation {
             Violation::PathBroken { .. } => "path-broken",
             Violation::PathRevisitsCell { .. } => "path-revisits-cell",
             Violation::ChannelOverCapacity { .. } => "channel-over-capacity",
-            Violation::SettingsMissing { .. } => "settings-missing",
-            Violation::SettingsOnEmptyCell { .. } => "settings-on-empty-cell",
-            Violation::ModeMismatch { .. } => "mode-mismatch",
-            Violation::CoeffMismatch { .. } => "coeff-mismatch",
-            Violation::FormatMismatch { .. } => "format-mismatch",
-            Violation::SettingsWordCount { .. } => "settings-word-count",
             Violation::TreeCountMismatch { .. } => "tree-count-mismatch",
             Violation::NodeOutOfRange { .. } => "node-out-of-range",
             Violation::TrackOutOfRange { .. } => "track-out-of-range",
@@ -460,33 +422,6 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "channel segment at {cell:?} dir {dir} carries {used} routes, capacity {capacity}"
-                )
-            }
-            Violation::SettingsMissing { node, cell } => {
-                write!(f, "node {node} at {cell:?} has no PE settings")
-            }
-            Violation::SettingsOnEmptyCell { cell } => {
-                write!(f, "unused cell {cell:?} carries PE settings")
-            }
-            Violation::ModeMismatch { node } => {
-                write!(
-                    f,
-                    "node {node}: PE mode disagrees with the node's operation"
-                )
-            }
-            Violation::CoeffMismatch { node } => {
-                write!(f, "node {node}: PE coefficient disagrees with the node's")
-            }
-            Violation::FormatMismatch { node } => {
-                write!(
-                    f,
-                    "node {node}: PE coefficient format disagrees with the datapath"
-                )
-            }
-            Violation::SettingsWordCount { expected, got } => {
-                write!(
-                    f,
-                    "settings words: {got}, architecture has {expected} registers"
                 )
             }
             Violation::TreeCountMismatch { nets, trees } => {

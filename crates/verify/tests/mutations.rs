@@ -13,7 +13,7 @@ use par::{EngineOptions, ParEngine};
 use runtime::{kernels, Runtime, RuntimeConfig};
 use softfloat::FpFormat;
 use vcgra::app::AppGraph;
-use vcgra::{PeMode, VcgraArch};
+use vcgra::VcgraArch;
 use verify::config::check_mapping;
 use verify::routes::{check_route_trees, NetTerminals};
 use verify::sched::{check_sched, SchedSnapshot};
@@ -77,33 +77,10 @@ fn broken_path_is_rejected() {
     assert_violation!(v, Violation::PathBroken { .. });
 }
 
-#[test]
-fn wrong_pe_mode_is_rejected() {
-    let (app, mut m) = clean_mapping();
-    let s = m
-        .pe_settings
-        .iter_mut()
-        .flatten()
-        .next()
-        .expect("at least one configured PE");
-    s.mode = if s.mode == PeMode::Pass {
-        PeMode::Mac
-    } else {
-        PeMode::Pass
-    };
-    assert_violation!(check_mapping(&app, &m), Violation::ModeMismatch { .. });
-}
-
 // One mutation per remaining linter variant, each with its exact count.
 // The mapping states some facts twice (a node's cell in `place` and at the
 // ends of its routes), so where one corrupted field breaks a second fact
 // the test names that variant too.
-
-/// The grid index of node `node`'s cell.
-fn cell_index(m: &vcgra::flow::VcgraMapping, node: usize) -> usize {
-    let (r, c) = m.place[node];
-    r * m.arch.cols + c
-}
 
 #[test]
 fn placement_missing_a_node_is_rejected() {
@@ -127,10 +104,8 @@ fn placement_missing_a_node_is_rejected() {
 #[test]
 fn node_placed_off_the_grid_is_rejected() {
     let (app, mut m) = clean_mapping();
-    // mul0 moves off the grid, its settings with it; its one route still
-    // starts on the old cell.
-    let old = cell_index(&m, 0);
-    m.pe_settings[old] = None;
+    // mul0 moves off the grid; its one route still starts on the old
+    // cell.
     let off = (m.arch.rows, 0);
     m.place[0] = off;
     let edge = m
@@ -196,70 +171,6 @@ fn channel_narrower_than_its_routes_is_rejected() {
     let over = |x: &Violation| matches!(x, Violation::ChannelOverCapacity { capacity: 0, .. });
     assert!(v.iter().all(over), "{v:?}");
     assert_eq!(v.len(), segments.len(), "{v:?}");
-}
-
-#[test]
-fn placed_node_without_settings_is_rejected() {
-    let (app, mut m) = clean_mapping();
-    let at = cell_index(&m, 1);
-    m.pe_settings[at] = None;
-    let v = check_mapping(&app, &m);
-    assert_violation!(v, Violation::SettingsMissing { node: 1, .. });
-    assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn settings_on_an_unused_cell_are_rejected() {
-    let (app, mut m) = clean_mapping();
-    let empty = m
-        .pe_settings
-        .iter()
-        .position(Option::is_none)
-        .expect("five nodes on eight PEs");
-    m.pe_settings[empty] = m.pe_settings[cell_index(&m, 0)];
-    let cell = (empty / m.arch.cols, empty % m.arch.cols);
-    let v = check_mapping(&app, &m);
-    assert_violation!(v, Violation::SettingsOnEmptyCell { cell: c } if *c == cell);
-    assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn coefficient_the_node_does_not_have_is_rejected() {
-    let (app, mut m) = clean_mapping();
-    let at = cell_index(&m, 2);
-    let settings = m.pe_settings[at].as_mut().expect("mul2 has settings");
-    settings.coeff = softfloat::FpValue::from_f64(-7.0, F);
-    let v = check_mapping(&app, &m);
-    assert_violation!(v, Violation::CoeffMismatch { node: 2 });
-    assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn settings_in_another_format_are_rejected() {
-    let (app, mut m) = clean_mapping();
-    // Node 3 is the first adder: no coefficient, so its register holds a
-    // zero, and a (5,10) zero has the same bits.
-    assert!(app.nodes[3].coeff.is_none());
-    let at = cell_index(&m, 3);
-    m.pe_settings[at]
-        .as_mut()
-        .expect("the adder has settings")
-        .coeff = softfloat::FpValue::zero(FpFormat::new(5, 10));
-    let v = check_mapping(&app, &m);
-    assert_violation!(v, Violation::FormatMismatch { node: 3 });
-    assert_eq!(v.len(), 1, "{v:?}");
-}
-
-#[test]
-fn settings_words_beyond_the_registers_are_rejected() {
-    let (app, mut m) = clean_mapping();
-    // One settings slot past the grid: an extra register word, no cell.
-    m.pe_settings.push(None);
-    let v = check_mapping(&app, &m);
-    let registers = m.arch.settings_register_count();
-    assert_violation!(v, Violation::SettingsWordCount { expected, got }
-        if (*expected, *got) == (registers, registers + 1));
-    assert_eq!(v.len(), 1, "{v:?}");
 }
 
 // --- fabric route-tree linter -----------------------------------------

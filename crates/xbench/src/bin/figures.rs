@@ -49,7 +49,7 @@ fn main() {
     // Fig. 1 (usage view): a mapped kernel on the grid, as ASCII.
     let app = AppGraph::dot_product(FpFormat::PAPER, &[0.25, 0.5, 0.25, 0.125, 0.0625]);
     let mapping = vcgra::flow::map_app(&app, arch, 3).expect("mappable");
-    let ascii = render::grid_ascii(&mapping);
+    let ascii = render::grid_ascii(&mapping, &app);
     std::fs::write(path("fig1_mapped.txt"), &ascii).unwrap();
     println!("wrote {}\n{ascii}", path("fig1_mapped.txt"));
 

@@ -30,7 +30,7 @@ fn main() {
         t0.elapsed(),
         mapping.virtual_wirelength
     );
-    println!("{}", render::grid_ascii(&mapping));
+    println!("{}", render::grid_ascii(&mapping, &app));
 
     // Settings registers (Table II: 25 words for the 4x4 grid).
     let words = mapping.settings_words();

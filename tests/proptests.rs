@@ -4,8 +4,8 @@
 //! * FloPoCo arithmetic is commutative, within rounding error of `f64`,
 //!   and hardware-consistent;
 //! * PE settings evaluate like the documented formulas;
-//! * the lowered execution plan, the mapped interpreter and the dataflow
-//!   interpreter agree bit for bit, special values included;
+//! * the lowered execution plan and the dataflow interpreter agree bit
+//!   for bit, special values included, on a mapped graph too;
 //! * a graph the runtime admits is a graph it can run, and a malformed
 //!   one is refused at the door;
 //! * `run` refuses a call if and only if some item is malformed, with the
@@ -290,7 +290,7 @@ proptest! {
             let app = plan_graph(&recipe, f);
             let mapping = vcgra::flow::map_app(&app, VcgraArch::new(4, 4, 8), seed)
                 .expect("sixteen nodes fit a 4x4 grid with eight tracks a channel");
-            let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
+            let plan = ExecPlan::lower(&app).expect("a valid graph lowers");
             // Every eighth lane draws from all of `plan_value`, specials
             // included; the lanes between are normal numbers near one, so
             // a special value sits alone among ordinary neighbours.
@@ -526,8 +526,7 @@ proptest! {
                     AppSource::External(1),
                 );
                 app.mark_output(node);
-                let mapping = vcgra::flow::map_app(&app, VcgraArch::paper_4x4(), 1).expect("one node");
-                let plan = ExecPlan::lower(&mapping, &app).expect("a mapped graph lowers");
+                let plan = ExecPlan::lower(&app).expect("a valid graph lowers");
                 let settings = PeSettings { coeff, counter: 1, mode };
                 let (want, _) = settings.evaluate(a, b, FpValue::zero(f));
                 let mut item = [vec![a, b]];
