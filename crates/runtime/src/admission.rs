@@ -1,12 +1,11 @@
 //! Admission: leasing a region, compiling or sharing a cached compile,
 //! the FIFO queue, release and band compaction.
 
-use vcgra::app::{AppGraph, GraphError};
+use vcgra::app::AppGraph;
 use vcgra::VcgraArch;
 
 use crate::cache::ConfigKey;
 use crate::config::RuntimeError;
-use crate::ledger::TenantStats;
 use crate::pool::{GridPool, Lease, PoolError, Relocation, TenantId};
 use crate::runtime::{Runtime, Tenant};
 use crate::timeline::Phase;
@@ -50,7 +49,8 @@ impl Admission {
 pub struct Admitted {
     /// Assigned tenant id.
     pub tenant: TenantId,
-    /// Leased region.
+    /// Leased region at admission (a later compaction may move it: ask
+    /// [`GridPool::lease`]).
     pub lease: Lease,
     /// True when the configuration cache already held the structure.
     pub cache_hit: bool,
@@ -101,39 +101,24 @@ impl Runtime {
         // queueing it would only defer the TooBig to a silent drop.
         if !self.queue.is_empty() {
             self.pool.fits_any_grid(graph.pe_demand())?;
-            let queued = self.enqueue(id, name, graph);
-            self.enforce_invariants()?;
-            return Ok(Admission::Queued(queued));
+            return Ok(Admission::Queued(self.enqueue(id, name, graph)));
         }
-        let admission = match self.place_and_admit(id, &name, &graph) {
-            Ok(adm) => Admission::Admitted(adm),
+        match self.place_and_admit(id, &name, &graph) {
+            Ok(adm) => Ok(Admission::Admitted(adm)),
             Err(RuntimeError::Pool(PoolError::Oversubscribed { .. })) => {
-                Admission::Queued(self.enqueue(id, name, graph))
+                Ok(Admission::Queued(self.enqueue(id, name, graph)))
             }
-            Err(e) => return Err(e),
-        };
-        self.enforce_invariants()?;
-        Ok(admission)
+            Err(e) => Err(e),
+        }
     }
 
     /// The graph-shape rules, at the door: `submit` calls this before it
     /// touches the pool or the queue, so a graph `run` could never lower
-    /// holds no rows. A coefficient in another format is the mistake
-    /// `swap_params` calls [`RuntimeError::BadFormat`], and is called that
-    /// here too.
+    /// holds no rows; the refusal is named by [`RuntimeError::malformed`].
     fn check_graph(&mut self, graph: &AppGraph) -> Result<(), RuntimeError> {
         graph.validate().map_err(|e| {
             self.ledger.refused += 1;
-            match e {
-                GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
-                    expected: graph.format,
-                    got: graph.nodes[node]
-                        .coeff
-                        .expect("validate names a coefficient")
-                        .format,
-                },
-                e => RuntimeError::Flow(e.into()),
-            }
+            RuntimeError::malformed(graph, e)
         })
     }
 
@@ -159,7 +144,7 @@ impl Runtime {
     /// [`Runtime::queue_failures`]. Returns the admissions produced.
     ///
     /// `release` and `run` call this: capacity is freed only by a release.
-    pub(crate) fn drain_queue(&mut self) -> Result<Vec<Admitted>, RuntimeError> {
+    pub(crate) fn drain_queue(&mut self) -> Vec<Admitted> {
         let mut admitted = Vec::new();
         while let Some(front) = self.queue.pop_front() {
             match self.place_and_admit(front.tenant, &front.name, &front.graph) {
@@ -178,8 +163,7 @@ impl Runtime {
                 }
             }
         }
-        self.enforce_invariants()?;
-        Ok(admitted)
+        admitted
     }
 
     /// Leases a region and loads the configuration. Never queues — the
@@ -192,7 +176,7 @@ impl Runtime {
         graph: &AppGraph,
     ) -> Result<Admitted, RuntimeError> {
         // Per-request span tree: request > admission > {placement, cache,
-        // compile, pricing, sig}; compaction opens its own child inside
+        // compile, pricing}; compaction opens its own child inside
         // apply_relocations.
         let mut request_span = trace::span("request");
         request_span.arg("tenant", id);
@@ -248,7 +232,7 @@ impl Runtime {
                     }
                 };
                 drop(compile_span);
-                (self.cache.insert(key.clone(), mapping), false)
+                (self.cache.insert(key, mapping), false)
             }
         };
 
@@ -268,19 +252,6 @@ impl Runtime {
             config_port_time,
         );
 
-        // Derive the verifier's structural signature once, here, instead
-        // of per snapshot: under `verify_on_admit` every mutating
-        // operation snapshots every live tenant, so an O(graph) signature
-        // per tenant per operation turns the audit quadratic.
-        let sig_span = trace::span("sig");
-        let sig = verify::sched::StructureSig::of(
-            mapping.arch.rows,
-            mapping.arch.cols,
-            channel_capacity,
-            graph,
-        );
-        drop(sig_span);
-
         // Admission writes the tenant's configuration into the region, so
         // it becomes the band's resident — only now that the compile has
         // succeeded: a failed one leaves the previous resident in place.
@@ -292,10 +263,6 @@ impl Runtime {
                 name: name.to_string(),
                 graph: graph.clone(),
                 mapping,
-                lease,
-                key,
-                stats: TenantStats::default(),
-                sig,
             },
         );
         drop(admission_span);
@@ -308,11 +275,10 @@ impl Runtime {
         })
     }
 
-    /// Applies a compaction's band moves to the runtime's view: leases
-    /// translate to their new rows (each band carried its resident in the
-    /// pool), and the ledger charges one full-region configuration replay
-    /// per moved band — relocating a band means streaming its (cached)
-    /// configuration back through the port at the new offset.
+    /// Charges a compaction's band moves (each band carried its tenants
+    /// and its resident in the pool, so every lease on it moved too): one
+    /// full-region configuration replay per moved band — relocating a band
+    /// means streaming its (cached) configuration back at the new offset.
     fn apply_relocations(&mut self, relocations: &[Relocation]) {
         if relocations.is_empty() {
             return;
@@ -331,12 +297,6 @@ impl Runtime {
             let lane = (r.grid, r.new_row0);
             self.timeline.move_lane((r.grid, r.old_row0), lane, replay);
             self.charge_reconfig_overlap(lane, Phase::Replay, r.tenants.first().copied(), replay);
-            for &t in &r.tenants {
-                if let Some(tenant) = self.tenants.get_mut(&t) {
-                    tenant.lease = tenant.lease.translated(r.new_row0);
-                    tenant.stats.relocations += 1;
-                }
-            }
         }
     }
 
@@ -348,13 +308,13 @@ impl Runtime {
             self.queue.remove(pos);
             self.ledger.queue_cancelled += 1;
             // Cancelling the head may unblock everyone behind it.
-            return self.drain_queue();
+            return Ok(self.drain_queue());
         }
         // The pool slot goes, and the band's resident if it was this one.
         self.tenants
             .remove(&tenant)
             .ok_or(RuntimeError::UnknownTenant(tenant))?;
         self.pool.release(tenant);
-        self.drain_queue()
+        Ok(self.drain_queue())
     }
 }

@@ -1,12 +1,14 @@
 //! Construction parameters and the runtime's error type.
 
 use softfloat::FpFormat;
+use vcgra::app::{AppGraph, GraphError};
 use vcgra::flow::FlowError;
 use vcgra::VcgraArch;
 
 use crate::pool::{PoolError, TenantId};
 
-/// Runtime construction parameters.
+/// Runtime construction parameters. None of them is a check: the sched
+/// and timeline passes run when a caller asks (`Runtime::verify_all`).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// The grid pool (one overlay generation: equal channel capacity).
@@ -15,13 +17,6 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Placement seed for cold compiles.
     pub place_seed: u64,
-    /// Run the sched and timeline passes after every operation that
-    /// changes scheduler state or the time axis — `submit` (placed or
-    /// queued), `swap_params`, `run`, `release` (of a live tenant or a
-    /// queued one) and the queue drain `run` and `release` make — and
-    /// fail it with [`RuntimeError::Invariant`] if any invariant is
-    /// violated (the operation's effects stay). Off by default.
-    pub verify_on_admit: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -30,19 +25,21 @@ impl Default for RuntimeConfig {
             grids: vec![VcgraArch::new(8, 4, 2), VcgraArch::new(8, 4, 2)],
             workers: 4,
             place_seed: 42,
-            verify_on_admit: false,
         }
     }
 }
 
-/// Everything that can go wrong at the runtime surface.
+/// Everything that can go wrong at the runtime surface. Each is a fault
+/// of the call or of what it asks for; a broken scheduler invariant is
+/// not among them — the verifier reports those to whoever runs it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// The scheduler could not place the application.
     Pool(PoolError),
     /// The graph is malformed (`FlowError::Graph`: refused at the door,
     /// before a lease or a queue slot is taken, and counted in
-    /// `Ledger::refused`), or its compile failed on the leased region.
+    /// `Ledger::refused`; or a placed tenant's graph `run` cannot lower),
+    /// or its compile failed on the leased region.
     Flow(FlowError),
     /// Unknown tenant id.
     UnknownTenant(TenantId),
@@ -64,25 +61,41 @@ pub enum RuntimeError {
         got: usize,
     },
     /// A stream input, a swapped-in coefficient or a coefficient of a
-    /// submitted graph is not in the graph's floating-point format (the
-    /// last is refused at the door like any other malformed graph, and
-    /// counted in `Ledger::refused`).
+    /// submitted or lowered graph is not in the graph's floating-point
+    /// format (a submitted one is refused at the door like any other
+    /// malformed graph, and counted in `Ledger::refused`).
     BadFormat {
         /// Format of the tenant's graph.
         expected: FpFormat,
         /// Format of the first offending value.
         got: FpFormat,
     },
-    /// The scheduler-state verifier found a broken invariant
-    /// (`RuntimeConfig::verify_on_admit`). The string lists every
-    /// violation the sched pass reported.
-    Invariant(String),
+}
+
+impl RuntimeError {
+    /// What a malformed `graph` is called, at `submit` and at `run` alike:
+    /// a coefficient in another format is the mistake `swap_params` calls
+    /// [`RuntimeError::BadFormat`], and every other fault is
+    /// `Flow(FlowError::Graph(_))`.
+    pub(crate) fn malformed(graph: &AppGraph, e: GraphError) -> Self {
+        match e {
+            GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
+                expected: graph.format,
+                got: graph.nodes[node]
+                    .coeff
+                    .expect("validate names a coefficient")
+                    .format,
+            },
+            e => RuntimeError::Flow(e.into()),
+        }
+    }
 }
 
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Pool(e) => write!(f, "placement failed: {e}"),
+            RuntimeError::Flow(FlowError::Graph(e)) => write!(f, "malformed graph: {e}"),
             RuntimeError::Flow(e) => write!(f, "compile failed: {e}"),
             RuntimeError::UnknownTenant(t) => write!(f, "unknown tenant {t}"),
             RuntimeError::Waiting(t) => {
@@ -105,9 +118,6 @@ impl std::fmt::Display for RuntimeError {
                 "value in format ({}, {}), graph computes in ({}, {})",
                 got.we, got.wf, expected.we, expected.wf
             ),
-            RuntimeError::Invariant(detail) => {
-                write!(f, "scheduler invariant violated: {detail}")
-            }
         }
     }
 }

@@ -1,22 +1,13 @@
-//! The runtime's accounting: the pool-wide [`Ledger`], the per-tenant
-//! [`TenantStats`], and `charge`, the one call that books modeled time.
+//! The runtime's accounting: the pool-wide [`Ledger`] and `charge`, the
+//! one call that books modeled time. A tenant's share is not kept apart:
+//! its switches are its `TenantRun::context_switches` and, with its
+//! relocations, the time axis's intervals tagged with its id.
 
 use std::time::Duration;
 
 use crate::pool::TenantId;
 use crate::runtime::Runtime;
 use crate::timeline::{Lane, Phase};
-
-/// Per-tenant counters, for callers to read (the scheduler reads none of
-/// them). Pool-wide totals are the [`Ledger`]'s, and a tenant's modeled
-/// time is on the time axis's intervals tagged with its id.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TenantStats {
-    /// Context switches charged while time-multiplexed.
-    pub context_switches: usize,
-    /// Times this tenant's band was relocated by compaction.
-    pub relocations: usize,
-}
 
 /// Pool-wide accounting: counts and modeled port cost.
 ///

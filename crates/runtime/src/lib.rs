@@ -36,8 +36,9 @@
 //!   already warm in the configuration cache, so a mixed-width pool
 //!   compiles each structure once, not once per width. When the free rows
 //!   are fragmented, **band compaction** slides bands down (reported as
-//!   [`pool::Relocation`]s, replayed and charged by the runtime, counted
-//!   in [`TenantStats::relocations`]); when the rows are not there,
+//!   [`pool::Relocation`]s, replayed and charged by the runtime, each a
+//!   `Replay` interval on the time axis); a tenant's lease is whatever
+//!   band lists it ([`GridPool::lease`]); when the rows are not there,
 //!   admission time-multiplexes the least-crowded band tall enough, and each
 //!   context switch is charged a full-region reconfig; when no band is
 //!   tall enough either, the runtime parks the submission in a FIFO
@@ -106,10 +107,10 @@
 //! reconciliation, cache-key soundness), and
 //! [`Runtime::timeline_snapshot`] does the same for the
 //! timeline pass (port exclusivity, lane exclusivity, charge
-//! conservation and the makespan against the ledger);
-//! [`RuntimeConfig::verify_on_admit`] runs both passes after
-//! every operation that changes scheduler state or the time axis and
-//! fails it on a broken invariant.
+//! conservation and the makespan against the ledger).
+//! [`Runtime::verify_all`] runs both. Verification is the caller's: no
+//! operation runs a pass or keeps anything derived for one, so a
+//! tenant's structural signature is derived per snapshot.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]
@@ -134,6 +135,6 @@ pub use pool::{BandInfo, GridPool, Lease, PoolError, Relocation, TenantId};
 pub use pricer::SwapReport;
 pub use runtime::{
     Admission, Admitted, Ledger, Queued, Runtime, RuntimeConfig, RuntimeError, StreamRequest,
-    Tenant, TenantRun, TenantStats,
+    Tenant, TenantRun,
 };
 pub use timeline::{Interval, Phase, Timeline};

@@ -19,6 +19,7 @@ impl Runtime {
         coeffs: &[FpValue],
     ) -> Result<SwapReport, RuntimeError> {
         let t = self.live(tenant)?;
+        let lease = self.lease(tenant);
         let slots = t.graph.coeff_nodes();
         if slots.len() != coeffs.len() {
             return Err(RuntimeError::BadParamArity {
@@ -40,7 +41,7 @@ impl Runtime {
                 let old = t.graph.pe_settings(node);
                 let new = PeSettings { coeff: c, ..old };
                 PeChange {
-                    cell: (t.lease.row0 + r, col),
+                    cell: (lease.row0 + r, col),
                     old,
                     new,
                 }
@@ -49,7 +50,7 @@ impl Runtime {
         let mut request_span = trace::span("request");
         request_span.arg("tenant", tenant);
         request_span.arg("op", "swap");
-        let grid_arch = self.pool.grid_archs()[t.lease.grid];
+        let grid_arch = self.pool.grid_archs()[lease.grid];
         let mut pricing_span = trace::span("pricing");
         let report = self
             .pricer
@@ -67,12 +68,11 @@ impl Runtime {
         for (&node, &c) in slots.iter().zip(coeffs) {
             t.graph.nodes[node].coeff = Some(c);
         }
-        let lane = (t.lease.grid, t.lease.row0);
+        let lane = (lease.grid, lease.row0);
         self.ledger.swaps += 1;
         self.ledger.swap_frames += report.frames();
         self.charge(lane, Phase::Swap, Some(tenant), report.port_time);
         drop(request_span);
-        self.enforce_invariants()?;
         Ok(report)
     }
 }

@@ -58,19 +58,10 @@ impl Lease {
     pub fn pe_count(&self) -> usize {
         self.rows * self.cols
     }
-
-    /// The lease translated to a new band start (what compaction does):
-    /// same shape, same grid, new physical rows.
-    pub fn translated(&self, new_row0: usize) -> Lease {
-        Lease {
-            row0: new_row0,
-            ..*self
-        }
-    }
 }
 
-/// One band moved by compaction. The runtime uses this to translate the
-/// displaced tenants' leases and to charge the configuration replay.
+/// One band moved by compaction. The runtime uses this to move the band's
+/// history on the time axis and to charge the configuration replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relocation {
     /// Grid the band lives on.
@@ -108,6 +99,18 @@ struct Band {
     rows: usize,
     tenants: Vec<TenantId>,
     resident: Option<TenantId>,
+}
+
+impl Band {
+    /// The lease of a tenant on this band of grid `grid`, `cols` wide.
+    fn lease(&self, grid: usize, cols: usize) -> Lease {
+        Lease {
+            grid,
+            row0: self.row0,
+            rows: self.rows,
+            cols,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -336,13 +339,7 @@ impl GridPool {
             let cols = self.grids[gi].arch.cols;
             let band = &mut self.grids[gi].bands[bi];
             band.tenants.push(tenant);
-            let lease = Lease {
-                grid: gi,
-                row0: band.row0,
-                rows: band.rows,
-                cols,
-            };
-            return Ok((lease, Vec::new()));
+            return Ok((band.lease(gi, cols), Vec::new()));
         }
         // 4. Nothing free, nothing shareable: distinguish "never fits"
         // from "fits an empty grid, come back after a release".
@@ -352,19 +349,16 @@ impl GridPool {
 
     /// Books a new dedicated band for `tenant`.
     fn carve(&mut self, grid: usize, row0: usize, rows: usize, tenant: TenantId) -> Lease {
-        let g = &mut self.grids[grid];
-        g.bands.push(Band {
+        let band = Band {
             row0,
             rows,
             tenants: vec![tenant],
             resident: None,
-        });
-        Lease {
-            grid,
-            row0,
-            rows,
-            cols: g.arch.cols,
-        }
+        };
+        let g = &mut self.grids[grid];
+        let lease = band.lease(grid, g.arch.cols);
+        g.bands.push(band);
+        lease
     }
 
     /// `Ok` when `demand` would fit some *empty* grid of the pool —
@@ -410,6 +404,15 @@ impl GridPool {
             }
         }
         false
+    }
+
+    /// Where `tenant` is placed now: the band that lists it. Compaction
+    /// moves the band, so this is read after every admission, never kept.
+    pub fn lease(&self, tenant: TenantId) -> Option<Lease> {
+        self.grids.iter().enumerate().find_map(|(grid, g)| {
+            let band = g.bands.iter().find(|b| b.tenants.contains(&tenant))?;
+            Some(band.lease(grid, g.arch.cols))
+        })
     }
 
     /// Tenants sharing the band at (`grid`, `row0`), in admission order.

@@ -11,7 +11,9 @@
 //!    *fragmented* free rows, the scheduler **compacts** — slides that
 //!    grid's bands down and replays the displaced tenants' configurations
 //!    onto the translated bands (charged to the ledger as reconfiguration
-//!    time and counted in each moved tenant's `TenantStats::relocations`).
+//!    time, one `Replay` interval per moved band, tagged with its first
+//!    tenant). A tenant's lease is read from the pool
+//!    ([`GridPool::lease`]), so a moved band moves every lease on it.
 //!    If compaction cannot help, the tenant **time-shares** the
 //!    least-crowded band tall enough (the pool's `band_tenants` lists who
 //!    is on it). If no band is tall enough either, the request enters the
@@ -63,6 +65,9 @@
 //! overlaps other bands' — and [`Ledger::overlap_saved`], the gap to the
 //! serialized sum.
 //!
+//! No operation verifies itself: the sched and timeline passes run when a
+//! caller asks ([`Runtime::verify_all`]), over the plain-data snapshots.
+//!
 //! This file holds the [`Runtime`] itself, [`Runtime::run`] and the read
 //! accessors; its other operations live beside it, one file per seam the
 //! verifier names: admission, parameter swaps, accounting and snapshots.
@@ -85,12 +90,15 @@ use crate::timeline::{Lane, Phase, Timeline};
 
 pub use crate::admission::{Admission, Admitted, Queued};
 pub use crate::config::{RuntimeConfig, RuntimeError};
-pub use crate::ledger::{Ledger, TenantStats};
+pub use crate::ledger::Ledger;
 
 /// Compiled configurations the runtime's cache keeps.
 const CACHE_CAPACITY: usize = 32;
 
-/// One admitted application.
+/// One admitted application: what nothing else in the runtime knows.
+/// Its lease is the pool's ([`GridPool::lease`]), its cache key is derived
+/// ([`Tenant::config_key`]), and its switches and relocations are the
+/// ledger's and the time axis's.
 pub struct Tenant {
     /// Tenant id.
     pub id: TenantId,
@@ -102,24 +110,14 @@ pub struct Tenant {
     /// Placement and routes: the configuration cache's compile for this
     /// tenant's key, shared with every tenant of that key.
     pub mapping: Arc<VcgraMapping>,
-    /// Leased region.
-    pub lease: Lease,
-    pub(crate) key: ConfigKey,
-    /// Accumulated accounting.
-    pub stats: TenantStats,
-    /// Memoized structural signature for the sched verifier, derived once
-    /// at admission. Sound to reuse for the tenant's lifetime: a parameter
-    /// swap preserves `same_structure` (the signature ignores coefficient
-    /// *values*), a new structure is a new tenant, and compaction moves
-    /// bands without touching the compiled region shape.
-    pub(crate) sig: verify::sched::StructureSig,
 }
 
 impl Tenant {
     /// The cache key this tenant's configuration lives under — tenants
-    /// with equal keys share one cached compile.
-    pub fn config_key(&self) -> &ConfigKey {
-        &self.key
+    /// with equal keys share one cached compile. The compile's region and
+    /// the graph's structure are the key, and a swap changes neither.
+    pub fn config_key(&self) -> ConfigKey {
+        ConfigKey::new(self.mapping.arch, &self.graph)
     }
 }
 
@@ -223,15 +221,15 @@ impl Runtime {
     /// resident, ledger counter or interval moves. Its error is, in this
     /// order of precedence: the first request (in request order) whose
     /// tenant is not live ([`RuntimeError::UnknownTenant`],
-    /// [`RuntimeError::Waiting`]) or whose graph does not lower
-    /// ([`RuntimeError::Invariant`]); otherwise the first item, in request
+    /// [`RuntimeError::Waiting`]) or whose graph does not lower (the error
+    /// `submit` gives that graph); otherwise the first item, in request
     /// and item order, that does not hold one value per external input
     /// ([`RuntimeError::BadInputArity`]) or holds a value in another
     /// format ([`RuntimeError::BadFormat`]). So a tenant fault in a later
     /// request is reported before an item fault in an earlier one; which
     /// error a call gets does not depend on the worker count.
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
-        self.drain_queue()?;
+        self.drain_queue();
         // Lower every request before any worker starts, so that a graph
         // that went bad after admission is an error here and never a
         // panic on an engine thread.
@@ -242,11 +240,10 @@ impl Runtime {
         let mut by_band: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for req in requests {
             let t = self.live(req.tenant)?;
-            let plan = ExecPlan::lower(&t.graph).map_err(|e| {
-                RuntimeError::Invariant(format!("tenant {}: graph does not lower: {e}", req.tenant))
-            })?;
+            let plan =
+                ExecPlan::lower(&t.graph).map_err(|e| RuntimeError::malformed(&t.graph, e))?;
             by_band
-                .entry((t.lease.grid, t.lease.row0))
+                .entry(self.lane(req.tenant))
                 .or_default()
                 .push(jobs.len());
             jobs.push(Job {
@@ -266,7 +263,7 @@ impl Runtime {
             // Jobs follow the band's slot order.
             let slots = self.pool.band_tenants(grid, row0);
             band.sort_by_key(|&j| slots.iter().position(|&t| t == jobs[j].tenant));
-            let region_pes = self.tenants[&jobs[band[0]].tenant].lease.pe_count();
+            let region_pes = self.lease(jobs[band[0]].tenant).pe_count();
             let switch_cost = self.pricer.full_config_cost(region_pes);
             let mut loaded = self.pool.resident(grid, row0);
             for &j in &band {
@@ -304,12 +301,6 @@ impl Runtime {
         runs.sort_by_key(|r| r.tenant);
 
         for run in &runs {
-            let tenant = self
-                .tenants
-                .get_mut(&run.tenant)
-                .expect("runs only cover tenants validated live above");
-            let lane = (tenant.lease.grid, tenant.lease.row0);
-            tenant.stats.context_switches += run.context_switches;
             self.ledger.items += run.outputs.len();
             self.ledger.context_switches += run.context_switches;
             // The swap-in context switch is a grid-local replay of the
@@ -319,15 +310,27 @@ impl Runtime {
                 request_span.arg("tenant", run.tenant);
                 request_span.arg("op", "switch");
                 self.charge_reconfig_overlap(
-                    lane,
+                    self.lane(run.tenant),
                     Phase::Switch,
                     Some(run.tenant),
                     run.switch_port_time,
                 );
             }
         }
-        self.enforce_invariants()?;
         Ok(runs)
+    }
+
+    /// A placed tenant's lease, read from the band that lists it.
+    pub(crate) fn lease(&self, tenant: TenantId) -> Lease {
+        self.pool
+            .lease(tenant)
+            .expect("every placed tenant is on a band")
+    }
+
+    /// The time-axis lane of a placed tenant's band.
+    pub(crate) fn lane(&self, tenant: TenantId) -> Lane {
+        let lease = self.lease(tenant);
+        (lease.grid, lease.row0)
     }
 
     /// Books a lane-local reconfiguration — a context switch's swap-in or
@@ -416,8 +419,9 @@ mod tests {
         // `submit` refuses a graph that cannot lower, so from outside the
         // crate no tenant can hold one. `run` still lowers before any
         // engine thread starts: a tenant whose graph went bad after
-        // admission is an `Invariant` error for the whole call, not a
-        // panic, and the other tenants are served afterwards.
+        // admission fails the whole call with the error `submit` gives
+        // that graph, not a panic, and the other tenants are served
+        // afterwards.
         type Edit = fn(&mut Tenant);
         let edits: [(&str, Edit); 3] = [
             ("external", |t| t.graph.nodes[0].a = AppSource::External(7)),
@@ -436,6 +440,8 @@ mod tests {
                 .unwrap()
                 .tenant();
             edit(rt.tenants.get_mut(&bad).expect("just admitted"));
+            let graph = rt.tenants[&bad].graph.clone();
+            let refused = rt.ledger().refused;
             let err = rt
                 .run(vec![
                     StreamRequest {
@@ -448,7 +454,12 @@ mod tests {
                     },
                 ])
                 .unwrap_err();
-            assert!(matches!(err, RuntimeError::Invariant(_)), "{name}: {err}");
+            assert_eq!(
+                rt.ledger().refused,
+                refused,
+                "{name}: runs are not refusals"
+            );
+            assert_eq!(err, rt.submit(name, graph).unwrap_err(), "{name}");
             rt.release(bad).unwrap();
         }
         assert_eq!(rt.ledger().items, 0, "a refused call streams nothing");

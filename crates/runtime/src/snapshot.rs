@@ -1,7 +1,10 @@
 //! Plain-data exports of the scheduler state and the time axis for the
-//! `verify` crate, and the `verify_on_admit` gate built on them.
+//! `verify` crate, and the passes a caller runs over them. This is the
+//! runtime's one door to the verifier: no operation checks itself, and
+//! nothing here is derived ahead of a call (`tests/wall_clock_scan.rs`
+//! keeps `verify::` out of every other runtime source).
 
-use crate::config::RuntimeError;
+use crate::pool::Lease;
 use crate::runtime::Runtime;
 
 impl Runtime {
@@ -9,8 +12,8 @@ impl Runtime {
     /// `verify` crate's sched pass: grids, bands, leases, the admission
     /// queue, each band's resident, the queue-flow ledger counters, and every
     /// cache entry. Tenant snapshots carry both the runtime's own cache-key
-    /// fingerprint and an independently derived structural signature so
-    /// the pass can prove key soundness without trusting `ConfigKey`.
+    /// fingerprint and a structural signature derived here, from the graph,
+    /// so the pass can prove key soundness without trusting `ConfigKey`.
     pub fn snapshot(&self) -> verify::SchedSnapshot {
         use verify::sched::{
             BandSnap, CacheEntrySnap, GridSnap, LedgerSnap, StructureSig, TenantSnap,
@@ -46,33 +49,28 @@ impl Runtime {
             tenants: self
                 .tenants
                 .values()
-                .map(|t| TenantSnap {
-                    id: t.id,
-                    grid: t.lease.grid,
-                    row0: t.lease.row0,
-                    rows: t.lease.rows,
-                    cols: t.lease.cols,
-                    demand: t.graph.pe_demand(),
-                    region: (t.mapping.arch.rows, t.mapping.arch.cols),
-                    placed_nodes: t.mapping.place.len(),
-                    key_id: t.key.fingerprint(),
-                    sig: {
-                        // Served from the admission-time memo; a fresh
-                        // derivation here would make every audited
-                        // operation O(tenants × graph).
-                        debug_assert_eq!(
-                            t.sig,
-                            StructureSig::of(
-                                t.mapping.arch.rows,
-                                t.mapping.arch.cols,
-                                cap,
-                                &t.graph
-                            ),
-                            "memoized StructureSig went stale for tenant {}",
-                            t.id
-                        );
-                        t.sig.clone()
-                    },
+                .map(|t| {
+                    // A tenant no band lists is exported on no grid: the
+                    // pass reports it (`LeaseWithoutBand`), never a panic.
+                    let lease = self.pool.lease(t.id).unwrap_or(Lease {
+                        grid: usize::MAX,
+                        row0: 0,
+                        rows: 0,
+                        cols: 0,
+                    });
+                    let region = (t.mapping.arch.rows, t.mapping.arch.cols);
+                    TenantSnap {
+                        id: t.id,
+                        grid: lease.grid,
+                        row0: lease.row0,
+                        rows: lease.rows,
+                        cols: lease.cols,
+                        demand: t.graph.pe_demand(),
+                        region,
+                        placed_nodes: t.mapping.place.len(),
+                        key_id: t.config_key().fingerprint(),
+                        sig: StructureSig::of(region.0, region.1, cap, &t.graph),
+                    }
                 })
                 .collect(),
             queue: self.queue.iter().map(|p| p.tenant).collect(),
@@ -142,82 +140,5 @@ impl Runtime {
         report.seconds += timeline.seconds;
         report.violations.extend(timeline.violations);
         report
-    }
-
-    /// With `verify_on_admit` set, fails the enclosing operation when the
-    /// sched pass or the timeline pass finds a violated invariant.
-    pub(crate) fn enforce_invariants(&self) -> Result<(), RuntimeError> {
-        if !self.cfg.verify_on_admit {
-            return Ok(());
-        }
-        let violations = self.verify_all().violations;
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            let details: Vec<String> = violations
-                .iter()
-                .map(|v| format!("[{}] {v}", v.code()))
-                .collect();
-            Err(RuntimeError::Invariant(details.join("; ")))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::fmt::Debug;
-
-    use softfloat::{FpFormat, FpValue};
-    use vcgra::VcgraArch;
-
-    use crate::kernels;
-    use crate::{Runtime, RuntimeConfig, RuntimeError, StreamRequest};
-
-    const F: FpFormat = FpFormat::PAPER;
-
-    fn refused<T: Debug>(op: &str, result: Result<T, RuntimeError>) {
-        assert!(
-            matches!(result, Err(RuntimeError::Invariant(_))),
-            "{op} must fail a broken invariant, got {result:?}"
-        );
-    }
-
-    #[test]
-    fn verify_on_admit_gates_every_mutating_operation() {
-        // One 5x4 grid: two 2-row bands, and a 3-row FIR waiting behind
-        // them (one free row, neither band tall enough to share).
-        let mut rt = Runtime::new(RuntimeConfig {
-            grids: vec![VcgraArch::new(5, 4, 2)],
-            verify_on_admit: true,
-            ..RuntimeConfig::default()
-        });
-        let fir = kernels::fir(F, &[0.5, 0.25]).graph;
-        let live = rt.submit("live", fir.clone()).unwrap().tenant();
-        let second = rt.submit("second", fir.clone()).unwrap().tenant();
-        let waiter = rt.submit("waiting", kernels::fir_seeded(F, 5, 3).graph);
-        assert!(waiter.unwrap().is_queued());
-
-        // The queue-flow counters stop reconciling with the queue: each
-        // operation below is refused, and what it did before the check
-        // stays done.
-        rt.ledger.queued += 1;
-        let coeffs = [FpValue::from_f64(-1.5, F), FpValue::from_f64(2.0, F)];
-        refused("swap_params", rt.swap_params(live, &coeffs));
-        let request = StreamRequest {
-            tenant: live,
-            inputs: vec![vec![FpValue::from_f64(1.0, F); 2]],
-        };
-        refused("run", rt.run(vec![request]));
-        // Behind the waiter, a submission queues.
-        refused("a queued submit", rt.submit("late", fir.clone()));
-        let late = rt.queued_tenants()[1];
-        refused("a queued tenant's release", rt.release(late));
-        assert_eq!(rt.queue_len(), 1, "the cancel took effect");
-        // Releasing a live tenant drains the waiter onto its rows.
-        refused("a live tenant's release", rt.release(second));
-        assert_eq!(rt.queue_len(), 0, "the drain took effect");
-        // With the queue empty, a submission is placed: it time-shares.
-        refused("a placed submit", rt.submit("placed", fir));
-        assert_eq!((rt.queue_len(), rt.tenants().count()), (0, 3));
     }
 }

@@ -214,7 +214,7 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
         ids.push(rt.submit(&w.name, w.graph.clone()).unwrap().tenant());
     }
     // The third tenant had to share a band.
-    let lease = rt.tenant(ids[2]).unwrap().lease;
+    let lease = rt.pool().lease(ids[2]).unwrap();
     assert!(rt.pool().band_tenants(lease.grid, lease.row0).len() > 1);
 
     let requests: Vec<StreamRequest> = ids
@@ -249,13 +249,7 @@ fn oversubscribed_pool_time_multiplexes_without_corruption() {
     let shared_pair: Vec<_> = ids
         .iter()
         .copied()
-        .filter(|&t| {
-            let l = rt.tenant(t).unwrap().lease;
-            (l.grid, l.row0) == {
-                let l2 = rt.tenant(ids[2]).unwrap().lease;
-                (l2.grid, l2.row0)
-            }
-        })
+        .filter(|&t| rt.pool().lease(t) == Some(lease))
         .collect();
     assert_eq!(shared_pair.len(), 2, "exactly two tenants share the band");
     let mut alternating_switches = 0;
@@ -332,7 +326,7 @@ fn a_time_shared_band(workers: usize) -> (Runtime, AppGraph, TenantId, [TenantId
     let (first, graph) = served(&mut rt);
     let second = rt.submit("second", graph.clone()).unwrap().tenant();
     let third = rt.submit("third", graph.clone()).unwrap().tenant();
-    let lease = rt.tenant(third).unwrap().lease;
+    let lease = rt.pool().lease(third).unwrap();
     let shared = rt.pool().band_tenants(lease.grid, lease.row0).to_vec();
     let alone = [first, second]
         .into_iter()
@@ -806,6 +800,26 @@ fn a_dangling_operand_is_refused_at_submit_not_a_worker_panic() {
         .unwrap()
         .expect_admitted("a free grid");
     assert_still_served(&mut rt, good_id, &good);
+}
+
+#[test]
+fn a_refused_graph_is_called_malformed_and_only_a_failed_compile_failed() {
+    // A graph the door refuses was never compiled: its message says what
+    // is wrong with it, and "compile failed" is kept for `map_app`'s.
+    let mut rt = Runtime::new(RuntimeConfig {
+        grids: vec![vcgra::VcgraArch::new(5, 4, 1)],
+        ..RuntimeConfig::default()
+    });
+    let err = rt.submit("empty", AppGraph::new(F, 1)).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "malformed graph: application graph has no nodes"
+    );
+    let err = rt.submit("wide", unroutable_at_capacity_one()).unwrap_err();
+    assert!(
+        err.to_string().starts_with("compile failed: unroutable"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -52,7 +52,7 @@ fn assert_bit_exact(rt: &mut Runtime, tenant: TenantId, items: usize, salt: u64)
 /// Whether the tenant's band holds anyone else: the pool's band
 /// membership, the one place that fact lives.
 fn shares_its_band(rt: &Runtime, tenant: TenantId) -> bool {
-    let lease = rt.tenant(tenant).unwrap().lease;
+    let lease = rt.pool().lease(tenant).unwrap();
     rt.pool().band_tenants(lease.grid, lease.row0).len() > 1
 }
 
@@ -268,12 +268,17 @@ fn compaction_admits_13_row_tenant_where_first_fit_refused() {
     assert_eq!(adm.relocations, 1, "one band slid down to make room");
     assert_eq!(adm.lease.row0, 3, "admitted right above the compacted band");
 
-    // The survivor moved to row 0, and its stats count the move.
-    let survivor_tenant = rt.tenant(s.tenant).unwrap();
-    assert_eq!(survivor_tenant.lease.row0, 0);
-    assert_eq!(survivor_tenant.stats.relocations, 1);
+    // The survivor moved to row 0, and its band's replay is its own.
+    assert_eq!(rt.pool().lease(s.tenant).unwrap().row0, 0);
     let led = rt.ledger();
     assert_eq!((led.compactions, led.relocated_bands), (1, 1));
+    assert!(
+        rt.timeline()
+            .intervals()
+            .iter()
+            .any(|iv| iv.phase == Phase::Replay && iv.tenant == Some(s.tenant)),
+        "the replay is tagged with the survivor"
+    );
     assert!(
         led.compaction_port_time > std::time::Duration::ZERO,
         "the replay must be charged as reconfiguration time"
@@ -351,7 +356,7 @@ fn cache_aware_placement_raises_warm_hit_rate_on_mixed_width_pool() {
     assert_eq!(stats.hits, 1, "cache-aware placement finds the warm width");
     assert_eq!(stats.misses, 2);
     assert_eq!(
-        rt.tenant(second.tenant).unwrap().lease.grid,
+        rt.pool().lease(second.tenant).unwrap().grid,
         1,
         "placed on the warm grid"
     );
@@ -458,7 +463,6 @@ fn a_tenant_requested_twice_in_one_call_switches_at_most_once() {
     assert_eq!(twice(second.tenant), [0, 0]);
     assert_eq!(twice(first.tenant), [1, 0]);
     assert_eq!(rt.ledger().context_switches, 1);
-    assert_eq!(rt.tenant(first.tenant).unwrap().stats.context_switches, 1);
     assert!(
         rt.verify_timeline().ok(),
         "{}",
@@ -640,7 +644,7 @@ fn shared_band_scenario(workers: usize, items: usize) -> (Runtime, [TenantId; 5]
     rt.release(d).unwrap();
     // Rows 0–1 and 4–5 are free: a 4-row tenant compacts the grid.
     let f = admit(&mut rt, "f", 8, 5);
-    assert_eq!(rt.tenant(e).unwrap().lease.row0, 0, "e slides to row 0");
+    assert_eq!(rt.pool().lease(e).unwrap().row0, 0, "e slides to row 0");
     run(&mut rt, &[e, b]);
     run(&mut rt, &[b, a, b]);
     rt.release(b).unwrap();

@@ -99,7 +99,7 @@ proptest! {
     // The real runtime under random admission / swap / release / run
     // churn: after every operation the live axis obeys
     // the bounds, the ledger's totals agree with its log exactly, and the
-    // verify pass finds zero violations.
+    // sched and timeline passes find zero violations.
     #[test]
     fn runtime_churn_keeps_an_honest_reconcilable_axis(
         ops in prop::collection::vec((any::<u8>(), 1u64..400), 1..24),
@@ -178,8 +178,8 @@ proptest! {
                 ledger.modeled_makespan.as_nanos() as u64,
                 "the verify snapshot carries the ledger's makespan"
             );
-            let report = rt.verify_timeline();
-            prop_assert!(report.violations.is_empty(), "timeline pass: {:?}", report.violations);
+            let report = rt.verify_all();
+            prop_assert!(report.violations.is_empty(), "sched+timeline: {:?}", report.violations);
         }
     }
 }

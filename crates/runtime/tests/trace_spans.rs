@@ -230,7 +230,7 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         .collect();
     assert_eq!(priced, [(slots as u64, 1)]);
     let admission = children.get("admission").expect("admission spans recorded");
-    for phase in ["cache", "pricing", "placement", "sig"] {
+    for phase in ["cache", "pricing", "placement"] {
         assert!(
             admission.contains(phase),
             "admission subtree must contain {phase}"

@@ -1,8 +1,7 @@
-//! Scheduler-state verification tests: a churn soak under
-//! `verify_on_admit` (every mutating operation re-proves the admission
-//! invariants), snapshot sanity for the exported plain-data view, and the
-//! configuration lint of every library kernel on the region admission
-//! compiles it for.
+//! Scheduler-state verification tests: a churn soak that runs the sched
+//! and timeline passes after every mutating operation, snapshot sanity for
+//! the exported plain-data view, and the configuration lint of every
+//! library kernel on the region admission compiles it for.
 
 use runtime::kernels;
 use runtime::{Admission, GridPool, Runtime, RuntimeConfig, StreamRequest};
@@ -22,13 +21,20 @@ fn stream(n: usize, items: usize, salt: u64) -> Vec<Vec<FpValue>> {
         .collect()
 }
 
+/// Runs the sched and timeline passes over `rt`'s state after `op`.
+fn verified<T>(rt: &mut Runtime, op: &str, f: impl FnOnce(&mut Runtime) -> T) -> T {
+    let out = f(rt);
+    let report = rt.verify_all();
+    assert!(report.ok(), "after {op}: {}", report.summary());
+    out
+}
+
 #[test]
 fn churn_soak_verifies_after_every_operation() {
     // Mixed pool, everything on: queueing, compaction, time-sharing,
-    // cache-aware placement — and the verifier gating every operation.
+    // cache-aware placement — and both passes after every operation.
     let cfg = RuntimeConfig {
         grids: vec![VcgraArch::new(6, 4, 2), VcgraArch::new(8, 4, 2)],
-        verify_on_admit: true,
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(cfg);
@@ -36,12 +42,9 @@ fn churn_soak_verifies_after_every_operation() {
     // Fill the pool past capacity so some submissions queue.
     let mut tenants = Vec::new();
     for (i, taps) in [3usize, 5, 8, 3, 12, 4].iter().enumerate() {
-        let adm = rt
-            .submit(
-                format!("t{i}"),
-                kernels::fir_seeded(F, *taps, i as u64 + 1).graph,
-            )
-            .expect("verified submit");
+        let graph = kernels::fir_seeded(F, *taps, i as u64 + 1).graph;
+        let adm =
+            verified(&mut rt, "submit", |rt| rt.submit(format!("t{i}"), graph)).expect("submit");
         if let Admission::Admitted(a) = adm {
             tenants.push(a.tenant);
         }
@@ -54,12 +57,18 @@ fn churn_soak_verifies_after_every_operation() {
 
     // Stream through the placed tenants.
     for &t in &tenants {
-        let graph = rt.tenant(t).expect("live").graph.clone();
-        rt.run(vec![StreamRequest {
-            tenant: t,
-            inputs: stream(graph.num_inputs, 8, t),
-        }])
-        .expect("verified run");
+        let inputs = stream(rt.tenant(t).expect("live").graph.num_inputs, 8, t);
+        verified(&mut rt, "run", |rt| {
+            rt.run(vec![StreamRequest { tenant: t, inputs }])
+        })
+        .expect("run");
+    }
+
+    // A parameter swap on every placed tenant.
+    for &t in &tenants {
+        let n = rt.tenant(t).expect("live").graph.coeff_nodes().len();
+        let coeffs = vec![FpValue::from_f64(0.75, F); n];
+        verified(&mut rt, "swap", |rt| rt.swap_params(t, &coeffs)).expect("swap");
     }
 
     // Churn releases, each draining the queue and each re-verified. The
@@ -67,7 +76,7 @@ fn churn_soak_verifies_after_every_operation() {
     // 6-row tenant's admission compacts it: the time axis holds a
     // lane-local replay, not only port phases.
     for i in [0, 2, 1, 3] {
-        rt.release(tenants[i]).expect("verified release");
+        verified(&mut rt, "release", |rt| rt.release(tenants[i])).expect("release");
     }
 
     // Final state re-proves clean explicitly.

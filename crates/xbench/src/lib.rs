@@ -18,7 +18,8 @@
 //! alongside the benchmark figures. The other `vcgra-verify` passes run
 //! elsewhere: every `ParEngine::run` audits its route trees, and
 //! `runtime/tests/verify_state.rs` lints the kernel library's
-//! configurations and soaks the scheduler under `verify_on_admit`.
+//! configurations and soaks the scheduler, verifying after every
+//! operation.
 //!
 //! The drivers print what they measure and write no record of their
 //! own: the machine-readable result is the repo benchmark's

@@ -5,6 +5,9 @@
 //! keeps the wall clock out of the three crates whose results those are.
 //! (A lint on the types would also reach `crates/core/tests/pe_scale.rs`,
 //! which times itself on purpose.)
+//!
+//! The same scan keeps the runtime's verification the caller's: only its
+//! export module names the `verify` crate.
 
 use std::path::{Path, PathBuf};
 
@@ -19,15 +22,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The lines of `source`, numbered from 1, that name a wall-clock type
+/// The lines of `source`, numbered from 1, that name one of `names`
 /// outside `//` comments.
-fn wall_clock_lines(source: &str) -> Vec<usize> {
+fn lines_naming(source: &str, names: &[&str]) -> Vec<usize> {
     source
         .lines()
         .enumerate()
         .filter(|(_, line)| {
             let code = line.split("//").next().unwrap_or_default();
-            code.contains("Instant") || code.contains("SystemTime")
+            names.iter().any(|name| code.contains(name))
         })
         .map(|(i, _)| i + 1)
         .collect()
@@ -44,7 +47,7 @@ fn runtime_core_and_dcs_sources_read_no_wall_clock() {
     let mut hits = Vec::new();
     for path in files {
         let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
-        for line in wall_clock_lines(&source) {
+        for line in lines_naming(&source, &["Instant", "SystemTime"]) {
             let name = path.strip_prefix(root).expect("under the root").display();
             hits.push(format!("{name}:{line}"));
         }
@@ -53,5 +56,33 @@ fn runtime_core_and_dcs_sources_read_no_wall_clock() {
     assert!(
         hits.is_empty(),
         "wall-clock time in library state: {hits:?}"
+    );
+}
+
+/// Verification is the caller's: the runtime reaches the `verify` crate
+/// only from its export module, so no operation can run a pass itself or
+/// keep anything derived for one.
+#[test]
+fn runtime_names_the_verifier_only_in_its_export_module() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let mut hits = Vec::new();
+    let mut exports = 0;
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
+        let lines = lines_naming(&source, &["verify::"]);
+        if path == src.join("snapshot.rs") {
+            exports = lines.len();
+            continue;
+        }
+        let name = path.strip_prefix(&src).expect("under src").display();
+        hits.extend(lines.into_iter().map(|line| format!("{name}:{line}")));
+    }
+    assert!(exports > 0, "the export module names the verifier");
+    hits.sort();
+    assert!(
+        hits.is_empty(),
+        "the verifier named outside snapshot.rs: {hits:?}"
     );
 }
