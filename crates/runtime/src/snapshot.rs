@@ -4,23 +4,21 @@
 //! nothing here is derived ahead of a call (`tests/wall_clock_scan.rs`
 //! keeps `verify::` out of every other runtime source).
 
-use crate::pool::Lease;
 use crate::runtime::Runtime;
 
 impl Runtime {
     /// Exports the whole scheduler state as a plain-data snapshot for the
-    /// `verify` crate's sched pass: grids, bands, leases, the admission
-    /// queue, each band's resident, the queue-flow ledger counters, and every
-    /// cache entry. Tenant snapshots carry both the runtime's own cache-key
-    /// fingerprint and a structural signature derived here, from the graph,
-    /// so the pass can prove key soundness without trusting `ConfigKey`.
+    /// `verify` crate's sched pass: grids, bands with their tenants and
+    /// resident, live tenants, the admission queue and the queue-flow
+    /// ledger counters. A tenant's lease is the band that lists it, so it
+    /// is not exported twice. Tenant snapshots carry both the runtime's own
+    /// cache-key fingerprint and a structural signature derived here, from
+    /// the graph, so the pass can prove key soundness without trusting
+    /// `ConfigKey`.
     pub fn snapshot(&self) -> verify::SchedSnapshot {
-        use verify::sched::{
-            BandSnap, CacheEntrySnap, GridSnap, LedgerSnap, StructureSig, TenantSnap,
-        };
+        use verify::sched::{BandSnap, GridSnap, LedgerSnap, StructureSig, TenantSnap};
         let archs = self.pool.grid_archs();
         let cap = self.pool.channel_capacity();
-        let bands = self.pool.bands();
         verify::SchedSnapshot {
             grids: archs
                 .iter()
@@ -31,40 +29,25 @@ impl Runtime {
                     free_rows: self.pool.free_rows(g),
                 })
                 .collect(),
-            // Grids in index order, bands in row order: the resident list
-            // comes out sorted by (grid, row0).
-            resident: bands
-                .iter()
-                .filter_map(|b| Some((b.grid, b.row0, b.resident?)))
-                .collect(),
-            bands: bands
+            bands: self
+                .pool
+                .bands()
                 .into_iter()
                 .map(|b| BandSnap {
                     grid: b.grid,
                     row0: b.row0,
                     rows: b.rows,
                     tenants: b.tenants,
+                    resident: b.resident,
                 })
                 .collect(),
             tenants: self
                 .tenants
                 .values()
                 .map(|t| {
-                    // A tenant no band lists is exported on no grid: the
-                    // pass reports it (`LeaseWithoutBand`), never a panic.
-                    let lease = self.pool.lease(t.id).unwrap_or(Lease {
-                        grid: usize::MAX,
-                        row0: 0,
-                        rows: 0,
-                        cols: 0,
-                    });
                     let region = (t.mapping.arch.rows, t.mapping.arch.cols);
                     TenantSnap {
                         id: t.id,
-                        grid: lease.grid,
-                        row0: lease.row0,
-                        rows: lease.rows,
-                        cols: lease.cols,
                         demand: t.graph.pe_demand(),
                         region,
                         placed_nodes: t.mapping.place.len(),
@@ -80,17 +63,6 @@ impl Runtime {
                 queue_dropped: self.ledger.queue_dropped as u64,
                 queue_cancelled: self.ledger.queue_cancelled as u64,
             },
-            cache: self
-                .cache
-                .entries()
-                .map(|(k, mapping)| CacheEntrySnap {
-                    key_id: k.fingerprint(),
-                    region: k.region(),
-                    mapping_region: (mapping.arch.rows, mapping.arch.cols),
-                    key_nodes: k.node_count(),
-                    placed_nodes: mapping.place.len(),
-                })
-                .collect(),
         }
     }
 
@@ -107,9 +79,7 @@ impl Runtime {
                 .iter()
                 .map(|iv| verify::timeline::PhaseSnap {
                     lane: iv.lane,
-                    phase: iv.phase.name(),
                     uses_port: iv.phase.uses_port(),
-                    tenant: iv.tenant,
                     start_ns: iv.start.as_nanos() as u64,
                     dur_ns: iv.dur.as_nanos() as u64,
                 })

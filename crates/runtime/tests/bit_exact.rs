@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use runtime::kernels;
-use runtime::{Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
+use runtime::{CacheStats, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
@@ -557,9 +557,10 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
 }
 
 /// What a refused call must leave as it found it: the bands, the queue,
-/// the cache (entries and lookup counters) and every ledger counter but
-/// `refused`.
-fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<TenantId>, usize, String) {
+/// the cache's lookup counters and every ledger counter but `refused`.
+/// Every cache insert follows a counted miss, so unchanged `misses` means
+/// that no entry was added.
+fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<TenantId>, String) {
     let ledger = runtime::Ledger {
         refused: 0,
         ..*rt.ledger()
@@ -567,7 +568,6 @@ fn state(rt: &Runtime) -> (Vec<runtime::BandInfo>, Vec<TenantId>, usize, String)
     (
         rt.pool().bands(),
         rt.queued_tenants(),
-        rt.snapshot().cache.len(),
         format!("{:?} {ledger:?}", rt.cache_stats()),
     )
 }
@@ -836,20 +836,25 @@ fn a_graph_that_does_not_compile_surrenders_its_lease() {
     let (good_id, good) = served(&mut rt);
     // The failed compile is one more cache miss; nothing else moves.
     let held = |rt: &Runtime| {
-        let (bands, queue, cached, _) = state(rt);
-        (bands, queue, cached, format!("{:?}", rt.ledger()))
+        let (bands, queue, _) = state(rt);
+        (bands, queue, format!("{:?}", rt.ledger()))
     };
-    let before = held(&rt);
-    let err = rt.submit("wide", wide.clone()).unwrap_err();
-    assert!(
-        matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })),
-        "{err}"
-    );
-    assert_eq!(
-        held(&rt),
-        before,
-        "the lease taken for the compile is surrendered"
-    );
+    let (before, stats) = (held(&rt), rt.cache_stats());
+    for attempt in 1..=2 {
+        let err = rt.submit("wide", wide.clone()).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Flow(FlowError::Unroutable { .. })),
+            "{err}"
+        );
+        assert_eq!(
+            held(&rt),
+            before,
+            "the lease taken for the compile is surrendered"
+        );
+        // A second attempt misses again: the failed compile was not cached.
+        let misses = stats.misses + attempt;
+        assert_eq!(rt.cache_stats(), CacheStats { misses, ..stats });
+    }
     assert_eq!(
         rt.ledger().refused,
         0,

@@ -105,8 +105,11 @@ fn snapshot_reflects_live_state() {
     assert_eq!(snap.tenants.len(), 1);
     assert_eq!(snap.tenants[0].id, a.tenant);
     assert_eq!(snap.bands.len(), 1);
-    assert!(
-        !snap.cache.is_empty(),
+    // Every cache insert follows a counted miss: the one miss is the
+    // admission's compile going into the cache.
+    assert_eq!(
+        rt.cache_stats().misses,
+        1,
         "the admission compiled into the cache"
     );
     assert!(verify::sched::check_sched(&snap).is_empty());

@@ -18,10 +18,11 @@
 //!   tree node and reaches every sink — no stranded components, no
 //!   disconnected cycles) and exclusive wire-node ownership across nets.
 //! * [`sched`] — the scheduler-state checker: over a plain
-//!   [`sched::SchedSnapshot`] of the runtime, proves band/lease
-//!   disjointness, row conservation, queue/ledger reconciliation and
-//!   cache-key soundness (full structural comparison on hash agreement,
-//!   ruling out `ConfigKey` collisions).
+//!   [`sched::SchedSnapshot`] of the runtime, in which a tenant's lease
+//!   and a configuration's residency are the bands' facts alone, proves
+//!   band disjointness, row conservation, region soundness, queue/ledger
+//!   reconciliation and cache-key soundness (full structural comparison
+//!   on hash agreement, ruling out `ConfigKey` collisions).
 //! * [`timeline`] — the time-axis checker: over a plain
 //!   [`timeline::TimelineSnapshot`] of the runtime's modeled schedule,
 //!   proves configuration-port exclusivity, per-band-lane exclusivity,
@@ -214,13 +215,8 @@ pub enum Violation {
         /// Rows the grid has.
         rows: usize,
     },
-    /// A live tenant's lease points at no band.
+    /// No band lists a live tenant, so it has no lease.
     LeaseWithoutBand {
-        /// The tenant.
-        tenant: u64,
-    },
-    /// A lease's shape (rows/cols) disagrees with its band or grid.
-    LeaseShapeMismatch {
         /// The tenant.
         tenant: u64,
     },
@@ -263,7 +259,7 @@ pub enum Violation {
         /// The tenant.
         tenant: u64,
     },
-    /// The resident map points at a band that does not carry the tenant.
+    /// A band's resident is not on the band's own tenant list.
     ResidentInvalid {
         /// Grid index.
         grid: usize,
@@ -285,11 +281,6 @@ pub enum Violation {
         a: u64,
         /// Second tenant.
         b: u64,
-    },
-    /// A cache entry's mapping disagrees with the region its key names.
-    CacheEntryMismatch {
-        /// Fingerprint of the offending key.
-        key_id: u64,
     },
 
     // --- timeline checker ---
@@ -357,7 +348,6 @@ impl Violation {
             Violation::EmptyBand { .. } => "empty-band",
             Violation::RowConservation { .. } => "row-conservation",
             Violation::LeaseWithoutBand { .. } => "lease-without-band",
-            Violation::LeaseShapeMismatch { .. } => "lease-shape-mismatch",
             Violation::LeaseTooSmall { .. } => "lease-too-small",
             Violation::RegionMismatch { .. } => "region-mismatch",
             Violation::MappingNodeCount { .. } => "mapping-node-count",
@@ -366,7 +356,6 @@ impl Violation {
             Violation::ResidentInvalid { .. } => "resident-invalid",
             Violation::CacheKeyCollision { .. } => "cache-key-collision",
             Violation::CacheKeySplit { .. } => "cache-key-split",
-            Violation::CacheEntryMismatch { .. } => "cache-entry-mismatch",
             Violation::PortOverlap { .. } => "port-overlap",
             Violation::LaneOverlap { .. } => "lane-overlap",
             Violation::TimelineChargeDrift { .. } => "timeline-charge-drift",
@@ -479,13 +468,7 @@ impl fmt::Display for Violation {
                 )
             }
             Violation::LeaseWithoutBand { tenant } => {
-                write!(f, "tenant {tenant}: lease points at no band")
-            }
-            Violation::LeaseShapeMismatch { tenant } => {
-                write!(
-                    f,
-                    "tenant {tenant}: lease shape disagrees with its band/grid"
-                )
+                write!(f, "tenant {tenant}: no band lists it")
             }
             Violation::LeaseTooSmall {
                 tenant,
@@ -526,7 +509,7 @@ impl fmt::Display for Violation {
             Violation::ResidentInvalid { grid, row0, tenant } => {
                 write!(
                     f,
-                    "resident map: tenant {tenant} not on band (grid {grid}, row {row0})"
+                    "band (grid {grid}, row {row0}): resident tenant {tenant} is not on it"
                 )
             }
             Violation::CacheKeyCollision { a, b } => {
@@ -539,12 +522,6 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "tenants {a} and {b}: same structure, different cache keys"
-                )
-            }
-            Violation::CacheEntryMismatch { key_id } => {
-                write!(
-                    f,
-                    "cache entry {key_id:#x}: mapping disagrees with its key's region"
                 )
             }
             Violation::PortOverlap { a, b, at_ns } => {

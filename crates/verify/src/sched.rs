@@ -5,9 +5,9 @@
 //! invariants over it:
 //!
 //! * **lease/band disjointness** — bands stay inside their grids, never
-//!   overlap, never sit empty; every live tenant's lease lands on a band
-//!   of matching shape that lists it (who shares a band is the band's
-//!   tenant list alone);
+//!   overlap, never sit empty; every live tenant is listed by a band,
+//!   which is its lease (who shares a band is the band's tenant list
+//!   alone), and a band's resident is one of its own tenants;
 //! * **row conservation** — per grid, free rows plus band rows equal the
 //!   grid's rows (nothing leaks, nothing is double-counted);
 //! * **queue/ledger reconciliation** — `queued` equals
@@ -15,14 +15,14 @@
 //!   queue depth, and no tenant is simultaneously live and queued;
 //! * **region soundness** — every tenant's configuration was compiled for
 //!   its *minimal* region (`rows_needed × cols`), places every graph
-//!   node, and fits inside its lease; the resident map only names tenants
-//!   actually on their bands;
+//!   node, and fits inside its band;
 //! * **cache-key soundness** — tenants' cache-key fingerprints are
 //!   compared against an *independently derived* [`StructureSig`]: equal
 //!   fingerprints must mean equal structure (no `ConfigKey` hash/eq
 //!   collision silently serving tenant A tenant B's circuit) and equal
-//!   structure must mean equal fingerprints (no lost sharing); cached
-//!   entries' mappings must match the region their key names.
+//!   structure must mean equal fingerprints (no lost sharing). Every
+//!   live tenant holds the cache's compile of its key, so checking the
+//!   tenants checks every compile they run.
 
 use crate::Violation;
 use vcgra::app::{AppGraph, AppSource};
@@ -96,21 +96,15 @@ pub struct BandSnap {
     pub rows: usize,
     /// Tenants, in slot order.
     pub tenants: Vec<u64>,
+    /// The tenant whose configuration the band holds.
+    pub resident: Option<u64>,
 }
 
-/// One live tenant.
+/// One live tenant. Its lease is the band that lists it.
 #[derive(Debug, Clone)]
 pub struct TenantSnap {
     /// Tenant id.
     pub id: u64,
-    /// Lease: grid index.
-    pub grid: usize,
-    /// Lease: first row.
-    pub row0: usize,
-    /// Lease: rows tall.
-    pub rows: usize,
-    /// Lease: columns (full grid width).
-    pub cols: usize,
     /// The graph's PE demand.
     pub demand: usize,
     /// Region the configuration was compiled for.
@@ -121,21 +115,6 @@ pub struct TenantSnap {
     pub key_id: u64,
     /// Independently derived structural signature.
     pub sig: StructureSig,
-}
-
-/// One cached configuration entry.
-#[derive(Debug, Clone)]
-pub struct CacheEntrySnap {
-    /// Fingerprint of the entry's key.
-    pub key_id: u64,
-    /// Region the key names.
-    pub region: (usize, usize),
-    /// Region the cached mapping was compiled for.
-    pub mapping_region: (usize, usize),
-    /// Nodes the key's structure has.
-    pub key_nodes: usize,
-    /// Nodes the cached mapping places.
-    pub placed_nodes: usize,
 }
 
 /// Admission-ledger counters (the queue-flow subset the pass reconciles).
@@ -162,12 +141,8 @@ pub struct SchedSnapshot {
     pub tenants: Vec<TenantSnap>,
     /// Queued tenant ids, head first.
     pub queue: Vec<u64>,
-    /// Resident configurations: (grid, row0, tenant).
-    pub resident: Vec<(usize, usize, u64)>,
     /// Ledger counters.
     pub ledger: LedgerSnap,
-    /// Cached configuration entries.
-    pub cache: Vec<CacheEntrySnap>,
 }
 
 /// Minimal region height for a PE demand on a grid `cols` wide — must
@@ -222,43 +197,34 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
         }
     }
 
-    // --- leases against bands ---
+    // --- leases against bands, region soundness ---
     for t in &snap.tenants {
-        let band = snap
-            .bands
-            .iter()
-            .find(|b| b.grid == t.grid && b.row0 == t.row0);
-        match band {
-            None => out.push(Violation::LeaseWithoutBand { tenant: t.id }),
-            Some(b) => {
-                let grid_cols = snap.grids.get(t.grid).map_or(0, |g| g.cols);
-                if b.rows != t.rows || t.cols != grid_cols || !b.tenants.contains(&t.id) {
-                    out.push(Violation::LeaseShapeMismatch { tenant: t.id });
-                }
-            }
-        }
-
-        // --- region soundness ---
-        let needed = rows_needed(t.demand, t.cols);
-        if t.rows < needed {
-            out.push(Violation::LeaseTooSmall {
-                tenant: t.id,
-                rows: t.rows,
-                needed,
-            });
-        }
-        if t.region != (needed, t.cols) {
-            out.push(Violation::RegionMismatch {
-                tenant: t.id,
-                expected: (needed, t.cols),
-                got: t.region,
-            });
-        }
         if t.placed_nodes != t.demand {
             out.push(Violation::MappingNodeCount {
                 tenant: t.id,
                 expected: t.demand,
                 got: t.placed_nodes,
+            });
+        }
+        // A tenant's lease is the band that lists it, as the pool finds it.
+        let Some(band) = snap.bands.iter().find(|b| b.tenants.contains(&t.id)) else {
+            out.push(Violation::LeaseWithoutBand { tenant: t.id });
+            continue;
+        };
+        let cols = snap.grids.get(band.grid).map_or(0, |g| g.cols);
+        let needed = rows_needed(t.demand, cols);
+        if band.rows < needed {
+            out.push(Violation::LeaseTooSmall {
+                tenant: t.id,
+                rows: band.rows,
+                needed,
+            });
+        }
+        if t.region != (needed, cols) {
+            out.push(Violation::RegionMismatch {
+                tenant: t.id,
+                expected: (needed, cols),
+                got: t.region,
             });
         }
     }
@@ -280,14 +246,14 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
         }
     }
 
-    // --- resident map ---
-    for &(grid, row0, tenant) in &snap.resident {
-        let on_band = snap
-            .bands
-            .iter()
-            .any(|b| b.grid == grid && b.row0 == row0 && b.tenants.contains(&tenant));
-        if !on_band {
-            out.push(Violation::ResidentInvalid { grid, row0, tenant });
+    // --- residents ---
+    for b in &snap.bands {
+        if let Some(tenant) = b.resident.filter(|r| !b.tenants.contains(r)) {
+            out.push(Violation::ResidentInvalid {
+                grid: b.grid,
+                row0: b.row0,
+                tenant,
+            });
         }
     }
 
@@ -302,11 +268,6 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
             if !keys_eq && sigs_eq {
                 out.push(Violation::CacheKeySplit { a: a.id, b: b.id });
             }
-        }
-    }
-    for e in &snap.cache {
-        if e.mapping_region != e.region || e.placed_nodes != e.key_nodes {
-            out.push(Violation::CacheEntryMismatch { key_id: e.key_id });
         }
     }
 
@@ -338,13 +299,10 @@ mod tests {
                 row0: 0,
                 rows: 2,
                 tenants: vec![1],
+                resident: Some(1),
             }],
             tenants: vec![TenantSnap {
                 id: 1,
-                grid: 0,
-                row0: 0,
-                rows: 2,
-                cols: 4,
                 demand,
                 region: (rows_needed(demand, 4), 4),
                 placed_nodes: demand,
@@ -352,9 +310,7 @@ mod tests {
                 sig: StructureSig::of(rows_needed(demand, 4), 4, 2, &app),
             }],
             queue: vec![],
-            resident: vec![(0, 0, 1)],
             ledger: LedgerSnap::default(),
-            cache: vec![],
         }
     }
 

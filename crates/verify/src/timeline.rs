@@ -24,19 +24,17 @@
 
 use crate::Violation;
 
-/// One scheduled interval, exported as plain data (nanoseconds; whether
-/// the phase streams through the port is carried as a flag so the
-/// checker does not depend on the runtime crate's `Phase` enum).
+/// One scheduled interval, exported as plain data (nanoseconds): what
+/// the checks read and nothing else. The phase is reduced to whether it
+/// streamed through the port, so the checker does not depend on the
+/// runtime crate's `Phase` enum; which phase it was and whom it served
+/// stay on the runtime's own intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSnap {
     /// The band lane, as `(grid, row0)`.
     pub lane: (usize, usize),
-    /// Stable phase name (`admission`, `swap`, `switch`, `replay`).
-    pub phase: &'static str,
     /// True when the phase streamed through the configuration port.
     pub uses_port: bool,
-    /// The tenant served, when attributable.
-    pub tenant: Option<u64>,
     /// Modeled start, nanoseconds from runtime construction.
     pub start_ns: u64,
     /// Modeled duration, nanoseconds (non-zero by construction).
@@ -131,18 +129,10 @@ pub fn check_timeline(snap: &TimelineSnapshot) -> Vec<Violation> {
 mod tests {
     use super::*;
 
-    fn iv(
-        lane: (usize, usize),
-        phase: &'static str,
-        uses_port: bool,
-        start_ns: u64,
-        dur_ns: u64,
-    ) -> PhaseSnap {
+    fn iv(lane: (usize, usize), uses_port: bool, start_ns: u64, dur_ns: u64) -> PhaseSnap {
         PhaseSnap {
             lane,
-            phase,
             uses_port,
-            tenant: Some(1),
             start_ns,
             dur_ns,
         }
@@ -151,10 +141,11 @@ mod tests {
     fn clean() -> TimelineSnapshot {
         TimelineSnapshot {
             intervals: vec![
-                iv((0, 0), "admission", true, 0, 100),
-                iv((0, 8), "admission", true, 100, 50),
-                iv((0, 0), "switch", false, 100, 200),
-                iv((0, 8), "switch", false, 150, 30),
+                // Two admissions on the port, then a switch on each lane.
+                iv((0, 0), true, 0, 100),
+                iv((0, 8), true, 100, 50),
+                iv((0, 0), false, 100, 200),
+                iv((0, 8), false, 150, 30),
             ],
             makespan_ns: 300,
             ledger_port_ns: 380,
