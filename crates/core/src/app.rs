@@ -63,6 +63,12 @@ pub struct AppGraph {
 /// The builders cannot produce one, but the graph's fields are public.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphError {
+    /// The graph's format is one [`FpFormat::new`] refuses: its values
+    /// have no meaningful bits.
+    FormatOutOfRange {
+        /// The graph's format.
+        format: FpFormat,
+    },
     /// The graph has no nodes: there is nothing to place.
     Empty,
     /// An operand names the node itself, a later one, or one the graph
@@ -106,6 +112,11 @@ pub enum GraphError {
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            GraphError::FormatOutOfRange { format } => write!(
+                f,
+                "format ({}, {}) has widths no datapath supports",
+                format.we, format.wf
+            ),
             GraphError::Empty => write!(f, "application graph has no nodes"),
             GraphError::OperandNotEarlier { node, operand } => {
                 write!(
@@ -175,7 +186,8 @@ impl AppGraph {
         self.outputs.push(node);
     }
 
-    /// The graph-shape rules, in one place: at least one node, every
+    /// The graph-shape rules, in one place: a format [`FpFormat::new`]
+    /// would make (checked first), at least one node, every
     /// operand an earlier node or a declared external, every output a node
     /// of the graph, a coefficient on every MAC/MUL node and every
     /// coefficient in the graph's format. The runtime
@@ -185,6 +197,11 @@ impl AppGraph {
     /// every node: the settings are read from the graph, so no other copy
     /// of them can disagree with it.
     pub fn validate(&self) -> Result<(), GraphError> {
+        if !self.format.is_valid() {
+            return Err(GraphError::FormatOutOfRange {
+                format: self.format,
+            });
+        }
         if self.nodes.is_empty() {
             return Err(GraphError::Empty);
         }

@@ -64,6 +64,15 @@ impl NodeKind {
     }
 }
 
+/// A net's terminals in RRG node-id space: source opins and sink ipins.
+#[derive(Debug, Clone, Default)]
+pub struct NetTerminals {
+    /// Source (output-pin) nodes; at least one must anchor the tree.
+    pub sources: Vec<u32>,
+    /// Sink (input-pin) nodes; every one must be reached.
+    pub sinks: Vec<u32>,
+}
+
 /// The routing-resource graph (CSR adjacency).
 pub struct RouteGraph {
     /// Architecture this graph was built for.

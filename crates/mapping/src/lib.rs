@@ -18,7 +18,8 @@
 //! concrete parameter assignment (the job of the SCG in the `dcs` crate) and
 //! simulated, which is how every mapping is verified against the source
 //! netlist — the equivalence checker itself lives in the `verify` crate
-//! (`verify::equiv`), which this crate's tests call as a dev-dependency.
+//! (`Verifier::verify_equivalence`), which this crate's tests call as a
+//! dev-dependency.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]

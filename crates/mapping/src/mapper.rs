@@ -888,8 +888,9 @@ mod tests {
     }
 
     // The equivalence-asserting mapper tests live in
-    // `tests/equivalence.rs`: they call `verify::equiv`, whose `mapping`
-    // types only unify with the library build, not the unit-test harness.
+    // `tests/equivalence.rs`: they call `Verifier::verify_equivalence`,
+    // whose `mapping` types only unify with the library build, not the
+    // unit-test harness.
 
     /// The 6×6 constant multiplier of `tests/equivalence.rs`, mapped.
     fn mapped_multiplier() -> MappedDesign {

@@ -9,7 +9,7 @@
 
 use logic::aig::{Aig, InputKind};
 use mapping::{map_conventional, map_parameterized, MapOptions};
-use verify::equiv::assert_equivalent;
+use verify::Verifier;
 
 fn small_param_circuit() -> Aig {
     let mut g = Aig::new();
@@ -31,14 +31,18 @@ fn small_param_circuit() -> Aig {
 fn parameterized_equivalence_all_params() {
     let aig = small_param_circuit();
     let d = map_parameterized(&aig, MapOptions::default());
-    assert_equivalent(&aig, &d, 4, 0xFEED);
+    Verifier::new()
+        .verify_equivalence(&aig, &d, 4, 0xFEED)
+        .assert_ok();
 }
 
 #[test]
 fn conventional_equivalence() {
     let aig = small_param_circuit();
     let d = map_conventional(&aig, MapOptions::default());
-    assert_equivalent(&aig, &d, 4, 0xBEEF);
+    Verifier::new()
+        .verify_equivalence(&aig, &d, 4, 0xBEEF)
+        .assert_ok();
 }
 
 #[test]
@@ -55,7 +59,7 @@ fn pure_wire_mux_becomes_tcon() {
     assert_eq!(s.tcons, 1, "mux on a parameter is pure routing: {s:?}");
     assert_eq!(s.luts, 0);
     assert_eq!(s.depth, 0);
-    assert_equivalent(&g, &d, 4, 1);
+    Verifier::new().verify_equivalence(&g, &d, 4, 1).assert_ok();
 }
 
 #[test]
@@ -76,8 +80,12 @@ fn constant_multiplication_collapses() {
         sc.luts
     );
     assert!(sp.tcons > 0, "expected TCONs: {sp:?}");
-    assert_equivalent(&g, &par, 6, 2);
-    assert_equivalent(&g, &conv, 3, 3);
+    Verifier::new()
+        .verify_equivalence(&g, &par, 6, 2)
+        .assert_ok();
+    Verifier::new()
+        .verify_equivalence(&g, &conv, 3, 3)
+        .assert_ok();
 }
 
 #[test]
@@ -90,7 +98,7 @@ fn param_only_output_is_tunable_constant() {
     let s = d.stats();
     assert_eq!(s.luts, 0);
     assert_eq!(s.tunable_constants, 1, "{s:?}");
-    assert_equivalent(&g, &d, 4, 9);
+    Verifier::new().verify_equivalence(&g, &d, 4, 9).assert_ok();
 }
 
 #[test]
@@ -107,7 +115,7 @@ fn tcon_depth_is_free() {
     g.add_output("o", cur);
     let d = map_parameterized(&g, MapOptions::default());
     assert_eq!(d.stats().depth, 0, "{:?}", d.stats());
-    assert_equivalent(&g, &d, 8, 4);
+    Verifier::new().verify_equivalence(&g, &d, 8, 4).assert_ok();
 }
 
 #[test]
@@ -121,7 +129,9 @@ fn inverted_wire_is_still_a_tcon() {
     g.add_output("f", !f);
     let d = map_parameterized(&g, MapOptions::default());
     assert_eq!(d.stats().tcons, 1, "{:?}", d.stats());
-    assert_equivalent(&g, &d, 4, 11);
+    Verifier::new()
+        .verify_equivalence(&g, &d, 4, 11)
+        .assert_ok();
 }
 
 #[test]
@@ -137,7 +147,9 @@ fn xor_with_param_is_single_tlut() {
     assert_eq!(s.luts, 1, "{s:?}");
     assert_eq!(s.tluts, 1, "{s:?}");
     assert_eq!(s.tcons, 0, "an inverting mux is not routable: {s:?}");
-    assert_equivalent(&g, &d, 4, 12);
+    Verifier::new()
+        .verify_equivalence(&g, &d, 4, 12)
+        .assert_ok();
 }
 
 #[test]
@@ -154,7 +166,9 @@ fn cut_caches_actually_hit() {
     g.add_output_vec("p", &prod);
 
     let (cached, effort) = mapping::map_parameterized_with_effort(&g, MapOptions::default());
-    assert_equivalent(&g, &cached, 5, 0xCAFE);
+    Verifier::new()
+        .verify_equivalence(&g, &cached, 5, 0xCAFE)
+        .assert_ok();
 
     // And it must actually be a cache, not dead weight.
     assert!(

@@ -11,9 +11,10 @@
 //! * [`ParEngine::route`] — one routing run on a prebuilt graph,
 //!   single-threaded by construction.
 //!
-//! Every routing result `run` returns has passed the commit-path route
-//! audit ([`crate::troute::audit`]); a caller of `route` that wants the
-//! same proof calls it, as `table1 --verify` does.
+//! The engine checks nothing it returns. A caller that wants a routing
+//! result proven lints its trees against the terminals
+//! [`crate::troute::terminals`] gives, through the `verify` crate's
+//! route-tree pass, as `table1 --verify` and the tests do.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
 //! **bit-identical regardless of `threads`**. A thread count changes one
@@ -29,7 +30,7 @@
 use crate::incr::route_core;
 use crate::netlist::ParNetlist;
 use crate::tplace::{place_best, Placement};
-use crate::troute::{audit, RouteResult, Unroutable};
+use crate::troute::{RouteResult, Unroutable};
 use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
@@ -153,7 +154,9 @@ impl ParEngine {
     }
 
     /// End-to-end: size a fabric, place, search the minimum width.
-    pub fn run(&self, netlist: &ParNetlist) -> Result<ParReport, String> {
+    /// `None` when nothing up to [`EngineOptions::max_width`] routes, as
+    /// for [`ParEngine::min_channel_width`].
+    pub fn run(&self, netlist: &ParNetlist) -> Option<ParReport> {
         let mut run_span = trace::span("par.run");
         run_span.arg("nets", netlist.nets.len());
         let arch = FabricArch::sized_for(netlist.logic_count(), netlist.io_count());
@@ -161,17 +164,10 @@ impl ParEngine {
         let placement = self.place(netlist, arch);
         let place_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let search = self
-            .min_channel_width(netlist, &placement, arch)
-            .ok_or_else(|| format!("unroutable up to width {}", self.opts.max_width))?;
+        let search = self.min_channel_width(netlist, &placement, arch)?;
         let route_seconds = t1.elapsed().as_secs_f64();
         run_span.arg("min_width", search.min_width);
-        // Commit-path audit, checked in release builds too: the report's
-        // trees feed configuration generation and the Table I figures.
-        let graph = RouteGraph::build(arch, search.min_width);
-        audit(netlist, &placement, &graph, &search.result)
-            .map_err(|e| format!("route audit failed at width {}: {e}", search.min_width))?;
-        Ok(ParReport {
+        Some(ParReport {
             arch,
             placement,
             min_channel_width: search.min_width,

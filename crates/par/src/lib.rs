@@ -11,7 +11,8 @@
 //! * `tplace` — [`place`], simulated-annealing placement with
 //!   half-perimeter wirelength cost (and a best-of-seeds variant);
 //! * [`troute`] — PathFinder-style negotiated-congestion routing on the
-//!   fabric's routing-resource graph, with A* directed expansion;
+//!   fabric's routing-resource graph, with A* directed expansion, and
+//!   the nets' [`troute::terminals`] in that graph's node space;
 //! * `incr` — the incremental router core: in-place occupancy/history,
 //!   dirty-net worklist, per-net A* bounding boxes with staged expansion,
 //!   and one canonical wave order routed on one thread and one scratch (a
@@ -23,6 +24,10 @@
 //!   binary phase when a second thread is free;
 //! * `engine` — the [`ParEngine`] facade owning every knob;
 //!   [`ParEngine::run`] produces the WL/CW columns of Table I.
+//!
+//! The crate returns results and checks none: a caller proves a routing
+//! result with the `verify` crate's route-tree pass over
+//! [`troute::terminals`], which is why `verify` is only a dev-dependency.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub, clippy::dbg_macro, clippy::todo)]

@@ -16,14 +16,14 @@
 //! Since the `par-engine` rework the actual search loop lives in
 //! `incr.rs` (incremental rip-up, bounding boxes, the wave order and
 //! the PathFinder constants); this module keeps the router's public
-//! types and the [`audit`] — the one proof of a routing result — used by
-//! tests, benches and the engine's commit path. One routing run on a prebuilt graph is
-//! [`crate::ParEngine::route`].
+//! types and [`terminals`], the nets lifted into RRG node space that the
+//! `verify` crate's route-tree pass — the one proof of a routing result,
+//! which callers run — checks trees against. One routing run on a
+//! prebuilt graph is [`crate::ParEngine::route`].
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
-use fabric::rrg::RouteGraph;
-use verify::NetTerminals;
+use fabric::rrg::{NetTerminals, RouteGraph};
 
 /// Result of a successful routing run.
 pub struct RouteResult {
@@ -88,30 +88,6 @@ pub fn terminals(
         .collect()
 }
 
-/// Audits a routing result by delegating to the `verify` crate's
-/// route-tree linter: every sink reachable from a source through the
-/// tree's own nodes, no stranded nodes, no wire shared by two different
-/// nets, all node ids and tracks in range. Used by tests, the benches,
-/// and the engine's commit path.
-pub fn audit(
-    netlist: &ParNetlist,
-    placement: &Placement,
-    graph: &RouteGraph,
-    result: &RouteResult,
-) -> Result<(), String> {
-    let nets = terminals(netlist, placement, graph);
-    let violations = verify::routes::check_route_trees(graph, &nets, &result.trees);
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("; "))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,104 +98,6 @@ mod tests {
 
     fn route(nl: &ParNetlist, p: &Placement, g: &RouteGraph) -> Result<RouteResult, Unroutable> {
         ParEngine::new(EngineOptions::default()).route(nl, p, g)
-    }
-
-    fn tiny() -> (ParNetlist, Placement, RouteGraph) {
-        let blocks = vec![
-            Block {
-                name: "in0".into(),
-                kind: BlockKind::InputPad,
-            },
-            Block {
-                name: "in1".into(),
-                kind: BlockKind::InputPad,
-            },
-            Block {
-                name: "l0".into(),
-                kind: BlockKind::Logic,
-            },
-            Block {
-                name: "l1".into(),
-                kind: BlockKind::Logic,
-            },
-            Block {
-                name: "out".into(),
-                kind: BlockKind::OutputPad,
-            },
-        ];
-        let nets = vec![
-            Net {
-                sources: vec![0],
-                sinks: vec![(2, 0), (3, 1)],
-            },
-            Net {
-                sources: vec![1],
-                sinks: vec![(2, 1)],
-            },
-            Net {
-                sources: vec![2],
-                sinks: vec![(3, 0)],
-            },
-            Net {
-                sources: vec![3],
-                sinks: vec![(4, 0)],
-            },
-        ];
-        let nl = ParNetlist { blocks, nets };
-        let arch = FabricArch::paper_4lut(3);
-        let p = place(&nl, arch, 5);
-        let g = RouteGraph::build(arch, 6);
-        (nl, p, g)
-    }
-
-    #[test]
-    fn tiny_design_routes_and_audits() {
-        let (nl, p, g) = tiny();
-        let r = route(&nl, &p, &g).expect("routable");
-        assert!(r.wirelength > 0);
-        assert!(r.ripups >= nl.nets.len());
-        audit(&nl, &p, &g, &r).expect("audit clean");
-    }
-
-    #[test]
-    fn tunable_net_shares_wires() {
-        // One tunable net with two sources; both reach the same sink.
-        let blocks = vec![
-            Block {
-                name: "a".into(),
-                kind: BlockKind::InputPad,
-            },
-            Block {
-                name: "b".into(),
-                kind: BlockKind::InputPad,
-            },
-            Block {
-                name: "l".into(),
-                kind: BlockKind::Logic,
-            },
-            Block {
-                name: "out".into(),
-                kind: BlockKind::OutputPad,
-            },
-        ];
-        let nets = vec![
-            Net {
-                sources: vec![0, 1],
-                sinks: vec![(2, 0)],
-            },
-            Net {
-                sources: vec![2],
-                sinks: vec![(3, 0)],
-            },
-        ];
-        let nl = ParNetlist { blocks, nets };
-        let arch = FabricArch::paper_4lut(3);
-        let p = place(&nl, arch, 1);
-        let g = RouteGraph::build(arch, 6);
-        let r = route(&nl, &p, &g).expect("routable");
-        audit(&nl, &p, &g, &r).expect("audit");
-        assert!(r.tunable_wirelength > 0);
-        assert!(r.tcon_switches > 0);
     }
 
     #[test]

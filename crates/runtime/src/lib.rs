@@ -103,8 +103,8 @@
 //!
 //! **Verification.** [`Runtime::snapshot`] exports the whole
 //! scheduler state as plain data for the `verify` crate's sched pass
-//! (lease/band disjointness, row conservation, queue/ledger
-//! reconciliation, cache-key soundness), and
+//! (lease/band disjointness, queue/ledger reconciliation, cache-key
+//! soundness), and
 //! [`Runtime::timeline_snapshot`] does the same for the
 //! timeline pass (port exclusivity, lane exclusivity, charge
 //! conservation and the makespan against the ledger).

@@ -145,10 +145,10 @@ pub struct TenantRun {
     /// number of items the request streamed.
     pub outputs: Vec<Vec<FpValue>>,
     /// Context switches charged to this request: 1 when its slot swapped
-    /// its configuration in, else 0.
+    /// its configuration in, else 0. Its modeled port time is the
+    /// tenant's `Switch` interval on the time axis, summed in
+    /// [`Ledger::switch_port_time`].
     pub context_switches: usize,
-    /// Modeled port time of that switch.
-    pub switch_port_time: Duration,
 }
 
 /// The multi-tenant overlay runtime.
@@ -288,34 +288,30 @@ impl Runtime {
         for (grid, row0, last) in residents {
             self.pool.set_resident(grid, row0, last);
         }
-        let mut runs: Vec<TenantRun> = jobs
-            .into_iter()
-            .zip(switches)
-            .map(|(job, switch)| TenantRun {
+        let mut done: Vec<_> = jobs.into_iter().zip(switches).collect();
+        done.sort_by_key(|(job, _)| job.tenant);
+        let mut runs = Vec::with_capacity(done.len());
+        for (job, switch) in done {
+            self.ledger.items += job.items.len();
+            self.ledger.context_switches += usize::from(switch.is_some());
+            // The swap-in context switch is a grid-local replay of the
+            // tenant's resident image.
+            if let Some(cost) = switch {
+                let mut request_span = trace::span("request");
+                request_span.arg("tenant", job.tenant);
+                request_span.arg("op", "switch");
+                self.charge_reconfig_overlap(
+                    self.lane(job.tenant),
+                    Phase::Switch,
+                    Some(job.tenant),
+                    cost,
+                );
+            }
+            runs.push(TenantRun {
                 tenant: job.tenant,
                 outputs: job.items,
                 context_switches: usize::from(switch.is_some()),
-                switch_port_time: switch.unwrap_or_default(),
-            })
-            .collect();
-        runs.sort_by_key(|r| r.tenant);
-
-        for run in &runs {
-            self.ledger.items += run.outputs.len();
-            self.ledger.context_switches += run.context_switches;
-            // The swap-in context switch is a grid-local replay of the
-            // tenant's resident image.
-            if run.context_switches > 0 {
-                let mut request_span = trace::span("request");
-                request_span.arg("tenant", run.tenant);
-                request_span.arg("op", "switch");
-                self.charge_reconfig_overlap(
-                    self.lane(run.tenant),
-                    Phase::Switch,
-                    Some(run.tenant),
-                    run.switch_port_time,
-                );
-            }
+            });
         }
         Ok(runs)
     }

@@ -22,11 +22,9 @@ impl Runtime {
         verify::SchedSnapshot {
             grids: archs
                 .iter()
-                .enumerate()
-                .map(|(g, a)| GridSnap {
+                .map(|a| GridSnap {
                     rows: a.rows,
                     cols: a.cols,
-                    free_rows: self.pool.free_rows(g),
                 })
                 .collect(),
             bands: self

@@ -632,20 +632,39 @@ fn an_empty_graph_is_refused_not_a_panic() {
     assert_still_served(&mut rt, good_id, &good);
 }
 
+/// A two-input adder in the format `{we, wf}` — it holds no value, so
+/// `AppGraph::add` builds it in any format — and the error `submit`
+/// refuses it with when `FpFormat::new` would refuse those widths.
+fn adder_in_widths(we: u32, wf: u32) -> (&'static str, AppGraph, RuntimeError) {
+    let format = FpFormat { we, wf };
+    let mut g = AppGraph::new(format, 2);
+    let sum = g.add(
+        PeMode::Add,
+        None,
+        AppSource::External(0),
+        AppSource::External(1),
+    );
+    g.mark_output(sum);
+    let refused = malformed(GraphError::FormatOutOfRange { format });
+    ("widths", g, refused)
+}
+
 #[test]
 fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
     // `AppGraph`'s fields are public, so a tenant can hand over what
     // `AppGraph::add` and `mark_output` would have refused, and `add`
     // takes a coefficient of any format. `run` could never lower such a
     // graph, so `submit` refuses it before the pool, the queue or the
-    // cache is touched.
+    // cache is touched. `FpFormat`'s fields are public too: a graph in a
+    // format `FpFormat::new` refuses was admitted, and `run` then
+    // panicked (dev profile) or returned meaningless bits (release).
     let edited = |edit: fn(&mut AppGraph)| {
         let mut g = AppGraph::dot_product(F, &[1.0, 2.0, 3.0]);
         edit(&mut g);
         g
     };
     let other = FpFormat::new(5, 10);
-    let table: [(&str, AppGraph, RuntimeError); 7] = [
+    let table: [(&str, AppGraph, RuntimeError); 11] = [
         ("empty", AppGraph::new(F, 1), malformed(GraphError::Empty)),
         (
             "self",
@@ -697,6 +716,12 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
                 got: other,
             },
         ),
+        // No widths, both far too wide, a one-bit exponent, and double's
+        // widths, which with the three flag bits need 66.
+        adder_in_widths(0, 0),
+        adder_in_widths(40, 40),
+        adder_in_widths(1, 63),
+        adder_in_widths(11, 52),
     ];
 
     // Dedicated bands, nothing queued.

@@ -68,12 +68,19 @@ impl FpFormat {
     /// A tiny format for exhaustive testing.
     pub const TINY: FpFormat = FpFormat { we: 3, wf: 2 };
 
-    /// Creates a format; widths must fit the `u64` backing store.
+    /// Creates a format; panics unless it [`is_valid`](Self::is_valid).
     pub fn new(we: u32, wf: u32) -> Self {
-        assert!((2..=11).contains(&we), "exponent width out of range");
-        assert!((1..=52).contains(&wf), "fraction width out of range");
-        assert!(3 + we + wf <= 64);
-        FpFormat { we, wf }
+        let format = FpFormat { we, wf };
+        assert!(format.is_valid(), "format ({we}, {wf}) out of range");
+        format
+    }
+
+    /// The widths the arithmetic supports: `we` in 2..=11, `wf` in 1..=52,
+    /// and all 3 + `we` + `wf` bits in the `u64` backing store. The fields
+    /// are public, so a literal can hold any pair; [`FpFormat::new`]
+    /// refuses the same ones this does.
+    pub fn is_valid(self) -> bool {
+        (2..=11).contains(&self.we) && (1..=52).contains(&self.wf) && self.width() <= 64
     }
 
     /// Total bit width: 2 exception + 1 sign + we + wf.

@@ -33,6 +33,6 @@ pub mod span;
 pub use chrome::{to_chrome_json, write_chrome_trace};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use span::{
-    configure, counter, instant, is_enabled, span, take_events, AttrValue, Phase, Span,
-    TraceConfig, TraceEvent,
+    configure, instant, is_enabled, span, take_events, AttrValue, Phase, Span, TraceConfig,
+    TraceEvent,
 };

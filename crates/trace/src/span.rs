@@ -31,7 +31,7 @@ pub enum TraceConfig {
     On,
 }
 
-/// A typed attribute value attached to a span, instant, or counter.
+/// A typed attribute value attached to a span or an instant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     U64(u64),
@@ -91,8 +91,6 @@ pub enum Phase {
     End,
     /// Point event (`"i"`).
     Instant,
-    /// Counter sample (`"C"`).
-    Counter,
 }
 
 impl Phase {
@@ -101,7 +99,6 @@ impl Phase {
             Phase::Begin => "B",
             Phase::End => "E",
             Phase::Instant => "i",
-            Phase::Counter => "C",
         }
     }
 }
@@ -231,21 +228,6 @@ pub fn instant(name: &'static str, args: Vec<(&'static str, AttrValue)>) {
     });
 }
 
-/// Record a counter sample (rendered as a track in Perfetto).
-#[inline]
-pub fn counter(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    record(TraceEvent {
-        name,
-        phase: Phase::Counter,
-        ts_ns: now_ns(),
-        tid: TID.with(|t| *t),
-        args: vec![("value", AttrValue::U64(value))],
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +243,6 @@ mod tests {
             s.arg("k", 1u64);
         }
         instant("dead", vec![]);
-        counter("dead", 7);
         assert!(
             take_events().is_empty(),
             "disabled tracing must record nothing"
@@ -275,7 +256,6 @@ mod tests {
                 let _inner = span("inner");
             }
         }
-        counter("occupancy", 42);
         configure(TraceConfig::Off);
         let evs = take_events();
         let names: Vec<_> = evs.iter().map(|e| (e.name, e.phase)).collect();
@@ -286,7 +266,6 @@ mod tests {
                 ("inner", Phase::Begin),
                 ("inner", Phase::End),
                 ("outer", Phase::End),
-                ("occupancy", Phase::Counter),
             ]
         );
         // End args carry the value added mid-span.

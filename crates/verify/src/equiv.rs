@@ -1,6 +1,6 @@
 //! Equivalence checking between a source AIG and its mapped design
-//! (absorbed from `mapping::verify` — the mapping crate's tests and the
-//! repo's examples now call in here).
+//! (absorbed from `mapping::verify`); callers run it through
+//! [`crate::Verifier::verify_equivalence`].
 //!
 //! For a set of parameter assignments (always including all-zeros and
 //! all-ones, plus random draws), the mapped design is specialized and
@@ -81,11 +81,4 @@ pub(crate) fn check_equivalent(
         }
     }
     Ok(())
-}
-
-/// Panicking wrapper for tests.
-pub fn assert_equivalent(aig: &Aig, design: &MappedDesign, param_draws: usize, seed: u64) {
-    if let Err(e) = check_equivalent(aig, design, param_draws, seed) {
-        panic!("mapping not equivalent: {e}");
-    }
 }

@@ -20,17 +20,18 @@
 //! * [`sched`] — the scheduler-state checker: over a plain
 //!   [`sched::SchedSnapshot`] of the runtime, in which a tenant's lease
 //!   and a configuration's residency are the bands' facts alone, proves
-//!   band disjointness, row conservation, region soundness, queue/ledger
-//!   reconciliation and cache-key soundness (full structural comparison
-//!   on hash agreement, ruling out `ConfigKey` collisions).
+//!   band disjointness, region soundness, queue/ledger reconciliation
+//!   and cache-key soundness (full structural comparison on hash
+//!   agreement, ruling out `ConfigKey` collisions).
 //! * [`timeline`] — the time-axis checker: over a plain
 //!   [`timeline::TimelineSnapshot`] of the runtime's modeled schedule,
 //!   proves configuration-port exclusivity, per-band-lane exclusivity,
 //!   and charge conservation (every ledger-charged duration appears
 //!   exactly once on some lane; the reported makespan is the true
 //!   interval-set maximum).
-//! * [`equiv`] — the gate-level equivalence check between a source AIG and
-//!   its mapped design (absorbed from `mapping::verify`).
+//! * `equiv` — the gate-level equivalence check between a source AIG and
+//!   its mapped design (absorbed from `mapping::verify`), run through
+//!   [`Verifier::verify_equivalence`].
 //!
 //! Every pass returns all violations it finds (it does not stop at the
 //! first), each as a typed [`Violation`] so tests can assert *which*
@@ -41,7 +42,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod config;
-pub mod equiv;
+mod equiv;
 pub mod routes;
 pub mod sched;
 pub mod timeline;
@@ -204,17 +205,6 @@ pub enum Violation {
         /// First row.
         row0: usize,
     },
-    /// Free rows plus allocated band rows do not account for the grid.
-    RowConservation {
-        /// Grid index.
-        grid: usize,
-        /// Free rows reported.
-        free: usize,
-        /// Rows held by bands.
-        allocated: usize,
-        /// Rows the grid has.
-        rows: usize,
-    },
     /// No band lists a live tenant, so it has no lease.
     LeaseWithoutBand {
         /// The tenant.
@@ -346,7 +336,6 @@ impl Violation {
             Violation::BandOutOfBounds { .. } => "band-out-of-bounds",
             Violation::BandOverlap { .. } => "band-overlap",
             Violation::EmptyBand { .. } => "empty-band",
-            Violation::RowConservation { .. } => "row-conservation",
             Violation::LeaseWithoutBand { .. } => "lease-without-band",
             Violation::LeaseTooSmall { .. } => "lease-too-small",
             Violation::RegionMismatch { .. } => "region-mismatch",
@@ -455,17 +444,6 @@ impl fmt::Display for Violation {
             }
             Violation::EmptyBand { grid, row0 } => {
                 write!(f, "grid {grid}: band at row {row0} holds no tenants")
-            }
-            Violation::RowConservation {
-                grid,
-                free,
-                allocated,
-                rows,
-            } => {
-                write!(
-                    f,
-                    "grid {grid}: {free} free + {allocated} allocated != {rows} rows"
-                )
             }
             Violation::LeaseWithoutBand { tenant } => {
                 write!(f, "tenant {tenant}: no band lists it")

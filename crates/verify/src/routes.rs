@@ -15,21 +15,14 @@
 //!   trees (pins are legitimately shared between a block's nets and are
 //!   exempt, exactly as the router's occupancy accounting exempts them).
 //!
-//! This is the always-on promotion of what used to be a `debug_assert!`'d
-//! audit inside `par::troute` — the router now delegates here.
+//! The router never runs it: a caller lints a routing result through
+//! [`crate::Verifier::verify_routes`], with the terminals
+//! `par::troute::terminals` lifts into node space.
 
 use crate::Violation;
+pub use fabric::rrg::NetTerminals;
 use fabric::rrg::RouteGraph;
 use logic::fxhash::{FxHashMap, FxHashSet};
-
-/// A net's terminals in RRG node-id space: source opins and sink ipins.
-#[derive(Debug, Clone, Default)]
-pub struct NetTerminals {
-    /// Source (output-pin) nodes; at least one must anchor the tree.
-    pub sources: Vec<u32>,
-    /// Sink (input-pin) nodes; every one must be reached.
-    pub sinks: Vec<u32>,
-}
 
 /// Runs every route-tree check; returns all violations found.
 pub fn check_route_trees(

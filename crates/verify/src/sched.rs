@@ -7,9 +7,10 @@
 //! * **lease/band disjointness** — bands stay inside their grids, never
 //!   overlap, never sit empty; every live tenant is listed by a band,
 //!   which is its lease (who shares a band is the band's tenant list
-//!   alone), and a band's resident is one of its own tenants;
-//! * **row conservation** — per grid, free rows plus band rows equal the
-//!   grid's rows (nothing leaks, nothing is double-counted);
+//!   alone), and a band's resident is one of its own tenants. An
+//!   over-allocation shows here, as a band past its grid or two bands on
+//!   one row: the pool derives its free rows from its bands, so there is
+//!   no second count to compare;
 //! * **queue/ledger reconciliation** — `queued` equals
 //!   `queue_admitted + queue_dropped + queue_cancelled` plus the current
 //!   queue depth, and no tenant is simultaneously live and queued;
@@ -81,8 +82,6 @@ pub struct GridSnap {
     pub rows: usize,
     /// PE columns.
     pub cols: usize,
-    /// Free (unallocated) rows the pool reports.
-    pub free_rows: usize,
 }
 
 /// One allocated band.
@@ -156,13 +155,11 @@ pub fn rows_needed(demand: usize, cols: usize) -> usize {
 pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
     let mut out = Vec::new();
 
-    // --- bands: bounds, non-overlap, non-empty, row conservation ---
+    // --- bands: bounds, non-overlap, non-empty ---
     for (g, grid) in snap.grids.iter().enumerate() {
         let mut bands: Vec<&BandSnap> = snap.bands.iter().filter(|b| b.grid == g).collect();
         bands.sort_by_key(|b| b.row0);
-        let mut allocated = 0;
         for (i, b) in bands.iter().enumerate() {
-            allocated += b.rows;
             if b.row0 + b.rows > grid.rows {
                 out.push(Violation::BandOutOfBounds {
                     grid: g,
@@ -186,14 +183,6 @@ pub fn check_sched(snap: &SchedSnapshot) -> Vec<Violation> {
                     });
                 }
             }
-        }
-        if grid.free_rows + allocated != grid.rows {
-            out.push(Violation::RowConservation {
-                grid: g,
-                free: grid.free_rows,
-                allocated,
-                rows: grid.rows,
-            });
         }
     }
 
@@ -289,11 +278,7 @@ mod tests {
         let app = AppGraph::dot_product(FpFormat::PAPER, &[1.0, 2.0, 3.0]);
         let demand = app.pe_demand();
         SchedSnapshot {
-            grids: vec![GridSnap {
-                rows: 6,
-                cols: 4,
-                free_rows: 4,
-            }],
+            grids: vec![GridSnap { rows: 6, cols: 4 }],
             bands: vec![BandSnap {
                 grid: 0,
                 row0: 0,
@@ -330,18 +315,6 @@ mod tests {
             StructureSig::of(2, 4, 2, &a),
             StructureSig::of(2, 4, 2, &b),
             "coefficients must not affect the signature"
-        );
-    }
-
-    #[test]
-    fn row_leak_is_caught() {
-        let mut s = clean();
-        s.grids[0].free_rows = 5; // claims a row the band still holds
-        let v = check_sched(&s);
-        assert!(
-            v.iter()
-                .any(|x| matches!(x, Violation::RowConservation { .. })),
-            "{v:?}"
         );
     }
 }

@@ -15,8 +15,9 @@
 //! (reduced formats/grids/volumes) so CI can run all of them end-to-end
 //! in seconds. `table1` also takes `--verify`, which re-proves its
 //! artifacts through `vcgra-verify` and reports the audit overhead
-//! alongside the benchmark figures. The other `vcgra-verify` passes run
-//! elsewhere: every `ParEngine::run` audits its route trees, and
+//! alongside the benchmark figures; it is where the route trees
+//! `ParEngine::run` returns are linted, since the engine checks nothing
+//! itself. The other `vcgra-verify` passes run elsewhere:
 //! `runtime/tests/verify_state.rs` lints the kernel library's
 //! configurations and soaks the scheduler, verifying after every
 //! operation.

@@ -63,6 +63,8 @@ fn main() {
 
     // Verify the parameterized mapping against the netlist for a few
     // random settings.
-    verify::equiv::assert_equivalent(&par_aig, &par, 3, 99);
+    verify::Verifier::new()
+        .verify_equivalence(&par_aig, &par, 3, 99)
+        .assert_ok();
     println!("equivalence verified for random settings values");
 }

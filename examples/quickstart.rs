@@ -80,7 +80,11 @@ fn main() {
     }
 
     // And the mapped designs are equivalent to the source netlist.
-    verify::equiv::assert_equivalent(&aig, &par, 8, 42);
-    verify::equiv::assert_equivalent(&aig, &conv, 2, 43);
+    verify::Verifier::new()
+        .verify_equivalence(&aig, &par, 8, 42)
+        .assert_ok();
+    verify::Verifier::new()
+        .verify_equivalence(&aig, &conv, 2, 43)
+        .assert_ok();
     println!("equivalence checks passed — see README.md for the full flow");
 }

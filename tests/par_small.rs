@@ -4,14 +4,15 @@
 
 use logic::aig::{Aig, InputKind};
 use mapping::{map_conventional, map_parameterized, MapOptions};
-use par::troute::audit;
+use par::troute::terminals;
 use par::{EngineOptions, ParEngine, ParNetlist, ParReport};
+use verify::Verifier;
 
 fn engine() -> ParEngine {
     ParEngine::new(EngineOptions::default())
 }
 
-fn place_and_route(nl: &ParNetlist) -> Result<ParReport, String> {
+fn place_and_route(nl: &ParNetlist) -> Option<ParReport> {
     engine().run(nl)
 }
 
@@ -32,13 +33,17 @@ fn both_flows_route_and_audit_clean() {
         ("par", map_parameterized(&aig, MapOptions::default())),
     ] {
         let nl = par::extract(&design);
-        let rep = place_and_route(&nl).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let rep = place_and_route(&nl).unwrap_or_else(|| panic!("{label}: unroutable"));
         let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
         let routed = engine()
             .route(&nl, &rep.placement, &graph)
             .expect("re-route at min width");
-        audit(&nl, &rep.placement, &graph, &routed)
-            .unwrap_or_else(|e| panic!("{label} audit: {e}"));
+        let nets = terminals(&nl, &rep.placement, &graph);
+        for trees in [&rep.result.trees, &routed.trees] {
+            Verifier::new()
+                .verify_routes(&graph, &nets, trees)
+                .assert_ok();
+        }
     }
 }
 

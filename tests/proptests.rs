@@ -76,8 +76,8 @@ proptest! {
         let aig = build_random_aig(&ops, 4, 3);
         let par = map_parameterized(&aig, MapOptions::default());
         let conv = map_conventional(&aig, MapOptions::default());
-        verify::equiv::assert_equivalent(&aig, &par, 4, seed);
-        verify::equiv::assert_equivalent(&aig, &conv, 1, seed);
+        verify::Verifier::new().verify_equivalence(&aig, &par, 4, seed).assert_ok();
+        verify::Verifier::new().verify_equivalence(&aig, &conv, 1, seed).assert_ok();
         // The parameterized flow never uses more LUTs than the conventional
         // flow needs once its extra inputs are discounted — weaker, robust
         // invariant: LUT count is bounded by gate count.

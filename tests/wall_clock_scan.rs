@@ -6,8 +6,9 @@
 //! (A lint on the types would also reach `crates/core/tests/pe_scale.rs`,
 //! which times itself on purpose.)
 //!
-//! The same scan keeps the runtime's verification the caller's: only its
-//! export module names the `verify` crate.
+//! The same scan keeps verification the caller's: only the runtime's
+//! export module names the `verify` crate, and `par`'s sources name it
+//! nowhere (its tests lint what the engine returns).
 
 use std::path::{Path, PathBuf};
 
@@ -85,4 +86,25 @@ fn runtime_names_the_verifier_only_in_its_export_module() {
         hits.is_empty(),
         "the verifier named outside snapshot.rs: {hits:?}"
     );
+}
+
+/// `par` returns results and checks none: no source under its `src/`,
+/// unit tests included, names the `verify` crate, so the library has no
+/// build edge to it and no operation can lint its own result.
+#[test]
+fn par_names_the_verifier_nowhere() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/par/src"), &mut files);
+    assert!(files.len() > 3, "the scan found the sources");
+    let mut hits = Vec::new();
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
+        let name = path.strip_prefix(root).expect("under the root").display();
+        for line in lines_naming(&source, &["verify::"]) {
+            hits.push(format!("{name}:{line}"));
+        }
+    }
+    hits.sort();
+    assert!(hits.is_empty(), "the verifier named in par: {hits:?}");
 }
