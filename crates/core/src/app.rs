@@ -101,8 +101,9 @@ pub enum GraphError {
         /// The offending node.
         node: usize,
     },
-    /// The node's coefficient is not in the graph's format; its bits would
-    /// be read as a different number.
+    /// The node's coefficient is not in the graph's format
+    /// ([`FpValue::is_in`]): its bits would be read as a different number,
+    /// or carry bits above the format's width.
     CoeffFormat {
         /// The offending node.
         node: usize,
@@ -224,7 +225,7 @@ impl AppGraph {
             if n.lacks_coeff() {
                 return Err(GraphError::MissingCoeff { node });
             }
-            if n.coeff.is_some_and(|c| c.format != self.format) {
+            if n.coeff.is_some_and(|c| !c.is_in(self.format)) {
                 return Err(GraphError::CoeffFormat { node });
             }
         }
@@ -539,6 +540,13 @@ mod tests {
         );
         assert_eq!(
             broken(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::TINY))),
+            GraphError::CoeffFormat { node: 1 }
+        );
+        assert_eq!(
+            broken(|g| g.nodes[1].coeff = Some(FpValue {
+                bits: u64::MAX,
+                format: F
+            })),
             GraphError::CoeffFormat { node: 1 }
         );
     }

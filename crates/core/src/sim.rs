@@ -75,13 +75,21 @@ pub enum ItemError {
         /// Values the item holds.
         got: usize,
     },
-    /// A value of the item is not in the graph's format; its bits would
-    /// be read as a different number.
+    /// A value of the item is in another format; its bits would be read
+    /// as a different number.
     Format {
         /// The offending lane.
         lane: usize,
         /// Format of the item's first such value.
         got: FpFormat,
+    },
+    /// A value of the item is tagged with the graph's format but holds
+    /// bits above its width, which no arithmetic result does.
+    Bits {
+        /// The offending lane.
+        lane: usize,
+        /// The item's first such value's bits.
+        bits: u64,
     },
 }
 
@@ -89,7 +97,9 @@ impl ItemError {
     /// The lane the error names.
     pub fn lane(&self) -> usize {
         match *self {
-            ItemError::Arity { lane, .. } | ItemError::Format { lane, .. } => lane,
+            ItemError::Arity { lane, .. }
+            | ItemError::Format { lane, .. }
+            | ItemError::Bits { lane, .. } => lane,
         }
     }
 }
@@ -103,6 +113,9 @@ impl std::fmt::Display for ItemError {
                 "lane {lane} holds a value in format ({}, {})",
                 got.we, got.wf
             ),
+            ItemError::Bits { lane, bits } => {
+                write!(f, "lane {lane} holds bits {bits:#x}, wider than the format")
+            }
         }
     }
 }
@@ -180,9 +193,9 @@ impl ExecPlan {
     /// allocated per chunk; its content on entry is irrelevant.
     ///
     /// Every lane is checked — one value per external input, each in the
-    /// graph's format — while it is transposed, and before any lane is
-    /// overwritten: on an error, which names the first bad lane, every
-    /// item is as the caller left it.
+    /// graph's format ([`FpValue::is_in`]) — while it is transposed, and
+    /// before any lane is overwritten: on an error, which names the first
+    /// bad lane, every item is as the caller left it.
     pub fn run_chunk(
         &self,
         items: &mut [Vec<FpValue>],
@@ -207,10 +220,17 @@ impl ExecPlan {
                 });
             }
             for (input, value) in item.iter().enumerate() {
-                if value.format != format {
-                    return Err(ItemError::Format {
-                        lane,
-                        got: value.format,
+                if !value.is_in(format) {
+                    return Err(if value.format != format {
+                        ItemError::Format {
+                            lane,
+                            got: value.format,
+                        }
+                    } else {
+                        ItemError::Bits {
+                            lane,
+                            bits: value.bits,
+                        }
                     });
                 }
                 columns[(1 + input) * lanes + lane] = value.bits;
@@ -314,6 +334,19 @@ mod tests {
                 ItemError::Format {
                     lane: 2,
                     got: other,
+                },
+            ),
+            (
+                vec![
+                    fp(1.0),
+                    FpValue {
+                        bits: u64::MAX,
+                        format: F,
+                    },
+                ],
+                ItemError::Bits {
+                    lane: 2,
+                    bits: u64::MAX,
                 },
             ),
         ];

@@ -16,7 +16,9 @@
 use logic::aig::{Aig, InputKind};
 use mapping::{map_conventional, map_parameterized, MapOptions};
 use par::troute::terminals;
-use par::{extract, EngineOptions, ParEngine, ParNetlist, ParReport, WidthProbe, WidthSearch};
+use par::{
+    extract, EngineOptions, ParEngine, ParNetlist, ParReport, Placement, WidthProbe, WidthSearch,
+};
 use verify::Verifier;
 
 fn mul_netlist(bits: usize, parameterized: bool) -> ParNetlist {
@@ -43,13 +45,27 @@ fn routing_is_bit_identical_across_thread_counts() {
 
 /// Lints a report's trees at its minimum width, panicking on a violation.
 fn assert_routes_lint_clean(nl: &ParNetlist, rep: &ParReport) {
-    let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
+    assert_trees_lint_clean(
+        nl,
+        rep.arch,
+        rep.min_channel_width,
+        &rep.placement,
+        &rep.result.trees,
+    );
+}
+
+/// Lints `trees`, routed for `placement` at channel width `width` on
+/// `arch`, panicking on a violation.
+fn assert_trees_lint_clean(
+    nl: &ParNetlist,
+    arch: fabric::FabricArch,
+    width: usize,
+    placement: &Placement,
+    trees: &[Vec<u32>],
+) {
+    let graph = fabric::RouteGraph::build(arch, width);
     Verifier::new()
-        .verify_routes(
-            &graph,
-            &terminals(nl, &rep.placement, &graph),
-            &rep.result.trees,
-        )
+        .verify_routes(&graph, &terminals(nl, placement, &graph), trees)
         .assert_ok();
 }
 
@@ -99,9 +115,18 @@ fn binary_warm_search_matches_linear_scan_minimum() {
             fast.min_width, reference.min_width,
             "binary+warm vs linear scan disagree (bits={bits}, par={parameterized})"
         );
-        // The fast search must not probe more than the linear scan would
-        // have needed in the worst case, and both must audit clean.
+        // Both searches probed, and both results audit clean at their
+        // width.
         assert!(!fast.probes.is_empty() && !reference.probes.is_empty());
+        for search in [&fast, &reference] {
+            assert_trees_lint_clean(
+                &nl,
+                arch,
+                search.min_width,
+                &placement,
+                &search.result.trees,
+            );
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Construction parameters and the runtime's error type.
 
-use softfloat::FpFormat;
+use softfloat::{FpFormat, FpValue};
 use vcgra::app::{AppGraph, GraphError};
 use vcgra::flow::FlowError;
 use vcgra::VcgraArch;
@@ -13,7 +13,10 @@ use crate::pool::{PoolError, TenantId};
 pub struct RuntimeConfig {
     /// The grid pool (one overlay generation: equal channel capacity).
     pub grids: Vec<VcgraArch>,
-    /// Threads streaming execution may use, the caller's included.
+    /// The most threads one `run` call may stream on, the caller's
+    /// included. A call takes fewer when it has fewer 64-item units, or
+    /// when the host's available parallelism is lower: threads beyond the
+    /// host's cores would only take turns.
     pub workers: usize,
     /// Placement seed for cold compiles.
     pub place_seed: u64,
@@ -61,32 +64,58 @@ pub enum RuntimeError {
         got: usize,
     },
     /// A stream input, a swapped-in coefficient or a coefficient of a
-    /// submitted or lowered graph is not in the graph's floating-point
-    /// format (a submitted one is refused at the door like any other
-    /// malformed graph, and counted in `Ledger::refused`).
+    /// submitted or lowered graph is in another floating-point format
+    /// than the graph's (a submitted one is refused at the door like any
+    /// other malformed graph, and counted in `Ledger::refused`).
     BadFormat {
         /// Format of the tenant's graph.
         expected: FpFormat,
         /// Format of the first offending value.
         got: FpFormat,
     },
+    /// A stream input, a swapped-in coefficient or a coefficient of a
+    /// submitted or lowered graph is tagged with the graph's format but
+    /// holds bits above its width (`FpValue::is_in`), which no value of
+    /// that format does; refused where [`RuntimeError::BadFormat`] would
+    /// be.
+    BadBits {
+        /// Format of the tenant's graph.
+        format: FpFormat,
+        /// Bits of the first offending value.
+        bits: u64,
+    },
 }
 
 impl RuntimeError {
     /// What a malformed `graph` is called, at `submit` and at `run` alike:
-    /// a coefficient in another format is the mistake `swap_params` calls
-    /// [`RuntimeError::BadFormat`], and every other fault is
-    /// `Flow(FlowError::Graph(_))`.
+    /// a coefficient not in the graph's format is the mistake
+    /// `swap_params` calls [`RuntimeError::not_in`], and every other fault
+    /// is `Flow(FlowError::Graph(_))`.
     pub(crate) fn malformed(graph: &AppGraph, e: GraphError) -> Self {
         match e {
-            GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
-                expected: graph.format,
-                got: graph.nodes[node]
+            GraphError::CoeffFormat { node } => RuntimeError::not_in(
+                graph.format,
+                graph.nodes[node]
                     .coeff
-                    .expect("validate names a coefficient")
-                    .format,
-            },
+                    .expect("validate names a coefficient"),
+            ),
             e => RuntimeError::Flow(e.into()),
+        }
+    }
+
+    /// Why `value`, which `FpValue::is_in` refused, is not a value of
+    /// `format`: it is in another format, or its bits are too wide.
+    pub(crate) fn not_in(format: FpFormat, value: FpValue) -> Self {
+        if value.format != format {
+            RuntimeError::BadFormat {
+                expected: format,
+                got: value.format,
+            }
+        } else {
+            RuntimeError::BadBits {
+                format,
+                bits: value.bits,
+            }
         }
     }
 }
@@ -117,6 +146,11 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "value in format ({}, {}), graph computes in ({}, {})",
                 got.we, got.wf, expected.we, expected.wf
+            ),
+            RuntimeError::BadBits { format, bits } => write!(
+                f,
+                "value bits {bits:#x} are wider than format ({}, {})",
+                format.we, format.wf
             ),
         }
     }

@@ -47,7 +47,9 @@
 //! * `engine` (private) — **batched streaming execution**, and nothing
 //!   else: every job's graph is lowered once per `run` call to a
 //!   flat `vcgra::sim::ExecPlan` and cut into units of 64 items, which
-//!   the worker threads take off one lock in order; a unit runs
+//!   the worker threads — no more than the host runs at once — take off
+//!   one lock in order, in grabs of consecutive units that shrink from a
+//!   share of what is left to single units; a unit runs
 //!   lane-major and in place, its items checked while they become the
 //!   lanes of `u64` columns, each op of the plan sweeping a column in one
 //!   `softfloat::FpKernel` call, and each item's vector overwritten with
@@ -55,7 +57,8 @@
 //!   read; it times nothing, and knows no band, slot or switch.
 //!   The plan is bit-exact with the per-item reference
 //!   `vcgra::sim::run_dataflow` in FloPoCo arithmetic, and a value in
-//!   another format is refused, never read as other bits.
+//!   another format, or with bits above its format's width, is refused,
+//!   never read as other bits.
 //! * [`kernels`] — the workload library (FIR, separable 2-D stencil,
 //!   tiled matrix–vector, tree reduction, vessel-segmentation stages) and
 //!   [`kernels::convolve_served`], which runs the retina pipeline's

@@ -27,11 +27,8 @@ impl Runtime {
                 got: coeffs.len(),
             });
         }
-        if let Some(c) = coeffs.iter().find(|c| c.format != t.graph.format) {
-            return Err(RuntimeError::BadFormat {
-                expected: t.graph.format,
-                got: c.format,
-            });
+        if let Some(&c) = coeffs.iter().find(|c| !c.is_in(t.graph.format)) {
+            return Err(RuntimeError::not_in(t.graph.format, c));
         }
         let changes: Vec<PeChange> = slots
             .iter()

@@ -73,7 +73,7 @@
 //! verifier names: admission, parameter swaps, accounting and snapshots.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use softfloat::FpValue;
@@ -94,6 +94,13 @@ pub use crate::ledger::Ledger;
 
 /// Compiled configurations the runtime's cache keeps.
 const CACHE_CAPACITY: usize = 32;
+
+/// Threads the host runs at once (`std::thread::available_parallelism`,
+/// 1 if it cannot tell), read on the first call of the process.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// One admitted application: what nothing else in the runtime knows.
 /// Its lease is the pool's ([`GridPool::lease`]), its cache key is derived
@@ -206,9 +213,10 @@ impl Runtime {
 
     /// Streams batched inputs through every requested tenant: each job
     /// is lowered to an [`ExecPlan`] and its items are spread over the
-    /// engine workers, which overwrite each request's input vectors with
-    /// their outputs; every slot that swaps a configuration into its band
-    /// is charged a context switch.
+    /// engine workers — [`RuntimeConfig::workers`] of them at most, and
+    /// no more than the host's available parallelism — which overwrite
+    /// each request's input vectors with their outputs; every slot that
+    /// swaps a configuration into its band is charged a context switch.
     /// Drains the admission queue first (the drain's admissions are
     /// visible in the ledger and via [`Runtime::tenant`]).
     ///
@@ -224,10 +232,12 @@ impl Runtime {
     /// [`RuntimeError::Waiting`]) or whose graph does not lower (the error
     /// `submit` gives that graph); otherwise the first item, in request
     /// and item order, that does not hold one value per external input
-    /// ([`RuntimeError::BadInputArity`]) or holds a value in another
-    /// format ([`RuntimeError::BadFormat`]). So a tenant fault in a later
-    /// request is reported before an item fault in an earlier one; which
-    /// error a call gets does not depend on the worker count.
+    /// ([`RuntimeError::BadInputArity`]) or holds a value not in the
+    /// graph's format: in another format ([`RuntimeError::BadFormat`]) or
+    /// with bits above its width ([`RuntimeError::BadBits`]). So a tenant
+    /// fault in a later request is reported before an item fault in an
+    /// earlier one; which error a call gets does not depend on the worker
+    /// count.
     pub fn run(&mut self, requests: Vec<StreamRequest>) -> Result<Vec<TenantRun>, RuntimeError> {
         self.drain_queue();
         // Lower every request before any worker starts, so that a graph
@@ -272,7 +282,9 @@ impl Runtime {
             }
             residents.push((grid, row0, jobs[band[band.len() - 1]].tenant));
         }
-        engine::execute(&mut jobs, self.cfg.workers).map_err(|(j, _, e)| {
+        // More threads than the host runs at once would only take turns.
+        let threads = self.cfg.workers.min(host_threads());
+        engine::execute(&mut jobs, threads).map_err(|(j, _, e)| {
             let graph = &self.tenants[&jobs[j].tenant].graph;
             match e {
                 ItemError::Arity { got, .. } => RuntimeError::BadInputArity {
@@ -282,6 +294,10 @@ impl Runtime {
                 ItemError::Format { got, .. } => RuntimeError::BadFormat {
                     expected: graph.format,
                     got,
+                },
+                ItemError::Bits { bits, .. } => RuntimeError::BadBits {
+                    format: graph.format,
+                    bits,
                 },
             }
         })?;

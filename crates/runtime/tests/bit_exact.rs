@@ -556,6 +556,56 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
     assert_still_served(&mut rt, id, &graph);
 }
 
+#[test]
+fn a_value_wider_than_its_format_is_refused_at_every_door() {
+    // Tagged (6,26), but all 64 bits set: no (6,26) value is that wide,
+    // and a `Pass` node would copy the stray bits to an output as they
+    // are. `submit`, `run` and `swap_params` each refuse it.
+    let wide = FpValue {
+        bits: u64::MAX,
+        format: F,
+    };
+    let refusal = RuntimeError::BadBits {
+        format: F,
+        bits: u64::MAX,
+    };
+    let mut rt = Runtime::new(RuntimeConfig::default());
+    let (id, graph) = served(&mut rt);
+    let coeffs = |rt: &Runtime| -> Vec<Option<FpValue>> {
+        let graph = &rt.tenant(id).expect("still served").graph;
+        graph.nodes.iter().map(|n| n.coeff).collect()
+    };
+    let (before, coeffs_before) = (state(&rt), coeffs(&rt));
+
+    // A graph holding it as a coefficient.
+    let mut bad = graph.clone();
+    let slot = bad.coeff_nodes()[1];
+    bad.nodes[slot].coeff = Some(wide);
+    assert_eq!(rt.submit("wide", bad).unwrap_err(), refusal);
+    assert_eq!(rt.ledger().refused, 1, "refused at the door");
+    // A stream item holding it, in the call's second unit.
+    let mut inputs = stream(2, 70, 3);
+    inputs[67][1] = wide;
+    let err = rt
+        .run(vec![StreamRequest { tenant: id, inputs }])
+        .unwrap_err();
+    assert_eq!(err, refusal);
+    // A swap to it.
+    assert_eq!(rt.swap_params(id, &[fp(0.75), wide]).unwrap_err(), refusal);
+
+    assert_eq!(
+        state(&rt),
+        before,
+        "bands, queue, cache and ledger as they were"
+    );
+    assert_eq!(
+        coeffs(&rt),
+        coeffs_before,
+        "the graph keeps its coefficients"
+    );
+    assert_still_served(&mut rt, id, &graph);
+}
+
 /// What a refused call must leave as it found it: the bands, the queue,
 /// the cache's lookup counters and every ledger counter but `refused`.
 /// Every cache insert follows a counted miss, so unchanged `misses` means

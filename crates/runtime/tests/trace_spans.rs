@@ -3,7 +3,8 @@
 //! `admission`, `cache`, and `pricing` phases, a swap's `pricing` span
 //! carries its `pes` and `sweeps`, every worker's share of a
 //! streaming job is a `request` span containing an `execute` that
-//! carries its `items` and column `tier`, a swap-in is a
+//! carries its `items`, its `grabs`, the call's `threads` and the column
+//! `tier`, a swap-in is a
 //! `request{op: "switch"}` around a `reconfig_overlap` with the same
 //! arguments as a compaction replay's, and the ledger's makespan is the
 //! time axis's.
@@ -84,6 +85,14 @@ fn str_arg<'e>(e: &'e trace::TraceEvent, key: &str) -> Option<&'e str> {
             trace::AttrValue::Str(s) => s.as_str(),
             other => panic!("`{key}` is a string, got {other:?}"),
         })
+}
+
+/// A count argument of a span's end event.
+fn u64_arg(e: &trace::TraceEvent, key: &str) -> u64 {
+    match e.args.iter().find(|(k, _)| *k == key) {
+        Some((_, trace::AttrValue::U64(n))) => *n,
+        other => panic!("`{key}` is a count, got {other:?}"),
+    }
 }
 
 #[test]
@@ -181,22 +190,33 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
         request.contains("execute"),
         "stream requests open an execute child"
     );
-    let executed: Vec<u64> = events
+    // Every execute span carries its items, the grabs they came in and
+    // the call's thread count.
+    let executed: Vec<[u64; 3]> = events
         .iter()
         .filter(|e| e.name == "execute" && e.phase == trace::Phase::End)
-        .map(|e| match e.args.iter().find(|(k, _)| *k == "items") {
-            Some((_, trace::AttrValue::U64(n))) => *n,
-            other => panic!("every execute span carries its items, got {other:?}"),
-        })
+        .map(|e| ["items", "grabs", "threads"].map(|key| u64_arg(e, key)))
         .collect();
     // A worker's consecutive units of one job share a span, so the three
     // units show as one to three spans, depending on who took which.
     assert!((1..=3).contains(&executed.len()), "{executed:?}");
     assert_eq!(
-        executed.iter().sum::<u64>(),
+        executed.iter().map(|s| s[0]).sum::<u64>(),
         160,
         "the spans' items sum to the run's"
     );
+    // Three units are fewer than two grabs per thread: each unit is a
+    // grab of its own. The call ran on 1 to 3 threads (the units, the
+    // default 4 workers and the host's cores cap it), and every span
+    // says the same.
+    assert_eq!(
+        executed.iter().map(|s| s[1]).sum::<u64>(),
+        3,
+        "{executed:?}"
+    );
+    let threads = executed[0][2];
+    assert!((1..=3).contains(&threads), "{executed:?}");
+    assert!(executed.iter().all(|s| s[2] == threads), "{executed:?}");
     // And the column tier its units ran on.
     let tier = trace::AttrValue::Str(softfloat::kernel::column_tier().to_string());
     for e in events

@@ -180,6 +180,14 @@ impl FpValue {
         }
     }
 
+    /// Whether this is a value of `format`: it is tagged `format`, and its
+    /// bits fit `format.width()`. [`FpValue::from_bits`] and the
+    /// arithmetic make only such values; the public fields can hold others,
+    /// which every reader of outside values refuses by this one test.
+    pub fn is_in(self, format: FpFormat) -> bool {
+        self.format == format && self.bits.checked_shr(format.width()).unwrap_or(0) == 0
+    }
+
     /// Exception class.
     pub fn class(self) -> FpClass {
         self.format.class_of(self.bits)
