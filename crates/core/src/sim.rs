@@ -54,7 +54,8 @@ pub fn run_dataflow(app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
 /// result is [`run_dataflow`]'s.
 ///
 /// Kept, with this signature, until the benchmark's per-layer probe that
-/// calls it is repointed at [`ExecPlan::run_chunk`] (ROADMAP 1(j)).
+/// calls it is repointed at [`ExecPlan::run_chunk`] (ROADMAP 1(b)); its
+/// deletion is ROADMAP 1(k).
 pub fn run_mapped(mapping: &VcgraMapping, app: &AppGraph, inputs: &[FpValue]) -> Vec<FpValue> {
     assert_eq!(
         mapping.place.len(),
@@ -409,6 +410,72 @@ mod tests {
         let mut items = items;
         plan.run_chunk(&mut items, &mut Vec::new()).unwrap();
         assert_eq!(items, want);
+    }
+
+    #[test]
+    fn columns_that_turn_mixed_mid_graph_run_as_the_dataflow_runs_them() {
+        // Every input is Normal, so the first ops see all-Normal columns.
+        // One lane each then underflows to a signed zero, overflows to
+        // infinity and cancels exactly, and the ops after them read mixed
+        // columns; one Add reads the zero column.
+        let mut app = AppGraph::new(F, 2);
+        let (x, y) = (AppSource::External(0), AppSource::External(1));
+        let tiny = app.add(PeMode::Mul, Some(fp(2f64.powi(-20))), x, AppSource::Zero);
+        let huge = app.add(PeMode::Mul, Some(fp(2f64.powi(20))), y, AppSource::Zero);
+        let sum = app.add(PeMode::Add, None, x, y);
+        let mixed = app.add(
+            PeMode::Add,
+            None,
+            AppSource::Node(sum),
+            AppSource::Node(tiny),
+        );
+        let plus_zero = app.add(PeMode::Add, None, AppSource::Node(huge), AppSource::Zero);
+        let mac = app.add(
+            PeMode::Mac,
+            Some(fp(-0.75)),
+            AppSource::Node(mixed),
+            AppSource::Zero,
+        );
+        let normal = app.add(PeMode::Mul, Some(fp(0.5)), x, AppSource::Zero);
+        let last = app.add(
+            PeMode::Add,
+            None,
+            AppSource::Node(mac),
+            AppSource::Node(plus_zero),
+        );
+        // Every node is an output, in node order: a node's index is its
+        // output's.
+        for node in [tiny, huge, sum, mixed, plus_zero, mac, normal, last] {
+            app.mark_output(node);
+        }
+        let mut items: Vec<Vec<FpValue>> = (0..64)
+            .map(|i| {
+                let x = (i as f64 - 31.5) / 16.0;
+                vec![fp(x), fp(1.0 - x / 3.0)]
+            })
+            .collect();
+        items[0][0] = fp(-2f64.powi(-20)); // x · 2^-20 underflows to -0
+        items[31][1] = fp(2f64.powi(15)); // y · 2^20 overflows to +inf
+        items[63][1] = fp(-items[63][0].to_f64()); // x + y cancels to +0
+        let want: Vec<Vec<FpValue>> = items.iter().map(|item| run_dataflow(&app, item)).collect();
+        assert_eq!(want[0][tiny], FpValue::signed_zero(F, true));
+        assert_eq!(want[31][huge], FpValue::infinity(F, false));
+        assert_eq!(want[63][sum], FpValue::zero(F));
+        let specials = |output: usize| {
+            want.iter()
+                .filter(|item| item[output].class() != softfloat::FpClass::Normal)
+                .count()
+        };
+        assert_eq!(
+            [tiny, huge, sum, mixed, plus_zero, mac, normal, last].map(specials),
+            [1, 1, 1, 0, 1, 0, 0, 1],
+            "a special lane per column where one arises, none where the sum absorbs it"
+        );
+        let plan = ExecPlan::lower(&app).expect("lowers");
+        plan.run_chunk(&mut items, &mut Vec::new()).unwrap();
+        for (lane, (got, want)) in items.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "lane {lane}");
+        }
     }
 
     #[test]

@@ -14,20 +14,30 @@
 //! [`add_col`](FpKernel::add_col)) are what the serve path feeds
 //! (`vcgra::sim::ExecPlan`): one instruction stream over a column of
 //! independent lanes, eight bytes a value. A branch per lane would keep
-//! that loop scalar, so a column lane computes *both* functions and
-//! selects one with a non-short-circuit `&` of its two class tests, and
-//! the loop vectorizes. It is compiled in tiers: AVX-512 (`avx512f`,
-//! `vl`, `dq`, `cd` with the AVX2 set) and AVX2 (`avx2`, `bmi1`, `bmi2`,
-//! `lzcnt`). The first column call picks the best tier the CPU has, once
-//! per process ([`column_tier`] names it); no option selects one. Other
-//! hosts, and products wider than 64 bits (`wf > 31`), run the base tier:
-//! the scalar functions lane by lane. Every tier is the scalar op bit for
-//! bit — the tests sweep every pair of bit patterns of three small formats
-//! through each tier the host has.
+//! that loop scalar, so a call takes one census of its operands instead:
+//! an OR over the lanes of each lane's class field against Normal's, and
+//! the coefficient's class. A column that is Normal in every lane (serve
+//! traffic: uniform inputs and coefficients) runs the Normal × Normal
+//! path alone. Any other — a zero pixel, an underflow, an overflow, the
+//! zero column a MAC or an unfed operand reads — runs the select loop,
+//! where a lane computes *both* functions and picks one with a
+//! non-short-circuit `&` of its two class tests. Both loops vectorize.
+//! They are compiled in tiers: AVX-512 (`avx512f`, `vl`, `dq`, `cd` with
+//! the AVX2 set) and AVX2 (`avx2`, `bmi1`, `bmi2`, `lzcnt`). The first
+//! column call picks the best tier the CPU has, once per process
+//! ([`column_tier`] names it); no option selects one. Other hosts, and
+//! products wider than 64 bits (`wf > 31`), run the base tier: the scalar
+//! functions lane by lane, with no census. Every tier is the scalar op bit
+//! for bit — the tests sweep every pair of bit patterns of three small
+//! formats through each tier the host has, and every pair of Normal
+//! patterns as all-Normal columns.
 //!
-//! The Normal × Normal paths mirror the gate-level generators in
-//! [`crate::gen`] step by step; the tests there compare the two bit for
-//! bit.
+//! The Normal × Normal paths compute what the gate-level generators in
+//! [`crate::gen`] build, bit for bit; the tests there compare the two.
+//! They do not mirror them step by step: both round with one add at the
+//! boundary of the kept bits (`round_off`) where the netlists test guard
+//! and sticky bits, and `add` left-justifies its sum where the netlist
+//! muxes a carry path against a cancel path.
 
 use crate::format::{FpClass, FpFormat};
 use tier::Tier;
@@ -42,11 +52,13 @@ const NAN: u64 = FpClass::NaN.code();
 /// The width is picked once per call of a kernel entry point, not per lane.
 trait Product: Copy {
     fn of(a: u64, b: u64) -> Self;
-    fn shl(self, n: u32) -> Self;
     /// Bits `shift..` of the product (at most 64 of them are set).
     fn bits_from(self, shift: u32) -> u64;
-    /// Whether any of the low `n` bits is set.
-    fn any_below(self, n: u32) -> bool;
+    /// The product shifted right by `n` (0 or 1), the shifted-out bit
+    /// ORed into bit 0.
+    fn shr_sticky(self, n: u32) -> Self;
+    /// [`round_off`] of the product.
+    fn round_off(self, n: u32) -> u64;
 }
 
 impl Product for u64 {
@@ -55,16 +67,16 @@ impl Product for u64 {
         a * b
     }
     #[inline(always)]
-    fn shl(self, n: u32) -> u64 {
-        self << n
-    }
-    #[inline(always)]
     fn bits_from(self, shift: u32) -> u64 {
         self >> shift
     }
     #[inline(always)]
-    fn any_below(self, n: u32) -> bool {
-        self & ((1u64 << n) - 1) != 0
+    fn shr_sticky(self, n: u32) -> u64 {
+        self >> n | self & n as u64
+    }
+    #[inline(always)]
+    fn round_off(self, n: u32) -> u64 {
+        round_off(self, n as u64)
     }
 }
 
@@ -74,17 +86,28 @@ impl Product for u128 {
         a as u128 * b as u128
     }
     #[inline(always)]
-    fn shl(self, n: u32) -> u128 {
-        self << n
-    }
-    #[inline(always)]
     fn bits_from(self, shift: u32) -> u64 {
         (self >> shift) as u64
     }
     #[inline(always)]
-    fn any_below(self, n: u32) -> bool {
-        self & ((1u128 << n) - 1) != 0
+    fn shr_sticky(self, n: u32) -> u128 {
+        self >> n | self & n as u128
     }
+    #[inline(always)]
+    fn round_off(self, n: u32) -> u64 {
+        ((self + ((1 << (n - 1)) - 1) + ((self >> n) & 1)) >> n) as u64
+    }
+}
+
+/// `x` without its low `n` bits (`1 <= n`), rounded to nearest even:
+/// more than half of the dropped weight rounds up, less does not, exactly
+/// half rounds up only onto an odd kept value. `x + 2^(n-1)` must not
+/// overflow. A result that carries into a new leading bit is exactly a
+/// power of two, so its fraction field is 0 with or without the shift
+/// back: callers count the carry in the exponent and leave the bits.
+#[inline(always)]
+fn round_off(x: u64, n: u64) -> u64 {
+    (x + ((1 << (n - 1)) - 1) + ((x >> n) & 1)) >> n
 }
 
 /// A FloPoCo format prepared for arithmetic on raw bits.
@@ -192,7 +215,8 @@ impl FpKernel {
         }
     }
 
-    /// Multiplication (RNE), mirroring [`crate::gen::gen_mul`].
+    /// Multiplication (RNE): bit for bit the function
+    /// [`crate::gen::gen_mul`] builds.
     #[inline]
     pub fn mul(&self, a: u64, b: u64) -> u64 {
         if self.narrow {
@@ -211,8 +235,8 @@ impl FpKernel {
         }
     }
 
-    /// The column lane of [`mul`](Self::mul) in a narrow format: both
-    /// functions, one select.
+    /// The select loop's lane of [`mul`](Self::mul) in a narrow format:
+    /// both functions, one select.
     #[inline(always)]
     fn mul_select(&self, a: u64, b: u64) -> u64 {
         let (normal, table) = (self.mul_normal::<u64>(a, b), self.mul_table(a, b));
@@ -229,17 +253,14 @@ impl FpKernel {
     fn mul_normal<P: Product>(&self, a: u64, b: u64) -> u64 {
         let wf = self.format.wf;
         let prod = P::of(self.sig(a), self.sig(b)); // 2wf+2 bits
-        let norm = prod.bits_from(2 * wf + 1) & 1; // product in [2,4)?
-                                                   // Normalize: leading 1 at bit 2wf+1 either way.
-        let prod = prod.shl(1 - norm as u32);
-        let keep = prod.bits_from(wf + 1); // wf+1 bits incl. leading 1
-        let guard = prod.bits_from(wf) & 1;
-        let sticky = prod.any_below(wf);
-        let round_up = guard & (sticky as u64 | keep);
-        let mut s = keep + round_up;
+                                                    // Is the product in [2, 4)?
+        let norm = prod.bits_from(2 * wf + 1) & 1;
+        // Normalize: leading 1 at bit 2wf either way, a shifted-out bit
+        // kept as sticky; then the wf+1 bits from it, rounded. Below
+        // `2^(2wf+1)`, the rounding add cannot overflow a u64 product.
+        let s = prod.shr_sticky(norm as u32).round_off(wf);
         // Rounding up an all-ones significand carries into a new leading bit.
         let rcarry = s >> (wf + 1);
-        s >>= rcarry;
         let e = self.exp(a) as i64 + self.exp(b) as i64 - self.bias + norm as i64 + rcarry as i64;
         self.finish((a ^ b) & self.sign_bit, e, s)
     }
@@ -261,7 +282,8 @@ impl FpKernel {
         }
     }
 
-    /// Addition (RNE), mirroring [`crate::gen::gen_add`].
+    /// Addition (RNE): bit for bit the function [`crate::gen::gen_add`]
+    /// builds.
     // Always inlined, like `mul_lane`: in a column loop the kernel's fields
     // then stay in registers and neighbouring lanes overlap.
     #[inline(always)]
@@ -273,7 +295,8 @@ impl FpKernel {
         }
     }
 
-    /// The column lane of [`add`](Self::add): both functions, one select.
+    /// The select loop's lane of [`add`](Self::add): both functions, one
+    /// select.
     #[inline(always)]
     fn add_select(&self, a: u64, b: u64) -> u64 {
         let (normal, table) = (self.add_normal(a, b), self.add_table(a, b));
@@ -286,45 +309,48 @@ impl FpKernel {
 
     /// The sum of two Normals. Reads only the sign, exponent and fraction
     /// fields, so it is defined on any bits.
+    // Shift counts stay `u64` throughout: a narrower count costs each
+    // vectorized column loop a conversion per use.
     #[inline(always)]
     fn add_normal(&self, a: u64, b: u64) -> u64 {
-        let wf = self.format.wf;
-        // Order by magnitude: compare exp:frac as one integer.
+        let wf = self.format.wf as u64;
+        // Order by magnitude: compare exp:frac as one integer, and read
+        // both exponents from it.
         let mag_mask = self.sign_bit - 1;
-        let (big, small) = if b & mag_mask > a & mag_mask {
-            (b, a)
+        let (mag_a, mag_b) = (a & mag_mask, b & mag_mask);
+        let (big, mag_big, mag_small) = if mag_b > mag_a {
+            (b, mag_b, mag_a)
         } else {
-            (a, b)
+            (a, mag_a, mag_b)
         };
-        let d = self.exp(big) - self.exp(small);
+        let e_big = mag_big >> wf;
+        let d = e_big - (mag_small >> wf);
         let width = wf + 4; // significand + 3 guard bits
-        let x = self.sig(big) << 3;
-        let y_full = self.sig(small) << 3;
-        // `dc <= wf + 4 <= 56` keeps the shifts below inside u64:
-        // `FpFormat::new` caps `wf` at 52.
-        let dc = d.min(width as u64) as u32;
-        let sticky = y_full & ((1u64 << dc) - 1) != 0;
-        let y = y_full >> dc | sticky as u64;
+        let x = self.sig(mag_big) << 3;
+        let y_full = self.sig(mag_small) << 3;
+        // `y_full` has `width` bits, so any shift of `width` or more leaves
+        // only the sticky bit; capping at 63 instead of `width` keeps the
+        // shifts inside u64 where the compiler can see it.
+        let dc = d.min(63);
+        // The bits shifted out of `y_full` stay as a sticky bit 0.
+        let y = y_full >> dc;
+        let y = y | (y << dc != y_full) as u64;
         // Effective subtraction adds the two's complement: signs differ in
         // half of all sums, so a branch here would be mispredicted.
-        let negate = (((big ^ small) & self.sign_bit != 0) as u64).wrapping_neg();
+        let negate = (((a ^ b) & self.sign_bit != 0) as u64).wrapping_neg();
         let r = x.wrapping_add((y ^ negate).wrapping_sub(negate));
         if r == 0 {
             return 0; // exact cancellation: +0
         }
-        // Normalize to `width` bits, leading 1 at bit `width - 1`: a sum
-        // may have carried one bit out (which stays in the sticky
-        // position), a difference may have cancelled leading bits.
-        let lz = r.leading_zeros();
-        let carry = (64 - width).saturating_sub(lz); // 0 or 1
-        let cancelled = lz.saturating_sub(64 - width);
-        let s = (r << cancelled) >> carry | (r & carry as u64);
-        let e = self.exp(big) as i64 + carry as i64 - cancelled as i64;
-        // Round: L = bit 3, G = bit 2, R|S = bits 1..0.
-        let round_up = (s >> 2) & ((s & 3 != 0) as u64 | (s >> 3)) & 1;
-        let mut hi = (s >> 3) + round_up; // wf+1 bits
+        // Left-justify, leading 1 at bit 62 (bit 63 is headroom for the
+        // rounding add): a difference shifts its cancelled leading bits
+        // out, and a sum that carried one bit out (leading 1 at bit
+        // `width`) keeps that bit below the guard, where it counts as
+        // sticky.
+        let lz = r.leading_zeros() as u64;
+        let e = (e_big + 64 - width) as i64 - lz as i64;
+        let hi = round_off((r << lz) >> 1, 62 - wf); // wf+1 bits
         let rcarry = hi >> (wf + 1);
-        hi >>= rcarry;
         self.finish(big & self.sign_bit, e + rcarry as i64, hi)
     }
 
@@ -391,7 +417,7 @@ impl FpKernel {
         self.column(Tier::best(), Column::Add(xs, ys), out)
     }
 
-    /// Runs `op` into `out` on `tier`. The select form multiplies in
+    /// Runs `op` into `out` on `tier`. The column loops multiply in
     /// `u64`, so a wider product stays on the base tier.
     fn column(&self, tier: Tier, op: Column, out: &mut [u64]) {
         let tier = if self.narrow || matches!(op, Column::Add(..)) {
@@ -431,19 +457,45 @@ impl FpKernel {
         }
     }
 
-    /// The select form, lane by lane, for a narrow format: compiled under
-    /// a tier's target features, these loops vectorize.
+    /// Whether every lane of `xs` is Normal: one OR over the lanes, read
+    /// at the class field.
+    #[inline(always)]
+    fn all_normal(&self, xs: &[u64]) -> bool {
+        let class_mask = 3 << self.class_shift;
+        xs.iter().fold(0, |any, &x| any | (x ^ self.normal)) & class_mask == 0
+    }
+
+    /// The column loops: compiled under a tier's target features, they
+    /// vectorize ([`column`](Self::column) sends a product here only in a
+    /// narrow format). One census of the operands picks the loop: when
+    /// every lane and the coefficient are Normal, the Normal × Normal path
+    /// alone; otherwise the select form, lane by lane.
     #[inline(always)]
     fn column_select(&self, op: Column, out: &mut [u64]) {
         match op {
+            Column::MulConst(xs, c) if self.is_normal(c) && self.all_normal(xs) => {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = self.mul_normal::<u64>(x, c);
+                }
+            }
             Column::MulConst(xs, c) => {
                 for (o, &x) in out.iter_mut().zip(xs) {
                     *o = self.mul_select(x, c);
                 }
             }
+            Column::MacConst(xs, c) if self.is_normal(c) && self.all_normal(xs) => {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = self.plus_zero(self.mul_normal::<u64>(x, c));
+                }
+            }
             Column::MacConst(xs, c) => {
                 for (o, &x) in out.iter_mut().zip(xs) {
                     *o = self.plus_zero(self.mul_select(x, c));
+                }
+            }
+            Column::Add(xs, ys) if self.all_normal(xs) && self.all_normal(ys) => {
+                for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+                    *o = self.add_normal(x, y);
                 }
             }
             Column::Add(xs, ys) => {
@@ -632,16 +684,32 @@ mod tests {
     }
 
     /// Every pair of bit patterns of `f`, through every tier this CPU
-    /// runs: each column form against its scalar op. The coefficient (and
-    /// the right addend) is one pattern per column, the left operand
-    /// column is every pattern.
+    /// runs: each column form against its scalar op.
     fn every_pair_at_every_tier(f: FpFormat) {
-        let kernel = FpKernel::new(f);
         let all: Vec<u64> = (0..1u64 << f.width()).collect();
+        pairs_at_every_tier(f, &all);
+    }
+
+    /// Every pair of Normal bit patterns of `f` the same way. Every column
+    /// is all Normal, so the census sends each down the Normal-only loops,
+    /// which a column holding a special never reaches.
+    fn every_normal_pair_at_every_tier(f: FpFormat) {
+        let kernel = FpKernel::new(f);
+        let normals: Vec<u64> = (0..1u64 << f.width())
+            .filter(|&x| kernel.is_normal(x))
+            .collect();
+        pairs_at_every_tier(f, &normals);
+    }
+
+    /// Each pair of `all` through every column form at every tier: the
+    /// coefficient (and the right addend) is one pattern per column, the
+    /// left operand column is all of them.
+    fn pairs_at_every_tier(f: FpFormat, all: &[u64]) {
+        let kernel = FpKernel::new(f);
         let tiers = Tier::supported();
         let (mut want, mut got) = (vec![0; all.len()], vec![0; all.len()]);
         let mut check = |name: &str, c: u64, scalar: &dyn Fn(u64) -> u64, op: Column| {
-            for (w, &x) in want.iter_mut().zip(&all) {
+            for (w, &x) in want.iter_mut().zip(all) {
                 *w = scalar(x);
             }
             for &tier in &tiers {
@@ -659,16 +727,16 @@ mod tests {
                 }
             }
         };
-        for &c in &all {
+        for &c in all {
             let splat = vec![c; all.len()];
-            check("mul", c, &|x| kernel.mul(x, c), Column::MulConst(&all, c));
+            check("mul", c, &|x| kernel.mul(x, c), Column::MulConst(all, c));
             check(
                 "mac",
                 c,
                 &|x| kernel.add(kernel.mul(x, c), 0),
-                Column::MacConst(&all, c),
+                Column::MacConst(all, c),
             );
-            check("add", c, &|x| kernel.add(x, c), Column::Add(&all, &splat));
+            check("add", c, &|x| kernel.add(x, c), Column::Add(all, &splat));
         }
     }
 
@@ -687,6 +755,129 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "2^26 pairs: runs in release")]
     fn every_tier_equals_the_scalar_ops_on_every_pair_of_a_5_5_format() {
         every_pair_at_every_tier(FpFormat::new(5, 5));
+    }
+
+    #[test]
+    fn every_tier_equals_the_scalar_ops_on_every_normal_pair_of_a_3_4_format() {
+        every_normal_pair_at_every_tier(FpFormat::new(3, 4));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^22 pairs: runs in release")]
+    fn every_tier_equals_the_scalar_ops_on_every_normal_pair_of_a_4_6_format() {
+        every_normal_pair_at_every_tier(FpFormat::new(4, 6));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^22 pairs: runs in release")]
+    fn every_tier_equals_the_scalar_ops_on_every_normal_pair_of_a_5_5_format() {
+        every_normal_pair_at_every_tier(FpFormat::new(5, 5));
+    }
+
+    /// One special lane — a signed zero, a signed infinity or NaN — at the
+    /// first, a middle or the last lane of a 64-lane column of Normals, in
+    /// either addend, or as the coefficient: the census must see it, and
+    /// every column form still equals its scalar op lane for lane.
+    #[test]
+    fn one_special_lane_anywhere_in_a_column_is_seen() {
+        // (8, 31) is the widest product a u64 holds, (8, 40) takes u128.
+        let formats = [
+            FpFormat::PAPER,
+            FpFormat::new(4, 6),
+            FpFormat::new(8, 31),
+            FpFormat::new(8, 40),
+        ];
+        for f in formats {
+            let kernel = FpKernel::new(f);
+            let mut rng = SplitMix64::new(0x5EC1A1);
+            let mut normals = |n: usize| -> Vec<u64> {
+                (0..n)
+                    .map(|_| {
+                        let (exp, frac) = (rng.below(1 << f.we), rng.below(1 << f.wf));
+                        f.pack(FpClass::Normal, rng.coin(), exp, frac)
+                    })
+                    .collect()
+            };
+            let (xs, ys, c) = (normals(64), normals(64), normals(1)[0]);
+            let specials = [
+                FpValue::signed_zero(f, false),
+                FpValue::signed_zero(f, true),
+                FpValue::infinity(f, false),
+                FpValue::infinity(f, true),
+                FpValue::nan(f),
+            ]
+            .map(|v| v.bits);
+            let check = |at: &str, xs: &[u64], ys: &[u64], c: u64| {
+                let mul: Vec<u64> = xs.iter().map(|&x| kernel.mul(x, c)).collect();
+                let mac: Vec<u64> = mul.iter().map(|&p| kernel.add(p, 0)).collect();
+                let add: Vec<u64> = xs.iter().zip(ys).map(|(&x, &y)| kernel.add(x, y)).collect();
+                let mut out = vec![u64::MAX; xs.len()];
+                let at = format!("{at} in ({}, {})", f.we, f.wf);
+                kernel.mul_const_col(xs, c, &mut out);
+                assert_eq!(out, mul, "mul_const_col, {at}");
+                kernel.mac_const_col(xs, c, &mut out);
+                assert_eq!(out, mac, "mac_const_col, {at}");
+                kernel.add_col(xs, ys, &mut out);
+                assert_eq!(out, add, "add_col, {at}");
+                for tier in Tier::supported() {
+                    let at = format!("{at} at the {} tier", tier.name());
+                    kernel.column(tier, Column::MulConst(xs, c), &mut out);
+                    assert_eq!(out, mul, "mul, {at}");
+                    kernel.column(tier, Column::MacConst(xs, c), &mut out);
+                    assert_eq!(out, mac, "mac, {at}");
+                    kernel.column(tier, Column::Add(xs, ys), &mut out);
+                    assert_eq!(out, add, "add, {at}");
+                }
+            };
+            check("all Normal", &xs, &ys, c);
+            for s in specials {
+                for lane in [0, 31, 63] {
+                    let mut x_special = xs.clone();
+                    x_special[lane] = s;
+                    check(&format!("{s:#x} at x lane {lane}"), &x_special, &ys, c);
+                    let mut y_special = ys.clone();
+                    y_special[lane] = s;
+                    check(&format!("{s:#x} at y lane {lane}"), &xs, &y_special, c);
+                }
+                check(&format!("coefficient {s:#x}"), &xs, &ys, s);
+            }
+        }
+    }
+
+    /// At the widest format a u64 product holds, the u64 path rounds as
+    /// the u128 one does: its rounding add does not overflow, on the
+    /// largest products nor on those just below `2^(2wf+1)`, which
+    /// normalize without a shift.
+    #[test]
+    fn a_u64_product_rounds_as_a_u128_one_at_wf_31() {
+        let f = FpFormat::new(8, 31);
+        let kernel = FpKernel::new(f);
+        assert!(kernel.narrow);
+        let (hidden, top) = (1u64 << f.wf, (1u64 << f.wf) - 1);
+        let mut rng = SplitMix64::new(0x31);
+        for i in 0..100_000 {
+            let (fa, fb) = match i % 3 {
+                0 => (top - rng.below(1 << 16), top - rng.below(1 << 16)),
+                1 => {
+                    // The significand pair whose product is the largest
+                    // below 2^(2wf+1) for a random left one.
+                    let sa = hidden + rng.below(hidden);
+                    let sb = ((1 << (2 * f.wf + 1)) - 1) / sa;
+                    if sb < hidden {
+                        continue;
+                    }
+                    (sa - hidden, sb - hidden)
+                }
+                _ => (rng.below(hidden), rng.below(hidden)),
+            };
+            let a = f.pack(FpClass::Normal, rng.coin(), rng.below(1 << f.we), fa);
+            let b = f.pack(FpClass::Normal, rng.coin(), rng.below(1 << f.we), fb);
+            assert_eq!(
+                kernel.mul_normal::<u64>(a, b),
+                kernel.mul_normal::<u128>(a, b),
+                "{a:#x} * {b:#x}"
+            );
+        }
     }
 
     #[test]

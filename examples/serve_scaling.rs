@@ -6,8 +6,11 @@
 //! cargo run --release --example serve_scaling
 //! ```
 //!
-//! Asserts that the outputs are bit-identical at every worker count and
-//! prints the median host time per call. `RuntimeConfig::workers` is the
+//! Inputs are seeded uniform values in [-2, 2), as the benchmark draws
+//! them, so every column the kernel sees is all Normal, as on
+//! `serve_stream`. Asserts that the outputs are bit-identical at every
+//! worker count and prints the column tier the kernel runs on and the
+//! median host time per call. `RuntimeConfig::workers` is the
 //! most threads a call may use: a call never runs on more threads than
 //! the host runs at once, so on a 2-core host the 4-worker row runs on 2.
 //! One more call per row is traced, and its `execute` spans say how it
@@ -16,6 +19,7 @@
 
 use std::time::{Duration, Instant};
 
+use logic::SplitMix64;
 use retina::filters::{gaussian, matched_filter, texture_filter};
 use runtime::{kernels, Runtime, RuntimeConfig, StreamRequest};
 use softfloat::{FpFormat, FpValue};
@@ -52,12 +56,14 @@ fn tenants() -> Vec<(String, AppGraph)> {
     tenants.into_iter().map(|w| (w.name, w.graph)).collect()
 }
 
-/// `ITEMS` deterministic input vectors for a graph with `n` inputs.
-fn items(n: usize, salt: usize) -> Vec<Vec<FpValue>> {
+/// `ITEMS` seeded input vectors for a graph with `n` inputs, each value
+/// uniform in [-2, 2).
+fn items(n: usize, seed: u64) -> Vec<Vec<FpValue>> {
+    let mut rng = SplitMix64::new(seed);
     (0..ITEMS)
-        .map(|i| {
+        .map(|_| {
             (0..n)
-                .map(|k| FpValue::from_f64(((i * 7 + k * 13 + salt) % 97) as f64 / 16.0 - 3.0, F))
+                .map(|_| FpValue::from_f64(rng.unit_f64() * 4.0 - 2.0, F))
                 .collect()
         })
         .collect()
@@ -92,12 +98,13 @@ fn main() {
     let inputs: Vec<_> = tenants
         .iter()
         .enumerate()
-        .map(|(t, (_, g))| items(g.num_inputs, t))
+        .map(|(t, (_, g))| items(g.num_inputs, t as u64))
         .collect();
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "{} tenants x {ITEMS} items per call, {host} threads available on this host",
-        tenants.len()
+        "{} tenants x {ITEMS} items per call, {host} threads available on this host, {} column tier",
+        tenants.len(),
+        softfloat::kernel::column_tier()
     );
 
     let mut baseline: Option<(Duration, Vec<Vec<Vec<FpValue>>>)> = None;
