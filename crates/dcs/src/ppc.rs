@@ -132,6 +132,16 @@ impl ParamConfig {
         self.ppc.len()
     }
 
+    /// The distinct frames holding a tunable bit, ascending.
+    pub fn frames(&self) -> &[u32] {
+        &self.frames
+    }
+
+    /// Per PPC bit, the index of its frame in [`ParamConfig::frames`].
+    pub fn ppc_frame(&self) -> &[u32] {
+        &self.ppc_frame
+    }
+
     /// Number of static bits.
     pub fn template_bits(&self) -> usize {
         self.template.len()

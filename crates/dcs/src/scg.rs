@@ -15,9 +15,17 @@
 //! — the one definition of "frames dirtied by a change" that the
 //! runtime's pricer, [`crate::timing::specialization_report`] and the
 //! `xbench reconfig` driver share.
+//!
+//! All an SCG reads is a node store, one root per PPC bit, each root's
+//! frame index, the frames and the parameter count. [`Scg::new`] takes them from a mapped
+//! design and its [`ParamConfig`]; [`Scg::from_parts`] takes them as they
+//! are, which is how the runtime prices on a PPC mapped offline and
+//! checked into source as a table ([`logic::BddManager::from_nodes`]
+//! rebuilds its store).
 
 use crate::ppc::ParamConfig;
 use logic::fxhash::FxHashSet;
+use logic::{Bdd, BddManager};
 use mapping::MappedDesign;
 
 /// Settings one sweep evaluates: the lanes of a `u64`.
@@ -41,22 +49,59 @@ pub struct PairDiff {
     pub dirty_frames: usize,
 }
 
-/// The SCG: owns the evaluation order over one design's PPC.
+/// The SCG: owns the evaluation order over one PPC.
 pub struct Scg<'a> {
-    design: &'a MappedDesign,
-    config: &'a ParamConfig,
+    /// The store every PPC function lives in.
+    bdd: &'a BddManager,
+    /// Per PPC bit, its function of the parameters.
+    roots: Vec<Bdd>,
+    /// Per PPC bit, the index of its frame in `frames`.
+    root_frame: &'a [u32],
+    /// The distinct frames holding a tunable bit, ascending.
+    frames: &'a [u32],
+    /// Parameters an assignment sets: the BDD variables.
+    params: usize,
 }
 
 impl<'a> Scg<'a> {
     /// Binds an SCG to a design and its extracted configuration.
     pub fn new(design: &'a MappedDesign, config: &'a ParamConfig) -> Self {
         assert_eq!(design.param_names.len(), config.param_names.len());
-        assert_eq!(
-            config.ppc.len(),
-            config.ppc_frame.len(),
-            "PPC edited after extraction"
+        Scg::from_parts(
+            &design.bdd,
+            config.ppc.iter().map(|&(_, f, _)| f).collect(),
+            &config.ppc_frame,
+            &config.frames,
+            config.param_names.len(),
+        )
+    }
+
+    /// An SCG over a PPC given by its parts: the node store, one root per
+    /// PPC bit, per root the index of its frame in `frames` (the distinct
+    /// frames holding a tunable bit, ascending), and the parameter count.
+    ///
+    /// # Panics
+    /// If the roots and their frame indices differ in number, or an index
+    /// is past `frames`.
+    pub fn from_parts(
+        bdd: &'a BddManager,
+        roots: Vec<Bdd>,
+        root_frame: &'a [u32],
+        frames: &'a [u32],
+        params: usize,
+    ) -> Self {
+        assert_eq!(roots.len(), root_frame.len(), "one frame per PPC bit");
+        assert!(
+            root_frame.iter().all(|&f| (f as usize) < frames.len()),
+            "a PPC bit's frame is past the frame list"
         );
-        Scg { design, config }
+        Scg {
+            bdd,
+            roots,
+            root_frame,
+            frames,
+            params,
+        }
     }
 
     /// Packs up to [`LANES`] parameter assignments for one sweep: bit `l`
@@ -69,7 +114,7 @@ impl<'a> Scg<'a> {
             settings.len() <= LANES,
             "at most {LANES} settings to a sweep"
         );
-        let mut lanes = vec![0u64; self.design.param_names.len()];
+        let mut lanes = vec![0u64; self.params];
         for (l, params) in settings.iter().enumerate() {
             assert_eq!(params.len(), lanes.len(), "one value per parameter");
             for (word, &p) in lanes.iter_mut().zip(*params) {
@@ -89,17 +134,9 @@ impl<'a> Scg<'a> {
     /// vector would read its missing parameters as `false` and produce a
     /// configuration for settings nobody asked for.
     pub fn specialize_lanes(&self, lanes: &[u64]) -> Vec<u64> {
-        assert_eq!(
-            lanes.len(),
-            self.design.param_names.len(),
-            "one lane word per parameter"
-        );
-        let vals = self.design.bdd.eval_lanes(lanes);
-        self.config
-            .ppc
-            .iter()
-            .map(|(_, f, _)| vals.of(*f))
-            .collect()
+        assert_eq!(lanes.len(), self.params, "one lane word per parameter");
+        let vals = self.bdd.eval_lanes(lanes);
+        self.roots.iter().map(|&f| vals.of(f)).collect()
     }
 
     /// Evaluates every PPC function for a parameter assignment
@@ -118,7 +155,7 @@ impl<'a> Scg<'a> {
     /// `pairs` changes of settings — lane `2i` the old, lane `2i + 1` the
     /// new settings of change `i` — and counts what they dirty.
     pub fn pair_diff(&self, words: &[u64], pairs: usize) -> PairDiff {
-        assert_eq!(words.len(), self.config.ppc.len(), "one word per PPC bit");
+        assert_eq!(words.len(), self.roots.len(), "one word per PPC bit");
         assert!(pairs <= LANES / 2, "at most {} pairs to a sweep", LANES / 2);
         // The low lane of each pair in use.
         let mask = if pairs == 0 {
@@ -126,9 +163,9 @@ impl<'a> Scg<'a> {
         } else {
             0x5555_5555_5555_5555u64 >> (LANES - 2 * pairs)
         };
-        let mut per_frame = vec![0u64; self.config.frames.len()];
+        let mut per_frame = vec![0u64; self.frames.len()];
         let mut bits_changed = 0;
-        for (v, &frame) in words.iter().zip(&self.config.ppc_frame) {
+        for (v, &frame) in words.iter().zip(self.root_frame) {
             let d = (v ^ (v >> 1)) & mask;
             bits_changed += d.count_ones() as usize;
             per_frame[frame as usize] |= d;
@@ -143,11 +180,12 @@ impl<'a> Scg<'a> {
     /// Frames whose content differs between two specializations — the
     /// micro-reconfiguration working set for this parameter change.
     pub fn dirty_frames(&self, old: &SpecializedBits, new: &SpecializedBits) -> FxHashSet<u32> {
-        assert_eq!(old.values.len(), new.values.len());
+        assert_eq!(old.values.len(), self.roots.len(), "one value per PPC bit");
+        assert_eq!(new.values.len(), self.roots.len(), "one value per PPC bit");
         let mut frames = FxHashSet::default();
-        for (i, (a, _, _)) in self.config.ppc.iter().enumerate() {
-            if old.values[i] != new.values[i] {
-                frames.insert(a.frame);
+        for ((a, b), &frame) in old.values.iter().zip(&new.values).zip(self.root_frame) {
+            if a != b {
+                frames.insert(self.frames[frame as usize]);
             }
         }
         frames
@@ -156,7 +194,7 @@ impl<'a> Scg<'a> {
     /// All frames containing tunable bits (worst-case working set; used
     /// for the first configuration after the template is loaded).
     pub fn all_tunable_frames(&self) -> FxHashSet<u32> {
-        self.config.frames.iter().copied().collect()
+        self.frames.iter().copied().collect()
     }
 }
 

@@ -96,6 +96,21 @@ impl Bdd {
         self.0 == 0
     }
 
+    /// The handle as a plain number, as [`BddManager::nodes`] lists
+    /// children and a table in source holds roots.
+    #[inline]
+    pub fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// The handle numbered `raw`: meaningful with the manager whose
+    /// [`Bdd::raw`] gave it, or one [`BddManager::from_nodes`] rebuilt
+    /// from that manager's nodes.
+    #[inline]
+    pub fn from_raw(raw: u32) -> Bdd {
+        Bdd(raw)
+    }
+
     /// The handle with the complement flag of `of` toggled in.
     #[inline]
     fn xor_flag(self, of: Bdd) -> Bdd {
@@ -589,6 +604,49 @@ impl BddManager {
         }
         Bdd(remap[id]).xor_flag(f)
     }
+
+    /// The node store as plain numbers: per internal node, in store order
+    /// (children first), its variable and the raw handles ([`Bdd::raw`])
+    /// of its `lo` and `hi` children as its regular handle sees them.
+    /// [`BddManager::from_nodes`] rebuilds the same store from them — the
+    /// same handles for the same functions — which is how a store built
+    /// offline is checked into source.
+    pub fn nodes(&self) -> Vec<[u32; 3]> {
+        self.views
+            .iter()
+            .step_by(2)
+            .skip(1)
+            .map(|n| [n.var, n.lo.0, n.hi.0])
+            .collect()
+    }
+
+    /// A manager holding `nodes`, as [`BddManager::nodes`] lists them:
+    /// node `i` gets the regular handle `2 (i + 1)`. Its tables are empty,
+    /// as after [`BddManager::compact`], and the next operation rebuilds
+    /// the unique table from the nodes.
+    ///
+    /// # Panics
+    /// If a node is not in the canonical, children-first form every
+    /// manager keeps: a child at or past the node, a complemented `hi`,
+    /// two equal children, or a variable not above its children's.
+    pub fn from_nodes(nodes: &[[u32; 3]]) -> Self {
+        let mut m = BddManager::new();
+        m.views.reserve(2 * nodes.len());
+        for &[var, lo, hi] in nodes {
+            let h = m.views.len() as u32;
+            let (lo, hi) = (Bdd(lo), Bdd(hi));
+            assert!(lo.0 < h && hi.0 < h, "node #{}: children first", h >> 1);
+            assert!(
+                hi.0 & 1 == 0 && lo != hi,
+                "node #{}: canonical form",
+                h >> 1
+            );
+            let below = m.views[lo.0 as usize].var.min(m.views[hi.0 as usize].var);
+            assert!(var < below, "node #{}: variable order", h >> 1);
+            m.push_node(View { var, lo, hi });
+        }
+        m
+    }
 }
 
 #[cfg(test)]
@@ -965,6 +1023,41 @@ mod tests {
         let mut roots: Vec<Bdd> = pool.iter().rev().take(20).map(|(f, _)| *f).collect();
         m.compact(roots.iter_mut());
         children_first(&m);
+    }
+
+    #[test]
+    fn a_store_rebuilt_from_its_nodes_is_the_same_manager() {
+        for seed in 0..8 {
+            let (mut m, pool) = random_pool(300 + seed, 160);
+            let mut roots: Vec<Bdd> = pool.iter().step_by(3).map(|(f, _)| *f).collect();
+            m.compact(roots.iter_mut());
+            let mut rebuilt = BddManager::from_nodes(&m.nodes());
+            assert!(rebuilt.views == m.views, "seed {seed}: the same views");
+            assert_eq!(rebuilt.num_vars, m.num_vars, "seed {seed}");
+            assert_eq!(rebuilt.nodes(), m.nodes());
+            // The same handles by number, and still a manager: building a
+            // root's function again finds the root's own nodes.
+            let raw: Vec<Bdd> = roots.iter().map(|r| Bdd::from_raw(r.raw())).collect();
+            assert_sweep_matches_walk(&rebuilt, &raw, seed);
+            for (r, (_, t)) in raw.iter().zip(pool.iter().step_by(3)) {
+                assert_same_function(&rebuilt, *r, t, "rebuilt root");
+                assert_eq!(from_tt(&mut rebuilt, t, 0), *r, "seed {seed}: canonical");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "children first")]
+    fn a_forward_reference_is_refused() {
+        // Node #1 names node #2 as its `hi` child.
+        BddManager::from_nodes(&[[0, 0, 4], [1, 0, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable order")]
+    fn a_child_above_its_parent_is_refused() {
+        // Node #2 tests variable 1 over a child that tests variable 1.
+        BddManager::from_nodes(&[[1, 1, 0], [1, 0, 2]]);
     }
 
     #[test]

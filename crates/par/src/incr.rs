@@ -548,7 +548,7 @@ pub(crate) fn route_core(
                         // Never let warm bias manufacture an "unroutable":
                         // dissolve the remaining frozen routes and give the
                         // stall clock a fresh start before giving up.
-                        trace::instant("par.debias", vec![("warm_n", warm_n.into())]);
+                        trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
                         debias = true;
                         best_overused = usize::MAX;
                         stalled = 0;
@@ -566,7 +566,7 @@ pub(crate) fn route_core(
                 // Small, stubborn overuse on a warm-started run: the
                 // remaining frozen routes are the likely culprit. Rip
                 // them all next iteration and restart the stall clock.
-                trace::instant("par.debias", vec![("warm_n", warm_n.into())]);
+                trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
                 debias = true;
                 best_overused = usize::MAX;
                 stalled = 0;

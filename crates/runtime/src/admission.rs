@@ -7,6 +7,7 @@ use vcgra::VcgraArch;
 use crate::cache::ConfigKey;
 use crate::config::RuntimeError;
 use crate::pool::{GridPool, Lease, PoolError, Relocation, TenantId};
+use crate::pricer;
 use crate::runtime::{Runtime, Tenant};
 use crate::timeline::Phase;
 
@@ -130,10 +131,9 @@ impl Runtime {
             graph,
         });
         self.ledger.queued += 1;
-        trace::instant(
-            "runtime.queued",
-            vec![("tenant", tenant.into()), ("position", position.into())],
-        );
+        trace::instant("runtime.queued", || {
+            vec![("tenant", tenant.into()), ("position", position.into())]
+        });
         Queued { tenant, position }
     }
 
@@ -237,7 +237,7 @@ impl Runtime {
         };
 
         let mut pricing_span = trace::span("pricing");
-        let config_port_time = self.pricer.full_config_cost(demand);
+        let config_port_time = pricer::full_config_cost(demand);
         pricing_span.arg("port_ns", config_port_time.as_nanos() as u64);
         drop(pricing_span);
         if cache_hit {
@@ -289,7 +289,7 @@ impl Runtime {
         let archs = self.pool.grid_archs();
         for r in relocations {
             self.ledger.relocated_bands += 1;
-            let replay = self.pricer.full_config_cost(r.rows * archs[r.grid].cols);
+            let replay = pricer::full_config_cost(r.rows * archs[r.grid].cols);
             // The replay re-emits a grid-resident image at the new row
             // offset: it occupies the moved band's lane but neither the
             // host→fabric port nor any other band. The band's history

@@ -19,9 +19,9 @@
 //!   and populate. An entry is placement and routes, with no coefficient
 //!   in it, so every tenant of its key holds the same `Arc`.
 //! * `pricer` (private) — micro-reconfiguration pricing via the real DCS
-//!   path: a parameterized PE (`mapping` + `dcs::Scg`), built once per
-//!   process and pricing format on the first swap that needs it (≈ 35 ms
-//!   in release at (4,6)) and shared by every runtime and shard,
+//!   path: the (4,6) PE's PPC, mapped offline and checked in as a table
+//!   (`xbench`'s `pricer_table` writes it), rebuilt into one `dcs::Scg`
+//!   per process on the first swap and shared by every runtime and shard,
 //!   evaluates PPC Boolean functions — every changed PE of a swap as two
 //!   lanes of one bottom-up sweep — and diffs dirty datapath frames,
 //!   while `fabric::frames::FrameModel::for_grid` addresses the overlay's

@@ -5,7 +5,7 @@ use vcgra::PeSettings;
 
 use crate::config::RuntimeError;
 use crate::pool::TenantId;
-use crate::pricer::{PeChange, SwapReport};
+use crate::pricer::{self, PeChange, SwapReport};
 use crate::runtime::Runtime;
 use crate::timeline::Phase;
 
@@ -49,9 +49,7 @@ impl Runtime {
         request_span.arg("op", "swap");
         let grid_arch = self.pool.grid_archs()[lease.grid];
         let mut pricing_span = trace::span("pricing");
-        let report = self
-            .pricer
-            .price_swap((grid_arch.rows, grid_arch.cols), &changes);
+        let report = pricer::price_swap((grid_arch.rows, grid_arch.cols), &changes);
         pricing_span.arg("frames", report.frames());
         pricing_span.arg("pes", report.dirty_pes);
         pricing_span.arg("sweeps", report.sweeps);

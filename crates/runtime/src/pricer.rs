@@ -8,17 +8,18 @@
 //! beyond), so a swap costs one pass over the PE's BDD store and one over
 //! its PPC roots however many PEs it touches.
 //!
-//! The model a pricer evaluates — one parameterized PE design (`mapping` +
-//! `dcs::ParamConfig`) — is a constant of the overlay, as the paper's
-//! TLUT/TCON mapper produces the PPC once, offline: a process builds it
-//! once per pricing format, on the first swap that needs that format, and
-//! every pricer of every runtime and shard shares it. The build is
-//! sweep → `map_parameterized` → `ParamConfig::extract`: ≈ 35 ms in
-//! release and ≈ 0.2–0.3 s in the dev profile at the runtime's (4,6),
-//! where `map_parameterized` alone took 1.09 s at the paper's (6,26) in
-//! `table1`.
-//! The frame *counts* it produces are a per-PE model, anchored against
-//! the paper's published population through [`dcs::paper_pe_reconfig`].
+//! The model a swap is priced on — the (4,6) virtual PE at two hops,
+//! mapped parameterized, its PPC extracted — is a constant of the overlay,
+//! and as the paper's TLUT/TCON mapper produces the PPC once, offline, it
+//! is data here: `pricer/table.rs`, written by `xbench`'s `pricer_table`
+//! and checked in (its test maps the PE again and compares). The table
+//! holds what the SCG reads and nothing more: the node store children
+//! first, one root per PPC bit, each root's frame index, the frames and
+//! the parameter count. A process rebuilds the store from it on its first
+//! swap — 1 389 nodes, no mapping — and every runtime and shard prices on
+//! that one [`dcs::Scg`]. The frame *counts* it produces are a per-PE
+//! model, anchored against the paper's published population through
+//! [`dcs::paper_pe_reconfig`].
 //!
 //! Two frame populations are priced per swap:
 //!
@@ -29,15 +30,19 @@
 //!   column stripe share a frame, so a swap touching a whole column is one
 //!   read-modify-write there.
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::collections::BTreeSet;
+use std::sync::LazyLock;
 use std::time::Duration;
 
-use dcs::{ParamConfig, ReconfigInterface, Scg};
+use dcs::{ReconfigInterface, Scg};
 use fabric::frames::FrameModel;
 use fabric::Site;
-use mapping::{map_parameterized, MapOptions, MappedDesign};
+use logic::{Bdd, BddManager};
 use softfloat::{FpFormat, FpValue};
-use vcgra::{PeSettings, VirtualPe, VirtualPeConfig};
+use vcgra::{PeSettings, VirtualPeConfig};
+
+#[rustfmt::skip]
+mod table;
 
 /// One PE whose settings change in a swap: region-local cell plus the old
 /// and new settings-register content.
@@ -81,179 +86,131 @@ impl SwapReport {
     }
 }
 
-struct PricerModel {
-    design: MappedDesign,
-    config: ParamConfig,
-    pe_cfg: VirtualPeConfig,
-}
-
-impl PricerModel {
-    /// Maps the virtual PE in `format` parameterized and extracts its PPC,
-    /// inside a `pricer.build` span.
-    fn build(format: FpFormat) -> Self {
-        let mut span = trace::span("pricer.build");
-        let pe_cfg = VirtualPeConfig { format, hops: 2 };
-        let aig = logic::opt::sweep(&VirtualPe::build(pe_cfg, true).aig);
-        let design = map_parameterized(&aig, MapOptions::default());
-        let config = ParamConfig::extract(&design);
-        span.arg("we", format.we);
-        span.arg("wf", format.wf);
-        span.arg("ppc_bits", config.ppc.len());
-        span.arg("bdd_nodes", design.bdd.num_nodes());
-        PricerModel {
-            design,
-            config,
-            pe_cfg,
-        }
-    }
-
-    /// Overlay settings (in the application's format) as settings of the
-    /// pricing PE: the coefficient re-rounded to its format.
-    fn scaled(&self, s: &PeSettings) -> PeSettings {
-        PeSettings {
-            coeff: FpValue::from_f64(s.coeff.to_f64(), self.pe_cfg.format),
-            ..*s
-        }
-    }
-}
-
-/// Floating-point format of the runtime's pricing PE: reduced, so its
-/// model build (once per process) costs ≈ 35 ms in release, not the
-/// 1.09 s `map_parameterized` alone took at the paper's (6,26) in `table1`.
-pub(crate) const PRICER_FORMAT: FpFormat = FpFormat { we: 4, wf: 6 };
+/// The pricing PE, as the table records it: a reduced format, whose store
+/// of 1 389 nodes a swap sweeps in ≈ 2 µs (the paper's (6,26) PE's store
+/// holds 62 483).
+const PRICER_PE: VirtualPeConfig = VirtualPeConfig {
+    format: FpFormat {
+        we: table::WE,
+        wf: table::WF,
+    },
+    hops: table::HOPS,
+};
 
 /// The configuration interface every price is charged at: the paper's
 /// HWICAP, 251 ms per PE.
 const IFACE: ReconfigInterface = ReconfigInterface::Hwicap;
 
-/// Pricing models by format: each is built once and shared.
-struct ModelRegistry(Mutex<Vec<(FpFormat, Arc<PricerModel>)>>);
+/// The pricing PE's node store, rebuilt from the table on the process's
+/// first swap.
+static STORE: LazyLock<BddManager> = LazyLock::new(|| BddManager::from_nodes(&table::NODES));
 
-impl ModelRegistry {
-    const fn new() -> Self {
-        ModelRegistry(Mutex::new(Vec::new()))
-    }
+/// The SCG every swap of the process is priced on.
+static SCG: LazyLock<Scg<'static>> = LazyLock::new(|| {
+    Scg::from_parts(
+        &STORE,
+        table::ROOTS.iter().map(|&r| Bdd::from_raw(r)).collect(),
+        &table::ROOT_FRAME,
+        &table::FRAMES,
+        table::PARAMS,
+    )
+});
 
-    /// The model for `format`. `build` runs under the lock, and only when
-    /// no caller has asked for `format` before, so concurrent first
-    /// requests wait for one build rather than each making their own.
-    fn get(&self, format: FpFormat, build: impl FnOnce() -> PricerModel) -> Arc<PricerModel> {
-        // A build that panicked pushed nothing: the list is still whole.
-        let mut models = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, model)) = models.iter().find(|(f, _)| *f == format) {
-            return Arc::clone(model);
-        }
-        let model = Arc::new(build());
-        models.push((format, Arc::clone(&model)));
-        model
+/// Overlay settings (in the application's format) as settings of the
+/// pricing PE: the coefficient re-rounded to its format.
+fn scaled(s: &PeSettings) -> PeSettings {
+    PeSettings {
+        coeff: FpValue::from_f64(s.coeff.to_f64(), PRICER_PE.format),
+        ..*s
     }
 }
 
-/// The process's pricing models, shared by every runtime and shard.
-static MODELS: ModelRegistry = ModelRegistry::new();
-
-/// PPC pricer over one parameterized PE, the process's shared model for
-/// its format.
-pub(crate) struct SettingsPricer {
-    format: FpFormat,
-    /// The shared model, fetched on the first swap: later swaps read it
-    /// without taking the registry's lock.
-    model: OnceLock<Arc<PricerModel>>,
+/// Prices a parameter-only change over a set of PEs on one grid.
+///
+/// `grid` is the physical grid shape hosting the cells (for the
+/// settings-plane frame model). Unchanged PEs (identical settings)
+/// contribute nothing — the SCG diff is empty and the settings word is
+/// identical, which is what makes the warm path cheap.
+pub(crate) fn price_swap(grid: (usize, usize), changes: &[PeChange]) -> SwapReport {
+    let scg = &*SCG;
+    let frame_model = FrameModel::for_grid(grid.0, grid.1);
+    let mut report = SwapReport::default();
+    let mut settings_frames = BTreeSet::new();
+    // PEs whose datapath parameters change, as pricing-PE settings.
+    let mut repriced: Vec<(PeSettings, PeSettings)> = Vec::new();
+    for ch in changes {
+        // The settings word covers the coefficient image, the iteration
+        // counter, and the mode; the counter is sequential state and
+        // does not reach the PPC, so compare the word first.
+        let word_equal = ch.old.coeff.bits == ch.new.coeff.bits
+            && ch.old.counter == ch.new.counter
+            && ch.old.mode == ch.new.mode;
+        if word_equal {
+            continue;
+        }
+        report.dirty_pes += 1;
+        // The parameter bits are the scaled coefficient and the mode's
+        // route selects: a coefficient that rounds to the same
+        // pricing-format value (or a counter-only change) leaves them
+        // as they were and dirties the settings plane only.
+        let (old, new) = (scaled(&ch.old), scaled(&ch.new));
+        if old.coeff.bits != new.coeff.bits || old.mode != new.mode {
+            repriced.push((old, new));
+        }
+        // The settings word (counter + coefficient image) lives in the
+        // settings plane: one frame per column stripe.
+        settings_frames.insert(frame_model.lut_frame(Site::Logic {
+            x: ch.cell.1,
+            y: ch.cell.0,
+        }));
+    }
+    // One sweep per chunk: PE `i` of it in lanes `2i` (old), `2i + 1`.
+    let mut lanes = vec![0u64; PRICER_PE.settings_bits()];
+    for chunk in repriced.chunks(PES_PER_SWEEP) {
+        lanes.fill(0);
+        for (i, (old, new)) in chunk.iter().enumerate() {
+            old.set_param_lane(&PRICER_PE, 2 * i, &mut lanes);
+            new.set_param_lane(&PRICER_PE, 2 * i + 1, &mut lanes);
+        }
+        let diff = scg.pair_diff(&scg.specialize_lanes(&lanes), chunk.len());
+        report.ppc_frames += diff.dirty_frames;
+        report.bits_changed += diff.bits_changed;
+        report.sweeps += 1;
+    }
+    report.settings_frames = settings_frames.len();
+    report.port_time = dcs::timing::reconfig_cost(report.frames(), IFACE);
+    report
 }
 
-impl SettingsPricer {
-    /// Creates a pricer; `format` is the floating-point format of the
-    /// *pricing* PE. Nothing is built until the first swap, and then only
-    /// if no pricer in the process has priced in `format` before.
-    pub(crate) fn new(format: FpFormat) -> Self {
-        SettingsPricer {
-            format,
-            model: OnceLock::new(),
-        }
-    }
-
-    fn model(&self) -> &PricerModel {
-        self.model
-            .get_or_init(|| MODELS.get(self.format, || PricerModel::build(self.format)))
-    }
-
-    /// Prices a parameter-only change over a set of PEs on one grid.
-    ///
-    /// `grid` is the physical grid shape hosting the cells (for the
-    /// settings-plane frame model). Unchanged PEs (identical settings)
-    /// contribute nothing — the SCG diff is empty and the settings word is
-    /// identical, which is what makes the warm path cheap.
-    pub(crate) fn price_swap(&self, grid: (usize, usize), changes: &[PeChange]) -> SwapReport {
-        let m = self.model();
-        let scg = Scg::new(&m.design, &m.config);
-        let frame_model = FrameModel::for_grid(grid.0, grid.1);
-        let mut report = SwapReport::default();
-        let mut settings_frames = std::collections::BTreeSet::new();
-        // PEs whose datapath parameters change, as pricing-PE settings.
-        let mut repriced: Vec<(PeSettings, PeSettings)> = Vec::new();
-        for ch in changes {
-            // The settings word covers the coefficient image, the iteration
-            // counter, and the mode; the counter is sequential state and
-            // does not reach the PPC, so compare the word first.
-            let word_equal = ch.old.coeff.bits == ch.new.coeff.bits
-                && ch.old.counter == ch.new.counter
-                && ch.old.mode == ch.new.mode;
-            if word_equal {
-                continue;
-            }
-            report.dirty_pes += 1;
-            // The parameter bits are the scaled coefficient and the mode's
-            // route selects: a coefficient that rounds to the same
-            // pricing-format value (or a counter-only change) leaves them
-            // as they were and dirties the settings plane only.
-            let (old, new) = (m.scaled(&ch.old), m.scaled(&ch.new));
-            if old.coeff.bits != new.coeff.bits || old.mode != new.mode {
-                repriced.push((old, new));
-            }
-            // The settings word (counter + coefficient image) lives in the
-            // settings plane: one frame per column stripe.
-            settings_frames.insert(frame_model.lut_frame(Site::Logic {
-                x: ch.cell.1,
-                y: ch.cell.0,
-            }));
-        }
-        // One sweep per chunk: PE `i` of it in lanes `2i` (old), `2i + 1`.
-        let mut lanes = vec![0u64; m.pe_cfg.settings_bits()];
-        for chunk in repriced.chunks(PES_PER_SWEEP) {
-            lanes.fill(0);
-            for (i, (old, new)) in chunk.iter().enumerate() {
-                old.set_param_lane(&m.pe_cfg, 2 * i, &mut lanes);
-                new.set_param_lane(&m.pe_cfg, 2 * i + 1, &mut lanes);
-            }
-            let diff = scg.pair_diff(&scg.specialize_lanes(&lanes), chunk.len());
-            report.ppc_frames += diff.dirty_frames;
-            report.bits_changed += diff.bits_changed;
-            report.sweeps += 1;
-        }
-        report.settings_frames = settings_frames.len();
-        report.port_time = dcs::timing::reconfig_cost(report.frames(), IFACE);
-        report
-    }
-
-    /// Modeled port time to configure `pes` PEs from scratch (cold
-    /// admission or a time-multiplexing context switch): the paper's
-    /// full per-PE micro-reconfiguration, 251 ms each on HWICAP.
-    pub(crate) fn full_config_cost(&self, pes: usize) -> Duration {
-        let per_pe = dcs::paper_pe_reconfig(IFACE);
-        per_pe * pes as u32
-    }
+/// Modeled port time to configure `pes` PEs from scratch (cold
+/// admission or a time-multiplexing context switch): the paper's
+/// full per-PE micro-reconfiguration, 251 ms each on HWICAP.
+pub(crate) fn full_config_cost(pes: usize) -> Duration {
+    let per_pe = dcs::paper_pe_reconfig(IFACE);
+    per_pe * pes as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcgra::PeMode;
+    use dcs::ParamConfig;
+    use mapping::{map_parameterized, MapOptions, MappedDesign};
+    use std::sync::OnceLock;
+    use vcgra::{PeMode, VirtualPe};
 
     const F: FpFormat = FpFormat::PAPER;
 
-    fn pricer() -> SettingsPricer {
-        // Tiny pricing PE keeps its one build fast in debug tests.
-        SettingsPricer::new(FpFormat::new(3, 4))
+    /// The pricing PE mapped afresh, as the table's generator maps it:
+    /// what the reference prices on, so that the table, `price_swap` and
+    /// the reference are checked against each other.
+    fn mapped() -> &'static (MappedDesign, ParamConfig) {
+        static MAPPED: OnceLock<(MappedDesign, ParamConfig)> = OnceLock::new();
+        MAPPED.get_or_init(|| {
+            let aig = logic::opt::sweep(&VirtualPe::build(PRICER_PE, true).aig);
+            let design = map_parameterized(&aig, MapOptions::default());
+            let config = ParamConfig::extract(&design);
+            (design, config)
+        })
     }
 
     fn mac(c: f64, counter: u32) -> PeSettings {
@@ -267,16 +224,12 @@ mod tests {
     /// The formulation `price_swap` replaced, kept as its oracle: per
     /// changed PE two `Vec<bool>` parameter vectors, two `Scg::specialize`
     /// results, their `dirty_frames` set and a bit-by-bit count.
-    fn price_swap_reference(
-        p: &SettingsPricer,
-        grid: (usize, usize),
-        changes: &[PeChange],
-    ) -> SwapReport {
-        let m = p.model();
-        let scg = Scg::new(&m.design, &m.config);
+    fn price_swap_reference(grid: (usize, usize), changes: &[PeChange]) -> SwapReport {
+        let (design, config) = mapped();
+        let scg = Scg::new(design, config);
         let frame_model = FrameModel::for_grid(grid.0, grid.1);
         let mut report = SwapReport::default();
-        let mut settings_frames = std::collections::BTreeSet::new();
+        let mut settings_frames = BTreeSet::new();
         let mut repriced = 0usize;
         for ch in changes {
             let word_equal = ch.old.coeff.bits == ch.new.coeff.bits
@@ -286,8 +239,8 @@ mod tests {
                 continue;
             }
             report.dirty_pes += 1;
-            let old_bits = m.scaled(&ch.old).to_param_bits(&m.pe_cfg);
-            let new_bits = m.scaled(&ch.new).to_param_bits(&m.pe_cfg);
+            let old_bits = scaled(&ch.old).to_param_bits(&PRICER_PE);
+            let new_bits = scaled(&ch.new).to_param_bits(&PRICER_PE);
             if old_bits != new_bits {
                 repriced += 1;
                 let old_spec = scg.specialize(&old_bits);
@@ -318,7 +271,7 @@ mod tests {
     /// coefficients that round to the same pricing-format value and
     /// unchanged PEs, on an 8 × 8 grid whose cells repeat.
     fn seeded_changes(seed: u64, repriced: usize) -> Vec<PeChange> {
-        // Distinct in the (3,4) pricing format.
+        // Distinct in the (4,6) pricing format.
         const COEFFS: [f64; 8] = [0.5, -0.75, 1.0, 1.25, -1.5, 2.0, 3.0, -0.625];
         const MODES: [PeMode; 4] = [PeMode::Mac, PeMode::Mul, PeMode::Add, PeMode::Pass];
         let mut rng = logic::SplitMix64::new(seed);
@@ -350,8 +303,9 @@ mod tests {
             let mut new = old;
             match i % 3 {
                 0 => new.counter += 7,
-                // One ulp of the application format: the same (3,4) value.
-                1 => new.coeff.bits ^= 1,
+                // 2^-8 of the value: a new application-format value, but
+                // under half a (4,6) ulp (2^-7), so the same (4,6) value.
+                1 => new.coeff = FpValue::from_f64(old.coeff.to_f64() * (1.0 + 1.0 / 256.0), F),
                 _ => {}
             }
             changes.push((old, new));
@@ -372,11 +326,10 @@ mod tests {
 
     #[test]
     fn one_sweep_prices_what_two_specializations_per_pe_priced() {
-        let p = pricer();
         for (seed, repriced) in [0, 1, 32, 33, 70].into_iter().enumerate() {
             let changes = seeded_changes(seed as u64, repriced);
-            let want = price_swap_reference(&p, (8, 8), &changes);
-            let got = p.price_swap((8, 8), &changes);
+            let want = price_swap_reference((8, 8), &changes);
+            let got = price_swap((8, 8), &changes);
             assert_eq!(
                 want.sweeps,
                 repriced.div_ceil(PES_PER_SWEEP),
@@ -409,7 +362,6 @@ mod tests {
         // The case a per-run frame accumulation gets wrong: the route
         // selects drive TCON bits whose frames the PPC order visits in
         // several runs, between runs of LUT frames.
-        let p = pricer();
         let old = mac(0.5, 1);
         let ch = PeChange {
             cell: (0, 0),
@@ -419,8 +371,8 @@ mod tests {
                 ..old
             },
         };
-        let got = p.price_swap((4, 4), &[ch]);
-        let want = price_swap_reference(&p, (4, 4), &[ch]);
+        let got = price_swap((4, 4), &[ch]);
+        let want = price_swap_reference((4, 4), &[ch]);
         assert!(got.ppc_frames > 0);
         assert_eq!(
             (got.ppc_frames, got.bits_changed),
@@ -430,13 +382,12 @@ mod tests {
 
     #[test]
     fn identical_settings_price_to_zero() {
-        let p = pricer();
         let ch = PeChange {
             cell: (0, 0),
             old: mac(0.5, 1),
             new: mac(0.5, 1),
         };
-        let r = p.price_swap((4, 4), &[ch]);
+        let r = price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 0);
         assert_eq!(r.frames(), 0);
         assert_eq!(r.port_time, Duration::ZERO);
@@ -444,30 +395,28 @@ mod tests {
 
     #[test]
     fn coefficient_change_dirties_ppc_and_settings_frames() {
-        let p = pricer();
         let ch = PeChange {
             cell: (1, 2),
             old: mac(0.5, 1),
             new: mac(-1.25, 1),
         };
-        let r = p.price_swap((4, 4), &[ch]);
+        let r = price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 1);
         assert!(r.ppc_frames > 0, "coefficient bits live in the PPC");
         assert_eq!(r.settings_frames, 1);
         assert!(r.port_time > Duration::ZERO);
         // Far below a full per-PE reconfiguration.
-        assert!(r.port_time < p.full_config_cost(1));
+        assert!(r.port_time < full_config_cost(1));
     }
 
     #[test]
     fn counter_only_change_touches_settings_plane_only() {
-        let p = pricer();
         let ch = PeChange {
             cell: (0, 0),
             old: mac(0.5, 1),
             new: mac(0.5, 16),
         };
-        let r = p.price_swap((4, 4), &[ch]);
+        let r = price_swap((4, 4), &[ch]);
         assert_eq!(r.dirty_pes, 1);
         assert_eq!(r.ppc_frames, 0, "the datapath does not see the counter");
         assert_eq!(r.settings_frames, 1);
@@ -475,7 +424,6 @@ mod tests {
 
     #[test]
     fn column_stripe_shares_one_settings_frame() {
-        let p = pricer();
         let changes: Vec<PeChange> = (0..4)
             .map(|r| PeChange {
                 cell: (r, 1),
@@ -483,49 +431,14 @@ mod tests {
                 new: mac(2.0, 1),
             })
             .collect();
-        let r = p.price_swap((4, 4), &changes);
+        let r = price_swap((4, 4), &changes);
         assert_eq!(r.dirty_pes, 4);
         assert_eq!(r.settings_frames, 1, "one column stripe, one frame");
     }
 
     #[test]
-    fn concurrent_first_requests_build_each_format_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let registry = ModelRegistry::new();
-        let formats = [FpFormat::new(3, 4), FpFormat::new(3, 5)];
-        let builds = formats.map(|_| AtomicUsize::new(0));
-        // Four threads per format, released together so that every
-        // thread's request is a first request.
-        let start = std::sync::Barrier::new(8);
-        let got: Vec<(usize, Arc<PricerModel>)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..8)
-                .map(|t| {
-                    let (registry, builds, start) = (&registry, &builds, &start);
-                    s.spawn(move || {
-                        let i = t % 2;
-                        start.wait();
-                        let model = registry.get(formats[i], || {
-                            builds[i].fetch_add(1, Ordering::Relaxed);
-                            PricerModel::build(formats[i])
-                        });
-                        (i, model)
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        assert_eq!(builds.map(|b| b.into_inner()), [1, 1]);
-        for (i, model) in &got {
-            let first = got.iter().find(|(j, _)| j == i).unwrap();
-            assert!(Arc::ptr_eq(model, &first.1), "one model per format");
-            assert_eq!(model.pe_cfg.format, formats[*i]);
-        }
-    }
-
-    #[test]
     fn full_config_reproduces_paper_estimate() {
-        let p = pricer();
-        let ms = p.full_config_cost(1).as_secs_f64() * 1e3;
+        let ms = full_config_cost(1).as_secs_f64() * 1e3;
         assert!((ms - 251.0).abs() < 1.0, "got {ms:.1} ms per PE");
     }
 }

@@ -85,7 +85,7 @@ use crate::admission::Pending;
 use crate::cache::{CacheStats, ConfigCache, ConfigKey};
 use crate::engine::{self, Job};
 use crate::pool::{GridPool, Lease, TenantId};
-use crate::pricer::{SettingsPricer, PRICER_FORMAT};
+use crate::pricer;
 use crate::timeline::{Lane, Phase, Timeline};
 
 pub use crate::admission::{Admission, Admitted, Queued};
@@ -163,7 +163,6 @@ pub struct Runtime {
     pub(crate) cfg: RuntimeConfig,
     pub(crate) pool: GridPool,
     pub(crate) cache: ConfigCache,
-    pub(crate) pricer: SettingsPricer,
     pub(crate) tenants: BTreeMap<TenantId, Tenant>,
     pub(crate) next_id: TenantId,
     /// The pool-wide accounting, mutated in place.
@@ -184,12 +183,10 @@ impl Runtime {
     pub fn new(cfg: RuntimeConfig) -> Self {
         let pool = GridPool::new(cfg.grids.clone());
         let cache = ConfigCache::new(CACHE_CAPACITY);
-        let pricer = SettingsPricer::new(PRICER_FORMAT);
         Runtime {
             cfg,
             pool,
             cache,
-            pricer,
             tenants: BTreeMap::new(),
             next_id: 0,
             ledger: Ledger::default(),
@@ -274,7 +271,7 @@ impl Runtime {
             let slots = self.pool.band_tenants(grid, row0);
             band.sort_by_key(|&j| slots.iter().position(|&t| t == jobs[j].tenant));
             let region_pes = self.lease(jobs[band[0]].tenant).pe_count();
-            let switch_cost = self.pricer.full_config_cost(region_pes);
+            let switch_cost = pricer::full_config_cost(region_pes);
             let mut loaded = self.pool.resident(grid, row0);
             for &j in &band {
                 switches[j] = (loaded != Some(jobs[j].tenant)).then_some(switch_cost);

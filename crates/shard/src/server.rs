@@ -367,13 +367,12 @@ impl ShardServer {
         // Counted once accepted: a refused spill is a `shard.reject`.
         if let RoutePick::Spilled { from } = pick {
             self.spilled.inc();
-            trace::instant(
-                "shard.spill",
+            trace::instant("shard.spill", || {
                 vec![
                     ("from", (from as u64).into()),
                     ("to", (shard as u64).into()),
-                ],
-            );
+                ]
+            });
         }
         let tenant = self.submitted[shard];
         self.submitted[shard] += 1;
@@ -508,10 +507,9 @@ impl ShardServer {
             }
             Err(TrySendError::Full(_)) => {
                 self.rejected.inc();
-                trace::instant(
-                    "shard.reject",
-                    vec![("shard", (shard as u64).into()), ("op", kind.into())],
-                );
+                trace::instant("shard.reject", || {
+                    vec![("shard", (shard as u64).into()), ("op", kind.into())]
+                });
                 Err(Reject::QueueFull {
                     shard,
                     capacity: self.queue_depth,
@@ -572,14 +570,13 @@ fn worker_loop(
     while let Ok(req) = rx.recv() {
         let wait = req.enqueued.elapsed();
         queue_wait.record_duration(wait);
-        trace::instant(
-            "shard.queue_wait",
+        trace::instant("shard.queue_wait", || {
             vec![
                 ("shard", (shard as u64).into()),
                 ("id", req.id.into()),
                 ("wait_ns", (wait.as_nanos() as u64).into()),
-            ],
-        );
+            ]
+        });
         let mut span = trace::span("shard.serve");
         span.arg("shard", shard as u64);
         span.arg("id", req.id);

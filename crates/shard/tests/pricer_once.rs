@@ -1,10 +1,10 @@
-//! The swap-pricing model is a constant of the overlay, built once per
-//! process and pricing format: a 2-shard server and two plain runtimes,
-//! swapping at once on four threads, record exactly one `pricer.build`,
-//! and price the same change the same, field for field.
+//! The swap-pricing model is a constant of the overlay, checked in as a
+//! table: a 2-shard server and two plain runtimes, swapping at once on
+//! four threads, map no PE while they swap, and price the same change the
+//! same, field for field.
 //!
 //! Single `#[test]` on purpose: the span recorder is process-global, so
-//! one test owns arm/drain and no sibling can build a model unseen.
+//! one test owns arm/drain and no sibling can map a PE unseen.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -99,26 +99,19 @@ fn every_runtime_and_shard_prices_on_one_model() {
     });
 
     trace::configure(trace::TraceConfig::Off);
-    let builds: Vec<trace::TraceEvent> = trace::take_events()
-        .into_iter()
-        .filter(|e| e.name == "pricer.build" && e.phase == trace::Phase::End)
+    let events = trace::take_events();
+    let priced_swaps = events
+        .iter()
+        .filter(|e| e.name == "pricing" && e.phase == trace::Phase::End)
+        .filter(|e| e.args.iter().any(|(k, _)| *k == "sweeps"))
+        .count();
+    assert_eq!(priced_swaps, 4 * changes.len(), "every swap was traced");
+    let maps: Vec<&str> = events
+        .iter()
+        .map(|e| e.name)
+        .filter(|name| *name == "map" || name.starts_with("map."))
         .collect();
-    assert_eq!(builds.len(), 1, "one model build in the process");
-    let arg = |key: &str| {
-        builds[0]
-            .args
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    };
-    assert_eq!(arg("we"), Some(trace::AttrValue::U64(4)));
-    assert_eq!(arg("wf"), Some(trace::AttrValue::U64(6)));
-    for key in ["ppc_bits", "bdd_nodes"] {
-        assert!(
-            matches!(arg(key), Some(trace::AttrValue::U64(n)) if n > 0),
-            "the build carries its {key}"
-        );
-    }
+    assert!(maps.is_empty(), "a PE was mapped to price a swap: {maps:?}");
 
     assert_eq!(reports.len(), 4);
     for (i, change) in changes.iter().enumerate() {

@@ -213,9 +213,10 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Record a point event with attributes.
+/// Record a point event with attributes. `args` runs only when tracing
+/// is on, so a disabled instant builds and allocates nothing.
 #[inline]
-pub fn instant(name: &'static str, args: Vec<(&'static str, AttrValue)>) {
+pub fn instant(name: &'static str, args: impl FnOnce() -> Vec<(&'static str, AttrValue)>) {
     if !is_enabled() {
         return;
     }
@@ -224,7 +225,7 @@ pub fn instant(name: &'static str, args: Vec<(&'static str, AttrValue)>) {
         phase: Phase::Instant,
         ts_ns: now_ns(),
         tid: TID.with(|t| *t),
-        args,
+        args: args(),
     });
 }
 
@@ -242,7 +243,9 @@ mod tests {
             let mut s = span("dead");
             s.arg("k", 1u64);
         }
-        instant("dead", vec![]);
+        instant("dead", || {
+            unreachable!("a disabled instant evaluates no args")
+        });
         assert!(
             take_events().is_empty(),
             "disabled tracing must record nothing"
@@ -255,6 +258,7 @@ mod tests {
             {
                 let _inner = span("inner");
             }
+            instant("point", || vec![("k", 7u64.into())]);
         }
         configure(TraceConfig::Off);
         let evs = take_events();
@@ -265,11 +269,14 @@ mod tests {
                 ("outer", Phase::Begin),
                 ("inner", Phase::Begin),
                 ("inner", Phase::End),
+                ("point", Phase::Instant),
                 ("outer", Phase::End),
             ]
         );
-        // End args carry the value added mid-span.
-        assert_eq!(evs[3].args, vec![("nets", AttrValue::U64(3))]);
+        // An armed instant carries what its closure built; end args carry
+        // the value added mid-span.
+        assert_eq!(evs[3].args, vec![("k", AttrValue::U64(7))]);
+        assert_eq!(evs[4].args, vec![("nets", AttrValue::U64(3))]);
         // Same thread throughout; timestamps never run backwards.
         for w in evs.windows(2) {
             assert_eq!(w[0].tid, w[1].tid);

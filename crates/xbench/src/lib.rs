@@ -10,6 +10,7 @@
 //! | `compile_time`| §II compile-time claim (VCGRA flow vs gate-level flow) |
 //! | `figures`     | Figs. 1/4 (DOT renders), Fig. 5 (pipeline stage PGMs)  |
 //! | `ablations`   | design-choice sweeps (hops, cut budget, precision)     |
+//! | `pricer_table`| the runtime's pricing PPC, mapped offline ([`pricer_table`]) |
 //!
 //! `figures`, `reconfig`, `compile_time` and `ablations` accept `--smoke`
 //! (reduced formats/grids/volumes) so CI can run all of them end-to-end
@@ -71,6 +72,107 @@ pub fn finish_trace(path: Option<&str>) {
         let events = trace::write_chrome_trace(path).expect("write trace file");
         println!("wrote {path} ({events} trace events)");
     }
+}
+
+/// The PE the runtime prices parameter swaps on: (4,6) at two hops, whose
+/// PPC store a swap sweeps in ≈ 2 µs (the (6,26) PE's holds 62 483 nodes).
+pub const PRICER_PE: VirtualPeConfig = VirtualPeConfig {
+    format: FpFormat { we: 4, wf: 6 },
+    hops: 2,
+};
+
+/// The runtime's pricing table (`crates/runtime/src/pricer/table.rs`) for
+/// `pe`, as Rust source: the PE swept, mapped parameterized and its PPC
+/// extracted — the paper's offline generic stage — and the store
+/// compacted to what the PPC's roots reach, in PPC order. It holds what
+/// [`dcs::Scg::from_parts`] reads and nothing else, as `static` arrays and
+/// `const` counts: the store's nodes ([`logic::BddManager::nodes`]), one
+/// root per PPC bit, each root's frame index, the frames, the parameter
+/// count, and the PE's format and hops.
+pub fn pricer_table(pe: VirtualPeConfig) -> String {
+    use std::fmt::Write;
+    let design = map_pe(&build_pe_aig_with(pe.format, true), true);
+    let config = dcs::ParamConfig::extract(&design);
+    let mut bdd = logic::BddManager::from_nodes(&design.bdd.nodes());
+    let mut roots: Vec<logic::Bdd> = config.ppc.iter().map(|&(_, f, _)| f).collect();
+    bdd.compact(roots.iter_mut());
+    let nodes = bdd.nodes();
+
+    /// Writes `items` as a `static` array of elements of type `ty`, as
+    /// many to a line as fit in 100 columns.
+    fn array(out: &mut String, doc: &str, name: &str, ty: &str, items: &[String]) {
+        let len = items.len();
+        writeln!(
+            out,
+            "\n/// {doc}\npub(super) static {name}: [{ty}; {len}] = ["
+        )
+        .unwrap();
+        let mut line = String::new();
+        for item in items {
+            if !line.is_empty() && line.len() + item.len() + 2 > 100 {
+                writeln!(out, "{}", line.trim_end()).unwrap();
+                line.clear();
+            }
+            write!(line, "{item}, ").unwrap();
+        }
+        writeln!(out, "{}\n];", line.trim_end()).unwrap();
+    }
+    let numbers = |xs: &[u32]| xs.iter().map(u32::to_string).collect::<Vec<_>>();
+
+    let (we, wf, hops) = (pe.format.we, pe.format.wf, pe.hops);
+    let mut out = format!(
+        "//! The runtime's pricing PE, mapped offline: the ({we},{wf}) virtual PE at\n\
+         //! {hops} hops, swept, mapped parameterized and its PPC extracted, with the\n\
+         //! store compacted to what the PPC's roots reach ({} nodes, {} PPC bits).\n\
+         //!\n\
+         //! Written by `cargo run -p xbench --release --bin pricer_table >\n\
+         //! crates/runtime/src/pricer/table.rs`; `xbench`'s `pricer_table` test\n\
+         //! maps the PE again and fails if this file differs. Do not edit.\n\
+         \n\
+         /// Exponent width of the pricing PE's format.\n\
+         pub(super) const WE: u32 = {we};\n\
+         /// Fraction width of the pricing PE's format.\n\
+         pub(super) const WF: u32 = {wf};\n\
+         /// Virtual switch hops per word-level connection.\n\
+         pub(super) const HOPS: usize = {hops};\n\
+         /// Parameters (BDD variables) one assignment sets.\n\
+         pub(super) const PARAMS: usize = {};\n",
+        nodes.len() + 1,
+        roots.len(),
+        config.param_names.len(),
+    );
+    array(
+        &mut out,
+        "The distinct frames holding a tunable bit, ascending.",
+        "FRAMES",
+        "u32",
+        &numbers(config.frames()),
+    );
+    array(
+        &mut out,
+        "The store's internal nodes, children first: variable, `lo`, `hi` (raw handles).",
+        "NODES",
+        "[u32; 3]",
+        &nodes
+            .iter()
+            .map(|[v, lo, hi]| format!("[{v},{lo},{hi}]"))
+            .collect::<Vec<_>>(),
+    );
+    array(
+        &mut out,
+        "Per PPC bit, the raw handle of its function.",
+        "ROOTS",
+        "u32",
+        &numbers(&roots.iter().map(|r| r.raw()).collect::<Vec<_>>()),
+    );
+    array(
+        &mut out,
+        "Per PPC bit, the index of its frame in `FRAMES`.",
+        "ROOT_FRAME",
+        "u32",
+        &numbers(config.ppc_frame()),
+    );
+    out
 }
 
 /// A compact row printer for paper-vs-measured tables.

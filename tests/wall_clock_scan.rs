@@ -8,7 +8,9 @@
 //!
 //! The same scan keeps verification the caller's: only the runtime's
 //! export module names the `verify` crate, and `par`'s sources name it
-//! nowhere (its tests lint what the engine returns).
+//! nowhere (its tests lint what the engine returns). And it keeps the
+//! mapper off the serve path: the runtime prices swaps on a checked-in
+//! table, so its library names `mapping` nowhere.
 
 use std::path::{Path, PathBuf};
 
@@ -107,4 +109,27 @@ fn par_names_the_verifier_nowhere() {
     }
     hits.sort();
     assert!(hits.is_empty(), "the verifier named in par: {hits:?}");
+}
+
+/// The runtime maps nothing: the pricing PE's PPC is a checked-in table,
+/// so no library source names the mapper (`mapping` is a dev-dependency,
+/// for the unit tests that map the PE afresh to check the table against).
+#[test]
+fn runtime_maps_nothing() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/runtime/src"), &mut files);
+    assert!(files.len() > 10, "the scan found the sources");
+    let mut hits = Vec::new();
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
+        // The library: everything above a file's unit tests.
+        let library = source.split("#[cfg(test)]").next().unwrap_or_default();
+        let name = path.strip_prefix(root).expect("under the root").display();
+        for line in lines_naming(library, &["mapping::"]) {
+            hits.push(format!("{name}:{line}"));
+        }
+    }
+    hits.sort();
+    assert!(hits.is_empty(), "the mapper named in the runtime: {hits:?}");
 }
