@@ -14,10 +14,12 @@ use crate::timeline::{Lane, Phase};
 /// This struct is the state, not a report of it: the runtime owns one
 /// `Ledger` and every counter is incremented here, where it is read. The
 /// durations — the four `*_port_time` fields, `modeled_makespan` and
-/// `overlap_saved` — are all modeled and have a single writer,
-/// `Runtime::charge`, which puts the same `Duration` on the time axis. No
-/// host time is kept here: the same operations give the same ledger on
-/// any host and at any worker count.
+/// `overlap_saved` — are all modeled, kept here and nowhere else, and
+/// have a single writer, `Runtime::charge`, which also schedules the
+/// same `Duration` on the time axis (a scheduler that keeps no total;
+/// `tests/wall_clock_scan.rs` keeps every other runtime source off these
+/// fields). No host time is kept here: the same operations give the
+/// same ledger on any host and at any worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ledger {
     /// Submissions refused at the door because the graph is malformed
@@ -85,8 +87,8 @@ impl Ledger {
 
 impl Runtime {
     /// Books `dur` of `phase` on `lane`: adds it to the ledger field the
-    /// phase names and schedules the same duration on the time axis, so
-    /// the two cannot be fed different values. Returns the interval's
+    /// phase names, schedules the same duration on the time axis, and
+    /// extends the makespan to the interval's end. Returns the interval's
     /// modeled start.
     ///
     /// Where each phase lands: an admission or a swap streams host→fabric

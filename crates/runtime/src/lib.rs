@@ -71,10 +71,11 @@
 //!   which is nobody's once that tenant has left (its successor pays a
 //!   swap-in too). Beside it is the
 //!   [`Ledger`] that accumulates counts and modeled configuration-port
-//!   time: plain state the runtime mutates in place, its durations
-//!   written by the one call that also puts them on the time axis. It
-//!   holds no host time — the host latency of an admission, a swap or a
-//!   run is the trace span around it. A
+//!   time: plain state the runtime mutates in place, and the one owner
+//!   of the modeled totals, written by the one call that also schedules
+//!   each charge on the time axis. It holds no host time — the host
+//!   latency of an admission, a swap or a run is the trace span around
+//!   it. A
 //!   graph that is malformed or that no region can be compiled for is a
 //!   typed [`RuntimeError::Flow`], never a panic: a graph `run` could not
 //!   lower (`AppGraph::validate`) is refused by `submit` before a lease
@@ -86,11 +87,12 @@
 //!   (context switches, compaction) overlapping everything else.
 //!   Execution has no interval, so the axis is a function of the
 //!   operation sequence alone — the same on any host, at any worker
-//!   count. It keeps lane cursors, the port cursor and the interval log;
-//!   the totals are the [`Ledger`]'s — [`Ledger::modeled_makespan`],
-//!   where the last interval ends and below the serialized
-//!   `total_port_time()` whenever some phase overlaps another, and the
-//!   monotone [`Ledger::overlap_saved`].
+//!   count. It keeps lane cursors, the port cursor and a bounded window
+//!   of recent intervals ([`timeline::WINDOW`]), and no total: the
+//!   totals are the [`Ledger`]'s — [`Ledger::modeled_makespan`], where
+//!   the last interval ends and below the serialized `total_port_time()`
+//!   whenever some phase overlaps another, and the monotone
+//!   [`Ledger::overlap_saved`].
 //!
 //! Fast path vs. recompile, in one table:
 //!
@@ -108,9 +110,9 @@
 //! scheduler state as plain data for the `verify` crate's sched pass
 //! (lease/band disjointness, queue/ledger reconciliation, cache-key
 //! soundness), and
-//! [`Runtime::timeline_snapshot`] does the same for the
-//! timeline pass (port exclusivity, lane exclusivity, charge
-//! conservation and the makespan against the ledger).
+//! [`Runtime::timeline_snapshot`] exports the time axis's window for the
+//! timeline pass (port exclusivity and lane exclusivity, re-proved by a
+//! sort and sweep against the cursors that scheduled it).
 //! [`Runtime::verify_all`] runs both. Verification is the caller's: no
 //! operation runs a pass or keeps anything derived for one, so a
 //! tenant's structural signature is derived per snapshot.

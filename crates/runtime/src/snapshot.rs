@@ -64,11 +64,9 @@ impl Runtime {
         }
     }
 
-    /// Exports the time axis as a plain-data snapshot for the `verify`
-    /// crate's timeline pass, carrying the ledger's summed port time and
-    /// makespan so the pass can prove charge conservation and the
-    /// published makespan against the interval log without trusting
-    /// either side.
+    /// Exports the time axis's window of recent intervals as a
+    /// plain-data snapshot for the `verify` crate's timeline pass. It
+    /// carries no ledger value: the modeled totals are the ledger's alone.
     pub fn timeline_snapshot(&self) -> verify::TimelineSnapshot {
         verify::TimelineSnapshot {
             intervals: self
@@ -82,8 +80,6 @@ impl Runtime {
                     dur_ns: iv.dur.as_nanos() as u64,
                 })
                 .collect(),
-            makespan_ns: self.ledger.modeled_makespan.as_nanos() as u64,
-            ledger_port_ns: self.ledger.total_port_time().as_nanos() as u64,
         }
     }
 
@@ -93,7 +89,7 @@ impl Runtime {
     }
 
     /// Runs the timeline checker over [`Runtime::timeline_snapshot`]:
-    /// port exclusivity, lane exclusivity, charge conservation.
+    /// port exclusivity and lane exclusivity over the window.
     pub fn verify_timeline(&self) -> verify::VerifyReport {
         verify::Verifier::new().verify_timeline(&self.timeline_snapshot())
     }

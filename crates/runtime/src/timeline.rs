@@ -32,15 +32,21 @@
 //! operations yields the same axis bit-for-bit.
 //!
 //! The timeline only schedules: it holds the lane cursors, the port
-//! cursor and the interval log. The totals derived from it — the
-//! makespan and the time the overlap saves — are kept by the
-//! [`Ledger`](crate::Ledger), whose one writer, `Runtime::charge`, feeds
-//! both from the same `Duration` values.
+//! cursor and a window of the most recent intervals — at least the last
+//! [`WINDOW`], never `2 × WINDOW` — so a process that runs for ever keeps
+//! a bounded log. The modeled totals (each phase's port time, the
+//! makespan, the time the overlap saves) are the
+//! [`Ledger`](crate::Ledger)'s alone; its one writer, `Runtime::charge`,
+//! books a charge there and schedules it here.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::pool::TenantId;
+
+/// How many of the most recent intervals the log is sure to keep. It
+/// drops its oldest `WINDOW` once it holds `2 × WINDOW`.
+pub const WINDOW: usize = 1024;
 
 /// A band lane: the `(grid, row0)` pair identifying a leased row band.
 pub type Lane = (usize, usize);
@@ -103,7 +109,8 @@ impl Interval {
 }
 
 /// The modeled time axis: per-lane cursors, one port cursor, and the
-/// interval log. See the module docs for the scheduling rules.
+/// window of recent intervals. See the module docs for the scheduling
+/// rules.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     intervals: Vec<Interval>,
@@ -153,6 +160,9 @@ impl Timeline {
             start,
             dur,
         });
+        if self.intervals.len() == 2 * WINDOW {
+            self.intervals.drain(..WINDOW);
+        }
         start
     }
 
@@ -181,7 +191,9 @@ impl Timeline {
         }
     }
 
-    /// The interval log, in scheduling order.
+    /// The window of recent intervals, in scheduling order: at least the
+    /// last [`WINDOW`] scheduled (all of them, while fewer were), never
+    /// `2 × WINDOW` or more.
     pub fn intervals(&self) -> &[Interval] {
         &self.intervals
     }
@@ -193,22 +205,21 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
+    /// The log, whole: these tests read totals off it.
+    fn log(tl: &Timeline) -> &[Interval] {
+        let ivs = tl.intervals();
+        assert!(ivs.len() < WINDOW, "the test outgrew the window");
+        ivs
+    }
+
     /// When the last logged interval ends.
     fn log_end(tl: &Timeline) -> Duration {
-        tl.intervals()
-            .iter()
-            .map(Interval::end)
-            .max()
-            .unwrap_or_default()
+        log(tl).iter().map(Interval::end).max().unwrap_or_default()
     }
 
     /// Summed durations of the logged intervals `pick` selects.
     fn busy(tl: &Timeline, pick: impl Fn(&Interval) -> bool) -> Duration {
-        tl.intervals()
-            .iter()
-            .filter(|iv| pick(iv))
-            .map(|iv| iv.dur)
-            .sum()
+        log(tl).iter().filter(|iv| pick(iv)).map(|iv| iv.dur).sum()
     }
 
     /// Every phase laid end to end, less the log's end.

@@ -14,7 +14,13 @@
 //!   enough to compact a fragmented grid, asserting
 //!   the same bounds on the live axis, the ledger's makespan and overlap
 //!   against the log, and a clean timeline verify pass after every
-//!   operation.
+//!   operation;
+//! * **the window** — a schedule five windows long against an unbounded
+//!   list of its own: the log stays bounded and is that list's tail.
+//!
+//! The log keeps the last [`WINDOW`] intervals at least, so the totals
+//! above are whole only while a run schedules fewer: each test that
+//! reads them asserts that its run fits.
 //!
 //! The proptest stand-in draws inputs from a per-test deterministic
 //! stream, so failures reproduce bit-for-bit.
@@ -23,7 +29,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use runtime::timeline::{Interval, Phase, Timeline};
+use runtime::timeline::{Interval, Lane, Phase, Timeline, WINDOW};
 use runtime::{kernels, Admission, Runtime, RuntimeConfig, StreamRequest, TenantId};
 use softfloat::{FpFormat, FpValue};
 use vcgra::VcgraArch;
@@ -46,6 +52,7 @@ fn phase_of(kind: u8) -> Phase {
 /// summed port time).
 fn log_totals(tl: &Timeline, ctx: &str) -> (Duration, Duration) {
     let ivs = tl.intervals();
+    assert!(ivs.len() < WINDOW, "{ctx}: the run outgrew the window");
     let sum = |pick: fn(&Interval) -> bool| ivs.iter().filter(|iv| pick(iv)).map(|iv| iv.dur).sum();
     let mut lanes: BTreeMap<_, Duration> = BTreeMap::new();
     for iv in ivs {
@@ -173,13 +180,53 @@ proptest! {
                 ledger.total_port_time(),
                 "charged axis time must reconcile with the flat port sum"
             );
-            prop_assert_eq!(
-                rt.timeline_snapshot().makespan_ns,
-                ledger.modeled_makespan.as_nanos() as u64,
-                "the verify snapshot carries the ledger's makespan"
-            );
             let report = rt.verify_all();
             prop_assert!(report.violations.is_empty(), "sched+timeline: {:?}", report.violations);
         }
+    }
+}
+
+/// A schedule five windows long, relocations included, against a list of
+/// its own that keeps every interval from `schedule`'s returned starts:
+/// after every step the log holds fewer than `2 × WINDOW` intervals, at
+/// least the last `WINDOW` (all of them before that many), and is exactly
+/// the list's tail.
+#[test]
+fn the_log_is_a_bounded_tail_of_the_schedule() {
+    let mut tl = Timeline::new();
+    let mut all: Vec<(Lane, Phase, Duration, Duration)> = Vec::new();
+    let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        draw ^= draw << 13;
+        draw ^= draw >> 7;
+        draw ^= draw << 17;
+        draw
+    };
+    while all.len() < 5 * WINDOW {
+        let (d, lane_draw) = (next(), next());
+        let lane = ((lane_draw % 3) as usize, ((lane_draw / 3) % 4) as usize * 4);
+        let dur = Duration::from_micros(1 + d % 997);
+        if d % 16 == 15 {
+            let to = ((lane_draw % 3) as usize, ((lane_draw / 7) % 4) as usize * 4);
+            tl.move_lane(lane, to, dur);
+            let start = tl.schedule(to, Phase::Replay, None, dur);
+            all.push((to, Phase::Replay, start, dur));
+        } else {
+            let phase = phase_of(d as u8);
+            let start = tl.schedule(lane, phase, None, dur);
+            all.push((lane, phase, start, dur));
+        }
+        let log = tl.intervals();
+        assert!(log.len() < 2 * WINDOW, "the log outgrew 2 × WINDOW");
+        assert!(
+            log.len() >= all.len().min(WINDOW),
+            "the log lost recent intervals"
+        );
+        let tail = &all[all.len() - log.len()..];
+        let kept: Vec<_> = log
+            .iter()
+            .map(|iv| (iv.lane, iv.phase, iv.start, iv.dur))
+            .collect();
+        assert_eq!(kept, tail, "the log is the schedule's tail");
     }
 }

@@ -298,9 +298,15 @@ fn request_spans_decompose_and_ledger_follows_the_time_axis() {
     assert!(overlaps[0].1.contains("modeled_start_ns"));
 
     // The ledger's makespan is where the time axis's log ends: `charge`
-    // extends it with every interval it schedules.
+    // extends it with every interval it schedules, and the run is short
+    // enough that the log still holds every one.
     let led = rt.ledger();
-    let log_end = rt.timeline().intervals().iter().map(|iv| iv.end()).max();
+    let log = rt.timeline().intervals();
+    assert!(
+        log.len() < runtime::timeline::WINDOW,
+        "the run fits the window"
+    );
+    let log_end = log.iter().map(|iv| iv.end()).max();
     assert_eq!(Some(led.modeled_makespan), log_end);
     assert_eq!(
         led.overlap_saved,

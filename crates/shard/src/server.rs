@@ -285,7 +285,10 @@ pub struct ShardServer {
 
 impl ShardServer {
     /// Starts `cfg.shards` workers, each owning a fresh `Runtime` built
-    /// from the config's runtime template.
+    /// from the config's runtime template. Each runtime is built here,
+    /// before its worker starts, so a template `Runtime::new` refuses (no
+    /// grids, mixed channel capacities) panics in the caller, not in a
+    /// worker.
     pub fn start(cfg: ShardConfig) -> Self {
         assert!(cfg.shards > 0, "serving tier needs at least one shard");
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
@@ -294,11 +297,11 @@ impl ShardServer {
         let mut workers = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Request>(cfg.queue_depth);
-            let rt_cfg = cfg.runtime.clone();
+            let rt = Runtime::new(cfg.runtime.clone());
             let reg = Arc::clone(&registry);
             let handle = std::thread::Builder::new()
                 .name(format!("shard-{shard}"))
-                .spawn(move || worker_loop(shard, rx, rt_cfg, &reg))
+                .spawn(move || worker_loop(shard, rx, rt, &reg))
                 .expect("spawn shard worker");
             queues.push(tx);
             workers.push(handle);
@@ -559,10 +562,9 @@ impl ShardServer {
 fn worker_loop(
     shard: usize,
     rx: Receiver<Request>,
-    rt_cfg: RuntimeConfig,
+    mut rt: Runtime,
     registry: &trace::Registry,
 ) -> ShardFinal {
-    let mut rt = Runtime::new(rt_cfg);
     let queue_wait = registry.histogram("shard.queue_wait_ns");
     let admit_ns = registry.histogram("shard.admit_ns");
     let execute_ns = registry.histogram("shard.execute_ns");

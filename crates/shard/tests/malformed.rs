@@ -1,13 +1,15 @@
 //! A graph the runtime refuses at its door is refused the same way through
 //! the shard tier: a typed error on the admission ticket, nothing leased,
-//! and workers that go on answering.
+//! and workers that go on answering. A runtime template the runtime
+//! refuses is refused by `ShardServer::start` itself, before any worker
+//! runs.
 
-use runtime::RuntimeError;
+use runtime::{RuntimeConfig, RuntimeError};
 use shard::{ShardConfig, ShardServer};
 use softfloat::FpFormat;
 use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
-use vcgra::PeMode;
+use vcgra::{PeMode, VcgraArch};
 
 /// Formats `FpFormat::new` refuses, as literals the public fields allow:
 /// no widths at all, both far too wide, a one-bit exponent, and double's
@@ -67,4 +69,31 @@ fn a_format_new_refuses_is_refused_by_its_shard_which_still_drains() {
     for last in server.shutdown() {
         assert!(last.verify.ok(), "{}", last.verify.summary());
     }
+}
+
+/// A template with no grids panics in the caller of `start`, not later
+/// as a dead worker.
+#[test]
+#[should_panic(expected = "pool needs at least one grid")]
+fn a_template_with_no_grids_is_refused_at_start() {
+    ShardServer::start(ShardConfig {
+        runtime: RuntimeConfig {
+            grids: Vec::new(),
+            ..RuntimeConfig::default()
+        },
+        ..ShardConfig::new(2)
+    });
+}
+
+/// So does a template whose grids are of two overlay generations.
+#[test]
+#[should_panic(expected = "one channel capacity per pool")]
+fn a_template_with_mixed_channel_capacities_is_refused_at_start() {
+    ShardServer::start(ShardConfig {
+        runtime: RuntimeConfig {
+            grids: vec![VcgraArch::new(4, 4, 2), VcgraArch::new(4, 4, 3)],
+            ..RuntimeConfig::default()
+        },
+        ..ShardConfig::new(2)
+    });
 }

@@ -24,11 +24,9 @@
 //!   and cache-key soundness (full structural comparison on hash
 //!   agreement, ruling out `ConfigKey` collisions).
 //! * [`timeline`] — the time-axis checker: over a plain
-//!   [`timeline::TimelineSnapshot`] of the runtime's modeled schedule,
-//!   proves configuration-port exclusivity, per-band-lane exclusivity,
-//!   and charge conservation (every ledger-charged duration appears
-//!   exactly once on some lane; the reported makespan is the true
-//!   interval-set maximum).
+//!   [`timeline::TimelineSnapshot`] of the window of recent intervals
+//!   the runtime's modeled schedule keeps, proves configuration-port
+//!   exclusivity and per-band-lane exclusivity.
 //! * `equiv` — the gate-level equivalence check between a source AIG and
 //!   its mapped design (absorbed from `mapping::verify`), run through
 //!   [`Verifier::verify_equivalence`].
@@ -290,21 +288,6 @@ pub enum Violation {
         /// Modeled time (ns) of the collision.
         at_ns: u64,
     },
-    /// Summed interval durations disagree with the ledger's
-    /// total port time (a charge was dropped or double-counted).
-    TimelineChargeDrift {
-        /// Sum of interval durations (ns).
-        timeline_ns: u64,
-        /// The ledger's `total_port_time` (ns).
-        ledger_ns: u64,
-    },
-    /// The reported makespan is not the last interval's end.
-    MakespanMismatch {
-        /// Makespan the snapshot reports (ns).
-        reported_ns: u64,
-        /// Maximum interval end recomputed from the axis (ns).
-        computed_ns: u64,
-    },
 
     // --- equivalence ---
     /// The mapped design is not equivalent to its source AIG.
@@ -347,8 +330,6 @@ impl Violation {
             Violation::CacheKeySplit { .. } => "cache-key-split",
             Violation::PortOverlap { .. } => "port-overlap",
             Violation::LaneOverlap { .. } => "lane-overlap",
-            Violation::TimelineChargeDrift { .. } => "timeline-charge-drift",
-            Violation::MakespanMismatch { .. } => "makespan-mismatch",
             Violation::NotEquivalent { .. } => "not-equivalent",
         }
     }
@@ -511,24 +492,6 @@ impl fmt::Display for Violation {
             Violation::LaneOverlap { lane, at_ns } => {
                 write!(f, "band lane {lane:?} double-booked at {at_ns} ns")
             }
-            Violation::TimelineChargeDrift {
-                timeline_ns,
-                ledger_ns,
-            } => {
-                write!(
-                    f,
-                    "lane durations sum to {timeline_ns} ns, ledger port time is {ledger_ns} ns"
-                )
-            }
-            Violation::MakespanMismatch {
-                reported_ns,
-                computed_ns,
-            } => {
-                write!(
-                    f,
-                    "reported makespan {reported_ns} ns, intervals end at {computed_ns} ns"
-                )
-            }
             Violation::NotEquivalent { detail } => {
                 write!(f, "mapping not equivalent: {detail}")
             }
@@ -653,7 +616,7 @@ impl Verifier {
     }
 
     /// Pass 2b — timeline checker over the runtime's modeled time axis
-    /// (port exclusivity, lane exclusivity, charge conservation).
+    /// (port exclusivity, lane exclusivity).
     /// `checked` counts scheduled intervals.
     pub fn verify_timeline(&self, snap: &timeline::TimelineSnapshot) -> VerifyReport {
         let t0 = std::time::Instant::now();

@@ -8,9 +8,11 @@
 //!
 //! The same scan keeps verification the caller's: only the runtime's
 //! export module names the `verify` crate, and `par`'s sources name it
-//! nowhere (its tests lint what the engine returns). And it keeps the
+//! nowhere (its tests lint what the engine returns). It keeps the
 //! mapper off the serve path: the runtime prices swaps on a checked-in
-//! table, so its library names `mapping` nowhere.
+//! table, so neither its library nor the overlay's names `mapping`. And
+//! it keeps modeled time in one place: only the runtime's ledger module
+//! names the ledger's time fields.
 
 use std::path::{Path, PathBuf};
 
@@ -114,12 +116,16 @@ fn par_names_the_verifier_nowhere() {
 /// The runtime maps nothing: the pricing PE's PPC is a checked-in table,
 /// so no library source names the mapper (`mapping` is a dev-dependency,
 /// for the unit tests that map the PE afresh to check the table against).
+/// Nor does the overlay crate's library, whose only mapper caller is the
+/// Table I test `crates/core/tests/pe_scale.rs`.
 #[test]
 fn runtime_maps_nothing() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    rust_files(&root.join("crates/runtime/src"), &mut files);
-    assert!(files.len() > 10, "the scan found the sources");
+    for krate in ["runtime", "core"] {
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+    }
+    assert!(files.len() > 15, "the scan found the sources");
     let mut hits = Vec::new();
     for path in files {
         let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
@@ -132,4 +138,41 @@ fn runtime_maps_nothing() {
     }
     hits.sort();
     assert!(hits.is_empty(), "the mapper named in the runtime: {hits:?}");
+}
+
+/// Modeled time has one owner: the `Ledger` keeps the totals and
+/// `Runtime::charge`, in `ledger.rs`, is their one writer. The time axis
+/// keeps no total, and no other runtime source reads or writes one, so a
+/// second copy cannot grow beside the ledger's.
+#[test]
+fn only_the_ledger_module_names_the_modeled_totals() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let fields = [
+        ".admission_port_time",
+        ".swap_port_time",
+        ".switch_port_time",
+        ".compaction_port_time",
+        ".modeled_makespan",
+        ".overlap_saved",
+    ];
+    let mut hits = Vec::new();
+    let mut owner = 0;
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
+        let lines = lines_naming(&source, &fields);
+        if path == src.join("ledger.rs") {
+            owner = lines.len();
+            continue;
+        }
+        let name = path.strip_prefix(&src).expect("under src").display();
+        hits.extend(lines.into_iter().map(|line| format!("{name}:{line}")));
+    }
+    assert!(owner > 0, "the ledger module books the totals");
+    hits.sort();
+    assert!(
+        hits.is_empty(),
+        "a modeled total named outside ledger.rs: {hits:?}"
+    );
 }
