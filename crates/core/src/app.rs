@@ -374,24 +374,32 @@ impl AppGraph {
         layer[0]
     }
 
+    /// Adds a MUL layer over consecutive external inputs: node `i` scales
+    /// input `first + i` by `coeffs[i]`. Returns the nodes in order. Kernel
+    /// builders share it, as they share [`Self::reduce_add`].
+    pub fn mul_layer(&mut self, first: usize, coeffs: &[f64]) -> Vec<usize> {
+        let format = self.format;
+        coeffs
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                self.add(
+                    PeMode::Mul,
+                    Some(FpValue::from_f64(c, format)),
+                    AppSource::External(first + i),
+                    AppSource::Zero,
+                )
+            })
+            .collect()
+    }
+
     /// Builds a dot product `Σ coeffs[i] · x_i` over `coeffs.len()` external
     /// inputs: one MUL layer followed by a binary adder tree. This is the
     /// shape of every filter kernel in the vessel-segmentation pipeline.
     pub fn dot_product(format: FpFormat, coeffs: &[f64]) -> AppGraph {
         assert!(!coeffs.is_empty());
         let mut g = AppGraph::new(format, coeffs.len());
-        let layer: Vec<usize> = coeffs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                g.add(
-                    PeMode::Mul,
-                    Some(FpValue::from_f64(c, format)),
-                    AppSource::External(i),
-                    AppSource::Zero,
-                )
-            })
-            .collect();
+        let layer = g.mul_layer(0, coeffs);
         let root = g.reduce_add(layer);
         g.mark_output(root);
         g

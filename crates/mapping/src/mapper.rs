@@ -17,11 +17,20 @@
 //!   tautology. The conditions are pairwise disjoint and become
 //!   routing-switch configuration bits.
 //!
-//! Because physical routing cannot invert a signal, polarity is resolved in
-//! a final phase-assignment pass: every mapped node gets a static `inv`
-//! flag (its wire carries `f ⊕ inv`), LUT consumers absorb inverted inputs
-//! by permuting their truth tables, and a TCON whose choices would need
-//! inconsistent polarities is demoted to a TLUT.
+//! The map runs in three phases:
+//!
+//! 1. the **forward pass** gives every node its priority cuts, kept in
+//!    rank order — arrival, then area flow, then leaf count ([`by_rank`])
+//!    — with the trivial cut `{node}` last, for parents only;
+//! 2. the **cover** walks back from the outputs and implements each node it
+//!    reaches by its first cut: a TCON if the cut is one, else a LUT over
+//!    the leaves its PTT depends on;
+//! 3. **one ascending pass** assigns polarity and emits. Physical routing
+//!    cannot invert a signal, so every mapped node gets a static `inv` flag
+//!    (its wire carries `f ⊕ inv`): LUT consumers absorb inverted inputs by
+//!    permuting their truth tables, and a TCON whose choices would need
+//!    inconsistent polarities is demoted to a TLUT. Leaves have lower ids
+//!    than their consumers, so their flags are set by then.
 //!
 //! # Where the time goes, and what keeps it small
 //!
@@ -51,8 +60,9 @@
 use crate::design::{MappedDesign, MappedNode, MappedOutput, Source, Tcon, Tlut};
 use logic::aig::{Aig, InputKind, Node};
 use logic::bdd::{Bdd, BddManager};
-use logic::fxhash::FxHashMap;
+use logic::fxhash::{FxHashMap, FxHashSet};
 use logic::tt::TruthTable;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 /// LUT input count K: the paper's VPR 4-LUT architecture, the `k` of
@@ -139,6 +149,12 @@ struct TconCand {
     const1: Bdd,
 }
 
+/// The cut order, best first: arrival, then area flow, then leaf count.
+/// Takes [`Cut::rank`] and [`Cand::rank`].
+fn by_rank(x: (u32, f32, usize), y: (u32, f32, usize)) -> Ordering {
+    x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)).then(x.2.cmp(&y.2))
+}
+
 struct Cut {
     /// Sorted AIG node ids of the regular leaves.
     leaves: Vec<u32>,
@@ -146,13 +162,78 @@ struct Cut {
     ptt: Rc<[Bdd]>,
     /// Arrival (LUT levels) when implementing the node with this cut.
     arr: u32,
-    /// Area flow: own cost (1 LUT / 0 TCON) + shared leaf cost estimate.
+    /// Area flow: own cost (1 LUT / 0.35 TCON) + shared leaf cost estimate.
     af: f32,
     /// TCON candidacy (computed only in the parameterized flow).
     tcon: Option<Rc<TconCand>>,
-    /// Trivial cut `{node}` — only usable by parents, not as an
-    /// implementation of the node itself.
-    trivial: bool,
+}
+
+impl Cut {
+    /// The trivial cut `{node}`: it lets parents use the node as a leaf and
+    /// never implements the node. Parents cost a leaf by its `arrival` and
+    /// `aflow`, so this cut's own cost is never read.
+    fn trivial(node: u32) -> Cut {
+        Cut {
+            leaves: vec![node],
+            ptt: Rc::new([Bdd::FALSE, Bdd::TRUE]),
+            arr: 0,
+            af: 0.0,
+            tcon: None,
+        }
+    }
+
+    /// The cut of a node that is the parameter function `f` (a constant or
+    /// a parameter input): no leaf, and a TCON onto the constants.
+    fn leafless(f: Bdd, not_f: Bdd) -> Cut {
+        Cut {
+            leaves: vec![],
+            ptt: Rc::new([f]),
+            arr: 0,
+            af: 0.0,
+            tcon: Some(Rc::new(TconCand {
+                choices: vec![],
+                const0: not_f,
+                const1: f,
+            })),
+        }
+    }
+
+    fn rank(&self) -> (u32, f32, usize) {
+        (self.arr, self.af, self.leaves.len())
+    }
+}
+
+/// A candidate leaf set of an AND node before its PTT is built: the
+/// operand cuts it merges, costed as a plain LUT from its leaves alone.
+struct Cand {
+    leaves: Vec<u32>,
+    /// Indices of the merged cuts in the two operands' cut sets.
+    operands: (usize, usize),
+    arr: u32,
+    af: f32,
+}
+
+impl Cand {
+    fn rank(&self) -> (u32, f32, usize) {
+        (self.arr, self.af, self.leaves.len())
+    }
+}
+
+/// The sorted union of two sorted leaf sets, or `None` past `K` leaves.
+fn union_leaves(a: &[u32], b: &[u32]) -> Option<Vec<u32>> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        if out.len() == K {
+            return None;
+        }
+        let x = a.get(i).copied().unwrap_or(u32::MAX);
+        let y = b.get(j).copied().unwrap_or(u32::MAX);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    Some(out)
 }
 
 /// Appends `child`'s PTT re-indexed over the `merged` leaf set (and
@@ -280,52 +361,58 @@ fn tcon_candidate(
     cand.map(Rc::new)
 }
 
-enum Impl {
-    Lut {
-        leaves: Vec<u32>,
-        ptt: Vec<Bdd>,
-    },
-    Tcon {
-        leaves: Vec<u32>,
-        /// Kept for possible demotion back to a LUT.
-        ptt: Rc<[Bdd]>,
-        cand: Rc<TconCand>,
-    },
+/// The polarity a TCON's wire carries so that it routes each choice's
+/// leaf wire as it is: `q ⊕ inv[leaf]` for every choice `(leaf, q)`, false
+/// without choices. `None` if the choices disagree.
+fn tcon_invert(leaves: &[u32], cand: &TconCand, inv: &[bool]) -> Option<bool> {
+    let mut req = cand
+        .choices
+        .iter()
+        .map(|&(pos, q, _)| q ^ inv[leaves[pos] as usize]);
+    let first = req.next().unwrap_or(false);
+    req.all(|r| r == first).then_some(first)
+}
+
+/// A LUT over `leaves`, whose wires carry `inv`: it absorbs each inverted
+/// leaf by permuting its PTT.
+fn lut(leaves: &[u32], ptt: Vec<Bdd>, inv: &[bool], src: impl Fn(u32) -> Source) -> MappedNode {
+    let flip = leaves
+        .iter()
+        .enumerate()
+        .fold(0usize, |m, (i, &l)| m | usize::from(inv[l as usize]) << i);
+    let ptt = if flip == 0 {
+        ptt
+    } else {
+        (0..ptt.len()).map(|m| ptt[m ^ flip]).collect()
+    };
+    MappedNode::Lut(Tlut {
+        inputs: leaves.iter().map(|&l| src(l)).collect(),
+        ptt,
+    })
 }
 
 /// Drops cut leaves the function does not depend on and compacts the PTT
-/// accordingly. Used at cover time and when demoting a TCON (whose
-/// function provably depends only on its *selected* leaves — the
-/// never-selected ones were not marked required and must not be emitted).
+/// accordingly. The cover calls it for the leaves a LUT needs, the emit
+/// pass for the LUT itself — for a demoted TCON too, whose function
+/// provably depends only on its *selected* leaves (the never-selected ones
+/// were not covered and must not be emitted).
 fn prune_lut(leaves: &[u32], ptt: &[Bdd]) -> (Vec<u32>, Vec<Bdd>) {
     let k = leaves.len();
-    let mut needed = Vec::new();
-    for i in 0..k {
-        let mut dep = false;
-        for m in 0..1usize << k {
-            if (m >> i) & 1 == 0 && ptt[m] != ptt[m | (1 << i)] {
-                dep = true;
-                break;
-            }
-        }
-        if dep {
-            needed.push(i);
-        }
-    }
-    let new_leaves: Vec<u32> = needed.iter().map(|&i| leaves[i]).collect();
-    let kk = new_leaves.len();
-    let new_ptt: Vec<Bdd> = (0..1usize << kk)
+    let needed: Vec<usize> = (0..k)
+        .filter(|&i| (0..1usize << k).any(|m| (m >> i) & 1 == 0 && ptt[m] != ptt[m | 1 << i]))
+        .collect();
+    let pruned_ptt = (0..1usize << needed.len())
         .map(|m| {
-            let mut full = 0usize;
-            for (new_i, &old_i) in needed.iter().enumerate() {
-                if (m >> new_i) & 1 == 1 {
-                    full |= 1 << old_i;
-                }
-            }
+            let full = needed
+                .iter()
+                .enumerate()
+                .fold(0usize, |full, (new_i, &old_i)| {
+                    full | ((m >> new_i) & 1) << old_i
+                });
             ptt[full]
         })
         .collect();
-    (new_leaves, new_ptt)
+    (needed.iter().map(|&i| leaves[i]).collect(), pruned_ptt)
 }
 
 /// The mapper. `honor_params` selects the flow: set, `InputKind::Param`
@@ -336,6 +423,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     map_span.arg("nodes", aig.num_nodes());
     map_span.arg("parameterized", honor_params);
     let mut bdd = BddManager::new();
+    let n = aig.num_nodes();
     let live = aig.live_nodes();
     // Per-cut memo tables. Structurally repeated cones (ripple chains,
     // bit-sliced datapaths) reach the same PTT signature over and over.
@@ -348,28 +436,25 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     let mut ptt_cache: FxHashMap<Vec<Bdd>, Rc<[Bdd]>> = FxHashMap::default();
     let mut operands: Vec<Bdd> = Vec::new();
 
-    // Input bookkeeping: regular-input index per AIG input, param variable
-    // per AIG input.
+    // Per AIG input: its regular-input index, or its parameter's BDD var.
     let mut input_names = Vec::new();
     let mut param_names = Vec::new();
-    let mut reg_index: FxHashMap<u32, u32> = FxHashMap::default(); // AIG node -> regular idx
-    let mut param_var: FxHashMap<u32, u32> = FxHashMap::default(); // AIG node -> BDD var
+    let mut reg_index: Vec<Option<u32>> = vec![None; n];
+    let mut param_var: Vec<Option<u32>> = vec![None; n];
     for info in aig.inputs() {
-        let is_param = honor_params && info.kind == InputKind::Param;
-        if is_param {
-            param_var.insert(info.node, param_names.len() as u32);
+        if honor_params && info.kind == InputKind::Param {
+            param_var[info.node as usize] = Some(param_names.len() as u32);
             param_names.push(info.name.clone());
         } else {
-            reg_index.insert(info.node, input_names.len() as u32);
+            reg_index[info.node as usize] = Some(input_names.len() as u32);
             input_names.push(info.name.clone());
         }
     }
 
     let probes = refutation_probes(param_names.len());
 
-    // ---- forward pass: priority cuts ----
+    // ---- forward pass: each node's priority cuts, in rank order ----
     let cuts_span = trace::span("map.cuts");
-    let n = aig.num_nodes();
     let fanout = aig.fanouts();
     let mut cutsets: Vec<Vec<Cut>> = Vec::with_capacity(n);
     let mut arrival = vec![0u32; n];
@@ -381,126 +466,61 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
             continue;
         }
         let cuts = match node {
-            Node::Const => vec![Cut {
-                leaves: vec![],
-                ptt: Rc::new([Bdd::FALSE]),
-                arr: 0,
-                af: 0.0,
-                tcon: Some(Rc::new(TconCand {
-                    choices: vec![],
-                    const0: Bdd::TRUE,
-                    const1: Bdd::FALSE,
-                })),
-                trivial: false,
-            }],
-            Node::Input(_) => {
-                if let Some(&v) = param_var.get(&id) {
-                    let p = bdd.var(v);
-                    let np = bdd.nvar(v);
-                    vec![Cut {
-                        leaves: vec![],
-                        ptt: Rc::new([p]),
-                        arr: 0,
-                        af: 0.0,
-                        tcon: Some(Rc::new(TconCand {
-                            choices: vec![],
-                            const0: np,
-                            const1: p,
-                        })),
-                        trivial: false,
-                    }]
-                } else {
-                    vec![Cut {
-                        leaves: vec![id],
-                        ptt: Rc::new([Bdd::FALSE, Bdd::TRUE]),
-                        arr: 0,
-                        af: 0.0,
-                        tcon: None,
-                        trivial: true,
-                    }]
-                }
-            }
+            Node::Const => vec![Cut::leafless(Bdd::FALSE, Bdd::TRUE)],
+            Node::Input(_) => match param_var[idu] {
+                Some(v) => vec![Cut::leafless(bdd.var(v), bdd.nvar(v))],
+                None => vec![Cut::trivial(id)],
+            },
             Node::And(a, b) => {
+                let (cuts_a, cuts_b) = (&cutsets[a.node() as usize], &cutsets[b.node() as usize]);
                 let leaf_cost =
                     |l: u32| -> f32 { aflow[l as usize] / (fanout[l as usize].max(1) as f32) };
-                // Phase 1 — candidate leaf sets only, no BDD work yet.
-                // Each candidate carries a cheap LUT-cost bound (arrival,
-                // area flow as if implemented by a plain LUT) computed
-                // from the leaves alone.
-                let mut cands: Vec<(Vec<u32>, usize, usize, u32, f32)> = Vec::new();
-                let mut seen: FxHashMap<Vec<u32>, ()> = FxHashMap::default();
-                for cai in 0..cutsets[a.node() as usize].len() {
-                    for cbi in 0..cutsets[b.node() as usize].len() {
-                        let ca = &cutsets[a.node() as usize][cai];
-                        let cb = &cutsets[b.node() as usize][cbi];
-                        // Union of sorted leaf sets, early reject over K.
-                        let mut leaves = Vec::with_capacity(ca.leaves.len() + cb.leaves.len());
-                        let (mut i, mut j) = (0, 0);
-                        let ok = loop {
-                            if leaves.len() > K {
-                                break false;
-                            }
-                            match (ca.leaves.get(i), cb.leaves.get(j)) {
-                                (Some(&x), Some(&y)) => {
-                                    if x == y {
-                                        leaves.push(x);
-                                        i += 1;
-                                        j += 1;
-                                    } else if x < y {
-                                        leaves.push(x);
-                                        i += 1;
-                                    } else {
-                                        leaves.push(y);
-                                        j += 1;
-                                    }
-                                }
-                                (Some(&x), None) => {
-                                    leaves.push(x);
-                                    i += 1;
-                                }
-                                (None, Some(&y)) => {
-                                    leaves.push(y);
-                                    j += 1;
-                                }
-                                (None, None) => break true,
-                            }
+                // Phase 1 — candidate leaf sets, each costed as a plain LUT
+                // from its leaves alone; no BDD work yet.
+                let mut cands: Vec<Cand> = Vec::new();
+                let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
+                for (cai, ca) in cuts_a.iter().enumerate() {
+                    for (cbi, cb) in cuts_b.iter().enumerate() {
+                        let Some(leaves) = union_leaves(&ca.leaves, &cb.leaves) else {
+                            continue;
                         };
-                        if !ok || leaves.len() > K || seen.contains_key(&leaves) {
+                        if seen.contains(&leaves) {
                             continue;
                         }
-                        let arr_lb = 1 + leaves
+                        seen.insert(leaves.clone());
+                        let arr = 1 + leaves
                             .iter()
                             .map(|&l| arrival[l as usize])
                             .max()
                             .unwrap_or(0);
-                        let af_lb: f32 = 1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
-                        seen.insert(leaves.clone(), ());
-                        cands.push((leaves, cai, cbi, arr_lb, af_lb));
+                        let af = 1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
+                        cands.push(Cand {
+                            leaves,
+                            operands: (cai, cbi),
+                            arr,
+                            af,
+                        });
                     }
                 }
-                // Phase 2 — rank by the cheap bound and run the expensive
-                // PTT construction + TCON tautology check only on the best
-                // `CUT_EVAL_LIMIT` candidates. The tie-break on the leaf
-                // vector keeps the ranking fully deterministic.
+                // Phase 2 — run the expensive PTT construction and TCON
+                // tautology check only on the best `CUT_EVAL_LIMIT`
+                // candidates. The tie-break on the leaf vector keeps the
+                // ranking fully deterministic.
                 let eval_budget = CUT_EVAL_LIMIT.max(opts.cuts_per_node);
                 if cands.len() > eval_budget {
                     cands.sort_by(|x, y| {
-                        x.3.cmp(&y.3)
-                            .then(x.4.total_cmp(&y.4))
-                            .then(x.0.len().cmp(&y.0.len()))
-                            .then(x.0.cmp(&y.0))
+                        by_rank(x.rank(), y.rank()).then_with(|| x.leaves.cmp(&y.leaves))
                     });
                     cands.truncate(eval_budget);
                 }
-                let mut merged: Vec<Cut> = Vec::new();
-                for (leaves, cai, cbi, _, _) in cands {
-                    let ca = &cutsets[a.node() as usize][cai];
-                    let cb = &cutsets[b.node() as usize][cbi];
+                let mut merged: Vec<Cut> = Vec::with_capacity(cands.len());
+                for c in cands {
+                    let (leaves, (cai, cbi)) = (c.leaves, c.operands);
                     // Both operand PTTs over the merged leaves, back to
                     // back: the conjunction's signature.
                     operands.clear();
-                    expand_ptt(&mut bdd, &mut operands, ca, &leaves, a.is_neg());
-                    expand_ptt(&mut bdd, &mut operands, cb, &leaves, b.is_neg());
+                    expand_ptt(&mut bdd, &mut operands, &cuts_a[cai], &leaves, a.is_neg());
+                    expand_ptt(&mut bdd, &mut operands, &cuts_b[cbi], &leaves, b.is_neg());
                     let (fa, fb) = operands.split_at(1 << leaves.len());
                     effort.ptt_merges += 1;
                     let ptt = match ptt_cache.get(operands.as_slice()) {
@@ -514,7 +534,6 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                             p
                         }
                     };
-                    let k = leaves.len();
                     effort.const_ptt_cuts += usize::from(ptt.iter().all(|e| e.is_const()));
                     let tcon = if !honor_params {
                         None
@@ -526,41 +545,38 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                                 c.clone()
                             }
                             None => {
-                                let c = tcon_candidate(&mut bdd, &ptt, k, &probes, &mut effort);
+                                let c = tcon_candidate(
+                                    &mut bdd,
+                                    &ptt,
+                                    leaves.len(),
+                                    &probes,
+                                    &mut effort,
+                                );
                                 tcon_cache.insert(ptt.clone(), c.clone());
                                 c
                             }
                         }
                     };
-                    // Arrival and area flow: TCONs are free logic-wise;
-                    // their selected leaves' costs are shared through
-                    // the fanout estimate (classic area flow).
-                    let (arr, af) = if let Some(tc) = &tcon {
-                        let arr = tc
-                            .choices
-                            .iter()
-                            .map(|&(pos, _, _)| arrival[leaves[pos] as usize])
-                            .max()
-                            .unwrap_or(0);
-                        // TCONs are LUT-free but consume routing
-                        // switches: a small area cost makes the mapper
-                        // absorb them into TLUT cones when a cone is
-                        // available at no extra LUTs (TCONMAP's
-                        // preference).
-                        let af: f32 = 0.35
-                            + tc.choices
+                    // A TCON is LUT-free: it arrives with its latest
+                    // selectable leaf, whose costs it shares through the
+                    // fanout estimate (classic area flow). It consumes
+                    // routing switches, though: a small area cost makes
+                    // the mapper absorb it into a TLUT cone when one is
+                    // available at no extra LUTs (TCONMAP's preference).
+                    let (arr, af) = match &tcon {
+                        None => (c.arr, c.af),
+                        Some(tc) => (
+                            tc.choices
+                                .iter()
+                                .map(|&(pos, _, _)| arrival[leaves[pos] as usize])
+                                .max()
+                                .unwrap_or(0),
+                            0.35 + tc
+                                .choices
                                 .iter()
                                 .map(|&(pos, _, _)| leaf_cost(leaves[pos]))
-                                .sum::<f32>();
-                        (arr, af)
-                    } else {
-                        let arr = 1 + leaves
-                            .iter()
-                            .map(|&l| arrival[l as usize])
-                            .max()
-                            .unwrap_or(0);
-                        let af: f32 = 1.0 + leaves.iter().map(|&l| leaf_cost(l)).sum::<f32>();
-                        (arr, af)
+                                .sum::<f32>(),
+                        ),
                     };
                     merged.push(Cut {
                         leaves,
@@ -568,46 +584,26 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                         arr,
                         af,
                         tcon,
-                        trivial: false,
                     });
                 }
                 debug_assert!(!merged.is_empty(), "AND node must have at least one cut");
-                merged.sort_by(|x, y| {
-                    x.arr
-                        .cmp(&y.arr)
-                        .then(x.af.total_cmp(&y.af))
-                        .then(x.leaves.len().cmp(&y.leaves.len()))
-                });
-                // Keep the best C cuts, plus the best TCON cut if pruning
-                // would drop every one of them.
+                merged.sort_by(|x, y| by_rank(x.rank(), y.rank()));
+                // Keep the best C cuts; if that would drop every TCON cut,
+                // the best TCON cut replaces the last one kept.
                 let keep = opts.cuts_per_node.max(1);
                 if merged.len() > keep {
-                    let has_tcon_kept = merged[..keep].iter().any(|c| c.tcon.is_some());
-                    let rescue = if !has_tcon_kept {
-                        merged[keep..].iter().position(|c| c.tcon.is_some())
-                    } else {
-                        None
-                    };
-                    if let Some(r) = rescue {
-                        merged.swap(keep - 1, keep + r);
+                    if !merged[..keep].iter().any(|c| c.tcon.is_some()) {
+                        if let Some(r) = merged[keep..].iter().position(|c| c.tcon.is_some()) {
+                            merged.swap(keep - 1, keep + r);
+                        }
                     }
                     merged.truncate(keep);
                 }
-                arrival[idu] = merged.iter().map(|c| c.arr).min().unwrap_or(0);
-                aflow[idu] = merged
-                    .iter()
-                    .map(|c| c.af)
-                    .fold(f32::INFINITY, f32::min)
-                    .min(1e30);
-                // Trivial cut for parents.
-                merged.push(Cut {
-                    leaves: vec![id],
-                    ptt: Rc::new([Bdd::FALSE, Bdd::TRUE]),
-                    arr: arrival[idu],
-                    af: aflow[idu],
-                    tcon: None,
-                    trivial: true,
-                });
+                // The first cut is the best: the rescued cut sits last,
+                // and is first only when it is the one cut kept.
+                arrival[idu] = merged[0].arr;
+                aflow[idu] = merged.iter().map(|c| c.af).fold(f32::INFINITY, f32::min);
+                merged.push(Cut::trivial(id));
                 merged
             }
         };
@@ -615,192 +611,109 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     }
     drop(cuts_span);
 
-    // ---- cover pass ----
+    // ---- cover pass: each required node by its first cut ----
     let cover_span = trace::span("map.cover");
-    let mut required = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    for (_, l) in aig.outputs() {
-        let id = l.node();
-        match aig.node(id) {
-            Node::And(..) => stack.push(id),
-            Node::Input(_) if param_var.contains_key(&id) => stack.push(id),
-            _ => {}
-        }
-    }
-    let mut chosen: FxHashMap<u32, Impl> = FxHashMap::default();
+    let is_and = |l: &u32| matches!(aig.node(*l), Node::And(..));
+    let mut stack: Vec<u32> = aig
+        .outputs()
+        .iter()
+        .map(|(_, l)| l.node())
+        .filter(|id| is_and(id) || param_var[*id as usize].is_some())
+        .collect();
+    // chosen[id]: the cover implements AIG node `id` by its first cut.
+    let mut chosen = vec![false; n];
     while let Some(id) = stack.pop() {
-        if required[id as usize] {
+        if chosen[id as usize] {
             continue;
         }
-        required[id as usize] = true;
-        let cuts = &cutsets[id as usize];
-        let best = cuts
-            .iter()
-            .filter(|c| !c.trivial)
-            .min_by(|x, y| {
-                x.arr
-                    .cmp(&y.arr)
-                    .then(x.af.total_cmp(&y.af))
-                    .then(x.leaves.len().cmp(&y.leaves.len()))
-            })
-            .expect("every required node has a non-trivial cut");
-        let impl_ = if let Some(tc) = &best.tcon {
-            // Only leaves actually selectable under some parameter value
-            // stay connected.
-            for &(pos, _, _) in &tc.choices {
-                let leaf = best.leaves[pos];
-                if matches!(aig.node(leaf), Node::And(..)) {
-                    stack.push(leaf);
-                }
-            }
-            Impl::Tcon {
-                leaves: best.leaves.clone(),
-                ptt: best.ptt.clone(),
-                cand: tc.clone(),
-            }
-        } else {
-            // Support-prune the LUT: drop leaves no entry pair depends on.
-            let (leaves, ptt) = prune_lut(&best.leaves, &best.ptt);
-            for &leaf in &leaves {
-                if matches!(aig.node(leaf), Node::And(..)) {
-                    stack.push(leaf);
-                }
-            }
-            Impl::Lut { leaves, ptt }
-        };
-        chosen.insert(id, impl_);
+        chosen[id as usize] = true;
+        let best = &cutsets[id as usize][0];
+        match &best.tcon {
+            // Only leaves selectable under some parameter value stay
+            // connected.
+            Some(cand) => stack.extend(
+                cand.choices
+                    .iter()
+                    .map(|&(pos, _, _)| best.leaves[pos])
+                    .filter(is_and),
+            ),
+            // A LUT keeps only the leaves its PTT depends on.
+            None => stack.extend(
+                prune_lut(&best.leaves, &best.ptt)
+                    .0
+                    .into_iter()
+                    .filter(is_and),
+            ),
+        }
     }
     drop(cover_span);
 
-    // ---- phase assignment: static polarity per mapped node ----
+    // ---- one ascending pass: polarity, then the mapped node ----
+    // Leaves have lower ids, so each leaf's polarity and mapped index are
+    // known when its consumer is emitted.
     let emit_span = trace::span("map.emit");
-    // inv[aig_id] = the emitted wire carries (logical function ⊕ inv).
-    let mut ids: Vec<u32> = chosen.keys().copied().collect();
-    ids.sort_unstable();
-    let mut inv: FxHashMap<u32, bool> = FxHashMap::default();
-    for &id in &ids {
-        let entry = chosen.get(&id).unwrap();
-        match entry {
-            Impl::Lut { .. } => {
-                inv.insert(id, false);
-            }
-            Impl::Tcon { leaves, ptt, cand } => {
-                let choices = &cand.choices;
-                // Physical polarity constraint: for every choice,
-                // inv(node) = q ⊕ inv(leaf); all must agree.
-                let mut req: Option<bool> = None;
-                let mut consistent = true;
-                for &(pos, q, _) in choices {
-                    let leaf = leaves[pos];
-                    let leaf_inv = inv.get(&leaf).copied().unwrap_or(false);
-                    let r = q ^ leaf_inv;
-                    match req {
-                        None => req = Some(r),
-                        Some(prev) if prev != r => {
-                            consistent = false;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if consistent {
-                    inv.insert(id, req.unwrap_or(false));
-                } else {
-                    // Demote to a TLUT (always feasible: ≤ K leaves).
-                    // Support pruning removes never-selected leaves, which
-                    // were not covered and must not be referenced.
-                    let (pl, pp) = prune_lut(leaves, ptt);
-                    debug_assert!(
-                        pl.iter()
-                            .all(|l| { choices.iter().any(|&(pos, _, _)| leaves[pos] == *l) }),
-                        "demoted TLUT must only use selected leaves"
-                    );
-                    inv.insert(id, false);
-                    chosen.insert(
-                        id,
-                        Impl::Lut {
-                            leaves: pl,
-                            ptt: pp,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    // ---- emit in topological (ascending AIG id) order ----
+    // inv[id]: the wire emitted for AIG node `id` carries its function ⊕ inv.
+    let mut inv = vec![false; n];
+    let mut node_of: Vec<Option<u32>> = vec![None; n];
     let mut nodes: Vec<MappedNode> = Vec::new();
-    let mut node_of: FxHashMap<u32, u32> = FxHashMap::default();
-    let src_of =
-        |aig_id: u32, reg_index: &FxHashMap<u32, u32>, node_of: &FxHashMap<u32, u32>| -> Source {
-            if let Some(&r) = reg_index.get(&aig_id) {
-                Source::Input(r)
-            } else if let Some(&m) = node_of.get(&aig_id) {
-                Source::Node(m)
-            } else {
-                unreachable!("leaf {aig_id} neither input nor mapped node")
-            }
+    for id in (0..n).filter(|&id| chosen[id]) {
+        let best = &cutsets[id][0];
+        let src = |l: u32| match (reg_index[l as usize], node_of[l as usize]) {
+            (Some(r), _) => Source::Input(r),
+            (None, Some(m)) => Source::Node(m),
+            (None, None) => unreachable!("leaf {l} neither input nor mapped node"),
         };
-    for &id in &ids {
-        let impl_ = &chosen[&id];
-        let mapped = match impl_ {
-            Impl::Lut { leaves, ptt } => {
-                // Absorb inverted-polarity leaves by permuting the PTT.
-                let mut flip_mask = 0usize;
-                for (i, leaf) in leaves.iter().enumerate() {
-                    if inv.get(leaf).copied().unwrap_or(false) {
-                        flip_mask |= 1 << i;
-                    }
-                }
-                let ptt_fixed: Vec<Bdd> = if flip_mask == 0 {
-                    ptt.clone()
-                } else {
-                    (0..ptt.len()).map(|m| ptt[m ^ flip_mask]).collect()
-                };
-                MappedNode::Lut(Tlut {
-                    inputs: leaves
+        let invert = best
+            .tcon
+            .as_ref()
+            .and_then(|cand| tcon_invert(&best.leaves, cand, &inv));
+        let mapped = match (&best.tcon, invert) {
+            (Some(cand), Some(invert)) => {
+                inv[id] = invert;
+                MappedNode::Tcon(Tcon {
+                    choices: cand
+                        .choices
                         .iter()
-                        .map(|&l| src_of(l, &reg_index, &node_of))
+                        .map(|&(pos, _, c)| (src(best.leaves[pos]), c))
                         .collect(),
-                    ptt: ptt_fixed,
+                    const0: cand.const0,
+                    const1: cand.const1,
+                    invert,
                 })
             }
-            Impl::Tcon { leaves, cand, .. } => MappedNode::Tcon(Tcon {
-                choices: cand
-                    .choices
-                    .iter()
-                    .map(|&(pos, _, c)| (src_of(leaves[pos], &reg_index, &node_of), c))
-                    .collect(),
-                const0: cand.const0,
-                const1: cand.const1,
-                invert: inv[&id],
-            }),
+            (tcon, _) => {
+                // A LUT over the leaves its PTT depends on. A TCON whose
+                // choices need inconsistent polarities is demoted to one
+                // (always feasible: ≤ K leaves); pruning drops its
+                // never-selected leaves, which were not covered.
+                let (leaves, ptt) = prune_lut(&best.leaves, &best.ptt);
+                debug_assert!(
+                    tcon.as_ref().is_none_or(|cand| leaves.iter().all(|l| {
+                        cand.choices
+                            .iter()
+                            .any(|&(pos, _, _)| best.leaves[pos] == *l)
+                    })),
+                    "demoted TLUT must only use selected leaves"
+                );
+                lut(&leaves, ptt, &inv, src)
+            }
         };
-        node_of.insert(id, nodes.len() as u32);
+        node_of[id] = Some(nodes.len() as u32);
         nodes.push(mapped);
     }
 
     // ---- outputs ----
     let mut outputs = Vec::with_capacity(aig.outputs().len());
     for (name, l) in aig.outputs() {
-        let id = l.node();
-        let node_inv = inv.get(&id).copied().unwrap_or(false);
-        let (source, invert) = match aig.node(id) {
-            Node::Const => (Source::Const(l.is_neg()), false),
-            Node::Input(_) => {
-                if let Some(&m) = node_of.get(&id) {
-                    (Source::Node(m), l.is_neg() ^ node_inv)
-                } else {
-                    (
-                        Source::Input(*reg_index.get(&id).expect("regular input")),
-                        l.is_neg(),
-                    )
-                }
-            }
-            Node::And(..) => (
-                Source::Node(*node_of.get(&id).expect("covered node")),
-                l.is_neg() ^ node_inv,
+        let id = l.node() as usize;
+        let (source, invert) = match (aig.node(l.node()), node_of[id]) {
+            (Node::Const, _) => (Source::Const(l.is_neg()), false),
+            (_, Some(m)) => (Source::Node(m), l.is_neg() ^ inv[id]),
+            (Node::Input(_), None) => (
+                Source::Input(reg_index[id].expect("regular input")),
+                l.is_neg(),
             ),
+            (Node::And(..), None) => unreachable!("output {name} not covered"),
         };
         outputs.push(MappedOutput {
             name: name.clone(),
@@ -897,7 +810,7 @@ mod tests {
         let mut g = Aig::new();
         let x = g.input_vec("x", 6, InputKind::Regular);
         let c = g.input_vec("c", 6, InputKind::Param);
-        let prod = softfloat::gates::mul_array(&mut g, &x, &c);
+        let prod = softfloat::gates::mul_carry_save(&mut g, &x, &c);
         g.add_output_vec("p", &prod);
         map_parameterized(&g, MapOptions::default())
     }

@@ -68,7 +68,7 @@ fn constant_multiplication_collapses() {
     let mut g = Aig::new();
     let x = g.input_vec("x", 4, InputKind::Regular);
     let c = g.input_vec("c", 4, InputKind::Param);
-    let prod = softfloat::gates::mul_array(&mut g, &x, &c);
+    let prod = softfloat::gates::mul_carry_save(&mut g, &x, &c);
     g.add_output_vec("p", &prod);
     let conv = map_conventional(&g, MapOptions::default());
     let par = map_parameterized(&g, MapOptions::default());
@@ -162,7 +162,7 @@ fn cut_caches_actually_hit() {
     let mut g = Aig::new();
     let x = g.input_vec("x", 6, InputKind::Regular);
     let c = g.input_vec("c", 6, InputKind::Param);
-    let prod = softfloat::gates::mul_array(&mut g, &x, &c);
+    let prod = softfloat::gates::mul_carry_save(&mut g, &x, &c);
     g.add_output_vec("p", &prod);
 
     let (cached, effort) = mapping::map_parameterized_with_effort(&g, MapOptions::default());

@@ -1,4 +1,4 @@
-//! The parameterized map of the swept PE, pinned by what it *means*.
+//! The maps of the swept PE, pinned by what they *mean*.
 //!
 //! [`fingerprint`] hashes a [`MappedDesign`] without reading a single
 //! `Bdd` handle number: names, node kinds, sources, inversion flags, and
@@ -12,12 +12,18 @@
 //! the exact TCON check on every cache miss — so they hold the kernel
 //! rewrite, the counterexample filter and the design compaction to
 //! "function-identical".
+//!
+//! The conventional pins and the parameterized pins at other cut budgets
+//! were recorded on `5ddcf02`, the last commit before the mapper's cut
+//! order, cover and emit pass were each restated once; they hold that
+//! restatement to the same designs.
 
+use logic::aig::Aig;
 use logic::bdd::Bdd;
 use logic::SplitMix64;
 use mapping::{
-    map_parameterized_with_effort, MapEffort, MapOptions, MapStats, MappedDesign, MappedNode,
-    Source,
+    map_conventional, map_parameterized_with_effort, MapEffort, MapOptions, MapStats, MappedDesign,
+    MappedNode, Source,
 };
 use softfloat::FpFormat;
 use vcgra::{VirtualPe, VirtualPeConfig};
@@ -122,15 +128,32 @@ struct Pin {
     filter: [usize; 4],
 }
 
-fn check(pin: &Pin) {
-    let (we, wf) = pin.format;
+/// The swept two-hop PE of format `(we, wf)`.
+fn swept_pe((we, wf): (u32, u32)) -> Aig {
     let cfg = VirtualPeConfig {
         format: FpFormat::new(we, wf),
         hops: 2,
     };
-    let aig = logic::opt::sweep(&VirtualPe::build(cfg, true).aig);
-    let (d, e): (MappedDesign, MapEffort) =
-        map_parameterized_with_effort(&aig, MapOptions::default());
+    logic::opt::sweep(&VirtualPe::build(cfg, true).aig)
+}
+
+/// [`check_at`] at the default cut budget, where the design also keeps
+/// under a tenth of the BDD nodes the map created.
+fn check(pin: &Pin) {
+    let e = check_at(pin, MapOptions::default());
+    assert!(
+        e.bdd_nodes_created > 10 * e.bdd_nodes_kept,
+        "{:?} {e:?}",
+        pin.format
+    );
+}
+
+/// Maps `pin`'s PE parameterized with `opts` and checks every pinned
+/// number; returns the map's counters.
+fn check_at(pin: &Pin, opts: MapOptions) -> MapEffort {
+    let (we, wf) = pin.format;
+    let aig = swept_pe(pin.format);
+    let (d, e): (MappedDesign, MapEffort) = map_parameterized_with_effort(&aig, opts);
     let s: MapStats = d.stats();
     assert_eq!(
         [s.luts, s.tluts, s.tcons, s.depth as usize],
@@ -164,11 +187,8 @@ fn check(pin: &Pin) {
     );
     // The design owns what it references and nothing else.
     assert_eq!(d.bdd.num_nodes(), e.bdd_nodes_kept);
-    assert!(
-        e.bdd_nodes_created > 10 * e.bdd_nodes_kept,
-        "({we},{wf}) {e:?}"
-    );
     assert!(e.tcon_refuted + e.tcon_accepted <= e.tcon_checks - e.tcon_cache_hits);
+    e
 }
 
 #[test]
@@ -199,4 +219,82 @@ fn paper_pe_maps_to_the_recorded_design() {
         caches: [114_302, 104_921, 114_302, 104_269],
         filter: [7_661, 1_512, 51_633, 62_483],
     });
+}
+
+#[test]
+fn swept_pe_maps_to_the_recorded_design_at_other_cut_budgets() {
+    // One cut per node: pruning keeps a single cut, so a node whose best
+    // cut is no TCON keeps its best TCON cut instead (the rescue branch).
+    check_at(
+        &Pin {
+            format: (4, 6),
+            fingerprint: 0xccab_4ebd_944c_59f6,
+            stats: [649, 119, 76, 51],
+            caches: [6_953, 6_102, 6_953, 5_954],
+            filter: [588, 255, 3_858, 787],
+        },
+        MapOptions { cuts_per_node: 1 },
+    );
+    // The largest budget `xbench ablations` sweeps.
+    check_at(
+        &Pin {
+            format: (4, 6),
+            fingerprint: 0x1f15_a6a5_ff68_01a9,
+            stats: [488, 76, 77, 39],
+            caches: [25_022, 19_963, 25_022, 19_219],
+            filter: [4_108, 692, 10_398, 1_422],
+        },
+        MapOptions { cuts_per_node: 12 },
+    );
+}
+
+/// Maps the swept PE of `format` conventionally and checks its stats and
+/// fingerprint.
+fn check_conventional(format: (u32, u32), fingerprint_pin: u64, stats: MapStats) {
+    let d = map_conventional(&swept_pe(format), MapOptions::default());
+    assert_eq!(d.stats(), stats, "{format:?}");
+    assert!(d.param_names.is_empty(), "{format:?}");
+    assert_eq!(fingerprint(&d), fingerprint_pin, "{format:?}");
+}
+
+#[test]
+fn swept_pe_maps_conventionally_to_the_recorded_design() {
+    check_conventional(
+        (4, 6),
+        0xd96a_26fd_75a6_7038,
+        MapStats {
+            luts: 982,
+            tluts: 0,
+            tcons: 0,
+            tunable_constants: 0,
+            depth: 48,
+        },
+    );
+    check_conventional(
+        (5, 10),
+        0xdf4a_2413_ed93_ba5c,
+        MapStats {
+            luts: 1_621,
+            tluts: 0,
+            tcons: 0,
+            tunable_constants: 0,
+            depth: 56,
+        },
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale (6,26) map: runs in release")]
+fn paper_pe_maps_conventionally_to_the_recorded_design() {
+    check_conventional(
+        (6, 26),
+        0x700f_eebf_3cf4_440a,
+        MapStats {
+            luts: 4_765,
+            tluts: 0,
+            tcons: 0,
+            tunable_constants: 0,
+            depth: 81,
+        },
+    );
 }

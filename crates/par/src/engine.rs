@@ -193,7 +193,7 @@ mod tests {
         let mut g = Aig::new();
         let x = g.input_vec("x", 4, InputKind::Regular);
         let c = g.input_vec("c", 4, InputKind::Param);
-        let p = gates::mul_array(&mut g, &x, &c);
+        let p = gates::mul_carry_save(&mut g, &x, &c);
         g.add_output_vec("p", &p);
         g
     }

@@ -542,34 +542,29 @@ pub(crate) fn route_core(
         } else {
             best_overused = best_overused.min(overused);
             stalled += 1;
-            if overused > n_nets / 16 + 64 {
-                if stalled >= STALL_ITERS {
-                    if warm_n > 0 {
-                        // Never let warm bias manufacture an "unroutable":
-                        // dissolve the remaining frozen routes and give the
-                        // stall clock a fresh start before giving up.
-                        trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
-                        debias = true;
-                        best_overused = usize::MAX;
-                        stalled = 0;
-                    } else {
-                        // warm_n == 0 here, so the residual congestion is
-                        // honest — report the worst cut's overuse.
-                        return Err(Unroutable {
-                            iterations: iter + 1,
-                            ripups,
-                            worst_cut_overuse: graph.cut_pressure(&state).max_overuse,
-                        });
-                    }
+            // Past the stall threshold (`STALL_ITERS` for a massive
+            // overuse, 3 for a small one) a warm-started run debiases and
+            // a cold run with a massive overuse gives up.
+            let massive = overused > n_nets / 16 + 64;
+            if stalled >= if massive { STALL_ITERS } else { 3 } {
+                if warm_n > 0 {
+                    // The remaining frozen routes are the likely culprit,
+                    // and warm bias must never manufacture an
+                    // "unroutable": rip them all next iteration and give
+                    // the stall clock a fresh start.
+                    trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
+                    debias = true;
+                    best_overused = usize::MAX;
+                    stalled = 0;
+                } else if massive {
+                    // warm_n == 0 here, so the residual congestion is
+                    // honest — report the worst cut's overuse.
+                    return Err(Unroutable {
+                        iterations: iter + 1,
+                        ripups,
+                        worst_cut_overuse: graph.cut_pressure(&state).max_overuse,
+                    });
                 }
-            } else if stalled >= 3 && warm_n > 0 {
-                // Small, stubborn overuse on a warm-started run: the
-                // remaining frozen routes are the likely culprit. Rip
-                // them all next iteration and restart the stall clock.
-                trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
-                debias = true;
-                best_overused = usize::MAX;
-                stalled = 0;
             }
         }
         pres_fac *= PRES_FAC_MULT;

@@ -76,18 +76,7 @@ pub fn separable_stencil(format: FpFormat, row: &[f64], col: &[f64]) -> Workload
     let mut g = AppGraph::new(format, row.len() * col.len());
     let mut scaled_rows = Vec::with_capacity(col.len());
     for (r, &cv) in col.iter().enumerate() {
-        let muls: Vec<usize> = row
-            .iter()
-            .enumerate()
-            .map(|(c, &rv)| {
-                g.add(
-                    PeMode::Mul,
-                    Some(FpValue::from_f64(rv, format)),
-                    AppSource::External(r * row.len() + c),
-                    AppSource::Zero,
-                )
-            })
-            .collect();
+        let muls = g.mul_layer(r * row.len(), row);
         let row_sum = g.reduce_add(muls);
         scaled_rows.push(g.add(
             PeMode::Mul,
@@ -110,18 +99,7 @@ pub fn matvec(format: FpFormat, a: &[Vec<f64>]) -> Workload {
     assert!(a.iter().all(|row| row.len() == n), "rectangular matrix");
     let mut g = AppGraph::new(format, n);
     for row in a {
-        let muls: Vec<usize> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                g.add(
-                    PeMode::Mul,
-                    Some(FpValue::from_f64(c, format)),
-                    AppSource::External(j),
-                    AppSource::Zero,
-                )
-            })
-            .collect();
+        let muls = g.mul_layer(0, row);
         let out = g.reduce_add(muls);
         g.mark_output(out);
     }

@@ -185,37 +185,6 @@ pub(crate) fn lzc(g: &mut Aig, a: &[Lit]) -> Vec<Lit> {
     popcount(g, &z)
 }
 
-/// Unsigned array multiplier (`a.len() + b.len()` result bits).
-///
-/// Row-wise accumulation of AND partial products with ripple-carry rows —
-/// the classic array multiplier whose critical path is O(n + m), matching a
-/// LUT-only FPGA implementation with no DSP blocks.
-pub fn mul_array(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return vec![];
-    }
-    let mut result = vec![Lit::FALSE; n + m];
-    // `upper` holds bits [j+1, j+1+n) of the running accumulation after row j.
-    let row0 = mask_word(g, a, b[0]);
-    result[0] = row0[0];
-    let mut upper: Vec<Lit> = row0[1..].to_vec(); // n-1 bits after row 0
-    for (j, &bj) in b.iter().enumerate().skip(1) {
-        let pp = mask_word(g, a, bj);
-        let mut ext = upper.clone();
-        ext.resize(n, Lit::FALSE); // n bits to match the partial product
-        let (sum, carry) = add(g, &ext, &pp, Lit::FALSE);
-        result[j] = sum[0];
-        upper = sum[1..].to_vec();
-        upper.push(carry); // back to n bits
-    }
-    // Remaining high bits land above the emitted low bits.
-    for (k, &u) in upper.iter().enumerate() {
-        result[m + k] = u;
-    }
-    result
-}
-
 /// Kogge–Stone prefix adder: logarithmic depth, used for the wide
 /// significand datapaths so the mapped logic depth matches an
 /// FPGA-oriented operator generator (FloPoCo emits fast adders too).
@@ -420,20 +389,21 @@ mod tests {
 
     #[test]
     fn multiplier_small() {
-        check_binop(8, 8, mul_array, |a, b| a * b, 16);
+        check_binop(8, 8, mul_carry_save, |a, b| a * b, 16);
     }
 
     #[test]
     fn multiplier_asymmetric() {
-        check_binop(5, 9, mul_array, |a, b| a * b, 14);
+        check_binop(5, 9, mul_carry_save, |a, b| a * b, 14);
     }
 
     #[test]
     fn multiplier_27x27_random() {
+        // The (6,26) PE's significand width.
         let mut g = Aig::new();
         let a = g.input_vec("a", 27, InputKind::Regular);
         let b = g.input_vec("b", 27, InputKind::Regular);
-        let r = mul_array(&mut g, &a, &b);
+        let r = mul_carry_save(&mut g, &a, &b);
         g.add_output_vec("r", &r);
         let mut rng = SplitMix64::new(7);
         for _ in 0..50 {

@@ -15,8 +15,15 @@ use softfloat::FpFormat;
 use vcgra::{VirtualPe, VirtualPeConfig};
 
 fn main() {
-    let smoke = xbench::smoke_mode();
-    let trace_path = xbench::init_trace();
+    let args = xbench::Cli {
+        name: "ablations",
+        switches: &["--smoke"],
+        valued: &[xbench::TRACE],
+        positional: None,
+    }
+    .parse();
+    let smoke = args.has("--smoke");
+    let trace_path = xbench::init_trace(&args);
     // Reduced format keeps each point fast; trends carry to (6,26).
     let fmt = if smoke {
         FpFormat::new(4, 6)

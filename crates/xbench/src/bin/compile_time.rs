@@ -37,26 +37,25 @@ use xbench::{print_header, print_row};
 const CHECK_ROUTE_SECONDS: f64 = 10.0;
 
 fn main() {
-    let smoke = xbench::smoke_mode();
-    let trace_path = xbench::init_trace();
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let flag_val = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
+    let cli = xbench::Cli {
+        name: "compile_time",
+        switches: &["--smoke", "--check"],
+        valued: &[("--threads-sweep", "<n,n,...>"), xbench::TRACE],
+        positional: None,
     };
-    let sweep: Vec<usize> = flag_val("--threads-sweep")
+    let args = cli.parse();
+    let smoke = args.has("--smoke");
+    let trace_path = xbench::init_trace(&args);
+    let check = args.has("--check");
+    let sweep: Vec<usize> = args
+        .value("--threads-sweep")
         .map(|v| {
             v.split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse()
-                        .expect("--threads-sweep takes e.g. 1,2,4,8")
+                .map(|t| t.trim().parse())
+                .collect::<Result<_, _>>()
+                .unwrap_or_else(|_| {
+                    cli.refuse(&format!("`--threads-sweep {v}` is not a list of counts"))
                 })
-                .collect()
         })
         .unwrap_or_default();
     let gate_fmt = if smoke {

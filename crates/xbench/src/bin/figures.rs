@@ -22,18 +22,16 @@ use vcgra::render;
 use vcgra::VcgraArch;
 
 fn main() {
-    let smoke = xbench::smoke_mode();
-    let trace_path = xbench::init_trace();
-    // First positional argument (flags and their values excluded, any
-    // order) is out_dir. `--trace` takes a value, so its path must not
-    // be mistaken for the positional.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_dir = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--trace"))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "out".to_string());
+    let args = xbench::Cli {
+        name: "figures",
+        switches: &["--smoke"],
+        valued: &[xbench::TRACE],
+        positional: Some("out_dir"),
+    }
+    .parse();
+    let smoke = args.has("--smoke");
+    let trace_path = xbench::init_trace(&args);
+    let out_dir = args.positional().unwrap_or("out").to_string();
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let path = |name: &str| format!("{out_dir}/{name}");
 

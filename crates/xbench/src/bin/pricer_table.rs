@@ -9,5 +9,12 @@
 //! file differs from what this prints.
 
 fn main() {
+    xbench::Cli {
+        name: "pricer_table",
+        switches: &[],
+        valued: &[],
+        positional: None,
+    }
+    .parse();
     print!("{}", xbench::pricer_table(xbench::PRICER_PE));
 }

@@ -19,8 +19,15 @@ use std::hint::black_box;
 use xbench::{build_pe_aig_with, map_pe, print_header, print_row};
 
 fn main() {
-    let smoke = xbench::smoke_mode();
-    let trace_path = xbench::init_trace();
+    let args = xbench::Cli {
+        name: "reconfig",
+        switches: &["--smoke"],
+        valued: &[xbench::TRACE],
+        positional: None,
+    }
+    .parse();
+    let smoke = args.has("--smoke");
+    let trace_path = xbench::init_trace(&args);
     let fmt = if smoke {
         FpFormat::new(5, 10)
     } else {

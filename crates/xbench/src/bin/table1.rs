@@ -103,11 +103,17 @@ fn print_map_effort(e: &MapEffort) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = xbench::smoke_mode();
-    let trace_path = xbench::init_trace();
-    let skip_par = args.iter().any(|a| a == "--skip-par");
-    let verify_mode = args.iter().any(|a| a == "--verify");
+    let args = xbench::Cli {
+        name: "table1",
+        switches: &["--skip-par", "--smoke", "--verify"],
+        valued: &[xbench::TRACE],
+        positional: None,
+    }
+    .parse();
+    let smoke = args.has("--smoke");
+    let trace_path = xbench::init_trace(&args);
+    let skip_par = args.has("--skip-par");
+    let verify_mode = args.has("--verify");
     let fmt = if smoke {
         FpFormat::new(5, 10)
     } else {

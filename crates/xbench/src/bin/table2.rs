@@ -11,7 +11,14 @@ use vcgra::VcgraArch;
 use xbench::{print_header, print_row};
 
 fn main() {
-    let trace_path = xbench::init_trace();
+    let args = xbench::Cli {
+        name: "table2",
+        switches: &[],
+        valued: &[xbench::TRACE],
+        positional: None,
+    }
+    .parse();
+    let trace_path = xbench::init_trace(&args);
     let grid = VcgraArch::paper_4x4();
     let conv = grid.resources(false);
     let par = grid.resources(true);

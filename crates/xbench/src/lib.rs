@@ -12,6 +12,9 @@
 //! | `ablations`   | design-choice sweeps (hops, cut budget, precision)     |
 //! | `pricer_table`| the runtime's pricing PPC, mapped offline ([`pricer_table`]) |
 //!
+//! Each driver parses its command line with one [`Cli`] parser: it refuses
+//! any argument it does not take, printing its usage and exiting with
+//! status 2, so a misspelt flag never runs a different experiment.
 //! `figures`, `reconfig`, `compile_time` and `ablations` accept `--smoke`
 //! (reduced formats/grids/volumes) so CI can run all of them end-to-end
 //! in seconds. `table1` also takes `--verify`, which re-proves its
@@ -43,25 +46,117 @@ use par::{ParEngine, ParNetlist, Placement, RouteResult};
 use softfloat::FpFormat;
 use vcgra::{VirtualPe, VirtualPeConfig};
 
-/// True when `--smoke` appears on the command line.
-pub fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--smoke")
+/// The command line one driver takes. A driver parses it with
+/// [`Cli::parse`], which refuses any argument the driver does not list.
+pub struct Cli {
+    /// The driver's binary name, for its usage line.
+    pub name: &'static str,
+    /// Flags without a value, such as `--smoke`.
+    pub switches: &'static [&'static str],
+    /// Flags with a value, each with its placeholder, such as [`TRACE`].
+    pub valued: &'static [(&'static str, &'static str)],
+    /// The placeholder of the driver's one optional positional argument.
+    pub positional: Option<&'static str>,
 }
 
-/// Parses `--trace <path>` and, when present, arms the global span
-/// recorder. Every driver calls this first thing in `main`, so
-/// instrumentation across the whole compile + serve stack records into
-/// one timeline. Pair with [`finish_trace`] before exit.
-pub fn init_trace() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| args.get(i + 1).expect("--trace needs a path").clone());
-    if path.is_some() {
-        trace::configure(trace::TraceConfig::On);
+/// `--trace <path>`: writes the driver's spans as a Chrome trace
+/// ([`init_trace`]). Every driver but `pricer_table` takes it.
+pub const TRACE: (&str, &str) = ("--trace", "<path>");
+
+/// A driver's parsed command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+    positional: Option<String>,
+}
+
+impl Args {
+    /// Whether the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
     }
-    path
+
+    /// The value of the valued flag `flag`, the last one if it was given
+    /// more than once.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The positional argument, if one was given.
+    pub fn positional(&self) -> Option<&str> {
+        self.positional.as_deref()
+    }
+}
+
+impl Cli {
+    /// `usage: <name> [flags...] [positional]`.
+    pub fn usage(&self) -> String {
+        let mut u = format!("usage: {}", self.name);
+        for s in self.switches {
+            u += &format!(" [{s}]");
+        }
+        for (flag, placeholder) in self.valued {
+            u += &format!(" [{flag} {placeholder}]");
+        }
+        if let Some(p) = self.positional {
+            u += &format!(" [{p}]");
+        }
+        u
+    }
+
+    /// Parses `args` (the program name excluded) against this driver's
+    /// flags, in any order; refuses an argument it does not take and a
+    /// valued flag without its value.
+    pub fn parse_from(&self, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(&s) = self.switches.iter().find(|&&s| s == arg) {
+                parsed.switches.push(s);
+            } else if let Some(&(flag, _)) = self.valued.iter().find(|(f, _)| *f == arg) {
+                let value = args.next().ok_or(format!("`{flag}` needs a value"))?;
+                parsed.values.push((flag, value));
+            } else if self.positional.is_some()
+                && parsed.positional.is_none()
+                && !arg.starts_with('-')
+            {
+                parsed.positional = Some(arg);
+            } else {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process's arguments. On anything this driver does not
+    /// take, `--help` included, prints the error and the usage and exits
+    /// with status 2.
+    pub fn parse(&self) -> Args {
+        self.parse_from(std::env::args().skip(1))
+            .unwrap_or_else(|e| self.refuse(&e))
+    }
+
+    /// Prints `error` and the usage and exits with status 2: for a
+    /// command line the driver cannot run.
+    pub fn refuse(&self, error: &str) -> ! {
+        eprintln!("{}: {error}\n{}", self.name, self.usage());
+        std::process::exit(2)
+    }
+}
+
+/// Arms the global span recorder when `args` holds `--trace <path>`, and
+/// returns the path. Every driver that takes [`TRACE`] calls this first
+/// thing in `main`, so instrumentation across the whole compile + serve
+/// stack records into one timeline. Pair with [`finish_trace`] before exit.
+pub fn init_trace(args: &Args) -> Option<String> {
+    let path = args.value(TRACE.0)?;
+    trace::configure(trace::TraceConfig::On);
+    Some(path.to_string())
 }
 
 /// Drains the recorder into a Chrome trace-event JSON file (load it at
@@ -271,6 +366,72 @@ pub fn reduction(before: usize, after: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TABLE1: Cli = Cli {
+        name: "table1",
+        switches: &["--skip-par", "--smoke", "--verify"],
+        valued: &[TRACE],
+        positional: None,
+    };
+
+    fn parse(cli: &Cli, line: &[&str]) -> Result<Args, String> {
+        cli.parse_from(line.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parser_takes_the_drivers_flags_in_any_order() {
+        let a = parse(&TABLE1, &["--verify", "--trace", "t.json", "--smoke"]).unwrap();
+        assert!(a.has("--smoke") && a.has("--verify") && !a.has("--skip-par"));
+        assert_eq!(a.value("--trace"), Some("t.json"));
+        assert_eq!(parse(&TABLE1, &[]).unwrap(), Args::default());
+
+        let figures = Cli {
+            name: "figures",
+            switches: &["--smoke"],
+            valued: &[TRACE],
+            positional: Some("out_dir"),
+        };
+        let a = parse(&figures, &["--trace", "t.json", "out", "--smoke"]).unwrap();
+        assert_eq!(
+            (a.positional(), a.value("--trace")),
+            (Some("out"), Some("t.json"))
+        );
+        assert!(a.has("--smoke"));
+        assert_eq!(
+            parse(&figures, &["out", "more"]),
+            Err("unknown argument `more`".into())
+        );
+        assert_eq!(
+            figures.usage(),
+            "usage: figures [--smoke] [--trace <path>] [out_dir]"
+        );
+    }
+
+    #[test]
+    fn parser_refuses_what_the_driver_does_not_take() {
+        // A misspelt switch, a flag of another driver, a stray positional.
+        for bad in ["--smok", "--check", "out", "--help"] {
+            assert_eq!(
+                parse(&TABLE1, &["--smoke", bad, "--verify"]),
+                Err(format!("unknown argument `{bad}`")),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            parse(&TABLE1, &["--smoke", "--trace"]),
+            Err("`--trace` needs a value".into())
+        );
+        let none = Cli {
+            name: "pricer_table",
+            switches: &[],
+            valued: &[],
+            positional: None,
+        };
+        assert_eq!(
+            parse(&none, &["--trace", "t.json"]),
+            Err("unknown argument `--trace`".into())
+        );
+    }
 
     #[test]
     fn reduction_math() {
