@@ -77,12 +77,12 @@ fn table1_par_shape() {
                 .expect("routable");
             println!(
                 "{label}: WL {} CW {} (tcon switches {}) in {:?}",
-                rep.result.wirelength,
-                rep.min_channel_width,
-                rep.result.tcon_switches,
+                rep.search.result.wirelength,
+                rep.search.min_width,
+                rep.search.result.tcon_switches,
                 t.elapsed()
             );
-            rep.min_channel_width
+            rep.search.min_width
         });
     assert!(
         width_par <= width_conv,

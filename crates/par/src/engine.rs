@@ -31,7 +31,7 @@ use crate::incr::route_core;
 use crate::netlist::ParNetlist;
 use crate::tplace::{place_best, Placement};
 use crate::troute::{RouteResult, Unroutable};
-use crate::warm::{self, WidthCertificate, WidthProbe, WidthSearch};
+use crate::warm::{self, WidthSearch};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 
@@ -69,21 +69,9 @@ pub struct ParReport {
     pub arch: FabricArch,
     /// The placement.
     pub placement: Placement,
-    /// Minimum routable channel width.
-    pub min_channel_width: usize,
-    /// Routing result at the minimum channel width.
-    pub result: RouteResult,
-    /// Width-search effort log: every probe with its wall time,
-    /// iteration and rip-up counts, and warm-start coverage.
-    pub probes: Vec<WidthProbe>,
-    /// Why `min_channel_width` is taken as minimal: a cold confirmation
-    /// of the final `W−1` failure (a budgeted router verdict, not a proof
-    /// that `W−1` is unroutable), the sound lower bound, or the search
-    /// floor.
-    pub certificate: WidthCertificate,
-    /// The sound placement-derived lower bound the search started from
-    /// ([`crate::channel_width_lower_bound`]).
-    pub lower_bound: usize,
+    /// The width search on that placement: the minimum channel width, the
+    /// routing there, its certificate and the probe log.
+    pub search: WidthSearch,
     /// Wall time of placement.
     pub place_seconds: f64,
     /// Wall time of the whole width search.
@@ -130,7 +118,7 @@ impl ParEngine {
 
     /// Minimum-channel-width search with the per-probe effort log:
     /// doubling + binary with warm-started probes, the reported minimum
-    /// always certified (see [`WidthCertificate`]).
+    /// always certified (see [`crate::WidthCertificate`]).
     pub fn min_channel_width(
         &self,
         netlist: &ParNetlist,
@@ -170,11 +158,7 @@ impl ParEngine {
         Some(ParReport {
             arch,
             placement,
-            min_channel_width: search.min_width,
-            result: search.result,
-            probes: search.probes,
-            certificate: search.certificate,
-            lower_bound: search.lower_bound,
+            search,
             place_seconds,
             route_seconds,
         })
@@ -205,10 +189,10 @@ mod tests {
         let rep = ParEngine::new(EngineOptions::default())
             .run(&nl)
             .expect("routable");
-        assert!(rep.result.wirelength > 0);
-        assert!(rep.min_channel_width >= 2);
+        assert!(rep.search.result.wirelength > 0);
+        assert!(rep.search.min_width >= 2);
         assert_eq!(
-            rep.result.tcon_switches, 0,
+            rep.search.result.tcon_switches, 0,
             "no tunable nets conventionally"
         );
     }
@@ -224,7 +208,7 @@ mod tests {
         // The parameterized design has fewer LUT blocks; with TCONs moved
         // into routing its wirelength should not explode.
         assert!(nl_p.logic_count() < nl_c.logic_count());
-        assert!(rp.result.wirelength > 0 && rc.result.wirelength > 0);
+        assert!(rp.search.result.wirelength > 0 && rc.search.result.wirelength > 0);
     }
 
     #[test]
@@ -234,9 +218,9 @@ mod tests {
         let engine = ParEngine::new(EngineOptions::default());
         let rep = engine.run(&nl).expect("routable");
         // Minimality is only guaranteed above the search floor.
-        if rep.min_channel_width > engine.opts.min_width {
+        if rep.search.min_width > engine.opts.min_width {
             // One narrower must fail (that's what "minimum" means).
-            let graph = RouteGraph::build(rep.arch, rep.min_channel_width - 1);
+            let graph = RouteGraph::build(rep.arch, rep.search.min_width - 1);
             let narrower = engine.route(&nl, &rep.placement, &graph);
             assert!(narrower.is_err(), "width was not minimal");
         }
@@ -249,21 +233,25 @@ mod tests {
         let rep = ParEngine::new(EngineOptions::default())
             .run(&nl)
             .expect("routable");
-        assert!(rep.result.wirelength > 0);
-        assert!(!rep.probes.is_empty(), "width search must log probes");
-        assert!(rep.probes.iter().any(|p| p.success));
+        assert!(rep.search.result.wirelength > 0);
+        assert!(
+            !rep.search.probes.is_empty(),
+            "width search must log probes"
+        );
+        assert!(rep.search.probes.iter().any(|p| p.success));
         assert_eq!(
-            rep.probes
+            rep.search
+                .probes
                 .iter()
                 .filter(|p| p.success)
                 .map(|p| p.width)
                 .min()
                 .unwrap(),
-            rep.min_channel_width
+            rep.search.min_width
         );
         // The winning probe may be warm-started (only broken/congested
         // nets reroute), so the only safe lower bound is "some work ran".
-        assert!(rep.result.ripups > 0);
+        assert!(rep.search.result.ripups > 0);
     }
 
     #[test]
@@ -280,9 +268,9 @@ mod tests {
         };
         let a = run(1);
         let b = run(4);
-        assert_eq!(a.min_channel_width, b.min_channel_width);
+        assert_eq!(a.search.min_width, b.search.min_width);
         assert_eq!(
-            a.result.trees, b.result.trees,
+            a.search.result.trees, b.search.result.trees,
             "routing must not depend on threads"
         );
         assert_eq!(a.placement.site_of, b.placement.site_of);

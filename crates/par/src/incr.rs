@@ -2,7 +2,10 @@
 //! worklist, and one canonical wave order.
 //!
 //! This module is the engine behind the [`crate::ParEngine`]
-//! facade. It differs from a textbook PathFinder loop in three ways:
+//! facade. It routes the nets' [`crate::troute::terminals`] — the one lift
+//! of nets into the routing graph, which the warm-start audit and the
+//! verifier's route pass read too — and only orders each net's sinks
+//! far-first. It differs from a textbook PathFinder loop in three ways:
 //!
 //! * **Incremental rip-up-and-reroute.** Occupancy and history live in a
 //!   [`fabric::rrg::NodeState`] that is updated in place; per iteration
@@ -31,10 +34,19 @@
 //!   box. Nets that fail inside their box are deferred and retried after
 //!   the waves with a larger box.
 //!
-//! A run can be **cancelled** (`route_core`'s last argument, read once per
-//! wave): the width search routes cold probes speculatively and stops the
-//! ones it moves past. A cancelled run's `Unroutable` is no verdict, and
-//! the search drops it unread.
+//! A run that does not route leaves by one of three exits, each its own
+//! `Unroutable`:
+//!
+//! * **cancelled** (`route_core`'s last argument, read once per wave): the
+//!   width search routes cold probes speculatively and stops the ones it
+//!   moves past. It reports the iterations finished and no cut pressure;
+//!   it is no verdict, and the search drops it unread;
+//! * **whole-fabric deferral**: a net finds no tree even with the whole
+//!   fabric as its box (`iter + 1` iterations, no cut pressure);
+//! * **give-up**: the iteration limit, or a massive overuse that stalled
+//!   with no warm trees left. It reports the worst cut's residual overuse
+//!   when no warm tree is left to bias the congestion, which the width
+//!   search's `lo` advance reads.
 //!
 //! The core prints nothing and reads no environment: what it did is in
 //! its trace spans — `par.route_iter` (`dirty`, `waves`, `ripups`,
@@ -44,8 +56,8 @@
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
-use crate::troute::{RouteResult, Unroutable};
-use fabric::rrg::{NodeState, RouteGraph};
+use crate::troute::{terminals, RouteResult, Unroutable};
+use fabric::rrg::{NetTerminals, NodeState, RouteGraph};
 use logic::fxhash::FxHashSet;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,10 +75,17 @@ const ACC_FAC: f64 = 1.0;
 const ASTAR_FAC: f64 = 1.2;
 /// Abort early when the best overuse count has not improved by ≥3 % for
 /// this many consecutive iterations *while overuse is still massive*
-/// (> nets/16 + 64 wires) — the signature of a hopelessly narrow channel.
+/// ([`is_massive`]) — the signature of a hopelessly narrow channel.
 /// Near-feasible widths plateau far below the threshold and always get
 /// their full `MAX_ITERS` budget.
 const STALL_ITERS: usize = 6;
+
+/// Is `overused` wires a *massive* overuse for a netlist of `n_nets`? Below
+/// it the run is in its endgame (thrash escalation opens); above it a
+/// stalled cold run gives up.
+fn is_massive(overused: usize, n_nets: usize) -> bool {
+    overused > n_nets / 16 + 64
+}
 
 /// Staged bbox margins (tiles around the terminal extent). The last stage
 /// is the whole fabric.
@@ -83,6 +102,42 @@ struct BBox {
 }
 
 impl BBox {
+    /// The box that holds nothing: including a point makes it that point.
+    const EMPTY: BBox = BBox {
+        x0: f32::INFINITY,
+        y0: f32::INFINITY,
+        x1: f32::NEG_INFINITY,
+        y1: f32::NEG_INFINITY,
+    };
+
+    /// The smallest box holding the locations of `nodes`.
+    fn around<'a>(graph: &RouteGraph, nodes: impl IntoIterator<Item = &'a u32>) -> BBox {
+        let mut bb = BBox::EMPTY;
+        for &n in nodes {
+            bb.include(graph.location_f32(n));
+        }
+        bb
+    }
+
+    #[inline]
+    fn include(&mut self, (x, y): (f32, f32)) {
+        self.x0 = self.x0.min(x);
+        self.y0 = self.y0.min(y);
+        self.x1 = self.x1.max(x);
+        self.y1 = self.y1.max(y);
+    }
+
+    /// The box with `margin` tiles added on every side (an infinite margin
+    /// makes it the whole plane).
+    fn grown(&self, margin: f32) -> BBox {
+        BBox {
+            x0: self.x0 - margin,
+            y0: self.y0 - margin,
+            x1: self.x1 + margin,
+            y1: self.y1 + margin,
+        }
+    }
+
     #[inline]
     fn contains(&self, (x, y): (f32, f32)) -> bool {
         x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
@@ -141,8 +196,7 @@ fn route_net(
     graph: &RouteGraph,
     state: &NodeState,
     pres_fac: f64,
-    srcs: &[u32],
-    sinks: &[u32],
+    net: &NetTerminals,
     bbox: BBox,
     scratch: &mut Scratch,
 ) -> Option<Vec<u32>> {
@@ -157,7 +211,7 @@ fn route_net(
     tree_set.clear();
     tree_list.clear();
 
-    for &sink in sinks {
+    for &sink in &net.sinks {
         // Reset the previous search (possibly a different net's).
         for &t in touched.iter() {
             cost_to[t as usize] = f32::INFINITY;
@@ -182,7 +236,7 @@ fn route_net(
                 }
             }};
         }
-        for &s in srcs {
+        for &s in &net.sources {
             push!(s, 0.0, u32::MAX);
         }
         for &t in tree_list.iter() {
@@ -226,6 +280,38 @@ fn route_net(
     Some(tree)
 }
 
+/// What a reroute step works on besides the net: the graph, its
+/// occupancy and history, the search scratch and the iteration's
+/// present-congestion factor.
+struct Router<'g> {
+    graph: &'g RouteGraph,
+    state: NodeState,
+    scratch: Scratch,
+    pres_fac: f64,
+}
+
+impl Router<'_> {
+    /// The reroute step: rips `tree` out of the state, searches the net
+    /// inside `bbox` against what is left, and commits the tree it finds.
+    /// Returns false, with the net left unrouted, when no tree fits in the
+    /// box.
+    fn reroute(&mut self, net: &NetTerminals, bbox: BBox, tree: &mut Vec<u32>) -> bool {
+        for &n in tree.iter() {
+            self.state.release(n);
+        }
+        tree.clear();
+        let (graph, state, pres_fac) = (self.graph, &self.state, self.pres_fac);
+        let Some(found) = route_net(graph, state, pres_fac, net, bbox, &mut self.scratch) else {
+            return false;
+        };
+        for &n in &found {
+            self.state.occupy(n);
+        }
+        *tree = found;
+        true
+    }
+}
+
 /// Greedy first-fit packing of dirty nets into waves of pairwise
 /// bbox-disjoint members. Deterministic in the net order.
 fn build_waves(dirty: &[u32], bboxes: &[BBox]) -> Vec<Vec<usize>> {
@@ -264,70 +350,31 @@ pub(crate) fn route_core(
 ) -> Result<RouteResult, Unroutable> {
     let n_nets = netlist.nets.len();
 
-    // Terminals in RRG space; sinks ordered far-first like the reference
-    // router (route the hardest sink while the tree is small).
-    let srcs: Vec<Vec<u32>> = netlist
-        .nets
-        .iter()
-        .map(|n| {
-            n.sources
-                .iter()
-                .map(|&b| graph.opin(placement.site_of[b as usize]))
-                .collect()
-        })
-        .collect();
-    let sinks: Vec<Vec<u32>> = netlist
-        .nets
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            let mut s: Vec<u32> = n
-                .sinks
-                .iter()
-                .map(|&(b, p)| graph.ipin(placement.site_of[b as usize], p as usize))
-                .collect();
-            let s0 = graph.location_f32(srcs[i][0]);
-            s.sort_by(|&a, &b| {
-                let da = dist(graph.location_f32(a), s0);
-                let db = dist(graph.location_f32(b), s0);
-                db.total_cmp(&da).then(a.cmp(&b))
-            });
-            s
-        })
-        .collect();
-
+    // Sinks ordered far-first like the reference router (route the hardest
+    // sink while the tree is small).
+    let mut nets = terminals(netlist, placement, graph);
+    for net in &mut nets {
+        let s0 = graph.location_f32(net.sources[0]);
+        net.sinks.sort_by(|&a, &b| {
+            let da = dist(graph.location_f32(a), s0);
+            let db = dist(graph.location_f32(b), s0);
+            db.total_cmp(&da).then(a.cmp(&b))
+        });
+    }
     // Terminal extents (fixed by the placement) and escalation stages.
-    let extents: Vec<BBox> = (0..n_nets)
-        .map(|i| {
-            let mut bb = BBox {
-                x0: f32::INFINITY,
-                y0: f32::INFINITY,
-                x1: f32::NEG_INFINITY,
-                y1: f32::NEG_INFINITY,
-            };
-            for &t in srcs[i].iter().chain(sinks[i].iter()) {
-                let (x, y) = graph.location_f32(t);
-                bb.x0 = bb.x0.min(x);
-                bb.y0 = bb.y0.min(y);
-                bb.x1 = bb.x1.max(x);
-                bb.y1 = bb.y1.max(y);
-            }
-            bb
-        })
+    let extents: Vec<BBox> = nets
+        .iter()
+        .map(|net| BBox::around(graph, net.sources.iter().chain(&net.sinks)))
         .collect();
     let mut stage: Vec<u8> = vec![0; n_nets];
-    let bbox_of = |net: usize, stage: u8| -> BBox {
-        let m = MARGINS[stage as usize];
-        let e = &extents[net];
-        BBox {
-            x0: e.x0 - m,
-            y0: e.y0 - m,
-            x1: e.x1 + m,
-            y1: e.y1 + m,
-        }
-    };
+    let bbox_of = |net: usize, stage: u8| extents[net].grown(MARGINS[stage as usize]);
 
-    let mut state = NodeState::new(graph);
+    let mut router = Router {
+        graph,
+        state: NodeState::new(graph),
+        scratch: Scratch::new(graph.node_count()),
+        pres_fac: FIRST_PRES_FAC,
+    };
     let mut trees: Vec<Vec<u32>> = seed_trees.unwrap_or_else(|| vec![Vec::new(); n_nets]);
     // Checked in release builds too: a seed-tree/netlist length mismatch
     // would silently misattribute routes to the wrong nets.
@@ -338,32 +385,30 @@ pub(crate) fn route_core(
     );
     for t in &trees {
         for &n in t {
-            state.occupy(n);
+            router.state.occupy(n);
         }
     }
     // Warm-seeded nets that have not been rerouted yet. A stalled probe
-    // with *small* overuse dissolves this set (see below): the frozen
-    // routes hold capacity the contested nets may need, and ripping them
-    // turns the probe into a cold-equivalent one instead of letting the
-    // bias produce a false "unroutable" verdict.
+    // dissolves this set (see below): the frozen routes hold capacity the
+    // contested nets may need, and ripping them turns the probe into a
+    // cold-equivalent one instead of letting the bias produce a false
+    // "unroutable" verdict.
     let mut warm_left: Vec<bool> = trees.iter().map(|t| !t.is_empty()).collect();
     let mut warm_n = warm_left.iter().filter(|&&w| w).count();
     let mut debias = false;
 
-    let mut scratch = Scratch::new(graph.node_count());
-    let mut pres_fac = FIRST_PRES_FAC;
     let mut ripups = 0usize;
     let mut waves_total = 0usize;
     let mut best_overused = usize::MAX;
     let mut stalled = 0usize;
-    // Thrash escalation: in the endgame (small overuse), a net that keeps
-    // being ripped yet always "succeeds" inside its box is playing
+    // Thrash escalation: in the endgame (no massive overuse), a net that
+    // keeps being ripped yet always "succeeds" inside its box is playing
     // musical chairs over a local capacity deficit — the detour that
     // resolves it lies outside the box. Growing the box for such nets
-    // recovers the unconfined router's verdicts. While overuse is large
+    // recovers the unconfined router's verdicts. While overuse is massive
     // the gate stays closed, so hopeless probes keep their cheap searches.
     let mut rips_of: Vec<u16> = vec![0; n_nets];
-    let mut last_overused = usize::MAX;
+    let mut endgame = false;
 
     for iter in 0..MAX_ITERS {
         let mut iter_span = trace::span("par.route_iter");
@@ -374,7 +419,7 @@ pub(crate) fn route_core(
                 let t = &trees[i as usize];
                 (debias && warm_left[i as usize])
                     || t.is_empty()
-                    || t.iter().any(|&n| state.overused(n))
+                    || t.iter().any(|&n| router.state.overused(n))
             })
             .collect();
         ripups += dirty.len();
@@ -387,7 +432,6 @@ pub(crate) fn route_core(
             }
         }
         debias = false;
-        let endgame = last_overused <= n_nets / 16 + 64;
         for &i in &dirty {
             let i = i as usize;
             rips_of[i] = rips_of[i].saturating_add(1);
@@ -409,24 +453,16 @@ pub(crate) fn route_core(
         // stage box.
         let eff: Vec<BBox> = dirty
             .iter()
-            .enumerate()
-            .map(|(pos, &i)| {
-                let mut bb = bboxes[pos];
-                for &n in &trees[i as usize] {
-                    let (x, y) = graph.location_f32(n);
-                    bb.x0 = bb.x0.min(x);
-                    bb.y0 = bb.y0.min(y);
-                    bb.x1 = bb.x1.max(x);
-                    bb.y1 = bb.y1.max(y);
-                }
-                bb
-            })
+            .zip(&bboxes)
+            .map(|(&i, bb)| bb.union(&BBox::around(graph, &trees[i as usize])))
             .collect();
         let waves = build_waves(&dirty, &eff);
         waves_total += waves.len();
         iter_span.arg("dirty", dirty.len());
         iter_span.arg("waves", waves.len());
 
+        // Rip each member right before rerouting it: every other dirty net
+        // keeps occupying its old wires until its own turn.
         let mut deferred: Vec<usize> = Vec::new();
         for wave in &waves {
             // Relaxed: the flag publishes no data, it only stops the work.
@@ -439,135 +475,86 @@ pub(crate) fn route_core(
             }
             let mut wave_span = trace::span("par.wave");
             wave_span.arg("nets", wave.len());
-            let mut wave_deferred = 0usize;
+            let before = deferred.len();
             for &pos in wave {
-                // Rip up right before rerouting: every other dirty net
-                // keeps occupying its old wires until its own turn.
                 let i = dirty[pos] as usize;
-                for &n in &trees[i] {
-                    state.release(n);
-                }
-                trees[i].clear();
-                match route_net(
-                    graph,
-                    &state,
-                    pres_fac,
-                    &srcs[i],
-                    &sinks[i],
-                    bboxes[pos],
-                    &mut scratch,
-                ) {
-                    Some(tree) => {
-                        for &n in &tree {
-                            state.occupy(n);
-                        }
-                        trees[i] = tree;
-                    }
-                    None => {
-                        deferred.push(i);
-                        wave_deferred += 1;
-                    }
+                if !router.reroute(&nets[i], bboxes[pos], &mut trees[i]) {
+                    deferred.push(i);
                 }
             }
-            wave_span.arg("deferred", wave_deferred);
+            wave_span.arg("deferred", deferred.len() - before);
         }
-
-        // Escalate nets that failed inside their box, in order.
+        // Escalate the nets that failed inside their box, in order: each
+        // grows its stage until it routes, or gives up on the whole fabric.
         for &i in &deferred {
-            loop {
-                if stage[i] >= LAST_STAGE {
-                    return Err(Unroutable {
-                        iterations: iter + 1,
-                        ripups,
-                        worst_cut_overuse: 0,
-                    });
-                }
-                stage[i] += 1;
-                let bb = bbox_of(i, stage[i]);
-                if let Some(tree) = route_net(
-                    graph,
-                    &state,
-                    pres_fac,
-                    &srcs[i],
-                    &sinks[i],
-                    bb,
-                    &mut scratch,
-                ) {
-                    for &n in &tree {
-                        state.occupy(n);
-                    }
-                    trees[i] = tree;
-                    break;
-                }
+            let routed = (stage[i] + 1..=LAST_STAGE).any(|s| {
+                stage[i] = s;
+                router.reroute(&nets[i], bbox_of(i, s), &mut trees[i])
+            });
+            if !routed {
+                return Err(Unroutable {
+                    iterations: iter + 1,
+                    ripups,
+                    worst_cut_overuse: 0,
+                });
             }
         }
 
-        let overused = state.accrue_history(ACC_FAC);
-        last_overused = overused;
+        let overused = router.state.accrue_history(ACC_FAC);
         iter_span.arg("ripups", ripups);
         iter_span.arg("overused", overused);
         if overused == 0 {
             return Ok(build_result(
                 netlist,
                 graph,
-                &state,
+                &router.state,
                 trees,
                 iter + 1,
                 ripups,
                 waves_total,
             ));
         }
-        if iter + 1 == MAX_ITERS {
-            // A cold-equivalent verdict (no frozen warm trees biasing the
-            // congestion) reports its worst-cut residual so the width
-            // search can advance `lo` past hopeless widths.
-            let cut = if warm_n == 0 {
-                graph.cut_pressure(&state).max_overuse
-            } else {
-                0
-            };
-            return Err(Unroutable {
-                iterations: iter + 1,
-                ripups,
-                worst_cut_overuse: cut,
-            });
-        }
-        // Stall detector: a hopelessly narrow channel shows as a large
+        // Stall detector: a hopelessly narrow channel shows as a massive
         // overuse count that stops improving *meaningfully* (≥3 % per
         // window). Near-feasible runs either converge in a handful of
-        // iterations or plateau far below the absolute guard.
+        // iterations or plateau far below the bound.
         if (overused as f64) < best_overused as f64 * 0.97 {
             best_overused = overused;
             stalled = 0;
         } else {
             best_overused = best_overused.min(overused);
             stalled += 1;
-            // Past the stall threshold (`STALL_ITERS` for a massive
-            // overuse, 3 for a small one) a warm-started run debiases and
-            // a cold run with a massive overuse gives up.
-            let massive = overused > n_nets / 16 + 64;
-            if stalled >= if massive { STALL_ITERS } else { 3 } {
-                if warm_n > 0 {
-                    // The remaining frozen routes are the likely culprit,
-                    // and warm bias must never manufacture an
-                    // "unroutable": rip them all next iteration and give
-                    // the stall clock a fresh start.
-                    trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
-                    debias = true;
-                    best_overused = usize::MAX;
-                    stalled = 0;
-                } else if massive {
-                    // warm_n == 0 here, so the residual congestion is
-                    // honest — report the worst cut's overuse.
-                    return Err(Unroutable {
-                        iterations: iter + 1,
-                        ripups,
-                        worst_cut_overuse: graph.cut_pressure(&state).max_overuse,
-                    });
-                }
-            }
         }
-        pres_fac *= PRES_FAC_MULT;
+        let massive = is_massive(overused, n_nets);
+        let stuck = stalled >= if massive { STALL_ITERS } else { 3 };
+        if iter + 1 == MAX_ITERS || (stuck && massive && warm_n == 0) {
+            // The run gives up: out of iterations, or stalled on a massive
+            // overuse. A cold-equivalent verdict (no frozen warm trees
+            // biasing the congestion — always so on a stall) reports its
+            // worst cut's residual so the width search can advance `lo`
+            // past hopeless widths.
+            let worst_cut_overuse = if warm_n == 0 {
+                graph.cut_pressure(&router.state).max_overuse
+            } else {
+                0
+            };
+            return Err(Unroutable {
+                iterations: iter + 1,
+                ripups,
+                worst_cut_overuse,
+            });
+        }
+        if stuck && warm_n > 0 {
+            // The remaining frozen routes are the likely culprit, and warm
+            // bias must never manufacture an "unroutable": rip them all
+            // next iteration and give the stall clock a fresh start.
+            trace::instant("par.debias", || vec![("warm_n", warm_n.into())]);
+            debias = true;
+            best_overused = usize::MAX;
+            stalled = 0;
+        }
+        endgame = !massive;
+        router.pres_fac *= PRES_FAC_MULT;
     }
     unreachable!("loop returns before exhausting iterations")
 }
@@ -617,13 +604,12 @@ pub(crate) mod tests {
         graph: &RouteGraph,
         state: &NodeState,
         pres_fac: f64,
-        srcs: &[u32],
-        sinks: &[u32],
+        net: &NetTerminals,
         bbox: BBox,
     ) -> Option<Vec<u32>> {
         let n = graph.node_count();
         let (mut tree_set, mut tree_list) = (FxHashSet::default(), Vec::new());
-        for &sink in sinks {
+        for &sink in &net.sinks {
             let (mut cost_to, mut prev) = (vec![f32::INFINITY; n], vec![u32::MAX; n]);
             let mut heap = BinaryHeap::new();
             let tloc = graph.location_f32(sink);
@@ -638,7 +624,7 @@ pub(crate) mod tests {
                     }
                 }};
             }
-            for &s in srcs.iter().chain(tree_list.iter()) {
+            for &s in net.sources.iter().chain(tree_list.iter()) {
                 push!(s, 0.0, u32::MAX);
             }
             let mut found = false;
@@ -691,11 +677,7 @@ pub(crate) mod tests {
         let placement = crate::tplace::place(&nl, arch, 1);
         for width in [4usize, 7] {
             let graph = RouteGraph::build(arch, width);
-            let mut nets: Vec<(Vec<u32>, Vec<u32>)> =
-                crate::troute::terminals(&nl, &placement, &graph)
-                    .into_iter()
-                    .map(|t| (t.sources, t.sinks))
-                    .collect();
+            let mut nets = terminals(&nl, &placement, &graph);
             // A sink beside its block's other input pins, two sinks on one
             // block (the later one a dead-end neighbour of the earlier
             // search), and a pad sink.
@@ -703,17 +685,17 @@ pub(crate) mod tests {
                 x: arch.size - 1,
                 y: arch.size - 1,
             };
-            nets.push((
-                vec![graph.opin(Site::Logic { x: 0, y: 0 })],
-                vec![
+            nets.push(NetTerminals {
+                sources: vec![graph.opin(Site::Logic { x: 0, y: 0 })],
+                sinks: vec![
                     graph.ipin(far, 0),
                     graph.ipin(far, 1),
                     graph.ipin(Site::Logic { x: 1, y: 0 }, 3),
                 ],
-            ));
-            nets.push((
-                vec![graph.opin(far), graph.opin(Site::Logic { x: 1, y: 1 })],
-                vec![
+            });
+            nets.push(NetTerminals {
+                sources: vec![graph.opin(far), graph.opin(Site::Logic { x: 1, y: 1 })],
+                sinks: vec![
                     graph.ipin(
                         Site::Io {
                             side: 3,
@@ -724,52 +706,26 @@ pub(crate) mod tests {
                     ),
                     graph.ipin(far, 2),
                 ],
-            ));
-            let whole = BBox {
-                x0: f32::NEG_INFINITY,
-                y0: f32::NEG_INFINITY,
-                x1: f32::INFINITY,
-                y1: f32::INFINITY,
-            };
+            });
             let mut state = NodeState::new(&graph);
             let mut scratch = Scratch::new(graph.node_count());
             let mut compared = 0;
             // Two PathFinder rounds: the second searches against the
             // occupancy and history the first left behind.
             for pres_fac in [FIRST_PRES_FAC, FIRST_PRES_FAC * PRES_FAC_MULT.powi(6)] {
-                for (srcs, sinks) in &nets {
-                    // The first-stage box: the terminals' extent plus margin.
-                    let m = MARGINS[0];
-                    let tight = srcs
-                        .iter()
-                        .chain(sinks)
-                        .map(|&t| graph.location_f32(t))
-                        .fold(
-                            BBox {
-                                x0: f32::INFINITY,
-                                y0: f32::INFINITY,
-                                x1: f32::NEG_INFINITY,
-                                y1: f32::NEG_INFINITY,
-                            },
-                            |bb, (x, y)| {
-                                bb.union(&BBox {
-                                    x0: x - m,
-                                    y0: y - m,
-                                    x1: x + m,
-                                    y1: y + m,
-                                })
-                            },
-                        );
+                for net in &nets {
+                    // The first and the last stage's box: the terminals'
+                    // extent plus a margin, and the whole fabric.
+                    let extent = BBox::around(&graph, net.sources.iter().chain(&net.sinks));
+                    let [tight, whole] = [0, LAST_STAGE].map(|s| extent.grown(MARGINS[s as usize]));
                     for bbox in [tight, whole] {
-                        let pruned =
-                            route_net(&graph, &state, pres_fac, srcs, sinks, bbox, &mut scratch);
-                        let reference =
-                            route_net_reference(&graph, &state, pres_fac, srcs, sinks, bbox);
+                        let pruned = route_net(&graph, &state, pres_fac, net, bbox, &mut scratch);
+                        let reference = route_net_reference(&graph, &state, pres_fac, net, bbox);
                         assert_eq!(pruned, reference, "width {width}, pres_fac {pres_fac}");
                         compared += usize::from(pruned.is_some());
                     }
                     if let Some(tree) =
-                        route_net(&graph, &state, pres_fac, srcs, sinks, whole, &mut scratch)
+                        route_net(&graph, &state, pres_fac, net, whole, &mut scratch)
                     {
                         tree.iter().for_each(|&n| state.occupy(n));
                     }
@@ -794,9 +750,13 @@ pub(crate) mod tests {
             .err()
             .expect("a cancelled run is no route");
         assert_eq!(
-            (stopped.iterations, stopped.ripups),
-            (0, nl.nets.len()),
-            "no wave was routed"
+            (
+                stopped.iterations,
+                stopped.ripups,
+                stopped.worst_cut_overuse
+            ),
+            (0, nl.nets.len(), 0),
+            "no wave was routed, and a cancelled run reports no cut pressure"
         );
         // An unraised flag changes nothing.
         let free = routed(&AtomicBool::new(false)).expect("routable at width 7");

@@ -12,12 +12,16 @@
 //!   half-perimeter wirelength cost (and a best-of-seeds variant);
 //! * [`troute`] — PathFinder-style negotiated-congestion routing on the
 //!   fabric's routing-resource graph, with A* directed expansion, and
-//!   the nets' [`troute::terminals`] in that graph's node space;
+//!   [`troute::terminals`], the one lift of nets into that graph's node
+//!   space: the router, the warm-start audit and the verifier's route
+//!   pass all read it;
 //! * `incr` — the incremental router core: in-place occupancy/history,
 //!   dirty-net worklist, per-net A* bounding boxes with staged expansion,
 //!   and one canonical wave order routed on one thread and one scratch (a
-//!   routing run reads no thread count); its diagnostics are trace spans,
-//!   it prints nothing;
+//!   routing run reads no thread count). A run that does not route leaves
+//!   by one of three exits: cancelled, a net unroutable on the whole
+//!   fabric, or the give-up (iteration limit or massive stalled overuse).
+//!   Its diagnostics are trace spans; it prints nothing;
 //! * `warm` — [`WidthSearch`], the minimum-channel-width search (doubling +
 //!   binary) whose probes are warm-started from the previous width's
 //!   routing trees and whose cold `W−1` certificate routes beside the

@@ -16,10 +16,12 @@
 //! Since the `par-engine` rework the actual search loop lives in
 //! `incr.rs` (incremental rip-up, bounding boxes, the wave order and
 //! the PathFinder constants); this module keeps the router's public
-//! types and [`terminals`], the nets lifted into RRG node space that the
-//! `verify` crate's route-tree pass — the one proof of a routing result,
-//! which callers run — checks trees against. One routing run on a
-//! prebuilt graph is [`crate::ParEngine::route`].
+//! types and [`terminals`], the one lift of nets into RRG node space. The
+//! router routes those terminals, the width search's warm-start audit
+//! checks a translated tree against them, and the `verify` crate's
+//! route-tree pass — the one proof of a routing result, which callers
+//! run — checks trees against them. One routing run on a prebuilt graph
+//! is [`crate::ParEngine::route`].
 
 use crate::netlist::ParNetlist;
 use crate::tplace::Placement;
@@ -49,7 +51,9 @@ pub struct RouteResult {
     pub worst_cut_used: usize,
 }
 
-/// Routing failure: congestion never resolved.
+/// Routing failure: congestion never resolved, a net found no tree on the
+/// whole fabric, or the run was cancelled (the router's three exits,
+/// `incr.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct Unroutable {
     /// PathFinder iterations spent before giving up.
@@ -63,8 +67,10 @@ pub struct Unroutable {
     pub worst_cut_overuse: usize,
 }
 
-/// Terminal sets of every net, lifted into RRG node space — the input the
-/// `verify` crate's route-tree linter checks trees against.
+/// Terminal sets of every net, lifted into RRG node space: what the router
+/// routes, the warm-start audit checks translated trees against, and the
+/// `verify` crate's route-tree linter checks trees against. No other code
+/// of the library asks the graph for a pin's node.
 pub fn terminals(
     netlist: &ParNetlist,
     placement: &Placement,

@@ -7,12 +7,14 @@
 //! successful (wider) graph are translated into the probe's graph, each
 //! net's translated tree is re-validated for connectivity (connection-box
 //! and switch-box patterns are width-dependent, so edges do not
-//! necessarily survive translation), and only broken or congested nets
-//! are rerouted. The final `W−1` failure is probed **cold** unless
-//! something already proves it, so every reported minimum carries a
-//! [`WidthCertificate`]. A cold linear scan is kept as the reference
-//! ([`crate::ParEngine::min_channel_width_reference`]); both must
-//! find the same minimum (see the equivalence tests).
+//! necessarily survive translation) against the probe graph's
+//! [`crate::troute::terminals`] — the same lift the router and the
+//! verifier read — and only broken or congested nets are rerouted. The
+//! final `W−1` failure is probed **cold** unless something already proves
+//! it, so every reported minimum carries a [`WidthCertificate`]. A cold
+//! linear scan is kept as the reference
+//! ([`crate::ParEngine::min_channel_width_reference`]); both must find the
+//! same minimum (see the equivalence tests).
 //!
 //! **Where the time goes, and what is done about it.** A successful probe
 //! converges in a handful of iterations; a failed one grinds to the
@@ -44,7 +46,7 @@ use crate::engine::EngineOptions;
 use crate::incr::route_core;
 use crate::netlist::{Net, ParNetlist};
 use crate::tplace::Placement;
-use crate::troute::{RouteResult, Unroutable};
+use crate::troute::{terminals, RouteResult, Unroutable};
 use fabric::arch::FabricArch;
 use fabric::rrg::RouteGraph;
 use logic::fxhash::FxHashSet;
@@ -444,8 +446,8 @@ impl<'scope, 'env> Speculation<'scope, 'env> {
 
 /// Translates `trees` (routed on `old`) into `new`'s id space. A net whose
 /// tree loses a node (track beyond the new width) or whose translated node
-/// set is no longer connected under `new`'s edges comes back empty — the
-/// router reroutes it from scratch.
+/// set no longer connects its [`terminals`] in `new` comes back empty —
+/// the router reroutes it from scratch.
 fn translate_trees(
     netlist: &ParNetlist,
     placement: &Placement,
@@ -461,8 +463,7 @@ fn translate_trees(
     );
     let mut reach: FxHashSet<u32> = FxHashSet::default();
     let mut queue: Vec<u32> = Vec::new();
-    netlist
-        .nets
+    terminals(netlist, placement, new)
         .iter()
         .zip(trees)
         .map(|(net, tree)| {
@@ -479,8 +480,7 @@ fn translate_trees(
             let set: FxHashSet<u32> = t.iter().copied().collect();
             reach.clear();
             queue.clear();
-            for &b in &net.sources {
-                let s = new.opin(placement.site_of[b as usize]);
+            for &s in &net.sources {
                 if set.contains(&s) && reach.insert(s) {
                     queue.push(s);
                 }
@@ -492,10 +492,7 @@ fn translate_trees(
                     }
                 }
             }
-            let ok = net.sinks.iter().all(|&(b, p)| {
-                reach.contains(&new.ipin(placement.site_of[b as usize], p as usize))
-            });
-            if ok {
+            if net.sinks.iter().all(|s| reach.contains(s)) {
                 // Keep only the source-reachable subset. Switchbox adjacency
                 // depends on the channel width, so a branch that was connected
                 // in `old` can come apart in `new` even when every node

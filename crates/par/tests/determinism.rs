@@ -48,9 +48,9 @@ fn assert_routes_lint_clean(nl: &ParNetlist, rep: &ParReport) {
     assert_trees_lint_clean(
         nl,
         rep.arch,
-        rep.min_channel_width,
+        rep.search.min_width,
         &rep.placement,
-        &rep.result.trees,
+        &rep.search.result.trees,
     );
 }
 
@@ -87,12 +87,15 @@ fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
         .collect();
     for r in &reports[1..] {
         assert_eq!(r.placement.site_of, reports[0].placement.site_of);
-        assert_eq!(r.min_channel_width, reports[0].min_channel_width);
+        assert_eq!(r.search.min_width, reports[0].search.min_width);
         assert_eq!(
-            r.result.trees, reports[0].result.trees,
+            r.search.result.trees, reports[0].search.result.trees,
             "routing trees must not depend on the thread count"
         );
-        assert_eq!(r.result.wirelength, reports[0].result.wirelength);
+        assert_eq!(
+            r.search.result.wirelength,
+            reports[0].search.result.wirelength
+        );
     }
 }
 
@@ -141,9 +144,9 @@ fn engine_results_pass_the_audit() {
         // Effort accounting is populated (the winning probe may be
         // warm-started, so ripups can legitimately be below the net
         // count).
-        assert!(rep.result.iterations >= 1);
-        assert!(rep.result.ripups > 0);
-        assert!(rep.probes.iter().any(|p| p.success));
+        assert!(rep.search.result.iterations >= 1);
+        assert!(rep.search.result.ripups > 0);
+        assert!(rep.search.probes.iter().any(|p| p.success));
         assert!(rep.place_seconds >= 0.0 && rep.route_seconds > 0.0);
     }
 }
@@ -187,6 +190,28 @@ fn certified_minimum_matches_the_reported_minimum() {
         assert!(matches!(reference.certificate, Floor | ColdFailure));
         assert_eq!(certified.min_width, reference.min_width);
     }
+}
+
+/// The router's give-up exits, pinned on the 65-net conventional netlist
+/// routed cold: width 2 stops at the massive-overuse stall, width 3 at the
+/// iteration limit — both report the worst cut's residual overuse, which
+/// the width search's `lo` advance reads — and width 4 routes.
+#[test]
+fn cold_routes_stop_at_the_recorded_exits() {
+    let nl = mul_netlist(5, false);
+    let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
+    let engine = ParEngine::new(EngineOptions::default());
+    let placement = engine.place(&nl, arch);
+    let route = |width| engine.route(&nl, &placement, &fabric::RouteGraph::build(arch, width));
+    for (width, exit) in [(2, (10, 551, 19)), (3, (30, 577, 3))] {
+        let e = route(width).err().expect("too narrow to route");
+        assert_eq!(
+            (e.iterations, e.ripups, e.worst_cut_overuse),
+            exit,
+            "(iterations, ripups, worst_cut_overuse) at width {width}"
+        );
+    }
+    assert!(route(4).is_ok(), "width 4 routes");
 }
 
 /// The thread matrix on the 65-net conventional netlist, the largest the
@@ -280,14 +305,14 @@ fn tracing_does_not_change_routed_results() {
             "threads[{t}] placement"
         );
         assert_eq!(
-            b.min_channel_width, r.min_channel_width,
+            b.search.min_width, r.search.min_width,
             "threads[{t}] minimum width"
         );
         assert_eq!(
-            b.result.trees, r.result.trees,
+            b.search.result.trees, r.search.result.trees,
             "tracing must not change routing trees (thread index {t})"
         );
-        assert_eq!(b.result.wirelength, r.result.wirelength);
+        assert_eq!(b.search.result.wirelength, r.search.result.wirelength);
     }
 }
 

@@ -38,13 +38,13 @@ fn print_probes(label: &str, rep: &ParReport) {
         rep.place_seconds,
         rep.placement.temperatures,
         rep.route_seconds,
-        rep.result.iterations,
-        rep.result.ripups,
-        rep.min_channel_width,
-        rep.certificate.name(),
-        rep.lower_bound,
+        rep.search.result.iterations,
+        rep.search.result.ripups,
+        rep.search.min_width,
+        rep.search.certificate.name(),
+        rep.search.lower_bound,
     );
-    print_probe_table(&rep.probes, rep.route_seconds);
+    print_probe_table(&rep.search.probes, rep.route_seconds);
 }
 
 /// Runs the `--verify` audits for one flow: AIG-vs-mapped equivalence
@@ -60,9 +60,9 @@ fn audit_flow(
     let v = Verifier::new();
     let mut reports = vec![v.verify_equivalence(aig, design, draws, 0x7AB1)];
     if let Some((nl, rep)) = routed {
-        let graph = RouteGraph::build(rep.arch, rep.min_channel_width);
+        let graph = RouteGraph::build(rep.arch, rep.search.min_width);
         let nets = par::troute::terminals(nl, &rep.placement, &graph);
-        reports.push(v.verify_routes(&graph, &nets, &rep.result.trees));
+        reports.push(v.verify_routes(&graph, &nets, &rep.search.result.trees));
     }
     for r in &reports {
         println!("  {label:<15} {}", r.summary());
@@ -176,35 +176,38 @@ fn main() {
         print_row(
             "wirelength, conventional",
             "27242",
-            &rep_c.result.wirelength.to_string(),
+            &rep_c.search.result.wirelength.to_string(),
         );
         print_row(
             "wirelength, parameterized",
             "16824",
-            &rep_p.result.wirelength.to_string(),
+            &rep_p.search.result.wirelength.to_string(),
         );
         print_row(
             "WL reduction",
             "~31%",
             &format!(
                 "{:.1}%",
-                reduction(rep_c.result.wirelength, rep_p.result.wirelength)
+                reduction(
+                    rep_c.search.result.wirelength,
+                    rep_p.search.result.wirelength
+                )
             ),
         );
         print_row(
             "min channel width, conventional",
             "10",
-            &rep_c.min_channel_width.to_string(),
+            &rep_c.search.min_width.to_string(),
         );
         print_row(
             "min channel width, parameterized",
             "10",
-            &rep_p.min_channel_width.to_string(),
+            &rep_p.search.min_width.to_string(),
         );
         print_row(
             "CW overhead from TCONs",
             "none",
-            if rep_p.min_channel_width <= rep_c.min_channel_width {
+            if rep_p.search.min_width <= rep_c.search.min_width {
                 "none"
             } else {
                 "PRESENT (!)"
@@ -213,12 +216,12 @@ fn main() {
         print_row(
             "TCON switch configurations",
             "(568 TCONs)",
-            &rep_p.result.tcon_switches.to_string(),
+            &rep_p.search.result.tcon_switches.to_string(),
         );
         print_row(
             "  wirelength on tunable nets",
             "-",
-            &rep_p.result.tunable_wirelength.to_string(),
+            &rep_p.search.result.tunable_wirelength.to_string(),
         );
         println!(
             "\nfabrics: conventional {0}x{0}, parameterized {1}x{1} logic blocks",

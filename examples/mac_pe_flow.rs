@@ -52,11 +52,11 @@ fn main() {
             .expect("routable");
         println!(
             "{label}: WL {} @ CW {} on a {}x{} fabric ({} TCON switch configs) in {:?}",
-            rep.result.wirelength,
-            rep.min_channel_width,
+            rep.search.result.wirelength,
+            rep.search.min_width,
             rep.arch.size,
             rep.arch.size,
-            rep.result.tcon_switches,
+            rep.search.result.tcon_switches,
             t.elapsed()
         );
     }

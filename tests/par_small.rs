@@ -34,12 +34,12 @@ fn both_flows_route_and_audit_clean() {
     ] {
         let nl = par::extract(&design);
         let rep = place_and_route(&nl).unwrap_or_else(|| panic!("{label}: unroutable"));
-        let graph = fabric::RouteGraph::build(rep.arch, rep.min_channel_width);
+        let graph = fabric::RouteGraph::build(rep.arch, rep.search.min_width);
         let routed = engine()
             .route(&nl, &rep.placement, &graph)
             .expect("re-route at min width");
         let nets = terminals(&nl, &rep.placement, &graph);
-        for trees in [&rep.result.trees, &routed.trees] {
+        for trees in [&rep.search.result.trees, &routed.trees] {
             Verifier::new()
                 .verify_routes(&graph, &nets, trees)
                 .assert_ok();
@@ -58,10 +58,10 @@ fn tcons_do_not_increase_channel_width() {
     let rep_c = place_and_route(&par::extract(&conv)).unwrap();
     let rep_p = place_and_route(&par::extract(&par_d)).unwrap();
     assert!(
-        rep_p.min_channel_width <= rep_c.min_channel_width + 1,
+        rep_p.search.min_width <= rep_c.search.min_width + 1,
         "parameterized CW {} vs conventional {}",
-        rep_p.min_channel_width,
-        rep_c.min_channel_width
+        rep_p.search.min_width,
+        rep_c.search.min_width
     );
 }
 
@@ -71,10 +71,10 @@ fn wirelength_is_reported_and_positive() {
     let d = map_parameterized(&aig, MapOptions::default());
     let nl = par::extract(&d);
     let rep = place_and_route(&nl).unwrap();
-    assert!(rep.result.wirelength > 0);
-    assert!(rep.result.iterations >= 1);
+    assert!(rep.search.result.wirelength > 0);
+    assert!(rep.search.result.iterations >= 1);
     // Tunable wirelength is part of the total.
-    assert!(rep.result.tunable_wirelength <= rep.result.wirelength);
+    assert!(rep.search.result.tunable_wirelength <= rep.search.result.wirelength);
 }
 
 #[test]

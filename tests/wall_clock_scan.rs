@@ -12,7 +12,9 @@
 //! mapper off the serve path: the runtime prices swaps on a checked-in
 //! table, so neither its library nor the overlay's names `mapping`. And
 //! it keeps modeled time in one place: only the runtime's ledger module
-//! names the ledger's time fields.
+//! names the ledger's time fields. In `par` it keeps the lift of
+//! nets into the routing graph in one place: only `troute::terminals`
+//! asks the graph for a placed pin's node.
 
 use std::path::{Path, PathBuf};
 
@@ -138,6 +140,37 @@ fn runtime_maps_nothing() {
     }
     hits.sort();
     assert!(hits.is_empty(), "the mapper named in the runtime: {hits:?}");
+}
+
+/// Nets are lifted into the routing graph once: `troute::terminals` is
+/// the only library code of `par` that asks the graph for a pin's node,
+/// so the router, the warm-start audit and the verifier's route pass all
+/// read the same terminals. Unit tests build their own nets on purpose.
+#[test]
+fn par_lifts_nets_into_the_routing_graph_only_in_troute() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/par/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let mut hits = Vec::new();
+    let mut lift = 0;
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("sources are UTF-8");
+        // The library: everything above a file's unit tests.
+        let library = source.split("#[cfg(test)]").next().unwrap_or_default();
+        let lines = lines_naming(library, &[".opin(", ".ipin("]);
+        if path == src.join("troute.rs") {
+            lift = lines.len();
+            continue;
+        }
+        let name = path.strip_prefix(&src).expect("under src").display();
+        hits.extend(lines.into_iter().map(|line| format!("{name}:{line}")));
+    }
+    assert!(lift > 0, "troute.rs lifts the terminals");
+    hits.sort();
+    assert!(
+        hits.is_empty(),
+        "a pin lifted into the graph outside troute.rs: {hits:?}"
+    );
 }
 
 /// Modeled time has one owner: the `Ledger` keeps the totals and
