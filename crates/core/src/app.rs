@@ -12,7 +12,7 @@
 //! elementwise stages.
 
 use crate::pe::{PeMode, PeSettings};
-use softfloat::{FpFormat, FpValue};
+use softfloat::{FpFormat, FpValue, NotIn};
 
 /// Where an operand of a PE node comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +102,12 @@ pub enum GraphError {
         node: usize,
     },
     /// The node's coefficient is not in the graph's format
-    /// ([`FpValue::is_in`]): its bits would be read as a different number,
-    /// or carry bits above the format's width.
+    /// ([`FpValue::bits_in`]).
     CoeffFormat {
         /// The offending node.
         node: usize,
+        /// Why its coefficient is not.
+        why: NotIn,
     },
 }
 
@@ -138,8 +139,11 @@ impl std::fmt::Display for GraphError {
             GraphError::MissingCoeff { node } => {
                 write!(f, "node {node} is a MAC/MUL without a coefficient")
             }
-            GraphError::CoeffFormat { node } => {
-                write!(f, "node {node}'s coefficient is not in the graph's format")
+            GraphError::CoeffFormat { node, why } => {
+                write!(
+                    f,
+                    "node {node}'s coefficient is not in the graph's format: {why}"
+                )
             }
         }
     }
@@ -225,8 +229,8 @@ impl AppGraph {
             if n.lacks_coeff() {
                 return Err(GraphError::MissingCoeff { node });
             }
-            if n.coeff.is_some_and(|c| !c.is_in(self.format)) {
-                return Err(GraphError::CoeffFormat { node });
+            if let Some(Err(why)) = n.coeff.map(|c| c.bits_in(self.format)) {
+                return Err(GraphError::CoeffFormat { node, why });
             }
         }
         match self
@@ -548,14 +552,20 @@ mod tests {
         );
         assert_eq!(
             broken(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::TINY))),
-            GraphError::CoeffFormat { node: 1 }
+            GraphError::CoeffFormat {
+                node: 1,
+                why: NotIn::Format(FpFormat::TINY)
+            }
         );
         assert_eq!(
             broken(|g| g.nodes[1].coeff = Some(FpValue {
                 bits: u64::MAX,
                 format: F
             })),
-            GraphError::CoeffFormat { node: 1 }
+            GraphError::CoeffFormat {
+                node: 1,
+                why: NotIn::Bits(u64::MAX)
+            }
         );
     }
 

@@ -23,7 +23,7 @@
 use crate::app::{AppGraph, AppSource, GraphError};
 use crate::flow::VcgraMapping;
 use crate::pe::PeMode;
-use softfloat::{FpFormat, FpKernel, FpValue};
+use softfloat::{FpKernel, FpValue, NotIn};
 
 /// Runs a stateless dataflow graph on one input vector.
 ///
@@ -76,21 +76,12 @@ pub enum ItemError {
         /// Values the item holds.
         got: usize,
     },
-    /// A value of the item is in another format; its bits would be read
-    /// as a different number.
-    Format {
+    /// A value of the item is not in the graph's format.
+    Value {
         /// The offending lane.
         lane: usize,
-        /// Format of the item's first such value.
-        got: FpFormat,
-    },
-    /// A value of the item is tagged with the graph's format but holds
-    /// bits above its width, which no arithmetic result does.
-    Bits {
-        /// The offending lane.
-        lane: usize,
-        /// The item's first such value's bits.
-        bits: u64,
+        /// Why the item's first such value is not.
+        why: NotIn,
     },
 }
 
@@ -98,9 +89,7 @@ impl ItemError {
     /// The lane the error names.
     pub fn lane(&self) -> usize {
         match *self {
-            ItemError::Arity { lane, .. }
-            | ItemError::Format { lane, .. }
-            | ItemError::Bits { lane, .. } => lane,
+            ItemError::Arity { lane, .. } | ItemError::Value { lane, .. } => lane,
         }
     }
 }
@@ -109,14 +98,7 @@ impl std::fmt::Display for ItemError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ItemError::Arity { lane, got } => write!(f, "lane {lane} holds {got} values"),
-            ItemError::Format { lane, got } => write!(
-                f,
-                "lane {lane} holds a value in format ({}, {})",
-                got.we, got.wf
-            ),
-            ItemError::Bits { lane, bits } => {
-                write!(f, "lane {lane} holds bits {bits:#x}, wider than the format")
-            }
+            ItemError::Value { lane, why } => write!(f, "lane {lane} holds {why}"),
         }
     }
 }
@@ -194,7 +176,7 @@ impl ExecPlan {
     /// allocated per chunk; its content on entry is irrelevant.
     ///
     /// Every lane is checked — one value per external input, each in the
-    /// graph's format ([`FpValue::is_in`]) — while it is transposed, and
+    /// graph's format ([`FpValue::bits_in`]) — while it is transposed, and
     /// before any lane is overwritten: on an error, which names the first
     /// bad lane, every item is as the caller left it.
     pub fn run_chunk(
@@ -221,20 +203,9 @@ impl ExecPlan {
                 });
             }
             for (input, value) in item.iter().enumerate() {
-                if !value.is_in(format) {
-                    return Err(if value.format != format {
-                        ItemError::Format {
-                            lane,
-                            got: value.format,
-                        }
-                    } else {
-                        ItemError::Bits {
-                            lane,
-                            bits: value.bits,
-                        }
-                    });
-                }
-                columns[(1 + input) * lanes + lane] = value.bits;
+                columns[(1 + input) * lanes + lane] = value
+                    .bits_in(format)
+                    .map_err(|why| ItemError::Value { lane, why })?;
             }
         }
         for (node, op) in self.ops.iter().enumerate() {
@@ -264,6 +235,7 @@ impl ExecPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softfloat::FpFormat;
 
     const F: FpFormat = FpFormat::PAPER;
 
@@ -332,9 +304,9 @@ mod tests {
             (vec![fp(1.0); 3], ItemError::Arity { lane: 2, got: 3 }),
             (
                 vec![fp(1.0), FpValue::from_f64(2.0, other)],
-                ItemError::Format {
+                ItemError::Value {
                     lane: 2,
-                    got: other,
+                    why: NotIn::Format(other),
                 },
             ),
             (
@@ -345,9 +317,9 @@ mod tests {
                         format: F,
                     },
                 ],
-                ItemError::Bits {
+                ItemError::Value {
                     lane: 2,
-                    bits: u64::MAX,
+                    why: NotIn::Bits(u64::MAX),
                 },
             ),
         ];

@@ -119,7 +119,7 @@ impl Runtime {
     fn check_graph(&mut self, graph: &AppGraph) -> Result<(), RuntimeError> {
         graph.validate().map_err(|e| {
             self.ledger.refused += 1;
-            RuntimeError::malformed(graph, e)
+            RuntimeError::malformed(graph.format, e)
         })
     }
 

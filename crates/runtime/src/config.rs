@@ -1,7 +1,7 @@
 //! Construction parameters and the runtime's error type.
 
-use softfloat::{FpFormat, FpValue};
-use vcgra::app::{AppGraph, GraphError};
+use softfloat::{FpFormat, NotIn};
+use vcgra::app::GraphError;
 use vcgra::flow::FlowError;
 use vcgra::VcgraArch;
 
@@ -64,58 +64,26 @@ pub enum RuntimeError {
         got: usize,
     },
     /// A stream input, a swapped-in coefficient or a coefficient of a
-    /// submitted or lowered graph is in another floating-point format
-    /// than the graph's (a submitted one is refused at the door like any
-    /// other malformed graph, and counted in `Ledger::refused`).
-    BadFormat {
-        /// Format of the tenant's graph.
-        expected: FpFormat,
-        /// Format of the first offending value.
-        got: FpFormat,
-    },
-    /// A stream input, a swapped-in coefficient or a coefficient of a
-    /// submitted or lowered graph is tagged with the graph's format but
-    /// holds bits above its width (`FpValue::is_in`), which no value of
-    /// that format does; refused where [`RuntimeError::BadFormat`] would
-    /// be.
-    BadBits {
+    /// submitted or lowered graph is not a value of the graph's format
+    /// (`FpValue::bits_in`). A submitted one is refused at the door like
+    /// any other malformed graph, and counted in `Ledger::refused`.
+    BadValue {
         /// Format of the tenant's graph.
         format: FpFormat,
-        /// Bits of the first offending value.
-        bits: u64,
+        /// Why the first offending value is not in it.
+        why: NotIn,
     },
 }
 
 impl RuntimeError {
-    /// What a malformed `graph` is called, at `submit` and at `run` alike:
-    /// a coefficient not in the graph's format is the mistake
-    /// `swap_params` calls [`RuntimeError::not_in`], and every other fault
-    /// is `Flow(FlowError::Graph(_))`.
-    pub(crate) fn malformed(graph: &AppGraph, e: GraphError) -> Self {
+    /// What a malformed graph in `format` is called, at `submit` and at
+    /// `run` alike: a coefficient not in the format is the
+    /// [`RuntimeError::BadValue`] `swap_params` gives, and every other
+    /// fault is `Flow(FlowError::Graph(_))`.
+    pub(crate) fn malformed(format: FpFormat, e: GraphError) -> Self {
         match e {
-            GraphError::CoeffFormat { node } => RuntimeError::not_in(
-                graph.format,
-                graph.nodes[node]
-                    .coeff
-                    .expect("validate names a coefficient"),
-            ),
+            GraphError::CoeffFormat { why, .. } => RuntimeError::BadValue { format, why },
             e => RuntimeError::Flow(e.into()),
-        }
-    }
-
-    /// Why `value`, which `FpValue::is_in` refused, is not a value of
-    /// `format`: it is in another format, or its bits are too wide.
-    pub(crate) fn not_in(format: FpFormat, value: FpValue) -> Self {
-        if value.format != format {
-            RuntimeError::BadFormat {
-                expected: format,
-                got: value.format,
-            }
-        } else {
-            RuntimeError::BadBits {
-                format,
-                bits: value.bits,
-            }
         }
     }
 }
@@ -142,14 +110,9 @@ impl std::fmt::Display for RuntimeError {
                     "input vector has {got} values, graph has {expected} inputs"
                 )
             }
-            RuntimeError::BadFormat { expected, got } => write!(
+            RuntimeError::BadValue { format, why } => write!(
                 f,
-                "value in format ({}, {}), graph computes in ({}, {})",
-                got.we, got.wf, expected.we, expected.wf
-            ),
-            RuntimeError::BadBits { format, bits } => write!(
-                f,
-                "value bits {bits:#x} are wider than format ({}, {})",
+                "graph computes in format ({}, {}) and got {why}",
                 format.we, format.wf
             ),
         }

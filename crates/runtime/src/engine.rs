@@ -199,7 +199,7 @@ pub(crate) fn execute(jobs: &mut [Job], workers: usize) -> Result<(), ItemFault>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softfloat::FpFormat;
+    use softfloat::{FpFormat, NotIn};
     use vcgra::app::AppGraph;
 
     const F: FpFormat = FpFormat::PAPER;
@@ -282,9 +282,9 @@ mod tests {
                 (
                     2,
                     131,
-                    ItemError::Format {
+                    ItemError::Value {
                         lane: 3,
-                        got: other
+                        why: NotIn::Format(other)
                     }
                 ),
                 "{workers} workers"

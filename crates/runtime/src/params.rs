@@ -27,8 +27,10 @@ impl Runtime {
                 got: coeffs.len(),
             });
         }
-        if let Some(&c) = coeffs.iter().find(|c| !c.is_in(t.graph.format)) {
-            return Err(RuntimeError::not_in(t.graph.format, c));
+        let format = t.graph.format;
+        for c in coeffs {
+            c.bits_in(format)
+                .map_err(|why| RuntimeError::BadValue { format, why })?;
         }
         let changes: Vec<PeChange> = slots
             .iter()

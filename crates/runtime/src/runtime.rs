@@ -230,8 +230,7 @@ impl Runtime {
     /// `submit` gives that graph); otherwise the first item, in request
     /// and item order, that does not hold one value per external input
     /// ([`RuntimeError::BadInputArity`]) or holds a value not in the
-    /// graph's format: in another format ([`RuntimeError::BadFormat`]) or
-    /// with bits above its width ([`RuntimeError::BadBits`]). So a tenant
+    /// graph's format ([`RuntimeError::BadValue`]). So a tenant
     /// fault in a later request is reported before an item fault in an
     /// earlier one; which error a call gets does not depend on the worker
     /// count.
@@ -247,8 +246,8 @@ impl Runtime {
         let mut by_band: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for req in requests {
             let t = self.live(req.tenant)?;
-            let plan =
-                ExecPlan::lower(&t.graph).map_err(|e| RuntimeError::malformed(&t.graph, e))?;
+            let plan = ExecPlan::lower(&t.graph)
+                .map_err(|e| RuntimeError::malformed(t.graph.format, e))?;
             by_band
                 .entry(self.lane(req.tenant))
                 .or_default()
@@ -288,13 +287,9 @@ impl Runtime {
                     expected: graph.num_inputs,
                     got,
                 },
-                ItemError::Format { got, .. } => RuntimeError::BadFormat {
-                    expected: graph.format,
-                    got,
-                },
-                ItemError::Bits { bits, .. } => RuntimeError::BadBits {
+                ItemError::Value { why, .. } => RuntimeError::BadValue {
                     format: graph.format,
-                    bits,
+                    why,
                 },
             }
         })?;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use runtime::kernels;
 use runtime::{CacheStats, Runtime, RuntimeConfig, RuntimeError, StreamRequest, TenantId};
-use softfloat::{FpFormat, FpValue};
+use softfloat::{FpFormat, FpValue, NotIn};
 use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
 use vcgra::sim::run_dataflow;
@@ -306,9 +306,9 @@ fn an_input_in_the_wrong_format_is_an_error_not_a_worker_panic() {
         .unwrap_err();
     assert_eq!(
         err,
-        RuntimeError::BadFormat {
-            expected: F,
-            got: other
+        RuntimeError::BadValue {
+            format: F,
+            why: NotIn::Format(other)
         }
     );
     assert_still_served(&mut rt, id, &graph);
@@ -348,9 +348,9 @@ fn a_refused_call_reports_the_first_bad_item_and_changes_nothing() {
     let long: Fault = |item| item.push(fp(1.0));
     let foreign: Fault = |item| item[1] = FpValue::from_f64(1.5, OTHER);
     let arity = |got| RuntimeError::BadInputArity { expected: 2, got };
-    let format = RuntimeError::BadFormat {
-        expected: F,
-        got: OTHER,
+    let format = RuntimeError::BadValue {
+        format: F,
+        why: NotIn::Format(OTHER),
     };
     // (what, [(request's tenant: 0 alone, 1 and 2 the shared slots, its
     // faulted items)], error).
@@ -546,9 +546,9 @@ fn a_swapped_coefficient_in_the_wrong_format_is_an_error_not_a_worker_panic() {
         .unwrap_err();
     assert_eq!(
         err,
-        RuntimeError::BadFormat {
-            expected: F,
-            got: other
+        RuntimeError::BadValue {
+            format: F,
+            why: NotIn::Format(other)
         }
     );
     assert_eq!(rt.ledger().swaps, 0, "a refused swap is not charged");
@@ -565,9 +565,9 @@ fn a_value_wider_than_its_format_is_refused_at_every_door() {
         bits: u64::MAX,
         format: F,
     };
-    let refusal = RuntimeError::BadBits {
+    let refusal = RuntimeError::BadValue {
         format: F,
-        bits: u64::MAX,
+        why: NotIn::Bits(u64::MAX),
     };
     let mut rt = Runtime::new(RuntimeConfig::default());
     let (id, graph) = served(&mut rt);
@@ -761,9 +761,9 @@ fn a_malformed_graph_is_refused_at_the_door_and_holds_nothing() {
             "format",
             edited(|g| g.nodes[1].coeff = Some(FpValue::from_f64(2.0, FpFormat::new(5, 10)))),
             // One name for a wrong-format value, whichever door it came by.
-            RuntimeError::BadFormat {
-                expected: F,
-                got: other,
+            RuntimeError::BadValue {
+                format: F,
+                why: NotIn::Format(other),
             },
         ),
         // No widths, both far too wide, a one-bit exponent, and double's

@@ -358,15 +358,11 @@ impl ShardServer {
         span.arg("key", key.hash());
         span.arg("shard", shard as u64);
         span.arg("spilled", matches!(pick, RoutePick::Spilled { .. }));
-        let (tx, rx) = channel();
-        self.dispatch(
-            shard,
-            Op::Admit {
-                name: name.into(),
-                graph,
-                reply: tx,
-            },
-        )?;
+        let ticket = self.dispatch(shard, OnFull::Refuse, |reply| Op::Admit {
+            name: name.into(),
+            graph,
+            reply,
+        })?;
         // Counted once accepted: a refused spill is a `shard.reject`.
         if let RoutePick::Spilled { from } = pick {
             self.spilled.inc();
@@ -379,7 +375,7 @@ impl ShardServer {
         }
         let tenant = self.submitted[shard];
         self.submitted[shard] += 1;
-        Ok((ShardTenant { shard, tenant }, pick, self.ticket(shard, rx)))
+        Ok((ShardTenant { shard, tenant }, pick, ticket))
     }
 
     /// Dispatches a parameter swap to the tenant's home shard.
@@ -388,16 +384,11 @@ impl ShardServer {
         at: ShardTenant,
         coeffs: Vec<FpValue>,
     ) -> Result<Ticket<Result<SwapReport, RuntimeError>>, Reject> {
-        let (tx, rx) = channel();
-        self.dispatch(
-            at.shard,
-            Op::Swap {
-                tenant: at.tenant,
-                coeffs,
-                reply: tx,
-            },
-        )?;
-        Ok(self.ticket_unloaded(rx))
+        self.dispatch(at.shard, OnFull::Refuse, |reply| Op::Swap {
+            tenant: at.tenant,
+            coeffs,
+            reply,
+        })
     }
 
     /// Dispatches a streaming run to one shard. The requests' tenant ids
@@ -408,15 +399,7 @@ impl ShardServer {
         shard: usize,
         requests: Vec<StreamRequest>,
     ) -> Result<Ticket<Result<Vec<TenantRun>, RuntimeError>>, Reject> {
-        let (tx, rx) = channel();
-        self.dispatch(
-            shard,
-            Op::Run {
-                requests,
-                reply: tx,
-            },
-        )?;
-        Ok(self.ticket_unloaded(rx))
+        self.dispatch(shard, OnFull::Refuse, |reply| Op::Run { requests, reply })
     }
 
     /// Dispatches a release of one tenant (or cancellation of its queued
@@ -426,28 +409,18 @@ impl ShardServer {
         &mut self,
         at: ShardTenant,
     ) -> Result<Ticket<Result<Vec<Admitted>, RuntimeError>>, Reject> {
-        let (tx, rx) = channel();
-        self.dispatch(
-            at.shard,
-            Op::Release {
-                tenant: at.tenant,
-                reply: tx,
-            },
-        )?;
-        Ok(self.ticket_unloaded(rx))
+        self.dispatch(at.shard, OnFull::Refuse, |reply| Op::Release {
+            tenant: at.tenant,
+            reply,
+        })
     }
 
     /// Dispatches a stats snapshot request to one shard.
     pub fn stats(&mut self, shard: usize) -> Result<Ticket<ShardStats>, Reject> {
-        let (tx, rx) = channel();
-        self.dispatch(
-            shard,
-            Op::Stats {
-                verify: None,
-                reply: tx,
-            },
-        )?;
-        Ok(self.ticket_unloaded(rx))
+        self.dispatch(shard, OnFull::Refuse, |reply| Op::Stats {
+            verify: None,
+            reply,
+        })
     }
 
     /// Waits until every shard has served everything dispatched before
@@ -456,20 +429,18 @@ impl ShardServer {
     /// shard runs the scheduler-state checker in the same request, and
     /// the drain fails on the first [`verify::Violation`] — the check the
     /// soak runs every wave. Either way a drain is one request per shard.
-    /// Uses blocking sends, so drain itself is never rejected.
+    /// A drain waits for queue space, so it is never rejected.
     pub fn drain(&mut self, verify: bool) -> Result<Vec<ShardStats>, DrainError> {
         let mut out = Vec::with_capacity(self.shards());
         for shard in 0..self.shards() {
             let (report_tx, report_rx) = channel();
-            let (tx, rx) = channel();
-            self.send_blocking(
-                shard,
-                Op::Stats {
+            let stats = self
+                .dispatch(shard, OnFull::Wait, |reply| Op::Stats {
                     verify: verify.then_some(report_tx),
-                    reply: tx,
-                },
-            );
-            let stats = rx.recv().expect("shard worker exited during drain");
+                    reply,
+                })
+                .expect("a waiting dispatch is never refused")
+                .wait();
             // A requested report was sent before the stats.
             if let Some(report) = report_rx.try_recv().ok().filter(|r| !r.ok()) {
                 return Err(DrainError::Invariant { shard, report });
@@ -493,67 +464,65 @@ impl ShardServer {
             .collect()
     }
 
-    /// Enqueues `op` on `shard`, refusing (without side effects) when the
-    /// bounded queue is full. Request ids advance only on acceptance, so
-    /// a rejected-then-retried operation keeps one id.
-    fn dispatch(&mut self, shard: usize, op: Op) -> Result<(), Reject> {
-        let kind = op.kind();
+    /// The one dispatch path: makes the reply channel, builds the op
+    /// around its sender and enqueues it on `shard`. A full queue refuses
+    /// it without side effects, or, `OnFull::Wait`, is waited on. Request
+    /// ids advance only on acceptance, so a rejected-then-retried
+    /// operation keeps one id. An admission's ticket charges one unit of
+    /// outstanding load to `shard` until it settles; any other op's
+    /// carries none (the admission already charged its shard).
+    fn dispatch<T>(
+        &mut self,
+        shard: usize,
+        on_full: OnFull,
+        op: impl FnOnce(Sender<T>) -> Op,
+    ) -> Result<Ticket<T>, Reject> {
+        let (reply, rx) = channel();
+        let op = op(reply);
+        let (kind, admits) = (op.kind(), matches!(op, Op::Admit { .. }));
         let req = Request {
             id: self.next_id,
             enqueued: Instant::now(),
             op,
         };
-        match self.queues[shard].try_send(req) {
-            Ok(()) => {
-                self.next_id += 1;
-                Ok(())
-            }
+        let sent = match on_full {
+            OnFull::Refuse => self.queues[shard].try_send(req),
+            OnFull::Wait => self.queues[shard]
+                .send(req)
+                .map_err(|e| TrySendError::Disconnected(e.0)),
+        };
+        match sent {
+            Ok(()) => self.next_id += 1,
             Err(TrySendError::Full(_)) => {
                 self.rejected.inc();
                 trace::instant("shard.reject", || {
                     vec![("shard", (shard as u64).into()), ("op", kind.into())]
                 });
-                Err(Reject::QueueFull {
+                return Err(Reject::QueueFull {
                     shard,
                     capacity: self.queue_depth,
-                })
+                });
             }
             Err(TrySendError::Disconnected(_)) => {
                 panic!("shard {shard} worker exited while the server was live")
             }
         }
+        let load = admits.then(|| {
+            let load = self.router.load_cell(shard);
+            load.fetch_add(1, Ordering::SeqCst);
+            load
+        });
+        Ok(Ticket { rx, load })
     }
+}
 
-    /// Blocking variant for drain: waits for queue space instead of
-    /// rejecting.
-    fn send_blocking(&mut self, shard: usize, op: Op) {
-        let req = Request {
-            id: self.next_id,
-            enqueued: Instant::now(),
-            op,
-        };
-        self.next_id += 1;
-        self.queues[shard]
-            .send(req)
-            .unwrap_or_else(|_| panic!("shard {shard} worker exited while the server was live"));
-    }
-
-    /// Wraps an admission's reply receiver into a ticket, charging one
-    /// unit of outstanding load to `shard` until the ticket settles.
-    fn ticket<T>(&self, shard: usize, rx: Receiver<T>) -> Ticket<T> {
-        let load = self.router.load_cell(shard);
-        load.fetch_add(1, Ordering::SeqCst);
-        Ticket {
-            rx,
-            load: Some(load),
-        }
-    }
-
-    /// A ticket that carries no routing load (every operation other than
-    /// admission — the admission already charged its shard).
-    fn ticket_unloaded<T>(&self, rx: Receiver<T>) -> Ticket<T> {
-        Ticket { rx, load: None }
-    }
+/// What a dispatch does when its shard's queue is full.
+#[derive(Clone, Copy)]
+enum OnFull {
+    /// Refuse with [`Reject::QueueFull`]: every caller-facing dispatch.
+    Refuse,
+    /// Wait for space: a drain, which is never refused.
+    Wait,
 }
 
 /// One shard's worker: owns the runtime, serves its queue FIFO, records
@@ -647,19 +616,43 @@ mod tests {
     /// Blocks `shard`'s worker, idle queue behind it, until the returned
     /// sender is dropped.
     fn hold(server: &mut ShardServer, shard: usize) -> Sender<()> {
-        let (held, is_held) = channel();
         let (release, on_release) = channel();
         server
-            .dispatch(
-                shard,
-                Op::Hold {
-                    held,
-                    release: on_release,
-                },
-            )
-            .expect("idle queue");
-        is_held.recv().expect("the worker takes the hold");
+            .dispatch(shard, OnFull::Refuse, |held| Op::Hold {
+                held,
+                release: on_release,
+            })
+            .expect("idle queue")
+            .wait();
         release
+    }
+
+    /// A drain behind a full queue waits for space: it is never a reject.
+    #[test]
+    fn a_drain_waits_for_a_full_queue() {
+        let mut server = ShardServer::start(ShardConfig {
+            queue_depth: 1,
+            ..ShardConfig::new(1)
+        });
+        let hold = hold(&mut server, 0);
+        let queued = server.stats(0).expect("the one free slot");
+        assert!(server.stats(0).is_err(), "the queue is full");
+        let rejects = server.metrics().counter_value("shard.reject");
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(hold);
+        });
+        let drained = server.drain(false).expect("nothing to verify");
+        releaser.join().expect("the releasing thread");
+        assert_eq!(
+            server.metrics().counter_value("shard.reject"),
+            rejects,
+            "the drain was not refused"
+        );
+        // Hold, the queued stats, then the drain's.
+        assert_eq!(queued.wait().processed, 2, "the queued op was served");
+        assert_eq!(drained[0].processed, 3);
+        server.shutdown();
     }
 
     /// A refused admission is a reject only: it is not counted as a spill.

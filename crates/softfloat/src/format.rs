@@ -129,6 +129,26 @@ impl FpFormat {
     }
 }
 
+/// Why a value is not a value of a format ([`FpValue::bits_in`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotIn {
+    /// The value is tagged with this other format: its bits would be read
+    /// as a different number.
+    Format(FpFormat),
+    /// The value is tagged with the format but holds these bits, wider
+    /// than the format, which no value of it does.
+    Bits(u64),
+}
+
+impl std::fmt::Display for NotIn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            NotIn::Format(got) => write!(f, "a value in format ({}, {})", got.we, got.wf),
+            NotIn::Bits(bits) => write!(f, "bits {bits:#x}, wider than the format"),
+        }
+    }
+}
+
 /// A FloPoCo value: raw bits plus its format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FpValue {
@@ -180,12 +200,20 @@ impl FpValue {
         }
     }
 
-    /// Whether this is a value of `format`: it is tagged `format`, and its
-    /// bits fit `format.width()`. [`FpValue::from_bits`] and the
-    /// arithmetic make only such values; the public fields can hold others,
-    /// which every reader of outside values refuses by this one test.
-    pub fn is_in(self, format: FpFormat) -> bool {
-        self.format == format && self.bits.checked_shr(format.width()).unwrap_or(0) == 0
+    /// This value's bits, if it is a value of `format`: it is tagged
+    /// `format`, and its bits fit `format.width()`. [`FpValue::from_bits`]
+    /// and the arithmetic make only such values; the public fields can hold
+    /// others, which every reader of outside values refuses by this one
+    /// check, naming the reason it gives. A wrong format is named before
+    /// wide bits.
+    pub fn bits_in(self, format: FpFormat) -> Result<u64, NotIn> {
+        if self.format != format {
+            Err(NotIn::Format(self.format))
+        } else if self.bits.checked_shr(format.width()).unwrap_or(0) != 0 {
+            Err(NotIn::Bits(self.bits))
+        } else {
+            Ok(self.bits)
+        }
     }
 
     /// Exception class.
@@ -510,6 +538,43 @@ mod tests {
         assert_eq!(a.sub(b).to_f64(), 3.25);
         assert_eq!(b.sub(a).to_f64(), -3.25);
         assert_eq!(a.sub(a), FpValue::zero(f));
+    }
+
+    #[test]
+    fn bits_in_accepts_exactly_the_bits_below_the_width() {
+        let wide = FpFormat::new(9, 52);
+        for format in [FpFormat::TINY, F, wide] {
+            let other = if format == F { FpFormat::TINY } else { F };
+            let value = |bits| FpValue { bits, format };
+            let top = u64::MAX >> (64 - format.width());
+            assert_eq!(value(top).bits_in(format), Ok(top), "{format:?}");
+            assert_eq!(value(0).bits_in(format), Ok(0), "{format:?}");
+            if format.width() < 64 {
+                let over = top + 1;
+                assert_eq!(
+                    value(over).bits_in(format),
+                    Err(NotIn::Bits(over)),
+                    "{format:?}"
+                );
+            }
+            // Fitting bits under another tag are another format's; so are
+            // wide ones, whose format is named first.
+            assert_eq!(
+                value(1).bits_in(other),
+                Err(NotIn::Format(format)),
+                "{format:?}"
+            );
+            assert_eq!(
+                value(u64::MAX).bits_in(other),
+                Err(NotIn::Format(format)),
+                "{format:?}"
+            );
+        }
+        // A 64-bit-wide format has no bits above its width.
+        assert_eq!(wide.width(), 64);
+        for bits in [1 << 63, u64::MAX] {
+            assert_eq!(FpValue { bits, format: wide }.bits_in(wide), Ok(bits));
+        }
     }
 
     #[test]

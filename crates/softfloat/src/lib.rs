@@ -36,5 +36,5 @@ pub mod gates;
 pub mod gen;
 pub mod kernel;
 
-pub use format::{FpClass, FpFormat, FpValue};
+pub use format::{FpClass, FpFormat, FpValue, NotIn};
 pub use kernel::FpKernel;

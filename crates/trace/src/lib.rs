@@ -7,8 +7,8 @@
 //!   [`configure`]`(`[`TraceConfig::On`]`)`, nested spans with typed
 //!   attributes are buffered and serialized as Chrome trace-event JSON
 //!   by [`write_chrome_trace`] (loadable in Perfetto or
-//!   `chrome://tracing`). Every `xbench` driver exposes it as
-//!   `--trace <path>`.
+//!   `chrome://tracing`). Each `xbench` driver whose run opens spans
+//!   exposes it as `--trace <path>`.
 //! - [`Registry`]: named [`Counter`]s and log-linear-bucket
 //!   [`Histogram`]s with p50/p99/max readout. The shard tier keeps
 //!   one: its queue-wait, admit and execute histograms and its spill and

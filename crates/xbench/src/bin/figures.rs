@@ -25,12 +25,11 @@ fn main() {
     let args = xbench::Cli {
         name: "figures",
         switches: &["--smoke"],
-        valued: &[xbench::TRACE],
+        valued: &[],
         positional: Some("out_dir"),
     }
     .parse();
     let smoke = args.has("--smoke");
-    let trace_path = xbench::init_trace(&args);
     let out_dir = args.positional().unwrap_or("out").to_string();
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let path = |name: &str| format!("{out_dir}/{name}");
@@ -82,5 +81,4 @@ fn main() {
         m.f1(),
         m.accuracy()
     );
-    xbench::finish_trace(trace_path.as_deref());
 }

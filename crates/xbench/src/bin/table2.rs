@@ -11,14 +11,13 @@ use vcgra::VcgraArch;
 use xbench::{print_header, print_row};
 
 fn main() {
-    let args = xbench::Cli {
+    xbench::Cli {
         name: "table2",
         switches: &[],
-        valued: &[xbench::TRACE],
+        valued: &[],
         positional: None,
     }
     .parse();
-    let trace_path = xbench::init_trace(&args);
     let grid = VcgraArch::paper_4x4();
     let conv = grid.resources(false);
     let par = grid.resources(true);
@@ -84,5 +83,4 @@ fn main() {
             res.flip_flops, res.inter_network_components_on_luts
         );
     }
-    xbench::finish_trace(trace_path.as_deref());
 }

@@ -29,7 +29,9 @@
 //! The drivers print what they measure and write no record of their
 //! own: the machine-readable result is the repo benchmark's
 //! (`bench/out/RESULT.json`), and `--trace <path>` ([`init_trace`])
-//! writes any driver's spans as a Chrome trace.
+//! writes a driver's spans as a Chrome trace. Only the drivers whose runs
+//! open spans take it, and a run that recorded none exits with status 2
+//! instead of writing an empty trace.
 //!
 //! The crate times nothing for a gate: host time per layer is the repo
 //! benchmark's (`bench/run.sh trace <workload>`), which also measures the
@@ -60,7 +62,8 @@ pub struct Cli {
 }
 
 /// `--trace <path>`: writes the driver's spans as a Chrome trace
-/// ([`init_trace`]). Every driver but `pricer_table` takes it.
+/// ([`init_trace`]). Every driver whose run opens a span takes it: all
+/// but `table2`, `figures` and `pricer_table`.
 pub const TRACE: (&str, &str) = ("--trace", "<path>");
 
 /// A driver's parsed command line.
@@ -161,12 +164,20 @@ pub fn init_trace(args: &Args) -> Option<String> {
 
 /// Drains the recorder into a Chrome trace-event JSON file (load it at
 /// `ui.perfetto.dev` or `chrome://tracing`). No-op when [`init_trace`]
-/// found no `--trace` flag.
+/// found no `--trace` flag. A run that recorded no event has no trace to
+/// give: no file is written, and the driver exits with status 2.
 pub fn finish_trace(path: Option<&str>) {
-    if let Some(path) = path {
-        let events = trace::write_chrome_trace(path).expect("write trace file");
-        println!("wrote {path} ({events} trace events)");
+    let Some(path) = path else { return };
+    let events = trace::take_events();
+    if events.is_empty() {
+        eprintln!("--trace {path}: the run recorded no trace events, so no trace is written");
+        std::process::exit(2);
     }
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create trace directory");
+    }
+    std::fs::write(path, trace::to_chrome_json(&events)).expect("write trace file");
+    println!("wrote {path} ({} trace events)", events.len());
 }
 
 /// The PE the runtime prices parameter swaps on: (4,6) at two hops, whose
@@ -374,6 +385,20 @@ mod tests {
         positional: None,
     };
 
+    const COMPILE_TIME: Cli = Cli {
+        name: "compile_time",
+        switches: &["--smoke", "--check"],
+        valued: &[("--threads-sweep", "<n,n,...>"), TRACE],
+        positional: None,
+    };
+
+    const FIGURES: Cli = Cli {
+        name: "figures",
+        switches: &["--smoke"],
+        valued: &[],
+        positional: Some("out_dir"),
+    };
+
     fn parse(cli: &Cli, line: &[&str]) -> Result<Args, String> {
         cli.parse_from(line.iter().map(|a| a.to_string()))
     }
@@ -385,26 +410,25 @@ mod tests {
         assert_eq!(a.value("--trace"), Some("t.json"));
         assert_eq!(parse(&TABLE1, &[]).unwrap(), Args::default());
 
-        let figures = Cli {
-            name: "figures",
-            switches: &["--smoke"],
-            valued: &[TRACE],
-            positional: Some("out_dir"),
-        };
-        let a = parse(&figures, &["--trace", "t.json", "out", "--smoke"]).unwrap();
+        let a = parse(
+            &COMPILE_TIME,
+            &["--trace", "t.json", "--smoke", "--threads-sweep", "1,2"],
+        )
+        .unwrap();
         assert_eq!(
-            (a.positional(), a.value("--trace")),
-            (Some("out"), Some("t.json"))
+            (a.value("--threads-sweep"), a.value("--trace")),
+            (Some("1,2"), Some("t.json"))
         );
+        assert!(a.has("--smoke") && !a.has("--check"));
+
+        let a = parse(&FIGURES, &["--smoke", "out"]).unwrap();
+        assert_eq!(a.positional(), Some("out"));
         assert!(a.has("--smoke"));
         assert_eq!(
-            parse(&figures, &["out", "more"]),
+            parse(&FIGURES, &["out", "more"]),
             Err("unknown argument `more`".into())
         );
-        assert_eq!(
-            figures.usage(),
-            "usage: figures [--smoke] [--trace <path>] [out_dir]"
-        );
+        assert_eq!(FIGURES.usage(), "usage: figures [--smoke] [out_dir]");
     }
 
     #[test]
@@ -427,10 +451,15 @@ mod tests {
             valued: &[],
             positional: None,
         };
-        assert_eq!(
-            parse(&none, &["--trace", "t.json"]),
-            Err("unknown argument `--trace`".into())
-        );
+        // A driver whose run opens no span takes no `--trace`.
+        for cli in [&none, &FIGURES] {
+            assert_eq!(
+                parse(cli, &["--trace", "t.json"]),
+                Err("unknown argument `--trace`".into()),
+                "{}",
+                cli.name
+            );
+        }
     }
 
     #[test]

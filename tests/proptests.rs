@@ -18,7 +18,7 @@ use logic::aig::{Aig, InputKind, Lit};
 use mapping::{map_conventional, map_parameterized, MapOptions};
 use proptest::prelude::*;
 use runtime::{Runtime, RuntimeConfig, RuntimeError, StreamRequest};
-use softfloat::{FpClass, FpFormat, FpValue};
+use softfloat::{FpClass, FpFormat, FpValue, NotIn};
 use vcgra::app::{AppGraph, AppSource, GraphError};
 use vcgra::flow::FlowError;
 use vcgra::sim::{run_dataflow, run_mapped, ExecPlan};
@@ -358,9 +358,9 @@ proptest! {
                 // What `validate` calls a graph, under the name the
                 // runtime refuses it by.
                 let well_formed = g.validate().map_err(|why| match why {
-                    GraphError::CoeffFormat { node } => RuntimeError::BadFormat {
-                        expected: f,
-                        got: g.nodes[node].coeff.expect("the coefficient named").format,
+                    GraphError::CoeffFormat { node, .. } => RuntimeError::BadValue {
+                        format: f,
+                        why: NotIn::Format(g.nodes[node].coeff.expect("the coefficient named").format),
                     },
                     why => RuntimeError::Flow(FlowError::Graph(why)),
                 });
@@ -440,7 +440,7 @@ proptest! {
                         return Err(RuntimeError::BadInputArity { expected: g.num_inputs, got: item.len() });
                     }
                     if let Some(v) = item.iter().find(|v| v.format != g.format) {
-                        return Err(RuntimeError::BadFormat { expected: g.format, got: v.format });
+                        return Err(RuntimeError::BadValue { format: g.format, why: NotIn::Format(v.format) });
                     }
                 }
             }
