@@ -52,6 +52,18 @@
 //! 3. `tcon_check`, the exact cover, for what is left (nine in ten of
 //!    these are accepted).
 //!
+//! # What the map holds, and until when
+//!
+//! The forward pass is where the map's memory peaks. A node's full cut
+//! set (up to `cuts_per_node` ranked cuts plus the trivial one) is read
+//! only by the AND nodes that merge it; the cover and the emit pass read
+//! just its first cut. So the pass counts each node's live AND fanouts,
+//! and when the last of them has merged the node's cuts, the set shrinks
+//! to its first cut ([`MapEffort::cuts_held_peak`] counts the most cuts
+//! held at once). The signature caches, the per-node arrays and the
+//! first cuts live until the emit pass is done; the scratch BDD manager
+//! lives on as the design's store, compacted.
+//!
 //! The BDD manager is scratch: [`BddManager::compact`] hands the design
 //! the ≈ 6 % of the nodes its emitted handles reach, renumbered by
 //! function, so two maps of one netlist agree handle for handle whatever
@@ -123,6 +135,10 @@ pub struct MapEffort {
     pub bdd_lookups: u64,
     /// Lookups the computed table answered.
     pub bdd_hits: u64,
+    /// The most cuts the forward pass held at once (trivial cuts
+    /// included): each node's full cut set lives until its last AND
+    /// fanout has merged it, then only its first cut stays.
+    pub cuts_held_peak: usize,
 }
 
 /// Conventional flow: parameters are treated as regular inputs and the
@@ -415,6 +431,15 @@ fn prune_lut(leaves: &[u32], ptt: &[Bdd]) -> (Vec<u32>, Vec<Bdd>) {
     (needed.iter().map(|&i| leaves[i]).collect(), pruned_ptt)
 }
 
+/// Drops all but the first cut of a spent cut set — the one cut the cover
+/// and the emit pass read — and returns how many cuts went.
+fn keep_first_cut(cuts: &mut Vec<Cut>) -> usize {
+    let dropped = cuts.len().saturating_sub(1);
+    cuts.truncate(1);
+    cuts.shrink_to_fit();
+    dropped
+}
+
 /// The mapper. `honor_params` selects the flow: set, `InputKind::Param`
 /// inputs fold into PTTs and TCONs are extracted; clear, every input is a
 /// regular one and no TCON check runs.
@@ -456,6 +481,16 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     // ---- forward pass: each node's priority cuts, in rank order ----
     let cuts_span = trace::span("map.cuts");
     let fanout = aig.fanouts();
+    // pending[id]: live AND nodes that have yet to merge `id`'s cuts. At
+    // zero, the node's cut set is spent but for the first cut.
+    let mut pending = vec![0u32; n];
+    for (_, node) in aig.iter_nodes().filter(|(id, _)| live[*id as usize]) {
+        if let Node::And(a, b) = node {
+            pending[a.node() as usize] += 1;
+            pending[b.node() as usize] += 1;
+        }
+    }
+    let mut cuts_held = 0usize;
     let mut cutsets: Vec<Vec<Cut>> = Vec::with_capacity(n);
     let mut arrival = vec![0u32; n];
     let mut aflow = vec![0f32; n];
@@ -607,7 +642,22 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
                 merged
             }
         };
+        cuts_held += cuts.len();
+        effort.cuts_held_peak = effort.cuts_held_peak.max(cuts_held);
         cutsets.push(cuts);
+        if let Node::And(a, b) = node {
+            for spent in [a.node() as usize, b.node() as usize] {
+                pending[spent] -= 1;
+                if pending[spent] == 0 {
+                    cuts_held -= keep_first_cut(&mut cutsets[spent]);
+                }
+            }
+        }
+        // A node no live AND reads (an output's driver, an unused input)
+        // is spent as soon as it has its cuts.
+        if pending[idu] == 0 {
+            cuts_held -= keep_first_cut(&mut cutsets[idu]);
+        }
     }
     drop(cuts_span);
 
@@ -742,6 +792,7 @@ fn run_map(aig: &Aig, opts: MapOptions, honor_params: bool) -> (MappedDesign, Ma
     map_span.arg("bdd_nodes_kept", effort.bdd_nodes_kept);
     map_span.arg("bdd_lookups", effort.bdd_lookups);
     map_span.arg("bdd_hits", effort.bdd_hits);
+    map_span.arg("cuts_held_peak", effort.cuts_held_peak);
     (
         MappedDesign {
             nodes,

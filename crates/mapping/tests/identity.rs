@@ -138,14 +138,15 @@ fn swept_pe((we, wf): (u32, u32)) -> Aig {
 }
 
 /// [`check_at`] at the default cut budget, where the design also keeps
-/// under a tenth of the BDD nodes the map created.
-fn check(pin: &Pin) {
+/// under a tenth of the BDD nodes the map created; returns the counters.
+fn check(pin: &Pin) -> MapEffort {
     let e = check_at(pin, MapOptions::default());
     assert!(
         e.bdd_nodes_created > 10 * e.bdd_nodes_kept,
         "{:?} {e:?}",
         pin.format
     );
+    e
 }
 
 /// Maps `pin`'s PE parameterized with `opts` and checks every pinned
@@ -200,25 +201,30 @@ fn swept_pe_maps_to_the_recorded_design() {
         caches: [20_093, 16_031, 20_093, 15_463],
         filter: [3_261, 734, 8_766, 1_389],
     });
-    check(&Pin {
+    let e = check(&Pin {
         format: (5, 10),
         fingerprint: 0xe981_cc5e_ea0c_200a,
         stats: [804, 136, 118, 46],
         caches: [33_858, 28_613, 33_858, 28_009],
         filter: [4_245, 907, 15_167, 4_859],
     });
+    // The forward pass's cut memory: 28 376 cuts were held at its end
+    // before spent cut sets were dropped.
+    assert_eq!(e.cuts_held_peak, 4_681);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "paper-scale (6,26) map: runs in release")]
 fn paper_pe_maps_to_the_recorded_design() {
-    check(&Pin {
+    let e = check(&Pin {
         format: (6, 26),
         fingerprint: 0xe3ce_fac8_4d00_c209,
         stats: [2_894, 982, 237, 70],
         caches: [114_302, 104_921, 114_302, 104_269],
         filter: [7_661, 1_512, 51_633, 62_483],
     });
+    // 94 814 before spent cut sets were dropped.
+    assert_eq!(e.cuts_held_peak, 14_741);
 }
 
 #[test]

@@ -15,13 +15,7 @@ use softfloat::FpFormat;
 use vcgra::{VirtualPe, VirtualPeConfig};
 
 fn main() {
-    let args = xbench::Cli {
-        name: "ablations",
-        switches: &["--smoke"],
-        valued: &[xbench::TRACE],
-        positional: None,
-    }
-    .parse();
+    let args = xbench::ABLATIONS.parse();
     let smoke = args.has("--smoke");
     let trace_path = xbench::init_trace(&args);
     // Reduced format keeps each point fast; trends carry to (6,26).

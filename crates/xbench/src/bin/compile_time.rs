@@ -37,13 +37,7 @@ use xbench::{print_header, print_row};
 const CHECK_ROUTE_SECONDS: f64 = 10.0;
 
 fn main() {
-    let cli = xbench::Cli {
-        name: "compile_time",
-        switches: &["--smoke", "--check"],
-        valued: &[("--threads-sweep", "<n,n,...>"), xbench::TRACE],
-        positional: None,
-    };
-    let args = cli.parse();
+    let args = xbench::COMPILE_TIME.parse();
     let smoke = args.has("--smoke");
     let trace_path = xbench::init_trace(&args);
     let check = args.has("--check");
@@ -54,7 +48,8 @@ fn main() {
                 .map(|t| t.trim().parse())
                 .collect::<Result<_, _>>()
                 .unwrap_or_else(|_| {
-                    cli.refuse(&format!("`--threads-sweep {v}` is not a list of counts"))
+                    xbench::COMPILE_TIME
+                        .refuse(&format!("`--threads-sweep {v}` is not a list of counts"))
                 })
         })
         .unwrap_or_default();
@@ -76,6 +71,10 @@ fn main() {
         app.pe_demand(),
         mapping.virtual_wirelength,
         mapping.settings_words().len()
+    );
+    println!(
+        "  peak memory after the VCGRA flow: {}",
+        xbench::peak_memory()
     );
 
     // --- standard FPGA flow on the same function (gate level) ---
@@ -106,6 +105,10 @@ fn main() {
         "FPGA flow (one PE): synth {t_synth:?} + map {t_map:?} + place {t_place:?} \
          + route {t_route:?} (width {width}, {} iters, {} rip-ups, WL {}, {} waves)",
         routed.iterations, routed.ripups, routed.wirelength, routed.waves
+    );
+    println!(
+        "  peak memory after the FPGA flow: {}",
+        xbench::peak_memory()
     );
 
     print_header("Section II — compile time, same application");

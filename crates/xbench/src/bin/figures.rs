@@ -22,13 +22,7 @@ use vcgra::render;
 use vcgra::VcgraArch;
 
 fn main() {
-    let args = xbench::Cli {
-        name: "figures",
-        switches: &["--smoke"],
-        valued: &[],
-        positional: Some("out_dir"),
-    }
-    .parse();
+    let args = xbench::FIGURES.parse();
     let smoke = args.has("--smoke");
     let out_dir = args.positional().unwrap_or("out").to_string();
     std::fs::create_dir_all(&out_dir).expect("create output dir");

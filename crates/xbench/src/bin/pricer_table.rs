@@ -9,12 +9,6 @@
 //! file differs from what this prints.
 
 fn main() {
-    xbench::Cli {
-        name: "pricer_table",
-        switches: &[],
-        valued: &[],
-        positional: None,
-    }
-    .parse();
+    xbench::PRICER_TABLE.parse();
     print!("{}", xbench::pricer_table(xbench::PRICER_PE));
 }

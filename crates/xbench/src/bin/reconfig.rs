@@ -19,13 +19,7 @@ use std::hint::black_box;
 use xbench::{build_pe_aig_with, map_pe, print_header, print_row};
 
 fn main() {
-    let args = xbench::Cli {
-        name: "reconfig",
-        switches: &["--smoke"],
-        valued: &[xbench::TRACE],
-        positional: None,
-    }
-    .parse();
+    let args = xbench::RECONFIG.parse();
     let smoke = args.has("--smoke");
     let trace_path = xbench::init_trace(&args);
     let fmt = if smoke {

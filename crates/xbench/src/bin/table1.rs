@@ -12,8 +12,9 @@
 //! PaR runs on the `par-engine` (incremental reroute, warm-started width
 //! search with the cold certificate routed beside it); the per-probe
 //! effort log is printed after the table, the mapper's effort block
-//! (where its TCON checks ended, BDD nodes created and kept) under the
-//! `mapped:` line.
+//! (where its TCON checks ended, the most cuts held at once, BDD nodes
+//! created and kept) under the `mapped:` line, and the process's peak
+//! memory ([`xbench::peak_memory`]) after the maps and after each PaR.
 //!
 //! Usage: `cargo run -p xbench --release --bin table1 [--skip-par]
 //!         [--smoke] [--verify]`
@@ -92,6 +93,10 @@ fn print_map_effort(e: &MapEffort) {
         e.ptt_merges, e.ptt_cache_hits, e.const_ptt_cuts,
     );
     println!(
+        "    cuts: at most {} held at once in the forward pass",
+        e.cuts_held_peak
+    );
+    println!(
         "    BDD nodes: {} created -> {} kept ({:.1}%); computed table {} of {} lookups hit ({:.0}%)",
         e.bdd_nodes_created,
         e.bdd_nodes_kept,
@@ -103,13 +108,7 @@ fn print_map_effort(e: &MapEffort) {
 }
 
 fn main() {
-    let args = xbench::Cli {
-        name: "table1",
-        switches: &["--skip-par", "--smoke", "--verify"],
-        valued: &[xbench::TRACE],
-        positional: None,
-    }
-    .parse();
+    let args = xbench::TABLE1.parse();
     let smoke = args.has("--smoke");
     let trace_path = xbench::init_trace(&args);
     let skip_par = args.has("--skip-par");
@@ -136,6 +135,7 @@ fn main() {
     let (sc, sp) = (conv.stats(), par.stats());
     println!("mapped: conventional in {t_conv:?}, parameterized in {t_par:?}");
     print_map_effort(&effort);
+    println!("  peak memory after both maps: {}", xbench::peak_memory());
 
     print_header("Table I — resource utilization of a PE (mapping)");
     print_row("4-LUTs, conventional", "2522", &sc.luts.to_string());
@@ -167,10 +167,18 @@ fn main() {
         let nl_p = par::extract(&par);
         let t2 = std::time::Instant::now();
         let rep_c = engine.run(&nl_c).expect("conventional PE routable");
-        println!("conventional PaR done in {:?}", t2.elapsed());
+        println!(
+            "conventional PaR done in {:?} (peak memory {})",
+            t2.elapsed(),
+            xbench::peak_memory()
+        );
         let t3 = std::time::Instant::now();
         let rep_p = engine.run(&nl_p).expect("parameterized PE routable");
-        println!("parameterized PaR done in {:?}", t3.elapsed());
+        println!(
+            "parameterized PaR done in {:?} (peak memory {})",
+            t3.elapsed(),
+            xbench::peak_memory()
+        );
 
         print_header("Table I — PaR results of a PE");
         print_row(

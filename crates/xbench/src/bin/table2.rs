@@ -11,13 +11,7 @@ use vcgra::VcgraArch;
 use xbench::{print_header, print_row};
 
 fn main() {
-    xbench::Cli {
-        name: "table2",
-        switches: &[],
-        valued: &[],
-        positional: None,
-    }
-    .parse();
+    xbench::TABLE2.parse();
     let grid = VcgraArch::paper_4x4();
     let conv = grid.resources(false);
     let par = grid.resources(true);

@@ -66,6 +66,62 @@ pub struct Cli {
 /// but `table2`, `figures` and `pricer_table`.
 pub const TRACE: (&str, &str) = ("--trace", "<path>");
 
+/// The `table1` driver's command line.
+pub const TABLE1: Cli = Cli {
+    name: "table1",
+    switches: &["--skip-par", "--smoke", "--verify"],
+    valued: &[TRACE],
+    positional: None,
+};
+
+/// The `table2` driver's command line.
+pub const TABLE2: Cli = Cli {
+    name: "table2",
+    switches: &[],
+    valued: &[],
+    positional: None,
+};
+
+/// The `reconfig` driver's command line.
+pub const RECONFIG: Cli = Cli {
+    name: "reconfig",
+    switches: &["--smoke"],
+    valued: &[TRACE],
+    positional: None,
+};
+
+/// The `compile_time` driver's command line.
+pub const COMPILE_TIME: Cli = Cli {
+    name: "compile_time",
+    switches: &["--smoke", "--check"],
+    valued: &[("--threads-sweep", "<n,n,...>"), TRACE],
+    positional: None,
+};
+
+/// The `figures` driver's command line.
+pub const FIGURES: Cli = Cli {
+    name: "figures",
+    switches: &["--smoke"],
+    valued: &[],
+    positional: Some("out_dir"),
+};
+
+/// The `ablations` driver's command line.
+pub const ABLATIONS: Cli = Cli {
+    name: "ablations",
+    switches: &["--smoke"],
+    valued: &[TRACE],
+    positional: None,
+};
+
+/// The `pricer_table` driver's command line.
+pub const PRICER_TABLE: Cli = Cli {
+    name: "pricer_table",
+    switches: &[],
+    valued: &[],
+    positional: None,
+};
+
 /// A driver's parsed command line.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Args {
@@ -281,6 +337,23 @@ pub fn pricer_table(pe: VirtualPeConfig) -> String {
     out
 }
 
+/// The process's peak resident memory so far, as `"<x> MiB"` — the
+/// `VmHWM` line of `/proc/self/status` — or `"n/a"` where the host has no
+/// such file. The compile drivers print it after each flow.
+pub fn peak_memory() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| vm_hwm_mib(&status))
+        .map_or_else(|| "n/a".to_string(), |mib| format!("{mib:.1} MiB"))
+}
+
+/// The `VmHWM` of a `/proc/<pid>/status` text, in MiB.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// A compact row printer for paper-vs-measured tables.
 pub fn print_row(label: &str, paper: &str, measured: &str) {
     println!("  {label:<34} {paper:>16} {measured:>18}");
@@ -378,27 +451,6 @@ pub fn reduction(before: usize, after: usize) -> f64 {
 mod tests {
     use super::*;
 
-    const TABLE1: Cli = Cli {
-        name: "table1",
-        switches: &["--skip-par", "--smoke", "--verify"],
-        valued: &[TRACE],
-        positional: None,
-    };
-
-    const COMPILE_TIME: Cli = Cli {
-        name: "compile_time",
-        switches: &["--smoke", "--check"],
-        valued: &[("--threads-sweep", "<n,n,...>"), TRACE],
-        positional: None,
-    };
-
-    const FIGURES: Cli = Cli {
-        name: "figures",
-        switches: &["--smoke"],
-        valued: &[],
-        positional: Some("out_dir"),
-    };
-
     fn parse(cli: &Cli, line: &[&str]) -> Result<Args, String> {
         cli.parse_from(line.iter().map(|a| a.to_string()))
     }
@@ -445,14 +497,9 @@ mod tests {
             parse(&TABLE1, &["--smoke", "--trace"]),
             Err("`--trace` needs a value".into())
         );
-        let none = Cli {
-            name: "pricer_table",
-            switches: &[],
-            valued: &[],
-            positional: None,
-        };
-        // A driver whose run opens no span takes no `--trace`.
-        for cli in [&none, &FIGURES] {
+        // A driver whose run opens no span takes no `--trace`; every
+        // other driver does.
+        for cli in [&PRICER_TABLE, &FIGURES, &TABLE2] {
             assert_eq!(
                 parse(cli, &["--trace", "t.json"]),
                 Err("unknown argument `--trace`".into()),
@@ -460,6 +507,19 @@ mod tests {
                 cli.name
             );
         }
+        for cli in [&TABLE1, &RECONFIG, &COMPILE_TIME, &ABLATIONS] {
+            let a = parse(cli, &["--trace", "t.json"]).unwrap();
+            assert_eq!(a.value("--trace"), Some("t.json"), "{}", cli.name);
+        }
+    }
+
+    #[test]
+    fn peak_memory_reads_vm_hwm() {
+        let status = "Name:\tx\nVmPeak:\t  9000 kB\nVmHWM:\t   53248 kB\nVmRSS:\t 100 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(52.0));
+        assert_eq!(vm_hwm_mib("Name:\tx\n"), None);
+        let m = peak_memory();
+        assert!(m == "n/a" || m.ends_with(" MiB"), "{m}");
     }
 
     #[test]
