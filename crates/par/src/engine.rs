@@ -17,11 +17,11 @@
 //! route-tree pass, as `table1 --verify` and the tests do.
 //!
 //! Determinism contract: for a fixed netlist and options, every result is
-//! **bit-identical regardless of `threads`**. A thread count changes one
-//! thing only: the width search, with two or more threads, routes the
-//! cold `W−1` certificate beside the binary phase — and the minimum, its
-//! certificate, the trees and every probe row but `seconds` and
-//! `overlapped` are what one thread reports.
+//! `==` at any `threads`. A thread count changes one thing only: the
+//! width search, with two or more threads, routes the cold `W−1`
+//! certificate beside the binary phase — and the whole [`WidthSearch`] is
+//! what one thread reports. Results hold what was computed, not when:
+//! host time and the thread a probe ran on are the `par.*` trace spans'.
 //! Placement anneals the seeds one after another on the calling thread
 //! and keeps the lowest cost (ties broken by seed order). A routing run
 //! reads no thread count at all: it reroutes the dirty nets in one
@@ -64,6 +64,7 @@ impl Default for EngineOptions {
 }
 
 /// End-to-end place & route report (one flow's PaR columns of Table I).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParReport {
     /// Fabric used (auto-sized to the netlist).
     pub arch: FabricArch,
@@ -72,10 +73,6 @@ pub struct ParReport {
     /// The width search on that placement: the minimum channel width, the
     /// routing there, its certificate and the probe log.
     pub search: WidthSearch,
-    /// Wall time of placement.
-    pub place_seconds: f64,
-    /// Wall time of the whole width search.
-    pub route_seconds: f64,
 }
 
 /// The place & route engine. See the module docs.
@@ -148,19 +145,13 @@ impl ParEngine {
         let mut run_span = trace::span("par.run");
         run_span.arg("nets", netlist.nets.len());
         let arch = FabricArch::sized_for(netlist.logic_count(), netlist.io_count());
-        let t0 = std::time::Instant::now();
         let placement = self.place(netlist, arch);
-        let place_seconds = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
         let search = self.min_channel_width(netlist, &placement, arch)?;
-        let route_seconds = t1.elapsed().as_secs_f64();
         run_span.arg("min_width", search.min_width);
         Some(ParReport {
             arch,
             placement,
             search,
-            place_seconds,
-            route_seconds,
         })
     }
 }
@@ -266,13 +257,6 @@ mod tests {
             .run(&nl)
             .expect("routable")
         };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.search.min_width, b.search.min_width);
-        assert_eq!(
-            a.search.result.trees, b.search.result.trees,
-            "routing must not depend on threads"
-        );
-        assert_eq!(a.placement.site_of, b.placement.site_of);
+        assert!(run(1) == run(4), "the report depends on threads");
     }
 }

@@ -746,9 +746,7 @@ pub(crate) mod tests {
         let placement = crate::tplace::place(&nl, arch, 1);
         let graph = RouteGraph::build(arch, 7);
         let routed = |cancel: &AtomicBool| route_core(&nl, &placement, &graph, None, Some(cancel));
-        let stopped = routed(&AtomicBool::new(true))
-            .err()
-            .expect("a cancelled run is no route");
+        let stopped = routed(&AtomicBool::new(true)).expect_err("a cancelled run is no route");
         assert_eq!(
             (
                 stopped.iterations,

@@ -33,7 +33,7 @@ use fabric::arch::{FabricArch, Site};
 use logic::SplitMix64;
 
 /// A placement: one site per block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Site of every block (indexed like `ParNetlist::blocks`).
     pub site_of: Vec<Site>,

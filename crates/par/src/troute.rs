@@ -28,6 +28,7 @@ use crate::tplace::Placement;
 use fabric::rrg::{NetTerminals, RouteGraph};
 
 /// Result of a successful routing run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteResult {
     /// Per net: the RRG nodes its route uses.
     pub trees: Vec<Vec<u32>>,

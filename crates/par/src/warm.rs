@@ -28,19 +28,19 @@
 //! probed warm, in which order, from which seed — is the same at every
 //! thread count, a speculative probe the search moves past is dropped
 //! unlogged, and a consumed one is logged where the confirmation probe
-//! always was; so minimum, certificate, trees and probe table do not
-//! depend on `threads` (only `seconds` and `overlapped` say when a row
-//! ran). With one thread nothing is spawned, and a router run itself
-//! never spawns: `threads` is the main sequence plus the probes beside it.
+//! always was; so every result is `==` at any `threads`, a whole
+//! [`WidthSearch`] included. With one thread nothing is spawned, and a
+//! router run itself never spawns: `threads` is the main sequence plus the
+//! probes beside it.
 //!
-//! One `par.width_search` span covers a search and carries its sound
-//! `lower_bound`, the congestion `estimate` it started from, the minimum,
-//! the probe count, the seconds spent in failed probes (`failed_probe_s`)
-//! and those of them that ran beside the search without extending it
-//! (`overlap_saved_s`); each probe is a `par.probe` span (width, warm
-//! nets, verdict, effort, `overlapped`, a failure's `worst_cut_overuse`,
-//! `cancelled` on a speculative probe that was let go) on the thread that
-//! routed it.
+//! The result holds what was computed, not when: host time and the thread
+//! a probe ran on are trace spans. One `par.width_search` span covers a
+//! search and carries its sound `lower_bound`, the congestion `estimate`
+//! it started from, the minimum and the probe count; each probe is a
+//! `par.probe` span (width, warm nets, verdict, effort, `overlapped`, a
+//! failure's `worst_cut_overuse`, `cancelled` on a speculative probe that
+//! was let go) on the thread that routed it, and its duration is the
+//! probe's wall time.
 
 use crate::engine::EngineOptions;
 use crate::incr::route_core;
@@ -53,17 +53,14 @@ use logic::fxhash::FxHashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
-use std::time::Instant;
 
 /// One router invocation inside the width search.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WidthProbe {
     /// Channel width probed.
     pub width: usize,
     /// Did the router legalize at this width?
     pub success: bool,
-    /// Wall time of the probe.
-    pub seconds: f64,
     /// PathFinder iterations spent.
     pub iterations: usize,
     /// Net (re)route operations spent.
@@ -73,10 +70,6 @@ pub struct WidthProbe {
     /// True for the certification re-probe of the final `W−1` failure
     /// (always cold: `warm_nets == 0`).
     pub confirm: bool,
-    /// True when the probe ran on a thread of its own beside the search's
-    /// main sequence instead of extending it — like `seconds`, a fact
-    /// about *when* it ran, not about what it found.
-    pub overlapped: bool,
 }
 
 /// Why the reported minimum is trusted (see [`WidthSearch::certificate`]).
@@ -111,6 +104,7 @@ impl WidthCertificate {
 
 /// Outcome of the width search: the minimum width, the routing there, and
 /// the per-probe effort log.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WidthSearch {
     /// Minimum routable channel width found.
     pub min_width: usize,
@@ -270,7 +264,7 @@ pub fn channel_width_estimate(
 type Probed = (Result<RouteResult, Unroutable>, WidthProbe);
 
 /// Routes one probe and describes it. `cancel` is given to a speculative
-/// probe only (see [`Speculation`]): it marks the row `overlapped` and
+/// probe only (see [`Speculation`]): it marks the span `overlapped` and
 /// lets the search stop the run.
 fn run_probe(
     netlist: &ParNetlist,
@@ -284,15 +278,12 @@ fn run_probe(
         .as_ref()
         .map(|s| s.iter().filter(|t| !t.is_empty()).count())
         .unwrap_or(0);
-    let overlapped = cancel.is_some();
     let mut probe_span = trace::span("par.probe");
     probe_span.arg("width", graph.width);
     probe_span.arg("warm_nets", warm_nets);
     probe_span.arg("confirm", confirm);
-    probe_span.arg("overlapped", overlapped);
-    let t0 = Instant::now();
+    probe_span.arg("overlapped", cancel.is_some());
     let r = route_core(netlist, placement, graph, seed, cancel);
-    let seconds = t0.elapsed().as_secs_f64();
     let (success, iterations, ripups) = match &r {
         Ok(res) => (true, res.iterations, res.ripups),
         Err(e) => (false, e.iterations, e.ripups),
@@ -312,12 +303,10 @@ fn run_probe(
     let row = WidthProbe {
         width: graph.width,
         success,
-        seconds,
         iterations,
         ripups,
         warm_nets,
         confirm,
-        overlapped,
     };
     (r, row)
 }
@@ -430,17 +419,13 @@ impl<'scope, 'env> Speculation<'scope, 'env> {
         }
     }
 
-    /// Waits for the probe in flight at `width`, if there is one. Returns
-    /// it with the seconds of its run that did not extend the search (its
-    /// own wall time minus this wait).
-    fn take(&mut self, width: usize) -> Option<(Probed, f64)> {
+    /// Waits for the probe in flight at `width`, if there is one.
+    fn take(&mut self, width: usize) -> Option<Probed> {
         let i = self.running.iter().position(|s| s.width == width)?;
         let spec = self.running.remove(i);
-        let t0 = Instant::now();
         let probed = spec.handle.join().expect("speculative probe panicked");
-        let saved = (probed.1.seconds - t0.elapsed().as_secs_f64()).max(0.0);
         // `spec._cancel` drops here, after the join: nothing left to stop.
-        Some((probed, saved))
+        Some(probed)
     }
 }
 
@@ -617,7 +602,6 @@ pub(crate) fn search(
         }
     };
 
-    let mut overlap_saved_s = 0.0;
     let certificate = std::thread::scope(|scope| {
         let mut spec = Speculation {
             scope,
@@ -698,13 +682,9 @@ pub(crate) fn search(
                 break WidthCertificate::ColdFailure;
             }
             let graph = graphs.at(fail_w);
-            let (verdict, row) = match spec.take(fail_w) {
-                Some((probed, saved)) => {
-                    overlap_saved_s += saved;
-                    probed
-                }
-                None => run_probe(netlist, placement, &graph, None, true, None),
-            };
+            let (verdict, row) = spec
+                .take(fail_w)
+                .unwrap_or_else(|| run_probe(netlist, placement, &graph, None, true, None));
             probes.push(row);
             match verdict {
                 Err(_) => break WidthCertificate::ColdFailure,
@@ -721,9 +701,6 @@ pub(crate) fn search(
     });
     search_span.arg("min_width", best.width);
     search_span.arg("probes", probes.len());
-    let failed = probes.iter().filter(|p| !p.success);
-    search_span.arg("failed_probe_s", failed.fold(0.0, |s, p| s + p.seconds));
-    search_span.arg("overlap_saved_s", overlap_saved_s);
     Some(WidthSearch {
         min_width: best.width,
         result: best.result,
@@ -769,9 +746,9 @@ mod tests {
                 spec.take(2).is_none(),
                 "a cancelled probe must not reach the log"
             );
-            let ((verdict, row), saved) = spec.take(7).expect("in flight");
+            let (verdict, row) = spec.take(7).expect("in flight");
             assert!(verdict.is_ok() && row.success && row.width == 7);
-            assert!(row.overlapped && row.confirm && row.warm_nets == 0 && saved >= 0.0);
+            assert!(row.confirm && row.warm_nets == 0);
             // No slot, no speculation; an impossible width is let go.
             spec.steer(&[2], |_| true, &mut graphs);
             spec.steer(&[], |w| w != 2, &mut graphs);

@@ -1,7 +1,8 @@
 //! Engine guarantees under test:
 //!
-//! 1. **Thread determinism** — the same netlist and options produce
-//!    bit-identical placements and routing trees for any worker count.
+//! 1. **Thread determinism** — the same netlist and options produce an
+//!    `==` report (placement, minimum, certificate, trees, probe table)
+//!    for any worker count.
 //! 2. **Width-search equivalence** — the warm-started doubling + binary
 //!    search reports the same minimum channel width as the cold linear
 //!    reference scan.
@@ -9,31 +10,16 @@
 //!    crate's route-tree lint (connectivity + wire exclusivity), which
 //!    the engine never runs itself.
 //! 4. **Speculation is invisible** — the width search's cold probes may
-//!    run beside its main sequence; minimum, certificate, trees and probe
-//!    table are the same at any thread count, and the same as the commit
-//!    before speculation existed (golden hashes).
+//!    run beside its main sequence; the whole search is `==` at any thread
+//!    count, and the same as the commit before speculation existed (golden
+//!    hashes). That the speculation runs at all is `speculation.rs`'s.
 
-use logic::aig::{Aig, InputKind};
-use mapping::{map_conventional, map_parameterized, MapOptions};
+mod common;
+
+use common::mul_netlist;
 use par::troute::terminals;
-use par::{
-    extract, EngineOptions, ParEngine, ParNetlist, ParReport, Placement, WidthProbe, WidthSearch,
-};
+use par::{EngineOptions, ParEngine, ParNetlist, ParReport, Placement, WidthSearch};
 use verify::Verifier;
-
-fn mul_netlist(bits: usize, parameterized: bool) -> ParNetlist {
-    let mut g = Aig::new();
-    let x = g.input_vec("x", bits, InputKind::Regular);
-    let c = g.input_vec("c", bits, InputKind::Param);
-    let p = softfloat::gates::mul_carry_save(&mut g, &x, &c);
-    g.add_output_vec("p", &p);
-    let d = if parameterized {
-        map_parameterized(&g, MapOptions::default())
-    } else {
-        map_conventional(&g, MapOptions::default())
-    };
-    extract(&d)
-}
 
 #[test]
 fn routing_is_bit_identical_across_thread_counts() {
@@ -70,7 +56,7 @@ fn assert_trees_lint_clean(
 }
 
 /// Runs the engine at 1, 2 and 8 threads: every report passes the route
-/// lint, and placement, minimum width and trees equal the 1-thread run's.
+/// lint and is `==` the 1-thread run's.
 fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
     let reports: Vec<_> = [1usize, 2, 8]
         .iter()
@@ -86,15 +72,9 @@ fn assert_thread_matrix_is_bit_identical(nl: &ParNetlist) {
         })
         .collect();
     for r in &reports[1..] {
-        assert_eq!(r.placement.site_of, reports[0].placement.site_of);
-        assert_eq!(r.search.min_width, reports[0].search.min_width);
-        assert_eq!(
-            r.search.result.trees, reports[0].search.result.trees,
-            "routing trees must not depend on the thread count"
-        );
-        assert_eq!(
-            r.search.result.wirelength,
-            reports[0].search.result.wirelength
+        assert!(
+            *r == reports[0],
+            "the report must not depend on the thread count"
         );
     }
 }
@@ -147,7 +127,6 @@ fn engine_results_pass_the_audit() {
         assert!(rep.search.result.iterations >= 1);
         assert!(rep.search.result.ripups > 0);
         assert!(rep.search.probes.iter().any(|p| p.success));
-        assert!(rep.place_seconds >= 0.0 && rep.route_seconds > 0.0);
     }
 }
 
@@ -204,7 +183,7 @@ fn cold_routes_stop_at_the_recorded_exits() {
     let placement = engine.place(&nl, arch);
     let route = |width| engine.route(&nl, &placement, &fabric::RouteGraph::build(arch, width));
     for (width, exit) in [(2, (10, 551, 19)), (3, (30, 577, 3))] {
-        let e = route(width).err().expect("too narrow to route");
+        let e = route(width).expect_err("too narrow to route");
         assert_eq!(
             (e.iterations, e.ripups, e.worst_cut_overuse),
             exit,
@@ -261,8 +240,8 @@ proptest::proptest! {
 }
 
 /// Observability guarantee (`vcgra-trace`): arming the span recorder
-/// only *observes* the router — placements, minima, and routing trees
-/// stay bit-identical to the untraced run at every thread count. This
+/// only *observes* the router — every report is `==` the untraced run's
+/// at every thread count. This
 /// is the determinism guard the tracing instrumentation in
 /// `engine`/`incr`/`warm` must never trip.
 #[test]
@@ -300,19 +279,7 @@ fn tracing_does_not_change_routed_results() {
     );
 
     for (t, (b, r)) in baseline.iter().zip(&traced).enumerate() {
-        assert_eq!(
-            b.placement.site_of, r.placement.site_of,
-            "threads[{t}] placement"
-        );
-        assert_eq!(
-            b.search.min_width, r.search.min_width,
-            "threads[{t}] minimum width"
-        );
-        assert_eq!(
-            b.search.result.trees, r.search.result.trees,
-            "tracing must not change routing trees (thread index {t})"
-        );
-        assert_eq!(b.search.result.wirelength, r.search.result.wirelength);
+        assert!(b == r, "tracing changed the report (thread index {t})");
     }
 }
 
@@ -379,20 +346,8 @@ fn a_ceiling_below_the_floor_or_the_lower_bound_is_unroutable_not_exceeded() {
     }
 }
 
-/// What a probe found, without when it ran (`seconds`, `overlapped`).
-fn row(p: &WidthProbe) -> [usize; 6] {
-    [
-        p.width,
-        p.success as usize,
-        p.iterations,
-        p.ripups,
-        p.warm_nets,
-        p.confirm as usize,
-    ]
-}
-
-/// FNV-1a over a search's answer: the minimum, the trees there, and the
-/// probe table's [`row`]s.
+/// FNV-1a over a search's answer: the minimum, the trees there, and each
+/// probe row's six fields.
 fn search_fnv(s: &WidthSearch) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut put = |v: u64| {
@@ -408,113 +363,51 @@ fn search_fnv(s: &WidthSearch) -> u64 {
         t.iter().for_each(|&n| put(u64::from(n)));
     }
     put(s.probes.len() as u64);
-    s.probes.iter().flat_map(row).for_each(|v| put(v as u64));
+    for p in &s.probes {
+        let row = [
+            p.width,
+            p.success as usize,
+            p.iterations,
+            p.ripups,
+            p.warm_nets,
+            p.confirm as usize,
+        ];
+        row.iter().for_each(|&v| put(v as u64));
+    }
     h
 }
 
-/// What the speculative cold probe of a search must have gone through for
-/// the case to test what it is listed for (read at two threads, one slot).
-enum Speculated {
-    /// The floor certifies the minimum: no confirmation, nothing to take.
-    Unused,
-    /// The `W−1` probe ran beside the binary phase, failed, and was taken
-    /// by the confirmation loop.
-    Consumed,
-    /// It *succeeded*: the search adopted the narrower result and went on
-    /// certifying below it.
-    Adopted,
-    /// The search ended on a warm failure above the width in the slot:
-    /// that probe was let go, and no row of it may appear.
-    Cancelled,
-}
-
-/// The width search at 1, 2 and 8 threads on searches that consume, adopt
-/// and cancel a speculated verdict. The golden hashes were recorded when
-/// `place` began drawing logic moves inside the range window, which moved
-/// every placement and so every search; the seeds of the adopting and
-/// cancelling rows were re-picked then, so that each outcome still occurs.
-/// Any later change to the search or the router must be invisible in every
-/// tree and every probe row.
+/// The width search at 1, 2 and 8 threads on [`common::CASES`], which
+/// consume, adopt and cancel a speculated verdict. The golden hashes were
+/// recorded when `place` began drawing logic moves inside the range
+/// window, which moved every placement and so every search; the seeds of
+/// the adopting and cancelling rows were re-picked then, so that each
+/// outcome still occurs. Any later change to the search or the router
+/// must be invisible in every tree and every probe row.
 #[test]
 fn width_search_ignores_the_thread_count_and_equals_the_recorded_goldens() {
-    use Speculated::*;
-    for (bits, parameterized, seed, min_width, golden, speculated) in [
-        (5, true, 1, 6, 0x44a5_4f90_50e7_d24au64, Unused),
-        (5, false, 1, 6, 0xc974_ecaa_1be4_9ee2, Unused),
-        (5, true, 1, 2, 0x703d_150c_6098_89e9, Consumed),
-        (5, false, 1, 2, 0x52b2_b1cc_a610_3dfb, Consumed),
-        (5, true, 8, 2, 0x1112_32d7_7b6c_807f, Adopted),
-        (5, false, 38, 2, 0xc0e8_cfc6_661a_f21a, Adopted),
-        (6, false, 43, 2, 0x54d5_3c9b_9508_01b9, Cancelled),
-    ] {
-        let at = format!("bits={bits}, par={parameterized}, seed={seed}, min_width={min_width}");
-        let nl = mul_netlist(bits, parameterized);
-        let arch = fabric::FabricArch::sized_for(nl.logic_count(), nl.io_count());
-        let search = |threads: usize| {
-            let engine = ParEngine::new(EngineOptions {
-                seeds: vec![seed],
-                threads,
-                min_width,
-                ..Default::default()
-            });
-            let placement = engine.place(&nl, arch);
-            engine
-                .min_channel_width(&nl, &placement, arch)
-                .expect("routable")
-        };
-        let serial = search(1);
+    let goldens = [
+        0x44a5_4f90_50e7_d24au64,
+        0xc974_ecaa_1be4_9ee2,
+        0x703d_150c_6098_89e9,
+        0x52b2_b1cc_a610_3dfb,
+        0x1112_32d7_7b6c_807f,
+        0xc0e8_cfc6_661a_f21a,
+        0x54d5_3c9b_9508_01b9,
+    ];
+    for (case, golden) in common::CASES.iter().zip(goldens) {
+        let nl = mul_netlist(case.0, case.1);
+        let serial = common::search(&nl, case, 1);
         assert_eq!(
             search_fnv(&serial),
             golden,
-            "result moved from the recorded one ({at})"
+            "result moved from the recorded one ({case:?})"
         );
-        assert!(
-            serial.probes.iter().all(|p| !p.overlapped),
-            "one thread never speculates ({at})"
-        );
-        let threaded = [2usize, 8].map(|threads| (threads, search(threads)));
-        for (threads, s) in &threaded {
-            assert_eq!(s.min_width, serial.min_width, "{at}, {threads} threads");
-            assert_eq!(s.certificate, serial.certificate, "{at}, {threads} threads");
-            assert_eq!(
-                s.result.trees, serial.result.trees,
-                "{at}, {threads} threads"
+        for threads in [2, 8] {
+            assert!(
+                common::search(&nl, case, threads) == serial,
+                "the search depends on the thread count ({case:?}, {threads} threads)"
             );
-            assert_eq!(
-                s.probes.iter().map(row).collect::<Vec<_>>(),
-                serial.probes.iter().map(row).collect::<Vec<_>>(),
-                "probe table depends on the thread count ({at}, {threads} threads)"
-            );
-            // Only a confirmation row can have run beside the search.
-            assert!(s.probes.iter().all(|p| p.confirm || !p.overlapped), "{at}");
-        }
-        let two = &threaded[0].1;
-        let beside: Vec<_> = two.probes.iter().filter(|p| p.overlapped).collect();
-        match speculated {
-            Unused => assert!(beside.is_empty(), "{at}"),
-            Consumed => assert!(beside.len() == 1 && !beside[0].success, "{at}"),
-            Adopted => {
-                assert!(beside.len() == 1 && beside[0].success, "{at}");
-                assert_eq!(
-                    two.min_width, beside[0].width,
-                    "the adopted width is the minimum ({at})"
-                );
-            }
-            Cancelled => {
-                // A warm failure below the final W−1 started a cold twin;
-                // the search moved past it, and it left no cold row.
-                let dropped = two
-                    .probes
-                    .iter()
-                    .find(|p| !p.success && p.warm_nets > 0 && p.width + 1 < two.min_width)
-                    .unwrap_or_else(|| panic!("no speculation was let go ({at})"));
-                assert!(
-                    !two.probes
-                        .iter()
-                        .any(|p| p.width == dropped.width && p.warm_nets == 0),
-                    "a cancelled probe reached the log ({at})"
-                );
-            }
         }
     }
 }

@@ -115,12 +115,13 @@ pub struct PipelineResult {
     pub textured: Image,
     /// Final binary segmentation.
     pub segmented: Image,
-    /// Wall-clock time per stage, in order: denoise, matched, texture.
-    pub stage_times: [std::time::Duration; 3],
 }
 
 /// Runs the whole pipeline on an RGB fundus image, every hardware module
 /// through `conv` (an image and a kernel in, the convolved image out).
+/// `conv` is called once for the denoise, once per matched-filter
+/// orientation, then once for the texture filter, in that order — a
+/// caller that times its `conv` reads each stage's time from that order.
 pub fn run_pipeline(
     img: &RgbImage,
     cfg: &PipelineConfig,
@@ -143,12 +144,9 @@ pub fn run_pipeline(
     }
 
     // --- hardware modules ---
-    let t0 = std::time::Instant::now();
     let dk = gaussian(cfg.denoise_size, cfg.denoise_size as f32 / 4.0);
     let denoised = conv(&pre, &dk);
-    let t_denoise = t0.elapsed();
 
-    let t1 = std::time::Instant::now();
     // The matched filters have a negative Gaussian valley: on dark vessels
     // over a bright background the response is positive at vessel centers
     // and ~zero on flat background (the kernels are zero-mean).
@@ -158,15 +156,12 @@ pub fn run_pipeline(
     for (p, f) in response.data.iter_mut().zip(&fov.data) {
         *p *= f;
     }
-    let t_matched = t1.elapsed();
 
-    let t2 = std::time::Instant::now();
     let tk = texture_filter(cfg.matched_size, cfg.sigma);
     let mut textured = conv(&response, &tk).normalized();
     for (p, f) in textured.data.iter_mut().zip(&fov.data) {
         *p *= f;
     }
-    let t_texture = t2.elapsed();
 
     // --- threshold: combine the raw response with the texture evidence.
     // The cut is adaptive: a percentile of the response *inside the field
@@ -199,7 +194,6 @@ pub fn run_pipeline(
         response,
         textured,
         segmented,
-        stage_times: [t_denoise, t_matched, t_texture],
     }
 }
 

@@ -19,8 +19,8 @@
 //! gate-level route exceeds a generous wall-time threshold, so CI fails
 //! fast if the router hot path regresses. `--threads-sweep` runs the
 //! minimum-width search of the gate-level netlist at each listed thread
-//! count, prints its probe table and asserts minimum, certificate, trees
-//! and probe rows identical — a route itself reads no thread count.)
+//! count, prints its probe table and asserts the whole search `==` the
+//! first count's — a route itself reads no thread count.)
 
 use par::{EngineOptions, ParEngine};
 use softfloat::FpFormat;
@@ -139,16 +139,6 @@ fn main() {
     // nothing but the wall clock may show it ---
     if !sweep.is_empty() {
         println!("\nwidth search sweep ({} nets):", netlist.nets.len());
-        let what = |p: &par::WidthProbe| {
-            (
-                p.width,
-                p.success,
-                p.iterations,
-                p.ripups,
-                p.warm_nets,
-                p.confirm,
-            )
-        };
         let mut first: Option<par::WidthSearch> = None;
         for &threads in &sweep {
             let eng = ParEngine::new(EngineOptions {
@@ -166,20 +156,14 @@ fn main() {
                 s.certificate.name(),
                 s.probes.len()
             );
-            xbench::print_probe_table(&s.probes, secs);
+            xbench::print_probe_table(&s.probes);
             let Some(f) = &first else {
                 first = Some(s);
                 continue;
             };
-            assert_eq!(
-                (s.min_width, s.certificate, &s.result.trees),
-                (f.min_width, f.certificate, &f.result.trees),
+            assert!(
+                s == *f,
                 "thread count {threads} changed the width search — determinism broken"
-            );
-            assert_eq!(
-                s.probes.iter().map(what).collect::<Vec<_>>(),
-                f.probes.iter().map(what).collect::<Vec<_>>(),
-                "thread count {threads} changed the probe table — determinism broken"
             );
         }
     }

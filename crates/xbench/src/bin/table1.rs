@@ -25,27 +25,53 @@
 //! linter — and prints the audit overhead)
 
 use fabric::rrg::RouteGraph;
+use fabric::FabricArch;
 use mapping::{MapEffort, MapOptions};
-use par::{ParEngine, ParReport};
+use par::{ParEngine, ParNetlist, ParReport};
 use softfloat::FpFormat;
+use std::time::Instant;
 use verify::Verifier;
 use xbench::{build_pe_aig_with, map_pe, print_header, print_probe_table, print_row, reduction};
 
-fn print_probes(label: &str, rep: &ParReport) {
+/// One flow's PaR as [`ParEngine::run`] does it — size the fabric, place,
+/// search the minimum width — with the seconds of the place and of the
+/// width search, each timed around its call.
+fn run_par(engine: &ParEngine, netlist: &ParNetlist, flow: &str) -> (ParReport, [f64; 2]) {
+    let arch = FabricArch::sized_for(netlist.logic_count(), netlist.io_count());
+    let t = Instant::now();
+    let placement = engine.place(netlist, arch);
+    let place_s = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let search = engine
+        .min_channel_width(netlist, &placement, arch)
+        .unwrap_or_else(|| panic!("{flow} PE routable"));
+    let search_s = t.elapsed().as_secs_f64();
     println!(
-        "\n{label}: place {:.2}s ({} temperatures), width search {:.2}s \
+        "{flow} PaR done in {:.2}s (peak memory {})",
+        place_s + search_s,
+        xbench::peak_memory()
+    );
+    let report = ParReport {
+        arch,
+        placement,
+        search,
+    };
+    (report, [place_s, search_s])
+}
+
+fn print_probes(label: &str, rep: &ParReport, [place_s, search_s]: [f64; 2]) {
+    println!(
+        "\n{label}: place {place_s:.2}s ({} temperatures), width search {search_s:.2}s \
          ({} iterations, {} rip-ups at the final width; minimum {} certified: {}, \
          sound lower bound {})",
-        rep.place_seconds,
         rep.placement.temperatures,
-        rep.route_seconds,
         rep.search.result.iterations,
         rep.search.result.ripups,
         rep.search.min_width,
         rep.search.certificate.name(),
         rep.search.lower_bound,
     );
-    print_probe_table(&rep.search.probes, rep.route_seconds);
+    print_probe_table(&rep.search.probes);
 }
 
 /// Runs the `--verify` audits for one flow: AIG-vs-mapped equivalence
@@ -126,10 +152,10 @@ fn main() {
     let conv_aig = build_pe_aig_with(fmt, false);
     let par_aig = build_pe_aig_with(fmt, true);
 
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let conv = map_pe(&conv_aig, false);
     let t_conv = t0.elapsed();
-    let t1 = std::time::Instant::now();
+    let t1 = Instant::now();
     let (par, effort) = mapping::map_parameterized_with_effort(&par_aig, MapOptions::default());
     let t_par = t1.elapsed();
     let (sc, sp) = (conv.stats(), par.stats());
@@ -165,20 +191,8 @@ fn main() {
         println!("\nPlace & route (par-engine, min channel width search) ...");
         let nl_c = par::extract(&conv);
         let nl_p = par::extract(&par);
-        let t2 = std::time::Instant::now();
-        let rep_c = engine.run(&nl_c).expect("conventional PE routable");
-        println!(
-            "conventional PaR done in {:?} (peak memory {})",
-            t2.elapsed(),
-            xbench::peak_memory()
-        );
-        let t3 = std::time::Instant::now();
-        let rep_p = engine.run(&nl_p).expect("parameterized PE routable");
-        println!(
-            "parameterized PaR done in {:?} (peak memory {})",
-            t3.elapsed(),
-            xbench::peak_memory()
-        );
+        let (rep_c, secs_c) = run_par(&engine, &nl_c, "conventional");
+        let (rep_p, secs_p) = run_par(&engine, &nl_p, "parameterized");
 
         print_header("Table I — PaR results of a PE");
         print_row(
@@ -235,8 +249,8 @@ fn main() {
             "\nfabrics: conventional {0}x{0}, parameterized {1}x{1} logic blocks",
             rep_c.arch.size, rep_p.arch.size
         );
-        print_probes("conventional router effort", &rep_c);
-        print_probes("parameterized router effort", &rep_p);
+        print_probes("conventional router effort", &rep_c, secs_c);
+        print_probes("parameterized router effort", &rep_p, secs_p);
         routed_c = Some((nl_c, rep_c));
         routed_p = Some((nl_p, rep_p));
     } else {

@@ -46,6 +46,7 @@ use logic::aig::Aig;
 use mapping::{MapOptions, MappedDesign};
 use par::{ParEngine, ParNetlist, Placement, RouteResult};
 use softfloat::FpFormat;
+use trace::{AttrValue, Phase, TraceEvent};
 use vcgra::{VirtualPe, VirtualPeConfig};
 
 /// The command line one driver takes. A driver parses it with
@@ -219,15 +220,22 @@ pub fn init_trace(args: &Args) -> Option<String> {
 }
 
 /// Drains the recorder into a Chrome trace-event JSON file (load it at
-/// `ui.perfetto.dev` or `chrome://tracing`). No-op when [`init_trace`]
-/// found no `--trace` flag. A run that recorded no event has no trace to
-/// give: no file is written, and the driver exits with status 2.
+/// `ui.perfetto.dev` or `chrome://tracing`), after printing where each
+/// width search's wall-clock went ([`probe_span_lines`]). No-op when
+/// [`init_trace`] found no `--trace` flag. A run that recorded no event
+/// has no trace to give: no file is written, and the driver exits with
+/// status 2.
 pub fn finish_trace(path: Option<&str>) {
     let Some(path) = path else { return };
     let events = trace::take_events();
     if events.is_empty() {
         eprintln!("--trace {path}: the run recorded no trace events, so no trace is written");
         std::process::exit(2);
+    }
+    let probes = probe_span_lines(&events);
+    if !probes.is_empty() {
+        println!("\nrouter probes by wall time (the trace's `par.probe` spans):");
+        probes.iter().for_each(|line| println!("{line}"));
     }
     if let Some(dir) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(dir).expect("create trace directory");
@@ -409,33 +417,101 @@ pub fn route_doubling(
     }
 }
 
-/// Prints a width search's probe table — one row per router run, then
-/// where the search's wall-clock went: hopeless widths ground to the
-/// iteration limit, less what ran on a thread of its own meanwhile.
-pub fn print_probe_table(probes: &[par::WidthProbe], search_seconds: f64) {
+/// Prints a width search's probe table — one row per router run, every
+/// column the same at any thread count — then how much of the router's
+/// effort went into failed probes: a hopeless width grinds to the
+/// iteration limit. Their wall time is the `par.probe` spans'
+/// ([`probe_span_lines`]).
+pub fn print_probe_table(probes: &[par::WidthProbe]) {
     for p in probes {
         println!(
-            "  width {:>3}: {:<4} {:>8.2}s  {:>2} iters {:>7} rip-ups {:>5} warm nets{}{}",
+            "  width {:>3}: {:<4} {:>2} iters {:>7} rip-ups {:>5} warm nets{}",
             p.width,
-            if p.success { "ok" } else { "FAIL" },
-            p.seconds,
+            verdict(p.success),
             p.iterations,
             p.ripups,
             p.warm_nets,
             if p.confirm { "  [cold confirm]" } else { "" },
-            if p.overlapped { " [beside search]" } else { "" },
         );
     }
-    // (`fold`, not `sum`: an empty `f64` sum is −0.0 and prints as such.)
-    let failed = probes.iter().filter(|p| !p.success);
-    let failed_s = failed.clone().fold(0.0, |s, p| s + p.seconds);
-    let beside_s = failed
-        .filter(|p| p.overlapped)
-        .fold(0.0, |s, p| s + p.seconds);
+    let failed: Vec<_> = probes.iter().filter(|p| !p.success).collect();
     println!(
-        "  failed probes: {failed_s:.2} of {search_seconds:.2} s \
-         ({beside_s:.2} s of them beside the search)"
+        "  failed probes: {} of {}, {} of {} rip-ups",
+        failed.len(),
+        probes.len(),
+        failed.iter().map(|p| p.ripups).sum::<usize>(),
+        probes.iter().map(|p| p.ripups).sum::<usize>(),
     );
+}
+
+fn verdict(success: bool) -> &'static str {
+    if success {
+        "ok"
+    } else {
+        "FAIL"
+    }
+}
+
+/// Where each width search's wall-clock went, read from a run's trace
+/// events: one line per `par.probe` span — width, verdict, `[cold
+/// confirm]`, `[beside search]` for a probe that ran on a thread of its
+/// own, `[cancelled]` for one the search stopped before its verdict, and
+/// its wall ms — and, at the end of each `par.width_search` span, `failed
+/// probes: x of y s (z s of them beside the search)`. `x` sums every
+/// failed verdict the search's threads reached, a speculative one it let
+/// go after it finished included; `y` is the search's own wall time.
+/// Empty when the run routed no probe.
+pub fn probe_span_lines(events: &[TraceEvent]) -> Vec<String> {
+    fn arg<'e>(e: &'e TraceEvent, key: &str) -> Option<&'e AttrValue> {
+        e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+    let flag = |e: &TraceEvent, key: &str| arg(e, key) == Some(&AttrValue::Bool(true));
+    let tag = |on: bool, text: &'static str| if on { text } else { "" };
+    // Spans nest per thread, so each end event closes the newest begin
+    // on its own thread.
+    let mut open: Vec<(u64, u64)> = Vec::new();
+    let (mut failed_s, mut beside_s) = (0.0, 0.0);
+    let mut lines = Vec::new();
+    for e in events {
+        match e.phase {
+            Phase::Begin => open.push((e.tid, e.ts_ns)),
+            Phase::End => {
+                let Some(i) = open.iter().rposition(|&(tid, _)| tid == e.tid) else {
+                    continue;
+                };
+                let secs = e.ts_ns.saturating_sub(open.remove(i).1) as f64 * 1e-9;
+                if e.name == "par.probe" {
+                    let Some(&AttrValue::U64(width)) = arg(e, "width") else {
+                        continue;
+                    };
+                    let success = flag(e, "success");
+                    let (beside, cancelled) = (flag(e, "overlapped"), flag(e, "cancelled"));
+                    lines.push(format!(
+                        "  probe width {width:>3}: {:<4} {:>9.1} ms{}{}{}",
+                        verdict(success),
+                        secs * 1e3,
+                        tag(flag(e, "confirm"), "  [cold confirm]"),
+                        tag(beside, " [beside search]"),
+                        tag(cancelled, " [cancelled]"),
+                    ));
+                    if !success && !cancelled {
+                        failed_s += secs;
+                        if beside {
+                            beside_s += secs;
+                        }
+                    }
+                } else if e.name == "par.width_search" {
+                    lines.push(format!(
+                        "  failed probes: {failed_s:.2} of {secs:.2} s \
+                         ({beside_s:.2} s of them beside the search)"
+                    ));
+                    (failed_s, beside_s) = (0.0, 0.0);
+                }
+            }
+            Phase::Instant => {}
+        }
+    }
+    lines
 }
 
 /// Percentage reduction helper.
@@ -520,6 +596,48 @@ mod tests {
         assert_eq!(vm_hwm_mib("Name:\tx\n"), None);
         let m = peak_memory();
         assert!(m == "n/a" || m.ends_with(" MiB"), "{m}");
+    }
+
+    #[test]
+    fn probe_lines_come_from_the_span_tree() {
+        let ev = |name, phase, ts_ms: u64, tid, args: Vec<(&'static str, AttrValue)>| TraceEvent {
+            name,
+            phase,
+            ts_ns: ts_ms * 1_000_000,
+            tid,
+            args,
+        };
+        let probe = |width: u64, success: bool, overlapped: bool| {
+            vec![
+                ("width", AttrValue::U64(width)),
+                ("confirm", AttrValue::Bool(overlapped)),
+                ("overlapped", AttrValue::Bool(overlapped)),
+                ("success", AttrValue::Bool(success)),
+            ]
+        };
+        // A search (thread 1) whose cold W−1 ran beside it on thread 2.
+        let events = [
+            ev("par.width_search", Phase::Begin, 0, 1, vec![]),
+            ev("par.probe", Phase::Begin, 0, 1, vec![]),
+            ev("par.probe", Phase::End, 100, 1, probe(9, true, false)),
+            ev("par.probe", Phase::Begin, 100, 2, vec![]),
+            ev("par.probe", Phase::Begin, 100, 1, vec![]),
+            ev("par.route_iter", Phase::Begin, 150, 1, vec![]),
+            ev("par.route_iter", Phase::End, 200, 1, vec![]),
+            ev("par.probe", Phase::End, 600, 1, probe(8, false, false)),
+            ev("par.probe", Phase::End, 900, 2, probe(8, false, true)),
+            ev("par.width_search", Phase::End, 1000, 1, vec![]),
+        ];
+        assert_eq!(
+            probe_span_lines(&events),
+            [
+                "  probe width   9: ok       100.0 ms",
+                "  probe width   8: FAIL     500.0 ms",
+                "  probe width   8: FAIL     800.0 ms  [cold confirm] [beside search]",
+                "  failed probes: 1.30 of 1.00 s (0.80 s of them beside the search)",
+            ]
+        );
+        assert!(probe_span_lines(&events[5..7]).is_empty());
     }
 
     #[test]

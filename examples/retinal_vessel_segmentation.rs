@@ -17,6 +17,7 @@ use retina::pipeline::{run_pipeline, Metrics, PipelineConfig};
 use retina::synth::{synth_fundus, SynthConfig};
 use runtime::{kernels, Runtime, RuntimeConfig};
 use softfloat::FpFormat;
+use std::time::{Duration, Instant};
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "out".to_string());
@@ -31,11 +32,23 @@ fn main() {
     );
     let cfg = PipelineConfig::default();
     let mut rt = Runtime::new(RuntimeConfig::default());
-    let t0 = std::time::Instant::now();
+    // Each served convolution, timed in call order: the denoise, one per
+    // matched-filter orientation, then the texture filter.
+    let mut conv_times = Vec::new();
+    let t0 = Instant::now();
     let res = run_pipeline(&img, &cfg, |image, k| {
-        kernels::convolve_served(&mut rt, FpFormat::PAPER, image, k).expect("served convolution")
+        let t = Instant::now();
+        let out = kernels::convolve_served(&mut rt, FpFormat::PAPER, image, k)
+            .expect("served convolution");
+        conv_times.push(t.elapsed());
+        out
     });
     let elapsed = t0.elapsed();
+    assert_eq!(
+        conv_times.len(),
+        cfg.orientations + 2,
+        "one call per kernel"
+    );
     let reference = run_pipeline(&img, &cfg, convolve_f32);
     let pixels = res.segmented.data.len();
     let agree = (0..pixels)
@@ -51,7 +64,9 @@ fn main() {
     );
     println!(
         "  stages: denoise {:?}, matched filters {:?}, texture {:?}",
-        res.stage_times[0], res.stage_times[1], res.stage_times[2]
+        conv_times[0],
+        conv_times[1..=cfg.orientations].iter().sum::<Duration>(),
+        conv_times[cfg.orientations + 1]
     );
     println!(
         "  segmentation: precision {:.3}, recall {:.3}, F1 {:.3}, accuracy {:.3}",
